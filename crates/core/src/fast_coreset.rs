@@ -18,6 +18,8 @@
 //! argument: the partition is an `O(polylog k)`-approximation, and the
 //! coreset size compensates for the approximation factor).
 
+use std::borrow::Cow;
+
 use fc_clustering::kmedian::{geometric_median, weighted_mean_of, WeiszfeldConfig};
 use fc_clustering::CostKind;
 use fc_geom::jl::{project_if_beneficial, target_dim_for_clustering, JlKind};
@@ -89,12 +91,19 @@ impl FastCoreset {
         params: &CompressionParams,
     ) -> (Vec<usize>, Points, Vec<f64>) {
         let cfg = &self.config;
-        // Step 1: dimension reduction for the embedding only.
-        let working = if cfg.use_jl {
-            let target = target_dim_for_clustering(params.k, cfg.jl_eps);
-            project_if_beneficial(rng, data.points(), target, JlKind::SparseAchlioptas)
-        } else {
-            data.points().clone()
+        // Step 1: dimension reduction for the embedding only. The input is
+        // borrowed, not copied, when no projection applies.
+        let target = cfg
+            .use_jl
+            .then(|| target_dim_for_clustering(params.k, cfg.jl_eps));
+        let working = match target {
+            Some(target) if data.dim() > target => Cow::Owned(project_if_beneficial(
+                rng,
+                data.points(),
+                target,
+                JlKind::SparseAchlioptas,
+            )),
+            _ => Cow::Borrowed(data.points()),
         };
         // Step 2: spread reduction — affects only the tree's geometry.
         let working = if cfg.reduce_spread {
@@ -108,7 +117,7 @@ impl FastCoreset {
             let sp = SpreadParams::practical(data.len(), working.dim());
             let (reduced, _map) =
                 fc_quadtree::spread::reduce_spread(rng, &working, bound.upper, sp);
-            reduced
+            Cow::Owned(reduced)
         } else {
             working
         };

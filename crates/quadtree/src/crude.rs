@@ -8,12 +8,26 @@
 //! cells is one dictionary pass, the count is monotone in the level (dyadic
 //! grids nest), and a binary search over the `O(log Δ)` levels finds the
 //! threshold with `O(log log Δ)` passes.
+//!
+//! Cost model: the `n·d` divisions happen once, inside the first probe,
+//! which quantises each point at the finest level as it reaches it. Every
+//! later probe shifts those integer rows right and looks them up in a
+//! dictionary of at most `k + 1` exact rows, stopping at the first cell past
+//! `k` — `O(n·d)` integer operations when the level holds, far fewer when
+//! it does not. The finest level is chosen from the data so that no cell
+//! coordinate saturates, which makes the bound translation-invariant.
 
 use fc_geom::points::Points;
 use rand::Rng;
 
-use crate::grid::count_distinct_cells;
+use crate::grid::{grid_coord, RowInterner};
 use fc_geom::distance::CostKind;
+
+/// Coarsest probe level: side `Δ·2^44`, one cell unless a boundary crosses.
+const LO: i32 = -44;
+/// Finest probe level: `Δ·2^-52` is the f64 significand resolution relative
+/// to the diameter.
+const HI: i32 = 52;
 
 /// Result of the crude approximation.
 #[derive(Debug, Clone)]
@@ -54,20 +68,48 @@ pub fn crude_approx<R: Rng + ?Sized>(
         };
     }
     let shift: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>() * delta).collect();
+
+    // `Count-Distinct-Cells`: `min(count, k + 1)` over the rows `cell_of`
+    // writes, stopping at the first cell past `k`.
+    let mut seen = RowInterner::default();
+    let mut row = vec![0i64; dim];
     let mut probes = 0;
-    let mut count_at = |level: i32| -> usize {
+    let mut count_distinct = |cell_of: &mut dyn FnMut(usize, &mut [i64])| -> usize {
         probes += 1;
-        let side = delta * f64::powi(2.0, -level);
-        count_distinct_cells(points, &shift, side, k)
+        seen.reset(dim, k.min(points.len()) + 1);
+        for i in 0..points.len() {
+            cell_of(i, &mut row);
+            seen.intern(&row);
+            if seen.len() > k {
+                break;
+            }
+        }
+        seen.len()
     };
 
-    // Level ℓ has side Δ·2^{-ℓ}. The occupied-cell count is non-decreasing
-    // in ℓ (grids nest). Bracket the threshold, then binary search.
-    const LO: i32 = -44; // side = Δ·2^44: one cell unless a boundary crosses
-                         // Finest probe: Δ·2^-52 is the f64 significand resolution relative to
-                         // the diameter; finer grids would also overflow the i64 cell coords.
-    const HI: i32 = 52;
-    if count_at(LO) > k {
+    // Level ℓ has side Δ·2^{-ℓ}. Each point is quantised once, at the finest
+    // level, as the first probe reaches it; sides are power-of-two multiples
+    // and share the shift, so its cell at a coarser level is a right shift
+    // of that row and every later probe is one pass of shifts and
+    // dictionary lookups.
+    let finest = finest_level(points, &shift, delta);
+    let finest_side = delta * f64::powi(2.0, -finest);
+    let mut cells: Vec<i64> = Vec::with_capacity(points.len() * dim);
+    let coarsen = |row: &mut [i64], fine: &[i64], level: i32| {
+        let by = (finest - level).min(63) as u32;
+        for (c, &f) in row.iter_mut().zip(fine) {
+            *c = f >> by;
+        }
+    };
+
+    // The occupied-cell count is non-decreasing in ℓ (grids nest). Bracket
+    // the threshold, then binary search.
+    let coarsest = count_distinct(&mut |i, row| {
+        let quantised = points.row(i).iter().zip(&shift);
+        cells.extend(quantised.map(|(&x, &s)| grid_coord(x, s, finest_side)));
+        coarsen(row, &cells[i * dim..], LO);
+    });
+    if coarsest > k {
         // Even absurdly coarse grids are fragmented (can only happen with
         // 2^d > k and adversarial boundary luck): fall back to the trivial
         // bound cost(P, any single point) ≤ W·Δ^z.
@@ -79,12 +121,15 @@ pub fn crude_approx<R: Rng + ?Sized>(
             probes,
         };
     }
-    if count_at(HI) <= k {
+    let mut count_at = |level: i32| -> usize {
+        count_distinct(&mut |i, row| coarsen(row, &cells[i * dim..], level))
+    };
+    if count_at(finest) <= k {
         // At f64 resolution the input still fits in k cells: at most k
         // locations distinguishable at the data's scale, so OPT is zero up
         // to relative machine precision. Return that epsilon-scale bound so
         // the result still dominates OPT.
-        let side = delta * f64::powi(2.0, -HI);
+        let side = finest_side;
         let upper = total_weight * ((dim as f64).sqrt() * side).powf(kind.z());
         return CrudeBound {
             upper,
@@ -94,7 +139,7 @@ pub fn crude_approx<R: Rng + ?Sized>(
     }
 
     // Invariant: count(lo) <= k < count(hi).
-    let (mut lo, mut hi) = (LO, HI);
+    let (mut lo, mut hi) = (LO, finest);
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
         if count_at(mid) <= k {
@@ -113,6 +158,27 @@ pub fn crude_approx<R: Rng + ?Sized>(
         side,
         probes,
     }
+}
+
+/// The finest probe level: [`HI`], lowered on data far from the origin
+/// until the largest `|x − shift| / side` over the dimensions that vary at
+/// all stays below `2^63` — a saturated cell coordinate would merge distinct
+/// cells and break `U ≥ OPT`.
+fn finest_level(points: &Points, shift: &[f64], delta: f64) -> i32 {
+    let bbox = fc_geom::BoundingBox::of(points).expect("non-empty checked by the caller");
+    let reach = bbox
+        .min()
+        .iter()
+        .zip(bbox.max())
+        .zip(shift)
+        .filter(|((lo, hi), _)| lo < hi)
+        .fold(0.0f64, |reach, ((lo, hi), s)| {
+            reach.max((lo - s).abs()).max((hi - s).abs())
+        });
+    // ⌊log2(reach / Δ)⌋ from the exponent field: `reach / side` stays below
+    // `2^63` exactly when this plus the level is at most 62.
+    let exponent = ((reach / delta).to_bits() >> 52 & 0x7ff) as i32 - 1023;
+    HI.min(62 - exponent).max(LO + 1)
 }
 
 #[cfg(test)]
@@ -170,6 +236,29 @@ mod tests {
         let b = crude_approx(&mut r, d.points(), 3, CostKind::KMeans, d.total_weight());
         let opt = near_opt(&d, 3, CostKind::KMeans);
         assert!(b.upper >= opt, "upper {} < near-OPT {}", b.upper, opt);
+    }
+
+    #[test]
+    fn upper_bound_dominates_opt_far_from_the_origin() {
+        // The bound is a statement about the data's shape, not about where
+        // it sits: projected metres or timestamps put the same four blobs
+        // thousands of diameters from the origin.
+        for offset in [0.0, 1e7, 1e9] {
+            let near = clustered_data(4, 25, 100.0);
+            let far: Vec<f64> = near.points().as_flat().iter().map(|x| x + offset).collect();
+            let d = Dataset::from_flat(far, 2).unwrap();
+            let opt = near_opt(&d, 2, CostKind::KMeans);
+            let mut r = rng();
+            for _ in 0..5 {
+                let b = crude_approx(&mut r, d.points(), 2, CostKind::KMeans, d.total_weight());
+                assert!(
+                    b.upper >= opt,
+                    "offset {offset}: upper {} < near-OPT {opt} after {} probes",
+                    b.upper,
+                    b.probes
+                );
+            }
+        }
     }
 
     #[test]

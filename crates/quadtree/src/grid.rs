@@ -1,104 +1,134 @@
 //! Shifted-grid cell identification.
 //!
-//! All three quadtree algorithms reduce to the same primitive: quantize a
+//! All three quadtree algorithms reduce to the same primitive: quantise a
 //! point against a randomly shifted grid of a given cell side and identify
-//! the occupied cells with a dictionary (Algorithm 2 line 4). Cell
-//! coordinates are integer vectors; for dictionary keys we use a pair of
-//! independently-seeded 64-bit mixes of the coordinate vector — a 128-bit
-//! fingerprint whose collision probability over `n ≤ 2^32` cells is
-//! negligible (< 2^-60), which keeps the hot path allocation-free.
+//! the occupied cells with a dictionary (Algorithm 2 line 4). The
+//! quantisation is done **once** per algorithm, at the finest level it will
+//! ever look at (`quantise`, `n·d` divisions): grid sides are exact
+//! power-of-two multiples of each other and share one shift, so the cell
+//! coordinate `s` levels coarser is exactly `c >> s` — every coarser grid is
+//! a bit prefix, as in RASTER's tile truncation. The dictionary is a
+//! `RowInterner`: exact integer rows, dense ids in first-appearance order,
+//! `O(rows)` to reset, no allocation per row.
 
-use rustc_hash::{FxHashMap, FxHashSet};
-
-/// 128-bit fingerprint of an integer cell-coordinate vector.
-pub type CellKey = (u64, u64);
-
-const MIX_SEED_A: u64 = 0x9E37_79B9_7F4A_7C15;
-const MIX_SEED_B: u64 = 0xC2B2_AE3D_27D4_EB4F;
-
-#[inline]
-fn mix(mut h: u64, v: u64) -> u64 {
-    // splitmix64 finalizer applied to a running combination.
-    h ^= v
-        .wrapping_add(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(h << 6)
-        .wrapping_add(h >> 2);
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^ (h >> 31)
-}
+use fc_geom::points::Points;
 
 /// Integer grid coordinate of `x` in a grid of pitch `side` shifted by
-/// `shift`: `⌊(x − shift) / side⌋`.
+/// `shift`: `⌊(x − shift) / side⌋`, saturating at the `i64` range.
 #[inline]
 pub fn grid_coord(x: f64, shift: f64, side: f64) -> i64 {
-    ((x - shift) / side).floor() as i64
+    // `q.floor() as i64` without the libm call: truncate, then step down
+    // when truncation rounded a negative non-integer up.
+    let q = (x - shift) / side;
+    let truncated = q as i64;
+    truncated.saturating_sub(i64::from(truncated as f64 > q))
 }
 
-/// Fingerprint of the cell containing `point` on a grid with per-dimension
-/// `shift` and pitch `side`.
-#[inline]
-pub fn cell_key(point: &[f64], shift: &[f64], side: f64) -> CellKey {
-    debug_assert_eq!(point.len(), shift.len());
-    let mut a = MIX_SEED_A;
-    let mut b = MIX_SEED_B;
-    for (&x, &s) in point.iter().zip(shift) {
-        let c = grid_coord(x, s, side) as u64;
-        a = mix(a, c);
-        b = mix(b ^ 0x5851_F42D_4C95_7F2D, c);
+/// Quantises every point against one grid: row-major cell coordinates,
+/// `cells[i·d + j] = min(grid_coord(x_ij, shift_j, side), max_cell)`.
+pub(crate) fn quantise(points: &Points, shift: &[f64], side: f64, max_cell: i64) -> Vec<i64> {
+    debug_assert_eq!(points.dim(), shift.len());
+    let mut cells = Vec::with_capacity(points.len() * points.dim());
+    for row in points.iter() {
+        cells.extend(
+            row.iter()
+                .zip(shift)
+                .map(|(&x, &s)| grid_coord(x, s, side).min(max_cell)),
+        );
     }
-    (a, b)
+    cells
 }
 
-/// Integer coordinates of the cell containing `point` (for callers that need
-/// the actual coordinates, e.g. to order boxes along a dimension).
-pub fn cell_coords(point: &[f64], shift: &[f64], side: f64) -> Vec<i64> {
-    point
-        .iter()
-        .zip(shift)
-        .map(|(&x, &s)| grid_coord(x, s, side))
-        .collect()
+const EMPTY: u32 = u32::MAX;
+
+/// A dictionary of distinct integer rows: [`intern`](Self::intern) returns
+/// a dense id per distinct row, numbered in first-appearance order. Rows
+/// are compared exactly (the hash only picks the probe start), and the
+/// table is sized per [`reset`](Self::reset), so reusing one interner
+/// across many small row sets costs time linear in each set.
+#[derive(Debug, Default)]
+pub(crate) struct RowInterner {
+    width: usize,
+    /// Number of interned rows.
+    len: usize,
+    /// The interned rows, `width` columns each, in id order.
+    rows: Vec<i64>,
+    /// Open-addressing table of row ids; the first `mask + 1` slots are live.
+    slots: Vec<u32>,
+    mask: usize,
+    /// One odd multiplier per column: the row hash is their dot product
+    /// with the row, so columns mix independently of each other.
+    multipliers: Vec<u64>,
 }
 
-/// Counts distinct occupied cells, stopping early once `limit` is exceeded —
-/// the `Count-Distinct-Cells` procedure of Algorithm 2. Returns
-/// `min(count, limit + 1)`, so a return of `limit + 1` means "more than
-/// `limit`".
-pub fn count_distinct_cells(
-    points: &fc_geom::Points,
-    shift: &[f64],
-    side: f64,
-    limit: usize,
-) -> usize {
-    let mut seen: FxHashSet<CellKey> = FxHashSet::default();
-    for p in points.iter() {
-        seen.insert(cell_key(p, shift, side));
-        if seen.len() > limit {
-            return limit + 1;
+impl RowInterner {
+    /// Forgets every row and prepares for at most `max_rows` distinct rows
+    /// of `width` columns.
+    pub(crate) fn reset(&mut self, width: usize, max_rows: usize) {
+        self.width = width;
+        self.len = 0;
+        self.rows.clear();
+        let live = (2 * max_rows).next_power_of_two().max(2);
+        if self.slots.len() < live {
+            self.slots.resize(live, EMPTY);
+        }
+        self.slots[..live].fill(EMPTY);
+        self.mask = live - 1;
+        while self.multipliers.len() < width {
+            // The splitmix64 output for this column's index, forced odd.
+            let mut z = (self.multipliers.len() as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            self.multipliers.push((z ^ (z >> 31)) | 1);
         }
     }
-    seen.len()
-}
 
-/// Groups point indices by their occupied cell.
-pub fn group_by_cell(
-    points: &fc_geom::Points,
-    shift: &[f64],
-    side: f64,
-) -> FxHashMap<CellKey, Vec<usize>> {
-    let mut groups: FxHashMap<CellKey, Vec<usize>> = FxHashMap::default();
-    for (i, p) in points.iter().enumerate() {
-        groups.entry(cell_key(p, shift, side)).or_default().push(i);
+    /// Id of `row`, interning it first if it is new.
+    #[inline]
+    pub(crate) fn intern(&mut self, row: &[i64]) -> u32 {
+        debug_assert_eq!(row.len(), self.width);
+        let dot = row
+            .iter()
+            .zip(&self.multipliers)
+            .fold(0u64, |acc, (&c, &m)| {
+                acc.wrapping_add((c as u64).wrapping_mul(m))
+            });
+        let hash = (dot ^ (dot >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut slot = (hash >> 32) as usize & self.mask;
+        loop {
+            let id = self.slots[slot];
+            if id == EMPTY {
+                let id = self.len as u32;
+                debug_assert!(2 * self.len <= self.mask, "more rows than reset allowed");
+                self.slots[slot] = id;
+                self.rows.extend_from_slice(row);
+                self.len += 1;
+                return id;
+            }
+            if self.row(id) == row {
+                return id;
+            }
+            slot = (slot + 1) & self.mask;
+        }
     }
-    groups
+
+    /// Number of distinct rows interned since the last reset.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The row with the given id.
+    #[inline]
+    pub(crate) fn row(&self, id: u32) -> &[i64] {
+        let at = id as usize * self.width;
+        &self.rows[at..at + self.width]
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fc_geom::Points;
 
     #[test]
     fn grid_coord_quantizes() {
@@ -110,71 +140,75 @@ mod tests {
     }
 
     #[test]
-    fn same_cell_same_key() {
-        let shift = [0.3, 0.7];
-        let a = cell_key(&[1.0, 2.0], &shift, 1.0);
-        let b = cell_key(&[1.2, 2.2], &shift, 1.0);
-        assert_eq!(a, b);
+    fn grid_coord_is_floor_with_saturation() {
+        for q in [
+            0.0,
+            -0.0,
+            2.0,
+            -2.0,
+            2.5,
+            -2.5,
+            1e-320,
+            -1e-320,
+            9.2e18,
+            -9.2e18,
+            9.3e18,
+            -9.3e18,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            assert_eq!(grid_coord(q, 0.0, 1.0), q.floor() as i64, "q = {q}");
+        }
     }
 
     #[test]
-    fn different_cells_different_keys() {
-        let shift = [0.0, 0.0];
-        let a = cell_key(&[0.5, 0.5], &shift, 1.0);
-        let b = cell_key(&[1.5, 0.5], &shift, 1.0);
-        let c = cell_key(&[0.5, 1.5], &shift, 1.0);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_ne!(b, c);
-    }
-
-    #[test]
-    fn coords_match_key_grouping() {
-        let shift = [0.1, 0.1];
-        let p = [3.7, -2.2];
-        let q = [3.9, -2.4];
-        assert_eq!(cell_coords(&p, &shift, 1.0), vec![3, -3]);
-        assert_eq!(
-            cell_coords(&p, &shift, 1.0) == cell_coords(&q, &shift, 1.0),
-            cell_key(&p, &shift, 1.0) == cell_key(&q, &shift, 1.0)
-        );
-    }
-
-    #[test]
-    fn count_distinct_with_early_exit() {
-        let pts = Points::from_flat(vec![0.5, 1.5, 2.5, 3.5, 0.6], 1).unwrap();
-        let shift = [0.0];
-        assert_eq!(count_distinct_cells(&pts, &shift, 1.0, 10), 4);
-        assert_eq!(count_distinct_cells(&pts, &shift, 1.0, 2), 3); // limit+1 => "more than 2"
-        assert_eq!(count_distinct_cells(&pts, &shift, 10.0, 10), 1);
-    }
-
-    #[test]
-    fn group_by_cell_partitions_indices() {
-        let pts = Points::from_flat(vec![0.5, 0.6, 5.5, 5.6], 1).unwrap();
-        let groups = group_by_cell(&pts, &[0.0], 1.0);
-        assert_eq!(groups.len(), 2);
-        let total: usize = groups.values().map(|v| v.len()).sum();
-        assert_eq!(total, 4);
-        for members in groups.values() {
-            // Members of a group must share the integer coordinate.
-            let c0 = grid_coord(pts.row(members[0])[0], 0.0, 1.0);
-            for &m in members {
-                assert_eq!(grid_coord(pts.row(m)[0], 0.0, 1.0), c0);
+    fn coarser_cells_are_bit_prefixes() {
+        // The identity every caller relies on: quantise once at the finest
+        // side, shift right for every coarser power-of-two multiple.
+        let side = 0.3 * f64::powi(2.0, -20);
+        for &x in &[0.0, 0.1, -0.1, 7.25, -7.25, 1234.567, -9876.54321, 1e-9] {
+            let fine = grid_coord(x, 0.37, side);
+            for up in 0..40 {
+                let coarse = grid_coord(x, 0.37, side * f64::powi(2.0, up));
+                assert_eq!(fine >> up, coarse, "x = {x}, {up} levels up");
             }
         }
     }
 
     #[test]
-    fn nested_grids_nest() {
-        // A point pair sharing a cell at side s also shares it at side 2s
-        // when the shift is identical (dyadic nesting as used by the tree).
-        let shift = [0.0, 0.0];
-        for pair in [([0.2, 0.8], [0.9, 0.1]), ([3.1, 3.9], [3.8, 3.2])] {
-            let (p, q) = pair;
-            if cell_key(&p, &shift, 1.0) == cell_key(&q, &shift, 1.0) {
-                assert_eq!(cell_key(&p, &shift, 2.0), cell_key(&q, &shift, 2.0));
-            }
+    fn quantise_is_row_major_and_capped() {
+        let pts = Points::from_flat(vec![0.5, 1.5, 2.5, 3.5], 2).unwrap();
+        assert_eq!(quantise(&pts, &[0.0, 1.0], 1.0, i64::MAX), [0, 0, 2, 2]);
+        assert_eq!(quantise(&pts, &[0.0, 1.0], 1.0, 1), [0, 0, 1, 1]);
+    }
+
+    #[test]
+    fn interner_numbers_rows_in_first_appearance_order() {
+        let mut rows = RowInterner::default();
+        rows.reset(2, 4);
+        assert_eq!(rows.intern(&[3, -3]), 0);
+        assert_eq!(rows.intern(&[3, -4]), 1);
+        assert_eq!(rows.intern(&[3, -3]), 0);
+        assert_eq!(rows.intern(&[i64::MIN, i64::MAX]), 2);
+        assert_eq!(rows.intern(&[3, -4]), 1);
+        assert_eq!(rows.len(), 3);
+        assert_eq!(rows.row(2), [i64::MIN, i64::MAX]);
+    }
+
+    #[test]
+    fn interner_reset_forgets_and_resizes() {
+        let mut rows = RowInterner::default();
+        rows.reset(1, 1_000);
+        for v in 0..1_000 {
+            assert_eq!(rows.intern(&[v * 1024]), v as u32);
         }
+        assert_eq!(rows.len(), 1_000);
+        // A smaller, wider set on the same interner starts from scratch.
+        rows.reset(3, 2);
+        assert_eq!(rows.len(), 0);
+        assert_eq!(rows.intern(&[0, 0, 1024]), 0);
+        assert_eq!(rows.intern(&[0, 1024, 0]), 1);
+        assert_eq!(rows.intern(&[0, 0, 1024]), 0);
     }
 }

@@ -25,7 +25,7 @@ use fc_geom::points::Points;
 use rand::Rng;
 use rustc_hash::FxHashMap;
 
-use crate::grid::cell_coords;
+use crate::grid::{grid_coord, RowInterner};
 
 /// Safety factors for the two reduction steps.
 #[derive(Debug, Clone, Copy)]
@@ -148,26 +148,24 @@ pub fn reduce_spread<R: Rng + ?Sized>(
     let r = params.diameter_factor * upper;
     let shift: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>() * r).collect();
 
-    // Identify occupied boxes.
-    let mut box_ids: FxHashMap<Vec<i64>, usize> = FxHashMap::default();
-    let mut box_coords: Vec<Vec<i64>> = Vec::new();
+    // Identify occupied boxes, numbered in first-appearance order.
+    let mut boxes = RowInterner::default();
+    boxes.reset(dim, n);
+    let mut coords = vec![0i64; dim];
     let mut box_of_point = Vec::with_capacity(n);
     for p in points.iter() {
-        let coords = cell_coords(p, &shift, r);
-        let next_id = box_coords.len();
-        let id = *box_ids.entry(coords.clone()).or_insert_with(|| {
-            box_coords.push(coords);
-            next_id
-        });
-        box_of_point.push(id);
+        for ((c, &x), &s) in coords.iter_mut().zip(p).zip(&shift) {
+            *c = grid_coord(x, s, r);
+        }
+        box_of_point.push(boxes.intern(&coords) as usize);
     }
-    let b = box_coords.len();
+    let b = boxes.len();
 
     // Slide boxes together along each axis: consecutive occupied integer
     // coordinates further than 2 apart are pulled to distance exactly 2.
     let mut box_shifts = vec![vec![0.0; dim]; b];
     for axis in 0..dim {
-        let mut coords: Vec<i64> = box_coords.iter().map(|c| c[axis]).collect();
+        let coords: Vec<i64> = (0..b as u32).map(|bx| boxes.row(bx)[axis]).collect();
         let mut unique = coords.clone();
         unique.sort_unstable();
         unique.dedup();
@@ -183,9 +181,8 @@ pub fn reduce_spread<R: Rng + ?Sized>(
             }
             reduction.insert(unique[w], acc);
         }
-        for (bx, c) in coords.iter_mut().enumerate() {
-            let red = reduction[c];
-            box_shifts[bx][axis] = red as f64 * r;
+        for (shifts, c) in box_shifts.iter_mut().zip(&coords) {
+            shifts[axis] = reduction[c] as f64 * r;
         }
     }
 

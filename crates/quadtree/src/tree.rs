@@ -7,12 +7,24 @@
 //! `2n − 1` nodes regardless of depth. Construction reorders an index
 //! permutation so each node owns a contiguous range, which lets the
 //! Fast-kmeans++ sampler answer subtree-mass queries with prefix sums.
+//!
+//! Cost model: the points are quantised **once**, at the finest level
+//! (`n·d` divisions); every level's cell coordinate is a bit prefix of that
+//! integer, so a node finds the level at which its points separate from one
+//! XOR/OR pass over its rows and groups its children from one more —
+//! `O(size·d)` per node whatever the length of the compression chain above
+//! its split, and `O(size·d)` for a leaf of duplicates. Nothing is
+//! re-gridded per level.
 
 use fc_geom::points::Points;
 use rand::Rng;
-use rustc_hash::FxHashMap;
 
-use crate::grid::{cell_key, CellKey};
+use crate::grid::{quantise, RowInterner};
+
+/// Deepest level a tree can have: cell coordinates are 63-bit integers, and
+/// an `f64` coordinate carries no information below `2^-62` of the root
+/// side anyway.
+const MAX_LEVELS: u32 = 62;
 
 /// Construction parameters.
 #[derive(Debug, Clone, Copy)]
@@ -20,7 +32,7 @@ pub struct QuadtreeConfig {
     /// Hard cap on the (uncompressed) depth; cells at this level become
     /// leaves even if they hold several distinct points. The default (50)
     /// resolves relative scales down to `2^-50` — below f64 noise for
-    /// data that has been spread-reduced.
+    /// data that has been spread-reduced. Values above 62 act as 62.
     pub max_depth: u32,
 }
 
@@ -88,7 +100,9 @@ pub struct Quadtree {
 
 impl Quadtree {
     /// Builds a compressed quadtree over `points` with a uniformly random
-    /// grid shift. `O(n · d · depth)` time, `O(n)` nodes.
+    /// grid shift: `O(n·d)` to quantise the points once at the finest level,
+    /// then `O(size·d)` per node — however many levels its compression
+    /// chain skips — for `O(n)` nodes.
     ///
     /// Panics on an empty point set.
     pub fn build<R: Rng + ?Sized>(rng: &mut R, points: &Points, config: QuadtreeConfig) -> Self {
@@ -105,6 +119,22 @@ impl Quadtree {
             .map(|&lo| lo - rng.gen::<f64>() * delta)
             .collect();
 
+        // The finest level any node can reach: the depth cap, or where the
+        // cell side stops being a normal float (points that still share a
+        // cell there coincide numerically).
+        let max_depth = config.max_depth.min(MAX_LEVELS);
+        let depth = (0..=max_depth)
+            .rev()
+            .find(|&level| (root_side / f64::powi(2.0, level as i32)).is_normal())
+            .unwrap_or(0);
+        // Quantise once. Sides halve exactly, so a point's cell coordinate
+        // at level ℓ is its finest coordinate shifted right by `depth − ℓ`;
+        // the cap keeps a point that rounds onto the root cell's far face
+        // inside the root cell.
+        let finest_side = root_side / f64::powi(2.0, depth as i32);
+        let cells = quantise(points, &origin, finest_side, (1i64 << depth) - 1);
+        let cell = |idx: u32| &cells[idx as usize * dim..(idx as usize + 1) * dim];
+
         let n = points.len();
         let mut perm: Vec<u32> = (0..n as u32).collect();
         let mut nodes = vec![Node {
@@ -118,70 +148,98 @@ impl Quadtree {
 
         // Iterative construction; scratch buffers are reused across nodes.
         let mut stack: Vec<u32> = vec![0];
-        let mut buckets: FxHashMap<CellKey, Vec<u32>> = FxHashMap::default();
+        let mut differing = vec![0i64; dim];
+        let mut split_dims: Vec<usize> = Vec::new();
+        let mut key: Vec<i64> = Vec::new();
+        let mut children = RowInterner::default();
+        let mut child_of: Vec<u32> = Vec::new();
+        let mut cursors: Vec<u32> = Vec::new();
+        let mut members: Vec<u32> = Vec::new();
         while let Some(node_id) = stack.pop() {
-            let (start, end, mut level) = {
+            let (start, end) = {
                 let node = &nodes[node_id as usize];
-                (node.start as usize, node.end as usize, node.level)
+                (node.start as usize, node.end as usize)
             };
-            if end - start <= 1 || level >= config.max_depth {
-                nodes[node_id as usize].level = level;
+            if end - start <= 1 {
                 continue;
             }
-            // Descend through levels until the points separate (compression).
-            let children_at = loop {
-                if level >= config.max_depth {
-                    break None;
+            // The node's points share a cell down to its level, i.e. agree
+            // on every high bit; the highest bit on which any coordinate
+            // disagrees names the level at which they separate, however
+            // long the compression chain down to it.
+            let first = cell(perm[start]);
+            differing.fill(0);
+            for &idx in &perm[start + 1..end] {
+                for ((acc, &c), &c0) in differing.iter_mut().zip(cell(idx)).zip(first) {
+                    *acc |= c ^ c0;
                 }
-                let side = root_side / f64::powi(2.0, (level + 1) as i32);
-                if side <= 0.0 || !side.is_normal() {
-                    break None; // numerically exhausted: points coincide
-                }
-                buckets.clear();
-                for &idx in &perm[start..end] {
-                    let key = cell_key(points.row(idx as usize), &origin, side);
-                    buckets.entry(key).or_default().push(idx);
-                }
-                if buckets.len() > 1 {
-                    break Some(level);
-                }
-                level += 1;
-            };
+            }
+            let any = differing.iter().fold(0, |acc, &bits| acc | bits);
+            if any == 0 {
+                // Duplicates (or the depth cap): a leaf at the finest level.
+                nodes[node_id as usize].level = depth;
+                continue;
+            }
+            let bit = any.ilog2();
+            let level = depth - bit - 1;
             nodes[node_id as usize].level = level;
-            let Some(_) = children_at else {
-                continue; // became a leaf (duplicates or depth cap)
-            };
 
-            // Create children contiguously, rewriting the permutation range.
-            let first_child = nodes.len() as u32;
-            let mut cursor = start;
-            // Deterministic child order: sort buckets by their first member's
-            // position to make construction independent of hash iteration.
-            let mut groups: Vec<Vec<u32>> = buckets.drain().map(|(_, v)| v).collect();
-            groups.sort_by_key(|g| g[0]);
-            let n_children = groups.len() as u32;
-            for group in groups {
-                let c_start = cursor;
-                for idx in group {
-                    perm[cursor] = idx;
-                    cursor += 1;
+            // Children are the occupied cells one level down. Above `bit`
+            // all points agree, so a child is named by bit `bit` of the
+            // dimensions that disagree there, packed 64 to a key word.
+            split_dims.clear();
+            split_dims.extend((0..dim).filter(|&j| differing[j] >> bit & 1 == 1));
+            key.clear();
+            key.resize(split_dims.len().div_ceil(64), 0);
+            children.reset(key.len(), end - start);
+            child_of.clear();
+            cursors.clear();
+            for &idx in &perm[start..end] {
+                let row = cell(idx);
+                for (word, dims) in key.iter_mut().zip(split_dims.chunks(64)) {
+                    *word = dims
+                        .iter()
+                        .enumerate()
+                        .fold(0, |word, (at, &j)| word | (row[j] >> bit & 1) << at);
                 }
+                let child = children.intern(&key);
+                if child as usize == cursors.len() {
+                    cursors.push(0);
+                }
+                cursors[child as usize] += 1;
+                child_of.push(child);
+            }
+
+            // Children in first-appearance order, each owning a contiguous
+            // range: a stable counting scatter of the permutation range.
+            let first_child = nodes.len() as u32;
+            let n_children = cursors.len() as u32;
+            let mut cursor = start as u32;
+            for at in cursors.iter_mut() {
+                let size = *at;
                 nodes.push(Node {
                     level: level + 1,
-                    start: c_start as u32,
-                    end: cursor as u32,
+                    start: cursor,
+                    end: cursor + size,
                     parent: node_id,
                     first_child: 0,
                     n_children: 0,
                 });
+                *at = cursor;
+                cursor += size;
             }
-            debug_assert_eq!(cursor, end);
+            debug_assert_eq!(cursor as usize, end);
+            members.clear();
+            members.extend_from_slice(&perm[start..end]);
+            for (&idx, &child) in members.iter().zip(&child_of) {
+                let at = &mut cursors[child as usize];
+                perm[*at as usize] = idx;
+                *at += 1;
+            }
             let node = &mut nodes[node_id as usize];
             node.first_child = first_child;
             node.n_children = n_children;
-            for c in first_child..first_child + n_children {
-                stack.push(c);
-            }
+            stack.extend(first_child..first_child + n_children);
         }
 
         let mut pos = vec![0u32; n];
@@ -195,7 +253,7 @@ impl Quadtree {
             dim,
             root_side,
             origin,
-            max_depth: config.max_depth,
+            max_depth,
         }
     }
 
@@ -224,7 +282,7 @@ impl Quadtree {
         self.root_side
     }
 
-    /// The depth cap the tree was built with.
+    /// The depth cap the tree was built with (at most 62).
     pub fn max_depth(&self) -> u32 {
         self.max_depth
     }
@@ -402,6 +460,29 @@ mod tests {
         assert_eq!(leaf_a, leaf_b);
         assert_eq!(leaf_b, leaf_c);
         assert_eq!(t.node(leaf_a).size(), 3);
+    }
+
+    #[test]
+    fn children_differing_only_past_dimension_64_separate() {
+        // Corners of the unit cube in 130 dimensions: whatever the shift,
+        // the level-1 cell of a corner is its 0/1 pattern, so the root
+        // splits on all 130 dimensions at once and the child key spans
+        // three words. Points 0 and 2 differ only in dimension 100,
+        // points 1 and 3 only in dimension 129.
+        let mut rows = vec![
+            vec![0.0; 130],
+            vec![1.0; 130],
+            vec![0.0; 130],
+            vec![1.0; 130],
+        ];
+        rows[2][100] = 1.0;
+        rows[3][129] = 0.0;
+        let p = Points::from_rows(&rows).unwrap();
+        let t = Quadtree::build(&mut rng(), &p, QuadtreeConfig::default());
+        t.validate().unwrap();
+        assert_eq!(t.node(0).level, 0);
+        assert_eq!(t.node(0).n_children, 4);
+        assert_eq!(t.permutation(), [0, 1, 2, 3]);
     }
 
     #[test]

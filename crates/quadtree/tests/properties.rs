@@ -8,7 +8,8 @@ use fc_quadtree::spread::{reduce_spread, SpreadParams};
 use fc_quadtree::tree::{Quadtree, QuadtreeConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 
 fn points_strategy() -> impl Strategy<Value = Points> {
     (2usize..60, 1usize..4).prop_flat_map(|(n, dim)| {
@@ -17,8 +18,224 @@ fn points_strategy() -> impl Strategy<Value = Points> {
     })
 }
 
+/// `⌊(x − shift) / side⌋` per coordinate, the way every stage computed it
+/// before the crate quantised once per stage.
+fn cell_at(point: &[f64], shift: &[f64], side: f64) -> Vec<i64> {
+    let coord = |(&x, &s): (&f64, &f64)| ((x - s) / side).floor() as i64;
+    point.iter().zip(shift).map(coord).collect()
+}
+
+/// The reference quadtree builder: re-grid a node's points at every level,
+/// in floating point, until they separate. `O(size·d)` per level, which is
+/// why it is no longer the builder — but it is the definition. Returns
+/// `(level, start, end, parent, first_child, n_children)` per node and the
+/// permutation.
+fn reference_build(rng: &mut StdRng, points: &Points, max_depth: u32) -> (Vec<[u32; 6]>, Vec<u32>) {
+    let bbox = fc_geom::BoundingBox::of(points).unwrap();
+    let delta = bbox.longest_side().max(f64::MIN_POSITIVE);
+    let root_side = 2.0 * delta;
+    let origin: Vec<f64> = bbox
+        .min()
+        .iter()
+        .map(|&lo| lo - rng.gen::<f64>() * delta)
+        .collect();
+    let n = points.len() as u32;
+    let mut perm: Vec<u32> = (0..n).collect();
+    let mut nodes = vec![[0, 0, n, u32::MAX, 0, 0]];
+    let mut stack = vec![0usize];
+    while let Some(id) = stack.pop() {
+        let [mut level, start, end, ..] = nodes[id];
+        if end - start <= 1 {
+            continue;
+        }
+        let range = start as usize..end as usize;
+        let mut groups: Vec<Vec<u32>> = Vec::new();
+        while level < max_depth {
+            let side = root_side / f64::powi(2.0, (level + 1) as i32);
+            if !side.is_normal() {
+                break; // numerically exhausted: points coincide
+            }
+            let mut buckets: HashMap<Vec<i64>, Vec<u32>> = HashMap::new();
+            for &idx in &perm[range.clone()] {
+                let key = cell_at(points.row(idx as usize), &origin, side);
+                buckets.entry(key).or_default().push(idx);
+            }
+            if buckets.len() > 1 {
+                groups = buckets.into_values().collect();
+                groups.sort_by_key(|g| g[0]);
+                break;
+            }
+            level += 1;
+        }
+        nodes[id][0] = level;
+        nodes[id][4] = if groups.is_empty() {
+            0
+        } else {
+            nodes.len() as u32
+        };
+        nodes[id][5] = groups.len() as u32;
+        let mut cursor = start;
+        for group in groups {
+            let child_end = cursor + group.len() as u32;
+            perm[cursor as usize..child_end as usize].copy_from_slice(&group);
+            stack.push(nodes.len());
+            nodes.push([level + 1, cursor, child_end, id as u32, 0, 0]);
+            cursor = child_end;
+        }
+    }
+    (nodes, perm)
+}
+
+/// The reference `Crude-Approx`: every probe re-grids every point in
+/// floating point and counts whole coordinate vectors. Valid wherever those
+/// coordinates fit an `i64` at the finest probe, `|x − shift| < 2^11·Δ`.
+fn reference_crude(rng: &mut StdRng, points: &Points, k: usize, weight: f64) -> (f64, f64, usize) {
+    let dim = points.dim();
+    let delta = fc_geom::bbox::diameter_upper_bound(points);
+    if delta <= 0.0 {
+        return (0.0, 0.0, 0);
+    }
+    let shift: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>() * delta).collect();
+    let mut probes = 0;
+    let mut count_at = |level: i32| {
+        probes += 1;
+        let side = delta * f64::powi(2.0, -level);
+        let mut seen = std::collections::HashSet::new();
+        for p in points.iter() {
+            seen.insert(cell_at(p, &shift, side));
+            if seen.len() > k {
+                break;
+            }
+        }
+        seen.len()
+    };
+    let (mut lo, mut hi) = (-44, 52);
+    let level = if count_at(lo) > k {
+        0
+    } else if count_at(hi) <= k {
+        hi
+    } else {
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if count_at(mid) <= k {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    };
+    let side = delta * f64::powi(2.0, -level);
+    (weight * ((dim as f64).sqrt() * side), side, probes)
+}
+
+/// Points at many scales at once (long compression chains), with exact
+/// duplicates, scaled so that deep cell sides can leave the normal range.
+fn multiscale_points(rng: &mut StdRng, n: usize, dim: usize, scale: f64) -> Points {
+    let distinct = rng.gen_range(1..=n);
+    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(distinct);
+    for _ in 0..distinct {
+        let row = if rows.is_empty() || rng.gen_range(0..4) == 0 {
+            (0..dim).map(|_| rng.gen::<f64>() - 0.5).collect()
+        } else {
+            // A tiny step away from an earlier location, along a random
+            // subset of the axes.
+            let near = rows[rng.gen_range(0..rows.len())].clone();
+            let step = f64::powi(2.0, -rng.gen_range(0..56));
+            let moved = rng.gen::<f64>();
+            let nudge = |x: f64| {
+                if rng.gen::<f64>() < moved {
+                    x + step * (rng.gen::<f64>() - 0.5)
+                } else {
+                    x
+                }
+            };
+            near.into_iter().map(nudge).collect()
+        };
+        rows.push(row);
+    }
+    let mut flat = Vec::with_capacity(n * dim);
+    for i in 0..n {
+        let row = if i < distinct {
+            &rows[i]
+        } else {
+            &rows[rng.gen_range(0..distinct)]
+        };
+        flat.extend(row.iter().map(|x| x * scale));
+    }
+    Points::from_flat(flat, dim).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn build_matches_the_level_by_level_reference(
+        seed in any::<u64>(),
+        n in 1usize..48,
+        dim in prop_oneof![Just(1usize), Just(2), Just(20), Just(64), Just(65), Just(130)],
+        max_depth in prop_oneof![Just(1u32), Just(8), Just(50), Just(62)],
+        scale in prop_oneof![Just(1.0f64), Just(1e6), Just(1e-300)],
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let p = multiscale_points(&mut rng, n, dim, scale);
+        let (nodes, perm) = reference_build(&mut StdRng::seed_from_u64(seed), &p, max_depth);
+        let t = Quadtree::build(&mut StdRng::seed_from_u64(seed), &p, QuadtreeConfig { max_depth });
+        prop_assert!(t.validate().is_ok(), "{:?}", t.validate());
+        let built: Vec<[u32; 6]> = t
+            .nodes()
+            .iter()
+            .map(|v| [v.level, v.start, v.end, v.parent, v.first_child, v.n_children])
+            .collect();
+        prop_assert_eq!(built, nodes);
+        prop_assert_eq!(t.permutation(), &perm[..]);
+    }
+
+    #[test]
+    fn crude_approx_matches_the_per_level_reference(
+        seed in any::<u64>(),
+        n in 1usize..48,
+        dim in prop_oneof![Just(1usize), Just(2), Just(7), Just(20)],
+        k in 1usize..6,
+        offset in prop_oneof![Just(0.0f64), Just(-3.0), Just(40.0)],
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut p = multiscale_points(&mut rng, n, dim, 1.0);
+        // Up to 40 units from the origin against a diameter of at least
+        // 2^-56: far enough to exercise negative cells, within 2^11·Δ
+        // whenever Δ ≥ 1/32, and checked below otherwise.
+        p.as_flat_mut().iter_mut().for_each(|x| *x += offset);
+        let delta = fc_geom::bbox::diameter_upper_bound(&p);
+        prop_assume!(delta == 0.0 || 42.0 / delta < 2048.0);
+        let w = 3.0 * n as f64;
+        let expected = reference_crude(&mut StdRng::seed_from_u64(seed), &p, k, w);
+        let b = crude_approx(&mut StdRng::seed_from_u64(seed), &p, k, CostKind::KMedian, w);
+        prop_assert_eq!((b.upper, b.side, b.probes), expected);
+    }
+
+    #[test]
+    fn spread_boxes_are_numbered_by_first_appearance(
+        seed in any::<u64>(),
+        n in 1usize..48,
+        dim in prop_oneof![Just(1usize), Just(3), Just(20)],
+        pitch in prop_oneof![Just(0.01f64), Just(0.3), Just(5.0)],
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let p = multiscale_points(&mut rng, n, dim, 1.0);
+        let params = SpreadParams { diameter_factor: pitch, rounding_denom: 0.0 };
+        let (_, map) = reduce_spread(&mut StdRng::seed_from_u64(seed), &p, 1.0, params);
+        // The same draws `reduce_spread` makes, then boxes as whole
+        // coordinate vectors.
+        let mut replay = StdRng::seed_from_u64(seed);
+        let shift: Vec<f64> = (0..dim).map(|_| replay.gen::<f64>() * pitch).collect();
+        let mut ids: HashMap<Vec<i64>, usize> = HashMap::new();
+        for (i, row) in p.iter().enumerate() {
+            let next = ids.len();
+            let id = *ids.entry(cell_at(row, &shift, pitch)).or_insert(next);
+            prop_assert_eq!(map.box_of_point[i], id);
+        }
+        prop_assert_eq!(map.box_count(), ids.len());
+    }
 
     #[test]
     fn quadtree_invariants_hold(p in points_strategy(), seed in any::<u64>()) {
