@@ -5,15 +5,14 @@
 //! weighted-by-capacity), forwarding the dataset's creating [`Plan`] with
 //! every routed batch so whichever node sees the dataset first creates it
 //! under the same plan (plan-less datasets run each node's default plan —
-//! deploy nodes and coordinator with the same plan flags). Queries fan
-//! out in parallel to every node, pull
-//! each node's serving compression, union the weighted coresets — the
-//! MapReduce aggregation step of
-//! [`fc_core::streaming::mapreduce::aggregate_parts`], exercised over TCP
-//! instead of threads — and run the final solve coordinator-side under the
-//! dataset's plan. Only compressed summaries ever cross the network:
-//! `O(m)` points per node per query, independent of how much data the
-//! nodes hold.
+//! deploy nodes and coordinator with the same plan flags). Queries run
+//! the shared [`fc_service::query`] path; the coordinator's part is the
+//! summary: fan out in parallel to every node, pull each node's serving
+//! compression, union the weighted coresets — the MapReduce aggregation
+//! step of [`fc_core::streaming::mapreduce::aggregate_parts`], exercised
+//! over TCP instead of threads — and re-compress once. Only compressed
+//! summaries ever cross the network: `O(m)` points per node per query,
+//! independent of how much data the nodes hold.
 //!
 //! Failure is a first-class input: an unreachable node is marked down and
 //! queries answer from the survivors; an `overloaded` node is retried
@@ -40,22 +39,21 @@ use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use fc_clustering::solver::{SolveConfig, Solver};
+use fc_clustering::solver::Solver;
 use fc_clustering::CostKind;
 use fc_core::json::Value;
 use fc_core::plan::{Method, Plan};
 use fc_core::streaming::mapreduce::aggregate_parts;
-use fc_core::{Coreset, FcError};
+use fc_core::Coreset;
 use fc_fleet::FleetMap;
-use fc_geom::par;
 use fc_geom::{Dataset, Points};
-use fc_service::cache::{next_instance, QueryCache};
+use fc_service::cache::next_instance;
 use fc_service::engine::fnv64;
 use fc_service::protocol::{self, DatasetStats, ErrorCode, IngestIdent, NodeHealth, NodeStats};
 use fc_service::ServiceClient;
 use fc_service::{
-    Backend, ClientError, ClusterOutcome, EngineConfig, EngineError, IngestOutcome, Request,
-    Response, RetryPolicy,
+    Backend, ClientError, ClusterOutcome, EngineConfig, EngineError, IngestOutcome, QueryPath,
+    QuerySource, QueryState, Request, Response, RetryPolicy,
 };
 use fc_telemetry::{current_trace, labeled, next_request_id, Counter, Histogram, Telemetry};
 use rand::rngs::StdRng;
@@ -64,16 +62,11 @@ use rand_distr::{Distribution, WeightedIndex};
 
 use crate::node::{NodeHandle, NodeTimeouts};
 
-/// Separates the serving-compression RNG stream from the solve stream —
-/// the same constant the single-node engine uses, so adding solve steps
-/// never perturbs which coreset a seed serves.
-const SOLVE_STREAM: u64 = 0x9E37_79B9_7F4A_7C15;
-
 /// Mixes per-node compression seeds. Deliberately a different constant
-/// from [`SOLVE_STREAM`]: nodes seed their compressor RNGs directly from
-/// the request seed, so `node_seed(seed, i)` must never collide with the
-/// coordinator's own solve stream `seed ^ SOLVE_STREAM` (node 0 would
-/// draw the exact sequence the solver draws).
+/// from [`fc_geom::par::SEED_STREAM`]: nodes seed their compressor RNGs
+/// directly from the request seed, so `node_seed(seed, i)` must never
+/// collide with the query path's solve stream `seed ^ SEED_STREAM` (node
+/// 0 would draw the exact sequence the solver draws).
 const NODE_STREAM: u64 = 0x517C_C1B7_2722_0A95;
 
 /// The client identity migrations ingest under: `seq = fleet epoch`, so a
@@ -184,11 +177,9 @@ pub struct CoordinatorConfig {
     /// ingest fans each batch to all of them, and queries answer from any
     /// single live replica — so any R−1 node failures lose nothing.
     pub replication: usize,
-    /// Upper bound on memoized query results held coordinator-side
-    /// (default 64; 0 disables the cache). Keys embed the dataset
-    /// version, the fleet epoch, and the roster's health fingerprint, so
-    /// ingests, membership changes, and health flips all invalidate by
-    /// key motion.
+    /// Capacity of the query result cache (see [`fc_service::query`];
+    /// default 64, 0 disables it). Ingests, membership changes and health
+    /// flips all invalidate by moving the [`QueryState`] its keys embed.
     pub cache_capacity: usize,
     /// Worker threads for coordinator-side aggregation and final solves
     /// (0 = inherit the process-wide [`fc_geom::par`] setting).
@@ -256,12 +247,10 @@ struct Route {
     /// Held across the forwarding fan-out so one client's concurrent
     /// retries serialize.
     clients: Mutex<HashMap<String, u64>>,
-    /// Process-unique id for cache keying — a dropped and re-created
-    /// dataset can never match a stale cached answer.
+    /// Process-unique generation id ([`QueryState::instance`]).
     instance: u64,
-    /// Bumped on every applied (non-duplicate) ingest. Cache keys embed
-    /// the value read before the fan-out, so writes invalidate cached
-    /// answers by key motion instead of touching the cache.
+    /// Bumped on every applied (non-duplicate) ingest
+    /// ([`QueryState::version`]).
     version: AtomicU64,
 }
 
@@ -269,62 +258,6 @@ struct Route {
 /// epoch bump: `(dataset, route, old replica set, new replica set)`,
 /// replica sets as roster indices.
 type PlacementMove = (String, Arc<Route>, Vec<usize>, Vec<usize>);
-
-/// Cache key for a coordinator-served query result. On top of the
-/// engine-style `(instance, version)` pair, every key embeds the fleet
-/// epoch and a fingerprint of the roster's health: membership changes
-/// and health flips (a crash observed, a recovery started or finished)
-/// change *which nodes answer the fan-out*, so answers computed before
-/// the flip must stop matching after it.
-#[derive(Clone, PartialEq, Eq, Hash)]
-enum CoordKey {
-    Coreset {
-        instance: u64,
-        version: u64,
-        epoch: u64,
-        fleet_health: u64,
-        seed: u64,
-        method: Option<String>,
-    },
-    Cluster {
-        instance: u64,
-        version: u64,
-        epoch: u64,
-        fleet_health: u64,
-        k: usize,
-        kind: CostKind,
-        solver: Solver,
-        seed: u64,
-    },
-    Cost {
-        instance: u64,
-        version: u64,
-        epoch: u64,
-        fleet_health: u64,
-        kind: CostKind,
-        /// Exact bit patterns of the priced centers — the memo matches
-        /// only byte-identical re-asks.
-        center_bits: Vec<u64>,
-    },
-}
-
-impl CoordKey {
-    fn instance(&self) -> u64 {
-        match self {
-            CoordKey::Coreset { instance, .. }
-            | CoordKey::Cluster { instance, .. }
-            | CoordKey::Cost { instance, .. } => *instance,
-        }
-    }
-}
-
-/// A memoized query answer (what the corresponding `Backend` op returns).
-#[derive(Clone)]
-enum CoordValue {
-    Coreset(Coreset, u64, Method),
-    Cluster(ClusterOutcome),
-    Cost(f64, CostKind, usize),
-}
 
 /// A multi-node coordinator. Implements [`Backend`], so
 /// [`fc_service::ServerHandle::bind_backend`] turns it into a server that
@@ -340,19 +273,15 @@ pub struct Coordinator {
     retry: RetryPolicy,
     timeouts: NodeTimeouts,
     binary_wire: bool,
-    base_seed: u64,
     /// Replication factor R (1 = classic spread routing).
     replication: usize,
-    /// Worker threads for aggregation and final solves (0 = inherit).
-    solve_threads: usize,
-    /// Memoized query results, keyed by dataset version + fleet state.
-    cache: QueryCache<CoordKey, CoordValue>,
+    /// `coreset` / `cluster` / `cost`, answered on [`Fleet`].
+    query: QueryPath,
     /// The versioned membership + placement map. Membership ops
     /// (`add_node`, `drain_node`) serialize on this lock; everything else
     /// takes it briefly to read the epoch or a replica set.
     fleet: Mutex<FleetMap>,
     routes: Mutex<HashMap<String, Arc<Route>>>,
-    seed_counter: AtomicU64,
     /// Capacity-weighted node sampler (only under
     /// [`RoutingPolicy::Capacity`]) and its deterministic RNG. Rebuilt on
     /// membership changes (a drained member samples at weight zero).
@@ -364,32 +293,25 @@ pub struct Coordinator {
     started: std::time::Instant,
     total_points: AtomicU64,
     total_blocks: AtomicU64,
-    total_queries: AtomicU64,
     /// The coordinator's observability surface (shared with the server
     /// loop serving it) plus cached hot-path handles into it.
     metrics: CoordinatorMetrics,
 }
 
-/// Coordinator-side telemetry handles: per-op latency histograms under
-/// the same names an engine uses (so one Grafana panel covers both
-/// tiers), plus a per-node request-latency histogram for attribution.
+/// Coordinator-side telemetry handles: ingest counters under the same
+/// names an engine uses (so one Grafana panel covers both tiers; the
+/// query ops register theirs in [`fc_service::query`]), plus a per-node
+/// request-latency histogram for attribution.
 struct CoordinatorMetrics {
     shared: Arc<Telemetry>,
     ingest_points: Counter,
     ingest_blocks: Counter,
     ingest_seconds: Histogram,
-    coreset_seconds: Histogram,
-    cluster_seconds: Histogram,
-    cost_seconds: Histogram,
     /// Dataset migrations completed by membership changes.
     migrations: Counter,
     /// Replica-set writes that failed on some replica while the batch was
     /// still acknowledged off a surviving one (repair debt).
     replica_write_failures: Counter,
-    /// Query-cache hit/miss counters, under the same metric names as the
-    /// engine's so one dashboard panel covers both tiers.
-    cache_hits: Counter,
-    cache_misses: Counter,
     /// Indexed by node: wall time of each fan-out exchange against that
     /// node (including timeouts), whatever the op. Grows when the fleet
     /// does (handles are `Arc`-backed, cloning is cheap).
@@ -399,24 +321,15 @@ struct CoordinatorMetrics {
 impl CoordinatorMetrics {
     fn new(node_addrs: impl Iterator<Item = impl AsRef<str>>) -> Self {
         let shared = Arc::new(Telemetry::new());
-        // Same per-op ladders as the engine, so one Grafana panel covers
-        // both tiers with matched buckets.
-        let op_hist = |op: &str, edges: &[u64]| {
-            shared
-                .registry
-                .histogram_with_edges(&labeled("fc_op_seconds", &[("op", op)]), edges)
-        };
         CoordinatorMetrics {
             ingest_points: shared.registry.counter("fc_ingest_points_total"),
             ingest_blocks: shared.registry.counter("fc_ingest_blocks_total"),
-            ingest_seconds: op_hist("ingest", fc_telemetry::FAST_OP_EDGES_US),
-            coreset_seconds: op_hist("coreset", fc_telemetry::SOLVE_OP_EDGES_US),
-            cluster_seconds: op_hist("cluster", fc_telemetry::SOLVE_OP_EDGES_US),
-            cost_seconds: op_hist("cost", fc_telemetry::SOLVE_OP_EDGES_US),
+            ingest_seconds: shared.registry.histogram_with_edges(
+                &labeled("fc_op_seconds", &[("op", "ingest")]),
+                fc_telemetry::FAST_OP_EDGES_US,
+            ),
             migrations: shared.registry.counter("fc_migrations_total"),
             replica_write_failures: shared.registry.counter("fc_replica_write_failures_total"),
-            cache_hits: shared.registry.counter("fc_cache_hits_total"),
-            cache_misses: shared.registry.counter("fc_cache_misses_total"),
             node_seconds: Mutex::new(
                 node_addrs
                     .map(|addr| {
@@ -483,6 +396,12 @@ impl Coordinator {
         )
         .map_err(|e| EngineError::InvalidArgument(format!("fleet bootstrap: {e}")))?;
         let metrics = CoordinatorMetrics::new(config.nodes.iter().map(|spec| spec.addr.as_str()));
+        let query = QueryPath::new(
+            &metrics.shared.registry,
+            config.cache_capacity,
+            config.base_seed,
+            config.solve_threads,
+        );
         Ok(Self {
             nodes: RwLock::new(
                 config
@@ -503,19 +422,15 @@ impl Coordinator {
             retry: config.retry,
             timeouts: config.timeouts,
             binary_wire: config.binary_wire,
-            base_seed: config.base_seed,
             replication: config.replication,
-            solve_threads: config.solve_threads,
-            cache: QueryCache::new(config.cache_capacity),
+            query,
             fleet: Mutex::new(fleet),
             routes: Mutex::new(HashMap::new()),
-            seed_counter: AtomicU64::new(0),
             capacity_index: Mutex::new(capacity_index),
             capacity_rng: Mutex::new(StdRng::seed_from_u64(config.base_seed)),
             started: std::time::Instant::now(),
             total_points: AtomicU64::new(0),
             total_blocks: AtomicU64::new(0),
-            total_queries: AtomicU64::new(0),
             metrics,
         })
     }
@@ -605,20 +520,12 @@ impl Coordinator {
         &self.default_plan
     }
 
-    fn assign_seed(&self) -> u64 {
-        self.base_seed
-            .wrapping_add(self.seed_counter.fetch_add(1, Ordering::Relaxed))
-    }
-
-    fn resolve_seed(&self, seed: Option<u64>) -> u64 {
-        seed.unwrap_or_else(|| self.assign_seed())
-    }
-
     /// A fingerprint of the roster's current health states, folded in
-    /// roster order (order is stable: the roster only grows). Cache keys
-    /// embed it, so the first query that *observes* a flip — a node
-    /// marked down, degraded, or recovering, or healed back — mints a
-    /// fresh keyspace and old answers just stop matching.
+    /// roster order (order is stable: the roster only grows) — the
+    /// [`QueryState::health`] of every answer. Health flips change *which
+    /// nodes answer a fan-out*, so the first query that observes one — a
+    /// node marked down, degraded, or recovering, or healed back — mints
+    /// a fresh keyspace and old answers just stop matching.
     fn health_fingerprint(&self) -> u64 {
         let mut acc: u64 = 0xcbf2_9ce4_8422_2325;
         for node in self.roster() {
@@ -631,15 +538,6 @@ impl Coordinator {
             acc = (acc ^ tag).wrapping_mul(0x0000_0100_0000_01B3);
         }
         acc
-    }
-
-    fn cache_get(&self, key: &CoordKey) -> Option<CoordValue> {
-        let got = self.cache.get(key);
-        match got.is_some() {
-            true => self.metrics.cache_hits.incr(),
-            false => self.metrics.cache_misses.incr(),
-        }
-        got
     }
 
     fn route(&self, name: &str) -> Result<Arc<Route>, EngineError> {
@@ -1067,185 +965,176 @@ impl Coordinator {
         }
     }
 
-    /// Fetches every node's serving compression for `name` and aggregates
-    /// them: coreset union (composability), plus one re-compression under
-    /// the effective method when the union exceeds the plan's serving
-    /// size. Nodes that do not hold the dataset (or hold no processed data
-    /// yet) contribute nothing; unreachable nodes are skipped and marked
-    /// down. Fails only when *no* node contributed.
-    fn serving_coreset(
-        &self,
-        name: &str,
-        route: &Route,
-        seed: u64,
-        method: Option<&Method>,
-    ) -> Result<Coreset, EngineError> {
-        // Replicated placement: every replica holds the whole dataset, so
-        // the union would R-count it — read one live replica instead.
-        if self.replication >= 2 {
-            return self.replica_coreset(name, route, seed, method);
+    /// The error for a node that answered with the wrong response kind.
+    fn unexpected(&self, node_idx: usize, response: Response) -> EngineError {
+        EngineError::Remote {
+            node: self.node_addr(node_idx),
+            message: format!("unexpected response {response:?}"),
         }
-        let nodes = self.roster();
-        // A node still replaying its WAL would serve a coreset of a
-        // *prefix* of its acknowledged data — silently under-weighting
-        // the union. It gets a stats probe in the query's slot instead:
-        // it contributes nothing this round, and its answer refreshes
-        // the replay flag, so recovering → alive converges through the
-        // queries themselves with no background prober.
-        let outcomes = self.fan_out_with(|idx| {
-            if nodes[idx].is_recovering() {
-                Request::Stats { dataset: None }
-            } else {
-                Request::Compress {
-                    dataset: name.to_owned(),
-                    method: method.cloned(),
-                    seed: Some(node_seed(seed, idx)),
-                }
-            }
-        });
-        let mut parts = Vec::new();
-        let mut saw_dataset_miss = false;
-        let mut last_failure = None;
-        for (idx, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                Ok(Response::Stats { datasets, .. }) => {
-                    nodes[idx].set_recovering(datasets.iter().any(|d| d.recovering));
-                    last_failure = Some(EngineError::Remote {
-                        node: nodes[idx].addr().to_owned(),
-                        message: "node is recovering (WAL replay in progress)".into(),
-                    });
-                }
-                Ok(Response::Coreset {
-                    points, weights, ..
-                }) => {
-                    let data = protocol::rows_to_dataset(&points, Some(&weights)).map_err(|e| {
-                        EngineError::Remote {
-                            node: nodes[idx].addr().to_owned(),
-                            message: e.to_string(),
-                        }
-                    })?;
-                    parts.push(Coreset::new(data));
-                }
-                Ok(other) => {
-                    return Err(EngineError::Remote {
-                        node: nodes[idx].addr().to_owned(),
-                        message: format!("unexpected response {other:?}"),
-                    })
-                }
-                Err(e) => match self.node_error(idx, name, e) {
-                    // Normal topology: this node never received a block of
-                    // the dataset (or hasn't processed one yet).
-                    EngineError::UnknownDataset(_) | EngineError::NoData { .. } => {
-                        saw_dataset_miss = true;
-                    }
-                    // A down node must not fail the whole query; the
-                    // survivors' union is still a valid coreset of the data
-                    // they hold.
-                    EngineError::Remote { node, message } => {
-                        last_failure = Some(EngineError::Remote { node, message });
-                    }
-                    fatal => return Err(fatal),
-                },
-            }
-        }
-        if parts.is_empty() {
-            return Err(if saw_dataset_miss {
-                EngineError::NoData {
-                    dataset: name.to_owned(),
-                }
-            } else {
-                last_failure.unwrap_or(EngineError::Unavailable)
-            });
-        }
-        self.finish_coreset(route, seed, method, parts)
     }
 
-    /// Reads the serving coreset from the first live replica of `name` —
-    /// replicas hold full copies, so one answer is the whole dataset and
-    /// any R−1 node failures leave a reader. Recovering replicas get a
-    /// stats probe (refreshing the replay flag) and are skipped.
-    fn replica_coreset(
+    /// Decodes one node's `Coreset` payload.
+    fn node_part(
+        &self,
+        node_idx: usize,
+        points: &[Vec<f64>],
+        weights: &[f64],
+    ) -> Result<Coreset, EngineError> {
+        protocol::rows_to_dataset(points, Some(weights))
+            .map(Coreset::new)
+            .map_err(|e| EngineError::Remote {
+                node: self.node_addr(node_idx),
+                message: e.to_string(),
+            })
+    }
+
+    /// Asks the nodes serving `name` a per-node query and returns their
+    /// `(node, payload)` answers — at least one, else the error.
+    ///
+    /// Spread placement fans out to the whole roster and keeps every
+    /// answer: nodes hold disjoint shares. Replicated placement walks the
+    /// dataset's replica set in rank order and stops at the first answer:
+    /// every replica holds the whole dataset, so a second answer would
+    /// R-count it, and any R−1 node failures still leave a reader.
+    ///
+    /// A node still replaying its WAL would answer for a *prefix* of its
+    /// acknowledged data, silently under-weighting a union or a sum. It
+    /// is sent a stats probe in the query's slot instead: it contributes
+    /// nothing this round, and its answer refreshes the replay flag, so
+    /// recovering → alive converges through the queries themselves with
+    /// no background prober.
+    fn ask(
         &self,
         name: &str,
-        route: &Route,
-        seed: u64,
-        method: Option<&Method>,
-    ) -> Result<Coreset, EngineError> {
-        let replicas = self.fleet.lock().expect("fleet map lock").replicas(name);
+        request_for: impl Fn(usize) -> Request + Sync,
+    ) -> Result<Vec<(usize, Response)>, EngineError> {
+        let replicated = self.replication >= 2;
+        let nodes = self.roster();
+        let for_slot = |idx: usize| match nodes[idx].is_recovering() {
+            true => Request::Stats { dataset: None },
+            false => request_for(idx),
+        };
         let mut saw_dataset_miss = false;
         let mut last_failure = None;
-        for idx in replicas {
-            let node = self.node_at(idx);
-            if node.is_recovering() {
-                if let Ok(Response::Stats { datasets, .. }) =
-                    self.node_request(idx, &Request::Stats { dataset: None })
-                {
-                    node.set_recovering(datasets.iter().any(|d| d.recovering));
-                }
-                if node.is_recovering() {
-                    last_failure = Some(EngineError::Remote {
-                        node: node.addr().to_owned(),
-                        message: "node is recovering (WAL replay in progress)".into(),
-                    });
-                    continue;
-                }
+        // Sorts one node's outcome: a payload, or nothing (and why), or
+        // an error that fails the whole query.
+        let mut triage = |idx: usize, outcome| match outcome {
+            Ok(Response::Stats { datasets, .. }) => {
+                nodes[idx].set_recovering(datasets.iter().any(|d| d.recovering));
+                last_failure = Some(EngineError::Remote {
+                    node: nodes[idx].addr().to_owned(),
+                    message: "node is recovering (WAL replay in progress)".into(),
+                });
+                Ok(None)
             }
-            let request = Request::Compress {
-                dataset: name.to_owned(),
-                method: method.cloned(),
-                seed: Some(node_seed(seed, idx)),
-            };
-            match self.node_request(idx, &request) {
-                Ok(Response::Coreset {
-                    points, weights, ..
-                }) => {
-                    let data = protocol::rows_to_dataset(&points, Some(&weights)).map_err(|e| {
-                        EngineError::Remote {
-                            node: node.addr().to_owned(),
-                            message: e.to_string(),
-                        }
-                    })?;
-                    return self.finish_coreset(route, seed, method, vec![Coreset::new(data)]);
+            Ok(response) => Ok(Some((idx, response))),
+            Err(e) => match self.node_error(idx, name, e) {
+                // Normal topology: this node never received a block of
+                // the dataset (or hasn't processed one yet).
+                EngineError::UnknownDataset(_) | EngineError::NoData { .. } => {
+                    saw_dataset_miss = true;
+                    Ok(None)
                 }
-                Ok(other) => {
-                    return Err(EngineError::Remote {
-                        node: node.addr().to_owned(),
-                        message: format!("unexpected response {other:?}"),
-                    })
+                // A down node must not fail the whole query: what the
+                // survivors hold still answers for the data they hold.
+                failure @ EngineError::Remote { .. } => {
+                    last_failure = Some(failure);
+                    Ok(None)
                 }
-                Err(e) => match self.node_error(idx, name, e) {
-                    // This replica missed the dataset (it joined after the
-                    // data, or lost a racing write): a later replica may
-                    // still hold it.
-                    EngineError::UnknownDataset(_) | EngineError::NoData { .. } => {
-                        saw_dataset_miss = true;
+                // Anything else the node *decided* is final.
+                fatal => Err(fatal),
+            },
+        };
+        let mut answers = Vec::new();
+        if replicated {
+            let replicas = self.fleet.lock().expect("fleet map lock").replicas(name);
+            for idx in replicas {
+                // A replaying replica is probed first, and asked only
+                // once it reports caught up.
+                if nodes[idx].is_recovering() {
+                    triage(idx, self.node_request(idx, &for_slot(idx)))?;
+                    if nodes[idx].is_recovering() {
+                        continue;
                     }
-                    EngineError::Remote { node, message } => {
-                        last_failure = Some(EngineError::Remote { node, message });
-                    }
-                    fatal => return Err(fatal),
-                },
-            }
-        }
-        Err(if saw_dataset_miss && last_failure.is_none() {
-            EngineError::NoData {
-                dataset: name.to_owned(),
+                }
+                answers.extend(triage(idx, self.node_request(idx, &for_slot(idx)))?);
+                if !answers.is_empty() {
+                    break;
+                }
             }
         } else {
-            last_failure.unwrap_or(EngineError::Unavailable)
+            for (idx, outcome) in self.fan_out_with(for_slot).into_iter().enumerate() {
+                answers.extend(triage(idx, outcome)?);
+            }
+        }
+        if !answers.is_empty() {
+            return Ok(answers);
+        }
+        // A miss is the normal answer of a node a spread dataset never
+        // reached, so there it outranks a failure elsewhere; every
+        // replica should hold the dataset, so there a failure is the
+        // better explanation.
+        if saw_dataset_miss && !(replicated && last_failure.is_some()) {
+            return Err(EngineError::NoData {
+                dataset: name.to_owned(),
+            });
+        }
+        Err(last_failure.unwrap_or(EngineError::Unavailable))
+    }
+}
+
+/// The fleet as a [`QuerySource`]: summaries and prices both come from
+/// the nodes ([`Coordinator::ask`]).
+struct Fleet<'a>(&'a Coordinator);
+
+impl QuerySource for Fleet<'_> {
+    type Dataset = Arc<Route>;
+
+    fn resolve(&self, name: &str) -> Result<Arc<Route>, EngineError> {
+        self.0.route(name)
+    }
+
+    fn plan<'a>(&'a self, route: &'a Arc<Route>) -> &'a Plan {
+        &route.effective
+    }
+
+    fn dim(&self, route: &Arc<Route>) -> usize {
+        route.dim
+    }
+
+    fn state(&self, route: &Arc<Route>) -> Option<QueryState> {
+        Some(QueryState {
+            instance: route.instance,
+            version: route.version.load(Ordering::Acquire),
+            epoch: self.0.fleet_epoch(),
+            health: self.0.health_fingerprint(),
         })
     }
 
-    /// The coordinator-side aggregation tail: union the parts and
-    /// re-compress under the effective method when the union exceeds the
-    /// plan's serving size.
-    fn finish_coreset(
+    /// Every answering node's serving compression, unioned
+    /// (composability) and re-compressed once under the effective method
+    /// when the union exceeds the plan's serving size.
+    fn summarise(
         &self,
-        route: &Route,
+        name: &str,
+        route: &Arc<Route>,
         seed: u64,
         method: Option<&Method>,
-        parts: Vec<Coreset>,
     ) -> Result<Coreset, EngineError> {
+        let answers = self.0.ask(name, |idx| Request::Compress {
+            dataset: name.to_owned(),
+            method: method.cloned(),
+            seed: Some(node_seed(seed, idx)),
+        })?;
+        let mut parts = Vec::with_capacity(answers.len());
+        for (idx, answer) in answers {
+            match answer {
+                Response::Coreset {
+                    points, weights, ..
+                } => parts.push(self.0.node_part(idx, &points, &weights)?),
+                other => return Err(self.0.unexpected(idx, other)),
+            }
+        }
         let params = route.effective.params();
         let compressor = method
             .cloned()
@@ -1257,61 +1146,34 @@ impl Coordinator {
         aggregate_parts(&mut rng, parts, compressor.as_ref(), &params).map_err(EngineError::Invalid)
     }
 
-    /// Prices the centers on the first live replica's served coreset
-    /// (replicated placement: each replica prices the whole dataset).
-    fn replica_cost(
+    /// Prices the centers where the data is and sums the answers, so only
+    /// scalars cross the network: cost is additive over a partition, so
+    /// the sum is the cost on the union of the per-node coresets.
+    fn price(
         &self,
         name: &str,
-        rows: &[Vec<f64>],
+        _route: &Arc<Route>,
+        centers: &Points,
         kind: CostKind,
+        _summary: &dyn Fn() -> Result<Coreset, EngineError>,
     ) -> Result<(f64, usize), EngineError> {
-        let replicas = self.fleet.lock().expect("fleet map lock").replicas(name);
-        let mut saw_dataset_miss = false;
-        let mut last_failure = None;
-        for idx in replicas {
-            let node = self.node_at(idx);
-            if node.is_recovering() {
-                last_failure = Some(EngineError::Remote {
-                    node: node.addr().to_owned(),
-                    message: "node is recovering (WAL replay in progress)".into(),
-                });
-                continue;
-            }
-            let request = Request::Cost {
-                dataset: name.to_owned(),
-                centers: rows.to_vec(),
-                kind: Some(kind),
-            };
-            match self.node_request(idx, &request) {
-                Ok(Response::Cost {
+        let request = Request::Cost {
+            dataset: name.to_owned(),
+            centers: centers.iter().map(<[f64]>::to_vec).collect(),
+            kind: Some(kind),
+        };
+        let mut priced = (0.0, 0);
+        for (idx, answer) in self.0.ask(name, |_| request.clone())? {
+            match answer {
+                Response::Cost {
                     cost,
                     coreset_points,
                     ..
-                }) => return Ok((cost, coreset_points)),
-                Ok(other) => {
-                    return Err(EngineError::Remote {
-                        node: node.addr().to_owned(),
-                        message: format!("unexpected response {other:?}"),
-                    })
-                }
-                Err(e) => match self.node_error(idx, name, e) {
-                    EngineError::UnknownDataset(_) | EngineError::NoData { .. } => {
-                        saw_dataset_miss = true;
-                    }
-                    EngineError::Remote { node, message } => {
-                        last_failure = Some(EngineError::Remote { node, message });
-                    }
-                    fatal => return Err(fatal),
-                },
+                } => priced = (priced.0 + cost, priced.1 + coreset_points),
+                other => return Err(self.0.unexpected(idx, other)),
             }
         }
-        Err(if saw_dataset_miss && last_failure.is_none() {
-            EngineError::NoData {
-                dataset: name.to_owned(),
-            }
-        } else {
-            last_failure.unwrap_or(EngineError::Unavailable)
-        })
+        Ok(priced)
     }
 }
 
@@ -1531,10 +1393,7 @@ impl Backend for Coordinator {
                         Ok(Response::Ingested { .. }) => accepted = true,
                         Ok(other) => {
                             self.metrics.replica_write_failures.incr();
-                            last = EngineError::Remote {
-                                node: self.node_addr(idx),
-                                message: format!("unexpected response {other:?}"),
-                            };
+                            last = self.unexpected(idx, other);
                         }
                         Err(e) => {
                             self.metrics.replica_write_failures.incr();
@@ -1570,12 +1429,7 @@ impl Backend for Coordinator {
                             accepted = true;
                             break;
                         }
-                        Ok(other) => {
-                            return Err(EngineError::Remote {
-                                node: self.node_addr(idx),
-                                message: format!("unexpected response {other:?}"),
-                            })
-                        }
+                        Ok(other) => return Err(self.unexpected(idx, other)),
                         // Socket failures and persistent overload fail over
                         // to the next node; anything the node *decided*
                         // (plan conflict, dimension mismatch, …) is final.
@@ -1621,7 +1475,7 @@ impl Backend for Coordinator {
                 guard.insert(ident.client.clone(), ident.seq);
             }
             // New data: every cached answer for this dataset is now for a
-            // version that no future key will ask for.
+            // version no future query key will carry.
             route.version.fetch_add(1, Ordering::Release);
             Ok(IngestOutcome {
                 total_points,
@@ -1658,47 +1512,11 @@ impl Backend for Coordinator {
         seed: Option<u64>,
         method: Option<&Method>,
     ) -> Result<(Coreset, u64, Method), EngineError> {
-        let started = std::time::Instant::now();
-        let outcome = par::with_threads(self.solve_threads, || {
-            let route = self.route(name)?;
-            // Only explicit seeds are cacheable: auto-assigned seeds
-            // advance per request, so those answers can never be re-asked.
-            let cacheable = seed.is_some() && self.cache.enabled();
-            let seed = self.resolve_seed(seed);
-            let key = cacheable.then(|| CoordKey::Coreset {
-                instance: route.instance,
-                version: route.version.load(Ordering::Acquire),
-                epoch: self.fleet_epoch(),
-                fleet_health: self.health_fingerprint(),
-                seed,
-                method: method.map(ToString::to_string),
-            });
-            if let Some(key) = &key {
-                if let Some(CoordValue::Coreset(coreset, seed, effective)) = self.cache_get(key) {
-                    self.total_queries.fetch_add(1, Ordering::Relaxed);
-                    return Ok((coreset, seed, effective));
-                }
-            }
-            let coreset = self.serving_coreset(name, &route, seed, method)?;
-            let effective = method
-                .cloned()
-                .unwrap_or_else(|| route.effective.method().clone());
-            self.total_queries.fetch_add(1, Ordering::Relaxed);
-            if let Some(key) = key {
-                self.cache.insert(
-                    key,
-                    CoordValue::Coreset(coreset.clone(), seed, effective.clone()),
-                );
-            }
-            Ok((coreset, seed, effective))
-        });
-        self.metrics.coreset_seconds.observe(started.elapsed());
-        outcome
+        self.query.coreset(&Fleet(self), name, seed, method)
     }
 
     /// Clusters the unioned per-node coresets coordinator-side: the final
-    /// solve of the MapReduce scheme, with every omitted knob defaulting
-    /// from the dataset's effective plan.
+    /// solve of the MapReduce scheme.
     fn cluster(
         &self,
         name: &str,
@@ -1707,181 +1525,18 @@ impl Backend for Coordinator {
         solver: Option<Solver>,
         seed: Option<u64>,
     ) -> Result<ClusterOutcome, EngineError> {
-        let started = std::time::Instant::now();
-        let outcome = par::with_threads(self.solve_threads, || {
-            let route = self.route(name)?;
-            let plan = &route.effective;
-            let k = k.unwrap_or_else(|| plan.k());
-            if k == 0 {
-                return Err(EngineError::Invalid(FcError::InvalidK));
-            }
-            let kind = kind.unwrap_or_else(|| plan.kind());
-            let solver = solver.unwrap_or_else(|| plan.solver());
-            if !solver.supports(kind) {
-                return Err(EngineError::Invalid(FcError::UnsupportedObjective {
-                    solver,
-                    kind,
-                }));
-            }
-            let cacheable = seed.is_some() && self.cache.enabled();
-            let seed = self.resolve_seed(seed);
-            let key = cacheable.then(|| CoordKey::Cluster {
-                instance: route.instance,
-                version: route.version.load(Ordering::Acquire),
-                epoch: self.fleet_epoch(),
-                fleet_health: self.health_fingerprint(),
-                k,
-                kind,
-                solver,
-                seed,
-            });
-            if let Some(key) = &key {
-                if let Some(CoordValue::Cluster(outcome)) = self.cache_get(key) {
-                    self.total_queries.fetch_add(1, Ordering::Relaxed);
-                    return Ok(outcome);
-                }
-            }
-            let coreset = self.serving_coreset(name, &route, seed, None)?;
-            let mut rng = StdRng::seed_from_u64(seed ^ SOLVE_STREAM);
-            let solution = solver.solve(
-                &mut rng,
-                coreset.dataset(),
-                k,
-                kind,
-                &SolveConfig::default(),
-            )?;
-            self.total_queries.fetch_add(1, Ordering::Relaxed);
-            let outcome = ClusterOutcome {
-                solution,
-                kind,
-                solver,
-                coreset_points: coreset.len(),
-                seed,
-            };
-            if let Some(key) = key {
-                self.cache.insert(key, CoordValue::Cluster(outcome.clone()));
-            }
-            Ok(outcome)
-        });
-        self.metrics.cluster_seconds.observe(started.elapsed());
-        outcome
+        self.query
+            .cluster(&Fleet(self), name, k, kind, solver, seed)
     }
 
-    /// Prices the centers on every node's served coreset and sums: cost is
-    /// additive over a partition, so the sum is the cost on the union of
-    /// the per-node coresets — only scalars cross the network.
+    /// Prices the centers node-side: only scalars cross the network.
     fn cost(
         &self,
         name: &str,
         centers: &Points,
         kind: Option<CostKind>,
     ) -> Result<(f64, CostKind, usize), EngineError> {
-        let started = std::time::Instant::now();
-        let outcome = par::with_threads(self.solve_threads, || {
-            let route = self.route(name)?;
-            let kind = kind.unwrap_or_else(|| route.effective.kind());
-            // Pricing is deterministic given the fleet state (each node
-            // prices its own served coreset), so cost is cacheable without
-            // a seed — the key is the exact centers asked about.
-            let key = self.cache.enabled().then(|| CoordKey::Cost {
-                instance: route.instance,
-                version: route.version.load(Ordering::Acquire),
-                epoch: self.fleet_epoch(),
-                fleet_health: self.health_fingerprint(),
-                kind,
-                center_bits: centers.as_flat().iter().map(|v| v.to_bits()).collect(),
-            });
-            if let Some(key) = &key {
-                if let Some(CoordValue::Cost(total, kind, priced_points)) = self.cache_get(key) {
-                    self.total_queries.fetch_add(1, Ordering::Relaxed);
-                    return Ok((total, kind, priced_points));
-                }
-            }
-            let rows: Vec<Vec<f64>> = centers.iter().map(<[f64]>::to_vec).collect();
-            // Replicated placement: one replica's answer prices the whole
-            // dataset; summing replicas would R-count it.
-            if self.replication >= 2 {
-                let (total, priced_points) = self.replica_cost(name, &rows, kind)?;
-                self.total_queries.fetch_add(1, Ordering::Relaxed);
-                if let Some(key) = key {
-                    self.cache
-                        .insert(key, CoordValue::Cost(total, kind, priced_points));
-                }
-                return Ok((total, kind, priced_points));
-            }
-            let nodes = self.roster();
-            // Same replay gating as `serving_coreset`: a recovering node's
-            // partial cost would corrupt the additive sum, so its slot probes
-            // stats instead.
-            let outcomes = self.fan_out_with(|idx| {
-                if nodes[idx].is_recovering() {
-                    Request::Stats { dataset: None }
-                } else {
-                    Request::Cost {
-                        dataset: name.to_owned(),
-                        centers: rows.clone(),
-                        kind: Some(kind),
-                    }
-                }
-            });
-            let mut total = 0.0;
-            let mut priced_points = 0;
-            let mut answered = false;
-            let mut saw_dataset_miss = false;
-            let mut last_failure = None;
-            for (idx, outcome) in outcomes.into_iter().enumerate() {
-                match outcome {
-                    Ok(Response::Stats { datasets, .. }) => {
-                        nodes[idx].set_recovering(datasets.iter().any(|d| d.recovering));
-                        last_failure = Some(EngineError::Remote {
-                            node: nodes[idx].addr().to_owned(),
-                            message: "node is recovering (WAL replay in progress)".into(),
-                        });
-                    }
-                    Ok(Response::Cost {
-                        cost,
-                        coreset_points,
-                        ..
-                    }) => {
-                        total += cost;
-                        priced_points += coreset_points;
-                        answered = true;
-                    }
-                    Ok(other) => {
-                        return Err(EngineError::Remote {
-                            node: nodes[idx].addr().to_owned(),
-                            message: format!("unexpected response {other:?}"),
-                        })
-                    }
-                    Err(e) => match self.node_error(idx, name, e) {
-                        EngineError::UnknownDataset(_) | EngineError::NoData { .. } => {
-                            saw_dataset_miss = true;
-                        }
-                        EngineError::Remote { node, message } => {
-                            last_failure = Some(EngineError::Remote { node, message });
-                        }
-                        fatal => return Err(fatal),
-                    },
-                }
-            }
-            if !answered {
-                return Err(if saw_dataset_miss {
-                    EngineError::NoData {
-                        dataset: name.to_owned(),
-                    }
-                } else {
-                    last_failure.unwrap_or(EngineError::Unavailable)
-                });
-            }
-            self.total_queries.fetch_add(1, Ordering::Relaxed);
-            if let Some(key) = key {
-                self.cache
-                    .insert(key, CoordValue::Cost(total, kind, priced_points));
-            }
-            Ok((total, kind, priced_points))
-        });
-        self.metrics.cost_seconds.observe(started.elapsed());
-        outcome
+        self.query.cost(&Fleet(self), name, centers, kind)
     }
 
     fn dataset_stats(&self, name: &str) -> Result<DatasetStats, EngineError> {
@@ -1928,14 +1583,15 @@ impl Backend for Coordinator {
     /// ingests and queries served *by this coordinator*, not a fleet
     /// aggregate (each node reports its own on its own `stats`).
     fn server_stats(&self) -> Option<fc_service::ServerStats> {
+        let (queries, cache_hits, cache_misses) = self.query.counts();
         Some(fc_service::ServerStats {
             uptime_secs: self.started.elapsed().as_secs(),
             ingested_points: self.total_points.load(Ordering::Relaxed),
             ingested_blocks: self.total_blocks.load(Ordering::Relaxed),
-            queries: self.total_queries.load(Ordering::Relaxed),
+            queries,
             fleet_epoch: self.fleet_epoch(),
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
+            cache_hits,
+            cache_misses,
         })
     }
 
@@ -1954,11 +1610,7 @@ impl Backend for Coordinator {
             .expect("route registry lock")
             .remove(name);
         if let Some(route) = &route {
-            // Purge eagerly: the instance id is never reused, so even a
-            // same-named re-creation could not match these keys, but there
-            // is no reason to let them squat in the LRU either.
-            let instance = route.instance;
-            self.cache.retain(|key| key.instance() != instance);
+            self.query.forget(route.instance);
         }
         let outcomes = self.fan_out(&Request::DropDataset {
             dataset: name.to_owned(),
@@ -2235,17 +1887,14 @@ impl Coordinator {
             let request = Request::Compress {
                 dataset: name.to_owned(),
                 method: None,
-                seed: Some(node_seed(self.assign_seed(), src)),
+                seed: Some(node_seed(self.query.next_seed(), src)),
             };
             let (points, weights) = match self.node_request(src, &request) {
                 Ok(Response::Coreset {
                     points, weights, ..
                 }) => (points, weights),
                 Ok(other) => {
-                    last = Some(EngineError::Remote {
-                        node: self.node_addr(src),
-                        message: format!("unexpected response {other:?}"),
-                    });
+                    last = Some(self.unexpected(src, other));
                     continue;
                 }
                 Err(e) => {
@@ -2261,12 +1910,8 @@ impl Coordinator {
             if points.is_empty() {
                 return Ok(false);
             }
-            let data = protocol::rows_to_dataset(&points, Some(&weights)).map_err(|e| {
-                EngineError::Remote {
-                    node: self.node_addr(src),
-                    message: e.to_string(),
-                }
-            })?;
+            let part = self.node_part(src, &points, &weights)?;
+            let data = part.dataset();
             let block_weights = if data.weights().iter().all(|&w| w == 1.0) {
                 None
             } else {
@@ -2293,10 +1938,7 @@ impl Coordinator {
                     self.metrics.migrations.incr();
                     Ok(true)
                 }
-                Ok(other) => Err(EngineError::Remote {
-                    node: self.node_addr(target),
-                    message: format!("unexpected response {other:?}"),
-                }),
+                Ok(other) => Err(self.unexpected(target, other)),
                 Err(e) => Err(self.node_error(target, name, e)),
             };
         }
@@ -2347,12 +1989,7 @@ impl Coordinator {
                     }
                     per_node.push(Some(datasets));
                 }
-                Ok(other) => {
-                    return Err(EngineError::Remote {
-                        node: nodes[idx].addr().to_owned(),
-                        message: format!("unexpected response {other:?}"),
-                    })
-                }
+                Ok(other) => return Err(self.unexpected(idx, other)),
                 Err(e) => match self.node_error(idx, which.unwrap_or(""), e) {
                     EngineError::UnknownDataset(_) | EngineError::NoData { .. } => {
                         per_node.push(Some(Vec::new()))

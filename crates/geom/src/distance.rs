@@ -338,7 +338,7 @@ mod tests {
     #[test]
     fn nearest_block_matches_per_point_scan() {
         // Cover both the monomorphized dims and the generic fallback.
-        for dim in [1usize, 2, 3, 4, 5, 8, 11, 16, 24] {
+        for dim in [1usize, 2, 3, 4, 5, 8, 11, 16, 24, 64] {
             let n = 17;
             let k = 5;
             let points: Vec<f64> = (0..n * dim)
@@ -358,6 +358,18 @@ mod tests {
                     .map(|c| sq_dist(p, c))
                     .fold(f64::INFINITY, f64::min);
                 assert!((best[i] - brute).abs() < 1e-9, "dim {dim}, point {i}");
+                // And against the layout the flat kernels replaced: one
+                // `Vec` per row, squared distance accumulated coordinate by
+                // coordinate, first minimum wins.
+                let nested: Vec<Vec<f64>> = centers.chunks(dim).map(<[f64]>::to_vec).collect();
+                let mut naive = (0, f64::INFINITY);
+                for (j, c) in nested.iter().enumerate() {
+                    let sq: f64 = p.iter().zip(c).map(|(a, b)| (a - b) * (a - b)).sum();
+                    if sq < naive.1 {
+                        naive = (j, sq);
+                    }
+                }
+                assert_eq!(labels[i], naive.0, "dim {dim}, point {i}: layout parity");
             }
         }
     }

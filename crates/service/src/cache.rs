@@ -1,20 +1,7 @@
-//! Epoch-keyed query result caching.
-//!
-//! Serving a query (`coreset`, `cluster`, `cost`) is deterministic given
-//! the dataset's state and the request parameters: the engine promises
-//! reproducibility from `(state, seed)`. That makes results memoizable —
-//! the only hard part is knowing when "state" changed. Each dataset
-//! carries a monotonically increasing *version* (bumped on every applied
-//! ingest) plus a process-unique *instance* id (fresh per creation, so a
-//! drop + re-create can never resurrect stale answers), and every cache
-//! key embeds both. Writes therefore never have to touch the cache:
-//! an ingest bumps the version and all old keys simply stop matching.
-//! Entries are evicted least-recently-used beyond a fixed capacity, and
-//! obsolete-version entries age out the same way.
-//!
-//! The cache is generic over key and value so the single-node engine and
-//! the `fc-cluster` coordinator (whose keys add the fleet epoch and node
-//! health) share one implementation.
+//! The bounded LRU behind the query path, and the process-unique
+//! instance ids its keys embed. What is cached, under which key, and how
+//! probes are counted is [`crate::query`]'s business; writes never touch
+//! this cache — they move the key.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -46,7 +33,7 @@ struct Inner<K, V> {
 /// A bounded, thread-safe, least-recently-used result cache.
 ///
 /// Capacity 0 disables it entirely: `get` always misses without counting
-/// and `insert` is a no-op, so an engine configured cache-off behaves
+/// and `insert` is a no-op, so a tier configured cache-off behaves
 /// byte-for-byte like one that never had a cache (the stale-result
 /// property tests compare exactly these two configurations).
 pub struct QueryCache<K, V> {

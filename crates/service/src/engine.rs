@@ -6,11 +6,12 @@
 //! [`fc_core::streaming::MergeReduce`] stream (so at most one summary per
 //! Bentley–Saxe level lives per shard) and compacts the level stack into a
 //! single summary whenever stored points exceed the plan's compaction
-//! budget. Queries snapshot every shard's summary union — a valid coreset
-//! of all ingested data by composability — union them across shards, and
-//! compress the union down to the serving size with a request-seeded RNG,
-//! so every served compression and clustering is reproducible from
-//! `(state, seed)`.
+//! budget. Queries go through the shared [`crate::query`] path; what the
+//! engine contributes is the summary they run on — every shard's summary
+//! union (a valid coreset of all ingested data by composability), unioned
+//! across shards and compressed down to the serving size with a
+//! request-seeded RNG, so every served compression and clustering is
+//! reproducible from `(state, seed)`.
 //!
 //! The compression *method* is the paper's settling-time/accuracy knob, so
 //! it is a per-dataset choice, not a server-wide one: the first `ingest`
@@ -28,7 +29,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use fc_clustering::solver::{SolveConfig, Solver};
+use fc_clustering::solver::Solver;
 use fc_clustering::{CostKind, Solution};
 use fc_core::json::Value;
 use fc_core::plan::{Method, Plan, PlanBuilder};
@@ -44,9 +45,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::backend::IngestOutcome;
-use crate::cache::{next_instance, QueryCache};
+use crate::cache::next_instance;
 use crate::protocol::{DatasetStats, IngestIdent, ServerStats};
-use fc_core::par;
+use crate::query::{QueryPath, QuerySource, QueryState};
 
 /// Engine configuration: sharding, the default per-dataset [`Plan`]
 /// (serving size, method/solver selection), and the quality target.
@@ -118,12 +119,8 @@ pub struct EngineConfig {
     /// back to the hardware parallelism). Results are bit-identical at
     /// every value; only wall-clock time changes.
     pub solve_threads: usize,
-    /// Capacity of the epoch-keyed query result cache: served coresets,
-    /// clusterings, and cost answers for explicitly-seeded requests are
-    /// memoized per `(dataset generation, dataset version, parameters)`
-    /// and invalidated automatically by ingest and drop (the version or
-    /// instance in the key moves on, so stale entries can never match).
-    /// `0` disables caching entirely.
+    /// Capacity of the query result cache (see [`crate::query`]); `0`
+    /// disables caching entirely.
     pub cache_capacity: usize,
 }
 
@@ -353,57 +350,6 @@ pub struct ClusterOutcome {
     pub coreset_points: usize,
     /// The seed that produced this result.
     pub seed: u64,
-}
-
-/// Query-cache key: the dataset's generation (`instance`) and data
-/// `version` plus every parameter the answer depends on. Seeds are the
-/// *resolved* values, and only explicitly-seeded requests are cached —
-/// auto-assigned seeds advance per request, so their answers can never be
-/// asked for again. `f64` center coordinates are keyed by bit pattern:
-/// the cache is an exact-match memo, not a numeric index.
-#[derive(Clone, PartialEq, Eq, Hash)]
-enum QueryKey {
-    Coreset {
-        instance: u64,
-        version: u64,
-        seed: u64,
-        /// The per-request method override's canonical name, when given.
-        method: Option<String>,
-    },
-    Cluster {
-        instance: u64,
-        version: u64,
-        k: usize,
-        kind: CostKind,
-        solver: Solver,
-        seed: u64,
-    },
-    Cost {
-        instance: u64,
-        version: u64,
-        kind: CostKind,
-        dim: usize,
-        center_bits: Vec<u64>,
-    },
-}
-
-impl QueryKey {
-    /// The dataset generation this key belongs to (drop-time purging).
-    fn instance(&self) -> u64 {
-        match *self {
-            QueryKey::Coreset { instance, .. }
-            | QueryKey::Cluster { instance, .. }
-            | QueryKey::Cost { instance, .. } => instance,
-        }
-    }
-}
-
-/// The memoized answers, one variant per cacheable operation.
-#[derive(Clone)]
-enum QueryValue {
-    Coreset(Coreset, u64, Method),
-    Cluster(ClusterOutcome),
-    Cost(f64, CostKind, usize),
 }
 
 enum ShardCmd {
@@ -862,14 +808,11 @@ struct DatasetEntry {
     persist: Option<DatasetPersist>,
     /// Per-dataset counters, cached handles into the engine registry.
     metrics: DatasetMetrics,
-    /// Process-unique generation id, embedded in every query-cache key:
-    /// a drop + re-create under the same name gets a fresh id, so cached
-    /// answers from the old generation can never match again.
+    /// Process-unique generation id: the [`QueryState::instance`] of
+    /// every answer served from this entry.
     instance: u64,
-    /// Monotonic data version, bumped on every applied (non-duplicate)
-    /// ingest. Query-cache keys embed the version read *before* the
-    /// served snapshot was taken, so any later write makes the key
-    /// unmatchable — writes never have to touch the cache.
+    /// Monotonic data version ([`QueryState::version`]), bumped on every
+    /// applied (non-duplicate) ingest.
     version: AtomicU64,
 }
 
@@ -1041,22 +984,18 @@ pub struct Engine {
     datasets: Arc<Mutex<HashMap<String, Arc<DatasetEntry>>>>,
     /// The deadline flusher thread and its stop flag.
     flusher: Option<FlusherHandle>,
-    seed_counter: AtomicU64,
     /// Process-lifetime counters reported by [`Self::server_stats`].
     started: Instant,
     total_points: AtomicU64,
     total_blocks: AtomicU64,
-    total_queries: AtomicU64,
     /// Invoked as `(dataset, shard)` after each shard worker is joined
     /// during graceful engine shutdown, in dataset-name then shard order.
     drain_hook: Mutex<Option<DrainHook>>,
     /// The observability surface shared with the server loop in front of
     /// this engine, plus cached hot-path handles into it.
     metrics: EngineMetrics,
-    /// Epoch-keyed query result cache (see [`crate::cache`]): memoized
-    /// answers for explicitly-seeded queries, invalidated by key motion
-    /// (every ingest bumps the dataset version embedded in the keys).
-    cache: QueryCache<QueryKey, QueryValue>,
+    /// `coreset` / `cluster` / `cost`, answered on [`Shards`].
+    query: QueryPath,
 }
 
 /// Engine-wide telemetry handles: one registry lookup at construction,
@@ -1068,35 +1007,22 @@ struct EngineMetrics {
     ingest_duplicates: Counter,
     overloads: Counter,
     ingest_seconds: Histogram,
-    coreset_seconds: Histogram,
-    cluster_seconds: Histogram,
-    cost_seconds: Histogram,
-    cache_hits: Counter,
-    cache_misses: Counter,
 }
 
 impl EngineMetrics {
     fn new() -> Self {
         let shared = Arc::new(Telemetry::new());
-        // Per-op bucket ladders: ingest acks are sub-millisecond, solves
-        // run for seconds — one shared ladder would waste most of its
-        // resolution on both.
-        let op_hist = |op: &str, edges: &[u64]| {
-            shared
-                .registry
-                .histogram_with_edges(&labeled("fc_op_seconds", &[("op", op)]), edges)
-        };
         EngineMetrics {
             ingest_points: shared.registry.counter("fc_ingest_points_total"),
             ingest_blocks: shared.registry.counter("fc_ingest_blocks_total"),
             ingest_duplicates: shared.registry.counter("fc_ingest_duplicates_total"),
             overloads: shared.registry.counter("fc_overloaded_total"),
-            ingest_seconds: op_hist("ingest", fc_telemetry::FAST_OP_EDGES_US),
-            coreset_seconds: op_hist("coreset", fc_telemetry::SOLVE_OP_EDGES_US),
-            cluster_seconds: op_hist("cluster", fc_telemetry::SOLVE_OP_EDGES_US),
-            cost_seconds: op_hist("cost", fc_telemetry::SOLVE_OP_EDGES_US),
-            cache_hits: shared.registry.counter("fc_cache_hits_total"),
-            cache_misses: shared.registry.counter("fc_cache_misses_total"),
+            // Ingest acks are sub-millisecond, solves run for seconds:
+            // the query ops take their own ladder in `crate::query`.
+            ingest_seconds: shared.registry.histogram_with_edges(
+                &labeled("fc_op_seconds", &[("op", "ingest")]),
+                fc_telemetry::FAST_OP_EDGES_US,
+            ),
             shared,
         }
     }
@@ -1231,21 +1157,25 @@ impl Engine {
         } else {
             None
         };
-        let cache = QueryCache::new(config.cache_capacity);
+        let metrics = EngineMetrics::new();
+        let query = QueryPath::new(
+            &metrics.shared.registry,
+            config.cache_capacity,
+            config.base_seed,
+            config.solve_threads,
+        );
         let engine = Self {
             config,
             default_plan,
             default_compressor: compressor,
             datasets,
             flusher,
-            cache,
-            seed_counter: AtomicU64::new(0),
+            query,
             started: Instant::now(),
             total_points: AtomicU64::new(0),
             total_blocks: AtomicU64::new(0),
-            total_queries: AtomicU64::new(0),
             drain_hook: Mutex::new(None),
-            metrics: EngineMetrics::new(),
+            metrics,
         };
         engine.recover_datasets()?;
         Ok(engine)
@@ -1383,17 +1313,6 @@ impl Engine {
     /// The effective plan of a live dataset.
     pub fn dataset_plan(&self, name: &str) -> Result<Plan, EngineError> {
         Ok(self.entry(name)?.plan.clone())
-    }
-
-    /// The next seed in the deterministic default sequence.
-    fn assign_seed(&self) -> u64 {
-        self.config
-            .base_seed
-            .wrapping_add(self.seed_counter.fetch_add(1, Ordering::Relaxed))
-    }
-
-    fn resolve_seed(&self, seed: Option<u64>) -> u64 {
-        seed.unwrap_or_else(|| self.assign_seed())
     }
 
     fn entry(&self, name: &str) -> Result<Arc<DatasetEntry>, EngineError> {
@@ -1579,9 +1498,8 @@ impl Engine {
         if let Some((guard, ident)) = watermark.as_mut() {
             guard.insert(ident.client.clone(), ident.seq);
         }
-        // Move the dataset's version past every cache key minted so far —
-        // this is the cache invalidation: stale entries simply stop
-        // matching and age out of the LRU.
+        // Move the dataset's version past every query key minted so far:
+        // this is the whole cache invalidation.
         entry.version.fetch_add(1, Ordering::Release);
         let total_points = entry
             .ingested_points
@@ -1784,94 +1702,7 @@ impl Engine {
         seed: Option<u64>,
         method: Option<&Method>,
     ) -> Result<(Coreset, u64, Method), EngineError> {
-        let started = Instant::now();
-        let out = par::with_threads(self.config.solve_threads, || {
-            let entry = self.entry(name)?;
-            let cacheable = seed.is_some();
-            let out = self.coreset_of(&entry, name, seed, method, cacheable)?;
-            self.total_queries.fetch_add(1, Ordering::Relaxed);
-            Ok(out)
-        });
-        self.metrics.coreset_seconds.observe(started.elapsed());
-        out
-    }
-
-    /// Counted cache lookup: every probe lands in the hit or the miss
-    /// counter (both the registry's and the cache's own, which back the
-    /// `stats` op).
-    fn cache_get(&self, key: &QueryKey) -> Option<QueryValue> {
-        let got = self.cache.get(key);
-        match got.is_some() {
-            true => self.metrics.cache_hits.incr(),
-            false => self.metrics.cache_misses.incr(),
-        }
-        got
-    }
-
-    /// [`Self::coreset`] against an already-resolved entry: one registry
-    /// lookup per request, so query defaults and served data always come
-    /// from the same dataset generation even while drops race.
-    ///
-    /// `cacheable` marks requests whose answer may be served from (and
-    /// stored into) the query cache: the *caller's* seed must have been
-    /// explicit — an engine-assigned seed advances per request and can
-    /// never be asked for again — and the cache key must be minted
-    /// *before* the shard snapshots are taken, so any write that lands
-    /// after the key read makes the entry unmatchable rather than stale.
-    fn coreset_of(
-        &self,
-        entry: &DatasetEntry,
-        name: &str,
-        seed: Option<u64>,
-        method: Option<&Method>,
-        cacheable: bool,
-    ) -> Result<(Coreset, u64, Method), EngineError> {
-        let cacheable = cacheable && seed.is_some() && self.cache.enabled() && !entry.recovering();
-        let seed = self.resolve_seed(seed);
-        let key = cacheable.then(|| QueryKey::Coreset {
-            instance: entry.instance,
-            version: entry.version.load(Ordering::Acquire),
-            seed,
-            method: method.map(|m| m.to_string()),
-        });
-        if let Some(key) = &key {
-            if let Some(QueryValue::Coreset(c, s, m)) = self.cache_get(key) {
-                return Ok((c, s, m));
-            }
-        }
-        let parts = entry.snapshots()?;
-        let mut union = parts
-            .into_iter()
-            .reduce(|a, b| {
-                a.union(&b)
-                    .expect("shards of one dataset share its dimension")
-            })
-            .ok_or_else(|| EngineError::NoData {
-                dataset: name.to_owned(),
-            })?;
-        let params = entry.plan.params();
-        if union.len() > params.m {
-            let mut rng = StdRng::seed_from_u64(seed);
-            union = match method {
-                Some(m) => m.build().compress(&mut rng, union.dataset(), &params),
-                None => entry
-                    .compressor
-                    .compress(&mut rng, union.dataset(), &params),
-            };
-        }
-        // The method the serving compression runs under. When the snapshot
-        // union already fits the serving size the union is served as-is —
-        // the reported method is then the one that *would* compress it.
-        let effective = method
-            .cloned()
-            .unwrap_or_else(|| entry.plan.method().clone());
-        if let Some(key) = key {
-            self.cache.insert(
-                key,
-                QueryValue::Coreset(union.clone(), seed, effective.clone()),
-            );
-        }
-        Ok((union, seed, effective))
+        self.query.coreset(&Shards(self), name, seed, method)
     }
 
     /// Clusters the served coreset: k-means++ seeding plus the requested
@@ -1886,126 +1717,21 @@ impl Engine {
         solver: Option<Solver>,
         seed: Option<u64>,
     ) -> Result<ClusterOutcome, EngineError> {
-        let started = Instant::now();
-        let out = par::with_threads(self.config.solve_threads, || {
-            self.cluster_inner(name, k, kind, solver, seed)
-        });
-        self.metrics.cluster_seconds.observe(started.elapsed());
-        out
-    }
-
-    fn cluster_inner(
-        &self,
-        name: &str,
-        k: Option<usize>,
-        kind: Option<CostKind>,
-        solver: Option<Solver>,
-        seed: Option<u64>,
-    ) -> Result<ClusterOutcome, EngineError> {
-        let entry = self.entry(name)?;
-        let plan = &entry.plan;
-        let k = k.unwrap_or_else(|| plan.k());
-        if k == 0 {
-            return Err(EngineError::Invalid(FcError::InvalidK));
-        }
-        let kind = kind.unwrap_or_else(|| plan.kind());
-        let solver = solver.unwrap_or_else(|| plan.solver());
-        if !solver.supports(kind) {
-            return Err(EngineError::Invalid(FcError::UnsupportedObjective {
-                solver,
-                kind,
-            }));
-        }
-        let cacheable = seed.is_some() && self.cache.enabled() && !entry.recovering();
-        let seed = self.resolve_seed(seed);
-        let key = cacheable.then(|| QueryKey::Cluster {
-            instance: entry.instance,
-            version: entry.version.load(Ordering::Acquire),
-            k,
-            kind,
-            solver,
-            seed,
-        });
-        if let Some(key) = &key {
-            if let Some(QueryValue::Cluster(outcome)) = self.cache_get(key) {
-                self.total_queries.fetch_add(1, Ordering::Relaxed);
-                return Ok(outcome);
-            }
-        }
-        let (coreset, _, _) = self.coreset_of(&entry, name, Some(seed), None, cacheable)?;
-        // Distinct stream from the compression draw so adding solve steps
-        // never perturbs which coreset is served for this seed.
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
-        let solution = solver.solve(
-            &mut rng,
-            coreset.dataset(),
-            k,
-            kind,
-            &SolveConfig::default(),
-        )?;
-        self.total_queries.fetch_add(1, Ordering::Relaxed);
-        let outcome = ClusterOutcome {
-            solution,
-            kind,
-            solver,
-            coreset_points: coreset.len(),
-            seed,
-        };
-        if let Some(key) = key {
-            self.cache.insert(key, QueryValue::Cluster(outcome.clone()));
-        }
-        Ok(outcome)
+        self.query
+            .cluster(&Shards(self), name, k, kind, solver, seed)
     }
 
     /// Prices candidate centers on the served coreset (deterministic: uses
     /// the snapshot as-is when it fits the serving size, otherwise the
     /// base-seed compression). Returns `(cost, resolved kind, coreset
-    /// points)` — the kind echoes what was actually priced under, so the
-    /// defaulting rule lives only here.
+    /// points)`.
     pub fn cost(
         &self,
         name: &str,
         centers: &Points,
         kind: Option<CostKind>,
     ) -> Result<(f64, CostKind, usize), EngineError> {
-        let started = Instant::now();
-        let out = par::with_threads(self.config.solve_threads, || {
-            let entry = self.entry(name)?;
-            if centers.dim() != entry.dim {
-                return Err(EngineError::DimensionMismatch {
-                    expected: entry.dim,
-                    got: centers.dim(),
-                });
-            }
-            let kind = kind.unwrap_or_else(|| entry.plan.kind());
-            let cacheable = self.cache.enabled() && !entry.recovering();
-            let key = cacheable.then(|| QueryKey::Cost {
-                instance: entry.instance,
-                version: entry.version.load(Ordering::Acquire),
-                kind,
-                dim: centers.dim(),
-                center_bits: centers.as_flat().iter().map(|v| v.to_bits()).collect(),
-            });
-            if let Some(key) = &key {
-                if let Some(QueryValue::Cost(cost, kind, points)) = self.cache_get(key) {
-                    self.total_queries.fetch_add(1, Ordering::Relaxed);
-                    return Ok((cost, kind, points));
-                }
-            }
-            // Pricing always runs on the base-seed compression, so the
-            // inner coreset request is cacheable whenever this one is.
-            let (coreset, _, _) =
-                self.coreset_of(&entry, name, Some(self.config.base_seed), None, cacheable)?;
-            self.total_queries.fetch_add(1, Ordering::Relaxed);
-            let answer = (coreset.cost(centers, kind), kind, coreset.len());
-            if let Some(key) = key {
-                self.cache
-                    .insert(key, QueryValue::Cost(answer.0, answer.1, answer.2));
-            }
-            Ok(answer)
-        });
-        self.metrics.cost_seconds.observe(started.elapsed());
-        out
+        self.query.cost(&Shards(self), name, centers, kind)
     }
 
     /// Statistics for one dataset.
@@ -2039,14 +1765,15 @@ impl Engine {
     /// at recovery, these deliberately are not: they answer "what has this
     /// process done", which is exactly what resets on a crash).
     pub fn server_stats(&self) -> ServerStats {
+        let (queries, cache_hits, cache_misses) = self.query.counts();
         ServerStats {
             uptime_secs: self.started.elapsed().as_secs(),
             ingested_points: self.total_points.load(Ordering::Relaxed),
             ingested_blocks: self.total_blocks.load(Ordering::Relaxed),
-            queries: self.total_queries.load(Ordering::Relaxed),
+            queries,
             fleet_epoch: 0,
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
+            cache_hits,
+            cache_misses,
         }
     }
 
@@ -2138,10 +1865,7 @@ impl Engine {
             .expect("dataset registry lock is never poisoned")
             .remove(name)
             .ok_or_else(|| EngineError::UnknownDataset(name.to_owned()))?;
-        // Purge the generation's cached answers eagerly; the instance id
-        // is never reused, so this is belt-and-braces over key motion.
-        let instance = entry.instance;
-        self.cache.retain(|k| k.instance() != instance);
+        self.query.forget(entry.instance);
         let dir = entry.persist.as_ref().map(|p| p.dir.clone());
         let finalize = !purge && dir.is_some();
         // Connections may still hold clones of the Arc; workers stop as
@@ -2175,6 +1899,68 @@ impl Engine {
             .collect();
         names.sort();
         names
+    }
+}
+
+/// The engine as a [`QuerySource`]: the summary is the union of every
+/// shard's snapshot, compressed once to the plan's serving size.
+struct Shards<'a>(&'a Engine);
+
+impl QuerySource for Shards<'_> {
+    type Dataset = Arc<DatasetEntry>;
+
+    fn resolve(&self, name: &str) -> Result<Arc<DatasetEntry>, EngineError> {
+        self.0.entry(name)
+    }
+
+    fn plan<'a>(&'a self, entry: &'a Arc<DatasetEntry>) -> &'a Plan {
+        &entry.plan
+    }
+
+    fn dim(&self, entry: &Arc<DatasetEntry>) -> usize {
+        entry.dim
+    }
+
+    /// `None` while any shard is still replaying its WAL: the snapshots
+    /// then cover a prefix of the acknowledged data, and memoizing that
+    /// under the current version would outlive the replay.
+    fn state(&self, entry: &Arc<DatasetEntry>) -> Option<QueryState> {
+        (!entry.recovering()).then(|| QueryState {
+            instance: entry.instance,
+            version: entry.version.load(Ordering::Acquire),
+            epoch: 0,
+            health: 0,
+        })
+    }
+
+    fn summarise(
+        &self,
+        name: &str,
+        entry: &Arc<DatasetEntry>,
+        seed: u64,
+        method: Option<&Method>,
+    ) -> Result<Coreset, EngineError> {
+        let union = entry
+            .snapshots()?
+            .into_iter()
+            .reduce(|a, b| {
+                a.union(&b)
+                    .expect("shards of one dataset share its dimension")
+            })
+            .ok_or_else(|| EngineError::NoData {
+                dataset: name.to_owned(),
+            })?;
+        let params = entry.plan.params();
+        if union.len() <= params.m {
+            return Ok(union);
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        Ok(match method {
+            Some(m) => m.build().compress(&mut rng, union.dataset(), &params),
+            None => entry
+                .compressor
+                .compress(&mut rng, union.dataset(), &params),
+        })
     }
 }
 
@@ -2759,35 +2545,6 @@ mod tests {
     }
 
     #[test]
-    fn repeat_queries_hit_the_cache() {
-        let engine = test_engine();
-        for block in blobs(300).chunks(100) {
-            engine.ingest("d", &block, None).unwrap();
-        }
-        let first = engine.cluster("d", Some(4), None, None, Some(9)).unwrap();
-        let stats = engine.server_stats();
-        assert_eq!(stats.cache_hits, 0);
-        assert!(stats.cache_misses > 0, "first query must miss");
-        let again = engine.cluster("d", Some(4), None, None, Some(9)).unwrap();
-        assert_eq!(first.solution.centers, again.solution.centers);
-        assert_eq!(first.seed, again.seed);
-        assert!(
-            engine.server_stats().cache_hits > 0,
-            "repeat query must be served from the cache"
-        );
-        // Coreset and cost repeats hit as well.
-        let (a, _, _) = engine.coreset("d", Some(5), None).unwrap();
-        let (b, _, _) = engine.coreset("d", Some(5), None).unwrap();
-        assert_eq!(a.dataset(), b.dataset());
-        let centers = Points::from_flat(vec![0.0, 0.0, 100.0, 0.0], 2).unwrap();
-        let (c1, _, _) = engine.cost("d", &centers, None).unwrap();
-        let hits_before = engine.server_stats().cache_hits;
-        let (c2, _, _) = engine.cost("d", &centers, None).unwrap();
-        assert_eq!(c1.to_bits(), c2.to_bits());
-        assert!(engine.server_stats().cache_hits > hits_before);
-    }
-
-    #[test]
     fn ingest_invalidates_cached_answers() {
         let engine = test_engine();
         engine.ingest("d", &blobs(200), None).unwrap();
@@ -2822,46 +2579,6 @@ mod tests {
             .as_flat()
             .iter()
             .all(|&v| v >= 500.0));
-    }
-
-    #[test]
-    fn auto_seeded_queries_are_not_cached() {
-        let engine = test_engine();
-        engine.ingest("d", &blobs(100), None).unwrap();
-        let (_, s1, _) = engine.coreset("d", None, None).unwrap();
-        let (_, s2, _) = engine.coreset("d", None, None).unwrap();
-        assert_eq!(s2, s1 + 1, "auto seeds keep advancing");
-        let stats = engine.server_stats();
-        assert_eq!(
-            stats.cache_hits + stats.cache_misses,
-            0,
-            "auto-seeded requests must not touch the cache"
-        );
-    }
-
-    #[test]
-    fn cache_capacity_zero_disables_caching() {
-        let engine = Engine::with_compressor(
-            EngineConfig {
-                shards: 1,
-                k: 4,
-                m_scalar: 25,
-                cache_capacity: 0,
-                ..Default::default()
-            },
-            Arc::new(Uniform),
-        )
-        .unwrap();
-        engine.ingest("d", &blobs(100), None).unwrap();
-        let (a, _, _) = engine.coreset("d", Some(2), None).unwrap();
-        let (b, _, _) = engine.coreset("d", Some(2), None).unwrap();
-        assert_eq!(
-            a.dataset(),
-            b.dataset(),
-            "determinism holds without a cache"
-        );
-        let stats = engine.server_stats();
-        assert_eq!(stats.cache_hits + stats.cache_misses, 0);
     }
 
     #[test]

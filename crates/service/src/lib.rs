@@ -7,6 +7,11 @@
 //!   [`fc_core::streaming::MergeReduce`] streams with per-shard worker
 //!   threads and budgeted compaction, each dataset built from its own
 //!   [`fc_core::plan::Plan`] (the engine config is only the default).
+//! - [`query`]: the one implementation of `coreset` / `cluster` / `cost`
+//!   — plan defaults, validation, the state-keyed result cache, the
+//!   seeded solve — shared by the engine and the `fc-cluster`
+//!   coordinator, which differ only in how they obtain the summary
+//!   ([`QuerySource`]).
 //! - [`protocol`]: the request/response types and their JSON-lines codec
 //!   (the dependency-free [`fc_core::json`], re-exported as [`json`] —
 //!   plans cross the wire in the library's own
@@ -53,6 +58,7 @@ pub mod engine;
 pub mod framing;
 pub mod metrics_http;
 pub mod protocol;
+pub mod query;
 #[cfg(target_os = "linux")]
 pub mod reactor;
 pub mod server;
@@ -70,4 +76,5 @@ pub use metrics_http::MetricsServer;
 pub use protocol::{
     DatasetStats, ErrorCode, NodeHealth, NodeStats, ProtocolError, Request, Response, ServerStats,
 };
+pub use query::{QueryPath, QuerySource, QueryState};
 pub use server::{IoModel, ServerHandle, ServerOptions};

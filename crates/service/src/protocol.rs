@@ -466,6 +466,11 @@ pub enum ErrorCode {
     /// message names the current epoch; the client should refresh its
     /// view (`stats` reports the epoch) and re-route.
     WrongEpoch,
+    /// The server hit a bug while executing this request (the backend
+    /// call panicked). Only this request failed: the connection and the
+    /// server keep serving. Retrying the same request will likely fail
+    /// the same way.
+    Internal,
 }
 
 impl ErrorCode {
@@ -478,6 +483,7 @@ impl ErrorCode {
             ErrorCode::Unavailable => "unavailable",
             ErrorCode::DeadlineExceeded => "deadline_exceeded",
             ErrorCode::WrongEpoch => "wrong_epoch",
+            ErrorCode::Internal => "internal",
         }
     }
 
@@ -491,6 +497,7 @@ impl ErrorCode {
             "unavailable" => Some(ErrorCode::Unavailable),
             "deadline_exceeded" => Some(ErrorCode::DeadlineExceeded),
             "wrong_epoch" => Some(ErrorCode::WrongEpoch),
+            "internal" => Some(ErrorCode::Internal),
             _ => None,
         }
     }
@@ -1837,6 +1844,10 @@ mod tests {
         round_trip_response(Response::Error {
             message: "fleet epoch is 5, request carried 3".into(),
             code: Some(ErrorCode::WrongEpoch),
+        });
+        round_trip_response(Response::Error {
+            message: "internal error: the request panicked: boom".into(),
+            code: Some(ErrorCode::Internal),
         });
         // Unknown codes from newer servers decode as None, not an error.
         match Response::from_json(r#"{"kind":"error","message":"m","code":"quota"}"#).unwrap() {

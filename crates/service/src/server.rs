@@ -848,6 +848,7 @@ mod reactor_server {
     use crate::reactor::{Event, Poller, Waker};
     use fc_telemetry::{Counter, Gauge, Histogram, Telemetry};
     use std::os::fd::AsRawFd;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::time::Instant;
 
     const TOKEN_WAKER: u64 = 0;
@@ -1254,18 +1255,29 @@ mod reactor_server {
                     ));
                     continue;
                 }
-                match frame {
-                    WireFrame::Line(line) => {
-                        if let Some(response) = execute_line(backend, line) {
-                            bytes.extend_from_slice(&encode_response(&response, style));
-                        }
-                    }
+                // A panicking backend call fails its own request, not the
+                // worker: without the catch the unwind would skip
+                // `Msg::Complete` (the connection would stay *executing*
+                // forever) and shrink the pool by one thread per panic.
+                let executed = catch_unwind(AssertUnwindSafe(|| match frame {
+                    WireFrame::Line(line) => execute_line(backend, line),
                     WireFrame::Binary(payload) | WireFrame::Checked(payload) => {
-                        bytes.extend_from_slice(&encode_response(
-                            &execute_binary(backend, payload),
-                            style,
-                        ));
+                        Some(execute_binary(backend, payload))
                     }
+                }));
+                let response = executed.unwrap_or_else(|panic| {
+                    let what = panic
+                        .downcast_ref::<&str>()
+                        .copied()
+                        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                        .unwrap_or("(no message)");
+                    Some(Response::Error {
+                        message: format!("internal error: the request panicked: {what}"),
+                        code: Some(protocol::ErrorCode::Internal),
+                    })
+                });
+                if let Some(response) = response {
+                    bytes.extend_from_slice(&encode_response(&response, style));
                 }
             }
             mailboxes[job.reactor].send(Msg::Complete {

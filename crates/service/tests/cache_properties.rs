@@ -5,11 +5,13 @@
 //! hits — asserted at the end) and runs at a tiny capacity (so LRU
 //! eviction churns), yet no stale answer may ever surface: versions
 //! move the keys on every applied ingest and instance ids retire them
-//! on every drop.
+//! on every drop. The coordinator runs the same query path, so it is
+//! held to the same property by the same op generator.
 
+use fc_cluster::{Coordinator, CoordinatorConfig};
 use fc_clustering::CostKind;
 use fc_geom::{Dataset, Points};
-use fc_service::{Engine, EngineConfig};
+use fc_service::{Backend, Engine, EngineConfig, ServerHandle};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -58,21 +60,35 @@ fn batch(seed: u64, points: usize) -> Dataset {
     Dataset::from_flat(flat, 2).unwrap()
 }
 
-fn engine(cache_capacity: usize) -> Engine {
-    Engine::new(EngineConfig {
+fn config(cache_capacity: usize) -> EngineConfig {
+    EngineConfig {
         shards: 2,
         k: 3,
         m_scalar: 8,
         cache_capacity,
         ..Default::default()
+    }
+}
+
+fn engine(cache_capacity: usize) -> Engine {
+    Engine::new(config(cache_capacity)).unwrap()
+}
+
+/// A coordinator over `nodes`, planning like [`engine`].
+fn coordinator(nodes: &[ServerHandle], cache_capacity: usize) -> Coordinator {
+    Coordinator::new(CoordinatorConfig {
+        default_plan: config(0).default_plan().unwrap(),
+        cache_capacity,
+        ..CoordinatorConfig::new(nodes.iter().map(|n| n.addr().to_string()))
     })
     .unwrap()
 }
 
-/// A comparable rendering of one op's outcome on one engine: success
+/// A comparable rendering of one op's outcome on one backend: success
 /// payloads bit-for-bit (float bit patterns via `{:?}`), errors by
-/// message. The two engines must produce the same string at every step.
-fn apply(engine: &Engine, op: &Op) -> String {
+/// message. The cached and the uncached backend must produce the same
+/// string at every step.
+fn apply(engine: &dyn Backend, op: &Op) -> String {
     let name = |dataset: &usize| ["alpha", "beta"][*dataset].to_string();
     match op {
         Op::Ingest {
@@ -82,7 +98,13 @@ fn apply(engine: &Engine, op: &Op) -> String {
         } => {
             format!(
                 "{:?}",
-                engine.ingest(&name(dataset), &batch(*batch_seed, *points), None)
+                engine.ingest(
+                    &name(dataset),
+                    &batch(*batch_seed, *points),
+                    None,
+                    None,
+                    None
+                )
             )
         }
         Op::Coreset { dataset, seed } => {
@@ -153,5 +175,39 @@ proptest! {
             let stats = cached.server_stats();
             prop_assert!(stats.cache_hits + stats.cache_misses > 0);
         }
+    }
+
+    /// The same property one tier up. Both coordinators front the *same*
+    /// two nodes, so every write reaches the nodes through both — and the
+    /// cached coordinator must still never answer from before a write it
+    /// forwarded, a drop it issued, or a dataset generation it retired.
+    #[test]
+    fn cached_coordinator_never_serves_a_stale_answer(ops in prop::collection::vec(op(), 1..28)) {
+        let nodes = [
+            ServerHandle::bind("127.0.0.1:0", engine(64)).unwrap(),
+            ServerHandle::bind("127.0.0.1:0", engine(64)).unwrap(),
+        ];
+        let cached = coordinator(&nodes, 2);
+        let uncached = coordinator(&nodes, 0);
+        let mut query_succeeded = false;
+        for (step, op) in ops.iter().enumerate() {
+            let got = apply(&cached, op);
+            let want = apply(&uncached, op);
+            if matches!(op, Op::Coreset { .. } | Op::Cluster { .. } | Op::Cost { .. })
+                && got.starts_with("Ok")
+            {
+                query_succeeded = true;
+            }
+            prop_assert_eq!(
+                got, want,
+                "step {} ({:?}) diverged between cached and uncached coordinators", step, op
+            );
+        }
+        if query_succeeded {
+            let stats = cached.server_stats().unwrap();
+            prop_assert!(stats.cache_hits + stats.cache_misses > 0);
+        }
+        let stats = uncached.server_stats().unwrap();
+        prop_assert_eq!(stats.cache_hits + stats.cache_misses, 0);
     }
 }

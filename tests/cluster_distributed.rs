@@ -9,7 +9,7 @@ use std::sync::Arc;
 use fast_coresets::prelude::*;
 use fc_cluster::{Coordinator, CoordinatorConfig};
 use fc_service::protocol::NodeHealth;
-use fc_service::ServerHandle;
+use fc_service::{EngineError, ServerHandle};
 
 fn four_blobs(n_per: usize) -> Dataset {
     let mut flat = Vec::new();
@@ -338,6 +338,11 @@ fn overloaded_node_fails_over_instead_of_failing_the_write() {
 /// key motion: a repeat ask is a hit, an ingest or a membership epoch
 /// bump makes the old answer unmatchable, and auto-assigned seeds never
 /// touch the cache (their answers cannot be re-asked).
+///
+/// The counters count *probes*, by the one rule `fc_service::query` has
+/// for both tiers: a seeded `cluster` that misses probes its own key and
+/// then its serving coreset's (two misses, both stored — a later
+/// `compress` with that seed is a hit), a repeat probes one key and hits.
 #[test]
 fn coordinator_cache_hits_repeats_and_invalidates_on_ingest_and_epoch() {
     use fc_service::backend::Backend;
@@ -363,8 +368,7 @@ fn coordinator_cache_hits_repeats_and_invalidates_on_ingest_and_epoch() {
         again.solution.centers.as_flat()
     );
     let stats = coordinator.server_stats().unwrap();
-    assert_eq!(stats.cache_hits, 1, "{stats:?}");
-    assert_eq!(stats.cache_misses, 1, "{stats:?}");
+    assert_eq!((stats.cache_hits, stats.cache_misses), (1, 2), "{stats:?}");
 
     // Auto-assigned seeds advance per request: not cacheable, counters
     // untouched.
@@ -372,7 +376,7 @@ fn coordinator_cache_hits_repeats_and_invalidates_on_ingest_and_epoch() {
         .cluster("blobs", None, None, None, None)
         .unwrap();
     let stats = coordinator.server_stats().unwrap();
-    assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1), "{stats:?}");
+    assert_eq!((stats.cache_hits, stats.cache_misses), (1, 2), "{stats:?}");
 
     // New data bumps the route version: the same ask recomputes.
     coordinator.ingest("blobs", &four_blobs(50), None).unwrap();
@@ -380,7 +384,7 @@ fn coordinator_cache_hits_repeats_and_invalidates_on_ingest_and_epoch() {
         .cluster("blobs", None, None, None, Some(7))
         .unwrap();
     let stats = coordinator.server_stats().unwrap();
-    assert_eq!((stats.cache_hits, stats.cache_misses), (1, 2), "{stats:?}");
+    assert_eq!((stats.cache_hits, stats.cache_misses), (1, 4), "{stats:?}");
 
     // A membership change bumps the fleet epoch: every cached answer for
     // the old fleet shape stops matching.
@@ -392,16 +396,70 @@ fn coordinator_cache_hits_repeats_and_invalidates_on_ingest_and_epoch() {
         .cluster("blobs", None, None, None, Some(7))
         .unwrap();
     let stats = coordinator.server_stats().unwrap();
-    assert_eq!((stats.cache_hits, stats.cache_misses), (1, 3), "{stats:?}");
+    assert_eq!((stats.cache_hits, stats.cache_misses), (1, 6), "{stats:?}");
 
     // And the re-warmed key hits again while the fleet stays put.
-    coordinator
+    let again_after_epoch = coordinator
         .cluster("blobs", None, None, None, Some(7))
         .unwrap();
     let stats = coordinator.server_stats().unwrap();
-    assert_eq!((stats.cache_hits, stats.cache_misses), (2, 3), "{stats:?}");
+    assert_eq!((stats.cache_hits, stats.cache_misses), (2, 6), "{stats:?}");
+
+    // The cluster miss above stored its serving coreset: asking for that
+    // coreset by seed is a hit, byte-identical to a fresh computation.
+    let (served, _, _) = coordinator.coreset("blobs", Some(7), None).unwrap();
+    let stats = coordinator.server_stats().unwrap();
+    assert_eq!((stats.cache_hits, stats.cache_misses), (3, 6), "{stats:?}");
+    assert_eq!(served.len(), again_after_epoch.coreset_points);
 
     node_a.shutdown();
     node_b.shutdown();
     node_c.shutdown();
+}
+
+/// Centers are priced only in the dataset's own dimension — on the
+/// coordinator exactly as on an engine, and from the cache exactly as on
+/// a miss. The flat buffer `[0,0,100,0,200,0]` is asked as 2 × 3-d (wrong
+/// shape), as 3 × 2-d (fine), then as 2 × 3-d again: the repeat must not
+/// be answered from the 3 × 2-d entry the same bits just stored.
+#[test]
+fn coordinator_cost_rejects_centers_of_the_wrong_dimension_even_when_cached() {
+    use fc_service::backend::Backend;
+
+    let node = node_server(4);
+    let coordinator = Coordinator::new(CoordinatorConfig::new([node.addr().to_string()])).unwrap();
+    let plan = PlanBuilder::new(4)
+        .m_scalar(25)
+        .method(Method::Uniform)
+        .build()
+        .unwrap();
+    coordinator
+        .ingest("blobs", &four_blobs(100), Some(&plan))
+        .unwrap();
+    let engine = Engine::new(EngineConfig::default()).unwrap();
+    engine
+        .ingest("blobs", &four_blobs(100), Some(&plan))
+        .unwrap();
+
+    let flat = vec![0.0, 0.0, 100.0, 0.0, 200.0, 0.0];
+    let two_by_three = Points::from_flat(flat.clone(), 3).unwrap();
+    let three_by_two = Points::from_flat(flat, 2).unwrap();
+    let mismatch = EngineError::DimensionMismatch {
+        expected: 2,
+        got: 3,
+    };
+    for backend in [&coordinator as &dyn Backend, &engine] {
+        assert_eq!(
+            backend.cost("blobs", &two_by_three, None).unwrap_err(),
+            mismatch
+        );
+        let (cost, _, _) = backend.cost("blobs", &three_by_two, None).unwrap();
+        assert!(cost.is_finite() && cost > 0.0);
+        assert_eq!(
+            backend.cost("blobs", &two_by_three, None).unwrap_err(),
+            mismatch,
+            "a cached 3 x 2-d answer must not serve the 2 x 3-d ask"
+        );
+    }
+    node.shutdown();
 }
