@@ -24,19 +24,16 @@
 //! replica set (rendezvous hashing over the roster), ingest fans each
 //! batch to every replica (coreset composability makes an R-way copy just
 //! R ingests), and queries read from any single live replica instead of
-//! unioning the fleet. Batches that carry a `(client, seq)` identity are
-//! exactly-once end to end: the coordinator keeps its own per-dataset
-//! watermark (so retries are acknowledged without re-forwarding under
-//! spread routing, and re-forwarded as *repair* under replication), and
-//! each node's engine dedupes again behind its WAL. `add-node` /
-//! `drain-node` bump the map's epoch and migrate serving coresets — not
-//! raw data — onto the members the new map ranks; requests asserting a
-//! stale epoch get a structured `wrong_epoch`.
+//! unioning the fleet. `add-node` / `drain-node` bump the map's epoch and
+//! migrate serving coresets — not raw data — onto the members the new map
+//! ranks; requests asserting a stale epoch get a structured `wrong_epoch`.
+//!
+//! Either way a batch is admitted by the shared [`fc_service::ingest`]
+//! path — the same refusals, exactly-once gate and counters as a single
+//! engine — and each node's engine dedupes again behind its WAL.
 
-use std::collections::hash_map::Entry as MapEntry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use fc_clustering::solver::Solver;
@@ -47,13 +44,13 @@ use fc_core::streaming::mapreduce::aggregate_parts;
 use fc_core::Coreset;
 use fc_fleet::FleetMap;
 use fc_geom::{Dataset, Points};
-use fc_service::cache::next_instance;
+use fc_service::client::wire_block;
 use fc_service::engine::fnv64;
 use fc_service::protocol::{self, DatasetStats, ErrorCode, IngestIdent, NodeHealth, NodeStats};
 use fc_service::ServiceClient;
 use fc_service::{
-    Backend, ClientError, ClusterOutcome, EngineConfig, EngineError, IngestOutcome, QueryPath,
-    QuerySource, QueryState, Request, Response, RetryPolicy,
+    Backend, ClientError, ClusterOutcome, EngineConfig, EngineError, IngestOutcome, Ledger,
+    QueryPath, QuerySource, QueryState, Request, Response, RetryPolicy, WritePath, WriteSink,
 };
 use fc_telemetry::{current_trace, labeled, next_request_id, Counter, Histogram, Telemetry};
 use rand::rngs::StdRng;
@@ -213,46 +210,24 @@ impl CoordinatorConfig {
     }
 }
 
-/// Coordinator-side record of a live dataset.
-struct Route {
-    /// The plan the creating ingest carried, if any — forwarded verbatim
-    /// with every routed batch, so whichever node sees its first block of
-    /// the dataset creates it under the same plan. `None` leaves each
-    /// node on its own default plan (deploy nodes and coordinator with the
-    /// same plan flags).
-    plan: Option<Plan>,
-    /// The dataset's effective plan (the creating ingest's plan, or the
-    /// coordinator default) — the source of every query default and of
-    /// the coordinator-side aggregation parameters.
-    effective: Plan,
-    /// The dataset's dimensionality, fixed by the creating batch. Checked
-    /// coordinator-side: with round-robin routing a mismatched batch would
-    /// otherwise land on a node that has no copy yet and silently create a
-    /// second dataset of the wrong dimension there.
-    dim: usize,
-    /// Round-robin cursor.
-    next: AtomicUsize,
-    /// Coordinator-lifetime ingest totals, backing the `Ingested`
-    /// acknowledgements (and `stats` when every holder is down). Regular
-    /// `stats` sums what the nodes currently hold instead, so the two
-    /// disagree after a node restarts and loses its share — by design:
-    /// acknowledgements count what was accepted, stats count what serves.
-    ingested_points: AtomicU64,
-    ingested_weight: Mutex<f64>,
-    /// Per-client exactly-once watermark: the highest `seq` this
-    /// coordinator has acknowledged per client, mirroring the engine's
-    /// own gate. Needed *here* because under spread routing a retried
-    /// batch could land on a different node than the original — a node
-    /// that has never seen the `(client, seq)` and would apply it again.
-    /// Held across the forwarding fan-out so one client's concurrent
-    /// retries serialize.
-    clients: Mutex<HashMap<String, u64>>,
-    /// Process-unique generation id ([`QueryState::instance`]).
-    instance: u64,
-    /// Bumped on every applied (non-duplicate) ingest
-    /// ([`QueryState::version`]).
-    version: AtomicU64,
-}
+/// Coordinator-side record of a live dataset: what [`fc_service::ingest`]
+/// records about its writes, and nothing else.
+///
+/// Its effective plan is the source of every query default and of the
+/// coordinator-side aggregation parameters. Its dimension is checked here
+/// because with round-robin routing a mismatched batch would otherwise
+/// land on a node that has no copy yet and silently create a second
+/// dataset of the wrong dimension there. Its watermark is needed here
+/// because under spread routing a retried batch could land on a different
+/// node than the original — a node that has never seen the `(client,
+/// seq)` and would apply it again.
+///
+/// Its totals back the `Ingested` acknowledgements (and `stats` when
+/// every holder is down). Regular `stats` sums what the nodes currently
+/// hold instead, so the two disagree after a node restarts and loses its
+/// share — by design: acknowledgements count what was accepted, stats
+/// count what serves.
+type Route = Ledger;
 
 /// One dataset's pending relocation during an `add_node`/`drain_node`
 /// epoch bump: `(dataset, route, old replica set, new replica set)`,
@@ -269,7 +244,6 @@ pub struct Coordinator {
     /// the next; fan-outs snapshot the `Arc`s and run lock-free.
     nodes: RwLock<Vec<Arc<NodeHandle>>>,
     policy: RoutingPolicy,
-    default_plan: Plan,
     retry: RetryPolicy,
     timeouts: NodeTimeouts,
     binary_wire: bool,
@@ -281,32 +255,26 @@ pub struct Coordinator {
     /// (`add_node`, `drain_node`) serialize on this lock; everything else
     /// takes it briefly to read the epoch or a replica set.
     fleet: Mutex<FleetMap>,
-    routes: Mutex<HashMap<String, Arc<Route>>>,
+    /// Ingest admission and the registry of live datasets, delivering
+    /// into [`Fleet`].
+    write: WritePath<Route>,
     /// Capacity-weighted node sampler (only under
     /// [`RoutingPolicy::Capacity`]) and its deterministic RNG. Rebuilt on
     /// membership changes (a drained member samples at weight zero).
     capacity_index: Mutex<Option<WeightedIndex>>,
     capacity_rng: Mutex<StdRng>,
-    /// Lifetime counters for the coordinator process itself (`stats`
-    /// wire field `server`): what *this* process acknowledged and
-    /// served, not a sum over the fleet.
-    started: std::time::Instant,
-    total_points: AtomicU64,
-    total_blocks: AtomicU64,
     /// The coordinator's observability surface (shared with the server
     /// loop serving it) plus cached hot-path handles into it.
     metrics: CoordinatorMetrics,
 }
 
-/// Coordinator-side telemetry handles: ingest counters under the same
-/// names an engine uses (so one Grafana panel covers both tiers; the
-/// query ops register theirs in [`fc_service::query`]), plus a per-node
-/// request-latency histogram for attribution.
+/// Coordinator-side telemetry handles. The ingest and query ops register
+/// theirs — under the names an engine uses, so one Grafana panel covers
+/// both tiers — in [`fc_service::ingest`] and [`fc_service::query`]; what
+/// is left is fleet bookkeeping plus a per-node request-latency histogram
+/// for attribution.
 struct CoordinatorMetrics {
     shared: Arc<Telemetry>,
-    ingest_points: Counter,
-    ingest_blocks: Counter,
-    ingest_seconds: Histogram,
     /// Dataset migrations completed by membership changes.
     migrations: Counter,
     /// Replica-set writes that failed on some replica while the batch was
@@ -322,12 +290,6 @@ impl CoordinatorMetrics {
     fn new(node_addrs: impl Iterator<Item = impl AsRef<str>>) -> Self {
         let shared = Arc::new(Telemetry::new());
         CoordinatorMetrics {
-            ingest_points: shared.registry.counter("fc_ingest_points_total"),
-            ingest_blocks: shared.registry.counter("fc_ingest_blocks_total"),
-            ingest_seconds: shared.registry.histogram_with_edges(
-                &labeled("fc_op_seconds", &[("op", "ingest")]),
-                fc_telemetry::FAST_OP_EDGES_US,
-            ),
             migrations: shared.registry.counter("fc_migrations_total"),
             replica_write_failures: shared.registry.counter("fc_replica_write_failures_total"),
             node_seconds: Mutex::new(
@@ -418,19 +380,15 @@ impl Coordinator {
                     .collect(),
             ),
             policy: config.policy,
-            default_plan: config.default_plan,
             retry: config.retry,
             timeouts: config.timeouts,
             binary_wire: config.binary_wire,
             replication: config.replication,
             query,
             fleet: Mutex::new(fleet),
-            routes: Mutex::new(HashMap::new()),
+            write: WritePath::new(Arc::clone(&metrics.shared), config.default_plan),
             capacity_index: Mutex::new(capacity_index),
             capacity_rng: Mutex::new(StdRng::seed_from_u64(config.base_seed)),
-            started: std::time::Instant::now(),
-            total_points: AtomicU64::new(0),
-            total_blocks: AtomicU64::new(0),
             metrics,
         })
     }
@@ -517,7 +475,7 @@ impl Coordinator {
 
     /// The plan plan-less datasets run under.
     pub fn default_plan(&self) -> &Plan {
-        &self.default_plan
+        self.write.default_plan()
     }
 
     /// A fingerprint of the roster's current health states, folded in
@@ -538,15 +496,6 @@ impl Coordinator {
             acc = (acc ^ tag).wrapping_mul(0x0000_0100_0000_01B3);
         }
         acc
-    }
-
-    fn route(&self, name: &str) -> Result<Arc<Route>, EngineError> {
-        self.routes
-            .lock()
-            .expect("route registry lock")
-            .get(name)
-            .cloned()
-            .ok_or_else(|| EngineError::UnknownDataset(name.to_owned()))
     }
 
     /// Maps a node's wire error onto the engine vocabulary.
@@ -948,8 +897,9 @@ impl Coordinator {
     /// chosen among `actives` (draining members take no new writes).
     fn route_start(&self, name: &str, route: &Route, actives: &[usize]) -> usize {
         match self.policy {
+            // Staggered by name, so datasets do not all start at node 0.
             RoutingPolicy::RoundRobin => {
-                actives[route.next.fetch_add(1, Ordering::Relaxed) % actives.len()]
+                actives[(fnv64(name) as usize).wrapping_add(route.next_slot()) % actives.len()]
             }
             RoutingPolicy::HashDataset => actives[fnv64(name) as usize % actives.len()],
             RoutingPolicy::Capacity => {
@@ -1083,32 +1033,28 @@ impl Coordinator {
     }
 }
 
-/// The fleet as a [`QuerySource`]: summaries and prices both come from
-/// the nodes ([`Coordinator::ask`]).
+/// The fleet as a [`QuerySource`] and a [`WriteSink`]: summaries and
+/// prices both come from the nodes ([`Coordinator::ask`]); a batch goes to
+/// one node under the routing policy, or to a whole replica set.
 struct Fleet<'a>(&'a Coordinator);
 
 impl QuerySource for Fleet<'_> {
     type Dataset = Arc<Route>;
 
     fn resolve(&self, name: &str) -> Result<Arc<Route>, EngineError> {
-        self.0.route(name)
+        self.0.write.get(name)
     }
 
     fn plan<'a>(&'a self, route: &'a Arc<Route>) -> &'a Plan {
-        &route.effective
+        route.plan()
     }
 
     fn dim(&self, route: &Arc<Route>) -> usize {
-        route.dim
+        route.dim()
     }
 
     fn state(&self, route: &Arc<Route>) -> Option<QueryState> {
-        Some(QueryState {
-            instance: route.instance,
-            version: route.version.load(Ordering::Acquire),
-            epoch: self.0.fleet_epoch(),
-            health: self.0.health_fingerprint(),
-        })
+        Some(route.query_state(self.0.fleet_epoch(), self.0.health_fingerprint()))
     }
 
     /// Every answering node's serving compression, unioned
@@ -1135,10 +1081,11 @@ impl QuerySource for Fleet<'_> {
                 other => return Err(self.0.unexpected(idx, other)),
             }
         }
-        let params = route.effective.params();
+        let plan = route.plan();
+        let params = plan.params();
         let compressor = method
             .cloned()
-            .unwrap_or_else(|| route.effective.method().clone())
+            .unwrap_or_else(|| plan.method().clone())
             .build();
         let mut rng = StdRng::seed_from_u64(seed);
         // Dimension disagreement between nodes (a fleet misconfiguration)
@@ -1247,30 +1194,132 @@ impl Coordinator {
     }
 }
 
-impl Backend for Coordinator {
-    /// Forwards the batch to the fleet, with the dataset's creating plan
-    /// riding along so the receiving node creates (or validates) the
-    /// dataset under it.
-    ///
-    /// At R = 1 the batch routes to one node under the configured policy;
-    /// an unreachable or still-overloaded node fails over to the next,
-    /// and the write fails only when every node refused it. At R ≥ 2 the
-    /// batch fans to every member of the dataset's replica set and is
-    /// acknowledged as soon as *one* replica applied it (a replica that
-    /// missed it is repair debt, counted on
+impl WriteSink for Fleet<'_> {
+    type Dataset = Route;
+
+    /// Nothing to reserve: nodes create their copy when a batch reaches
+    /// them.
+    fn open(&self, _name: &str, ledger: Ledger) -> Result<Route, EngineError> {
+        Ok(ledger)
+    }
+
+    /// At R ≥ 2 the batch fans to every member of the dataset's replica
+    /// set and is accepted as soon as *one* replica applied it (a replica
+    /// that missed it is repair debt, counted on
     /// `fc_replica_write_failures_total`, healed by the client's own
-    /// retries).
+    /// retries). At R = 1 it routes to one node under the configured
+    /// policy; an unreachable or still-overloaded node fails over to the
+    /// next active one, and the write fails only when every node refused
+    /// it.
     ///
-    /// An `ident` makes the call exactly-once end to end: the coordinator
-    /// keeps its own `(client, seq)` watermark per dataset — under spread
-    /// routing a duplicate is acknowledged *without* re-forwarding (a
-    /// retry could land on a node that never saw the original and apply
-    /// it twice); under replication it is re-forwarded to the same
-    /// replica set, where each engine's own gate makes the re-send a
-    /// repair instead of a double-count. Without an `ident`, delivery is
-    /// at-least-once: a node that dies after applying but before replying
-    /// gets the batch re-sent elsewhere, briefly overweighting it (more
-    /// data, not corrupted data).
+    /// Without an `ident`, delivery is at-least-once: a node that dies
+    /// after applying but before replying gets the batch re-sent
+    /// elsewhere, briefly overweighting it (more data, not corrupted
+    /// data).
+    fn deliver(
+        &self,
+        name: &str,
+        route: &Route,
+        batch: &Dataset,
+        ident: Option<&IngestIdent>,
+    ) -> Result<(), EngineError> {
+        use ClientError::{Io, Overloaded, Protocol};
+        let coordinator = self.0;
+        let request = ingest_request(name, route, batch, ident)?;
+        let mut last = EngineError::Unavailable;
+        if coordinator.replication >= 2 {
+            let replicas = coordinator
+                .fleet
+                .lock()
+                .expect("fleet map lock")
+                .replicas(name);
+            let mut accepted = false;
+            let outcomes = coordinator.multi_node_request(&replicas, &request);
+            for (&idx, outcome) in replicas.iter().zip(outcomes) {
+                last = match outcome {
+                    Ok(Response::Ingested { .. }) => {
+                        accepted = true;
+                        continue;
+                    }
+                    Ok(other) => coordinator.unexpected(idx, other),
+                    Err(e) => coordinator.node_error(idx, name, e),
+                };
+                coordinator.metrics.replica_write_failures.incr();
+            }
+            return if accepted { Ok(()) } else { Err(last) };
+        }
+        let actives = coordinator.active_indices();
+        if actives.is_empty() {
+            return Err(EngineError::Unavailable);
+        }
+        let start = coordinator.route_start(name, route, &actives);
+        let start_pos = actives.iter().position(|&i| i == start).unwrap_or(0);
+        for attempt in 0..actives.len() {
+            let idx = actives[(start_pos + attempt) % actives.len()];
+            // Failover honours the capacity policy's contract: a node
+            // weighted to zero (decommissioning) takes no writes even when
+            // its peers are unreachable.
+            if coordinator.policy == RoutingPolicy::Capacity
+                && coordinator.node_at(idx).capacity() == 0.0
+            {
+                continue;
+            }
+            match coordinator.node_request(idx, &request) {
+                Ok(Response::Ingested { .. }) => return Ok(()),
+                Ok(other) => return Err(coordinator.unexpected(idx, other)),
+                // Socket failures and persistent overload fail over to the
+                // next node; anything the node *decided* (plan conflict,
+                // dimension mismatch, …) is final.
+                Err(e @ (Io(_) | Protocol(_) | Overloaded(_))) => {
+                    last = coordinator.node_error(idx, name, e)
+                }
+                Err(e) => return Err(coordinator.node_error(idx, name, e)),
+            }
+        }
+        Err(last)
+    }
+
+    /// Under spread routing a retry could land on a node that never saw
+    /// the original and apply it twice, so a duplicate stops here. Under
+    /// replication it goes to the same replica set again: the node-side
+    /// gates make it a no-op everywhere it already landed and a repair
+    /// everywhere it did not.
+    fn repairs(&self) -> bool {
+        self.0.replication >= 2
+    }
+
+    /// No node accepted a byte of the dataset.
+    fn discard(&self, _name: &str, _route: Arc<Route>) {}
+}
+
+/// The node-bound form of one admitted batch.
+fn ingest_request(
+    name: &str,
+    route: &Route,
+    batch: &Dataset,
+    ident: Option<&IngestIdent>,
+) -> Result<Request, EngineError> {
+    Ok(Request::Ingest {
+        dataset: name.to_owned(),
+        block: wire_block(batch)
+            .map_err(|e| EngineError::InvalidArgument(format!("invalid ingest batch: {e}")))?,
+        // The creating ingest's plan rides every routed batch: the
+        // round-robin node receiving its first block of this dataset
+        // mid-stream still creates it under the right plan, and a node
+        // that lost its copy (restart) recreates it correctly on the next
+        // routed block.
+        plan: route.sent_plan().cloned(),
+        // The node-side gate dedupes per node; the coordinator does not
+        // re-assert the epoch downstream (plain engines ignore it anyway).
+        ident: ident.cloned(),
+        epoch: None,
+    })
+}
+
+impl Backend for Coordinator {
+    /// Admits the batch through [`fc_service::ingest`] and forwards it to
+    /// the fleet, after the one refusal that is the coordinator's own: a
+    /// request asserting a stale placement epoch.
     fn ingest(
         &self,
         name: &str,
@@ -1285,225 +1334,7 @@ impl Backend for Coordinator {
                 return Err(EngineError::WrongEpoch { requested, current });
             }
         }
-        if batch.is_empty() {
-            return Err(EngineError::InvalidArgument("empty ingest batch".into()));
-        }
-        let (route, created) = {
-            let mut routes = self.routes.lock().expect("route registry lock");
-            match routes.entry(name.to_owned()) {
-                MapEntry::Occupied(existing) => {
-                    let route = Arc::clone(existing.get());
-                    if batch.dim() != route.dim {
-                        return Err(EngineError::DimensionMismatch {
-                            expected: route.dim,
-                            got: batch.dim(),
-                        });
-                    }
-                    if let Some(requested) = plan {
-                        // Same rule as the engine: re-sending the effective
-                        // plan is idempotent, a different plan is a
-                        // conflict (compare wire forms).
-                        if requested.to_value() != route.effective.to_value() {
-                            return Err(EngineError::InvalidArgument(format!(
-                                "dataset `{name}` already runs under plan {}; \
-                                 drop it before ingesting under plan {}",
-                                route.effective.to_json(),
-                                requested.to_json(),
-                            )));
-                        }
-                    }
-                    (route, false)
-                }
-                MapEntry::Vacant(slot) => (
-                    Arc::clone(slot.insert(Arc::new(Route {
-                        plan: plan.cloned(),
-                        effective: plan.cloned().unwrap_or_else(|| self.default_plan.clone()),
-                        dim: batch.dim(),
-                        // Stagger datasets across the fleet instead of all
-                        // starting at node 0 (reduced at use time).
-                        next: AtomicUsize::new(fnv64(name) as usize),
-                        ingested_points: AtomicU64::new(0),
-                        ingested_weight: Mutex::new(0.0),
-                        clients: Mutex::new(HashMap::new()),
-                        instance: next_instance(),
-                        version: AtomicU64::new(0),
-                    }))),
-                    true,
-                ),
-            }
-        };
-        let weights = if batch.weights().iter().all(|&w| w == 1.0) {
-            None
-        } else {
-            Some(batch.weights().to_vec())
-        };
-        let block =
-            fc_core::PointBlock::new(batch.points().as_flat().to_vec(), batch.dim(), weights)
-                .map_err(|e| EngineError::InvalidArgument(format!("invalid ingest batch: {e}")))?;
-        let request = Request::Ingest {
-            dataset: name.to_owned(),
-            block,
-            // The creating ingest's plan rides every routed batch: the
-            // round-robin node receiving its first block of this dataset
-            // mid-stream still creates it under the right plan, and a node
-            // that lost its copy (restart) recreates it correctly on the
-            // next routed block.
-            plan: route.plan.clone(),
-            // The node-side gate dedupes per node; the coordinator does
-            // not re-assert the epoch downstream (plain engines ignore
-            // it anyway).
-            ident: ident.cloned(),
-            epoch: None,
-        };
-        let started = std::time::Instant::now();
-        let outcome = (|| {
-            // The coordinator's own exactly-once gate, held across the
-            // forwarding so one client's concurrent retries serialize
-            // (same discipline as the engine's per-dataset watermark).
-            let mut watermark = ident.map(|ident| {
-                (
-                    route
-                        .clients
-                        .lock()
-                        .expect("client watermark lock is never poisoned"),
-                    ident,
-                )
-            });
-            let duplicate = watermark.as_ref().is_some_and(|(guard, ident)| {
-                guard
-                    .get(&ident.client)
-                    .is_some_and(|&have| ident.seq <= have)
-            });
-            if self.replication >= 2 {
-                // Placement mode: the batch goes to every replica — even
-                // a recognised duplicate, which the node-side gates turn
-                // into a no-op everywhere it already landed and a repair
-                // everywhere it did not.
-                let replicas = self.fleet.lock().expect("fleet map lock").replicas(name);
-                if replicas.is_empty() {
-                    return Err(EngineError::Unavailable);
-                }
-                let mut accepted = false;
-                let mut last = EngineError::Unavailable;
-                for (&idx, outcome) in replicas
-                    .iter()
-                    .zip(self.multi_node_request(&replicas, &request))
-                {
-                    match outcome {
-                        Ok(Response::Ingested { .. }) => accepted = true,
-                        Ok(other) => {
-                            self.metrics.replica_write_failures.incr();
-                            last = self.unexpected(idx, other);
-                        }
-                        Err(e) => {
-                            self.metrics.replica_write_failures.incr();
-                            last = self.node_error(idx, name, e);
-                        }
-                    }
-                }
-                if !accepted && !duplicate {
-                    return Err(last);
-                }
-            } else if !duplicate {
-                // Spread routing: one node under the policy, failover to
-                // the next active on transport trouble.
-                let actives = self.active_indices();
-                if actives.is_empty() {
-                    return Err(EngineError::Unavailable);
-                }
-                let start = self.route_start(name, &route, &actives);
-                let start_pos = actives.iter().position(|&i| i == start).unwrap_or(0);
-                let mut accepted = false;
-                let mut last = EngineError::Unavailable;
-                for attempt in 0..actives.len() {
-                    let idx = actives[(start_pos + attempt) % actives.len()];
-                    // Failover honours the capacity policy's contract: a
-                    // node weighted to zero (decommissioning) takes no
-                    // writes even when its peers are unreachable.
-                    if self.policy == RoutingPolicy::Capacity && self.node_at(idx).capacity() == 0.0
-                    {
-                        continue;
-                    }
-                    match self.node_request(idx, &request) {
-                        Ok(Response::Ingested { .. }) => {
-                            accepted = true;
-                            break;
-                        }
-                        Ok(other) => return Err(self.unexpected(idx, other)),
-                        // Socket failures and persistent overload fail over
-                        // to the next node; anything the node *decided*
-                        // (plan conflict, dimension mismatch, …) is final.
-                        Err(e @ (ClientError::Io(_) | ClientError::Protocol(_))) => {
-                            last = self.node_error(idx, name, e);
-                        }
-                        Err(e @ ClientError::Overloaded(_)) => {
-                            last = self.node_error(idx, name, e);
-                        }
-                        Err(e) => return Err(self.node_error(idx, name, e)),
-                    }
-                }
-                if !accepted {
-                    return Err(last);
-                }
-            }
-            if duplicate {
-                // Already applied: acknowledge idempotently with the
-                // current totals, nothing advances.
-                let total_points = route.ingested_points.load(Ordering::Relaxed);
-                let total_weight = *route.ingested_weight.lock().expect("weight counter lock");
-                return Ok(IngestOutcome {
-                    total_points,
-                    total_weight,
-                    duplicate: true,
-                });
-            }
-            let total_points = route
-                .ingested_points
-                .fetch_add(batch.len() as u64, Ordering::Relaxed)
-                + batch.len() as u64;
-            let total_weight = {
-                let mut w = route.ingested_weight.lock().expect("weight counter lock");
-                *w += batch.total_weight();
-                *w
-            };
-            self.total_points
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
-            self.total_blocks.fetch_add(1, Ordering::Relaxed);
-            // The watermark advances only after a replica holds the batch,
-            // so a refused batch stays retryable under the same seq.
-            if let Some((guard, ident)) = watermark.as_mut() {
-                guard.insert(ident.client.clone(), ident.seq);
-            }
-            // New data: every cached answer for this dataset is now for a
-            // version no future query key will carry.
-            route.version.fetch_add(1, Ordering::Release);
-            Ok(IngestOutcome {
-                total_points,
-                total_weight,
-                duplicate: false,
-            })
-        })();
-        self.metrics.ingest_seconds.observe(started.elapsed());
-        if matches!(&outcome, Ok(o) if !o.duplicate) {
-            self.metrics.ingest_points.add(batch.len() as u64);
-            self.metrics.ingest_blocks.incr();
-        }
-        if outcome.is_err() && created {
-            // No node ever accepted a byte of this dataset: unwind the
-            // freshly registered route so a failed creating ingest doesn't
-            // pin the plan/dimension or surface a phantom dataset in stats.
-            // (Another thread may have ingested through the same route in
-            // the meantime — only remove the untouched one.)
-            let mut routes = self.routes.lock().expect("route registry lock");
-            if let Some(current) = routes.get(name) {
-                if Arc::ptr_eq(current, &route)
-                    && route.ingested_points.load(Ordering::Relaxed) == 0
-                {
-                    routes.remove(name);
-                }
-            }
-        }
-        outcome
+        self.write.ingest(&Fleet(self), name, batch, plan, ident)
     }
 
     fn coreset(
@@ -1540,22 +1371,13 @@ impl Backend for Coordinator {
     }
 
     fn dataset_stats(&self, name: &str) -> Result<DatasetStats, EngineError> {
-        let known = self
-            .routes
-            .lock()
-            .expect("route registry lock")
-            .contains_key(name);
-        let mut all = self.aggregate_stats(Some(name))?;
-        match all.pop() {
+        let known = self.write.get(name);
+        match self.aggregate_stats(Some(name))?.pop() {
             Some(stats) => Ok(stats),
-            None if known => {
-                // Every node holding the dataset is unreachable; report the
-                // route with its node health rather than pretending the
-                // dataset vanished.
-                let route = self.route(name)?;
-                Ok(self.empty_stats(name, &route))
-            }
-            None => Err(EngineError::UnknownDataset(name.to_owned())),
+            // Every node holding the dataset is unreachable; report the
+            // route with its node health rather than pretending the
+            // dataset vanished.
+            None => known.map(|route| self.empty_stats(name, &route)),
         }
     }
 
@@ -1566,14 +1388,13 @@ impl Backend for Coordinator {
         // and the fleet's health.
         let reported: std::collections::BTreeSet<&str> =
             aggregated.iter().map(|s| s.dataset.as_str()).collect();
-        let missing: Vec<DatasetStats> = {
-            let routes = self.routes.lock().expect("route registry lock");
-            routes
-                .iter()
-                .filter(|(name, _)| !reported.contains(name.as_str()))
-                .map(|(name, route)| self.empty_stats(name, route))
-                .collect()
-        };
+        let missing: Vec<DatasetStats> = self
+            .write
+            .snapshot()
+            .iter()
+            .filter(|(name, _)| !reported.contains(name.as_str()))
+            .map(|(name, route)| self.empty_stats(name, route))
+            .collect();
         aggregated.extend(missing);
         aggregated.sort_by(|a, b| a.dataset.cmp(&b.dataset));
         Ok(aggregated)
@@ -1583,16 +1404,7 @@ impl Backend for Coordinator {
     /// ingests and queries served *by this coordinator*, not a fleet
     /// aggregate (each node reports its own on its own `stats`).
     fn server_stats(&self) -> Option<fc_service::ServerStats> {
-        let (queries, cache_hits, cache_misses) = self.query.counts();
-        Some(fc_service::ServerStats {
-            uptime_secs: self.started.elapsed().as_secs(),
-            ingested_points: self.total_points.load(Ordering::Relaxed),
-            ingested_blocks: self.total_blocks.load(Ordering::Relaxed),
-            queries,
-            fleet_epoch: self.fleet_epoch(),
-            cache_hits,
-            cache_misses,
-        })
+        Some(self.write.server_stats(&self.query, self.fleet_epoch()))
     }
 
     /// Drops the dataset everywhere it is reachable. When some node could
@@ -1604,13 +1416,9 @@ impl Backend for Coordinator {
     /// drop when the node is back; a restarted node comes back empty
     /// anyway.
     fn drop_dataset(&self, name: &str) -> Result<(), EngineError> {
-        let route = self
-            .routes
-            .lock()
-            .expect("route registry lock")
-            .remove(name);
+        let route = self.write.remove(name);
         if let Some(route) = &route {
-            self.query.forget(route.instance);
+            self.query.forget(route.instance());
         }
         let outcomes = self.fan_out(&Request::DropDataset {
             dataset: name.to_owned(),
@@ -1687,7 +1495,7 @@ impl Backend for Coordinator {
         };
         let mut migrated = 0;
         if self.replication >= 2 {
-            for (name, route) in self.routes_snapshot() {
+            for (name, route) in self.write.snapshot() {
                 let replicas = self.fleet.lock().expect("fleet map lock").replicas(&name);
                 if !replicas.contains(&new_idx) {
                     continue;
@@ -1716,7 +1524,7 @@ impl Backend for Coordinator {
     /// is still addressable), so a drain can degrade to "slower" but
     /// never to "lost".
     fn drain_node(&self, addr: &str) -> Result<(u64, usize, usize), EngineError> {
-        let routes = self.routes_snapshot();
+        let routes = self.write.snapshot();
         let (epoch, drained_idx, members, moves) = {
             let mut fleet = self.fleet.lock().expect("fleet map lock");
             let drained_idx = fleet.index_of(addr).ok_or_else(|| {
@@ -1854,17 +1662,6 @@ impl Coordinator {
             .set(self.replication as u64);
     }
 
-    /// A point-in-time copy of the route registry (membership ops iterate
-    /// it without holding the lock across network calls).
-    fn routes_snapshot(&self) -> Vec<(String, Arc<Route>)> {
-        self.routes
-            .lock()
-            .expect("route registry lock")
-            .iter()
-            .map(|(name, route)| (name.clone(), Arc::clone(route)))
-            .collect()
-    }
-
     /// Ships a serving coreset of `name` from the first source that holds
     /// it onto `target`, identified as the fleet's own migration client
     /// (`client = "fc-fleet-migrate"`, `seq = epoch`) so the target's
@@ -1911,28 +1708,12 @@ impl Coordinator {
                 return Ok(false);
             }
             let part = self.node_part(src, &points, &weights)?;
-            let data = part.dataset();
-            let block_weights = if data.weights().iter().all(|&w| w == 1.0) {
-                None
-            } else {
-                Some(data.weights().to_vec())
+            // Identified as the fleet's own migration client.
+            let migration = IngestIdent {
+                client: MIGRATE_CLIENT.to_owned(),
+                seq: epoch,
             };
-            let block = fc_core::PointBlock::new(
-                data.points().as_flat().to_vec(),
-                data.dim(),
-                block_weights,
-            )
-            .map_err(|e| EngineError::InvalidArgument(format!("invalid migration batch: {e}")))?;
-            let ingest = Request::Ingest {
-                dataset: name.to_owned(),
-                block,
-                plan: route.plan.clone(),
-                ident: Some(IngestIdent {
-                    client: MIGRATE_CLIENT.to_owned(),
-                    seq: epoch,
-                }),
-                epoch: None,
-            };
+            let ingest = ingest_request(name, route, part.dataset(), Some(&migration))?;
             return match self.node_request(target, &ingest) {
                 Ok(Response::Ingested { .. }) => {
                     self.metrics.migrations.incr();
@@ -2016,7 +1797,6 @@ impl Coordinator {
                 None => nodes[idx].health(),
             })
             .collect();
-        let routes = self.routes.lock().expect("route registry lock");
         let mut merged: BTreeMap<String, DatasetStats> = BTreeMap::new();
         for (idx, report) in per_node.iter().enumerate() {
             let Some(report) = report else { continue };
@@ -2028,10 +1808,11 @@ impl Coordinator {
                         // The coordinator's route is authoritative for the
                         // plan; fall back to the first reporter for
                         // datasets ingested around the coordinator.
-                        plan: routes
+                        plan: self
+                            .write
                             .get(&stats.dataset)
-                            .map(|r| r.effective.clone())
-                            .unwrap_or_else(|| stats.plan.clone()),
+                            .map(|route| route.plan().clone())
+                            .unwrap_or_else(|_| stats.plan.clone()),
                         shards: 0,
                         ingested_points: 0,
                         ingested_weight: 0.0,
@@ -2106,13 +1887,14 @@ impl Coordinator {
     fn empty_stats(&self, name: &str, route: &Route) -> DatasetStats {
         let health: Vec<(NodeHealth, Option<String>)> =
             self.roster().iter().map(|node| node.health()).collect();
+        let (ingested_points, ingested_weight) = route.totals();
         DatasetStats {
             dataset: name.to_owned(),
-            dim: route.dim,
-            plan: route.effective.clone(),
+            dim: route.dim(),
+            plan: route.plan().clone(),
             shards: 0,
-            ingested_points: route.ingested_points.load(Ordering::Relaxed),
-            ingested_weight: *route.ingested_weight.lock().expect("weight counter lock"),
+            ingested_points,
+            ingested_weight,
             stored_points: 0,
             summaries_per_shard: Vec::new(),
             queue_depth_per_shard: Vec::new(),
@@ -2130,7 +1912,7 @@ impl std::fmt::Debug for Coordinator {
             .field("replication", &self.replication)
             .field("fleet_epoch", &self.fleet_epoch())
             .field("policy", &self.policy)
-            .field("default_plan", &self.default_plan.to_json())
+            .field("default_plan", &self.default_plan().to_json())
             .finish_non_exhaustive()
     }
 }

@@ -93,17 +93,11 @@ impl FastCoreset {
         let cfg = &self.config;
         // Step 1: dimension reduction for the embedding only. The input is
         // borrowed, not copied, when no projection applies.
-        let target = cfg
-            .use_jl
-            .then(|| target_dim_for_clustering(params.k, cfg.jl_eps));
-        let working = match target {
-            Some(target) if data.dim() > target => Cow::Owned(project_if_beneficial(
-                rng,
-                data.points(),
-                target,
-                JlKind::SparseAchlioptas,
-            )),
-            _ => Cow::Borrowed(data.points()),
+        let working = if cfg.use_jl {
+            let target = target_dim_for_clustering(params.k, cfg.jl_eps);
+            project_if_beneficial(rng, data.points(), target, JlKind::SparseAchlioptas)
+        } else {
+            Cow::Borrowed(data.points())
         };
         // Step 2: spread reduction — affects only the tree's geometry.
         let working = if cfg.reduce_spread {

@@ -12,6 +12,8 @@
 //! (it trades Fast-kmeans++'s randomness for an exact tree solution); it is
 //! an extension baseline, not a replacement for [`crate::FastCoreset`].
 
+use std::borrow::Cow;
+
 use fc_clustering::kmedian::{geometric_median, weighted_mean_of, WeiszfeldConfig};
 use fc_clustering::CostKind;
 use fc_geom::jl::{project_if_beneficial, target_dim_for_clustering, JlKind};
@@ -61,7 +63,7 @@ impl Compressor for HstCoreset {
             let target = target_dim_for_clustering(params.k, 0.5);
             project_if_beneficial(rng, data.points(), target, JlKind::SparseAchlioptas)
         } else {
-            data.points().clone()
+            Cow::Borrowed(data.points())
         };
         let tree = Quadtree::build(rng, &working, self.tree);
         let hst = fc_quadtree::hst::solve_kmedian_on_hst(&tree, data.weights(), params.k);

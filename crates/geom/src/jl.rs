@@ -7,6 +7,8 @@
 //! (three-point distribution, 2/3 sparsity), both scaled so squared norms are
 //! preserved in expectation.
 
+use std::borrow::Cow;
+
 use rand::Rng;
 use rand_distr::{Distribution, StandardNormal};
 
@@ -143,20 +145,20 @@ impl JlProjection {
 }
 
 /// Projects only when it reduces the dimension: the paper applies JL solely
-/// to MNIST because the other datasets are already low-dimensional. Returns
-/// the input unchanged when `points.dim() <= target_dim`.
-pub fn project_if_beneficial<R: Rng + ?Sized>(
+/// to MNIST because the other datasets are already low-dimensional. Lends
+/// the input back, uncopied, when `points.dim() <= target_dim`.
+pub fn project_if_beneficial<'a, R: Rng + ?Sized>(
     rng: &mut R,
-    points: &Points,
+    points: &'a Points,
     target_dim: usize,
     kind: JlKind,
-) -> Points {
+) -> Cow<'a, Points> {
     if points.dim() <= target_dim || points.is_empty() {
-        return points.clone();
+        return Cow::Borrowed(points);
     }
     JlProjection::sample(rng, kind, points.dim(), target_dim)
         .and_then(|p| p.project(points))
-        .unwrap_or_else(|_| points.clone())
+        .map_or(Cow::Borrowed(points), Cow::Owned)
 }
 
 #[cfg(test)]
@@ -259,7 +261,7 @@ mod tests {
         let mut r = rng();
         let p = Points::from_flat(vec![1.0, 2.0, 3.0, 4.0], 2).unwrap();
         let q = project_if_beneficial(&mut r, &p, 10, JlKind::Gaussian);
-        assert_eq!(p, q);
+        assert!(matches!(q, Cow::Borrowed(lent) if std::ptr::eq(lent, &p)));
     }
 
     #[test]

@@ -132,7 +132,15 @@ impl Quadtree {
         // the cap keeps a point that rounds onto the root cell's far face
         // inside the root cell.
         let finest_side = root_side / f64::powi(2.0, depth as i32);
-        let cells = quantise(points, &origin, finest_side, (1i64 << depth) - 1);
+        let cells = if bbox.longest_side() == 0.0 {
+            // Every point is the same point, so they share a cell at every
+            // level and the root comes out a leaf. Saying so directly skips
+            // a pass that, with Δ clamped to the smallest normal float,
+            // would run on subnormals.
+            vec![0; points.len() * dim]
+        } else {
+            quantise(points, &origin, finest_side, (1i64 << depth) - 1)
+        };
         let cell = |idx: u32| &cells[idx as usize * dim..(idx as usize + 1) * dim];
 
         let n = points.len();

@@ -176,9 +176,16 @@ proptest! {
         dim in prop_oneof![Just(1usize), Just(2), Just(20), Just(64), Just(65), Just(130)],
         max_depth in prop_oneof![Just(1u32), Just(8), Just(50), Just(62)],
         scale in prop_oneof![Just(1.0f64), Just(1e6), Just(1e-300)],
+        // One input in five is a single location repeated: Δ clamps to
+        // `f64::MIN_POSITIVE` and the builder skips its quantisation pass.
+        coincide in prop_oneof![4 => Just(false), 1 => Just(true)],
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let p = multiscale_points(&mut rng, n, dim, scale);
+        let mut p = multiscale_points(&mut rng, n, dim, scale);
+        if coincide {
+            let first = p.row(0).to_vec();
+            p.as_flat_mut().chunks_exact_mut(dim).for_each(|row| row.copy_from_slice(&first));
+        }
         let (nodes, perm) = reference_build(&mut StdRng::seed_from_u64(seed), &p, max_depth);
         let t = Quadtree::build(&mut StdRng::seed_from_u64(seed), &p, QuadtreeConfig { max_depth });
         prop_assert!(t.validate().is_ok(), "{:?}", t.validate());

@@ -39,13 +39,12 @@ pub struct IngestOutcome {
 pub trait Backend: Send + Sync {
     /// Ingests a weighted batch, creating the dataset on first use; an
     /// optional [`Plan`] on the creating ingest becomes the dataset's
-    /// effective plan. An `ident` makes the call exactly-once: a batch
-    /// whose `(client, seq)` is at or below the highest already applied
-    /// is acknowledged without being applied again. An `epoch` lets a
-    /// fleet client assert the placement version it routed under; a
-    /// backend that tracks placement (the coordinator) refuses stale
-    /// epochs with [`EngineError::WrongEpoch`], a plain engine ignores
-    /// it.
+    /// effective plan, and an `ident` makes the call exactly-once —
+    /// [`crate::ingest`] has the rules, which both backends share. An
+    /// `epoch` lets a fleet client assert the placement version it routed
+    /// under; a backend that tracks placement (the coordinator) refuses
+    /// stale epochs with [`EngineError::WrongEpoch`], a plain engine
+    /// ignores it.
     fn ingest(
         &self,
         name: &str,

@@ -383,9 +383,7 @@ impl ServiceClient {
         ident: Option<&protocol::IngestIdent>,
         epoch: Option<u64>,
     ) -> Result<IngestOutcome, ClientError> {
-        match self.request(&Self::ingest_request_idented(
-            dataset, batch, plan, ident, epoch,
-        )?)? {
+        match self.request(&Self::ingest_request(dataset, batch, plan, ident, epoch)?)? {
             Response::Ingested {
                 total_points,
                 total_weight,
@@ -465,15 +463,9 @@ impl ServiceClient {
             Ok(())
         };
         for batch in batches {
-            let request = Self::ingest_request(
-                dataset,
-                batch,
-                if last.is_none() && in_flight == 0 {
-                    plan
-                } else {
-                    None
-                },
-            )?;
+            let first = last.is_none() && in_flight == 0;
+            let plan = plan.filter(|_| first);
+            let request = Self::ingest_request(dataset, batch, plan, None, None)?;
             if self.codec.is_binary() {
                 out.extend_from_slice(&wire::request_frame(
                     &request,
@@ -510,27 +502,12 @@ impl ServiceClient {
         dataset: &str,
         batch: &Dataset,
         plan: Option<&Plan>,
-    ) -> Result<Request, ClientError> {
-        Self::ingest_request_idented(dataset, batch, plan, None, None)
-    }
-
-    fn ingest_request_idented(
-        dataset: &str,
-        batch: &Dataset,
-        plan: Option<&Plan>,
         ident: Option<&protocol::IngestIdent>,
         epoch: Option<u64>,
     ) -> Result<Request, ClientError> {
-        // Unit weights are the wire default; skip the redundant array.
-        let weights = if batch.weights().iter().all(|&w| w == 1.0) {
-            None
-        } else {
-            Some(batch.weights().to_vec())
-        };
-        let block = PointBlock::new(batch.points().as_flat().to_vec(), batch.dim(), weights)
-            .map_err(|e| {
-                ClientError::Protocol(ProtocolError::new(format!("invalid batch: {e}")))
-            })?;
+        let block = wire_block(batch).map_err(|e| {
+            ClientError::Protocol(ProtocolError::new(format!("invalid batch: {e}")))
+        })?;
         Ok(Request::Ingest {
             dataset: dataset.into(),
             block,
@@ -685,4 +662,12 @@ impl ServiceClient {
             other => Err(ClientError::UnexpectedResponse(Box::new(other))),
         }
     }
+}
+
+/// A batch in the flat shape `ingest` puts on the wire. Unit weights are
+/// the wire default, so an all-unit batch skips the redundant array.
+pub fn wire_block(batch: &Dataset) -> Result<PointBlock, fc_core::FcError> {
+    let weights = batch.weights();
+    let weights = (!weights.iter().all(|&w| w == 1.0)).then(|| weights.to_vec());
+    PointBlock::new(batch.points().as_flat().to_vec(), batch.dim(), weights)
 }

@@ -1,8 +1,9 @@
 //! The serving engine: named datasets held as sharded streaming coresets,
 //! each dataset running under its own effective [`Plan`].
 //!
-//! Each dataset owns `shards` worker threads. An ingest batch is routed to
-//! one shard round-robin; the shard folds it into its own
+//! Each dataset owns `shards` worker threads. An ingest batch is admitted
+//! by the shared [`crate::ingest`] path and handed to one shard
+//! round-robin; the shard folds it into its own
 //! [`fc_core::streaming::MergeReduce`] stream (so at most one summary per
 //! Bentley–Saxe level lives per shard) and compacts the level stack into a
 //! single summary whenever stored points exceed the plan's compaction
@@ -20,7 +21,6 @@
 //! query defaults are all built from it. [`EngineConfig`] supplies the
 //! default plan for datasets that don't choose their own.
 
-use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -45,7 +45,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::backend::IngestOutcome;
-use crate::cache::next_instance;
+use crate::ingest::{Ledger, WritePath, WriteSink};
 use crate::protocol::{DatasetStats, IngestIdent, ServerStats};
 use crate::query::{QueryPath, QuerySource, QueryState};
 
@@ -88,12 +88,8 @@ pub struct EngineConfig {
     /// points are pending, then hand them to the shard worker as one
     /// block. Small-batch write streams pay the per-block stream-fold
     /// cost once per coalesced block instead of once per wire batch.
-    /// Zero (the default) disables the points trigger.
-    ///
-    /// Durability is unchanged: on persistent engines every wire batch is
-    /// WAL-appended (and fsynced per policy) *before* it is acknowledged,
-    /// whether or not it is still sitting in the coalescing buffer — an
-    /// acked-but-coalesced batch survives `kill -9` via replay.
+    /// Zero (the default) disables the points trigger. Durability is
+    /// unchanged: a batch is logged before it is parked.
     pub batch_points: usize,
     /// Size trigger for the coalescing buffer, in bytes of point data
     /// (8 bytes per coordinate). Zero disables the bytes trigger.
@@ -494,7 +490,7 @@ impl Shard {
         block: Dataset,
         seq: u64,
         clients: Vec<(String, u64)>,
-    ) -> Result<(), TrySendError<()>> {
+    ) -> Result<(), TrySendError<ShardCmd>> {
         self.queue_depth.fetch_add(1, Ordering::Relaxed);
         self.sender
             .try_send(ShardCmd::Ingest {
@@ -502,12 +498,8 @@ impl Shard {
                 seq,
                 clients,
             })
-            .map_err(|e| {
+            .inspect_err(|_| {
                 self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                match e {
-                    TrySendError::Full(_) => TrySendError::Full(()),
-                    TrySendError::Disconnected(_) => TrySendError::Disconnected(()),
-                }
             })
     }
 }
@@ -766,64 +758,59 @@ impl PendingBuf {
         self.since = None;
     }
 
-    /// The pending rows as one weighted block. `None` when empty.
-    fn as_block(&self, dim: usize) -> Option<Dataset> {
-        if self.weights.is_empty() {
+    /// Parks one acknowledged batch.
+    fn push(&mut self, batch: &Dataset, seq: u64, idents: Vec<(String, u64)>) {
+        self.rows.extend_from_slice(batch.points().as_flat());
+        self.weights.extend_from_slice(batch.weights());
+        self.clients.extend(idents);
+        self.seq = seq;
+        self.since.get_or_insert_with(Instant::now);
+    }
+
+    /// The pending rows, followed by `then`'s, as one weighted block.
+    /// `None` when that is no rows at all.
+    fn as_block(&self, dim: usize, then: Option<&Dataset>) -> Option<Dataset> {
+        let (more_rows, more_weights) = then.map_or((&[][..], &[][..]), |batch| {
+            (batch.points().as_flat(), batch.weights())
+        });
+        if self.weights.is_empty() && more_weights.is_empty() {
             return None;
         }
-        let points = Points::from_flat(self.rows.clone(), dim)
+        let points = Points::from_flat([self.rows.as_slice(), more_rows].concat(), dim)
             .expect("pending rows are copies of validated ingest batches");
         Some(
-            Dataset::weighted(points, self.weights.clone())
+            Dataset::weighted(points, [self.weights.as_slice(), more_weights].concat())
                 .expect("pending weights are copies of validated ingest batches"),
         )
     }
 }
 
 struct DatasetEntry {
-    dim: usize,
-    /// The dataset's effective plan: shard streams, serving compressions,
-    /// and query defaults are all derived from it.
-    plan: Plan,
+    /// What [`crate::ingest`] records about the dataset's writes. Shard
+    /// streams, serving compressions and query defaults all derive from
+    /// its plan.
+    ledger: Ledger,
     /// The compressor shard streams and serving compressions run — built
-    /// from `plan.method()` (or the engine's injected default compressor
+    /// from the plan's method (or the engine's injected default compressor
     /// for default-plan datasets).
     compressor: Arc<dyn Compressor>,
     shards: Vec<Shard>,
     /// One coalescing buffer per shard (all empty unless the engine's
     /// batching knobs are on).
     pending: Vec<Mutex<PendingBuf>>,
-    next_shard: AtomicUsize,
-    ingested_points: AtomicU64,
-    /// Total ingested weight; f64 behind a mutex since ingest batches are
-    /// coarse enough that contention is irrelevant.
-    ingested_weight: Mutex<f64>,
-    /// Exactly-once dedup table: per ingest client, the highest sequence
-    /// number this dataset has acknowledged. This is the live authority
-    /// consulted before every idented ingest; the shard workers keep the
-    /// durable halves (their snapshot tables plus WAL record metas), from
-    /// which this map is rebuilt on recovery.
-    clients: Mutex<HashMap<String, u64>>,
-    /// `Some` on persistent engines.
+    /// `Some` on persistent engines. The shard workers keep the durable
+    /// halves of the ledger's watermarks (their snapshot tables plus WAL
+    /// record metas), from which it is rebuilt on recovery.
     persist: Option<DatasetPersist>,
-    /// Per-dataset counters, cached handles into the engine registry.
-    metrics: DatasetMetrics,
-    /// Process-unique generation id: the [`QueryState::instance`] of
-    /// every answer served from this entry.
-    instance: u64,
-    /// Monotonic data version ([`QueryState::version`]), bumped on every
-    /// applied (non-duplicate) ingest.
-    version: AtomicU64,
+    /// `fc_overloaded_total{dataset=…}`, a cached handle into the engine
+    /// registry.
+    overloads: Counter,
 }
 
-/// Per-dataset counter handles (labelled by dataset name), fetched once
-/// at dataset creation so the ingest hot path never touches the registry
-/// map.
-struct DatasetMetrics {
-    points: Counter,
-    blocks: Counter,
-    overloads: Counter,
-    duplicates: Counter,
+impl AsRef<Ledger> for DatasetEntry {
+    fn as_ref(&self) -> &Ledger {
+        &self.ledger
+    }
 }
 
 impl DatasetEntry {
@@ -839,6 +826,27 @@ impl DatasetEntry {
                 queue_depth: shard.queue_depth.load(Ordering::Relaxed),
             })
             .collect()
+    }
+
+    fn stats(&self, name: &str) -> DatasetStats {
+        let shard_stats = self.shard_stats();
+        let (ingested_points, ingested_weight) = self.ledger.totals();
+        DatasetStats {
+            dataset: name.to_owned(),
+            dim: self.ledger.dim(),
+            plan: self.ledger.plan().clone(),
+            shards: self.shards.len(),
+            ingested_points,
+            ingested_weight,
+            stored_points: shard_stats.iter().map(|s| s.stored_points).sum(),
+            summaries_per_shard: shard_stats.iter().map(|s| s.summaries).collect(),
+            queue_depth_per_shard: shard_stats.iter().map(|s| s.queue_depth).collect(),
+            state_epoch: self.state_epoch(),
+            recovering: self.recovering(),
+            // A single engine is one node; the per-node breakdown belongs
+            // to coordinators.
+            nodes: Vec::new(),
+        }
     }
 
     /// The dataset's durable-state epoch: `(Σ shard snapshot ids, Σ shard
@@ -877,7 +885,7 @@ impl DatasetEntry {
         let mut pending = self.pending[shard_idx]
             .lock()
             .expect("pending buffer lock is never poisoned");
-        let Some(block) = pending.as_block(self.dim) else {
+        let Some(block) = pending.as_block(self.ledger.dim(), None) else {
             return Ok(());
         };
         self.shards[shard_idx].send(ShardCmd::Ingest {
@@ -936,25 +944,6 @@ impl DatasetEntry {
         }
         Ok(out)
     }
-
-    /// Stops every worker and joins them in shard order, invoking
-    /// `drained` after each join — the ordered drain callback graceful
-    /// shutdown hooks rely on. With `finalize` each worker flushes its
-    /// WAL and installs a final snapshot before exiting.
-    fn shutdown(&mut self, finalize: bool, mut drained: impl FnMut(usize)) {
-        // Acked coalesced rows go to the workers ahead of the shutdown
-        // command, so a graceful stop folds them into the final snapshot.
-        let _ = self.flush_pending();
-        for shard in &self.shards {
-            let _ = shard.send(ShardCmd::Shutdown { finalize });
-        }
-        for (idx, shard) in self.shards.iter_mut().enumerate() {
-            if let Some(join) = shard.join.take() {
-                let _ = join.join();
-                drained(idx);
-            }
-        }
-    }
 }
 
 /// The deadline the background flusher applies to a shard whose command
@@ -974,94 +963,25 @@ fn adaptive_deadline(base: Duration, depth: usize) -> Duration {
 // state is deliberately omitted (it would require pausing the shards).
 pub struct Engine {
     config: EngineConfig,
-    /// The validated default plan datasets fall back to.
-    default_plan: Plan,
     /// The compressor default-plan datasets run (tests inject cheap
     /// samplers here; per-dataset plans build their own).
     default_compressor: Arc<dyn Compressor>,
-    /// Shared with the background deadline flusher (when batching with a
-    /// `batch_delay` is on).
-    datasets: Arc<Mutex<HashMap<String, Arc<DatasetEntry>>>>,
+    /// Ingest admission and the registry of live datasets, delivering
+    /// into [`Shards`]. Shared with the background deadline flusher (when
+    /// batching with a `batch_delay` is on).
+    write: Arc<WritePath<DatasetEntry>>,
     /// The deadline flusher thread and its stop flag.
     flusher: Option<FlusherHandle>,
-    /// Process-lifetime counters reported by [`Self::server_stats`].
-    started: Instant,
-    total_points: AtomicU64,
-    total_blocks: AtomicU64,
     /// Invoked as `(dataset, shard)` after each shard worker is joined
     /// during graceful engine shutdown, in dataset-name then shard order.
     drain_hook: Mutex<Option<DrainHook>>,
     /// The observability surface shared with the server loop in front of
-    /// this engine, plus cached hot-path handles into it.
-    metrics: EngineMetrics,
+    /// this engine.
+    telemetry: Arc<Telemetry>,
+    /// `fc_overloaded_total`, engine-wide.
+    overloads: Counter,
     /// `coreset` / `cluster` / `cost`, answered on [`Shards`].
     query: QueryPath,
-}
-
-/// Engine-wide telemetry handles: one registry lookup at construction,
-/// plain atomic ops on every hot path thereafter.
-struct EngineMetrics {
-    shared: Arc<Telemetry>,
-    ingest_points: Counter,
-    ingest_blocks: Counter,
-    ingest_duplicates: Counter,
-    overloads: Counter,
-    ingest_seconds: Histogram,
-}
-
-impl EngineMetrics {
-    fn new() -> Self {
-        let shared = Arc::new(Telemetry::new());
-        EngineMetrics {
-            ingest_points: shared.registry.counter("fc_ingest_points_total"),
-            ingest_blocks: shared.registry.counter("fc_ingest_blocks_total"),
-            ingest_duplicates: shared.registry.counter("fc_ingest_duplicates_total"),
-            overloads: shared.registry.counter("fc_overloaded_total"),
-            // Ingest acks are sub-millisecond, solves run for seconds:
-            // the query ops take their own ladder in `crate::query`.
-            ingest_seconds: shared.registry.histogram_with_edges(
-                &labeled("fc_op_seconds", &[("op", "ingest")]),
-                fc_telemetry::FAST_OP_EDGES_US,
-            ),
-            shared,
-        }
-    }
-
-    /// The engine-wide plus per-dataset compaction handles one shard
-    /// worker updates.
-    fn compaction(&self, dataset: &str) -> CompactionMetrics {
-        CompactionMetrics {
-            total: self.shared.registry.counter("fc_compactions_total"),
-            dataset: self
-                .shared
-                .registry
-                .counter(&labeled("fc_compactions_total", &[("dataset", dataset)])),
-            seconds: self.shared.registry.histogram("fc_compaction_seconds"),
-        }
-    }
-
-    /// Per-dataset ingest counter handles.
-    fn dataset(&self, dataset: &str) -> DatasetMetrics {
-        let labels = [("dataset", dataset)];
-        DatasetMetrics {
-            points: self
-                .shared
-                .registry
-                .counter(&labeled("fc_ingest_points_total", &labels)),
-            blocks: self
-                .shared
-                .registry
-                .counter(&labeled("fc_ingest_blocks_total", &labels)),
-            overloads: self
-                .shared
-                .registry
-                .counter(&labeled("fc_overloaded_total", &labels)),
-            duplicates: self
-                .shared
-                .registry
-                .counter(&labeled("fc_ingest_duplicates_total", &labels)),
-        }
-    }
 }
 
 /// The ordered shard-drain callback installed with
@@ -1076,7 +996,7 @@ struct FlusherHandle {
 }
 
 impl FlusherHandle {
-    fn spawn(datasets: Arc<Mutex<HashMap<String, Arc<DatasetEntry>>>>, delay: Duration) -> Self {
+    fn spawn(write: Arc<WritePath<DatasetEntry>>, delay: Duration) -> Self {
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         // Sweep a few times per deadline so the worst-case wait stays
@@ -1088,13 +1008,7 @@ impl FlusherHandle {
             .spawn(move || {
                 while !stop_flag.load(Ordering::Acquire) {
                     std::thread::sleep(tick);
-                    let entries: Vec<Arc<DatasetEntry>> = datasets
-                        .lock()
-                        .expect("dataset registry lock is never poisoned")
-                        .values()
-                        .cloned()
-                        .collect();
-                    for entry in entries {
+                    for (_, entry) in write.snapshot() {
                         entry.flush_aged(delay);
                     }
                 }
@@ -1148,34 +1062,28 @@ impl Engine {
         // Validates k ≥ 1, m = m_scalar·k ≥ k (no overflow), and that the
         // default solver supports the default objective.
         let default_plan = config.default_plan()?;
-        let datasets = Arc::new(Mutex::new(HashMap::new()));
+        let telemetry = Arc::new(Telemetry::new());
+        let write = Arc::new(WritePath::new(Arc::clone(&telemetry), default_plan));
         let flusher = if !config.batch_delay.is_zero() {
-            Some(FlusherHandle::spawn(
-                Arc::clone(&datasets),
-                config.batch_delay,
-            ))
+            Some(FlusherHandle::spawn(Arc::clone(&write), config.batch_delay))
         } else {
             None
         };
-        let metrics = EngineMetrics::new();
         let query = QueryPath::new(
-            &metrics.shared.registry,
+            &telemetry.registry,
             config.cache_capacity,
             config.base_seed,
             config.solve_threads,
         );
         let engine = Self {
             config,
-            default_plan,
             default_compressor: compressor,
-            datasets,
+            write,
             flusher,
             query,
-            started: Instant::now(),
-            total_points: AtomicU64::new(0),
-            total_blocks: AtomicU64::new(0),
             drain_hook: Mutex::new(None),
-            metrics,
+            overloads: telemetry.registry.counter("fc_overloaded_total"),
+            telemetry,
         };
         engine.recover_datasets()?;
         Ok(engine)
@@ -1192,68 +1100,76 @@ impl Engine {
             .expect("drain hook lock is never poisoned") = Some(Box::new(hook));
     }
 
-    /// Rebuilds every dataset found under the configured data directory:
-    /// per shard, the newest valid snapshot is reinstalled and the WAL
-    /// tail queued for replay on the worker thread, so construction stays
-    /// fast and the engine serves (with `recovering` reported) while it
-    /// catches up.
+    /// Reopens every dataset found under the configured data directory,
+    /// so construction stays fast and the engine serves (with
+    /// `recovering` reported) while the shard workers catch up.
     fn recover_datasets(&self) -> Result<(), EngineError> {
-        let Some(pc) = self.config.persist.clone() else {
+        let Some(pc) = &self.config.persist else {
             return Ok(());
         };
-        let mut datasets = self
-            .datasets
-            .lock()
-            .expect("dataset registry lock is never poisoned");
         for (dir, meta) in list_datasets(&pc.data_dir)? {
-            let effective = meta
-                .plan
-                .clone()
-                .unwrap_or_else(|| self.default_plan.clone());
-            let compressor: Arc<dyn Compressor> = match &meta.plan {
-                Some(p) => Arc::from(p.method().build()),
-                None => Arc::clone(&self.default_compressor),
-            };
-            let plan_json = effective.to_json();
-            let mut shards = Vec::with_capacity(meta.shards);
-            let mut persists = Vec::with_capacity(meta.shards);
-            let mut points = 0u64;
-            let mut weight = 0.0f64;
-            // Rebuild the exactly-once watermark alongside the totals:
-            // max-merge client seqs from every shard snapshot and every
-            // tail record so a replayed duplicate is refused just like a
-            // live one.
-            let mut clients: HashMap<String, u64> = HashMap::new();
-            for s in 0..meta.shards {
-                let (log, recovered) = ShardLog::open(&shard_dir(&dir, s), pc.log_options())?;
-                if let Some(snap) = &recovered.snapshot {
-                    points += snap.points;
-                    weight += snap.weight;
-                    for (client, seq) in &snap.clients {
+            let ledger = self.write.ledger(&meta.name, meta.dim, meta.plan);
+            let entry = self.open_dataset(&meta.name, ledger, meta.shards, Some(dir))?;
+            self.write.adopt(meta.name, entry);
+        }
+        Ok(())
+    }
+
+    /// Builds a dataset around its ledger: `shards` workers and — when
+    /// `dir` is given — their logs, each reinstalling its newest valid
+    /// snapshot and queueing its WAL tail for replay on the worker
+    /// thread. Creating a dataset is recovering an empty directory.
+    fn open_dataset(
+        &self,
+        name: &str,
+        ledger: Ledger,
+        shards: usize,
+        dir: Option<PathBuf>,
+    ) -> Result<DatasetEntry, EngineError> {
+        let plan = ledger.plan();
+        let compressor: Arc<dyn Compressor> = match ledger.sent_plan() {
+            Some(sent) => Arc::from(sent.method().build()),
+            None => Arc::clone(&self.default_compressor),
+        };
+        let plan_json = plan.to_json();
+        let registry = &self.telemetry.registry;
+        let mut workers = Vec::with_capacity(shards);
+        let mut logs = Vec::new();
+        let (mut points, mut weight) = (0u64, 0.0f64);
+        // The exactly-once watermark is rebuilt alongside the totals:
+        // max-merged from every shard snapshot and every tail record, so a
+        // replayed duplicate is refused just like a live one.
+        let mut clients: HashMap<String, u64> = HashMap::new();
+        for s in 0..shards {
+            let durability = match self.config.persist.as_ref().zip(dir.as_ref()) {
+                None => None,
+                Some((pc, dir)) => {
+                    let (log, recovered) = ShardLog::open(&shard_dir(dir, s), pc.log_options())?;
+                    if let Some(snap) = &recovered.snapshot {
+                        points += snap.points;
+                        weight += snap.weight;
+                    }
+                    for rec in &recovered.tail {
+                        points += rec.block.len() as u64;
+                        weight += rec.block.total_weight();
+                    }
+                    let in_snapshot = recovered.snapshot.iter().flat_map(|snap| &snap.clients);
+                    let in_tail = recovered
+                        .tail
+                        .iter()
+                        .filter_map(|rec| rec.meta.client.as_ref());
+                    for (client, seq) in in_snapshot.chain(in_tail) {
                         let have = clients.entry(client.clone()).or_insert(0);
                         *have = (*have).max(*seq);
                     }
-                }
-                for rec in &recovered.tail {
-                    points += rec.block.len() as u64;
-                    weight += rec.block.total_weight();
-                    if let Some((client, seq)) = &rec.meta.client {
-                        let have = clients.entry(client.clone()).or_insert(0);
-                        *have = (*have).max(*seq);
-                    }
-                }
-                let shared = Arc::new(ShardPersist {
-                    log: Mutex::new(log),
-                    applied_seq: AtomicU64::new(recovered.snapshot.as_ref().map_or(0, |sn| sn.seq)),
-                    target_seq: recovered.durable_seq(),
-                });
-                persists.push(Arc::clone(&shared));
-                shards.push(Shard::spawn(
-                    Arc::clone(&compressor),
-                    effective.params(),
-                    effective.effective_budget(),
-                    self.shard_seed(&meta.name, s),
-                    self.config.shard_queue_depth,
+                    let shared = Arc::new(ShardPersist {
+                        log: Mutex::new(log),
+                        applied_seq: AtomicU64::new(
+                            recovered.snapshot.as_ref().map_or(0, |snap| snap.seq),
+                        ),
+                        target_seq: recovered.durable_seq(),
+                    });
+                    logs.push(Arc::clone(&shared));
                     Some(ShardDurability {
                         shared,
                         snapshot: recovered.snapshot,
@@ -1262,33 +1178,32 @@ impl Engine {
                         snapshot_compactions: pc.snapshot_compactions,
                         snapshot_bytes: pc.snapshot_bytes,
                         replay_throttle: pc.replay_throttle,
-                    }),
-                    self.metrics.compaction(&meta.name),
-                ));
-            }
-            datasets.insert(
-                meta.name.clone(),
-                Arc::new(DatasetEntry {
-                    dim: meta.dim,
-                    plan: effective,
-                    compressor,
-                    pending: (0..meta.shards).map(|_| Mutex::default()).collect(),
-                    shards,
-                    next_shard: AtomicUsize::new(0),
-                    ingested_points: AtomicU64::new(points),
-                    ingested_weight: Mutex::new(weight),
-                    clients: Mutex::new(clients),
-                    persist: Some(DatasetPersist {
-                        dir,
-                        shards: persists,
-                    }),
-                    metrics: self.metrics.dataset(&meta.name),
-                    instance: next_instance(),
-                    version: AtomicU64::new(0),
-                }),
-            );
+                    })
+                }
+            };
+            workers.push(Shard::spawn(
+                Arc::clone(&compressor),
+                plan.params(),
+                plan.effective_budget(),
+                self.shard_seed(name, s),
+                self.config.shard_queue_depth,
+                durability,
+                CompactionMetrics {
+                    total: registry.counter("fc_compactions_total"),
+                    dataset: registry
+                        .counter(&labeled("fc_compactions_total", &[("dataset", name)])),
+                    seconds: registry.histogram("fc_compaction_seconds"),
+                },
+            ));
         }
-        Ok(())
+        Ok(DatasetEntry {
+            compressor,
+            pending: (0..shards).map(|_| Mutex::default()).collect(),
+            shards: workers,
+            persist: dir.map(|dir| DatasetPersist { dir, shards: logs }),
+            overloads: registry.counter(&labeled("fc_overloaded_total", &[("dataset", name)])),
+            ledger: ledger.restored(points, weight, clients),
+        })
     }
 
     /// The deterministic per-(dataset, shard) stream seed.
@@ -1307,21 +1222,12 @@ impl Engine {
     /// The default [`Plan`] datasets run under when their creating ingest
     /// carried none.
     pub fn default_plan(&self) -> &Plan {
-        &self.default_plan
+        self.write.default_plan()
     }
 
     /// The effective plan of a live dataset.
     pub fn dataset_plan(&self, name: &str) -> Result<Plan, EngineError> {
-        Ok(self.entry(name)?.plan.clone())
-    }
-
-    fn entry(&self, name: &str) -> Result<Arc<DatasetEntry>, EngineError> {
-        self.datasets
-            .lock()
-            .expect("dataset registry lock is never poisoned")
-            .get(name)
-            .cloned()
-            .ok_or_else(|| EngineError::UnknownDataset(name.to_owned()))
+        Ok(self.write.get(name)?.ledger.plan().clone())
     }
 
     /// Ingests a weighted batch, creating the dataset on first use.
@@ -1330,10 +1236,8 @@ impl Engine {
     /// A `plan` carried by the creating ingest becomes the dataset's
     /// effective plan — its shard streams, compaction budget, serving
     /// compression, and query defaults all derive from it; when omitted the
-    /// engine's default plan applies. Later ingests may repeat the same
-    /// plan (idempotent) but a *different* plan for an existing dataset is
-    /// rejected — a dataset sits at one point on the settling-time/accuracy
-    /// curve at a time; drop and re-ingest to move it.
+    /// engine's default plan applies. [`crate::ingest`] has the admission
+    /// rules.
     pub fn ingest(
         &self,
         name: &str,
@@ -1344,13 +1248,10 @@ impl Engine {
             .map(|o| (o.total_points, o.total_weight))
     }
 
-    /// [`Self::ingest`] with an optional exactly-once identity: a batch
-    /// whose `(client, seq)` is at or below the highest this dataset has
-    /// already acknowledged for that client is *not* applied again — it is
-    /// acknowledged idempotently with the current totals and
-    /// `duplicate: true`. On persistent engines the identity rides in the
-    /// batch's WAL record and in shard snapshots, so dedup survives
-    /// `kill -9` exactly as far as the data it guards does.
+    /// [`Self::ingest`] with an optional exactly-once identity. On
+    /// persistent engines the identity rides in the batch's WAL record and
+    /// in shard snapshots, so dedup survives `kill -9` exactly as far as
+    /// the data it guards does.
     pub fn ingest_idented(
         &self,
         name: &str,
@@ -1358,337 +1259,7 @@ impl Engine {
         plan: Option<&Plan>,
         ident: Option<&IngestIdent>,
     ) -> Result<IngestOutcome, EngineError> {
-        let started = Instant::now();
-        let out = self.ingest_inner(name, batch, plan, ident);
-        self.metrics.ingest_seconds.observe(started.elapsed());
-        out
-    }
-
-    fn ingest_inner(
-        &self,
-        name: &str,
-        batch: &Dataset,
-        plan: Option<&Plan>,
-        ident: Option<&IngestIdent>,
-    ) -> Result<IngestOutcome, EngineError> {
-        if batch.is_empty() {
-            return Err(EngineError::InvalidArgument("empty ingest batch".into()));
-        }
-        let entry = {
-            let mut datasets = self
-                .datasets
-                .lock()
-                .expect("dataset registry lock is never poisoned");
-            match datasets.entry(name.to_owned()) {
-                MapEntry::Occupied(existing) => {
-                    let entry = Arc::clone(existing.get());
-                    if let Some(requested) = plan {
-                        // Compare wire forms: a plan re-sent from `stats`
-                        // (which never carries solver tuning budgets) must
-                        // count as "the same plan".
-                        if requested.to_value() != entry.plan.to_value() {
-                            return Err(EngineError::InvalidArgument(format!(
-                                "dataset `{name}` already runs under plan {}; \
-                                 drop it before ingesting under plan {}",
-                                entry.plan.to_json(),
-                                requested.to_json(),
-                            )));
-                        }
-                    }
-                    entry
-                }
-                MapEntry::Vacant(slot) => {
-                    let entry = self.create_dataset(name, batch.dim(), plan)?;
-                    Arc::clone(slot.insert(entry))
-                }
-            }
-        };
-        if entry.dim != batch.dim() {
-            return Err(EngineError::DimensionMismatch {
-                expected: entry.dim,
-                got: batch.dim(),
-            });
-        }
-        // Exactly-once gate. The watermark lock is held across the
-        // append+enqueue below so two batches racing under one client
-        // serialize: whichever applies first advances the watermark before
-        // the other checks it. Every error path below returns without
-        // advancing the watermark — a refused batch stays retryable under
-        // the same seq.
-        let mut watermark = ident.map(|ident| {
-            let guard = entry
-                .clients
-                .lock()
-                .expect("client watermark lock is never poisoned");
-            (guard, ident)
-        });
-        if let Some((guard, ident)) = &watermark {
-            if guard
-                .get(&ident.client)
-                .is_some_and(|&have| ident.seq <= have)
-            {
-                self.metrics.ingest_duplicates.incr();
-                entry.metrics.duplicates.incr();
-                let total_points = entry.ingested_points.load(Ordering::Relaxed);
-                let total_weight = *entry
-                    .ingested_weight
-                    .lock()
-                    .expect("weight counter lock is never poisoned");
-                return Ok(IngestOutcome {
-                    total_points,
-                    total_weight,
-                    duplicate: true,
-                });
-            }
-        }
-        let idents: Vec<(String, u64)> = ident
-            .map(|i| vec![(i.client.clone(), i.seq)])
-            .unwrap_or_default();
-        let meta = RecordMeta {
-            client: ident.map(|i| (i.client.clone(), i.seq)),
-            trace: fc_telemetry::current_trace(),
-        };
-        let shard_idx = entry.next_shard.fetch_add(1, Ordering::Relaxed) % entry.shards.len();
-        let full = |_| {
-            self.metrics.overloads.incr();
-            entry.metrics.overloads.incr();
-            EngineError::Overloaded {
-                dataset: name.to_owned(),
-                shard: shard_idx,
-            }
-        };
-        if self.config.batching_enabled() {
-            self.ingest_coalesced(&entry, batch, shard_idx, &idents, &meta, &full)?;
-        } else {
-            match &entry.persist {
-                None => entry.shards[shard_idx]
-                    .try_ingest(batch.clone(), 0, idents)
-                    .map_err(|e| match e {
-                        TrySendError::Full(()) => full(()),
-                        TrySendError::Disconnected(()) => EngineError::Unavailable,
-                    })?,
-                Some(p) => {
-                    // Log-then-enqueue under the shard's log mutex: the batch
-                    // is durable before it is acknowledged, and a refused
-                    // (full-queue) batch is rolled back so replay can never
-                    // resurrect a write the client was told to retry.
-                    let shard = &p.shards[shard_idx];
-                    let mut log = shard.log.lock().expect("shard log lock is never poisoned");
-                    let seq = log.append_with(batch, &meta)?;
-                    entry.shards[shard_idx]
-                        .try_ingest(batch.clone(), seq, idents)
-                        .map_err(|e| {
-                            if let Err(rb) = log.rollback(seq) {
-                                // The rollback itself failing means the record
-                                // stays durable: replay will re-apply a batch
-                                // the client saw refused. Over-delivery, never
-                                // loss — but worth a trace.
-                                eprintln!("fc-engine: WAL rollback of seq {seq} failed: {rb}");
-                            }
-                            match e {
-                                TrySendError::Full(()) => full(()),
-                                TrySendError::Disconnected(()) => EngineError::Unavailable,
-                            }
-                        })?;
-                }
-            }
-        }
-        // The batch is durable and queued: advance the client watermark so
-        // a retry of this seq from here on is answered as a duplicate.
-        if let Some((guard, ident)) = watermark.as_mut() {
-            guard.insert(ident.client.clone(), ident.seq);
-        }
-        // Move the dataset's version past every query key minted so far:
-        // this is the whole cache invalidation.
-        entry.version.fetch_add(1, Ordering::Release);
-        let total_points = entry
-            .ingested_points
-            .fetch_add(batch.len() as u64, Ordering::Relaxed)
-            + batch.len() as u64;
-        let total_weight = {
-            let mut w = entry
-                .ingested_weight
-                .lock()
-                .expect("weight counter lock is never poisoned");
-            *w += batch.total_weight();
-            *w
-        };
-        self.total_points
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        self.total_blocks.fetch_add(1, Ordering::Relaxed);
-        self.metrics.ingest_points.add(batch.len() as u64);
-        self.metrics.ingest_blocks.incr();
-        entry.metrics.points.add(batch.len() as u64);
-        entry.metrics.blocks.incr();
-        Ok(IngestOutcome {
-            total_points,
-            total_weight,
-            duplicate: false,
-        })
-    }
-
-    /// Folds `batch` into its shard's coalescing buffer, flushing when a
-    /// size trigger fires. On persistent engines the batch is WAL-appended
-    /// first (durable before acknowledged — unchanged from the direct
-    /// path), and the log lock is held across the buffer update so a
-    /// refused flush can still roll back exactly the triggering record:
-    /// an `overloaded` answer never leaves the refused batch pending, and
-    /// never takes previously *acknowledged* coalesced rows with it.
-    fn ingest_coalesced(
-        &self,
-        entry: &DatasetEntry,
-        batch: &Dataset,
-        shard_idx: usize,
-        idents: &[(String, u64)],
-        meta: &RecordMeta,
-        full: &dyn Fn(()) -> EngineError,
-    ) -> Result<(), EngineError> {
-        let mut log = entry.persist.as_ref().map(|p| {
-            p.shards[shard_idx]
-                .log
-                .lock()
-                .expect("shard log lock is never poisoned")
-        });
-        let seq = match log.as_mut() {
-            None => 0,
-            Some(log) => log.append_with(batch, meta)?,
-        };
-        let mut pending = entry.pending[shard_idx]
-            .lock()
-            .expect("pending buffer lock is never poisoned");
-        let rows_before = pending.rows.len();
-        let weights_before = pending.weights.len();
-        let clients_before = pending.clients.len();
-        let seq_before = pending.seq;
-        let since_before = pending.since;
-        pending.rows.extend_from_slice(batch.points().as_flat());
-        pending.weights.extend_from_slice(batch.weights());
-        pending.clients.extend_from_slice(idents);
-        pending.seq = seq.max(pending.seq);
-        if pending.since.is_none() {
-            pending.since = Some(Instant::now());
-        }
-        let trigger = (self.config.batch_points > 0
-            && pending.weights.len() >= self.config.batch_points)
-            || (self.config.batch_bytes > 0
-                && pending.rows.len() * std::mem::size_of::<f64>() >= self.config.batch_bytes);
-        if !trigger {
-            return Ok(());
-        }
-        let block = pending
-            .as_block(entry.dim)
-            .expect("the buffer holds at least this batch");
-        match entry.shards[shard_idx].try_ingest(block, pending.seq, pending.clients.clone()) {
-            Ok(()) => {
-                pending.clear();
-                Ok(())
-            }
-            Err(e) => {
-                // Unwind only the triggering batch: earlier coalesced rows
-                // were acknowledged and stay pending for a later flush.
-                pending.rows.truncate(rows_before);
-                pending.weights.truncate(weights_before);
-                pending.clients.truncate(clients_before);
-                pending.seq = seq_before;
-                pending.since = since_before;
-                if let Some(log) = log.as_mut() {
-                    if let Err(rb) = log.rollback(seq) {
-                        eprintln!("fc-engine: WAL rollback of seq {seq} failed: {rb}");
-                    }
-                }
-                Err(match e {
-                    TrySendError::Full(()) => full(()),
-                    TrySendError::Disconnected(()) => EngineError::Unavailable,
-                })
-            }
-        }
-    }
-
-    /// Builds a fresh dataset entry (shards, and — on persistent engines —
-    /// its on-disk directory, meta file, and per-shard logs). Runs under
-    /// the registry lock: creation is rare and registering the dataset
-    /// must be atomic with reserving its directory.
-    fn create_dataset(
-        &self,
-        name: &str,
-        dim: usize,
-        plan: Option<&Plan>,
-    ) -> Result<Arc<DatasetEntry>, EngineError> {
-        let effective = plan.cloned().unwrap_or_else(|| self.default_plan.clone());
-        let compressor: Arc<dyn Compressor> = match plan {
-            Some(p) => Arc::from(p.method().build()),
-            None => Arc::clone(&self.default_compressor),
-        };
-        let persist = match &self.config.persist {
-            None => None,
-            Some(pc) => {
-                let dir = dataset_dir(&pc.data_dir, name);
-                DatasetMeta {
-                    name: name.to_owned(),
-                    dim,
-                    shards: self.config.shards,
-                    // Persist only an explicit plan: default-plan datasets
-                    // follow the engine default, even a *future* one.
-                    plan: plan.cloned(),
-                }
-                .store(&dir)?;
-                Some(pc.clone())
-            }
-        };
-        let plan_json = effective.to_json();
-        let mut shards = Vec::with_capacity(self.config.shards);
-        let mut persists = Vec::new();
-        for s in 0..self.config.shards {
-            let durability = match &persist {
-                None => None,
-                Some(pc) => {
-                    let dir = shard_dir(&dataset_dir(&pc.data_dir, name), s);
-                    let (log, recovered) = ShardLog::open(&dir, pc.log_options())?;
-                    let shared = Arc::new(ShardPersist {
-                        log: Mutex::new(log),
-                        applied_seq: AtomicU64::new(0),
-                        target_seq: recovered.durable_seq(),
-                    });
-                    persists.push(Arc::clone(&shared));
-                    Some(ShardDurability {
-                        shared,
-                        snapshot: recovered.snapshot,
-                        tail: recovered.tail,
-                        plan_json: plan_json.clone(),
-                        snapshot_compactions: pc.snapshot_compactions,
-                        snapshot_bytes: pc.snapshot_bytes,
-                        replay_throttle: pc.replay_throttle,
-                    })
-                }
-            };
-            shards.push(Shard::spawn(
-                Arc::clone(&compressor),
-                effective.params(),
-                effective.effective_budget(),
-                self.shard_seed(name, s),
-                self.config.shard_queue_depth,
-                durability,
-                self.metrics.compaction(name),
-            ));
-        }
-        Ok(Arc::new(DatasetEntry {
-            dim,
-            plan: effective,
-            compressor,
-            pending: (0..self.config.shards).map(|_| Mutex::default()).collect(),
-            shards,
-            next_shard: AtomicUsize::new(0),
-            ingested_points: AtomicU64::new(0),
-            ingested_weight: Mutex::new(0.0),
-            clients: Mutex::default(),
-            persist: self.config.persist.as_ref().map(|pc| DatasetPersist {
-                dir: dataset_dir(&pc.data_dir, name),
-                shards: persists,
-            }),
-            metrics: self.metrics.dataset(name),
-            instance: next_instance(),
-            version: AtomicU64::new(0),
-        }))
+        self.write.ingest(&Shards(self), name, batch, plan, ident)
     }
 
     /// The served coreset: union of all shard snapshots, compressed to the
@@ -1736,28 +1307,7 @@ impl Engine {
 
     /// Statistics for one dataset.
     pub fn dataset_stats(&self, name: &str) -> Result<DatasetStats, EngineError> {
-        let entry = self.entry(name)?;
-        let shard_stats = entry.shard_stats();
-        let ingested_weight = *entry
-            .ingested_weight
-            .lock()
-            .expect("weight counter lock is never poisoned");
-        Ok(DatasetStats {
-            dataset: name.to_owned(),
-            dim: entry.dim,
-            plan: entry.plan.clone(),
-            shards: entry.shards.len(),
-            ingested_points: entry.ingested_points.load(Ordering::Relaxed),
-            ingested_weight,
-            stored_points: shard_stats.iter().map(|s| s.stored_points).sum(),
-            summaries_per_shard: shard_stats.iter().map(|s| s.summaries).collect(),
-            queue_depth_per_shard: shard_stats.iter().map(|s| s.queue_depth).collect(),
-            state_epoch: entry.state_epoch(),
-            recovering: entry.recovering(),
-            // A single engine is one node; the per-node breakdown belongs
-            // to coordinators.
-            nodes: Vec::new(),
-        })
+        Ok(self.write.get(name)?.stats(name))
     }
 
     /// Lifetime counters of this engine process (since construction, not
@@ -1765,16 +1315,7 @@ impl Engine {
     /// at recovery, these deliberately are not: they answer "what has this
     /// process done", which is exactly what resets on a crash).
     pub fn server_stats(&self) -> ServerStats {
-        let (queries, cache_hits, cache_misses) = self.query.counts();
-        ServerStats {
-            uptime_secs: self.started.elapsed().as_secs(),
-            ingested_points: self.total_points.load(Ordering::Relaxed),
-            ingested_blocks: self.total_blocks.load(Ordering::Relaxed),
-            queries,
-            fleet_epoch: 0,
-            cache_hits,
-            cache_misses,
-        }
+        self.write.server_stats(&self.query, 0)
     }
 
     /// The engine's shared observability surface (metric registry plus
@@ -1782,7 +1323,7 @@ impl Engine {
     /// connection, queue-wait, and trace data into this same object, so
     /// one scrape covers the whole process.
     pub fn telemetry(&self) -> Arc<Telemetry> {
-        Arc::clone(&self.metrics.shared)
+        Arc::clone(&self.telemetry)
     }
 
     /// The `metrics` wire payload: point-in-time gauges refreshed, then
@@ -1790,14 +1331,14 @@ impl Engine {
     /// plus recent request traces as JSON.
     pub fn metrics_value(&self) -> Value {
         self.refresh_gauges();
-        self.metrics.shared.to_value()
+        self.telemetry.to_value()
     }
 
     /// Prometheus text exposition of the registry (gauges refreshed
     /// first). This is what `--metrics-addr` serves.
     pub fn render_prometheus(&self) -> String {
         self.refresh_gauges();
-        self.metrics.shared.registry.render_prometheus()
+        self.telemetry.registry.render_prometheus()
     }
 
     /// Point-in-time gauges are sampled when somebody looks (scrape or
@@ -1805,14 +1346,8 @@ impl Engine {
     /// count plus per-shard queue depth, stored points, and summary
     /// counts, all read lock-free from the shard sender side.
     fn refresh_gauges(&self) {
-        let entries: Vec<(String, Arc<DatasetEntry>)> = self
-            .datasets
-            .lock()
-            .expect("dataset registry lock is never poisoned")
-            .iter()
-            .map(|(n, e)| (n.clone(), Arc::clone(e)))
-            .collect();
-        let registry = &self.metrics.shared.registry;
+        let entries = self.write.snapshot();
+        let registry = &self.telemetry.registry;
         registry.gauge("fc_datasets").set(entries.len() as u64);
         for (name, entry) in entries {
             for (s, stats) in entry.shard_stats().iter().enumerate() {
@@ -1831,21 +1366,12 @@ impl Engine {
         }
     }
 
-    /// Statistics for every dataset (sorted by name). Datasets dropped
-    /// concurrently between the name snapshot and the per-dataset lookup
-    /// are skipped rather than failing the aggregate.
+    /// Statistics for every dataset (sorted by name).
     pub fn stats(&self) -> Result<Vec<DatasetStats>, EngineError> {
-        let mut names: Vec<String> = self
-            .datasets
-            .lock()
-            .expect("dataset registry lock is never poisoned")
-            .keys()
-            .cloned()
-            .collect();
-        names.sort();
-        Ok(names
+        let entries = self.write.snapshot();
+        Ok(entries
             .iter()
-            .filter_map(|n| self.dataset_stats(n).ok())
+            .map(|(name, entry)| entry.stats(name))
             .collect())
     }
 
@@ -1853,29 +1379,41 @@ impl Engine {
     /// on persistent engines — deleting its on-disk state. A dropped
     /// dataset is *gone*: it does not come back on restart.
     pub fn drop_dataset(&self, name: &str) -> Result<(), EngineError> {
-        self.remove_dataset(name, true)
-    }
-
-    /// Unregisters a dataset. `purge` deletes its directory (client-facing
-    /// drop); `!purge` final-snapshots and keeps it (engine shutdown).
-    fn remove_dataset(&self, name: &str, purge: bool) -> Result<(), EngineError> {
         let entry = self
-            .datasets
-            .lock()
-            .expect("dataset registry lock is never poisoned")
+            .write
             .remove(name)
             .ok_or_else(|| EngineError::UnknownDataset(name.to_owned()))?;
-        self.query.forget(entry.instance);
+        self.query.forget(entry.ledger.instance());
+        Self::retire(entry, true, |_| {})
+    }
+
+    /// Stops an unregistered dataset's workers and joins them in shard
+    /// order, invoking `drained` after each join — the ordered drain
+    /// callback graceful shutdown hooks rely on. `purge` then deletes its
+    /// directory (a drop, or a create that never landed); `!purge` has
+    /// each worker flush its WAL and install a final snapshot before
+    /// exiting, and keeps it (engine shutdown).
+    fn retire(
+        entry: Arc<DatasetEntry>,
+        purge: bool,
+        mut drained: impl FnMut(usize),
+    ) -> Result<(), EngineError> {
         let dir = entry.persist.as_ref().map(|p| p.dir.clone());
         let finalize = !purge && dir.is_some();
-        // Connections may still hold clones of the Arc; workers stop as
-        // soon as the shutdown commands drain regardless.
-        match Arc::try_unwrap(entry) {
-            Ok(mut entry) => entry.shutdown(finalize, |_| {}),
-            Err(entry) => {
-                let _ = entry.flush_pending();
-                for shard in &entry.shards {
-                    let _ = shard.send(ShardCmd::Shutdown { finalize });
+        // Acked coalesced rows go to the workers ahead of the shutdown
+        // command, so a graceful stop folds them into the final snapshot.
+        let _ = entry.flush_pending();
+        for shard in &entry.shards {
+            let _ = shard.send(ShardCmd::Shutdown { finalize });
+        }
+        // When a connection still holds the entry (the drop raced a
+        // request) the workers stop all the same, as soon as the shutdown
+        // commands drain; nobody waits for them.
+        if let Ok(mut entry) = Arc::try_unwrap(entry) {
+            for (idx, shard) in entry.shards.iter_mut().enumerate() {
+                if let Some(join) = shard.join.take() {
+                    let _ = join.join();
+                    drained(idx);
                 }
             }
         }
@@ -1888,49 +1426,38 @@ impl Engine {
         Ok(())
     }
 
-    /// Names of live datasets.
+    /// Names of live datasets, sorted.
     pub fn dataset_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .datasets
-            .lock()
-            .expect("dataset registry lock is never poisoned")
-            .keys()
-            .cloned()
-            .collect();
-        names.sort();
-        names
+        let entries = self.write.snapshot();
+        entries.into_iter().map(|(name, _)| name).collect()
     }
 }
 
-/// The engine as a [`QuerySource`]: the summary is the union of every
-/// shard's snapshot, compressed once to the plan's serving size.
+/// The engine as a [`QuerySource`] and a [`WriteSink`]: a summary is the
+/// union of every shard's snapshot, compressed once to the plan's serving
+/// size; a batch goes to one shard, round-robin.
 struct Shards<'a>(&'a Engine);
 
 impl QuerySource for Shards<'_> {
     type Dataset = Arc<DatasetEntry>;
 
     fn resolve(&self, name: &str) -> Result<Arc<DatasetEntry>, EngineError> {
-        self.0.entry(name)
+        self.0.write.get(name)
     }
 
     fn plan<'a>(&'a self, entry: &'a Arc<DatasetEntry>) -> &'a Plan {
-        &entry.plan
+        entry.ledger.plan()
     }
 
     fn dim(&self, entry: &Arc<DatasetEntry>) -> usize {
-        entry.dim
+        entry.ledger.dim()
     }
 
     /// `None` while any shard is still replaying its WAL: the snapshots
     /// then cover a prefix of the acknowledged data, and memoizing that
     /// under the current version would outlive the replay.
     fn state(&self, entry: &Arc<DatasetEntry>) -> Option<QueryState> {
-        (!entry.recovering()).then(|| QueryState {
-            instance: entry.instance,
-            version: entry.version.load(Ordering::Acquire),
-            epoch: 0,
-            health: 0,
-        })
+        (!entry.recovering()).then(|| entry.ledger.query_state(0, 0))
     }
 
     fn summarise(
@@ -1950,7 +1477,7 @@ impl QuerySource for Shards<'_> {
             .ok_or_else(|| EngineError::NoData {
                 dataset: name.to_owned(),
             })?;
-        let params = entry.plan.params();
+        let params = entry.ledger.plan().params();
         if union.len() <= params.m {
             return Ok(union);
         }
@@ -1961,6 +1488,134 @@ impl QuerySource for Shards<'_> {
                 .compressor
                 .compress(&mut rng, union.dataset(), &params),
         })
+    }
+}
+
+impl WriteSink for Shards<'_> {
+    type Dataset = DatasetEntry;
+
+    /// Shard workers, and — on persistent engines — the dataset's
+    /// directory, meta file and per-shard logs.
+    fn open(&self, name: &str, ledger: Ledger) -> Result<DatasetEntry, EngineError> {
+        let config = &self.0.config;
+        let dir = match &config.persist {
+            None => None,
+            Some(pc) => {
+                let dir = dataset_dir(&pc.data_dir, name);
+                DatasetMeta {
+                    name: name.to_owned(),
+                    dim: ledger.dim(),
+                    shards: config.shards,
+                    // Persist only an explicit plan: default-plan datasets
+                    // follow the engine default, even a *future* one.
+                    plan: ledger.sent_plan().cloned(),
+                }
+                .store(&dir)?;
+                Some(dir)
+            }
+        };
+        self.0.open_dataset(name, ledger, config.shards, dir)
+    }
+
+    /// Log, then park or enqueue, on the next shard round-robin.
+    ///
+    /// On persistent engines the batch is WAL-appended (and fsynced per
+    /// policy) first — durable before acknowledged, whether or not it is
+    /// then parked in the coalescing buffer — and the shard's log mutex is
+    /// held until it is parked or queued, so a batch the queue refuses is
+    /// rolled back: an `overloaded` answer never leaves the refused batch
+    /// in the log for replay to resurrect, and never takes previously
+    /// *acknowledged* coalesced rows with it. Lock order is log mutex,
+    /// then pending mutex.
+    fn deliver(
+        &self,
+        name: &str,
+        entry: &DatasetEntry,
+        batch: &Dataset,
+        ident: Option<&IngestIdent>,
+    ) -> Result<(), EngineError> {
+        let config = &self.0.config;
+        let shard_idx = entry.ledger.next_slot() % entry.shards.len();
+        let idents: Vec<(String, u64)> = ident
+            .map(|i| vec![(i.client.clone(), i.seq)])
+            .unwrap_or_default();
+        let meta = RecordMeta {
+            client: ident.map(|i| (i.client.clone(), i.seq)),
+            trace: fc_telemetry::current_trace(),
+        };
+        let mut log = entry.persist.as_ref().map(|p| {
+            p.shards[shard_idx]
+                .log
+                .lock()
+                .expect("shard log lock is never poisoned")
+        });
+        let seq = match log.as_mut() {
+            None => 0,
+            Some(log) => log.append_with(batch, &meta)?,
+        };
+        let mut pending = config.batching_enabled().then(|| {
+            entry.pending[shard_idx]
+                .lock()
+                .expect("pending buffer lock is never poisoned")
+        });
+        if let Some(pending) = pending.as_deref_mut() {
+            let points = pending.weights.len() + batch.len();
+            let bytes = points * entry.ledger.dim() * std::mem::size_of::<f64>();
+            let trigger = (config.batch_points > 0 && points >= config.batch_points)
+                || (config.batch_bytes > 0 && bytes >= config.batch_bytes);
+            if !trigger {
+                pending.push(batch, seq, idents);
+                return Ok(());
+            }
+        }
+        // Not batching is the case where the buffer is empty and the batch
+        // alone trips the trigger.
+        let (block, clients) = match pending.as_deref() {
+            None => (batch.clone(), idents),
+            Some(pending) => (
+                pending
+                    .as_block(entry.ledger.dim(), Some(batch))
+                    .expect("an admitted batch is never empty"),
+                [pending.clients.as_slice(), idents.as_slice()].concat(),
+            ),
+        };
+        match entry.shards[shard_idx].try_ingest(block, seq, clients) {
+            Ok(()) => {
+                if let Some(pending) = pending.as_deref_mut() {
+                    pending.clear();
+                }
+                Ok(())
+            }
+            Err(refused) => {
+                // The buffer was not touched: earlier coalesced rows were
+                // acknowledged and stay pending for a later flush.
+                if let Some(log) = log.as_mut() {
+                    if let Err(rb) = log.rollback(seq) {
+                        // The record stays durable: replay will re-apply a
+                        // batch the client saw refused. Over-delivery,
+                        // never loss — but worth a trace.
+                        eprintln!("fc-engine: WAL rollback of seq {seq} failed: {rb}");
+                    }
+                }
+                Err(match refused {
+                    TrySendError::Full(_) => {
+                        self.0.overloads.incr();
+                        entry.overloads.incr();
+                        EngineError::Overloaded {
+                            dataset: name.to_owned(),
+                            shard: shard_idx,
+                        }
+                    }
+                    TrySendError::Disconnected(_) => EngineError::Unavailable,
+                })
+            }
+        }
+    }
+
+    fn discard(&self, name: &str, entry: Arc<DatasetEntry>) {
+        if let Err(e) = Engine::retire(entry, true, |_| {}) {
+            eprintln!("fc-engine: discarding `{name}`, which never landed: {e}");
+        }
     }
 }
 
@@ -1989,31 +1644,13 @@ impl Drop for Engine {
             .lock()
             .expect("drain hook lock is never poisoned")
             .take();
-        let mut datasets: Vec<(String, Arc<DatasetEntry>)> = self
-            .datasets
-            .lock()
-            .expect("dataset registry lock is never poisoned")
-            .drain()
-            .collect();
-        datasets.sort_by(|a, b| a.0.cmp(&b.0));
-        for (name, entry) in datasets {
-            let finalize = entry.persist.is_some();
-            match Arc::try_unwrap(entry) {
-                Ok(mut entry) => entry.shutdown(finalize, |shard| {
-                    if let Some(hook) = &hook {
-                        hook(&name, shard);
-                    }
-                }),
-                // A connection still holds the entry (drop raced a
-                // request): signal the shards and let the last Arc's
-                // worker joins happen on their own threads.
-                Err(entry) => {
-                    let _ = entry.flush_pending();
-                    for shard in &entry.shards {
-                        let _ = shard.send(ShardCmd::Shutdown { finalize });
-                    }
+        for (name, entry) in self.write.drain() {
+            // Shutdown keeps the directory, so there is nothing to fail.
+            let _ = Self::retire(entry, false, |shard| {
+                if let Some(hook) = &hook {
+                    hook(&name, shard);
                 }
-            }
+            });
         }
     }
 }
@@ -2453,6 +2090,36 @@ mod tests {
         engine.drop_dataset("d").unwrap();
         engine.ingest("d", &blobs(50), Some(&other)).unwrap();
         assert_eq!(engine.dataset_plan("d").unwrap(), other);
+    }
+
+    #[test]
+    fn discarding_a_create_that_never_landed_leaves_nothing_to_recover() {
+        let dir = std::env::temp_dir().join(format!("fc-engine-discard-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let config = EngineConfig {
+            shards: 2,
+            k: 4,
+            m_scalar: 25,
+            persist: Some(PersistConfig::new(&dir)),
+            ..Default::default()
+        };
+        let engine = Engine::with_compressor(config.clone(), Arc::new(Uniform)).unwrap();
+        // What the write path does with a creating ingest whose delivery
+        // fails (`crate::ingest` tests the rule; a failing disk is what it
+        // takes to get there): open, then discard.
+        let sink = Shards(&engine);
+        let entry = sink.open("d", engine.write.ledger("d", 2, None)).unwrap();
+        assert_eq!(
+            list_datasets(&dir).unwrap().len(),
+            1,
+            "open reserves the directory"
+        );
+        sink.discard("d", Arc::new(entry));
+        assert!(list_datasets(&dir).unwrap().is_empty());
+        drop(engine);
+        let engine = Engine::with_compressor(config, Arc::new(Uniform)).unwrap();
+        assert!(engine.dataset_names().is_empty());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A compressor that parks until released — lets tests hold a shard

@@ -7,6 +7,10 @@
 //!   [`fc_core::streaming::MergeReduce`] streams with per-shard worker
 //!   threads and budgeted compaction, each dataset built from its own
 //!   [`fc_core::plan::Plan`] (the engine config is only the default).
+//! - [`ingest`]: the one implementation of ingest admission — resolve or
+//!   create, refusal order, the exactly-once gate, totals and counters —
+//!   shared by the engine and the `fc-cluster` coordinator, which differ
+//!   only in where an admitted batch goes ([`WriteSink`]).
 //! - [`query`]: the one implementation of `coreset` / `cluster` / `cost`
 //!   — plan defaults, validation, the state-keyed result cache, the
 //!   seeded solve — shared by the engine and the `fc-cluster`
@@ -56,6 +60,7 @@ pub mod cache;
 pub mod client;
 pub mod engine;
 pub mod framing;
+pub mod ingest;
 pub mod metrics_http;
 pub mod protocol;
 pub mod query;
@@ -72,6 +77,7 @@ pub use cache::QueryCache;
 pub use client::{ClientError, ClusterResult, RetryPolicy, ServiceClient};
 pub use engine::{ClusterOutcome, DrainHook, Engine, EngineConfig, EngineError, PersistConfig};
 pub use framing::{BinaryCodec, FrameError, LineCodec, WireCodec, WireFrame};
+pub use ingest::{Ledger, WritePath, WriteSink};
 pub use metrics_http::MetricsServer;
 pub use protocol::{
     DatasetStats, ErrorCode, NodeHealth, NodeStats, ProtocolError, Request, Response, ServerStats,

@@ -1,14 +1,16 @@
 //! Tier parity: the engine and the coordinator answer `coreset` /
-//! `cluster` / `cost` through one module (`fc_service::query`), so one
-//! seeded op script run against an [`Engine`] and against a
-//! [`Coordinator`] over one in-process node must resolve the same
-//! defaults, refuse the same requests with the same errors, assign the
+//! `cluster` / `cost` through one module (`fc_service::query`) and admit
+//! an `ingest` through another (`fc_service::ingest`), so one seeded op
+//! script run against an [`Engine`] and against a [`Coordinator`] over one
+//! in-process node must resolve the same defaults, refuse the same
+//! requests with the same errors, acknowledge the same totals, assign the
 //! same seeds, and move the cache counters by the same amounts.
 //!
 //! The payloads themselves are *not* compared: the coordinator's summary
 //! is a re-compression of its node's, a different (equally valid) coreset.
 
 use fast_coresets::prelude::*;
+use fc_service::protocol::IngestIdent;
 use fc_service::{Backend, EngineError};
 
 fn four_blobs(n_per: usize, offset: f64) -> Dataset {
@@ -23,7 +25,10 @@ fn four_blobs(n_per: usize, offset: f64) -> Dataset {
 }
 
 enum Op {
+    /// Under the script's plan, unidentified.
     Ingest(&'static str, Dataset),
+    /// Under a plan of its own (or none), as `(producer, seq)` when given.
+    IngestAs(&'static str, Dataset, Option<Plan>, Option<u64>),
     Coreset(&'static str, Option<u64>, Option<Method>),
     Cluster(
         &'static str,
@@ -42,6 +47,14 @@ fn apply(backend: &dyn Backend, plan: &Plan, op: &Op) -> Result<String, EngineEr
         Op::Ingest(name, batch) => {
             let outcome = backend.ingest(name, batch, Some(plan), None, None)?;
             format!("ingested, {} points in all", outcome.total_points)
+        }
+        Op::IngestAs(name, batch, plan, seq) => {
+            let ident = seq.map(|seq| IngestIdent {
+                client: "producer".to_owned(),
+                seq,
+            });
+            let outcome = backend.ingest(name, batch, plan.as_ref(), ident.as_ref(), None)?;
+            format!("{outcome:?}")
         }
         Op::Coreset(name, seed, method) => {
             let (coreset, seed, method) = backend.coreset(name, *seed, method.as_ref())?;
@@ -89,6 +102,13 @@ fn engine_and_coordinator_resolve_refuse_seed_and_count_alike() {
 
     let centers = Points::from_flat(vec![0.0, 0.0, 100.0, 0.0, 200.0, 0.0], 2).unwrap();
     let wrong_dim = Points::from_flat(vec![0.0, 0.0, 100.0, 0.0, 200.0, 0.0], 3).unwrap();
+    let other_plan = PlanBuilder::new(4)
+        .m_scalar(10)
+        .method(Method::Uniform)
+        .build()
+        .unwrap();
+    let three_d = Dataset::from_flat(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 3).unwrap();
+    let empty = Dataset::from_flat(vec![], 2).unwrap();
     let script = [
         Op::Coreset("blobs", Some(1), None),
         Op::Ingest("blobs", four_blobs(100, 0.0)),
@@ -120,7 +140,7 @@ fn engine_and_coordinator_resolve_refuse_seed_and_count_alike() {
             Some(Solver::Hamerly),
             None,
         ),
-        Op::Cost("blobs", wrong_dim, None),
+        Op::Cost("blobs", wrong_dim.clone(), None),
         Op::Cluster("ghost", None, None, None, Some(7)),
         Op::Cost("ghost", centers.clone(), None),
         Op::Coreset("blobs", None, None),
@@ -140,6 +160,26 @@ fn engine_and_coordinator_resolve_refuse_seed_and_count_alike() {
         Op::Coreset("blobs", Some(1), None),
         Op::Cluster("blobs", None, None, None, Some(7)),
         Op::Cost("blobs", centers, None),
+        // The write side. An identified batch, then its retry: applied
+        // once, acknowledged twice with the same totals.
+        Op::IngestAs("blobs", four_blobs(10, 0.0), Some(plan.clone()), Some(1)),
+        Op::IngestAs("blobs", four_blobs(10, 0.0), Some(plan.clone()), Some(1)),
+        Op::IngestAs("blobs", four_blobs(10, 0.0), None, Some(2)),
+        // Refusals, in one order: empty, then dimension, then plan — a
+        // batch wrong on both counts is a dimension mismatch on both
+        // tiers, and a refusal outranks the duplicate acknowledgement.
+        Op::IngestAs("blobs", four_blobs(10, 0.0), Some(other_plan.clone()), None),
+        Op::IngestAs("blobs", three_d.clone(), None, None),
+        Op::IngestAs("blobs", three_d.clone(), Some(other_plan.clone()), Some(1)),
+        Op::IngestAs("blobs", empty.clone(), Some(other_plan.clone()), Some(1)),
+        Op::IngestAs("ghost", empty, None, None),
+        Op::Coreset("ghost", Some(1), None),
+        // Drop and re-create: nothing of the old generation is pinned —
+        // not its dimension, not its plan, not its watermark.
+        Op::Drop("blobs"),
+        Op::IngestAs("blobs", three_d.clone(), Some(other_plan.clone()), Some(1)),
+        Op::IngestAs("blobs", three_d, Some(other_plan), Some(1)),
+        Op::Cost("blobs", wrong_dim, None),
     ];
 
     for (step, op) in script.iter().enumerate() {

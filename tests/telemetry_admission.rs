@@ -212,11 +212,40 @@ fn one_request_id_spans_coordinator_and_node_traces() {
         .build()
         .unwrap();
     let coordinator = Arc::new(fc_cluster::Coordinator::new(config).unwrap());
-    let front = ServerHandle::bind_backend("127.0.0.1:0", coordinator).unwrap();
+    let front = ServerHandle::bind_backend("127.0.0.1:0", coordinator.clone()).unwrap();
 
     let mut client = ServiceClient::connect(front.addr()).unwrap();
     for block in blobs(100).chunks(100) {
         client.ingest("traced", &block, None).unwrap();
+    }
+
+    // A retried batch is absorbed here — under spread routing no node
+    // ever sees it — so this is the only scrape that can count it, under
+    // the names an engine exports.
+    let ident = fc_service::protocol::IngestIdent {
+        client: "producer".to_owned(),
+        seq: 1,
+    };
+    let sent = client
+        .ingest_idented("traced", &blobs(5), None, Some(&ident), None)
+        .unwrap();
+    let retried = client
+        .ingest_idented("traced", &blobs(5), None, Some(&ident), None)
+        .unwrap();
+    assert!(!sent.duplicate && retried.duplicate);
+    assert_eq!(sent.total_points, retried.total_points);
+    let scrape = coordinator.render_prometheus();
+    for line in [
+        "fc_ingest_duplicates_total 1",
+        "fc_ingest_duplicates_total{dataset=\"traced\"} 1",
+        "fc_ingest_points_total 420",
+        "fc_ingest_points_total{dataset=\"traced\"} 420",
+        "fc_ingest_blocks_total{dataset=\"traced\"} 5",
+    ] {
+        assert!(
+            scrape.lines().any(|l| l == line),
+            "coordinator scrape lacks `{line}`:\n{scrape}"
+        );
     }
 
     // A client-chosen request id rides the coreset query through the
