@@ -121,9 +121,18 @@ fn bench_refinement(c: &mut Criterion) {
             )
         })
     });
-    g.bench_function("hamerly_k32", |bench| {
+    // Two dimensions, where a distance costs about what a bound does: the
+    // side of the assigner's group-count rule fcbench (d = 20) never visits.
+    let flat = random_dataset(4_000, 2, 9);
+    let flat_seeding = fc_clustering::kmeanspp::kmeanspp(&mut rng, &flat, 100, CostKind::KMeans);
+    g.bench_function("lloyd_d2_k100", |bench| {
         bench.iter(|| {
-            fc_clustering::hamerly::hamerly_kmeans(black_box(&data), seeding.centers.clone(), cfg)
+            fc_clustering::lloyd::refine(
+                black_box(&flat),
+                flat_seeding.centers.clone(),
+                CostKind::KMeans,
+                fc_clustering::lloyd::LloydConfig::default(),
+            )
         })
     });
     g.finish();

@@ -3,20 +3,19 @@
 //! Implements the classic toolchain the paper benchmarks against and builds
 //! upon:
 //!
-//! - [`assign`](mod@assign): nearest-center assignment with partial-distance pruning —
-//!   the `O(nkd)` primitive whose avoidance is the whole point of
-//!   Fast-kmeans++.
+//! - [`assign`](mod@assign): nearest-center assignment — the `O(nkd)` scan whose
+//!   avoidance is the whole point of Fast-kmeans++, and the bound-keeping
+//!   assigner that lets refinement skip most of it after the first round.
 //! - [`cost`](mod@cost): weighted `cost_z(P, C)` evaluation for k-means (`z = 2`) and
 //!   k-median (`z = 1`).
 //! - [`kmeanspp`](mod@kmeanspp): weighted D^z-sampling seeding (k-means++ of Arthur &
 //!   Vassilvitskii, adapted to both objectives), the seeding inside standard
 //!   sensitivity sampling.
-//! - [`lloyd`]: weighted Lloyd iterations (k-means) and Weiszfeld-based
-//!   alternation (k-median) used for the downstream-task experiments and the
-//!   distortion metric's candidate solutions.
+//! - [`lloyd`]: the one refinement loop — weighted Lloyd iterations
+//!   (k-means) and Weiszfeld-based alternation (k-median), bound-pruned —
+//!   used for the downstream-task experiments and the distortion metric's
+//!   candidate solutions.
 //! - [`kmedian`]: the weighted geometric median (Weiszfeld's algorithm).
-//! - [`hamerly`]: bound-pruned exact k-means (identical results to Lloyd,
-//!   most assignment scans skipped) for the large-`k` downstream solves.
 //! - [`init`]: alternative seedings — random and greedy k-means++ \[4\].
 //! - [`local_search`](mod@local_search): single-swap local search, an extension baseline.
 //! - [`solver`]: the [`solver::Solver`] enum dispatching every refinement
@@ -25,7 +24,6 @@
 
 pub mod assign;
 pub mod cost;
-pub mod hamerly;
 pub mod init;
 pub mod kmeanspp;
 pub mod kmedian;
@@ -38,7 +36,6 @@ pub mod solver;
 pub use assign::{assign, Assignment};
 pub use cost::{cost, per_point_cost};
 pub use fc_geom::distance::CostKind;
-pub use hamerly::hamerly_kmeans;
 pub use init::{greedy_kmeanspp, random_seeding};
 pub use kmeanspp::kmeanspp;
 pub use lloyd::{refine, LloydConfig};

@@ -5,6 +5,14 @@
 //! median. Used by the paper's downstream-task experiments (Table 8) and
 //! inside the coreset distortion metric, where the candidate solution `C_Ω`
 //! is obtained by seeding + Lloyd *on the coreset*.
+//!
+//! [`refine`] is the workspace's one refinement loop, for both objectives.
+//! Its assignment step is [`BoundedAssigner`]: the first round scans, later
+//! rounds measure only the distances the triangle inequality cannot prove
+//! unchanged — a few per cent in the long tail where centers barely move.
+//! What is returned does not depend on that: labels, centers, cost and the
+//! stopping round are bit for bit those of the same loop over the plain
+//! [`assign`](crate::assign::assign) scan (`tests/refine_reference.rs`).
 
 use fc_geom::dataset::Dataset;
 use fc_geom::distance::CostKind;
@@ -12,7 +20,7 @@ use fc_geom::points::Points;
 
 use fc_geom::par;
 
-use crate::assign::{assign, Assignment};
+use crate::assign::{group_count, Assignment, BoundedAssigner};
 use crate::kmedian::{geometric_median, weighted_means_by_label, WeiszfeldConfig};
 use crate::solution::Solution;
 
@@ -50,12 +58,31 @@ impl LloydConfig {
 }
 
 /// Refines `initial` centers on `data` with weighted Lloyd (k-means) or
-/// Weiszfeld alternation (k-median). Returns the refined solution; the cost
-/// is guaranteed non-increasing across rounds (asserted in debug builds).
+/// Weiszfeld alternation (k-median), until a round improves the cost by
+/// less than `cfg.tol` of itself or `cfg.max_iters` rounds have run. The
+/// returned cost is the cost of the returned centers. The k-means step
+/// raises it by rounding at most and Weiszfeld's within its own tolerance,
+/// so the round that trips the stop rule may be a hair worse than the one
+/// before it.
 ///
 /// Empty clusters are re-seeded at the point with the largest current cost
 /// contribution, the standard practical fix.
 pub fn refine(data: &Dataset, initial: Points, kind: CostKind, cfg: LloydConfig) -> Solution {
+    let groups = group_count(data.len(), initial.len());
+    refine_with_groups(data, initial, kind, cfg, groups)
+}
+
+/// [`refine`] with the assigner's group count forced instead of derived.
+/// The count changes how much is skipped and nothing that is returned;
+/// the reference proptest holds 1, `⌈k/10⌉` and `k` to the same bits.
+#[doc(hidden)]
+pub fn refine_with_groups(
+    data: &Dataset,
+    initial: Points,
+    kind: CostKind,
+    cfg: LloydConfig,
+    groups: usize,
+) -> Solution {
     assert!(
         !initial.is_empty(),
         "refinement needs at least one initial center"
@@ -63,28 +90,30 @@ pub fn refine(data: &Dataset, initial: Points, kind: CostKind, cfg: LloydConfig)
     assert!(!data.is_empty(), "cannot refine on an empty dataset");
     let k = initial.len();
     let mut centers = initial;
-    let mut assignment = assign(data.points(), &centers, kind);
-    let mut current_cost = assignment.total_cost(data.weights());
+    let mut assigner = BoundedAssigner::new(data.points(), &centers, kind, groups);
+    let mut cost = assigner.assignment().total_cost(data.weights());
+    let mut rounds = 0;
 
     for _ in 0..cfg.max_iters {
-        centers = recompute_centers(data, &assignment, k, kind, cfg.weiszfeld, &centers);
-        let new_assignment = assign(data.points(), &centers, kind);
-        let new_cost = new_assignment.total_cost(data.weights());
-        assignment = new_assignment;
-        // The k-means step is provably monotone; Weiszfeld's step is monotone
-        // up to its own convergence tolerance.
-        let improved = current_cost - new_cost;
-        if new_cost <= 0.0 || improved <= cfg.tol * current_cost.max(f64::MIN_POSITIVE) {
-            current_cost = new_cost.min(current_cost);
+        rounds += 1;
+        let assignment = assigner.assignment();
+        let moved = recompute_centers(data, assignment, k, kind, cfg.weiszfeld, &centers);
+        assigner.reassign(data.points(), &centers, &moved, kind);
+        centers = moved;
+        let previous = cost;
+        cost = assigner.assignment().total_cost(data.weights());
+        if cost <= 0.0 || previous - cost <= cfg.tol * previous.max(f64::MIN_POSITIVE) {
             break;
         }
-        current_cost = new_cost;
     }
 
+    let (labels, distance_evals) = assigner.finish();
     Solution {
         centers,
-        labels: assignment.labels,
-        cost: current_cost,
+        labels,
+        cost,
+        rounds,
+        distance_evals,
     }
 }
 

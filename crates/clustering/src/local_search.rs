@@ -70,6 +70,9 @@ pub fn local_search<R: Rng + ?Sized>(
         centers,
         labels: assignment.labels,
         cost: best_cost,
+        rounds: cfg.trials,
+        // One pricing before the swaps, one per swap, one final assignment.
+        distance_evals: (cfg.trials as u64 + 2) * (data.len() * k) as u64,
     }
 }
 

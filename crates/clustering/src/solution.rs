@@ -4,8 +4,8 @@ use fc_geom::dataset::Dataset;
 use fc_geom::distance::CostKind;
 use fc_geom::points::Points;
 
-/// A candidate solution: `k` centers, per-point labels, and the weighted
-/// cost under which it was produced.
+/// A candidate solution: `k` centers, per-point labels, the weighted cost
+/// under which it was produced, and what producing it took.
 #[derive(Debug, Clone)]
 pub struct Solution {
     /// The center store (`k × d`).
@@ -13,8 +13,13 @@ pub struct Solution {
     /// Nearest-center label for each point of the dataset the solution was
     /// computed on.
     pub labels: Vec<usize>,
-    /// Weighted `cost_z` at the time of construction.
+    /// Weighted `cost_z` of `centers` on that dataset.
     pub cost: f64,
+    /// Refinement rounds run (local search: swaps tried).
+    pub rounds: usize,
+    /// Point–center distances the refinement evaluated. A plain scan
+    /// evaluates `n · k · (rounds + 1)`; the gap is what pruning skipped.
+    pub distance_evals: u64,
 }
 
 impl Solution {
@@ -42,6 +47,8 @@ mod tests {
             centers,
             labels: vec![0, 0],
             cost: 0.0,
+            rounds: 0,
+            distance_evals: 0,
         };
         let d = Dataset::from_flat(vec![3.0, 4.0, 0.0, 0.0], 2).unwrap();
         assert!((sol.cost_on(&d, CostKind::KMeans) - 25.0).abs() < 1e-12);

@@ -2,17 +2,23 @@
 //!
 //! The paper's pitch is a *family* of compressors selectable by one knob;
 //! the downstream solve deserves the same treatment. [`Solver`] names every
-//! refinement strategy the workspace implements — plain Lloyd/Weiszfeld
-//! alternation, Hamerly's bound-pruned exact k-means, single-swap local
-//! search — behind one dispatch, with canonical string names
+//! refinement strategy the workspace implements — Lloyd/Weiszfeld
+//! alternation (bound-pruned, [`crate::lloyd::refine`]) and single-swap
+//! local search — behind one dispatch, with canonical string names
 //! (`Display`/`FromStr`) shared by the library API and the serving
 //! protocol, so "which solver" is spelled identically everywhere.
+//!
+//! `hamerly` is a compatibility alias. It named a second bound-pruned
+//! k-means that ran to an assignment fixpoint and ignored `tol`; `refine`
+//! now prunes for every caller, so the name — on the wire, in persisted
+//! plans — runs `lloyd`'s loop, honours `tol` and returns the same bits.
+//! It keeps its k-means-only [`Solver::supports`] rule, so stored plans
+//! validate as they always did.
 
 use fc_geom::dataset::Dataset;
 use fc_geom::distance::CostKind;
 use rand::Rng;
 
-use crate::hamerly::hamerly_kmeans;
 use crate::kmeanspp::kmeanspp;
 use crate::lloyd::{refine, LloydConfig};
 use crate::local_search::{local_search, LocalSearchConfig};
@@ -25,8 +31,8 @@ pub enum Solver {
     /// k-means++ seeding + weighted Lloyd (k-means) or Weiszfeld
     /// alternation (k-median). Works under both objectives.
     Lloyd,
-    /// Hamerly's bound-pruned exact k-means — identical fixed points to
-    /// Lloyd, most assignment scans skipped. k-means only.
+    /// Compatibility alias of [`Solver::Lloyd`] (module docs): the same
+    /// loop, the same `tol`, the same bits. k-means only.
     Hamerly,
     /// Single-swap local search; slower, escapes some Lloyd minima. Works
     /// under both objectives.
@@ -47,7 +53,7 @@ pub const ALL_SOLVERS: [Solver; 4] = [
 /// Per-solver tuning knobs, with usable defaults.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SolveConfig {
-    /// Budget for Lloyd / Hamerly / Weiszfeld alternation.
+    /// Budget for Lloyd / Weiszfeld alternation.
     pub lloyd: LloydConfig,
     /// Budget for local search.
     pub local_search: LocalSearchConfig,
@@ -134,10 +140,9 @@ impl Solver {
         }
         let seeding = kmeanspp(rng, data, k, kind);
         Ok(match self {
-            Solver::Lloyd | Solver::KMedianWeiszfeld => {
+            Solver::Lloyd | Solver::Hamerly | Solver::KMedianWeiszfeld => {
                 refine(data, seeding.centers, kind, cfg.lloyd)
             }
-            Solver::Hamerly => hamerly_kmeans(data, seeding.centers, cfg.lloyd),
             Solver::LocalSearch => local_search(rng, data, seeding.centers, kind, cfg.local_search),
         })
     }
@@ -252,7 +257,7 @@ mod tests {
     }
 
     #[test]
-    fn hamerly_matches_lloyd_fixed_points() {
+    fn hamerly_is_lloyd_under_another_name() {
         let d = two_blobs();
         let mut r1 = StdRng::seed_from_u64(9);
         let mut r2 = StdRng::seed_from_u64(9);
@@ -263,6 +268,9 @@ mod tests {
         let b = Solver::Hamerly
             .solve(&mut r2, &d, 2, CostKind::KMeans, &cfg)
             .unwrap();
-        assert!((a.cost - b.cost).abs() <= 1e-9 * a.cost.max(1.0));
+        assert_eq!(a.centers, b.centers);
+        assert_eq!(a.labels, b.labels);
+        assert_eq!(a.cost.to_bits(), b.cost.to_bits());
+        assert_eq!((a.rounds, a.distance_evals), (b.rounds, b.distance_evals));
     }
 }

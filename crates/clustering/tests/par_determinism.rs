@@ -95,28 +95,33 @@ fn kmedian_refinement_is_bit_identical_across_thread_counts() {
     }
 }
 
+/// The tolerance stop is decided on a chunk-summed cost, and the pruned
+/// assignment keeps per-point bounds across rounds: both must come out the
+/// same however the chunks were scheduled.
 #[test]
-fn hamerly_is_bit_identical_across_thread_counts() {
+fn tolerance_stopped_refinement_is_bit_identical_across_thread_counts() {
     let data = mixture(3 * par::CHUNK_POINTS + 100, 8, 31);
     let init = par::with_threads(1, || {
         let mut rng = StdRng::seed_from_u64(5);
         kmeanspp(&mut rng, &data, 5, CostKind::KMeans).centers
     });
-    let reference = par::with_threads(1, || {
-        bits(&fc_clustering::hamerly::hamerly_kmeans(
+    let run = || {
+        let sol = refine(
             &data,
             init.clone(),
-            LloydConfig::fixed(6),
-        ))
-    });
+            CostKind::KMeans,
+            LloydConfig::default(),
+        );
+        (bits(&sol), sol.rounds, sol.distance_evals)
+    };
+    let reference = par::with_threads(1, run);
+    assert!(
+        (2..LloydConfig::default().max_iters).contains(&reference.1),
+        "stopped by tolerance, after {} rounds",
+        reference.1
+    );
     for threads in [2usize, 8] {
-        let got = par::with_threads(threads, || {
-            bits(&fc_clustering::hamerly::hamerly_kmeans(
-                &data,
-                init.clone(),
-                LloydConfig::fixed(6),
-            ))
-        });
+        let got = par::with_threads(threads, run);
         assert_eq!(reference, got, "{threads} threads diverged from 1 thread");
     }
 }

@@ -264,7 +264,7 @@ impl PlanBuilder {
         self
     }
 
-    /// Adjusts the Lloyd/Hamerly/Weiszfeld refinement budget.
+    /// Adjusts the Lloyd/Weiszfeld refinement budget.
     pub fn lloyd(mut self, lloyd: fc_clustering::LloydConfig) -> Self {
         self.solve.lloyd = lloyd;
         self

@@ -199,7 +199,9 @@ fn nearest_sq_generic(p: &[f64], centers: &[f64], dim: usize) -> (usize, f64) {
 /// Dispatches a closure-shaped computation on the dimension: common small
 /// dimensions get the monomorphized branch-free kernel, everything else
 /// the pruned generic scan. One `match`, shared by the single-point and
-/// block entry points so they cannot drift.
+/// block entry points — and, exported, by `fc_clustering`'s bound-keeping
+/// assigner — so the set of specialized dimensions cannot drift.
+#[macro_export]
 macro_rules! dispatch_dim {
     ($dim:expr, $fixed:ident, $generic:expr, ($($arg:expr),*)) => {
         match $dim {

@@ -31,6 +31,13 @@
 //! `cost` miss probes Ω's key only where pricing is local. Capacity 0
 //! disables the cache: nothing is probed, stored or counted.
 //!
+//! **Effort.** Every solve that actually runs adds to three counters:
+//! `fc_solve_rounds_total`, `fc_solve_distance_evals_total` (point–center
+//! distances the solver measured) and `fc_solve_distance_scan_total` (what
+//! a plain scan would have measured, `n · k · (rounds + 1)`); one minus
+//! their ratio is the share of the solve that bound pruning skipped. A
+//! cache hit solves nothing and adds nothing.
+//!
 //! **Where the serving-coreset memo goes.** Today the request seed
 //! selects Ω, so two seeds at one state compress twice. ROADMAP item 2
 //! keys Ω by state alone and lets the seed vary only the solve: a change
@@ -164,6 +171,9 @@ pub struct QueryPath {
     cost_seconds: Histogram,
     cache_hits: Counter,
     cache_misses: Counter,
+    solve_rounds: Counter,
+    solve_distance_evals: Counter,
+    solve_distance_scan: Counter,
 }
 
 impl QueryPath {
@@ -193,6 +203,9 @@ impl QueryPath {
             cost_seconds: op_seconds("cost"),
             cache_hits: registry.counter("fc_cache_hits_total"),
             cache_misses: registry.counter("fc_cache_misses_total"),
+            solve_rounds: registry.counter("fc_solve_rounds_total"),
+            solve_distance_evals: registry.counter("fc_solve_distance_evals_total"),
+            solve_distance_scan: registry.counter("fc_solve_distance_scan_total"),
         }
     }
 
@@ -289,6 +302,11 @@ impl QueryPath {
                 kind,
                 &SolveConfig::default(),
             )?;
+            let rounds = solution.rounds as u64;
+            self.solve_rounds.add(rounds);
+            self.solve_distance_evals.add(solution.distance_evals);
+            self.solve_distance_scan
+                .add((coreset.len() * solution.k()) as u64 * (rounds + 1));
             let outcome = ClusterOutcome {
                 solution,
                 kind,

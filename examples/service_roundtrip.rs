@@ -82,8 +82,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("replay with seed {} reproduced the clustering", result.seed);
 
     // Per-request overrides, parsed from the same canonical names the
-    // library exposes: a Hamerly-refined clustering and a one-off
-    // uniform-sampled serving coreset.
+    // library exposes: a solver by name — `hamerly` is kept as an alias of
+    // `lloyd`, so under the same seed it answers with the same centers —
+    // and a one-off uniform-sampled serving coreset.
     let hamerly = client.cluster(
         "gaussians",
         Some(k),
@@ -91,6 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some("hamerly".parse::<Solver>()?),
         Some(result.seed),
     )?;
+    assert_eq!(hamerly.centers, result.centers, "one loop, two names");
     println!(
         "solver override: {} refined {} centers",
         hamerly.solver,

@@ -20,7 +20,7 @@
 //! `--method` and `--solver` take the canonical names of
 //! `fc_core::plan::Method` and `fc_clustering::Solver` (e.g.
 //! `fast-coreset`, `uniform`, `merge-reduce(lightweight)`; `lloyd`,
-//! `hamerly`) — the same strings the JSON protocol accepts per request.
+//! `local-search`) — the same strings the JSON protocol accepts per request.
 //!
 //! `--solve-threads` sets the worker-thread count for the parallel
 //! query-path kernels (assignment, accumulation, sensitivity passes) —

@@ -71,7 +71,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`fc_geom`] | point stores, weighted datasets, distances, JL projections, weighted sampling |
-//! | [`fc_clustering`] | k-means++ seeding, Lloyd/Weiszfeld/Hamerly/local-search refinement behind the [`Solver`](prelude::Solver) dispatch |
+//! | [`fc_clustering`] | k-means++ seeding, bound-pruned Lloyd/Weiszfeld refinement and local search behind the [`Solver`](prelude::Solver) dispatch |
 //! | [`fc_quadtree`] | compressed quadtrees, Fast-kmeans++, Crude-Approx, Reduce-Spread, HST k-median |
 //! | [`fc_core`] | the [`Plan`](prelude::Plan) API and its JSON wire form, Fast-Coresets (Algorithm 1), the sampler spectrum, streaming composition ([`fc_core::streaming`]: merge-&-reduce, BICO, StreamKM++, MapReduce), distortion metric, [`FcError`](prelude::FcError), the dependency-free [`fc_core::json`] codec |
 //! | [`fc_data`] | the paper's artificial datasets and real-world proxies |
