@@ -1,4 +1,4 @@
-//! Ablations over the design choices DESIGN.md calls out (not paper tables,
+//! Ablations over this implementation's design choices (not paper tables,
 //! but the knobs the paper's analysis motivates):
 //!
 //! 1. **Weight mode** — plain inverse-probability weights vs. the

@@ -1,5 +1,6 @@
 //! Experiment harness reproducing every table and figure of the paper's
-//! evaluation (Section 5). See DESIGN.md §4 for the experiment index.
+//! evaluation (Section 5); `benches/` is the experiment index, one file
+//! per table or figure.
 //!
 //! Each experiment is a `harness = false` bench target that prints the
 //! paper's rows (plus a `JSON ` line per table for machine consumption).

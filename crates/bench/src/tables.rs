@@ -1,6 +1,6 @@
 //! Table rendering for the experiment benches: aligned console output in
 //! the paper's `mean ± variance` style plus one machine-readable JSON line
-//! per table (consumed when updating EXPERIMENTS.md).
+//! per table.
 
 use fc_geom::stats::{mean, variance};
 

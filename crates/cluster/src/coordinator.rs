@@ -162,8 +162,9 @@ pub struct CoordinatorConfig {
     /// Base of the deterministic seed sequence for requests that carry no
     /// explicit seed.
     pub base_seed: u64,
-    /// Offer every node connection the `bin1` binary frame upgrade
-    /// (default). Nodes that decline stay on JSON-lines per connection,
+    /// Offer every node connection the binary frame upgrade — `bin1c`
+    /// first, then `bin1` (default). Nodes that decline stay on JSON-lines
+    /// per connection,
     /// so a mixed fleet keeps working; `false` pins the whole fleet to
     /// the text protocol.
     pub binary_wire: bool,
@@ -555,9 +556,9 @@ impl Coordinator {
     /// routed — shares one I/O engine, one retry schedule, and one set of
     /// per-node metrics.
     ///
-    /// Each request is encoded per *connection*: `bin1` frames on
-    /// connections that negotiated the binary upgrade at dial time,
-    /// JSON-lines otherwise — a mixed fleet works mid-rollout.
+    /// Each request is encoded per *connection*: binary frames on
+    /// connections that negotiated the upgrade at dial time, JSON-lines
+    /// otherwise — a mixed fleet works mid-rollout.
     #[cfg(target_os = "linux")]
     fn drive_requests(
         &self,
@@ -565,7 +566,7 @@ impl Coordinator {
         request_for: impl Fn(usize) -> Request + Sync,
     ) -> Vec<Result<Response, ClientError>> {
         use fc_service::reactor::{drive_exchanges, Exchange};
-        use fc_service::{wire, WireFrame};
+        use fc_service::session;
 
         /// Zero means "no timeout" in [`NodeTimeouts`]; the exchange
         /// driver wants a finite deadline, so map zero to a year.
@@ -596,40 +597,32 @@ impl Coordinator {
         let n = nodes.len();
         let mut outcomes: Vec<Option<Result<Response, ClientError>>> =
             std::iter::repeat_with(|| None).take(n).collect();
+        let first_attempt = |node, client, from_pool, request: Request| Live {
+            node,
+            client: Some(client),
+            from_pool,
+            redialed: false,
+            attempt: 1,
+            op: request.op_name(),
+            request,
+        };
         let mut live: Vec<Live> = Vec::new();
-        let mut cold: Vec<(usize, Request, &'static str)> = Vec::new();
+        let mut cold: Vec<(usize, Request)> = Vec::new();
         for &idx in which {
             let request = request_for(idx);
-            let op = request.op_name();
             match nodes[idx].pooled() {
-                Some(client) => live.push(Live {
-                    node: idx,
-                    client: Some(client),
-                    from_pool: true,
-                    redialed: false,
-                    attempt: 1,
-                    request,
-                    op,
-                }),
-                None => cold.push((idx, request, op)),
+                Some(client) => live.push(first_attempt(idx, client, true, request)),
+                None => cold.push((idx, request)),
             }
         }
         // Cold nodes (empty pools) dial concurrently, so an unreachable
         // fleet costs one connect timeout, not one per node in series.
         // Steady-state queries take the pooled path above and spawn
         // nothing.
-        let cold_nodes: Vec<usize> = cold.iter().map(|(idx, _, _)| *idx).collect();
-        for ((idx, request, op), dialed) in cold.into_iter().zip(self.dial_many(&cold_nodes)) {
+        let cold_nodes: Vec<usize> = cold.iter().map(|(idx, _)| *idx).collect();
+        for ((idx, request), dialed) in cold.into_iter().zip(self.dial_many(&cold_nodes)) {
             match dialed {
-                Ok(client) => live.push(Live {
-                    node: idx,
-                    client: Some(client),
-                    from_pool: false,
-                    redialed: false,
-                    attempt: 1,
-                    request,
-                    op,
-                }),
+                Ok(client) => live.push(first_attempt(idx, client, false, request)),
                 // The dial already marked the node's health.
                 Err(e) => outcomes[idx] = Some(Err(ClientError::Io(e))),
             }
@@ -645,16 +638,10 @@ impl Coordinator {
                         .take()
                         .expect("every live slot holds a connection")
                         .into_parts();
-                    // Encode for *this* connection's negotiated protocol
-                    // — pooled `bin1c`/`bin1` and freshly-dialed JSON
+                    // Encoded for *this* connection's negotiated dialect —
+                    // pooled `bin1c`/`bin1` and freshly-dialed JSON
                     // connections can coexist in one fan-out.
-                    let request = if codec.is_binary() {
-                        wire::request_frame(&l.request, Some(&trace), codec.is_checked())
-                    } else {
-                        let mut line = l.request.to_json_with_trace(Some(&trace)).into_bytes();
-                        line.push(b'\n');
-                        line
-                    };
+                    let request = session::encode_request(&codec, &l.request, Some(&trace));
                     Exchange {
                         stream,
                         codec,
@@ -704,21 +691,7 @@ impl Coordinator {
                 client.set_response_timeout(self.timeouts.read_opt());
                 match result.outcome {
                     Ok(frame) => {
-                        let parsed = match &frame {
-                            WireFrame::Line(line) => Response::from_json(line.trim_end()),
-                            WireFrame::Binary(payload) | WireFrame::Checked(payload) => {
-                                wire::decode_response(payload)
-                            }
-                        };
-                        let outcome = match parsed {
-                            Ok(Response::Error { message, code }) => Err(match code {
-                                Some(ErrorCode::Overloaded) => ClientError::Overloaded(message),
-                                code => ClientError::Server { message, code },
-                            }),
-                            Ok(response) => Ok(response),
-                            Err(e) => Err(ClientError::Protocol(e)),
-                        };
-                        match outcome {
+                        match session::decode_reply(&frame) {
                             Err(ClientError::Overloaded(_))
                                 if l.attempt < self.retry.attempts.max(1) =>
                             {

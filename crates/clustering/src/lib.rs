@@ -16,7 +16,6 @@
 //!   used for the downstream-task experiments and the distortion metric's
 //!   candidate solutions.
 //! - [`kmedian`]: the weighted geometric median (Weiszfeld's algorithm).
-//! - [`init`]: alternative seedings — random and greedy k-means++ \[4\].
 //! - [`local_search`](mod@local_search): single-swap local search, an extension baseline.
 //! - [`solver`]: the [`solver::Solver`] enum dispatching every refinement
 //!   strategy by canonical name — the solve-side mirror of the compressor
@@ -24,7 +23,6 @@
 
 pub mod assign;
 pub mod cost;
-pub mod init;
 pub mod kmeanspp;
 pub mod kmedian;
 pub mod lloyd;
@@ -36,7 +34,6 @@ pub mod solver;
 pub use assign::{assign, Assignment};
 pub use cost::{cost, per_point_cost};
 pub use fc_geom::distance::CostKind;
-pub use init::{greedy_kmeanspp, random_seeding};
 pub use kmeanspp::kmeanspp;
 pub use lloyd::{refine, LloydConfig};
 pub use local_search::{local_search, LocalSearchConfig};

@@ -13,8 +13,8 @@
 //! `Unbiased` keeps plain inverse-probability weights (what the authors'
 //! released code computes); `Rebalanced { epsilon }` additionally appends the
 //! cluster centers with corrective weight `(1+ε)·W(C_i) − Ŵ(C_i)` (clamped
-//! at zero). DESIGN.md discusses the dimensional mismatch in the printed
-//! formula; an ablation bench compares the two.
+//! at zero). An ablation bench (`crates/bench/benches/ablations.rs`)
+//! compares the two.
 
 use fc_geom::sampling::AliasTable;
 use fc_geom::{Dataset, Points};

@@ -9,7 +9,7 @@
 //! - [`realworld`]: synthetic *proxies* for the seven public datasets the
 //!   paper evaluates (Adult, MNIST, Star, Song, Cover Type, Taxi, Census).
 //!   The proxies reproduce the structural property each dataset contributes
-//!   to the evaluation (see DESIGN.md §3) at a configurable scale.
+//!   to the evaluation (see that module's docs) at a configurable scale.
 //!
 //! All generators add the paper's uniform noise `η ∈ [0, 0.001]^d` so points
 //! are unique, and are fully deterministic given the RNG.

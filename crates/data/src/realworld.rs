@@ -1,13 +1,12 @@
 //! Synthetic proxies for the paper's real-world datasets (Table 3).
 //!
-//! The offline environment has no access to UCI/MNIST/Porto-taxi data, so —
-//! per the substitution policy in DESIGN.md §3 — each dataset is replaced by
-//! a generator reproducing the *structural property the paper attributes to
+//! The offline environment has no access to UCI/MNIST/Porto-taxi data, so
+//! each dataset is replaced by a generator reproducing the *structural property the paper attributes to
 //! it*: where uniform sampling fails (Star's tiny bright cluster, Taxi's
 //! power-law cluster sizes and GPS glitches), where everything is benign
 //! (Adult, MNIST, Census), and where geometry is heavy-tailed (Song).
 //! Absolute distortion values differ from the paper's; the qualitative
-//! outcome (which method fails where) is what EXPERIMENTS.md tracks.
+//! outcome (which method fails where) is what `tests/failure_modes.rs` pins.
 
 use fc_geom::{Dataset, Points};
 use rand::Rng;

@@ -7,9 +7,10 @@
 //! mechanism layer — `fc-service` decides *when* to log and snapshot,
 //! this crate decides *how* bytes reach disk and come back:
 //!
-//! - [`record`]: the length-prefixed, CRC-32-checksummed binary framing
-//!   every on-disk file uses. A torn tail (partial write at crash) is
-//!   detected, never mis-parsed.
+//! - [`record`]: the little-endian record vocabulary and the
+//!   length-prefixed, CRC-32-checksummed envelope every on-disk file
+//!   uses — and, with a different header, `fc-service`'s binary wire. A
+//!   torn tail (partial write at crash) is detected, never mis-parsed.
 //! - [`wal`]: a per-shard write-ahead log ([`ShardLog`]) of ingested
 //!   blocks with monotonic sequence numbers, segment rotation, an
 //!   [`FsyncPolicy`] (`always` / `interval` / `never`), and rollback of

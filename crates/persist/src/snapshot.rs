@@ -16,7 +16,7 @@ use std::path::Path;
 use fc_geom::Dataset;
 
 use crate::meta::write_atomic;
-use crate::record::{self, Cursor, ReadOutcome};
+use crate::record::{self, Cursor, Envelope, ReadOutcome};
 use crate::PersistError;
 
 /// Payload layout version.
@@ -55,8 +55,10 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
+    /// The snapshot as one sealed on-disk record.
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        let at = Envelope::Record.open(&mut out);
         out.push(VERSION);
         record::put_u64(&mut out, self.id);
         record::put_u64(&mut out, self.seq);
@@ -64,8 +66,7 @@ impl Snapshot {
         record::put_u64(&mut out, self.blocks);
         record::put_u64(&mut out, self.points);
         record::put_f64(&mut out, self.weight);
-        record::put_u32(&mut out, self.plan_json.len() as u32);
-        out.extend_from_slice(self.plan_json.as_bytes());
+        record::put_str(&mut out, &self.plan_json);
         match &self.summary {
             None => out.push(0),
             Some(data) => {
@@ -80,6 +81,7 @@ impl Snapshot {
                 record::put_u64(&mut out, *seq);
             }
         }
+        Envelope::Record.seal(&mut out, at);
         out
     }
 
@@ -94,8 +96,7 @@ impl Snapshot {
         let blocks = cur.u64()?;
         let points = cur.u64()?;
         let weight = cur.f64()?;
-        let plan_len = cur.u32()? as usize;
-        let plan_json = std::str::from_utf8(cur.bytes(plan_len)?).ok()?.to_owned();
+        let plan_json = cur.str()?;
         let summary = match cur.u8()? {
             0 => None,
             1 => Some(record::get_dataset(&mut cur)?),
@@ -108,7 +109,7 @@ impl Snapshot {
                 return None;
             }
             for _ in 0..n {
-                let client = record::get_str(&mut cur)?;
+                let client = cur.str()?;
                 let seq = cur.u64()?;
                 clients.push((client, seq));
             }
@@ -133,8 +134,7 @@ impl Snapshot {
 
     /// Writes the snapshot file atomically under `dir`.
     pub fn store(&self, dir: &Path) -> Result<(), PersistError> {
-        let framed = record::frame(&self.encode());
-        write_atomic(&dir.join(Self::file_name(self.id)), &framed)?;
+        write_atomic(&dir.join(Self::file_name(self.id)), &self.encode())?;
         Ok(())
     }
 
@@ -156,7 +156,7 @@ impl Snapshot {
         if pos != buf.len() {
             return Err(corrupt("trailing bytes after snapshot record"));
         }
-        Snapshot::decode(&payload).ok_or_else(|| corrupt("undecodable snapshot payload"))
+        Snapshot::decode(payload).ok_or_else(|| corrupt("undecodable snapshot payload"))
     }
 }
 

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use fc_geom::Dataset;
 
-use crate::record::{self, Cursor, ReadOutcome};
+use crate::record::{self, Cursor, Envelope, ReadOutcome};
 use crate::snapshot::Snapshot;
 use crate::PersistError;
 
@@ -184,7 +184,7 @@ impl ShardLog {
             loop {
                 let record_start = pos;
                 match record::read_framed(&buf, &mut pos) {
-                    ReadOutcome::Record(payload) => match decode_wal_payload(&payload) {
+                    ReadOutcome::Record(payload) => match decode_wal_payload(payload) {
                         Some(rec) => {
                             max_seq = max_seq.max(rec.seq);
                             if rec.seq > snap_seq {
@@ -306,9 +306,10 @@ impl ShardLog {
             self.rotate()?;
         }
         let seq = self.next_seq;
-        let mut payload = Vec::new();
-        record::put_u64(&mut payload, seq);
-        record::put_dataset(&mut payload, block);
+        let mut framed = Vec::new();
+        let at = Envelope::Record.open(&mut framed);
+        record::put_u64(&mut framed, seq);
+        record::put_dataset(&mut framed, block);
         if !meta.is_empty() {
             let mut flags = 0u8;
             if meta.client.is_some() {
@@ -317,16 +318,16 @@ impl ShardLog {
             if meta.trace.is_some() {
                 flags |= META_FLAG_TRACE;
             }
-            payload.push(flags);
+            framed.push(flags);
             if let Some((client, client_seq)) = &meta.client {
-                record::put_str(&mut payload, client);
-                record::put_u64(&mut payload, *client_seq);
+                record::put_str(&mut framed, client);
+                record::put_u64(&mut framed, *client_seq);
             }
             if let Some(trace) = &meta.trace {
-                record::put_str(&mut payload, trace);
+                record::put_str(&mut framed, trace);
             }
         }
-        let framed = record::frame(&payload);
+        Envelope::Record.seal(&mut framed, at);
         let offset = self.segment_len;
         self.file.write_all(&framed)?;
         self.segment_len += framed.len() as u64;
@@ -486,12 +487,12 @@ fn decode_wal_payload(payload: &[u8]) -> Option<WalRecord> {
             return None;
         }
         if flags & META_FLAG_CLIENT != 0 {
-            let client = record::get_str(&mut cur)?;
+            let client = cur.str()?;
             let client_seq = cur.u64()?;
             meta.client = Some((client, client_seq));
         }
         if flags & META_FLAG_TRACE != 0 {
-            meta.trace = Some(record::get_str(&mut cur)?);
+            meta.trace = Some(cur.str()?);
         }
     }
     cur.is_done().then_some(WalRecord { seq, block, meta })

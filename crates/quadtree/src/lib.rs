@@ -19,7 +19,6 @@
 //!   DP (the Section 8.4 extension).
 
 pub mod crude;
-pub mod diagnostics;
 pub mod fast_kmeanspp;
 pub mod grid;
 pub mod hst;

@@ -1,7 +1,8 @@
 //! A blocking client for the service: JSON-lines by default, with an
-//! opt-in upgrade to the `bin1` binary wire protocol
-//! ([`ServiceClient::negotiate_binary`]) that skips float formatting and
-//! parsing on the ingest/cost hot path.
+//! opt-in upgrade to a binary wire dialect — checksummed `bin1c`, else
+//! classic `bin1` ([`ServiceClient::negotiate_binary`]) — that skips
+//! float formatting and parsing on the ingest/cost hot path. Requests are
+//! encoded and replies decoded by [`crate::session`]'s client half.
 
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -9,7 +10,7 @@ use std::time::Duration;
 
 use crate::backend::IngestOutcome;
 use crate::framing::{WireCodec, WireFrame};
-use crate::wire;
+use crate::session;
 
 use fc_clustering::{CostKind, Solver};
 use fc_core::plan::{Method, Plan};
@@ -255,27 +256,9 @@ impl ServiceClient {
         // rides along, so a coordinator's node calls carry the same id
         // the client sent the coordinator.
         let trace = fc_telemetry::current_trace();
-        let bytes = if self.codec.is_binary() {
-            wire::request_frame(request, trace.as_deref(), self.codec.is_checked())
-        } else {
-            let mut line = request.to_json_with_trace(trace.as_deref()).into_bytes();
-            line.push(b'\n');
-            line
-        };
+        let bytes = session::encode_request(&self.codec, request, trace.as_deref());
         self.stream.write_all(&bytes)?;
-        let response = match self.read_frame()? {
-            WireFrame::Line(line) => Response::from_json(line.trim_end())?,
-            WireFrame::Binary(payload) | WireFrame::Checked(payload) => {
-                wire::decode_response(&payload)?
-            }
-        };
-        if let Response::Error { message, code } = response {
-            return Err(match code {
-                Some(ErrorCode::Overloaded) => ClientError::Overloaded(message),
-                code => ClientError::Server { message, code },
-            });
-        }
-        Ok(response)
+        session::decode_reply(&self.read_frame()?)
     }
 
     /// Blocks until the codec produces one complete frame, under the
@@ -436,46 +419,31 @@ impl ServiceClient {
          -> Result<(), ClientError> {
             // Io/decode failures abort (the connection is broken); server
             // error responses are recorded and draining continues.
-            let response = match client.read_frame()? {
-                WireFrame::Line(line) => Response::from_json(line.trim_end())?,
-                WireFrame::Binary(payload) | WireFrame::Checked(payload) => {
-                    wire::decode_response(&payload)?
-                }
-            };
-            match response {
-                Response::Ingested {
+            let failed = match session::decode_reply(&client.read_frame()?) {
+                Ok(Response::Ingested {
                     total_points,
                     total_weight,
                     ..
-                } => *last = Some((total_points, total_weight)),
-                Response::Error { message, code } if first_err.is_none() => {
-                    *first_err = Some(match code {
-                        Some(ErrorCode::Overloaded) => ClientError::Overloaded(message),
-                        code => ClientError::Server { message, code },
-                    });
+                }) => {
+                    *last = Some((total_points, total_weight));
+                    return Ok(());
                 }
-                Response::Error { .. } => {}
-                other if first_err.is_none() => {
-                    *first_err = Some(ClientError::UnexpectedResponse(Box::new(other)));
-                }
-                _ => {}
-            }
+                Ok(other) => ClientError::UnexpectedResponse(Box::new(other)),
+                Err(e @ (ClientError::Server { .. } | ClientError::Overloaded(_))) => e,
+                Err(e) => return Err(e),
+            };
+            first_err.get_or_insert(failed);
             Ok(())
         };
         for batch in batches {
             let first = last.is_none() && in_flight == 0;
             let plan = plan.filter(|_| first);
             let request = Self::ingest_request(dataset, batch, plan, None, None)?;
-            if self.codec.is_binary() {
-                out.extend_from_slice(&wire::request_frame(
-                    &request,
-                    trace.as_deref(),
-                    self.codec.is_checked(),
-                ));
-            } else {
-                out.extend_from_slice(request.to_json_with_trace(trace.as_deref()).as_bytes());
-                out.push(b'\n');
-            }
+            out.extend_from_slice(&session::encode_request(
+                &self.codec,
+                &request,
+                trace.as_deref(),
+            ));
             in_flight += 1;
             if in_flight >= window {
                 self.stream.write_all(&out)?;
@@ -637,23 +605,20 @@ impl ServiceClient {
         addr: &str,
         capacity: Option<f64>,
     ) -> Result<(u64, usize, usize), ClientError> {
-        match self.request(&Request::AddNode {
+        self.fleet_change(&Request::AddNode {
             addr: addr.into(),
             capacity,
-        })? {
-            Response::FleetUpdated {
-                epoch,
-                nodes,
-                migrated,
-            } => Ok((epoch, nodes, migrated)),
-            other => Err(ClientError::UnexpectedResponse(Box::new(other))),
-        }
+        })
     }
 
     /// Drains a node out of the fleet served by a coordinator. Same
     /// contract as [`Self::add_node`].
     pub fn drain_node(&mut self, addr: &str) -> Result<(u64, usize, usize), ClientError> {
-        match self.request(&Request::DrainNode { addr: addr.into() })? {
+        self.fleet_change(&Request::DrainNode { addr: addr.into() })
+    }
+
+    fn fleet_change(&mut self, request: &Request) -> Result<(u64, usize, usize), ClientError> {
+        match self.request(request)? {
             Response::FleetUpdated {
                 epoch,
                 nodes,

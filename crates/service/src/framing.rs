@@ -1,38 +1,32 @@
 //! Incremental wire framing: bytes in, complete frames out.
 //!
-//! Two frame formats share this module. The default is one UTF-8 request
-//! or response per `\n`-terminated line; [`LineCodec`] turns an arbitrary
+//! Three frame formats share this module. [`LineCodec`] turns an arbitrary
 //! byte stream — frames split or coalesced at any boundary the transport
-//! happened to pick — back into whole lines, without ever blocking: push
-//! whatever bytes arrived, then drain the complete frames. A connection
-//! may upgrade to the length-prefixed binary format (`bin1`, negotiated
-//! via a `{"op":"hello","proto":"bin1"}` line); [`BinaryCodec`] frames
-//! that stream as `[u32 LE payload length][payload]` records. The
-//! checksummed variant (`bin1c`) frames as
-//! `[u32 LE length][u32 LE crc32][payload]` — the length counts the
-//! checksum and the payload, so the boundary arithmetic is unchanged —
-//! and verifies each payload's CRC-32 before handing it up.
-//! [`WireCodec`] abstracts over all three so the reactor server's
-//! non-blocking reads, the blocking [`crate::ServiceClient`], and the
-//! `fc-cluster` coordinator's multiplexed node connections all frame
-//! through one type.
+//! happened to pick — back into `\n`-terminated UTF-8 lines without ever
+//! blocking: push whatever bytes arrived, then drain the complete frames.
+//! [`BinaryCodec`] does the same for the two binary envelopes of
+//! [`fc_persist::record::Envelope`]: `[u32 LE length][payload]` (`bin1`)
+//! and `[u32 LE length][u32 LE crc32][payload]` (`bin1c`, the length
+//! counting the checksum too, each payload verified before it is handed
+//! up). [`WireCodec`] abstracts over all three, so every side of a
+//! connection frames through one type; what a connection *does* with its
+//! frames — the upgrade handshake, which errors are answered and where —
+//! is [`crate::session`].
 //!
 //! Failure shapes differ in what can happen next:
 //!
 //! - an invalid-UTF-8 line is *recoverable* — the frame boundary is known,
-//!   so the line is discarded, an error can be answered, and the stream
-//!   resynchronizes at the next newline;
+//!   so the line is discarded and the stream resynchronizes at the next
+//!   newline;
 //! - an oversized frame (no newline within [`LineCodec::max_frame`]
 //!   bytes, or a binary length prefix past the limit) is *fatal* — the
 //!   boundary of the runaway frame is unknowable (or the peer is asking
-//!   the server to buffer without bound), so the connection must be
-//!   answered once and closed;
+//!   the server to buffer without bound), so the codec poisons itself;
 //! - a binary stream that ends mid-frame is *fatal* at EOF — unlike a
 //!   line, a truncated length-prefixed record has no implicit terminator;
 //! - a checksum mismatch on a `bin1c` frame is *recoverable* — the length
-//!   prefix fixed the frame's boundary, so the damaged frame is discarded,
-//!   an error can be answered in its pipeline position, and the stream
-//!   resynchronizes at the next frame.
+//!   prefix fixed the frame's boundary, so the damaged frame is discarded
+//!   and the stream resynchronizes at the next frame.
 
 /// Largest *request* frame the server buffers. A peer that never sends a
 /// newline would otherwise grow the buffer until the process OOMs; 64 MiB
@@ -154,44 +148,18 @@ impl LineCodec {
     /// `Ok(None)` means "no complete frame yet — read more bytes".
     pub fn next_frame(&mut self) -> Result<Option<String>, FrameError> {
         if self.poisoned {
-            return Err(FrameError::Oversized {
-                limit: self.max_frame,
-            });
+            return Err(self.oversized());
         }
         let unscanned = &self.buf[self.start + self.scanned..];
         match unscanned.iter().position(|&b| b == b'\n') {
             Some(offset) => {
                 let end = self.start + self.scanned + offset;
-                // The limit binds whether or not the newline has arrived:
-                // a complete frame past it is rejected, not returned (one
-                // big push must not bypass what chunked pushes enforce).
-                if end - self.start > self.max_frame {
-                    self.poisoned = true;
-                    return Err(FrameError::Oversized {
-                        limit: self.max_frame,
-                    });
-                }
-                let mut line_end = end;
-                if line_end > self.start && self.buf[line_end - 1] == b'\r' {
-                    line_end -= 1;
-                }
-                let frame = std::str::from_utf8(&self.buf[self.start..line_end])
-                    .map(str::to_owned)
-                    .map_err(|_| FrameError::InvalidUtf8);
-                // Consume the frame (newline included) on both outcomes:
-                // an invalid-UTF-8 line has a known boundary, so the
-                // stream resynchronizes at the byte after its newline.
-                self.start = end + 1;
-                self.scanned = 0;
-                frame.map(Some)
+                self.cut(end, end + 1).map(Some)
             }
             None => {
                 self.scanned = self.buf.len() - self.start;
                 if self.scanned > self.max_frame {
-                    self.poisoned = true;
-                    return Err(FrameError::Oversized {
-                        limit: self.max_frame,
-                    });
+                    return Err(self.oversized());
                 }
                 Ok(None)
             }
@@ -206,19 +174,22 @@ impl LineCodec {
     /// rules as [`Self::next_frame`] apply.
     pub fn finish(&mut self) -> Result<Option<String>, FrameError> {
         if self.poisoned {
-            return Err(FrameError::Oversized {
-                limit: self.max_frame,
-            });
+            return Err(self.oversized());
         }
         if self.buffered() == 0 {
             return Ok(None);
         }
         let end = self.buf.len();
+        self.cut(end, end).map(Some)
+    }
+
+    /// Takes the line `[start, end)` and resumes framing at `next`.
+    fn cut(&mut self, end: usize, next: usize) -> Result<String, FrameError> {
+        // The limit binds whether or not the newline has arrived: a
+        // complete frame past it is rejected, not returned (one big push
+        // must not bypass what chunked pushes enforce).
         if end - self.start > self.max_frame {
-            self.poisoned = true;
-            return Err(FrameError::Oversized {
-                limit: self.max_frame,
-            });
+            return Err(self.oversized());
         }
         let mut line_end = end;
         if line_end > self.start && self.buf[line_end - 1] == b'\r' {
@@ -227,9 +198,19 @@ impl LineCodec {
         let frame = std::str::from_utf8(&self.buf[self.start..line_end])
             .map(str::to_owned)
             .map_err(|_| FrameError::InvalidUtf8);
-        self.start = end;
+        // Consume the frame on both outcomes: an invalid-UTF-8 line has a
+        // known boundary, so the stream resynchronizes right behind it.
+        self.start = next;
         self.scanned = 0;
-        frame.map(Some)
+        frame
+    }
+
+    /// Poisons the codec: it refuses to resynchronize afterwards.
+    fn oversized(&mut self) -> FrameError {
+        self.poisoned = true;
+        FrameError::Oversized {
+            limit: self.max_frame,
+        }
     }
 
     /// Whether an oversized frame has poisoned this codec (the connection
@@ -291,13 +272,9 @@ impl BinaryCodec {
         Self::with_remainder_checked(max_frame, Vec::new(), true)
     }
 
-    /// Builds a codec pre-seeded with bytes the transport already
-    /// delivered (frames the peer pipelined behind its upgrade request).
-    pub fn with_remainder(max_frame: usize, remainder: Vec<u8>) -> Self {
-        Self::with_remainder_checked(max_frame, remainder, false)
-    }
-
-    /// [`Self::with_remainder`], in either classic or checksummed mode.
+    /// Builds a codec, classic or checksummed, pre-seeded with bytes the
+    /// transport already delivered (frames the peer pipelined behind its
+    /// upgrade request).
     pub fn with_remainder_checked(max_frame: usize, remainder: Vec<u8>, checked: bool) -> Self {
         Self {
             buf: remainder,
@@ -311,11 +288,6 @@ impl BinaryCodec {
     /// Whether this codec verifies per-frame CRCs (`bin1c`).
     pub fn is_checked(&self) -> bool {
         self.checked
-    }
-
-    /// The configured frame limit in bytes.
-    pub fn max_frame(&self) -> usize {
-        self.max_frame
     }
 
     /// Appends bytes read from the transport.
@@ -363,22 +335,15 @@ impl BinaryCodec {
         if avail.len() < 4 + len {
             return Ok(None);
         }
-        if self.checked {
-            if len < 4 {
-                self.start += 4 + len;
-                return Err(FrameError::Corrupt);
-            }
-            let stored = u32::from_le_bytes([avail[4], avail[5], avail[6], avail[7]]);
-            let payload = self.buf[self.start + 8..self.start + 4 + len].to_vec();
-            self.start += 4 + len;
-            if fc_persist::crc32(&payload) != stored {
-                return Err(FrameError::Corrupt);
-            }
-            return Ok(Some(payload));
+        let body = &avail[4..4 + len];
+        let payload = if self.checked {
+            fc_persist::record::verified(body)
+        } else {
+            Some(body)
         }
-        let payload = self.buf[self.start + 4..self.start + 4 + len].to_vec();
+        .map(<[u8]>::to_vec);
         self.start += 4 + len;
-        Ok(Some(payload))
+        payload.map(Some).ok_or(FrameError::Corrupt)
     }
 
     /// Signals EOF. Leftover bytes mean the stream died mid-frame: unlike
@@ -437,16 +402,6 @@ impl WireCodec {
         WireCodec::Json(LineCodec::new(max_frame))
     }
 
-    /// A binary codec with the given frame limit.
-    pub fn binary(max_frame: usize) -> Self {
-        WireCodec::Binary(BinaryCodec::new(max_frame))
-    }
-
-    /// A checksummed (`bin1c`) binary codec with the given frame limit.
-    pub fn binary_checked(max_frame: usize) -> Self {
-        WireCodec::Binary(BinaryCodec::new_checked(max_frame))
-    }
-
     /// Whether this codec frames the binary format (either flavour).
     pub fn is_binary(&self) -> bool {
         matches!(self, WireCodec::Binary(_))
@@ -455,14 +410,6 @@ impl WireCodec {
     /// Whether this codec frames the checksummed binary format.
     pub fn is_checked(&self) -> bool {
         matches!(self, WireCodec::Binary(c) if c.is_checked())
-    }
-
-    /// The configured frame limit in bytes.
-    pub fn max_frame(&self) -> usize {
-        match self {
-            WireCodec::Json(c) => c.max_frame(),
-            WireCodec::Binary(c) => c.max_frame(),
-        }
     }
 
     /// Appends bytes read from the transport.

@@ -16,6 +16,12 @@
 //!   seeded solve — shared by the engine and the `fc-cluster`
 //!   coordinator, which differ only in how they obtain the summary
 //!   ([`QuerySource`]).
+//! - [`session`]: the one implementation of the connection protocol, with
+//!   no socket in it — the `hello` upgrade, framing errors answered in
+//!   pipeline position, fatal vs. recoverable, one answer per frame with
+//!   a panicking backend call contained; and the client's encode / decode
+//!   / error mapping — shared by both server I/O models, the client and
+//!   the `fc-cluster` coordinator's exchange driver.
 //! - [`protocol`]: the request/response types and their JSON-lines codec
 //!   (the dependency-free [`fc_core::json`], re-exported as [`json`] —
 //!   plans cross the wire in the library's own
@@ -23,9 +29,8 @@
 //! - [`backend`]: the [`Backend`] trait the server dispatches through —
 //!   [`Engine`] is the reference implementation, and the `fc-cluster`
 //!   coordinator serves a whole node fleet behind the same trait.
-//! - [`framing`]: the incremental [`framing::LineCodec`] — bytes in,
-//!   complete JSON-lines frames out — shared by server, client, and the
-//!   `fc-cluster` coordinator.
+//! - [`framing`] / [`wire`]: the incremental codecs — bytes in, complete
+//!   JSON-lines or binary frames out — and the binary payload encoding.
 //! - [`reactor`] (Linux): a hand-rolled epoll readiness layer — poller,
 //!   eventfd wakeup token, and a one-thread multiplexed request driver.
 //! - [`server`] / [`client`]: the TCP server — an epoll reactor plus a
@@ -67,6 +72,7 @@ pub mod query;
 #[cfg(target_os = "linux")]
 pub mod reactor;
 pub mod server;
+pub mod session;
 pub mod wire;
 
 pub use fc_core::json;

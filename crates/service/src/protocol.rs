@@ -97,7 +97,7 @@ pub enum Request {
     /// format; old servers answer an `unknown op` error and the client
     /// stays on JSON-lines.
     Hello {
-        /// The requested protocol ([`BINARY_PROTO`] is the only one).
+        /// The requested protocol: [`BINARY_PROTO_CRC`] or [`BINARY_PROTO`].
         proto: String,
     },
     /// Appends a weighted point batch to a dataset (created on first use).

@@ -11,12 +11,13 @@
 //!   correct everywhere `std::net` works, and the fallback on platforms
 //!   without epoll.
 //!
-//! Both models frame requests with the shared incremental
-//! [`WireCodec`] (JSON lines by default, length-prefixed `bin1` frames
-//! after a `hello` upgrade) and dispatch through [`handle_request`], so
-//! protocol behaviour is identical; the reactor additionally serves
+//! Neither model knows the connection protocol: both feed the bytes they
+//! read to a [`Session`] and write what its steps and
+//! [`session::answer`] produce, so protocol behaviour is identical by
+//! construction. What a model owns is scheduling — the reactor serves
 //! *pipelined* requests (many frames in one packet) strictly in order,
-//! batching each run of buffered frames into one executor job.
+//! batching each run of buffered frames into one executor job, and
+//! applies back-pressure and admission control.
 //!
 //! Shutdown is graceful in both models: in-flight requests finish, their
 //! responses flush, then every thread joins. The reactor needs no
@@ -33,9 +34,9 @@ use std::time::Duration;
 
 use crate::backend::Backend;
 use crate::engine::{Engine, EngineError};
-use crate::framing::{FrameError, WireCodec, WireFrame, MAX_FRAME_BYTES};
+use crate::framing::{WireFrame, MAX_FRAME_BYTES};
 use crate::protocol::{self, Request, Response};
-use crate::wire;
+use crate::session::{self, Session, Step};
 
 /// How the server multiplexes its connections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,14 +52,7 @@ pub enum IoModel {
 impl Default for IoModel {
     /// The reactor on Linux, thread-per-connection elsewhere.
     fn default() -> Self {
-        #[cfg(target_os = "linux")]
-        {
-            IoModel::Reactor
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            IoModel::Threaded
-        }
+        IoModel::Reactor.effective()
     }
 }
 
@@ -126,8 +120,8 @@ pub struct ServerOptions {
     /// through a backlog nobody is waiting on anymore. `None` disables
     /// shedding. The threaded model has no queue, so it ignores this.
     pub request_deadline: Option<Duration>,
-    /// Whether connections may upgrade to the `bin1` binary wire protocol
-    /// via the `hello` handshake. On by default — clients that never send
+    /// Whether connections may upgrade to a binary wire dialect (`bin1c`
+    /// or `bin1`) via the `hello` handshake. On by default — clients that never send
     /// a `hello` stay on JSON-lines either way; turning this off makes
     /// the server answer every `hello` with an error (clients then fall
     /// back to JSON), pinning the whole fleet to the text protocol.
@@ -284,140 +278,17 @@ fn engine_error(e: EngineError) -> Response {
     }
 }
 
-/// Parses one request line and executes it — the whole per-request unit
-/// of work both I/O models hand to their executing thread. Empty lines
-/// yield `None` (the protocol skips them silently).
-fn execute_line(backend: &dyn Backend, line: &str) -> Option<Response> {
-    let trimmed = line.trim();
-    if trimmed.is_empty() {
-        return None;
-    }
-    Some(match Request::from_json_with_trace(trimmed) {
-        Ok((request, trace)) => {
-            let op = request.op_name();
-            // The ambient trace id rides the executing thread so a
-            // coordinator backend can stamp it onto its node fan-outs.
-            let _scope = fc_telemetry::set_current_trace(trace.clone());
-            let started = std::time::Instant::now();
-            let response = handle_request(backend, request);
-            if let (Some(id), Some(telemetry)) = (trace, backend.telemetry()) {
-                telemetry.traces.record(&id, op, started.elapsed());
-            }
-            response
-        }
-        Err(e) => Response::Error {
-            message: e.message,
-            code: None,
-        },
-    })
-}
-
-/// The error response answered for a framing failure.
-fn framing_error_response(e: &FrameError) -> Response {
-    Response::Error {
-        message: match e {
-            FrameError::InvalidUtf8 => "request line is not valid UTF-8".to_owned(),
-            FrameError::Oversized { limit } => {
-                format!("request frame exceeds {limit} bytes")
-            }
-            FrameError::Truncated => "request frame truncated at end of stream".to_owned(),
-            FrameError::Corrupt => "request frame failed checksum verification".to_owned(),
-        },
-        code: None,
-    }
-}
-
-/// The wire format one response is encoded in — decided per *request*
-/// frame, so a pipeline that crosses a protocol upgrade answers each
-/// request in the format it arrived in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WireStyle {
-    /// Newline-terminated JSON.
-    Json,
-    /// A classic `bin1` frame.
-    Binary,
-    /// A checksummed `bin1c` frame.
-    Checked,
-}
-
-/// The style a request frame arrived in.
-fn frame_style(frame: &WireFrame) -> WireStyle {
-    match frame {
-        WireFrame::Line(_) => WireStyle::Json,
-        WireFrame::Binary(_) => WireStyle::Binary,
-        WireFrame::Checked(_) => WireStyle::Checked,
-    }
-}
-
-/// The style the codec currently speaks (for locally answered errors).
-fn codec_style(codec: &WireCodec) -> WireStyle {
-    if !codec.is_binary() {
-        WireStyle::Json
-    } else if codec.is_checked() {
-        WireStyle::Checked
-    } else {
-        WireStyle::Binary
-    }
-}
-
-/// Encodes one response in the connection's current wire format: a
-/// newline-terminated JSON line, or one `bin1`/`bin1c` frame.
-fn encode_response(response: &Response, style: WireStyle) -> Vec<u8> {
-    match style {
-        WireStyle::Json => {
-            let mut bytes = response.to_json().into_bytes();
-            bytes.push(b'\n');
-            bytes
-        }
-        WireStyle::Binary => wire::response_frame(response, false),
-        WireStyle::Checked => wire::response_frame(response, true),
-    }
-}
-
-/// `Some(proto)` when `line` is a `hello` request. The substring
-/// pre-filter keeps the hot path at one scan — ordinary requests are
-/// never parsed twice.
-fn hello_proto(line: &str) -> Option<String> {
-    if !line.contains("\"hello\"") {
-        return None;
-    }
-    match Request::from_json_with_trace(line.trim()) {
-        Ok((Request::Hello { proto }, _)) => Some(proto),
-        _ => None,
-    }
-}
-
-/// Whether a `hello` proto names a binary wire this server can upgrade
-/// to; `Some(checked)` picks between classic `bin1` and checksummed
-/// `bin1c` framing.
-fn binary_upgrade(proto: &str) -> Option<bool> {
-    match proto {
-        protocol::BINARY_PROTO => Some(false),
-        protocol::BINARY_PROTO_CRC => Some(true),
-        _ => None,
-    }
-}
-
-/// Decodes and executes one binary request frame. Unlike blank JSON
-/// lines, every binary frame gets an answer — garbage decodes to a
-/// structured error in its pipelined position.
-fn execute_binary(backend: &dyn Backend, payload: &[u8]) -> Response {
-    match wire::decode_request(payload) {
-        Ok((request, trace)) => {
-            let op = request.op_name();
-            let _scope = fc_telemetry::set_current_trace(trace.clone());
-            let started = std::time::Instant::now();
-            let response = handle_request(backend, request);
-            if let (Some(id), Some(telemetry)) = (trace, backend.telemetry()) {
-                telemetry.traces.record(&id, op, started.elapsed());
-            }
-            response
-        }
-        Err(e) => Response::Error {
-            message: e.message,
-            code: None,
-        },
-    }
+/// Best-effort structured refusal for a connection over the admission
+/// cap: one `unavailable` error, then close. The socket is still in
+/// blocking mode here and the payload is far below any send buffer,
+/// so the write either lands immediately or the client is gone.
+fn refuse(mut stream: TcpStream, cap: usize) {
+    let refusal = Response::Error {
+        message: format!("connection limit reached ({cap} open connections)"),
+        code: Some(protocol::ErrorCode::Unavailable),
+    };
+    let _ = stream.write_all(&session::json_line(&refusal));
+    let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
 /// Executes one request against a backend. Exposed so tests can drive the
@@ -549,22 +420,19 @@ pub fn handle_request(backend: &dyn Backend, request: Request) -> Response {
                 code: None,
             },
         },
-        Request::AddNode { addr, capacity } => match backend.add_node(&addr, capacity) {
-            Ok((epoch, nodes, migrated)) => Response::FleetUpdated {
-                epoch,
-                nodes,
-                migrated,
-            },
-            Err(e) => engine_error(e),
+        Request::AddNode { addr, capacity } => fleet_updated(backend.add_node(&addr, capacity)),
+        Request::DrainNode { addr } => fleet_updated(backend.drain_node(&addr)),
+    }
+}
+
+fn fleet_updated(change: Result<(u64, usize, usize), EngineError>) -> Response {
+    match change {
+        Ok((epoch, nodes, migrated)) => Response::FleetUpdated {
+            epoch,
+            nodes,
+            migrated,
         },
-        Request::DrainNode { addr } => match backend.drain_node(&addr) {
-            Ok((epoch, nodes, migrated)) => Response::FleetUpdated {
-                epoch,
-                nodes,
-                migrated,
-            },
-            Err(e) => engine_error(e),
-        },
+        Err(e) => engine_error(e),
     }
 }
 
@@ -652,7 +520,7 @@ mod threaded {
             if stop.load(Ordering::SeqCst) {
                 break;
             }
-            let Ok(mut stream) = stream else {
+            let Ok(stream) = stream else {
                 // Persistent accept errors (e.g. fd exhaustion) would
                 // otherwise busy-spin this loop at 100% CPU; pause before
                 // retrying.
@@ -664,19 +532,7 @@ mod threaded {
                 conns.retain(|(h, _)| !h.is_finished());
                 if conns.len() >= max_connections {
                     drop(conns);
-                    // Same structured refusal the reactor model answers:
-                    // one `unavailable` error, then close.
-                    let mut bytes = Response::Error {
-                        message: format!(
-                            "connection limit reached ({max_connections} open connections)"
-                        ),
-                        code: Some(protocol::ErrorCode::Unavailable),
-                    }
-                    .to_json()
-                    .into_bytes();
-                    bytes.push(b'\n');
-                    let _ = stream.write_all(&bytes);
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
+                    refuse(stream, max_connections);
                     continue;
                 }
             }
@@ -713,115 +569,33 @@ mod threaded {
         }
     }
 
-    /// Serves one framing outcome; `Ok(true)` means "stop serving". May
-    /// upgrade `codec` to binary when the frame is a `hello` handshake.
-    fn serve_frame(
-        stream: &mut TcpStream,
-        backend: &dyn Backend,
-        codec: &mut WireCodec,
-        binary_wire: bool,
-        frame: Result<WireFrame, FrameError>,
-        stop: &AtomicBool,
-    ) -> std::io::Result<bool> {
-        let bytes = match frame {
-            Ok(WireFrame::Line(line)) => {
-                if binary_wire {
-                    if let Some(proto) = hello_proto(&line) {
-                        if let Some(checked) = binary_upgrade(&proto) {
-                            // Acknowledge in JSON (the client still reads
-                            // JSON), then decode everything after as
-                            // bin1/bin1c.
-                            stream.write_all(&encode_response(
-                                &Response::Hello { proto },
-                                WireStyle::Json,
-                            ))?;
-                            codec.upgrade_to_binary(checked);
-                            return Ok(stop.load(Ordering::SeqCst));
-                        }
-                    }
-                }
-                match execute_line(backend, &line) {
-                    Some(response) => encode_response(&response, WireStyle::Json),
-                    None => return Ok(false),
-                }
-            }
-            Ok(WireFrame::Binary(payload)) => {
-                encode_response(&execute_binary(backend, &payload), WireStyle::Binary)
-            }
-            Ok(WireFrame::Checked(payload)) => {
-                encode_response(&execute_binary(backend, &payload), WireStyle::Checked)
-            }
-            Err(e) => {
-                stream.write_all(&encode_response(
-                    &framing_error_response(&e),
-                    codec_style(codec),
-                ))?;
-                // Oversized or truncated frames cannot be resynchronized;
-                // a corrupt checked frame was consumed whole, so the
-                // stream resynchronizes at the next frame.
-                return Ok(e.is_fatal());
-            }
-        };
-        stream.write_all(&bytes)?;
-        Ok(stop.load(Ordering::SeqCst))
-    }
-
+    /// Read → push → write each step, until EOF, a fatal step, or
+    /// shutdown (observed between requests, so an in-flight one finishes).
     fn serve_connection(
         mut stream: TcpStream,
         backend: &dyn Backend,
         stop: &AtomicBool,
         binary_wire: bool,
     ) -> std::io::Result<()> {
-        let mut codec = WireCodec::json(MAX_FRAME_BYTES);
+        let mut session = Session::new(binary_wire);
         let mut scratch = vec![0u8; 64 * 1024];
-        'serve: loop {
+        let mut eof = false;
+        while !eof {
+            let n = stream.read(&mut scratch)?;
+            eof = n == 0;
+            session.push(&scratch[..n]);
             // Serve every frame already buffered (pipelined requests)
             // before reading more bytes.
-            loop {
-                match codec.next_frame() {
-                    Ok(Some(frame)) => {
-                        if serve_frame(
-                            &mut stream,
-                            backend,
-                            &mut codec,
-                            binary_wire,
-                            Ok(frame),
-                            stop,
-                        )? {
-                            break 'serve;
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(e) => {
-                        if serve_frame(&mut stream, backend, &mut codec, binary_wire, Err(e), stop)?
-                        {
-                            break 'serve;
-                        }
-                    }
+            while let Some(step) = session.next_step(eof) {
+                match step {
+                    Step::Frame(frame) => stream.write_all(&session::answer(backend, &frame))?,
+                    Step::Reply(bytes) => stream.write_all(&bytes)?,
+                    Step::Fatal(bytes) => return stream.write_all(&bytes),
+                }
+                if stop.load(Ordering::SeqCst) {
+                    return Ok(());
                 }
             }
-            let n = stream.read(&mut scratch)?;
-            if n == 0 {
-                // EOF still terminates a final, newline-less request.
-                match codec.finish() {
-                    Ok(None) => {}
-                    Ok(Some(frame)) => {
-                        serve_frame(
-                            &mut stream,
-                            backend,
-                            &mut codec,
-                            binary_wire,
-                            Ok(frame),
-                            stop,
-                        )?;
-                    }
-                    Err(e) => {
-                        serve_frame(&mut stream, backend, &mut codec, binary_wire, Err(e), stop)?;
-                    }
-                }
-                break;
-            }
-            codec.push(&scratch[..n]);
         }
         Ok(())
     }
@@ -830,13 +604,17 @@ mod threaded {
     /// must be an explicit `shutdown`: the registry keeps a clone of the
     /// stream, so merely dropping this thread's handles would leave the
     /// connection half-open (no FIN) until server shutdown, and a waiting
-    /// client would never see EOF.
+    /// client would never see EOF. It runs from a drop guard, so however
+    /// this thread ends the peer sees the close.
     fn run_connection(stream: TcpStream, backend: &dyn Backend, stop: &AtomicBool, binary: bool) {
-        let closer = stream.try_clone().ok();
-        let _ = serve_connection(stream, backend, stop, binary);
-        if let Some(s) = closer {
-            let _ = s.shutdown(std::net::Shutdown::Both);
+        struct Close(TcpStream);
+        impl Drop for Close {
+            fn drop(&mut self) {
+                let _ = self.0.shutdown(std::net::Shutdown::Both);
+            }
         }
+        let _closer = stream.try_clone().map(Close);
+        let _ = serve_connection(stream, backend, stop, binary);
     }
 }
 
@@ -848,7 +626,6 @@ mod reactor_server {
     use crate::reactor::{Event, Poller, Waker};
     use fc_telemetry::{Counter, Gauge, Histogram, Telemetry};
     use std::os::fd::AsRawFd;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::time::Instant;
 
     const TOKEN_WAKER: u64 = 0;
@@ -946,24 +723,14 @@ mod reactor_server {
         }
     }
 
-    /// A queued frame awaiting dispatch. Locally answered outcomes
-    /// (framing errors, the `hello` acknowledgement) are encoded at
-    /// extraction time — in the wire format the connection spoke *at that
-    /// point* — and stay *in order* with the requests around them, so a
-    /// pipelined client sees its responses in exactly the order it sent
-    /// the frames, even across a mid-pipeline protocol upgrade.
-    enum PendingFrame {
-        Frame(WireFrame),
-        /// An already-encoded local answer (framing error, hello ack).
-        Reply(Vec<u8>),
-        /// Like `Reply`, but the connection closes once it flushes.
-        FatalReply(Vec<u8>),
-    }
-
     struct Conn {
         stream: TcpStream,
-        codec: WireCodec,
-        pending: VecDeque<PendingFrame>,
+        session: Session,
+        /// Extracted steps awaiting dispatch. Locally answered replies
+        /// stay *in order* with the requests around them, so a pipelined
+        /// client sees its responses in exactly the order it sent the
+        /// frames, even across a mid-pipeline protocol upgrade.
+        pending: VecDeque<Step>,
         /// Bytes held by `pending` request frames — the byte-level bound
         /// on pipelining (frame *count* alone would let one connection
         /// queue `PENDING_CAP` × 64 MiB frames).
@@ -990,12 +757,12 @@ mod reactor_server {
     }
 
     impl Conn {
-        fn new(stream: TcpStream, metrics: &ServeMetrics) -> Conn {
+        fn new(stream: TcpStream, binary_wire: bool, metrics: &ServeMetrics) -> Conn {
             metrics.connections_open.add(1);
             metrics.connections_total.incr();
             Conn {
                 stream,
-                codec: WireCodec::json(MAX_FRAME_BYTES),
+                session: Session::new(binary_wire),
                 pending: VecDeque::new(),
                 pending_bytes: 0,
                 write_buf: Vec::new(),
@@ -1028,19 +795,22 @@ mod reactor_server {
             self.pending.len() < PENDING_CAP && self.pending_bytes <= MAX_FRAME_BYTES
         }
 
-        fn push_pending(&mut self, frame: PendingFrame) {
-            if let PendingFrame::Frame(f) = &frame {
-                self.pending_bytes += frame_len(f);
+        fn push_pending(&mut self, step: Step) {
+            match &step {
+                Step::Frame(f) => self.pending_bytes += frame_len(f),
+                Step::Reply(_) => {}
+                // Nothing follows a fatal step: stop reading now.
+                Step::Fatal(_) => self.read_closed = true,
             }
-            self.pending.push_back(frame);
+            self.pending.push_back(step);
         }
 
-        fn pop_pending(&mut self) -> Option<PendingFrame> {
-            let frame = self.pending.pop_front();
-            if let Some(PendingFrame::Frame(f)) = &frame {
+        fn pop_pending(&mut self) -> Option<Step> {
+            let step = self.pending.pop_front();
+            if let Some(Step::Frame(f)) = &step {
                 self.pending_bytes -= frame_len(f);
             }
-            frame
+            step
         }
 
         fn clear_pending(&mut self) {
@@ -1053,11 +823,6 @@ mod reactor_server {
         fn drop(&mut self) {
             self.open.sub(1);
         }
-    }
-
-    /// Whether a frame is a blank JSON line (skipped silently).
-    fn blank_line(frame: &WireFrame) -> bool {
-        matches!(frame, WireFrame::Line(line) if line.trim().is_empty())
     }
 
     /// Request-frame payload size (the byte-level pipelining bound).
@@ -1239,46 +1004,24 @@ mod reactor_server {
             let shed = deadline.is_some_and(|d| waited > d);
             let mut bytes = Vec::new();
             for frame in &job.frames {
-                let style = frame_style(frame);
                 if shed {
                     metrics.deadline_shed.incr();
-                    bytes.extend_from_slice(&encode_response(
-                        &Response::Error {
-                            message: format!(
-                                "request waited {}ms in the executor queue, past the {}ms deadline",
-                                waited.as_millis(),
-                                deadline.unwrap_or_default().as_millis(),
-                            ),
-                            code: Some(protocol::ErrorCode::DeadlineExceeded),
-                        },
-                        style,
-                    ));
+                    let late = Response::Error {
+                        message: format!(
+                            "request waited {}ms in the executor queue, past the {}ms deadline",
+                            waited.as_millis(),
+                            deadline.unwrap_or_default().as_millis(),
+                        ),
+                        code: Some(protocol::ErrorCode::DeadlineExceeded),
+                    };
+                    bytes.extend_from_slice(&session::reply_to(frame, &late));
                     continue;
                 }
-                // A panicking backend call fails its own request, not the
-                // worker: without the catch the unwind would skip
-                // `Msg::Complete` (the connection would stay *executing*
-                // forever) and shrink the pool by one thread per panic.
-                let executed = catch_unwind(AssertUnwindSafe(|| match frame {
-                    WireFrame::Line(line) => execute_line(backend, line),
-                    WireFrame::Binary(payload) | WireFrame::Checked(payload) => {
-                        Some(execute_binary(backend, payload))
-                    }
-                }));
-                let response = executed.unwrap_or_else(|panic| {
-                    let what = panic
-                        .downcast_ref::<&str>()
-                        .copied()
-                        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
-                        .unwrap_or("(no message)");
-                    Some(Response::Error {
-                        message: format!("internal error: the request panicked: {what}"),
-                        code: Some(protocol::ErrorCode::Internal),
-                    })
-                });
-                if let Some(response) = response {
-                    bytes.extend_from_slice(&encode_response(&response, style));
-                }
+                // `answer` contains a panicking backend call: an unwind
+                // through here would skip `Msg::Complete` (the connection
+                // would stay *executing* forever) and shrink the pool by
+                // one thread per panic.
+                bytes.extend_from_slice(&session::answer(backend, frame));
             }
             mailboxes[job.reactor].send(Msg::Complete {
                 conn: job.conn,
@@ -1467,7 +1210,8 @@ mod reactor_server {
             {
                 return;
             }
-            self.conns.insert(token, Conn::new(stream, &self.metrics));
+            self.conns
+                .insert(token, Conn::new(stream, self.binary_wire, &self.metrics));
         }
 
         /// Socket-level I/O for one readiness event. Returns whether the
@@ -1490,7 +1234,7 @@ mod reactor_server {
                         }
                         Ok(n) => {
                             conn.bytes_read.add(n as u64);
-                            conn.codec.push(&scratch[..n]);
+                            conn.session.push(&scratch[..n]);
                             budget = budget.saturating_sub(n);
                             if budget == 0 {
                                 break;
@@ -1513,69 +1257,20 @@ mod reactor_server {
         /// close when finished, and re-arm epoll interest.
         fn pump(&mut self, token: u64) {
             let draining = self.draining;
-            let binary_wire = self.binary_wire;
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
 
-            // Reading → pending: pull complete frames out of the codec.
+            // Reading → pending: pull the steps the buffered bytes hold.
             // This runs even after EOF — a client that writes its request
             // and immediately half-closes must still get its answers for
-            // every complete frame it sent. A `hello` upgrade is applied
-            // *here*, not at dispatch: the codec must flip to binary
-            // before it scans the next buffered byte, or pipelined binary
-            // frames behind the hello would be misparsed as lines.
-            while conn.can_queue() && !conn.codec.is_poisoned() {
-                match conn.codec.next_frame() {
-                    Ok(Some(frame)) => {
-                        if binary_wire {
-                            if let WireFrame::Line(line) = &frame {
-                                if let Some(proto) = hello_proto(line) {
-                                    if let Some(checked) = binary_upgrade(&proto) {
-                                        conn.push_pending(PendingFrame::Reply(encode_response(
-                                            &Response::Hello { proto },
-                                            WireStyle::Json,
-                                        )));
-                                        conn.codec.upgrade_to_binary(checked);
-                                        continue;
-                                    }
-                                }
-                            }
-                        }
-                        conn.push_pending(PendingFrame::Frame(frame));
-                    }
-                    Ok(None) => break,
-                    Err(e) if e.is_fatal() => {
-                        conn.push_pending(PendingFrame::FatalReply(encode_response(
-                            &framing_error_response(&e),
-                            codec_style(&conn.codec),
-                        )));
-                        conn.read_closed = true;
-                        break;
-                    }
-                    Err(e) => conn.push_pending(PendingFrame::Reply(encode_response(
-                        &framing_error_response(&e),
-                        codec_style(&conn.codec),
-                    ))),
-                }
-            }
-            // EOF terminates a final, newline-less request too (finish()
-            // drains the tail, so this yields at most one frame, once).
-            if conn.read_closed && !conn.codec.is_poisoned() && conn.can_queue() {
-                match conn.codec.finish() {
-                    Ok(None) => {}
-                    Ok(Some(frame)) => conn.push_pending(PendingFrame::Frame(frame)),
-                    Err(e) if e.is_fatal() => {
-                        conn.push_pending(PendingFrame::FatalReply(encode_response(
-                            &framing_error_response(&e),
-                            codec_style(&conn.codec),
-                        )));
-                    }
-                    Err(e) => conn.push_pending(PendingFrame::Reply(encode_response(
-                        &framing_error_response(&e),
-                        codec_style(&conn.codec),
-                    ))),
-                }
+            // every complete frame it sent — and EOF terminates a final,
+            // newline-less request too.
+            while conn.can_queue() {
+                let Some(step) = conn.session.next_step(conn.read_closed) else {
+                    break;
+                };
+                conn.push_pending(step);
             }
 
             // Pending → executing: one *job* in flight per connection,
@@ -1583,29 +1278,19 @@ mod reactor_server {
             // queued request frames dispatches as a single batch, so a
             // pipelining client pays the executor round trip once per run
             // instead of once per request. Locally answered replies
-            // (framing errors, hello acks) flush inline, in their
-            // pipelined position — they were encoded against the wire
-            // state at extraction time, so they bound a batch. A drain
-            // stops dispatching new work but lets the in-flight job
-            // finish.
+            // flush inline, in their pipelined position, so they bound a
+            // batch. A drain stops dispatching new work but lets the
+            // in-flight job finish.
             while !conn.inflight && !draining {
                 match conn.pop_pending() {
                     None => break,
-                    Some(PendingFrame::Frame(frame)) => {
-                        let mut frames = Vec::new();
-                        if !blank_line(&frame) {
-                            frames.push(frame);
-                        }
-                        while matches!(conn.pending.front(), Some(PendingFrame::Frame(_))) {
-                            let Some(PendingFrame::Frame(frame)) = conn.pop_pending() else {
+                    Some(Step::Frame(frame)) => {
+                        let mut frames = vec![frame];
+                        while matches!(conn.pending.front(), Some(Step::Frame(_))) {
+                            let Some(Step::Frame(frame)) = conn.pop_pending() else {
                                 unreachable!("front was a request frame");
                             };
-                            if !blank_line(&frame) {
-                                frames.push(frame);
-                            }
-                        }
-                        if frames.is_empty() {
-                            continue; // blank lines are skipped silently
+                            frames.push(frame);
                         }
                         conn.inflight = true;
                         if self
@@ -1624,10 +1309,10 @@ mod reactor_server {
                             return;
                         }
                     }
-                    Some(PendingFrame::Reply(bytes)) => {
+                    Some(Step::Reply(bytes)) => {
                         conn.write_buf.extend_from_slice(&bytes);
                     }
-                    Some(PendingFrame::FatalReply(bytes)) => {
+                    Some(Step::Fatal(bytes)) => {
                         conn.write_buf.extend_from_slice(&bytes);
                         conn.close_after_flush = true;
                         conn.clear_pending();
@@ -1657,7 +1342,7 @@ mod reactor_server {
                 && !conn.close_after_flush
                 && !draining
                 && conn.can_queue()
-                && conn.codec.buffered() <= MAX_FRAME_BYTES
+                && conn.session.buffered() <= MAX_FRAME_BYTES
                 && conn.write_buf.len() < WRITE_HIGH_WATERMARK;
             let want_write = conn.unflushed() > 0;
             if want_read != conn.want_read || want_write != conn.want_write {
@@ -1672,22 +1357,6 @@ mod reactor_server {
                 }
             }
         }
-    }
-
-    /// Best-effort structured refusal for a connection over the admission
-    /// cap: one `unavailable` error, then close. The socket is still in
-    /// blocking mode here and the payload is far below any send buffer,
-    /// so the write either lands immediately or the client is gone.
-    fn refuse(mut stream: TcpStream, cap: usize) {
-        let mut bytes = Response::Error {
-            message: format!("connection limit reached ({cap} open connections)"),
-            code: Some(protocol::ErrorCode::Unavailable),
-        }
-        .to_json()
-        .into_bytes();
-        bytes.push(b'\n');
-        let _ = stream.write_all(&bytes);
-        let _ = stream.shutdown(std::net::Shutdown::Both);
     }
 
     /// Writes as much of the buffer as the socket accepts. Returns `false`

@@ -1,38 +1,32 @@
-//! The `bin1`/`bin1c` binary wire format: opcode-tagged payloads inside
-//! length-prefixed frames.
+//! The binary wire format: opcode-tagged payloads inside length-prefixed
+//! frames.
 //!
-//! A connection negotiates this format with a JSON
-//! `{"op":"hello","proto":"bin1"}` line (see [`crate::protocol`]); after
-//! the server's JSON acknowledgement, every frame in both directions is
-//! `[u32 LE payload length][payload]` ([`crate::framing::BinaryCodec`]).
-//! Negotiating `"proto":"bin1c"` instead selects the checksummed frame
-//! `[u32 LE length][u32 LE crc32][payload]` — identical payload
-//! encodings, but each frame's integrity is verified and a damaged frame
-//! is answered with a structured error in its pipeline position instead
-//! of desynchronizing the stream. Servers that predate `bin1c` decline
-//! the hello and the client falls back to `bin1`, then JSON. The payload
-//! is laid out as:
+//! A connection negotiates it with a JSON `hello` line (the handshake and
+//! the rest of the connection protocol live in [`crate::session`]); after
+//! the server's JSON acknowledgement every frame in both directions is one
+//! [`Envelope`]: `[u32 LE length][payload]` for `"proto":"bin1"`,
+//! `[u32 LE length][u32 LE crc32][payload]` for `"proto":"bin1c"`. A
+//! dialect is an envelope and nothing else — the payload below is encoded
+//! the same way under either header, and [`request_frame`] /
+//! [`response_frame`] hand their `checked` flag to the envelope and read
+//! it nowhere else. The payload is laid out as:
 //!
 //! ```text
 //! [opcode u8][flags u8][if flags&1: trace str]
 //! [if flags&2: client str, seq u64][if flags&4: epoch u64][body...]
 //! ```
 //!
-//! The `flags&2` (ingest identity for exactly-once dedup) and `flags&4`
-//! (fleet epoch) extensions are only emitted on `bin1c` connections —
-//! classic `bin1` peers predate them, so an idented ingest sent to one
-//! rides the embedded-JSON opcode instead, keeping `bin1` byte-for-byte
-//! compatible. Likewise an `ingested` response carries a trailing
-//! `duplicate u8` only on `bin1c`.
-//!
 //! where `str` is `[u32 LE byte length][UTF-8 bytes]` and every number is
-//! little-endian. The hot operations — `ingest` and `cost` requests, and
-//! the numeric responses — get dedicated opcodes whose point payloads are
-//! contiguous `f64` runs with `dim`/`count` headers, decoded straight
-//! into flat buffers ([`fc_core::PointBlock`]) with no per-point
-//! allocation and no text parsing. Everything else ships as opcode `0x00`
-//! / `0x80`: the operation's JSON line embedded as the body, which keeps
-//! the two formats trivially value-identical for the long tail (`stats`,
+//! little-endian ([`fc_persist::record`] is the byte vocabulary, shared
+//! with the WAL). `flags&2` (ingest identity for exactly-once dedup) and
+//! `flags&4` (fleet epoch) are valid on `ingest` only. The hot operations
+//! — `ingest` and `cost` requests, and the numeric responses — get
+//! dedicated opcodes whose point payloads are contiguous `f64` runs with
+//! `dim`/`count` headers, decoded straight into flat buffers
+//! ([`fc_core::PointBlock`]) with no per-point allocation and no text
+//! parsing. Everything else ships as opcode `0x00` / `0x80`: the
+//! operation's JSON line embedded as the body, which keeps the two
+//! formats trivially value-identical for the long tail (`stats`,
 //! `metrics`, plans, ...).
 //!
 //! | opcode | direction | body |
@@ -41,7 +35,7 @@
 //! | `0x01` | request   | ingest: `dataset str, has_weights u8, has_plan u8, [plan str,] dim u32, count u32, count*dim f64, [count f64]` |
 //! | `0x02` | request   | cost: `dataset str, kind u8, dim u32, count u32, count*dim f64` |
 //! | `0x80` | response  | JSON response line (UTF-8) |
-//! | `0x81` | response  | ingested: `dataset str, points u64, total_points u64, total_weight f64[, duplicate u8 — bin1c only]` |
+//! | `0x81` | response  | ingested: `dataset str, points u64, total_points u64, total_weight f64, duplicate u8` (a decoder accepts the layout that ends at the weight as "not a duplicate") |
 //! | `0x82` | response  | coreset: `dataset str, method str, seed u64, dim u32, count u32, count*dim f64, count f64` |
 //! | `0x83` | response  | cost: `dataset str, kind u8, cost f64, coreset_points u64` |
 //! | `0x84` | response  | clustered: `dataset str, kind u8, solver str, coreset_cost f64, coreset_points u64, seed u64, dim u32, count u32, count*dim f64` |
@@ -53,6 +47,7 @@
 use fc_clustering::CostKind;
 use fc_core::plan::Plan;
 use fc_core::PointBlock;
+use fc_persist::record::{put_f64, put_f64s, put_str, put_u32, put_u64, Cursor, Envelope};
 
 use crate::protocol::{ErrorCode, IngestIdent, ProtocolError, Request, Response};
 
@@ -70,30 +65,6 @@ const FLAG_TRACE: u8 = 0x01;
 const FLAG_IDENT: u8 = 0x02;
 const FLAG_EPOCH: u8 = 0x04;
 const KNOWN_FLAGS: u8 = FLAG_TRACE | FLAG_IDENT | FLAG_EPOCH;
-
-fn put_u32(out: &mut Vec<u8>, x: u32) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, x: u64) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, x: f64) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_f64s(out: &mut Vec<u8>, xs: &[f64]) {
-    out.reserve(xs.len() * 8);
-    for x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
 
 fn put_rows(out: &mut Vec<u8>, rows: &[Vec<f64>]) {
     let dim = rows.first().map_or(0, Vec::len);
@@ -124,30 +95,13 @@ fn kind_from_byte(b: u8) -> Result<Option<CostKind>, ProtocolError> {
     }
 }
 
-/// Wraps an encoded payload in its frame header: `[u32 LE length]` for
-/// classic `bin1`, `[u32 LE length][u32 LE crc32]` for `bin1c` (the
-/// length counts the checksum and the payload).
-fn frame(payload: Vec<u8>, checked: bool) -> Vec<u8> {
-    if checked {
-        let mut out = Vec::with_capacity(payload.len() + 8);
-        put_u32(&mut out, payload.len() as u32 + 4);
-        put_u32(&mut out, fc_persist::crc32(&payload));
-        out.extend_from_slice(&payload);
-        return out;
-    }
-    let mut out = Vec::with_capacity(payload.len() + 4);
-    put_u32(&mut out, payload.len() as u32);
-    out.extend_from_slice(&payload);
-    out
-}
-
-/// Encodes a request as one complete binary frame (length prefix
-/// included), ready to write to the transport. `checked` selects the
-/// negotiated flavour: `bin1c` framing plus the ident/epoch payload
-/// extensions, which classic `bin1` peers never see (an idented ingest
-/// bound for one rides the embedded-JSON opcode instead).
+/// Encodes a request as one complete binary frame (header included),
+/// ready to write to the transport. `checked` selects the envelope the
+/// connection negotiated — `bin1c` or classic `bin1` — and nothing else.
 pub fn request_frame(request: &Request, trace: Option<&str>, checked: bool) -> Vec<u8> {
+    let envelope = Envelope::wire(checked);
     let mut p = Vec::with_capacity(64);
+    let at = envelope.open(&mut p);
     match request {
         Request::Ingest {
             dataset,
@@ -155,22 +109,16 @@ pub fn request_frame(request: &Request, trace: Option<&str>, checked: bool) -> V
             plan,
             ident,
             epoch,
-        } if checked || (ident.is_none() && epoch.is_none()) => {
+        } => {
             p.push(OP_REQ_INGEST);
-            let mut flags = 0u8;
-            if trace.is_some() {
-                flags |= FLAG_TRACE;
-            }
+            let mut extensions = 0u8;
             if ident.is_some() {
-                flags |= FLAG_IDENT;
+                extensions |= FLAG_IDENT;
             }
             if epoch.is_some() {
-                flags |= FLAG_EPOCH;
+                extensions |= FLAG_EPOCH;
             }
-            p.push(flags);
-            if let Some(id) = trace {
-                put_str(&mut p, id);
-            }
+            push_flags_and_trace(&mut p, extensions, trace);
             if let Some(ident) = ident {
                 put_str(&mut p, &ident.client);
                 put_u64(&mut p, ident.seq);
@@ -200,7 +148,7 @@ pub fn request_frame(request: &Request, trace: Option<&str>, checked: bool) -> V
             kind,
         } => {
             p.push(OP_REQ_COST);
-            push_flags_and_trace(&mut p, trace);
+            push_flags_and_trace(&mut p, 0, trace);
             put_str(&mut p, dataset);
             p.push(kind_byte(*kind));
             put_rows(&mut p, centers);
@@ -208,23 +156,22 @@ pub fn request_frame(request: &Request, trace: Option<&str>, checked: bool) -> V
         other => {
             // The long tail rides as its own JSON line inside the binary
             // frame — the trace travels in the JSON, as on the text wire.
-            // Idented/epoched ingests bound for classic `bin1` peers land
-            // here too: those peers predate the payload extensions, so
-            // the identity travels in JSON, which they parse (or, for
-            // servers that predate dedup entirely, harmlessly ignore).
             p.push(OP_REQ_JSON);
             p.push(0);
             p.extend_from_slice(other.to_json_with_trace(trace).as_bytes());
         }
     }
-    frame(p, checked)
+    envelope.seal(&mut p, at);
+    p
 }
 
-/// Encodes a response as one complete binary frame (length prefix
-/// included), ready to write to the transport. `checked` selects the
-/// negotiated flavour (see [`request_frame`]).
+/// Encodes a response as one complete binary frame (header included),
+/// ready to write to the transport. `checked` selects the envelope (see
+/// [`request_frame`]).
 pub fn response_frame(response: &Response, checked: bool) -> Vec<u8> {
+    let envelope = Envelope::wire(checked);
     let mut p = Vec::with_capacity(64);
+    let at = envelope.open(&mut p);
     match response {
         Response::Ingested {
             dataset,
@@ -232,19 +179,14 @@ pub fn response_frame(response: &Response, checked: bool) -> Vec<u8> {
             total_points,
             total_weight,
             duplicate,
-        } if checked || !*duplicate => {
+        } => {
             p.push(OP_RESP_INGESTED);
             p.push(0);
             put_str(&mut p, dataset);
             put_u64(&mut p, *points as u64);
             put_u64(&mut p, *total_points);
             put_f64(&mut p, *total_weight);
-            // Only `bin1c` peers know about the trailing duplicate byte;
-            // a classic peer's layout ends at the weight (a duplicate ack
-            // bound for one falls through to the JSON opcode below).
-            if checked {
-                p.push(u8::from(*duplicate));
-            }
+            p.push(u8::from(*duplicate));
         }
         Response::Coreset {
             dataset,
@@ -311,109 +253,63 @@ pub fn response_frame(response: &Response, checked: bool) -> Vec<u8> {
             p.extend_from_slice(other.to_json().as_bytes());
         }
     }
-    frame(p, checked)
+    envelope.seal(&mut p, at);
+    p
 }
 
-fn push_flags_and_trace(p: &mut Vec<u8>, trace: Option<&str>) {
+fn push_flags_and_trace(p: &mut Vec<u8>, extensions: u8, trace: Option<&str>) {
     match trace {
-        None => p.push(0),
+        None => p.push(extensions),
         Some(id) => {
-            p.push(FLAG_TRACE);
+            p.push(extensions | FLAG_TRACE);
             put_str(p, id);
         }
     }
 }
 
-/// A bounds-checked reader over one frame payload.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// A field read off the shared [`Cursor`], in the wire's error
+/// vocabulary: a short payload is a protocol error, not a torn record.
+fn need<T>(field: Option<T>) -> Result<T, ProtocolError> {
+    field.ok_or_else(|| ProtocolError::new("binary frame ends mid-field"))
 }
 
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
+fn get_str(c: &mut Cursor<'_>) -> Result<String, ProtocolError> {
+    let len = need(c.u32())? as usize;
+    std::str::from_utf8(need(c.bytes(len))?)
+        .map(str::to_owned)
+        .map_err(|_| ProtocolError::new("binary frame string is not valid UTF-8"))
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| ProtocolError::new("binary frame ends mid-field"))?;
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
+/// `dim`/`count` header plus the coordinate run, as nested rows.
+fn get_rows(c: &mut Cursor<'_>, what: &str) -> Result<Vec<Vec<f64>>, ProtocolError> {
+    let dim = need(c.u32())? as usize;
+    let count = need(c.u32())? as usize;
+    if dim == 0 || count == 0 {
+        return Err(ProtocolError::new(format!("`{what}` must be non-empty")));
     }
-
-    fn u8(&mut self) -> Result<u8, ProtocolError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtocolError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtocolError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, ProtocolError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String, ProtocolError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        std::str::from_utf8(bytes)
-            .map(str::to_owned)
-            .map_err(|_| ProtocolError::new("binary frame string is not valid UTF-8"))
-    }
-
-    fn f64s(&mut self, n: usize) -> Result<Vec<f64>, ProtocolError> {
-        let bytes = self.take(
-            n.checked_mul(8)
-                .ok_or_else(|| ProtocolError::new("binary frame float run overflows"))?,
-        )?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
-    /// `dim`/`count` header plus the coordinate run, as nested rows.
-    fn rows(&mut self, what: &str) -> Result<Vec<Vec<f64>>, ProtocolError> {
-        let dim = self.u32()? as usize;
-        let count = self.u32()? as usize;
-        if dim == 0 || count == 0 {
-            return Err(ProtocolError::new(format!("`{what}` must be non-empty")));
-        }
-        let flat = self.f64s(
+    let flat = need(
+        c.f64s(
             count
                 .checked_mul(dim)
                 .ok_or_else(|| ProtocolError::new(format!("`{what}` size overflows")))?,
-        )?;
-        if !flat.iter().all(|x| x.is_finite()) {
-            return Err(ProtocolError::new(format!(
-                "`{what}` holds a non-finite coordinate"
-            )));
-        }
-        Ok(flat.chunks_exact(dim).map(<[f64]>::to_vec).collect())
+        ),
+    )?;
+    if !flat.iter().all(|x| x.is_finite()) {
+        return Err(ProtocolError::new(format!(
+            "`{what}` holds a non-finite coordinate"
+        )));
     }
+    Ok(flat.chunks_exact(dim).map(<[f64]>::to_vec).collect())
+}
 
-    fn has_more(&self) -> bool {
-        self.pos < self.buf.len()
-    }
-
-    fn done(&self) -> Result<(), ProtocolError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(ProtocolError::new(format!(
-                "binary frame has {} trailing bytes",
-                self.buf.len() - self.pos
-            )))
-        }
+fn done(c: &Cursor<'_>) -> Result<(), ProtocolError> {
+    if c.is_done() {
+        Ok(())
+    } else {
+        Err(ProtocolError::new(format!(
+            "binary frame has {} trailing bytes",
+            c.rest().len()
+        )))
     }
 }
 
@@ -421,14 +317,14 @@ impl<'a> Cursor<'a> {
 /// stripped by the codec), returning the request and its optional trace.
 pub fn decode_request(payload: &[u8]) -> Result<(Request, Option<String>), ProtocolError> {
     let mut c = Cursor::new(payload);
-    let op = c.u8()?;
+    let op = need(c.u8())?;
     if op == OP_REQ_JSON {
-        let _flags = c.u8()?;
-        let line = std::str::from_utf8(&payload[c.pos..])
+        let _flags = need(c.u8())?;
+        let line = std::str::from_utf8(c.rest())
             .map_err(|_| ProtocolError::new("embedded JSON request is not valid UTF-8"))?;
         return Request::from_json_with_trace(line);
     }
-    let flags = c.u8()?;
+    let flags = need(c.u8())?;
     if flags & !KNOWN_FLAGS != 0 {
         return Err(ProtocolError::new(format!(
             "unknown binary request flags 0x{:02x}",
@@ -436,20 +332,20 @@ pub fn decode_request(payload: &[u8]) -> Result<(Request, Option<String>), Proto
         )));
     }
     let trace = if flags & FLAG_TRACE != 0 {
-        Some(c.str()?)
+        Some(get_str(&mut c)?)
     } else {
         None
     };
     let ident = if flags & FLAG_IDENT != 0 {
         Some(IngestIdent {
-            client: c.str()?,
-            seq: c.u64()?,
+            client: get_str(&mut c)?,
+            seq: need(c.u64())?,
         })
     } else {
         None
     };
     let epoch = if flags & FLAG_EPOCH != 0 {
-        Some(c.u64()?)
+        Some(need(c.u64())?)
     } else {
         None
     };
@@ -460,10 +356,10 @@ pub fn decode_request(payload: &[u8]) -> Result<(Request, Option<String>), Proto
     }
     let request = match op {
         OP_REQ_INGEST => {
-            let dataset = c.str()?;
-            let has_weights = c.u8()? != 0;
-            let plan = if c.u8()? != 0 {
-                let json = c.str()?;
+            let dataset = get_str(&mut c)?;
+            let has_weights = need(c.u8())? != 0;
+            let plan = if need(c.u8())? != 0 {
+                let json = get_str(&mut c)?;
                 Some(
                     Plan::from_json(&json)
                         .map_err(|e| ProtocolError::new(format!("invalid `plan`: {e}")))?,
@@ -471,22 +367,24 @@ pub fn decode_request(payload: &[u8]) -> Result<(Request, Option<String>), Proto
             } else {
                 None
             };
-            let dim = c.u32()? as usize;
-            let count = c.u32()? as usize;
+            let dim = need(c.u32())? as usize;
+            let count = need(c.u32())? as usize;
             if dim == 0 || count == 0 {
                 return Err(ProtocolError::new("`points` must be non-empty"));
             }
-            let data = c.f64s(
-                count
-                    .checked_mul(dim)
-                    .ok_or_else(|| ProtocolError::new("`points` size overflows"))?,
+            let data = need(
+                c.f64s(
+                    count
+                        .checked_mul(dim)
+                        .ok_or_else(|| ProtocolError::new("`points` size overflows"))?,
+                ),
             )?;
             let weights = if has_weights {
-                Some(c.f64s(count)?)
+                Some(need(c.f64s(count))?)
             } else {
                 None
             };
-            c.done()?;
+            done(&c)?;
             let block = PointBlock::new(data, dim, weights)
                 .map_err(|e| ProtocolError::new(format!("invalid `points`: {e}")))?;
             Request::Ingest {
@@ -498,10 +396,10 @@ pub fn decode_request(payload: &[u8]) -> Result<(Request, Option<String>), Proto
             }
         }
         OP_REQ_COST => {
-            let dataset = c.str()?;
-            let kind = kind_from_byte(c.u8()?)?;
-            let centers = c.rows("centers")?;
-            c.done()?;
+            let dataset = get_str(&mut c)?;
+            let kind = kind_from_byte(need(c.u8())?)?;
+            let centers = get_rows(&mut c, "centers")?;
+            done(&c)?;
             Request::Cost {
                 dataset,
                 centers,
@@ -520,24 +418,24 @@ pub fn decode_request(payload: &[u8]) -> Result<(Request, Option<String>), Proto
 /// Decodes one binary response payload (length prefix already stripped).
 pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
     let mut c = Cursor::new(payload);
-    let op = c.u8()?;
+    let op = need(c.u8())?;
     if op == OP_RESP_JSON {
-        let _flags = c.u8()?;
-        let line = std::str::from_utf8(&payload[c.pos..])
+        let _flags = need(c.u8())?;
+        let line = std::str::from_utf8(c.rest())
             .map_err(|_| ProtocolError::new("embedded JSON response is not valid UTF-8"))?;
         return Response::from_json(line);
     }
-    let _flags = c.u8()?;
+    let _flags = need(c.u8())?;
     let response = match op {
         OP_RESP_INGESTED => {
-            let dataset = c.str()?;
-            let points = c.u64()? as usize;
-            let total_points = c.u64()?;
-            let total_weight = c.f64()?;
-            // `bin1c` peers append a duplicate byte; classic peers end at
-            // the weight, which decodes as "not a duplicate".
-            let duplicate = if c.has_more() { c.u8()? != 0 } else { false };
-            c.done()?;
+            let dataset = get_str(&mut c)?;
+            let points = need(c.u64())? as usize;
+            let total_points = need(c.u64())?;
+            let total_weight = need(c.f64())?;
+            // The trailing duplicate byte is optional on decode: a layout
+            // that ends at the weight decodes as "not a duplicate".
+            let duplicate = !c.is_done() && need(c.u8())? != 0;
+            done(&c)?;
             Response::Ingested {
                 dataset,
                 points,
@@ -547,15 +445,14 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
             }
         }
         OP_RESP_CORESET => {
-            let dataset = c.str()?;
-            let method = c
-                .str()?
+            let dataset = get_str(&mut c)?;
+            let method = get_str(&mut c)?
                 .parse()
                 .map_err(|e| ProtocolError::new(format!("invalid `method`: {e}")))?;
-            let seed = c.u64()?;
-            let points = c.rows("points")?;
-            let weights = c.f64s(points.len())?;
-            c.done()?;
+            let seed = need(c.u64())?;
+            let points = get_rows(&mut c, "points")?;
+            let weights = need(c.f64s(points.len()))?;
+            done(&c)?;
             Response::Coreset {
                 dataset,
                 points,
@@ -565,12 +462,12 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
             }
         }
         OP_RESP_COST => {
-            let dataset = c.str()?;
-            let kind = kind_from_byte(c.u8()?)?
+            let dataset = get_str(&mut c)?;
+            let kind = kind_from_byte(need(c.u8())?)?
                 .ok_or_else(|| ProtocolError::new("cost response missing objective"))?;
-            let cost = c.f64()?;
-            let coreset_points = c.u64()? as usize;
-            c.done()?;
+            let cost = need(c.f64())?;
+            let coreset_points = need(c.u64())? as usize;
+            done(&c)?;
             Response::Cost {
                 dataset,
                 cost,
@@ -579,18 +476,17 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
             }
         }
         OP_RESP_CLUSTERED => {
-            let dataset = c.str()?;
-            let kind = kind_from_byte(c.u8()?)?
+            let dataset = get_str(&mut c)?;
+            let kind = kind_from_byte(need(c.u8())?)?
                 .ok_or_else(|| ProtocolError::new("clustered response missing objective"))?;
-            let solver = c
-                .str()?
+            let solver = get_str(&mut c)?
                 .parse()
                 .map_err(|e| ProtocolError::new(format!("invalid `solver`: {e}")))?;
-            let coreset_cost = c.f64()?;
-            let coreset_points = c.u64()? as usize;
-            let seed = c.u64()?;
-            let centers = c.rows("centers")?;
-            c.done()?;
+            let coreset_cost = need(c.f64())?;
+            let coreset_points = need(c.u64())? as usize;
+            let seed = need(c.u64())?;
+            let centers = get_rows(&mut c, "centers")?;
+            done(&c)?;
             Response::Clustered {
                 dataset,
                 centers,
@@ -602,15 +498,15 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
             }
         }
         OP_RESP_ERROR => {
-            let message = c.str()?;
-            let code = if c.u8()? != 0 {
+            let message = get_str(&mut c)?;
+            let code = if need(c.u8())? != 0 {
                 // Unknown codes decode as None, exactly like the JSON
                 // decoder: old clients must survive new server classes.
-                ErrorCode::from_name(&c.str()?)
+                ErrorCode::from_name(&get_str(&mut c)?)
             } else {
                 None
             };
-            c.done()?;
+            done(&c)?;
             Response::Error { message, code }
         }
         other => {
@@ -642,8 +538,7 @@ mod tests {
     }
 
     fn round_trip_request(req: Request, trace: Option<&str>) {
-        // Both wire flavours must round-trip every request — classic
-        // `bin1` routes extension-bearing ingests through embedded JSON.
+        // One payload, two envelopes: both must round-trip every request.
         for checked in [false, true] {
             let payload = strip(request_frame(&req, trace, checked), checked);
             let (decoded, got_trace) = decode_request(&payload).unwrap();
@@ -843,41 +738,6 @@ mod tests {
         );
         payload.push(0);
         assert!(decode_request(&payload).is_err());
-    }
-
-    #[test]
-    fn idented_ingest_keeps_classic_bin1_byte_compatible() {
-        let req = Request::Ingest {
-            dataset: "d".into(),
-            block: PointBlock::new(vec![1.0], 1, None).unwrap(),
-            plan: None,
-            ident: Some(IngestIdent {
-                client: "c".into(),
-                seq: 1,
-            }),
-            epoch: None,
-        };
-        // Classic peers predate the ident flag: the frame must ride the
-        // embedded-JSON opcode they already understand.
-        let classic = strip(request_frame(&req, None, false), false);
-        assert_eq!(classic[0], OP_REQ_JSON);
-        // bin1c peers negotiated the extension: hot opcode plus flag.
-        let checked = strip(request_frame(&req, None, true), true);
-        assert_eq!(checked[0], OP_REQ_INGEST);
-        assert_eq!(checked[1], FLAG_IDENT);
-        // Same story for a duplicate ack in the other direction.
-        let resp = Response::Ingested {
-            dataset: "d".into(),
-            points: 0,
-            total_points: 10,
-            total_weight: 10.0,
-            duplicate: true,
-        };
-        assert_eq!(strip(response_frame(&resp, false), false)[0], OP_RESP_JSON);
-        assert_eq!(
-            strip(response_frame(&resp, true), true)[0],
-            OP_RESP_INGESTED
-        );
     }
 
     #[test]

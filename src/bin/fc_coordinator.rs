@@ -67,25 +67,24 @@
 //! decline stay on JSON per connection — and answers client hellos with
 //! the upgrade on the upward listener; `json` pins both to JSON-lines.
 
+use fast_coresets::cli::{self, ServingFlags};
 use fc_cluster::{Coordinator, CoordinatorConfig, NodeTimeouts, RoutingPolicy};
-use fc_clustering::CostKind;
 use fc_core::plan::PlanBuilder;
-use fc_service::{RetryPolicy, ServerHandle, ServerOptions};
+use fc_service::{RetryPolicy, ServerHandle};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// What `--wire` calls the upgrade-capable mode here.
+const WIRE_ON: &str = "bin1";
 
 fn usage() -> ! {
     eprintln!(
         "usage: fc-coordinator --node HOST:PORT [--node HOST:PORT ...] \
          [--addr HOST:PORT] [--policy round-robin|hash-dataset|capacity] \
          [--replication R] \
-         [--capacity W ...] [--retries N] [--node-timeout-ms MS] [--k K] \
-         [--m-scalar M] [--budget POINTS] [--kmedian] [--method NAME] \
-         [--solver NAME] [--solve-threads N] [--cache-capacity N] \
-         [--io-model reactor|threaded] [--io-threads N] \
-         [--executor-threads N] [--max-connections N] \
-         [--request-deadline-ms N] [--wire bin1|json] \
-         [--metrics-addr HOST:PORT] [--version]"
+         [--capacity W ...] [--retries N] [--node-timeout-ms MS] {} \
+         [--metrics-addr HOST:PORT] [--version]",
+        cli::usage(WIRE_ON)
     );
     std::process::exit(2);
 }
@@ -98,17 +97,10 @@ struct Args {
     replication: usize,
     retries: u32,
     node_timeout_ms: Option<u64>,
-    options: ServerOptions,
-    binary_wire: bool,
+    /// The flags shared with `fc-server`; `--wire` covers both directions
+    /// here — the node dials and the upward listener.
+    serving: ServingFlags,
     metrics_addr: Option<String>,
-    solve_threads: usize,
-    cache_capacity: Option<usize>,
-    k: usize,
-    m_scalar: usize,
-    budget: Option<usize>,
-    kind: CostKind,
-    method: fc_core::plan::Method,
-    solver: fc_clustering::Solver,
 }
 
 fn parse_args() -> Args {
@@ -120,26 +112,15 @@ fn parse_args() -> Args {
         replication: 1,
         retries: RetryPolicy::default().attempts,
         node_timeout_ms: None,
-        options: ServerOptions::default(),
-        binary_wire: true,
+        serving: ServingFlags::default(),
         metrics_addr: None,
-        solve_threads: 0,
-        cache_capacity: None,
-        k: 8,
-        m_scalar: 40,
-        budget: None,
-        kind: CostKind::KMeans,
-        method: fc_core::plan::Method::FastCoreset,
-        solver: fc_clustering::Solver::Lloyd,
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
-        let mut value = |what: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a {what}");
-                usage()
-            })
-        };
+        if parsed.serving.parse(&flag, &mut args, WIRE_ON, usage) {
+            continue;
+        }
+        let mut value = |what: &str| cli::value(&mut args, &flag, what, usage);
         match flag.as_str() {
             "--addr" => parsed.addr = value("host:port"),
             "--node" => parsed.nodes.push(value("host:port")),
@@ -160,66 +141,7 @@ fn parse_args() -> Args {
                 parsed.node_timeout_ms =
                     Some(value("milliseconds").parse().unwrap_or_else(|_| usage()));
             }
-            "--io-model" => {
-                parsed.options.io_model = value("model name").parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage()
-                });
-            }
-            "--io-threads" => {
-                parsed.options.io_threads = value("count").parse().unwrap_or_else(|_| usage());
-            }
-            "--executor-threads" => {
-                parsed.options.executor_threads =
-                    value("count").parse().unwrap_or_else(|_| usage());
-            }
-            "--max-connections" => {
-                parsed.options.max_connections = value("count").parse().unwrap_or_else(|_| usage());
-            }
-            "--request-deadline-ms" => {
-                parsed.options.request_deadline = Some(Duration::from_millis(
-                    value("milliseconds").parse().unwrap_or_else(|_| usage()),
-                ));
-            }
-            "--wire" => match value("protocol").as_str() {
-                "bin1" => parsed.binary_wire = true,
-                "json" => parsed.binary_wire = false,
-                other => {
-                    eprintln!("unknown --wire mode `{other}` (bin1, json)");
-                    usage();
-                }
-            },
             "--metrics-addr" => parsed.metrics_addr = Some(value("host:port")),
-            "--solve-threads" => {
-                let threads: usize = value("count").parse().unwrap_or_else(|_| usage());
-                if threads == 0 {
-                    eprintln!("--solve-threads needs a positive count");
-                    usage();
-                }
-                parsed.solve_threads = threads;
-                fc_geom::par::set_max_threads(threads);
-            }
-            "--cache-capacity" => {
-                parsed.cache_capacity = Some(value("count").parse().unwrap_or_else(|_| usage()));
-            }
-            "--k" => parsed.k = value("count").parse().unwrap_or_else(|_| usage()),
-            "--m-scalar" => parsed.m_scalar = value("count").parse().unwrap_or_else(|_| usage()),
-            "--budget" => {
-                parsed.budget = Some(value("points").parse().unwrap_or_else(|_| usage()));
-            }
-            "--kmedian" => parsed.kind = CostKind::KMedian,
-            "--method" => {
-                parsed.method = value("method name").parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage()
-                });
-            }
-            "--solver" => {
-                parsed.solver = value("solver name").parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage()
-                });
-            }
             "--version" | "-V" => {
                 println!("fc-coordinator {}", fast_coresets::VERSION);
                 std::process::exit(0);
@@ -248,12 +170,13 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
-    let mut builder = PlanBuilder::new(args.k)
-        .m_scalar(args.m_scalar)
-        .kind(args.kind)
-        .method(args.method.clone())
-        .solver(args.solver);
-    if let Some(budget) = args.budget {
+    let serving = args.serving;
+    let mut builder = PlanBuilder::new(serving.k)
+        .m_scalar(serving.m_scalar)
+        .kind(serving.kind)
+        .method(serving.method)
+        .solver(serving.solver);
+    if let Some(budget) = serving.budget {
         builder = builder.compaction_budget(budget);
     }
     let default_plan = match builder.build() {
@@ -263,22 +186,17 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let mut args = args;
-    // One flag, both directions: the node dials and the upward listener.
-    args.options.binary_wire = args.binary_wire;
     let mut config = CoordinatorConfig::new(args.nodes.clone());
     config.policy = args.policy;
     config.replication = args.replication;
     config.default_plan = default_plan;
-    config.binary_wire = args.binary_wire;
+    config.binary_wire = serving.options.binary_wire;
     config.retry = RetryPolicy {
         attempts: args.retries.max(1),
         ..RetryPolicy::default()
     };
-    config.solve_threads = args.solve_threads;
-    if let Some(capacity) = args.cache_capacity {
-        config.cache_capacity = capacity;
-    }
+    config.solve_threads = serving.solve_threads;
+    config.cache_capacity = serving.cache_capacity;
     if let Some(ms) = args.node_timeout_ms {
         let limit = Duration::from_millis(ms);
         config.timeouts = NodeTimeouts {
@@ -304,7 +222,7 @@ fn main() {
     let handle = match ServerHandle::bind_backend_with(
         args.addr.as_str(),
         Arc::clone(&coordinator) as Arc<dyn fc_service::Backend>,
-        args.options,
+        serving.options,
     ) {
         Ok(h) => h,
         Err(e) => {
@@ -337,11 +255,11 @@ fn main() {
         args.nodes.join(", "),
         coordinator.replication(),
         coordinator.fleet_epoch(),
-        match args.options.max_connections {
+        match serving.options.max_connections {
             0 => "unlimited".to_owned(),
             n => n.to_string(),
         },
-        match args.options.request_deadline {
+        match serving.options.request_deadline {
             Some(d) => format!("{}ms", d.as_millis()),
             None => "none".to_owned(),
         },

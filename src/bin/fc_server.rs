@@ -45,7 +45,7 @@
 //! (`GET /metrics`) from a second listener; the JSON protocol's
 //! `metrics` op returns the same registry inline.
 //!
-//! `--wire auto` (the default) answers `{"op":"hello","proto":"bin1"}`
+//! `--wire auto` (the default) answers a `hello` naming `bin1c` or `bin1`
 //! by upgrading that connection to length-prefixed binary frames;
 //! `--wire json` declines every upgrade, pinning the server to the
 //! JSON-lines text protocol (clients fall back automatically).
@@ -74,22 +74,21 @@
 
 use std::time::Duration;
 
-use fc_clustering::CostKind;
+use fast_coresets::cli::{self, ServingFlags};
 use fc_service::{Engine, EngineConfig, FsyncPolicy, PersistConfig, ServerHandle, ServerOptions};
+
+/// What `--wire` calls the upgrade-capable mode here.
+const WIRE_ON: &str = "auto";
 
 fn usage() -> ! {
     eprintln!(
-        "usage: fc-server [--addr HOST:PORT] [--shards N] [--k K] \
-         [--m-scalar M] [--budget POINTS] [--queue-depth N] [--kmedian] \
-         [--method NAME] [--solver NAME] [--solve-threads N] \
-         [--cache-capacity N] [--io-model reactor|threaded] \
-         [--io-threads N] [--executor-threads N] [--max-connections N] \
-         [--request-deadline-ms N] [--wire auto|json] \
+        "usage: fc-server [--addr HOST:PORT] [--shards N] [--queue-depth N] {} \
          [--batch-points N] [--batch-bytes N] [--batch-delay-ms N] \
          [--metrics-addr HOST:PORT] [--data-dir PATH] \
          [--fsync always|interval|never] [--fsync-interval-ms N] \
          [--segment-bytes N] [--snapshot-compactions N] \
-         [--snapshot-bytes N] [--replay-throttle-ms N] [--version]"
+         [--snapshot-bytes N] [--replay-throttle-ms N] [--version]",
+        cli::usage(WIRE_ON)
     );
     std::process::exit(2);
 }
@@ -156,88 +155,23 @@ impl PersistFlags {
 fn parse_args() -> (String, EngineConfig, ServerOptions, Option<String>) {
     let mut addr = "127.0.0.1:4777".to_owned();
     let mut config = EngineConfig::default();
-    let mut options = ServerOptions::default();
+    let mut serving = ServingFlags::default();
     let mut metrics_addr = None;
     let mut persist = PersistFlags::default();
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
-        let mut value = |what: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a {what}");
-                usage()
-            })
-        };
+        if serving.parse(&flag, &mut args, WIRE_ON, usage) {
+            continue;
+        }
+        let mut value = |what: &str| cli::value(&mut args, &flag, what, usage);
         match flag.as_str() {
             "--addr" => addr = value("host:port"),
             "--shards" => {
                 config.shards = value("count").parse().unwrap_or_else(|_| usage());
             }
-            "--k" => config.k = value("count").parse().unwrap_or_else(|_| usage()),
-            "--m-scalar" => {
-                config.m_scalar = value("count").parse().unwrap_or_else(|_| usage());
-            }
-            "--budget" => {
-                config.compaction_budget =
-                    Some(value("points").parse().unwrap_or_else(|_| usage()));
-            }
             "--queue-depth" => {
                 config.shard_queue_depth = value("count").parse().unwrap_or_else(|_| usage());
             }
-            "--kmedian" => config.kind = CostKind::KMedian,
-            "--method" => {
-                config.method = value("method name").parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage()
-                });
-            }
-            "--solver" => {
-                config.solver = value("solver name").parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage()
-                });
-            }
-            "--solve-threads" => {
-                let threads: usize = value("count").parse().unwrap_or_else(|_| usage());
-                if threads == 0 {
-                    eprintln!("--solve-threads needs a positive count");
-                    usage();
-                }
-                config.solve_threads = threads;
-                // Also pin the process-wide default so non-query compute
-                // (shard compactions) honours the same knob.
-                fc_geom::par::set_max_threads(threads);
-            }
-            "--cache-capacity" => {
-                config.cache_capacity = value("count").parse().unwrap_or_else(|_| usage());
-            }
-            "--io-model" => {
-                options.io_model = value("model name").parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage()
-                });
-            }
-            "--io-threads" => {
-                options.io_threads = value("count").parse().unwrap_or_else(|_| usage());
-            }
-            "--executor-threads" => {
-                options.executor_threads = value("count").parse().unwrap_or_else(|_| usage());
-            }
-            "--max-connections" => {
-                options.max_connections = value("count").parse().unwrap_or_else(|_| usage());
-            }
-            "--request-deadline-ms" => {
-                options.request_deadline = Some(Duration::from_millis(
-                    value("milliseconds").parse().unwrap_or_else(|_| usage()),
-                ));
-            }
-            "--wire" => match value("protocol").as_str() {
-                "auto" => options.binary_wire = true,
-                "json" => options.binary_wire = false,
-                other => {
-                    eprintln!("unknown --wire mode `{other}` (auto, json)");
-                    usage();
-                }
-            },
             "--batch-points" => {
                 config.batch_points = value("count").parse().unwrap_or_else(|_| usage());
             }
@@ -281,8 +215,16 @@ fn parse_args() -> (String, EngineConfig, ServerOptions, Option<String>) {
             }
         }
     }
+    config.k = serving.k;
+    config.m_scalar = serving.m_scalar;
+    config.compaction_budget = serving.budget;
+    config.kind = serving.kind;
+    config.method = serving.method;
+    config.solver = serving.solver;
+    config.solve_threads = serving.solve_threads;
+    config.cache_capacity = serving.cache_capacity;
     config.persist = persist.build();
-    (addr, config, options, metrics_addr)
+    (addr, config, serving.options, metrics_addr)
 }
 
 /// Blocks SIGTERM and SIGINT on the calling thread (spawned threads

@@ -83,6 +83,8 @@
 /// daemons of a deployment can never report different versions.
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 
+pub mod cli;
+
 pub use fc_cluster;
 pub use fc_clustering;
 pub use fc_core;

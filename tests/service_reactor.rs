@@ -300,76 +300,82 @@ impl fc_service::Backend for PanickingCluster {
 
 /// A panicking backend call fails its own request — one structured
 /// `internal` error, in pipeline position, JSON or binary — and nothing
-/// else: the executor worker survives, the rest of the batch runs, and
+/// else: the thread that ran it survives, the rest of the batch runs, and
 /// the server still answers after more panics than it has executors.
+/// Both models.
 #[cfg(target_os = "linux")]
 #[test]
 fn backend_panic_fails_the_request_not_the_connection_or_the_pool() {
-    let options = ServerOptions::default();
-    let executors = options.executor_threads;
-    let server = ServerHandle::bind_backend_with(
-        "127.0.0.1:0",
-        std::sync::Arc::new(PanickingCluster(small_engine())),
-        options,
-    )
-    .unwrap();
-    let read_lines = |stream: &mut TcpStream, want: usize| -> Vec<String> {
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let mut replies = String::new();
-        let mut buf = [0u8; 4096];
-        while replies.lines().count() < want || !replies.ends_with('\n') {
-            let n = stream.read(&mut buf).expect("every request gets its reply");
-            assert!(n > 0, "server closed early; got {replies:?}");
-            replies.push_str(std::str::from_utf8(&buf[..n]).unwrap());
-        }
-        replies.lines().map(str::to_owned).collect()
-    };
+    for model in [IoModel::Reactor.effective(), IoModel::Threaded] {
+        let options = ServerOptions {
+            io_model: model,
+            ..Default::default()
+        };
+        let executors = options.executor_threads;
+        let server = ServerHandle::bind_backend_with(
+            "127.0.0.1:0",
+            std::sync::Arc::new(PanickingCluster(small_engine())),
+            options,
+        )
+        .unwrap();
+        let read_lines = |stream: &mut TcpStream, want: usize| -> Vec<String> {
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let mut replies = String::new();
+            let mut buf = [0u8; 4096];
+            while replies.lines().count() < want || !replies.ends_with('\n') {
+                let n = stream.read(&mut buf).expect("every request gets its reply");
+                assert!(n > 0, "server closed early; got {replies:?}");
+                replies.push_str(std::str::from_utf8(&buf[..n]).unwrap());
+            }
+            replies.lines().map(str::to_owned).collect()
+        };
 
-    // One panic per connection, two more than there are executors.
-    for _ in 0..executors + 2 {
+        // One panic per connection, two more than there are executors.
+        for _ in 0..executors + 2 {
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            stream
+                .write_all(b"{\"op\":\"cluster\",\"dataset\":\"d\",\"seed\":1}\n")
+                .unwrap();
+            let lines = read_lines(&mut stream, 1);
+            assert!(
+                lines[0].contains(r#""kind":"error""#) && lines[0].contains(r#""code":"internal""#),
+                "{lines:?}"
+            );
+            assert!(lines[0].contains("injected cluster bug"), "{lines:?}");
+        }
+
+        // Mid-pipeline: the frames around the panicking one still run, and
+        // the connection stays usable afterwards.
         let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream
-            .write_all(b"{\"op\":\"cluster\",\"dataset\":\"d\",\"seed\":1}\n")
-            .unwrap();
-        let lines = read_lines(&mut stream, 1);
-        assert!(
-            lines[0].contains(r#""kind":"error""#) && lines[0].contains(r#""code":"internal""#),
-            "{lines:?}"
+        let pipeline = concat!(
+            r#"{"op":"ingest","dataset":"d","points":[[0,0],[1,1]]}"#,
+            "\n",
+            r#"{"op":"cluster","dataset":"d"}"#,
+            "\n",
+            r#"{"op":"cost","dataset":"d","centers":[[0,0]]}"#,
+            "\n",
         );
-        assert!(lines[0].contains("injected cluster bug"), "{lines:?}");
-    }
+        stream.write_all(pipeline.as_bytes()).unwrap();
+        let lines = read_lines(&mut stream, 3);
+        assert!(lines[0].contains(r#""kind":"ingested""#), "{lines:?}");
+        assert!(lines[1].contains(r#""code":"internal""#), "{lines:?}");
+        assert!(lines[2].contains(r#""kind":"cost""#), "{lines:?}");
+        stream.write_all(b"{\"op\":\"stats\"}\n").unwrap();
+        let lines = read_lines(&mut stream, 1);
+        assert!(lines[0].contains(r#""kind":"stats""#), "{lines:?}");
 
-    // Mid-pipeline: the frames around the panicking one still run, and
-    // the connection stays usable afterwards.
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    let pipeline = concat!(
-        r#"{"op":"ingest","dataset":"d","points":[[0,0],[1,1]]}"#,
-        "\n",
-        r#"{"op":"cluster","dataset":"d"}"#,
-        "\n",
-        r#"{"op":"cost","dataset":"d","centers":[[0,0]]}"#,
-        "\n",
-    );
-    stream.write_all(pipeline.as_bytes()).unwrap();
-    let lines = read_lines(&mut stream, 3);
-    assert!(lines[0].contains(r#""kind":"ingested""#), "{lines:?}");
-    assert!(lines[1].contains(r#""code":"internal""#), "{lines:?}");
-    assert!(lines[2].contains(r#""kind":"cost""#), "{lines:?}");
-    stream.write_all(b"{\"op\":\"stats\"}\n").unwrap();
-    let lines = read_lines(&mut stream, 1);
-    assert!(lines[0].contains(r#""kind":"stats""#), "{lines:?}");
-
-    // The binary dialect answers the same way, in a binary frame.
-    let mut client = ServiceClient::connect(server.addr()).unwrap();
-    assert!(client.negotiate_binary().unwrap());
-    match client.cluster("d", None, None, None, Some(1)) {
-        Err(fc_service::ClientError::Server { code, message }) => {
-            assert_eq!(code, Some(fc_service::ErrorCode::Internal), "{message}");
+        // The binary dialect answers the same way, in a binary frame.
+        let mut client = ServiceClient::connect(server.addr()).unwrap();
+        assert!(client.negotiate_binary().unwrap());
+        match client.cluster("d", None, None, None, Some(1)) {
+            Err(fc_service::ClientError::Server { code, message }) => {
+                assert_eq!(code, Some(fc_service::ErrorCode::Internal), "{message}");
+            }
+            other => panic!("expected an internal error, got {other:?}"),
         }
-        other => panic!("expected an internal error, got {other:?}"),
+        assert_eq!(client.stats(Some("d")).unwrap()[0].ingested_points, 2);
+        server.shutdown();
     }
-    assert_eq!(client.stats(Some("d")).unwrap()[0].ingested_points, 2);
-    server.shutdown();
 }
