@@ -4,8 +4,9 @@
 //! 1. **Weight mode** — plain inverse-probability weights vs. the
 //!    rebalanced weights of Algorithm 1 lines 7–8.
 //! 2. **Johnson–Lindenstrauss** — on vs. off for a high-dimensional proxy.
-//! 3. **Spread reduction** — Crude-Approx + Reduce-Spread on vs. off on the
-//!    spread-stress dataset (the Section 4 claim, runtime side).
+//! 3. **Spread reduction** — Crude-Approx + Reduce-Spread allowed vs.
+//!    forbidden on the spread-stress dataset (the Section 4 claim, runtime
+//!    side), with whether the truncation gate let them run.
 //! 4. **Welterweight `j` sweep** — the interpolation from j = 1 to j = k.
 
 use fc_bench::experiments::{
@@ -101,9 +102,11 @@ fn main() {
     let n = ((50_000.0 * cfg.scale) as usize).max(2_000);
     let mut t3 = Table::new(
         "Ablation 3: spread reduction on the spread-stress set (build seconds)",
-        &["r", "without", "with", "speedup"],
+        &["r", "forbidden", "allowed", "step 2", "speedup"],
     );
-    for &r in &[30usize, 50] {
+    // Allowed is not always: step 2 runs where the 50-level tree truncates
+    // (from r ≈ 50 on), and the two columns are one path where it does not.
+    for &r in &[30usize, 50, 80] {
         let mut gen_rng = cfg.rng(0xD500 + r as u64);
         let named = NamedData {
             name: format!("spread r={r}"),
@@ -125,12 +128,19 @@ fn main() {
             reduce_spread: true,
             ..Default::default()
         });
+        let truncated = fc_quadtree::Quadtree::build(
+            &mut gen_rng,
+            named.data.points(),
+            fc_quadtree::QuadtreeConfig::default(),
+        )
+        .truncated();
         let tw = measure_build_only(&cfg, &named, &without, &params, 0xD600 + r as u64);
         let tr = measure_build_only(&cfg, &named, &with, &params, 0xD700 + r as u64);
         t3.row(vec![
             r.to_string(),
             fmt_mean_var(&tw),
             fmt_mean_var(&tr),
+            if truncated { "ran" } else { "skipped" }.into(),
             format!("{:.2}x", mean(&tw) / mean(&tr).max(1e-12)),
         ]);
     }

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! 1. Johnson–Lindenstrauss embed P into d̃ = O(log k) dimensions.
-//! 2. (optional, Section 4) Crude-Approx + Reduce-Spread so the quadtree
-//!    depth is O(log(poly(n, d, log Δ))) instead of O(log Δ).
+//! 2. (Section 4, only when the tree truncates) Crude-Approx + Reduce-Spread
+//!    so the quadtree depth is O(log(poly(n, d, log Δ))) instead of O(log Δ).
 //! 3. Fast-kmeans++ on the quadtree: centers AND assignments in Õ(nd).
 //! 4. Per cluster C_i, the 1-mean (k-means) or 1-median (k-median) c_i,
 //!    computed in the ORIGINAL space R^d.
@@ -17,6 +17,14 @@
 //! geometric fidelity is never lost to the embedding (Corollary 3.2's
 //! argument: the partition is an `O(polylog k)`-approximation, and the
 //! coreset size compensates for the approximation factor).
+//!
+//! Step 2 exists to keep the tree shallow. The tree here is compressed and
+//! built from one quantisation, so depth costs nothing until the data needs
+//! more than the tree's `2^-max_depth` of resolution; whether it does is a
+//! fact the build itself reports ([`Quadtree::truncated`]). The partition
+//! therefore builds the tree on the embedded points first and pays for
+//! step 2 — and a second build — only when that tree left different points
+//! in one finest cell. On everything else step 2 draws nothing from the RNG.
 
 use std::borrow::Cow;
 
@@ -24,8 +32,9 @@ use fc_clustering::kmedian::{geometric_median, weighted_mean_of, WeiszfeldConfig
 use fc_clustering::CostKind;
 use fc_geom::jl::{project_if_beneficial, target_dim_for_clustering, JlKind};
 use fc_geom::{Dataset, Points};
+use fc_quadtree::crude::crude_approx;
 use fc_quadtree::fast_kmeanspp::{fast_kmeanspp, FastSeedConfig};
-use fc_quadtree::spread::SpreadParams;
+use fc_quadtree::spread::{reduce_spread, SpreadParams};
 use fc_quadtree::tree::{Quadtree, QuadtreeConfig};
 use rand::RngCore;
 
@@ -43,8 +52,10 @@ pub struct FastCoresetConfig {
     pub use_jl: bool,
     /// Distortion parameter of the JL target dimension.
     pub jl_eps: f64,
-    /// Run Crude-Approx + Reduce-Spread before building the tree
-    /// (Section 4; removes the `log Δ` runtime dependence).
+    /// Allow Crude-Approx + Reduce-Spread (Section 4). Allowed is not
+    /// always: they run when the quadtree on the embedded points truncates
+    /// ([`Quadtree::truncated`]) and are skipped, at no cost and with no RNG
+    /// draw, when it does not. `false` keeps the truncated tree.
     pub reduce_spread: bool,
     /// Weight finalization (plain inverse-probability vs. the rebalanced
     /// weights of Algorithm 1 lines 7–8).
@@ -99,24 +110,20 @@ impl FastCoreset {
         } else {
             Cow::Borrowed(data.points())
         };
-        // Step 2: spread reduction — affects only the tree's geometry.
-        let working = if cfg.reduce_spread {
-            let bound = fc_quadtree::crude::crude_approx(
-                rng,
-                &working,
-                params.k,
-                params.kind,
-                data.total_weight(),
-            );
-            let sp = SpreadParams::practical(data.len(), working.dim());
-            let (reduced, _map) =
-                fc_quadtree::spread::reduce_spread(rng, &working, bound.upper, sp);
-            Cow::Owned(reduced)
-        } else {
-            working
-        };
+        // Step 3's tree comes first: it says whether step 2 has work to do.
+        let mut tree = Quadtree::build(rng, &working, cfg.tree);
+        // Step 2: spread reduction, where the tree ran out of bits — it
+        // affects only the tree's geometry. Geometry is about locations, so
+        // both calls see the point *count*: the crude bound is on the cost
+        // at unit mass, and its reach is a length whatever the weights.
+        if tree.truncated() && cfg.reduce_spread {
+            let n = data.len();
+            let bound = crude_approx(rng, &working, params.k, params.kind, n as f64);
+            let sp = SpreadParams::practical(n, working.dim());
+            let (reduced, _map) = reduce_spread(rng, &working, bound.reach(params.kind), sp);
+            tree = Quadtree::build(rng, &reduced, cfg.tree);
+        }
         // Step 3: tree-metric seeding → partition.
-        let tree = Quadtree::build(rng, &working, cfg.tree);
         let seeding = fast_kmeanspp(rng, data, &tree, params.k, params.kind, cfg.seeding);
         let k_eff = seeding.k();
 

@@ -36,6 +36,22 @@ pub fn spread_stress<R: Rng + ?Sized>(rng: &mut R, n: usize, n_prime: usize, r: 
     Dataset::unweighted(Points::from_flat(flat, 2).expect("rectangular by construction"))
 }
 
+/// Three clusters of `per_cluster` points, uniform in unit boxes whose
+/// corners sit `gap` apart along the axes of the plane. From `gap ≈ 1e16` a
+/// whole box is narrower than `2^-50` of the diameter: the input a 50-level
+/// quadtree cannot resolve, where `spread_stress` only loses the tails of
+/// its sequences.
+pub fn far_unit_clusters<R: Rng + ?Sized>(rng: &mut R, per_cluster: usize, gap: f64) -> Dataset {
+    let mut flat = Vec::with_capacity(per_cluster * 6);
+    for (cx, cy) in [(0.0, 0.0), (gap, 0.0), (0.0, gap)] {
+        for _ in 0..per_cluster {
+            flat.push(cx + rng.gen::<f64>());
+            flat.push(cy + rng.gen::<f64>());
+        }
+    }
+    Dataset::unweighted(Points::from_flat(flat, 2).expect("rectangular by construction"))
+}
+
 /// `log₂` of the dataset's spread — grows linearly in `r` (the knob of
 /// Table 1). `O(n²)`; diagnostics/tests only.
 pub fn log2_spread(points: &Points) -> f64 {

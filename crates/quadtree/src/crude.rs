@@ -44,10 +44,25 @@ pub struct CrudeBound {
     pub probes: usize,
 }
 
+impl CrudeBound {
+    /// The bound as a *length*: `U^{1/z}`. `U` is a cost, a sum of `dist^z`
+    /// terms, so when it was computed over unit masses (`total_weight` = the
+    /// point count) no point lies farther than this from its centre in an
+    /// optimal solution — one point at distance `ℓ` alone pays `ℓ^z`. This,
+    /// not `U`, is what [`reduce_spread`](crate::reduce_spread) scales its
+    /// grids by.
+    pub fn reach(&self, kind: CostKind) -> f64 {
+        self.upper.powf(1.0 / kind.z())
+    }
+}
+
 /// Runs `Crude-Approx` on `points` for a `k`-clustering objective.
 ///
-/// `total_weight` is the dataset's total weight (`n` for unweighted input)
-/// and scales the per-point charge `(√d · side)^z` into the global bound.
+/// `total_weight` scales the per-point charge `(√d · side)^z` into the
+/// global bound, and names the cost the bound is on: the dataset's total
+/// weight for the weighted cost, the point count for the cost of the same
+/// locations at unit mass. Spread reduction wants the second — see
+/// [`CrudeBound::reach`].
 pub fn crude_approx<R: Rng + ?Sized>(
     rng: &mut R,
     points: &Points,
@@ -322,6 +337,38 @@ mod tests {
         );
         // Same rng seed ⇒ same shift ⇒ exactly double the bound.
         assert!((b2.upper - 2.0 * b1.upper).abs() < 1e-9 * b1.upper.max(1.0));
+    }
+
+    #[test]
+    fn reach_is_a_length_under_both_objectives() {
+        // Stretch the data by c: a length grows by c, the k-means cost by
+        // c². Same seed ⇒ the shift stretches along, so the ratios are exact
+        // up to rounding.
+        let near = clustered_data(4, 25, 100.0);
+        let stretched: Vec<f64> = near.points().as_flat().iter().map(|x| x * 8.0).collect();
+        let far = Dataset::from_flat(stretched, 2).unwrap();
+        for kind in [CostKind::KMedian, CostKind::KMeans] {
+            let n = near.len() as f64;
+            let a = crude_approx(&mut rng(), near.points(), 4, kind, n);
+            let b = crude_approx(&mut rng(), far.points(), 4, kind, n);
+            assert!(
+                (b.reach(kind) / a.reach(kind) - 8.0).abs() < 1e-9,
+                "{kind:?}"
+            );
+            // And no point of the near-optimal solution is farther than it
+            // from its centre.
+            let mut r = rng();
+            let seeding = kmeanspp(&mut r, &near, 4, kind);
+            let sol = refine(&near, seeding.centers, kind, LloydConfig::default());
+            let farthest = (near.points().iter().zip(&sol.labels))
+                .map(|(p, &l)| fc_geom::distance::dist(p, sol.centers.row(l)))
+                .fold(0.0, f64::max);
+            assert!(
+                a.reach(kind) >= farthest,
+                "{kind:?}: {} < {farthest}",
+                a.reach(kind)
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //!
 //! - [`tree::Quadtree`]: a compressed quadtree with `O(n)` nodes over a
 //!   randomly shifted dyadic grid; subtrees own contiguous ranges of a
-//!   permuted index array so subtree weights are prefix-sum queries.
+//!   permuted index array so subtree weights are prefix-sum queries. It
+//!   reports whether the depth cap left different points in one leaf
+//!   ([`Quadtree::truncated`]) — the one case the next two are for.
 //! - [`fast_kmeanspp`](mod@fast_kmeanspp): tree-metric D^z sampling — the engineering form of
 //!   `Fast-kmeans++` \[23\]: centers are drawn against distances *in the tree
 //!   metric*, so inserting a center costs `O(log Δ · log n)` instead of the
@@ -14,7 +16,8 @@
 //!   with more than `k` occupied cells, in `Õ(nd log log Δ)` time.
 //! - [`spread`]: `Reduce-Spread` (Algorithm 3) — collapses empty space
 //!   between occupied grid boxes and rounds coordinates so the spread becomes
-//!   `poly(n, d, log Δ)`, turning the `log Δ` factor into `log log Δ`.
+//!   `poly(n, d, log Δ)`, turning the `log Δ` factor into `log log Δ`. Its
+//!   grids scale by a length, [`CrudeBound::reach`], never by the cost bound.
 //! - [`hst`]: hierarchically-separated-tree view with an exact tree k-median
 //!   DP (the Section 8.4 extension).
 

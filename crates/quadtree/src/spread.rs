@@ -1,25 +1,30 @@
 //! `Reduce-Spread` (Algorithm 3): bounding the spread by `poly(n, d, log Δ)`.
 //!
-//! Two steps, both driven by the crude upper bound `U ≥ OPT`:
+//! Two steps, both driven by one *length*: the reach `L`, a distance no
+//! point exceeds to its centre in an optimal solution. The crude bound
+//! `U ≥ OPT_z` is a *cost* — a sum of `dist^z` — so `L = U^{1/z}`
+//! ([`CrudeBound::reach`](crate::crude::CrudeBound::reach)); the paper
+//! states the algorithm for k-median, where the two coincide.
 //!
-//! 1. **Reduce-Diameter** — overlay a grid of pitch `r = diameter_factor·U`,
+//! 1. **Reduce-Diameter** — overlay a grid of pitch `r = diameter_factor·L`,
 //!    shifted uniformly at random. Lemma 4.3: two points at distance `ℓ` land
 //!    in different cells with probability at most `√d·ℓ/r`, so with the
-//!    paper's `r = √d·n²·U` no optimal cluster is split w.h.p. Occupied cells
+//!    paper's `r = √d·n²·L` no optimal cluster is split w.h.p. Occupied cells
 //!    ("boxes") are then slid toward each other along every axis until
 //!    consecutive boxes are within `2r`, which caps the diameter at
 //!    `O(√d·k·r)` without changing any intra-box geometry (Proposition 4.4).
 //! 2. **Reduce-Min-Distance** — round every coordinate to a multiple of
-//!    `g = U / rounding_denom`, raising the minimum distance to `g` at an
-//!    additive solution-cost error of at most `n·g·√d ≤ OPT/n` for the
-//!    paper's choice of `g`.
+//!    `g = L / rounding_denom`, raising the minimum distance to `g` at an
+//!    additive per-point error of at most `g·√d`.
 //!
 //! The paper's exact constants (`n²`, `n⁴d² log Δ`) exceed f64's 53-bit
 //! significand for realistic `n` — box shifts of ~10¹⁵ against point extents
 //! of ~1 would destroy the very geometry the transform promises to preserve —
 //! so [`SpreadParams`] exposes them as parameters: [`SpreadParams::paper`]
 //! reproduces the theory (for small-`n` verification) and
-//! [`SpreadParams::practical`] is the robust default.
+//! [`SpreadParams::practical`] is the robust default. `n` is the number of
+//! *points* in both: the transform moves locations, and a location does not
+//! move further for carrying more weight.
 
 use fc_geom::points::Points;
 use rand::Rng;
@@ -30,14 +35,14 @@ use crate::grid::{grid_coord, RowInterner};
 /// Safety factors for the two reduction steps.
 #[derive(Debug, Clone, Copy)]
 pub struct SpreadParams {
-    /// Grid pitch is `diameter_factor · U`.
+    /// Grid pitch is `diameter_factor · L`.
     pub diameter_factor: f64,
-    /// Rounding granularity is `U / rounding_denom`; `0` disables rounding.
+    /// Rounding granularity is `L / rounding_denom`; `0` disables rounding.
     pub rounding_denom: f64,
 }
 
 impl SpreadParams {
-    /// The paper's exact constants: `r = √d·n²·U`, `g = U/(n⁴·d²·log Δ)`.
+    /// The paper's exact constants: `r = √d·n²·L`, `g = L/(n⁴·d²·log Δ)`.
     /// Only numerically safe for small `n`.
     pub fn paper(n: usize, d: usize, log_delta: f64) -> Self {
         let n = n as f64;
@@ -48,7 +53,7 @@ impl SpreadParams {
         }
     }
 
-    /// Practically-robust factors: `r = √d·n·U`, `g = U/(n²·d)`. Keeps the
+    /// Practically-robust factors: `r = √d·n·L`, `g = L/(n²·d)`. Keeps the
     /// split probability `O(1/n)` per cluster while staying far inside f64
     /// precision for `n` up to ~10⁷.
     pub fn practical(n: usize, d: usize) -> Self {
@@ -123,19 +128,22 @@ impl SpreadMap {
     }
 }
 
-/// Runs both reduction steps. `upper` must satisfy `upper ≥ OPT` (from
-/// [`crate::crude_approx`]). When `upper == 0` (at most `k` distinct
-/// locations) the input is returned unchanged with an identity map.
+/// Runs both reduction steps. `reach` is a length no point exceeds to its
+/// centre in an optimal solution — [`CrudeBound::reach`], not the cost bound
+/// itself. When `reach == 0` (at most `k` distinct locations) the input is
+/// returned unchanged with an identity map.
+///
+/// [`CrudeBound::reach`]: crate::crude::CrudeBound::reach
 pub fn reduce_spread<R: Rng + ?Sized>(
     rng: &mut R,
     points: &Points,
-    upper: f64,
+    reach: f64,
     params: SpreadParams,
 ) -> (Points, SpreadMap) {
     assert!(!points.is_empty(), "cannot reduce the spread of nothing");
     let dim = points.dim();
     let n = points.len();
-    if upper <= 0.0 || !upper.is_finite() {
+    if reach <= 0.0 || !reach.is_finite() {
         let map = SpreadMap {
             box_of_point: vec![0; n],
             box_shifts: vec![vec![0.0; dim]],
@@ -145,7 +153,12 @@ pub fn reduce_spread<R: Rng + ?Sized>(
         return (points.clone(), map);
     }
 
-    let r = params.diameter_factor * upper;
+    // Units: `reach` is a length, both factors are pure numbers (functions
+    // of the point count and the dimension), so the grid pitch `r` and the
+    // rounding pitch `g` below are lengths in the input's coordinates. A
+    // cost in their place is a length only for k-median; for k-means it is
+    // a length squared, and for weighted input it grows with the mass.
+    let r = params.diameter_factor * reach;
     let shift: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>() * r).collect();
 
     // Identify occupied boxes, numbered in first-appearance order.
@@ -197,7 +210,7 @@ pub fn reduce_spread<R: Rng + ?Sized>(
 
     // Reduce-Min-Distance: snap to the grid of pitch g.
     let g = if params.rounding_denom > 0.0 {
-        upper / params.rounding_denom
+        reach / params.rounding_denom
     } else {
         0.0
     };

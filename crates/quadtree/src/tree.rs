@@ -15,6 +15,13 @@
 //! `O(size·d)` per node whatever the length of the compression chain above
 //! its split, and `O(size·d)` for a leaf of duplicates. Nothing is
 //! re-gridded per level.
+//!
+//! The finest level has `2^-max_depth` of the root side. Rows that still
+//! share a cell there stay in one leaf; when two of them are *different*
+//! rows the tree is [`truncated`](Quadtree::truncated) — it ran out of bits
+//! before it ran out of geometry, which is the one case spread reduction
+//! (Section 4) has something to add. Exact duplicates are not truncation:
+//! no resolution separates them.
 
 use fc_geom::points::Points;
 use rand::Rng;
@@ -30,9 +37,9 @@ const MAX_LEVELS: u32 = 62;
 #[derive(Debug, Clone, Copy)]
 pub struct QuadtreeConfig {
     /// Hard cap on the (uncompressed) depth; cells at this level become
-    /// leaves even if they hold several distinct points. The default (50)
-    /// resolves relative scales down to `2^-50` — below f64 noise for
-    /// data that has been spread-reduced. Values above 62 act as 62.
+    /// leaves even if they hold several distinct points, and the tree then
+    /// reports itself [`truncated`](Quadtree::truncated). The default (50)
+    /// resolves relative scales down to `2^-50`. Values above 62 act as 62.
     pub max_depth: u32,
 }
 
@@ -96,6 +103,7 @@ pub struct Quadtree {
     /// Grid origin (bounding-box min corner minus the random shift).
     origin: Vec<f64>,
     max_depth: u32,
+    truncated: bool,
 }
 
 impl Quadtree {
@@ -163,6 +171,7 @@ impl Quadtree {
         let mut child_of: Vec<u32> = Vec::new();
         let mut cursors: Vec<u32> = Vec::new();
         let mut members: Vec<u32> = Vec::new();
+        let mut truncated = false;
         while let Some(node_id) = stack.pop() {
             let (start, end) = {
                 let node = &nodes[node_id as usize];
@@ -184,8 +193,15 @@ impl Quadtree {
             }
             let any = differing.iter().fold(0, |acc, &bits| acc | bits);
             if any == 0 {
-                // Duplicates (or the depth cap): a leaf at the finest level.
+                // Duplicates, or the depth cap: a leaf at the finest level.
+                // Which of the two is one more pass over rows this branch
+                // has just read, stopped by the first truncated leaf.
                 nodes[node_id as usize].level = depth;
+                let first = points.row(perm[start] as usize);
+                truncated = truncated
+                    || perm[start + 1..end]
+                        .iter()
+                        .any(|&idx| points.row(idx as usize) != first);
                 continue;
             }
             let bit = any.ilog2();
@@ -262,6 +278,7 @@ impl Quadtree {
             root_side,
             origin,
             max_depth,
+            truncated,
         }
     }
 
@@ -293,6 +310,14 @@ impl Quadtree {
     /// The depth cap the tree was built with (at most 62).
     pub fn max_depth(&self) -> u32 {
         self.max_depth
+    }
+
+    /// Whether some leaf at the finest level holds two different input rows:
+    /// the depth cap, not the data, ended the tree there, and every point of
+    /// such a leaf is at tree distance zero from the others. A leaf of exact
+    /// duplicates does not count.
+    pub fn truncated(&self) -> bool {
+        self.truncated
     }
 
     /// The grid origin (bounding-box corner minus the random shift) —
@@ -468,6 +493,44 @@ mod tests {
         assert_eq!(leaf_a, leaf_b);
         assert_eq!(leaf_b, leaf_c);
         assert_eq!(t.node(leaf_a).size(), 3);
+    }
+
+    #[test]
+    fn exact_duplicates_are_not_truncation() {
+        // 500 rows repeated exactly, as a merge-&-reduce fold repeats them:
+        // multi-point leaves everywhere, none of them the depth cap's doing.
+        let mut flat = Vec::new();
+        for _ in 0..3 {
+            for i in 0..500 {
+                flat.push((i % 25) as f64 * 0.37);
+                flat.push((i / 25) as f64 * 1.91);
+            }
+        }
+        let p = Points::from_flat(flat, 2).unwrap();
+        let t = Quadtree::build(&mut rng(), &p, QuadtreeConfig::default());
+        t.validate().unwrap();
+        assert!(t.nodes().iter().any(|n| n.is_leaf() && n.size() == 3));
+        assert!(!t.truncated());
+        // Nor is the all-one-point input, whose root is a leaf.
+        let same = Points::from_flat(vec![4.0; 12], 3).unwrap();
+        assert!(!Quadtree::build(&mut rng(), &same, QuadtreeConfig::default()).truncated());
+    }
+
+    #[test]
+    fn distinct_rows_below_the_finest_cell_are_truncation() {
+        // Two rows closer than root_side · 2^-50 (here 2 · 2^-50 ≈ 1.8e-15)
+        // differ in the input and share every cell of the default tree.
+        let p = Points::from_flat(vec![0.0, 1e-18, 1.0], 1).unwrap();
+        let t = Quadtree::build(&mut rng(), &p, QuadtreeConfig::default());
+        t.validate().unwrap();
+        assert_eq!(
+            t.leaf_of_position(t.position_of(0)),
+            t.leaf_of_position(t.position_of(1))
+        );
+        assert!(t.truncated());
+        // The same rows a resolvable distance apart are not.
+        let p = Points::from_flat(vec![0.0, 1e-9, 1.0], 1).unwrap();
+        assert!(!Quadtree::build(&mut rng(), &p, QuadtreeConfig::default()).truncated());
     }
 
     #[test]

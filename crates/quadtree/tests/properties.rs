@@ -194,6 +194,13 @@ proptest! {
             .iter()
             .map(|v| [v.level, v.start, v.end, v.parent, v.first_child, v.n_children])
             .collect();
+        // Truncated: some leaf of the reference holds two different rows
+        // (repeats of one location never count).
+        let truncated = nodes.iter().any(|&[_, start, end, _, _, n_children]| {
+            let rows = &perm[start as usize..end as usize];
+            n_children == 0 && rows.iter().any(|&i| p.row(i as usize) != p.row(rows[0] as usize))
+        });
+        prop_assert_eq!(t.truncated(), truncated);
         prop_assert_eq!(built, nodes);
         prop_assert_eq!(t.permutation(), &perm[..]);
     }

@@ -11,16 +11,12 @@ use rand::SeedableRng;
 
 /// Clusters separated by a gigantic gap: spread ~ 1e12.
 fn huge_spread_clusters(seed: u64) -> Dataset {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut flat = Vec::new();
-    for &(cx, cy) in &[(0.0f64, 0.0), (1e12, 0.0), (0.0, 1e12)] {
-        for _ in 0..600 {
-            use rand::Rng;
-            flat.push(cx + rng.gen::<f64>());
-            flat.push(cy + rng.gen::<f64>());
-        }
-    }
-    Dataset::from_flat(flat, 2).unwrap()
+    clusters_apart(seed, 1e12)
+}
+
+/// Three clusters of 600 points in unit boxes whose corners sit `gap` apart.
+fn clusters_apart(seed: u64, gap: f64) -> Dataset {
+    fc_data::spread_stress::far_unit_clusters(&mut StdRng::seed_from_u64(seed), 600, gap)
 }
 
 #[test]
@@ -76,7 +72,7 @@ fn solutions_transfer_between_original_and_reduced_space() {
     let (reduced, map) = fc_quadtree::reduce_spread(
         &mut rng,
         data.points(),
-        bound.upper,
+        bound.reach(CostKind::KMedian),
         SpreadParams::practical(data.len(), 2),
     );
     // Solve on the reduced dataset.
@@ -102,30 +98,54 @@ fn solutions_transfer_between_original_and_reduced_space() {
 
 #[test]
 fn fast_coreset_handles_pathological_spread() {
-    let data = huge_spread_clusters(55);
-    let k = 3;
-    let params = CompressionParams::with_scalar(k, 40, CostKind::KMeans).unwrap();
-    for reduce_spread in [false, true] {
-        let fc = FastCoreset::with_config(FastCoresetConfig {
-            use_jl: false,
-            reduce_spread,
-            ..Default::default()
-        });
-        let mut rng = StdRng::seed_from_u64(56);
-        let c = fc.compress(&mut rng, &data, &params);
-        let rep = fc_core::distortion(
-            &mut rng,
-            &data,
-            &c,
-            k,
-            CostKind::KMeans,
-            LloydConfig::default(),
-        );
-        assert!(
-            rep.distortion < 2.0,
-            "distortion {} with reduce_spread={reduce_spread}",
-            rep.distortion
-        );
+    // At 1e12 a 50-level tree still resolves 2e-3 inside a unit box; at 1e18
+    // a whole box is narrower than the finest cell, every leaf is truncated,
+    // and `reduce_spread: true` means step 2 runs.
+    for (gap, k, must_fire) in [(1e12, 3, false), (1e18, 12, true)] {
+        let data = clusters_apart(55, gap);
+        let params = CompressionParams::with_scalar(k, 40, CostKind::KMeans).unwrap();
+        let mut clusters = Vec::new();
+        for reduce_spread in [false, true] {
+            let fc = FastCoreset::with_config(FastCoresetConfig {
+                use_jl: false,
+                reduce_spread,
+                ..Default::default()
+            });
+            let mut rng = StdRng::seed_from_u64(56);
+            let (mut labels, _, _) = fc.partition(&mut rng, &data, &params);
+            labels.sort_unstable();
+            labels.dedup();
+            clusters.push(labels.len());
+            let mut rng = StdRng::seed_from_u64(56);
+            let c = fc.compress(&mut rng, &data, &params);
+            let rep = fc_core::distortion(
+                &mut rng,
+                &data,
+                &c,
+                k,
+                CostKind::KMeans,
+                LloydConfig::default(),
+            );
+            assert!(
+                rep.distortion < 2.0,
+                "gap {gap:e}: distortion {} with reduce_spread={reduce_spread}",
+                rep.distortion
+            );
+        }
+        if must_fire {
+            let tree = fc_quadtree::Quadtree::build(
+                &mut StdRng::seed_from_u64(59),
+                data.points(),
+                fc_quadtree::QuadtreeConfig::default(),
+            );
+            assert!(tree.truncated(), "the tree should have run out of bits");
+            assert_eq!(clusters[0], 3, "the raw tree tells only the boxes apart");
+            assert!(
+                clusters[1] > 3,
+                "step 2 ran and left k_eff = {}",
+                clusters[1]
+            );
+        }
     }
 }
 
