@@ -7,7 +7,7 @@ use fast_coresets::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// The 1 445-point coreset `golden_coreset.rs` pins, solved as
+/// The 1 442-point coreset `golden_coreset.rs` pins, solved as
 /// `golden_solve.rs` solves it. `distance_evals` is a count: it repeats
 /// exactly, on every machine and at every thread count.
 #[test]
@@ -25,19 +25,19 @@ fn pruning_skips_most_of_the_scan_on_the_golden_coreset() {
     );
     let params = CompressionParams::with_scalar(40, 40, CostKind::KMeans).unwrap();
     let coreset = FastCoreset::default().compress(&mut StdRng::seed_from_u64(1302), &data, &params);
-    assert_eq!(coreset.len(), 1_445);
+    assert_eq!(coreset.len(), 1_442);
 
     let solution = Solver::Lloyd
         .solve(
-            &mut StdRng::seed_from_u64(1317),
+            &mut StdRng::seed_from_u64(1325),
             coreset.dataset(),
             40,
             CostKind::KMeans,
             &SolveConfig::default(),
         )
         .unwrap();
-    let scan = (1_445 * 40 * (solution.rounds + 1)) as u64;
-    assert_eq!((solution.rounds, solution.distance_evals), (6, 68_390));
+    let scan = (1_442 * 40 * (solution.rounds + 1)) as u64;
+    assert_eq!((solution.rounds, solution.distance_evals), (6, 68_565));
     assert!(
         (solution.distance_evals as f64) < 0.3 * scan as f64,
         "{} of {scan} distances measured",
