@@ -66,23 +66,6 @@ impl PointBlock {
         Ok(Self { data, dim, weights })
     }
 
-    /// Builds an unweighted block from nested rows (the JSON wire shape).
-    pub fn from_rows(rows: &[Vec<f64>], weights: Option<&[f64]>) -> Result<Self, FcError> {
-        let first = rows.first().ok_or(FcError::EmptyData)?;
-        let dim = first.len();
-        let mut data = Vec::with_capacity(rows.len() * dim);
-        for row in rows {
-            if row.len() != dim {
-                return Err(FcError::DimensionMismatch {
-                    expected: dim,
-                    got: row.len(),
-                });
-            }
-            data.extend_from_slice(row);
-        }
-        Self::new(data, dim, weights.map(<[f64]>::to_vec))
-    }
-
     /// Flattens a weighted dataset into a block. Unit weights are kept —
     /// a round-trip through a block preserves the dataset exactly.
     pub fn from_dataset(data: &Dataset) -> Self {
@@ -148,11 +131,6 @@ impl PointBlock {
     pub fn rows(&self) -> impl Iterator<Item = &[f64]> {
         self.data.chunks_exact(self.dim)
     }
-
-    /// Materializes the nested-rows form (the JSON wire shape).
-    pub fn to_rows(&self) -> Vec<Vec<f64>> {
-        self.rows().map(<[f64]>::to_vec).collect()
-    }
 }
 
 #[cfg(test)]
@@ -170,15 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn rows_round_trip() {
-        let rows = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
-        let block = PointBlock::from_rows(&rows, None).unwrap();
-        assert_eq!(block.to_rows(), rows);
-        assert_eq!(block.weights(), None);
-        assert_eq!(block.total_weight(), 2.0);
-    }
-
-    #[test]
     fn constructors_validate() {
         assert!(PointBlock::new(vec![], 2, None).is_err());
         assert!(PointBlock::new(vec![1.0], 0, None).is_err());
@@ -186,8 +155,6 @@ mod tests {
         assert!(PointBlock::new(vec![f64::NAN, 0.0], 2, None).is_err());
         assert!(PointBlock::new(vec![1.0, 2.0], 2, Some(vec![1.0, 2.0])).is_err());
         assert!(PointBlock::new(vec![1.0, 2.0], 2, Some(vec![-1.0])).is_err());
-        assert!(PointBlock::from_rows(&[vec![1.0], vec![1.0, 2.0]], None).is_err());
-        assert!(PointBlock::from_rows(&[], None).is_err());
     }
 
     #[test]

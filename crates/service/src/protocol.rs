@@ -1,4 +1,8 @@
-//! The service's wire protocol: JSON-lines requests and responses.
+//! The service's wire protocol: the request and response types, and the
+//! one list of fields each op carries ([`Request`] / [`Response`]
+//! `encode` and `decode`), which the JSON-lines codec here and the binary
+//! codec in [`crate::wire`] both read and write through the field
+//! vocabulary in [`crate::wire`].
 //!
 //! One request per line, one response per line, UTF-8, `\n`-terminated.
 //! Every request is an object with an `"op"` discriminator:
@@ -57,9 +61,10 @@
 //! to its `fc-server` nodes, so a coordinator is wire-indistinguishable
 //! from a single big server.
 
-use crate::json::{self, number_array, object, Value};
+use crate::json::{self, Value};
+use crate::wire::{Decoder, Encoder, Object, Record};
 use fc_clustering::{CostKind, Solver};
-use fc_core::plan::{kind_from_name, kind_name, Method, Plan};
+use fc_core::plan::{Method, Plan};
 use fc_core::PointBlock;
 use fc_geom::{Dataset, Points};
 
@@ -538,153 +543,6 @@ impl From<json::JsonError> for ProtocolError {
     }
 }
 
-fn kind_from_value(v: &Value) -> Result<CostKind, ProtocolError> {
-    match v.as_str() {
-        // The same canonical names the plan wire form uses.
-        Some(name) => kind_from_name(name).map_err(|e| ProtocolError::new(e.to_string())),
-        None => Err(ProtocolError::new("`kind` must be a string")),
-    }
-}
-
-fn method_from_value(v: &Value) -> Result<Method, ProtocolError> {
-    match v.as_str() {
-        Some(name) => name
-            .parse::<Method>()
-            .map_err(|e| ProtocolError::new(e.to_string())),
-        None => Err(ProtocolError::new("`method` must be a string")),
-    }
-}
-
-fn solver_from_value(v: &Value) -> Result<Solver, ProtocolError> {
-    match v.as_str() {
-        Some(name) => name
-            .parse::<Solver>()
-            .map_err(|e| ProtocolError::new(e.to_string())),
-        None => Err(ProtocolError::new("`solver` must be a string")),
-    }
-}
-
-fn rows_to_value(rows: &[Vec<f64>]) -> Value {
-    Value::Array(rows.iter().map(|r| number_array(r)).collect())
-}
-
-fn flat_to_rows_value(data: &[f64], dim: usize) -> Value {
-    Value::Array(data.chunks_exact(dim).map(number_array).collect())
-}
-
-/// Parses an array-of-arrays of numbers straight into a flat row-major
-/// buffer — the ingest hot path never materializes a `Vec<Vec<f64>>`.
-/// Same validation (and same error messages) as [`rows_from_value`].
-fn flat_from_value(v: &Value, what: &str) -> Result<(Vec<f64>, usize), ProtocolError> {
-    let outer = v
-        .as_array()
-        .ok_or_else(|| ProtocolError::new(format!("`{what}` must be an array of points")))?;
-    let mut data = Vec::new();
-    let mut dim = None;
-    for (i, row) in outer.iter().enumerate() {
-        let coords = row.as_array().ok_or_else(|| {
-            ProtocolError::new(format!("`{what}[{i}]` must be an array of numbers"))
-        })?;
-        match dim {
-            None => {
-                if coords.is_empty() {
-                    return Err(ProtocolError::new(format!(
-                        "`{what}[{i}]` is empty (points need at least one coordinate)"
-                    )));
-                }
-                dim = Some(coords.len());
-                data.reserve(outer.len() * coords.len());
-            }
-            Some(d) if d != coords.len() => {
-                return Err(ProtocolError::new(format!(
-                    "`{what}[{i}]` has {} coordinates but earlier points have {d}",
-                    coords.len()
-                )));
-            }
-            Some(_) => {}
-        }
-        let start = data.len();
-        for c in coords {
-            data.push(c.as_f64().ok_or_else(|| {
-                ProtocolError::new(format!("`{what}[{i}]` holds a non-numeric coordinate"))
-            })?);
-        }
-        if !data[start..].iter().all(|x| x.is_finite()) {
-            return Err(ProtocolError::new(format!(
-                "`{what}[{i}]` holds a non-finite coordinate"
-            )));
-        }
-    }
-    Ok((data, dim.unwrap_or(0)))
-}
-
-fn rows_from_value(v: &Value, what: &str) -> Result<Vec<Vec<f64>>, ProtocolError> {
-    let outer = v
-        .as_array()
-        .ok_or_else(|| ProtocolError::new(format!("`{what}` must be an array of points")))?;
-    let mut rows = Vec::with_capacity(outer.len());
-    let mut dim = None;
-    for (i, row) in outer.iter().enumerate() {
-        let coords = row.as_array().ok_or_else(|| {
-            ProtocolError::new(format!("`{what}[{i}]` must be an array of numbers"))
-        })?;
-        let parsed: Option<Vec<f64>> = coords.iter().map(Value::as_f64).collect();
-        let parsed = parsed.ok_or_else(|| {
-            ProtocolError::new(format!("`{what}[{i}]` holds a non-numeric coordinate"))
-        })?;
-        if !parsed.iter().all(|x| x.is_finite()) {
-            return Err(ProtocolError::new(format!(
-                "`{what}[{i}]` holds a non-finite coordinate"
-            )));
-        }
-        match dim {
-            None => {
-                if parsed.is_empty() {
-                    return Err(ProtocolError::new(format!(
-                        "`{what}[{i}]` is empty (points need at least one coordinate)"
-                    )));
-                }
-                dim = Some(parsed.len());
-            }
-            Some(d) if d != parsed.len() => {
-                return Err(ProtocolError::new(format!(
-                    "`{what}[{i}]` has {} coordinates but earlier points have {d}",
-                    parsed.len()
-                )));
-            }
-            Some(_) => {}
-        }
-        rows.push(parsed);
-    }
-    Ok(rows)
-}
-
-fn floats_from_value(v: &Value, what: &str) -> Result<Vec<f64>, ProtocolError> {
-    let items = v
-        .as_array()
-        .ok_or_else(|| ProtocolError::new(format!("`{what}` must be an array of numbers")))?;
-    let parsed: Option<Vec<f64>> = items.iter().map(Value::as_f64).collect();
-    parsed.ok_or_else(|| ProtocolError::new(format!("`{what}` holds a non-numeric entry")))
-}
-
-fn required_str(v: &Value, key: &str) -> Result<String, ProtocolError> {
-    v.get(key)
-        .ok_or_else(|| ProtocolError::new(format!("missing required field `{key}`")))?
-        .as_str()
-        .map(str::to_owned)
-        .ok_or_else(|| ProtocolError::new(format!("`{key}` must be a string")))
-}
-
-fn optional_seed(v: &Value) -> Result<Option<u64>, ProtocolError> {
-    match v.get("seed") {
-        None | Some(Value::Null) => Ok(None),
-        Some(s) => s
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| ProtocolError::new("`seed` must be a non-negative integer")),
-    }
-}
-
 impl Request {
     /// Encodes the request as one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
@@ -695,11 +553,10 @@ impl Request {
     /// Old servers ignore the field; new ones record the id in their
     /// recent-trace ring.
     pub fn to_json_with_trace(&self, trace: Option<&str>) -> String {
-        let mut value = self.to_value();
-        if let (Value::Object(map), Some(id)) = (&mut value, trace) {
-            map.insert("trace".to_owned(), Value::from(id));
-        }
-        value.to_json()
+        let mut obj = Object::new();
+        obj.insert("op".to_owned(), Value::from(self.op_name()));
+        self.encode(trace, &mut obj);
+        Value::Object(obj).to_json()
     }
 
     /// The wire `op` name — what trace hops and per-op metrics are
@@ -719,125 +576,6 @@ impl Request {
         }
     }
 
-    fn to_value(&self) -> Value {
-        match self {
-            Request::Hello { proto } => pairs_to_object(vec![
-                ("op", Value::from("hello")),
-                ("proto", Value::from(proto.clone())),
-            ]),
-            Request::Ingest {
-                dataset,
-                block,
-                plan,
-                ident,
-                epoch,
-            } => {
-                let mut pairs = vec![
-                    ("op", Value::from("ingest")),
-                    ("dataset", Value::from(dataset.clone())),
-                    ("points", flat_to_rows_value(block.data(), block.dim())),
-                ];
-                if let Some(w) = block.weights() {
-                    pairs.push(("weights", number_array(w)));
-                }
-                if let Some(p) = plan {
-                    pairs.push(("plan", p.to_value()));
-                }
-                if let Some(id) = ident {
-                    pairs.push(("client", Value::from(id.client.clone())));
-                    pairs.push(("seq", Value::from(id.seq)));
-                }
-                if let Some(e) = epoch {
-                    pairs.push(("epoch", Value::from(*e)));
-                }
-                pairs_to_object(pairs)
-            }
-            Request::Compress {
-                dataset,
-                method,
-                seed,
-            } => {
-                let mut pairs = vec![
-                    ("op", Value::from("compress")),
-                    ("dataset", Value::from(dataset.clone())),
-                ];
-                if let Some(m) = method {
-                    pairs.push(("method", Value::from(m.to_string())));
-                }
-                if let Some(s) = seed {
-                    pairs.push(("seed", Value::from(*s)));
-                }
-                pairs_to_object(pairs)
-            }
-            Request::Cluster {
-                dataset,
-                k,
-                kind,
-                solver,
-                seed,
-            } => {
-                let mut pairs = vec![
-                    ("op", Value::from("cluster")),
-                    ("dataset", Value::from(dataset.clone())),
-                ];
-                if let Some(k) = k {
-                    pairs.push(("k", Value::from(*k)));
-                }
-                if let Some(kind) = kind {
-                    pairs.push(("kind", Value::from(kind_name(*kind))));
-                }
-                if let Some(solver) = solver {
-                    pairs.push(("solver", Value::from(solver.to_string())));
-                }
-                if let Some(s) = seed {
-                    pairs.push(("seed", Value::from(*s)));
-                }
-                pairs_to_object(pairs)
-            }
-            Request::Cost {
-                dataset,
-                centers,
-                kind,
-            } => {
-                let mut pairs = vec![
-                    ("op", Value::from("cost")),
-                    ("dataset", Value::from(dataset.clone())),
-                    ("centers", rows_to_value(centers)),
-                ];
-                if let Some(kind) = kind {
-                    pairs.push(("kind", Value::from(kind_name(*kind))));
-                }
-                pairs_to_object(pairs)
-            }
-            Request::Stats { dataset } => {
-                let mut pairs = vec![("op", Value::from("stats"))];
-                if let Some(d) = dataset {
-                    pairs.push(("dataset", Value::from(d.clone())));
-                }
-                pairs_to_object(pairs)
-            }
-            Request::Metrics => pairs_to_object(vec![("op", Value::from("metrics"))]),
-            Request::DropDataset { dataset } => pairs_to_object(vec![
-                ("op", Value::from("drop_dataset")),
-                ("dataset", Value::from(dataset.clone())),
-            ]),
-            Request::AddNode { addr, capacity } => {
-                let mut pairs = vec![
-                    ("op", Value::from("add_node")),
-                    ("addr", Value::from(addr.clone())),
-                ];
-                if let Some(c) = capacity {
-                    pairs.push(("capacity", Value::from(*c)));
-                }
-                pairs_to_object(pairs)
-            }
-            Request::DrainNode { addr } => pairs_to_object(vec![
-                ("op", Value::from("drain_node")),
-                ("addr", Value::from(addr.clone())),
-            ]),
-        }
-    }
-
     /// Decodes one request line.
     pub fn from_json(line: &str) -> Result<Self, ProtocolError> {
         Ok(Self::from_json_with_trace(line)?.0)
@@ -850,76 +588,87 @@ impl Request {
         if v.as_object().is_none() {
             return Err(ProtocolError::new("request must be a JSON object"));
         }
-        let trace = match v.get("trace") {
-            None | Some(Value::Null) => None,
-            Some(t) => Some(
-                t.as_str()
-                    .map(str::to_owned)
-                    .ok_or_else(|| ProtocolError::new("`trace` must be a string"))?,
-            ),
-        };
-        Ok((Self::from_value(&v)?, trace))
+        let op: String = (&v).field("op")?;
+        Self::decode(&op, &mut &v)
     }
 
-    fn from_value(v: &Value) -> Result<Self, ProtocolError> {
-        let op = required_str(v, "op")?;
-        match op.as_str() {
-            "hello" => Ok(Request::Hello {
-                proto: required_str(v, "proto")?,
-            }),
-            "ingest" => {
-                let dataset = required_str(v, "dataset")?;
-                let (data, dim) = flat_from_value(
-                    v.get("points")
-                        .ok_or_else(|| ProtocolError::new("missing required field `points`"))?,
-                    "points",
-                )?;
-                if data.is_empty() {
-                    return Err(ProtocolError::new("`points` must be non-empty"));
-                }
-                let n = data.len() / dim;
-                let weights = match v.get("weights") {
-                    None | Some(Value::Null) => None,
-                    Some(w) => {
-                        let w = floats_from_value(w, "weights")?;
-                        if w.len() != n {
-                            return Err(ProtocolError::new(format!(
-                                "{} weights for {n} points",
-                                w.len()
-                            )));
-                        }
-                        if !w.iter().all(|x| x.is_finite() && *x >= 0.0) {
-                            return Err(ProtocolError::new(
-                                "`weights` must be finite and non-negative",
-                            ));
-                        }
-                        Some(w)
-                    }
-                };
-                let block = PointBlock::new(data, dim, weights)
-                    .map_err(|e| ProtocolError::new(format!("invalid `points`: {e}")))?;
-                let plan = match v.get("plan") {
-                    None | Some(Value::Null) => None,
-                    Some(p) => Some(
-                        Plan::from_value(p)
-                            .map_err(|e| ProtocolError::new(format!("invalid `plan`: {e}")))?,
-                    ),
-                };
-                let client = match v.get("client") {
-                    None | Some(Value::Null) => None,
-                    Some(c) => Some(
-                        c.as_str()
-                            .map(str::to_owned)
-                            .ok_or_else(|| ProtocolError::new("`client` must be a string"))?,
-                    ),
-                };
-                let seq = match v.get("seq") {
-                    None | Some(Value::Null) => None,
-                    Some(s) => Some(s.as_u64().ok_or_else(|| {
-                        ProtocolError::new("`seq` must be a non-negative integer")
-                    })?),
-                };
-                let ident = match (client, seq) {
+    /// Writes the request's fields, `trace` first, in either dialect.
+    pub(crate) fn encode(&self, trace: Option<&str>, e: &mut impl Encoder) {
+        e.optional("trace", trace.map(str::to_owned).as_ref());
+        match self {
+            Request::Hello { proto } => e.field("proto", proto),
+            Request::Ingest {
+                dataset,
+                block,
+                plan,
+                ident,
+                epoch,
+            } => {
+                e.field("dataset", dataset);
+                e.field("points", block);
+                e.optional("plan", plan.as_ref());
+                e.optional("client", ident.as_ref().map(|i| &i.client));
+                e.optional("seq", ident.as_ref().map(|i| &i.seq));
+                e.optional("epoch", epoch.as_ref());
+            }
+            Request::Compress {
+                dataset,
+                method,
+                seed,
+            } => {
+                e.field("dataset", dataset);
+                e.optional("method", method.as_ref());
+                e.optional("seed", seed.as_ref());
+            }
+            Request::Cluster {
+                dataset,
+                k,
+                kind,
+                solver,
+                seed,
+            } => {
+                e.field("dataset", dataset);
+                e.optional("k", k.as_ref());
+                e.optional("kind", kind.as_ref());
+                e.optional("solver", solver.as_ref());
+                e.optional("seed", seed.as_ref());
+            }
+            Request::Cost {
+                dataset,
+                centers,
+                kind,
+            } => {
+                e.field("dataset", dataset);
+                e.field("centers", centers);
+                e.optional("kind", kind.as_ref());
+            }
+            Request::Stats { dataset } => e.optional("dataset", dataset.as_ref()),
+            Request::Metrics => {}
+            Request::DropDataset { dataset } => e.field("dataset", dataset),
+            Request::AddNode { addr, capacity } => {
+                e.field("addr", addr);
+                e.optional("capacity", capacity.as_ref());
+            }
+            Request::DrainNode { addr } => e.field("addr", addr),
+        }
+    }
+
+    /// Reads the fields of the `op` request, in the order
+    /// [`Request::encode`] writes them, with its trace id.
+    pub(crate) fn decode(
+        op: &str,
+        d: &mut impl Decoder,
+    ) -> Result<(Self, Option<String>), ProtocolError> {
+        let trace = d.optional("trace")?;
+        let request = match op {
+            "hello" => Request::Hello {
+                proto: d.field("proto")?,
+            },
+            "ingest" => Request::Ingest {
+                dataset: d.field("dataset")?,
+                block: d.field("points")?,
+                plan: d.optional("plan")?,
+                ident: match (d.optional("client")?, d.optional("seq")?) {
                     (Some(client), Some(seq)) => Some(IngestIdent { client, seq }),
                     (None, None) => None,
                     _ => {
@@ -927,332 +676,171 @@ impl Request {
                             "`client` and `seq` must be sent together",
                         ))
                     }
-                };
-                let epoch = match v.get("epoch") {
-                    None | Some(Value::Null) => None,
-                    Some(e) => Some(e.as_u64().ok_or_else(|| {
-                        ProtocolError::new("`epoch` must be a non-negative integer")
-                    })?),
-                };
-                Ok(Request::Ingest {
-                    dataset,
-                    block,
-                    plan,
-                    ident,
-                    epoch,
-                })
-            }
-            "compress" => Ok(Request::Compress {
-                dataset: required_str(v, "dataset")?,
-                method: match v.get("method") {
-                    None | Some(Value::Null) => None,
-                    Some(m) => Some(method_from_value(m)?),
                 },
-                seed: optional_seed(v)?,
-            }),
-            "cluster" => {
-                let dataset = required_str(v, "dataset")?;
-                let k = match v.get("k") {
-                    None | Some(Value::Null) => None,
-                    Some(k) => Some(
-                        k.as_usize()
-                            .filter(|&k| k > 0)
-                            .ok_or_else(|| ProtocolError::new("`k` must be a positive integer"))?,
-                    ),
-                };
-                let kind = match v.get("kind") {
-                    None | Some(Value::Null) => None,
-                    Some(kind) => Some(kind_from_value(kind)?),
-                };
-                let solver = match v.get("solver") {
-                    None | Some(Value::Null) => None,
-                    Some(solver) => Some(solver_from_value(solver)?),
-                };
-                Ok(Request::Cluster {
-                    dataset,
-                    k,
-                    kind,
-                    solver,
-                    seed: optional_seed(v)?,
-                })
-            }
-            "cost" => {
-                let dataset = required_str(v, "dataset")?;
-                let centers = rows_from_value(
-                    v.get("centers")
-                        .ok_or_else(|| ProtocolError::new("missing required field `centers`"))?,
-                    "centers",
-                )?;
-                if centers.is_empty() {
-                    return Err(ProtocolError::new("`centers` must be non-empty"));
-                }
-                let kind = match v.get("kind") {
-                    None | Some(Value::Null) => None,
-                    Some(kind) => Some(kind_from_value(kind)?),
-                };
-                Ok(Request::Cost {
-                    dataset,
-                    centers,
-                    kind,
-                })
-            }
-            "stats" => {
-                let dataset = match v.get("dataset") {
-                    None | Some(Value::Null) => None,
-                    Some(d) => Some(
-                        d.as_str()
-                            .map(str::to_owned)
-                            .ok_or_else(|| ProtocolError::new("`dataset` must be a string"))?,
-                    ),
-                };
-                Ok(Request::Stats { dataset })
-            }
-            "metrics" => Ok(Request::Metrics),
-            "drop_dataset" => Ok(Request::DropDataset {
-                dataset: required_str(v, "dataset")?,
-            }),
-            "add_node" => Ok(Request::AddNode {
-                addr: required_str(v, "addr")?,
-                capacity: match v.get("capacity") {
-                    None | Some(Value::Null) => None,
-                    Some(c) => Some(
-                        c.as_f64()
-                            .filter(|c| c.is_finite() && *c >= 0.0)
-                            .ok_or_else(|| {
-                                ProtocolError::new("`capacity` must be a non-negative number")
-                            })?,
-                    ),
-                },
-            }),
-            "drain_node" => Ok(Request::DrainNode {
-                addr: required_str(v, "addr")?,
-            }),
-            other => Err(ProtocolError::new(format!("unknown op `{other}`"))),
-        }
+                epoch: d.optional("epoch")?,
+            },
+            "compress" => Request::Compress {
+                dataset: d.field("dataset")?,
+                method: d.optional("method")?,
+                seed: d.optional("seed")?,
+            },
+            "cluster" => Request::Cluster {
+                dataset: d.field("dataset")?,
+                k: d.checked("k", "a positive integer", |&k: &usize| k > 0)?,
+                kind: d.optional("kind")?,
+                solver: d.optional("solver")?,
+                seed: d.optional("seed")?,
+            },
+            "cost" => Request::Cost {
+                dataset: d.field("dataset")?,
+                centers: d.field("centers")?,
+                kind: d.optional("kind")?,
+            },
+            "stats" => Request::Stats {
+                dataset: d.optional("dataset")?,
+            },
+            "metrics" => Request::Metrics,
+            "drop_dataset" => Request::DropDataset {
+                dataset: d.field("dataset")?,
+            },
+            "add_node" => Request::AddNode {
+                addr: d.field("addr")?,
+                capacity: d.checked("capacity", "a non-negative number", |c: &f64| {
+                    c.is_finite() && *c >= 0.0
+                })?,
+            },
+            "drain_node" => Request::DrainNode {
+                addr: d.field("addr")?,
+            },
+            other => return Err(ProtocolError::new(format!("unknown op `{other}`"))),
+        };
+        Ok((request, trace))
     }
 }
 
-fn pairs_to_object(pairs: Vec<(&str, Value)>) -> Value {
-    Value::Object(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-}
-
-fn node_stats_to_value(n: &NodeStats) -> Value {
-    let mut pairs = vec![
-        ("node", Value::from(n.node.clone())),
-        ("health", Value::from(n.health.name())),
-        ("shards", Value::from(n.shards)),
-        ("ingested_points", Value::from(n.ingested_points)),
-        ("ingested_weight", Value::from(n.ingested_weight)),
-        ("stored_points", Value::from(n.stored_points)),
-    ];
-    if let Some(e) = &n.last_error {
-        pairs.push(("last_error", Value::from(e.clone())));
+impl Record for NodeStats {
+    fn encode(&self, e: &mut impl Encoder) {
+        e.field("node", &self.node);
+        e.field("health", &self.health);
+        e.optional("last_error", self.last_error.as_ref());
+        e.field("shards", &self.shards);
+        e.field("ingested_points", &self.ingested_points);
+        e.field("ingested_weight", &self.ingested_weight);
+        e.field("stored_points", &self.stored_points);
     }
-    pairs_to_object(pairs)
-}
 
-fn node_stats_from_value(v: &Value) -> Result<NodeStats, ProtocolError> {
-    let field = |key: &str| {
-        v.get(key)
-            .ok_or_else(|| ProtocolError::new(format!("node stats missing `{key}`")))
-    };
-    let health = field("health")?
-        .as_str()
-        .and_then(NodeHealth::from_name)
-        .ok_or_else(|| {
-            ProtocolError::new("`health` must be alive, recovering, degraded, or down")
-        })?;
-    Ok(NodeStats {
-        node: required_str(v, "node")?,
-        health,
-        last_error: match v.get("last_error") {
-            None | Some(Value::Null) => None,
-            Some(e) => Some(
-                e.as_str()
-                    .map(str::to_owned)
-                    .ok_or_else(|| ProtocolError::new("`last_error` must be a string"))?,
-            ),
-        },
-        shards: field("shards")?
-            .as_usize()
-            .ok_or_else(|| ProtocolError::new("node `shards` must be an integer"))?,
-        ingested_points: field("ingested_points")?
-            .as_u64()
-            .ok_or_else(|| ProtocolError::new("node `ingested_points` must be an integer"))?,
-        ingested_weight: field("ingested_weight")?
-            .as_f64()
-            .ok_or_else(|| ProtocolError::new("node `ingested_weight` must be a number"))?,
-        stored_points: field("stored_points")?
-            .as_usize()
-            .ok_or_else(|| ProtocolError::new("node `stored_points` must be an integer"))?,
-    })
-}
-
-fn server_stats_to_value(s: &ServerStats) -> Value {
-    let mut pairs = vec![
-        ("uptime_secs", Value::from(s.uptime_secs)),
-        ("ingested_points", Value::from(s.ingested_points)),
-        ("ingested_blocks", Value::from(s.ingested_blocks)),
-        ("queries", Value::from(s.queries)),
-    ];
-    if s.fleet_epoch != 0 {
-        pairs.push(("fleet_epoch", Value::from(s.fleet_epoch)));
+    fn decode(d: &mut impl Decoder) -> Result<Self, ProtocolError> {
+        Ok(NodeStats {
+            node: d.field("node")?,
+            health: d.field("health")?,
+            last_error: d.optional("last_error")?,
+            shards: d.field("shards")?,
+            ingested_points: d.field("ingested_points")?,
+            ingested_weight: d.field("ingested_weight")?,
+            stored_points: d.field("stored_points")?,
+        })
     }
-    if s.cache_hits != 0 {
-        pairs.push(("cache_hits", Value::from(s.cache_hits)));
-    }
-    if s.cache_misses != 0 {
-        pairs.push(("cache_misses", Value::from(s.cache_misses)));
-    }
-    pairs_to_object(pairs)
 }
 
-fn server_stats_from_value(v: &Value) -> Result<ServerStats, ProtocolError> {
-    let counter = |key: &str| {
-        v.get(key)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ProtocolError::new(format!("server stats `{key}` must be an integer")))
-    };
-    Ok(ServerStats {
-        uptime_secs: counter("uptime_secs")?,
-        ingested_points: counter("ingested_points")?,
-        ingested_blocks: counter("ingested_blocks")?,
-        queries: counter("queries")?,
-        // Optional on decode: plain servers have no fleet.
-        fleet_epoch: v.get("fleet_epoch").and_then(Value::as_u64).unwrap_or(0),
-        // Optional on decode: cache-less processes never emit these.
-        cache_hits: v.get("cache_hits").and_then(Value::as_u64).unwrap_or(0),
-        cache_misses: v.get("cache_misses").and_then(Value::as_u64).unwrap_or(0),
-    })
-}
-
-fn dataset_stats_to_value(s: &DatasetStats) -> Value {
-    let mut value = object([
-        ("dataset", Value::from(s.dataset.clone())),
-        ("dim", Value::from(s.dim)),
-        ("plan", s.plan.to_value()),
-        ("shards", Value::from(s.shards)),
-        ("ingested_points", Value::from(s.ingested_points)),
-        ("ingested_weight", Value::from(s.ingested_weight)),
-        ("stored_points", Value::from(s.stored_points)),
-        (
-            "summaries_per_shard",
-            Value::Array(
-                s.summaries_per_shard
-                    .iter()
-                    .map(|&n| Value::from(n))
-                    .collect(),
-            ),
-        ),
-        (
-            "queue_depth_per_shard",
-            Value::Array(
-                s.queue_depth_per_shard
-                    .iter()
-                    .map(|&n| Value::from(n))
-                    .collect(),
-            ),
-        ),
-        (
-            "state_epoch",
-            Value::Array(vec![
-                Value::from(s.state_epoch.0),
-                Value::from(s.state_epoch.1),
-            ]),
-        ),
-        ("recovering", Value::from(s.recovering)),
-    ]);
-    if !s.nodes.is_empty() {
-        if let Value::Object(map) = &mut value {
-            map.insert(
-                "nodes".to_owned(),
-                Value::Array(s.nodes.iter().map(node_stats_to_value).collect()),
-            );
-        }
+impl Record for ServerStats {
+    fn encode(&self, e: &mut impl Encoder) {
+        e.field("uptime_secs", &self.uptime_secs);
+        e.field("ingested_points", &self.ingested_points);
+        e.field("ingested_blocks", &self.ingested_blocks);
+        e.field("queries", &self.queries);
+        e.defaulted("fleet_epoch", &self.fleet_epoch);
+        e.defaulted("cache_hits", &self.cache_hits);
+        e.defaulted("cache_misses", &self.cache_misses);
     }
-    value
+
+    fn decode(d: &mut impl Decoder) -> Result<Self, ProtocolError> {
+        Ok(ServerStats {
+            uptime_secs: d.field("uptime_secs")?,
+            ingested_points: d.field("ingested_points")?,
+            ingested_blocks: d.field("ingested_blocks")?,
+            queries: d.field("queries")?,
+            fleet_epoch: d.defaulted("fleet_epoch")?,
+            cache_hits: d.defaulted("cache_hits")?,
+            cache_misses: d.defaulted("cache_misses")?,
+        })
+    }
 }
 
-fn dataset_stats_from_value(v: &Value) -> Result<DatasetStats, ProtocolError> {
-    let field = |key: &str| {
-        v.get(key)
-            .ok_or_else(|| ProtocolError::new(format!("stats missing `{key}`")))
-    };
-    Ok(DatasetStats {
-        dataset: required_str(v, "dataset")?,
-        dim: field("dim")?
-            .as_usize()
-            .ok_or_else(|| ProtocolError::new("`dim` must be an integer"))?,
-        plan: Plan::from_value(field("plan")?)
-            .map_err(|e| ProtocolError::new(format!("invalid stats `plan`: {e}")))?,
-        shards: field("shards")?
-            .as_usize()
-            .ok_or_else(|| ProtocolError::new("`shards` must be an integer"))?,
-        ingested_points: field("ingested_points")?
-            .as_u64()
-            .ok_or_else(|| ProtocolError::new("`ingested_points` must be an integer"))?,
-        ingested_weight: field("ingested_weight")?
-            .as_f64()
-            .ok_or_else(|| ProtocolError::new("`ingested_weight` must be a number"))?,
-        stored_points: field("stored_points")?
-            .as_usize()
-            .ok_or_else(|| ProtocolError::new("`stored_points` must be an integer"))?,
-        summaries_per_shard: field("summaries_per_shard")?
-            .as_array()
-            .ok_or_else(|| ProtocolError::new("`summaries_per_shard` must be an array"))?
-            .iter()
-            .map(|n| {
-                n.as_usize()
-                    .ok_or_else(|| ProtocolError::new("`summaries_per_shard` must hold integers"))
-            })
-            .collect::<Result<_, _>>()?,
-        queue_depth_per_shard: field("queue_depth_per_shard")?
-            .as_array()
-            .ok_or_else(|| ProtocolError::new("`queue_depth_per_shard` must be an array"))?
-            .iter()
-            .map(|n| {
-                n.as_usize()
-                    .ok_or_else(|| ProtocolError::new("`queue_depth_per_shard` must hold integers"))
-            })
-            .collect::<Result<_, _>>()?,
-        state_epoch: {
-            let pair = field("state_epoch")?
-                .as_array()
-                .filter(|a| a.len() == 2)
-                .ok_or_else(|| ProtocolError::new("`state_epoch` must be a two-element array"))?;
-            let component = |i: usize| {
-                pair[i].as_u64().ok_or_else(|| {
-                    ProtocolError::new("`state_epoch` must hold non-negative integers")
-                })
-            };
-            (component(0)?, component(1)?)
-        },
-        recovering: field("recovering")?
-            .as_bool()
-            .ok_or_else(|| ProtocolError::new("`recovering` must be a boolean"))?,
-        // Optional on decode: plain servers never emit it (see the field
-        // docs on `DatasetStats`).
-        nodes: match v.get("nodes") {
-            None | Some(Value::Null) => Vec::new(),
-            Some(nodes) => nodes
-                .as_array()
-                .ok_or_else(|| ProtocolError::new("`nodes` must be an array"))?
-                .iter()
-                .map(node_stats_from_value)
-                .collect::<Result<_, _>>()?,
-        },
-    })
+impl Record for DatasetStats {
+    fn encode(&self, e: &mut impl Encoder) {
+        e.field("dataset", &self.dataset);
+        e.field("dim", &self.dim);
+        e.field("plan", &self.plan);
+        e.field("shards", &self.shards);
+        e.field("ingested_points", &self.ingested_points);
+        e.field("ingested_weight", &self.ingested_weight);
+        e.field("stored_points", &self.stored_points);
+        e.field("summaries_per_shard", &self.summaries_per_shard);
+        e.field("queue_depth_per_shard", &self.queue_depth_per_shard);
+        e.field("state_epoch", &vec![self.state_epoch.0, self.state_epoch.1]);
+        e.field("recovering", &self.recovering);
+        e.defaulted("nodes", &self.nodes);
+    }
+
+    fn decode(d: &mut impl Decoder) -> Result<Self, ProtocolError> {
+        Ok(DatasetStats {
+            dataset: d.field("dataset")?,
+            dim: d.field("dim")?,
+            plan: d.field("plan")?,
+            shards: d.field("shards")?,
+            ingested_points: d.field("ingested_points")?,
+            ingested_weight: d.field("ingested_weight")?,
+            stored_points: d.field("stored_points")?,
+            summaries_per_shard: d.field("summaries_per_shard")?,
+            queue_depth_per_shard: d.field("queue_depth_per_shard")?,
+            state_epoch: match d.field::<Vec<u64>>("state_epoch")?[..] {
+                [snapshots, seqs] => (snapshots, seqs),
+                _ => return Err(ProtocolError::new("`state_epoch` must be two integers")),
+            },
+            recovering: d.field("recovering")?,
+            nodes: d.defaulted("nodes")?,
+        })
+    }
 }
 
 impl Response {
     /// Encodes the response as one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
-        let value = match self {
-            Response::Hello { proto } => object([
-                ("ok", Value::from(true)),
-                ("kind", Value::from("hello")),
-                ("proto", Value::from(proto.clone())),
-            ]),
+        let mut obj = Object::new();
+        let ok = !matches!(self, Response::Error { .. });
+        obj.insert("ok".to_owned(), Value::from(ok));
+        obj.insert("kind".to_owned(), Value::from(self.kind()));
+        self.encode(&mut obj);
+        Value::Object(obj).to_json()
+    }
+
+    /// Decodes one response line.
+    pub fn from_json(line: &str) -> Result<Self, ProtocolError> {
+        let v = json::parse(line)?;
+        let kind: String = (&v).field("kind")?;
+        Self::decode(&kind, &mut &v)
+    }
+
+    /// The wire `kind` name.
+    pub(crate) fn kind(&self) -> &'static str {
+        match self {
+            Response::Hello { .. } => "hello",
+            Response::Ingested { .. } => "ingested",
+            Response::Coreset { .. } => "coreset",
+            Response::Clustered { .. } => "clustered",
+            Response::Cost { .. } => "cost",
+            Response::Stats { .. } => "stats",
+            Response::Metrics { .. } => "metrics",
+            Response::Dropped { .. } => "dropped",
+            Response::FleetUpdated { .. } => "fleet_updated",
+            Response::Error { .. } => "error",
+        }
+    }
+
+    /// Writes the response's fields in either dialect.
+    pub(crate) fn encode(&self, e: &mut impl Encoder) {
+        match self {
+            Response::Hello { proto } => e.field("proto", proto),
             Response::Ingested {
                 dataset,
                 points,
@@ -1260,18 +848,11 @@ impl Response {
                 total_weight,
                 duplicate,
             } => {
-                let mut pairs = vec![
-                    ("ok", Value::from(true)),
-                    ("kind", Value::from("ingested")),
-                    ("dataset", Value::from(dataset.clone())),
-                    ("points", Value::from(*points)),
-                    ("total_points", Value::from(*total_points)),
-                    ("total_weight", Value::from(*total_weight)),
-                ];
-                if *duplicate {
-                    pairs.push(("duplicate", Value::from(true)));
-                }
-                pairs_to_object(pairs)
+                e.field("dataset", dataset);
+                e.field("points", points);
+                e.field("total_points", total_points);
+                e.field("total_weight", total_weight);
+                e.defaulted("duplicate", duplicate);
             }
             Response::Coreset {
                 dataset,
@@ -1279,15 +860,13 @@ impl Response {
                 weights,
                 method,
                 seed,
-            } => object([
-                ("ok", Value::from(true)),
-                ("kind", Value::from("coreset")),
-                ("dataset", Value::from(dataset.clone())),
-                ("points", rows_to_value(points)),
-                ("weights", number_array(weights)),
-                ("method", Value::from(method.to_string())),
-                ("seed", Value::from(*seed)),
-            ]),
+            } => {
+                e.field("dataset", dataset);
+                e.field("points", points);
+                e.field("weights", weights);
+                e.field("method", method);
+                e.field("seed", seed);
+            }
             Response::Clustered {
                 dataset,
                 centers,
@@ -1296,206 +875,113 @@ impl Response {
                 coreset_cost,
                 coreset_points,
                 seed,
-            } => object([
-                ("ok", Value::from(true)),
-                ("kind", Value::from("clustered")),
-                ("dataset", Value::from(dataset.clone())),
-                ("centers", rows_to_value(centers)),
-                ("objective", Value::from(kind_name(*kind))),
-                ("solver", Value::from(solver.to_string())),
-                ("coreset_cost", Value::from(*coreset_cost)),
-                ("coreset_points", Value::from(*coreset_points)),
-                ("seed", Value::from(*seed)),
-            ]),
+            } => {
+                e.field("dataset", dataset);
+                e.field("centers", centers);
+                e.field("objective", kind);
+                e.field("solver", solver);
+                e.field("coreset_cost", coreset_cost);
+                e.field("coreset_points", coreset_points);
+                e.field("seed", seed);
+            }
             Response::Cost {
                 dataset,
                 cost,
                 kind,
                 coreset_points,
-            } => object([
-                ("ok", Value::from(true)),
-                ("kind", Value::from("cost")),
-                ("dataset", Value::from(dataset.clone())),
-                ("cost", Value::from(*cost)),
-                ("objective", Value::from(kind_name(*kind))),
-                ("coreset_points", Value::from(*coreset_points)),
-            ]),
-            Response::Stats { datasets, server } => {
-                let mut pairs = vec![
-                    ("ok", Value::from(true)),
-                    ("kind", Value::from("stats")),
-                    (
-                        "datasets",
-                        Value::Array(datasets.iter().map(dataset_stats_to_value).collect()),
-                    ),
-                ];
-                if let Some(s) = server {
-                    pairs.push(("server", server_stats_to_value(s)));
-                }
-                pairs_to_object(pairs)
+            } => {
+                e.field("dataset", dataset);
+                e.field("cost", cost);
+                e.field("objective", kind);
+                e.field("coreset_points", coreset_points);
             }
-            Response::Metrics { metrics } => object([
-                ("ok", Value::from(true)),
-                ("kind", Value::from("metrics")),
-                ("metrics", metrics.clone()),
-            ]),
-            Response::Dropped { dataset } => object([
-                ("ok", Value::from(true)),
-                ("kind", Value::from("dropped")),
-                ("dataset", Value::from(dataset.clone())),
-            ]),
+            Response::Stats { datasets, server } => {
+                e.field("datasets", datasets);
+                e.optional("server", server.as_ref());
+            }
+            Response::Metrics { metrics } => e.field("metrics", metrics),
+            Response::Dropped { dataset } => e.field("dataset", dataset),
             Response::FleetUpdated {
                 epoch,
                 nodes,
                 migrated,
-            } => object([
-                ("ok", Value::from(true)),
-                ("kind", Value::from("fleet_updated")),
-                ("epoch", Value::from(*epoch)),
-                ("nodes", Value::from(*nodes)),
-                ("migrated", Value::from(*migrated)),
-            ]),
-            Response::Error { message, code } => {
-                let mut pairs = vec![
-                    ("ok", Value::from(false)),
-                    ("kind", Value::from("error")),
-                    ("message", Value::from(message.clone())),
-                ];
-                if let Some(code) = code {
-                    pairs.push(("code", Value::from(code.name())));
-                }
-                pairs_to_object(pairs)
+            } => {
+                e.field("epoch", epoch);
+                e.field("nodes", nodes);
+                e.field("migrated", migrated);
             }
-        };
-        value.to_json()
+            Response::Error { message, code } => {
+                e.field("message", message);
+                e.optional("code", code.map(|c| c.name().to_owned()).as_ref());
+            }
+        }
     }
 
-    /// Decodes one response line.
-    pub fn from_json(line: &str) -> Result<Self, ProtocolError> {
-        let v = json::parse(line)?;
-        let kind = required_str(&v, "kind")?;
-        let num = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| ProtocolError::new(format!("missing numeric field `{key}`")))
-        };
-        let int = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_usize)
-                .ok_or_else(|| ProtocolError::new(format!("missing integer field `{key}`")))
-        };
-        let seed = |()| {
-            v.get("seed")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| ProtocolError::new("missing integer field `seed`"))
-        };
-        match kind.as_str() {
-            "hello" => Ok(Response::Hello {
-                proto: required_str(&v, "proto")?,
-            }),
-            "ingested" => Ok(Response::Ingested {
-                dataset: required_str(&v, "dataset")?,
-                points: int("points")?,
-                total_points: v
-                    .get("total_points")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| ProtocolError::new("missing integer field `total_points`"))?,
-                total_weight: num("total_weight")?,
-                // Optional on decode: only emitted when set.
-                duplicate: v.get("duplicate").and_then(Value::as_bool).unwrap_or(false),
-            }),
-            "coreset" => Ok(Response::Coreset {
-                dataset: required_str(&v, "dataset")?,
-                points: rows_from_value(
-                    v.get("points")
-                        .ok_or_else(|| ProtocolError::new("missing field `points`"))?,
-                    "points",
-                )?,
-                weights: floats_from_value(
-                    v.get("weights")
-                        .ok_or_else(|| ProtocolError::new("missing field `weights`"))?,
-                    "weights",
-                )?,
-                method: method_from_value(
-                    v.get("method")
-                        .ok_or_else(|| ProtocolError::new("missing field `method`"))?,
-                )?,
-                seed: seed(())?,
-            }),
-            "clustered" => Ok(Response::Clustered {
-                dataset: required_str(&v, "dataset")?,
-                centers: rows_from_value(
-                    v.get("centers")
-                        .ok_or_else(|| ProtocolError::new("missing field `centers`"))?,
-                    "centers",
-                )?,
-                kind: kind_from_value(
-                    v.get("objective")
-                        .ok_or_else(|| ProtocolError::new("missing field `objective`"))?,
-                )?,
-                solver: solver_from_value(
-                    v.get("solver")
-                        .ok_or_else(|| ProtocolError::new("missing field `solver`"))?,
-                )?,
-                coreset_cost: num("coreset_cost")?,
-                coreset_points: int("coreset_points")?,
-                seed: seed(())?,
-            }),
-            "cost" => Ok(Response::Cost {
-                dataset: required_str(&v, "dataset")?,
-                cost: num("cost")?,
-                kind: kind_from_value(
-                    v.get("objective")
-                        .ok_or_else(|| ProtocolError::new("missing field `objective`"))?,
-                )?,
-                coreset_points: int("coreset_points")?,
-            }),
-            "stats" => Ok(Response::Stats {
-                datasets: v
-                    .get("datasets")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| ProtocolError::new("missing array field `datasets`"))?
-                    .iter()
-                    .map(dataset_stats_from_value)
-                    .collect::<Result<_, _>>()?,
-                // Optional on decode: backends without lifetime counters
-                // omit the field.
-                server: match v.get("server") {
-                    None | Some(Value::Null) => None,
-                    Some(s) => Some(server_stats_from_value(s)?),
-                },
-            }),
-            "metrics" => Ok(Response::Metrics {
-                metrics: v
-                    .get("metrics")
-                    .ok_or_else(|| ProtocolError::new("missing field `metrics`"))?
-                    .clone(),
-            }),
-            "dropped" => Ok(Response::Dropped {
-                dataset: required_str(&v, "dataset")?,
-            }),
-            "fleet_updated" => Ok(Response::FleetUpdated {
-                epoch: v
-                    .get("epoch")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| ProtocolError::new("missing integer field `epoch`"))?,
-                nodes: int("nodes")?,
-                migrated: int("migrated")?,
-            }),
-            "error" => Ok(Response::Error {
-                message: required_str(&v, "message")?,
-                code: match v.get("code") {
-                    None | Some(Value::Null) => None,
-                    Some(code) => ErrorCode::from_name(
-                        code.as_str()
-                            .ok_or_else(|| ProtocolError::new("`code` must be a string"))?,
-                    ),
-                },
-            }),
-            other => Err(ProtocolError::new(format!(
-                "unknown response kind `{other}`"
-            ))),
-        }
+    /// Reads the fields of the `kind` response, in the order
+    /// [`Response::encode`] writes them.
+    pub(crate) fn decode(kind: &str, d: &mut impl Decoder) -> Result<Self, ProtocolError> {
+        Ok(match kind {
+            "hello" => Response::Hello {
+                proto: d.field("proto")?,
+            },
+            "ingested" => Response::Ingested {
+                dataset: d.field("dataset")?,
+                points: d.field("points")?,
+                total_points: d.field("total_points")?,
+                total_weight: d.field("total_weight")?,
+                duplicate: d.defaulted("duplicate")?,
+            },
+            "coreset" => Response::Coreset {
+                dataset: d.field("dataset")?,
+                points: d.field("points")?,
+                weights: d.field("weights")?,
+                method: d.field("method")?,
+                seed: d.field("seed")?,
+            },
+            "clustered" => Response::Clustered {
+                dataset: d.field("dataset")?,
+                centers: d.field("centers")?,
+                kind: d.field("objective")?,
+                solver: d.field("solver")?,
+                coreset_cost: d.field("coreset_cost")?,
+                coreset_points: d.field("coreset_points")?,
+                seed: d.field("seed")?,
+            },
+            "cost" => Response::Cost {
+                dataset: d.field("dataset")?,
+                cost: d.field("cost")?,
+                kind: d.field("objective")?,
+                coreset_points: d.field("coreset_points")?,
+            },
+            "stats" => Response::Stats {
+                datasets: d.field("datasets")?,
+                server: d.optional("server")?,
+            },
+            "metrics" => Response::Metrics {
+                metrics: d.field("metrics")?,
+            },
+            "dropped" => Response::Dropped {
+                dataset: d.field("dataset")?,
+            },
+            "fleet_updated" => Response::FleetUpdated {
+                epoch: d.field("epoch")?,
+                nodes: d.field("nodes")?,
+                migrated: d.field("migrated")?,
+            },
+            "error" => Response::Error {
+                message: d.field("message")?,
+                // An unknown code decodes as none: old clients must survive new
+                // server-side classes.
+                code: d
+                    .optional::<String>("code")?
+                    .and_then(|name| ErrorCode::from_name(&name)),
+            },
+            other => {
+                return Err(ProtocolError::new(format!(
+                    "unknown response kind `{other}`"
+                )))
+            }
+        })
     }
 }
 
@@ -1527,112 +1013,6 @@ pub fn rows_to_points(rows: &[Vec<f64>]) -> Result<Points, ProtocolError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn round_trip_request(req: Request) {
-        let line = req.to_json();
-        assert!(
-            !line.contains('\n'),
-            "requests must be single lines: {line}"
-        );
-        assert_eq!(Request::from_json(&line).unwrap(), req);
-    }
-
-    fn round_trip_response(resp: Response) {
-        let line = resp.to_json();
-        assert!(
-            !line.contains('\n'),
-            "responses must be single lines: {line}"
-        );
-        assert_eq!(Response::from_json(&line).unwrap(), resp);
-    }
-
-    #[test]
-    fn requests_round_trip() {
-        round_trip_request(Request::Hello {
-            proto: BINARY_PROTO.into(),
-        });
-        round_trip_request(Request::Ingest {
-            dataset: "d".into(),
-            block: PointBlock::new(vec![0.0, 1.5, -2.25, 3.0], 2, Some(vec![1.0, 2.5])).unwrap(),
-            plan: None,
-            ident: None,
-            epoch: None,
-        });
-        round_trip_request(Request::Ingest {
-            dataset: "d".into(),
-            block: PointBlock::new(vec![0.5], 1, None).unwrap(),
-            plan: None,
-            ident: Some(IngestIdent {
-                client: "producer-a".into(),
-                seq: 42,
-            }),
-            epoch: Some(3),
-        });
-        round_trip_request(Request::Ingest {
-            dataset: "d".into(),
-            block: PointBlock::new(vec![0.5, 1.0], 2, None).unwrap(),
-            plan: Some(
-                fc_core::plan::PlanBuilder::new(3)
-                    .m_scalar(15)
-                    .kind(CostKind::KMedian)
-                    .method("merge-reduce(lightweight)".parse().unwrap())
-                    .solver(Solver::KMedianWeiszfeld)
-                    .compaction_budget(900)
-                    .build()
-                    .unwrap(),
-            ),
-            ident: None,
-            epoch: None,
-        });
-        round_trip_request(Request::Compress {
-            dataset: "a/b c".into(),
-            method: None,
-            seed: Some(7),
-        });
-        round_trip_request(Request::Compress {
-            dataset: "x".into(),
-            method: Some("merge-reduce(welterweight(log-k))".parse().unwrap()),
-            seed: None,
-        });
-        round_trip_request(Request::Cluster {
-            dataset: "d".into(),
-            k: Some(4),
-            kind: Some(CostKind::KMedian),
-            solver: Some(Solver::KMedianWeiszfeld),
-            seed: Some(99),
-        });
-        round_trip_request(Request::Cluster {
-            dataset: "d".into(),
-            k: None,
-            kind: None,
-            solver: None,
-            seed: None,
-        });
-        round_trip_request(Request::Cost {
-            dataset: "d".into(),
-            centers: vec![vec![1.0, 2.0]],
-            kind: Some(CostKind::KMeans),
-        });
-        round_trip_request(Request::Stats { dataset: None });
-        round_trip_request(Request::Stats {
-            dataset: Some("d".into()),
-        });
-        round_trip_request(Request::Metrics);
-        round_trip_request(Request::DropDataset {
-            dataset: "d".into(),
-        });
-        round_trip_request(Request::AddNode {
-            addr: "127.0.0.1:4801".into(),
-            capacity: Some(2.5),
-        });
-        round_trip_request(Request::AddNode {
-            addr: "127.0.0.1:4801".into(),
-            capacity: None,
-        });
-        round_trip_request(Request::DrainNode {
-            addr: "127.0.0.1:4801".into(),
-        });
-    }
 
     #[test]
     fn ingest_idents_are_paired_and_optional() {
@@ -1684,176 +1064,6 @@ mod tests {
             Request::from_json_with_trace(&traced).unwrap().1.as_deref(),
             Some("x")
         );
-    }
-
-    #[test]
-    fn responses_round_trip() {
-        round_trip_response(Response::Hello {
-            proto: BINARY_PROTO.into(),
-        });
-        round_trip_response(Response::Ingested {
-            dataset: "d".into(),
-            points: 128,
-            total_points: 1 << 40,
-            total_weight: 1099511627776.5,
-            duplicate: false,
-        });
-        round_trip_response(Response::Ingested {
-            dataset: "d".into(),
-            points: 0,
-            total_points: 1 << 40,
-            total_weight: 1099511627776.5,
-            duplicate: true,
-        });
-        round_trip_response(Response::Coreset {
-            dataset: "d".into(),
-            points: vec![vec![0.125, -4.0]],
-            weights: vec![17.25],
-            method: Method::FastCoreset,
-            seed: 3,
-        });
-        round_trip_response(Response::Clustered {
-            dataset: "d".into(),
-            centers: vec![vec![1.0], vec![2.0]],
-            kind: CostKind::KMeans,
-            solver: Solver::Hamerly,
-            coreset_cost: 12.5,
-            coreset_points: 200,
-            seed: 8,
-        });
-        round_trip_response(Response::Cost {
-            dataset: "d".into(),
-            cost: 0.0625,
-            kind: CostKind::KMedian,
-            coreset_points: 10,
-        });
-        round_trip_response(Response::Stats {
-            datasets: vec![DatasetStats {
-                dataset: "d".into(),
-                dim: 3,
-                plan: fc_core::plan::PlanBuilder::new(4)
-                    .m_scalar(25)
-                    .build()
-                    .unwrap(),
-                shards: 4,
-                ingested_points: 1000,
-                ingested_weight: 1000.0,
-                stored_points: 320,
-                summaries_per_shard: vec![2, 1, 3, 1],
-                queue_depth_per_shard: vec![0, 4, 0, 1],
-                state_epoch: (3, 1000),
-                recovering: false,
-                nodes: Vec::new(),
-            }],
-            server: Some(ServerStats {
-                uptime_secs: 86_400,
-                ingested_points: 1 << 41,
-                ingested_blocks: 1 << 21,
-                queries: 42,
-                fleet_epoch: 0,
-                cache_hits: 12,
-                cache_misses: 30,
-            }),
-        });
-        // Coordinator stats carry per-node identity and health.
-        round_trip_response(Response::Stats {
-            datasets: vec![DatasetStats {
-                dataset: "d".into(),
-                dim: 2,
-                plan: fc_core::plan::PlanBuilder::new(2).build().unwrap(),
-                shards: 4,
-                ingested_points: 10,
-                ingested_weight: 10.0,
-                stored_points: 10,
-                summaries_per_shard: vec![1, 1, 1, 1],
-                queue_depth_per_shard: vec![0, 0, 0, 0],
-                state_epoch: (0, 0),
-                recovering: true,
-                nodes: vec![
-                    NodeStats {
-                        node: "127.0.0.1:4777".into(),
-                        health: NodeHealth::Alive,
-                        last_error: None,
-                        shards: 2,
-                        ingested_points: 6,
-                        ingested_weight: 6.0,
-                        stored_points: 6,
-                    },
-                    NodeStats {
-                        node: "127.0.0.1:4778".into(),
-                        health: NodeHealth::Recovering,
-                        last_error: None,
-                        shards: 2,
-                        ingested_points: 4,
-                        ingested_weight: 4.0,
-                        stored_points: 4,
-                    },
-                    NodeStats {
-                        node: "127.0.0.1:4779".into(),
-                        health: NodeHealth::Down,
-                        last_error: Some("connect: refused".into()),
-                        shards: 0,
-                        ingested_points: 0,
-                        ingested_weight: 0.0,
-                        stored_points: 0,
-                    },
-                ],
-            }],
-            server: None,
-        });
-        round_trip_response(Response::Dropped {
-            dataset: "d".into(),
-        });
-        // Coordinators report their fleet epoch; plain servers omit it.
-        round_trip_response(Response::Stats {
-            datasets: Vec::new(),
-            server: Some(ServerStats {
-                uptime_secs: 10,
-                ingested_points: 0,
-                ingested_blocks: 0,
-                queries: 0,
-                fleet_epoch: 17,
-                cache_hits: 0,
-                cache_misses: 0,
-            }),
-        });
-        round_trip_response(Response::FleetUpdated {
-            epoch: 4,
-            nodes: 3,
-            migrated: 2,
-        });
-        round_trip_response(Response::Metrics {
-            metrics: json::parse(r#"{"counters":{"fc_requests_total":7},"traces":[]}"#).unwrap(),
-        });
-        round_trip_response(Response::Error {
-            message: "no such dataset \"x\"".into(),
-            code: None,
-        });
-        round_trip_response(Response::Error {
-            message: "shard 2 is overloaded".into(),
-            code: Some(ErrorCode::Overloaded),
-        });
-        round_trip_response(Response::Error {
-            message: "connection limit reached".into(),
-            code: Some(ErrorCode::Unavailable),
-        });
-        round_trip_response(Response::Error {
-            message: "request waited 120ms, deadline 100ms".into(),
-            code: Some(ErrorCode::DeadlineExceeded),
-        });
-        round_trip_response(Response::Error {
-            message: "fleet epoch is 5, request carried 3".into(),
-            code: Some(ErrorCode::WrongEpoch),
-        });
-        round_trip_response(Response::Error {
-            message: "internal error: the request panicked: boom".into(),
-            code: Some(ErrorCode::Internal),
-        });
-        // Unknown codes from newer servers decode as None, not an error.
-        match Response::from_json(r#"{"kind":"error","message":"m","code":"quota"}"#).unwrap() {
-            Response::Error { code, .. } => assert_eq!(code, None),
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

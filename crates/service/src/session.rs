@@ -43,7 +43,9 @@
 //! uses the dialect the codec speaks at that point.
 //!
 //! [`answer`] is the whole per-request unit of work: decode (JSON line or
-//! binary payload), set the ambient trace id, dispatch through
+//! binary payload — one field list per op, read through the field
+//! vocabulary in [`crate::wire`], so a malformed request gets the same
+//! message in either), set the ambient trace id, dispatch through
 //! [`handle_request`], record the hop, encode. A panic inside is contained
 //! as one `internal` error for that request — the connection, the thread
 //! that ran it and the rest of the pipeline carry on.

@@ -1,97 +1,590 @@
-//! The binary wire format: opcode-tagged payloads inside length-prefixed
-//! frames.
+//! The wire's one field vocabulary, and the binary frames it fills.
 //!
-//! A connection negotiates it with a JSON `hello` line (the handshake and
-//! the rest of the connection protocol live in [`crate::session`]); after
-//! the server's JSON acknowledgement every frame in both directions is one
-//! [`Envelope`]: `[u32 LE length][payload]` for `"proto":"bin1"`,
-//! `[u32 LE length][u32 LE crc32][payload]` for `"proto":"bin1c"`. A
-//! dialect is an envelope and nothing else — the payload below is encoded
-//! the same way under either header, and [`request_frame`] /
-//! [`response_frame`] hand their `checked` flag to the envelope and read
-//! it nowhere else. The payload is laid out as:
+//! Every request and response is a list of named fields, written down
+//! once per direction ([`Request`] / [`Response`] `encode` and `decode`
+//! in [`crate::protocol`]). Either dialect reads and writes them through
+//! one `Field` impl per field type, which states the type's JSON shape,
+//! its binary shape and its validation, so a malformed value gets the
+//! same message in both:
 //!
-//! ```text
-//! [opcode u8][flags u8][if flags&1: trace str]
-//! [if flags&2: client str, seq u64][if flags&4: epoch u64][body...]
-//! ```
+//! - **JSON lines**: the fields are the keys of one object, built in a
+//!   `BTreeMap` (the same fields always give the same line). A request
+//!   adds `"op"`, a response `"ok"` and `"kind"`.
+//! - **Binary** (`bin1` / `bin1c`): a one-byte opcode, then the fields in
+//!   the order they are written down, in [`fc_persist::record`]'s
+//!   little-endian vocabulary (shared with the WAL). A frame is one
+//!   [`Envelope`] — `[u32 len][payload]` for `bin1`,
+//!   `[u32 len][u32 crc32][payload]` for `bin1c` — and the payload is the
+//!   same under either; the handshake lives in [`crate::session`].
 //!
-//! where `str` is `[u32 LE byte length][UTF-8 bytes]` and every number is
-//! little-endian ([`fc_persist::record`] is the byte vocabulary, shared
-//! with the WAL). `flags&2` (ingest identity for exactly-once dedup) and
-//! `flags&4` (fleet epoch) are valid on `ingest` only. The hot operations
-//! — `ingest` and `cost` requests, and the numeric responses — get
-//! dedicated opcodes whose point payloads are contiguous `f64` runs with
-//! `dim`/`count` headers, decoded straight into flat buffers
-//! ([`fc_core::PointBlock`]) with no per-point allocation and no text
-//! parsing. Everything else ships as opcode `0x00` / `0x80`: the
-//! operation's JSON line embedded as the body, which keeps the two
-//! formats trivially value-identical for the long tail (`stats`,
-//! `metrics`, plans, ...).
+//! An optional field (`?` below) is an absent or `null` key in JSON and a
+//! presence byte `0` / `1` before the value in binary; a defaulted one
+//! (`=`) is optional, and JSON leaves it out while it holds its default.
 //!
-//! | opcode | direction | body |
-//! |--------|-----------|------|
-//! | `0x00` | request   | JSON request line (UTF-8) |
-//! | `0x01` | request   | ingest: `dataset str, has_weights u8, has_plan u8, [plan str,] dim u32, count u32, count*dim f64, [count f64]` |
-//! | `0x02` | request   | cost: `dataset str, kind u8, dim u32, count u32, count*dim f64` |
-//! | `0x80` | response  | JSON response line (UTF-8) |
-//! | `0x81` | response  | ingested: `dataset str, points u64, total_points u64, total_weight f64, duplicate u8` (a decoder accepts the layout that ends at the weight as "not a duplicate") |
-//! | `0x82` | response  | coreset: `dataset str, method str, seed u64, dim u32, count u32, count*dim f64, count f64` |
-//! | `0x83` | response  | cost: `dataset str, kind u8, cost f64, coreset_points u64` |
-//! | `0x84` | response  | clustered: `dataset str, kind u8, solver str, coreset_cost f64, coreset_points u64, seed u64, dim u32, count u32, count*dim f64` |
-//! | `0x85` | response  | error: `message str, has_code u8, [code str]` |
+//! | field type | JSON | binary |
+//! |------------|------|--------|
+//! | string | string | `u32` byte length, UTF-8 |
+//! | `u64` / `usize` | non-negative integer | `u64` |
+//! | `f64` | number | `f64` |
+//! | `bool` | `true` / `false` | `u8` 0 / 1 |
+//! | point block | `points` (rows) + `weights`? | `dim u32, count u32, count·dim f64`, weights? |
+//! | rows | non-empty array of equal-length finite rows | `dim u32, count u32, count·dim f64` |
+//! | number list | array of numbers | `count u32, count f64` |
+//! | list | array | `count u32`, then each item |
+//! | objective, method, solver, health | canonical name | string |
+//! | plan | its wire object ([`Plan::to_value`]) | that object's JSON text |
+//! | metrics | any JSON value | its JSON text |
+//! | stats record | object | its fields in order |
 //!
-//! `kind` bytes encode the objective: `0` absent, `1` k-means,
-//! `2` k-median.
+//! Opcodes are positions in `REQUEST_OPS` / `RESPONSE_KINDS`; one
+//! outside them — a frame from a peer of another build among them — is
+//! answered with a structured error, never decoded as something else.
+//!
+//! | opcode | JSON | fields, in binary order |
+//! |--------|------|-------------------------|
+//! | `0x20` | `"op":"hello"` | trace?, proto |
+//! | `0x21` | `"op":"ingest"` | trace?, dataset, points + weights?, plan?, client?, seq?, epoch? |
+//! | `0x22` | `"op":"compress"` | trace?, dataset, method?, seed? |
+//! | `0x23` | `"op":"cluster"` | trace?, dataset, k?, kind?, solver?, seed? |
+//! | `0x24` | `"op":"cost"` | trace?, dataset, centers, kind? |
+//! | `0x25` | `"op":"stats"` | trace?, dataset? |
+//! | `0x26` | `"op":"metrics"` | trace? |
+//! | `0x27` | `"op":"drop_dataset"` | trace?, dataset |
+//! | `0x28` | `"op":"add_node"` | trace?, addr, capacity? |
+//! | `0x29` | `"op":"drain_node"` | trace?, addr |
+//! | `0xa0` | `"kind":"hello"` | proto |
+//! | `0xa1` | `"kind":"ingested"` | dataset, points, total_points, total_weight, duplicate= |
+//! | `0xa2` | `"kind":"coreset"` | dataset, points, weights, method, seed |
+//! | `0xa3` | `"kind":"clustered"` | dataset, centers, objective, solver, coreset_cost, coreset_points, seed |
+//! | `0xa4` | `"kind":"cost"` | dataset, cost, objective, coreset_points |
+//! | `0xa5` | `"kind":"stats"` | datasets, server? |
+//! | `0xa6` | `"kind":"metrics"` | metrics |
+//! | `0xa7` | `"kind":"dropped"` | dataset |
+//! | `0xa8` | `"kind":"fleet_updated"` | epoch, nodes, migrated |
+//! | `0xa9` | `"kind":"error"` | message, code? (an unknown code decodes as none) |
+//!
+//! The stats records: dataset `dataset, dim, plan, shards,
+//! ingested_points, ingested_weight, stored_points, summaries_per_shard,
+//! queue_depth_per_shard, state_epoch, recovering, nodes=`; node `node,
+//! health, last_error?, shards, ingested_points, ingested_weight,
+//! stored_points`; server `uptime_secs, ingested_points, ingested_blocks,
+//! queries, fleet_epoch=, cache_hits=, cache_misses=`.
 
-use fc_clustering::CostKind;
-use fc_core::plan::Plan;
-use fc_core::PointBlock;
+use std::collections::BTreeMap;
+
+use fc_clustering::{CostKind, Solver};
+use fc_core::json::{self, number_array, Value};
+use fc_core::plan::{kind_from_name, kind_name, Method, Plan};
+use fc_core::{FcError, PointBlock};
 use fc_persist::record::{put_f64, put_f64s, put_str, put_u32, put_u64, Cursor, Envelope};
 
-use crate::protocol::{ErrorCode, IngestIdent, ProtocolError, Request, Response};
+use crate::protocol::{NodeHealth, ProtocolError, Request, Response};
 
-const OP_REQ_JSON: u8 = 0x00;
-const OP_REQ_INGEST: u8 = 0x01;
-const OP_REQ_COST: u8 = 0x02;
-const OP_RESP_JSON: u8 = 0x80;
-const OP_RESP_INGESTED: u8 = 0x81;
-const OP_RESP_CORESET: u8 = 0x82;
-const OP_RESP_COST: u8 = 0x83;
-const OP_RESP_CLUSTERED: u8 = 0x84;
-const OP_RESP_ERROR: u8 = 0x85;
+/// An opcode table: `names[i]` travels as opcode `base + i`.
+pub(crate) struct Opcodes {
+    what: &'static str,
+    base: u8,
+    names: [&'static str; 10],
+}
 
-const FLAG_TRACE: u8 = 0x01;
-const FLAG_IDENT: u8 = 0x02;
-const FLAG_EPOCH: u8 = 0x04;
-const KNOWN_FLAGS: u8 = FLAG_TRACE | FLAG_IDENT | FLAG_EPOCH;
+/// Every request `op`.
+pub(crate) const REQUEST_OPS: Opcodes = Opcodes {
+    what: "request",
+    base: 0x20,
+    names: [
+        "hello",
+        "ingest",
+        "compress",
+        "cluster",
+        "cost",
+        "stats",
+        "metrics",
+        "drop_dataset",
+        "add_node",
+        "drain_node",
+    ],
+};
 
-fn put_rows(out: &mut Vec<u8>, rows: &[Vec<f64>]) {
-    let dim = rows.first().map_or(0, Vec::len);
-    put_u32(out, dim as u32);
-    put_u32(out, rows.len() as u32);
-    out.reserve(rows.len() * dim * 8);
-    for row in rows {
-        put_f64s(out, row);
+/// Every response `kind`.
+pub(crate) const RESPONSE_KINDS: Opcodes = Opcodes {
+    what: "response",
+    base: 0xa0,
+    names: [
+        "hello",
+        "ingested",
+        "coreset",
+        "clustered",
+        "cost",
+        "stats",
+        "metrics",
+        "dropped",
+        "fleet_updated",
+        "error",
+    ],
+};
+
+/// A JSON object under construction.
+pub(crate) type Object = BTreeMap<String, Value>;
+
+/// One field type's JSON shape, binary shape and validation.
+pub(crate) trait Field: Sized {
+    fn to_json(&self) -> Value;
+    /// Reads the JSON value found under `key`.
+    fn from_json(v: &Value, key: &str) -> Result<Self, ProtocolError>;
+    fn put(&self, out: &mut Vec<u8>);
+    /// Reads the binary value of the field named `key`.
+    fn get(c: &mut Cursor<'_>, key: &str) -> Result<Self, ProtocolError>;
+
+    /// Writes the field into a JSON object; a field spanning several keys
+    /// overrides this and [`Field::read_json`].
+    fn write_json(&self, key: &str, obj: &mut Object) {
+        obj.insert(key.to_owned(), self.to_json());
+    }
+
+    /// Reads the field out of a JSON object: `None` when `key` is absent
+    /// or `null`.
+    fn read_json(obj: &Value, key: &str) -> Result<Option<Self>, ProtocolError> {
+        match obj.get(key) {
+            None | Some(Value::Null) => Ok(None),
+            Some(v) => Self::from_json(v, key).map(Some),
+        }
     }
 }
 
-fn kind_byte(kind: Option<CostKind>) -> u8 {
-    match kind {
-        None => 0,
-        Some(CostKind::KMeans) => 1,
-        Some(CostKind::KMedian) => 2,
+/// Where fields are written: a JSON object or a binary payload.
+pub(crate) trait Encoder {
+    fn field<T: Field>(&mut self, key: &str, value: &T);
+    fn optional<T: Field>(&mut self, key: &str, value: Option<&T>);
+
+    /// An optional field that is absent while it holds its default.
+    fn defaulted<T: Field + Default + PartialEq>(&mut self, key: &str, value: &T) {
+        self.optional(key, Some(value).filter(|v| **v != T::default()));
     }
 }
 
-fn kind_from_byte(b: u8) -> Result<Option<CostKind>, ProtocolError> {
-    match b {
-        0 => Ok(None),
-        1 => Ok(Some(CostKind::KMeans)),
-        2 => Ok(Some(CostKind::KMedian)),
-        other => Err(ProtocolError::new(format!(
-            "invalid objective byte {other}"
-        ))),
+/// Where fields are read from: a JSON object or a binary payload.
+pub(crate) trait Decoder {
+    fn field<T: Field>(&mut self, key: &str) -> Result<T, ProtocolError>;
+    fn optional<T: Field>(&mut self, key: &str) -> Result<Option<T>, ProtocolError>;
+
+    /// A [`Encoder::defaulted`] field.
+    fn defaulted<T: Field + Default>(&mut self, key: &str) -> Result<T, ProtocolError> {
+        Ok(self.optional(key)?.unwrap_or_default())
+    }
+
+    /// An optional field whose value must also pass `valid`; anything
+    /// else there is refused as not being `what`.
+    fn checked<T: Field>(
+        &mut self,
+        key: &str,
+        what: &str,
+        valid: impl Fn(&T) -> bool,
+    ) -> Result<Option<T>, ProtocolError> {
+        match self.optional(key) {
+            Ok(value) if value.as_ref().is_none_or(valid) => Ok(value),
+            _ => Err(must(key, what)),
+        }
+    }
+}
+
+impl Encoder for Object {
+    fn field<T: Field>(&mut self, key: &str, value: &T) {
+        value.write_json(key, self);
+    }
+
+    fn optional<T: Field>(&mut self, key: &str, value: Option<&T>) {
+        if let Some(value) = value {
+            value.write_json(key, self);
+        }
+    }
+}
+
+impl Decoder for &Value {
+    fn field<T: Field>(&mut self, key: &str) -> Result<T, ProtocolError> {
+        T::read_json(self, key)?
+            .ok_or_else(|| ProtocolError::new(format!("missing required field `{key}`")))
+    }
+
+    fn optional<T: Field>(&mut self, key: &str) -> Result<Option<T>, ProtocolError> {
+        T::read_json(self, key)
+    }
+}
+
+impl Encoder for Vec<u8> {
+    fn field<T: Field>(&mut self, _key: &str, value: &T) {
+        value.put(self);
+    }
+
+    fn optional<T: Field>(&mut self, _key: &str, value: Option<&T>) {
+        self.push(u8::from(value.is_some()));
+        if let Some(value) = value {
+            value.put(self);
+        }
+    }
+}
+
+impl Decoder for Cursor<'_> {
+    fn field<T: Field>(&mut self, key: &str) -> Result<T, ProtocolError> {
+        T::get(self, key)
+    }
+
+    fn optional<T: Field>(&mut self, key: &str) -> Result<Option<T>, ProtocolError> {
+        match need(self.u8().filter(|&b| b <= 1), key)? {
+            0 => Ok(None),
+            _ => T::get(self, key).map(Some),
+        }
+    }
+}
+
+fn must(key: &str, what: &str) -> ProtocolError {
+    ProtocolError::new(format!("`{key}` must be {what}"))
+}
+
+/// A binary value read off the cursor: `None` (cut short, or out of
+/// range) is a protocol error.
+fn need<T>(value: Option<T>, key: &str) -> Result<T, ProtocolError> {
+    value.ok_or_else(|| ProtocolError::new(format!("binary frame holds no valid `{key}`")))
+}
+
+/// Field types that are one JSON scalar (`what` names it in the error a
+/// wrong one gets) and one binary value.
+macro_rules! scalar {
+    ($($t:ty: $what:literal, $from_json:expr, $put:expr, $get:expr;)*) => {$(
+        impl Field for $t {
+            fn to_json(&self) -> Value {
+                Value::from(self.clone())
+            }
+
+            fn from_json(v: &Value, key: &str) -> Result<Self, ProtocolError> {
+                ($from_json)(v).ok_or_else(|| must(key, $what))
+            }
+
+            fn put(&self, out: &mut Vec<u8>) {
+                ($put)(out, self)
+            }
+
+            fn get(c: &mut Cursor<'_>, key: &str) -> Result<Self, ProtocolError> {
+                need(($get)(c), key)
+            }
+        }
+    )*};
+}
+
+scalar! {
+    String: "a string", |v: &Value| v.as_str().map(str::to_owned), put_str, Cursor::str;
+    u64: "a non-negative integer", Value::as_u64, |o, x: &u64| put_u64(o, *x), Cursor::u64;
+    usize: "a non-negative integer", Value::as_usize, |o, x: &usize| put_u64(o, *x as u64),
+        |c: &mut Cursor<'_>| c.u64().and_then(|x| usize::try_from(x).ok());
+    f64: "a number", Value::as_f64, |o, x: &f64| put_f64(o, *x), Cursor::f64;
+    bool: "a boolean", Value::as_bool, |o: &mut Vec<u8>, x: &bool| o.push(u8::from(*x)),
+        |c: &mut Cursor<'_>| c.u8().filter(|&b| b <= 1).map(|b| b == 1);
+}
+
+/// Field types that travel by their canonical name, parsed with the same
+/// function the library exposes.
+macro_rules! by_name {
+    ($($t:ty: $name:expr, $parse:expr;)*) => {$(
+        impl Field for $t {
+            fn to_json(&self) -> Value {
+                Value::from(($name)(self))
+            }
+
+            fn from_json(v: &Value, key: &str) -> Result<Self, ProtocolError> {
+                let name = String::from_json(v, key)?;
+                ($parse)(name.as_str()).map_err(|e| ProtocolError::new(e.to_string()))
+            }
+
+            fn put(&self, out: &mut Vec<u8>) {
+                put_str(out, &($name)(self));
+            }
+
+            fn get(c: &mut Cursor<'_>, key: &str) -> Result<Self, ProtocolError> {
+                let name = String::get(c, key)?;
+                ($parse)(name.as_str()).map_err(|e| ProtocolError::new(e.to_string()))
+            }
+        }
+    )*};
+}
+
+by_name! {
+    CostKind: |k: &CostKind| kind_name(*k).to_owned(), kind_from_name;
+    Method: Method::to_string, str::parse::<Method>;
+    Solver: Solver::to_string, str::parse::<Solver>;
+    NodeHealth: |h: &NodeHealth| h.name().to_owned(), |name| NodeHealth::from_name(name)
+        .ok_or("`health` must be alive, recovering, degraded, or down");
+}
+
+/// Reads an array of equal-length number arrays straight into a flat
+/// row-major buffer, returning it with the row length. `null` is how a
+/// non-finite number is written, so it reads back as one (and fails the
+/// finiteness check of what the rows become).
+fn flat_from_json(v: &Value, key: &str) -> Result<(Vec<f64>, usize), ProtocolError> {
+    let outer = v
+        .as_array()
+        .ok_or_else(|| must(key, "an array of points"))?;
+    let mut data = Vec::new();
+    let mut dim = None;
+    for (i, row) in outer.iter().enumerate() {
+        let coords = row
+            .as_array()
+            .ok_or_else(|| must(&format!("{key}[{i}]"), "an array of numbers"))?;
+        let d = *dim.get_or_insert(coords.len());
+        if d == 0 || coords.len() != d {
+            return Err(ProtocolError::new(format!(
+                "`{key}[{i}]` has {} coordinates, where points need {d} and at least one",
+                coords.len()
+            )));
+        }
+        if i == 0 {
+            data.reserve(outer.len() * d);
+        }
+        for c in coords {
+            data.push(match c {
+                Value::Null => f64::NAN,
+                c => c.as_f64().ok_or_else(|| {
+                    ProtocolError::new(format!("`{key}[{i}]` holds a non-numeric coordinate"))
+                })?,
+            });
+        }
+    }
+    Ok((data, dim.unwrap_or(0)))
+}
+
+/// Reads a `dim u32, count u32, count·dim f64` run.
+fn flat_get(c: &mut Cursor<'_>, key: &str) -> Result<(Vec<f64>, usize), ProtocolError> {
+    let dim = need(c.u32(), key)? as usize;
+    let count = need(c.u32(), key)? as usize;
+    Ok((
+        need(count.checked_mul(dim).and_then(|n| c.f64s(n)), key)?,
+        dim,
+    ))
+}
+
+/// An ingest block, validated by [`PointBlock::new`] in either dialect.
+fn point_block(
+    data: Vec<f64>,
+    dim: usize,
+    weights: Option<Vec<f64>>,
+) -> Result<PointBlock, ProtocolError> {
+    if data.is_empty() {
+        return Err(ProtocolError::new("`points` must be non-empty"));
+    }
+    PointBlock::new(data, dim, weights).map_err(|e| match e {
+        FcError::InvalidParameter(message) => ProtocolError::new(message),
+        e => ProtocolError::new(e.to_string()),
+    })
+}
+
+/// `points` holds the rows, and `weights` the weights when the block has
+/// any.
+impl Field for PointBlock {
+    fn to_json(&self) -> Value {
+        Value::Array(self.rows().map(number_array).collect())
+    }
+
+    fn from_json(v: &Value, key: &str) -> Result<Self, ProtocolError> {
+        let (data, dim) = flat_from_json(v, key)?;
+        point_block(data, dim, None)
+    }
+
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u32(out, self.dim() as u32);
+        put_u32(out, self.len() as u32);
+        put_f64s(out, self.data());
+        out.push(u8::from(self.weights().is_some()));
+        if let Some(weights) = self.weights() {
+            put_u32(out, weights.len() as u32);
+            put_f64s(out, weights);
+        }
+    }
+
+    fn get(c: &mut Cursor<'_>, key: &str) -> Result<Self, ProtocolError> {
+        let (data, dim) = flat_get(c, key)?;
+        point_block(data, dim, c.optional("weights")?)
+    }
+
+    fn write_json(&self, key: &str, obj: &mut Object) {
+        obj.insert(key.to_owned(), self.to_json());
+        if let Some(weights) = self.weights() {
+            obj.insert("weights".to_owned(), number_array(weights));
+        }
+    }
+
+    fn read_json(obj: &Value, key: &str) -> Result<Option<Self>, ProtocolError> {
+        let Some(points) = obj.get(key) else {
+            return Ok(None);
+        };
+        let (data, dim) = flat_from_json(points, key)?;
+        point_block(data, dim, Vec::<f64>::read_json(obj, "weights")?).map(Some)
+    }
+}
+
+/// Rows: non-empty, equal-length, finite.
+impl Field for Vec<Vec<f64>> {
+    fn to_json(&self) -> Value {
+        Value::Array(self.iter().map(|row| number_array(row)).collect())
+    }
+
+    fn from_json(v: &Value, key: &str) -> Result<Self, ProtocolError> {
+        let (data, dim) = flat_from_json(v, key)?;
+        rows(data, dim, key)
+    }
+
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u32(out, self.first().map_or(0, Vec::len) as u32);
+        put_u32(out, self.len() as u32);
+        for row in self {
+            put_f64s(out, row);
+        }
+    }
+
+    fn get(c: &mut Cursor<'_>, key: &str) -> Result<Self, ProtocolError> {
+        let (data, dim) = flat_get(c, key)?;
+        rows(data, dim, key)
+    }
+}
+
+fn rows(data: Vec<f64>, dim: usize, key: &str) -> Result<Vec<Vec<f64>>, ProtocolError> {
+    if data.is_empty() {
+        return Err(ProtocolError::new(format!("`{key}` must be non-empty")));
+    }
+    if let Some(i) = data.iter().position(|x| !x.is_finite()) {
+        return Err(ProtocolError::new(format!(
+            "`{key}[{}]` holds a non-finite coordinate",
+            i / dim
+        )));
+    }
+    Ok(data.chunks_exact(dim).map(<[f64]>::to_vec).collect())
+}
+
+/// Field types that travel as list items.
+pub(crate) trait Element: Field {}
+
+impl Element for f64 {}
+impl Element for u64 {}
+impl Element for usize {}
+
+impl<T: Element> Field for Vec<T> {
+    fn to_json(&self) -> Value {
+        Value::Array(self.iter().map(Field::to_json).collect())
+    }
+
+    fn from_json(v: &Value, key: &str) -> Result<Self, ProtocolError> {
+        let items = v.as_array().ok_or_else(|| must(key, "an array"))?;
+        items.iter().map(|item| T::from_json(item, key)).collect()
+    }
+
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u32(out, self.len() as u32);
+        for item in self {
+            item.put(out);
+        }
+    }
+
+    fn get(c: &mut Cursor<'_>, key: &str) -> Result<Self, ProtocolError> {
+        let count = need(c.u32(), key)?;
+        (0..count).map(|_| T::get(c, key)).collect()
+    }
+}
+
+impl Field for Plan {
+    fn to_json(&self) -> Value {
+        self.to_value()
+    }
+
+    fn from_json(v: &Value, key: &str) -> Result<Self, ProtocolError> {
+        Plan::from_value(v).map_err(|e| ProtocolError::new(format!("invalid `{key}`: {e}")))
+    }
+
+    fn put(&self, out: &mut Vec<u8>) {
+        put_str(out, &self.to_json());
+    }
+
+    fn get(c: &mut Cursor<'_>, key: &str) -> Result<Self, ProtocolError> {
+        Plan::from_json(&String::get(c, key)?)
+            .map_err(|e| ProtocolError::new(format!("invalid `{key}`: {e}")))
+    }
+}
+
+impl Field for Value {
+    fn to_json(&self) -> Value {
+        self.clone()
+    }
+
+    fn from_json(v: &Value, _key: &str) -> Result<Self, ProtocolError> {
+        Ok(v.clone())
+    }
+
+    fn put(&self, out: &mut Vec<u8>) {
+        put_str(out, &self.to_json());
+    }
+
+    fn get(c: &mut Cursor<'_>, key: &str) -> Result<Self, ProtocolError> {
+        Ok(json::parse(&String::get(c, key)?)?)
+    }
+}
+
+/// A stats record: its fields, as a JSON object or in order.
+pub(crate) trait Record: Sized {
+    fn encode(&self, e: &mut impl Encoder);
+    fn decode(d: &mut impl Decoder) -> Result<Self, ProtocolError>;
+}
+
+impl<T: Record> Element for T {}
+
+impl<T: Record> Field for T {
+    fn to_json(&self) -> Value {
+        let mut obj = Object::new();
+        self.encode(&mut obj);
+        Value::Object(obj)
+    }
+
+    fn from_json(v: &Value, _key: &str) -> Result<Self, ProtocolError> {
+        T::decode(&mut &*v)
+    }
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.encode(out);
+    }
+
+    fn get(c: &mut Cursor<'_>, _key: &str) -> Result<Self, ProtocolError> {
+        T::decode(c)
+    }
+}
+
+impl Opcodes {
+    fn frame(&self, checked: bool, name: &str, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let at = self.names.iter().position(|&n| n == name);
+        let envelope = Envelope::wire(checked);
+        let mut p = Vec::with_capacity(64);
+        let header = envelope.open(&mut p);
+        p.push(self.base + at.expect("every op is in its opcode table") as u8);
+        body(&mut p);
+        envelope.seal(&mut p, header);
+        p
+    }
+
+    /// Reads the opcode and the fields behind it, refusing trailing bytes.
+    fn unframe<'a, T>(
+        &self,
+        payload: &'a [u8],
+        decode: impl FnOnce(&str, &mut Cursor<'a>) -> Result<T, ProtocolError>,
+    ) -> Result<T, ProtocolError> {
+        let mut c = Cursor::new(payload);
+        let op = need(c.u8(), "opcode")?;
+        let name = op
+            .checked_sub(self.base)
+            .and_then(|at| self.names.get(usize::from(at)))
+            .ok_or_else(|| {
+                ProtocolError::new(format!("unknown binary {} opcode 0x{op:02x}", self.what))
+            })?;
+        let decoded = decode(name, &mut c)?;
+        match c.rest().len() {
+            0 => Ok(decoded),
+            n => Err(ProtocolError::new(format!(
+                "binary frame has {n} trailing bytes"
+            ))),
+        }
     }
 }
 
@@ -99,430 +592,32 @@ fn kind_from_byte(b: u8) -> Result<Option<CostKind>, ProtocolError> {
 /// ready to write to the transport. `checked` selects the envelope the
 /// connection negotiated — `bin1c` or classic `bin1` — and nothing else.
 pub fn request_frame(request: &Request, trace: Option<&str>, checked: bool) -> Vec<u8> {
-    let envelope = Envelope::wire(checked);
-    let mut p = Vec::with_capacity(64);
-    let at = envelope.open(&mut p);
-    match request {
-        Request::Ingest {
-            dataset,
-            block,
-            plan,
-            ident,
-            epoch,
-        } => {
-            p.push(OP_REQ_INGEST);
-            let mut extensions = 0u8;
-            if ident.is_some() {
-                extensions |= FLAG_IDENT;
-            }
-            if epoch.is_some() {
-                extensions |= FLAG_EPOCH;
-            }
-            push_flags_and_trace(&mut p, extensions, trace);
-            if let Some(ident) = ident {
-                put_str(&mut p, &ident.client);
-                put_u64(&mut p, ident.seq);
-            }
-            if let Some(epoch) = epoch {
-                put_u64(&mut p, *epoch);
-            }
-            put_str(&mut p, dataset);
-            p.push(u8::from(block.weights().is_some()));
-            match plan {
-                None => p.push(0),
-                Some(plan) => {
-                    p.push(1);
-                    put_str(&mut p, &plan.to_json());
-                }
-            }
-            put_u32(&mut p, block.dim() as u32);
-            put_u32(&mut p, block.len() as u32);
-            put_f64s(&mut p, block.data());
-            if let Some(w) = block.weights() {
-                put_f64s(&mut p, w);
-            }
-        }
-        Request::Cost {
-            dataset,
-            centers,
-            kind,
-        } => {
-            p.push(OP_REQ_COST);
-            push_flags_and_trace(&mut p, 0, trace);
-            put_str(&mut p, dataset);
-            p.push(kind_byte(*kind));
-            put_rows(&mut p, centers);
-        }
-        other => {
-            // The long tail rides as its own JSON line inside the binary
-            // frame — the trace travels in the JSON, as on the text wire.
-            p.push(OP_REQ_JSON);
-            p.push(0);
-            p.extend_from_slice(other.to_json_with_trace(trace).as_bytes());
-        }
-    }
-    envelope.seal(&mut p, at);
-    p
+    REQUEST_OPS.frame(checked, request.op_name(), |p| request.encode(trace, p))
 }
 
 /// Encodes a response as one complete binary frame (header included),
 /// ready to write to the transport. `checked` selects the envelope (see
 /// [`request_frame`]).
 pub fn response_frame(response: &Response, checked: bool) -> Vec<u8> {
-    let envelope = Envelope::wire(checked);
-    let mut p = Vec::with_capacity(64);
-    let at = envelope.open(&mut p);
-    match response {
-        Response::Ingested {
-            dataset,
-            points,
-            total_points,
-            total_weight,
-            duplicate,
-        } => {
-            p.push(OP_RESP_INGESTED);
-            p.push(0);
-            put_str(&mut p, dataset);
-            put_u64(&mut p, *points as u64);
-            put_u64(&mut p, *total_points);
-            put_f64(&mut p, *total_weight);
-            p.push(u8::from(*duplicate));
-        }
-        Response::Coreset {
-            dataset,
-            points,
-            weights,
-            method,
-            seed,
-        } => {
-            p.push(OP_RESP_CORESET);
-            p.push(0);
-            put_str(&mut p, dataset);
-            put_str(&mut p, &method.to_string());
-            put_u64(&mut p, *seed);
-            put_rows(&mut p, points);
-            put_f64s(&mut p, weights);
-        }
-        Response::Cost {
-            dataset,
-            cost,
-            kind,
-            coreset_points,
-        } => {
-            p.push(OP_RESP_COST);
-            p.push(0);
-            put_str(&mut p, dataset);
-            p.push(kind_byte(Some(*kind)));
-            put_f64(&mut p, *cost);
-            put_u64(&mut p, *coreset_points as u64);
-        }
-        Response::Clustered {
-            dataset,
-            centers,
-            kind,
-            solver,
-            coreset_cost,
-            coreset_points,
-            seed,
-        } => {
-            p.push(OP_RESP_CLUSTERED);
-            p.push(0);
-            put_str(&mut p, dataset);
-            p.push(kind_byte(Some(*kind)));
-            put_str(&mut p, &solver.to_string());
-            put_f64(&mut p, *coreset_cost);
-            put_u64(&mut p, *coreset_points as u64);
-            put_u64(&mut p, *seed);
-            put_rows(&mut p, centers);
-        }
-        Response::Error { message, code } => {
-            p.push(OP_RESP_ERROR);
-            p.push(0);
-            put_str(&mut p, message);
-            match code {
-                None => p.push(0),
-                Some(code) => {
-                    p.push(1);
-                    put_str(&mut p, code.name());
-                }
-            }
-        }
-        other => {
-            p.push(OP_RESP_JSON);
-            p.push(0);
-            p.extend_from_slice(other.to_json().as_bytes());
-        }
-    }
-    envelope.seal(&mut p, at);
-    p
+    RESPONSE_KINDS.frame(checked, response.kind(), |p| response.encode(p))
 }
 
-fn push_flags_and_trace(p: &mut Vec<u8>, extensions: u8, trace: Option<&str>) {
-    match trace {
-        None => p.push(extensions),
-        Some(id) => {
-            p.push(extensions | FLAG_TRACE);
-            put_str(p, id);
-        }
-    }
-}
-
-/// A field read off the shared [`Cursor`], in the wire's error
-/// vocabulary: a short payload is a protocol error, not a torn record.
-fn need<T>(field: Option<T>) -> Result<T, ProtocolError> {
-    field.ok_or_else(|| ProtocolError::new("binary frame ends mid-field"))
-}
-
-fn get_str(c: &mut Cursor<'_>) -> Result<String, ProtocolError> {
-    let len = need(c.u32())? as usize;
-    std::str::from_utf8(need(c.bytes(len))?)
-        .map(str::to_owned)
-        .map_err(|_| ProtocolError::new("binary frame string is not valid UTF-8"))
-}
-
-/// `dim`/`count` header plus the coordinate run, as nested rows.
-fn get_rows(c: &mut Cursor<'_>, what: &str) -> Result<Vec<Vec<f64>>, ProtocolError> {
-    let dim = need(c.u32())? as usize;
-    let count = need(c.u32())? as usize;
-    if dim == 0 || count == 0 {
-        return Err(ProtocolError::new(format!("`{what}` must be non-empty")));
-    }
-    let flat = need(
-        c.f64s(
-            count
-                .checked_mul(dim)
-                .ok_or_else(|| ProtocolError::new(format!("`{what}` size overflows")))?,
-        ),
-    )?;
-    if !flat.iter().all(|x| x.is_finite()) {
-        return Err(ProtocolError::new(format!(
-            "`{what}` holds a non-finite coordinate"
-        )));
-    }
-    Ok(flat.chunks_exact(dim).map(<[f64]>::to_vec).collect())
-}
-
-fn done(c: &Cursor<'_>) -> Result<(), ProtocolError> {
-    if c.is_done() {
-        Ok(())
-    } else {
-        Err(ProtocolError::new(format!(
-            "binary frame has {} trailing bytes",
-            c.rest().len()
-        )))
-    }
-}
-
-/// Decodes one binary request payload (the frame's length prefix already
+/// Decodes one binary request payload (the frame's header already
 /// stripped by the codec), returning the request and its optional trace.
 pub fn decode_request(payload: &[u8]) -> Result<(Request, Option<String>), ProtocolError> {
-    let mut c = Cursor::new(payload);
-    let op = need(c.u8())?;
-    if op == OP_REQ_JSON {
-        let _flags = need(c.u8())?;
-        let line = std::str::from_utf8(c.rest())
-            .map_err(|_| ProtocolError::new("embedded JSON request is not valid UTF-8"))?;
-        return Request::from_json_with_trace(line);
-    }
-    let flags = need(c.u8())?;
-    if flags & !KNOWN_FLAGS != 0 {
-        return Err(ProtocolError::new(format!(
-            "unknown binary request flags 0x{:02x}",
-            flags & !KNOWN_FLAGS
-        )));
-    }
-    let trace = if flags & FLAG_TRACE != 0 {
-        Some(get_str(&mut c)?)
-    } else {
-        None
-    };
-    let ident = if flags & FLAG_IDENT != 0 {
-        Some(IngestIdent {
-            client: get_str(&mut c)?,
-            seq: need(c.u64())?,
-        })
-    } else {
-        None
-    };
-    let epoch = if flags & FLAG_EPOCH != 0 {
-        Some(need(c.u64())?)
-    } else {
-        None
-    };
-    if op != OP_REQ_INGEST && (ident.is_some() || epoch.is_some()) {
-        return Err(ProtocolError::new(
-            "ident/epoch flags are only valid on ingest frames",
-        ));
-    }
-    let request = match op {
-        OP_REQ_INGEST => {
-            let dataset = get_str(&mut c)?;
-            let has_weights = need(c.u8())? != 0;
-            let plan = if need(c.u8())? != 0 {
-                let json = get_str(&mut c)?;
-                Some(
-                    Plan::from_json(&json)
-                        .map_err(|e| ProtocolError::new(format!("invalid `plan`: {e}")))?,
-                )
-            } else {
-                None
-            };
-            let dim = need(c.u32())? as usize;
-            let count = need(c.u32())? as usize;
-            if dim == 0 || count == 0 {
-                return Err(ProtocolError::new("`points` must be non-empty"));
-            }
-            let data = need(
-                c.f64s(
-                    count
-                        .checked_mul(dim)
-                        .ok_or_else(|| ProtocolError::new("`points` size overflows"))?,
-                ),
-            )?;
-            let weights = if has_weights {
-                Some(need(c.f64s(count))?)
-            } else {
-                None
-            };
-            done(&c)?;
-            let block = PointBlock::new(data, dim, weights)
-                .map_err(|e| ProtocolError::new(format!("invalid `points`: {e}")))?;
-            Request::Ingest {
-                dataset,
-                block,
-                plan,
-                ident,
-                epoch,
-            }
-        }
-        OP_REQ_COST => {
-            let dataset = get_str(&mut c)?;
-            let kind = kind_from_byte(need(c.u8())?)?;
-            let centers = get_rows(&mut c, "centers")?;
-            done(&c)?;
-            Request::Cost {
-                dataset,
-                centers,
-                kind,
-            }
-        }
-        other => {
-            return Err(ProtocolError::new(format!(
-                "unknown binary request opcode 0x{other:02x}"
-            )))
-        }
-    };
-    Ok((request, trace))
+    REQUEST_OPS.unframe(payload, Request::decode)
 }
 
-/// Decodes one binary response payload (length prefix already stripped).
+/// Decodes one binary response payload (header already stripped).
 pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
-    let mut c = Cursor::new(payload);
-    let op = need(c.u8())?;
-    if op == OP_RESP_JSON {
-        let _flags = need(c.u8())?;
-        let line = std::str::from_utf8(c.rest())
-            .map_err(|_| ProtocolError::new("embedded JSON response is not valid UTF-8"))?;
-        return Response::from_json(line);
-    }
-    let _flags = need(c.u8())?;
-    let response = match op {
-        OP_RESP_INGESTED => {
-            let dataset = get_str(&mut c)?;
-            let points = need(c.u64())? as usize;
-            let total_points = need(c.u64())?;
-            let total_weight = need(c.f64())?;
-            // The trailing duplicate byte is optional on decode: a layout
-            // that ends at the weight decodes as "not a duplicate".
-            let duplicate = !c.is_done() && need(c.u8())? != 0;
-            done(&c)?;
-            Response::Ingested {
-                dataset,
-                points,
-                total_points,
-                total_weight,
-                duplicate,
-            }
-        }
-        OP_RESP_CORESET => {
-            let dataset = get_str(&mut c)?;
-            let method = get_str(&mut c)?
-                .parse()
-                .map_err(|e| ProtocolError::new(format!("invalid `method`: {e}")))?;
-            let seed = need(c.u64())?;
-            let points = get_rows(&mut c, "points")?;
-            let weights = need(c.f64s(points.len()))?;
-            done(&c)?;
-            Response::Coreset {
-                dataset,
-                points,
-                weights,
-                method,
-                seed,
-            }
-        }
-        OP_RESP_COST => {
-            let dataset = get_str(&mut c)?;
-            let kind = kind_from_byte(need(c.u8())?)?
-                .ok_or_else(|| ProtocolError::new("cost response missing objective"))?;
-            let cost = need(c.f64())?;
-            let coreset_points = need(c.u64())? as usize;
-            done(&c)?;
-            Response::Cost {
-                dataset,
-                cost,
-                kind,
-                coreset_points,
-            }
-        }
-        OP_RESP_CLUSTERED => {
-            let dataset = get_str(&mut c)?;
-            let kind = kind_from_byte(need(c.u8())?)?
-                .ok_or_else(|| ProtocolError::new("clustered response missing objective"))?;
-            let solver = get_str(&mut c)?
-                .parse()
-                .map_err(|e| ProtocolError::new(format!("invalid `solver`: {e}")))?;
-            let coreset_cost = need(c.f64())?;
-            let coreset_points = need(c.u64())? as usize;
-            let seed = need(c.u64())?;
-            let centers = get_rows(&mut c, "centers")?;
-            done(&c)?;
-            Response::Clustered {
-                dataset,
-                centers,
-                kind,
-                solver,
-                coreset_cost,
-                coreset_points,
-                seed,
-            }
-        }
-        OP_RESP_ERROR => {
-            let message = get_str(&mut c)?;
-            let code = if need(c.u8())? != 0 {
-                // Unknown codes decode as None, exactly like the JSON
-                // decoder: old clients must survive new server classes.
-                ErrorCode::from_name(&get_str(&mut c)?)
-            } else {
-                None
-            };
-            done(&c)?;
-            Response::Error { message, code }
-        }
-        other => {
-            return Err(ProtocolError::new(format!(
-                "unknown binary response opcode 0x{other:02x}"
-            )))
-        }
-    };
-    Ok(response)
+    RESPONSE_KINDS.unframe(payload, Response::decode)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fc_clustering::Solver;
-    use fc_core::plan::Method;
+    use crate::protocol::{DatasetStats, ErrorCode, IngestIdent, NodeStats, ServerStats};
+    use fc_core::plan::PlanBuilder;
 
     fn strip(frame: Vec<u8>, checked: bool) -> Vec<u8> {
         let len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
@@ -537,189 +632,360 @@ mod tests {
         }
     }
 
-    fn round_trip_request(req: Request, trace: Option<&str>) {
-        // One payload, two envelopes: both must round-trip every request.
-        for checked in [false, true] {
-            let payload = strip(request_frame(&req, trace, checked), checked);
-            let (decoded, got_trace) = decode_request(&payload).unwrap();
-            assert_eq!(decoded, req);
-            assert_eq!(got_trace.as_deref(), trace);
+    fn ingest(block: PointBlock) -> Request {
+        Request::Ingest {
+            dataset: "d".into(),
+            block,
+            plan: None,
+            ident: None,
+            epoch: None,
         }
     }
 
-    fn round_trip_response(resp: Response) {
-        for checked in [false, true] {
-            let payload = strip(response_frame(&resp, checked), checked);
-            assert_eq!(decode_response(&payload).unwrap(), resp);
+    fn stats(nodes: Vec<NodeStats>, server: Option<ServerStats>) -> Response {
+        Response::Stats {
+            datasets: vec![DatasetStats {
+                dataset: "d".into(),
+                dim: 2,
+                plan: PlanBuilder::new(4).m_scalar(25).build().unwrap(),
+                shards: 4,
+                ingested_points: 10,
+                ingested_weight: 10.5,
+                stored_points: 10,
+                summaries_per_shard: vec![2, 1, 3, 1],
+                queue_depth_per_shard: vec![0, 4, 0, 1],
+                state_epoch: (3, 1000),
+                recovering: true,
+                nodes,
+            }],
+            server,
         }
     }
 
-    #[test]
-    fn hot_requests_round_trip() {
-        round_trip_request(
-            Request::Ingest {
-                dataset: "d".into(),
-                block: PointBlock::new(vec![0.0, 1.5, -2.25, 3.0], 2, Some(vec![1.0, 2.5]))
-                    .unwrap(),
-                plan: None,
-                ident: None,
-                epoch: None,
-            },
-            Some("trace-1"),
-        );
-        round_trip_request(
-            Request::Ingest {
-                dataset: "d".into(),
-                block: PointBlock::new(vec![0.5], 1, None).unwrap(),
-                plan: Some(
-                    fc_core::plan::PlanBuilder::new(3)
-                        .m_scalar(15)
-                        .build()
-                        .unwrap(),
-                ),
-                ident: None,
-                epoch: None,
-            },
-            None,
-        );
-        round_trip_request(
-            Request::Ingest {
-                dataset: "d".into(),
-                block: PointBlock::new(vec![0.5, 1.5], 1, None).unwrap(),
-                plan: None,
-                ident: Some(IngestIdent {
-                    client: "producer-a".into(),
-                    seq: 42,
-                }),
-                epoch: Some(3),
-            },
-            Some("trace-2"),
-        );
-        round_trip_request(
-            Request::Cost {
-                dataset: "d".into(),
-                centers: vec![vec![1.0, 2.0], vec![3.0, 4.0]],
-                kind: Some(CostKind::KMedian),
-            },
-            Some("t"),
-        );
-        round_trip_request(
-            Request::Cost {
-                dataset: "d".into(),
-                centers: vec![vec![1.0]],
-                kind: None,
-            },
-            None,
-        );
+    fn node(node: &str, health: NodeHealth, last_error: Option<&str>) -> NodeStats {
+        NodeStats {
+            node: node.into(),
+            health,
+            last_error: last_error.map(str::to_owned),
+            shards: 2,
+            ingested_points: 6,
+            ingested_weight: 6.0,
+            stored_points: 6,
+        }
     }
 
-    #[test]
-    fn tail_requests_ride_embedded_json() {
-        for req in [
-            Request::Hello {
+    fn requests() -> Vec<(Request, Option<&'static str>)> {
+        let weighted = PointBlock::new(vec![0.0, 1.5, -2.25, 3.0], 2, Some(vec![1.0, 2.5]));
+        vec![
+            (
+                Request::Hello {
+                    proto: "bin1".into(),
+                },
+                None,
+            ),
+            (ingest(weighted.unwrap()), Some("trace-1")),
+            (
+                Request::Ingest {
+                    dataset: "d".into(),
+                    block: PointBlock::new(vec![0.5, 1.5], 1, None).unwrap(),
+                    plan: Some(
+                        PlanBuilder::new(3)
+                            .m_scalar(15)
+                            .kind(CostKind::KMedian)
+                            .method("merge-reduce(lightweight)".parse().unwrap())
+                            .solver(Solver::KMedianWeiszfeld)
+                            .compaction_budget(900)
+                            .build()
+                            .unwrap(),
+                    ),
+                    ident: Some(IngestIdent {
+                        client: "producer-a".into(),
+                        seq: 42,
+                    }),
+                    epoch: Some(3),
+                },
+                Some("trace-2"),
+            ),
+            (
+                Request::Compress {
+                    dataset: "a/b c".into(),
+                    method: None,
+                    seed: Some(7),
+                },
+                None,
+            ),
+            (
+                Request::Compress {
+                    dataset: "x".into(),
+                    method: Some("merge-reduce(welterweight(log-k))".parse().unwrap()),
+                    seed: None,
+                },
+                Some("tr"),
+            ),
+            (
+                Request::Cluster {
+                    dataset: "d".into(),
+                    k: Some(4),
+                    kind: Some(CostKind::KMedian),
+                    solver: Some(Solver::KMedianWeiszfeld),
+                    seed: Some(u64::MAX),
+                },
+                None,
+            ),
+            (
+                Request::Cluster {
+                    dataset: "d".into(),
+                    k: None,
+                    kind: None,
+                    solver: None,
+                    seed: None,
+                },
+                Some("t"),
+            ),
+            (
+                Request::Cost {
+                    dataset: "d".into(),
+                    centers: vec![vec![1.0, 2.0], vec![3.0, 4.0]],
+                    kind: Some(CostKind::KMedian),
+                },
+                Some("t"),
+            ),
+            (
+                Request::Cost {
+                    dataset: "d".into(),
+                    centers: vec![vec![1.0]],
+                    kind: None,
+                },
+                None,
+            ),
+            (Request::Stats { dataset: None }, None),
+            (
+                Request::Stats {
+                    dataset: Some("d".into()),
+                },
+                Some("tr"),
+            ),
+            (Request::Metrics, Some("x")),
+            (
+                Request::DropDataset {
+                    dataset: "d".into(),
+                },
+                None,
+            ),
+            (
+                Request::AddNode {
+                    addr: "127.0.0.1:4801".into(),
+                    capacity: Some(2.5),
+                },
+                None,
+            ),
+            (
+                Request::AddNode {
+                    addr: "127.0.0.1:4801".into(),
+                    capacity: None,
+                },
+                None,
+            ),
+            (
+                Request::DrainNode {
+                    addr: "127.0.0.1:4801".into(),
+                },
+                None,
+            ),
+        ]
+    }
+
+    fn responses() -> Vec<Response> {
+        let counters = ServerStats {
+            uptime_secs: 86_400,
+            ingested_points: 1 << 41,
+            ingested_blocks: 1 << 21,
+            queries: 42,
+            fleet_epoch: 0,
+            cache_hits: 12,
+            cache_misses: 30,
+        };
+        let mut responses = vec![
+            Response::Hello {
                 proto: "bin1".into(),
             },
-            Request::Compress {
+            Response::Ingested {
                 dataset: "d".into(),
-                method: Some(Method::FastCoreset),
-                seed: Some(7),
+                points: 128,
+                total_points: 1 << 40,
+                total_weight: 1099511627776.5,
+                duplicate: false,
             },
-            Request::Cluster {
+            Response::Ingested {
                 dataset: "d".into(),
-                k: Some(3),
-                kind: Some(CostKind::KMeans),
-                solver: Some(Solver::Hamerly),
-                seed: None,
+                points: 0,
+                total_points: 1 << 40,
+                total_weight: 1099511627776.5,
+                duplicate: true,
             },
-            Request::Stats { dataset: None },
-            Request::Metrics,
-            Request::DropDataset {
+            Response::Coreset {
+                dataset: "d".into(),
+                points: vec![vec![0.125, -4.0], vec![1.0, 2.0]],
+                weights: vec![17.25, 0.5],
+                method: Method::FastCoreset,
+                seed: 3,
+            },
+            Response::Clustered {
+                dataset: "d".into(),
+                centers: vec![vec![1.0], vec![2.0]],
+                kind: CostKind::KMeans,
+                solver: Solver::Hamerly,
+                coreset_cost: 12.5,
+                coreset_points: 200,
+                seed: 8,
+            },
+            Response::Cost {
+                dataset: "d".into(),
+                cost: 0.0625,
+                kind: CostKind::KMedian,
+                coreset_points: 10,
+            },
+            stats(Vec::new(), Some(counters)),
+            // Coordinator stats carry per-node identity and health.
+            stats(
+                vec![
+                    node("127.0.0.1:4777", NodeHealth::Alive, None),
+                    node("127.0.0.1:4778", NodeHealth::Recovering, None),
+                    node("127.0.0.1:4779", NodeHealth::Down, Some("connect: refused")),
+                ],
+                None,
+            ),
+            // Coordinators report their fleet epoch; plain servers omit it.
+            Response::Stats {
+                datasets: Vec::new(),
+                server: Some(ServerStats {
+                    fleet_epoch: 17,
+                    cache_hits: 0,
+                    ..counters
+                }),
+            },
+            Response::Metrics {
+                metrics: json::parse(r#"{"counters":{"fc_requests_total":7},"traces":[]}"#)
+                    .unwrap(),
+            },
+            Response::Dropped {
                 dataset: "d".into(),
             },
+            Response::FleetUpdated {
+                epoch: 4,
+                nodes: 3,
+                migrated: 2,
+            },
+            Response::Error {
+                message: "no such dataset \"x\"".into(),
+                code: None,
+            },
+        ];
+        for code in [
+            ErrorCode::Overloaded,
+            ErrorCode::UnknownDataset,
+            ErrorCode::NoData,
+            ErrorCode::Unavailable,
+            ErrorCode::DeadlineExceeded,
+            ErrorCode::WrongEpoch,
+            ErrorCode::Internal,
         ] {
-            round_trip_request(req.clone(), None);
-            round_trip_request(req, Some("tr"));
+            responses.push(Response::Error {
+                message: format!("a {code} failure"),
+                code: Some(code),
+            });
+        }
+        responses
+    }
+
+    /// Every op, through the JSON line and both binary envelopes.
+    #[test]
+    fn every_op_round_trips_in_every_dialect() {
+        for (request, trace) in requests() {
+            let line = request.to_json_with_trace(trace);
+            assert!(!line.contains('\n'), "{line}");
+            let (decoded, got) = Request::from_json_with_trace(&line).unwrap();
+            assert_eq!((&decoded, got.as_deref()), (&request, trace));
+            for checked in [false, true] {
+                let payload = strip(request_frame(&request, trace, checked), checked);
+                let (decoded, got) = decode_request(&payload).unwrap();
+                assert_eq!((&decoded, got.as_deref()), (&request, trace));
+            }
+        }
+        for response in responses() {
+            let line = response.to_json();
+            assert!(!line.contains('\n'), "{line}");
+            assert_eq!(Response::from_json(&line).unwrap(), response);
+            for checked in [false, true] {
+                let payload = strip(response_frame(&response, checked), checked);
+                assert_eq!(decode_response(&payload).unwrap(), response);
+            }
         }
     }
 
     #[test]
-    fn responses_round_trip() {
-        round_trip_response(Response::Ingested {
-            dataset: "d".into(),
-            points: 128,
-            total_points: 1 << 40,
-            total_weight: 1099511627776.5,
-            duplicate: false,
-        });
-        round_trip_response(Response::Ingested {
-            dataset: "d".into(),
-            points: 0,
-            total_points: 1 << 40,
-            total_weight: 1099511627776.5,
-            duplicate: true,
-        });
-        round_trip_response(Response::Coreset {
-            dataset: "d".into(),
-            points: vec![vec![0.125, -4.0], vec![1.0, 2.0]],
-            weights: vec![17.25, 0.5],
-            method: Method::FastCoreset,
-            seed: 3,
-        });
-        round_trip_response(Response::Cost {
-            dataset: "d".into(),
-            cost: 0.0625,
-            kind: CostKind::KMedian,
-            coreset_points: 10,
-        });
-        round_trip_response(Response::Clustered {
-            dataset: "d".into(),
-            centers: vec![vec![1.0], vec![2.0]],
-            kind: CostKind::KMeans,
-            solver: Solver::Hamerly,
-            coreset_cost: 12.5,
-            coreset_points: 200,
-            seed: 8,
-        });
-        round_trip_response(Response::Error {
-            message: "overloaded".into(),
-            code: Some(ErrorCode::Overloaded),
-        });
-        round_trip_response(Response::Error {
-            message: "plain".into(),
-            code: None,
-        });
-        round_trip_response(Response::Hello {
-            proto: "bin1".into(),
-        });
-        round_trip_response(Response::Dropped {
-            dataset: "d".into(),
-        });
+    fn unknown_error_codes_decode_as_none_in_both_dialects() {
+        match Response::from_json(r#"{"kind":"error","message":"m","code":"quota"}"#).unwrap() {
+            Response::Error { code, .. } => assert_eq!(code, None),
+            other => panic!("unexpected {other:?}"),
+        }
+        let mut p = vec![RESPONSE_KINDS.base + 9];
+        p.field("message", &"m".to_owned());
+        p.optional("code", Some(&"quota".to_owned()));
+        let decoded = decode_response(&p).unwrap();
+        assert_eq!(
+            decoded,
+            Response::Error {
+                message: "m".into(),
+                code: None
+            }
+        );
     }
 
     #[test]
     fn garbage_payloads_decode_as_errors_not_panics() {
         for payload in [
             &[][..],
-            &[0x01],
+            &[0x21],
             &[0x7F, 0],
-            &[0x01, 0xFF],
-            &[0x01, 0, 0xFF, 0xFF, 0xFF, 0xFF],
-            &[0x81, 0, 1, 0, 0, 0, b'd'],
+            &[0x21, 0xFF],
+            &[0x21, 0, 0xFF, 0xFF, 0xFF, 0xFF],
+            &[0xa1, 1, 0, 0, 0, b'd'],
             &[0xFF, 0, 1, 2, 3],
         ] {
             assert!(decode_request(payload).is_err(), "{payload:?}");
             assert!(decode_response(payload).is_err(), "{payload:?}");
         }
-        // Non-finite floats are rejected at decode, like JSON.
-        let mut p = vec![OP_REQ_INGEST, 0];
-        put_str(&mut p, "d");
-        p.push(0);
-        p.push(0);
-        put_u32(&mut p, 1);
-        put_u32(&mut p, 1);
-        put_f64(&mut p, f64::NAN);
-        let err = decode_request(&p).unwrap_err();
-        assert!(err.message.contains("invalid `points`"), "{err}");
+        // A payload from before this opcode range is refused by opcode.
+        let err = decode_request(&[0x01, 0, 1, 0, 0, 0, b'd']).unwrap_err();
+        assert_eq!(err.message, "unknown binary request opcode 0x01");
+    }
+
+    /// The ingest rules hold in binary too: coordinates are finite, and
+    /// `client` and `seq` travel together.
+    #[test]
+    fn binary_ingests_are_validated_like_json_ones() {
+        let ingest = |coords: f64, client: Option<&str>, seq: Option<u64>| {
+            let mut p = vec![REQUEST_OPS.base + 1];
+            p.optional::<String>("trace", None);
+            p.field("dataset", &"d".to_owned());
+            put_u32(&mut p, 1);
+            put_u32(&mut p, 1);
+            put_f64(&mut p, coords);
+            p.optional::<Vec<f64>>("weights", None);
+            p.optional::<Plan>("plan", None);
+            p.optional("client", client.map(str::to_owned).as_ref());
+            p.optional("seq", seq.as_ref());
+            p.optional::<u64>("epoch", None);
+            decode_request(&p)
+        };
+        assert!(ingest(1.0, Some("c"), Some(3)).is_ok());
+        let err = ingest(f64::NAN, None, None).unwrap_err();
+        assert!(err.message.contains("must be finite"), "{err}");
+        for (client, seq) in [(Some("c"), None), (None, Some(3))] {
+            let err = ingest(1.0, client, seq).unwrap_err();
+            assert!(err.message.contains("sent together"), "{err}");
+        }
     }
 
     #[test]
@@ -738,23 +1004,5 @@ mod tests {
         );
         payload.push(0);
         assert!(decode_request(&payload).is_err());
-    }
-
-    #[test]
-    fn unknown_flags_and_misplaced_extensions_are_rejected() {
-        // An unknown flag bit cannot be skipped — its field width is
-        // unknowable — so the decoder must refuse, not desynchronize.
-        let payload = [OP_REQ_COST, 0x08, 0, 0, 0, 0];
-        let err = decode_request(&payload).unwrap_err();
-        assert!(
-            err.message.contains("unknown binary request flags"),
-            "{err}"
-        );
-        // Ident/epoch flags on a non-ingest opcode are a protocol error.
-        let mut p = vec![OP_REQ_COST, FLAG_IDENT];
-        put_str(&mut p, "client");
-        put_u64(&mut p, 9);
-        let err = decode_request(&p).unwrap_err();
-        assert!(err.message.contains("only valid on ingest"), "{err}");
     }
 }

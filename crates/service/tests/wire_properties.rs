@@ -1,15 +1,19 @@
 //! Property-based fuzz of the `bin1` binary wire: the [`BinaryCodec`]
 //! reassembles frames under arbitrary transport chunking exactly like
-//! [`LineCodec`] does for JSON lines (`framing_properties.rs`), and every
+//! [`LineCodec`] does for JSON lines (`framing_properties.rs`), every
 //! protocol operation round-trips through the binary codec and the JSON
-//! codec to the *same* request/response — the two wire formats cannot
+//! codec to the *same* request/response, and the same malformed ingest is
+//! refused with the same message by both — the two wire formats cannot
 //! drift apart.
 
 use fc_clustering::{CostKind, Solver};
-use fc_core::plan::PlanBuilder;
+use fc_core::json::{number_array, object, Value};
+use fc_core::plan::{Method, PlanBuilder};
 use fc_core::PointBlock;
 use fc_service::framing::{BinaryCodec, FrameError};
-use fc_service::protocol::{ErrorCode, IngestIdent, Request, Response};
+use fc_service::protocol::{
+    DatasetStats, ErrorCode, IngestIdent, NodeHealth, NodeStats, Request, Response, ServerStats,
+};
 use fc_service::wire;
 use proptest::prelude::*;
 
@@ -69,6 +73,30 @@ fn cost_kind() -> impl Strategy<Value = Option<CostKind>> {
     prop::option::of(prop_oneof![Just(CostKind::KMeans), Just(CostKind::KMedian)])
 }
 
+/// One of `items`.
+fn pick<T: Clone + 'static>(items: Vec<T>) -> impl Strategy<Value = T> {
+    (0..items.len()).prop_map(move |i| items[i].clone())
+}
+
+fn method() -> impl Strategy<Value = Method> {
+    pick(vec![
+        "uniform",
+        "lightweight",
+        "fast-coreset",
+        "sensitivity",
+        "merge-reduce(welterweight(log-k))",
+    ])
+    .prop_map(|name| name.parse().expect("a library method name"))
+}
+
+fn solver() -> impl Strategy<Value = Solver> {
+    pick(vec![
+        Solver::Lloyd,
+        Solver::Hamerly,
+        Solver::KMedianWeiszfeld,
+    ])
+}
+
 /// An optional exactly-once batch identity: client name plus sequence.
 fn ingest_ident() -> impl Strategy<Value = Option<IngestIdent>> {
     prop::option::of((ident(), 0u64..10_000).prop_map(|(client, seq)| IngestIdent { client, seq }))
@@ -93,18 +121,21 @@ fn request() -> impl Strategy<Value = Request> {
                     epoch,
                 }
             }),
-        (dataset_name(), prop::option::of(0u64..1000)).prop_map(|(dataset, seed)| {
-            Request::Compress {
+        (
+            dataset_name(),
+            prop::option::of(method()),
+            prop::option::of(0u64..1000)
+        )
+            .prop_map(|(dataset, method, seed)| Request::Compress {
                 dataset,
-                method: None,
+                method,
                 seed,
-            }
-        }),
+            }),
         (
             dataset_name(),
             prop::option::of(1usize..9),
             cost_kind(),
-            prop::option::of(Just(Solver::Lloyd)),
+            prop::option::of(solver()),
             prop::option::of(0u64..1000),
         )
             .prop_map(|(dataset, k, kind, solver, seed)| Request::Cluster {
@@ -131,6 +162,93 @@ fn request() -> impl Strategy<Value = Request> {
             .prop_map(|(addr, capacity)| Request::AddNode { addr, capacity }),
         ident().prop_map(|addr| Request::DrainNode { addr }),
     ]
+}
+
+fn node_stats() -> impl Strategy<Value = NodeStats> {
+    (
+        ident(),
+        pick(vec![
+            NodeHealth::Alive,
+            NodeHealth::Recovering,
+            NodeHealth::Degraded,
+            NodeHealth::Down,
+        ]),
+        prop::option::of(message()),
+        (0usize..9, 0u64..10_000, nice_float(), 0usize..10_000),
+    )
+        .prop_map(
+            |(node, health, last_error, (shards, points, weight, stored))| NodeStats {
+                node,
+                health,
+                last_error,
+                shards,
+                ingested_points: points,
+                ingested_weight: weight,
+                stored_points: stored,
+            },
+        )
+}
+
+fn dataset_stats() -> impl Strategy<Value = DatasetStats> {
+    (
+        (dataset_name(), 1usize..30, 1usize..6, 0u64..100_000),
+        (nice_float(), 0usize..5_000, any::<bool>()),
+        prop::collection::vec((0usize..9, 0usize..9), 1..5),
+        (0u64..50, 0u64..50_000),
+        prop::collection::vec(node_stats(), 0..4),
+    )
+        .prop_map(
+            |((dataset, dim, k, points), (weight, stored, recovering), shards, epoch, nodes)| {
+                DatasetStats {
+                    dataset,
+                    dim,
+                    plan: PlanBuilder::new(k).build().expect("valid plan"),
+                    shards: shards.len(),
+                    ingested_points: points,
+                    ingested_weight: weight,
+                    stored_points: stored,
+                    summaries_per_shard: shards.iter().map(|s| s.0).collect(),
+                    queue_depth_per_shard: shards.iter().map(|s| s.1).collect(),
+                    state_epoch: epoch,
+                    recovering,
+                    nodes,
+                }
+            },
+        )
+}
+
+/// Server counters, each of the optional ones zero (and so left out of
+/// JSON) about half the time.
+fn server_stats() -> impl Strategy<Value = ServerStats> {
+    let counter = || prop_oneof![Just(0u64), 1u64..1 << 40];
+    (
+        (0u64..1 << 30, counter(), counter(), counter()),
+        (counter(), counter(), counter()),
+    )
+        .prop_map(
+            |((uptime_secs, ingested_points, ingested_blocks, queries), (epoch, hits, misses))| {
+                ServerStats {
+                    uptime_secs,
+                    ingested_points,
+                    ingested_blocks,
+                    queries,
+                    fleet_epoch: epoch,
+                    cache_hits: hits,
+                    cache_misses: misses,
+                }
+            },
+        )
+}
+
+/// A metrics payload of the shape `fc-telemetry` writes.
+fn metrics() -> impl Strategy<Value = Value> {
+    prop::collection::vec((ident(), 0u64..1 << 40), 0..6).prop_map(|counters| {
+        let counters = counters.into_iter().map(|(k, v)| (k, Value::from(v)));
+        object([
+            ("counters", Value::Object(counters.collect())),
+            ("traces", Value::Array(Vec::new())),
+        ])
+    })
 }
 
 fn response() -> impl Strategy<Value = Response> {
@@ -178,6 +296,29 @@ fn response() -> impl Strategy<Value = Response> {
                     seed,
                 }
             }),
+        (
+            dataset_name(),
+            centers(),
+            method(),
+            0u64..1000,
+            prop::collection::vec(nice_float(), 0..6)
+        )
+            .prop_map(|(dataset, points, method, seed, mut weights)| {
+                weights.resize(points.len(), 1.0);
+                Response::Coreset {
+                    dataset,
+                    points,
+                    weights,
+                    method,
+                    seed,
+                }
+            }),
+        (
+            prop::collection::vec(dataset_stats(), 0..3),
+            prop::option::of(server_stats())
+        )
+            .prop_map(|(datasets, server)| Response::Stats { datasets, server }),
+        metrics().prop_map(|metrics| Response::Metrics { metrics }),
         dataset_name().prop_map(|dataset| Response::Dropped { dataset }),
         (1u64..100, 1usize..9, 0usize..9).prop_map(|(epoch, nodes, migrated)| {
             Response::FleetUpdated {
@@ -195,6 +336,74 @@ fn response() -> impl Strategy<Value = Response> {
         )
             .prop_map(|(message, code)| Response::Error { message, code }),
     ]
+}
+
+/// How a malformed ingest is malformed.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    WeightCount,
+    NegativeWeight,
+    NonFinite,
+    Empty,
+}
+
+/// One malformed ingest as a JSON line and as a `bin1c` frame, written
+/// field by field in each dialect's layout (the binary one is the `0x21`
+/// row of the op table in `fc_service::wire`).
+fn malformed_ingest(fault: Fault, dim: usize, rows: usize, at: usize) -> (String, Vec<u8>) {
+    let rows = if matches!(fault, Fault::Empty) {
+        0
+    } else {
+        rows
+    };
+    let mut data: Vec<f64> = (0..rows * dim).map(|i| i as f64 * 0.5).collect();
+    let mut weights = match fault {
+        Fault::WeightCount => Some(vec![1.0; rows + 1 + at % 2]),
+        Fault::NegativeWeight => Some(vec![1.0; rows]),
+        Fault::NonFinite | Fault::Empty => None,
+    };
+    match fault {
+        Fault::NegativeWeight => weights.as_mut().expect("weighted")[at % rows] = -0.5,
+        Fault::NonFinite => {
+            let i = at % data.len();
+            data[i] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][at % 3];
+        }
+        Fault::WeightCount | Fault::Empty => {}
+    }
+    let mut line = object([
+        ("op", Value::from("ingest")),
+        ("dataset", Value::from("d")),
+        (
+            "points",
+            Value::Array(data.chunks(dim).map(number_array).collect()),
+        ),
+    ]);
+    let mut payload = vec![0x21, 0];
+    payload.extend_from_slice(&1u32.to_le_bytes());
+    payload.push(b'd');
+    payload.extend_from_slice(&u32::try_from(dim).unwrap().to_le_bytes());
+    payload.extend_from_slice(&u32::try_from(rows).unwrap().to_le_bytes());
+    data.iter()
+        .for_each(|x| payload.extend_from_slice(&x.to_le_bytes()));
+    match &weights {
+        None => payload.push(0),
+        Some(w) => {
+            if let Value::Object(map) = &mut line {
+                map.insert("weights".to_owned(), number_array(w));
+            }
+            payload.push(1);
+            payload.extend_from_slice(&u32::try_from(w.len()).unwrap().to_le_bytes());
+            w.iter()
+                .for_each(|x| payload.extend_from_slice(&x.to_le_bytes()));
+        }
+    }
+    payload.extend_from_slice(&[0, 0, 0, 0]);
+    let mut frame = (u32::try_from(payload.len()).unwrap() + 4)
+        .to_le_bytes()
+        .to_vec();
+    frame.extend_from_slice(&fc_persist::crc32(&payload).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    (line.to_json(), frame)
 }
 
 /// Extracts one frame's payload through the codec (prefix — and for
@@ -282,6 +491,36 @@ proptest! {
 
         let from_json = Response::from_json(&response.to_json()).expect("json line decodes");
         prop_assert_eq!(&from_json, &response);
+    }
+
+    /// The same malformed ingest — a weight count that does not match the
+    /// points, a negative weight, a non-finite coordinate (`null` is how
+    /// JSON writes one), no points — is refused with the same message over
+    /// JSON lines and in a binary frame.
+    #[test]
+    fn malformed_ingests_get_one_message_in_both_dialects(
+        fault in pick(vec![
+            Fault::WeightCount,
+            Fault::NegativeWeight,
+            Fault::NonFinite,
+            Fault::Empty,
+        ]),
+        dim in 1usize..5,
+        rows in 1usize..9,
+        at in 0usize..64,
+    ) {
+        let (line, frame) = malformed_ingest(fault, dim, rows, at);
+        let from_json = Request::from_json(&line).expect_err("malformed JSON ingest");
+        let from_binary =
+            wire::decode_request(&payload_of(&frame, true)).expect_err("malformed binary ingest");
+        prop_assert_eq!(&from_json.message, &from_binary.message);
+        let want = match fault {
+            Fault::WeightCount => "weights for",
+            Fault::NegativeWeight => "non-negative",
+            Fault::NonFinite => "must be finite",
+            Fault::Empty => "must be non-empty",
+        };
+        prop_assert!(from_json.message.contains(want), "{}", from_json.message);
     }
 
     /// Flipping any single payload bit of a `bin1c` frame trips the CRC —

@@ -1,8 +1,8 @@
 //! End-to-end tests of the `bin1` binary wire against a live server:
 //! mid-pipeline negotiation, and malformed binary frames (garbage
-//! payloads, oversized length prefixes, torn tails) answered or
-//! poisoned *in pipeline position* — every well-formed frame around
-//! them still gets its answer, in order.
+//! payloads, oversized length prefixes, torn tails, a frame from a build
+//! with other opcodes) answered or poisoned *in pipeline position* —
+//! every well-formed frame around them still gets its answer, in order.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -216,5 +216,51 @@ fn torn_binary_tail_truncates_at_half_close() {
     let responses = read_responses(&mut stream, &mut codec, 2);
     assert!(matches!(responses[0], Response::Cost { .. }));
     assert!(matches!(responses[1], Response::Error { .. }));
+    server.shutdown();
+}
+
+/// An ingest payload in the layout binary peers spoke before the opcodes
+/// moved (`0x01`, a flags byte, the dataset, `has_weights` and `has_plan`
+/// bytes, then `dim, count` and the coordinates) is refused by opcode in
+/// its pipeline position — never decoded as something else — and the
+/// connection keeps serving.
+#[test]
+fn a_frame_from_a_build_with_other_opcodes_is_refused_in_position() {
+    let server = seeded_server();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let mut old = vec![0x01, 0];
+    old.extend_from_slice(&5u32.to_le_bytes());
+    old.extend_from_slice(b"wired");
+    old.extend_from_slice(&[0, 0]);
+    old.extend_from_slice(&2u32.to_le_bytes());
+    old.extend_from_slice(&1u32.to_le_bytes());
+    for x in [3.0f64, 4.0] {
+        old.extend_from_slice(&x.to_le_bytes());
+    }
+    let mut batch = hello_line();
+    batch.extend_from_slice(&cost_frame());
+    batch.extend_from_slice(&u32::try_from(old.len()).unwrap().to_le_bytes());
+    batch.extend_from_slice(&old);
+    batch.extend_from_slice(&cost_frame());
+    stream.write_all(&batch).unwrap();
+
+    let rest = read_hello_ack(&mut stream);
+    let mut codec = BinaryCodec::new(64 * 1024 * 1024);
+    codec.push(&rest);
+    let responses = read_responses(&mut stream, &mut codec, 3);
+    assert!(matches!(responses[0], Response::Cost { .. }));
+    match &responses[1] {
+        Response::Error { message, code } => {
+            assert_eq!(message, "unknown binary request opcode 0x01");
+            assert_eq!(*code, None);
+        }
+        other => panic!("expected the refusal, got {other:?}"),
+    }
+    assert!(matches!(responses[2], Response::Cost { .. }));
+    stream.write_all(&cost_frame()).unwrap();
+    let responses = read_responses(&mut stream, &mut codec, 1);
+    assert!(matches!(responses[0], Response::Cost { .. }));
+    let mut client = ServiceClient::connect(server.addr()).unwrap();
+    assert_eq!(client.stats(Some("wired")).unwrap()[0].ingested_points, 4);
     server.shutdown();
 }
