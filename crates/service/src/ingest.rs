@@ -21,8 +21,10 @@
 //!    under one client serialise. A `(client, seq)` at or below the
 //!    client's watermark is a duplicate: counted, delivered again only
 //!    where [`WriteSink::repairs`], acknowledged with the current totals;
-//! 5. [`WriteSink::deliver`]. On an error nothing has moved: the refused
-//!    batch stays retryable under the same `seq`;
+//! 5. reserve the batch's weight, refusing a batch that would take the
+//!    dataset's total past `f64::MAX` (it could only be acknowledged as
+//!    infinity), then [`WriteSink::deliver`]. On an error nothing has
+//!    moved: the refused batch stays retryable under the same `seq`;
 //! 6. only after a sink accepted: advance the watermark, bump `version`
 //!    (past every query key minted so far — the whole cache
 //!    invalidation), add to totals and counters;
@@ -80,9 +82,11 @@ pub struct Ledger {
     /// Per client, the highest sequence number acknowledged.
     clients: Mutex<HashMap<String, u64>>,
     ingested_points: AtomicU64,
-    /// f64 behind a mutex: ingest batches are coarse enough that
-    /// contention is irrelevant.
-    ingested_weight: Mutex<f64>,
+    /// `(applied, admitted)`: the weight acknowledged, and that plus the
+    /// weight of batches still in delivery. Admission keeps `admitted`
+    /// finite, so no total ever acknowledged is infinite. Behind a mutex:
+    /// ingest batches are coarse enough that contention is irrelevant.
+    ingested_weight: Mutex<(f64, f64)>,
     /// Process-unique generation id ([`crate::QueryState::instance`]).
     instance: u64,
     /// Bumped on every applied batch ([`crate::QueryState::version`]).
@@ -154,11 +158,14 @@ impl Ledger {
 
     /// Lifetime `(points, weight)` applied.
     pub fn totals(&self) -> (u64, f64) {
-        let weight = *self
-            .ingested_weight
-            .lock()
-            .expect("weight counter lock is never poisoned");
+        let (weight, _) = *self.weight();
         (self.ingested_points.load(Ordering::Relaxed), weight)
+    }
+
+    fn weight(&self) -> MutexGuard<'_, (f64, f64)> {
+        self.ingested_weight
+            .lock()
+            .expect("weight counter lock is never poisoned")
     }
 
     /// This ledger with what a data directory already held: totals and
@@ -166,7 +173,7 @@ impl Ledger {
     pub(crate) fn restored(self, points: u64, weight: f64, clients: HashMap<String, u64>) -> Self {
         Ledger {
             ingested_points: AtomicU64::new(points),
-            ingested_weight: Mutex::new(weight),
+            ingested_weight: Mutex::new((weight, weight)),
             clients: Mutex::new(clients),
             ..self
         }
@@ -296,7 +303,7 @@ impl<D: AsRef<Ledger>> WritePath<D> {
             plan: sent_plan.unwrap_or_else(|| self.default_plan.clone()),
             clients: Mutex::default(),
             ingested_points: AtomicU64::new(0),
-            ingested_weight: Mutex::new(0.0),
+            ingested_weight: Mutex::new((0.0, 0.0)),
             instance: next_instance(),
             version: AtomicU64::new(0),
             cursor: AtomicUsize::new(0),
@@ -398,7 +405,24 @@ impl<D: AsRef<Ledger>> WritePath<D> {
                 });
             }
         }
-        sink.deliver(name, dataset, batch, ident)?;
+        // Reserve the batch's weight before anything is logged: a total
+        // past `f64::MAX` could only be acknowledged as infinity.
+        let weight = batch.total_weight();
+        {
+            let mut admitted = ledger.weight();
+            if !(admitted.1 + weight).is_finite() {
+                return Err(EngineError::InvalidArgument(format!(
+                    "a batch of weight {weight} would take dataset `{name}`'s \
+                     total weight past {:e}",
+                    f64::MAX
+                )));
+            }
+            admitted.1 += weight;
+        }
+        if let Err(e) = sink.deliver(name, dataset, batch, ident) {
+            ledger.weight().1 -= weight;
+            return Err(e);
+        }
         if let Some((clients, ident)) = &mut gate {
             clients.insert(ident.client.clone(), ident.seq);
         }
@@ -406,12 +430,9 @@ impl<D: AsRef<Ledger>> WritePath<D> {
         let points = batch.len() as u64;
         let total_points = ledger.ingested_points.fetch_add(points, Ordering::Relaxed) + points;
         let total_weight = {
-            let mut weight = ledger
-                .ingested_weight
-                .lock()
-                .expect("weight counter lock is never poisoned");
-            *weight += batch.total_weight();
-            *weight
+            let mut applied = ledger.weight();
+            applied.0 += weight;
+            applied.0
         };
         for counters in [&self.counters, &ledger.counters] {
             counters.points.add(points);
@@ -702,6 +723,48 @@ mod tests {
             applied(7)
         );
         assert_eq!(ledger.query_state(0, 0).version, 2);
+    }
+
+    #[test]
+    fn a_total_weight_past_f64_max_is_refused_before_delivery() {
+        let (path, sink) = (path(), Sink::default());
+        let heavy = |n: usize| {
+            let points = fc_geom::Points::from_flat(vec![0.0; n], 1).unwrap();
+            Dataset::weighted(points, vec![1e308; n]).unwrap()
+        };
+        let past_max = |out: Result<IngestOutcome, EngineError>| matches!(out, Err(EngineError::InvalidArgument(msg)) if msg.contains("past"));
+        // One batch whose own weight overflows, and one that overflows the
+        // total; neither reaches the sink, and the first creates nothing.
+        assert!(past_max(path.ingest(&sink, "d", &heavy(2), None, None)));
+        assert!(path.get("d").is_err());
+        path.ingest(&sink, "d", &heavy(1), None, None).unwrap();
+        assert!(past_max(path.ingest(&sink, "d", &heavy(1), None, None)));
+        assert_eq!(path.get("d").unwrap().totals(), (1, 1e308));
+        assert_eq!(sink.delivered.load(Ordering::SeqCst), 1);
+
+        // A refused delivery gives its reservation back; a batch still in
+        // delivery holds it.
+        path.ingest(&sink, "e", &rows(1, 1), None, None).unwrap();
+        sink.refuse.store(1, Ordering::SeqCst);
+        assert_eq!(
+            path.ingest(&sink, "e", &heavy(1), None, None),
+            Err(EngineError::Unavailable)
+        );
+        let (path, sink) = (Arc::new(path), Arc::new(sink));
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        *sink.during_deliver.lock().unwrap() = Some(Box::new(move || {
+            entered_tx.send(()).unwrap();
+            released.recv().unwrap();
+        }));
+        let first = {
+            let (path, sink) = (Arc::clone(&path), Arc::clone(&sink));
+            std::thread::spawn(move || path.ingest(&*sink, "e", &heavy(1), None, None))
+        };
+        entered.recv().unwrap();
+        assert!(past_max(path.ingest(&*sink, "e", &heavy(1), None, None)));
+        release.send(()).unwrap();
+        assert_eq!(first.join().unwrap().unwrap().total_weight, 1e308 + 1.0);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! 1. resolve the dataset; default `k` / objective / solver from its
 //!    effective [`Plan`];
 //! 2. refuse `k = 0`, a solver that cannot refine the objective, and
-//!    centers of the wrong dimension, before any work;
+//!    centers of the wrong dimension, before any work (and, after it, a
+//!    cost that overflowed: no dialect can carry an infinity);
 //! 3. mint the cache key from the source's [`QueryState`] *before* Ω is
 //!    read: a write landing after the mint moves the state on, so what
 //!    is stored under the old key is unmatchable rather than stale;
@@ -153,6 +154,18 @@ pub trait QuerySource {
     ) -> Result<(f64, usize), EngineError> {
         let coreset = summary()?;
         Ok((coreset.cost(centers, kind), coreset.len()))
+    }
+}
+
+/// Refuses a cost that overflowed: JSON has no infinity, so no dialect
+/// could carry it.
+fn finite(cost: f64, what: &str) -> Result<(), EngineError> {
+    if cost.is_finite() {
+        Ok(())
+    } else {
+        Err(EngineError::InvalidArgument(format!(
+            "the {what} overflows an f64 ({cost}): the points or centers are too far apart"
+        )))
     }
 }
 
@@ -307,6 +320,7 @@ impl QueryPath {
             self.solve_distance_evals.add(solution.distance_evals);
             self.solve_distance_scan
                 .add((coreset.len() * solution.k()) as u64 * (rounds + 1));
+            finite(solution.cost, "clustering cost")?;
             let outcome = ClusterOutcome {
                 solution,
                 kind,
@@ -354,6 +368,7 @@ impl QueryPath {
             let summary =
                 || self.summary(source, name, &dataset, state.clone(), self.base_seed, None);
             let (cost, points) = source.price(name, &dataset, centers, kind, &summary)?;
+            finite(cost, "cost")?;
             self.store(key, || QueryValue::Cost(cost, points));
             Ok((cost, kind, points))
         })
@@ -605,6 +620,20 @@ mod tests {
         path.forget(1);
         path.coreset(&source, "d", Some(7), None).unwrap();
         assert_eq!(probes(&path), (4, 5));
+    }
+
+    #[test]
+    fn an_overflowing_cost_is_refused_and_never_stored() {
+        let (path, source) = (path(8), Fake::new());
+        let far = Points::from_flat(vec![1e200, 0.0], 2).unwrap();
+        for _ in 0..2 {
+            assert!(matches!(
+                path.cost(&source, "d", &far, None),
+                Err(EngineError::InvalidArgument(msg)) if msg.contains("overflows")
+            ));
+        }
+        // The repeat misses its own key again, and hits Ω's.
+        assert_eq!(path.counts(), (0, 1, 3));
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! payloads, oversized length prefixes, torn tails, a frame from a build
 //! with other opcodes) answered or poisoned *in pipeline position* —
 //! every well-formed frame around them still gets its answer, in order.
+//! Numbers no dialect can carry are refused the same way in both.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -11,7 +12,7 @@ use fast_coresets::prelude::*;
 use fc_service::framing::BinaryCodec;
 use fc_service::protocol::{Request, Response};
 use fc_service::wire;
-use fc_service::{Engine, EngineConfig, ServerHandle, ServiceClient};
+use fc_service::{ClientError, Engine, EngineConfig, ServerHandle, ServiceClient};
 
 fn seeded_server() -> ServerHandle {
     let engine = Engine::new(EngineConfig {
@@ -262,5 +263,64 @@ fn a_frame_from_a_build_with_other_opcodes_is_refused_in_position() {
     assert!(matches!(responses[0], Response::Cost { .. }));
     let mut client = ServiceClient::connect(server.addr()).unwrap();
     assert_eq!(client.stats(Some("wired")).unwrap()[0].ingested_points, 4);
+    server.shutdown();
+}
+
+/// A cost or clustering cost that overflows an `f64`, and an ingest that
+/// would take a dataset's total weight past `f64::MAX`, are refused with
+/// the same structured error over JSON lines and over `bin1c`: JSON has
+/// no infinity, so neither dialect sends one.
+#[test]
+fn numbers_no_dialect_can_carry_are_refused_in_both() {
+    let server = seeded_server();
+    let refused = |reply: Result<(), ClientError>, needle: &str| match reply {
+        Err(ClientError::Server { message, code }) => {
+            assert!(message.contains(needle), "{message}");
+            assert_eq!(code, None);
+            message
+        }
+        other => panic!("expected a refusal, got {other:?}"),
+    };
+    let mut messages = Vec::new();
+    for binary in [false, true] {
+        let mut client = ServiceClient::connect(server.addr()).unwrap();
+        if binary {
+            client.negotiate_binary().unwrap();
+            assert!(client.is_checked(), "bin1c is negotiated first");
+        }
+        let name = if binary { "far-bin" } else { "far-json" };
+        // Every squared distance between these two points overflows.
+        let far = Dataset::from_flat(vec![-1e155, 1e155], 1).unwrap();
+        client.ingest(name, &far, None).unwrap();
+        let centers = Points::from_flat(vec![1e200], 1).unwrap();
+        let cost = loop {
+            match client.cost(name, &centers, None) {
+                Err(e) if e.code() == Some(fc_service::ErrorCode::NoData) => continue,
+                reply => break reply,
+            }
+        };
+        let cluster = client.cluster(name, Some(1), None, None, Some(7));
+        let heavy = Dataset::weighted(
+            Points::from_flat(vec![0.0, 1.0], 1).unwrap(),
+            vec![1e308; 2],
+        );
+        let ingest = client.ingest(name, &heavy.unwrap(), None);
+        messages.push([
+            refused(cost.map(drop), "cost overflows"),
+            refused(cluster.map(drop), "clustering cost overflows"),
+            refused(ingest.map(drop), "total weight past"),
+        ]);
+        // Still serving, and the refused batch was never counted.
+        let stats = client.stats(Some(name)).unwrap();
+        assert_eq!(
+            (stats[0].ingested_points, stats[0].ingested_weight),
+            (2, 2.0)
+        );
+    }
+    let dialect_free = |m: &String| m.replace("far-json", "far-bin");
+    assert_eq!(
+        messages[0].iter().map(dialect_free).collect::<Vec<_>>(),
+        messages[1].to_vec()
+    );
     server.shutdown();
 }
