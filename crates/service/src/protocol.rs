@@ -1,8 +1,6 @@
-//! The service's wire protocol: the request and response types, and the
-//! one list of fields each op carries ([`Request`] / [`Response`]
-//! `encode` and `decode`), which the JSON-lines codec here and the binary
-//! codec in [`crate::wire`] both read and write through the field
-//! vocabulary in [`crate::wire`].
+//! The service's wire protocol: the request and response types, each
+//! op's one field list (`encode` / `decode`, which both dialects read and
+//! write through [`crate::wire`]'s field vocabulary), and JSON lines.
 //!
 //! One request per line, one response per line, UTF-8, `\n`-terminated.
 //! Every request is an object with an `"op"` discriminator:
@@ -970,8 +968,6 @@ impl Response {
             },
             "error" => Response::Error {
                 message: d.field("message")?,
-                // An unknown code decodes as none: old clients must survive new
-                // server-side classes.
                 code: d
                     .optional::<String>("code")?
                     .and_then(|name| ErrorCode::from_name(&name)),

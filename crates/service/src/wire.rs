@@ -81,15 +81,13 @@ use fc_persist::record::{put_f64, put_f64s, put_str, put_u32, put_u64, Cursor, E
 use crate::protocol::{NodeHealth, ProtocolError, Request, Response};
 
 /// An opcode table: `names[i]` travels as opcode `base + i`.
-pub(crate) struct Opcodes {
-    what: &'static str,
+struct Opcodes {
     base: u8,
     names: [&'static str; 10],
 }
 
 /// Every request `op`.
-pub(crate) const REQUEST_OPS: Opcodes = Opcodes {
-    what: "request",
+const REQUEST_OPS: Opcodes = Opcodes {
     base: 0x20,
     names: [
         "hello",
@@ -106,8 +104,7 @@ pub(crate) const REQUEST_OPS: Opcodes = Opcodes {
 };
 
 /// Every response `kind`.
-pub(crate) const RESPONSE_KINDS: Opcodes = Opcodes {
-    what: "response",
+const RESPONSE_KINDS: Opcodes = Opcodes {
     base: 0xa0,
     names: [
         "hello",
@@ -354,10 +351,8 @@ fn flat_from_json(v: &Value, key: &str) -> Result<(Vec<f64>, usize), ProtocolErr
 fn flat_get(c: &mut Cursor<'_>, key: &str) -> Result<(Vec<f64>, usize), ProtocolError> {
     let dim = need(c.u32(), key)? as usize;
     let count = need(c.u32(), key)? as usize;
-    Ok((
-        need(count.checked_mul(dim).and_then(|n| c.f64s(n)), key)?,
-        dim,
-    ))
+    let data = need(count.checked_mul(dim).and_then(|n| c.f64s(n)), key)?;
+    Ok((data, dim))
 }
 
 /// An ingest block, validated by [`PointBlock::new`] in either dialect.
@@ -457,10 +452,32 @@ fn rows(data: Vec<f64>, dim: usize, key: &str) -> Result<Vec<Vec<f64>>, Protocol
     Ok(data.chunks_exact(dim).map(<[f64]>::to_vec).collect())
 }
 
-/// Field types that travel as list items.
-pub(crate) trait Element: Field {}
+/// A number list, read back in one run.
+impl Field for Vec<f64> {
+    fn to_json(&self) -> Value {
+        number_array(self)
+    }
 
-impl Element for f64 {}
+    fn from_json(v: &Value, key: &str) -> Result<Self, ProtocolError> {
+        v.as_array()
+            .and_then(|items| items.iter().map(Value::as_f64).collect())
+            .ok_or_else(|| must(key, "an array of numbers"))
+    }
+
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u32(out, self.len() as u32);
+        put_f64s(out, self);
+    }
+
+    fn get(c: &mut Cursor<'_>, key: &str) -> Result<Self, ProtocolError> {
+        let count = need(c.u32(), key)? as usize;
+        need(c.f64s(count), key)
+    }
+}
+
+/// Field types that travel as list items.
+trait Element: Field {}
+
 impl Element for u64 {}
 impl Element for usize {}
 
@@ -567,6 +584,7 @@ impl Opcodes {
     /// Reads the opcode and the fields behind it, refusing trailing bytes.
     fn unframe<'a, T>(
         &self,
+        what: &str,
         payload: &'a [u8],
         decode: impl FnOnce(&str, &mut Cursor<'a>) -> Result<T, ProtocolError>,
     ) -> Result<T, ProtocolError> {
@@ -576,7 +594,7 @@ impl Opcodes {
             .checked_sub(self.base)
             .and_then(|at| self.names.get(usize::from(at)))
             .ok_or_else(|| {
-                ProtocolError::new(format!("unknown binary {} opcode 0x{op:02x}", self.what))
+                ProtocolError::new(format!("unknown binary {what} opcode 0x{op:02x}"))
             })?;
         let decoded = decode(name, &mut c)?;
         match c.rest().len() {
@@ -605,12 +623,12 @@ pub fn response_frame(response: &Response, checked: bool) -> Vec<u8> {
 /// Decodes one binary request payload (the frame's header already
 /// stripped by the codec), returning the request and its optional trace.
 pub fn decode_request(payload: &[u8]) -> Result<(Request, Option<String>), ProtocolError> {
-    REQUEST_OPS.unframe(payload, Request::decode)
+    REQUEST_OPS.unframe("request", payload, Request::decode)
 }
 
 /// Decodes one binary response payload (header already stripped).
 pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
-    RESPONSE_KINDS.unframe(payload, Response::decode)
+    RESPONSE_KINDS.unframe("response", payload, Response::decode)
 }
 
 #[cfg(test)]
