@@ -6,13 +6,13 @@
 //! every routed batch so whichever node sees the dataset first creates it
 //! under the same plan (plan-less datasets run each node's default plan —
 //! deploy nodes and coordinator with the same plan flags). Queries run
-//! the shared [`fc_service::query`] path; the coordinator's part is the
-//! summary: fan out in parallel to every node, pull each node's serving
-//! compression, union the weighted coresets — the MapReduce aggregation
-//! step of [`fc_core::streaming::mapreduce::aggregate_parts`], exercised
-//! over TCP instead of threads — and re-compress once. Only compressed
-//! summaries ever cross the network: `O(m)` points per node per query,
-//! independent of how much data the nodes hold.
+//! the shared [`fc_service::query`] path; the coordinator only supplies
+//! the parts: one exchange with every node in parallel pulls each node's
+//! serving compression, and that path unions them and re-compresses once
+//! — the MapReduce aggregation step, with sockets where the library has
+//! threads. Only compressed summaries ever cross the network: `O(m)`
+//! points per node per query, independent of how much data the nodes
+//! hold.
 //!
 //! Failure is a first-class input: an unreachable node is marked down and
 //! queries answer from the survivors; an `overloaded` node is retried
@@ -40,7 +40,6 @@ use fc_clustering::solver::Solver;
 use fc_clustering::CostKind;
 use fc_core::json::Value;
 use fc_core::plan::{Method, Plan};
-use fc_core::streaming::mapreduce::aggregate_parts;
 use fc_core::Coreset;
 use fc_fleet::FleetMap;
 use fc_geom::{Dataset, Points};
@@ -288,23 +287,16 @@ struct CoordinatorMetrics {
 }
 
 impl CoordinatorMetrics {
-    fn new(node_addrs: impl Iterator<Item = impl AsRef<str>>) -> Self {
+    fn new<'a>(node_addrs: impl Iterator<Item = &'a str>) -> Self {
         let shared = Arc::new(Telemetry::new());
-        CoordinatorMetrics {
+        let metrics = CoordinatorMetrics {
             migrations: shared.registry.counter("fc_migrations_total"),
             replica_write_failures: shared.registry.counter("fc_replica_write_failures_total"),
-            node_seconds: Mutex::new(
-                node_addrs
-                    .map(|addr| {
-                        shared.registry.histogram(&labeled(
-                            "fc_node_request_seconds",
-                            &[("node", addr.as_ref())],
-                        ))
-                    })
-                    .collect(),
-            ),
+            node_seconds: Mutex::default(),
             shared,
-        }
+        };
+        node_addrs.for_each(|addr| metrics.push_node(addr));
+        metrics
     }
 
     /// The per-node latency histogram for roster index `idx`.
@@ -312,7 +304,7 @@ impl CoordinatorMetrics {
         self.node_seconds.lock().expect("node histogram lock")[idx].clone()
     }
 
-    /// Registers the histogram for a node admitted after construction.
+    /// Registers the histogram for the next node of the roster.
     fn push_node(&self, addr: &str) {
         self.node_seconds.lock().expect("node histogram lock").push(
             self.shared
@@ -387,7 +379,11 @@ impl Coordinator {
             replication: config.replication,
             query,
             fleet: Mutex::new(fleet),
-            write: WritePath::new(Arc::clone(&metrics.shared), config.default_plan),
+            write: WritePath::new(
+                Arc::clone(&metrics.shared),
+                config.default_plan.clone(),
+                Arc::from(config.default_plan.method().build()),
+            ),
             capacity_index: Mutex::new(capacity_index),
             capacity_rng: Mutex::new(StdRng::seed_from_u64(config.base_seed)),
             metrics,
@@ -525,36 +521,80 @@ impl Coordinator {
         }
     }
 
-    /// Runs one request against every node concurrently.
-    fn fan_out(&self, request: &Request) -> Vec<Result<Response, ClientError>> {
-        self.fan_out_with(|_| request.clone())
+    /// Every roster index, in roster order: the `which` of a fan-out.
+    fn everyone(&self) -> Vec<usize> {
+        (0..self.roster().len()).collect()
     }
 
-    /// Runs a per-node request against every node concurrently.
+    /// The one way the coordinator reaches its nodes: `request_for(i)`
+    /// against each listed node `i` concurrently, outcomes in `which`
+    /// order. A query's fan-out, a routed ingest and a replica write are
+    /// all exchanges, so each observes `fc_node_request_seconds{node=…}`
+    /// and logs its `node<i>:<op>` hop under one request id — the caller's
+    /// (set as the ambient trace by the server loop in front of this
+    /// coordinator) or a fresh one.
     ///
-    /// On Linux the exchanges are multiplexed over one epoll poller on the
-    /// *calling* thread ([`fc_service::reactor::drive_exchanges`]): a
-    /// coordinator query spawns zero threads however wide the fleet is.
-    /// Pooled connections that turn out stale are redialed once; a node
-    /// answering `overloaded` is retried through the same bounded backoff
-    /// schedule the blocking client runs, node-parallel; a node that
-    /// breaches its read/write deadline fails its slot with a timeout
-    /// (surfaced as degraded health) without disturbing the other nodes.
-    #[cfg(target_os = "linux")]
-    fn fan_out_with(
+    /// On Linux it is [`Self::drive_requests`]: one epoll poller on the
+    /// calling thread, so an exchange spawns no thread however wide the
+    /// fleet is. Elsewhere each node gets a scoped thread running the
+    /// blocking pooled client.
+    fn exchange(
         &self,
+        which: &[usize],
         request_for: impl Fn(usize) -> Request + Sync,
     ) -> Vec<Result<Response, ClientError>> {
-        let all: Vec<usize> = (0..self.roster().len()).collect();
-        self.drive_requests(&all, request_for)
+        #[cfg(target_os = "linux")]
+        {
+            self.drive_requests(which, request_for)
+        }
+        #[cfg(not(target_os = "linux"))]
+        {
+            let trace = current_trace().unwrap_or_else(next_request_id);
+            let (trace, request_for) = (&trace, &request_for);
+            let nodes = self.roster();
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = which
+                    .iter()
+                    .map(|&idx| {
+                        let node = &nodes[idx];
+                        scope.spawn(move || {
+                            // The ambient trace is thread-local: re-set it
+                            // before the client stamps the request.
+                            let _scope = fc_telemetry::set_current_trace(Some(trace.clone()));
+                            let request = request_for(idx);
+                            let started = std::time::Instant::now();
+                            let outcome = node.request(&request, &self.retry);
+                            let elapsed = started.elapsed();
+                            self.metrics.node_hist(idx).observe(elapsed);
+                            let hop = format!("node{idx}:{}", request.op_name());
+                            self.metrics.shared.traces.record(trace, hop, elapsed);
+                            outcome
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("node exchange threads do not panic"))
+                    .collect()
+            })
+        }
     }
 
-    /// Runs a per-node request against the listed nodes concurrently over
-    /// the epoll exchange driver (see [`Self::fan_out_with`]); outcomes
-    /// come back in `which` order. Ingest routing drives single nodes
-    /// through the same path, so every coordinator request — fan-out or
-    /// routed — shares one I/O engine, one retry schedule, and one set of
-    /// per-node metrics.
+    /// [`Self::exchange`] with one node.
+    fn node_request(&self, idx: usize, request: &Request) -> Result<Response, ClientError> {
+        self.exchange(&[idx], |_| request.clone())
+            .pop()
+            .expect("one node in, one outcome out")
+    }
+
+    /// [`Self::exchange`] on Linux: the listed nodes' requests multiplexed
+    /// over one epoll poller on the calling thread
+    /// ([`fc_service::reactor::drive_exchanges`]). Pooled connections that
+    /// turn out stale are redialed once; a node answering `overloaded` is
+    /// retried through the same bounded backoff schedule the blocking
+    /// client runs, node-parallel; a node that breaches its read/write
+    /// deadline fails its slot with a timeout (surfaced as degraded
+    /// health) without disturbing the other nodes.
     ///
     /// Each request is encoded per *connection*: binary frames on
     /// connections that negotiated the upgrade at dial time, JSON-lines
@@ -588,10 +628,8 @@ impl Coordinator {
             op: &'static str,
         }
 
-        // Every fan-out runs under one request id — the caller's (set as
-        // the ambient trace by the server loop in front of this
-        // coordinator) or a fresh one — stamped onto each node request,
-        // so a slow query is attributable per node on both sides.
+        // One request id, stamped onto each node request, so a slow query
+        // is attributable per node on both sides.
         let trace = current_trace().unwrap_or_else(next_request_id);
         let nodes = self.roster();
         let n = nodes.len();
@@ -786,86 +824,6 @@ impl Coordinator {
         })
     }
 
-    /// Runs a per-node request against every node in parallel — scoped
-    /// threads on platforms without the epoll reactor.
-    #[cfg(not(target_os = "linux"))]
-    fn fan_out_with(
-        &self,
-        request_for: impl Fn(usize) -> Request + Sync,
-    ) -> Vec<Result<Response, ClientError>> {
-        // One request id for the whole fan-out (the ambient trace is
-        // thread-local, so each spawned thread re-sets it before the
-        // client stamps outgoing lines).
-        let trace = current_trace().unwrap_or_else(next_request_id);
-        let trace = &trace;
-        let nodes = self.roster();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = nodes
-                .iter()
-                .enumerate()
-                .map(|(idx, node)| {
-                    let request_for = &request_for;
-                    scope.spawn(move || {
-                        let _scope = fc_telemetry::set_current_trace(Some(trace.clone()));
-                        let request = request_for(idx);
-                        let op = request.op_name();
-                        let started = std::time::Instant::now();
-                        let outcome = node.request(&request, &self.retry);
-                        let elapsed = started.elapsed();
-                        self.metrics.node_hist(idx).observe(elapsed);
-                        self.metrics.shared.traces.record(
-                            trace,
-                            format!("node{idx}:{op}"),
-                            elapsed,
-                        );
-                        outcome
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("node fan-out threads do not panic"))
-                .collect()
-        })
-    }
-
-    /// Runs one request against one node. On Linux this rides the same
-    /// multiplexed exchange driver as the fan-outs (pooling, stale-redial,
-    /// bounded overload backoff, per-node latency metrics, hop tracing) —
-    /// ingest routing no longer has a private blocking I/O path. Other
-    /// platforms fall back to the blocking pooled client.
-    #[cfg(target_os = "linux")]
-    fn node_request(&self, idx: usize, request: &Request) -> Result<Response, ClientError> {
-        self.drive_requests(&[idx], |_| request.clone())
-            .pop()
-            .expect("one node in, one outcome out")
-    }
-
-    #[cfg(not(target_os = "linux"))]
-    fn node_request(&self, idx: usize, request: &Request) -> Result<Response, ClientError> {
-        self.node_at(idx).request(request, &self.retry)
-    }
-
-    /// Runs one request against each listed node concurrently, outcomes
-    /// in `which` order (the replica fan-out of a replicated ingest).
-    fn multi_node_request(
-        &self,
-        which: &[usize],
-        request: &Request,
-    ) -> Vec<Result<Response, ClientError>> {
-        #[cfg(target_os = "linux")]
-        {
-            self.drive_requests(which, |_| request.clone())
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            which
-                .iter()
-                .map(|&idx| self.node_at(idx).request(request, &self.retry))
-                .collect()
-        }
-    }
-
     /// The roster index an ingest for `(name, route)` should try first,
     /// chosen among `actives` (draining members take no new writes).
     fn route_start(&self, name: &str, route: &Route, actives: &[usize]) -> usize {
@@ -896,14 +854,15 @@ impl Coordinator {
         }
     }
 
-    /// Decodes one node's `Coreset` payload.
-    fn node_part(
-        &self,
-        node_idx: usize,
-        points: &[Vec<f64>],
-        weights: &[f64],
-    ) -> Result<Coreset, EngineError> {
-        protocol::rows_to_dataset(points, Some(weights))
+    /// Decodes one node's answer to `compress` into its part.
+    fn node_part(&self, node_idx: usize, answer: Response) -> Result<Coreset, EngineError> {
+        let Response::Coreset {
+            points, weights, ..
+        } = answer
+        else {
+            return Err(self.unexpected(node_idx, answer));
+        };
+        protocol::rows_to_dataset(&points, Some(&weights))
             .map(Coreset::new)
             .map_err(|e| EngineError::Remote {
                 node: self.node_addr(node_idx),
@@ -986,7 +945,11 @@ impl Coordinator {
                 }
             }
         } else {
-            for (idx, outcome) in self.fan_out_with(for_slot).into_iter().enumerate() {
+            for (idx, outcome) in self
+                .exchange(&self.everyone(), for_slot)
+                .into_iter()
+                .enumerate()
+            {
                 answers.extend(triage(idx, outcome)?);
             }
         }
@@ -1006,64 +969,40 @@ impl Coordinator {
     }
 }
 
-/// The fleet as a [`QuerySource`] and a [`WriteSink`]: summaries and
-/// prices both come from the nodes ([`Coordinator::ask`]); a batch goes to
-/// one node under the routing policy, or to a whole replica set.
+/// The fleet as a [`QuerySource`] and a [`WriteSink`]: parts and prices
+/// both come from the nodes ([`Coordinator::ask`]); a batch goes to one
+/// node under the routing policy, or to a whole replica set.
 struct Fleet<'a>(&'a Coordinator);
 
 impl QuerySource for Fleet<'_> {
-    type Dataset = Arc<Route>;
+    type Dataset = Route;
 
     fn resolve(&self, name: &str) -> Result<Arc<Route>, EngineError> {
         self.0.write.get(name)
     }
 
-    fn plan<'a>(&'a self, route: &'a Arc<Route>) -> &'a Plan {
-        route.plan()
-    }
-
-    fn dim(&self, route: &Arc<Route>) -> usize {
-        route.dim()
-    }
-
-    fn state(&self, route: &Arc<Route>) -> Option<QueryState> {
+    fn state(&self, route: &Route) -> Option<QueryState> {
         Some(route.query_state(self.0.fleet_epoch(), self.0.health_fingerprint()))
     }
 
-    /// Every answering node's serving compression, unioned
-    /// (composability) and re-compressed once under the effective method
-    /// when the union exceeds the plan's serving size.
-    fn summarise(
+    /// Every answering node's serving compression, each under its own
+    /// stream of the request seed ([`node_seed`]), in roster order.
+    fn parts(
         &self,
         name: &str,
-        route: &Arc<Route>,
+        _route: &Route,
         seed: u64,
         method: Option<&Method>,
-    ) -> Result<Coreset, EngineError> {
+    ) -> Result<Vec<Coreset>, EngineError> {
         let answers = self.0.ask(name, |idx| Request::Compress {
             dataset: name.to_owned(),
             method: method.cloned(),
             seed: Some(node_seed(seed, idx)),
         })?;
-        let mut parts = Vec::with_capacity(answers.len());
-        for (idx, answer) in answers {
-            match answer {
-                Response::Coreset {
-                    points, weights, ..
-                } => parts.push(self.0.node_part(idx, &points, &weights)?),
-                other => return Err(self.0.unexpected(idx, other)),
-            }
-        }
-        let plan = route.plan();
-        let params = plan.params();
-        let compressor = method
-            .cloned()
-            .unwrap_or_else(|| plan.method().clone())
-            .build();
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Dimension disagreement between nodes (a fleet misconfiguration)
-        // surfaces here as FcError::DimensionMismatch, not a panic.
-        aggregate_parts(&mut rng, parts, compressor.as_ref(), &params).map_err(EngineError::Invalid)
+        answers
+            .into_iter()
+            .map(|(idx, answer)| self.0.node_part(idx, answer))
+            .collect()
     }
 
     /// Prices the centers where the data is and sums the answers, so only
@@ -1072,7 +1011,7 @@ impl QuerySource for Fleet<'_> {
     fn price(
         &self,
         name: &str,
-        _route: &Arc<Route>,
+        _route: &Route,
         centers: &Points,
         kind: CostKind,
         _summary: &dyn Fn() -> Result<Coreset, EngineError>,
@@ -1104,52 +1043,52 @@ fn node_seed(seed: u64, node_idx: usize) -> u64 {
     seed ^ NODE_STREAM.wrapping_mul(node_idx as u64 + 1)
 }
 
-/// Merges one node's report of a dataset's `(snapshot, record)` state
-/// epoch into the fleet aggregate. Spread placement **sums**: nodes hold
-/// disjoint shares, so the fleet's epoch components inherit each node's
-/// monotonicity. Replicated placement takes the **max**: replicas hold
-/// the *same* data, and mid-migration a freshly seeded replica reports a
-/// small epoch — summing would both double-count and jump backward as
-/// replica sets change, while the max is the most-advanced copy and stays
-/// monotone through membership churn.
-fn merge_state_epoch(into: (u64, u64), from: (u64, u64), replicated: bool) -> (u64, u64) {
-    if replicated {
-        (into.0.max(from.0), into.1.max(from.1))
+/// Folds one node's report of a dataset into the fleet aggregate.
+///
+/// Spread placement **sums**: nodes hold disjoint shares, so the totals
+/// add up and the `(snapshot, record)` state epoch inherits each node's
+/// monotonicity. The sums saturate — counts at `u64::MAX`, weight at
+/// `f64::MAX` — so a buggy or hostile node degrades the aggregate instead
+/// of panicking the coordinator (debug builds), wrapping the epoch
+/// backward (release builds) or reporting an infinity no dialect can
+/// carry. Replicated placement takes the **max**: replicas hold the
+/// *same* data, and mid-migration a freshly seeded replica reports a small
+/// epoch — summing would both R-count and jump backward as replica sets
+/// change, while the max is the most-advanced copy and stays monotone
+/// through membership churn. Either way any replaying node makes the
+/// dataset `recovering`, and the per-shard lists concatenate.
+fn fold_stats(into: &mut DatasetStats, from: &DatasetStats, replicated: bool) {
+    let count = |a: u64, b: u64| {
+        if replicated {
+            a.max(b)
+        } else {
+            a.saturating_add(b)
+        }
+    };
+    let size = |a: usize, b: usize| {
+        if replicated {
+            a.max(b)
+        } else {
+            a.saturating_add(b)
+        }
+    };
+    into.shards = size(into.shards, from.shards);
+    into.ingested_points = count(into.ingested_points, from.ingested_points);
+    into.ingested_weight = if replicated {
+        into.ingested_weight.max(from.ingested_weight)
     } else {
-        // Saturating sums: a buggy or hostile node reporting near-max
-        // counters must degrade the aggregate, not panic the coordinator
-        // (debug builds) or wrap the epoch backward (release builds).
-        (into.0.saturating_add(from.0), into.1.saturating_add(from.1))
-    }
-}
-
-/// Same dichotomy for additive counters (points, shards): disjoint shares
-/// sum; replicas report the same data, so the most-complete copy is the
-/// fleet truth.
-fn merge_count(into: u64, from: u64, replicated: bool) -> u64 {
-    if replicated {
-        into.max(from)
-    } else {
-        into.saturating_add(from)
-    }
-}
-
-/// [`merge_count`] for the `usize`-typed counters (shards, stored points).
-fn merge_count_usize(into: usize, from: usize, replicated: bool) -> usize {
-    if replicated {
-        into.max(from)
-    } else {
-        into.saturating_add(from)
-    }
-}
-
-/// And for weights.
-fn merge_weight(into: f64, from: f64, replicated: bool) -> f64 {
-    if replicated {
-        into.max(from)
-    } else {
-        into + from
-    }
+        (into.ingested_weight + from.ingested_weight).min(f64::MAX)
+    };
+    into.stored_points = size(into.stored_points, from.stored_points);
+    into.state_epoch = (
+        count(into.state_epoch.0, from.state_epoch.0),
+        count(into.state_epoch.1, from.state_epoch.1),
+    );
+    into.recovering |= from.recovering;
+    into.summaries_per_shard
+        .extend_from_slice(&from.summaries_per_shard);
+    into.queue_depth_per_shard
+        .extend_from_slice(&from.queue_depth_per_shard);
 }
 
 impl Coordinator {
@@ -1207,7 +1146,7 @@ impl WriteSink for Fleet<'_> {
                 .expect("fleet map lock")
                 .replicas(name);
             let mut accepted = false;
-            let outcomes = coordinator.multi_node_request(&replicas, &request);
+            let outcomes = coordinator.exchange(&replicas, |_| request.clone());
             for (&idx, outcome) in replicas.iter().zip(outcomes) {
                 last = match outcome {
                     Ok(Response::Ingested { .. }) => {
@@ -1344,33 +1283,13 @@ impl Backend for Coordinator {
     }
 
     fn dataset_stats(&self, name: &str) -> Result<DatasetStats, EngineError> {
-        let known = self.write.get(name);
-        match self.aggregate_stats(Some(name))?.pop() {
-            Some(stats) => Ok(stats),
-            // Every node holding the dataset is unreachable; report the
-            // route with its node health rather than pretending the
-            // dataset vanished.
-            None => known.map(|route| self.empty_stats(name, &route)),
-        }
+        self.aggregate_stats(Some(name))?
+            .pop()
+            .ok_or_else(|| EngineError::UnknownDataset(name.to_owned()))
     }
 
     fn stats(&self) -> Result<Vec<DatasetStats>, EngineError> {
-        let mut aggregated = self.aggregate_stats(None)?;
-        // Routes no reachable node reported (their only holders are down)
-        // still appear, with the coordinator's acknowledgement counters
-        // and the fleet's health.
-        let reported: std::collections::BTreeSet<&str> =
-            aggregated.iter().map(|s| s.dataset.as_str()).collect();
-        let missing: Vec<DatasetStats> = self
-            .write
-            .snapshot()
-            .iter()
-            .filter(|(name, _)| !reported.contains(name.as_str()))
-            .map(|(name, route)| self.empty_stats(name, route))
-            .collect();
-        aggregated.extend(missing);
-        aggregated.sort_by(|a, b| a.dataset.cmp(&b.dataset));
-        Ok(aggregated)
+        self.aggregate_stats(None)
     }
 
     /// The coordinator process's own lifetime counters — acknowledged
@@ -1393,9 +1312,10 @@ impl Backend for Coordinator {
         if let Some(route) = &route {
             self.query.forget(route.instance());
         }
-        let outcomes = self.fan_out(&Request::DropDataset {
+        let request = Request::DropDataset {
             dataset: name.to_owned(),
-        });
+        };
+        let outcomes = self.exchange(&self.everyone(), |_| request.clone());
         // Unknown-dataset answers are normal (the node never held a
         // block); only a confirmed drop counts, and only an answered node
         // counts as covered.
@@ -1597,7 +1517,7 @@ impl Backend for Coordinator {
         let nodes: BTreeMap<String, Value> = self
             .roster()
             .iter()
-            .zip(self.fan_out(&Request::Metrics))
+            .zip(self.exchange(&self.everyone(), |_| Request::Metrics))
             .map(|(node, outcome)| {
                 let payload = match outcome {
                     Ok(Response::Metrics { metrics }) => metrics,
@@ -1659,28 +1579,19 @@ impl Coordinator {
                 method: None,
                 seed: Some(node_seed(self.query.next_seed(), src)),
             };
-            let (points, weights) = match self.node_request(src, &request) {
-                Ok(Response::Coreset {
-                    points, weights, ..
-                }) => (points, weights),
-                Ok(other) => {
-                    last = Some(self.unexpected(src, other));
-                    continue;
-                }
-                Err(e) => {
-                    match self.node_error(src, name, e) {
-                        // This source has nothing of the dataset; the next
-                        // one may.
-                        EngineError::UnknownDataset(_) | EngineError::NoData { .. } => {}
-                        err => last = Some(err),
-                    }
+            let part = match self.node_request(src, &request) {
+                Ok(answer) => self.node_part(src, answer),
+                Err(e) => Err(self.node_error(src, name, e)),
+            };
+            let part = match part {
+                Ok(part) => part,
+                // This source has nothing of the dataset; the next one may.
+                Err(EngineError::UnknownDataset(_) | EngineError::NoData { .. }) => continue,
+                Err(err) => {
+                    last = Some(err);
                     continue;
                 }
             };
-            if points.is_empty() {
-                return Ok(false);
-            }
-            let part = self.node_part(src, &points, &weights)?;
             // Identified as the fleet's own migration client.
             let migration = IngestIdent {
                 client: MIGRATE_CLIENT.to_owned(),
@@ -1711,8 +1622,12 @@ impl Coordinator {
         self.metrics.shared.registry.render_prometheus()
     }
 
-    /// Fans `stats` out to the fleet and merges the per-node reports into
-    /// one [`DatasetStats`] per dataset, per-node breakdown attached.
+    /// Fans `stats` out to the fleet and folds the per-node reports into
+    /// one [`DatasetStats`] per dataset (`which`, or every one), in name
+    /// order, per-node breakdown attached. A route no reachable node
+    /// reported (its only holders are down) still appears, with the
+    /// coordinator's acknowledgement counters: nothing serves it right
+    /// now, but the data *was* accepted.
     ///
     /// Health in the per-node rows is the *worse* of the node's health
     /// when the request started and what this request's probe revealed: a
@@ -1722,7 +1637,7 @@ impl Coordinator {
         let nodes = self.roster();
         let pre: Vec<(NodeHealth, Option<String>)> =
             nodes.iter().map(|node| node.health()).collect();
-        let outcomes = self.fan_out(&Request::Stats {
+        let outcomes = self.exchange(&self.everyone(), |_| Request::Stats {
             dataset: which.map(str::to_owned),
         });
         // Per node: its reported datasets (empty when it answered
@@ -1758,73 +1673,57 @@ impl Coordinator {
         let health: Vec<(NodeHealth, Option<String>)> = per_node
             .iter()
             .enumerate()
-            .map(|(idx, report)| match report {
-                Some(_) => {
-                    let (health, last_error) = pre[idx].clone();
-                    if health == NodeHealth::Alive && nodes[idx].is_recovering() {
-                        (NodeHealth::Recovering, last_error)
-                    } else {
-                        (health, last_error)
-                    }
+            .map(|(idx, report)| match (report, pre[idx].clone()) {
+                (None, _) => nodes[idx].health(),
+                (Some(_), (NodeHealth::Alive, last_error)) if nodes[idx].is_recovering() => {
+                    (NodeHealth::Recovering, last_error)
                 }
-                None => nodes[idx].health(),
+                (Some(_), pre) => pre,
             })
             .collect();
+        // Zeroed per-node rows carry identity and health, to be filled
+        // from each node's report.
+        let blank = |name: &str, dim, plan| DatasetStats {
+            dataset: name.to_owned(),
+            dim,
+            plan,
+            shards: 0,
+            ingested_points: 0,
+            ingested_weight: 0.0,
+            stored_points: 0,
+            summaries_per_shard: Vec::new(),
+            queue_depth_per_shard: Vec::new(),
+            state_epoch: (0, 0),
+            recovering: false,
+            nodes: nodes
+                .iter()
+                .zip(&health)
+                .map(|(node, (health, last_error))| NodeStats {
+                    node: node.addr().to_owned(),
+                    health: *health,
+                    last_error: last_error.clone(),
+                    shards: 0,
+                    ingested_points: 0,
+                    ingested_weight: 0.0,
+                    stored_points: 0,
+                })
+                .collect(),
+        };
         let mut merged: BTreeMap<String, DatasetStats> = BTreeMap::new();
         for (idx, report) in per_node.iter().enumerate() {
             let Some(report) = report else { continue };
             for stats in report {
                 let entry = merged.entry(stats.dataset.clone()).or_insert_with(|| {
-                    DatasetStats {
-                        dataset: stats.dataset.clone(),
-                        dim: stats.dim,
-                        // The coordinator's route is authoritative for the
-                        // plan; fall back to the first reporter for
-                        // datasets ingested around the coordinator.
-                        plan: self
-                            .write
-                            .get(&stats.dataset)
-                            .map(|route| route.plan().clone())
-                            .unwrap_or_else(|_| stats.plan.clone()),
-                        shards: 0,
-                        ingested_points: 0,
-                        ingested_weight: 0.0,
-                        stored_points: 0,
-                        summaries_per_shard: Vec::new(),
-                        queue_depth_per_shard: Vec::new(),
-                        state_epoch: (0, 0),
-                        recovering: false,
-                        nodes: self.node_rows(&health),
-                    }
+                    // The coordinator's route is authoritative for the
+                    // plan; fall back to the first reporter for datasets
+                    // ingested around the coordinator.
+                    let plan = self
+                        .write
+                        .get(&stats.dataset)
+                        .map_or_else(|_| stats.plan.clone(), |route| route.plan().clone());
+                    blank(&stats.dataset, stats.dim, plan)
                 });
-                // Under spread placement each node holds a disjoint shard
-                // of the dataset, so counters *sum* (saturating: a buggy
-                // or hostile node reporting near-`u64::MAX` counters must
-                // degrade the aggregate, not panic the coordinator in
-                // debug builds or wrap the epoch backwards in release).
-                // Under replication every replica holds the *same* data,
-                // so summing would multiply counts by R — and worse, a
-                // freshly migrated replica mid-rebalance reports a small
-                // epoch, so a sum would *jump backwards* as membership
-                // changes. Replicated merges take the max instead: the
-                // most-caught-up replica is the truth.
-                let replicated = self.replication >= 2;
-                entry.shards = merge_count_usize(entry.shards, stats.shards, replicated);
-                entry.ingested_points =
-                    merge_count(entry.ingested_points, stats.ingested_points, replicated);
-                entry.ingested_weight =
-                    merge_weight(entry.ingested_weight, stats.ingested_weight, replicated);
-                entry.stored_points =
-                    merge_count_usize(entry.stored_points, stats.stored_points, replicated);
-                entry.state_epoch =
-                    merge_state_epoch(entry.state_epoch, stats.state_epoch, replicated);
-                entry.recovering |= stats.recovering;
-                entry
-                    .summaries_per_shard
-                    .extend_from_slice(&stats.summaries_per_shard);
-                entry
-                    .queue_depth_per_shard
-                    .extend_from_slice(&stats.queue_depth_per_shard);
+                fold_stats(entry, stats, self.replication >= 2);
                 let row = &mut entry.nodes[idx];
                 row.shards = stats.shards;
                 row.ingested_points = stats.ingested_points;
@@ -1832,49 +1731,19 @@ impl Coordinator {
                 row.stored_points = stats.stored_points;
             }
         }
-        Ok(merged.into_values().collect())
-    }
-
-    /// Zeroed per-node rows carrying identity and health, ready to be
-    /// filled from each node's report.
-    fn node_rows(&self, health: &[(NodeHealth, Option<String>)]) -> Vec<NodeStats> {
-        self.roster()
-            .iter()
-            .zip(health)
-            .map(|(node, (health, last_error))| NodeStats {
-                node: node.addr().to_owned(),
-                health: *health,
-                last_error: last_error.clone(),
-                shards: 0,
-                ingested_points: 0,
-                ingested_weight: 0.0,
-                stored_points: 0,
-            })
-            .collect()
-    }
-
-    /// Stats for a route no reachable node reported: the coordinator's
-    /// lifetime acknowledgement counters (nothing currently serves, but
-    /// the data *was* accepted), the route's plan, and the fleet's
-    /// current health.
-    fn empty_stats(&self, name: &str, route: &Route) -> DatasetStats {
-        let health: Vec<(NodeHealth, Option<String>)> =
-            self.roster().iter().map(|node| node.health()).collect();
-        let (ingested_points, ingested_weight) = route.totals();
-        DatasetStats {
-            dataset: name.to_owned(),
-            dim: route.dim(),
-            plan: route.plan().clone(),
-            shards: 0,
-            ingested_points,
-            ingested_weight,
-            stored_points: 0,
-            summaries_per_shard: Vec::new(),
-            queue_depth_per_shard: Vec::new(),
-            state_epoch: (0, 0),
-            recovering: false,
-            nodes: self.node_rows(&health),
+        for (name, route) in self.write.snapshot() {
+            if which.is_some_and(|which| which != name) || merged.contains_key(&name) {
+                continue;
+            }
+            let (ingested_points, ingested_weight) = route.totals();
+            let stats = DatasetStats {
+                ingested_points,
+                ingested_weight,
+                ..blank(&name, route.dim(), route.plan().clone())
+            };
+            merged.insert(name, stats);
         }
+        Ok(merged.into_values().collect())
     }
 }
 
@@ -2134,29 +2003,106 @@ mod tests {
         a.shutdown();
     }
 
-    /// Satellite pin for the replicated-vs-spread stats dichotomy: two
-    /// replicas mid-migration report `(5, 7)` and `(3, 9)` — the merged
-    /// epoch must be the component-wise max `(5, 9)`, not the sum
-    /// `(8, 16)` the spread path (correctly) produces for disjoint
-    /// shards. Summing replicas would double-count *and* jump backward
-    /// when a freshly seeded replica (tiny epoch) joins the report.
+    /// One node's report of `d`: `shards` shards of ten stored points
+    /// each, one summary and an empty queue per shard.
+    fn report(shards: usize, points: u64, weight: f64, state_epoch: (u64, u64)) -> DatasetStats {
+        DatasetStats {
+            dataset: "d".into(),
+            dim: 2,
+            plan: PlanBuilder::new(4).build().unwrap(),
+            shards,
+            ingested_points: points,
+            ingested_weight: weight,
+            stored_points: 10 * shards,
+            summaries_per_shard: vec![1; shards],
+            queue_depth_per_shard: vec![0; shards],
+            state_epoch,
+            recovering: false,
+            nodes: Vec::new(),
+        }
+    }
+
+    /// `reports` folded in order into an empty aggregate; the scalars.
+    fn folded(reports: &[DatasetStats], replicated: bool) -> (usize, u64, f64, usize, (u64, u64)) {
+        let mut into = report(0, 0, 0.0, (0, 0));
+        for from in reports {
+            fold_stats(&mut into, from, replicated);
+        }
+        (
+            into.shards,
+            into.ingested_points,
+            into.ingested_weight,
+            into.stored_points,
+            into.state_epoch,
+        )
+    }
+
+    /// Two replicas mid-migration report epochs `(5, 7)` and `(3, 9)`: the
+    /// fold must take the component-wise max `(5, 9)`, not the sum
+    /// `(8, 16)` the spread path (correctly) produces for disjoint shares.
+    /// Summing replicas would R-count *and* jump backward when a freshly
+    /// seeded replica (tiny epoch) joins the report.
     #[test]
     fn replicated_stats_merge_takes_max_not_sum() {
-        assert_eq!(merge_state_epoch((5, 7), (3, 9), true), (5, 9));
-        assert_eq!(merge_state_epoch((5, 7), (3, 9), false), (8, 16));
-        // Max keeps the aggregate monotone as replica reports arrive in
-        // any order; the spread sum saturates instead of wrapping.
-        assert_eq!(merge_state_epoch((5, 9), (5, 7), true), (5, 9));
+        let a = report(3, 12, 2.5, (5, 7));
+        let b = report(4, 7, 4.0, (3, 9));
+        let (ab, ba) = ([a.clone(), b.clone()], [b, a]);
+        assert_eq!(folded(&ab, true), (4, 12, 4.0, 40, (5, 9)));
+        assert_eq!(folded(&ab, false), (7, 19, 6.5, 70, (8, 16)));
+        // Max and sum both keep the aggregate independent of the order
+        // reports arrive in.
+        for replicated in [true, false] {
+            assert_eq!(folded(&ab, replicated), folded(&ba, replicated));
+        }
+        // The spread sum saturates instead of wrapping.
+        let near_max = [
+            report(1, u64::MAX, 1.0, (u64::MAX, 0)),
+            report(1, 1, 1.0, (1, 1)),
+        ];
         assert_eq!(
-            merge_state_epoch((u64::MAX, 0), (1, 1), false),
-            (u64::MAX, 1)
+            folded(&near_max, false),
+            (2, u64::MAX, 2.0, 20, (u64::MAX, 1))
         );
-        assert_eq!(merge_count(12, 7, true), 12);
-        assert_eq!(merge_count(12, 7, false), 19);
-        assert_eq!(merge_count_usize(3, 4, true), 4);
-        assert_eq!(merge_count_usize(3, 4, false), 7);
-        assert_eq!(merge_weight(2.5, 4.0, true), 4.0);
-        assert_eq!(merge_weight(2.5, 4.0, false), 6.5);
+        // And so does weight: two nodes each holding 1e308 of a dataset
+        // sum to `f64::MAX`, not to an infinity JSON would write as null.
+        let heavy = [report(1, 1, 1e308, (0, 0)), report(1, 1, 1e308, (0, 0))];
+        assert_eq!(folded(&heavy, false).2, f64::MAX);
+        assert_eq!(folded(&heavy, true).2, 1e308);
+        // One replaying node makes the dataset recovering; the per-shard
+        // lists concatenate in report order.
+        let mut into = report(2, 1, 1.0, (0, 0));
+        let mut replaying = report(1, 1, 1.0, (0, 0));
+        replaying.recovering = true;
+        replaying.queue_depth_per_shard = vec![5];
+        fold_stats(&mut into, &replaying, true);
+        fold_stats(&mut into, &report(1, 1, 1.0, (0, 0)), true);
+        assert!(into.recovering);
+        assert_eq!(into.queue_depth_per_shard, [0, 0, 5, 0]);
+        assert_eq!(into.summaries_per_shard, [1; 4]);
+    }
+
+    /// A dataset two nodes hold at weight 1e308 each — ingested around the
+    /// coordinator, which would refuse the total — reads back through a
+    /// JSON client: the fleet total clamps at `f64::MAX` instead of going
+    /// out as `null`.
+    #[test]
+    fn fleet_stats_of_an_overflowing_total_weight_stay_decodable() {
+        let a = node_server();
+        let b = node_server();
+        let heavy =
+            Dataset::weighted(Points::from_flat(vec![0.0, 0.0], 2).unwrap(), vec![1e308]).unwrap();
+        for node in [&a, &b] {
+            node.engine().ingest("d", &heavy, None).unwrap();
+        }
+        let coordinator = coordinator_over(&[&a, &b], RoutingPolicy::RoundRobin);
+        let front = ServerHandle::bind_backend("127.0.0.1:0", Arc::new(coordinator)).unwrap();
+        let mut client = ServiceClient::connect(front.addr()).unwrap();
+        let stats = client.stats(Some("d")).unwrap();
+        assert_eq!(stats.len(), 1);
+        assert_eq!(stats[0].ingested_weight, f64::MAX);
+        front.shutdown();
+        a.shutdown();
+        b.shutdown();
     }
 
     fn replicated_coordinator(servers: &[&ServerHandle]) -> Coordinator {

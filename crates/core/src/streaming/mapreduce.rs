@@ -26,9 +26,10 @@ pub struct MapReduceReport {
 /// The host-side aggregation step of a MapReduce round: union the
 /// per-worker coresets (valid for the full data by composability) and
 /// re-compress once when the union exceeds `params.m`. This is the exact
-/// step the `fc-cluster` coordinator runs on coresets fetched from remote
-/// `fc-server` nodes over TCP — the parts' provenance (threads or sockets)
-/// is irrelevant to the math. Validation errors (no parts, dimension or
+/// step every serving tier runs per query (`fc_service::query`), on an
+/// engine's shard summaries or on the compressions an `fc-cluster`
+/// coordinator fetched from its nodes — the parts' provenance (threads or
+/// sockets) is irrelevant to the math. Validation errors (no parts, dimension or
 /// weight disagreement between parts) surface as [`FcError`].
 pub fn aggregate_parts<R: Rng>(
     rng: &mut R,

@@ -8,11 +8,11 @@
 //! Bentley–Saxe level lives per shard) and compacts the level stack into a
 //! single summary whenever stored points exceed the plan's compaction
 //! budget. Queries go through the shared [`crate::query`] path; what the
-//! engine contributes is the summary they run on — every shard's summary
-//! union (a valid coreset of all ingested data by composability), unioned
-//! across shards and compressed down to the serving size with a
-//! request-seeded RNG, so every served compression and clustering is
-//! reproducible from `(state, seed)`.
+//! engine contributes is its parts — each shard's stored summary, a valid
+//! coreset of the blocks that shard folded — which that path unions and
+//! compresses down to the serving size with a request-seeded RNG, so
+//! every served compression and clustering is reproducible from
+//! `(state, seed)`.
 //!
 //! The compression *method* is the paper's settling-time/accuracy knob, so
 //! it is a per-dataset choice, not a server-wide one: the first `ingest`
@@ -788,12 +788,8 @@ impl PendingBuf {
 struct DatasetEntry {
     /// What [`crate::ingest`] records about the dataset's writes. Shard
     /// streams, serving compressions and query defaults all derive from
-    /// its plan.
+    /// its plan and its compressor.
     ledger: Ledger,
-    /// The compressor shard streams and serving compressions run — built
-    /// from the plan's method (or the engine's injected default compressor
-    /// for default-plan datasets).
-    compressor: Arc<dyn Compressor>,
     shards: Vec<Shard>,
     /// One coalescing buffer per shard (all empty unless the engine's
     /// batching knobs are on).
@@ -959,13 +955,10 @@ fn adaptive_deadline(base: Duration, depth: usize) -> Duration {
 /// The long-lived serving engine. Thread-safe: server connections share one
 /// engine behind an `Arc`.
 //
-// Debug prints the configuration and the live compressor name; dataset
-// state is deliberately omitted (it would require pausing the shards).
+// Debug prints the configuration; dataset state is deliberately omitted
+// (it would require pausing the shards).
 pub struct Engine {
     config: EngineConfig,
-    /// The compressor default-plan datasets run (tests inject cheap
-    /// samplers here; per-dataset plans build their own).
-    default_compressor: Arc<dyn Compressor>,
     /// Ingest admission and the registry of live datasets, delivering
     /// into [`Shards`]. Shared with the background deadline flusher (when
     /// batching with a `batch_delay` is on).
@@ -1063,7 +1056,11 @@ impl Engine {
         // default solver supports the default objective.
         let default_plan = config.default_plan()?;
         let telemetry = Arc::new(Telemetry::new());
-        let write = Arc::new(WritePath::new(Arc::clone(&telemetry), default_plan));
+        let write = Arc::new(WritePath::new(
+            Arc::clone(&telemetry),
+            default_plan,
+            compressor,
+        ));
         let flusher = if !config.batch_delay.is_zero() {
             Some(FlusherHandle::spawn(Arc::clone(&write), config.batch_delay))
         } else {
@@ -1077,7 +1074,6 @@ impl Engine {
         );
         let engine = Self {
             config,
-            default_compressor: compressor,
             write,
             flusher,
             query,
@@ -1127,10 +1123,6 @@ impl Engine {
         dir: Option<PathBuf>,
     ) -> Result<DatasetEntry, EngineError> {
         let plan = ledger.plan();
-        let compressor: Arc<dyn Compressor> = match ledger.sent_plan() {
-            Some(sent) => Arc::from(sent.method().build()),
-            None => Arc::clone(&self.default_compressor),
-        };
         let plan_json = plan.to_json();
         let registry = &self.telemetry.registry;
         let mut workers = Vec::with_capacity(shards);
@@ -1182,7 +1174,7 @@ impl Engine {
                 }
             };
             workers.push(Shard::spawn(
-                Arc::clone(&compressor),
+                Arc::clone(ledger.compressor()),
                 plan.params(),
                 plan.effective_budget(),
                 self.shard_seed(name, s),
@@ -1197,7 +1189,6 @@ impl Engine {
             ));
         }
         Ok(DatasetEntry {
-            compressor,
             pending: (0..shards).map(|_| Mutex::default()).collect(),
             shards: workers,
             persist: dir.map(|dir| DatasetPersist { dir, shards: logs }),
@@ -1433,61 +1424,35 @@ impl Engine {
     }
 }
 
-/// The engine as a [`QuerySource`] and a [`WriteSink`]: a summary is the
-/// union of every shard's snapshot, compressed once to the plan's serving
-/// size; a batch goes to one shard, round-robin.
+/// The engine as a [`QuerySource`] and a [`WriteSink`]: its parts are the
+/// shards' stored summaries; a batch goes to one shard, round-robin.
 struct Shards<'a>(&'a Engine);
 
 impl QuerySource for Shards<'_> {
-    type Dataset = Arc<DatasetEntry>;
+    type Dataset = DatasetEntry;
 
     fn resolve(&self, name: &str) -> Result<Arc<DatasetEntry>, EngineError> {
         self.0.write.get(name)
     }
 
-    fn plan<'a>(&'a self, entry: &'a Arc<DatasetEntry>) -> &'a Plan {
-        entry.ledger.plan()
-    }
-
-    fn dim(&self, entry: &Arc<DatasetEntry>) -> usize {
-        entry.ledger.dim()
-    }
-
     /// `None` while any shard is still replaying its WAL: the snapshots
     /// then cover a prefix of the acknowledged data, and memoizing that
     /// under the current version would outlive the replay.
-    fn state(&self, entry: &Arc<DatasetEntry>) -> Option<QueryState> {
+    fn state(&self, entry: &DatasetEntry) -> Option<QueryState> {
         (!entry.recovering()).then(|| entry.ledger.query_state(0, 0))
     }
 
-    fn summarise(
+    /// Each shard's snapshot, in shard order (empty shards contribute
+    /// nothing). They are stored summaries, not compressions: the seed and
+    /// method only act on their union.
+    fn parts(
         &self,
-        name: &str,
-        entry: &Arc<DatasetEntry>,
-        seed: u64,
-        method: Option<&Method>,
-    ) -> Result<Coreset, EngineError> {
-        let union = entry
-            .snapshots()?
-            .into_iter()
-            .reduce(|a, b| {
-                a.union(&b)
-                    .expect("shards of one dataset share its dimension")
-            })
-            .ok_or_else(|| EngineError::NoData {
-                dataset: name.to_owned(),
-            })?;
-        let params = entry.ledger.plan().params();
-        if union.len() <= params.m {
-            return Ok(union);
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        Ok(match method {
-            Some(m) => m.build().compress(&mut rng, union.dataset(), &params),
-            None => entry
-                .compressor
-                .compress(&mut rng, union.dataset(), &params),
-        })
+        _name: &str,
+        entry: &DatasetEntry,
+        _seed: u64,
+        _method: Option<&Method>,
+    ) -> Result<Vec<Coreset>, EngineError> {
+        entry.snapshots()
     }
 }
 
@@ -1623,7 +1588,6 @@ impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("config", &self.config)
-            .field("default_compressor", &self.default_compressor.name())
             .finish_non_exhaustive()
     }
 }

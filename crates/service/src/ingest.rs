@@ -10,8 +10,9 @@
 //!
 //! 1. refuse an empty batch;
 //! 2. resolve the dataset under the registry lock, or create it: a fresh
-//!    [`Ledger`] (the batch's dimension; the carried [`Plan`], or the
-//!    tier's default) goes to [`WriteSink::open`];
+//!    [`Ledger`] (the batch's dimension; the carried [`Plan`] and its
+//!    built compressor, or the tier's default pair) goes to
+//!    [`WriteSink::open`];
 //! 3. refuse a wrong dimension, then a conflicting plan. Plans compare by
 //!    wire form, so one re-sent from `stats` (which never carries solver
 //!    tuning budgets) is the same plan; a dataset sits at one point of
@@ -63,6 +64,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use fc_core::plan::Plan;
+use fc_core::Compressor;
 use fc_geom::Dataset;
 use fc_telemetry::{labeled, Counter, Histogram, Telemetry};
 
@@ -79,6 +81,9 @@ pub struct Ledger {
     plan: Plan,
     /// Whether the creating ingest sent that plan.
     explicit: bool,
+    /// The plan's method, built once: shard streams and every serving
+    /// re-compression run it.
+    compressor: Arc<dyn Compressor>,
     /// Per client, the highest sequence number acknowledged.
     clients: Mutex<HashMap<String, u64>>,
     ingested_points: AtomicU64,
@@ -124,6 +129,12 @@ impl Ledger {
     /// The dataset's effective plan.
     pub fn plan(&self) -> &Plan {
         &self.plan
+    }
+
+    /// The compressor the plan's method builds (the tier's default
+    /// compressor when the plan is the default).
+    pub fn compressor(&self) -> &Arc<dyn Compressor> {
+        &self.compressor
     }
 
     /// The plan as the creating ingest sent it. `None` follows the
@@ -222,6 +233,7 @@ pub trait WriteSink {
 pub struct WritePath<D> {
     datasets: Mutex<BTreeMap<String, Arc<D>>>,
     default_plan: Plan,
+    default_compressor: Arc<dyn Compressor>,
     telemetry: Arc<Telemetry>,
     started: Instant,
     counters: Counters,
@@ -230,11 +242,17 @@ pub struct WritePath<D> {
 
 impl<D: AsRef<Ledger>> WritePath<D> {
     /// A write path registering its metrics in `telemetry`. Datasets whose
-    /// creating ingest carries no plan run under `default_plan`.
-    pub fn new(telemetry: Arc<Telemetry>, default_plan: Plan) -> Self {
+    /// creating ingest carries no plan run under `default_plan`, compressing
+    /// with `default_compressor`.
+    pub fn new(
+        telemetry: Arc<Telemetry>,
+        default_plan: Plan,
+        default_compressor: Arc<dyn Compressor>,
+    ) -> Self {
         WritePath {
             datasets: Mutex::default(),
             default_plan,
+            default_compressor,
             started: Instant::now(),
             counters: Counters::new(&telemetry, &[]),
             // Ingest acks are sub-millisecond, solves run for seconds:
@@ -297,10 +315,15 @@ impl<D: AsRef<Ledger>> WritePath<D> {
     /// A fresh ledger for a `dim`-dimensional dataset `name` created
     /// under `sent_plan`.
     pub(crate) fn ledger(&self, name: &str, dim: usize, sent_plan: Option<Plan>) -> Ledger {
+        let compressor = match &sent_plan {
+            Some(plan) => Arc::from(plan.method().build()),
+            None => Arc::clone(&self.default_compressor),
+        };
         Ledger {
             dim,
             explicit: sent_plan.is_some(),
             plan: sent_plan.unwrap_or_else(|| self.default_plan.clone()),
+            compressor,
             clients: Mutex::default(),
             ingested_points: AtomicU64::new(0),
             ingested_weight: Mutex::new((0.0, 0.0)),
@@ -477,6 +500,7 @@ impl<D: AsRef<Ledger>> WritePath<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fc_core::methods::Uniform;
     use fc_core::plan::PlanBuilder;
     use std::sync::mpsc;
     use std::time::Duration;
@@ -544,7 +568,7 @@ mod tests {
     }
 
     fn path() -> WritePath<Ledger> {
-        WritePath::new(Arc::new(Telemetry::new()), plan(3))
+        WritePath::new(Arc::new(Telemetry::new()), plan(3), Arc::new(Uniform))
     }
 
     fn rows(n: usize, dim: usize) -> Dataset {

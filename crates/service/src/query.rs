@@ -2,24 +2,30 @@
 //! every tier.
 //!
 //! The paper's method is "compress once, then solve on the compressed
-//! representation", and a union of coresets is a coreset. So the engine
-//! and the `fc-cluster` coordinator answer the same queries the same way
-//! — obtain a summary Ω of the dataset's current state, then solve or
-//! price on Ω — and differ only in *how Ω is obtained*. That difference
-//! is [`QuerySource`]; the rest is [`QueryPath`], once:
+//! representation", and a union of coresets is a coreset. So a shard and a
+//! machine are the same kind of part: the engine and the `fc-cluster`
+//! coordinator answer the same queries the same way — union the dataset's
+//! parts into a summary Ω, then solve or price on Ω — and differ only in
+//! *what their parts are*. A tier supplies them through [`QuerySource`]:
+//! the engine its shards' stored summaries, the coordinator each
+//! answering node's serving compression (which keeps what crosses the
+//! network `O(m)` per node). The rest is [`QueryPath`], once:
 //!
-//! 1. resolve the dataset; default `k` / objective / solver from its
-//!    effective [`Plan`];
+//! 1. resolve the dataset; default `k` / objective / solver from the
+//!    effective [`Plan`](fc_core::plan::Plan) on its [`Ledger`];
 //! 2. refuse `k = 0`, a solver that cannot refine the objective, and
 //!    centers of the wrong dimension, before any work (and, after it, a
 //!    cost that overflowed: no dialect can carry an infinity);
 //! 3. mint the cache key from the source's [`QueryState`] *before* Ω is
 //!    read: a write landing after the mint moves the state on, so what
 //!    is stored under the old key is unmatchable rather than stale;
-//! 4. probe the cache, else build: Ω from [`QuerySource::summarise`]
-//!    under the request seed, the solve on the disjoint stream
+//! 4. probe the cache, else build: Ω is the union of
+//!    [`QuerySource::parts`] ([`aggregate_parts`]), compressed once to the
+//!    plan's serving size when it is larger — under the method override
+//!    if one was asked for, else the ledger's compressor — by an RNG
+//!    seeded from the request seed. The solve runs on the disjoint stream
 //!    `seed ^ par::SEED_STREAM` (adding solve steps never perturbs which
-//!    Ω a seed serves), prices through [`QuerySource::price`];
+//!    Ω a seed serves); prices go through [`QuerySource::price`];
 //! 5. store, count the query, observe `fc_op_seconds{op=…}`.
 //!
 //! **Caching and counters.** Explicitly seeded `coreset` / `cluster`
@@ -40,17 +46,19 @@
 //! cache hit solves nothing and adds nothing.
 //!
 //! **Where the serving-coreset memo goes.** Today the request seed
-//! selects Ω, so two seeds at one state compress twice. ROADMAP item 2
-//! keys Ω by state alone and lets the seed vary only the solve: a change
+//! selects Ω, so two seeds at one state compress twice. The direction is
+//! to key Ω by state alone and let the seed vary only the solve: a change
 //! to [`QueryPath`]'s private `summary` and its `Coreset` key, and both
 //! tiers get it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use fc_clustering::solver::{SolveConfig, Solver};
 use fc_clustering::CostKind;
-use fc_core::plan::{Method, Plan};
+use fc_core::plan::Method;
+use fc_core::streaming::mapreduce::aggregate_parts;
 use fc_core::{par, Coreset, FcError};
 use fc_geom::Points;
 use fc_telemetry::{labeled, Counter, Histogram, Registry};
@@ -59,6 +67,7 @@ use rand::SeedableRng;
 
 use crate::cache::QueryCache;
 use crate::engine::{ClusterOutcome, EngineError};
+use crate::ingest::Ledger;
 
 /// Everything an answer depends on besides the request's own parameters.
 /// A cached answer is served only while all four still match.
@@ -113,34 +122,30 @@ enum QueryValue {
     Cost(f64, usize),
 }
 
-/// How a tier obtains the summary Ω that queries are answered on.
+/// Where a tier's parts of a dataset come from. The plan, dimension and
+/// compressor are read off the dataset's [`Ledger`].
 pub trait QuerySource {
-    /// The tier's handle on one live dataset.
-    type Dataset;
+    /// The tier's record of one live dataset, built around its ledger.
+    type Dataset: AsRef<Ledger>;
 
     /// Resolves `name`, or [`EngineError::UnknownDataset`].
-    fn resolve(&self, name: &str) -> Result<Self::Dataset, EngineError>;
-
-    /// The dataset's effective plan: query defaults come from it.
-    fn plan<'a>(&'a self, dataset: &'a Self::Dataset) -> &'a Plan;
-
-    /// The dimension centers must have to be priced.
-    fn dim(&self, dataset: &Self::Dataset) -> usize;
+    fn resolve(&self, name: &str) -> Result<Arc<Self::Dataset>, EngineError>;
 
     /// The state an answer computed *from now on* depends on, or `None`
     /// when answers must not be cached right now.
     fn state(&self, dataset: &Self::Dataset) -> Option<QueryState>;
 
-    /// Ω: a coreset of everything the dataset holds, compressed to the
-    /// plan's serving size under `seed` (and `method`, when it overrides
-    /// the plan's).
-    fn summarise(
+    /// Coresets whose union is a coreset of everything the dataset holds,
+    /// in an order fixed by the dataset's state. `seed` and `method` are
+    /// the request's, for parts that compress on the way (a node's).
+    /// Empty when nothing has been applied yet.
+    fn parts(
         &self,
         name: &str,
         dataset: &Self::Dataset,
         seed: u64,
         method: Option<&Method>,
-    ) -> Result<Coreset, EngineError>;
+    ) -> Result<Vec<Coreset>, EngineError>;
 
     /// Prices `centers`, returning `(cost, points priced on)`. The
     /// default prices locally on `summary()`, the base-seed Ω.
@@ -254,6 +259,7 @@ impl QueryPath {
     ) -> Result<(Coreset, u64, Method), EngineError> {
         self.run(&self.coreset_seconds, || {
             let dataset = source.resolve(name)?;
+            let ledger: &Ledger = (*dataset).as_ref();
             let state = self.state(source, &dataset, seed.is_some());
             let seed = seed.unwrap_or_else(|| self.next_seed());
             let coreset = self.summary(source, name, &dataset, state, seed, method)?;
@@ -261,7 +267,7 @@ impl QueryPath {
             // reported method is then the one that *would* compress it.
             let effective = method
                 .cloned()
-                .unwrap_or_else(|| source.plan(&dataset).method().clone());
+                .unwrap_or_else(|| ledger.plan().method().clone());
             Ok((coreset, seed, effective))
         })
     }
@@ -279,7 +285,7 @@ impl QueryPath {
     ) -> Result<ClusterOutcome, EngineError> {
         self.run(&self.cluster_seconds, || {
             let dataset = source.resolve(name)?;
-            let plan = source.plan(&dataset);
+            let plan = (*dataset).as_ref().plan();
             let k = k.unwrap_or_else(|| plan.k());
             if k == 0 {
                 return Err(EngineError::Invalid(FcError::InvalidK));
@@ -345,14 +351,15 @@ impl QueryPath {
     ) -> Result<(f64, CostKind, usize), EngineError> {
         self.run(&self.cost_seconds, || {
             let dataset = source.resolve(name)?;
-            let dim = source.dim(&dataset);
+            let ledger: &Ledger = (*dataset).as_ref();
+            let dim = ledger.dim();
             if centers.dim() != dim {
                 return Err(EngineError::DimensionMismatch {
                     expected: dim,
                     got: centers.dim(),
                 });
             }
-            let kind = kind.unwrap_or_else(|| source.plan(&dataset).kind());
+            let kind = kind.unwrap_or_else(|| ledger.plan().kind());
             let state = self.state(source, &dataset, true);
             let key = state.clone().map(|state| QueryKey {
                 state,
@@ -403,7 +410,8 @@ impl QueryPath {
             .flatten()
     }
 
-    /// Ω for `(seed, method)`: from the cache, else from the source.
+    /// Ω for `(seed, method)`: from the cache, else the union of the
+    /// source's parts, compressed once when it exceeds the serving size.
     fn summary<S: QuerySource>(
         &self,
         source: &S,
@@ -423,7 +431,20 @@ impl QueryPath {
         if let Some(QueryValue::Coreset(coreset)) = self.probe(key.as_ref()) {
             return Ok(coreset);
         }
-        let coreset = source.summarise(name, dataset, seed, method)?;
+        let parts = source.parts(name, dataset, seed, method)?;
+        let ledger: &Ledger = dataset.as_ref();
+        let built = method.map(Method::build);
+        let compressor = built.as_deref().unwrap_or(ledger.compressor().as_ref());
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Parts that disagree on dimension (a fleet misconfiguration)
+        // surface as `FcError::DimensionMismatch`, not a panic.
+        let coreset = aggregate_parts(&mut rng, parts, compressor, &ledger.plan().params())
+            .map_err(|e| match e {
+                FcError::EmptyData => EngineError::NoData {
+                    dataset: name.to_owned(),
+                },
+                e => EngineError::Invalid(e),
+            })?;
         self.store(key, || QueryValue::Coreset(coreset.clone()));
         Ok(coreset)
     }
@@ -448,53 +469,91 @@ impl QueryPath {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ingest::WritePath;
+    use fc_core::methods::Uniform;
     use fc_core::plan::PlanBuilder;
+    use fc_core::{CompressionParams, Compressor};
     use fc_geom::Dataset;
-    use std::sync::atomic::AtomicBool;
+    use fc_telemetry::Telemetry;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
 
-    /// A source with no sockets and no shards: one dataset `d` of six 2-d
-    /// points whose first coordinate carries the seed it was summarised
-    /// under.
+    /// Uniform sampling that counts its calls.
+    #[derive(Default)]
+    struct Counting(AtomicU64);
+
+    impl Compressor for Counting {
+        fn name(&self) -> &str {
+            "counting"
+        }
+
+        fn compress(
+            &self,
+            rng: &mut dyn rand::RngCore,
+            data: &Dataset,
+            params: &CompressionParams,
+        ) -> Coreset {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Uniform.compress(rng, data, params)
+        }
+    }
+
+    /// Six 2-d points whose first coordinate carries the seed they were
+    /// asked for under.
+    fn part(seed: u64) -> Coreset {
+        let s = seed as f64;
+        let flat = vec![s, 0.0, s, 1.0, s, 2.0, 50.0, 0.0, 50.0, 1.0, 50.0, 2.0];
+        Coreset::new(Dataset::from_flat(flat, 2).unwrap())
+    }
+
+    /// A source with no sockets and no shards: one dataset `d` (serving
+    /// size 80, compressing with a [`Counting`] default) whose parts are
+    /// `copies` of [`part`].
     struct Fake {
-        plan: Plan,
+        ledger: Arc<Ledger>,
+        compressor: Arc<Counting>,
+        copies: AtomicUsize,
         version: AtomicU64,
         cacheable: AtomicBool,
-        /// A write lands while Ω is being read.
-        ingest_during_summarise: AtomicBool,
-        summarised: AtomicU64,
+        /// A write lands while the parts are being read.
+        ingest_during_parts: AtomicBool,
+        asked: AtomicU64,
     }
 
     impl Fake {
         fn new() -> Self {
+            let compressor = Arc::new(Counting::default());
+            let write = WritePath::<Ledger>::new(
+                Arc::new(Telemetry::new()),
+                PlanBuilder::new(2).build().unwrap(),
+                Arc::clone(&compressor) as Arc<dyn Compressor>,
+            );
             Fake {
-                plan: PlanBuilder::new(2).build().unwrap(),
+                ledger: Arc::new(write.ledger("d", 2, None)),
+                compressor,
+                copies: AtomicUsize::new(1),
                 version: AtomicU64::new(0),
                 cacheable: AtomicBool::new(true),
-                ingest_during_summarise: AtomicBool::new(false),
-                summarised: AtomicU64::new(0),
+                ingest_during_parts: AtomicBool::new(false),
+                asked: AtomicU64::new(0),
             }
+        }
+
+        fn compressions(&self) -> u64 {
+            self.compressor.0.load(Ordering::Relaxed)
         }
     }
 
     impl QuerySource for Fake {
-        type Dataset = ();
+        type Dataset = Ledger;
 
-        fn resolve(&self, name: &str) -> Result<(), EngineError> {
+        fn resolve(&self, name: &str) -> Result<Arc<Ledger>, EngineError> {
             match name {
-                "d" => Ok(()),
+                "d" => Ok(Arc::clone(&self.ledger)),
                 other => Err(EngineError::UnknownDataset(other.to_owned())),
             }
         }
 
-        fn plan<'a>(&'a self, _: &'a ()) -> &'a Plan {
-            &self.plan
-        }
-
-        fn dim(&self, _: &()) -> usize {
-            2
-        }
-
-        fn state(&self, _: &()) -> Option<QueryState> {
+        fn state(&self, _: &Ledger) -> Option<QueryState> {
             self.cacheable.load(Ordering::Relaxed).then(|| QueryState {
                 instance: 1,
                 version: self.version.load(Ordering::Acquire),
@@ -503,20 +562,18 @@ mod tests {
             })
         }
 
-        fn summarise(
+        fn parts(
             &self,
             _name: &str,
-            _: &(),
+            _: &Ledger,
             seed: u64,
             _method: Option<&Method>,
-        ) -> Result<Coreset, EngineError> {
-            self.summarised.fetch_add(1, Ordering::Relaxed);
-            if self.ingest_during_summarise.load(Ordering::Relaxed) {
+        ) -> Result<Vec<Coreset>, EngineError> {
+            self.asked.fetch_add(1, Ordering::Relaxed);
+            if self.ingest_during_parts.load(Ordering::Relaxed) {
                 self.version.fetch_add(1, Ordering::Release);
             }
-            let s = seed as f64;
-            let flat = vec![s, 0.0, s, 1.0, s, 2.0, 50.0, 0.0, 50.0, 1.0, 50.0, 2.0];
-            Ok(Coreset::new(Dataset::from_flat(flat, 2).unwrap()))
+            Ok(vec![part(seed); self.copies.load(Ordering::Relaxed)])
         }
     }
 
@@ -534,20 +591,16 @@ mod tests {
         let (path, source) = (path(8), Fake::new());
         // The write lands after the key's version was read: the entry is
         // stored under the old version and can never be matched again.
-        source
-            .ingest_during_summarise
-            .store(true, Ordering::Relaxed);
+        source.ingest_during_parts.store(true, Ordering::Relaxed);
         path.coreset(&source, "d", Some(7), None).unwrap();
         path.coreset(&source, "d", Some(7), None).unwrap();
-        assert_eq!(source.summarised.load(Ordering::Relaxed), 2);
+        assert_eq!(source.asked.load(Ordering::Relaxed), 2);
         assert_eq!(probes(&path), (0, 2));
         // Once the state holds still, the repeat is a hit.
-        source
-            .ingest_during_summarise
-            .store(false, Ordering::Relaxed);
+        source.ingest_during_parts.store(false, Ordering::Relaxed);
         path.coreset(&source, "d", Some(7), None).unwrap();
         path.coreset(&source, "d", Some(7), None).unwrap();
-        assert_eq!(source.summarised.load(Ordering::Relaxed), 3);
+        assert_eq!(source.asked.load(Ordering::Relaxed), 3);
         assert_eq!(probes(&path), (1, 3));
     }
 
@@ -576,14 +629,14 @@ mod tests {
                 .unwrap();
             path.cost(&source, "d", &centers, None).unwrap();
         }
-        assert_eq!(source.summarised.load(Ordering::Relaxed), 6);
+        assert_eq!(source.asked.load(Ordering::Relaxed), 6);
         assert_eq!(probes(&path), (0, 0));
         // Capacity 0 is the same bypass, decided before the source is asked.
         let off = self::path(0);
         source.cacheable.store(true, Ordering::Relaxed);
         off.coreset(&source, "d", Some(7), None).unwrap();
         off.coreset(&source, "d", Some(7), None).unwrap();
-        assert_eq!(source.summarised.load(Ordering::Relaxed), 8);
+        assert_eq!(source.asked.load(Ordering::Relaxed), 8);
         assert_eq!(probes(&off), (0, 0));
     }
 
@@ -615,7 +668,7 @@ mod tests {
         assert_eq!(probes(&path), (3, 4));
         path.coreset(&source, "d", Some(100), None).unwrap();
         assert_eq!(probes(&path), (4, 4));
-        assert_eq!(source.summarised.load(Ordering::Relaxed), 2);
+        assert_eq!(source.asked.load(Ordering::Relaxed), 2);
         // A dropped generation's answers go at once.
         path.forget(1);
         path.coreset(&source, "d", Some(7), None).unwrap();
@@ -671,8 +724,74 @@ mod tests {
             path.coreset(&source, "ghost", None, None).unwrap_err(),
             EngineError::UnknownDataset("ghost".into())
         );
-        assert_eq!(source.summarised.load(Ordering::Relaxed), 0);
+        assert_eq!(source.asked.load(Ordering::Relaxed), 0);
         assert_eq!(path.counts(), (0, 0, 0));
         assert_eq!(path.next_seed(), 100, "a refused request consumes no seed");
+    }
+
+    #[test]
+    fn no_parts_answer_no_data() {
+        let (path, source) = (path(8), Fake::new());
+        source.copies.store(0, Ordering::Relaxed);
+        let no_data = EngineError::NoData {
+            dataset: "d".into(),
+        };
+        assert_eq!(
+            path.coreset(&source, "d", Some(7), None).unwrap_err(),
+            no_data
+        );
+        assert_eq!(
+            path.cluster(&source, "d", None, None, None, Some(7))
+                .unwrap_err(),
+            no_data
+        );
+        assert_eq!(path.counts().0, 0, "a refusal is not a query");
+        // Nothing was stored: once data lands the same asks build.
+        source.copies.store(1, Ordering::Relaxed);
+        path.coreset(&source, "d", Some(7), None).unwrap();
+        assert_eq!(source.asked.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn a_union_within_the_serving_size_is_served_as_it_is() {
+        let (path, source) = (path(8), Fake::new());
+        // 13 parts of six points: 78, within m = 80.
+        source.copies.store(13, Ordering::Relaxed);
+        let union = Coreset::union_all(vec![part(7); 13]).unwrap();
+        for method in [None, Some(Method::Lightweight)] {
+            let (omega, _, _) = path
+                .coreset(&source, "d", Some(7), method.as_ref())
+                .unwrap();
+            assert_eq!(omega.dataset(), union.dataset());
+        }
+        assert_eq!(source.compressions(), 0);
+    }
+
+    #[test]
+    fn a_larger_union_is_compressed_once_under_the_effective_compressor() {
+        let (path, source) = (path(8), Fake::new());
+        // 20 parts of six points: 120, past m = 80.
+        source.copies.store(20, Ordering::Relaxed);
+        let union = Coreset::union_all(vec![part(7); 20]).unwrap();
+        let params = source.ledger.plan().params();
+        let under = |compressor: &dyn Compressor| {
+            compressor.compress(&mut StdRng::seed_from_u64(7), union.dataset(), &params)
+        };
+        // No override: the ledger's compressor, seeded from the request.
+        let (omega, _, method) = path.coreset(&source, "d", Some(7), None).unwrap();
+        assert_eq!(source.compressions(), 1);
+        assert_eq!(omega.dataset(), under(&Uniform).dataset());
+        assert_eq!(method, Method::FastCoreset, "the plan's method is reported");
+        // An override compresses under the method it names instead.
+        let lightweight = Method::Lightweight;
+        let (omega, _, method) = path
+            .coreset(&source, "d", Some(7), Some(&lightweight))
+            .unwrap();
+        assert_eq!(source.compressions(), 1);
+        assert_eq!(
+            omega.dataset(),
+            under(lightweight.build().as_ref()).dataset()
+        );
+        assert_eq!(method, lightweight);
     }
 }
