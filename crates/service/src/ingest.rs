@@ -133,7 +133,7 @@ impl Ledger {
 
     /// The compressor the plan's method builds (the tier's default
     /// compressor when the plan is the default).
-    pub fn compressor(&self) -> &Arc<dyn Compressor> {
+    pub(crate) fn compressor(&self) -> &Arc<dyn Compressor> {
         &self.compressor
     }
 
