@@ -137,8 +137,8 @@ pub trait QuerySource {
 
     /// Coresets whose union is a coreset of everything the dataset holds,
     /// in an order fixed by the dataset's state. `seed` and `method` are
-    /// the request's, for parts that compress on the way (a node's).
-    /// Empty when nothing has been applied yet.
+    /// the request's, for parts that compress on the way (a node's). No
+    /// parts — nothing applied yet — answers [`EngineError::NoData`].
     fn parts(
         &self,
         name: &str,
