@@ -1,10 +1,12 @@
 //! **Fast-Coresets** — Algorithm 1 of the paper, end to end.
 //!
 //! ```text
-//! 1. Johnson–Lindenstrauss embed P into d̃ = O(log k) dimensions.
+//! 1. Johnson–Lindenstrauss embed P into d̃ = O(log k) dimensions (when
+//!    that is fewer than d).
 //! 2. (Section 4, only when the tree truncates) Crude-Approx + Reduce-Spread
 //!    so the quadtree depth is O(log(poly(n, d, log Δ))) instead of O(log Δ).
-//! 3. Fast-kmeans++ on the quadtree: centers AND assignments in Õ(nd).
+//! 3. Fast-kmeans++ on the quadtree over the embedding: centers AND
+//!    assignments in Õ(nd).
 //! 4. Per cluster C_i, the 1-mean (k-means) or 1-median (k-median) c_i,
 //!    computed in the ORIGINAL space R^d.
 //! 5. Sensitivity scores s(p) = dist^z(p, c_i)/cost(C_i, c_i) + 1/|C_i|.
@@ -25,12 +27,18 @@
 //! therefore builds the tree on the embedded points first and pays for
 //! step 2 — and a second build — only when that tree left different points
 //! in one finest cell. On everything else step 2 draws nothing from the RNG.
+//!
+//! Step 1 and step 3's tree are one build ([`Quadtree::build_projected`]):
+//! the sparse projection is written into one `n × t` buffer, which is then
+//! quantised where it lies, so the partition's working set is that buffer.
+//! The embedded points exist as `f64`s again only on step 2's rare path,
+//! regenerated from the projection the build kept, with no second draw.
 
 use std::borrow::Cow;
 
 use fc_clustering::kmedian::{geometric_median, weighted_mean_of, WeiszfeldConfig};
 use fc_clustering::CostKind;
-use fc_geom::jl::{project_if_beneficial, target_dim_for_clustering, JlKind};
+use fc_geom::jl::{target_dim_for_clustering, JlKind, JlProjection};
 use fc_geom::{Dataset, Points};
 use fc_quadtree::crude::crude_approx;
 use fc_quadtree::fast_kmeanspp::{fast_kmeanspp, FastSeedConfig};
@@ -40,7 +48,9 @@ use rand::RngCore;
 
 use crate::compressor::{CompressionParams, Compressor};
 use crate::coreset::Coreset;
-use crate::sampling::{importance_sample, importance_sample_rebalanced, WeightMode};
+use crate::sampling::{
+    at_weight_scale, importance_sample, importance_sample_rebalanced, WeightMode,
+};
 use crate::sensitivity::sensitivity_scores;
 
 /// Configuration of the Fast-Coreset pipeline.
@@ -102,21 +112,24 @@ impl FastCoreset {
         params: &CompressionParams,
     ) -> (Vec<usize>, Points, Vec<f64>) {
         let cfg = &self.config;
-        // Step 1: dimension reduction for the embedding only. The input is
-        // borrowed, not copied, when no projection applies.
-        let working = if cfg.use_jl {
-            let target = target_dim_for_clustering(params.k, cfg.jl_eps);
-            project_if_beneficial(rng, data.points(), target, JlKind::SparseAchlioptas)
-        } else {
-            Cow::Borrowed(data.points())
-        };
-        // Step 3's tree comes first: it says whether step 2 has work to do.
-        let mut tree = Quadtree::build(rng, &working, cfg.tree);
+        // Step 1 and step 3's tree in one build: the tree comes first, because
+        // it says whether step 2 has work to do.
+        let jl_eps = cfg.use_jl.then_some(cfg.jl_eps);
+        let (mut tree, projection) = embedded_tree(rng, data.points(), params.k, jl_eps, cfg.tree);
         // Step 2: spread reduction, where the tree ran out of bits — it
         // affects only the tree's geometry. Geometry is about locations, so
         // both calls see the point *count*: the crude bound is on the cost
-        // at unit mass, and its reach is a length whatever the weights.
+        // at unit mass, and its reach is a length whatever the weights. The
+        // embedded points are regenerated from the projection already drawn.
         if tree.truncated() && cfg.reduce_spread {
+            let working = match &projection {
+                Some(projection) => Cow::Owned(
+                    projection
+                        .project(data.points())
+                        .expect("the projection was drawn for this input"),
+                ),
+                None => Cow::Borrowed(data.points()),
+            };
             let n = data.len();
             let bound = crude_approx(rng, &working, params.k, params.kind, n as f64);
             let sp = SpreadParams::practical(n, working.dim());
@@ -161,6 +174,33 @@ impl FastCoreset {
     }
 }
 
+/// Step 1 and the tree of step 3: the quadtree over the JL embedding of
+/// `points` when `jl_eps` asks for one and it reduces the dimension
+/// ([`Quadtree::build_projected`]: one `n × t` buffer, projected and then
+/// quantised in place), else over the rows themselves. The draws are those
+/// of `project_if_beneficial` followed by [`Quadtree::build`]. Returns the
+/// projection drawn, if any, so the embedded points can be regenerated
+/// without another draw.
+pub(crate) fn embedded_tree(
+    rng: &mut dyn RngCore,
+    points: &Points,
+    k: usize,
+    jl_eps: Option<f64>,
+    config: QuadtreeConfig,
+) -> (Quadtree, Option<JlProjection>) {
+    let projection = jl_eps
+        .map(|eps| target_dim_for_clustering(k, eps))
+        .filter(|&target| points.dim() > target && !points.is_empty())
+        .and_then(|target| {
+            JlProjection::sample(rng, JlKind::SparseAchlioptas, points.dim(), target).ok()
+        });
+    let tree = match &projection {
+        Some(projection) => Quadtree::build_projected(rng, points, projection, config),
+        None => Quadtree::build(rng, points, config),
+    };
+    (tree, projection)
+}
+
 impl Compressor for FastCoreset {
     fn name(&self) -> &str {
         "fast-coreset"
@@ -176,14 +216,16 @@ impl Compressor for FastCoreset {
         if params.m >= data.len() {
             return Coreset::new(data.clone());
         }
-        let (labels, centers, cost_z) = self.partition(rng, data, params);
-        let scores = sensitivity_scores(&labels, &cost_z, data.weights(), centers.len());
-        match self.config.weight_mode {
-            WeightMode::Unbiased => importance_sample(rng, data, &scores, params.m),
-            WeightMode::Rebalanced { epsilon } => importance_sample_rebalanced(
-                rng, data, &scores, &labels, &centers, params.m, epsilon,
-            ),
-        }
+        at_weight_scale(data, |data| {
+            let (labels, centers, cost_z) = self.partition(rng, data, params);
+            let scores = sensitivity_scores(&labels, &cost_z, data.weights(), centers.len());
+            match self.config.weight_mode {
+                WeightMode::Unbiased => importance_sample(rng, data, &scores, params.m),
+                WeightMode::Rebalanced { epsilon } => importance_sample_rebalanced(
+                    rng, data, &scores, &labels, &centers, params.m, epsilon,
+                ),
+            }
+        })
     }
 }
 

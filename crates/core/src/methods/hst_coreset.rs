@@ -6,24 +6,23 @@
 //! metric, distortion `O(d log Δ)` by Lemma 2.2) with a dedicated tree DP —
 //! an approach that generalizes beyond Euclidean inputs. This compressor
 //! wires [`fc_quadtree::hst::solve_kmedian_on_hst`] into the sensitivity-
-//! sampling pipeline.
+//! sampling pipeline. Its tree is Fast-Coreset's: the same JL embedding
+//! (when it reduces the dimension) built into the same one-buffer quadtree.
 //!
 //! The DP costs `O(Σ_v deg(v)·k²)`, so this variant targets moderate `k`
 //! (it trades Fast-kmeans++'s randomness for an exact tree solution); it is
 //! an extension baseline, not a replacement for [`crate::FastCoreset`].
 
-use std::borrow::Cow;
-
 use fc_clustering::kmedian::{geometric_median, weighted_mean_of, WeiszfeldConfig};
 use fc_clustering::CostKind;
-use fc_geom::jl::{project_if_beneficial, target_dim_for_clustering, JlKind};
 use fc_geom::{Dataset, Points};
-use fc_quadtree::tree::{Quadtree, QuadtreeConfig};
+use fc_quadtree::tree::QuadtreeConfig;
 use rand::RngCore;
 
 use crate::compressor::{CompressionParams, Compressor};
 use crate::coreset::Coreset;
-use crate::sampling::importance_sample;
+use crate::fast_coreset::embedded_tree;
+use crate::sampling::{at_weight_scale, importance_sample};
 use crate::sensitivity::sensitivity_scores;
 
 /// Coreset construction seeded by the exact HST k-median DP.
@@ -59,53 +58,51 @@ impl Compressor for HstCoreset {
         if params.m >= data.len() {
             return Coreset::new(data.clone());
         }
-        let working = if self.use_jl {
-            let target = target_dim_for_clustering(params.k, 0.5);
-            project_if_beneficial(rng, data.points(), target, JlKind::SparseAchlioptas)
-        } else {
-            Cow::Borrowed(data.points())
-        };
-        let tree = Quadtree::build(rng, &working, self.tree);
-        let hst = fc_quadtree::hst::solve_kmedian_on_hst(&tree, data.weights(), params.k);
+        at_weight_scale(data, |data| {
+            let jl_eps = self.use_jl.then_some(0.5);
+            let (tree, _) = embedded_tree(rng, data.points(), params.k, jl_eps, self.tree);
+            let hst = fc_quadtree::hst::solve_kmedian_on_hst(&tree, data.weights(), params.k);
 
-        // Assign every point to the nearest chosen center (in the original
-        // space) — the HST guarantees these centers are a bounded-factor
-        // solution, and the exact assignment can only improve it.
-        let centers_seed = data.points().gather(&hst.centers);
-        let assignment = fc_clustering::assign::assign(data.points(), &centers_seed, params.kind);
-        let k_eff = centers_seed.len();
+            // Assign every point to the nearest chosen center (in the original
+            // space) — the HST guarantees these centers are a bounded-factor
+            // solution, and the exact assignment can only improve it.
+            let centers_seed = data.points().gather(&hst.centers);
+            let assignment =
+                fc_clustering::assign::assign(data.points(), &centers_seed, params.kind);
+            let k_eff = centers_seed.len();
 
-        // Per-cluster 1-mean / 1-median, as in Algorithm 1 step 4.
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); k_eff];
-        for (i, &l) in assignment.labels.iter().enumerate() {
-            members[l].push(i);
-        }
-        let mut centers = Points::empty(data.dim());
-        centers.reserve(k_eff);
-        for cluster in &members {
-            let c = match params.kind {
-                CostKind::KMeans => weighted_mean_of(data.points(), data.weights(), cluster),
-                CostKind::KMedian => geometric_median(
-                    data.points(),
-                    data.weights(),
-                    cluster,
-                    WeiszfeldConfig::default(),
-                ),
-            };
-            centers.push(&c).expect("center has data dimension");
-        }
-        let cost_z: Vec<f64> = data
-            .points()
-            .iter()
-            .zip(&assignment.labels)
-            .map(|(p, &l)| {
-                params
-                    .kind
-                    .from_sq(fc_geom::distance::sq_dist(p, centers.row(l)))
-            })
-            .collect();
-        let scores = sensitivity_scores(&assignment.labels, &cost_z, data.weights(), k_eff);
-        importance_sample(rng, data, &scores, params.m)
+            // Per-cluster 1-mean / 1-median, as in Algorithm 1 step 4.
+            let mut members: Vec<Vec<usize>> = vec![Vec::new(); k_eff];
+            for (i, &l) in assignment.labels.iter().enumerate() {
+                members[l].push(i);
+            }
+            let mut centers = Points::empty(data.dim());
+            centers.reserve(k_eff);
+            for cluster in &members {
+                let c = match params.kind {
+                    CostKind::KMeans => weighted_mean_of(data.points(), data.weights(), cluster),
+                    CostKind::KMedian => geometric_median(
+                        data.points(),
+                        data.weights(),
+                        cluster,
+                        WeiszfeldConfig::default(),
+                    ),
+                };
+                centers.push(&c).expect("center has data dimension");
+            }
+            let cost_z: Vec<f64> = data
+                .points()
+                .iter()
+                .zip(&assignment.labels)
+                .map(|(p, &l)| {
+                    params
+                        .kind
+                        .from_sq(fc_geom::distance::sq_dist(p, centers.row(l)))
+                })
+                .collect();
+            let scores = sensitivity_scores(&assignment.labels, &cost_z, data.weights(), k_eff);
+            importance_sample(rng, data, &scores, params.m)
+        })
     }
 }
 

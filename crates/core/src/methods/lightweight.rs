@@ -12,7 +12,7 @@ use rand::RngCore;
 
 use crate::compressor::{CompressionParams, Compressor};
 use crate::coreset::Coreset;
-use crate::sampling::importance_sample;
+use crate::sampling::{at_weight_scale, importance_sample};
 use crate::sensitivity::lightweight_scores;
 
 /// The lightweight-coreset compressor (`j = 1` in the welterweight family).
@@ -30,8 +30,10 @@ impl Compressor for Lightweight {
         data: &Dataset,
         params: &CompressionParams,
     ) -> Coreset {
-        let scores = lightweight_scores(data, params.kind);
-        importance_sample(rng, data, &scores, params.m)
+        at_weight_scale(data, |data| {
+            let scores = lightweight_scores(data, params.kind);
+            importance_sample(rng, data, &scores, params.m)
+        })
     }
 }
 

@@ -12,7 +12,9 @@ use rand::RngCore;
 
 use crate::compressor::{CompressionParams, Compressor};
 use crate::coreset::Coreset;
-use crate::sampling::{importance_sample, importance_sample_rebalanced, WeightMode};
+use crate::sampling::{
+    at_weight_scale, importance_sample, importance_sample_rebalanced, WeightMode,
+};
 use crate::sensitivity::sensitivity_scores;
 
 /// Standard (full-k) sensitivity sampling.
@@ -41,22 +43,24 @@ impl Compressor for StandardSensitivity {
         data: &Dataset,
         params: &CompressionParams,
     ) -> Coreset {
-        let seeding = fc_clustering::kmeanspp::kmeanspp(rng, data, params.k, params.kind);
-        let cost_z = seeding.cost_z(params.kind);
-        let k_eff = seeding.centers.len();
-        let scores = sensitivity_scores(&seeding.labels, &cost_z, data.weights(), k_eff);
-        match self.weight_mode {
-            WeightMode::Unbiased => importance_sample(rng, data, &scores, params.m),
-            WeightMode::Rebalanced { epsilon } => importance_sample_rebalanced(
-                rng,
-                data,
-                &scores,
-                &seeding.labels,
-                &seeding.centers,
-                params.m,
-                epsilon,
-            ),
-        }
+        at_weight_scale(data, |data| {
+            let seeding = fc_clustering::kmeanspp::kmeanspp(rng, data, params.k, params.kind);
+            let cost_z = seeding.cost_z(params.kind);
+            let k_eff = seeding.centers.len();
+            let scores = sensitivity_scores(&seeding.labels, &cost_z, data.weights(), k_eff);
+            match self.weight_mode {
+                WeightMode::Unbiased => importance_sample(rng, data, &scores, params.m),
+                WeightMode::Rebalanced { epsilon } => importance_sample_rebalanced(
+                    rng,
+                    data,
+                    &scores,
+                    &seeding.labels,
+                    &seeding.centers,
+                    params.m,
+                    epsilon,
+                ),
+            }
+        })
     }
 }
 

@@ -37,6 +37,41 @@ pub enum WeightMode {
     },
 }
 
+/// Runs a sensitivity-family compression at the scale of the data's largest
+/// weight. Those methods multiply weights by `dist^z` and sum them per
+/// cluster; near `f64::MAX` the sums overflow, and `inf / inf` turns a
+/// score into NaN. So `compress` sees every weight times `2^-e`, the power
+/// of two that puts the largest weight in `[1, 2)`, and the coreset's
+/// weights come back times `2^e` (clamped at `f64::MAX`). Scaling by a
+/// power of two is exact, so wherever the unscaled arithmetic neither
+/// overflows nor leaves the normal range the coreset is the one it would
+/// have given. With `e = 0` — unit weights among them — `data` is passed
+/// through untouched.
+pub(crate) fn at_weight_scale(
+    data: &Dataset,
+    compress: impl FnOnce(&Dataset) -> Coreset,
+) -> Coreset {
+    let largest = data.weights().iter().fold(0.0, |a: f64, &w| a.max(w));
+    // The unbiased binary exponent of a positive finite weight; subnormal
+    // weights scale up as far as a normal factor allows.
+    let e = if largest > 0.0 && largest.is_finite() {
+        (((largest.to_bits() >> 52) & 0x7ff) as i32 - 1023).max(-1022)
+    } else {
+        0
+    };
+    if e == 0 {
+        return compress(data);
+    }
+    let down = f64::powi(2.0, -e);
+    let weights = data.weights().iter().map(|w| w * down).collect();
+    let scaled = Dataset::weighted(data.points().clone(), weights)
+        .expect("scaling by a power of two keeps weights finite and non-negative");
+    let (points, weights) = compress(&scaled).into_dataset().into_parts();
+    let up = f64::powi(2.0, e);
+    let weights = weights.iter().map(|w| (w * up).min(f64::MAX)).collect();
+    Coreset::new(Dataset::weighted(points, weights).expect("weights clamped finite"))
+}
+
 /// Draws an importance sample of `m` points, returning the deduplicated
 /// `(index, accumulated weight)` pairs sorted by index. `None` signals a
 /// degenerate score vector (no sampleable mass).
@@ -244,6 +279,24 @@ mod tests {
         let c = importance_sample(&mut r, &d, &scores, 3);
         assert_eq!(c.len(), 1);
         assert!((c.total_weight() - 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn weight_scale_is_the_largest_weights_power_of_two() {
+        let points = Points::from_flat(vec![0.0, 1.0, 2.0], 1).unwrap();
+        for (largest, e) in [(1.0, 0), (1.99, 0), (2.0, 1), (1e300, 996), (0.75, -1)] {
+            let data =
+                Dataset::weighted(points.clone(), vec![largest, 0.5 * largest, 0.0]).unwrap();
+            let coreset = at_weight_scale(&data, |scaled| {
+                let top = scaled.weights()[0];
+                assert!((1.0..2.0).contains(&top), "{largest}: scaled to {top}");
+                assert_eq!(top, largest * f64::powi(2.0, -e));
+                assert_eq!(scaled.weights()[1], 0.5 * top);
+                Coreset::new(scaled.clone())
+            });
+            // Scaled back exactly.
+            assert_eq!(coreset.dataset(), &data, "{largest}");
+        }
     }
 
     #[test]

@@ -4,14 +4,15 @@
 //! point against a randomly shifted grid of a given cell side and identify
 //! the occupied cells with a dictionary (Algorithm 2 line 4). The
 //! quantisation is done **once** per algorithm, at the finest level it will
-//! ever look at (`quantise`, `n·d` divisions): grid sides are exact
+//! ever look at (`quantise`, `n·d` divisions, in place when it owns the
+//! coordinates): grid sides are exact
 //! power-of-two multiples of each other and share one shift, so the cell
 //! coordinate `s` levels coarser is exactly `c >> s` — every coarser grid is
 //! a bit prefix, as in RASTER's tile truncation. The dictionary is a
 //! `RowInterner`: exact integer rows, dense ids in first-appearance order,
 //! `O(rows)` to reset, no allocation per row.
 
-use fc_geom::points::Points;
+use std::borrow::Cow;
 
 /// Integer grid coordinate of `x` in a grid of pitch `side` shifted by
 /// `shift`: `⌊(x − shift) / side⌋`, saturating at the `i64` range.
@@ -24,19 +25,55 @@ pub fn grid_coord(x: f64, shift: f64, side: f64) -> i64 {
     truncated.saturating_sub(i64::from(truncated as f64 > q))
 }
 
-/// Quantises every point against one grid: row-major cell coordinates,
-/// `cells[i·d + j] = min(grid_coord(x_ij, shift_j, side), max_cell)`.
-pub(crate) fn quantise(points: &Points, shift: &[f64], side: f64, max_cell: i64) -> Vec<i64> {
-    debug_assert_eq!(points.dim(), shift.len());
-    let mut cells = Vec::with_capacity(points.len() * points.dim());
-    for row in points.iter() {
-        cells.extend(
-            row.iter()
-                .zip(shift)
-                .map(|(&x, &s)| grid_coord(x, s, side).min(max_cell)),
-        );
-    }
-    cells
+/// Quantises row-major coordinates against one grid:
+/// `cells[i·d + j] = min(grid_coord(x_ij, shift_j, side), max_cell)` with
+/// `d = shift.len()`. Owned coordinates are quantised in place — each cell
+/// is written over its coordinate, and the buffer then changes type where
+/// it lies (an `f64` and an `i64` share size and alignment, so the collect
+/// reuses the allocation); borrowed ones into a fresh buffer. Also returns,
+/// per dimension, the OR over rows of each cell coordinate XOR the first
+/// row's: the bits on which some row differs from the first, gathered in
+/// the same pass.
+pub(crate) fn quantise(
+    coords: Cow<'_, [f64]>,
+    shift: &[f64],
+    side: f64,
+    max_cell: i64,
+) -> (Vec<i64>, Vec<i64>) {
+    let dim = shift.len();
+    let cell = |x: f64, s: f64| grid_coord(x, s, side).min(max_cell);
+    let first: Vec<i64> = coords[..dim]
+        .iter()
+        .zip(shift)
+        .map(|(&x, &s)| cell(x, s))
+        .collect();
+    let mut differing = vec![0i64; dim];
+    let cells = match coords {
+        Cow::Owned(mut coords) => {
+            for row in coords.chunks_exact_mut(dim) {
+                let columns = shift.iter().zip(&first).zip(differing.iter_mut());
+                for (x, ((&s, &c0), acc)) in row.iter_mut().zip(columns) {
+                    let c = cell(*x, s);
+                    *acc |= c ^ c0;
+                    *x = f64::from_bits(c as u64);
+                }
+            }
+            coords.into_iter().map(|x| x.to_bits() as i64).collect()
+        }
+        Cow::Borrowed(coords) => {
+            let mut cells = Vec::with_capacity(coords.len());
+            for row in coords.chunks_exact(dim) {
+                let columns = shift.iter().zip(&first).zip(differing.iter_mut());
+                cells.extend(row.iter().zip(columns).map(|(&x, ((&s, &c0), acc))| {
+                    let c = cell(x, s);
+                    *acc |= c ^ c0;
+                    c
+                }));
+            }
+            cells
+        }
+    };
+    (cells, differing)
 }
 
 const EMPTY: u32 = u32::MAX;
@@ -105,7 +142,9 @@ impl RowInterner {
                 self.len += 1;
                 return id;
             }
-            if self.row(id) == row {
+            // Element by element: a slice `==` would call `memcmp` for the
+            // one or two words a key usually has.
+            if self.row(id).iter().zip(row).all(|(a, b)| a == b) {
                 return id;
             }
             slot = (slot + 1) & self.mask;
@@ -178,9 +217,42 @@ mod tests {
 
     #[test]
     fn quantise_is_row_major_and_capped() {
-        let pts = Points::from_flat(vec![0.5, 1.5, 2.5, 3.5], 2).unwrap();
-        assert_eq!(quantise(&pts, &[0.0, 1.0], 1.0, i64::MAX), [0, 0, 2, 2]);
-        assert_eq!(quantise(&pts, &[0.0, 1.0], 1.0, 1), [0, 0, 1, 1]);
+        let coords = [0.5, 1.5, 2.5, 3.5];
+        for cow in [Cow::Borrowed(&coords[..]), Cow::Owned(coords.to_vec())] {
+            let (cells, differing) = quantise(cow.clone(), &[0.0, 1.0], 1.0, i64::MAX);
+            assert_eq!(cells, [0, 0, 2, 2]);
+            assert_eq!(differing, [2, 2]);
+            let (cells, differing) = quantise(cow, &[0.0, 1.0], 1.0, 1);
+            assert_eq!(cells, [0, 0, 1, 1]);
+            assert_eq!(differing, [1, 1]);
+        }
+    }
+
+    #[test]
+    fn quantise_rewrites_an_owned_buffer_in_place() {
+        let coords: Vec<f64> = (0..96).map(|i| f64::from(i) * 0.37 - 9.0).collect();
+        let at = coords.as_ptr() as usize;
+        let expected: Vec<i64> = coords
+            .chunks_exact(3)
+            .flat_map(|row| {
+                row.iter()
+                    .zip([0.1, 0.2, 0.3])
+                    .map(|(&x, s)| grid_coord(x, s, 0.5))
+            })
+            .collect();
+        let (fresh, _) = quantise(Cow::Borrowed(&coords), &[0.1, 0.2, 0.3], 0.5, i64::MAX);
+        let (cells, differing) = quantise(Cow::Owned(coords), &[0.1, 0.2, 0.3], 0.5, i64::MAX);
+        assert_eq!(cells.as_ptr() as usize, at);
+        assert_eq!(cells, expected);
+        assert_eq!(fresh, expected);
+        for (j, &bits) in differing.iter().enumerate() {
+            let or = cells
+                .iter()
+                .skip(j)
+                .step_by(3)
+                .fold(0, |acc, &c| acc | (c ^ cells[j]));
+            assert_eq!(bits, or);
+        }
     }
 
     #[test]

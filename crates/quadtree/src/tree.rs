@@ -9,12 +9,18 @@
 //! Fast-kmeans++ sampler answer subtree-mass queries with prefix sums.
 //!
 //! Cost model: the points are quantised **once**, at the finest level
-//! (`n·d` divisions); every level's cell coordinate is a bit prefix of that
-//! integer, so a node finds the level at which its points separate from one
-//! XOR/OR pass over its rows and groups its children from one more —
-//! `O(size·d)` per node whatever the length of the compression chain above
-//! its split, and `O(size·d)` for a leaf of duplicates. Nothing is
-//! re-gridded per level.
+//! (`n·d` divisions), and every level's cell coordinate is a bit prefix of
+//! that integer. A build that owns its coordinates — the JL projection of
+//! [`Quadtree::build_projected`] — quantises them where they lie, so the
+//! whole build holds one `n × t` buffer; [`Quadtree::build`] writes its
+//! cells into a fresh one. A node's *differing bits* (per dimension, the OR
+//! of each row's cells XOR its first row's) name the level at which its
+//! points separate, however long the compression chain above it. They
+//! arrive with the node: the quantising pass gathers the root's, and each
+//! node gathers its children's in the same read of a row that files the
+//! row under its child. So a node visit is one `O(size·d)` pass over its
+//! rows, a leaf of duplicates costs nothing more than its truncation check,
+//! and nothing is re-gridded per level.
 //!
 //! The finest level has `2^-max_depth` of the root side. Rows that still
 //! share a cell there stay in one leaf; when two of them are *different*
@@ -23,7 +29,11 @@
 //! (Section 4) has something to add. Exact duplicates are not truncation:
 //! no resolution separates them.
 
+use std::borrow::Cow;
+
+use fc_geom::jl::JlProjection;
 use fc_geom::points::Points;
+use fc_geom::BoundingBox;
 use rand::Rng;
 
 use crate::grid::{quantise, RowInterner};
@@ -106,27 +116,30 @@ pub struct Quadtree {
     truncated: bool,
 }
 
-impl Quadtree {
-    /// Builds a compressed quadtree over `points` with a uniformly random
-    /// grid shift: `O(n·d)` to quantise the points once at the finest level,
-    /// then `O(size·d)` per node — however many levels its compression
-    /// chain skips — for `O(n)` nodes.
-    ///
-    /// Panics on an empty point set.
-    pub fn build<R: Rng + ?Sized>(rng: &mut R, points: &Points, config: QuadtreeConfig) -> Self {
-        assert!(!points.is_empty(), "cannot build a quadtree over no points");
-        let dim = points.dim();
-        let bbox = fc_geom::BoundingBox::of(points).expect("non-empty checked above");
-        // Enclose in a cube of side 2Δ where Δ is the longest bbox side; a
-        // shift in [0, Δ) keeps all points inside the root cell.
+/// The randomly shifted grid a build quantises against.
+struct Grid {
+    root_side: f64,
+    /// Grid origin (bounding-box min corner minus the random shift).
+    origin: Vec<f64>,
+    /// The finest level any node can reach.
+    depth: u32,
+    max_depth: u32,
+    /// Every point is the same point.
+    coincide: bool,
+}
+
+impl Grid {
+    /// Encloses `bbox` in a cube of side `2Δ`, `Δ` its longest side, and
+    /// draws the shift: one uniform per dimension.
+    fn enclosing<R: Rng + ?Sized>(rng: &mut R, bbox: &BoundingBox, config: QuadtreeConfig) -> Self {
+        // A shift in [0, Δ) keeps all points inside the root cell.
         let delta = bbox.longest_side().max(f64::MIN_POSITIVE);
         let root_side = 2.0 * delta;
-        let origin: Vec<f64> = bbox
+        let origin = bbox
             .min()
             .iter()
             .map(|&lo| lo - rng.gen::<f64>() * delta)
             .collect();
-
         // The finest level any node can reach: the depth cap, or where the
         // cell side stops being a normal float (points that still share a
         // cell there coincide numerically).
@@ -135,23 +148,108 @@ impl Quadtree {
             .rev()
             .find(|&level| (root_side / f64::powi(2.0, level as i32)).is_normal())
             .unwrap_or(0);
-        // Quantise once. Sides halve exactly, so a point's cell coordinate
-        // at level ℓ is its finest coordinate shifted right by `depth − ℓ`;
-        // the cap keeps a point that rounds onto the root cell's far face
-        // inside the root cell.
-        let finest_side = root_side / f64::powi(2.0, depth as i32);
-        let cells = if bbox.longest_side() == 0.0 {
+        Self {
+            root_side,
+            origin,
+            depth,
+            max_depth,
+            coincide: bbox.longest_side() == 0.0,
+        }
+    }
+
+    /// The finest-level cell of every coordinate, row-major, and the root's
+    /// differing bits (see [`quantise`]). Sides halve exactly, so a point's
+    /// cell coordinate at level ℓ is its finest coordinate shifted right by
+    /// `depth − ℓ`; the cap keeps a point that rounds onto the root cell's
+    /// far face inside the root cell.
+    fn cells(&self, coords: Cow<'_, [f64]>) -> (Vec<i64>, Vec<i64>) {
+        if self.coincide {
             // Every point is the same point, so they share a cell at every
             // level and the root comes out a leaf. Saying so directly skips
             // a pass that, with Δ clamped to the smallest normal float,
             // would run on subnormals.
-            vec![0; points.len() * dim]
-        } else {
-            quantise(points, &origin, finest_side, (1i64 << depth) - 1)
-        };
-        let cell = |idx: u32| &cells[idx as usize * dim..(idx as usize + 1) * dim];
+            let cells = match coords {
+                Cow::Owned(coords) => coords.into_iter().map(|_| 0).collect(),
+                Cow::Borrowed(coords) => vec![0; coords.len()],
+            };
+            return (cells, vec![0; self.origin.len()]);
+        }
+        let finest_side = self.root_side / f64::powi(2.0, self.depth as i32);
+        quantise(coords, &self.origin, finest_side, (1i64 << self.depth) - 1)
+    }
+}
 
-        let n = points.len();
+impl Quadtree {
+    /// Builds a compressed quadtree over `points` with a uniformly random
+    /// grid shift: `O(n·d)` to quantise the points once at the finest level
+    /// into a fresh cell buffer, then one `O(size·d)` pass per node —
+    /// however many levels its compression chain skips — for `O(n)` nodes.
+    ///
+    /// Panics on an empty point set.
+    pub fn build<R: Rng + ?Sized>(rng: &mut R, points: &Points, config: QuadtreeConfig) -> Self {
+        assert!(!points.is_empty(), "cannot build a quadtree over no points");
+        let bbox = BoundingBox::of(points).expect("non-empty checked above");
+        let grid = Grid::enclosing(rng, &bbox, config);
+        let (cells, differing) = grid.cells(Cow::Borrowed(points.as_flat()));
+        Self::grow(grid, cells, differing, |rows| {
+            let first = points.row(rows[0] as usize);
+            rows[1..].iter().any(|&i| points.row(i as usize) != first)
+        })
+    }
+
+    /// The tree [`build`](Self::build) makes over `projection.project(points)`
+    /// under the same RNG, node for node, with one `n × t` buffer: the
+    /// projection is written once and quantised where it lies. A leaf at the
+    /// depth cap regenerates the projected rows it compares, so
+    /// [`truncated`](Self::truncated) keeps its meaning in the projected
+    /// space.
+    ///
+    /// Panics on an empty point set or one whose dimension is not the
+    /// projection's source dimension.
+    pub fn build_projected<R: Rng + ?Sized>(
+        rng: &mut R,
+        points: &Points,
+        projection: &JlProjection,
+        config: QuadtreeConfig,
+    ) -> Self {
+        assert!(!points.is_empty(), "cannot build a quadtree over no points");
+        let working = projection
+            .project(points)
+            .expect("points have the projection's source dimension");
+        let bbox = BoundingBox::of(&working).expect("non-empty checked above");
+        let grid = Grid::enclosing(rng, &bbox, config);
+        let (cells, differing) = grid.cells(Cow::Owned(working.into_flat()));
+        let project = |i: u32| {
+            projection
+                .project_point(points.row(i as usize))
+                .expect("dimension checked above")
+        };
+        Self::grow(grid, cells, differing, |rows| {
+            let first = project(rows[0]);
+            rows[1..].iter().any(|&i| project(i) != first)
+        })
+    }
+
+    /// The node loop both builds share. `cells` holds the finest cell of
+    /// every row (`origin.len()` columns), `differing` the root's differing
+    /// bits, and `differ(rows)` says whether the given rows are not all the
+    /// same row of the working space.
+    fn grow(
+        grid: Grid,
+        cells: Vec<i64>,
+        mut differing: Vec<i64>,
+        mut differ: impl FnMut(&[u32]) -> bool,
+    ) -> Self {
+        let Grid {
+            root_side,
+            origin,
+            depth,
+            max_depth,
+            ..
+        } = grid;
+        let dim = origin.len();
+        let cell = |idx: u32| &cells[idx as usize * dim..(idx as usize + 1) * dim];
+        let n = cells.len() / dim;
         let mut perm: Vec<u32> = (0..n as u32).collect();
         let mut nodes = vec![Node {
             level: 0,
@@ -162,14 +260,24 @@ impl Quadtree {
             n_children: 0,
         }];
 
-        // Iterative construction; scratch buffers are reused across nodes.
-        let mut stack: Vec<u32> = vec![0];
-        let mut differing = vec![0i64; dim];
+        // Iterative construction. Every node on the stack has at least two
+        // rows and arrives with its differing bits — per dimension, the OR
+        // of each row's cells XOR its first row's — in `pending`, `dim`
+        // words per node in stack order. Scratch buffers are reused.
+        let mut stack: Vec<u32> = Vec::new();
+        let mut pending: Vec<i64> = Vec::new();
+        if n > 1 {
+            stack.push(0);
+            pending.extend_from_slice(&differing);
+        }
         let mut split_dims: Vec<usize> = Vec::new();
         let mut key: Vec<i64> = Vec::new();
         let mut children = RowInterner::default();
         let mut child_of: Vec<u32> = Vec::new();
         let mut cursors: Vec<u32> = Vec::new();
+        // Per child, in first-appearance order: its first row's cells, then
+        // its differing bits so far.
+        let mut child_bits: Vec<i64> = Vec::new();
         let mut members: Vec<u32> = Vec::new();
         let mut truncated = false;
         while let Some(node_id) = stack.pop() {
@@ -177,31 +285,20 @@ impl Quadtree {
                 let node = &nodes[node_id as usize];
                 (node.start as usize, node.end as usize)
             };
-            if end - start <= 1 {
-                continue;
-            }
+            let at = pending.len() - dim;
+            differing.copy_from_slice(&pending[at..]);
+            pending.truncate(at);
             // The node's points share a cell down to its level, i.e. agree
             // on every high bit; the highest bit on which any coordinate
             // disagrees names the level at which they separate, however
             // long the compression chain down to it.
-            let first = cell(perm[start]);
-            differing.fill(0);
-            for &idx in &perm[start + 1..end] {
-                for ((acc, &c), &c0) in differing.iter_mut().zip(cell(idx)).zip(first) {
-                    *acc |= c ^ c0;
-                }
-            }
             let any = differing.iter().fold(0, |acc, &bits| acc | bits);
             if any == 0 {
                 // Duplicates, or the depth cap: a leaf at the finest level.
-                // Which of the two is one more pass over rows this branch
-                // has just read, stopped by the first truncated leaf.
+                // Which of the two is one more pass over the leaf's rows,
+                // stopped by the first truncated leaf.
                 nodes[node_id as usize].level = depth;
-                let first = points.row(perm[start] as usize);
-                truncated = truncated
-                    || perm[start + 1..end]
-                        .iter()
-                        .any(|&idx| points.row(idx as usize) != first);
+                truncated = truncated || differ(&perm[start..end]);
                 continue;
             }
             let bit = any.ilog2();
@@ -210,7 +307,10 @@ impl Quadtree {
 
             // Children are the occupied cells one level down. Above `bit`
             // all points agree, so a child is named by bit `bit` of the
-            // dimensions that disagree there, packed 64 to a key word.
+            // dimensions that disagree there, packed 64 to a key word. The
+            // same read of a row ORs its XOR against its child's first row
+            // into that child's differing bits, so no child reads its rows
+            // again to find where they separate.
             split_dims.clear();
             split_dims.extend((0..dim).filter(|&j| differing[j] >> bit & 1 == 1));
             key.clear();
@@ -218,6 +318,7 @@ impl Quadtree {
             children.reset(key.len(), end - start);
             child_of.clear();
             cursors.clear();
+            child_bits.clear();
             for &idx in &perm[start..end] {
                 let row = cell(idx);
                 for (word, dims) in key.iter_mut().zip(split_dims.chunks(64)) {
@@ -226,21 +327,34 @@ impl Quadtree {
                         .enumerate()
                         .fold(0, |word, (at, &j)| word | (row[j] >> bit & 1) << at);
                 }
-                let child = children.intern(&key);
-                if child as usize == cursors.len() {
+                let child = children.intern(&key) as usize;
+                if child == cursors.len() {
                     cursors.push(0);
+                    child_bits.extend_from_slice(row);
+                    child_bits.resize(child_bits.len() + dim, 0);
                 }
-                cursors[child as usize] += 1;
-                child_of.push(child);
+                cursors[child] += 1;
+                child_of.push(child as u32);
+                let (first, acc) =
+                    child_bits[2 * child * dim..2 * (child + 1) * dim].split_at_mut(dim);
+                for ((acc, &c), &c0) in acc.iter_mut().zip(row).zip(&*first) {
+                    *acc |= c ^ c0;
+                }
             }
 
             // Children in first-appearance order, each owning a contiguous
-            // range: a stable counting scatter of the permutation range.
+            // range: a stable counting scatter of the permutation range, so
+            // a child's first row stays first. Children of one row are
+            // leaves already and never reach the stack.
             let first_child = nodes.len() as u32;
             let n_children = cursors.len() as u32;
             let mut cursor = start as u32;
-            for at in cursors.iter_mut() {
+            for (child, at) in cursors.iter_mut().enumerate() {
                 let size = *at;
+                if size > 1 {
+                    stack.push(first_child + child as u32);
+                    pending.extend_from_slice(&child_bits[(2 * child + 1) * dim..][..dim]);
+                }
                 nodes.push(Node {
                     level: level + 1,
                     start: cursor,
@@ -263,7 +377,6 @@ impl Quadtree {
             let node = &mut nodes[node_id as usize];
             node.first_child = first_child;
             node.n_children = n_children;
-            stack.extend(first_child..first_child + n_children);
         }
 
         let mut pos = vec![0u32; n];

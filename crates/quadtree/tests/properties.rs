@@ -1,6 +1,7 @@
 //! Property-based tests for the quadtree substrate.
 
 use fc_clustering::CostKind;
+use fc_geom::jl::{JlKind, JlProjection};
 use fc_geom::{Dataset, Points};
 use fc_quadtree::crude::crude_approx;
 use fc_quadtree::fast_kmeanspp::{fast_kmeanspp, FastSeedConfig};
@@ -166,6 +167,82 @@ fn multiscale_points(rng: &mut StdRng, n: usize, dim: usize, scale: f64) -> Poin
     Points::from_flat(flat, dim).unwrap()
 }
 
+/// `(level, start, end, parent, first_child, n_children)` per node.
+fn shape(t: &Quadtree) -> Vec<[u32; 6]> {
+    t.nodes()
+        .iter()
+        .map(|v| {
+            [
+                v.level,
+                v.start,
+                v.end,
+                v.parent,
+                v.first_child,
+                v.n_children,
+            ]
+        })
+        .collect()
+}
+
+/// The builder against [`reference_build`] on a multiscale input: nodes,
+/// permutation and truncation.
+fn matches_the_reference(
+    seed: u64,
+    n: usize,
+    dim: usize,
+    max_depth: u32,
+    scale: f64,
+    coincide: bool,
+) -> Result<(), TestCaseError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut p = multiscale_points(&mut rng, n, dim, scale);
+    if coincide {
+        let first = p.row(0).to_vec();
+        p.as_flat_mut()
+            .chunks_exact_mut(dim)
+            .for_each(|row| row.copy_from_slice(&first));
+    }
+    let (nodes, perm) = reference_build(&mut StdRng::seed_from_u64(seed), &p, max_depth);
+    let t = Quadtree::build(
+        &mut StdRng::seed_from_u64(seed),
+        &p,
+        QuadtreeConfig { max_depth },
+    );
+    prop_assert!(t.validate().is_ok(), "{:?}", t.validate());
+    // Truncated: some leaf of the reference holds two different rows
+    // (repeats of one location never count).
+    let truncated = nodes.iter().any(|&[_, start, end, _, _, n_children]| {
+        let rows = &perm[start as usize..end as usize];
+        n_children == 0
+            && rows
+                .iter()
+                .any(|&i| p.row(i as usize) != p.row(rows[0] as usize))
+    });
+    prop_assert_eq!(t.truncated(), truncated);
+    prop_assert_eq!(shape(&t), nodes);
+    prop_assert_eq!(t.permutation(), &perm[..]);
+    Ok(())
+}
+
+/// Three unit-box clusters a 1e18 apart, along the first two axes: any
+/// projection that keeps two of them apart leaves each inside one finest
+/// cell at the default depth, which truncates the tree.
+fn far_clusters(rng: &mut StdRng, n: usize, dim: usize) -> Points {
+    let mut flat = Vec::with_capacity(n * dim);
+    for i in 0..n {
+        let cluster = i % 3;
+        for j in 0..dim {
+            let corner = if cluster > 0 && j == cluster - 1 {
+                1e18
+            } else {
+                0.0
+            };
+            flat.push(corner + rng.gen::<f64>());
+        }
+    }
+    Points::from_flat(flat, dim).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -180,29 +257,55 @@ proptest! {
         // `f64::MIN_POSITIVE` and the builder skips its quantisation pass.
         coincide in prop_oneof![4 => Just(false), 1 => Just(true)],
     ) {
+        matches_the_reference(seed, n, dim, max_depth, scale, coincide)?;
+    }
+
+    /// Larger nodes, whose children differ in many dimensions at once and
+    /// carry their differing bits down from long key passes.
+    #[test]
+    fn build_matches_the_reference_on_larger_inputs(
+        seed in any::<u64>(),
+        n in 200usize..1_500,
+        dim in prop_oneof![Just(8usize), Just(20)],
+        max_depth in prop_oneof![Just(8u32), Just(50)],
+        scale in prop_oneof![Just(1.0f64), Just(1e6)],
+    ) {
+        matches_the_reference(seed, n, dim, max_depth, scale, false)?;
+    }
+
+    /// The one-buffer build over a projection is the build over the
+    /// projected points: same draws, same nodes, same permutation, and the
+    /// same verdict on truncation, which it reaches by regenerating the
+    /// projected rows of a capped leaf.
+    #[test]
+    fn projected_build_matches_project_then_build(
+        seed in any::<u64>(),
+        n in 1usize..200,
+        (source, target) in prop_oneof![Just((3usize, 2usize)), Just((20, 10)), Just((20, 19)), Just((64, 8))],
+        max_depth in prop_oneof![Just(8u32), Just(50)],
+        far in prop_oneof![2 => Just(false), 1 => Just(true)],
+    ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut p = multiscale_points(&mut rng, n, dim, scale);
-        if coincide {
-            let first = p.row(0).to_vec();
-            p.as_flat_mut().chunks_exact_mut(dim).for_each(|row| row.copy_from_slice(&first));
-        }
-        let (nodes, perm) = reference_build(&mut StdRng::seed_from_u64(seed), &p, max_depth);
-        let t = Quadtree::build(&mut StdRng::seed_from_u64(seed), &p, QuadtreeConfig { max_depth });
+        let p = if far {
+            far_clusters(&mut rng, n, source)
+        } else {
+            multiscale_points(&mut rng, n, source, 1.0)
+        };
+        let projection =
+            JlProjection::sample(&mut rng, JlKind::SparseAchlioptas, source, target).unwrap();
+        let config = QuadtreeConfig { max_depth };
+        let expected = Quadtree::build(
+            &mut StdRng::seed_from_u64(seed ^ 1),
+            &projection.project(&p).unwrap(),
+            config,
+        );
+        let t = Quadtree::build_projected(&mut StdRng::seed_from_u64(seed ^ 1), &p, &projection, config);
         prop_assert!(t.validate().is_ok(), "{:?}", t.validate());
-        let built: Vec<[u32; 6]> = t
-            .nodes()
-            .iter()
-            .map(|v| [v.level, v.start, v.end, v.parent, v.first_child, v.n_children])
-            .collect();
-        // Truncated: some leaf of the reference holds two different rows
-        // (repeats of one location never count).
-        let truncated = nodes.iter().any(|&[_, start, end, _, _, n_children]| {
-            let rows = &perm[start as usize..end as usize];
-            n_children == 0 && rows.iter().any(|&i| p.row(i as usize) != p.row(rows[0] as usize))
-        });
-        prop_assert_eq!(t.truncated(), truncated);
-        prop_assert_eq!(built, nodes);
-        prop_assert_eq!(t.permutation(), &perm[..]);
+        prop_assert_eq!(shape(&t), shape(&expected));
+        prop_assert_eq!(t.permutation(), expected.permutation());
+        prop_assert_eq!(t.truncated(), expected.truncated());
+        prop_assert_eq!(t.origin(), expected.origin());
+        prop_assert_eq!(t.root_side().to_bits(), expected.root_side().to_bits());
     }
 
     #[test]
