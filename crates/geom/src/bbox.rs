@@ -20,17 +20,15 @@ impl BoundingBox {
         if points.is_empty() {
             return None;
         }
-        let dim = points.dim();
         let mut min = points.row(0).to_vec();
         let mut max = points.row(0).to_vec();
         for row in points.iter().skip(1) {
-            for i in 0..dim {
-                if row[i] < min[i] {
-                    min[i] = row[i];
-                }
-                if row[i] > max[i] {
-                    max[i] = row[i];
-                }
+            // Selects, not branches: the same value as `if x < lo { lo = x }`
+            // for every input, NaN and signed zeros included, and the loop
+            // vectorises.
+            for ((lo, hi), &x) in min.iter_mut().zip(max.iter_mut()).zip(row) {
+                *lo = if x < *lo { x } else { *lo };
+                *hi = if x > *hi { x } else { *hi };
             }
         }
         Some(Self { min, max })
@@ -151,6 +149,20 @@ mod tests {
         assert!((b.diagonal() - 2.0f64.sqrt()).abs() < 1e-12);
         assert!(b.contains(&[0.5, 0.5]));
         assert!(!b.contains(&[1.5, 0.5]));
+    }
+
+    #[test]
+    fn bbox_keeps_the_first_of_equal_bounds_and_skips_nan() {
+        // Signed zeros compare equal, so the first one seen stays; a NaN
+        // compares false either way, so it never becomes a bound.
+        let p = Points::from_flat(vec![-0.0, 0.0, f64::NAN, 2.0, -1.0], 1).unwrap();
+        let b = BoundingBox::of(&p).unwrap();
+        assert_eq!(b.min()[0], -1.0);
+        assert_eq!(b.max()[0], 2.0);
+        let zeros = Points::from_flat(vec![-0.0, 0.0, f64::NAN], 1).unwrap();
+        let b = BoundingBox::of(&zeros).unwrap();
+        assert_eq!(b.min()[0].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(b.max()[0].to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub struct JlProjection {
     /// The non-zero entries of the `t × d` matrix, row by row: each is a
     /// source index and its value `±√(3/t)`, in ascending index order within
     /// a row.
-    terms: Vec<(u32, f64)>,
+    terms: Vec<(usize, f64)>,
     /// Target row `r` is `terms[row_ends[r - 1]..row_ends[r]]` (from 0 for
     /// `r = 0`).
     row_ends: Vec<usize>,
@@ -78,9 +78,9 @@ impl JlProjection {
             for j in 0..source_dim {
                 let u: f64 = rng.gen();
                 if u < 1.0 / 6.0 {
-                    terms.push((j as u32, scale));
+                    terms.push((j, scale));
                 } else if u < 1.0 / 3.0 {
-                    terms.push((j as u32, -scale));
+                    terms.push((j, -scale));
                 }
             }
             row_ends.push(terms.len());
@@ -124,7 +124,7 @@ impl JlProjection {
         for (o, &end) in out.iter_mut().zip(&self.row_ends) {
             *o = self.terms[start..end]
                 .iter()
-                .fold(0.0, |acc, &(j, m)| acc + m * p[j as usize]);
+                .fold(0.0, |acc, &(j, m)| acc + m * p[j]);
             start = end;
         }
     }
@@ -165,7 +165,7 @@ impl JlProjection {
             for (r, &end) in self.row_ends.iter().enumerate() {
                 let mut acc = [0.0; LANES];
                 for &(j, m) in &self.terms[start..end] {
-                    let at = j as usize * LANES;
+                    let at = j * LANES;
                     let x: &[f64; LANES] = lanes[at..at + LANES].try_into().expect("LANES wide");
                     for (a, &x) in acc.iter_mut().zip(x) {
                         *a += m * x;
