@@ -557,6 +557,7 @@ impl Quadtree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fc_geom::jl::JlKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -644,6 +645,36 @@ mod tests {
         // The same rows a resolvable distance apart are not.
         let p = Points::from_flat(vec![0.0, 1e-9, 1.0], 1).unwrap();
         assert!(!Quadtree::build(&mut rng(), &p, QuadtreeConfig::default()).truncated());
+    }
+
+    #[test]
+    fn projected_truncation_compares_projected_rows() {
+        // A projection with an all-zero column maps rows that differ only
+        // in that coordinate onto one working point: duplicates where the
+        // tree lives, so not truncation, although the input rows differ.
+        let unit = |j: usize| {
+            (0..3)
+                .map(|i| f64::from(u8::from(i == j)))
+                .collect::<Vec<_>>()
+        };
+        let (projection, j) = (0..)
+            .find_map(|seed| {
+                let mut r = StdRng::seed_from_u64(seed);
+                let p = JlProjection::sample(&mut r, JlKind::SparseAchlioptas, 3, 2).unwrap();
+                let zero = (0..3).find(|&j| p.project_point(&unit(j)).unwrap() == [0.0, 0.0]);
+                zero.map(|j| (p, j))
+            })
+            .unwrap();
+        let mut rows = vec![vec![0.0; 3], vec![0.0; 3], vec![5.0, -3.0, 7.0]];
+        rows[1][j] = 1e-3;
+        let p = Points::from_rows(&rows).unwrap();
+        let config = QuadtreeConfig::default();
+        let t = Quadtree::build_projected(&mut rng(), &p, &projection, config);
+        t.validate().unwrap();
+        assert!(!t.truncated());
+        let working = projection.project(&p).unwrap();
+        assert!(!Quadtree::build(&mut rng(), &working, config).truncated());
+        assert_ne!(p.row(0), p.row(1));
     }
 
     #[test]
