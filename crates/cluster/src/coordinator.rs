@@ -1847,6 +1847,44 @@ mod tests {
         b.shutdown();
     }
 
+    /// Ingests blocks of 1, 2, 4, …, 2¹¹ points into `name`, so each
+    /// node's `ingested_points` is the bitmask of the blocks it received.
+    fn ingest_bitmask_blocks(coordinator: &Coordinator, name: &str) {
+        for b in 0..12 {
+            let flat = (0..1usize << b)
+                .flat_map(|i| [i as f64, b as f64])
+                .collect();
+            let block = Dataset::from_flat(flat, 2).unwrap();
+            coordinator.ingest(name, &block, None).unwrap();
+        }
+    }
+
+    /// Each node's `ingested_points` for `name`, in roster order.
+    fn per_node_points(coordinator: &Coordinator, name: &str) -> Vec<u64> {
+        let stats = coordinator.dataset_stats(name).unwrap();
+        stats.nodes.iter().map(|row| row.ingested_points).collect()
+    }
+
+    #[test]
+    fn equal_capacities_deal_blocks_round_robin_from_the_name_hash() {
+        let servers = [node_server(), node_server(), node_server()];
+        let coordinator = coordinator_over(
+            &servers.iter().collect::<Vec<_>>(),
+            RoutingPolicy::RoundRobin,
+        );
+        for name in ["seq", "another-dataset", "d"] {
+            ingest_bitmask_blocks(&coordinator, name);
+            let mut expected = [0u64; 3];
+            for b in 0..12u64 {
+                expected[(fnv64(name).wrapping_add(b) % 3) as usize] |= 1 << b;
+            }
+            assert_eq!(per_node_points(&coordinator, name), expected, "{name}");
+        }
+        for server in servers {
+            server.shutdown();
+        }
+    }
+
     #[test]
     fn effective_plan_is_forwarded_to_every_routed_node() {
         let a = node_server();

@@ -269,6 +269,48 @@ mod tests {
             .expect("bootstrap fleet")
     }
 
+    /// The unweighted rendezvous ranking: top-R active members by
+    /// [`rendezvous_weight`], index breaking ties, returned in roster order.
+    /// Kept as the reference that equal capacities must reproduce.
+    fn unweighted_replicas(map: &FleetMap, dataset: &str) -> Vec<usize> {
+        let dataset_h = fnv64(dataset.as_bytes());
+        let mut ranked: Vec<(u64, usize)> = map
+            .members()
+            .iter()
+            .enumerate()
+            .filter(|(_, m)| m.is_active())
+            .map(|(i, m)| (rendezvous_weight(dataset_h, fnv64(m.addr().as_bytes())), i))
+            .collect();
+        ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        ranked.truncate(map.replication());
+        let mut set: Vec<usize> = ranked.into_iter().map(|(_, i)| i).collect();
+        set.sort_unstable();
+        set
+    }
+
+    #[test]
+    fn equal_capacities_place_by_the_unweighted_ranking() {
+        for (n, r) in [(1, 1), (3, 1), (5, 2), (7, 3), (4, 4)] {
+            for capacity in [1.0, 2.5, 1e-9] {
+                let mut map =
+                    FleetMap::bootstrap((0..n).map(|i| (format!("10.0.0.{i}:9000"), capacity)), r)
+                        .expect("bootstrap fleet");
+                map.add_member("10.0.1.1:9000", capacity).expect("add");
+                if n > r {
+                    map.drain_member("10.0.0.0:9000").expect("drain");
+                }
+                for d in 0..500 {
+                    let name = format!("dataset-{d}");
+                    assert_eq!(
+                        map.replicas(&name),
+                        unweighted_replicas(&map, &name),
+                        "n = {n}, R = {r}, capacity {capacity}, {name}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn bootstrap_starts_at_epoch_one() {
         let map = fleet(3, 2);
