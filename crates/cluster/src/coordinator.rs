@@ -1,8 +1,9 @@
 //! The coordinator: one [`fc_service::Backend`] fanning out to many
 //! remote `fc-server` nodes.
 //!
-//! Ingest routes each batch to one node (round-robin, hash-by-dataset, or
-//! weighted-by-capacity), forwarding the dataset's creating [`Plan`] with
+//! Ingest deals each batch to one node — round-robin over the active
+//! members, in shares proportional to their capacities
+//! ([`FleetMap::spread`]) — forwarding the dataset's creating [`Plan`] with
 //! every routed batch so whichever node sees the dataset first creates it
 //! under the same plan (plan-less datasets run each node's default plan —
 //! deploy nodes and coordinator with the same plan flags). Queries run
@@ -21,7 +22,8 @@
 //!
 //! With `replication >= 2` the coordinator switches from spread routing to
 //! *placement*: an [`fc_fleet::FleetMap`] assigns each dataset an R-member
-//! replica set (rendezvous hashing over the roster), ingest fans each
+//! replica set (capacity-weighted rendezvous hashing over the roster),
+//! ingest fans each
 //! batch to every replica (coreset composability makes an R-way copy just
 //! R ingests), and queries read from any single live replica instead of
 //! unioning the fleet. `add-node` / `drain-node` bump the map's epoch and
@@ -33,7 +35,6 @@
 //! engine — and each node's engine dedupes again behind its WAL.
 
 use std::collections::BTreeMap;
-use std::str::FromStr;
 use std::sync::{Arc, Mutex, RwLock};
 
 use fc_clustering::solver::Solver;
@@ -52,9 +53,6 @@ use fc_service::{
     QueryPath, QuerySource, QueryState, Request, Response, RetryPolicy, WritePath, WriteSink,
 };
 use fc_telemetry::{current_trace, labeled, next_request_id, Counter, Histogram, Telemetry};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use rand_distr::{Distribution, WeightedIndex};
 
 use crate::node::{NodeHandle, NodeTimeouts};
 
@@ -70,61 +68,15 @@ const NODE_STREAM: u64 = 0x517C_C1B7_2722_0A95;
 /// own exactly-once gate instead of double-counting the shipped coreset.
 const MIGRATE_CLIENT: &str = "fc-fleet-migrate";
 
-/// How ingest batches are assigned to nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoutingPolicy {
-    /// Each dataset cycles through the nodes, spreading its blocks evenly
-    /// (the thread-shard policy of the single-node engine, lifted to
-    /// machines).
-    #[default]
-    RoundRobin,
-    /// All of a dataset's blocks go to the node its name hashes to —
-    /// datasets, not blocks, are the sharding unit.
-    HashDataset,
-    /// Blocks are routed randomly, proportionally to each node's
-    /// configured capacity weight (heterogeneous fleets).
-    Capacity,
-}
-
-impl RoutingPolicy {
-    /// The canonical names, for CLI flags and error messages.
-    pub const NAMES: [&'static str; 3] = ["round-robin", "hash-dataset", "capacity"];
-}
-
-impl std::fmt::Display for RoutingPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            RoutingPolicy::RoundRobin => "round-robin",
-            RoutingPolicy::HashDataset => "hash-dataset",
-            RoutingPolicy::Capacity => "capacity",
-        })
-    }
-}
-
-impl FromStr for RoutingPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "round-robin" => Ok(RoutingPolicy::RoundRobin),
-            "hash-dataset" => Ok(RoutingPolicy::HashDataset),
-            "capacity" => Ok(RoutingPolicy::Capacity),
-            other => Err(format!(
-                "unknown routing policy `{other}` (expected one of: {})",
-                Self::NAMES.join(", ")
-            )),
-        }
-    }
-}
-
 /// One node in the fleet: where to dial it and how much traffic it can
 /// take relative to its peers.
 #[derive(Debug, Clone)]
 pub struct NodeSpec {
     /// `host:port` of a running `fc-server`.
     pub addr: String,
-    /// Relative routing weight under [`RoutingPolicy::Capacity`] (any
-    /// positive scale; ignored by the other policies).
+    /// Placement weight relative to its peers (any non-negative scale,
+    /// default 1): the node's share of spread blocks at R = 1 and of
+    /// replica sets at R ≥ 2. Zero takes no writes.
     pub capacity: f64,
 }
 
@@ -142,8 +94,6 @@ impl<S: Into<String>> From<S> for NodeSpec {
 pub struct CoordinatorConfig {
     /// The fleet (at least one node).
     pub nodes: Vec<NodeSpec>,
-    /// Ingest routing policy.
-    pub policy: RoutingPolicy,
     /// The effective plan the coordinator assumes for datasets whose
     /// creating ingest carries none: query defaults and coordinator-side
     /// aggregation derive from it. Plan-less datasets run each *node's*
@@ -168,9 +118,10 @@ pub struct CoordinatorConfig {
     /// the text protocol.
     pub binary_wire: bool,
     /// Copies of every dataset the fleet keeps (default 1). At 1 the
-    /// coordinator spreads blocks under [`RoutingPolicy`] and unions the
-    /// fleet's coresets per query. At 2+ it switches to fleet placement:
-    /// each dataset lives on the R members its name rendezvous-hashes to,
+    /// coordinator spreads blocks over the nodes by capacity and unions
+    /// the fleet's coresets per query. At 2+ it switches to fleet
+    /// placement: each dataset lives on the R members its name
+    /// rendezvous-hashes to (weighted by capacity),
     /// ingest fans each batch to all of them, and queries answer from any
     /// single live replica — so any R−1 node failures lose nothing.
     pub replication: usize,
@@ -178,14 +129,11 @@ pub struct CoordinatorConfig {
     /// default 64, 0 disables it). Ingests, membership changes and health
     /// flips all invalidate by moving the [`QueryState`] its keys embed.
     pub cache_capacity: usize,
-    /// Worker threads for coordinator-side aggregation and final solves
-    /// (0 = inherit the process-wide [`fc_geom::par`] setting).
-    pub solve_threads: usize,
 }
 
 impl CoordinatorConfig {
     /// A configuration over `addrs` with the defaults of a stock
-    /// `fc-server`: round-robin routing, the default engine plan, and the
+    /// `fc-server`: equal capacities, the default engine plan, and the
     /// default retry schedule — so a coordinator in front of default nodes
     /// behaves like one big default server.
     pub fn new<I, S>(addrs: I) -> Self
@@ -195,7 +143,6 @@ impl CoordinatorConfig {
     {
         Self {
             nodes: addrs.into_iter().map(NodeSpec::from).collect(),
-            policy: RoutingPolicy::default(),
             default_plan: EngineConfig::default()
                 .default_plan()
                 .expect("the default engine configuration is valid"),
@@ -205,7 +152,6 @@ impl CoordinatorConfig {
             binary_wire: true,
             replication: 1,
             cache_capacity: 64,
-            solve_threads: 0,
         }
     }
 }
@@ -243,7 +189,6 @@ pub struct Coordinator {
     /// so an index handed out at one epoch still names the same node at
     /// the next; fan-outs snapshot the `Arc`s and run lock-free.
     nodes: RwLock<Vec<Arc<NodeHandle>>>,
-    policy: RoutingPolicy,
     retry: RetryPolicy,
     timeouts: NodeTimeouts,
     binary_wire: bool,
@@ -251,18 +196,14 @@ pub struct Coordinator {
     replication: usize,
     /// `coreset` / `cluster` / `cost`, answered on [`Fleet`].
     query: QueryPath,
-    /// The versioned membership + placement map. Membership ops
+    /// The versioned membership + placement map, the one owner of node
+    /// capacities. Membership ops
     /// (`add_node`, `drain_node`) serialize on this lock; everything else
     /// takes it briefly to read the epoch or a replica set.
     fleet: Mutex<FleetMap>,
     /// Ingest admission and the registry of live datasets, delivering
     /// into [`Fleet`].
     write: WritePath<Route>,
-    /// Capacity-weighted node sampler (only under
-    /// [`RoutingPolicy::Capacity`]) and its deterministic RNG. Rebuilt on
-    /// membership changes (a drained member samples at weight zero).
-    capacity_index: Mutex<Option<WeightedIndex>>,
-    capacity_rng: Mutex<StdRng>,
     /// The coordinator's observability surface (shared with the server
     /// loop serving it) plus cached hot-path handles into it.
     metrics: CoordinatorMetrics,
@@ -316,8 +257,8 @@ impl CoordinatorMetrics {
 
 impl Coordinator {
     /// Builds a coordinator over the configured fleet. Validates the
-    /// configuration (at least one node, finite non-negative capacities
-    /// with at least one positive under the capacity policy) but does not
+    /// configuration (at least one node, finite non-negative capacities,
+    /// at least one of them positive) but does not
     /// dial anything yet — nodes are dialed lazily and marked down when
     /// unreachable, so a coordinator can boot before (or outlive) its
     /// fleet.
@@ -335,13 +276,11 @@ impl Coordinator {
                 )));
             }
         }
-        let capacity_index = match config.policy {
-            RoutingPolicy::Capacity => Some(
-                WeightedIndex::new(config.nodes.iter().map(|n| n.capacity))
-                    .map_err(|e| EngineError::InvalidArgument(format!("capacity routing: {e}")))?,
-            ),
-            _ => None,
-        };
+        if config.nodes.iter().all(|spec| spec.capacity == 0.0) {
+            return Err(EngineError::InvalidArgument(
+                "coordinator needs a node of positive capacity".into(),
+            ));
+        }
         let fleet = FleetMap::bootstrap(
             config
                 .nodes
@@ -355,7 +294,6 @@ impl Coordinator {
             &metrics.shared.registry,
             config.cache_capacity,
             config.base_seed,
-            config.solve_threads,
         );
         Ok(Self {
             nodes: RwLock::new(
@@ -365,14 +303,12 @@ impl Coordinator {
                     .map(|spec| {
                         Arc::new(NodeHandle::new(
                             spec.addr.clone(),
-                            spec.capacity,
                             config.timeouts,
                             config.binary_wire,
                         ))
                     })
                     .collect(),
             ),
-            policy: config.policy,
             retry: config.retry,
             timeouts: config.timeouts,
             binary_wire: config.binary_wire,
@@ -384,8 +320,6 @@ impl Coordinator {
                 config.default_plan.clone(),
                 Arc::from(config.default_plan.method().build()),
             ),
-            capacity_index: Mutex::new(capacity_index),
-            capacity_rng: Mutex::new(StdRng::seed_from_u64(config.base_seed)),
             metrics,
         })
     }
@@ -410,8 +344,9 @@ impl Coordinator {
     /// The addresses a dataset's replica set resolves to under the
     /// current fleet map — rank order, the order ingest fans out and
     /// queries fall through. Under spread placement (`replication == 1`)
-    /// this is still the dataset's rendezvous ranking, but ingest routes
-    /// by the configured policy instead.
+    /// this is still the dataset's rendezvous ranking — where a drain
+    /// evacuates its share to — while ingest deals blocks over every
+    /// node by capacity instead.
     pub fn replicas_of(&self, name: &str) -> Vec<String> {
         let fleet = self.fleet.lock().expect("fleet map lock");
         fleet
@@ -419,11 +354,6 @@ impl Coordinator {
             .into_iter()
             .map(|idx| fleet.members()[idx].addr().to_owned())
             .collect()
-    }
-
-    /// The ingest routing policy.
-    pub fn policy(&self) -> RoutingPolicy {
-        self.policy
     }
 
     fn roster(&self) -> Vec<Arc<NodeHandle>> {
@@ -436,38 +366,6 @@ impl Coordinator {
 
     fn node_addr(&self, idx: usize) -> String {
         self.node_at(idx).addr().to_owned()
-    }
-
-    /// Roster indices currently participating in placement (active, not
-    /// draining), in roster order.
-    fn active_indices(&self) -> Vec<usize> {
-        self.fleet
-            .lock()
-            .expect("fleet map lock")
-            .members()
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.is_active())
-            .map(|(idx, _)| idx)
-            .collect()
-    }
-
-    /// Rebuilds the capacity sampler over the full roster, weighting
-    /// drained members at zero. Called under the fleet lock by membership
-    /// ops; a fleet whose every active capacity is zero keeps the old
-    /// sampler (writes then fail over and error, same as before).
-    fn rebuild_capacity_sampler(&self, fleet: &FleetMap) {
-        if self.policy != RoutingPolicy::Capacity {
-            return;
-        }
-        let weights: Vec<f64> = fleet
-            .members()
-            .iter()
-            .map(|m| if m.is_active() { m.capacity() } else { 0.0 })
-            .collect();
-        if let Ok(index) = WeightedIndex::new(weights) {
-            *self.capacity_index.lock().expect("capacity sampler lock") = Some(index);
-        }
     }
 
     /// The plan plan-less datasets run under.
@@ -824,28 +722,6 @@ impl Coordinator {
         })
     }
 
-    /// The roster index an ingest for `(name, route)` should try first,
-    /// chosen among `actives` (draining members take no new writes).
-    fn route_start(&self, name: &str, route: &Route, actives: &[usize]) -> usize {
-        match self.policy {
-            // Staggered by name, so datasets do not all start at node 0.
-            RoutingPolicy::RoundRobin => {
-                actives[(fnv64(name) as usize).wrapping_add(route.next_slot()) % actives.len()]
-            }
-            RoutingPolicy::HashDataset => actives[fnv64(name) as usize % actives.len()],
-            RoutingPolicy::Capacity => {
-                // The sampler spans the full roster with drained members
-                // at weight zero, so it already answers in roster indices.
-                let guard = self.capacity_index.lock().expect("capacity sampler lock");
-                let index = guard
-                    .as_ref()
-                    .expect("capacity policy builds its sampler at construction");
-                let mut rng = self.capacity_rng.lock().expect("capacity rng lock");
-                index.sample(&mut *rng)
-            }
-        }
-    }
-
     /// The error for a node that answered with the wrong response kind.
     fn unexpected(&self, node_idx: usize, response: Response) -> EngineError {
         EngineError::Remote {
@@ -971,7 +847,7 @@ impl Coordinator {
 
 /// The fleet as a [`QuerySource`] and a [`WriteSink`]: parts and prices
 /// both come from the nodes ([`Coordinator::ask`]); a batch goes to one
-/// node under the routing policy, or to a whole replica set.
+/// node dealt by capacity, or to a whole replica set.
 struct Fleet<'a>(&'a Coordinator);
 
 impl QuerySource for Fleet<'_> {
@@ -1119,10 +995,10 @@ impl WriteSink for Fleet<'_> {
     /// set and is accepted as soon as *one* replica applied it (a replica
     /// that missed it is repair debt, counted on
     /// `fc_replica_write_failures_total`, healed by the client's own
-    /// retries). At R = 1 it routes to one node under the configured
-    /// policy; an unreachable or still-overloaded node fails over to the
-    /// next active one, and the write fails only when every node refused
-    /// it.
+    /// retries). At R = 1 it goes to one node ([`FleetMap::spread`]); an
+    /// unreachable or still-overloaded node fails over to the next active
+    /// one of positive capacity, and the write fails only when every such
+    /// node refused it.
     ///
     /// Without an `ident`, delivery is at-least-once: a node that dies
     /// after applying but before replying gets the batch re-sent
@@ -1160,22 +1036,14 @@ impl WriteSink for Fleet<'_> {
             }
             return if accepted { Ok(()) } else { Err(last) };
         }
-        let actives = coordinator.active_indices();
-        if actives.is_empty() {
-            return Err(EngineError::Unavailable);
-        }
-        let start = coordinator.route_start(name, route, &actives);
-        let start_pos = actives.iter().position(|&i| i == start).unwrap_or(0);
-        for attempt in 0..actives.len() {
-            let idx = actives[(start_pos + attempt) % actives.len()];
-            // Failover honours the capacity policy's contract: a node
-            // weighted to zero (decommissioning) takes no writes even when
-            // its peers are unreachable.
-            if coordinator.policy == RoutingPolicy::Capacity
-                && coordinator.node_at(idx).capacity() == 0.0
-            {
-                continue;
-            }
+        // Staggered by name, so datasets do not all start at node 0.
+        let position = fnv64(name).wrapping_add(route.next_slot() as u64);
+        let order = coordinator
+            .fleet
+            .lock()
+            .expect("fleet map lock")
+            .spread(position);
+        for idx in order {
             match coordinator.node_request(idx, &request) {
                 Ok(Response::Ingested { .. }) => return Ok(()),
                 Ok(other) => return Err(coordinator.unexpected(idx, other)),
@@ -1378,12 +1246,10 @@ impl Backend for Coordinator {
             );
             nodes.push(Arc::new(NodeHandle::new(
                 addr.to_owned(),
-                capacity,
                 self.timeouts,
                 self.binary_wire,
             )));
             self.metrics.push_node(addr);
-            self.rebuild_capacity_sampler(&fleet);
             (epoch, new_idx, fleet.members().len())
         };
         let mut migrated = 0;
@@ -1458,7 +1324,6 @@ impl Backend for Coordinator {
                     })
                     .collect()
             };
-            self.rebuild_capacity_sampler(&fleet);
             (epoch, drained_idx, fleet.members().len(), moves)
         };
         let mut migrated = 0;
@@ -1753,7 +1618,6 @@ impl std::fmt::Debug for Coordinator {
             .field("nodes", &self.roster())
             .field("replication", &self.replication)
             .field("fleet_epoch", &self.fleet_epoch())
-            .field("policy", &self.policy)
             .field("default_plan", &self.default_plan().to_json())
             .finish_non_exhaustive()
     }
@@ -1791,9 +1655,17 @@ mod tests {
         ServerHandle::bind("127.0.0.1:0", engine).unwrap()
     }
 
-    fn coordinator_over(servers: &[&ServerHandle], policy: RoutingPolicy) -> Coordinator {
+    fn coordinator_over(servers: &[&ServerHandle]) -> Coordinator {
+        weighted_coordinator_over(servers, &vec![1.0; servers.len()])
+    }
+
+    /// A coordinator over `servers`, paired positionally with
+    /// `capacities`.
+    fn weighted_coordinator_over(servers: &[&ServerHandle], capacities: &[f64]) -> Coordinator {
         let mut config = CoordinatorConfig::new(servers.iter().map(|s| s.addr().to_string()));
-        config.policy = policy;
+        for (spec, &capacity) in config.nodes.iter_mut().zip(capacities) {
+            spec.capacity = capacity;
+        }
         config.default_plan = PlanBuilder::new(4)
             .m_scalar(25)
             .method(Method::Uniform)
@@ -1806,7 +1678,7 @@ mod tests {
     fn round_robin_spreads_blocks_and_stats_aggregate_per_node() {
         let a = node_server();
         let b = node_server();
-        let coordinator = coordinator_over(&[&a, &b], RoutingPolicy::RoundRobin);
+        let coordinator = coordinator_over(&[&a, &b]);
         let data = blobs(200);
         for block in data.chunks(200) {
             coordinator.ingest("d", &block, None).unwrap();
@@ -1868,10 +1740,7 @@ mod tests {
     #[test]
     fn equal_capacities_deal_blocks_round_robin_from_the_name_hash() {
         let servers = [node_server(), node_server(), node_server()];
-        let coordinator = coordinator_over(
-            &servers.iter().collect::<Vec<_>>(),
-            RoutingPolicy::RoundRobin,
-        );
+        let coordinator = coordinator_over(&servers.iter().collect::<Vec<_>>());
         for name in ["seq", "another-dataset", "d"] {
             ingest_bitmask_blocks(&coordinator, name);
             let mut expected = [0u64; 3];
@@ -1886,10 +1755,79 @@ mod tests {
     }
 
     #[test]
+    fn spread_shares_follow_capacity() {
+        let a = node_server();
+        let b = node_server();
+        let coordinator = weighted_coordinator_over(&[&a, &b], &[1.0, 3.0]);
+        let point = Dataset::from_flat(vec![0.5, 0.5], 2).unwrap();
+        for _ in 0..400 {
+            coordinator.ingest("shares", &point, None).unwrap();
+        }
+        let points = per_node_points(&coordinator, "shares");
+        assert_eq!(points.iter().sum::<u64>(), 400);
+        assert!((95..=105).contains(&points[0]), "1:3 dealt {points:?}");
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn an_added_zero_capacity_node_takes_no_writes() {
+        for replication in [1, 2] {
+            let servers = [node_server(), node_server(), node_server()];
+            let [a, b, c] = &servers;
+            let mut coordinator = replicated_coordinator(&[a, b]);
+            if replication == 1 {
+                coordinator = coordinator_over(&[a, b]);
+            }
+            Backend::add_node(&coordinator, &c.addr().to_string(), Some(0.0)).unwrap();
+            for d in 0..20 {
+                ingest_bitmask_blocks(&coordinator, &format!("d{d}"));
+                assert!(!coordinator
+                    .replicas_of(&format!("d{d}"))
+                    .contains(&c.addr().to_string()));
+            }
+            assert!(c.engine().dataset_names().is_empty(), "R = {replication}");
+            for server in servers {
+                server.shutdown();
+            }
+        }
+    }
+
+    #[test]
+    fn routing_is_a_function_of_the_name_and_slot_alone() {
+        let capacities = [1.0, 3.0, 2.0];
+        let first = [node_server(), node_server(), node_server()];
+        let second = [node_server(), node_server(), node_server()];
+        let alone = weighted_coordinator_over(&first.iter().collect::<Vec<_>>(), &capacities);
+        let interleaved =
+            weighted_coordinator_over(&second.iter().collect::<Vec<_>>(), &capacities);
+        ingest_bitmask_blocks(&alone, "x");
+        // The same blocks of `x`, with another dataset's writes between them.
+        let other = Dataset::from_flat(vec![1.0, 1.0], 2).unwrap();
+        for b in 0..12 {
+            let flat = (0..1usize << b)
+                .flat_map(|i| [i as f64, b as f64])
+                .collect();
+            interleaved
+                .ingest("x", &Dataset::from_flat(flat, 2).unwrap(), None)
+                .unwrap();
+            for _ in 0..b % 3 {
+                interleaved.ingest("y", &other, None).unwrap();
+            }
+        }
+        let dealt = per_node_points(&alone, "x");
+        assert_eq!(dealt, per_node_points(&interleaved, "x"));
+        assert!(dealt.iter().all(|&mask| mask > 0), "{dealt:?}");
+        for server in first.into_iter().chain(second) {
+            server.shutdown();
+        }
+    }
+
+    #[test]
     fn effective_plan_is_forwarded_to_every_routed_node() {
         let a = node_server();
         let b = node_server();
-        let coordinator = coordinator_over(&[&a, &b], RoutingPolicy::RoundRobin);
+        let coordinator = coordinator_over(&[&a, &b]);
         let plan = PlanBuilder::new(2)
             .m_scalar(10)
             .method(Method::Lightweight)
@@ -1932,28 +1870,10 @@ mod tests {
     }
 
     #[test]
-    fn hash_dataset_policy_pins_a_dataset_to_one_node() {
-        let a = node_server();
-        let b = node_server();
-        let coordinator = coordinator_over(&[&a, &b], RoutingPolicy::HashDataset);
-        for block in blobs(100).chunks(80) {
-            coordinator.ingest("pinned", &block, None).unwrap();
-        }
-        let holders = [&a, &b]
-            .iter()
-            .filter(|s| !s.engine().dataset_names().is_empty())
-            .count();
-        assert_eq!(holders, 1, "hash policy must keep the dataset on one node");
-        a.shutdown();
-        b.shutdown();
-    }
-
-    #[test]
     fn capacity_policy_never_routes_to_zero_capacity_nodes() {
         let a = node_server();
         let b = node_server();
         let mut config = CoordinatorConfig::new([a.addr().to_string(), b.addr().to_string()]);
-        config.policy = RoutingPolicy::Capacity;
         config.nodes[1].capacity = 0.0;
         config.default_plan = PlanBuilder::new(4)
             .m_scalar(25)
@@ -1978,7 +1898,7 @@ mod tests {
     fn mismatched_batch_dimension_is_rejected_before_routing() {
         let a = node_server();
         let b = node_server();
-        let coordinator = coordinator_over(&[&a, &b], RoutingPolicy::RoundRobin);
+        let coordinator = coordinator_over(&[&a, &b]);
         coordinator.ingest("d", &blobs(20), None).unwrap();
         // Round-robin would hand the 3-d batch to whichever node has no
         // copy of `d` yet, silently forking the dataset; the coordinator
@@ -2002,7 +1922,6 @@ mod tests {
             Err(EngineError::InvalidArgument(_))
         ));
         let mut all_zero = CoordinatorConfig::new(["127.0.0.1:1", "127.0.0.1:2"]);
-        all_zero.policy = RoutingPolicy::Capacity;
         all_zero.nodes[0].capacity = 0.0;
         all_zero.nodes[1].capacity = 0.0;
         assert!(matches!(
@@ -2018,18 +1937,9 @@ mod tests {
     }
 
     #[test]
-    fn routing_policy_names_round_trip() {
-        for name in RoutingPolicy::NAMES {
-            let policy: RoutingPolicy = name.parse().unwrap();
-            assert_eq!(policy.to_string(), name);
-        }
-        assert!("fastest".parse::<RoutingPolicy>().is_err());
-    }
-
-    #[test]
     fn unknown_dataset_errors_carry_the_engine_vocabulary() {
         let a = node_server();
-        let coordinator = coordinator_over(&[&a], RoutingPolicy::RoundRobin);
+        let coordinator = coordinator_over(&[&a]);
         assert!(matches!(
             coordinator.coreset("ghost", Some(1), None).unwrap_err(),
             EngineError::UnknownDataset(_)
@@ -2132,7 +2042,7 @@ mod tests {
         for node in [&a, &b] {
             node.engine().ingest("d", &heavy, None).unwrap();
         }
-        let coordinator = coordinator_over(&[&a, &b], RoutingPolicy::RoundRobin);
+        let coordinator = coordinator_over(&[&a, &b]);
         let front = ServerHandle::bind_backend("127.0.0.1:0", Arc::new(coordinator)).unwrap();
         let mut client = ServiceClient::connect(front.addr()).unwrap();
         let stats = client.stats(Some("d")).unwrap();

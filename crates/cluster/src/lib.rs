@@ -18,9 +18,14 @@
 //!   fan-outs multiplex every node exchange over one epoll poller on the
 //!   calling thread ([`fc_service::reactor`]) — zero threads per request,
 //!   however wide the fleet.
-//! - Ingest routes blocks by [`RoutingPolicy`] (round-robin,
-//!   hash-by-dataset, or capacity-weighted), forwarding each dataset's
-//!   effective [`fc_core::plan::Plan`] with every routed batch.
+//! - Ingest places blocks by one rule, whose only input besides the
+//!   names is each node's capacity ([`NodeSpec::capacity`]): at
+//!   replication 1 a dataset's blocks are dealt round-robin over the
+//!   nodes in shares proportional to capacity, and at R ≥ 2 every block
+//!   goes to the dataset's R-member replica set, chosen by
+//!   capacity-weighted rendezvous hashing ([`fc_fleet::FleetMap`]). Each
+//!   routed batch carries the dataset's effective
+//!   [`fc_core::plan::Plan`].
 //! - `compress`/`cluster` fan out in parallel, union the per-node serving
 //!   coresets (the MapReduce aggregation of
 //!   [`fc_core::streaming::mapreduce::aggregate_parts`], over TCP instead
@@ -49,5 +54,5 @@
 pub mod coordinator;
 pub mod node;
 
-pub use coordinator::{Coordinator, CoordinatorConfig, NodeSpec, RoutingPolicy};
+pub use coordinator::{Coordinator, CoordinatorConfig, NodeSpec};
 pub use node::{NodeHandle, NodeTimeouts};

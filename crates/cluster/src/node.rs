@@ -106,11 +106,10 @@ struct NodeState {
     recovering: bool,
 }
 
-/// A remote node: address, routing capacity, connection pool, timeouts,
-/// and health.
+/// A remote node: address, connection pool, timeouts, and health. Its
+/// placement weight lives in the coordinator's [`fc_fleet::FleetMap`].
 pub struct NodeHandle {
     addr: String,
-    capacity: f64,
     timeouts: NodeTimeouts,
     /// Offer every fresh connection the `bin1` upgrade. Nodes that
     /// decline (old binaries, `--wire json`) simply stay on JSON-lines —
@@ -121,21 +120,14 @@ pub struct NodeHandle {
 }
 
 impl NodeHandle {
-    /// A handle for the node at `addr` with the given routing capacity
-    /// (weights the `capacity` routing policy; any positive scale works)
-    /// and socket timeouts. `binary_wire` offers each fresh connection
+    /// A handle for the node at `addr` with the given socket timeouts.
+    /// `binary_wire` offers each fresh connection
     /// the `bin1` upgrade (JSON-lines when the node declines). Health
     /// starts [`NodeHealth::Alive`] optimistically — the first request
     /// corrects it.
-    pub fn new(
-        addr: impl Into<String>,
-        capacity: f64,
-        timeouts: NodeTimeouts,
-        binary_wire: bool,
-    ) -> Self {
+    pub fn new(addr: impl Into<String>, timeouts: NodeTimeouts, binary_wire: bool) -> Self {
         Self {
             addr: addr.into(),
-            capacity,
             timeouts,
             binary_wire,
             pool: Mutex::new(Vec::new()),
@@ -150,11 +142,6 @@ impl NodeHandle {
     /// The node's identity: the address the coordinator dials.
     pub fn addr(&self) -> &str {
         &self.addr
-    }
-
-    /// The node's routing capacity weight.
-    pub fn capacity(&self) -> f64 {
-        self.capacity
     }
 
     /// The socket timeouts this node is driven under.
@@ -352,7 +339,6 @@ impl std::fmt::Debug for NodeHandle {
         let (health, last_error) = self.health();
         f.debug_struct("NodeHandle")
             .field("addr", &self.addr)
-            .field("capacity", &self.capacity)
             .field("timeouts", &self.timeouts)
             .field("health", &health)
             .field("last_error", &last_error)

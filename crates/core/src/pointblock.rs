@@ -120,13 +120,6 @@ impl PointBlock {
         }
     }
 
-    /// Approximate wire/heap size of the block in bytes (coordinates +
-    /// weights); used by the engine's ingest coalescing thresholds.
-    pub fn byte_len(&self) -> usize {
-        let w = self.weights.as_ref().map_or(0, Vec::len);
-        (self.data.len() + w) * std::mem::size_of::<f64>()
-    }
-
     /// Iterates rows as slices (no allocation).
     pub fn rows(&self) -> impl Iterator<Item = &[f64]> {
         self.data.chunks_exact(self.dim)
@@ -155,13 +148,5 @@ mod tests {
         assert!(PointBlock::new(vec![f64::NAN, 0.0], 2, None).is_err());
         assert!(PointBlock::new(vec![1.0, 2.0], 2, Some(vec![1.0, 2.0])).is_err());
         assert!(PointBlock::new(vec![1.0, 2.0], 2, Some(vec![-1.0])).is_err());
-    }
-
-    #[test]
-    fn byte_len_counts_weights() {
-        let unweighted = PointBlock::new(vec![0.0; 6], 3, None).unwrap();
-        assert_eq!(unweighted.byte_len(), 48);
-        let weighted = PointBlock::new(vec![0.0; 6], 3, Some(vec![1.0, 1.0])).unwrap();
-        assert_eq!(weighted.byte_len(), 64);
     }
 }

@@ -3,12 +3,15 @@
 //! The coordinator used to hold an ad-hoc node list and route each block
 //! to exactly one node. `fc-fleet` replaces that with a versioned
 //! [`FleetMap`]: an epoch-numbered membership roster plus a deterministic
-//! dataset→replica-set assignment. Placement is rendezvous (highest
-//! random weight) hashing, so membership changes move the minimum number
-//! of datasets: adding a member only pulls in datasets that now rank it
-//! in their top `R`, and draining a member only re-homes the datasets it
-//! actually held — every other replica set is byte-identical before and
-//! after.
+//! dataset→replica-set assignment. Placement is weighted rendezvous
+//! (highest random weight) hashing, so membership changes move the
+//! minimum number of datasets: adding a member only pulls in datasets that
+//! now rank it in their top `R`, and draining a member only re-homes the
+//! datasets it actually held — every other replica set is byte-identical
+//! before and after. At `R = 1` a dataset's blocks are instead dealt
+//! round-robin over the members ([`FleetMap::spread`]). Either way a
+//! member's capacity is its share: the only input to placement besides
+//! the names, and zero takes nothing.
 //!
 //! The map itself is plain data (no I/O, no locking); the coordinator
 //! owns one behind its own lock and bumps the epoch on every membership
@@ -47,7 +50,9 @@ impl Member {
         &self.addr
     }
 
-    /// Routing capacity weight (informational; placement is rendezvous).
+    /// Placement weight: the member's share of replica sets and of spread
+    /// blocks, relative to its peers (any non-negative scale; zero takes
+    /// no data while a positive-capacity member can).
     pub fn capacity(&self) -> f64 {
         self.capacity
     }
@@ -216,26 +221,90 @@ impl FleetMap {
     }
 
     /// The replica set for `dataset` at the current epoch: the top-R
-    /// active members by rendezvous weight, returned in roster (tenure)
-    /// order — callers prefer earlier indices for reads, which keeps the
-    /// longest-lived copy first. Fewer than R active members means every
-    /// active member is a replica. Deterministic for a given roster.
+    /// active members by weighted rendezvous score `c / −ln u` (capacity
+    /// `c`, `u` uniform in (0, 1) from the member's hash), returned in
+    /// roster (tenure) order — callers prefer earlier indices for reads,
+    /// which keeps the longest-lived copy first. A member ranks first
+    /// with probability proportional to its capacity; zero capacity
+    /// ranks below every positive one. Fewer than R active members means
+    /// every active member is a replica. Deterministic for a given
+    /// roster, and at equal capacities the plain ranking by hash.
     pub fn replicas(&self, dataset: &str) -> Vec<usize> {
         let dataset_h = fnv64(dataset.as_bytes());
-        let mut ranked: Vec<(u64, usize)> = self
+        let mut ranked: Vec<(f64, u64, usize)> = self
             .members
             .iter()
             .enumerate()
             .filter(|(_, m)| m.is_active())
-            .map(|(i, m)| (rendezvous_weight(dataset_h, fnv64(m.addr.as_bytes())), i))
+            .map(|(i, m)| {
+                let hash = rendezvous_weight(dataset_h, fnv64(m.addr.as_bytes()));
+                // The top 52 bits, centred in their cell: exact, and
+                // strictly inside (0, 1), so the logarithm is negative.
+                let u = ((hash >> 12) as f64 + 0.5) / (1u64 << 52) as f64;
+                (m.capacity / -u.ln(), hash, i)
+            })
             .collect();
-        // Highest weight wins; index breaks (astronomically unlikely)
-        // weight ties so the ranking is total.
-        ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        // Highest score wins. The score is monotone in the hash at equal
+        // capacities, so breaking its ties on the hash keeps that ranking
+        // exact; the index breaks (astronomically unlikely) hash ties.
+        ranked.sort_by(|a, b| b.0.total_cmp(&a.0).then(b.1.cmp(&a.1)).then(a.2.cmp(&b.2)));
         ranked.truncate(self.replication);
-        let mut set: Vec<usize> = ranked.into_iter().map(|(_, i)| i).collect();
+        let mut set: Vec<usize> = ranked.into_iter().map(|(.., i)| i).collect();
         set.sort_unstable();
         set
+    }
+
+    /// Where the block at position `j` of a deal goes when the fleet
+    /// spreads blocks instead of replicating them: the pick first, then
+    /// the following active members in roster order (wrapping) to fail
+    /// over to. Zero-capacity members are never listed; empty means no
+    /// active member has capacity. A caller deals a dataset's blocks at
+    /// consecutive positions from a start of its own (the coordinator
+    /// staggers datasets by name hash).
+    ///
+    /// The pick deals positions round-robin over the `n` active members
+    /// and spreads each member's turn over a window of the capacity line
+    /// so that shares follow capacity: member `i` owns
+    /// `w_i = round(c_i / c_max · 2³²)` of a line of length `W = Σ w`,
+    /// position `j` lands at
+    /// `T = (j mod n) · ⌊W/n⌋ + frac(⌊j/n⌋ · φ) · ⌊W/n⌋` (φ the 64-bit
+    /// golden-ratio step), and the owner of `T` takes the block. At equal
+    /// capacities every window is one member, so the pick is the
+    /// `(j mod n)`-th active member exactly. No RNG and no state: a
+    /// position always lands in the same place.
+    pub fn spread(&self, j: u64) -> Vec<usize> {
+        let actives: Vec<(usize, f64)> = self
+            .members
+            .iter()
+            .enumerate()
+            .filter(|(_, m)| m.is_active())
+            .map(|(i, m)| (i, m.capacity))
+            .collect();
+        let top = actives.iter().fold(0.0, |top: f64, &(_, c)| top.max(c));
+        if top <= 0.0 {
+            return Vec::new();
+        }
+        let shares: Vec<u64> = actives
+            .iter()
+            .map(|&(_, c)| (c / top * (1u64 << 32) as f64).round() as u64)
+            .collect();
+        let n = actives.len() as u64;
+        let width = shares.iter().sum::<u64>() / n;
+        let step = (j / n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let t = (j % n) * width + ((u128::from(step) * u128::from(width)) >> 64) as u64;
+        let mut line = 0;
+        let pick = shares
+            .iter()
+            .position(|&share| {
+                line += share;
+                t < line
+            })
+            .expect("T < n·⌊W/n⌋ ≤ W");
+        (0..actives.len())
+            .map(|k| actives[(pick + k) % actives.len()])
+            .filter(|&(_, c)| c > 0.0)
+            .map(|(i, _)| i)
+            .collect()
     }
 }
 
@@ -423,6 +492,100 @@ mod tests {
             }
         }
         assert!(moved > 0, "drain test never exercised a move");
+    }
+
+    /// A fleet of `capacities.len()` members at those capacities.
+    fn weighted(capacities: &[f64], r: usize) -> FleetMap {
+        FleetMap::bootstrap(
+            capacities
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| (format!("10.0.0.{i}:9000"), c)),
+            r,
+        )
+        .expect("bootstrap fleet")
+    }
+
+    #[test]
+    fn zero_capacity_members_hold_no_replicas() {
+        for (capacities, r) in [
+            (&[1.0, 0.0, 1.0][..], 1),
+            (&[1.0, 0.0, 1.0][..], 2),
+            (&[0.0, 2.0, 1.0, 0.0, 5.0][..], 3),
+        ] {
+            let map = weighted(capacities, r);
+            for d in 0..1_000 {
+                let set = map.replicas(&format!("dataset-{d}"));
+                assert_eq!(set.len(), r);
+                assert!(
+                    set.iter().all(|&i| capacities[i] > 0.0),
+                    "{capacities:?} R = {r}: {set:?}"
+                );
+            }
+        }
+        // Short of R positive members, zero capacity still fills the set.
+        assert_eq!(weighted(&[1.0, 0.0], 2).replicas("d"), vec![0, 1]);
+    }
+
+    #[test]
+    fn capacities_weight_single_replica_placement() {
+        let map = weighted(&[1.0, 3.0], 1);
+        let mut hits = [0usize; 2];
+        for d in 0..4_000 {
+            hits[map.replicas(&format!("dataset-{d}"))[0]] += 1;
+        }
+        // 1 000 expected on the first member; ±3 standard deviations.
+        assert!((920..=1_080).contains(&hits[0]), "1:3 placed {hits:?}");
+    }
+
+    #[test]
+    fn equal_capacities_spread_round_robin() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for n in 1..=7 {
+            let map = weighted(&vec![2.0; n], 1);
+            for k in 0..200_000u64 {
+                // Sequential positions, then random 64-bit ones.
+                let j = if k < 100_000 {
+                    fnv64(b"dataset").wrapping_add(k)
+                } else {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state
+                };
+                let order = map.spread(j);
+                let first = (j % n as u64) as usize;
+                let expected: Vec<usize> = (0..n).map(|i| (first + i) % n).collect();
+                assert_eq!(order, expected, "n = {n}, j = {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn spread_shares_follow_capacity_and_skip_zero() {
+        let map = weighted(&[1.0, 3.0], 1);
+        let mut hits = [0usize; 2];
+        for j in 0..4_000 {
+            hits[map.spread(j)[0]] += 1;
+        }
+        assert!((990..=1_010).contains(&hits[0]), "1:3 spread {hits:?}");
+
+        let mut map = weighted(&[2.0, 0.0, 1.0, 1.0], 1);
+        let mut hits = [0usize; 5];
+        for j in u64::MAX - 1_999..=u64::MAX {
+            let order = map.spread(j);
+            assert_eq!(order.len(), 3, "every positive member, once");
+            assert!(!order.contains(&1), "zero capacity listed: {order:?}");
+            hits[order[0]] += 1;
+        }
+        assert!((990..=1_010).contains(&hits[0]), "2:0:1:1 spread {hits:?}");
+        // A drained member leaves the deal; all-zero actives list nobody.
+        map.add_member("10.0.0.9:9000", 0.0).expect("add");
+        map.drain_member("10.0.0.0:9000").expect("drain");
+        assert!((0..100).all(|j| !map.spread(j).contains(&0)));
+        map.drain_member("10.0.0.2:9000").expect("drain");
+        map.drain_member("10.0.0.3:9000").expect("drain");
+        assert!(map.spread(0).is_empty());
     }
 
     #[test]

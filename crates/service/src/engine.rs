@@ -50,7 +50,8 @@ use crate::protocol::{DatasetStats, IngestIdent, ServerStats};
 use crate::query::{QueryPath, QuerySource, QueryState};
 
 /// Engine configuration: sharding, the default per-dataset [`Plan`]
-/// (serving size, method/solver selection), and the quality target.
+/// (serving size, method/solver selection), ingest coalescing, durability
+/// and the query cache.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Worker threads (= independent coreset streams) per dataset.
@@ -77,10 +78,6 @@ pub struct EngineConfig {
     /// a few levels of summaries) from whatever `k`/`m_scalar` end up being,
     /// so struct-update overrides of those fields keep a sensible budget.
     pub compaction_budget: Option<usize>,
-    /// The distortion the served coresets are expected to stay within on
-    /// clusterable data — the engine's advertised quality bound, asserted
-    /// by the integration tests.
-    pub distortion_bound: f64,
     /// Base of the deterministic seed sequence for requests that carry no
     /// explicit seed.
     pub base_seed: u64,
@@ -91,15 +88,11 @@ pub struct EngineConfig {
     /// Zero (the default) disables the points trigger. Durability is
     /// unchanged: a batch is logged before it is parked.
     pub batch_points: usize,
-    /// Size trigger for the coalescing buffer, in bytes of point data
-    /// (8 bytes per coordinate). Zero disables the bytes trigger.
-    pub batch_bytes: usize,
     /// Age bound for the coalescing buffer: a background flusher hands
     /// pending batches to their shard once the oldest has waited this
     /// long, so a stalling write stream cannot delay earlier acked data
     /// indefinitely. Zero disables the deadline (queries still flush
-    /// on demand). Batching is active when any of the three knobs is
-    /// non-zero.
+    /// on demand). Batching is active when either knob is non-zero.
     pub batch_delay: Duration,
     /// Durability: when set, every acknowledged ingest batch is written to
     /// a per-shard write-ahead log under `data_dir` before it is queued,
@@ -108,13 +101,6 @@ pub struct EngineConfig {
     /// tail replay). `None` (the default) keeps the engine purely
     /// in-memory.
     pub persist: Option<PersistConfig>,
-    /// Worker-thread count query-path kernels (serving compressions,
-    /// solver refinement, cost pricing) fan out to, via
-    /// [`fc_core::par::with_threads`]. `0` (the default) inherits the
-    /// process-wide knob (`FC_SOLVE_THREADS` / `--solve-threads`, falling
-    /// back to the hardware parallelism). Results are bit-identical at
-    /// every value; only wall-clock time changes.
-    pub solve_threads: usize,
     /// Capacity of the query result cache (see [`crate::query`]); `0`
     /// disables caching entirely.
     pub cache_capacity: usize,
@@ -131,13 +117,10 @@ impl Default for EngineConfig {
             method: Method::FastCoreset,
             solver: Solver::Lloyd,
             compaction_budget: None,
-            distortion_bound: 1.5,
             base_seed: 0x0C0D_E5E7,
             batch_points: 0,
-            batch_bytes: 0,
             batch_delay: Duration::ZERO,
             persist: None,
-            solve_threads: 0,
             cache_capacity: 64,
         }
     }
@@ -146,7 +129,7 @@ impl Default for EngineConfig {
 impl EngineConfig {
     /// Whether ingest coalescing is on (any batching knob non-zero).
     pub fn batching_enabled(&self) -> bool {
-        self.batch_points > 0 || self.batch_bytes > 0 || !self.batch_delay.is_zero()
+        self.batch_points > 0 || !self.batch_delay.is_zero()
     }
 }
 
@@ -1066,12 +1049,7 @@ impl Engine {
         } else {
             None
         };
-        let query = QueryPath::new(
-            &telemetry.registry,
-            config.cache_capacity,
-            config.base_seed,
-            config.solve_threads,
-        );
+        let query = QueryPath::new(&telemetry.registry, config.cache_capacity, config.base_seed);
         let engine = Self {
             config,
             write,
@@ -1525,10 +1503,7 @@ impl WriteSink for Shards<'_> {
         });
         if let Some(pending) = pending.as_deref_mut() {
             let points = pending.weights.len() + batch.len();
-            let bytes = points * entry.ledger.dim() * std::mem::size_of::<f64>();
-            let trigger = (config.batch_points > 0 && points >= config.batch_points)
-                || (config.batch_bytes > 0 && bytes >= config.batch_bytes);
-            if !trigger {
+            if config.batch_points == 0 || points < config.batch_points {
                 pending.push(batch, seq, idents);
                 return Ok(());
             }
@@ -1621,9 +1596,9 @@ impl Drop for Engine {
 
 /// FNV-1a over a name — the workspace's one stable string hash: the
 /// engine derives per-(dataset, shard) RNG seeds from it, and the
-/// `fc-cluster` coordinator staggers round-robin starts and pins
-/// hash-dataset routing with it. One definition, so seeding and routing
-/// can never silently diverge.
+/// `fc-cluster` coordinator starts each dataset's deal over its nodes
+/// from it. One definition, so seeding and routing can never silently
+/// diverge.
 pub fn fnv64(s: &str) -> u64 {
     // Delegates to fc-persist, whose on-disk dataset directories are named
     // by the same hash — a divergence would orphan persisted state.

@@ -90,3 +90,9 @@ pub use protocol::{
 };
 pub use query::{QueryPath, QuerySource, QueryState};
 pub use server::{IoModel, ServerHandle, ServerOptions};
+
+/// The distortion a served coreset stays within on clusterable data: the
+/// service's advertised quality bound. Nothing in the serving path reads
+/// it; the integration tests and the distributed example assert it, on
+/// an engine and through a coordinator alike.
+pub const DISTORTION_BOUND: f64 = 1.5;

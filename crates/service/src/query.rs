@@ -181,8 +181,6 @@ pub struct QueryPath {
     cache: QueryCache<QueryKey, QueryValue>,
     base_seed: u64,
     seed_counter: AtomicU64,
-    /// Worker threads query kernels fan out to (0 = inherit).
-    solve_threads: usize,
     total_queries: AtomicU64,
     coreset_seconds: Histogram,
     cluster_seconds: Histogram,
@@ -198,12 +196,7 @@ impl QueryPath {
     /// A query path registering its metrics in `registry`. `base_seed`
     /// starts the sequence assigned to unseeded requests and selects the
     /// Ω `cost` prices on.
-    pub fn new(
-        registry: &Registry,
-        cache_capacity: usize,
-        base_seed: u64,
-        solve_threads: usize,
-    ) -> Self {
+    pub fn new(registry: &Registry, cache_capacity: usize, base_seed: u64) -> Self {
         let op_seconds = |op: &str| {
             registry.histogram_with_edges(
                 &labeled("fc_op_seconds", &[("op", op)]),
@@ -214,7 +207,6 @@ impl QueryPath {
             cache: QueryCache::new(cache_capacity),
             base_seed,
             seed_counter: AtomicU64::new(0),
-            solve_threads,
             total_queries: AtomicU64::new(0),
             coreset_seconds: op_seconds("coreset"),
             cluster_seconds: op_seconds("cluster"),
@@ -381,15 +373,15 @@ impl QueryPath {
         })
     }
 
-    /// One request: pinned to the configured worker count, timed into
-    /// `seconds` whatever the outcome, counted as a query on success.
+    /// One request: timed into `seconds` whatever the outcome, counted as
+    /// a query on success.
     fn run<T>(
         &self,
         seconds: &Histogram,
         op: impl FnOnce() -> Result<T, EngineError>,
     ) -> Result<T, EngineError> {
         let started = Instant::now();
-        let out = par::with_threads(self.solve_threads, op);
+        let out = op();
         seconds.observe(started.elapsed());
         if out.is_ok() {
             self.total_queries.fetch_add(1, Ordering::Relaxed);
@@ -578,7 +570,7 @@ mod tests {
     }
 
     fn path(cache_capacity: usize) -> QueryPath {
-        QueryPath::new(&Registry::new(), cache_capacity, 100, 1)
+        QueryPath::new(&Registry::new(), cache_capacity, 100)
     }
 
     fn probes(path: &QueryPath) -> (u64, u64) {

@@ -95,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("cost on unioned coreset: {:.1}", result.coreset_cost);
     println!("distortion ratio:        {ratio:.4}");
     assert!(
-        ratio < EngineConfig::default().distortion_bound,
+        ratio < fc_service::DISTORTION_BOUND,
         "distributed aggregation must stay within the distortion bound"
     );
 

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! fc-coordinator --node HOST:PORT [--node HOST:PORT ...]
-//!                [--addr HOST:PORT] [--policy round-robin|hash-dataset|capacity]
-//!                [--replication R]
+//!                [--addr HOST:PORT] [--replication R]
 //!                [--capacity W ...] [--retries N] [--node-timeout-ms MS]
 //!                [--k K] [--m-scalar M] [--budget POINTS] [--kmedian]
 //!                [--method NAME] [--solver NAME]
@@ -18,7 +17,11 @@
 //! Speaks the `fc-service` JSON-lines protocol upward (the same protocol
 //! `fc-server` serves — clients cannot tell the difference) and downward
 //! to every `--node`. Each `--capacity` pairs positionally with a
-//! `--node` and weights the `capacity` routing policy; `--retries` bounds
+//! `--node` and is its share of the data (default 1 each; zero takes no
+//! writes, and at least one must be positive): at `--replication 1` a
+//! dataset's blocks are dealt round-robin over the nodes in proportion to
+//! capacity, and at R ≥ 2 its replica sets are chosen by
+//! capacity-weighted rendezvous hashing. `--retries` bounds
 //! the per-request backoff on `overloaded` nodes; `--node-timeout-ms`
 //! bounds every read and write against a node (a hung node degrades a
 //! query instead of wedging it; connect keeps its own 2 s default). The
@@ -34,17 +37,19 @@
 //! latency attribution per fleet node; the JSON `metrics` op also embeds
 //! every node's registry under `"nodes"`).
 //!
-//! `--solve-threads` sets the worker-thread count for the coordinator's
-//! own compute (coreset aggregation and the final solve) — equivalent to
-//! `FC_SOLVE_THREADS`, bit-identical results at every setting.
+//! `--solve-threads` sets the process-wide worker-thread count for the
+//! coordinator's own compute (coreset aggregation and the final solve) —
+//! equivalent to `FC_SOLVE_THREADS`, bit-identical results at every
+//! setting.
 //! `--cache-capacity` bounds the coordinator's memoized query results,
 //! keyed by dataset version, fleet epoch, and node health, so ingests,
 //! membership changes, and observed health flips all invalidate (`0`
 //! disables; default 64).
 //!
 //! `--replication R` (default 1) turns routing into R-way replicated
-//! placement: every dataset is assigned R replicas by rendezvous hashing
-//! over the fleet map, ingest fans each batch to all of them, and queries
+//! placement: every dataset is assigned R replicas by capacity-weighted
+//! rendezvous hashing over the fleet map, ingest fans each batch to all
+//! of them, and queries
 //! answer from any live replica — the fleet serves with any single node
 //! down. The `add_node`/`drain_node` wire ops (exposed through any
 //! `ServiceClient`) grow and shrink the fleet live: each bumps the
@@ -68,7 +73,7 @@
 //! the upgrade on the upward listener; `json` pins both to JSON-lines.
 
 use fast_coresets::cli::{self, ServingFlags};
-use fc_cluster::{Coordinator, CoordinatorConfig, NodeTimeouts, RoutingPolicy};
+use fc_cluster::{Coordinator, CoordinatorConfig, NodeTimeouts};
 use fc_core::plan::PlanBuilder;
 use fc_service::{RetryPolicy, ServerHandle};
 use std::sync::Arc;
@@ -80,8 +85,7 @@ const WIRE_ON: &str = "bin1";
 fn usage() -> ! {
     eprintln!(
         "usage: fc-coordinator --node HOST:PORT [--node HOST:PORT ...] \
-         [--addr HOST:PORT] [--policy round-robin|hash-dataset|capacity] \
-         [--replication R] \
+         [--addr HOST:PORT] [--replication R] \
          [--capacity W ...] [--retries N] [--node-timeout-ms MS] {} \
          [--metrics-addr HOST:PORT] [--version]",
         cli::usage(WIRE_ON)
@@ -93,7 +97,6 @@ struct Args {
     addr: String,
     nodes: Vec<String>,
     capacities: Vec<f64>,
-    policy: RoutingPolicy,
     replication: usize,
     retries: u32,
     node_timeout_ms: Option<u64>,
@@ -108,7 +111,6 @@ fn parse_args() -> Args {
         addr: "127.0.0.1:4778".to_owned(),
         nodes: Vec::new(),
         capacities: Vec::new(),
-        policy: RoutingPolicy::RoundRobin,
         replication: 1,
         retries: RetryPolicy::default().attempts,
         node_timeout_ms: None,
@@ -127,12 +129,6 @@ fn parse_args() -> Args {
             "--capacity" => parsed
                 .capacities
                 .push(value("weight").parse().unwrap_or_else(|_| usage())),
-            "--policy" => {
-                parsed.policy = value("policy name").parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage()
-                });
-            }
             "--replication" => {
                 parsed.replication = value("factor").parse().unwrap_or_else(|_| usage());
             }
@@ -187,7 +183,6 @@ fn main() {
         }
     };
     let mut config = CoordinatorConfig::new(args.nodes.clone());
-    config.policy = args.policy;
     config.replication = args.replication;
     config.default_plan = default_plan;
     config.binary_wire = serving.options.binary_wire;
@@ -195,7 +190,6 @@ fn main() {
         attempts: args.retries.max(1),
         ..RetryPolicy::default()
     };
-    config.solve_threads = serving.solve_threads;
     config.cache_capacity = serving.cache_capacity;
     if let Some(ms) = args.node_timeout_ms {
         let limit = Duration::from_millis(ms);
@@ -218,7 +212,6 @@ fn main() {
         }
     };
     let plan_json = coordinator.default_plan().to_json();
-    let policy = coordinator.policy();
     let handle = match ServerHandle::bind_backend_with(
         args.addr.as_str(),
         Arc::clone(&coordinator) as Arc<dyn fc_service::Backend>,
@@ -246,7 +239,7 @@ fn main() {
         }
     });
     println!(
-        "fc-coordinator {} listening on {} (io={}, nodes=[{}], policy={policy}, \
+        "fc-coordinator {} listening on {} (io={}, nodes=[{}], \
          replication={}, epoch={}, max-connections={}, request-deadline={}, \
          default plan {plan_json})",
         fast_coresets::VERSION,

@@ -9,7 +9,7 @@
 //!           [--executor-threads N]
 //!           [--max-connections N] [--request-deadline-ms N]
 //!           [--wire auto|json]
-//!           [--batch-points N] [--batch-bytes N] [--batch-delay-ms N]
+//!           [--batch-points N] [--batch-delay-ms N]
 //!           [--metrics-addr HOST:PORT]
 //!           [--data-dir PATH] [--fsync always|interval|never]
 //!           [--fsync-interval-ms N] [--segment-bytes N]
@@ -22,9 +22,10 @@
 //! `fast-coreset`, `uniform`, `merge-reduce(lightweight)`; `lloyd`,
 //! `local-search`) — the same strings the JSON protocol accepts per request.
 //!
-//! `--solve-threads` sets the worker-thread count for the parallel
-//! query-path kernels (assignment, accumulation, sensitivity passes) —
-//! equivalent to the `FC_SOLVE_THREADS` environment variable, default =
+//! `--solve-threads` sets the process-wide worker-thread count for the
+//! parallel kernels (assignment, accumulation, sensitivity passes, on
+//! queries and in shard compactions alike) — equivalent to the
+//! `FC_SOLVE_THREADS` environment variable, default =
 //! hardware threads, `1` = the plain sequential path. Results are
 //! bit-identical at every setting. `--cache-capacity` bounds the
 //! engine's memoized query results (`0` disables the cache; default 64).
@@ -50,9 +51,9 @@
 //! `--wire json` declines every upgrade, pinning the server to the
 //! JSON-lines text protocol (clients fall back automatically).
 //!
-//! `--batch-points`/`--batch-bytes`/`--batch-delay-ms` turn on per-shard
-//! ingest coalescing: acknowledged batches are buffered until a size
-//! trigger fires or the oldest waits out the delay, then handed to the
+//! `--batch-points`/`--batch-delay-ms` turn on per-shard ingest
+//! coalescing: acknowledged batches are buffered until that many points
+//! are pending or the oldest waits out the delay, then handed to the
 //! shard worker as one block. Durability ordering is unchanged — with
 //! `--data-dir`, every batch is WAL-appended before its acknowledgement.
 //!
@@ -83,7 +84,7 @@ const WIRE_ON: &str = "auto";
 fn usage() -> ! {
     eprintln!(
         "usage: fc-server [--addr HOST:PORT] [--shards N] [--queue-depth N] {} \
-         [--batch-points N] [--batch-bytes N] [--batch-delay-ms N] \
+         [--batch-points N] [--batch-delay-ms N] \
          [--metrics-addr HOST:PORT] [--data-dir PATH] \
          [--fsync always|interval|never] [--fsync-interval-ms N] \
          [--segment-bytes N] [--snapshot-compactions N] \
@@ -175,9 +176,6 @@ fn parse_args() -> (String, EngineConfig, ServerOptions, Option<String>) {
             "--batch-points" => {
                 config.batch_points = value("count").parse().unwrap_or_else(|_| usage());
             }
-            "--batch-bytes" => {
-                config.batch_bytes = value("bytes").parse().unwrap_or_else(|_| usage());
-            }
             "--batch-delay-ms" => {
                 config.batch_delay = Duration::from_millis(
                     value("milliseconds").parse().unwrap_or_else(|_| usage()),
@@ -221,7 +219,6 @@ fn parse_args() -> (String, EngineConfig, ServerOptions, Option<String>) {
     config.kind = serving.kind;
     config.method = serving.method;
     config.solver = serving.solver;
-    config.solve_threads = serving.solve_threads;
     config.cache_capacity = serving.cache_capacity;
     config.persist = persist.build();
     (addr, config, serving.options, metrics_addr)

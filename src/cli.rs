@@ -28,8 +28,6 @@ pub struct ServingFlags {
     pub method: Method,
     /// `--solver`.
     pub solver: Solver,
-    /// `--solve-threads` (0 = unset).
-    pub solve_threads: usize,
     /// `--cache-capacity`.
     pub cache_capacity: usize,
 }
@@ -46,7 +44,6 @@ impl Default for ServingFlags {
             kind: engine.kind,
             method: engine.method,
             solver: engine.solver,
-            solve_threads: engine.solve_threads,
             cache_capacity: engine.cache_capacity,
         }
     }
@@ -116,9 +113,8 @@ impl ServingFlags {
                     eprintln!("--solve-threads needs a positive count");
                     usage();
                 }
-                self.solve_threads = threads;
-                // Also pin the process-wide default so compute outside the
-                // query path (shard compactions) honours the same knob.
+                // Process-wide: every kernel, on the query path and in the
+                // shard workers alike, reads this one setting.
                 fc_geom::par::set_max_threads(threads);
             }
             "--cache-capacity" => self.cache_capacity = number(value("count"), usage),

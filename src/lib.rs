@@ -95,7 +95,7 @@ pub use fc_service;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use fc_cluster::{Coordinator, CoordinatorConfig, RoutingPolicy};
+    pub use fc_cluster::{Coordinator, CoordinatorConfig};
     pub use fc_clustering::lloyd::LloydConfig;
     pub use fc_clustering::solver::{SolveConfig, Solver, SolverError};
     pub use fc_clustering::{CostKind, LocalSearchConfig};

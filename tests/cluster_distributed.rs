@@ -47,7 +47,7 @@ fn coordinator_front(nodes: &[&ServerHandle]) -> ServerHandle {
 #[test]
 fn coordinator_matches_single_server_within_distortion_bound() {
     let k = 4;
-    let bound = EngineConfig::default().distortion_bound;
+    let bound = fc_service::DISTORTION_BOUND;
     let plan = PlanBuilder::new(k)
         .m_scalar(25)
         .method(Method::FastCoreset)

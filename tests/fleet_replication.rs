@@ -176,7 +176,7 @@ fn sigkill_replica_with_retries_keeps_totals_exact() {
 #[test]
 fn any_single_node_down_answers_within_distortion_bound() {
     let k = 4;
-    let bound = EngineConfig::default().distortion_bound;
+    let bound = fc_service::DISTORTION_BOUND;
     let data = four_blobs(300);
     let plan = PlanBuilder::new(k)
         .m_scalar(25)

@@ -39,7 +39,7 @@ fn concurrent_clients_ingest_and_query_within_distortion_bound() {
         shards: 3,
         ..Default::default()
     };
-    let bound = config.distortion_bound;
+    let bound = fc_service::DISTORTION_BOUND;
     let server = ServerHandle::bind("127.0.0.1:0", Engine::new(config).unwrap()).unwrap();
     let addr = server.addr();
 
