@@ -23,10 +23,9 @@
 //! With `replication >= 2` the coordinator switches from spread routing to
 //! *placement*: an [`fc_fleet::FleetMap`] assigns each dataset an R-member
 //! replica set (capacity-weighted rendezvous hashing over the roster),
-//! ingest fans each
-//! batch to every replica (coreset composability makes an R-way copy just
-//! R ingests), and queries read from any single live replica instead of
-//! unioning the fleet. `add-node` / `drain-node` bump the map's epoch and
+//! ingest fans each batch to every replica (coreset composability makes
+//! an R-way copy just R ingests), and queries read from any single live
+//! replica instead of unioning the fleet. `add-node` / `drain-node` bump the map's epoch and
 //! migrate serving coresets — not raw data — onto the members the new map
 //! ranks; requests asserting a stale epoch get a structured `wrong_epoch`.
 //!
@@ -121,9 +120,9 @@ pub struct CoordinatorConfig {
     /// coordinator spreads blocks over the nodes by capacity and unions
     /// the fleet's coresets per query. At 2+ it switches to fleet
     /// placement: each dataset lives on the R members its name
-    /// rendezvous-hashes to (weighted by capacity),
-    /// ingest fans each batch to all of them, and queries answer from any
-    /// single live replica — so any R−1 node failures lose nothing.
+    /// rendezvous-hashes to (weighted by capacity), ingest fans each batch
+    /// to all of them, and queries answer from any single live replica —
+    /// so any R−1 node failures lose nothing.
     pub replication: usize,
     /// Capacity of the query result cache (see [`fc_service::query`];
     /// default 64, 0 disables it). Ingests, membership changes and health
@@ -1775,10 +1774,10 @@ mod tests {
         for replication in [1, 2] {
             let servers = [node_server(), node_server(), node_server()];
             let [a, b, c] = &servers;
-            let mut coordinator = replicated_coordinator(&[a, b]);
-            if replication == 1 {
-                coordinator = coordinator_over(&[a, b]);
-            }
+            let coordinator = match replication {
+                1 => coordinator_over(&[a, b]),
+                _ => replicated_coordinator(&[a, b]),
+            };
             Backend::add_node(&coordinator, &c.addr().to_string(), Some(0.0)).unwrap();
             for d in 0..20 {
                 ingest_bitmask_blocks(&coordinator, &format!("d{d}"));

@@ -21,10 +21,10 @@
 //! writes, and at least one must be positive): at `--replication 1` a
 //! dataset's blocks are dealt round-robin over the nodes in proportion to
 //! capacity, and at R ≥ 2 its replica sets are chosen by
-//! capacity-weighted rendezvous hashing. `--retries` bounds
-//! the per-request backoff on `overloaded` nodes; `--node-timeout-ms`
-//! bounds every read and write against a node (a hung node degrades a
-//! query instead of wedging it; connect keeps its own 2 s default). The
+//! capacity-weighted rendezvous hashing. `--retries` bounds the
+//! per-request backoff on `overloaded` nodes; `--node-timeout-ms` bounds
+//! every read and write against a node (a hung node degrades a query
+//! instead of wedging it; connect keeps its own 2 s default). The
 //! plan flags (`--k`/`--m-scalar`/`--budget`/`--kmedian`/`--method`/
 //! `--solver`) define the default per-dataset plan, forwarded to the
 //! nodes with every routed batch — node-side defaults never leak in. The
@@ -49,9 +49,8 @@
 //! `--replication R` (default 1) turns routing into R-way replicated
 //! placement: every dataset is assigned R replicas by capacity-weighted
 //! rendezvous hashing over the fleet map, ingest fans each batch to all
-//! of them, and queries
-//! answer from any live replica — the fleet serves with any single node
-//! down. The `add_node`/`drain_node` wire ops (exposed through any
+//! of them, and queries answer from any live replica — the fleet serves
+//! with any single node down. The `add_node`/`drain_node` wire ops (exposed through any
 //! `ServiceClient`) grow and shrink the fleet live: each bumps the
 //! epoch-numbered fleet map and migrates affected datasets by shipping
 //! their *serving coresets* (O(coreset), not O(data)); requests asserting
