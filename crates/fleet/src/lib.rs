@@ -308,7 +308,10 @@ impl FleetMap {
     }
 }
 
-/// FNV-1a, the workspace's standing string hash.
+/// True 64-bit FNV-1a (the FNV prime `0x100_0000_01b3`), private to
+/// placement. It is not `fc_persist::fnv64`, which multiplies by
+/// `0x1000_0000_01b3`; each constant is pinned by what it already placed
+/// (replica sets here, data directories there), so neither changes.
 fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

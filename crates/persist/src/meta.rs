@@ -12,8 +12,8 @@
 //! ```
 //!
 //! Dataset names are arbitrary strings (the protocol allows `"a/b c"`),
-//! so directories are named by the same FNV-1a hash the engine seeds
-//! shards with; the real name lives in `meta.json` and is verified on
+//! so directories are named by the same string hash ([`fnv64`]) the
+//! engine seeds shards with; the real name lives in `meta.json` and is verified on
 //! recovery. `meta.json` is plain JSON (one atomic rename writes it once,
 //! at dataset creation) through the workspace's own codec.
 
@@ -26,8 +26,14 @@ use fc_core::plan::Plan;
 
 use crate::PersistError;
 
-/// FNV-1a 64-bit over a name — the workspace's one stable string hash
-/// (shard seeding in `fc-service` routes through this same function).
+/// A 64-bit FNV-1a-shaped hash over a name: the FNV-1a offset basis and
+/// xor-then-multiply loop, but with the multiplier `0x1000_0000_01b3`
+/// rather than the FNV prime `0x100_0000_01b3`, so it is *not* FNV-1a
+/// and matches no published test vector. It names on-disk dataset
+/// directories, and `fc-service` seeds shard RNGs and starts the
+/// coordinator's block deal through this same function, so the constant
+/// stays: changing it would orphan every existing data directory. (The
+/// fleet's rendezvous ranking hashes with its own, true FNV-1a.)
 pub fn fnv64(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.bytes() {
@@ -212,5 +218,21 @@ mod tests {
         let name = ds.file_name().unwrap().to_str().unwrap();
         assert!(name.starts_with("ds-") && name.len() == 19, "{name}");
         assert_eq!(shard_dir(&ds, 7).file_name().unwrap(), "shard-007");
+    }
+
+    /// Directory names are part of the on-disk format: a change to
+    /// [`fnv64`] (even one that makes it true FNV-1a) would leave every
+    /// existing dataset directory unfound on recovery.
+    #[test]
+    fn dataset_dir_names_are_pinned() {
+        let dir = Path::new("/data");
+        assert_eq!(
+            dataset_dir(dir, "a"),
+            Path::new("/data/datasets/ds-af74d84c8601ec8c")
+        );
+        assert_eq!(
+            dataset_dir(dir, "a/b c"),
+            Path::new("/data/datasets/ds-e525eebc43112c30")
+        );
     }
 }

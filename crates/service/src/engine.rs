@@ -1594,11 +1594,11 @@ impl Drop for Engine {
     }
 }
 
-/// FNV-1a over a name — the workspace's one stable string hash: the
-/// engine derives per-(dataset, shard) RNG seeds from it, and the
-/// `fc-cluster` coordinator starts each dataset's deal over its nodes
-/// from it. One definition, so seeding and routing can never silently
-/// diverge.
+/// The stable string hash [`fc_persist::fnv64`] (FNV-1a-shaped, but with
+/// a non-standard multiplier, so not FNV-1a): the engine derives
+/// per-(dataset, shard) RNG seeds from it, and the `fc-cluster`
+/// coordinator starts each dataset's deal over its nodes from it. One
+/// definition, so seeding and routing can never silently diverge.
 pub fn fnv64(s: &str) -> u64 {
     // Delegates to fc-persist, whose on-disk dataset directories are named
     // by the same hash — a divergence would orphan persisted state.

@@ -463,3 +463,169 @@ fn coordinator_cost_rejects_centers_of_the_wrong_dimension_even_when_cached() {
     }
     node.shutdown();
 }
+
+/// A node that completes the TCP handshake and then never answers fails
+/// only its own slot of a fan-out: the query answers from the live nodes
+/// within the node deadline, and `stats` reports the hung node with the
+/// error that failed it.
+#[test]
+fn hung_node_fails_only_its_own_slot() {
+    use fc_cluster::NodeTimeouts;
+    use fc_service::backend::Backend;
+    use std::time::{Duration, Instant};
+
+    let k = 4;
+    let node_a = node_server(k);
+    let node_b = node_server(k);
+    // Never accepted: the kernel completes the handshake from the
+    // backlog, and no byte ever comes back.
+    let hung = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let hung_addr = hung.local_addr().unwrap().to_string();
+    let mut config = CoordinatorConfig::new([node_a.addr().to_string(), node_b.addr().to_string()]);
+    config.timeouts = NodeTimeouts {
+        read: Duration::from_millis(300),
+        write: Duration::from_millis(300),
+        ..NodeTimeouts::default()
+    };
+    let coordinator = Coordinator::new(config).unwrap();
+    for batch in four_blobs(100).chunks(100) {
+        coordinator.ingest("blobs", &batch, None).unwrap();
+    }
+    coordinator.add_node(&hung_addr, None).unwrap();
+
+    let started = Instant::now();
+    let (coreset, _, _) = coordinator.coreset("blobs", Some(3), None).unwrap();
+    let took = started.elapsed();
+    assert!(!coreset.is_empty());
+    assert!(
+        took < Duration::from_secs(3),
+        "the hung node held the fan-out for {took:?}"
+    );
+
+    let stats = coordinator.dataset_stats("blobs").unwrap();
+    let row = stats
+        .nodes
+        .iter()
+        .find(|r| r.node == hung_addr)
+        .expect("the hung node appears in stats");
+    assert_ne!(row.health, NodeHealth::Alive, "{row:?}");
+    assert!(row.last_error.is_some(), "{row:?}");
+    assert_eq!(
+        stats.ingested_points, 400,
+        "the live nodes hold every point"
+    );
+
+    node_a.shutdown();
+    node_b.shutdown();
+    drop(hung);
+}
+
+/// A node backend that takes `delay` over every serving compression and
+/// is an ordinary [`Engine`] otherwise.
+struct SlowCompress {
+    engine: Engine,
+    delay: std::time::Duration,
+}
+
+impl fc_service::Backend for SlowCompress {
+    fn ingest(
+        &self,
+        name: &str,
+        batch: &Dataset,
+        plan: Option<&Plan>,
+        ident: Option<&fc_service::protocol::IngestIdent>,
+        epoch: Option<u64>,
+    ) -> Result<fc_service::IngestOutcome, EngineError> {
+        fc_service::Backend::ingest(&self.engine, name, batch, plan, ident, epoch)
+    }
+
+    fn coreset(
+        &self,
+        name: &str,
+        seed: Option<u64>,
+        method: Option<&Method>,
+    ) -> Result<(fc_core::Coreset, u64, Method), EngineError> {
+        std::thread::sleep(self.delay);
+        self.engine.coreset(name, seed, method)
+    }
+
+    fn cluster(
+        &self,
+        name: &str,
+        k: Option<usize>,
+        kind: Option<CostKind>,
+        solver: Option<Solver>,
+        seed: Option<u64>,
+    ) -> Result<fc_service::ClusterOutcome, EngineError> {
+        self.engine.cluster(name, k, kind, solver, seed)
+    }
+
+    fn cost(
+        &self,
+        name: &str,
+        centers: &Points,
+        kind: Option<CostKind>,
+    ) -> Result<(f64, CostKind, usize), EngineError> {
+        self.engine.cost(name, centers, kind)
+    }
+
+    fn dataset_stats(&self, name: &str) -> Result<fc_service::protocol::DatasetStats, EngineError> {
+        self.engine.dataset_stats(name)
+    }
+
+    fn stats(&self) -> Result<Vec<fc_service::protocol::DatasetStats>, EngineError> {
+        self.engine.stats()
+    }
+
+    fn drop_dataset(&self, name: &str) -> Result<(), EngineError> {
+        self.engine.drop_dataset(name)
+    }
+}
+
+/// A fan-out runs its nodes concurrently: three nodes that each take
+/// 400 ms to compress answer one coordinator `coreset` in well under the
+/// 1.2 s a node-by-node walk would need.
+#[test]
+fn fan_out_runs_its_nodes_concurrently() {
+    use fc_service::backend::Backend;
+    use std::time::{Duration, Instant};
+
+    let delay = Duration::from_millis(400);
+    let nodes: Vec<ServerHandle> = (0..3)
+        .map(|_| {
+            let engine = Engine::new(EngineConfig {
+                k: 4,
+                shards: 2,
+                ..Default::default()
+            })
+            .unwrap();
+            let backend = Arc::new(SlowCompress { engine, delay });
+            ServerHandle::bind_backend("127.0.0.1:0", backend).unwrap()
+        })
+        .collect();
+    let coordinator = Coordinator::new(CoordinatorConfig::new(
+        nodes.iter().map(|n| n.addr().to_string()),
+    ))
+    .unwrap();
+    for batch in four_blobs(150).chunks(100) {
+        coordinator.ingest("blobs", &batch, None).unwrap();
+    }
+
+    let started = Instant::now();
+    let (coreset, _, _) = coordinator.coreset("blobs", Some(5), None).unwrap();
+    let took = started.elapsed();
+    assert!(!coreset.is_empty());
+    assert!(
+        took < Duration::from_secs(1),
+        "three 400 ms nodes took {took:?}: the fan-out ran them in series"
+    );
+    let stats = coordinator.dataset_stats("blobs").unwrap();
+    assert!(
+        stats.nodes.iter().all(|r| r.ingested_points > 0),
+        "{stats:?}"
+    );
+
+    for node in nodes {
+        node.shutdown();
+    }
+}
