@@ -35,6 +35,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, RwLock};
+use std::time::Instant;
 
 use fc_clustering::solver::Solver;
 use fc_clustering::CostKind;
@@ -46,12 +47,13 @@ use fc_geom::{Dataset, Points};
 use fc_service::client::wire_block;
 use fc_service::engine::fnv64;
 use fc_service::protocol::{self, DatasetStats, ErrorCode, IngestIdent, NodeHealth, NodeStats};
-use fc_service::ServiceClient;
 use fc_service::{
     Backend, ClientError, ClusterOutcome, EngineConfig, EngineError, IngestOutcome, Ledger,
     QueryPath, QuerySource, QueryState, Request, Response, RetryPolicy, WritePath, WriteSink,
 };
-use fc_telemetry::{current_trace, labeled, next_request_id, Counter, Histogram, Telemetry};
+use fc_telemetry::{
+    current_trace, labeled, next_request_id, set_current_trace, Counter, Histogram, Telemetry,
+};
 
 use crate::node::{NodeHandle, NodeTimeouts};
 
@@ -101,11 +103,11 @@ pub struct CoordinatorConfig {
     pub default_plan: Plan,
     /// Bounded backoff for `overloaded` node responses.
     pub retry: RetryPolicy,
-    /// Socket timeouts for every dial and exchange against the fleet. A
-    /// hung (accepting but never answering) node fails its slot in a
-    /// fan-out with a timeout and is surfaced as
+    /// Socket timeouts for every dial, binary hello and request against
+    /// the fleet. A hung (accepting but never answering) node fails its
+    /// slot in a fan-out with a timeout and is surfaced as
     /// [`fc_service::protocol::NodeHealth::Degraded`] instead of pinning
-    /// the request forever.
+    /// the request forever; the other slots answer as usual.
     pub timeouts: NodeTimeouts,
     /// Base of the deterministic seed sequence for requests that carry no
     /// explicit seed.
@@ -220,8 +222,8 @@ struct CoordinatorMetrics {
     /// Replica-set writes that failed on some replica while the batch was
     /// still acknowledged off a surviving one (repair debt).
     replica_write_failures: Counter,
-    /// Indexed by node: wall time of each fan-out exchange against that
-    /// node (including timeouts), whatever the op. Grows when the fleet
+    /// Indexed by node: wall time of each request to that node (its
+    /// retries and timeouts included), whatever the op. Grows when the fleet
     /// does (handles are `Arc`-backed, cloning is cheap).
     node_seconds: Mutex<Vec<Histogram>>,
 }
@@ -424,57 +426,57 @@ impl Coordinator {
     }
 
     /// The one way the coordinator reaches its nodes: `request_for(i)`
-    /// against each listed node `i` concurrently, outcomes in `which`
-    /// order. A query's fan-out, a routed ingest and a replica write are
-    /// all exchanges, so each observes `fc_node_request_seconds{node=…}`
-    /// and logs its `node<i>:<op>` hop under one request id — the caller's
-    /// (set as the ambient trace by the server loop in front of this
-    /// coordinator) or a fresh one.
+    /// through [`NodeHandle::request`] against each listed node `i`
+    /// concurrently, outcomes in `which` order. A query's fan-out, a
+    /// routed ingest and a replica write are all exchanges, so each
+    /// observes `fc_node_request_seconds{node=…}` and logs its
+    /// `node<i>:<op>` hop — once per node request, retries included —
+    /// under one request id: the caller's (set as the ambient trace by the
+    /// server loop in front of this coordinator) or a fresh one.
     ///
-    /// On Linux it is [`Self::drive_requests`]: one epoll poller on the
-    /// calling thread, so an exchange spawns no thread however wide the
-    /// fleet is. Elsewhere each node gets a scoped thread running the
-    /// blocking pooled client.
+    /// The first listed node runs on the calling thread and each other
+    /// one on a scoped thread joined before this returns: a one-node
+    /// exchange spawns nothing, an n-node fan-out spawns n − 1. A cold
+    /// node dials on its own thread, so an unreachable fleet costs one
+    /// connect timeout, not one per node.
     fn exchange(
         &self,
         which: &[usize],
         request_for: impl Fn(usize) -> Request + Sync,
     ) -> Vec<Result<Response, ClientError>> {
-        #[cfg(target_os = "linux")]
-        {
-            self.drive_requests(which, request_for)
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            let trace = current_trace().unwrap_or_else(next_request_id);
-            let (trace, request_for) = (&trace, &request_for);
-            let nodes = self.roster();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = which
-                    .iter()
-                    .map(|&idx| {
-                        let node = &nodes[idx];
-                        scope.spawn(move || {
-                            // The ambient trace is thread-local: re-set it
-                            // before the client stamps the request.
-                            let _scope = fc_telemetry::set_current_trace(Some(trace.clone()));
-                            let request = request_for(idx);
-                            let started = std::time::Instant::now();
-                            let outcome = node.request(&request, &self.retry);
-                            let elapsed = started.elapsed();
-                            self.metrics.node_hist(idx).observe(elapsed);
-                            let hop = format!("node{idx}:{}", request.op_name());
-                            self.metrics.shared.traces.record(trace, hop, elapsed);
-                            outcome
-                        })
-                    })
-                    .collect();
-                handles
+        let trace = current_trace().unwrap_or_else(next_request_id);
+        let nodes = self.roster();
+        let one = |idx: usize| {
+            // The ambient trace is thread-local: set it on whichever
+            // thread runs this node, before the client stamps the request.
+            let _scope = set_current_trace(Some(trace.clone()));
+            let request = request_for(idx);
+            let started = Instant::now();
+            let outcome = nodes[idx].request(&request, &self.retry);
+            let elapsed = started.elapsed();
+            self.metrics.node_hist(idx).observe(elapsed);
+            let hop = format!("node{idx}:{}", request.op_name());
+            self.metrics.shared.traces.record(&trace, hop, elapsed);
+            outcome
+        };
+        let Some((&first, rest)) = which.split_first() else {
+            return Vec::new();
+        };
+        std::thread::scope(|scope| {
+            let one = &one;
+            let others: Vec<_> = rest
+                .iter()
+                .map(|&idx| scope.spawn(move || one(idx)))
+                .collect();
+            let mut outcomes = Vec::with_capacity(which.len());
+            outcomes.push(one(first));
+            outcomes.extend(
+                others
                     .into_iter()
-                    .map(|h| h.join().expect("node exchange threads do not panic"))
-                    .collect()
-            })
-        }
+                    .map(|h| h.join().expect("node exchange threads do not panic")),
+            );
+            outcomes
+        })
     }
 
     /// [`Self::exchange`] with one node.
@@ -482,243 +484,6 @@ impl Coordinator {
         self.exchange(&[idx], |_| request.clone())
             .pop()
             .expect("one node in, one outcome out")
-    }
-
-    /// [`Self::exchange`] on Linux: the listed nodes' requests multiplexed
-    /// over one epoll poller on the calling thread
-    /// ([`fc_service::reactor::drive_exchanges`]). Pooled connections that
-    /// turn out stale are redialed once; a node answering `overloaded` is
-    /// retried through the same bounded backoff schedule the blocking
-    /// client runs, node-parallel; a node that breaches its read/write
-    /// deadline fails its slot with a timeout (surfaced as degraded
-    /// health) without disturbing the other nodes.
-    ///
-    /// Each request is encoded per *connection*: binary frames on
-    /// connections that negotiated the upgrade at dial time, JSON-lines
-    /// otherwise — a mixed fleet works mid-rollout.
-    #[cfg(target_os = "linux")]
-    fn drive_requests(
-        &self,
-        which: &[usize],
-        request_for: impl Fn(usize) -> Request + Sync,
-    ) -> Vec<Result<Response, ClientError>> {
-        use fc_service::reactor::{drive_exchanges, Exchange};
-        use fc_service::session;
-
-        /// Zero means "no timeout" in [`NodeTimeouts`]; the exchange
-        /// driver wants a finite deadline, so map zero to a year.
-        fn bound(d: std::time::Duration) -> std::time::Duration {
-            if d.is_zero() {
-                std::time::Duration::from_secs(365 * 86_400)
-            } else {
-                d
-            }
-        }
-
-        struct Live {
-            node: usize,
-            client: Option<ServiceClient>,
-            from_pool: bool,
-            redialed: bool,
-            attempt: u32,
-            request: Request,
-            op: &'static str,
-        }
-
-        // One request id, stamped onto each node request, so a slow query
-        // is attributable per node on both sides.
-        let trace = current_trace().unwrap_or_else(next_request_id);
-        let nodes = self.roster();
-        let n = nodes.len();
-        let mut outcomes: Vec<Option<Result<Response, ClientError>>> =
-            std::iter::repeat_with(|| None).take(n).collect();
-        let first_attempt = |node, client, from_pool, request: Request| Live {
-            node,
-            client: Some(client),
-            from_pool,
-            redialed: false,
-            attempt: 1,
-            op: request.op_name(),
-            request,
-        };
-        let mut live: Vec<Live> = Vec::new();
-        let mut cold: Vec<(usize, Request)> = Vec::new();
-        for &idx in which {
-            let request = request_for(idx);
-            match nodes[idx].pooled() {
-                Some(client) => live.push(first_attempt(idx, client, true, request)),
-                None => cold.push((idx, request)),
-            }
-        }
-        // Cold nodes (empty pools) dial concurrently, so an unreachable
-        // fleet costs one connect timeout, not one per node in series.
-        // Steady-state queries take the pooled path above and spawn
-        // nothing.
-        let cold_nodes: Vec<usize> = cold.iter().map(|(idx, _)| *idx).collect();
-        for ((idx, request), dialed) in cold.into_iter().zip(self.dial_many(&cold_nodes)) {
-            match dialed {
-                Ok(client) => live.push(first_attempt(idx, client, false, request)),
-                // The dial already marked the node's health.
-                Err(e) => outcomes[idx] = Some(Err(ClientError::Io(e))),
-            }
-        }
-
-        let mut backoff_round = 0u32;
-        while !live.is_empty() {
-            let exchanges: Vec<Exchange> = live
-                .iter_mut()
-                .map(|l| {
-                    let (stream, codec) = l
-                        .client
-                        .take()
-                        .expect("every live slot holds a connection")
-                        .into_parts();
-                    // Encoded for *this* connection's negotiated dialect —
-                    // pooled `bin1c`/`bin1` and freshly-dialed JSON
-                    // connections can coexist in one fan-out.
-                    let request = session::encode_request(&codec, &l.request, Some(&trace));
-                    Exchange {
-                        stream,
-                        codec,
-                        request,
-                    }
-                })
-                .collect();
-            let driven = drive_exchanges(
-                exchanges,
-                bound(self.timeouts.write),
-                bound(self.timeouts.read),
-            );
-            let results = match driven {
-                Ok(results) => results,
-                Err(e) => {
-                    // The poller itself failed (fd exhaustion): nothing
-                    // ran; fail every remaining node with that error.
-                    for l in live.drain(..) {
-                        let outcome = Err(ClientError::Io(std::io::Error::new(
-                            e.kind(),
-                            e.to_string(),
-                        )));
-                        nodes[l.node].record(&outcome);
-                        outcomes[l.node] = Some(outcome);
-                    }
-                    break;
-                }
-            };
-
-            let mut next: Vec<Live> = Vec::new();
-            let mut redial: Vec<Live> = Vec::new();
-            let mut overload_retry = false;
-            for (mut l, result) in live.into_iter().zip(results) {
-                // Attribute the exchange's wall time (including timeouts)
-                // to the node, and hop-log it under the fan-out's request
-                // id; retries record once per attempt, which is the truth.
-                self.metrics.node_hist(l.node).observe(result.elapsed);
-                self.metrics.shared.traces.record(
-                    &trace,
-                    format!("node{}:{}", l.node, l.op),
-                    result.elapsed,
-                );
-                let mut client = ServiceClient::from_parts(result.stream, result.codec);
-                // from_parts starts a fresh client; restore the node's
-                // whole-response budget before this connection is pooled
-                // for later blocking use.
-                client.set_response_timeout(self.timeouts.read_opt());
-                match result.outcome {
-                    Ok(frame) => {
-                        match session::decode_reply(&frame) {
-                            Err(ClientError::Overloaded(_))
-                                if l.attempt < self.retry.attempts.max(1) =>
-                            {
-                                // The node answered (socket healthy): hold
-                                // the connection and retry after backoff.
-                                l.client = Some(client);
-                                l.attempt += 1;
-                                overload_retry = true;
-                                next.push(l);
-                            }
-                            outcome => {
-                                nodes[l.node].record(&outcome);
-                                if matches!(&outcome, Err(ClientError::Protocol(_))) {
-                                    drop(client); // mid-frame: unusable
-                                } else {
-                                    nodes[l.node].checkin(client);
-                                }
-                                outcomes[l.node] = Some(outcome);
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        drop(client);
-                        if l.from_pool && !l.redialed && !crate::node::is_timeout(&e) {
-                            // Stale pooled socket: redial once and retry
-                            // (batched below so redials run concurrently).
-                            l.from_pool = false;
-                            l.redialed = true;
-                            redial.push(l);
-                        } else {
-                            let outcome = Err(ClientError::Io(e));
-                            nodes[l.node].record(&outcome);
-                            outcomes[l.node] = Some(outcome);
-                        }
-                    }
-                }
-            }
-            if !redial.is_empty() {
-                let which: Vec<usize> = redial.iter().map(|l| l.node).collect();
-                for (mut l, dialed) in redial.into_iter().zip(self.dial_many(&which)) {
-                    match dialed {
-                        Ok(fresh) => {
-                            l.client = Some(fresh);
-                            next.push(l);
-                        }
-                        // The redial already marked the node down.
-                        Err(dial_err) => {
-                            outcomes[l.node] = Some(Err(ClientError::Io(dial_err)));
-                        }
-                    }
-                }
-            }
-            live = next;
-            if overload_retry && !live.is_empty() {
-                backoff_round += 1;
-                std::thread::sleep(self.retry.backoff(backoff_round));
-            }
-        }
-
-        which
-            .iter()
-            .map(|&idx| {
-                outcomes[idx]
-                    .take()
-                    .expect("every driven node settles with an outcome")
-            })
-            .collect()
-    }
-
-    /// Dials the given nodes, concurrently when there is more than one —
-    /// connect timeouts against an unreachable fleet overlap instead of
-    /// stacking. Only the cold-dial and stale-redial paths come here;
-    /// steady-state fan-outs run on pooled connections and spawn nothing.
-    #[cfg(target_os = "linux")]
-    fn dial_many(&self, which: &[usize]) -> Vec<Result<ServiceClient, std::io::Error>> {
-        if which.len() <= 1 {
-            return which.iter().map(|&idx| self.node_at(idx).dial()).collect();
-        }
-        let nodes = self.roster();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = which
-                .iter()
-                .map(|&idx| {
-                    let node = Arc::clone(&nodes[idx]);
-                    scope.spawn(move || node.dial())
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("dial threads do not panic"))
-                .collect()
-        })
     }
 
     /// The error for a node that answered with the wrong response kind.
@@ -1627,7 +1392,7 @@ mod tests {
     use super::*;
     use fc_core::methods::Uniform;
     use fc_core::plan::PlanBuilder;
-    use fc_service::{Engine, ServerHandle};
+    use fc_service::{Engine, ServerHandle, ServiceClient};
 
     fn blobs(n_per: usize) -> Dataset {
         let mut flat = Vec::new();

@@ -14,10 +14,10 @@
 //!   [`fc_service::ServerHandle::bind_backend`] exposes the identical
 //!   protocol *upward* — a coordinator is wire-indistinguishable from a
 //!   single big server, and the unchanged
-//!   [`fc_service::ServiceClient`] drives either. On Linux, query
-//!   fan-outs multiplex every node exchange over one epoll poller on the
-//!   calling thread ([`fc_service::reactor`]) — zero threads per request,
-//!   however wide the fleet.
+//!   [`fc_service::ServiceClient`] drives either. Every node request is
+//!   one blocking [`NodeHandle::request`]; a fan-out runs the first node
+//!   on the calling thread and each other node on a scoped thread, on
+//!   every platform.
 //! - Ingest places blocks by one rule, whose only input besides the
 //!   names is each node's capacity ([`NodeSpec::capacity`]): at
 //!   replication 1 a dataset's blocks are dealt round-robin over the

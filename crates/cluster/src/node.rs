@@ -2,6 +2,13 @@
 //! reusable connections, lazy (re)dialing under socket timeouts, and a
 //! health record driven by what actually happens on the wire.
 //!
+//! [`NodeHandle::request`] is the only way the coordinator reaches a
+//! node, on every platform: each fan-out slot, routed ingest, replica
+//! write, migration leg and drain drop is one blocking call to it, run on
+//! the caller's thread or on a scoped thread of the coordinator's
+//! exchange. The redial, `overloaded` backoff and health rules below are
+//! written here once.
+//!
 //! Connection lifecycle: a request checks an idle connection out of the
 //! pool (dialing a fresh one when the pool is empty), runs its exchange,
 //! and returns the connection to the pool on any outcome that leaves the
@@ -10,7 +17,7 @@
 //! the request redials once before giving up — that redial is the
 //! coordinator's whole reconnect story.
 //!
-//! Every dial and every byte moved is bounded by the fleet's
+//! Every dial, binary hello and byte moved is bounded by the fleet's
 //! [`NodeTimeouts`]: a *hung* (not dead) node — accepting but never
 //! answering — fails the exchange with a timeout instead of pinning a
 //! coordinator fan-out slot forever, and is surfaced as
@@ -86,7 +93,7 @@ impl NodeTimeouts {
 /// Whether an I/O failure is a deadline expiry (the node is slow or hung)
 /// rather than a transport failure (the node is gone). Blocking sockets
 /// report `SO_RCVTIMEO` expiry as `WouldBlock` on Linux.
-pub(crate) fn is_timeout(e: &std::io::Error) -> bool {
+fn is_timeout(e: &std::io::Error) -> bool {
     matches!(
         e.kind(),
         std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
@@ -185,38 +192,36 @@ impl NodeHandle {
         state.last_error = Some(error);
     }
 
-    /// Checks an idle connection out of the pool without dialing.
-    pub(crate) fn pooled(&self) -> Option<ServiceClient> {
-        self.pool.lock().expect("connection pool lock").pop()
-    }
-
     /// Checks a connection out of the pool, dialing when empty. The bool
     /// is `true` for a pooled (possibly stale) connection. A failed dial
-    /// marks the node down.
-    pub(crate) fn checkout(&self) -> Result<(ServiceClient, bool), std::io::Error> {
-        if let Some(client) = self.pooled() {
-            return Ok((client, true));
+    /// marks the node's health.
+    fn checkout(&self) -> Result<(ServiceClient, bool), ClientError> {
+        let pooled = self.pool.lock().expect("connection pool lock").pop();
+        match pooled {
+            Some(client) => Ok((client, true)),
+            None => self.dial().map(|client| (client, false)),
         }
-        self.dial().map(|c| (c, false))
     }
 
     /// Returns a healthy connection to the pool.
-    pub(crate) fn checkin(&self, client: ServiceClient) {
+    fn checkin(&self, client: ServiceClient) {
         let mut pool = self.pool.lock().expect("connection pool lock");
         if pool.len() < MAX_POOLED {
             pool.push(client);
         }
     }
 
-    /// Dials a fresh connection under the connect timeout and arms the
-    /// socket's read/write timeouts. A failure marks the node down.
-    pub(crate) fn dial(&self) -> Result<ServiceClient, std::io::Error> {
+    /// Dials a fresh connection under the connect timeout, arms the
+    /// socket's read/write timeouts and offers the binary upgrade. A
+    /// failure marks the node's health: a connect or hello that times out
+    /// reads degraded, any other failure down.
+    fn dial(&self) -> Result<ServiceClient, ClientError> {
         let mut last: Option<std::io::Error> = None;
         let addrs = match self.addr.as_str().to_socket_addrs() {
             Ok(addrs) => addrs,
             Err(e) => {
                 self.mark(NodeHealth::Down, format!("resolve {}: {e}", self.addr));
-                return Err(e);
+                return Err(ClientError::Io(e));
             }
         };
         for addr in addrs {
@@ -237,11 +242,20 @@ impl NodeHandle {
                     if self.binary_wire {
                         // A declined hello (`Ok(false)`) keeps the
                         // connection on JSON; only a transport/protocol
-                        // failure condemns the dial.
+                        // failure condemns the dial, classified like any
+                        // request's: a node that accepts and never
+                        // answers the hello is degraded, not down.
                         if let Err(e) = client.negotiate_binary() {
-                            let msg = format!("negotiate bin1 with {}: {e}", self.addr);
-                            self.mark(NodeHealth::Down, msg.clone());
-                            return Err(std::io::Error::other(msg));
+                            let kind = match &e {
+                                ClientError::Io(io) => io.kind(),
+                                _ => std::io::ErrorKind::InvalidData,
+                            };
+                            let failed = ClientError::Io(std::io::Error::new(
+                                kind,
+                                format!("negotiate bin1 with {}: {e}", self.addr),
+                            ));
+                            self.record(Err(&failed));
+                            return Err(failed);
                         }
                     }
                     return Ok(client);
@@ -261,14 +275,14 @@ impl NodeHandle {
             NodeHealth::Down
         };
         self.mark(health, format!("connect {}: {e}", self.addr));
-        Err(e)
+        Err(ClientError::Io(e))
     }
 
     /// Records the health consequences of one request outcome. Timeouts
     /// mean the node is *answering the transport but not the protocol* —
     /// degraded, like persistent overload; other socket or framing
     /// failures mean it is down.
-    pub(crate) fn record(&self, outcome: &Result<Response, ClientError>) {
+    fn record(&self, outcome: Result<&Response, &ClientError>) {
         match outcome {
             // Server-side rejections (unknown dataset, plan conflicts, …)
             // still prove the node is answering.
@@ -289,13 +303,11 @@ impl NodeHandle {
 
     /// Sends one request to this node: pooled connection or fresh dial,
     /// bounded `overloaded` backoff, one redial when a pooled connection
-    /// turns out stale. Updates the health record from the outcome.
+    /// turns out stale. Updates the health record from the outcome. This
+    /// is the only way the coordinator reaches a node; the request carries
+    /// the calling thread's ambient trace id.
     pub fn request(&self, request: &Request, retry: &RetryPolicy) -> Result<Response, ClientError> {
-        let (client, from_pool) = match self.checkout() {
-            Ok(checked_out) => checked_out,
-            Err(e) => return Err(ClientError::Io(e)),
-        };
-        let mut client = client;
+        let (mut client, from_pool) = self.checkout()?;
         let outcome = client.request_with_backoff(request, retry);
         // The pooled socket may be stale (node restarted since it was
         // pooled): drop it and redial once. Timeouts are not staleness —
@@ -308,10 +320,7 @@ impl NodeHandle {
             };
         if stale {
             drop(client);
-            let mut fresh = match self.dial() {
-                Ok(client) => client,
-                Err(e) => return Err(ClientError::Io(e)),
-            };
+            let mut fresh = self.dial()?;
             let outcome = fresh.request_with_backoff(request, retry);
             return self.settle(fresh, outcome);
         }
@@ -325,7 +334,7 @@ impl NodeHandle {
         client: ServiceClient,
         outcome: Result<Response, ClientError>,
     ) -> Result<Response, ClientError> {
-        self.record(&outcome);
+        self.record(outcome.as_ref());
         match &outcome {
             Err(ClientError::Io(_)) | Err(ClientError::Protocol(_)) => drop(client),
             _ => self.checkin(client),

@@ -177,17 +177,9 @@ impl ServiceClient {
         // server legitimately serves (a large-budget coreset can exceed
         // any fixed cap), so the client reads unbounded — exactly the
         // trust model the old `read_line` client had.
-        Self::from_parts(stream, WireCodec::json(usize::MAX))
-    }
-
-    /// Reassembles a client from [`Self::into_parts`] output. The stream
-    /// is returned to blocking mode here — once, not per request — since
-    /// multiplexed use (the coordinator's fan-out) leaves it non-blocking.
-    pub fn from_parts(stream: TcpStream, codec: WireCodec) -> Self {
-        stream.set_nonblocking(false).ok();
         Self {
             stream,
-            codec,
+            codec: WireCodec::json(usize::MAX),
             response_timeout: None,
         }
     }
@@ -199,13 +191,6 @@ impl ServiceClient {
     /// (default) leaves reads unbounded.
     pub fn set_response_timeout(&mut self, timeout: Option<Duration>) {
         self.response_timeout = timeout;
-    }
-
-    /// Disassembles the client into its socket and framing state, for
-    /// callers that multiplex the connection themselves (the `fc-cluster`
-    /// coordinator's reactor-driven fan-out).
-    pub fn into_parts(self) -> (TcpStream, WireCodec) {
-        (self.stream, self.codec)
     }
 
     /// Whether this connection speaks a binary wire protocol.

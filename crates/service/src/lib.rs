@@ -31,8 +31,8 @@
 //!   coordinator serves a whole node fleet behind the same trait.
 //! - [`framing`] / [`wire`]: the incremental codecs — bytes in, complete
 //!   JSON-lines or binary frames out — and the binary payload encoding.
-//! - [`reactor`] (Linux): a hand-rolled epoll readiness layer — poller,
-//!   eventfd wakeup token, and a one-thread multiplexed request driver.
+//! - [`reactor`] (Linux): a hand-rolled epoll readiness layer — poller
+//!   and eventfd wakeup token — under the reactor server.
 //! - [`server`] / [`client`]: the TCP server — an epoll reactor plus a
 //!   bounded executor pool by default on Linux, classic thread-per-
 //!   connection elsewhere or on request ([`server::IoModel`]) — and the

@@ -1,9 +1,9 @@
-//! A hand-rolled epoll readiness layer (Linux only): the one I/O core
-//! under the reactor server and the coordinator's multiplexed fan-out.
+//! A hand-rolled epoll readiness layer (Linux only): the I/O core under
+//! the reactor server.
 //!
 //! The workspace is offline — no tokio, no mio, no libc crate — so this
 //! module declares the four syscall entry points it needs (`epoll_create1`,
-//! `epoll_ctl`, `epoll_wait`, `eventfd`) as `extern "C"` and builds three
+//! `epoll_ctl`, `epoll_wait`, `eventfd`) as `extern "C"` and builds two
 //! small, safe abstractions on top:
 //!
 //! - [`Poller`]: an epoll instance with token-addressed, level-triggered
@@ -16,22 +16,16 @@
 //!   processes whatever message queue the wake advertised. This is how
 //!   executor threads complete responses into the reactor and how
 //!   shutdown interrupts a parked loop.
-//! - [`drive_exchanges`]: one-thread multiplexed request/response
-//!   exchanges over many already-connected sockets — the coordinator's
-//!   query fan-out, with per-phase write/read deadlines, no thread per
-//!   node.
 //!
 //! Everything here is `target_os = "linux"`-gated at the module level;
-//! on other platforms the server keeps its thread-per-connection path and
-//! the coordinator fans out with scoped threads (see
-//! [`crate::server::IoModel`]).
+//! on other platforms the server keeps its thread-per-connection path
+//! (see [`crate::server::IoModel`]). Clients, the `fc-cluster`
+//! coordinator's node requests included, are blocking and never come
+//! here.
 
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
-use std::os::fd::{AsRawFd, RawFd};
-use std::time::{Duration, Instant};
-
-use crate::framing::{WireCodec, WireFrame};
+use std::io;
+use std::os::fd::RawFd;
+use std::time::Duration;
 
 /// Raw syscall surface. Numbers and layouts match the Linux UAPI headers;
 /// the symbols resolve from the C runtime Rust already links against.
@@ -243,241 +237,9 @@ impl Drop for Waker {
 unsafe impl Send for Waker {}
 unsafe impl Sync for Waker {}
 
-/// One request/response exchange to drive over [`drive_exchanges`].
-pub struct Exchange {
-    /// A connected socket (any blocking mode; the driver switches it to
-    /// non-blocking and leaves it that way).
-    pub stream: TcpStream,
-    /// The connection's framing state (normally empty between requests —
-    /// the protocol is strict request/response), JSON-lines or binary.
-    pub codec: WireCodec,
-    /// The encoded request: a newline-terminated JSON line, or one
-    /// length-prefixed binary frame — whichever matches the codec.
-    pub request: Vec<u8>,
-}
-
-/// The outcome of one [`Exchange`]: the socket and codec back (for
-/// pooling) plus the response frame or the socket-level failure.
-pub struct ExchangeOutcome {
-    /// The socket, still non-blocking.
-    pub stream: TcpStream,
-    /// The framing state.
-    pub codec: WireCodec,
-    /// The response frame, or what went wrong (`TimedOut` for deadline
-    /// expiry, `UnexpectedEof` for a peer close, `InvalidData` for a
-    /// framing violation).
-    pub outcome: io::Result<WireFrame>,
-    /// Wall time from the driver starting until *this* exchange settled —
-    /// per-peer latency even though the exchanges run multiplexed (the
-    /// `fc-cluster` coordinator feeds these into per-node histograms).
-    pub elapsed: Duration,
-}
-
-enum Phase {
-    Writing { written: usize },
-    Reading,
-    Done,
-}
-
-/// Drives every exchange concurrently on the *calling* thread: one
-/// [`Poller`], zero spawned threads. Each exchange gets `write_timeout`
-/// to flush its request and then `read_timeout` to produce a complete
-/// response line; an expired deadline fails that exchange with
-/// [`io::ErrorKind::TimedOut`] without disturbing the others.
-pub fn drive_exchanges(
-    items: Vec<Exchange>,
-    write_timeout: Duration,
-    read_timeout: Duration,
-) -> io::Result<Vec<ExchangeOutcome>> {
-    struct Slot {
-        stream: TcpStream,
-        codec: WireCodec,
-        request: Vec<u8>,
-        phase: Phase,
-        deadline: Instant,
-        outcome: Option<io::Result<WireFrame>>,
-        settled: Option<Instant>,
-    }
-
-    let poller = Poller::new()?;
-    let now = Instant::now();
-    let started = now;
-    let mut slots: Vec<Slot> = Vec::with_capacity(items.len());
-    for (idx, item) in items.into_iter().enumerate() {
-        let slot = Slot {
-            stream: item.stream,
-            codec: item.codec,
-            request: item.request,
-            phase: Phase::Writing { written: 0 },
-            deadline: now + write_timeout,
-            outcome: None,
-            settled: None,
-        };
-        match slot.stream.set_nonblocking(true) {
-            Ok(()) => {
-                if let Err(e) = poller.add(slot.stream.as_raw_fd(), idx as u64, true, true) {
-                    let mut slot = slot;
-                    slot.outcome = Some(Err(e));
-                    slot.phase = Phase::Done;
-                    slot.settled = Some(Instant::now());
-                    slots.push(slot);
-                    continue;
-                }
-                slots.push(slot);
-            }
-            Err(e) => {
-                let mut slot = slot;
-                slot.outcome = Some(Err(e));
-                slot.phase = Phase::Done;
-                slot.settled = Some(Instant::now());
-                slots.push(slot);
-            }
-        }
-    }
-
-    let mut remaining = slots.iter().filter(|s| s.outcome.is_none()).count();
-    let mut events = Vec::new();
-    let mut scratch = [0u8; 64 * 1024];
-    while remaining > 0 {
-        let now = Instant::now();
-        // Fail expired exchanges and find the nearest live deadline.
-        let mut nearest: Option<Duration> = None;
-        for slot in slots.iter_mut().filter(|s| s.outcome.is_none()) {
-            if slot.deadline <= now {
-                let _ = poller.remove(slot.stream.as_raw_fd());
-                slot.outcome = Some(Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    match slot.phase {
-                        Phase::Writing { .. } => "request write timed out",
-                        _ => "response read timed out",
-                    },
-                )));
-                slot.phase = Phase::Done;
-                slot.settled = Some(Instant::now());
-                remaining -= 1;
-            } else {
-                let left = slot.deadline - now;
-                nearest = Some(nearest.map_or(left, |d| d.min(left)));
-            }
-        }
-        if remaining == 0 {
-            break;
-        }
-        poller.wait(&mut events, nearest)?;
-        for event in &events {
-            let idx = event.token as usize;
-            let slot = &mut slots[idx];
-            if slot.outcome.is_some() {
-                continue;
-            }
-            if event.writable {
-                if let Phase::Writing { written } = slot.phase {
-                    match write_some(&mut slot.stream, &slot.request[written..]) {
-                        Ok(n) => {
-                            let written = written + n;
-                            if written == slot.request.len() {
-                                slot.phase = Phase::Reading;
-                                slot.deadline = Instant::now() + read_timeout;
-                                let _ =
-                                    poller.modify(slot.stream.as_raw_fd(), idx as u64, true, false);
-                            } else {
-                                slot.phase = Phase::Writing { written };
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                        Err(e) => {
-                            let _ = poller.remove(slot.stream.as_raw_fd());
-                            slot.outcome = Some(Err(e));
-                            slot.phase = Phase::Done;
-                            slot.settled = Some(Instant::now());
-                            remaining -= 1;
-                            continue;
-                        }
-                    }
-                }
-            }
-            if event.readable && matches!(slot.phase, Phase::Reading) {
-                match pump_read(&mut slot.stream, &mut slot.codec, &mut scratch) {
-                    Ok(Some(frame)) => {
-                        let _ = poller.remove(slot.stream.as_raw_fd());
-                        slot.outcome = Some(Ok(frame));
-                        slot.phase = Phase::Done;
-                        slot.settled = Some(Instant::now());
-                        remaining -= 1;
-                    }
-                    Ok(None) => {}
-                    Err(e) => {
-                        let _ = poller.remove(slot.stream.as_raw_fd());
-                        slot.outcome = Some(Err(e));
-                        slot.phase = Phase::Done;
-                        slot.settled = Some(Instant::now());
-                        remaining -= 1;
-                    }
-                }
-            }
-        }
-    }
-
-    Ok(slots
-        .into_iter()
-        .map(|slot| ExchangeOutcome {
-            stream: slot.stream,
-            codec: slot.codec,
-            outcome: slot
-                .outcome
-                .expect("every exchange settles before the driver returns"),
-            elapsed: slot
-                .settled
-                .map_or(Duration::ZERO, |at| at.duration_since(started)),
-        })
-        .collect())
-}
-
-/// One non-blocking write attempt; `Ok(0)` only for an empty buffer.
-fn write_some(stream: &mut TcpStream, bytes: &[u8]) -> io::Result<usize> {
-    loop {
-        match stream.write(bytes) {
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            other => return other,
-        }
-    }
-}
-
-/// Reads whatever is available into the codec and extracts at most one
-/// frame (the protocol is one response per request).
-fn pump_read(
-    stream: &mut TcpStream,
-    codec: &mut WireCodec,
-    scratch: &mut [u8],
-) -> io::Result<Option<WireFrame>> {
-    loop {
-        match stream.read(scratch) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                ))
-            }
-            Ok(n) => {
-                codec.push(&scratch[..n]);
-                match codec.next_frame() {
-                    Ok(Some(frame)) => return Ok(Some(frame)),
-                    Ok(None) => continue,
-                    Err(e) => return Err(io::Error::new(io::ErrorKind::InvalidData, e)),
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{BufRead, BufReader};
-    use std::net::TcpListener;
 
     #[test]
     fn waker_unblocks_wait() {
@@ -500,77 +262,5 @@ mod tests {
         poller.wait(&mut events, Some(Duration::ZERO)).unwrap();
         assert!(events.is_empty());
         t.join().unwrap();
-    }
-
-    #[test]
-    fn exchanges_multiplex_on_one_thread() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        // An echo peer that answers each line reversed, serially.
-        let server = std::thread::spawn(move || {
-            for _ in 0..3 {
-                let (stream, _) = listener.accept().unwrap();
-                let mut reader = BufReader::new(stream.try_clone().unwrap());
-                let mut line = String::new();
-                reader.read_line(&mut line).unwrap();
-                let reply: String = line.trim_end().chars().rev().collect();
-                let mut stream = stream;
-                stream.write_all(reply.as_bytes()).unwrap();
-                stream.write_all(b"\n").unwrap();
-            }
-        });
-        let items: Vec<Exchange> = (0..3)
-            .map(|i| Exchange {
-                stream: TcpStream::connect(addr).unwrap(),
-                codec: WireCodec::json(1024),
-                request: format!("msg-{i}\n").into_bytes(),
-            })
-            .collect();
-        let outcomes =
-            drive_exchanges(items, Duration::from_secs(5), Duration::from_secs(5)).unwrap();
-        let got: Vec<WireFrame> = outcomes.into_iter().map(|o| o.outcome.unwrap()).collect();
-        let want: Vec<WireFrame> = ["0-gsm", "1-gsm", "2-gsm"]
-            .iter()
-            .map(|s| WireFrame::Line((*s).to_owned()))
-            .collect();
-        assert_eq!(got, want);
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn read_deadline_fails_only_the_hung_exchange() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            // First peer hangs (accepts, never answers); second answers.
-            let (hung, _) = listener.accept().unwrap();
-            let (stream, _) = listener.accept().unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            let mut stream = stream;
-            stream.write_all(b"pong\n").unwrap();
-            // Hold the hung socket open past the client deadline.
-            std::thread::sleep(Duration::from_millis(400));
-            drop(hung);
-        });
-        let items: Vec<Exchange> = (0..2)
-            .map(|_| Exchange {
-                stream: TcpStream::connect(addr).unwrap(),
-                codec: WireCodec::json(1024),
-                request: b"ping\n".to_vec(),
-            })
-            .collect();
-        let outcomes =
-            drive_exchanges(items, Duration::from_secs(2), Duration::from_millis(150)).unwrap();
-        assert_eq!(
-            outcomes[0].outcome.as_ref().unwrap_err().kind(),
-            io::ErrorKind::TimedOut
-        );
-        assert_eq!(
-            outcomes[1].outcome.as_ref().unwrap(),
-            &WireFrame::Line("pong".to_owned())
-        );
-        server.join().unwrap();
     }
 }

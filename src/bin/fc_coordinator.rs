@@ -23,13 +23,19 @@
 //! capacity, and at R ≥ 2 its replica sets are chosen by
 //! capacity-weighted rendezvous hashing. `--retries` bounds the
 //! per-request backoff on `overloaded` nodes; `--node-timeout-ms` bounds
-//! every read and write against a node (a hung node degrades a query
-//! instead of wedging it; connect keeps its own 2 s default). The
+//! every read and write against a node, the binary hello included (a
+//! node that accepts and never answers reads `degraded` in `stats` and
+//! fails only its own slot of a query; connect keeps its own 2 s
+//! default). The
 //! plan flags (`--k`/`--m-scalar`/`--budget`/`--kmedian`/`--method`/
 //! `--solver`) define the default per-dataset plan, forwarded to the
 //! nodes with every routed batch — node-side defaults never leak in. The
 //! `--io-*` flags configure the upward-facing server exactly as on
-//! `fc-server`; node fan-outs multiplex over epoll regardless (Linux).
+//! `fc-server`. Every node request is one blocking call: a fan-out runs
+//! the first node on the executor thread serving the request and each
+//! other node on a scoped thread joined before the answer, so at most
+//! `--executor-threads` × (nodes − 1) such threads exist at once, on every
+//! platform.
 //! `--max-connections`, `--request-deadline-ms`, and `--metrics-addr`
 //! behave exactly as on `fc-server`: connection-cap admission control,
 //! executor-queue deadline shedding, and a Prometheus scrape listener

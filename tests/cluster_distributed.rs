@@ -508,8 +508,10 @@ fn hung_node_fails_only_its_own_slot() {
         .iter()
         .find(|r| r.node == hung_addr)
         .expect("the hung node appears in stats");
-    assert_ne!(row.health, NodeHealth::Alive, "{row:?}");
-    assert!(row.last_error.is_some(), "{row:?}");
+    // Answering the transport but not the protocol: degraded, not down.
+    assert_eq!(row.health, NodeHealth::Degraded, "{row:?}");
+    let error = row.last_error.as_deref().unwrap_or_default();
+    assert!(error.contains("timed out"), "{row:?}");
     assert_eq!(
         stats.ingested_points, 400,
         "the live nodes hold every point"
