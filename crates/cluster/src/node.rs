@@ -12,10 +12,11 @@
 //! Connection lifecycle: a request checks an idle connection out of the
 //! pool (dialing a fresh one when the pool is empty), runs its exchange,
 //! and returns the connection to the pool on any outcome that leaves the
-//! socket usable. A socket-level failure drops the connection; if it came
-//! from the pool it may simply be stale (the node restarted since), so
-//! the request redials once before giving up — that redial is the
-//! coordinator's whole reconnect story.
+//! socket usable. A socket-level or framing failure drops the connection;
+//! if it came from the pool it may simply be stale (the node restarted
+//! since), so the request redials once before giving up — that redial is
+//! the coordinator's whole reconnect story. A timeout is not staleness
+//! and is not redialed.
 //!
 //! Every dial, binary hello and byte moved is bounded by the fleet's
 //! [`NodeTimeouts`]: a *hung* (not dead) node — accepting but never
