@@ -5,9 +5,7 @@ use fc_clustering::CostKind;
 use fc_core::methods::{JCount, Lightweight, Uniform, Welterweight};
 use fc_core::{CompressionParams, Compressor, FastCoreset, StandardSensitivity};
 use fc_data::realworld::realworld_suite;
-use fc_data::synthetic::{
-    benchmark, c_outlier, gaussian_mixture, geometric, GaussianMixtureConfig,
-};
+use fc_data::registry::{self, RegistryParams, ARTIFICIAL};
 use fc_geom::Dataset;
 use rand::Rng;
 
@@ -28,41 +26,20 @@ pub struct NamedData {
 /// (so `m = 40k` keeps the paper's 8% sampling rate) rather than following
 /// `REPRO_SCALE`, which only drives the real-world proxies.
 pub fn artificial_suite<R: Rng + ?Sized>(rng: &mut R, cfg: &BenchConfig) -> Vec<NamedData> {
-    let n = (500 * cfg.k_small).max(1_000);
-    let d = 50;
-    let k = cfg.k_small;
-    vec![
-        NamedData {
-            name: "c-outlier".into(),
-            data: c_outlier(rng, n, d, 16, 1e5),
-            k,
-        },
-        NamedData {
-            name: "geometric".into(),
-            // c scaled so the instance size tracks n: total ≈ 2·c·k.
-            data: geometric(rng, (n / (2 * k)).max(2), k, 2.0, d),
-            k,
-        },
-        NamedData {
-            name: "gaussian".into(),
-            data: gaussian_mixture(
-                rng,
-                GaussianMixtureConfig {
-                    n,
-                    d,
-                    kappa: k / 2,
-                    gamma: 1.0,
-                    ..Default::default()
-                },
-            ),
-            k,
-        },
-        NamedData {
-            name: "benchmark".into(),
-            data: benchmark(rng, k, (n / k).max(4), 100.0),
-            k,
-        },
-    ]
+    let params = RegistryParams {
+        n: (500 * cfg.k_small).max(1_000),
+        k: cfg.k_small,
+        scale: cfg.scale,
+        gamma: 1.0,
+    };
+    ARTIFICIAL
+        .into_iter()
+        .map(|name| NamedData {
+            name: name.into(),
+            data: registry::generate(rng, name, &params).expect("a registered instance"),
+            k: cfg.k_small,
+        })
+        .collect()
 }
 
 /// The seven real-world proxies at bench scale with the paper's per-dataset

@@ -27,7 +27,6 @@ pub mod kmeanspp;
 pub mod kmedian;
 pub mod lloyd;
 pub mod local_search;
-pub mod metrics;
 pub mod solution;
 pub mod solver;
 

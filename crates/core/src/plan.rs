@@ -202,8 +202,7 @@ pub fn kind_from_name(s: &str) -> Result<CostKind, FcError> {
 }
 
 /// Builder for a validated [`Plan`]. Defaults mirror the paper's §5.2
-/// setup: `m = 40k`, k-means, Fast-Coresets, Lloyd refinement, full
-/// evaluation.
+/// setup: `m = 40k`, k-means, Fast-Coresets, Lloyd refinement.
 #[derive(Debug, Clone)]
 pub struct PlanBuilder {
     k: usize,
@@ -213,7 +212,6 @@ pub struct PlanBuilder {
     method: Method,
     solver: Solver,
     solve: SolveConfig,
-    evaluate: bool,
     budget: Option<usize>,
 }
 
@@ -228,7 +226,6 @@ impl PlanBuilder {
             method: Method::FastCoreset,
             solver: Solver::Lloyd,
             solve: SolveConfig::default(),
-            evaluate: true,
             budget: None,
         }
     }
@@ -274,13 +271,6 @@ impl PlanBuilder {
     /// [`Solver::LocalSearch`]).
     pub fn local_search(mut self, cfg: fc_clustering::LocalSearchConfig) -> Self {
         self.solve.local_search = cfg;
-        self
-    }
-
-    /// Disables the full-data evaluation pass (for when the data is too
-    /// large to re-read, which is the whole point of compressing).
-    pub fn without_evaluation(mut self) -> Self {
-        self.evaluate = false;
         self
     }
 
@@ -330,7 +320,6 @@ impl PlanBuilder {
             method: self.method,
             solver: self.solver,
             solve: self.solve,
-            evaluate: self.evaluate,
             budget: self.budget,
         })
     }
@@ -345,7 +334,6 @@ pub struct Plan {
     method: Method,
     solver: Solver,
     solve: SolveConfig,
-    evaluate: bool,
     budget: Option<usize>,
 }
 
@@ -356,11 +344,11 @@ pub struct PlanOutcome {
     pub coreset: Coreset,
     /// The solution computed on the compression.
     pub solution: Solution,
-    /// `cost_z(P, solution)` — only priced when evaluation is enabled
-    /// (it costs a full pass over the data).
-    pub cost_on_data: Option<f64>,
-    /// The distortion metric, when evaluation is enabled.
-    pub distortion: Option<f64>,
+    /// `cost_z(P, solution)`, priced in one full pass over the data.
+    pub cost_on_data: f64,
+    /// The distortion metric: the larger of the data / coreset cost ratio
+    /// and its inverse.
+    pub distortion: f64,
     /// Seconds spent compressing.
     pub compress_secs: f64,
     /// Seconds spent clustering the compression.
@@ -420,8 +408,8 @@ impl Plan {
     /// ```
     ///
     /// `budget` (the compaction budget) appears only when explicitly set.
-    /// Solver tuning budgets ([`SolveConfig`]) and the evaluation switch
-    /// are deliberately not part of the wire form.
+    /// Solver tuning budgets ([`SolveConfig`]) are deliberately not part
+    /// of the wire form.
     pub fn to_value(&self) -> Value {
         let mut pairs = vec![
             ("k".to_owned(), Value::from(self.params.k)),
@@ -527,7 +515,7 @@ impl Plan {
             .solve(rng, data, self.params.k, self.params.kind, &self.solve)?)
     }
 
-    /// Runs compress → solve (→ evaluate) on a batch dataset.
+    /// Runs compress → solve → evaluate on a batch dataset.
     pub fn run<R: Rng>(&self, rng: &mut R, data: &Dataset) -> Result<PlanOutcome, FcError> {
         let t0 = std::time::Instant::now();
         let coreset = self.compress(rng, data)?;
@@ -537,19 +525,14 @@ impl Plan {
         let solution = self.solve_on(rng, coreset.dataset())?;
         let solve_secs = t1.elapsed().as_secs_f64();
 
-        let (cost_on_data, distortion) = if self.evaluate {
-            let cost_full = solution.cost_on(data, self.params.kind);
-            let cost_core = coreset.cost(&solution.centers, self.params.kind);
-            let distortion = if cost_full > 0.0 && cost_core > 0.0 {
-                (cost_full / cost_core).max(cost_core / cost_full)
-            } else if cost_full <= 0.0 && cost_core <= 0.0 {
-                1.0
-            } else {
-                f64::INFINITY
-            };
-            (Some(cost_full), Some(distortion))
+        let cost_on_data = solution.cost_on(data, self.params.kind);
+        let cost_core = coreset.cost(&solution.centers, self.params.kind);
+        let distortion = if cost_on_data > 0.0 && cost_core > 0.0 {
+            (cost_on_data / cost_core).max(cost_core / cost_on_data)
+        } else if cost_on_data <= 0.0 && cost_core <= 0.0 {
+            1.0
         } else {
-            (None, None)
+            f64::INFINITY
         };
 
         Ok(PlanOutcome {
@@ -688,8 +671,8 @@ mod tests {
             .unwrap();
         assert!(out.coreset.len() <= 120);
         assert_eq!(out.solution.k(), 3);
-        assert!(out.distortion.expect("evaluation on") < 1.5);
-        assert!(out.cost_on_data.expect("evaluation on") < 100.0);
+        assert!(out.distortion < 1.5);
+        assert!(out.cost_on_data < 100.0);
     }
 
     #[test]
@@ -706,10 +689,7 @@ mod tests {
                 .unwrap()
                 .run(&mut rng, &d)
                 .unwrap();
-            assert!(
-                out.distortion.expect("evaluation on").is_finite(),
-                "{method}"
-            );
+            assert!(out.distortion.is_finite(), "{method}");
         }
     }
 

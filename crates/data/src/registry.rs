@@ -34,9 +34,12 @@ impl Default for RegistryParams {
     }
 }
 
+/// The four artificial instances of §5.2, in the paper's order.
+pub const ARTIFICIAL: [&str; 4] = ["c-outlier", "geometric", "gaussian", "benchmark"];
+
 /// Names of every dataset the registry can produce.
 pub fn available() -> Vec<&'static str> {
-    let mut names = vec!["c-outlier", "geometric", "gaussian", "benchmark"];
+    let mut names = ARTIFICIAL.to_vec();
     names.extend(realworld_suite().into_iter().map(|s| s.name));
     names
 }

@@ -13,7 +13,7 @@
 //!   sparse Achlioptas), used by Algorithm 1 step 2 to replace `d` with
 //!   `O(log k)` dimensions.
 //! - [`sampling`]: weighted-sampling machinery — Walker alias tables for O(1)
-//!   draws, prefix-sum samplers for maskable ranges, reservoir sampling.
+//!   draws and prefix-sum samplers for maskable ranges.
 //! - [`bbox`]: bounding boxes and spread (`Δ`) computation, the quantity the
 //!   paper's spread-reduction machinery (Section 4) is about.
 //! - [`par`]: the scoped chunk-parallel compute tier — fixed-size chunks
@@ -24,12 +24,10 @@ pub mod bbox;
 pub mod dataset;
 pub mod distance;
 pub mod error;
-pub mod io;
 pub mod jl;
 pub mod par;
 pub mod points;
 pub mod sampling;
-pub mod scaling;
 pub mod stats;
 
 pub use bbox::BoundingBox;

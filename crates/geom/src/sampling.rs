@@ -225,22 +225,6 @@ impl PrefixSums {
     }
 }
 
-/// Uniform sample of `m` distinct indices from `0..n` (reservoir sampling);
-/// if `m >= n`, returns all indices.
-pub fn reservoir_indices<R: Rng + ?Sized>(rng: &mut R, n: usize, m: usize) -> Vec<usize> {
-    if m >= n {
-        return (0..n).collect();
-    }
-    let mut reservoir: Vec<usize> = (0..m).collect();
-    for i in m..n {
-        let j = rng.gen_range(0..=i);
-        if j < m {
-            reservoir[j] = i;
-        }
-    }
-    reservoir
-}
-
 /// Draws `m` indices i.i.d. proportional to `weights` (with replacement),
 /// building an alias table internally. Returns an empty vector when no
 /// distribution exists (all-zero weights).
@@ -383,44 +367,6 @@ mod tests {
             let expected = weights[i] / total * n as f64;
             let rel = (c as f64 - expected).abs() / expected;
             assert!(rel < 0.08, "category {i}: got {c}, expected {expected}");
-        }
-    }
-
-    #[test]
-    fn reservoir_returns_distinct_indices() {
-        let mut r = rng();
-        let s = reservoir_indices(&mut r, 100, 10);
-        assert_eq!(s.len(), 10);
-        let mut sorted = s.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 10);
-        assert!(sorted.iter().all(|&i| i < 100));
-    }
-
-    #[test]
-    fn reservoir_small_n_returns_everything() {
-        let mut r = rng();
-        assert_eq!(reservoir_indices(&mut r, 3, 5), vec![0, 1, 2]);
-        assert_eq!(reservoir_indices(&mut r, 3, 3), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn reservoir_is_approximately_uniform() {
-        let mut r = rng();
-        let n = 20;
-        let m = 5;
-        let trials = 40_000;
-        let mut counts = vec![0usize; n];
-        for _ in 0..trials {
-            for i in reservoir_indices(&mut r, n, m) {
-                counts[i] += 1;
-            }
-        }
-        let expected = trials as f64 * m as f64 / n as f64;
-        for (i, &c) in counts.iter().enumerate() {
-            let rel = (c as f64 - expected).abs() / expected;
-            assert!(rel < 0.06, "index {i}: got {c}, expected {expected}");
         }
     }
 

@@ -118,45 +118,6 @@ proptest! {
     }
 
     #[test]
-    fn scaler_round_trips(flat in prop::collection::vec(-100.0f64..100.0, 6..90)) {
-        use fc_geom::scaling::AxisScaler;
-        let usable = flat.len() - flat.len() % 3;
-        let d = Dataset::from_flat(flat[..usable].to_vec(), 3).unwrap();
-        for scaler in [AxisScaler::standardize(&d).unwrap(), AxisScaler::min_max(&d).unwrap()] {
-            let t = scaler.transform(d.points()).unwrap();
-            let back = scaler.inverse_transform(&t).unwrap();
-            for (a, b) in back.iter().zip(d.points().iter()) {
-                for (x, y) in a.iter().zip(b) {
-                    prop_assert!((x - y).abs() <= 1e-8 * y.abs().max(1.0));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn binary_io_round_trips(
-        flat in prop::collection::vec(-1e9f64..1e9, 4..60),
-        ws in prop::collection::vec(0.0f64..1e6, 30),
-    ) {
-        let usable = flat.len() - flat.len() % 2;
-        let n = usable / 2;
-        let d = Dataset::weighted(
-            Points::from_flat(flat[..usable].to_vec(), 2).unwrap(),
-            ws[..n].to_vec(),
-        ).unwrap();
-        let mut path = std::env::temp_dir();
-        path.push(format!(
-            "fc-geom-prop-{}-{}.fcds",
-            std::process::id(),
-            std::thread::current().name().unwrap_or("t").len() as u64 + n as u64
-        ));
-        fc_geom::io::write_binary(&path, &d, true).unwrap();
-        let back = fc_geom::io::read_binary(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        prop_assert_eq!(back, d);
-    }
-
-    #[test]
     fn gather_preserves_rows(flat in prop::collection::vec(-10.0f64..10.0, 9..90)) {
         let usable = flat.len() - flat.len() % 3;
         let p = Points::from_flat(flat[..usable].to_vec(), 3).unwrap();

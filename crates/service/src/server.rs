@@ -1,12 +1,12 @@
 //! The TCP server: JSON-lines over `std::net`, with two interchangeable
 //! I/O models behind one [`ServerHandle`].
 //!
-//! - [`IoModel::Reactor`] (Linux default): one epoll reactor thread per
-//!   `io_threads` multiplexes every connection through per-connection
-//!   state machines (reading → executing → writing), and a small bounded
-//!   executor pool runs the [`Backend`] calls. Idle connections cost a
-//!   few kilobytes of buffers, not a thread; process thread count is
-//!   bounded by `io_threads + executor_threads`, not by connections.
+//! - [`IoModel::Reactor`] (Linux default): one epoll reactor thread
+//!   multiplexes every connection through per-connection state machines
+//!   (reading → executing → writing), and a small bounded executor pool
+//!   runs the [`Backend`] calls. Idle connections cost a few kilobytes of
+//!   buffers, not a thread; the server's thread count is
+//!   `1 + executor_threads`, whatever the number of connections.
 //! - [`IoModel::Threaded`]: the classic thread-per-connection loop —
 //!   correct everywhere `std::net` works, and the fallback on platforms
 //!   without epoll.
@@ -41,7 +41,7 @@ use crate::session::{self, Session, Step};
 /// How the server multiplexes its connections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoModel {
-    /// One epoll reactor (per io thread) + a bounded executor pool.
+    /// One epoll reactor thread + a bounded executor pool.
     /// Linux only; other platforms silently fall back to [`Self::Threaded`]
     /// at bind time.
     Reactor,
@@ -103,9 +103,6 @@ impl std::fmt::Display for IoModel {
 pub struct ServerOptions {
     /// The I/O model (see [`IoModel`]).
     pub io_model: IoModel,
-    /// Reactor threads (connections are distributed round-robin across
-    /// them). Ignored by [`IoModel::Threaded`]. At least 1.
-    pub io_threads: usize,
     /// Executor threads running [`Backend`] calls for the reactor model.
     /// Ignored by [`IoModel::Threaded`]. At least 1.
     pub executor_threads: usize,
@@ -117,8 +114,9 @@ pub struct ServerOptions {
     /// waited longer than this for an executor is shed with a structured
     /// `deadline_exceeded` error instead of being executed — under
     /// overload the server answers *recent* requests rather than grinding
-    /// through a backlog nobody is waiting on anymore. `None` disables
-    /// shedding. The threaded model has no queue, so it ignores this.
+    /// through a backlog nobody is waiting on anymore. `None` (or a zero
+    /// duration) disables shedding. The threaded model has no queue, so
+    /// it ignores this.
     pub request_deadline: Option<Duration>,
     /// Whether connections may upgrade to a binary wire dialect (`bin1c`
     /// or `bin1`) via the `hello` handshake. On by default — clients that never send
@@ -135,7 +133,6 @@ impl Default for ServerOptions {
     fn default() -> Self {
         Self {
             io_model: IoModel::default(),
-            io_threads: 1,
             executor_threads: 4,
             max_connections: 0,
             request_deadline: None,
@@ -619,7 +616,7 @@ mod threaded {
 }
 
 /// The epoll reactor model (Linux): per-connection state machines driven
-/// by reactor threads, [`Backend`] calls on a bounded executor pool.
+/// by one reactor thread, [`Backend`] calls on a bounded executor pool.
 #[cfg(target_os = "linux")]
 mod reactor_server {
     use super::*;
@@ -651,15 +648,13 @@ mod reactor_server {
     const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
     enum Msg {
-        /// A freshly accepted connection assigned to this reactor.
-        Conn(TcpStream),
         /// An executor finished a request for connection `conn`.
         Complete { conn: u64, bytes: Vec<u8> },
         /// Begin graceful drain.
         Shutdown,
     }
 
-    /// A reactor's cross-thread mailbox: push a message, wake the loop.
+    /// The reactor's cross-thread mailbox: push a message, wake the loop.
     pub(super) struct Mailbox {
         queue: Mutex<Vec<Msg>>,
         waker: Waker,
@@ -678,7 +673,6 @@ mod reactor_server {
     }
 
     struct Job {
-        reactor: usize,
         conn: u64,
         /// One connection's consecutively pipelined requests, each in its
         /// wire form; each response is encoded in the format its request
@@ -834,11 +828,10 @@ mod reactor_server {
     }
 
     pub(super) struct Server {
-        mailboxes: Vec<Arc<Mailbox>>,
-        reactor_threads: Vec<JoinHandle<()>>,
+        mailbox: Arc<Mailbox>,
+        reactor_thread: Option<JoinHandle<()>>,
         job_tx: Option<mpsc::Sender<Job>>,
         executor_threads: Vec<JoinHandle<()>>,
-        stopped: bool,
     }
 
     impl Server {
@@ -848,7 +841,6 @@ mod reactor_server {
             options: &ServerOptions,
         ) -> std::io::Result<Server> {
             listener.set_nonblocking(true)?;
-            let io_threads = options.io_threads.max(1);
             let executor_threads = options.executor_threads.max(1);
             // Backends without telemetry still get working admission
             // control — the serving metrics just land in a registry
@@ -857,124 +849,89 @@ mod reactor_server {
                 .telemetry()
                 .unwrap_or_else(|| Arc::new(Telemetry::new()));
             let metrics = ServeMetrics::new(&telemetry);
-            let max_connections = options.max_connections;
-            let deadline = options.request_deadline;
-            let binary_wire = options.binary_wire;
+            // A zero deadline means none, as a zero connection cap does:
+            // every queue wait exceeds it, so it would shed every request.
+            let deadline = options.request_deadline.filter(|d| !d.is_zero());
 
-            let mut mailboxes = Vec::with_capacity(io_threads);
-            let mut pollers = Vec::with_capacity(io_threads);
-            for _ in 0..io_threads {
-                let mailbox = Arc::new(Mailbox {
-                    queue: Mutex::new(Vec::new()),
-                    waker: Waker::new()?,
-                });
-                let poller = Poller::new()?;
-                poller.add(mailbox.waker.fd(), TOKEN_WAKER, true, false)?;
-                pollers.push(poller);
-                mailboxes.push(mailbox);
-            }
-            pollers[0].add(listener.as_raw_fd(), TOKEN_LISTENER, true, false)?;
+            let mailbox = Arc::new(Mailbox {
+                queue: Mutex::new(Vec::new()),
+                waker: Waker::new()?,
+            });
+            let poller = Poller::new()?;
+            poller.add(mailbox.waker.fd(), TOKEN_WAKER, true, false)?;
+            poller.add(listener.as_raw_fd(), TOKEN_LISTENER, true, false)?;
 
             let (job_tx, job_rx) = mpsc::channel::<Job>();
             let job_rx = Arc::new(Mutex::new(job_rx));
             let mut executors = Vec::with_capacity(executor_threads);
+            // Undoes a failed start before the reactor runs: dropping the
+            // last job sender disconnects the queue, so the spawned
+            // workers exit and join — nothing leaks out of a failed bind.
+            let abandon = |job_tx: mpsc::Sender<Job>, executors: Vec<JoinHandle<()>>| {
+                drop(job_tx);
+                for t in executors {
+                    let _ = t.join();
+                }
+            };
             for i in 0..executor_threads {
                 let rx = Arc::clone(&job_rx);
                 let backend = Arc::clone(&backend);
-                let mailboxes = mailboxes.clone();
+                let mailbox = Arc::clone(&mailbox);
                 let metrics = metrics.clone();
                 let spawned = std::thread::Builder::new()
                     .name(format!("fc-exec-{i}"))
-                    .spawn(move || executor_loop(&rx, &*backend, &mailboxes, deadline, &metrics));
+                    .spawn(move || executor_loop(&rx, &*backend, &mailbox, deadline, &metrics));
                 match spawned {
                     Ok(t) => executors.push(t),
                     Err(e) => {
-                        // No reactors exist yet: dropping the only sender
-                        // disconnects the queue, so the spawned workers
-                        // exit and join — nothing leaks out of a failed
-                        // bind.
-                        drop(job_tx);
-                        for t in executors {
-                            let _ = t.join();
-                        }
+                        abandon(job_tx, executors);
                         return Err(e);
                     }
                 }
             }
 
-            let mut reactor_threads = Vec::with_capacity(io_threads);
-            let mut listener = Some(listener);
-            for (idx, poller) in pollers.into_iter().enumerate() {
-                let mailbox = Arc::clone(&mailboxes[idx]);
-                let peers = mailboxes.clone();
-                let reactor_job_tx = job_tx.clone();
-                let reactor_metrics = metrics.clone();
-                let listener = if idx == 0 { listener.take() } else { None };
-                let spawned = std::thread::Builder::new()
-                    .name(format!("fc-io-{idx}"))
-                    .spawn(move || {
-                        Reactor {
-                            idx,
-                            poller,
-                            mailbox,
-                            peers,
-                            listener,
-                            job_tx: reactor_job_tx,
-                            conns: HashMap::new(),
-                            next_token: FIRST_CONN_TOKEN,
-                            next_assignee: 0,
-                            draining: false,
-                            drain_deadline: None,
-                            accept_retry_at: None,
-                            max_connections,
-                            binary_wire,
-                            metrics: reactor_metrics,
-                        }
-                        .run()
-                    });
-                match spawned {
-                    Ok(t) => reactor_threads.push(t),
-                    Err(e) => {
-                        // Partial spawn: the reactors already running (one
-                        // of which may own the listener) must drain and
-                        // join, or a failed bind would leave the port
-                        // bound and threads serving with no handle.
-                        let mut partial = Server {
-                            mailboxes,
-                            reactor_threads,
-                            job_tx: Some(job_tx),
-                            executor_threads: executors,
-                            stopped: false,
-                        };
-                        partial.shutdown();
-                        return Err(e);
-                    }
+            let reactor = Reactor {
+                poller,
+                mailbox: Arc::clone(&mailbox),
+                listener: Some(listener),
+                job_tx: job_tx.clone(),
+                conns: HashMap::new(),
+                next_token: FIRST_CONN_TOKEN,
+                draining: false,
+                drain_deadline: None,
+                accept_retry_at: None,
+                max_connections: options.max_connections,
+                binary_wire: options.binary_wire,
+                metrics,
+            };
+            // A failed spawn drops the reactor, and with it the listener
+            // and its job sender.
+            let spawned = std::thread::Builder::new()
+                .name("fc-io".into())
+                .spawn(move || reactor.run());
+            match spawned {
+                Ok(t) => Ok(Server {
+                    mailbox,
+                    reactor_thread: Some(t),
+                    job_tx: Some(job_tx),
+                    executor_threads: executors,
+                }),
+                Err(e) => {
+                    abandon(job_tx, executors);
+                    Err(e)
                 }
             }
-
-            Ok(Server {
-                mailboxes,
-                reactor_threads,
-                job_tx: Some(job_tx),
-                executor_threads: executors,
-                stopped: false,
-            })
         }
 
         pub(super) fn shutdown(&mut self) {
-            if self.stopped {
+            let Some(reactor) = self.reactor_thread.take() else {
                 return;
-            }
-            self.stopped = true;
-            for mailbox in &self.mailboxes {
-                mailbox.send(Msg::Shutdown);
-            }
-            // Reactors drain (in-flight responses still complete through
-            // the live executor pool), then exit; only then is the pool
-            // disconnected and joined.
-            for t in self.reactor_threads.drain(..) {
-                let _ = t.join();
-            }
+            };
+            self.mailbox.send(Msg::Shutdown);
+            // The reactor drains (in-flight responses still complete
+            // through the live executor pool), then exits; only then is
+            // the pool disconnected and joined.
+            let _ = reactor.join();
             self.job_tx = None;
             for t in self.executor_threads.drain(..) {
                 let _ = t.join();
@@ -985,7 +942,7 @@ mod reactor_server {
     fn executor_loop(
         rx: &Mutex<mpsc::Receiver<Job>>,
         backend: &dyn Backend,
-        mailboxes: &[Arc<Mailbox>],
+        mailbox: &Mailbox,
         deadline: Option<Duration>,
         metrics: &ServeMetrics,
     ) {
@@ -1023,7 +980,7 @@ mod reactor_server {
                 // one thread per panic.
                 bytes.extend_from_slice(&session::answer(backend, frame));
             }
-            mailboxes[job.reactor].send(Msg::Complete {
+            mailbox.send(Msg::Complete {
                 conn: job.conn,
                 bytes,
             });
@@ -1031,17 +988,12 @@ mod reactor_server {
     }
 
     struct Reactor {
-        idx: usize,
         poller: Poller,
         mailbox: Arc<Mailbox>,
-        peers: Vec<Arc<Mailbox>>,
         listener: Option<TcpListener>,
         job_tx: mpsc::Sender<Job>,
         conns: HashMap<u64, Conn>,
         next_token: u64,
-        /// Round-robin cursor over `peers` for accepted connections
-        /// (reactor 0 only — it owns the listener).
-        next_assignee: usize,
         draining: bool,
         drain_deadline: Option<Instant>,
         /// Set after a persistent accept failure (e.g. fd exhaustion):
@@ -1049,9 +1001,9 @@ mod reactor_server {
         /// still-pending connection cannot spin the level-triggered loop,
         /// and no sleep ever blocks the reactor thread.
         accept_retry_at: Option<Instant>,
-        /// Open-connection cap (0 = unlimited), shared across reactors
-        /// through the `fc_connections_open` gauge itself: the gauge is
-        /// the process-wide count, so the cap needs no second counter.
+        /// Open-connection cap (0 = unlimited), checked against the
+        /// `fc_connections_open` gauge itself, so the cap needs no second
+        /// counter.
         max_connections: usize,
         /// Whether connections may `hello`-upgrade to the binary wire.
         binary_wire: bool,
@@ -1107,7 +1059,6 @@ mod reactor_server {
                 events = ready;
                 for msg in self.mailbox.drain() {
                     match msg {
-                        Msg::Conn(stream) => self.adopt(stream),
                         Msg::Complete { conn, bytes } => {
                             if let Some(c) = self.conns.get_mut(&conn) {
                                 c.write_buf.extend_from_slice(&bytes);
@@ -1176,13 +1127,7 @@ mod reactor_server {
                 }
             }
             for stream in accepted {
-                let target = self.next_assignee % self.peers.len();
-                self.next_assignee = self.next_assignee.wrapping_add(1);
-                if target == self.idx {
-                    self.adopt(stream);
-                } else {
-                    self.peers[target].send(Msg::Conn(stream));
-                }
+                self.adopt(stream);
             }
         }
 
@@ -1296,7 +1241,6 @@ mod reactor_server {
                         if self
                             .job_tx
                             .send(Job {
-                                reactor: self.idx,
                                 conn: token,
                                 frames,
                                 enqueued: Instant::now(),

@@ -32,7 +32,7 @@ fn evaluate(name: &str, data: &Dataset, k: usize, methods: &[Method]) {
             .expect("valid plan");
         let mut rng = StdRng::seed_from_u64(7);
         let out = plan.run(&mut rng, data).expect("valid data");
-        let distortion = out.distortion.expect("evaluation on");
+        let distortion = out.distortion;
         let flag = if distortion > 10.0 {
             "  <- catastrophic"
         } else if distortion > 5.0 {

@@ -47,11 +47,11 @@ fn main() -> Result<(), FcError> {
     );
     println!(
         "cost of the coreset-derived solution on the full data: {:.4e}",
-        outcome.cost_on_data.expect("evaluation on")
+        outcome.cost_on_data
     );
     println!(
         "coreset distortion: {:.4}  (1.0 = perfect, >5 = failure)",
-        outcome.distortion.expect("evaluation on")
+        outcome.distortion
     );
 
     // Contrast with uniform sampling at the same size — same plan, one
@@ -64,7 +64,7 @@ fn main() -> Result<(), FcError> {
     let uniform = uniform_plan.run(&mut rng, &data)?;
     println!(
         "uniform-sampling distortion at the same size: {:.4}",
-        uniform.distortion.expect("evaluation on")
+        uniform.distortion
     );
     Ok(())
 }

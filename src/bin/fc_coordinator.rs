@@ -7,8 +7,7 @@
 //!                [--k K] [--m-scalar M] [--budget POINTS] [--kmedian]
 //!                [--method NAME] [--solver NAME]
 //!                [--solve-threads N] [--cache-capacity N]
-//!                [--io-model reactor|threaded] [--io-threads N]
-//!                [--executor-threads N]
+//!                [--io-model reactor|threaded] [--executor-threads N]
 //!                [--max-connections N] [--request-deadline-ms N]
 //!                [--wire bin1|json]
 //!                [--metrics-addr HOST:PORT] [--version]
@@ -29,10 +28,10 @@
 //! default). The
 //! plan flags (`--k`/`--m-scalar`/`--budget`/`--kmedian`/`--method`/
 //! `--solver`) define the default per-dataset plan, forwarded to the
-//! nodes with every routed batch — node-side defaults never leak in. The
-//! `--io-*` flags configure the upward-facing server exactly as on
-//! `fc-server`. Every node request is one blocking call: a fan-out runs
-//! the first node on the executor thread serving the request and each
+//! nodes with every routed batch — node-side defaults never leak in.
+//! `--io-model` and `--executor-threads` configure the upward-facing
+//! server exactly as on `fc-server`. Every node request is one blocking
+//! call: a fan-out runs the first node on the executor thread serving the request and each
 //! other node on a scoped thread joined before the answer, so at most
 //! `--executor-threads` × (nodes − 1) such threads exist at once, on every
 //! platform.
@@ -258,8 +257,8 @@ fn main() {
             n => n.to_string(),
         },
         match serving.options.request_deadline {
-            Some(d) => format!("{}ms", d.as_millis()),
-            None => "none".to_owned(),
+            Some(d) if !d.is_zero() => format!("{}ms", d.as_millis()),
+            _ => "none".to_owned(),
         },
     );
     // Serve until the process is killed, like fc-server.

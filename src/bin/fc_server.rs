@@ -5,8 +5,7 @@
 //!           [--budget POINTS] [--queue-depth N] [--kmedian]
 //!           [--method NAME] [--solver NAME]
 //!           [--solve-threads N] [--cache-capacity N]
-//!           [--io-model reactor|threaded] [--io-threads N]
-//!           [--executor-threads N]
+//!           [--io-model reactor|threaded] [--executor-threads N]
 //!           [--max-connections N] [--request-deadline-ms N]
 //!           [--wire auto|json]
 //!           [--batch-points N] [--batch-delay-ms N]
@@ -31,8 +30,8 @@
 //! engine's memoized query results (`0` disables the cache; default 64).
 //!
 //! `--io-model` picks the connection model: `reactor` (epoll readiness
-//! loop + bounded executor pool — the Linux default; `--io-threads`
-//! reactor threads, `--executor-threads` backend workers) or `threaded`
+//! loop + bounded executor pool — the Linux default; one reactor thread,
+//! `--executor-threads` backend workers) or `threaded`
 //! (one blocking thread per connection). Platforms without epoll always
 //! run `threaded`.
 //!
@@ -42,7 +41,7 @@
 //! `--request-deadline-ms` sheds requests that waited longer than the
 //! deadline in the executor queue (reactor model only) with a structured
 //! `deadline_exceeded` — the server does stale work never, late work
-//! sometimes. `--metrics-addr` serves Prometheus text exposition
+//! sometimes; `0` means no deadline. `--metrics-addr` serves Prometheus text exposition
 //! (`GET /metrics`) from a second listener; the JSON protocol's
 //! `metrics` op returns the same registry inline.
 //!
@@ -330,8 +329,8 @@ fn main() {
             n => n.to_string(),
         },
         match options.request_deadline {
-            Some(d) => format!("{}ms", d.as_millis()),
-            None => "none".to_owned(),
+            Some(d) if !d.is_zero() => format!("{}ms", d.as_millis()),
+            _ => "none".to_owned(),
         },
         handle.engine().default_plan().to_json(),
         match &config.persist {

@@ -13,7 +13,7 @@ use fc_service::{EngineConfig, ServerOptions};
 
 /// The values of the shared flags.
 pub struct ServingFlags {
-    /// `--io-model --io-threads --executor-threads --max-connections
+    /// `--io-model --executor-threads --max-connections
     /// --request-deadline-ms --wire`.
     pub options: ServerOptions,
     /// `--k`.
@@ -56,7 +56,7 @@ pub fn usage(wire_on: &str) -> String {
     format!(
         "[--k K] [--m-scalar M] [--budget POINTS] [--kmedian] [--method NAME] \
          [--solver NAME] [--solve-threads N] [--cache-capacity N] \
-         [--io-model reactor|threaded] [--io-threads N] [--executor-threads N] \
+         [--io-model reactor|threaded] [--executor-threads N] \
          [--max-connections N] [--request-deadline-ms N] [--wire {wire_on}|json]"
     )
 }
@@ -119,7 +119,6 @@ impl ServingFlags {
             }
             "--cache-capacity" => self.cache_capacity = number(value("count"), usage),
             "--io-model" => options.io_model = named(value("model name"), usage),
-            "--io-threads" => options.io_threads = number(value("count"), usage),
             "--executor-threads" => options.executor_threads = number(value("count"), usage),
             "--max-connections" => options.max_connections = number(value("count"), usage),
             "--request-deadline-ms" => {

@@ -34,7 +34,7 @@
 //!     .build()?;
 //! let outcome = plan.run(&mut rng, &data)?;
 //! assert!(outcome.coreset.len() <= 200);
-//! assert!(outcome.distortion.unwrap() < 2.0);
+//! assert!(outcome.distortion < 2.0);
 //!
 //! // The same plan consumes streams: push blocks, finish, solve.
 //! let mut session = plan.stream();

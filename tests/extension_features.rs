@@ -26,7 +26,7 @@ fn pipeline_runs_on_every_registry_dataset() {
             .unwrap()
             .run(&mut rng, &data)
             .unwrap();
-        let d = out.distortion.expect("evaluation on");
+        let d = out.distortion;
         assert!(d.is_finite(), "{name}: infinite distortion");
         // Strong-coreset method: never catastrophic, on any instance.
         assert!(d < 5.0, "{name}: fast-coreset distortion {d}");
@@ -77,7 +77,6 @@ fn pipeline_methods_rank_as_the_paper_predicts_on_outliers() {
                     .run(&mut rng, &data)
                     .unwrap()
                     .distortion
-                    .expect("evaluation on")
             })
             .fold(1.0f64, f64::max)
     };

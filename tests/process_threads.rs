@@ -1,7 +1,8 @@
-//! Tests that read the process-wide thread count from `/proc/self/status`:
-//! 256 idle connections must not pin threads, and the threads a
-//! coordinator fan-out spawns (one per node beyond the first) must be gone
-//! when the request returns. The count covers every thread of the test
+//! Tests that read the process's threads from `/proc/self`: 256 idle
+//! connections must not pin threads, the reactor server runs exactly one
+//! reactor thread beside its executors, and the threads a coordinator
+//! fan-out spawns (one per node beyond the first) must be gone when the
+//! request returns. The count covers every thread of the test
 //! binary, so these tests live apart from every suite that runs servers of
 //! its own, and take [`PROCESS_THREADS`] so that they do not overlap each
 //! other.
@@ -62,7 +63,6 @@ fn idle_connections_do_not_pin_threads() {
     let _alone = PROCESS_THREADS.lock().unwrap_or_else(|e| e.into_inner());
     let options = ServerOptions {
         io_model: IoModel::Reactor,
-        io_threads: 1,
         executor_threads: 4,
         ..Default::default()
     };
@@ -151,6 +151,73 @@ fn idle_connections_do_not_pin_threads() {
             Ok(n) => panic!("idle connection still live after shutdown ({n} bytes)"),
         }
     }
+}
+
+/// How many of the process's threads carry a name starting with each
+/// prefix (`/proc/self/task/*/comm`, Linux only).
+fn named_threads<const N: usize>(prefixes: [&str; N]) -> [usize; N] {
+    let mut counts = [0; N];
+    for task in std::fs::read_dir("/proc/self/task").expect("/proc/self/task is readable") {
+        // A thread that exits between the listing and the read is gone.
+        let Ok(comm) = std::fs::read_to_string(task.expect("task entry").path().join("comm"))
+        else {
+            continue;
+        };
+        for (count, prefix) in counts.iter_mut().zip(prefixes) {
+            if comm.trim_end().starts_with(prefix) {
+                *count += 1;
+            }
+        }
+    }
+    counts
+}
+
+/// The server's named threads once any from an earlier server in this
+/// binary have been reaped (a joined thread can linger in `/proc` for a
+/// moment).
+fn server_threads() -> [usize; 2] {
+    let settle = Instant::now() + Duration::from_secs(2);
+    loop {
+        let counts = named_threads(["fc-io", "fc-exec-"]);
+        if counts == [1, 4] || Instant::now() >= settle {
+            return counts;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// The thread budget the README documents: one reactor thread and
+/// `executor_threads` executors, whether no connection is open or 256.
+#[test]
+fn reactor_server_runs_one_reactor_and_its_executors() {
+    let _alone = PROCESS_THREADS.lock().unwrap_or_else(|e| e.into_inner());
+    let options = ServerOptions {
+        io_model: IoModel::Reactor,
+        executor_threads: 4,
+        ..Default::default()
+    };
+    let server = ServerHandle::bind_with("127.0.0.1:0", small_engine(), options).unwrap();
+    let addr = server.addr();
+    assert_eq!(
+        server_threads(),
+        [1, 4],
+        "[reactor, executor] threads at bind"
+    );
+
+    let idle: Vec<TcpStream> = (0..256)
+        .map(|_| TcpStream::connect(addr).expect("idle connect"))
+        .collect();
+    // A round trip behind the idle herd: the reactor has accepted them all.
+    let mut client = ServiceClient::connect(addr).unwrap();
+    client.ingest("load", &four_blobs(25), None).unwrap();
+    assert_eq!(client.stats(Some("load")).unwrap().len(), 1);
+    assert_eq!(
+        server_threads(),
+        [1, 4],
+        "[reactor, executor] threads with 257 connections open"
+    );
+    drop(idle);
+    server.shutdown();
 }
 
 /// A coordinator fan-out runs the first node on the calling thread and

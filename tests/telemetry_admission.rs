@@ -190,6 +190,32 @@ fn queued_past_deadline_requests_are_shed_with_deadline_exceeded() {
     handle.shutdown();
 }
 
+/// A zero deadline means none, as a zero connection cap does: every queue
+/// wait exceeds zero, so honouring it would shed every request.
+#[test]
+fn zero_request_deadline_sheds_nothing() {
+    let engine = Engine::new(EngineConfig {
+        shards: 1,
+        k: 2,
+        m_scalar: 10,
+        ..Default::default()
+    })
+    .unwrap();
+    let options = ServerOptions {
+        executor_threads: 1,
+        request_deadline: Some(Duration::ZERO),
+        ..Default::default()
+    };
+    let handle = ServerHandle::bind_with("127.0.0.1:0", engine, options).unwrap();
+    let mut client = ServiceClient::connect(handle.addr()).unwrap();
+    let (points, _) = client.ingest("prompt", &blobs(10), None).unwrap();
+    assert_eq!(points, 40);
+    let stats = client.stats(Some("prompt")).unwrap();
+    assert_eq!(stats.len(), 1);
+    assert_eq!(stats[0].ingested_points, 40);
+    handle.shutdown();
+}
+
 /// Sends one raw JSON line and returns the response line.
 fn raw_exchange(stream: &mut std::net::TcpStream, line: &str) -> String {
     stream.write_all(line.as_bytes()).unwrap();
