@@ -5,11 +5,25 @@
 //! positions. It lives in `fc_core` so the [`crate::plan::Plan`] wire form
 //! and the `fc-service` JSON-lines protocol serialize through one codec —
 //! a plan encoded by the library is byte-for-byte what the service speaks.
-//! Numbers are `f64` throughout — coordinates, weights, and counts all fit
-//! the protocol's ranges (counts stay below 2⁵³).
+//!
+//! A number is a [`Value::Number`] (`f64`), or a [`Value::Uint`] when it
+//! is a non-negative integer token: seeds and counts use the whole `u64`
+//! domain, which `f64` cannot hold exactly above 2⁵³. Every finite `f64`
+//! is written as the shortest decimal that reads back as the same bits —
+//! Ryu (Adams, PLDI 2018), byte for byte what `format!("{n}")` writes
+//! (std is the reference its tests hold it to) — except that an integer
+//! value below 10¹⁷ is written exactly and keeps a `.0`, so it reads back
+//! as a `Number` and not a `Uint`. Non-finite numbers are written as
+//! `null`.
+//!
+//! [`parse_with_rows`] is [`parse`] for protocol lines: it reads the
+//! arrays of number rows under a few named keys straight into flat
+//! buffers, and leaves every other value as `parse` gives it.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+mod shortest;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,17 +112,18 @@ impl Value {
     /// Serializes to compact JSON (single line, sorted object keys).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.write_json(&mut out);
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact JSON text of the value to `out`.
+    pub fn write_json(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(true) => out.push_str("true"),
             Value::Bool(false) => out.push_str("false"),
             Value::Number(n) => write_number(*n, out),
-            Value::Uint(n) => out.push_str(&n.to_string()),
+            Value::Uint(n) => write_uint(*n, out),
             Value::String(s) => write_string(s, out),
             Value::Array(items) => {
                 out.push('[');
@@ -116,7 +131,7 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    item.write(out);
+                    item.write_json(out);
                 }
                 out.push(']');
             }
@@ -128,7 +143,7 @@ impl Value {
                     }
                     write_string(k, out);
                     out.push(':');
-                    v.write(out);
+                    v.write_json(out);
                 }
                 out.push('}');
             }
@@ -188,23 +203,86 @@ pub fn number_array(values: &[f64]) -> Value {
     Value::Array(values.iter().map(|&v| Value::Number(v)).collect())
 }
 
-fn write_number(n: f64, out: &mut String) {
+/// Appends a JSON array of numbers, written as [`write_number`] writes
+/// each.
+pub fn write_numbers(values: &[f64], out: &mut String) {
+    out.push('[');
+    for (i, &v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_number(v, out);
+    }
+    out.push(']');
+}
+
+/// Appends the JSON text of a number (see the module docs).
+pub fn write_number(n: f64, out: &mut String) {
     if !n.is_finite() {
         // JSON has no inf/nan; the protocol encodes them as null and the
         // reader treats null numbers as an error, which is what a cost of
         // nan should be on the wire.
         out.push_str("null");
-    } else if n.fract() == 0.0 && n.abs() < 1e17 {
+        return;
+    }
+    if n.is_sign_negative() {
+        out.push('-');
+    }
+    let n = n.abs();
+    if n < 1e17 && (n as u64) as f64 == n {
         // Keep a fraction so floats and exact integers ([`Value::Uint`])
         // stay distinct across a round trip.
-        out.push_str(&format!("{n:.1}"));
+        write_uint(n as u64, out);
+        out.push_str(".0");
+        return;
+    }
+    let (digits, exponent) = shortest::shortest(n.to_bits());
+    let mut buf = [0u8; 20];
+    let text = ascii_digits(digits, &mut buf);
+    // The value is 0.<text> x 10^point: std writes it without an exponent.
+    let point = exponent + text.len() as i32;
+    if point <= 0 {
+        out.push_str("0.");
+        push_zeros(point.unsigned_abs() as usize, out);
+        out.push_str(text);
+    } else if (point as usize) < text.len() {
+        let (whole, fraction) = text.split_at(point as usize);
+        out.push_str(whole);
+        out.push('.');
+        out.push_str(fraction);
     } else {
-        // Shortest round-trip formatting of f64.
-        out.push_str(&format!("{n}"));
+        out.push_str(text);
+        push_zeros(point as usize - text.len(), out);
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Appends the decimal digits of `n`.
+pub fn write_uint(n: u64, out: &mut String) {
+    let mut buf = [0u8; 20];
+    out.push_str(ascii_digits(n, &mut buf));
+}
+
+/// The decimal digits of `n`, written at the end of `buf`.
+fn ascii_digits(mut n: u64, buf: &mut [u8; 20]) -> &str {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII")
+}
+
+fn push_zeros(count: usize, out: &mut String) {
+    out.extend(std::iter::repeat_n('0', count));
+}
+
+/// Appends a JSON string literal.
+pub fn write_string(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
     for c in s.chars() {
         match c {
@@ -214,7 +292,9 @@ fn write_string(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                out.push_str("\\u00");
+                out.push(char::from(HEX[c as usize >> 4]));
+                out.push(char::from(HEX[c as usize & 0xf]));
             }
             c => out.push(c),
         }
@@ -246,10 +326,39 @@ const MAX_DEPTH: usize = 128;
 
 /// Parses one JSON document, requiring it to span the whole input.
 pub fn parse(input: &str) -> Result<Value, JsonError> {
+    Ok(parse_with_rows(input, &[])?.0)
+}
+
+/// Rows of numbers read flat: `data` holds them one after another, each
+/// `dim` long (`dim` is 0 when there are no rows).
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Rows {
+    /// The numbers, row after row.
+    pub data: Vec<f64>,
+    /// The length of every row.
+    pub dim: usize,
+}
+
+/// The rows [`parse_with_rows`] read flat, each under its key.
+pub type KeyedRows<'k> = Vec<(&'k str, Rows)>;
+
+/// Parses one JSON document like [`parse`], except that when it is an
+/// object, the value of each of its keys named in `keys` that is an array
+/// of equal-length, non-empty arrays of numbers is read into [`Rows`] and
+/// returned beside the object instead of in it. A `null` in a row reads as
+/// NaN, and a number as [`Value::as_f64`] would give it. Any other value
+/// under such a key stays in the object, exactly as `parse` reads it.
+pub fn parse_with_rows<'k>(
+    input: &str,
+    keys: &[&'k str],
+) -> Result<(Value, KeyedRows<'k>), JsonError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
+        row_keys: keys,
+        rows: Vec::new(),
     };
     p.skip_ws();
     let v = p.value()?;
@@ -257,16 +366,20 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
     if p.pos != p.bytes.len() {
         return Err(p.error("trailing characters after JSON value"));
     }
-    Ok(v)
+    Ok((v, p.rows))
 }
 
-struct Parser<'a> {
+struct Parser<'a, 'k> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
+    /// Keys of the top-level object whose values are read as [`Rows`].
+    row_keys: &'a [&'k str],
+    rows: KeyedRows<'k>,
 }
 
-impl<'a> Parser<'a> {
+impl<'a, 'k> Parser<'a, 'k> {
     fn error(&self, message: &str) -> JsonError {
         JsonError {
             message: message.to_owned(),
@@ -316,33 +429,42 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Value, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
+    fn digits(&mut self) {
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
-        if self.peek() == Some(b'.') {
+    }
+
+    /// Scans a number token: its text, and whether it is digits only.
+    fn number_token(&mut self) -> (&'a str, bool) {
+        let start = self.pos;
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+        }
+        self.digits();
+        let mut digits_only = !negative;
+        if self.peek() == Some(b'.') {
+            digits_only = false;
+            self.pos += 1;
+            self.digits();
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
+            digits_only = false;
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits();
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
+        (&self.text[start..self.pos], digits_only)
+    }
+
+    fn number(&mut self) -> Result<Value, JsonError> {
+        let start = self.pos;
+        let (text, digits_only) = self.number_token();
         // Non-negative integer tokens stay exact (f64 corrupts above 2^53).
-        if !text.starts_with('-') {
+        if digits_only {
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(Value::Uint(n));
             }
@@ -355,6 +477,83 @@ impl<'a> Parser<'a> {
                 message: "invalid number".into(),
                 offset: start,
             })
+    }
+
+    /// Reads an array of rows as [`parse_with_rows`] describes, or leaves
+    /// the position where it was and returns `None` for anything else (a
+    /// syntax error included: the generic parse then reports it).
+    fn rows(&mut self) -> Option<Rows> {
+        let start = self.pos;
+        let rows = self.scan_rows();
+        if rows.is_none() {
+            self.pos = start;
+        }
+        rows
+    }
+
+    fn scan_rows(&mut self) -> Option<Rows> {
+        let mut rows = Rows::default();
+        self.opening(b'[')?;
+        if self.closing(b']') {
+            return Some(rows);
+        }
+        loop {
+            self.opening(b'[')?;
+            let row_start = rows.data.len();
+            loop {
+                rows.data.push(match self.peek()? {
+                    b'n' if self.bytes[self.pos..].starts_with(b"null") => {
+                        self.pos += 4;
+                        f64::NAN
+                    }
+                    b'-' | b'0'..=b'9' => {
+                        let (text, _) = self.number_token();
+                        text.parse::<f64>().ok().filter(|n| n.is_finite())?
+                    }
+                    _ => return None,
+                });
+                if !self.separator(b']')? {
+                    break;
+                }
+            }
+            let len = rows.data.len() - row_start;
+            if rows.dim == 0 {
+                rows.dim = len;
+            } else if len != rows.dim {
+                return None;
+            }
+            if !self.separator(b']')? {
+                return Some(rows);
+            }
+        }
+    }
+
+    /// Consumes `byte` and the whitespace after it.
+    fn opening(&mut self, byte: u8) -> Option<()> {
+        (self.peek() == Some(byte)).then(|| {
+            self.pos += 1;
+            self.skip_ws();
+        })
+    }
+
+    /// Consumes `close` (and the whitespace after it) if it comes next.
+    fn closing(&mut self, close: u8) -> bool {
+        let found = self.peek() == Some(close);
+        if found {
+            self.pos += 1;
+            self.skip_ws();
+        }
+        found
+    }
+
+    /// After an array item: `Some(true)` past a `,`, `Some(false)` past
+    /// `close`, `None` at anything else.
+    fn separator(&mut self, close: u8) -> Option<bool> {
+        self.skip_ws();
+        if self.closing(close) {
+            return Some(false);
+        }
+        self.opening(b',').map(|()| true)
     }
 
     fn enter(&mut self) -> Result<(), JsonError> {
@@ -420,12 +619,15 @@ impl<'a> Parser<'a> {
                     return Err(self.error("unescaped control character in string"));
                 }
                 Some(_) => {
-                    // Copy one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().expect("peek saw a byte");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote, backslash or
+                    // control character at once: those are ASCII, so the
+                    // run ends on a character boundary.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -435,9 +637,13 @@ impl<'a> Parser<'a> {
         if self.pos + 4 > self.bytes.len() {
             return Err(self.error("truncated unicode escape"));
         }
-        let text = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.error("invalid unicode escape"))?;
-        let cp = u32::from_str_radix(text, 16).map_err(|_| self.error("invalid unicode escape"))?;
+        let mut cp = 0;
+        for &b in &self.bytes[self.pos..self.pos + 4] {
+            let digit = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| self.error("invalid unicode escape"))?;
+            cp = cp * 16 + digit;
+        }
         self.pos += 4;
         Ok(cp)
     }
@@ -484,8 +690,24 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
+            let row_key = match self.depth {
+                1 => self.row_keys.iter().copied().find(|&k| k == key),
+                _ => None,
+            };
+            // A repeated key keeps its last value, in either place.
+            if let Some(row_key) = row_key {
+                self.rows.retain(|(k, _)| *k != row_key);
+            }
+            match row_key.and_then(|k| Some((k, self.rows()?))) {
+                Some(rows) => {
+                    map.remove(&key);
+                    self.rows.push(rows);
+                }
+                None => {
+                    let value = self.value()?;
+                    map.insert(key, value);
+                }
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -599,5 +821,208 @@ mod tests {
         assert_eq!(Value::Number(4.5).as_usize(), None);
         assert_eq!(Value::Number(-1.0).as_usize(), None);
         assert_eq!(Value::String("4".into()).as_usize(), None);
+    }
+
+    /// What the writer must print: std's shortest round trip, and `{:.1}`
+    /// for integer values below 1e17.
+    fn reference(n: f64) -> String {
+        if !n.is_finite() {
+            "null".to_owned()
+        } else if n.fract() == 0.0 && n.abs() < 1e17 {
+            format!("{n:.1}")
+        } else {
+            format!("{n}")
+        }
+    }
+
+    fn assert_writes_reference(n: f64) {
+        let mut out = String::new();
+        write_number(n, &mut out);
+        assert_eq!(out, reference(n), "bits {:#018x}", n.to_bits());
+    }
+
+    /// splitmix64: a fixed stream of well-mixed 64-bit patterns.
+    fn bit_patterns(seed: u64) -> impl Iterator<Item = u64> {
+        let mut state = seed;
+        std::iter::repeat_with(move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        })
+    }
+
+    #[test]
+    fn numbers_are_written_as_std_writes_them() {
+        for bits in bit_patterns(7).take(200_000) {
+            assert_writes_reference(f64::from_bits(bits));
+        }
+        // Every power of two and three times one, normal and subnormal.
+        for e in -1074..1024 {
+            let p = if e < -1022 {
+                f64::from_bits(1 << (e + 1074))
+            } else {
+                f64::from_bits(((e + 1023) as u64) << 52)
+            };
+            for n in [p, 3.0 * p, -p] {
+                assert_writes_reference(n);
+            }
+        }
+        // Powers of ten and their neighbours.
+        for k in -323..=308 {
+            let bits = format!("1e{k}").parse::<f64>().unwrap().to_bits();
+            for b in [bits - 1, bits, bits + 1] {
+                assert_writes_reference(f64::from_bits(b));
+            }
+        }
+        // Exact ties between two shortest candidates round half up.
+        for bits in [0x3e60_0000_0000_0000, 0x4317_9085_685d_83c9] {
+            assert_writes_reference(f64::from_bits(bits));
+        }
+        for a in 1..=317 {
+            for b in 1..=317 {
+                assert_writes_reference(f64::from(a) / f64::from(b));
+            }
+        }
+        for n in [
+            0.0,
+            -0.0,
+            1e17,
+            -1e17,
+            9.007199254740993e15,
+            72057594037927940.0,
+        ] {
+            assert_writes_reference(n);
+        }
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_writes_reference(n);
+        }
+    }
+
+    /// The long run: `cargo test --release -p fc-core -- --ignored`.
+    #[test]
+    #[ignore = "20 M values; run in release"]
+    fn numbers_are_written_as_std_writes_them_at_scale() {
+        for bits in bit_patterns(20_000_000).take(20_000_000) {
+            assert_writes_reference(f64::from_bits(bits));
+        }
+    }
+
+    #[test]
+    fn written_numbers_read_back_bit_for_bit() {
+        for bits in bit_patterns(3).take(20_000) {
+            let n = f64::from_bits(bits);
+            if n.is_finite() {
+                let back = parse(&Value::Number(n).to_json())
+                    .unwrap()
+                    .as_f64()
+                    .unwrap();
+                assert_eq!(back.to_bits(), bits);
+            }
+        }
+        let mut out = String::new();
+        write_uint(u64::MAX, &mut out);
+        write_numbers(&[0.5, -3.0, f64::NAN], &mut out);
+        assert_eq!(out, "18446744073709551615[0.5,-3.0,null]");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let text = "é".repeat(1 << 19);
+        let line = format!("\"{text}\"");
+        let started = std::time::Instant::now();
+        assert_eq!(parse(&line).unwrap().as_str(), Some(text.as_str()));
+        let elapsed = started.elapsed();
+        assert!(elapsed.as_secs_f64() < 2.0, "1 MiB string took {elapsed:?}");
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert!(parse(r#""\u+041""#).is_err());
+        assert!(parse(r#""\u-041""#).is_err());
+        assert_eq!(parse(r#""\u0041\u00e9""#).unwrap().as_str(), Some("Aé"));
+        assert_eq!(parse(r#""\u00E9""#).unwrap().as_str(), Some("é"));
+    }
+
+    /// `value` with every number an `f64`, as rows hold them.
+    fn as_floats(value: Value) -> Value {
+        match value {
+            Value::Uint(n) => Value::Number(n as f64),
+            Value::Array(items) => Value::Array(items.into_iter().map(as_floats).collect()),
+            Value::Object(map) => {
+                Value::Object(map.into_iter().map(|(k, v)| (k, as_floats(v))).collect())
+            }
+            other => other,
+        }
+    }
+
+    /// `parse_with_rows`' document with its rows put back as `parse` reads
+    /// them.
+    fn rejoin((mut value, rows): (Value, KeyedRows<'_>)) -> Value {
+        for (key, rows) in rows {
+            let row = |r: &[f64]| {
+                let cells = r.iter().map(|&x| match x.is_nan() {
+                    true => Value::Null,
+                    false => Value::Number(x),
+                });
+                Value::Array(cells.collect())
+            };
+            let nested = Value::Array(rows.data.chunks(rows.dim.max(1)).map(row).collect());
+            if let Value::Object(map) = &mut value {
+                map.insert(key.to_owned(), nested);
+            }
+        }
+        value
+    }
+
+    #[test]
+    fn rows_are_read_flat_only_where_asked() {
+        let keys = ["points", "centers"];
+        let text = r#"{"op":"x","points":[[1.5,-2],[0,3e2]], "centers" : [ [ 1 , null ] ] }"#;
+        let (value, rows) = parse_with_rows(text, &keys).unwrap();
+        assert_eq!(value.to_json(), r#"{"op":"x"}"#);
+        assert_eq!(rows[0].0, "points");
+        assert_eq!(rows[0].1.data, [1.5, -2.0, 0.0, 300.0]);
+        assert_eq!(rows[0].1.dim, 2);
+        assert_eq!((rows[1].0, rows[1].1.dim), ("centers", 2));
+        assert!(rows[1].1.data[1].is_nan());
+        // `parse` itself still nests.
+        let nested = parse("[[1.5,-2],[0,3e2]]").unwrap();
+        assert_eq!(nested.as_array().unwrap()[1].as_array().unwrap().len(), 2);
+        for text in [
+            r#"{"points":[]}"#,
+            r#"{"points":7}"#,
+            r#"{"points":null}"#,
+            r#"{"points":[[1],[2,3]]}"#,
+            r#"{"points":[[]]}"#,
+            r#"{"points":[["a"]]}"#,
+            r#"{"points":[1,2]}"#,
+            r#"{"points":[[1,2],[3,4]],"points":9}"#,
+            r#"{"points":9,"points":[[3,4]]}"#,
+            r#"{"plan":{"points":[[1]]},"points":[[18446744073709551615,-0]]}"#,
+            r#"[{"points":[[1]]}]"#,
+            r#"{"points":[[1,2],[3,4]],"centers":[[5]]}"#,
+        ] {
+            assert_eq!(
+                as_floats(rejoin(parse_with_rows(text, &keys).unwrap())),
+                as_floats(parse(text).unwrap()),
+                "{text}"
+            );
+        }
+        // A malformed document fails as `parse` fails it.
+        for text in [
+            r#"{"points":[[1,2],[3,"#,
+            r#"{"points":[[1e999]]}"#,
+            r#"{"points":[[1,2]],}"#,
+            r#"{"points":[[1 2]]}"#,
+            r#"{"points":[[-]]}"#,
+        ] {
+            assert_eq!(
+                parse_with_rows(text, &keys).unwrap_err(),
+                parse(text).unwrap_err(),
+                "{text}"
+            );
+        }
     }
 }

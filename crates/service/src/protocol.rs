@@ -60,7 +60,7 @@
 //! from a single big server.
 
 use crate::json::{self, Value};
-use crate::wire::{Decoder, Encoder, Object, Record};
+use crate::wire::{self, Decoder, Encoder, Object, Record};
 use fc_clustering::{CostKind, Solver};
 use fc_core::plan::{Method, Plan};
 use fc_core::PointBlock;
@@ -551,10 +551,10 @@ impl Request {
     /// Old servers ignore the field; new ones record the id in their
     /// recent-trace ring.
     pub fn to_json_with_trace(&self, trace: Option<&str>) -> String {
-        let mut obj = Object::new();
-        obj.insert("op".to_owned(), Value::from(self.op_name()));
+        let mut obj = Object::default();
+        obj.field("op", &self.op_name().to_owned());
         self.encode(trace, &mut obj);
-        Value::Object(obj).to_json()
+        obj.into_line()
     }
 
     /// The wire `op` name — what trace hops and per-op metrics are
@@ -582,12 +582,13 @@ impl Request {
     /// Decodes one request line together with its optional `trace`
     /// request id.
     pub fn from_json_with_trace(line: &str) -> Result<(Self, Option<String>), ProtocolError> {
-        let v = json::parse(line)?;
-        if v.as_object().is_none() {
-            return Err(ProtocolError::new("request must be a JSON object"));
-        }
-        let op: String = (&v).field("op")?;
-        Self::decode(&op, &mut &v)
+        wire::read_line(line, |d| {
+            if !d.is_object() {
+                return Err(ProtocolError::new("request must be a JSON object"));
+            }
+            let op: String = d.field("op")?;
+            Self::decode(&op, d)
+        })
     }
 
     /// Writes the request's fields, `trace` first, in either dialect.
@@ -804,19 +805,19 @@ impl Record for DatasetStats {
 impl Response {
     /// Encodes the response as one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut obj = Object::new();
-        let ok = !matches!(self, Response::Error { .. });
-        obj.insert("ok".to_owned(), Value::from(ok));
-        obj.insert("kind".to_owned(), Value::from(self.kind()));
+        let mut obj = Object::default();
+        obj.field("ok", &!matches!(self, Response::Error { .. }));
+        obj.field("kind", &self.kind().to_owned());
         self.encode(&mut obj);
-        Value::Object(obj).to_json()
+        obj.into_line()
     }
 
     /// Decodes one response line.
     pub fn from_json(line: &str) -> Result<Self, ProtocolError> {
-        let v = json::parse(line)?;
-        let kind: String = (&v).field("kind")?;
-        Self::decode(&kind, &mut &v)
+        wire::read_line(line, |d| {
+            let kind: String = d.field("kind")?;
+            Self::decode(&kind, d)
+        })
     }
 
     /// The wire `kind` name.

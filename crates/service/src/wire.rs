@@ -7,9 +7,12 @@
 //! its binary shape and its validation, so a malformed value gets the
 //! same message in both:
 //!
-//! - **JSON lines**: the fields are the keys of one object, built in a
-//!   `BTreeMap` (the same fields always give the same line). A request
-//!   adds `"op"`, a response `"ok"` and `"kind"`.
+//! - **JSON lines**: the fields are the keys of one object, written in
+//!   sorted order (the same fields always give the same line). A request
+//!   adds `"op"`, a response `"ok"` and `"kind"`. Each field writes its
+//!   own JSON text, and the number rows under `points` and `centers` are
+//!   read straight into flat buffers ([`json::parse_with_rows`]), so no
+//!   coordinate becomes a [`Value`] on either side.
 //! - **Binary** (`bin1` / `bin1c`): a one-byte opcode, then the fields in
 //!   the order they are written down, in [`fc_persist::record`]'s
 //!   little-endian vocabulary (shared with the WAL). A frame is one
@@ -73,7 +76,7 @@
 use std::collections::BTreeMap;
 
 use fc_clustering::{CostKind, Solver};
-use fc_core::json::{self, number_array, Value};
+use fc_core::json::{self, KeyedRows, Rows, Value};
 use fc_core::plan::{kind_from_name, kind_name, Method, Plan};
 use fc_core::{FcError, PointBlock};
 use fc_persist::record::{put_f64, put_f64s, put_str, put_u32, put_u64, Cursor, Envelope};
@@ -120,12 +123,92 @@ const RESPONSE_KINDS: Opcodes = Opcodes {
     ],
 };
 
-/// A JSON object under construction.
-pub(crate) type Object = BTreeMap<String, Value>;
+/// The keys whose number rows a JSON line's parse reads flat.
+const ROW_KEYS: [&str; 2] = ["points", "centers"];
+
+/// A JSON object under construction: the JSON text of each field's value
+/// under its key.
+#[derive(Default)]
+pub(crate) struct Object(BTreeMap<&'static str, String>);
+
+impl Object {
+    /// The emptied text of `key`'s value, to write it into.
+    fn value(&mut self, key: &'static str) -> &mut String {
+        let text = self.0.entry(key).or_default();
+        text.clear();
+        text
+    }
+
+    fn write(&self, out: &mut String) {
+        out.push('{');
+        for (i, (key, text)) in self.0.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            json::write_string(key, out);
+            out.push(':');
+            out.push_str(text);
+        }
+        out.push('}');
+    }
+
+    /// The object as one JSON line (no trailing newline).
+    pub(crate) fn into_line(self) -> String {
+        let len: usize = self.0.iter().map(|(k, v)| k.len() + v.len() + 4).sum();
+        let mut out = String::with_capacity(len + 2);
+        self.write(&mut out);
+        out
+    }
+}
+
+/// A JSON object being read: the parsed object, and the number rows its
+/// line's parse read flat (kept out of the object).
+pub(crate) struct JsonObject<'a> {
+    value: &'a Value,
+    rows: KeyedRows<'static>,
+}
+
+impl<'a> JsonObject<'a> {
+    /// An object nested in a line, which holds no flat rows.
+    fn nested(value: &'a Value) -> Self {
+        Self {
+            value,
+            rows: Vec::new(),
+        }
+    }
+
+    fn get(&self, key: &str) -> Option<&'a Value> {
+        self.value.get(key)
+    }
+
+    pub(crate) fn is_object(&self) -> bool {
+        self.value.as_object().is_some()
+    }
+
+    /// Takes the rows read flat under `key`.
+    fn take_rows(&mut self, key: &str) -> Option<Rows> {
+        let at = self.rows.iter().position(|(k, _)| *k == key)?;
+        Some(self.rows.swap_remove(at).1)
+    }
+}
+
+/// Parses one JSON line and reads it with `read`: the line is parsed
+/// once, with the rows under [`ROW_KEYS`] read flat.
+pub(crate) fn read_line<T>(
+    line: &str,
+    read: impl FnOnce(&mut JsonObject<'_>) -> Result<T, ProtocolError>,
+) -> Result<T, ProtocolError> {
+    let (value, rows) = json::parse_with_rows(line, &ROW_KEYS)?;
+    read(&mut JsonObject {
+        value: &value,
+        rows,
+    })
+}
 
 /// One field type's JSON shape, binary shape and validation.
 pub(crate) trait Field: Sized {
-    fn to_json(&self) -> Value;
+    /// Appends the value's JSON text.
+    fn write_json(&self, out: &mut String);
     /// Reads the JSON value found under `key`.
     fn from_json(v: &Value, key: &str) -> Result<Self, ProtocolError>;
     fn put(&self, out: &mut Vec<u8>);
@@ -133,28 +216,33 @@ pub(crate) trait Field: Sized {
     fn get(c: &mut Cursor<'_>, key: &str) -> Result<Self, ProtocolError>;
 
     /// Writes the field into a JSON object; a field spanning several keys
-    /// overrides this and [`Field::read_json`].
-    fn write_json(&self, key: &str, obj: &mut Object) {
-        obj.insert(key.to_owned(), self.to_json());
+    /// overrides this and [`Field::read_field`].
+    fn write_field(&self, key: &'static str, obj: &mut Object) {
+        self.write_json(obj.value(key));
     }
 
     /// Reads the field out of a JSON object: `None` when `key` is absent
     /// or `null`.
-    fn read_json(obj: &Value, key: &str) -> Result<Option<Self>, ProtocolError> {
-        match obj.get(key) {
-            None | Some(Value::Null) => Ok(None),
-            Some(v) => Self::from_json(v, key).map(Some),
-        }
+    fn read_field(obj: &mut JsonObject<'_>, key: &str) -> Result<Option<Self>, ProtocolError> {
+        read_value(obj, key)
+    }
+}
+
+/// [`Field::read_field`] of a field that is one JSON value.
+fn read_value<T: Field>(obj: &JsonObject<'_>, key: &str) -> Result<Option<T>, ProtocolError> {
+    match obj.get(key) {
+        None | Some(Value::Null) => Ok(None),
+        Some(v) => T::from_json(v, key).map(Some),
     }
 }
 
 /// Where fields are written: a JSON object or a binary payload.
 pub(crate) trait Encoder {
-    fn field<T: Field>(&mut self, key: &str, value: &T);
-    fn optional<T: Field>(&mut self, key: &str, value: Option<&T>);
+    fn field<T: Field>(&mut self, key: &'static str, value: &T);
+    fn optional<T: Field>(&mut self, key: &'static str, value: Option<&T>);
 
     /// An optional field that is absent while it holds its default.
-    fn defaulted<T: Field + Default + PartialEq>(&mut self, key: &str, value: &T) {
+    fn defaulted<T: Field + Default + PartialEq>(&mut self, key: &'static str, value: &T) {
         self.optional(key, Some(value).filter(|v| **v != T::default()));
     }
 }
@@ -185,34 +273,34 @@ pub(crate) trait Decoder {
 }
 
 impl Encoder for Object {
-    fn field<T: Field>(&mut self, key: &str, value: &T) {
-        value.write_json(key, self);
+    fn field<T: Field>(&mut self, key: &'static str, value: &T) {
+        value.write_field(key, self);
     }
 
-    fn optional<T: Field>(&mut self, key: &str, value: Option<&T>) {
+    fn optional<T: Field>(&mut self, key: &'static str, value: Option<&T>) {
         if let Some(value) = value {
-            value.write_json(key, self);
+            value.write_field(key, self);
         }
     }
 }
 
-impl Decoder for &Value {
+impl Decoder for JsonObject<'_> {
     fn field<T: Field>(&mut self, key: &str) -> Result<T, ProtocolError> {
-        T::read_json(self, key)?
+        T::read_field(self, key)?
             .ok_or_else(|| ProtocolError::new(format!("missing required field `{key}`")))
     }
 
     fn optional<T: Field>(&mut self, key: &str) -> Result<Option<T>, ProtocolError> {
-        T::read_json(self, key)
+        T::read_field(self, key)
     }
 }
 
 impl Encoder for Vec<u8> {
-    fn field<T: Field>(&mut self, _key: &str, value: &T) {
+    fn field<T: Field>(&mut self, _key: &'static str, value: &T) {
         value.put(self);
     }
 
-    fn optional<T: Field>(&mut self, _key: &str, value: Option<&T>) {
+    fn optional<T: Field>(&mut self, _key: &'static str, value: Option<&T>) {
         self.push(u8::from(value.is_some()));
         if let Some(value) = value {
             value.put(self);
@@ -248,8 +336,8 @@ fn need<T>(value: Option<T>, key: &str) -> Result<T, ProtocolError> {
 macro_rules! scalar {
     ($($t:ty: $what:literal, $from_json:expr, $put:expr, $get:expr;)*) => {$(
         impl Field for $t {
-            fn to_json(&self) -> Value {
-                Value::from(self.clone())
+            fn write_json(&self, out: &mut String) {
+                Value::from(self.clone()).write_json(out)
             }
 
             fn from_json(v: &Value, key: &str) -> Result<Self, ProtocolError> {
@@ -282,8 +370,8 @@ scalar! {
 macro_rules! by_name {
     ($($t:ty: $name:expr, $parse:expr;)*) => {$(
         impl Field for $t {
-            fn to_json(&self) -> Value {
-                Value::from(($name)(self))
+            fn write_json(&self, out: &mut String) {
+                json::write_string(&($name)(self), out)
             }
 
             fn from_json(v: &Value, key: &str) -> Result<Self, ProtocolError> {
@@ -311,10 +399,12 @@ by_name! {
         .ok_or("`health` must be alive, recovering, degraded, or down");
 }
 
-/// Reads an array of equal-length number arrays straight into a flat
-/// row-major buffer, returning it with the row length. `null` is how a
-/// non-finite number is written, so it reads back as one (and fails the
-/// finiteness check of what the rows become).
+/// Reads an array of equal-length number arrays into a flat row-major
+/// buffer, returning it with the row length. `null` is how a non-finite
+/// number is written, so it reads back as one (and fails the finiteness
+/// check of what the rows become). A line's parse reads rows that are
+/// well-formed flat already ([`JsonObject::take_rows`]); what reaches
+/// this is malformed, and this names how.
 fn flat_from_json(v: &Value, key: &str) -> Result<(Vec<f64>, usize), ProtocolError> {
     let outer = v
         .as_array()
@@ -370,11 +460,23 @@ fn point_block(
     })
 }
 
+/// Appends number rows as a JSON array of arrays.
+fn write_rows<'r>(rows: impl Iterator<Item = &'r [f64]>, out: &mut String) {
+    out.push('[');
+    for (i, row) in rows.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json::write_numbers(row, out);
+    }
+    out.push(']');
+}
+
 /// `points` holds the rows, and `weights` the weights when the block has
 /// any.
 impl Field for PointBlock {
-    fn to_json(&self) -> Value {
-        Value::Array(self.rows().map(number_array).collect())
+    fn write_json(&self, out: &mut String) {
+        write_rows(self.rows(), out);
     }
 
     fn from_json(v: &Value, key: &str) -> Result<Self, ProtocolError> {
@@ -398,26 +500,29 @@ impl Field for PointBlock {
         point_block(data, dim, c.optional("weights")?)
     }
 
-    fn write_json(&self, key: &str, obj: &mut Object) {
-        obj.insert(key.to_owned(), self.to_json());
+    fn write_field(&self, key: &'static str, obj: &mut Object) {
+        self.write_json(obj.value(key));
         if let Some(weights) = self.weights() {
-            obj.insert("weights".to_owned(), number_array(weights));
+            json::write_numbers(weights, obj.value("weights"));
         }
     }
 
-    fn read_json(obj: &Value, key: &str) -> Result<Option<Self>, ProtocolError> {
-        let Some(points) = obj.get(key) else {
-            return Ok(None);
+    fn read_field(obj: &mut JsonObject<'_>, key: &str) -> Result<Option<Self>, ProtocolError> {
+        let (data, dim) = match obj.take_rows(key) {
+            Some(rows) => (rows.data, rows.dim),
+            None => match obj.get(key) {
+                None => return Ok(None),
+                Some(points) => flat_from_json(points, key)?,
+            },
         };
-        let (data, dim) = flat_from_json(points, key)?;
-        point_block(data, dim, Vec::<f64>::read_json(obj, "weights")?).map(Some)
+        point_block(data, dim, Vec::<f64>::read_field(obj, "weights")?).map(Some)
     }
 }
 
 /// Rows: non-empty, equal-length, finite.
 impl Field for Vec<Vec<f64>> {
-    fn to_json(&self) -> Value {
-        Value::Array(self.iter().map(|row| number_array(row)).collect())
+    fn write_json(&self, out: &mut String) {
+        write_rows(self.iter().map(Vec::as_slice), out);
     }
 
     fn from_json(v: &Value, key: &str) -> Result<Self, ProtocolError> {
@@ -437,6 +542,13 @@ impl Field for Vec<Vec<f64>> {
         let (data, dim) = flat_get(c, key)?;
         rows(data, dim, key)
     }
+
+    fn read_field(obj: &mut JsonObject<'_>, key: &str) -> Result<Option<Self>, ProtocolError> {
+        match obj.take_rows(key) {
+            Some(flat) => rows(flat.data, flat.dim, key).map(Some),
+            None => read_value(obj, key),
+        }
+    }
 }
 
 fn rows(data: Vec<f64>, dim: usize, key: &str) -> Result<Vec<Vec<f64>>, ProtocolError> {
@@ -454,8 +566,8 @@ fn rows(data: Vec<f64>, dim: usize, key: &str) -> Result<Vec<Vec<f64>>, Protocol
 
 /// A number list, read back in one run.
 impl Field for Vec<f64> {
-    fn to_json(&self) -> Value {
-        number_array(self)
+    fn write_json(&self, out: &mut String) {
+        json::write_numbers(self, out);
     }
 
     fn from_json(v: &Value, key: &str) -> Result<Self, ProtocolError> {
@@ -482,8 +594,15 @@ impl Element for u64 {}
 impl Element for usize {}
 
 impl<T: Element> Field for Vec<T> {
-    fn to_json(&self) -> Value {
-        Value::Array(self.iter().map(Field::to_json).collect())
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
     }
 
     fn from_json(v: &Value, key: &str) -> Result<Self, ProtocolError> {
@@ -505,8 +624,8 @@ impl<T: Element> Field for Vec<T> {
 }
 
 impl Field for Plan {
-    fn to_json(&self) -> Value {
-        self.to_value()
+    fn write_json(&self, out: &mut String) {
+        self.to_value().write_json(out);
     }
 
     fn from_json(v: &Value, key: &str) -> Result<Self, ProtocolError> {
@@ -524,8 +643,8 @@ impl Field for Plan {
 }
 
 impl Field for Value {
-    fn to_json(&self) -> Value {
-        self.clone()
+    fn write_json(&self, out: &mut String) {
+        Value::write_json(self, out);
     }
 
     fn from_json(v: &Value, _key: &str) -> Result<Self, ProtocolError> {
@@ -550,14 +669,14 @@ pub(crate) trait Record: Sized {
 impl<T: Record> Element for T {}
 
 impl<T: Record> Field for T {
-    fn to_json(&self) -> Value {
-        let mut obj = Object::new();
+    fn write_json(&self, out: &mut String) {
+        let mut obj = Object::default();
         self.encode(&mut obj);
-        Value::Object(obj)
+        obj.write(out);
     }
 
     fn from_json(v: &Value, _key: &str) -> Result<Self, ProtocolError> {
-        T::decode(&mut &*v)
+        T::decode(&mut JsonObject::nested(v))
     }
 
     fn put(&self, out: &mut Vec<u8>) {
