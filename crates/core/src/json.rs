@@ -125,16 +125,7 @@ impl Value {
             Value::Number(n) => write_number(*n, out),
             Value::Uint(n) => write_uint(*n, out),
             Value::String(s) => write_string(s, out),
-            Value::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_json(out);
-                }
-                out.push(']');
-            }
+            Value::Array(items) => write_array(items, out, Value::write_json),
             Value::Object(map) => {
                 out.push('{');
                 for (i, (k, v)) in map.iter().enumerate() {
@@ -203,21 +194,29 @@ pub fn number_array(values: &[f64]) -> Value {
     Value::Array(values.iter().map(|&v| Value::Number(v)).collect())
 }
 
-/// Appends a JSON array of numbers, written as [`write_number`] writes
-/// each.
-pub fn write_numbers(values: &[f64], out: &mut String) {
+/// Appends a JSON array, each item written by `write`.
+pub fn write_array<T>(
+    items: impl IntoIterator<Item = T>,
+    out: &mut String,
+    mut write: impl FnMut(T, &mut String),
+) {
     out.push('[');
-    for (i, &v) in values.iter().enumerate() {
+    for (i, item) in items.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        write_number(v, out);
+        write(item, out);
     }
     out.push(']');
 }
 
+/// Appends a JSON array of numbers.
+pub fn write_numbers(values: &[f64], out: &mut String) {
+    write_array(values.iter().copied(), out, write_number);
+}
+
 /// Appends the JSON text of a number (see the module docs).
-pub fn write_number(n: f64, out: &mut String) {
+fn write_number(n: f64, out: &mut String) {
     if !n.is_finite() {
         // JSON has no inf/nan; the protocol encodes them as null and the
         // reader treats null numbers as an error, which is what a cost of
@@ -257,7 +256,7 @@ pub fn write_number(n: f64, out: &mut String) {
 }
 
 /// Appends the decimal digits of `n`.
-pub fn write_uint(n: u64, out: &mut String) {
+fn write_uint(n: u64, out: &mut String) {
     let mut buf = [0u8; 20];
     out.push_str(ascii_digits(n, &mut buf));
 }

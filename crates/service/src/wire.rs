@@ -460,23 +460,11 @@ fn point_block(
     })
 }
 
-/// Appends number rows as a JSON array of arrays.
-fn write_rows<'r>(rows: impl Iterator<Item = &'r [f64]>, out: &mut String) {
-    out.push('[');
-    for (i, row) in rows.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::write_numbers(row, out);
-    }
-    out.push(']');
-}
-
 /// `points` holds the rows, and `weights` the weights when the block has
 /// any.
 impl Field for PointBlock {
     fn write_json(&self, out: &mut String) {
-        write_rows(self.rows(), out);
+        json::write_array(self.rows(), out, json::write_numbers);
     }
 
     fn from_json(v: &Value, key: &str) -> Result<Self, ProtocolError> {
@@ -522,7 +510,7 @@ impl Field for PointBlock {
 /// Rows: non-empty, equal-length, finite.
 impl Field for Vec<Vec<f64>> {
     fn write_json(&self, out: &mut String) {
-        write_rows(self.iter().map(Vec::as_slice), out);
+        json::write_array(self, out, |row, out| json::write_numbers(row, out));
     }
 
     fn from_json(v: &Value, key: &str) -> Result<Self, ProtocolError> {
@@ -595,14 +583,7 @@ impl Element for usize {}
 
 impl<T: Element> Field for Vec<T> {
     fn write_json(&self, out: &mut String) {
-        out.push('[');
-        for (i, item) in self.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            item.write_json(out);
-        }
-        out.push(']');
+        json::write_array(self, out, T::write_json);
     }
 
     fn from_json(v: &Value, key: &str) -> Result<Self, ProtocolError> {
