@@ -186,14 +186,14 @@ pub(super) fn shortest(bits: u64) -> (u64, i32) {
     // whether the lower bound dropped only zeros to get there. Whether
     // `vr` did never matters: it only decides exact ties, and those round
     // up like any other removed 5.
-    let (mut vr, mut vp, mut vm, e10, mut vm_trailing_zeros);
+    let (mut vr, mut vp, mut vm, e10);
+    let mut vm_trailing_zeros = false;
     if e2 >= 0 {
         let e2 = e2 as u32;
         let q = log10_pow2(e2) - u32::from(e2 > 3);
         let j = POW5_INV_BITCOUNT as u32 + pow5_bits(q) - 1 + q - e2;
         (vr, vp, vm) = scale(tables.pow5_inv[q as usize], j);
         e10 = q as i32;
-        vm_trailing_zeros = false;
         if q <= 21 && mv % 5 != 0 {
             if accept_bounds {
                 vm_trailing_zeros = multiple_of_pow5(mv - 1 - mm_shift, q);
@@ -208,7 +208,6 @@ pub(super) fn shortest(bits: u64) -> (u64, i32) {
         let j = q + POW5_BITCOUNT as u32 - pow5_bits(i);
         (vr, vp, vm) = scale(tables.pow5[i as usize], j);
         e10 = q as i32 + e2;
-        vm_trailing_zeros = false;
         if q <= 1 {
             if accept_bounds {
                 vm_trailing_zeros = mm_shift == 1;
