@@ -20,7 +20,7 @@ fn plan() -> fc_core::plan::Plan {
         .m_scalar(15)
         .kind(CostKind::KMedian)
         .method("merge-reduce(lightweight)".parse().unwrap())
-        .solver(Solver::KMedianWeiszfeld)
+        .solver(Solver::Lloyd)
         .compaction_budget(900)
         .build()
         .unwrap()
@@ -58,7 +58,7 @@ fn requests() -> Vec<(Request, Option<&'static str>, &'static str)> {
                 epoch: Some(7),
             },
             Some("t-ingest"),
-            r#"{"client":"producer-a","dataset":"a/b \"c\"","epoch":7,"op":"ingest","plan":{"budget":900,"k":3,"kind":"kmedian","m":45,"method":"merge-reduce(lightweight)","solver":"kmedian-weiszfeld"},"points":[[100000000000000000000],[-0.125]],"seq":18446744073709551615,"trace":"t-ingest","weights":[2.5,0.0]}"#,
+            r#"{"client":"producer-a","dataset":"a/b \"c\"","epoch":7,"op":"ingest","plan":{"budget":900,"k":3,"kind":"kmedian","m":45,"method":"merge-reduce(lightweight)","solver":"lloyd"},"points":[[100000000000000000000],[-0.125]],"seq":18446744073709551615,"trace":"t-ingest","weights":[2.5,0.0]}"#,
         ),
         (
             Request::Compress {
@@ -94,11 +94,11 @@ fn requests() -> Vec<(Request, Option<&'static str>, &'static str)> {
                 dataset: "d".into(),
                 k: Some(4),
                 kind: Some(CostKind::KMedian),
-                solver: Some(Solver::KMedianWeiszfeld),
+                solver: Some(Solver::Lloyd),
                 seed: Some(99),
             },
             None,
-            r#"{"dataset":"d","k":4,"kind":"kmedian","op":"cluster","seed":99,"solver":"kmedian-weiszfeld"}"#,
+            r#"{"dataset":"d","k":4,"kind":"kmedian","op":"cluster","seed":99,"solver":"lloyd"}"#,
         ),
         (
             Request::Cost {
@@ -225,12 +225,12 @@ fn responses() -> Vec<(Response, &'static str)> {
                 dataset: "d".into(),
                 centers: vec![vec![1.0], vec![2.0]],
                 kind: CostKind::KMeans,
-                solver: Solver::Hamerly,
+                solver: Solver::Lloyd,
                 coreset_cost: 12.5,
                 coreset_points: 200,
                 seed: u64::MAX,
             },
-            r#"{"centers":[[1.0],[2.0]],"coreset_cost":12.5,"coreset_points":200,"dataset":"d","kind":"clustered","objective":"kmeans","ok":true,"seed":18446744073709551615,"solver":"hamerly"}"#,
+            r#"{"centers":[[1.0],[2.0]],"coreset_cost":12.5,"coreset_points":200,"dataset":"d","kind":"clustered","objective":"kmeans","ok":true,"seed":18446744073709551615,"solver":"lloyd"}"#,
         ),
         (
             Response::Cost {
