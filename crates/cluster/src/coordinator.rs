@@ -1595,7 +1595,7 @@ mod tests {
         let plan = PlanBuilder::new(2)
             .m_scalar(10)
             .method(Method::Lightweight)
-            .solver(Solver::Hamerly)
+            .solver(Solver::LocalSearch)
             .build()
             .unwrap();
         // Only the creating ingest carries the plan; the later plan-less
@@ -1620,7 +1620,7 @@ mod tests {
             .cluster("planned", None, None, None, Some(3))
             .unwrap();
         assert_eq!(outcome.solution.k(), 2);
-        assert_eq!(outcome.solver, Solver::Hamerly);
+        assert_eq!(outcome.solver, Solver::LocalSearch);
         // A conflicting plan is rejected without touching the nodes.
         let other = PlanBuilder::new(3).m_scalar(10).build().unwrap();
         match coordinator.ingest("planned", &blobs(10), Some(&other)) {

@@ -48,7 +48,7 @@
 //! as the distances, and it loses to the plain scan. One per
 //! [`GROUP_SIZE`] centers won at every dimension tried (2 to 64), so
 //! [`group_count`] is `⌈k / 10⌉`, capped to keep the `n × g` table under
-//! [`BOUND_TABLE_BYTES`] (`g = 1` is Hamerly's single bound): derived from
+//! [`BOUND_TABLE_BYTES`] (`g = 1` keeps a single bound per point): derived from
 //! `n` and `k`, set by nobody.
 //!
 //! The first round is not special: bounds start at `−∞`, so every group is

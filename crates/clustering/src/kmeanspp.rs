@@ -62,7 +62,8 @@ pub fn kmeanspp<R: Rng + ?Sized>(rng: &mut R, data: &Dataset, k: usize, kind: Co
         .unwrap_or(0);
 
     let mut centers = Points::empty(points.dim());
-    centers.reserve(k);
+    // At most `n` distinct centers exist, whatever `k` a request asked for.
+    centers.reserve(k.min(n));
     centers
         .push(points.row(first))
         .expect("dimensions match by construction");
@@ -154,6 +155,14 @@ mod tests {
         assert_eq!(s.centers.len(), 4);
         assert_eq!(s.chosen.len(), 4);
         assert_eq!(s.labels.len(), d.len());
+    }
+
+    #[test]
+    fn a_k_far_past_n_stops_at_the_distinct_points() {
+        // A request-supplied k of 2^40 must neither loop nor allocate for k.
+        let d = Dataset::from_flat(vec![0.0, 0.0, 1.0, 1.0, 2.0, 2.0], 2).unwrap();
+        let s = kmeanspp(&mut rng(), &d, 1 << 40, CostKind::KMeans);
+        assert_eq!(s.centers.len(), 3);
     }
 
     #[test]

@@ -8,12 +8,9 @@
 //! (`Display`/`FromStr`) shared by the library API and the serving
 //! protocol, so "which solver" is spelled identically everywhere.
 //!
-//! `hamerly` is a compatibility alias. It named a second bound-pruned
-//! k-means that ran to an assignment fixpoint and ignored `tol`; `refine`
-//! now prunes for every caller, so the name — on the wire, in persisted
-//! plans — runs `lloyd`'s loop, honours `tol` and returns the same bits.
-//! It keeps its k-means-only [`Solver::supports`] rule, so stored plans
-//! validate as they always did.
+//! Two retired names, `hamerly` and `kmedian-weiszfeld`, still parse as
+//! [`Solver::Lloyd`] (they ran its loop), so persisted plans and older
+//! clients keep working. `Display` prints only the canonical names.
 
 use fc_geom::dataset::Dataset;
 use fc_geom::distance::CostKind;
@@ -31,24 +28,13 @@ pub enum Solver {
     /// k-means++ seeding + weighted Lloyd (k-means) or Weiszfeld
     /// alternation (k-median). Works under both objectives.
     Lloyd,
-    /// Compatibility alias of [`Solver::Lloyd`] (module docs): the same
-    /// loop, the same `tol`, the same bits. k-means only.
-    Hamerly,
     /// Single-swap local search; slower, escapes some Lloyd minima. Works
     /// under both objectives.
     LocalSearch,
-    /// k-means++ (D¹) seeding + Weiszfeld-based alternation, named for the
-    /// k-median workflow. k-median only.
-    KMedianWeiszfeld,
 }
 
 /// Every solver, in canonical order (useful for suites and property tests).
-pub const ALL_SOLVERS: [Solver; 4] = [
-    Solver::Lloyd,
-    Solver::Hamerly,
-    Solver::LocalSearch,
-    Solver::KMedianWeiszfeld,
-];
+pub const ALL_SOLVERS: [Solver; 2] = [Solver::Lloyd, Solver::LocalSearch];
 
 /// Per-solver tuning knobs, with usable defaults.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -64,13 +50,6 @@ pub struct SolveConfig {
 pub enum SolverError {
     /// The string names no known solver.
     UnknownSolver(String),
-    /// The solver does not implement the requested objective.
-    UnsupportedObjective {
-        /// The offending solver.
-        solver: Solver,
-        /// The requested objective.
-        kind: CostKind,
-    },
     /// `k = 0` was requested.
     InvalidK,
     /// The dataset holds no points.
@@ -81,14 +60,12 @@ impl std::fmt::Display for SolverError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SolverError::UnknownSolver(name) => {
-                write!(
-                    f,
-                    "unknown solver `{name}` (expected one of: lloyd, hamerly, \
-                     local-search, kmedian-weiszfeld)"
-                )
-            }
-            SolverError::UnsupportedObjective { solver, kind } => {
-                write!(f, "solver `{solver}` does not support {kind:?}")
+                write!(f, "unknown solver `{name}` (expected one of: ")?;
+                for (i, solver) in ALL_SOLVERS.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { ", " };
+                    write!(f, "{sep}{solver}")?;
+                }
+                f.write_str(")")
             }
             SolverError::InvalidK => write!(f, "k must be at least 1"),
             SolverError::EmptyData => write!(f, "cannot solve on an empty dataset"),
@@ -103,18 +80,7 @@ impl Solver {
     pub fn canonical_name(self) -> &'static str {
         match self {
             Solver::Lloyd => "lloyd",
-            Solver::Hamerly => "hamerly",
             Solver::LocalSearch => "local-search",
-            Solver::KMedianWeiszfeld => "kmedian-weiszfeld",
-        }
-    }
-
-    /// Whether this solver implements the given objective.
-    pub fn supports(self, kind: CostKind) -> bool {
-        match self {
-            Solver::Lloyd | Solver::LocalSearch => true,
-            Solver::Hamerly => kind == CostKind::KMeans,
-            Solver::KMedianWeiszfeld => kind == CostKind::KMedian,
         }
     }
 
@@ -135,14 +101,9 @@ impl Solver {
         if data.is_empty() {
             return Err(SolverError::EmptyData);
         }
-        if !self.supports(kind) {
-            return Err(SolverError::UnsupportedObjective { solver: self, kind });
-        }
         let seeding = kmeanspp(rng, data, k, kind);
         Ok(match self {
-            Solver::Lloyd | Solver::Hamerly | Solver::KMedianWeiszfeld => {
-                refine(data, seeding.centers, kind, cfg.lloyd)
-            }
+            Solver::Lloyd => refine(data, seeding.centers, kind, cfg.lloyd),
             Solver::LocalSearch => local_search(rng, data, seeding.centers, kind, cfg.local_search),
         })
     }
@@ -159,10 +120,9 @@ impl std::str::FromStr for Solver {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "lloyd" => Ok(Solver::Lloyd),
-            "hamerly" => Ok(Solver::Hamerly),
+            // Old spellings of the same loop (module docs).
+            "lloyd" | "hamerly" | "kmedian-weiszfeld" => Ok(Solver::Lloyd),
             "local-search" => Ok(Solver::LocalSearch),
-            "kmedian-weiszfeld" => Ok(Solver::KMedianWeiszfeld),
             other => Err(SolverError::UnknownSolver(other.to_owned())),
         }
     }
@@ -192,41 +152,35 @@ mod tests {
             let name = solver.to_string();
             assert_eq!(name.parse::<Solver>().unwrap(), solver, "{name}");
         }
-        assert!(matches!(
-            "simplex".parse::<Solver>(),
-            Err(SolverError::UnknownSolver(_))
-        ));
+        for old in ["hamerly", "kmedian-weiszfeld", " HAMERLY "] {
+            assert_eq!(old.parse::<Solver>().unwrap(), Solver::Lloyd, "{old}");
+        }
+        assert_eq!(
+            "simplex".parse::<Solver>().unwrap_err().to_string(),
+            "unknown solver `simplex` (expected one of: lloyd, local-search)"
+        );
     }
 
     #[test]
-    fn every_supported_combination_solves() {
+    fn every_combination_solves() {
         let d = two_blobs();
         for solver in ALL_SOLVERS {
             for kind in [CostKind::KMeans, CostKind::KMedian] {
                 let mut rng = StdRng::seed_from_u64(5);
-                let result = solver.solve(&mut rng, &d, 2, kind, &SolveConfig::default());
-                if solver.supports(kind) {
-                    let sol = result.unwrap();
-                    assert_eq!(sol.k(), 2);
-                    assert!(sol.cost.is_finite());
-                    // Two tight blobs 100 apart: any sane 2-clustering costs
-                    // far less than lumping everything together.
-                    let single = crate::cost::cost(
-                        &d,
-                        &Points::from_flat(vec![50.0, 0.5], 2).unwrap(),
-                        kind,
-                    );
-                    assert!(
-                        sol.cost < single * 0.1,
-                        "{solver} {kind:?} cost {}",
-                        sol.cost
-                    );
-                } else {
-                    assert_eq!(
-                        result.unwrap_err(),
-                        SolverError::UnsupportedObjective { solver, kind }
-                    );
-                }
+                let sol = solver
+                    .solve(&mut rng, &d, 2, kind, &SolveConfig::default())
+                    .unwrap();
+                assert_eq!(sol.k(), 2);
+                assert!(sol.cost.is_finite());
+                // Two tight blobs 100 apart: any sane 2-clustering costs
+                // far less than lumping everything together.
+                let single =
+                    crate::cost::cost(&d, &Points::from_flat(vec![50.0, 0.5], 2).unwrap(), kind);
+                assert!(
+                    sol.cost < single * 0.1,
+                    "{solver} {kind:?} cost {}",
+                    sol.cost
+                );
             }
         }
     }
@@ -254,23 +208,5 @@ mod tests {
                 .unwrap_err(),
             SolverError::EmptyData
         );
-    }
-
-    #[test]
-    fn hamerly_is_lloyd_under_another_name() {
-        let d = two_blobs();
-        let mut r1 = StdRng::seed_from_u64(9);
-        let mut r2 = StdRng::seed_from_u64(9);
-        let cfg = SolveConfig::default();
-        let a = Solver::Lloyd
-            .solve(&mut r1, &d, 2, CostKind::KMeans, &cfg)
-            .unwrap();
-        let b = Solver::Hamerly
-            .solve(&mut r2, &d, 2, CostKind::KMeans, &cfg)
-            .unwrap();
-        assert_eq!(a.centers, b.centers);
-        assert_eq!(a.labels, b.labels);
-        assert_eq!(a.cost.to_bits(), b.cost.to_bits());
-        assert_eq!((a.rounds, a.distance_evals), (b.rounds, b.distance_evals));
     }
 }

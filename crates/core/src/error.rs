@@ -9,8 +9,8 @@
 //! panics on bad parameters.
 
 use fc_clustering::solver::SolverError;
-use fc_clustering::CostKind;
-use fc_clustering::Solver;
+
+use crate::plan::BASE_METHODS;
 
 /// Why a plan, a compression, or a solve was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,13 +55,6 @@ pub enum FcError {
     UnknownMethod(String),
     /// The string names no known solver.
     UnknownSolver(String),
-    /// The solver does not implement the requested objective.
-    UnsupportedObjective {
-        /// The offending solver.
-        solver: Solver,
-        /// The requested objective.
-        kind: CostKind,
-    },
     /// Any other parameter rejection, with a human-readable reason.
     InvalidParameter(String),
 }
@@ -88,23 +81,13 @@ impl std::fmt::Display for FcError {
                 )
             }
             FcError::UnknownMethod(name) => {
-                write!(
-                    f,
-                    "unknown method `{name}` (expected one of: uniform, lightweight, \
-                     welterweight, sensitivity, fast-coreset, hst-coreset, bico, \
-                     streamkm, merge-reduce(<method>))"
-                )
+                write!(f, "unknown method `{name}` (expected one of: ")?;
+                for method in &BASE_METHODS {
+                    write!(f, "{method}, ")?;
+                }
+                f.write_str("merge-reduce(<method>))")
             }
-            FcError::UnknownSolver(name) => {
-                write!(
-                    f,
-                    "unknown solver `{name}` (expected one of: lloyd, hamerly, \
-                     local-search, kmedian-weiszfeld)"
-                )
-            }
-            FcError::UnsupportedObjective { solver, kind } => {
-                write!(f, "solver `{solver}` does not support {kind:?}")
-            }
+            FcError::UnknownSolver(name) => SolverError::UnknownSolver(name.clone()).fmt(f),
             FcError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
         }
     }
@@ -116,9 +99,6 @@ impl From<SolverError> for FcError {
     fn from(e: SolverError) -> Self {
         match e {
             SolverError::UnknownSolver(name) => FcError::UnknownSolver(name),
-            SolverError::UnsupportedObjective { solver, kind } => {
-                FcError::UnsupportedObjective { solver, kind }
-            }
             SolverError::InvalidK => FcError::InvalidK,
             SolverError::EmptyData => FcError::EmptyData,
         }
@@ -162,16 +142,6 @@ mod tests {
         assert_eq!(
             FcError::from(SolverError::UnknownSolver("x".into())),
             FcError::UnknownSolver("x".into())
-        );
-        assert_eq!(
-            FcError::from(SolverError::UnsupportedObjective {
-                solver: Solver::Hamerly,
-                kind: CostKind::KMedian,
-            }),
-            FcError::UnsupportedObjective {
-                solver: Solver::Hamerly,
-                kind: CostKind::KMedian,
-            }
         );
         assert_eq!(FcError::from(SolverError::InvalidK), FcError::InvalidK);
         assert_eq!(FcError::from(SolverError::EmptyData), FcError::EmptyData);

@@ -10,13 +10,11 @@
 //! | [`StandardSensitivity`] | k-means++ (j = k) \[47\] | `O(ndk)` | strong ε-coreset |
 //! | [`crate::FastCoreset`] | Fast-kmeans++ | `Õ(nd)` | strong ε-coreset |
 
-mod hst_coreset;
 mod lightweight;
 mod sensitivity_full;
 mod uniform;
 mod welterweight;
 
-pub use hst_coreset::HstCoreset;
 pub use lightweight::Lightweight;
 pub use sensitivity_full::StandardSensitivity;
 pub use uniform::Uniform;

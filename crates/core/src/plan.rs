@@ -11,6 +11,12 @@
 //! [`Plan::to_json`] / [`Plan::from_json`], so a per-dataset plan written
 //! in Rust is byte-for-byte the object an `ingest` request carries.
 //!
+//! Every method pairs with every solver under either objective, so a plan
+//! is valid whenever its sizes are. Names retired with their algorithms
+//! still parse as their replacements (`hst-coreset` as `fast-coreset`;
+//! `hamerly` and `kmedian-weiszfeld` as `lloyd`), so plans persisted by
+//! older builds keep loading; `Display` prints only canonical names.
+//!
 //! ```
 //! use fc_core::plan::{Method, PlanBuilder};
 //! use fc_clustering::{CostKind, Solver};
@@ -46,7 +52,7 @@ use crate::compressor::{CompressionParams, Compressor};
 use crate::coreset::Coreset;
 use crate::error::FcError;
 use crate::json::{self, Value};
-use crate::methods::{HstCoreset, JCount, Lightweight, StandardSensitivity, Uniform, Welterweight};
+use crate::methods::{JCount, Lightweight, StandardSensitivity, Uniform, Welterweight};
 use crate::streaming::{MergeReduce, StreamingCompressor};
 use crate::FastCoreset;
 
@@ -64,8 +70,6 @@ pub enum Method {
     Sensitivity,
     /// Fast-Coresets (Algorithm 1, `Õ(nd)`).
     FastCoreset,
-    /// HST-seeded k-median coreset (exact tree DP candidate solution).
-    HstCoreset,
     /// BICO clustering-feature summary \[38\].
     Bico,
     /// StreamKM++ coreset tree \[1\].
@@ -78,13 +82,12 @@ pub enum Method {
 }
 
 /// The batch methods, in canonical order (suites, property tests).
-pub const BASE_METHODS: [Method; 8] = [
+pub const BASE_METHODS: [Method; 7] = [
     Method::Uniform,
     Method::Lightweight,
     Method::Welterweight(JCount::LogK),
     Method::Sensitivity,
     Method::FastCoreset,
-    Method::HstCoreset,
     Method::Bico,
     Method::StreamKm,
 ];
@@ -100,7 +103,6 @@ impl Method {
             Method::Welterweight(j) => Box::new(Welterweight::new(*j)),
             Method::Sensitivity => Box::new(StandardSensitivity::default()),
             Method::FastCoreset => Box::new(FastCoreset::default()),
-            Method::HstCoreset => Box::new(HstCoreset::default()),
             Method::Bico => Box::new(crate::streaming::BicoCompressor),
             Method::StreamKm => Box::new(crate::streaming::CoresetTreeCompressor),
             Method::MergeReduce(base) => base.build(),
@@ -127,7 +129,6 @@ impl std::fmt::Display for Method {
             Method::Welterweight(JCount::Fixed(j)) => write!(f, "welterweight({j})"),
             Method::Sensitivity => f.write_str("sensitivity"),
             Method::FastCoreset => f.write_str("fast-coreset"),
-            Method::HstCoreset => f.write_str("hst-coreset"),
             Method::Bico => f.write_str("bico"),
             Method::StreamKm => f.write_str("streamkm"),
             Method::MergeReduce(base) => write!(f, "merge-reduce({base})"),
@@ -135,41 +136,59 @@ impl std::fmt::Display for Method {
     }
 }
 
+/// Deepest `merge-reduce(..)` nesting a method name may carry. A name is
+/// parsed without recursion, but the [`Method`] it yields is dropped,
+/// printed and built recursively, so a request line nesting thousands of
+/// wrappers is refused rather than allowed to overflow a server thread's
+/// stack.
+const MAX_NESTING: usize = 16;
+
 impl FromStr for Method {
     type Err = FcError;
 
+    /// Parses a canonical name. The retired `hst-coreset` reads as
+    /// [`Method::FastCoreset`]: both are sensitivity sampling over a
+    /// tree-seeded partition, so a summary stored under it folds as one.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let s = s.trim().to_ascii_lowercase();
-        match s.as_str() {
-            "uniform" => return Ok(Method::Uniform),
-            "lightweight" => return Ok(Method::Lightweight),
+        let name = s.trim().to_ascii_lowercase();
+        let unknown = || FcError::UnknownMethod(name.clone());
+        let mut rest = name.as_str();
+        let mut depth = 0;
+        while let Some(inner) = parenthesized(rest, "merge-reduce") {
+            depth += 1;
+            if depth > MAX_NESTING {
+                return Err(unknown());
+            }
+            rest = inner;
+        }
+        let mut method = match rest {
+            "uniform" => Method::Uniform,
+            "lightweight" => Method::Lightweight,
             // Bare `welterweight` means the paper's default policy.
-            "welterweight" => return Ok(Method::Welterweight(JCount::LogK)),
-            "sensitivity" => return Ok(Method::Sensitivity),
-            "fast-coreset" => return Ok(Method::FastCoreset),
-            "hst-coreset" => return Ok(Method::HstCoreset),
-            "bico" => return Ok(Method::Bico),
-            "streamkm" => return Ok(Method::StreamKm),
-            _ => {}
+            "welterweight" => Method::Welterweight(JCount::LogK),
+            "sensitivity" => Method::Sensitivity,
+            "fast-coreset" | "hst-coreset" => Method::FastCoreset,
+            "bico" => Method::Bico,
+            "streamkm" => Method::StreamKm,
+            _ => {
+                let arg = parenthesized(rest, "welterweight").ok_or_else(unknown)?;
+                Method::Welterweight(match arg {
+                    "log-k" => JCount::LogK,
+                    "sqrt-k" => JCount::SqrtK,
+                    fixed => JCount::Fixed(
+                        fixed
+                            .parse::<usize>()
+                            .ok()
+                            .filter(|&j| j >= 1)
+                            .ok_or_else(unknown)?,
+                    ),
+                })
+            }
+        };
+        for _ in 0..depth {
+            method = Method::MergeReduce(Box::new(method));
         }
-        if let Some(arg) = parenthesized(&s, "welterweight") {
-            let j = match arg {
-                "log-k" => JCount::LogK,
-                "sqrt-k" => JCount::SqrtK,
-                fixed => JCount::Fixed(
-                    fixed
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&j| j >= 1)
-                        .ok_or_else(|| FcError::UnknownMethod(s.clone()))?,
-                ),
-            };
-            return Ok(Method::Welterweight(j));
-        }
-        if let Some(base) = parenthesized(&s, "merge-reduce") {
-            return Ok(Method::MergeReduce(Box::new(base.parse()?)));
-        }
-        Err(FcError::UnknownMethod(s))
+        Ok(method)
     }
 }
 
@@ -285,9 +304,8 @@ impl PlanBuilder {
         self
     }
 
-    /// Validates and produces the plan: `k ≥ 1`, `m ≥ k` (no overflow),
-    /// a positive compaction budget, and the solver must support the
-    /// objective.
+    /// Validates and produces the plan: `k ≥ 1`, `m ≥ k` (no overflow)
+    /// and a positive compaction budget.
     pub fn build(self) -> Result<Plan, FcError> {
         if self.k == 0 {
             return Err(FcError::InvalidK);
@@ -309,12 +327,6 @@ impl PlanBuilder {
             }
             None => CompressionParams::with_scalar(self.k, self.m_scalar, self.kind)?,
         };
-        if !self.solver.supports(self.kind) {
-            return Err(FcError::UnsupportedObjective {
-                solver: self.solver,
-                kind: self.kind,
-            });
-        }
         Ok(Plan {
             params,
             method: self.method,
@@ -326,8 +338,7 @@ impl PlanBuilder {
 }
 
 /// A validated compress-then-cluster configuration. Construct via
-/// [`PlanBuilder`]; by construction `k ≥ 1`, `m ≥ k`, and the solver
-/// supports the objective.
+/// [`PlanBuilder`]; by construction `k ≥ 1` and `m ≥ k`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
     params: CompressionParams,
@@ -694,24 +705,21 @@ mod tests {
     }
 
     #[test]
-    fn every_solver_runs_under_a_supported_objective() {
+    fn every_solver_runs_under_both_objectives() {
         let d = blobs();
         for solver in fc_clustering::ALL_SOLVERS {
-            let kind = if solver.supports(CostKind::KMeans) {
-                CostKind::KMeans
-            } else {
-                CostKind::KMedian
-            };
-            let mut rng = StdRng::seed_from_u64(4);
-            let out = PlanBuilder::new(3)
-                .kind(kind)
-                .solver(solver)
-                .m_scalar(20)
-                .build()
-                .unwrap()
-                .run(&mut rng, &d)
-                .unwrap();
-            assert_eq!(out.solution.k(), 3, "{solver}");
+            for kind in [CostKind::KMeans, CostKind::KMedian] {
+                let mut rng = StdRng::seed_from_u64(4);
+                let out = PlanBuilder::new(3)
+                    .kind(kind)
+                    .solver(solver)
+                    .m_scalar(20)
+                    .build()
+                    .unwrap()
+                    .run(&mut rng, &d)
+                    .unwrap();
+                assert_eq!(out.solution.k(), 3, "{solver} {kind:?}");
+            }
         }
     }
 
@@ -733,17 +741,6 @@ mod tests {
                 .unwrap_err(),
             FcError::CoresetSizeOverflow { .. }
         ));
-        assert_eq!(
-            PlanBuilder::new(3)
-                .solver(Solver::Hamerly)
-                .kind(CostKind::KMedian)
-                .build()
-                .unwrap_err(),
-            FcError::UnsupportedObjective {
-                solver: Solver::Hamerly,
-                kind: CostKind::KMedian,
-            }
-        );
     }
 
     #[test]
@@ -830,12 +827,26 @@ mod tests {
             "merge-reduce",
             "merge-reduce(nope)",
             "welterweight(0)",
+            "merge-reduce(merge-reduce(bico)",
         ] {
             assert!(
                 matches!(bad.parse::<Method>(), Err(FcError::UnknownMethod(_))),
                 "{bad:?} should be rejected"
             );
         }
+        let nested = |depth: usize| {
+            format!(
+                "{}uniform{}",
+                "merge-reduce(".repeat(depth),
+                ")".repeat(depth)
+            )
+        };
+        let deepest = nested(MAX_NESTING).parse::<Method>().unwrap();
+        assert_eq!(deepest.to_string(), nested(MAX_NESTING));
+        assert!(matches!(
+            nested(MAX_NESTING + 1).parse::<Method>(),
+            Err(FcError::UnknownMethod(_))
+        ));
     }
 
     #[test]
@@ -846,14 +857,14 @@ mod tests {
             .method(Method::MergeReduce(Box::new(Method::Welterweight(
                 JCount::Fixed(3),
             ))))
-            .solver(Solver::KMedianWeiszfeld)
+            .solver(Solver::LocalSearch)
             .compaction_budget(500)
             .build()
             .unwrap();
         let line = plan.to_json();
         assert_eq!(
             line,
-            r#"{"budget":500,"k":5,"kind":"kmedian","m":100,"method":"merge-reduce(welterweight(3))","solver":"kmedian-weiszfeld"}"#
+            r#"{"budget":500,"k":5,"kind":"kmedian","m":100,"method":"merge-reduce(welterweight(3))","solver":"local-search"}"#
         );
         assert_eq!(Plan::from_json(&line).unwrap(), plan);
         // Without an explicit budget the field is absent and still round-trips.
@@ -888,14 +899,14 @@ mod tests {
                 "`{text}` gave `{err}`, expected `{needle}`"
             );
         }
-        // Validation still applies: the wire form cannot smuggle in an
-        // unsupported solver/objective pair.
+        // Old spellings still read, as their canonical names.
+        let old = Plan::from_json(
+            r#"{"k":2,"kind":"kmedian","method":"merge-reduce(hst-coreset)","solver":"hamerly"}"#,
+        )
+        .unwrap();
         assert_eq!(
-            Plan::from_json(r#"{"k":2,"kind":"kmedian","solver":"hamerly"}"#).unwrap_err(),
-            FcError::UnsupportedObjective {
-                solver: Solver::Hamerly,
-                kind: CostKind::KMedian,
-            }
+            old.to_json(),
+            r#"{"k":2,"kind":"kmedian","m":80,"method":"merge-reduce(fast-coreset)","solver":"lloyd"}"#
         );
     }
 

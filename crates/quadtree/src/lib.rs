@@ -18,13 +18,10 @@
 //!   between occupied grid boxes and rounds coordinates so the spread becomes
 //!   `poly(n, d, log Δ)`, turning the `log Δ` factor into `log log Δ`. Its
 //!   grids scale by a length, [`CrudeBound::reach`], never by the cost bound.
-//! - [`hst`]: hierarchically-separated-tree view with an exact tree k-median
-//!   DP (the Section 8.4 extension).
 
 pub mod crude;
 pub mod fast_kmeanspp;
 pub mod grid;
-pub mod hst;
 pub mod spread;
 pub mod tree;
 

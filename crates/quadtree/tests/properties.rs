@@ -463,48 +463,6 @@ proptest! {
     }
 
     #[test]
-    fn hst_kmedian_cost_is_monotone_in_k(p in points_strategy(), seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let t = Quadtree::build(&mut rng, &p, QuadtreeConfig::default());
-        let w = vec![1.0; p.len()];
-        let mut prev = f64::INFINITY;
-        for k in 1..=3usize.min(p.len()) {
-            let sol = fc_quadtree::hst::solve_kmedian_on_hst(&t, &w, k);
-            prop_assert!(sol.cost <= prev + 1e-9, "k={k}: {} > {prev}", sol.cost);
-            prop_assert!(!sol.centers.is_empty());
-            prop_assert!(sol.centers.iter().all(|&c| c < p.len()));
-            prev = sol.cost;
-        }
-    }
-
-    #[test]
-    fn hst_dp_beats_random_center_choices(p in points_strategy(), seed in any::<u64>()) {
-        use rand::Rng;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let t = Quadtree::build(&mut rng, &p, QuadtreeConfig::default());
-        let w = vec![1.0; p.len()];
-        let k = 2usize.min(p.len());
-        let exact = fc_quadtree::hst::solve_kmedian_on_hst(&t, &w, k);
-        // Tree-metric cost of random center sets must dominate the DP's.
-        for _ in 0..3 {
-            let centers: Vec<usize> = (0..k).map(|_| rng.gen_range(0..p.len())).collect();
-            let mut marked = std::collections::HashSet::new();
-            for &c in &centers {
-                marked.extend(t.path_to_position(t.position_of(c)));
-            }
-            let cost: f64 = (0..p.len())
-                .map(|i| {
-                    let path = t.path_to_position(t.position_of(i));
-                    let deepest = path.iter().rev().find(|id| marked.contains(*id))
-                        .expect("root is marked");
-                    if t.node(*deepest).is_leaf() { 0.0 } else { t.tree_scale(*deepest) }
-                })
-                .sum();
-            prop_assert!(exact.cost <= cost + 1e-9, "DP {} beaten by {cost}", exact.cost);
-        }
-    }
-
-    #[test]
     fn spread_reduction_never_increases_diameter(p in points_strategy(), seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let upper = 1.0;

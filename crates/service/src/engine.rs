@@ -1114,7 +1114,26 @@ impl Engine {
             let durability = match self.config.persist.as_ref().zip(dir.as_ref()) {
                 None => None,
                 Some((pc, dir)) => {
-                    let (log, recovered) = ShardLog::open(&shard_dir(dir, s), pc.log_options())?;
+                    let path = shard_dir(dir, s);
+                    let (log, recovered) = ShardLog::open(&path, pc.log_options())?;
+                    // A record of another dimension can pass its checksum
+                    // (a shard directory copied from another dataset) and
+                    // would panic the shard's first fold: refuse it here.
+                    let summary_dims = recovered
+                        .snapshot
+                        .iter()
+                        .filter_map(|snap| snap.summary.as_ref().map(Dataset::dim));
+                    let tail_dims = recovered.tail.iter().map(|rec| rec.block.dim());
+                    if let Some(got) = summary_dims.chain(tail_dims).find(|&d| d != ledger.dim()) {
+                        return Err(PersistError::Corrupt {
+                            path,
+                            message: format!(
+                                "holds {got}-d points, but the dataset is {}-d",
+                                ledger.dim()
+                            ),
+                        }
+                        .into());
+                    }
                     if let Some(snap) = &recovered.snapshot {
                         points += snap.points;
                         weight += snap.weight;
@@ -1887,20 +1906,6 @@ mod tests {
             .unwrap_err(),
             EngineError::Invalid(FcError::InvalidCoresetSize { m: 0, k: 8 })
         );
-        // Hamerly cannot refine k-median; the default config must not
-        // silently accept the combination.
-        assert_eq!(
-            Engine::new(EngineConfig {
-                kind: CostKind::KMedian,
-                solver: Solver::Hamerly,
-                ..Default::default()
-            })
-            .unwrap_err(),
-            EngineError::Invalid(FcError::UnsupportedObjective {
-                solver: Solver::Hamerly,
-                kind: CostKind::KMedian,
-            })
-        );
     }
 
     #[test]
@@ -1924,27 +1929,18 @@ mod tests {
         for block in blobs(400).chunks(100) {
             engine.ingest("d", &block, None).unwrap();
         }
-        let hamerly = engine
-            .cluster("d", Some(4), None, Some(Solver::Hamerly), Some(7))
+        let swapped = engine
+            .cluster(
+                "d",
+                Some(4),
+                Some(CostKind::KMedian),
+                Some(Solver::LocalSearch),
+                Some(7),
+            )
             .unwrap();
-        assert_eq!(hamerly.solver, Solver::Hamerly);
-        assert_eq!(hamerly.solution.k(), 4);
-        // An unsupported solver/objective pair errors instead of panicking.
-        assert_eq!(
-            engine
-                .cluster(
-                    "d",
-                    Some(4),
-                    Some(CostKind::KMedian),
-                    Some(Solver::Hamerly),
-                    Some(7),
-                )
-                .unwrap_err(),
-            EngineError::Invalid(FcError::UnsupportedObjective {
-                solver: Solver::Hamerly,
-                kind: CostKind::KMedian,
-            })
-        );
+        assert_eq!(swapped.solver, Solver::LocalSearch);
+        assert_eq!(swapped.kind, CostKind::KMedian);
+        assert_eq!(swapped.solution.k(), 4);
         // A per-request compression method serves through a different
         // compressor with the same seed discipline.
         let (a, _, _) = engine
@@ -1962,14 +1958,14 @@ mod tests {
         let plan_a = PlanBuilder::new(2)
             .m_scalar(10)
             .method(Method::Uniform)
-            .solver(Solver::Hamerly)
+            .solver(Solver::LocalSearch)
             .build()
             .unwrap();
         let plan_b = PlanBuilder::new(3)
             .m_scalar(5)
             .kind(CostKind::KMedian)
             .method(Method::Lightweight)
-            .solver(Solver::KMedianWeiszfeld)
+            .solver(Solver::Lloyd)
             .build()
             .unwrap();
         for block in blobs(300).chunks(150) {
@@ -1981,11 +1977,11 @@ mod tests {
         let a = engine.cluster("a", None, None, None, Some(1)).unwrap();
         assert_eq!(a.solution.k(), 2);
         assert_eq!(a.kind, CostKind::KMeans);
-        assert_eq!(a.solver, Solver::Hamerly);
+        assert_eq!(a.solver, Solver::LocalSearch);
         let b = engine.cluster("b", None, None, None, Some(1)).unwrap();
         assert_eq!(b.solution.k(), 3);
         assert_eq!(b.kind, CostKind::KMedian);
-        assert_eq!(b.solver, Solver::KMedianWeiszfeld);
+        assert_eq!(b.solver, Solver::Lloyd);
         // Serving sizes and effective methods follow the plans.
         let (ca, _, ma) = engine.coreset("a", Some(2), None).unwrap();
         assert!(ca.len() <= plan_a.m(), "{} > {}", ca.len(), plan_a.m());

@@ -7,9 +7,9 @@
 //!
 //! ```text
 //! {"op":"ingest","dataset":"d","points":[[0,0],[1,1]],"weights":[1,2]}
-//! {"op":"ingest","dataset":"e","points":[[2,2]],"plan":{"k":4,"kind":"kmedian","method":"bico","solver":"kmedian-weiszfeld"}}
+//! {"op":"ingest","dataset":"e","points":[[2,2]],"plan":{"k":4,"kind":"kmedian","method":"bico","solver":"local-search"}}
 //! {"op":"compress","dataset":"d","method":"fast-coreset","seed":7}
-//! {"op":"cluster","dataset":"d","k":4,"kind":"kmeans","solver":"hamerly","seed":7}
+//! {"op":"cluster","dataset":"d","k":4,"kind":"kmeans","solver":"lloyd","seed":7}
 //! {"op":"cost","dataset":"d","centers":[[0.5,0.5]],"kind":"kmeans"}
 //! {"op":"stats"}            {"op":"stats","dataset":"d"}
 //! {"op":"metrics"}
@@ -145,7 +145,7 @@ pub enum Request {
         kind: Option<CostKind>,
         /// Refinement solver; the engine default when omitted. Parsed with
         /// the same `FromStr` the library exposes (`"lloyd"`,
-        /// `"hamerly"`, ...).
+        /// `"local-search"`).
         solver: Option<Solver>,
         /// Reproducibility seed; engine-assigned when omitted.
         seed: Option<u64>,

@@ -284,12 +284,6 @@ impl QueryPath {
             }
             let kind = kind.unwrap_or_else(|| plan.kind());
             let solver = solver.unwrap_or_else(|| plan.solver());
-            if !solver.supports(kind) {
-                return Err(EngineError::Invalid(FcError::UnsupportedObjective {
-                    solver,
-                    kind,
-                }));
-            }
             let state = self.state(source, &dataset, seed.is_some());
             let seed = seed.unwrap_or_else(|| self.next_seed());
             let key = state.clone().map(|state| QueryKey {
@@ -688,21 +682,6 @@ mod tests {
             path.cluster(&source, "d", Some(0), None, None, None)
                 .unwrap_err(),
             EngineError::Invalid(FcError::InvalidK)
-        );
-        assert_eq!(
-            path.cluster(
-                &source,
-                "d",
-                None,
-                Some(CostKind::KMedian),
-                Some(Solver::Hamerly),
-                None
-            )
-            .unwrap_err(),
-            EngineError::Invalid(FcError::UnsupportedObjective {
-                solver: Solver::Hamerly,
-                kind: CostKind::KMedian,
-            })
         );
         let three_d = Points::from_flat(vec![0.0, 1.0, 2.0], 3).unwrap();
         assert_eq!(

@@ -1389,13 +1389,13 @@ mod tests {
                 dataset: "d".into(),
                 k: Some(2),
                 kind: None,
-                solver: Some(fc_clustering::Solver::Hamerly),
+                solver: Some(fc_clustering::Solver::LocalSearch),
                 seed: Some(1),
             },
         );
         match &cluster {
             Response::Clustered { solver, .. } => {
-                assert_eq!(*solver, fc_clustering::Solver::Hamerly)
+                assert_eq!(*solver, fc_clustering::Solver::LocalSearch)
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -435,7 +435,7 @@ mod tests {
                 dataset: "d".to_owned(),
                 k: Some(2),
                 kind: Some(CostKind::KMedian),
-                solver: Some(Solver::Hamerly),
+                solver: Some(Solver::LocalSearch),
                 seed: Some(3),
             },
             Request::Cost {

@@ -811,7 +811,7 @@ mod tests {
                             .m_scalar(15)
                             .kind(CostKind::KMedian)
                             .method("merge-reduce(lightweight)".parse().unwrap())
-                            .solver(Solver::KMedianWeiszfeld)
+                            .solver(Solver::LocalSearch)
                             .compaction_budget(900)
                             .build()
                             .unwrap(),
@@ -845,7 +845,7 @@ mod tests {
                     dataset: "d".into(),
                     k: Some(4),
                     kind: Some(CostKind::KMedian),
-                    solver: Some(Solver::KMedianWeiszfeld),
+                    solver: Some(Solver::LocalSearch),
                     seed: Some(u64::MAX),
                 },
                 None,
@@ -952,7 +952,7 @@ mod tests {
                 dataset: "d".into(),
                 centers: vec![vec![1.0], vec![2.0]],
                 kind: CostKind::KMeans,
-                solver: Solver::Hamerly,
+                solver: Solver::LocalSearch,
                 coreset_cost: 12.5,
                 coreset_points: 200,
                 seed: 8,

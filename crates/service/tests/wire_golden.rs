@@ -352,3 +352,21 @@ fn every_response_variant_has_pinned_json_bytes() {
         assert_eq!(Response::from_json(line).unwrap(), response, "{line}");
     }
 }
+
+/// Peers that still write the retired solver spellings are read as if
+/// they had written `lloyd`.
+#[test]
+fn retired_solver_spellings_decode_as_lloyd() {
+    for old in ["hamerly", "kmedian-weiszfeld"] {
+        let respell =
+            |line: &str| line.replace(r#""solver":"lloyd""#, &format!(r#""solver":"{old}""#));
+        for (request, _, line) in requests() {
+            let decoded = Request::from_json(&respell(line)).unwrap();
+            assert_eq!(decoded, request, "{old}: {line}");
+        }
+        for (response, line) in responses() {
+            let decoded = Response::from_json(&respell(line)).unwrap();
+            assert_eq!(decoded, response, "{old}: {line}");
+        }
+    }
+}

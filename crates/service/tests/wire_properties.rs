@@ -90,11 +90,7 @@ fn method() -> impl Strategy<Value = Method> {
 }
 
 fn solver() -> impl Strategy<Value = Solver> {
-    pick(vec![
-        Solver::Lloyd,
-        Solver::Hamerly,
-        Solver::KMedianWeiszfeld,
-    ])
+    pick(fc_clustering::ALL_SOLVERS.to_vec())
 }
 
 /// An optional exactly-once batch identity: client name plus sequence.

@@ -82,21 +82,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("replay with seed {} reproduced the clustering", result.seed);
 
     // Per-request overrides, parsed from the same canonical names the
-    // library exposes: a solver by name — `hamerly` is kept as an alias of
-    // `lloyd`, so under the same seed it answers with the same centers —
-    // and a one-off uniform-sampled serving coreset.
-    let hamerly = client.cluster(
+    // library exposes: a solver by name and a one-off uniform-sampled
+    // serving coreset.
+    let swapped = client.cluster(
         "gaussians",
         Some(k),
         Some(CostKind::KMeans),
-        Some("hamerly".parse::<Solver>()?),
+        Some("local-search".parse::<Solver>()?),
         Some(result.seed),
     )?;
-    assert_eq!(hamerly.centers, result.centers, "one loop, two names");
+    assert_eq!(
+        swapped.solver,
+        Solver::LocalSearch,
+        "response echoes the solver"
+    );
     println!(
         "solver override: {} refined {} centers",
-        hamerly.solver,
-        hamerly.centers.len()
+        swapped.solver,
+        swapped.centers.len()
     );
     let (uniform, _, served_method) =
         client.compress("gaussians", Some(&"uniform".parse::<Method>()?), Some(1))?;
@@ -112,7 +115,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let plan = PlanBuilder::new(4)
         .m_scalar(20)
         .method("merge-reduce(lightweight)".parse::<Method>()?)
-        .solver(Solver::Hamerly)
+        .solver(Solver::LocalSearch)
         .build()?;
     println!("second dataset under plan {}", plan.to_json());
     for batch in data.chunks(2_000) {
@@ -120,7 +123,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let planned = client.cluster("planned", None, None, None, None)?;
     assert_eq!(planned.centers.len(), 4, "plan supplies k");
-    assert_eq!(planned.solver, Solver::Hamerly, "plan supplies the solver");
+    assert_eq!(
+        planned.solver,
+        Solver::LocalSearch,
+        "plan supplies the solver"
+    );
     let effective = &client.stats(Some("planned"))?[0].plan;
     assert_eq!(effective, &plan, "stats echo the effective plan");
     println!(

@@ -1,8 +1,7 @@
-//! Cross-crate coverage for the extension features: the dataset registry,
-//! the HST-seeded compressor, and the high-level plan API, working together.
+//! Cross-crate coverage for the extension features: the dataset registry
+//! and the high-level plan API, working together.
 
 use fast_coresets::prelude::*;
-use fc_core::methods::HstCoreset;
 use fc_data::registry::{available, generate, RegistryParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,33 +30,6 @@ fn pipeline_runs_on_every_registry_dataset() {
         // Strong-coreset method: never catastrophic, on any instance.
         assert!(d < 5.0, "{name}: fast-coreset distortion {d}");
     }
-}
-
-#[test]
-fn hst_coreset_is_competitive_with_fast_coreset() {
-    let mut rng = StdRng::seed_from_u64(82);
-    let data = fc_data::gaussian_mixture(
-        &mut rng,
-        fc_data::GaussianMixtureConfig {
-            n: 8_000,
-            d: 10,
-            kappa: 6,
-            gamma: 1.5,
-            ..Default::default()
-        },
-    );
-    let k = 6;
-    let params = CompressionParams::with_scalar(k, 40, CostKind::KMeans).unwrap();
-    let lloyd = fc_clustering::lloyd::LloydConfig::default();
-
-    let hst = HstCoreset::default().compress(&mut rng, &data, &params);
-    let hst_d = fc_core::distortion(&mut rng, &data, &hst, k, CostKind::KMeans, lloyd).distortion;
-
-    let fast = FastCoreset::default().compress(&mut rng, &data, &params);
-    let fast_d = fc_core::distortion(&mut rng, &data, &fast, k, CostKind::KMeans, lloyd).distortion;
-
-    assert!(hst_d < 2.0, "hst-coreset distortion {hst_d}");
-    assert!(hst_d < fast_d * 2.0 + 0.5, "hst {hst_d} vs fast {fast_d}");
 }
 
 #[test]

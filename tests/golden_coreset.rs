@@ -2,15 +2,13 @@
 //! every default build takes — JL projection, one tree build,
 //! Fast-kmeans++, scores, sample — and the tree feeds every RNG draw after
 //! it: any change to what those stages compute moves these hashes. The
-//! other three pins cover the paths beside it: a tree that truncates after
-//! projection, an input too low-dimensional to project, and the HST-seeded
-//! coreset, which builds the same tree.
+//! other two pins cover the paths beside it: a tree that truncates after
+//! projection and an input too low-dimensional to project.
 //! Re-pinned when spread reduction left that path (it had run, and drawn,
 //! unconditionally); the solves of these coresets in `golden_solve.rs` and
 //! `solve_effort.rs` moved with them.
 
 use fast_coresets::prelude::*;
-use fc_core::methods::HstCoreset;
 use fc_geom::jl::{project_if_beneficial, target_dim_for_clustering, JlKind};
 use fc_quadtree::{Quadtree, QuadtreeConfig};
 use rand::rngs::StdRng;
@@ -132,15 +130,4 @@ fn coreset_built_without_projection_is_pinned() {
     let coreset = FastCoreset::default().compress(&mut rng, &data, &params);
     assert_eq!(coreset.len(), 701);
     assert_eq!(fingerprint(&coreset), 4_436_866_470_693_516_835);
-}
-
-/// The HST-seeded coreset projects and builds the same tree.
-#[test]
-fn hst_coreset_is_pinned() {
-    let data = mixture(1309, 4_000, 10);
-    let params = CompressionParams::with_scalar(10, 20, CostKind::KMeans).unwrap();
-    let mut rng = StdRng::seed_from_u64(1310);
-    let coreset = HstCoreset::default().compress(&mut rng, &data, &params);
-    assert_eq!(coreset.len(), 194);
-    assert_eq!(fingerprint(&coreset), 16_910_179_829_291_273_715);
 }

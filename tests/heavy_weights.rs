@@ -7,7 +7,7 @@
 //! input gives the coreset its unit-weight twin gives, times the weight.
 
 use fast_coresets::prelude::*;
-use fc_core::methods::{HstCoreset, JCount};
+use fc_core::methods::JCount;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -30,7 +30,6 @@ fn methods() -> Vec<Box<dyn Compressor>> {
         Box::new(StandardSensitivity::default()),
         Box::new(Welterweight::new(JCount::LogK)),
         Box::new(Lightweight),
-        Box::new(HstCoreset::default()),
     ]
 }
 

@@ -23,7 +23,6 @@ fn arb_base_method() -> impl Strategy<Value = Method> {
         (1usize..40).prop_map(|j| Method::Welterweight(JCount::Fixed(j))),
         Just(Method::Sensitivity),
         Just(Method::FastCoreset),
-        Just(Method::HstCoreset),
         Just(Method::Bico),
         Just(Method::StreamKm),
     ]
@@ -41,12 +40,7 @@ fn arb_method() -> impl Strategy<Value = Method> {
 }
 
 fn arb_solver() -> impl Strategy<Value = Solver> {
-    prop_oneof![
-        Just(Solver::Lloyd),
-        Just(Solver::Hamerly),
-        Just(Solver::LocalSearch),
-        Just(Solver::KMedianWeiszfeld),
-    ]
+    prop_oneof![Just(Solver::Lloyd), Just(Solver::LocalSearch)]
 }
 
 proptest! {
@@ -60,14 +54,10 @@ proptest! {
         solver in arb_solver(),
         budget in prop_oneof![Just(None), (1usize..10_000).prop_map(Some)],
     ) {
-        // Pick an objective the drawn solver supports, covering both where
-        // the solver allows it.
-        let kind = if solver.supports(CostKind::KMeans) && (k + m_scalar) % 2 == 0 {
+        let kind = if (k + m_scalar) % 2 == 0 {
             CostKind::KMeans
-        } else if solver.supports(CostKind::KMedian) {
-            CostKind::KMedian
         } else {
-            CostKind::KMeans
+            CostKind::KMedian
         };
         let mut builder = PlanBuilder::new(k)
             .m_scalar(m_scalar)
@@ -128,14 +118,14 @@ fn two_datasets_run_different_plans_on_one_server() {
     let fast = PlanBuilder::new(2)
         .m_scalar(10)
         .method(Method::Uniform)
-        .solver(Solver::Hamerly)
+        .solver(Solver::LocalSearch)
         .build()
         .unwrap();
     let accurate = PlanBuilder::new(4)
         .m_scalar(20)
         .kind(CostKind::KMedian)
         .method("merge-reduce(lightweight)".parse().unwrap())
-        .solver(Solver::KMedianWeiszfeld)
+        .solver(Solver::Lloyd)
         .compaction_budget(2_000)
         .build()
         .unwrap();
@@ -153,13 +143,13 @@ fn two_datasets_run_different_plans_on_one_server() {
     let served_fast = client.cluster("fast", None, None, None, Some(7)).unwrap();
     assert_eq!(served_fast.centers.len(), 2);
     assert_eq!(served_fast.kind, CostKind::KMeans);
-    assert_eq!(served_fast.solver, Solver::Hamerly);
+    assert_eq!(served_fast.solver, Solver::LocalSearch);
     let served_accurate = client
         .cluster("accurate", None, None, None, Some(7))
         .unwrap();
     assert_eq!(served_accurate.centers.len(), 4);
     assert_eq!(served_accurate.kind, CostKind::KMedian);
-    assert_eq!(served_accurate.solver, Solver::KMedianWeiszfeld);
+    assert_eq!(served_accurate.solver, Solver::Lloyd);
 
     // Serving sizes and the echoed effective method follow each plan's m
     // and method, not the engine default.

@@ -13,6 +13,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use fast_coresets::prelude::*;
+use fc_persist::{dataset_dir, shard_dir, LogOptions, ShardLog};
 use fc_service::{Engine, EngineConfig, PersistConfig};
 
 fn four_blobs(n_per: usize, offset: f64) -> Dataset {
@@ -326,5 +327,72 @@ fn drain_hook_observes_every_shard_in_order() {
             ("b".to_owned(), 1),
         ]
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn old_plan_spellings_in_meta_json_still_boot() {
+    // `meta.json` files written before `hst-coreset`, `hamerly` and
+    // `kmedian-weiszfeld` were folded into their canonical names.
+    let dir = scratch("old-names");
+    for (name, plan) in [
+        (
+            "means",
+            r#"{"k":3,"m":60,"method":"merge-reduce(hst-coreset)","solver":"hamerly"}"#,
+        ),
+        (
+            "medians",
+            r#"{"k":3,"m":60,"kind":"kmedian","solver":"kmedian-weiszfeld"}"#,
+        ),
+    ] {
+        let meta = format!(r#"{{"name":"{name}","dim":2,"shards":2,"plan":{plan}}}"#);
+        let ds = dataset_dir(&dir, name);
+        std::fs::create_dir_all(&ds).unwrap();
+        std::fs::write(ds.join("meta.json"), meta).unwrap();
+    }
+    let engine = persistent_engine(&dir, 0);
+    for (name, method, kind) in [
+        ("means", "merge-reduce(fast-coreset)", CostKind::KMeans),
+        ("medians", "fast-coreset", CostKind::KMedian),
+    ] {
+        engine.ingest(name, &four_blobs(100, 0.0), None).unwrap();
+        let plan = engine.dataset_plan(name).unwrap();
+        assert_eq!(plan.method().to_string(), method, "{name}");
+        assert_eq!(plan.solver(), Solver::Lloyd, "{name}");
+        let served = engine.cluster(name, None, None, None, Some(7)).unwrap();
+        assert_eq!(served.solver, Solver::Lloyd, "{name}");
+        assert_eq!(served.kind, kind, "{name}");
+        assert_eq!(served.solution.k(), 3, "{name}");
+    }
+    drop(engine);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_record_of_another_dimension_refuses_the_dataset_at_open() {
+    let dir = scratch("dim");
+    {
+        let engine = persistent_engine(&dir, 0);
+        engine.ingest("flat", &four_blobs(50, 0.0), None).unwrap();
+    }
+    // A 3-d record behind a valid checksum in the 2-d dataset's shard log,
+    // as a shard directory copied from another dataset would leave.
+    let shard = shard_dir(&dataset_dir(&dir, "flat"), 0);
+    let (mut log, _) = ShardLog::open(&shard, LogOptions::default()).unwrap();
+    log.append(&Dataset::from_flat(vec![1.0, 2.0, 3.0], 3).unwrap())
+        .unwrap();
+    drop(log);
+    let mut persist = PersistConfig::new(dir.clone());
+    persist.replay_throttle = Duration::ZERO;
+    let err = Engine::new(EngineConfig {
+        k: 4,
+        shards: 2,
+        persist: Some(persist),
+        ..Default::default()
+    })
+    .expect_err("a mixed-dimension shard must not open");
+    let message = err.to_string();
+    assert!(message.contains("shard-000"), "{message}");
+    assert!(message.contains("3-d"), "{message}");
     std::fs::remove_dir_all(&dir).ok();
 }

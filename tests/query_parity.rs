@@ -127,19 +127,12 @@ fn engine_and_coordinator_resolve_refuse_seed_and_count_alike() {
             "blobs",
             Some(2),
             Some(CostKind::KMedian),
-            Some(Solver::KMedianWeiszfeld),
+            Some(Solver::LocalSearch),
             Some(7),
         ),
         Op::Cluster("blobs", None, None, None, None),
         // Refusals: no work, no seed consumed, no probe.
         Op::Cluster("blobs", Some(0), None, None, Some(7)),
-        Op::Cluster(
-            "blobs",
-            None,
-            Some(CostKind::KMedian),
-            Some(Solver::Hamerly),
-            None,
-        ),
         Op::Cost("blobs", wrong_dim.clone(), None),
         Op::Cluster("ghost", None, None, None, Some(7)),
         Op::Cost("ghost", centers.clone(), None),

@@ -148,26 +148,3 @@ fn fast_coreset_handles_pathological_spread() {
         }
     }
 }
-
-#[test]
-fn hst_solver_agrees_with_euclidean_on_separated_clusters() {
-    // Exact tree k-median must find the three far clusters (the tree metric
-    // dominates Euclidean, so cluster identification transfers).
-    let data = huge_spread_clusters(57);
-    let mut rng = StdRng::seed_from_u64(58);
-    let tree = fc_quadtree::Quadtree::build(
-        &mut rng,
-        data.points(),
-        fc_quadtree::QuadtreeConfig::default(),
-    );
-    let sol = fc_quadtree::hst::solve_kmedian_on_hst(&tree, data.weights(), 3);
-    assert_eq!(sol.centers.len(), 3);
-    let mut cluster_hit = [false; 3];
-    for &c in &sol.centers {
-        cluster_hit[c / 600] = true;
-    }
-    assert!(
-        cluster_hit.iter().all(|&h| h),
-        "HST centers missed a cluster: {cluster_hit:?}"
-    );
-}
