@@ -2,17 +2,19 @@
 //! each dataset running under its own effective [`Plan`].
 //!
 //! Each dataset owns `shards` worker threads. An ingest batch is admitted
-//! by the shared [`crate::ingest`] path and handed to one shard
-//! round-robin; the shard folds it into its own
-//! [`fc_core::streaming::MergeReduce`] stream (so at most one summary per
-//! Bentley–Saxe level lives per shard) and compacts the level stack into a
-//! single summary whenever stored points exceed the plan's compaction
-//! budget. Queries go through the shared [`crate::query`] path; what the
-//! engine contributes is its parts — each shard's stored summary, a valid
-//! coreset of the blocks that shard folded — which that path unions and
-//! compresses down to the serving size with a request-seeded RNG, so
-//! every served compression and clustering is reproducible from
-//! `(state, seed)`.
+//! by the shared [`crate::ingest`] path, logged, and queued to one shard
+//! round-robin as one command. Everything a shard knows — its
+//! [`fc_core::streaming::MergeReduce`] stream (at most one summary per
+//! Bentley–Saxe level), the compaction under the plan's budget, the
+//! coalescing buffer, its checkpoints and its replay — is one sans-I/O
+//! `ShardState` (`shard.rs`); the worker thread here only drives it: it
+//! feeds it commands, wakes at its coalescing deadline, writes its
+//! checkpoints to the shard's log and publishes its gauges. Queries go
+//! through the shared [`crate::query`] path; what the engine contributes
+//! is its parts — each shard's stored summary, a valid coreset of the
+//! blocks that shard folded — which that path unions and compresses down
+//! to the serving size with a request-seeded RNG, so every served
+//! compression and clustering is reproducible from `(state, seed)`.
 //!
 //! The compression *method* is the paper's settling-time/accuracy knob, so
 //! it is a per-dataset choice, not a server-wide one: the first `ingest`
@@ -21,10 +23,9 @@
 //! query defaults are all built from it. [`EngineConfig`] supplies the
 //! default plan for datasets that don't choose their own.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -33,21 +34,19 @@ use fc_clustering::solver::Solver;
 use fc_clustering::{CostKind, Solution};
 use fc_core::json::Value;
 use fc_core::plan::{Method, Plan, PlanBuilder};
-use fc_core::streaming::{MergeReduce, StreamingCompressor};
-use fc_core::{CompressionParams, Compressor, Coreset, FcError};
+use fc_core::{Compressor, Coreset, FcError};
 use fc_geom::{Dataset, Points};
 use fc_persist::{
     dataset_dir, list_datasets, shard_dir, DatasetMeta, FsyncPolicy, LogOptions, PersistError,
-    RecordMeta, ShardLog, Snapshot, WalRecord,
+    RecordMeta, ShardLog, WalRecord,
 };
 use fc_telemetry::{labeled, Counter, Histogram, Telemetry};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::backend::IngestOutcome;
 use crate::ingest::{Ledger, WritePath, WriteSink};
 use crate::protocol::{DatasetStats, IngestIdent, ServerStats};
 use crate::query::{QueryPath, QuerySource, QueryState};
+use crate::shard::{Compactions, Restored, Rules, ShardState};
 
 /// Engine configuration: sharding, the default per-dataset [`Plan`]
 /// (serving size, method/solver selection), ingest coalescing, durability
@@ -56,9 +55,11 @@ use crate::query::{QueryPath, QuerySource, QueryState};
 pub struct EngineConfig {
     /// Worker threads (= independent coreset streams) per dataset.
     pub shards: usize,
-    /// Bounded per-shard command-queue depth. A full queue rejects further
-    /// ingests with [`EngineError::Overloaded`] instead of blocking the
-    /// connection thread.
+    /// Bounded per-shard command-queue depth, in wire batches: every
+    /// acknowledged ingest batch is one command, whether or not the shard
+    /// then coalesces it with others. A full queue rejects further ingests
+    /// with [`EngineError::Overloaded`] instead of blocking the connection
+    /// thread.
     pub shard_queue_depth: usize,
     /// Default number of clusters queries are served for.
     pub k: usize,
@@ -81,18 +82,19 @@ pub struct EngineConfig {
     /// Base of the deterministic seed sequence for requests that carry no
     /// explicit seed.
     pub base_seed: u64,
-    /// Coalesce acknowledged ingest batches per shard until this many
-    /// points are pending, then hand them to the shard worker as one
-    /// block. Small-batch write streams pay the per-block stream-fold
-    /// cost once per coalesced block instead of once per wire batch.
-    /// Zero (the default) disables the points trigger. Durability is
-    /// unchanged: a batch is logged before it is parked.
+    /// Each shard coalesces the acknowledged ingest batches it dequeues
+    /// until this many points are pending, then folds them into its
+    /// stream as one block. Small-batch write streams pay the per-block
+    /// stream-fold cost once per coalesced block instead of once per wire
+    /// batch. Zero (the default) disables the points trigger. Durability
+    /// is unchanged: a batch is logged before it is queued.
     pub batch_points: usize,
-    /// Age bound for the coalescing buffer: a background flusher hands
-    /// pending batches to their shard once the oldest has waited this
-    /// long, so a stalling write stream cannot delay earlier acked data
-    /// indefinitely. Zero disables the deadline (queries still flush
-    /// on demand). Batching is active when either knob is non-zero.
+    /// Age bound for a shard's coalescing buffer: the shard folds its
+    /// pending rows once the oldest has waited this long — its thread
+    /// wakes for it — so a stalling write stream cannot delay earlier
+    /// acked data indefinitely. Zero disables the deadline (queries still
+    /// fold pending rows first). Batching is active when either knob is
+    /// non-zero.
     pub batch_delay: Duration,
     /// Durability: when set, every acknowledged ingest batch is written to
     /// a per-shard write-ahead log under `data_dir` before it is queued,
@@ -123,13 +125,6 @@ impl Default for EngineConfig {
             persist: None,
             cache_capacity: 64,
         }
-    }
-}
-
-impl EngineConfig {
-    /// Whether ingest coalescing is on (any batching knob non-zero).
-    pub fn batching_enabled(&self) -> bool {
-        self.batch_points > 0 || !self.batch_delay.is_zero()
     }
 }
 
@@ -332,16 +327,16 @@ pub struct ClusterOutcome {
 }
 
 enum ShardCmd {
+    /// One acknowledged wire batch.
     Ingest {
         block: Dataset,
-        /// The block's WAL sequence number; `0` on a non-persistent
+        /// The batch's WAL sequence number; `0` on a non-persistent
         /// engine.
         seq: u64,
-        /// Exactly-once identities the block carries: each `(client,
-        /// seq)` this block's batches were ingested under. The worker
-        /// max-merges them into its own dedup table so the next snapshot
-        /// covers exactly what this shard durably applied.
-        clients: Vec<(String, u64)>,
+        /// The exactly-once identity the batch was ingested under, if
+        /// any. The shard max-merges it into its table when the batch
+        /// folds, so the next checkpoint covers exactly what it applied.
+        client: Option<(String, u64)>,
     },
     Snapshot(SyncSender<Option<Coreset>>),
     Shutdown {
@@ -368,6 +363,14 @@ struct ShardGauges {
     stored_points: AtomicUsize,
 }
 
+impl ShardGauges {
+    fn publish(&self, state: &ShardState) {
+        self.summaries.store(state.summaries(), Ordering::Relaxed);
+        self.stored_points
+            .store(state.stored_points(), Ordering::Relaxed);
+    }
+}
+
 /// The durable half of one shard, shared between the ingest path (which
 /// appends under the log mutex before queueing), the worker (which
 /// advances `applied_seq` and installs snapshots), and the stats path
@@ -386,20 +389,36 @@ impl ShardPersist {
     fn recovering(&self) -> bool {
         self.applied_seq.load(Ordering::Acquire) < self.target_seq
     }
+
+    fn log(&self) -> std::sync::MutexGuard<'_, ShardLog> {
+        self.log.lock().expect("shard log lock is never poisoned")
+    }
+
+    /// Installs a checkpoint of everything `state` has folded — when
+    /// `force`, or when its cadence says one is due. A failure degrades
+    /// durability to WAL-only replay (the log keeps every record the
+    /// checkpoint would have covered), so it is reported, not fatal.
+    fn checkpoint(&self, state: &mut ShardState, force: bool) {
+        let mut log = self.log();
+        if !force && !state.checkpoint_due(log.bytes_since_snapshot()) {
+            return;
+        }
+        let Some(snap) = state.checkpoint(log.next_snapshot_id()) else {
+            return;
+        };
+        match log.install_snapshot(&snap) {
+            Ok(()) => state.checkpointed(&snap),
+            Err(e) => eprintln!("fc-shard: snapshot {} failed: {e}", snap.id),
+        }
+    }
 }
 
-/// Everything a worker needs to run its shard durably: the shared log
-/// state plus the recovered snapshot/tail to restore before serving.
+/// What a worker needs to run its shard durably: the shared log state plus
+/// the recovered WAL tail to replay before serving.
 struct ShardDurability {
     shared: Arc<ShardPersist>,
-    /// The recovered snapshot to reinstall, if any.
-    snapshot: Option<Snapshot>,
-    /// WAL records past the snapshot, replayed before the command loop.
+    /// WAL records past the restored snapshot.
     tail: Vec<WalRecord>,
-    /// The dataset's effective plan wire form, stamped into snapshots.
-    plan_json: String,
-    snapshot_compactions: u32,
-    snapshot_bytes: u64,
     replay_throttle: Duration,
 }
 
@@ -415,15 +434,10 @@ struct Shard {
 }
 
 impl Shard {
-    #[allow(clippy::too_many_arguments)]
     fn spawn(
-        compressor: Arc<dyn Compressor>,
-        params: CompressionParams,
-        budget: usize,
-        seed: u64,
+        state: ShardState,
         queue_depth_bound: usize,
         durability: Option<ShardDurability>,
-        metrics: CompactionMetrics,
     ) -> Self {
         let (sender, receiver) = mpsc::sync_channel(queue_depth_bound);
         let queue_depth = Arc::new(AtomicUsize::new(0));
@@ -432,19 +446,7 @@ impl Shard {
         let worker_gauges = Arc::clone(&gauges);
         let join = std::thread::Builder::new()
             .name("fc-shard".into())
-            .spawn(move || {
-                shard_loop(
-                    receiver,
-                    worker_depth,
-                    worker_gauges,
-                    compressor,
-                    params,
-                    budget,
-                    seed,
-                    durability,
-                    metrics,
-                )
-            })
+            .spawn(move || shard_loop(receiver, worker_depth, worker_gauges, state, durability))
             .expect("spawning a shard worker thread succeeds");
         Shard {
             sender,
@@ -472,230 +474,112 @@ impl Shard {
         &self,
         block: Dataset,
         seq: u64,
-        clients: Vec<(String, u64)>,
+        client: Option<(String, u64)>,
     ) -> Result<(), TrySendError<ShardCmd>> {
         self.queue_depth.fetch_add(1, Ordering::Relaxed);
         self.sender
-            .try_send(ShardCmd::Ingest {
-                block,
-                seq,
-                clients,
-            })
+            .try_send(ShardCmd::Ingest { block, seq, client })
             .inspect_err(|_| {
                 self.queue_depth.fetch_sub(1, Ordering::Relaxed);
             })
     }
 }
 
-/// Compaction telemetry handles a shard worker updates in place: the
-/// engine-wide and per-dataset compaction counters plus the compaction
-/// latency histogram, all shared with the engine's registry.
-#[derive(Clone)]
+/// Compaction telemetry a shard updates in place: the engine-wide and
+/// per-dataset compaction counters plus the compaction latency histogram,
+/// all shared with the engine's registry.
 struct CompactionMetrics {
     total: Counter,
     dataset: Counter,
     seconds: Histogram,
 }
 
-/// The worker's stream plus the lifetime counters it stamps into
-/// snapshots; folding a block and compacting under budget live here so
-/// replay and live ingest apply records identically.
-struct ShardWorker<'a> {
-    rng: StdRng,
-    stream: MergeReduce<'a>,
-    budget: usize,
-    /// Lifetime ingest counters (survive restarts via snapshots).
-    blocks: u64,
-    points: u64,
-    weight: f64,
-    /// Per-client high-water sequence numbers of the exactly-once
-    /// identities this shard has applied — the durable half of the dedup
-    /// table, stamped into snapshots so it survives restarts alongside
-    /// the data it guards.
-    clients: HashMap<String, u64>,
-    compactions_since_snapshot: u32,
-    metrics: CompactionMetrics,
-}
-
-impl ShardWorker<'_> {
-    fn merge_clients<'c>(&mut self, idents: impl IntoIterator<Item = (&'c str, u64)>) {
-        for (client, seq) in idents {
-            match self.clients.get_mut(client) {
-                Some(have) => *have = (*have).max(seq),
-                None => {
-                    self.clients.insert(client.to_owned(), seq);
-                }
-            }
-        }
-    }
-
-    fn apply(&mut self, block: &Dataset) {
-        self.stream.insert_block(&mut self.rng, block);
-        if self.stream.stored_points() > self.budget {
-            let compact_started = Instant::now();
-            self.stream.compact(&mut self.rng);
-            self.metrics.seconds.observe(compact_started.elapsed());
-            self.metrics.total.incr();
-            self.metrics.dataset.incr();
-            self.compactions_since_snapshot += 1;
-        }
-        self.blocks += 1;
-        self.points += block.len() as u64;
-        self.weight += block.total_weight();
-    }
-
-    fn publish(&self, gauges: &ShardGauges) {
-        gauges
-            .summaries
-            .store(self.stream.summary_count(), Ordering::Relaxed);
-        gauges
-            .stored_points
-            .store(self.stream.stored_points(), Ordering::Relaxed);
-    }
-
-    /// Installs a snapshot at `applied` into the shard's log. Runs on the
-    /// worker thread; failures degrade durability to WAL-only replay (the
-    /// log keeps every record the snapshot would have covered), so they
-    /// are reported, not fatal.
-    fn snapshot_to(&mut self, d: &ShardDurability, applied: u64) {
-        let mut log = d
-            .shared
-            .log
-            .lock()
-            .expect("shard log lock is never poisoned");
-        if applied <= log.last_snapshot_seq() {
-            return;
-        }
-        let mut clients: Vec<(String, u64)> =
-            self.clients.iter().map(|(c, &s)| (c.clone(), s)).collect();
-        clients.sort();
-        let snap = Snapshot {
-            id: log.next_snapshot_id(),
-            seq: applied,
-            level: self.stream.levels().first().copied().unwrap_or(0),
-            blocks: self.blocks,
-            points: self.points,
-            weight: self.weight,
-            plan_json: d.plan_json.clone(),
-            summary: self.stream.snapshot().map(|c| c.dataset().clone()),
-            clients,
-        };
-        match log.install_snapshot(&snap) {
-            Ok(()) => self.compactions_since_snapshot = 0,
-            Err(e) => eprintln!("fc-shard: snapshot {} failed: {e}", snap.id),
-        }
-    }
-
-    /// Snapshot when either freshness threshold is crossed: enough
-    /// compactions (the stream has reshaped since the last snapshot) or
-    /// enough WAL bytes (replay debt).
-    fn maybe_snapshot(&mut self, d: &ShardDurability, applied: u64) {
-        let debt = d
-            .shared
-            .log
-            .lock()
-            .expect("shard log lock is never poisoned")
-            .bytes_since_snapshot();
-        if self.compactions_since_snapshot >= d.snapshot_compactions || debt >= d.snapshot_bytes {
-            self.snapshot_to(d, applied);
-        }
+impl Compactions for CompactionMetrics {
+    fn run(&mut self, compact: &mut dyn FnMut()) {
+        let started = Instant::now();
+        compact();
+        self.seconds.observe(started.elapsed());
+        self.total.incr();
+        self.dataset.incr();
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The shard thread, a driver around its [`ShardState`]: it replays the
+/// WAL tail, then feeds the state one command at a time, waking at the
+/// state's deadline to fold rows that have waited long enough. The state
+/// knows everything; this loop owns the channel, the clock, the log and
+/// the gauges.
 fn shard_loop(
     receiver: Receiver<ShardCmd>,
     queue_depth: Arc<AtomicUsize>,
     gauges: Arc<ShardGauges>,
-    compressor: Arc<dyn Compressor>,
-    params: CompressionParams,
-    budget: usize,
-    seed: u64,
-    mut durability: Option<ShardDurability>,
-    metrics: CompactionMetrics,
+    mut state: ShardState,
+    durability: Option<ShardDurability>,
 ) {
-    // The shard's own deterministic RNG stream drives block compression;
-    // request-level reproducibility comes from the query path, which uses
-    // per-request seeds on the snapshot instead.
-    let mut worker = ShardWorker {
-        rng: StdRng::seed_from_u64(seed),
-        stream: MergeReduce::new(compressor, params),
-        budget,
-        blocks: 0,
-        points: 0,
-        weight: 0.0,
-        clients: HashMap::new(),
-        compactions_since_snapshot: 0,
-        metrics,
-    };
-    // Recovery runs on the worker thread, *before* the command loop:
-    // commands (including new ingests, which append to the WAL first)
-    // simply queue behind the replay, while the stats path watches the
-    // shared `applied_seq` climb toward its boot-time target.
-    if let Some(d) = &mut durability {
-        if let Some(snap) = d.snapshot.take() {
-            worker.blocks = snap.blocks;
-            worker.points = snap.points;
-            worker.weight = snap.weight;
-            worker.clients = snap.clients.into_iter().collect();
-            if let Some(summary) = snap.summary {
-                worker
-                    .stream
-                    .install(snap.level, Coreset::new(summary))
-                    .expect("a fresh stream accepts its own snapshot");
-            }
-        }
-        worker.publish(&gauges);
-        for rec in std::mem::take(&mut d.tail) {
+    // Recovery runs here, *before* the command loop: commands (including
+    // new ingests, which append to the WAL first) simply queue behind the
+    // replay, while the stats path watches the shared `applied_seq` climb
+    // toward its boot-time target.
+    gauges.publish(&state);
+    let shared = durability.map(|d| {
+        for rec in d.tail {
             if !d.replay_throttle.is_zero() {
                 std::thread::sleep(d.replay_throttle);
             }
-            worker.apply(&rec.block);
-            if let Some((client, seq)) = &rec.meta.client {
-                worker.merge_clients([(client.as_str(), *seq)]);
-            }
+            state.replay(&rec);
             d.shared.applied_seq.store(rec.seq, Ordering::Release);
-            worker.publish(&gauges);
+            gauges.publish(&state);
         }
-    }
-    while let Ok(cmd) = receiver.recv() {
-        let mut stop = false;
-        match cmd {
-            ShardCmd::Ingest {
-                block,
-                seq,
-                clients,
-            } => {
-                worker.apply(&block);
-                worker.merge_clients(clients.iter().map(|(c, s)| (c.as_str(), *s)));
-                if let Some(d) = &durability {
-                    d.shared.applied_seq.store(seq, Ordering::Release);
-                    worker.maybe_snapshot(d, seq);
-                }
+        d.shared
+    });
+    let on_fold = |state: &mut ShardState| {
+        if let Some(shared) = &shared {
+            shared
+                .applied_seq
+                .store(state.applied_seq(), Ordering::Release);
+            shared.checkpoint(state, false);
+        }
+    };
+    loop {
+        let next = match state.deadline() {
+            None => receiver.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            Some(at) => receiver.recv_timeout(at.saturating_duration_since(Instant::now())),
+        };
+        let cmd = match next {
+            Ok(cmd) => Some(cmd),
+            Err(RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Disconnected) => break,
+        };
+        // A deadline wake, and anything but an ingest, folds the pending
+        // rows: a query's snapshot and the final checkpoint cover every
+        // acknowledged batch.
+        let did_fold = match &cmd {
+            Some(ShardCmd::Ingest { block, seq, client }) => {
+                state.push(block, *seq, client.as_ref(), Instant::now())
             }
-            ShardCmd::Snapshot(reply) => {
-                let _ = reply.send(worker.stream.snapshot());
+            _ => state.flush(),
+        };
+        if did_fold {
+            on_fold(&mut state);
+        }
+        gauges.publish(&state);
+        let stop = match cmd {
+            None => continue,
+            Some(ShardCmd::Ingest { .. }) => false,
+            Some(ShardCmd::Snapshot(reply)) => {
+                let _ = reply.send(state.snapshot());
+                false
             }
-            ShardCmd::Shutdown { finalize } => {
-                if finalize {
-                    if let Some(d) = &durability {
-                        let applied = d.shared.applied_seq.load(Ordering::Acquire);
-                        worker.snapshot_to(d, applied);
-                        if let Err(e) = d
-                            .shared
-                            .log
-                            .lock()
-                            .expect("shard log lock is never poisoned")
-                            .sync()
-                        {
-                            eprintln!("fc-shard: final WAL sync failed: {e}");
-                        }
+            Some(ShardCmd::Shutdown { finalize }) => {
+                if let Some(shared) = shared.as_ref().filter(|_| finalize) {
+                    shared.checkpoint(&mut state, true);
+                    if let Err(e) = shared.log().sync() {
+                        eprintln!("fc-shard: final WAL sync failed: {e}");
                     }
                 }
-                stop = true;
+                true
             }
-        }
-        worker.publish(&gauges);
+        };
         queue_depth.fetch_sub(1, Ordering::Relaxed);
         if stop {
             break;
@@ -710,73 +594,12 @@ struct DatasetPersist {
     shards: Vec<Arc<ShardPersist>>,
 }
 
-/// One shard's ingest coalescing buffer: acknowledged (and, on persistent
-/// engines, already WAL-appended) rows waiting to be handed to the shard
-/// worker as a single block. Every flush happens *under this buffer's
-/// lock*, so blocks enter the shard queue in sequence order.
-#[derive(Default)]
-struct PendingBuf {
-    /// Row-major coordinates, `dim` wide.
-    rows: Vec<f64>,
-    weights: Vec<f64>,
-    /// WAL sequence of the newest coalesced batch (0 when non-persistent).
-    /// The worker's `applied_seq` jumps straight to it on flush — replay
-    /// after a crash mid-buffer re-applies the coalesced batches (their
-    /// WAL records carry the dedup identities, so idented replay stays
-    /// exactly-once).
-    seq: u64,
-    /// Exactly-once identities of the coalesced batches, handed to the
-    /// worker with the flushed block so its durable dedup table covers
-    /// them.
-    clients: Vec<(String, u64)>,
-    /// When the oldest unflushed batch arrived (deadline flushing).
-    since: Option<Instant>,
-}
-
-impl PendingBuf {
-    fn clear(&mut self) {
-        self.rows.clear();
-        self.weights.clear();
-        self.clients.clear();
-        self.since = None;
-    }
-
-    /// Parks one acknowledged batch.
-    fn push(&mut self, batch: &Dataset, seq: u64, idents: Vec<(String, u64)>) {
-        self.rows.extend_from_slice(batch.points().as_flat());
-        self.weights.extend_from_slice(batch.weights());
-        self.clients.extend(idents);
-        self.seq = seq;
-        self.since.get_or_insert_with(Instant::now);
-    }
-
-    /// The pending rows, followed by `then`'s, as one weighted block.
-    /// `None` when that is no rows at all.
-    fn as_block(&self, dim: usize, then: Option<&Dataset>) -> Option<Dataset> {
-        let (more_rows, more_weights) = then.map_or((&[][..], &[][..]), |batch| {
-            (batch.points().as_flat(), batch.weights())
-        });
-        if self.weights.is_empty() && more_weights.is_empty() {
-            return None;
-        }
-        let points = Points::from_flat([self.rows.as_slice(), more_rows].concat(), dim)
-            .expect("pending rows are copies of validated ingest batches");
-        Some(
-            Dataset::weighted(points, [self.weights.as_slice(), more_weights].concat())
-                .expect("pending weights are copies of validated ingest batches"),
-        )
-    }
-}
-
 struct DatasetEntry {
     /// What [`crate::ingest`] records about the dataset's writes. Shard
     /// streams, serving compressions and query defaults all derive from
     /// its plan and its compressor.
     ledger: Ledger,
     shards: Vec<Shard>,
-    /// One coalescing buffer per shard (all empty unless the engine's
-    /// batching knobs are on).
-    pending: Vec<Mutex<PendingBuf>>,
     /// `Some` on persistent engines. The shard workers keep the durable
     /// halves of the ledger's watermarks (their snapshot tables plus WAL
     /// record metas), from which it is rebuilt on recovery.
@@ -836,11 +659,7 @@ impl DatasetEntry {
         match &self.persist {
             None => (0, 0),
             Some(p) => p.shards.iter().fold((0, 0), |(ids, seqs), shard| {
-                let id = shard
-                    .log
-                    .lock()
-                    .expect("shard log lock is never poisoned")
-                    .last_snapshot_id();
+                let id = shard.log().last_snapshot_id();
                 (ids + id, seqs + shard.applied_seq.load(Ordering::Acquire))
             }),
         }
@@ -854,61 +673,9 @@ impl DatasetEntry {
             .is_some_and(|p| p.shards.iter().any(|s| s.recovering()))
     }
 
-    /// Hands one shard's pending coalesced rows to its worker as a single
-    /// block, blocking while the queue is full (the rows are already
-    /// acknowledged — they *must* eventually apply, exactly like queries).
-    /// The buffer lock is held across the enqueue, so flushes and
-    /// size-triggered ingest flushes can never reorder sequence numbers
-    /// into the shard queue.
-    fn flush_shard(&self, shard_idx: usize) -> Result<(), EngineError> {
-        let mut pending = self.pending[shard_idx]
-            .lock()
-            .expect("pending buffer lock is never poisoned");
-        let Some(block) = pending.as_block(self.ledger.dim(), None) else {
-            return Ok(());
-        };
-        self.shards[shard_idx].send(ShardCmd::Ingest {
-            block,
-            seq: pending.seq,
-            clients: pending.clients.clone(),
-        })?;
-        pending.clear();
-        Ok(())
-    }
-
-    /// Flushes every shard's coalescing buffer (queries call this so a
-    /// snapshot always covers everything acknowledged so far).
-    fn flush_pending(&self) -> Result<(), EngineError> {
-        for shard_idx in 0..self.shards.len() {
-            self.flush_shard(shard_idx)?;
-        }
-        Ok(())
-    }
-
-    /// Flushes shards whose oldest pending batch has waited past its
-    /// deadline — the background flusher's sweep. Each shard's effective
-    /// deadline adapts to its observed queue depth via
-    /// [`adaptive_deadline`]: flushing at a worker that is already deep
-    /// in backlog only lengthens the queue, so the deadline stretches
-    /// while the shard catches up and snaps back to the configured base
-    /// once it drains.
-    fn flush_aged(&self, delay: Duration) {
-        for (shard_idx, pending) in self.pending.iter().enumerate() {
-            let depth = self.shards[shard_idx].queue_depth.load(Ordering::Relaxed);
-            let deadline = adaptive_deadline(delay, depth);
-            let due = pending
-                .lock()
-                .expect("pending buffer lock is never poisoned")
-                .since
-                .is_some_and(|t| t.elapsed() >= deadline);
-            if due {
-                let _ = self.flush_shard(shard_idx);
-            }
-        }
-    }
-
+    /// Every shard's summary, in shard order; each shard folds its pending
+    /// rows first, so the snapshots cover everything acknowledged so far.
     fn snapshots(&self) -> Result<Vec<Coreset>, EngineError> {
-        self.flush_pending()?;
         let mut receivers = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
             let (tx, rx) = mpsc::sync_channel(1);
@@ -925,16 +692,6 @@ impl DatasetEntry {
     }
 }
 
-/// The deadline the background flusher applies to a shard whose command
-/// queue currently holds `depth` unfinished commands: the configured base
-/// delay scaled by `depth + 1`, capped at 8× the base. A drained shard
-/// flushes at the configured latency; a backlogged one (mid-compaction,
-/// mid-replay) is given linearly more time before yet another block is
-/// pushed at it, bounded so pending rows never wait unboundedly long.
-fn adaptive_deadline(base: Duration, depth: usize) -> Duration {
-    base.saturating_mul(depth.saturating_add(1).min(8) as u32)
-}
-
 /// The long-lived serving engine. Thread-safe: server connections share one
 /// engine behind an `Arc`.
 //
@@ -943,11 +700,8 @@ fn adaptive_deadline(base: Duration, depth: usize) -> Duration {
 pub struct Engine {
     config: EngineConfig,
     /// Ingest admission and the registry of live datasets, delivering
-    /// into [`Shards`]. Shared with the background deadline flusher (when
-    /// batching with a `batch_delay` is on).
-    write: Arc<WritePath<DatasetEntry>>,
-    /// The deadline flusher thread and its stop flag.
-    flusher: Option<FlusherHandle>,
+    /// into [`Shards`].
+    write: WritePath<DatasetEntry>,
     /// Invoked as `(dataset, shard)` after each shard worker is joined
     /// during graceful engine shutdown, in dataset-name then shard order.
     drain_hook: Mutex<Option<DrainHook>>,
@@ -963,48 +717,6 @@ pub struct Engine {
 /// The ordered shard-drain callback installed with
 /// [`Engine::set_drain_hook`].
 pub type DrainHook = Box<dyn Fn(&str, usize) + Send + Sync>;
-
-/// The background deadline flusher: sweeps every dataset's coalescing
-/// buffers and hands aged pending rows to their shard workers.
-struct FlusherHandle {
-    stop: Arc<std::sync::atomic::AtomicBool>,
-    join: Option<JoinHandle<()>>,
-}
-
-impl FlusherHandle {
-    fn spawn(write: Arc<WritePath<DatasetEntry>>, delay: Duration) -> Self {
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        // Sweep a few times per deadline so the worst-case wait stays
-        // close to the configured delay, without busy-spinning on tiny
-        // deadlines.
-        let tick = (delay / 4).clamp(Duration::from_millis(1), Duration::from_millis(50));
-        let join = std::thread::Builder::new()
-            .name("fc-batch-flush".into())
-            .spawn(move || {
-                while !stop_flag.load(Ordering::Acquire) {
-                    std::thread::sleep(tick);
-                    for (_, entry) in write.snapshot() {
-                        entry.flush_aged(delay);
-                    }
-                }
-            })
-            .expect("spawning the batch flusher thread succeeds");
-        FlusherHandle {
-            stop,
-            join: Some(join),
-        }
-    }
-}
-
-impl Drop for FlusherHandle {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
-}
 
 impl Engine {
     /// An engine compressing with the configured [`Method`] (the paper's
@@ -1039,21 +751,11 @@ impl Engine {
         // default solver supports the default objective.
         let default_plan = config.default_plan()?;
         let telemetry = Arc::new(Telemetry::new());
-        let write = Arc::new(WritePath::new(
-            Arc::clone(&telemetry),
-            default_plan,
-            compressor,
-        ));
-        let flusher = if !config.batch_delay.is_zero() {
-            Some(FlusherHandle::spawn(Arc::clone(&write), config.batch_delay))
-        } else {
-            None
-        };
+        let write = WritePath::new(Arc::clone(&telemetry), default_plan, compressor);
         let query = QueryPath::new(&telemetry.registry, config.cache_capacity, config.base_seed);
         let engine = Self {
             config,
             write,
-            flusher,
             query,
             drain_hook: Mutex::new(None),
             overloads: telemetry.registry.counter("fc_overloaded_total"),
@@ -1100,97 +802,73 @@ impl Engine {
         shards: usize,
         dir: Option<PathBuf>,
     ) -> Result<DatasetEntry, EngineError> {
-        let plan = ledger.plan();
-        let plan_json = plan.to_json();
         let registry = &self.telemetry.registry;
+        let persist = self.config.persist.as_ref();
+        let rules = Rules {
+            batch_points: self.config.batch_points,
+            batch_delay: self.config.batch_delay,
+            snapshot_compactions: persist.map_or(0, |pc| pc.snapshot_compactions),
+            snapshot_bytes: persist.map_or(0, |pc| pc.snapshot_bytes),
+        };
         let mut workers = Vec::with_capacity(shards);
         let mut logs = Vec::new();
-        let (mut points, mut weight) = (0u64, 0.0f64);
-        // The exactly-once watermark is rebuilt alongside the totals:
-        // max-merged from every shard snapshot and every tail record, so a
-        // replayed duplicate is refused just like a live one.
-        let mut clients: HashMap<String, u64> = HashMap::new();
+        // Totals and the exactly-once watermark are rebuilt from every
+        // shard's snapshot and tail records, so a replayed duplicate is
+        // refused just like a live one.
+        let mut restored = Restored::default();
         for s in 0..shards {
-            let durability = match self.config.persist.as_ref().zip(dir.as_ref()) {
+            let mut state = ShardState::new(
+                Arc::clone(ledger.compressor()),
+                ledger.plan(),
+                ledger.dim(),
+                self.shard_seed(name, s),
+                rules,
+                Box::new(CompactionMetrics {
+                    total: registry.counter("fc_compactions_total"),
+                    dataset: registry
+                        .counter(&labeled("fc_compactions_total", &[("dataset", name)])),
+                    seconds: registry.histogram("fc_compaction_seconds"),
+                }),
+            );
+            let durability = match persist.zip(dir.as_ref()) {
                 None => None,
                 Some((pc, dir)) => {
                     let path = shard_dir(dir, s);
                     let (log, recovered) = ShardLog::open(&path, pc.log_options())?;
-                    // A record of another dimension can pass its checksum
-                    // (a shard directory copied from another dataset) and
-                    // would panic the shard's first fold: refuse it here.
-                    let summary_dims = recovered
-                        .snapshot
-                        .iter()
-                        .filter_map(|snap| snap.summary.as_ref().map(Dataset::dim));
-                    let tail_dims = recovered.tail.iter().map(|rec| rec.block.dim());
-                    if let Some(got) = summary_dims.chain(tail_dims).find(|&d| d != ledger.dim()) {
-                        return Err(PersistError::Corrupt {
-                            path,
-                            message: format!(
-                                "holds {got}-d points, but the dataset is {}-d",
-                                ledger.dim()
-                            ),
-                        }
-                        .into());
-                    }
-                    if let Some(snap) = &recovered.snapshot {
-                        points += snap.points;
-                        weight += snap.weight;
-                    }
-                    for rec in &recovered.tail {
-                        points += rec.block.len() as u64;
-                        weight += rec.block.total_weight();
-                    }
-                    let in_snapshot = recovered.snapshot.iter().flat_map(|snap| &snap.clients);
-                    let in_tail = recovered
-                        .tail
-                        .iter()
-                        .filter_map(|rec| rec.meta.client.as_ref());
-                    for (client, seq) in in_snapshot.chain(in_tail) {
-                        let have = clients.entry(client.clone()).or_insert(0);
-                        *have = (*have).max(*seq);
+                    let target_seq = recovered.durable_seq();
+                    if let Err(got) =
+                        state.restore(recovered.snapshot, &recovered.tail, &mut restored)
+                    {
+                        let message = format!(
+                            "holds {got}-d points, but the dataset is {}-d",
+                            ledger.dim()
+                        );
+                        return Err(PersistError::Corrupt { path, message }.into());
                     }
                     let shared = Arc::new(ShardPersist {
                         log: Mutex::new(log),
-                        applied_seq: AtomicU64::new(
-                            recovered.snapshot.as_ref().map_or(0, |snap| snap.seq),
-                        ),
-                        target_seq: recovered.durable_seq(),
+                        applied_seq: AtomicU64::new(state.applied_seq()),
+                        target_seq,
                     });
                     logs.push(Arc::clone(&shared));
                     Some(ShardDurability {
                         shared,
-                        snapshot: recovered.snapshot,
                         tail: recovered.tail,
-                        plan_json: plan_json.clone(),
-                        snapshot_compactions: pc.snapshot_compactions,
-                        snapshot_bytes: pc.snapshot_bytes,
                         replay_throttle: pc.replay_throttle,
                     })
                 }
             };
             workers.push(Shard::spawn(
-                Arc::clone(ledger.compressor()),
-                plan.params(),
-                plan.effective_budget(),
-                self.shard_seed(name, s),
+                state,
                 self.config.shard_queue_depth,
                 durability,
-                CompactionMetrics {
-                    total: registry.counter("fc_compactions_total"),
-                    dataset: registry
-                        .counter(&labeled("fc_compactions_total", &[("dataset", name)])),
-                    seconds: registry.histogram("fc_compaction_seconds"),
-                },
             ));
         }
         Ok(DatasetEntry {
-            pending: (0..shards).map(|_| Mutex::default()).collect(),
             shards: workers,
             persist: dir.map(|dir| DatasetPersist { dir, shards: logs }),
             overloads: registry.counter(&labeled("fc_overloaded_total", &[("dataset", name)])),
-            ledger: ledger.restored(points, weight, clients),
+            ledger: ledger.restored(restored.points, restored.weight, restored.clients),
         })
     }
 
@@ -1388,9 +1066,8 @@ impl Engine {
     ) -> Result<(), EngineError> {
         let dir = entry.persist.as_ref().map(|p| p.dir.clone());
         let finalize = !purge && dir.is_some();
-        // Acked coalesced rows go to the workers ahead of the shutdown
-        // command, so a graceful stop folds them into the final snapshot.
-        let _ = entry.flush_pending();
+        // Each worker folds its pending rows before it stops, so a
+        // graceful stop has them in the final snapshot.
         for shard in &entry.shards {
             let _ = shard.send(ShardCmd::Shutdown { finalize });
         }
@@ -1479,16 +1156,14 @@ impl WriteSink for Shards<'_> {
         self.0.open_dataset(name, ledger, config.shards, dir)
     }
 
-    /// Log, then park or enqueue, on the next shard round-robin.
+    /// Log, then queue, on the next shard round-robin; the shard coalesces
+    /// batches itself when batching is on.
     ///
     /// On persistent engines the batch is WAL-appended (and fsynced per
-    /// policy) first — durable before acknowledged, whether or not it is
-    /// then parked in the coalescing buffer — and the shard's log mutex is
-    /// held until it is parked or queued, so a batch the queue refuses is
+    /// policy) first — durable before acknowledged — and the shard's log
+    /// mutex is held until it is queued, so a batch the queue refuses is
     /// rolled back: an `overloaded` answer never leaves the refused batch
-    /// in the log for replay to resurrect, and never takes previously
-    /// *acknowledged* coalesced rows with it. Lock order is log mutex,
-    /// then pending mutex.
+    /// in the log for replay to resurrect.
     fn deliver(
         &self,
         name: &str,
@@ -1496,79 +1171,39 @@ impl WriteSink for Shards<'_> {
         batch: &Dataset,
         ident: Option<&IngestIdent>,
     ) -> Result<(), EngineError> {
-        let config = &self.0.config;
         let shard_idx = entry.ledger.next_slot() % entry.shards.len();
-        let idents: Vec<(String, u64)> = ident
-            .map(|i| vec![(i.client.clone(), i.seq)])
-            .unwrap_or_default();
         let meta = RecordMeta {
             client: ident.map(|i| (i.client.clone(), i.seq)),
             trace: fc_telemetry::current_trace(),
         };
-        let mut log = entry.persist.as_ref().map(|p| {
-            p.shards[shard_idx]
-                .log
-                .lock()
-                .expect("shard log lock is never poisoned")
-        });
+        let mut log = entry.persist.as_ref().map(|p| p.shards[shard_idx].log());
         let seq = match log.as_mut() {
             None => 0,
             Some(log) => log.append_with(batch, &meta)?,
         };
-        let mut pending = config.batching_enabled().then(|| {
-            entry.pending[shard_idx]
-                .lock()
-                .expect("pending buffer lock is never poisoned")
-        });
-        if let Some(pending) = pending.as_deref_mut() {
-            let points = pending.weights.len() + batch.len();
-            if config.batch_points == 0 || points < config.batch_points {
-                pending.push(batch, seq, idents);
-                return Ok(());
-            }
-        }
-        // Not batching is the case where the buffer is empty and the batch
-        // alone trips the trigger.
-        let (block, clients) = match pending.as_deref() {
-            None => (batch.clone(), idents),
-            Some(pending) => (
-                pending
-                    .as_block(entry.ledger.dim(), Some(batch))
-                    .expect("an admitted batch is never empty"),
-                [pending.clients.as_slice(), idents.as_slice()].concat(),
-            ),
+        let Err(refused) = entry.shards[shard_idx].try_ingest(batch.clone(), seq, meta.client)
+        else {
+            return Ok(());
         };
-        match entry.shards[shard_idx].try_ingest(block, seq, clients) {
-            Ok(()) => {
-                if let Some(pending) = pending.as_deref_mut() {
-                    pending.clear();
-                }
-                Ok(())
-            }
-            Err(refused) => {
-                // The buffer was not touched: earlier coalesced rows were
-                // acknowledged and stay pending for a later flush.
-                if let Some(log) = log.as_mut() {
-                    if let Err(rb) = log.rollback(seq) {
-                        // The record stays durable: replay will re-apply a
-                        // batch the client saw refused. Over-delivery,
-                        // never loss — but worth a trace.
-                        eprintln!("fc-engine: WAL rollback of seq {seq} failed: {rb}");
-                    }
-                }
-                Err(match refused {
-                    TrySendError::Full(_) => {
-                        self.0.overloads.incr();
-                        entry.overloads.incr();
-                        EngineError::Overloaded {
-                            dataset: name.to_owned(),
-                            shard: shard_idx,
-                        }
-                    }
-                    TrySendError::Disconnected(_) => EngineError::Unavailable,
-                })
+        if let Some(log) = log.as_mut() {
+            if let Err(rb) = log.rollback(seq) {
+                // The record stays durable: replay will re-apply a batch
+                // the client saw refused. Over-delivery, never loss — but
+                // worth a trace.
+                eprintln!("fc-engine: WAL rollback of seq {seq} failed: {rb}");
             }
         }
+        Err(match refused {
+            TrySendError::Full(_) => {
+                self.0.overloads.incr();
+                entry.overloads.incr();
+                EngineError::Overloaded {
+                    dataset: name.to_owned(),
+                    shard: shard_idx,
+                }
+            }
+            TrySendError::Disconnected(_) => EngineError::Unavailable,
+        })
     }
 
     fn discard(&self, name: &str, entry: Arc<DatasetEntry>) {
@@ -1594,9 +1229,6 @@ impl Drop for Engine {
     /// engine never purges durable state — only [`Engine::drop_dataset`]
     /// does.
     fn drop(&mut self) {
-        // Stop the deadline flusher before draining, so shutdown's own
-        // ordered flush is the last writer into the shard queues.
-        self.flusher.take();
         let hook = self
             .drain_hook
             .lock()
@@ -1628,6 +1260,8 @@ pub fn fnv64(s: &str) -> u64 {
 mod tests {
     use super::*;
     use fc_core::methods::Uniform;
+    use fc_core::CompressionParams;
+    use std::sync::atomic::AtomicBool;
 
     fn blobs(n_per: usize) -> Dataset {
         let mut flat = Vec::new();
@@ -1855,28 +1489,45 @@ mod tests {
 
     #[test]
     fn deadline_flusher_moves_pending_rows_without_queries() {
-        let engine = Engine::with_compressor(
-            EngineConfig {
-                shards: 1,
-                k: 4,
-                m_scalar: 25,
-                batch_points: 100_000,
-                batch_delay: Duration::from_millis(5),
-                ..Default::default()
-            },
-            Arc::new(Uniform),
-        )
-        .unwrap();
-        engine.ingest("d", &blobs(50), None).unwrap();
-        // The flusher (not a query) must hand the rows to the shard.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let stats = engine.dataset_stats("d").unwrap();
-            if stats.stored_points > 0 {
-                break;
-            }
-            assert!(Instant::now() < deadline, "deadline flush never happened");
-            std::thread::sleep(Duration::from_millis(2));
+        // One batch then silence, and a writer that never stops: neither
+        // reaches the size trigger, and in both the deadline (not a query)
+        // must fold the rows into the shard's stream.
+        for (steady, within) in [(false, 10), (true, 2)] {
+            let engine = Engine::with_compressor(
+                EngineConfig {
+                    shards: 1,
+                    k: 4,
+                    m_scalar: 25,
+                    batch_points: 100_000,
+                    batch_delay: Duration::from_millis(5),
+                    ..Default::default()
+                },
+                Arc::new(Uniform),
+            )
+            .unwrap();
+            let stop = AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                scope.spawn(|| loop {
+                    engine.ingest("d", &blobs(5), None).unwrap();
+                    if !steady || stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                });
+                let deadline = Instant::now() + Duration::from_secs(within);
+                let stored = loop {
+                    match engine.dataset_stats("d") {
+                        Ok(stats) if stats.stored_points > 0 => break true,
+                        _ if Instant::now() >= deadline => break false,
+                        _ => std::thread::sleep(Duration::from_millis(2)),
+                    }
+                };
+                stop.store(true, Ordering::Relaxed);
+                assert!(
+                    stored,
+                    "no deadline fold within {within} s (steady writer: {steady})"
+                );
+            });
         }
     }
 
@@ -2133,17 +1784,52 @@ mod tests {
         assert!(stats.ingested_points > 0);
     }
 
+    /// A shard whose fold is stuck still refuses what its queue cannot
+    /// hold: a coalescing shard must not park the writers behind it.
     #[test]
-    fn adaptive_deadline_scales_with_queue_depth() {
-        let base = Duration::from_millis(10);
-        // A drained shard flushes at the configured latency.
-        assert_eq!(adaptive_deadline(base, 0), base);
-        // Depth stretches the deadline linearly...
-        assert_eq!(adaptive_deadline(base, 1), base * 2);
-        assert_eq!(adaptive_deadline(base, 3), base * 4);
-        // ...up to the 8× cap, so pending rows never wait unboundedly.
-        assert_eq!(adaptive_deadline(base, 7), base * 8);
-        assert_eq!(adaptive_deadline(base, 1_000_000), base * 8);
+    fn saturated_coalescing_shard_refuses_instead_of_blocking() {
+        let release = Arc::new(AtomicBool::new(false));
+        let engine = Engine::with_compressor(
+            EngineConfig {
+                shards: 1,
+                shard_queue_depth: 1,
+                k: 2,
+                m_scalar: 5,
+                batch_points: 100,
+                batch_delay: Duration::from_millis(5),
+                ..Default::default()
+            },
+            Arc::new(Gated {
+                release: Arc::clone(&release),
+            }),
+        )
+        .unwrap();
+        let stop = AtomicBool::new(false);
+        let (tx, rx) = mpsc::channel();
+        let refused = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !stop.load(Ordering::SeqCst) {
+                    match engine.ingest("d", &blobs(10), None) {
+                        Ok(_) => std::thread::sleep(Duration::from_millis(10)),
+                        Err(e) => {
+                            let _ = tx.send(e);
+                            break;
+                        }
+                    }
+                }
+            });
+            let refused = rx.recv_timeout(Duration::from_secs(5));
+            stop.store(true, Ordering::SeqCst);
+            release.store(true, Ordering::SeqCst);
+            refused
+        });
+        assert_eq!(
+            refused,
+            Ok(EngineError::Overloaded {
+                dataset: "d".into(),
+                shard: 0,
+            })
+        );
     }
 
     #[test]
@@ -2189,8 +1875,8 @@ mod tests {
         engine.ingest("d", &blobs(100), None).unwrap();
         let stats = engine.dataset_stats("d").unwrap();
         assert_eq!(stats.queue_depth_per_shard.len(), 2);
-        // The probe samples the gauge before enqueueing itself, and ingest
-        // has long drained by the time both stats replies arrive.
+        // Stats read the gauges without queueing behind the shard, so at
+        // most the one ingest can still be in flight.
         for &depth in &stats.queue_depth_per_shard {
             assert!(depth <= 1, "unexpected backlog {depth}");
         }

@@ -7,6 +7,8 @@
 //!   [`fc_core::streaming::MergeReduce`] streams with per-shard worker
 //!   threads and budgeted compaction, each dataset built from its own
 //!   [`fc_core::plan::Plan`] (the engine config is only the default).
+//!   A shard's stream, coalescing buffer, checkpoints and replay are one
+//!   sans-I/O state (`shard.rs`); the worker thread only drives it.
 //! - [`ingest`]: the one implementation of ingest admission — resolve or
 //!   create, refusal order, the exactly-once gate, totals and counters —
 //!   shared by the engine and the `fc-cluster` coordinator, which differ
@@ -73,6 +75,7 @@ pub mod query;
 pub mod reactor;
 pub mod server;
 pub mod session;
+mod shard;
 pub mod wire;
 
 pub use fc_core::json;

@@ -51,10 +51,12 @@
 //! JSON-lines text protocol (clients fall back automatically).
 //!
 //! `--batch-points`/`--batch-delay-ms` turn on per-shard ingest
-//! coalescing: acknowledged batches are buffered until that many points
-//! are pending or the oldest waits out the delay, then handed to the
-//! shard worker as one block. Durability ordering is unchanged — with
-//! `--data-dir`, every batch is WAL-appended before its acknowledgement.
+//! coalescing: each shard worker buffers the acknowledged batches it
+//! dequeues until that many points are pending or the oldest waits out
+//! the delay, then folds them into its stream as one block. Every wire
+//! batch still takes one slot of the shard's queue. Durability ordering
+//! is unchanged — with `--data-dir`, every batch is WAL-appended before
+//! its acknowledgement.
 //!
 //! `--data-dir` turns on durability: every acknowledged ingest batch is
 //! written to a per-shard write-ahead log under the directory before it

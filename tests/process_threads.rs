@@ -1,6 +1,7 @@
 //! Tests that read the process's threads from `/proc/self`: 256 idle
 //! connections must not pin threads, the reactor server runs exactly one
-//! reactor thread beside its executors, and the threads a coordinator
+//! reactor thread beside its executors, a coalescing engine runs only its
+//! shard threads, and the threads a coordinator
 //! fan-out spawns (one per node beyond the first) must be gone when the
 //! request returns. The count covers every thread of the test
 //! binary, so these tests live apart from every suite that runs servers of
@@ -218,6 +219,40 @@ fn reactor_server_runs_one_reactor_and_its_executors() {
     );
     drop(idle);
     server.shutdown();
+}
+
+/// Coalescing is shard state: an engine with both batching knobs set runs
+/// one `fc-shard` thread per shard of each dataset, and no other thread
+/// of its own.
+#[test]
+fn coalescing_engine_runs_only_its_shard_threads() {
+    let _alone = PROCESS_THREADS.lock().unwrap_or_else(|e| e.into_inner());
+    let engine = Engine::new(EngineConfig {
+        shards: 2,
+        k: 4,
+        m_scalar: 20,
+        method: Method::Uniform,
+        batch_points: 1_000,
+        batch_delay: Duration::from_millis(5),
+        ..Default::default()
+    })
+    .unwrap();
+    engine.ingest("a", &four_blobs(25), None).unwrap();
+    engine.ingest("b", &four_blobs(25), None).unwrap();
+    // Threads of an earlier test's server can linger in /proc a moment.
+    let settle = Instant::now() + Duration::from_secs(2);
+    let counts = loop {
+        let counts = named_threads(["fc-shard", "fc-"]);
+        if counts == [4, 4] || Instant::now() >= settle {
+            break counts;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert_eq!(
+        counts,
+        [4, 4],
+        "[fc-shard, any fc-] threads of two datasets at two shards each"
+    );
 }
 
 /// A coordinator fan-out runs the first node on the calling thread and
