@@ -23,7 +23,7 @@ fn main() {
     );
     let ks = [50usize, 100, 200, 400];
     let sensitivity = fc_bench::scenarios::sensitivity_baseline();
-    let fast = FastCoreset::default();
+    let fast = FastCoreset;
 
     let mut table = Table::new(
         "Figure 1: coreset runtime (seconds) vs k  [m = 40k]",

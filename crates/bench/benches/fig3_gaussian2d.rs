@@ -95,7 +95,7 @@ fn main() {
         let mut rng = cfg.rng(0xF163 + t as u64);
         let (data, center, radius) = figure3_dataset(&mut rng, n);
         let lw = Lightweight.compress(&mut rng, &data, &params);
-        let fc = FastCoreset::default().compress(&mut rng, &data, &params);
+        let fc = FastCoreset.compress(&mut rng, &data, &params);
         if captured(&lw, &center, radius) > 0 {
             lw_captures += 1;
         }

@@ -2,11 +2,12 @@
 //!
 //! The spread-stress dataset plants geometric sequences that force the
 //! quadtree ever deeper; without the Section-4 reduction, runtime grows
-//! linearly in `r`. Fast-Coreset runs that reduction only when the tree
-//! truncates, so the table says, per `r`, whether it did and whether step 2
-//! therefore ran: inside the paper's range (`r ≤ 50`) the two timing columns
-//! are the same path; the rows past the tree's 62 levels are where allowing
-//! the reduction buys a second pass.
+//! linearly in `r`. Both columns are built from the `fc_quadtree` stages:
+//! the quadtree plus Fast-kmeans++ on the raw points, and the same after
+//! Crude-Approx + Reduce-Spread. The last column says whether the raw tree
+//! truncated, i.e. whether Fast-Coreset's gate would run the reduction:
+//! inside the paper's range (`r ≤ 50`) it would not; the rows past the
+//! tree's 62 levels are where it does.
 //!
 //! Implementation note: this workspace's quadtree is *compressed*, so only
 //! points inside deep chains pay the `log Δ` factor (the paper's
@@ -15,77 +16,78 @@
 //! the points sit in geometric sequences) and the depth cap is lifted to
 //! the deepest level the tree supports.
 
-use fc_bench::experiments::{measure_build_only, DEFAULT_KIND};
-use fc_bench::scenarios::NamedData;
-use fc_bench::{fmt_mean_var, BenchConfig, Table};
-use fc_core::fast_coreset::{FastCoreset, FastCoresetConfig};
-use fc_core::CompressionParams;
+use fc_bench::experiments::DEFAULT_KIND;
+use fc_bench::{fmt_mean_var, time, BenchConfig, Table};
 use fc_data::spread_stress::spread_stress;
 use fc_geom::stats::mean;
-use fc_quadtree::tree::{Quadtree, QuadtreeConfig};
+use fc_geom::Dataset;
+use fc_quadtree::{crude_approx, fast_kmeanspp, reduce_spread};
+use fc_quadtree::{FastSeedConfig, Quadtree, QuadtreeConfig, SpreadParams};
 
 /// The paper's Table 1 range.
 const PAPER_RS: [usize; 4] = [20, 30, 40, 50];
 /// Past the 62 levels the deepest tree has: where the gate fires.
 const BEYOND_THE_TREE: [usize; 2] = [64, 80];
+/// The deepest tree this workspace builds.
+const DEEP_TREE: QuadtreeConfig = QuadtreeConfig { max_depth: 62 };
+
+/// Seconds for the tree plus Fast-kmeans++, `cfg.runs` times; with
+/// `reduce`, Crude-Approx and Reduce-Spread run first (as Fast-Coreset's
+/// step 2 wires them) and the tree is built on their output.
+fn seeding_secs(cfg: &BenchConfig, data: &Dataset, k: usize, reduce: bool, salt: u64) -> Vec<f64> {
+    (0..cfg.runs)
+        .map(|run| {
+            let mut rng = cfg.rng(salt.wrapping_add(run as u64));
+            let (seeding, secs) = time(|| {
+                let tree = if reduce {
+                    let n = data.len();
+                    let bound = crude_approx(&mut rng, data.points(), k, DEFAULT_KIND, n as f64);
+                    let sp = SpreadParams::practical(n, data.dim());
+                    let reach = bound.reach(DEFAULT_KIND);
+                    let (reduced, _map) = reduce_spread(&mut rng, data.points(), reach, sp);
+                    Quadtree::build(&mut rng, &reduced, DEEP_TREE)
+                } else {
+                    Quadtree::build(&mut rng, data.points(), DEEP_TREE)
+                };
+                let seeding = FastSeedConfig::default();
+                fast_kmeanspp(&mut rng, data, &tree, k, DEFAULT_KIND, seeding)
+            });
+            std::hint::black_box(seeding.k());
+            secs
+        })
+        .collect()
+}
 
 fn main() {
     let cfg = BenchConfig::from_env();
     let n = ((200_000.0 * cfg.scale) as usize).max(20_000);
     let k = cfg.k_small;
-    let params = CompressionParams {
-        k,
-        m: 40 * k,
-        kind: DEFAULT_KIND,
-    };
-    let deep_tree = QuadtreeConfig { max_depth: 62 };
-
-    // Fast-kmeans++ without spread reduction (the Table 1 configuration)…
-    let raw = FastCoreset::with_config(FastCoresetConfig {
-        use_jl: false,
-        reduce_spread: false,
-        tree: deep_tree,
-        ..Default::default()
-    });
-    // …and with it allowed (Section 4's fix, where the tree truncates).
-    let reduced = FastCoreset::with_config(FastCoresetConfig {
-        use_jl: false,
-        reduce_spread: true,
-        tree: deep_tree,
-        ..Default::default()
-    });
 
     let mut table = Table::new(
         "Table 1: Fast-kmeans++ runtime (seconds) vs r ~ log Δ  [+ Section 4 fix]",
         &[
             "r",
             "no spread reduction",
-            "reduce-spread allowed",
-            "tree truncated -> step 2",
+            "after reduce-spread",
+            "tree truncated -> gate",
         ],
     );
     let mut raw_means = Vec::new();
     for &r in PAPER_RS.iter().chain(&BEYOND_THE_TREE) {
         let mut rng = cfg.rng(0x7AB1 + r as u64);
-        let named = NamedData {
-            name: format!("spread-stress r={r}"),
-            data: spread_stress(&mut rng, n, 4 * n / 5, r),
-            k,
-        };
-        // The gate's own signal, on the points the partition embeds
-        // (`use_jl: false`, so the input itself).
-        let truncated = Quadtree::build(&mut rng, named.data.points(), deep_tree).truncated();
-        let t_raw = measure_build_only(&cfg, &named, &raw, &params, 0x300 + r as u64);
-        let t_red = measure_build_only(&cfg, &named, &reduced, &params, 0x400 + r as u64);
+        let data = spread_stress(&mut rng, n, 4 * n / 5, r);
+        let truncated = Quadtree::build(&mut rng, data.points(), DEEP_TREE).truncated();
+        let t_raw = seeding_secs(&cfg, &data, k, false, 0x300 + r as u64);
+        let t_red = seeding_secs(&cfg, &data, k, true, 0x400 + r as u64);
         raw_means.push(mean(&t_raw));
         table.row(vec![
             r.to_string(),
             fmt_mean_var(&t_raw),
             fmt_mean_var(&t_red),
             if truncated {
-                "yes -> ran"
+                "yes -> runs"
             } else {
-                "no -> skipped"
+                "no -> skips"
             }
             .into(),
         ]);

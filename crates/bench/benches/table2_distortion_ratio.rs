@@ -50,7 +50,7 @@ fn main() {
 
     let sensitivity = fc_bench::scenarios::sensitivity_baseline();
     let uniform = Uniform;
-    let fast = FastCoreset::default();
+    let fast = FastCoreset;
 
     let mut table = Table::new(
         "Table 2: distortion ratio vs sensitivity sampling  [m = 40k]",

@@ -30,7 +30,7 @@ fn main() {
         ("j = 2", Box::new(Welterweight::new(JCount::Fixed(2)))),
         ("j = log k", Box::new(Welterweight::new(JCount::LogK))),
         ("j = sqrt k", Box::new(Welterweight::new(JCount::SqrtK))),
-        ("fast coreset", Box::new(FastCoreset::default())),
+        ("fast coreset", Box::new(FastCoreset)),
     ];
 
     let gammas = [0.0f64, 1.0, 3.0, 5.0];

@@ -77,13 +77,13 @@ pub fn table4_methods() -> Vec<Box<dyn Compressor>> {
         Box::new(Uniform),
         Box::new(Lightweight),
         Box::new(Welterweight::new(JCount::LogK)),
-        Box::new(FastCoreset::default()),
+        Box::new(FastCoreset),
     ]
 }
 
 /// Standard sensitivity sampling (the Table 2 / Figure 1 baseline).
 pub fn sensitivity_baseline() -> StandardSensitivity {
-    StandardSensitivity::default()
+    StandardSensitivity
 }
 
 /// Compression parameters for a dataset at a given m-scalar. Scenario

@@ -140,7 +140,7 @@ mod tests {
             kind: CostKind::KMeans,
         };
         let mut r = rng();
-        let c = FastCoreset::default().compress(&mut r, &d, &params);
+        let c = FastCoreset.compress(&mut r, &d, &params);
         let rep = distortion(&mut r, &d, &c, 4, CostKind::KMeans, LloydConfig::default());
         assert!(rep.distortion < 1.5, "distortion {}", rep.distortion);
     }
@@ -178,7 +178,7 @@ mod tests {
         let mut r = rng();
         let mut worst: f64 = 1.0;
         for _ in 0..5 {
-            let c = FastCoreset::default().compress(&mut r, &d, &params);
+            let c = FastCoreset.compress(&mut r, &d, &params);
             let rep = distortion(&mut r, &d, &c, 2, CostKind::KMeans, LloydConfig::default());
             worst = worst.max(rep.distortion);
         }

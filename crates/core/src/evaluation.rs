@@ -222,7 +222,7 @@ mod tests {
             kind: CostKind::KMeans,
         };
         let mut r = rng();
-        let c = FastCoreset::default().compress(&mut r, &d, &params);
+        let c = FastCoreset.compress(&mut r, &d, &params);
         let rep = battery_distortion(&mut r, &d, &c, 4, CostKind::KMeans, 3);
         assert!(
             rep.max_ratio < 1.5,

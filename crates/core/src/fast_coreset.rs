@@ -10,8 +10,9 @@
 //! 4. Per cluster C_i, the 1-mean (k-means) or 1-median (k-median) c_i,
 //!    computed in the ORIGINAL space R^d.
 //! 5. Sensitivity scores s(p) = dist^z(p, c_i)/cost(C_i, c_i) + 1/|C_i|.
-//! 6. Sample m points ∝ s with inverse-probability weights (optionally the
-//!    rebalanced weights of lines 7–8).
+//! 6. Sample m points ∝ s with inverse-probability weights (the plain
+//!    weights the authors' released code computes; lines 7–8's per-cluster
+//!    rebalancing is not implemented).
 //! ```
 //!
 //! The projection, tree and spread reduction only determine the *partition*;
@@ -48,60 +49,19 @@ use rand::RngCore;
 
 use crate::compressor::{CompressionParams, Compressor};
 use crate::coreset::Coreset;
-use crate::sampling::{
-    at_weight_scale, importance_sample, importance_sample_rebalanced, WeightMode,
-};
+use crate::sampling::sensitivity_sample;
 use crate::sensitivity::sensitivity_scores;
 
-/// Configuration of the Fast-Coreset pipeline.
-#[derive(Debug, Clone, Copy)]
-pub struct FastCoresetConfig {
-    /// Apply Johnson–Lindenstrauss when the input dimension exceeds the
-    /// `O(log k)` target (the paper enables this only for high-dimensional
-    /// data such as MNIST).
-    pub use_jl: bool,
-    /// Distortion parameter of the JL target dimension.
-    pub jl_eps: f64,
-    /// Allow Crude-Approx + Reduce-Spread (Section 4). Allowed is not
-    /// always: they run when the quadtree on the embedded points truncates
-    /// ([`Quadtree::truncated`]) and are skipped, at no cost and with no RNG
-    /// draw, when it does not. `false` keeps the truncated tree.
-    pub reduce_spread: bool,
-    /// Weight finalization (plain inverse-probability vs. the rebalanced
-    /// weights of Algorithm 1 lines 7–8).
-    pub weight_mode: WeightMode,
-    /// Quadtree depth cap.
-    pub tree: QuadtreeConfig,
-    /// Tree-sampler retry budget.
-    pub seeding: FastSeedConfig,
-}
+/// The distortion parameter of step 1's target dimension: the embedding
+/// runs whenever `target_dim_for_clustering(k, JL_EPS)` is below `d`.
+const JL_EPS: f64 = 0.5;
 
-impl Default for FastCoresetConfig {
-    fn default() -> Self {
-        Self {
-            use_jl: true,
-            jl_eps: 0.5,
-            reduce_spread: true,
-            weight_mode: WeightMode::Unbiased,
-            tree: QuadtreeConfig::default(),
-            seeding: FastSeedConfig::default(),
-        }
-    }
-}
-
-/// The Fast-Coreset compressor (Algorithm 1).
+/// The Fast-Coreset compressor (Algorithm 1). It has no settings: the
+/// compression method is the one knob ([`crate::plan::Method`]).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FastCoreset {
-    /// Pipeline configuration.
-    pub config: FastCoresetConfig,
-}
+pub struct FastCoreset;
 
 impl FastCoreset {
-    /// Creates a Fast-Coreset compressor with an explicit configuration.
-    pub fn with_config(config: FastCoresetConfig) -> Self {
-        Self { config }
-    }
-
     /// Runs steps 1–4 only: the partition (labels), the per-cluster centers
     /// in the original space, and the per-point `dist^z` to those centers.
     /// Exposed so benches can time the seeding separately from the sampling.
@@ -111,17 +71,26 @@ impl FastCoreset {
         data: &Dataset,
         params: &CompressionParams,
     ) -> (Vec<usize>, Points, Vec<f64>) {
-        let cfg = &self.config;
         // Step 1 and step 3's tree in one build: the tree comes first, because
-        // it says whether step 2 has work to do.
-        let jl_eps = cfg.use_jl.then_some(cfg.jl_eps);
-        let (mut tree, projection) = embedded_tree(rng, data.points(), params.k, jl_eps, cfg.tree);
+        // it says whether step 2 has work to do. The projection is drawn only
+        // where it lowers the dimension; the tree is then built from one
+        // `n × t` buffer, projected and quantised in place.
+        let target = target_dim_for_clustering(params.k, JL_EPS);
+        let projection = (data.dim() > target && !data.is_empty())
+            .then(|| JlProjection::sample(rng, JlKind::SparseAchlioptas, data.dim(), target).ok())
+            .flatten();
+        let mut tree = match &projection {
+            Some(projection) => {
+                Quadtree::build_projected(rng, data.points(), projection, QuadtreeConfig::default())
+            }
+            None => Quadtree::build(rng, data.points(), QuadtreeConfig::default()),
+        };
         // Step 2: spread reduction, where the tree ran out of bits — it
         // affects only the tree's geometry. Geometry is about locations, so
         // both calls see the point *count*: the crude bound is on the cost
         // at unit mass, and its reach is a length whatever the weights. The
         // embedded points are regenerated from the projection already drawn.
-        if tree.truncated() && cfg.reduce_spread {
+        if tree.truncated() {
             let working = match &projection {
                 Some(projection) => Cow::Owned(
                     projection
@@ -134,10 +103,17 @@ impl FastCoreset {
             let bound = crude_approx(rng, &working, params.k, params.kind, n as f64);
             let sp = SpreadParams::practical(n, working.dim());
             let (reduced, _map) = reduce_spread(rng, &working, bound.reach(params.kind), sp);
-            tree = Quadtree::build(rng, &reduced, cfg.tree);
+            tree = Quadtree::build(rng, &reduced, QuadtreeConfig::default());
         }
         // Step 3: tree-metric seeding → partition.
-        let seeding = fast_kmeanspp(rng, data, &tree, params.k, params.kind, cfg.seeding);
+        let seeding = fast_kmeanspp(
+            rng,
+            data,
+            &tree,
+            params.k,
+            params.kind,
+            FastSeedConfig::default(),
+        );
         let k_eff = seeding.k();
 
         // Step 4: per-cluster 1-mean / 1-median in the ORIGINAL space.
@@ -174,33 +150,6 @@ impl FastCoreset {
     }
 }
 
-/// Step 1 and the tree of step 3: the quadtree over the JL embedding of
-/// `points` when `jl_eps` asks for one and it reduces the dimension
-/// ([`Quadtree::build_projected`]: one `n × t` buffer, projected and then
-/// quantised in place), else over the rows themselves. The draws are those
-/// of `project_if_beneficial` followed by [`Quadtree::build`]. Returns the
-/// projection drawn, if any, so the embedded points can be regenerated
-/// without another draw.
-pub(crate) fn embedded_tree(
-    rng: &mut dyn RngCore,
-    points: &Points,
-    k: usize,
-    jl_eps: Option<f64>,
-    config: QuadtreeConfig,
-) -> (Quadtree, Option<JlProjection>) {
-    let projection = jl_eps
-        .map(|eps| target_dim_for_clustering(k, eps))
-        .filter(|&target| points.dim() > target && !points.is_empty())
-        .and_then(|target| {
-            JlProjection::sample(rng, JlKind::SparseAchlioptas, points.dim(), target).ok()
-        });
-    let tree = match &projection {
-        Some(projection) => Quadtree::build_projected(rng, points, projection, config),
-        None => Quadtree::build(rng, points, config),
-    };
-    (tree, projection)
-}
-
 impl Compressor for FastCoreset {
     fn name(&self) -> &str {
         "fast-coreset"
@@ -216,15 +165,9 @@ impl Compressor for FastCoreset {
         if params.m >= data.len() {
             return Coreset::new(data.clone());
         }
-        at_weight_scale(data, |data| {
+        sensitivity_sample(rng, data, params.m, |rng, data| {
             let (labels, centers, cost_z) = self.partition(rng, data, params);
-            let scores = sensitivity_scores(&labels, &cost_z, data.weights(), centers.len());
-            match self.config.weight_mode {
-                WeightMode::Unbiased => importance_sample(rng, data, &scores, params.m),
-                WeightMode::Rebalanced { epsilon } => importance_sample_rebalanced(
-                    rng, data, &scores, &labels, &centers, params.m, epsilon,
-                ),
-            }
+            sensitivity_scores(&labels, &cost_z, data.weights(), centers.len())
         })
     }
 }
@@ -259,7 +202,7 @@ mod tests {
             kind: CostKind::KMeans,
         };
         let mut r = rng();
-        let c = FastCoreset::default().compress(&mut r, &d, &params);
+        let c = FastCoreset.compress(&mut r, &d, &params);
         assert!(c.len() <= 300);
         let rel = (c.total_weight() - d.total_weight()).abs() / d.total_weight();
         assert!(rel < 0.2, "total weight off by {rel}");
@@ -276,7 +219,7 @@ mod tests {
         let mut r = rng();
         let mut hits = 0;
         for _ in 0..10 {
-            let c = FastCoreset::default().compress(&mut r, &d, &params);
+            let c = FastCoreset.compress(&mut r, &d, &params);
             if c.dataset().points().iter().any(|p| p[0] > 1_000.0) {
                 hits += 1;
             }
@@ -293,7 +236,7 @@ mod tests {
             kind: CostKind::KMeans,
         };
         let mut r = rng();
-        let c = FastCoreset::default().compress(&mut r, &d, &params);
+        let c = FastCoreset.compress(&mut r, &d, &params);
         for centers in [
             Points::from_flat(vec![0.0, 0.0, 1_000.0, 0.0], 2).unwrap(),
             Points::from_flat(vec![500.0, 0.0, -500.0, 0.0], 2).unwrap(),
@@ -319,41 +262,12 @@ mod tests {
             kind: CostKind::KMedian,
         };
         let mut r = rng();
-        let c = FastCoreset::default().compress(&mut r, &d, &params);
+        let c = FastCoreset.compress(&mut r, &d, &params);
         let centers = Points::from_flat(vec![0.0, 0.0, 500.0, 0.0], 2).unwrap();
         let full = fc_clustering::cost::cost(&d, &centers, CostKind::KMedian);
         let comp = c.cost(&centers, CostKind::KMedian);
         let ratio = (full / comp).max(comp / full);
         assert!(ratio < 1.6, "k-median ratio {ratio}");
-    }
-
-    #[test]
-    fn all_pipeline_variants_run() {
-        let d = blobs(&[500, 500], 100.0);
-        let params = CompressionParams {
-            k: 2,
-            m: 100,
-            kind: CostKind::KMeans,
-        };
-        let mut r = rng();
-        for use_jl in [false, true] {
-            for reduce_spread in [false, true] {
-                for weight_mode in [
-                    WeightMode::Unbiased,
-                    WeightMode::Rebalanced { epsilon: 0.1 },
-                ] {
-                    let cfg = FastCoresetConfig {
-                        use_jl,
-                        reduce_spread,
-                        weight_mode,
-                        ..Default::default()
-                    };
-                    let c = FastCoreset::with_config(cfg).compress(&mut r, &d, &params);
-                    assert!(!c.is_empty());
-                    assert!(c.total_weight() > 0.0);
-                }
-            }
-        }
     }
 
     #[test]
@@ -365,7 +279,7 @@ mod tests {
             kind: CostKind::KMeans,
         };
         let mut r = rng();
-        let c = FastCoreset::default().compress(&mut r, &d, &params);
+        let c = FastCoreset.compress(&mut r, &d, &params);
         assert_eq!(c.dataset(), &d);
     }
 
@@ -385,7 +299,7 @@ mod tests {
             kind: CostKind::KMeans,
         };
         let mut r = rng();
-        let (labels, centers, cost_z) = FastCoreset::default().partition(&mut r, &d, &params);
+        let (labels, centers, cost_z) = FastCoreset.partition(&mut r, &d, &params);
         assert_eq!(centers.dim(), 64);
         assert_eq!(labels.len(), 200);
         assert_eq!(cost_z.len(), 200);

@@ -6,14 +6,13 @@
 //!   `cost_z(P, C)` for *every* candidate solution `C` (Definition 2.1).
 //! - [`sensitivity`]: the importance scores of Eq. (1) — the upper bound on
 //!   true sensitivities from an `α`-approximate solution \[37\].
-//! - [`sampling`]: importance sampling with inverse-probability weights, with
-//!   the optional per-cluster rebalancing of Algorithm 1 lines 7–8.
+//! - [`sampling`]: importance sampling with inverse-probability weights.
 //! - [`methods`]: the benchmark suite of §5.2 — uniform sampling, lightweight
 //!   coresets (`j = 1`) \[6\], welterweight coresets (`1 < j < k`), and
 //!   standard sensitivity sampling (`j = k`, `O(nk)` seeding) \[47\].
-//! - [`fast_coreset`]: **Algorithm 1** — JL projection → (optional)
-//!   spread reduction (Algorithms 2–3) → quadtree `Fast-kmeans++` →
-//!   sensitivity sampling, in `Õ(nd)` total.
+//! - [`fast_coreset`]: **Algorithm 1** — JL projection → spread reduction
+//!   (Algorithms 2–3, only where the quadtree truncates) → quadtree
+//!   `Fast-kmeans++` → sensitivity sampling, in `Õ(nd)` total.
 //! - [`distortion`](crate::distortion()): the coreset distortion metric of
 //!   \[57\] used throughout the evaluation: solve on the coreset, price on
 //!   both sets, report the worst ratio.
@@ -51,8 +50,7 @@ pub use coreset::Coreset;
 pub use distortion::{distortion, solve_on_coreset, DistortionReport};
 pub use error::FcError;
 pub use evaluation::{battery_distortion, BatteryReport};
-pub use fast_coreset::{FastCoreset, FastCoresetConfig};
+pub use fast_coreset::FastCoreset;
 pub use methods::{Lightweight, StandardSensitivity, Uniform, Welterweight};
 pub use plan::{Method, Plan, PlanBuilder, PlanOutcome, StreamSession, BASE_METHODS};
 pub use pointblock::PointBlock;
-pub use sampling::WeightMode;

@@ -9,6 +9,12 @@
 //! | [`Welterweight`] | j-means, `1 < j < k` | `O(ndj)` | interpolates |
 //! | [`StandardSensitivity`] | k-means++ (j = k) \[47\] | `O(ndk)` | strong ε-coreset |
 //! | [`crate::FastCoreset`] | Fast-kmeans++ | `Õ(nd)` | strong ε-coreset |
+//!
+//! Only [`Welterweight`] has a setting, its `j`, and
+//! [`crate::plan::Method::Welterweight`] names it; the rest are unit
+//! structs, so which method runs is the one choice. The four with a
+//! candidate solution sample by its Eq. (1) scores with plain
+//! inverse-probability weights.
 
 mod lightweight;
 mod sensitivity_full;
@@ -27,7 +33,7 @@ pub fn standard_suite() -> Vec<Box<dyn crate::Compressor>> {
         Box::new(Uniform),
         Box::new(Lightweight),
         Box::new(Welterweight::new(JCount::LogK)),
-        Box::new(crate::FastCoreset::default()),
+        Box::new(crate::FastCoreset),
     ]
 }
 

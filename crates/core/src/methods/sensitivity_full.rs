@@ -12,25 +12,12 @@ use rand::RngCore;
 
 use crate::compressor::{CompressionParams, Compressor};
 use crate::coreset::Coreset;
-use crate::sampling::{
-    at_weight_scale, importance_sample, importance_sample_rebalanced, WeightMode,
-};
+use crate::sampling::sensitivity_sample;
 use crate::sensitivity::sensitivity_scores;
 
 /// Standard (full-k) sensitivity sampling.
-#[derive(Debug, Clone, Copy)]
-pub struct StandardSensitivity {
-    /// Weight finalization mode (see [`WeightMode`]).
-    pub weight_mode: WeightMode,
-}
-
-impl Default for StandardSensitivity {
-    fn default() -> Self {
-        Self {
-            weight_mode: WeightMode::Unbiased,
-        }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StandardSensitivity;
 
 impl Compressor for StandardSensitivity {
     fn name(&self) -> &str {
@@ -43,23 +30,11 @@ impl Compressor for StandardSensitivity {
         data: &Dataset,
         params: &CompressionParams,
     ) -> Coreset {
-        at_weight_scale(data, |data| {
+        sensitivity_sample(rng, data, params.m, |rng, data| {
             let seeding = fc_clustering::kmeanspp::kmeanspp(rng, data, params.k, params.kind);
             let cost_z = seeding.cost_z(params.kind);
             let k_eff = seeding.centers.len();
-            let scores = sensitivity_scores(&seeding.labels, &cost_z, data.weights(), k_eff);
-            match self.weight_mode {
-                WeightMode::Unbiased => importance_sample(rng, data, &scores, params.m),
-                WeightMode::Rebalanced { epsilon } => importance_sample_rebalanced(
-                    rng,
-                    data,
-                    &scores,
-                    &seeding.labels,
-                    &seeding.centers,
-                    params.m,
-                    epsilon,
-                ),
-            }
+            sensitivity_scores(&seeding.labels, &cost_z, data.weights(), k_eff)
         })
     }
 }
@@ -97,7 +72,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         let mut hits = 0;
         for _ in 0..10 {
-            let c = StandardSensitivity::default().compress(&mut rng, &d, &params);
+            let c = StandardSensitivity.compress(&mut rng, &d, &params);
             if c.dataset().points().iter().any(|p| p[0] > 1_000.0) {
                 hits += 1;
             }
@@ -114,7 +89,7 @@ mod tests {
             kind: CostKind::KMeans,
         };
         let mut rng = StdRng::seed_from_u64(15);
-        let c = StandardSensitivity::default().compress(&mut rng, &d, &params);
+        let c = StandardSensitivity.compress(&mut rng, &d, &params);
         // Price the natural 2-center solution on both sets.
         let centers = fc_geom::Points::from_flat(vec![0.05, 0.0, 5_000.0, 0.0], 2).unwrap();
         let full = fc_clustering::cost::cost(&d, &centers, CostKind::KMeans);
@@ -124,29 +99,5 @@ mod tests {
             ratio < 1.5,
             "cost ratio {ratio} too large (full {full}, coreset {compressed})"
         );
-    }
-
-    #[test]
-    fn rebalanced_mode_preserves_cluster_mass_lower_bound() {
-        let d = imbalanced_blobs();
-        let params = CompressionParams {
-            k: 2,
-            m: 100,
-            kind: CostKind::KMeans,
-        };
-        let mut rng = StdRng::seed_from_u64(17);
-        let comp = StandardSensitivity {
-            weight_mode: WeightMode::Rebalanced { epsilon: 0.05 },
-        };
-        let c = comp.compress(&mut rng, &d, &params);
-        // Total mass must now be >= the input weight (each cluster topped up
-        // to (1+eps) of its true mass).
-        assert!(
-            c.total_weight() >= d.total_weight() * 0.999,
-            "rebalanced total {} below input {}",
-            c.total_weight(),
-            d.total_weight()
-        );
-        assert!(c.total_weight() <= d.total_weight() * 1.2);
     }
 }

@@ -101,8 +101,8 @@ impl Method {
             Method::Uniform => Box::new(Uniform),
             Method::Lightweight => Box::new(Lightweight),
             Method::Welterweight(j) => Box::new(Welterweight::new(*j)),
-            Method::Sensitivity => Box::new(StandardSensitivity::default()),
-            Method::FastCoreset => Box::new(FastCoreset::default()),
+            Method::Sensitivity => Box::new(StandardSensitivity),
+            Method::FastCoreset => Box::new(FastCoreset),
             Method::Bico => Box::new(crate::streaming::BicoCompressor),
             Method::StreamKm => Box::new(crate::streaming::CoresetTreeCompressor),
             Method::MergeReduce(base) => base.build(),

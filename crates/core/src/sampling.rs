@@ -4,37 +4,63 @@
 //! each by `S / (m·σ(p)) · w_p` so the cost estimator is unbiased for every
 //! candidate solution. Duplicate draws are merged by summing weights.
 //!
-//! ### The rebalancing of Algorithm 1, lines 7–8
-//!
-//! The paper's pseudocode additionally tracks `|Ĉ_i|` — the sampled estimate
-//! of each cluster's weight — and corrects the compression so cluster `i`
-//! carries total mass `(1+ε)|C_i|` (the construction of \[25, 27\] that the
-//! analysis uses). We implement both readings behind [`WeightMode`]:
-//! `Unbiased` keeps plain inverse-probability weights (what the authors'
-//! released code computes); `Rebalanced { epsilon }` additionally appends the
-//! cluster centers with corrective weight `(1+ε)·W(C_i) − Ŵ(C_i)` (clamped
-//! at zero). An ablation bench (`crates/bench/benches/ablations.rs`)
-//! compares the two.
+//! Algorithm 1's lines 7–8 go on to rebalance each cluster's sampled mass
+//! to `(1+ε)·W(C_i)` (the construction of \[25, 27\] the analysis uses).
+//! Like the authors' released code, this crate keeps the plain
+//! inverse-probability weights.
 
 use fc_geom::sampling::AliasTable;
 use fc_geom::{Dataset, Points};
-use rand::Rng;
+use rand::{Rng, RngCore};
 use std::collections::HashMap;
 
 use crate::coreset::Coreset;
 use crate::sensitivity::SensitivityScores;
 
-/// How sampled weights are finalized.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum WeightMode {
-    /// Plain inverse-probability weights: unbiased cost estimator.
-    Unbiased,
-    /// Inverse-probability weights plus per-cluster corrective center
-    /// points so every cluster's coreset mass equals `(1+ε)·W(C_i)`.
-    Rebalanced {
-        /// The ε slack keeping corrective weights non-negative w.h.p.
-        epsilon: f64,
-    },
+/// The sensitivity-family compression: scores from `scores`, then `m`
+/// draws from [`importance_sample`], at the scale of the largest weight
+/// ([`at_weight_scale`]). Where the scores overflow — a squared distance or
+/// a cluster's cost past `f64::MAX`, which finite coordinates of about
+/// 1e154 reach — the total says so, and `scores` runs once more on the
+/// points times the power of two that puts the largest coordinate in
+/// `[1, 2)` ([`at_coordinate_scale`]). That scaling is exact and scores
+/// are ratios of costs, so the retry prices what the first try could not;
+/// the draws still gather the input's own rows. An input whose scores are
+/// finite pays nothing and takes the first path bit for bit.
+pub(crate) fn sensitivity_sample(
+    rng: &mut dyn RngCore,
+    data: &Dataset,
+    m: usize,
+    mut scores: impl FnMut(&mut dyn RngCore, &Dataset) -> SensitivityScores,
+) -> Coreset {
+    at_weight_scale(data, |data| {
+        let mut s = scores(rng, data);
+        if !s.total.is_finite() {
+            s = scores(rng, &at_coordinate_scale(data));
+        }
+        importance_sample(rng, data, &s, m)
+    })
+}
+
+/// The unbiased binary exponent of a positive finite `x`, floored at the
+/// smallest normal exponent; `0` for anything else.
+fn binary_exponent(x: f64) -> i32 {
+    if x > 0.0 && x.is_finite() {
+        (((x.to_bits() >> 52) & 0x7ff) as i32 - 1023).max(-1022)
+    } else {
+        0
+    }
+}
+
+/// `data` with every coordinate times `2^-e`, the power of two that puts
+/// the largest magnitude in `[1, 2)`; weights untouched.
+fn at_coordinate_scale(data: &Dataset) -> Dataset {
+    let flat = data.points().as_flat();
+    let largest = flat.iter().fold(0.0, |a: f64, x| a.max(x.abs()));
+    let down = f64::powi(2.0, -binary_exponent(largest));
+    let points = Points::from_flat(flat.iter().map(|x| x * down).collect(), data.dim())
+        .expect("scaling by a power of two keeps coordinates finite");
+    Dataset::weighted(points, data.weights().to_vec()).expect("weights are the input's")
 }
 
 /// Runs a sensitivity-family compression at the scale of the data's largest
@@ -47,18 +73,10 @@ pub enum WeightMode {
 /// overflows nor leaves the normal range the coreset is the one it would
 /// have given. With `e = 0` — unit weights among them — `data` is passed
 /// through untouched.
-pub(crate) fn at_weight_scale(
-    data: &Dataset,
-    compress: impl FnOnce(&Dataset) -> Coreset,
-) -> Coreset {
+fn at_weight_scale(data: &Dataset, compress: impl FnOnce(&Dataset) -> Coreset) -> Coreset {
     let largest = data.weights().iter().fold(0.0, |a: f64, &w| a.max(w));
-    // The unbiased binary exponent of a positive finite weight; subnormal
-    // weights scale up as far as a normal factor allows.
-    let e = if largest > 0.0 && largest.is_finite() {
-        (((largest.to_bits() >> 52) & 0x7ff) as i32 - 1023).max(-1022)
-    } else {
-        0
-    };
+    // Subnormal weights scale up as far as a normal factor allows.
+    let e = binary_exponent(largest);
     if e == 0 {
         return compress(data);
     }
@@ -122,65 +140,6 @@ pub fn importance_sample<R: Rng + ?Sized>(
     Coreset::new(
         data.gather(&indices, weights)
             .expect("indices are in range"),
-    )
-}
-
-/// Importance sampling followed by the per-cluster rebalancing step:
-/// appends every cluster center `c_i` with corrective weight
-/// `(1+ε)·W(C_i) − Ŵ(C_i)` (clamped at 0), where `Ŵ(C_i)` is the sampled
-/// estimate of the cluster's weight.
-///
-/// `labels` assigns input points to clusters; `centers` holds the `k`
-/// cluster centers (`c_i` of Algorithm 1 step 4).
-pub fn importance_sample_rebalanced<R: Rng + ?Sized>(
-    rng: &mut R,
-    data: &Dataset,
-    scores: &SensitivityScores,
-    labels: &[usize],
-    centers: &Points,
-    m: usize,
-    epsilon: f64,
-) -> Coreset {
-    assert!(epsilon >= 0.0, "epsilon must be non-negative");
-    assert_eq!(labels.len(), data.len());
-    if m >= data.len() {
-        return Coreset::new(data.clone()); // exact coreset: no correction needed
-    }
-    let k = centers.len();
-    let Some(pairs) = importance_sample_indices(rng, data, scores, m) else {
-        let d = data
-            .gather(&[0], vec![data.total_weight()])
-            .expect("index 0 exists");
-        return Coreset::new(d);
-    };
-    // Ŵ(C_i): estimated cluster weights from the sample, via the points'
-    // own cluster labels.
-    let mut estimated = vec![0.0; k];
-    for &(i, w) in &pairs {
-        estimated[labels[i]] += w;
-    }
-    let indices: Vec<usize> = pairs.iter().map(|&(i, _)| i).collect();
-    let weights: Vec<f64> = pairs.iter().map(|&(_, w)| w).collect();
-    let base = data
-        .gather(&indices, weights)
-        .expect("indices are in range");
-    let mut out_points = base.points().clone();
-    let mut out_weights = base.weights().to_vec();
-    let mut cluster_true = vec![0.0; k];
-    for (i, &l) in labels.iter().enumerate() {
-        cluster_true[l] += data.weight(i);
-    }
-    for c in 0..k {
-        let corrective = (1.0 + epsilon) * cluster_true[c] - estimated[c];
-        if corrective > 0.0 {
-            out_points
-                .push(centers.row(c))
-                .expect("center has data dimension");
-            out_weights.push(corrective);
-        }
-    }
-    Coreset::new(
-        Dataset::weighted(out_points, out_weights).expect("weights constructed non-negative"),
     )
 }
 
@@ -272,8 +231,6 @@ mod tests {
         let scores = SensitivityScores {
             scores: vec![0.0; 5],
             total: 0.0,
-            cluster_weights: vec![5.0],
-            cluster_costs: vec![0.0],
         };
         let mut r = rng();
         let c = importance_sample(&mut r, &d, &scores, 3);
@@ -296,65 +253,6 @@ mod tests {
             });
             // Scaled back exactly.
             assert_eq!(coreset.dataset(), &data, "{largest}");
-        }
-    }
-
-    #[test]
-    fn rebalanced_cluster_masses_match_target() {
-        // Two clusters of known weight. Rebalancing makes each cluster's
-        // coreset mass max(Ŵ(C_i), (1+ε)·W(C_i)): the lower bound
-        // (1+ε)·W(C_i) holds on every draw, and since the estimate Ŵ is
-        // unbiased the mean mass over repetitions stays near the target.
-        let mut flat = Vec::new();
-        for i in 0..100 {
-            flat.push(i as f64 * 0.001);
-        }
-        for i in 0..50 {
-            flat.push(1000.0 + i as f64 * 0.001);
-        }
-        let d = Dataset::from_flat(flat, 1).unwrap();
-        let labels: Vec<usize> = (0..150).map(|i| usize::from(i >= 100)).collect();
-        let centers = Points::from_flat(vec![0.05, 1000.025], 1).unwrap();
-        let cost_z: Vec<f64> = d
-            .points()
-            .iter()
-            .zip(&labels)
-            .map(|(p, &l)| fc_geom::distance::sq_dist(p, centers.row(l)))
-            .collect();
-        let scores = sensitivity_scores(&labels, &cost_z, d.weights(), 2);
-        let eps = 0.1;
-        let targets = [(1.0 + eps) * 100.0, (1.0 + eps) * 50.0];
-        let mut r = rng();
-        let runs = 40;
-        let mut mean_mass = [0.0f64; 2];
-        for _ in 0..runs {
-            let c = importance_sample_rebalanced(&mut r, &d, &scores, &labels, &centers, 30, eps);
-            // Assign coreset points to the two centers and measure masses.
-            let a = fc_clustering::assign::assign(c.dataset().points(), &centers, CostKind::KMeans);
-            let mut mass = [0.0f64; 2];
-            for (i, &l) in a.labels.iter().enumerate() {
-                mass[l] += c.dataset().weight(i);
-            }
-            for cl in 0..2 {
-                assert!(
-                    mass[cl] >= targets[cl] - 1e-9,
-                    "cluster {cl} mass {} below rebalancing floor {}",
-                    mass[cl],
-                    targets[cl]
-                );
-                mean_mass[cl] += mass[cl] / runs as f64;
-            }
-        }
-        // The clamp only inflates mass when Ŵ undershoots, so the mean sits
-        // a little above the target; far-off means signal a weighting bug.
-        for cl in 0..2 {
-            let rel = (mean_mass[cl] - targets[cl]) / targets[cl];
-            assert!(
-                (-0.01..0.5).contains(&rel),
-                "cluster {cl} mean mass {} vs target {}",
-                mean_mass[cl],
-                targets[cl]
-            );
         }
     }
 }

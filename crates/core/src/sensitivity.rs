@@ -13,18 +13,14 @@
 //! Sampling `m = Õ(k ε^{-2z-2})` points proportional to `σ` yields an
 //! ε-coreset when `C` is an `O(polylog)`-approximation (Fact 3.1).
 
-/// Per-point sensitivity scores plus the per-cluster aggregates needed for
-/// weight rebalancing.
+/// Per-point sensitivity scores and their sum.
 #[derive(Debug, Clone)]
 pub struct SensitivityScores {
     /// σ(p) per point (already weight-scaled).
     pub scores: Vec<f64>,
-    /// Total score (≈ 2k, modulo empty clusters).
+    /// Total score (≈ 2k, modulo empty clusters). Not finite when some
+    /// cluster's cost overflowed `f64`: its cost terms are then lost.
     pub total: f64,
-    /// Per-cluster total weight `W(C_j)`.
-    pub cluster_weights: Vec<f64>,
-    /// Per-cluster cost `cost_z(C_j, c_j)`.
-    pub cluster_costs: Vec<f64>,
 }
 
 /// Computes Eq. (1) scores from an assignment.
@@ -34,7 +30,8 @@ pub struct SensitivityScores {
 /// * `weights[i]` — point weight `w_i`.
 ///
 /// Degenerate clusters (zero cost — all members on the center) contribute
-/// only the mass term; zero-weight clusters contribute nothing.
+/// only the mass term; zero-weight clusters contribute nothing. A cluster
+/// cost that overflows makes the total infinite (or NaN).
 pub fn sensitivity_scores(
     labels: &[usize],
     cost_z: &[f64],
@@ -107,12 +104,14 @@ pub fn sensitivity_scores(
         .into_iter()
         .sum()
     };
-    SensitivityScores {
-        scores,
-        total,
-        cluster_weights,
-        cluster_costs,
-    }
+    // A cost past `f64::MAX` turned its cluster's cost terms into 0 or NaN;
+    // the k sums in hand say so, with no pass over the points.
+    let total = if cluster_costs.iter().all(|c| c.is_finite()) {
+        total
+    } else {
+        f64::INFINITY
+    };
+    SensitivityScores { scores, total }
 }
 
 /// Lightweight-coreset scores \[6\]: Eq. (1) specialised to the 1-means
@@ -221,7 +220,17 @@ mod tests {
         let weights = vec![1.0, 1.0, 1.0];
         let s = sensitivity_scores(&labels, &cost_z, &weights, 3);
         assert!((s.total - 4.0).abs() < 1e-9);
-        assert_eq!(s.cluster_weights[1], 0.0);
+        assert_eq!(s.scores, [1.0, 2.0, 1.0]);
+    }
+
+    #[test]
+    fn a_cluster_cost_past_f64_max_leaves_the_total_non_finite() {
+        // Every distance is finite, their cluster's sum is not: the cost
+        // terms are lost, and the total must say so.
+        let s = sensitivity_scores(&[0, 0, 1], &[f64::MAX, f64::MAX, 1.0], &[1.0; 3], 2);
+        assert!(!s.total.is_finite(), "total {}", s.total);
+        let s = sensitivity_scores(&[0, 0, 1], &[1e300, 1e300, 1.0], &[1.0; 3], 2);
+        assert_eq!(s.total, 4.0);
     }
 
     #[test]

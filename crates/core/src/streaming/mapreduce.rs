@@ -134,7 +134,7 @@ mod tests {
             m: 200,
             kind: CostKind::KMeans,
         };
-        let comp = FastCoreset::default();
+        let comp = FastCoreset;
         let mut r = rng();
         let report = mapreduce_coreset(&mut r, &d, &comp, &params, 4);
         assert!(report.coreset.len() <= 200);

@@ -233,7 +233,7 @@ mod tests {
             m: 300,
             kind: CostKind::KMeans,
         };
-        let comp = FastCoreset::default();
+        let comp = FastCoreset;
         let mut mr = MergeReduce::new(comp, params);
         let mut r = rng();
         let c = run_stream(&mut mr, &mut r, &d, 8);

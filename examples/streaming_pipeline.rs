@@ -64,7 +64,7 @@ fn main() {
 
     // 2. The same compressor, one shot over the whole data (the "cheating"
     //    baseline that holds everything in memory).
-    let fast = FastCoreset::default();
+    let fast = FastCoreset;
     let start = std::time::Instant::now();
     let static_c = fast.compress(&mut rng, &data, &params);
     let static_time = start.elapsed();

@@ -102,8 +102,8 @@ pub mod prelude {
     pub use fc_core::plan::{Method, Plan, PlanBuilder, PlanOutcome, StreamSession};
     pub use fc_core::streaming::{MergeReduce, StreamingCompressor};
     pub use fc_core::{
-        CompressionParams, Compressor, Coreset, FastCoreset, FastCoresetConfig, FcError,
-        Lightweight, StandardSensitivity, Uniform, Welterweight,
+        CompressionParams, Compressor, Coreset, FastCoreset, FcError, Lightweight,
+        StandardSensitivity, Uniform, Welterweight,
     };
     pub use fc_geom::{Dataset, Points};
     pub use fc_service::{Engine, EngineConfig, RetryPolicy, ServerHandle, ServiceClient};

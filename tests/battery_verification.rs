@@ -29,7 +29,7 @@ fn fast_coreset_passes_the_battery_on_balanced_and_imbalanced_data() {
         let k = 10;
         let params = CompressionParams::with_scalar(k, 40, CostKind::KMeans).unwrap();
         let mut rng = StdRng::seed_from_u64(seed + 100);
-        let coreset = FastCoreset::default().compress(&mut rng, &data, &params);
+        let coreset = FastCoreset.compress(&mut rng, &data, &params);
         let report = battery_distortion(&mut rng, &data, &coreset, k, CostKind::KMeans, 3);
         assert!(
             report.max_ratio < 1.6,
@@ -58,7 +58,7 @@ fn sensitivity_passes_where_uniform_fails_under_the_battery() {
         let u = battery_distortion(&mut rng, &data, &uniform, k, CostKind::KMeans, 2);
         uniform_worst = uniform_worst.max(u.max_ratio);
 
-        let sens = StandardSensitivity::default().compress(&mut rng, &data, &params);
+        let sens = StandardSensitivity.compress(&mut rng, &data, &params);
         let s = battery_distortion(&mut rng, &data, &sens, k, CostKind::KMeans, 2);
         sensitivity_worst = sensitivity_worst.max(s.max_ratio);
     }
@@ -78,7 +78,7 @@ fn battery_and_single_metric_agree_on_verdicts() {
     let k = 10;
     let params = CompressionParams::with_scalar(k, 40, CostKind::KMeans).unwrap();
     let mut rng = StdRng::seed_from_u64(65);
-    let coreset = FastCoreset::default().compress(&mut rng, &data, &params);
+    let coreset = FastCoreset.compress(&mut rng, &data, &params);
     let single = fc_core::distortion(
         &mut rng,
         &data,
@@ -100,7 +100,7 @@ fn kmedian_battery_holds_too() {
     let k = 10;
     let params = CompressionParams::with_scalar(k, 40, CostKind::KMedian).unwrap();
     let mut rng = StdRng::seed_from_u64(67);
-    let coreset = FastCoreset::default().compress(&mut rng, &data, &params);
+    let coreset = FastCoreset.compress(&mut rng, &data, &params);
     let report = battery_distortion(&mut rng, &data, &coreset, k, CostKind::KMedian, 2);
     assert!(
         report.max_ratio < 1.6,

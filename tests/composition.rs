@@ -27,7 +27,7 @@ fn union_of_part_coresets_prices_the_whole() {
     let data = mixture(41, 12_000);
     let halves = data.chunks(6_000);
     let params = CompressionParams::with_scalar(8, 40, CostKind::KMeans).unwrap();
-    let method = FastCoreset::default();
+    let method = FastCoreset;
     let mut rng = StdRng::seed_from_u64(42);
     let c1 = method.compress(&mut rng, &halves[0], &params);
     let c2 = method.compress(&mut rng, &halves[1], &params);
@@ -49,7 +49,7 @@ fn mapreduce_matches_single_shot_quality() {
     let data = mixture(44, 16_000);
     let k = 8;
     let params = CompressionParams::with_scalar(k, 40, CostKind::KMeans).unwrap();
-    let method = FastCoreset::default();
+    let method = FastCoreset;
 
     let mut rng = StdRng::seed_from_u64(45);
     let single = method.compress(&mut rng, &data, &params);
@@ -89,8 +89,8 @@ fn compression_is_deterministic_under_a_fixed_seed() {
         Box::new(Uniform) as Box<dyn Compressor>,
         Box::new(Lightweight),
         Box::new(Welterweight::default()),
-        Box::new(StandardSensitivity::default()),
-        Box::new(FastCoreset::default()),
+        Box::new(StandardSensitivity),
+        Box::new(FastCoreset),
     ] {
         let mut r1 = StdRng::seed_from_u64(47);
         let mut r2 = StdRng::seed_from_u64(47);
@@ -119,7 +119,7 @@ fn recompressing_a_coreset_stays_accurate() {
     // exercises.
     let data = mixture(49, 15_000);
     let k = 8;
-    let method = FastCoreset::default();
+    let method = FastCoreset;
     let mut rng = StdRng::seed_from_u64(50);
     let big = method.compress(
         &mut rng,

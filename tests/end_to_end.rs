@@ -55,7 +55,7 @@ fn fast_coreset_is_accurate_on_every_artificial_dataset() {
         ),
         ("benchmark", fc_data::benchmark(&mut rng, k, 100, 50.0)),
     ];
-    let fast = FastCoreset::default();
+    let fast = FastCoreset;
     for (name, data) in &datasets {
         let d = median_distortion(&fast, data, k);
         assert!(d < 2.0, "fast-coreset distortion {d} on {name}");
@@ -79,7 +79,7 @@ fn uniform_fails_catastrophically_on_c_outlier() {
 fn sensitivity_and_welterweight_survive_c_outlier() {
     let mut rng = StdRng::seed_from_u64(3);
     let data = fc_data::c_outlier(&mut rng, 10_000, 20, 8, 1e5);
-    let sens = median_distortion(&StandardSensitivity::default(), &data, 10);
+    let sens = median_distortion(&StandardSensitivity, &data, 10);
     assert!(sens < 2.0, "sensitivity distortion {sens}");
     let welter = median_distortion(&Welterweight::new(JCount::LogK), &data, 10);
     assert!(welter < 3.0, "welterweight distortion {welter}");
@@ -95,7 +95,7 @@ fn every_method_is_fine_on_the_benchmark_instance() {
         Box::new(Uniform),
         Box::new(Lightweight),
         Box::new(Welterweight::new(JCount::LogK)),
-        Box::new(FastCoreset::default()),
+        Box::new(FastCoreset),
     ];
     for m in &methods {
         let d = median_distortion(m.as_ref(), &data, k);
@@ -120,8 +120,8 @@ fn coreset_sizes_and_weights_are_consistent_across_methods() {
         Box::new(Uniform),
         Box::new(Lightweight),
         Box::new(Welterweight::new(JCount::LogK)),
-        Box::new(StandardSensitivity::default()),
-        Box::new(FastCoreset::default()),
+        Box::new(StandardSensitivity),
+        Box::new(FastCoreset),
     ];
     for m in &methods {
         let c = m.compress(&mut rng, &data, &params);
@@ -167,7 +167,7 @@ fn larger_m_improves_worst_case_distortion() {
             .map(|s| {
                 let mut rng = StdRng::seed_from_u64(600 + s);
                 let params = CompressionParams::with_scalar(k, m_scalar, CostKind::KMeans).unwrap();
-                let c = FastCoreset::default().compress(&mut rng, &data, &params);
+                let c = FastCoreset.compress(&mut rng, &data, &params);
                 fc_core::distortion(
                     &mut rng,
                     &data,

@@ -57,7 +57,7 @@ fn uniform_breaks_on_the_taxi_proxy() {
         .map(|s| distortion_of(&Uniform, &data, k, 300 + s))
         .fold(1.0f64, f64::max);
     let fast_worst = (0..4)
-        .map(|s| distortion_of(&FastCoreset::default(), &data, k, 300 + s))
+        .map(|s| distortion_of(&FastCoreset, &data, k, 300 + s))
         .fold(1.0f64, f64::max);
     assert!(
         uniform_worst > 5.0,
@@ -83,7 +83,7 @@ fn uniform_degrades_on_the_star_proxy() {
         .fold(1.0f64, f64::max);
     let fast_median = {
         let runs: Vec<f64> = (0..3)
-            .map(|s| distortion_of(&FastCoreset::default(), &data, k, 400 + s))
+            .map(|s| distortion_of(&FastCoreset, &data, k, 400 + s))
             .collect();
         fc_geom::stats::median(&runs)
     };
@@ -119,7 +119,7 @@ fn lightweight_misses_the_central_cluster_but_sensitivity_does_not() {
         if central(&Lightweight.compress(&mut rng, &data, &params)) > 0 {
             lw_hits += 1;
         }
-        if central(&StandardSensitivity::default().compress(&mut rng, &data, &params)) > 0 {
+        if central(&StandardSensitivity.compress(&mut rng, &data, &params)) > 0 {
             sens_hits += 1;
         }
     }
@@ -141,7 +141,7 @@ fn benign_real_proxies_are_fine_for_everyone() {
     for method in [
         Box::new(Uniform) as Box<dyn Compressor>,
         Box::new(Lightweight),
-        Box::new(FastCoreset::default()),
+        Box::new(FastCoreset),
     ] {
         let runs: Vec<f64> = (0..3)
             .map(|s| distortion_of(method.as_ref(), &adult, k, 600 + s))

@@ -45,7 +45,7 @@ fn unweighted_mixture_coreset_is_pinned() {
     let data = mixture(1301, 20_000, 40);
     let params = CompressionParams::with_scalar(40, 40, CostKind::KMeans).unwrap();
     let mut rng = StdRng::seed_from_u64(1302);
-    let coreset = FastCoreset::default().compress(&mut rng, &data, &params);
+    let coreset = FastCoreset.compress(&mut rng, &data, &params);
     assert_eq!(coreset.len(), 1_442);
     assert_eq!(fingerprint(&coreset), 2_732_915_854_900_249_459);
 }
@@ -61,7 +61,7 @@ fn weighted_mixture_coreset_is_pinned() {
     let data = Dataset::weighted(points, weights).unwrap();
     let params = CompressionParams::with_scalar(25, 20, CostKind::KMeans).unwrap();
     let mut rng = StdRng::seed_from_u64(1304);
-    let coreset = FastCoreset::default().compress(&mut rng, &data, &params);
+    let coreset = FastCoreset.compress(&mut rng, &data, &params);
     assert_eq!(coreset.len(), 440);
     assert_eq!(fingerprint(&coreset), 10_275_829_680_159_782_078);
 }
@@ -104,7 +104,7 @@ fn coreset_that_truncates_after_projection_is_pinned() {
     assert_eq!(working.dim(), 10);
     assert!(Quadtree::build(&mut rng, &working, QuadtreeConfig::default()).truncated());
     let mut rng = StdRng::seed_from_u64(1306);
-    let coreset = FastCoreset::default().compress(&mut rng, &data, &params);
+    let coreset = FastCoreset.compress(&mut rng, &data, &params);
     assert_eq!(coreset.len(), 340);
     assert_eq!(fingerprint(&coreset), 7_441_711_024_785_455_664);
 }
@@ -127,7 +127,7 @@ fn coreset_built_without_projection_is_pinned() {
     let params = CompressionParams::with_scalar(20, 40, CostKind::KMeans).unwrap();
     assert!(target_dim_for_clustering(params.k, 0.5) >= data.dim());
     let mut rng = StdRng::seed_from_u64(1308);
-    let coreset = FastCoreset::default().compress(&mut rng, &data, &params);
+    let coreset = FastCoreset.compress(&mut rng, &data, &params);
     assert_eq!(coreset.len(), 701);
     assert_eq!(fingerprint(&coreset), 4_436_866_470_693_516_835);
 }

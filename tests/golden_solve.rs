@@ -31,7 +31,7 @@ fn unweighted_coreset() -> Coreset {
     let data = mixture(1301, 20_000, 40);
     let params = CompressionParams::with_scalar(40, 40, CostKind::KMeans).unwrap();
     let mut rng = StdRng::seed_from_u64(1302);
-    FastCoreset::default().compress(&mut rng, &data, &params)
+    FastCoreset.compress(&mut rng, &data, &params)
 }
 
 /// The 440-point coreset of `weighted_mixture_coreset_is_pinned`.
@@ -41,7 +41,7 @@ fn weighted_coreset() -> Coreset {
     let data = Dataset::weighted(points, weights).unwrap();
     let params = CompressionParams::with_scalar(25, 20, CostKind::KMeans).unwrap();
     let mut rng = StdRng::seed_from_u64(1304);
-    FastCoreset::default().compress(&mut rng, &data, &params)
+    FastCoreset.compress(&mut rng, &data, &params)
 }
 
 /// A seeded `Solver::Lloyd` solve at the default configuration: FNV-1a

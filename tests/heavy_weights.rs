@@ -1,10 +1,13 @@
-//! Weights near the top of the `f64` range. Every sensitivity-family method
-//! multiplies weights by squared distances and sums them over clusters, so
-//! at a weight of 1e300 those sums overflow to infinity and `inf / inf`
-//! turns a score into NaN. The methods work at the scale of their largest
-//! weight instead: weights are scaled by a power of two into `[1, 2)` on
-//! the way in and scaled back on the way out, which is exact, so a heavy
-//! input gives the coreset its unit-weight twin gives, times the weight.
+//! Weights and coordinates near the top of the `f64` range. Every
+//! sensitivity-family method multiplies weights by squared distances and
+//! sums them over clusters, so at a weight of 1e300 those sums overflow to
+//! infinity and `inf / inf` turns a score into NaN; at coordinates of 1e153
+//! the squared distance itself does. The methods work at the scale of their
+//! largest weight instead: weights are scaled by a power of two into
+//! `[1, 2)` on the way in and scaled back on the way out, which is exact, so
+//! a heavy input gives the coreset its unit-weight twin gives, times the
+//! weight. Where the scores still overflow, the coordinates are scaled the
+//! same way and the compression runs again.
 
 use fast_coresets::prelude::*;
 use fc_core::methods::JCount;
@@ -24,10 +27,23 @@ fn stacked(seed: u64, n: usize, weight: f64) -> Dataset {
     Dataset::weighted(points, vec![weight; n]).unwrap()
 }
 
+/// Block `b` of six: 1 000 points in d = 2 at multiples of 1e153 up to
+/// 9.6e154. Every coordinate is finite; the squared distance between two
+/// far rows is not.
+fn huge_coordinates(b: usize) -> Dataset {
+    let flat = (0..1_000)
+        .flat_map(|i| {
+            let v = ((i * 7 + b * 13) % 97) as f64 * 1e153;
+            [v, if i % 2 == 0 { v } else { -v }]
+        })
+        .collect();
+    Dataset::from_flat(flat, 2).unwrap()
+}
+
 fn methods() -> Vec<Box<dyn Compressor>> {
     vec![
-        Box::new(FastCoreset::default()),
-        Box::new(StandardSensitivity::default()),
+        Box::new(FastCoreset),
+        Box::new(StandardSensitivity),
         Box::new(Welterweight::new(JCount::LogK)),
         Box::new(Lightweight),
     ]
@@ -35,21 +51,25 @@ fn methods() -> Vec<Box<dyn Compressor>> {
 
 #[test]
 fn sensitivity_family_survives_weights_of_1e300() {
-    let data = stacked(3, 4_000, 1e300);
+    let far = (1..6).fold(huge_coordinates(0), |far, b| {
+        far.concat(&huge_coordinates(b)).unwrap()
+    });
     let params = CompressionParams::with_scalar(5, 40, CostKind::KMeans).unwrap();
-    for method in methods() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let coreset = method.compress(&mut rng, &data, &params);
-        let weights = coreset.dataset().weights();
-        assert!(
-            coreset.len() > params.k,
-            "{}: {} points",
-            method.name(),
-            coreset.len()
-        );
-        assert!(weights.iter().all(|w| w.is_finite() && *w > 0.0));
-        let rel = (coreset.total_weight() - data.total_weight()).abs() / data.total_weight();
-        assert!(rel < 0.25, "{}: total weight off by {rel}", method.name());
+    for data in [stacked(3, 4_000, 1e300), far] {
+        for method in methods() {
+            let mut rng = StdRng::seed_from_u64(4);
+            let coreset = method.compress(&mut rng, &data, &params);
+            let weights = coreset.dataset().weights();
+            assert!(
+                coreset.len() > params.k,
+                "{}: {} points",
+                method.name(),
+                coreset.len()
+            );
+            assert!(weights.iter().all(|w| w.is_finite() && *w > 0.0));
+            let rel = (coreset.total_weight() - data.total_weight()).abs() / data.total_weight();
+            assert!(rel < 0.25, "{}: total weight off by {rel}", method.name());
+        }
     }
 }
 
@@ -78,26 +98,28 @@ fn a_power_of_two_weight_scales_the_unit_weight_coreset_exactly() {
     }
 }
 
-/// The served repro: an engine at its default configuration (merge-&-reduce
+/// The served repros: an engine at its default configuration (merge-&-reduce
 /// over Fast-Coreset on every shard) takes 40 blocks of 1 000 points at
-/// weight 1e300 each, 4e304 in all. Every fold must keep its shard alive,
-/// so the dataset still answers ingests and queries afterwards.
+/// weight 1e300 each, 4e304 in all, and six blocks at coordinates of 1e153.
+/// Every fold must keep its shard alive, so each dataset still answers
+/// ingests and queries afterwards.
 #[test]
 fn engine_keeps_a_heavy_dataset_available() {
     let engine = Engine::new(EngineConfig::default()).unwrap();
-    for block in 0..40 {
-        engine
-            .ingest("heavy", &stacked(100 + block, 1_000, 1e300), None)
-            .unwrap();
+    let heavy: Vec<Dataset> = (0..41).map(|b| stacked(100 + b, 1_000, 1e300)).collect();
+    let far: Vec<Dataset> = (0..7).map(huge_coordinates).collect();
+    for (name, blocks) in [("heavy", heavy), ("far", far)] {
+        let (last, blocks) = blocks.split_last().unwrap();
+        for block in blocks {
+            engine.ingest(name, block, None).unwrap();
+        }
+        let (coreset, _, _) = engine.coreset(name, Some(7), None).unwrap();
+        let total: f64 = blocks.iter().map(Dataset::total_weight).sum();
+        let rel = (coreset.total_weight() - total).abs() / total;
+        assert!(coreset.len() > 1, "{name}: {} points served", coreset.len());
+        assert!(rel < 0.25, "{name}: served weight off by {rel}");
+        let (points, _) = engine.ingest(name, last, None).unwrap();
+        assert_eq!(points, 1_000 * (blocks.len() as u64 + 1), "{name}");
+        assert!(engine.coreset(name, Some(8), None).is_ok(), "{name}");
     }
-    let (coreset, _, _) = engine.coreset("heavy", Some(7), None).unwrap();
-    let total = 40.0 * 1_000.0 * 1e300;
-    let rel = (coreset.total_weight() - total).abs() / total;
-    assert!(coreset.len() > 1, "{} points served", coreset.len());
-    assert!(rel < 0.25, "served weight off by {rel}");
-    let (points, _) = engine
-        .ingest("heavy", &stacked(200, 1_000, 1e300), None)
-        .unwrap();
-    assert_eq!(points, 41_000);
-    assert!(engine.coreset("heavy", Some(8), None).is_ok());
 }

@@ -35,7 +35,7 @@ fn fast_coreset_kmedian_is_accurate() {
         },
     );
     let runs: Vec<f64> = (0..3)
-        .map(|s| distortion_kmedian(&FastCoreset::default(), &data, 10, 800 + s))
+        .map(|s| distortion_kmedian(&FastCoreset, &data, 10, 800 + s))
         .collect();
     let med = fc_geom::stats::median(&runs);
     assert!(med < 2.0, "k-median fast-coreset distortion {med}");
@@ -49,7 +49,7 @@ fn uniform_still_fails_on_outliers_under_kmedian() {
         .map(|s| distortion_kmedian(&Uniform, &data, 8, 900 + s))
         .fold(1.0f64, f64::max);
     let fast: Vec<f64> = (0..3)
-        .map(|s| distortion_kmedian(&FastCoreset::default(), &data, 8, 900 + s))
+        .map(|s| distortion_kmedian(&FastCoreset, &data, 8, 900 + s))
         .collect();
     let fast_med = fc_geom::stats::median(&fast);
     // k-median dampens outlier cost (z = 1), so the uniform failure is less

@@ -24,7 +24,7 @@ fn pruning_skips_most_of_the_scan_on_the_golden_coreset() {
         },
     );
     let params = CompressionParams::with_scalar(40, 40, CostKind::KMeans).unwrap();
-    let coreset = FastCoreset::default().compress(&mut StdRng::seed_from_u64(1302), &data, &params);
+    let coreset = FastCoreset.compress(&mut StdRng::seed_from_u64(1302), &data, &params);
     assert_eq!(coreset.len(), 1_442);
 
     let solution = Solver::Lloyd

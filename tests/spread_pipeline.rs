@@ -4,8 +4,9 @@
 
 use fast_coresets::prelude::*;
 use fc_clustering::lloyd::LloydConfig;
-use fc_core::fast_coreset::FastCoresetConfig;
+use fc_geom::jl::target_dim_for_clustering;
 use fc_quadtree::spread::SpreadParams;
+use fc_quadtree::{fast_kmeanspp, FastSeedConfig, Quadtree, QuadtreeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -96,48 +97,46 @@ fn solutions_transfer_between_original_and_reduced_space() {
     );
 }
 
+/// Number of clusters a partition puts points in.
+fn distinct(mut labels: Vec<usize>) -> usize {
+    labels.sort_unstable();
+    labels.dedup();
+    labels.len()
+}
+
 #[test]
 fn fast_coreset_handles_pathological_spread() {
     // At 1e12 a 50-level tree still resolves 2e-3 inside a unit box; at 1e18
     // a whole box is narrower than the finest cell, every leaf is truncated,
-    // and `reduce_spread: true` means step 2 runs.
+    // and step 2 runs.
     for (gap, k, must_fire) in [(1e12, 3, false), (1e18, 12, true)] {
         let data = clusters_apart(55, gap);
         let params = CompressionParams::with_scalar(k, 40, CostKind::KMeans).unwrap();
-        let mut clusters = Vec::new();
-        for reduce_spread in [false, true] {
-            let fc = FastCoreset::with_config(FastCoresetConfig {
-                use_jl: false,
-                reduce_spread,
-                ..Default::default()
-            });
-            let mut rng = StdRng::seed_from_u64(56);
-            let (mut labels, _, _) = fc.partition(&mut rng, &data, &params);
-            labels.sort_unstable();
-            labels.dedup();
-            clusters.push(labels.len());
-            let mut rng = StdRng::seed_from_u64(56);
-            let c = fc.compress(&mut rng, &data, &params);
-            let rep = fc_core::distortion(
-                &mut rng,
-                &data,
-                &c,
-                k,
-                CostKind::KMeans,
-                LloydConfig::default(),
-            );
-            assert!(
-                rep.distortion < 2.0,
-                "gap {gap:e}: distortion {} with reduce_spread={reduce_spread}",
-                rep.distortion
-            );
-        }
+        // The raw-partition reference: d = 2 is within the JL target, so
+        // the tree is built on the rows themselves, and there is no step 2.
+        assert!(data.dim() <= target_dim_for_clustering(k, 0.5));
+        let mut rng = StdRng::seed_from_u64(56);
+        let tree = Quadtree::build(&mut rng, data.points(), QuadtreeConfig::default());
+        let seeding = FastSeedConfig::default();
+        let raw = fast_kmeanspp(&mut rng, &data, &tree, k, CostKind::KMeans, seeding);
+        let (labels, _, _) = FastCoreset.partition(&mut StdRng::seed_from_u64(56), &data, &params);
+        let clusters = [distinct(raw.labels), distinct(labels)];
+        let mut rng = StdRng::seed_from_u64(56);
+        let c = FastCoreset.compress(&mut rng, &data, &params);
+        let rep = fc_core::distortion(
+            &mut rng,
+            &data,
+            &c,
+            k,
+            CostKind::KMeans,
+            LloydConfig::default(),
+        );
+        assert!(
+            rep.distortion < 2.0,
+            "gap {gap:e}: distortion {}",
+            rep.distortion
+        );
         if must_fire {
-            let tree = fc_quadtree::Quadtree::build(
-                &mut StdRng::seed_from_u64(59),
-                data.points(),
-                fc_quadtree::QuadtreeConfig::default(),
-            );
             assert!(tree.truncated(), "the tree should have run out of bits");
             assert_eq!(clusters[0], 3, "the raw tree tells only the boxes apart");
             assert!(

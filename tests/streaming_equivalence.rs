@@ -61,7 +61,7 @@ fn streaming_matches_static_for_every_method() {
         Box::new(Uniform),
         Box::new(Lightweight),
         Box::new(Welterweight::default()),
-        Box::new(FastCoreset::default()),
+        Box::new(FastCoreset),
     ];
     for m in &methods {
         let strm: Vec<f64> = (0..3)
@@ -83,7 +83,7 @@ fn streaming_matches_static_for_every_method() {
 #[test]
 fn streamed_weight_is_conserved() {
     let data = mixture(22, 9_000);
-    let method = FastCoreset::default();
+    let method = FastCoreset;
     let params = CompressionParams::with_scalar(9, 40, CostKind::KMeans).unwrap();
     let mut rng = StdRng::seed_from_u64(23);
     let mut mr = MergeReduce::new(method, params);
@@ -113,7 +113,7 @@ fn streaming_handles_adversarial_block_order() {
     );
     body = body.concat(&far).unwrap();
 
-    let method = FastCoreset::default();
+    let method = FastCoreset;
     let params = CompressionParams::with_scalar(6, 40, CostKind::KMeans).unwrap();
     let mut mr = MergeReduce::new(method, params);
     let c = run_stream(&mut mr, &mut rng, &body, 10);
