@@ -10,7 +10,7 @@
 use fc_bench::experiments::{
     build_times, distortions, failure_marker, measure_static, DEFAULT_KIND,
 };
-use fc_bench::scenarios::{params_for, table4_methods};
+use fc_bench::scenarios::{method_columns, params_for, table4_methods};
 use fc_bench::{fmt_mean_var, BenchConfig, Table};
 use fc_geom::stats::mean;
 
@@ -24,31 +24,20 @@ fn main() {
     for &m_scalar in &[40usize, 80] {
         let mut dist_table = Table::new(
             format!("Figure 2 (top): distortion at m = {m_scalar}k"),
-            &[
-                "dataset",
-                "uniform",
-                "lightweight",
-                "welterweight",
-                "fast-coreset",
-            ],
+            &method_columns("dataset", &methods),
         );
         let mut time_table = Table::new(
             format!("Figure 2 (bottom): build runtime (seconds) at m = {m_scalar}k"),
-            &[
-                "dataset",
-                "uniform",
-                "lightweight",
-                "welterweight",
-                "fast-coreset",
-            ],
+            &method_columns("dataset", &methods),
         );
         for (di, named) in suite.iter().enumerate() {
             let params = params_for(named, m_scalar, DEFAULT_KIND);
             let mut dist_cells = vec![named.name.clone()];
             let mut time_cells = vec![named.name.clone()];
             for (mi, method) in methods.iter().enumerate() {
+                let compressor = method.build();
                 let salt = 0xA000 + (di * 16 + mi) as u64 + m_scalar as u64 * 977;
-                let ms = measure_static(&cfg, named, method.as_ref(), &params, salt);
+                let ms = measure_static(&cfg, named, compressor.as_ref(), &params, salt);
                 let ds = distortions(&ms);
                 dist_cells.push(format!(
                     "{}{}",

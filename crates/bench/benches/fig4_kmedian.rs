@@ -7,7 +7,7 @@
 //! the same methods fail on the same datasets.
 
 use fc_bench::experiments::{distortions, failure_marker, measure_static};
-use fc_bench::scenarios::{params_for, table4_methods};
+use fc_bench::scenarios::{method_columns, params_for, table4_methods};
 use fc_bench::{BenchConfig, Table};
 use fc_clustering::CostKind;
 
@@ -22,23 +22,18 @@ fn main() {
     for &m_scalar in &[40usize, 60, 80] {
         let mut table = Table::new(
             format!("Figure 4: k-median distortion (single run), m = {m_scalar}k"),
-            &[
-                "dataset",
-                "uniform",
-                "lightweight",
-                "welterweight",
-                "fast-coreset",
-            ],
+            &method_columns("dataset", &methods),
         );
         for (di, named) in suite.iter().enumerate() {
             let params = params_for(named, m_scalar, CostKind::KMedian);
             let mut cells = vec![named.name.clone()];
             for (mi, method) in methods.iter().enumerate() {
+                let compressor = method.build();
                 let salt = 0xB000 + (di * 16 + mi) as u64 + m_scalar as u64 * 709;
                 let ds = distortions(&measure_static(
                     &single_run,
                     named,
-                    method.as_ref(),
+                    compressor.as_ref(),
                     &params,
                     salt,
                 ));

@@ -24,18 +24,25 @@ fn main() {
     for (di, named) in suite.iter().enumerate() {
         let params = params_for(named, 40, DEFAULT_KIND);
         for (mi, method) in methods.iter().enumerate() {
+            let compressor = method.build();
             let salt = 0xC000 + (di * 16 + mi) as u64;
             let strm = build_times(&measure_streaming(
                 &cfg,
                 named,
-                method.as_ref(),
+                compressor.as_ref(),
                 &params,
                 salt,
             ));
-            let stat = build_times(&measure_static(&cfg, named, method.as_ref(), &params, salt));
+            let stat = build_times(&measure_static(
+                &cfg,
+                named,
+                compressor.as_ref(),
+                &params,
+                salt,
+            ));
             table.row(vec![
                 named.name.clone(),
-                method.name().to_string(),
+                method.to_string(),
                 fmt_mean_var(&strm),
                 fmt_mean_var(&stat),
                 format!("{:.2}x", mean(&strm) / mean(&stat).max(1e-12)),

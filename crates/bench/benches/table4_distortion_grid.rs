@@ -9,7 +9,7 @@
 //! >     Fast-Coresets never exceed ~1.5.
 
 use fc_bench::experiments::{distortions, failure_marker, measure_static, DEFAULT_KIND};
-use fc_bench::scenarios::{params_for, table4_methods};
+use fc_bench::scenarios::{method_columns, params_for, table4_methods};
 use fc_bench::{fmt_mean_var, BenchConfig, Table};
 use fc_geom::stats::mean;
 
@@ -23,20 +23,21 @@ fn main() {
     for &m_scalar in &[40usize, 80] {
         let mut table = Table::new(
             format!("Table 4: k-means distortion, m = {m_scalar}k"),
-            &[
-                "dataset",
-                "uniform",
-                "lightweight",
-                "welterweight",
-                "fast-coreset",
-            ],
+            &method_columns("dataset", &methods),
         );
         for (di, named) in suite.iter().enumerate() {
             let params = params_for(named, m_scalar, DEFAULT_KIND);
             let mut cells = vec![named.name.clone()];
             for (mi, method) in methods.iter().enumerate() {
+                let compressor = method.build();
                 let salt = 0x4000 + (di * 16 + mi) as u64 + m_scalar as u64 * 131;
-                let ds = distortions(&measure_static(&cfg, named, method.as_ref(), &params, salt));
+                let ds = distortions(&measure_static(
+                    &cfg,
+                    named,
+                    compressor.as_ref(),
+                    &params,
+                    salt,
+                ));
                 cells.push(format!(
                     "{}{}",
                     fmt_mean_var(&ds),

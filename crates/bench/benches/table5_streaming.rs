@@ -21,31 +21,34 @@ fn main() {
 
     let mut table = Table::new(
         "Table 5: streaming vs static k-means distortion  [m = 40k]",
-        &[
-            "dataset",
-            "uniform strm",
-            "uniform stat",
-            "lightw strm",
-            "lightw stat",
-            "welter strm",
-            "welter stat",
-            "fast-cs strm",
-            "fast-cs stat",
-        ],
+        &std::iter::once("dataset".to_owned())
+            .chain(
+                methods
+                    .iter()
+                    .flat_map(|m| [format!("{m} strm"), format!("{m} stat")]),
+            )
+            .collect::<Vec<_>>(),
     );
     for (di, named) in suite.iter().enumerate() {
         let params = params_for(named, 40, DEFAULT_KIND);
         let mut cells = vec![named.name.clone()];
         for (mi, method) in methods.iter().enumerate() {
+            let compressor = method.build();
             let salt = 0x5000 + (di * 16 + mi) as u64;
             let strm = distortions(&measure_streaming(
                 &cfg,
                 named,
-                method.as_ref(),
+                compressor.as_ref(),
                 &params,
                 salt,
             ));
-            let stat = distortions(&measure_static(&cfg, named, method.as_ref(), &params, salt));
+            let stat = distortions(&measure_static(
+                &cfg,
+                named,
+                compressor.as_ref(),
+                &params,
+                salt,
+            ));
             cells.push(format!(
                 "{}{}",
                 fmt_mean_var(&strm),

@@ -7,7 +7,7 @@
 //! cheapest solutions — the compression choice washes out downstream.
 
 use fc_bench::experiments::{eval_lloyd, DEFAULT_KIND};
-use fc_bench::scenarios::table4_methods;
+use fc_bench::scenarios::{method_columns, table4_methods};
 use fc_bench::{BenchConfig, Table};
 use fc_core::CompressionParams;
 use fc_geom::stats::mean;
@@ -22,13 +22,10 @@ fn main() {
     let mut table = Table::new(
         "Table 8: downstream cost(P, C_S), k-means++ + Lloyd on each coreset [k = 50]",
         &[
-            "dataset",
-            "uniform",
-            "lightweight",
-            "welterweight",
-            "fast-coreset",
-            "winner",
-        ],
+            method_columns("dataset", &methods),
+            vec!["winner".to_owned()],
+        ]
+        .concat(),
     );
     for (di, named) in suite.iter().enumerate() {
         // The paper uses m = 4000 for MNIST/Adult and m = 20000 for the
@@ -45,10 +42,11 @@ fn main() {
         };
         let mut costs = Vec::new();
         for (mi, method) in methods.iter().enumerate() {
+            let compressor = method.build();
             let runs: Vec<f64> = (0..cfg.runs)
                 .map(|run| {
                     let mut build_rng = cfg.rng(0x8000 + (di * 64 + mi * 8 + run) as u64);
-                    let coreset = method.compress(&mut build_rng, &named.data, &params);
+                    let coreset = compressor.compress(&mut build_rng, &named.data, &params);
                     // Identical initialization within the row: the solve RNG
                     // depends on the dataset and run only, not the method.
                     let mut solve_rng = cfg.rng(0x8800 + (di * 8 + run) as u64);
@@ -68,7 +66,7 @@ fn main() {
             .iter()
             .enumerate()
             .min_by(|a, b| a.1.partial_cmp(b.1).expect("costs are finite"))
-            .map(|(i, _)| methods[i].name().to_string())
+            .map(|(i, _)| methods[i].to_string())
             .unwrap_or_default();
         let mut cells = vec![named.name.clone()];
         cells.extend(costs.iter().map(|c| format!("{c:.4e}")));

@@ -2,8 +2,9 @@
 //! plus the standard method line-ups.
 
 use fc_clustering::CostKind;
-use fc_core::methods::{JCount, Lightweight, Uniform, Welterweight};
-use fc_core::{CompressionParams, Compressor, FastCoreset, StandardSensitivity};
+use fc_core::methods::JCount;
+use fc_core::plan::Method;
+use fc_core::{CompressionParams, StandardSensitivity};
 use fc_data::realworld::realworld_suite;
 use fc_data::registry::{self, RegistryParams, ARTIFICIAL};
 use fc_geom::Dataset;
@@ -72,13 +73,21 @@ pub fn small_real_suite<R: Rng + ?Sized>(rng: &mut R, cfg: &BenchConfig) -> Vec<
 }
 
 /// The four accelerated-vs-strong methods of Table 4, in column order.
-pub fn table4_methods() -> Vec<Box<dyn Compressor>> {
-    vec![
-        Box::new(Uniform),
-        Box::new(Lightweight),
-        Box::new(Welterweight::new(JCount::LogK)),
-        Box::new(FastCoreset),
+pub fn table4_methods() -> [Method; 4] {
+    [
+        Method::Uniform,
+        Method::Lightweight,
+        Method::Welterweight(JCount::LogK),
+        Method::FastCoreset,
     ]
+}
+
+/// A table header: `lead`, then one column per method, labelled with its
+/// canonical name.
+pub fn method_columns(lead: &str, methods: &[Method]) -> Vec<String> {
+    std::iter::once(lead.to_owned())
+        .chain(methods.iter().map(Method::to_string))
+        .collect()
 }
 
 /// Standard sensitivity sampling (the Table 2 / Figure 1 baseline).
@@ -131,16 +140,13 @@ mod tests {
 
     #[test]
     fn methods_have_stable_names() {
-        let names: Vec<String> = table4_methods()
-            .iter()
-            .map(|m| m.name().to_string())
-            .collect();
         assert_eq!(
-            names,
+            method_columns("dataset", &table4_methods()),
             vec![
+                "dataset",
                 "uniform",
                 "lightweight",
-                "welterweight(log k)",
+                "welterweight(log-k)",
                 "fast-coreset"
             ]
         );

@@ -14,10 +14,10 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with a title and column headers.
-    pub fn new(title: impl Into<String>, header: &[&str]) -> Self {
+    pub fn new<S: AsRef<str>>(title: impl Into<String>, header: &[S]) -> Self {
         Self {
             title: title.into(),
-            header: header.iter().map(|s| s.to_string()).collect(),
+            header: header.iter().map(|s| s.as_ref().to_owned()).collect(),
             rows: Vec::new(),
         }
     }

@@ -73,9 +73,6 @@ impl CompressionParams {
 /// future strategy. Object-safe so suites of methods can be iterated and the
 /// streaming layer can compose them as black boxes (Section 5.4).
 pub trait Compressor: Send + Sync {
-    /// Short display name used by the experiment tables.
-    fn name(&self) -> &str;
-
     /// Compresses `data` to (about) `params.m` weighted points.
     ///
     /// Implementations may assume structurally valid parameters
@@ -107,10 +104,6 @@ pub trait Compressor: Send + Sync {
 // engine shares one across shard threads) and borrowers alike can hand them
 // to APIs taking `impl Compressor`.
 impl<C: Compressor + ?Sized> Compressor for &C {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
     fn compress(
         &self,
         rng: &mut dyn RngCore,
@@ -122,10 +115,6 @@ impl<C: Compressor + ?Sized> Compressor for &C {
 }
 
 impl<C: Compressor + ?Sized> Compressor for Box<C> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
     fn compress(
         &self,
         rng: &mut dyn RngCore,
@@ -137,10 +126,6 @@ impl<C: Compressor + ?Sized> Compressor for Box<C> {
 }
 
 impl<C: Compressor + ?Sized> Compressor for std::sync::Arc<C> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
     fn compress(
         &self,
         rng: &mut dyn RngCore,
@@ -209,10 +194,6 @@ mod tests {
     fn try_compress_surfaces_validation_errors() {
         struct Panicky;
         impl Compressor for Panicky {
-            fn name(&self) -> &str {
-                "panicky"
-            }
-
             fn compress(
                 &self,
                 _rng: &mut dyn RngCore,
@@ -242,15 +223,16 @@ mod tests {
 
     #[test]
     fn pointer_wrappers_are_compressors() {
-        fn assert_compressor<C: Compressor>(c: &C) -> &str {
-            c.name()
+        fn compress_with<C: Compressor>(c: &C, data: &Dataset) -> Coreset {
+            let params = CompressionParams {
+                k: 1,
+                m: 1,
+                kind: CostKind::KMeans,
+            };
+            c.compress(&mut rand::rngs::StdRng::seed_from_u64(0), data, &params)
         }
-        struct Named;
-        impl Compressor for Named {
-            fn name(&self) -> &str {
-                "named"
-            }
-
+        struct Identity;
+        impl Compressor for Identity {
             fn compress(
                 &self,
                 _rng: &mut dyn RngCore,
@@ -260,10 +242,11 @@ mod tests {
                 Coreset::new(data.clone())
             }
         }
-        let boxed: Box<dyn Compressor> = Box::new(Named);
-        let arc: std::sync::Arc<dyn Compressor> = std::sync::Arc::new(Named);
-        assert_eq!(assert_compressor(&&Named), "named");
-        assert_eq!(assert_compressor(&boxed), "named");
-        assert_eq!(assert_compressor(&arc), "named");
+        let data = Dataset::from_flat(vec![1.0, 2.0], 2).unwrap();
+        let boxed: Box<dyn Compressor> = Box::new(Identity);
+        let arc: std::sync::Arc<dyn Compressor> = std::sync::Arc::new(Identity);
+        assert_eq!(compress_with(&&Identity, &data).dataset(), &data);
+        assert_eq!(compress_with(&boxed, &data).dataset(), &data);
+        assert_eq!(compress_with(&arc, &data).dataset(), &data);
     }
 }

@@ -10,7 +10,7 @@
 
 use fc_clustering::solver::SolverError;
 
-use crate::plan::BASE_METHODS;
+use crate::plan::ALL_METHODS;
 
 /// Why a plan, a compression, or a solve was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,10 +82,11 @@ impl std::fmt::Display for FcError {
             }
             FcError::UnknownMethod(name) => {
                 write!(f, "unknown method `{name}` (expected one of: ")?;
-                for method in &BASE_METHODS {
-                    write!(f, "{method}, ")?;
+                for (i, method) in ALL_METHODS.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { ", " };
+                    write!(f, "{sep}{method}")?;
                 }
-                f.write_str("merge-reduce(<method>))")
+                f.write_str(")")
             }
             FcError::UnknownSolver(name) => SolverError::UnknownSolver(name.clone()).fmt(f),
             FcError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),

@@ -151,10 +151,6 @@ impl FastCoreset {
 }
 
 impl Compressor for FastCoreset {
-    fn name(&self) -> &str {
-        "fast-coreset"
-    }
-
     fn compress(
         &self,
         rng: &mut dyn RngCore,

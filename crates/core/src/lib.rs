@@ -52,5 +52,5 @@ pub use error::FcError;
 pub use evaluation::{battery_distortion, BatteryReport};
 pub use fast_coreset::FastCoreset;
 pub use methods::{Lightweight, StandardSensitivity, Uniform, Welterweight};
-pub use plan::{Method, Plan, PlanBuilder, PlanOutcome, StreamSession, BASE_METHODS};
+pub use plan::{Method, Plan, PlanBuilder, PlanOutcome, StreamSession, ALL_METHODS};
 pub use pointblock::PointBlock;

@@ -20,10 +20,6 @@ use crate::sensitivity::lightweight_scores;
 pub struct Lightweight;
 
 impl Compressor for Lightweight {
-    fn name(&self) -> &str {
-        "lightweight"
-    }
-
     fn compress(
         &self,
         rng: &mut dyn RngCore,

@@ -25,32 +25,3 @@ pub use lightweight::Lightweight;
 pub use sensitivity_full::StandardSensitivity;
 pub use uniform::Uniform;
 pub use welterweight::{JCount, Welterweight};
-
-/// The paper's default accelerated-method suite plus both strong-coreset
-/// methods — everything Table 4 compares, behind one trait object list.
-pub fn standard_suite() -> Vec<Box<dyn crate::Compressor>> {
-    vec![
-        Box::new(Uniform),
-        Box::new(Lightweight),
-        Box::new(Welterweight::new(JCount::LogK)),
-        Box::new(crate::FastCoreset),
-    ]
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn suite_has_the_four_table4_methods() {
-        let suite = super::standard_suite();
-        let names: Vec<&str> = suite.iter().map(|c| c.name()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "uniform",
-                "lightweight",
-                "welterweight(log k)",
-                "fast-coreset"
-            ]
-        );
-    }
-}

@@ -10,32 +10,22 @@
 use fc_geom::Dataset;
 use rand::RngCore;
 
+use super::{JCount, Welterweight};
 use crate::compressor::{CompressionParams, Compressor};
 use crate::coreset::Coreset;
-use crate::sampling::sensitivity_sample;
-use crate::sensitivity::sensitivity_scores;
 
-/// Standard (full-k) sensitivity sampling.
+/// Standard (full-k) sensitivity sampling: [`Welterweight`] at `j = k`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StandardSensitivity;
 
 impl Compressor for StandardSensitivity {
-    fn name(&self) -> &str {
-        "sensitivity"
-    }
-
     fn compress(
         &self,
         rng: &mut dyn RngCore,
         data: &Dataset,
         params: &CompressionParams,
     ) -> Coreset {
-        sensitivity_sample(rng, data, params.m, |rng, data| {
-            let seeding = fc_clustering::kmeanspp::kmeanspp(rng, data, params.k, params.kind);
-            let cost_z = seeding.cost_z(params.kind);
-            let k_eff = seeding.centers.len();
-            sensitivity_scores(&seeding.labels, &cost_z, data.weights(), k_eff)
-        })
+        Welterweight::new(JCount::Fixed(params.k)).compress(rng, data, params)
     }
 }
 

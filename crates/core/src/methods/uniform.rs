@@ -19,10 +19,6 @@ use crate::coreset::Coreset;
 pub struct Uniform;
 
 impl Compressor for Uniform {
-    fn name(&self) -> &str {
-        "uniform"
-    }
-
     fn compress(
         &self,
         rng: &mut dyn RngCore,

@@ -50,28 +50,9 @@ impl Welterweight {
     pub fn new(j: JCount) -> Self {
         Self { j }
     }
-
-    /// The `j` policy.
-    pub fn j_count(&self) -> JCount {
-        self.j
-    }
-}
-
-impl Default for Welterweight {
-    fn default() -> Self {
-        Self::new(JCount::LogK)
-    }
 }
 
 impl Compressor for Welterweight {
-    fn name(&self) -> &str {
-        match self.j {
-            JCount::Fixed(_) => "welterweight(fixed j)",
-            JCount::LogK => "welterweight(log k)",
-            JCount::SqrtK => "welterweight(sqrt k)",
-        }
-    }
-
     fn compress(
         &self,
         rng: &mut dyn RngCore,
@@ -117,7 +98,7 @@ mod tests {
             m: 200,
             kind: CostKind::KMeans,
         };
-        let c = Welterweight::default().compress(&mut rng, &d, &params);
+        let c = Welterweight::new(JCount::LogK).compress(&mut rng, &d, &params);
         assert!(c.len() <= 200);
         assert!(
             c.len() > 100,
@@ -166,18 +147,6 @@ mod tests {
         assert!(
             high > low,
             "central-cluster capture should improve with j: j=1 {low}/12 vs j=3 {high}/12"
-        );
-    }
-
-    #[test]
-    fn name_reflects_policy() {
-        assert_eq!(
-            Welterweight::new(JCount::LogK).name(),
-            "welterweight(log k)"
-        );
-        assert_eq!(
-            Welterweight::new(JCount::SqrtK).name(),
-            "welterweight(sqrt k)"
         );
     }
 }

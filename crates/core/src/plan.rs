@@ -12,8 +12,8 @@
 //! in Rust is byte-for-byte the object an `ingest` request carries.
 //!
 //! Every method pairs with every solver under either objective, so a plan
-//! is valid whenever its sizes are. Names retired with their algorithms
-//! still parse as their replacements (`hst-coreset` as `fast-coreset`;
+//! is valid whenever its sizes are. Retired names still parse as what they
+//! always ran (`hst-coreset` as `fast-coreset`, `merge-reduce(x)` as `x`;
 //! `hamerly` and `kmedian-weiszfeld` as `lloyd`), so plans persisted by
 //! older builds keep loading; `Display` prints only canonical names.
 //!
@@ -57,8 +57,9 @@ use crate::streaming::{MergeReduce, StreamingCompressor};
 use crate::FastCoreset;
 
 /// Every compression strategy in the workspace, batch and streaming,
-/// selectable by one name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// selectable by one name. Streams of every method run through
+/// merge-&-reduce ([`Plan::stream`]), so the composition is not a method.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
     /// Uniform sampling (fastest, no guarantee).
     Uniform,
@@ -74,15 +75,10 @@ pub enum Method {
     Bico,
     /// StreamKM++ coreset tree \[1\].
     StreamKm,
-    /// Merge-&-reduce composition over any base method. On a single batch
-    /// this equals the base method (one block = one plain compression);
-    /// its effect appears in streaming sessions and in the serving
-    /// engine's per-shard streams.
-    MergeReduce(Box<Method>),
 }
 
-/// The batch methods, in canonical order (suites, property tests).
-pub const BASE_METHODS: [Method; 7] = [
+/// Every method, in canonical order (suites, property tests).
+pub const ALL_METHODS: [Method; 7] = [
     Method::Uniform,
     Method::Lightweight,
     Method::Welterweight(JCount::LogK),
@@ -95,26 +91,16 @@ pub const BASE_METHODS: [Method; 7] = [
 impl Method {
     /// Materializes the compressor. Streaming-native methods (BICO,
     /// StreamKM++) build their static adapters, so every variant works as
-    /// a batch compressor; merge-&-reduce builds its base method.
-    pub fn build(&self) -> Box<dyn Compressor> {
+    /// a batch compressor.
+    pub fn build(self) -> Box<dyn Compressor> {
         match self {
             Method::Uniform => Box::new(Uniform),
             Method::Lightweight => Box::new(Lightweight),
-            Method::Welterweight(j) => Box::new(Welterweight::new(*j)),
+            Method::Welterweight(j) => Box::new(Welterweight::new(j)),
             Method::Sensitivity => Box::new(StandardSensitivity),
             Method::FastCoreset => Box::new(FastCoreset),
             Method::Bico => Box::new(crate::streaming::BicoCompressor),
             Method::StreamKm => Box::new(crate::streaming::CoresetTreeCompressor),
-            Method::MergeReduce(base) => base.build(),
-        }
-    }
-
-    /// The base method a merge-&-reduce composition bottoms out at
-    /// (`self` for every other variant).
-    pub fn base(&self) -> &Method {
-        match self {
-            Method::MergeReduce(inner) => inner.base(),
-            other => other,
         }
     }
 }
@@ -131,24 +117,22 @@ impl std::fmt::Display for Method {
             Method::FastCoreset => f.write_str("fast-coreset"),
             Method::Bico => f.write_str("bico"),
             Method::StreamKm => f.write_str("streamkm"),
-            Method::MergeReduce(base) => write!(f, "merge-reduce({base})"),
         }
     }
 }
 
-/// Deepest `merge-reduce(..)` nesting a method name may carry. A name is
-/// parsed without recursion, but the [`Method`] it yields is dropped,
-/// printed and built recursively, so a request line nesting thousands of
-/// wrappers is refused rather than allowed to overflow a server thread's
-/// stack.
+/// Deepest `merge-reduce(..)` nesting a retired name may carry, so a
+/// request line nesting thousands of wrappers is refused outright.
 const MAX_NESTING: usize = 16;
 
 impl FromStr for Method {
     type Err = FcError;
 
-    /// Parses a canonical name. The retired `hst-coreset` reads as
-    /// [`Method::FastCoreset`]: both are sensitivity sampling over a
-    /// tree-seeded partition, so a summary stored under it folds as one.
+    /// Parses a canonical name. Two retired spellings read as what they
+    /// always ran: `hst-coreset` as [`Method::FastCoreset`] (both are
+    /// sensitivity sampling over a tree-seeded partition, so a summary
+    /// stored under it folds as one), and `merge-reduce(x)` as `x` (every
+    /// stream merges and reduces, so the wrapper named nothing).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let name = s.trim().to_ascii_lowercase();
         let unknown = || FcError::UnknownMethod(name.clone());
@@ -161,7 +145,7 @@ impl FromStr for Method {
             }
             rest = inner;
         }
-        let mut method = match rest {
+        Ok(match rest {
             "uniform" => Method::Uniform,
             "lightweight" => Method::Lightweight,
             // Bare `welterweight` means the paper's default policy.
@@ -184,11 +168,7 @@ impl FromStr for Method {
                     ),
                 })
             }
-        };
-        for _ in 0..depth {
-            method = Method::MergeReduce(Box::new(method));
-        }
-        Ok(method)
+        })
     }
 }
 
@@ -230,7 +210,6 @@ pub struct PlanBuilder {
     kind: CostKind,
     method: Method,
     solver: Solver,
-    solve: SolveConfig,
     budget: Option<usize>,
 }
 
@@ -244,7 +223,6 @@ impl PlanBuilder {
             kind: CostKind::KMeans,
             method: Method::FastCoreset,
             solver: Solver::Lloyd,
-            solve: SolveConfig::default(),
             budget: None,
         }
     }
@@ -277,19 +255,6 @@ impl PlanBuilder {
     /// Selects the refinement solver.
     pub fn solver(mut self, solver: Solver) -> Self {
         self.solver = solver;
-        self
-    }
-
-    /// Adjusts the Lloyd/Weiszfeld refinement budget.
-    pub fn lloyd(mut self, lloyd: fc_clustering::LloydConfig) -> Self {
-        self.solve.lloyd = lloyd;
-        self
-    }
-
-    /// Adjusts the local-search budget (only used by
-    /// [`Solver::LocalSearch`]).
-    pub fn local_search(mut self, cfg: fc_clustering::LocalSearchConfig) -> Self {
-        self.solve.local_search = cfg;
         self
     }
 
@@ -331,20 +296,20 @@ impl PlanBuilder {
             params,
             method: self.method,
             solver: self.solver,
-            solve: self.solve,
             budget: self.budget,
         })
     }
 }
 
 /// A validated compress-then-cluster configuration. Construct via
-/// [`PlanBuilder`]; by construction `k ≥ 1` and `m ≥ k`.
+/// [`PlanBuilder`]; by construction `k ≥ 1` and `m ≥ k`. Every value a
+/// plan holds is a field of its wire form ([`Plan::to_json`]), so two plans
+/// are equal exactly when their wire forms are.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
     params: CompressionParams,
     method: Method,
     solver: Solver,
-    solve: SolveConfig,
     budget: Option<usize>,
 }
 
@@ -383,8 +348,8 @@ impl Plan {
     }
 
     /// The compression method.
-    pub fn method(&self) -> &Method {
-        &self.method
+    pub fn method(&self) -> Method {
+        self.method
     }
 
     /// The refinement solver.
@@ -419,8 +384,6 @@ impl Plan {
     /// ```
     ///
     /// `budget` (the compaction budget) appears only when explicitly set.
-    /// Solver tuning budgets ([`SolveConfig`]) are deliberately not part
-    /// of the wire form.
     pub fn to_value(&self) -> Value {
         let mut pairs = vec![
             ("k".to_owned(), Value::from(self.params.k)),
@@ -519,11 +482,15 @@ impl Plan {
     }
 
     /// Solves on `data` (typically a finished coreset's dataset) with the
-    /// plan's solver.
+    /// plan's solver at its default budgets, as a served `cluster` does.
     pub fn solve_on<R: Rng>(&self, rng: &mut R, data: &Dataset) -> Result<Solution, FcError> {
-        Ok(self
-            .solver
-            .solve(rng, data, self.params.k, self.params.kind, &self.solve)?)
+        Ok(self.solver.solve(
+            rng,
+            data,
+            self.params.k,
+            self.params.kind,
+            &SolveConfig::default(),
+        )?)
     }
 
     /// Runs compress → solve → evaluate on a batch dataset.
@@ -689,12 +656,10 @@ mod tests {
     #[test]
     fn every_method_variant_runs_in_batch_mode() {
         let d = blobs();
-        let mut methods = BASE_METHODS.to_vec();
-        methods.push(Method::MergeReduce(Box::new(Method::Uniform)));
-        for method in methods {
+        for method in ALL_METHODS {
             let mut rng = StdRng::seed_from_u64(3);
             let out = PlanBuilder::new(3)
-                .method(method.clone())
+                .method(method)
                 .m_scalar(20)
                 .build()
                 .unwrap()
@@ -800,13 +765,10 @@ mod tests {
 
     #[test]
     fn method_names_round_trip() {
-        let mut methods = BASE_METHODS.to_vec();
+        let mut methods = ALL_METHODS.to_vec();
         methods.extend([
             Method::Welterweight(JCount::SqrtK),
             Method::Welterweight(JCount::Fixed(7)),
-            Method::MergeReduce(Box::new(Method::FastCoreset)),
-            Method::MergeReduce(Box::new(Method::Welterweight(JCount::Fixed(3)))),
-            Method::MergeReduce(Box::new(Method::MergeReduce(Box::new(Method::Bico)))),
         ]);
         for method in methods {
             let name = method.to_string();
@@ -841,8 +803,15 @@ mod tests {
                 ")".repeat(depth)
             )
         };
-        let deepest = nested(MAX_NESTING).parse::<Method>().unwrap();
-        assert_eq!(deepest.to_string(), nested(MAX_NESTING));
+        // The retired wrapper reads as what it wraps, up to the cap.
+        assert_eq!(
+            "merge-reduce(welterweight(3))".parse::<Method>().unwrap(),
+            Method::Welterweight(JCount::Fixed(3))
+        );
+        assert_eq!(
+            nested(MAX_NESTING).parse::<Method>().unwrap(),
+            Method::Uniform
+        );
         assert!(matches!(
             nested(MAX_NESTING + 1).parse::<Method>(),
             Err(FcError::UnknownMethod(_))
@@ -854,9 +823,7 @@ mod tests {
         let plan = PlanBuilder::new(5)
             .kind(CostKind::KMedian)
             .m_scalar(20)
-            .method(Method::MergeReduce(Box::new(Method::Welterweight(
-                JCount::Fixed(3),
-            ))))
+            .method(Method::Welterweight(JCount::Fixed(3)))
             .solver(Solver::LocalSearch)
             .compaction_budget(500)
             .build()
@@ -864,7 +831,7 @@ mod tests {
         let line = plan.to_json();
         assert_eq!(
             line,
-            r#"{"budget":500,"k":5,"kind":"kmedian","m":100,"method":"merge-reduce(welterweight(3))","solver":"local-search"}"#
+            r#"{"budget":500,"k":5,"kind":"kmedian","m":100,"method":"welterweight(3)","solver":"local-search"}"#
         );
         assert_eq!(Plan::from_json(&line).unwrap(), plan);
         // Without an explicit budget the field is absent and still round-trips.
@@ -906,7 +873,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             old.to_json(),
-            r#"{"k":2,"kind":"kmedian","m":80,"method":"merge-reduce(fast-coreset)","solver":"lloyd"}"#
+            r#"{"k":2,"kind":"kmedian","m":80,"method":"fast-coreset","solver":"lloyd"}"#
         );
     }
 
@@ -942,13 +909,5 @@ mod tests {
         }
         let coreset = session.finish(&mut rng).unwrap();
         assert!(coreset.len() <= plan.m());
-    }
-
-    #[test]
-    fn merge_reduce_method_bottoms_out_at_its_base() {
-        let m = Method::MergeReduce(Box::new(Method::MergeReduce(Box::new(Method::Uniform))));
-        assert_eq!(m.base(), &Method::Uniform);
-        assert_eq!(m.build().name(), "uniform");
-        assert_eq!(Method::Bico.base(), &Method::Bico);
     }
 }

@@ -36,7 +36,7 @@ pub(crate) fn sensitivity_sample(
     at_weight_scale(data, |data| {
         let mut s = scores(rng, data);
         if !s.total.is_finite() {
-            s = scores(rng, &at_coordinate_scale(data));
+            s = scores(rng, &at_coordinate_scale(data).0);
         }
         importance_sample(rng, data, &s, m)
     })
@@ -53,14 +53,18 @@ fn binary_exponent(x: f64) -> i32 {
 }
 
 /// `data` with every coordinate times `2^-e`, the power of two that puts
-/// the largest magnitude in `[1, 2)`; weights untouched.
-fn at_coordinate_scale(data: &Dataset) -> Dataset {
+/// the largest magnitude in `[1, 2)`, and the factor `2^e` that scales
+/// back; weights untouched.
+pub(crate) fn at_coordinate_scale(data: &Dataset) -> (Dataset, f64) {
     let flat = data.points().as_flat();
     let largest = flat.iter().fold(0.0, |a: f64, x| a.max(x.abs()));
-    let down = f64::powi(2.0, -binary_exponent(largest));
+    let e = binary_exponent(largest);
+    let down = f64::powi(2.0, -e);
     let points = Points::from_flat(flat.iter().map(|x| x * down).collect(), data.dim())
         .expect("scaling by a power of two keeps coordinates finite");
-    Dataset::weighted(points, data.weights().to_vec()).expect("weights are the input's")
+    let scaled =
+        Dataset::weighted(points, data.weights().to_vec()).expect("weights are the input's");
+    (scaled, f64::powi(2.0, e))
 }
 
 /// Runs a sensitivity-family compression at the scale of the data's largest

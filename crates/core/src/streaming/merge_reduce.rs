@@ -132,10 +132,6 @@ impl<'a> MergeReduce<'a> {
 }
 
 impl StreamingCompressor for MergeReduce<'_> {
-    fn name(&self) -> String {
-        format!("merge-reduce[{}]", self.compressor.name())
-    }
-
     fn insert_block(&mut self, rng: &mut dyn RngCore, block: &Dataset) {
         let coreset = self.compressor.compress(rng, block, &self.params);
         self.push(rng, 0, coreset);

@@ -6,9 +6,6 @@ use rand::RngCore;
 
 /// A compressor that maintains a summary across a stream of blocks.
 pub trait StreamingCompressor {
-    /// Display name for the experiment tables.
-    fn name(&self) -> String;
-
     /// Feeds one block of the stream.
     fn insert_block(&mut self, rng: &mut dyn RngCore, block: &Dataset);
 

@@ -14,6 +14,7 @@
 //! is exactly why Table 9 shows mediocre distortion at the sizes sensitivity
 //! sampling thrives on.
 
+use crate::sampling::at_coordinate_scale;
 use crate::{CompressionParams, Compressor, Coreset};
 use fc_geom::sampling::AliasTable;
 use fc_geom::{Dataset, Points};
@@ -32,17 +33,9 @@ struct Leaf {
     cost: f64,
 }
 
-/// Builds a coreset of (at most) `m` points via the coreset tree.
-pub fn coreset_tree_reduce<R: Rng + ?Sized>(rng: &mut R, data: &Dataset, m: usize) -> Coreset {
-    assert!(m > 0);
-    if data.len() <= m {
-        return Coreset::new(data.clone());
-    }
-    let points = data.points();
-    let weights = data.weights();
-
-    let root_center = AliasTable::new(weights).map(|t| t.sample(rng)).unwrap_or(0);
-    let make_leaf = |indices: Vec<usize>, center: usize| -> Leaf {
+impl Leaf {
+    /// The leaf of `indices` around `center`, priced on `points`.
+    fn new(points: &Points, weights: &[f64], indices: Vec<usize>, center: usize) -> Leaf {
         let cost = indices
             .iter()
             .map(|&i| weights[i] * fc_geom::distance::sq_dist(points.row(i), points.row(center)))
@@ -52,8 +45,38 @@ pub fn coreset_tree_reduce<R: Rng + ?Sized>(rng: &mut R, data: &Dataset, m: usiz
             center,
             cost,
         }
+    }
+}
+
+/// Builds a coreset of (at most) `m` points via the coreset tree. Where the
+/// root's cost overflows — finite coordinates of about 1e154 square past
+/// `f64::MAX` — the tree grows on the points times the power of two that
+/// puts the largest coordinate in `[1, 2)`, which orders every distance as
+/// the input does; the leaves still gather the input's own rows. An input
+/// whose root cost is finite takes the first path bit for bit.
+pub fn coreset_tree_reduce<R: Rng + ?Sized>(rng: &mut R, data: &Dataset, m: usize) -> Coreset {
+    assert!(m > 0);
+    if data.len() <= m {
+        return Coreset::new(data.clone());
+    }
+    let weights = data.weights();
+    let root_center = AliasTable::new(weights).map(|t| t.sample(rng)).unwrap_or(0);
+    let mut root = Leaf::new(
+        data.points(),
+        weights,
+        (0..data.len()).collect(),
+        root_center,
+    );
+    let scaled;
+    let points = if root.cost.is_finite() {
+        data.points()
+    } else {
+        scaled = at_coordinate_scale(data).0;
+        root = Leaf::new(scaled.points(), weights, root.indices, root_center);
+        scaled.points()
     };
-    let mut leaves = vec![make_leaf((0..data.len()).collect(), root_center)];
+    let make_leaf = |indices, center| Leaf::new(points, weights, indices, center);
+    let mut leaves = vec![root];
 
     while leaves.len() < m {
         // Pick a leaf proportional to cost.
@@ -122,10 +145,6 @@ pub fn coreset_tree_reduce<R: Rng + ?Sized>(rng: &mut R, data: &Dataset, m: usiz
 pub struct CoresetTreeCompressor;
 
 impl Compressor for CoresetTreeCompressor {
-    fn name(&self) -> &str {
-        "streamkm"
-    }
-
     fn compress(
         &self,
         rng: &mut dyn RngCore,
@@ -187,10 +206,6 @@ impl StreamKm {
 }
 
 impl StreamingCompressor for StreamKm {
-    fn name(&self) -> String {
-        "streamkm++".to_string()
-    }
-
     fn insert_block(&mut self, rng: &mut dyn RngCore, block: &Dataset) {
         assert_eq!(block.dim(), self.dim);
         for (p, &w) in block.points().iter().zip(block.weights()) {

@@ -135,7 +135,7 @@ fn merge_reduce_summaries_do_not_collapse_the_partition() {
     // once more.
     let plan = PlanBuilder::new(50)
         .coreset_size(2_000)
-        .method(Method::MergeReduce(Box::new(Method::FastCoreset)))
+        .method(Method::FastCoreset)
         .build()
         .unwrap();
     let data = mixture(2402, 128_000, 50);

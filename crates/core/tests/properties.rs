@@ -2,7 +2,8 @@
 
 use fc_clustering::CostKind;
 use fc_core::compressor::{CompressionParams, Compressor};
-use fc_core::methods::{JCount, Lightweight, Uniform, Welterweight};
+use fc_core::methods::{JCount, Uniform};
+use fc_core::plan::Method;
 use fc_core::sampling::importance_sample;
 use fc_core::sensitivity::{lightweight_scores, sensitivity_scores};
 use fc_geom::Dataset;
@@ -82,18 +83,17 @@ proptest! {
         m in 4usize..30,
     ) {
         let params = CompressionParams { k: 3, m, kind: CostKind::KMeans };
-        let methods: Vec<Box<dyn Compressor>> = vec![
-            Box::new(Uniform),
-            Box::new(Lightweight),
-            Box::new(Welterweight::new(JCount::Fixed(2))),
-        ];
-        for method in &methods {
+        for method in [
+            Method::Uniform,
+            Method::Lightweight,
+            Method::Welterweight(JCount::Fixed(2)),
+        ] {
             let mut rng = StdRng::seed_from_u64(seed);
-            let c = method.compress(&mut rng, &d, &params);
-            prop_assert!(c.len() <= m.max(d.len()), "{} oversize", method.name());
+            let c = method.build().compress(&mut rng, &d, &params);
+            prop_assert!(c.len() <= m.max(d.len()), "{method} oversize");
             prop_assert!(
                 c.dataset().weights().iter().all(|&w| w >= 0.0 && w.is_finite()),
-                "{} produced bad weights", method.name()
+                "{method} produced bad weights"
             );
             prop_assert_eq!(c.dataset().dim(), d.dim());
         }

@@ -4,7 +4,7 @@
 //! compressing the whole, for every `Method`.
 
 use fc_clustering::CostKind;
-use fc_core::plan::{Method, BASE_METHODS};
+use fc_core::plan::ALL_METHODS;
 use fc_core::streaming::mapreduce::aggregate_parts;
 use fc_core::{CompressionParams, Coreset};
 use fc_geom::{Dataset, Points};
@@ -45,14 +45,6 @@ fn random_partition(rng: &mut StdRng, data: &Dataset, parts: usize) -> Vec<Datas
         .collect()
 }
 
-/// Every method in the spectrum, plus a merge-&-reduce composition (the
-/// shard streams' shape in the serving engine).
-fn methods() -> Vec<Method> {
-    let mut all: Vec<Method> = BASE_METHODS.to_vec();
-    all.push(Method::MergeReduce(Box::new(Method::FastCoreset)));
-    all
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -78,7 +70,7 @@ proptest! {
         let full_cost = fc_clustering::cost::cost(&data, &centers, CostKind::KMeans);
         let mut rng = StdRng::seed_from_u64(seed);
         let shards = random_partition(&mut rng, &data, parts);
-        for method in methods() {
+        for method in ALL_METHODS {
             let compressor = method.build();
             // Per-part compression, as the nodes would run it.
             let node_coresets: Vec<Coreset> = shards

@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fc_clustering::{CostKind, ALL_SOLVERS};
-use fc_core::plan::{Method, Plan, PlanBuilder, BASE_METHODS};
+use fc_core::plan::{Plan, PlanBuilder, ALL_METHODS};
 use fc_geom::{Dataset, Points};
 use fc_persist::{FsyncPolicy, LogOptions, ShardLog, Snapshot};
 use proptest::prelude::*;
@@ -23,22 +23,19 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 /// Every plan the builder accepts over the full `Method` × `Solver` ×
-/// objective grid — base methods and their merge-&-reduce wrappers.
+/// objective grid.
 fn all_plans() -> Vec<Plan> {
     let mut out = Vec::new();
-    for base in BASE_METHODS {
-        let methods = [base.clone(), Method::MergeReduce(Box::new(base))];
-        for method in methods {
-            for solver in ALL_SOLVERS {
-                for kind in [CostKind::KMeans, CostKind::KMedian] {
-                    let built = PlanBuilder::new(3)
-                        .method(method.clone())
-                        .solver(solver)
-                        .kind(kind)
-                        .build();
-                    if let Ok(plan) = built {
-                        out.push(plan);
-                    }
+    for method in ALL_METHODS {
+        for solver in ALL_SOLVERS {
+            for kind in [CostKind::KMeans, CostKind::KMedian] {
+                let built = PlanBuilder::new(3)
+                    .method(method)
+                    .solver(solver)
+                    .kind(kind)
+                    .build();
+                if let Ok(plan) = built {
+                    out.push(plan);
                 }
             }
         }

@@ -181,7 +181,7 @@ impl EngineConfig {
         let mut builder = PlanBuilder::new(self.k)
             .m_scalar(self.m_scalar)
             .kind(self.kind)
-            .method(self.method.clone())
+            .method(self.method)
             .solver(self.solver);
         if let Some(budget) = self.compaction_budget {
             builder = builder.compaction_budget(budget);
@@ -1565,7 +1565,7 @@ mod tests {
             shards: 1,
             k: 4,
             m_scalar: 10,
-            method: "merge-reduce(uniform)".parse().unwrap(),
+            method: Method::Uniform,
             ..Default::default()
         })
         .unwrap();
@@ -1715,10 +1715,6 @@ mod tests {
     }
 
     impl Compressor for Gated {
-        fn name(&self) -> &str {
-            "gated"
-        }
-
         fn compress(
             &self,
             rng: &mut dyn rand::RngCore,

@@ -394,7 +394,7 @@ impl<D: AsRef<Ledger>> WritePath<D> {
             });
         }
         if let Some(requested) = plan {
-            if requested.to_value() != ledger.plan.to_value() {
+            if *requested != ledger.plan {
                 return Err(EngineError::InvalidArgument(format!(
                     "dataset `{name}` already runs under plan {}; \
                      drop it before ingesting under plan {}",

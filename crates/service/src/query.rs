@@ -92,8 +92,8 @@ pub struct QueryState {
 enum Asked {
     Coreset {
         seed: u64,
-        /// The per-request method override's canonical name, when given.
-        method: Option<String>,
+        /// The per-request method override, when given.
+        method: Option<Method>,
     },
     Cluster {
         k: usize,
@@ -257,9 +257,7 @@ impl QueryPath {
             let coreset = self.summary(source, name, &dataset, state, seed, method)?;
             // When Ω already fit the serving size it was served as-is; the
             // reported method is then the one that *would* compress it.
-            let effective = method
-                .cloned()
-                .unwrap_or_else(|| ledger.plan().method().clone());
+            let effective = method.copied().unwrap_or(ledger.plan().method());
             Ok((coreset, seed, effective))
         })
     }
@@ -411,7 +409,7 @@ impl QueryPath {
             state,
             what: Asked::Coreset {
                 seed,
-                method: method.map(Method::to_string),
+                method: method.copied(),
             },
         });
         if let Some(QueryValue::Coreset(coreset)) = self.probe(key.as_ref()) {
@@ -419,7 +417,7 @@ impl QueryPath {
         }
         let parts = source.parts(name, dataset, seed, method)?;
         let ledger: &Ledger = dataset.as_ref();
-        let built = method.map(Method::build);
+        let built = method.copied().map(Method::build);
         let compressor = built.as_deref().unwrap_or(ledger.compressor().as_ref());
         let mut rng = StdRng::seed_from_u64(seed);
         // Parts that disagree on dimension (a fleet misconfiguration)
@@ -468,10 +466,6 @@ mod tests {
     struct Counting(AtomicU64);
 
     impl Compressor for Counting {
-        fn name(&self) -> &str {
-            "counting"
-        }
-
         fn compress(
             &self,
             rng: &mut dyn rand::RngCore,

@@ -735,6 +735,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
 mod tests {
     use super::*;
     use crate::protocol::{DatasetStats, ErrorCode, IngestIdent, NodeStats, ServerStats};
+    use fc_core::methods::JCount;
     use fc_core::plan::PlanBuilder;
 
     fn strip(frame: Vec<u8>, checked: bool) -> Vec<u8> {
@@ -810,7 +811,7 @@ mod tests {
                         PlanBuilder::new(3)
                             .m_scalar(15)
                             .kind(CostKind::KMedian)
-                            .method("merge-reduce(lightweight)".parse().unwrap())
+                            .method(Method::Lightweight)
                             .solver(Solver::LocalSearch)
                             .compaction_budget(900)
                             .build()
@@ -835,7 +836,7 @@ mod tests {
             (
                 Request::Compress {
                     dataset: "x".into(),
-                    method: Some("merge-reduce(welterweight(log-k))".parse().unwrap()),
+                    method: Some(Method::Welterweight(JCount::LogK)),
                     seed: None,
                 },
                 Some("tr"),

@@ -19,7 +19,7 @@ fn plan() -> fc_core::plan::Plan {
     PlanBuilder::new(3)
         .m_scalar(15)
         .kind(CostKind::KMedian)
-        .method("merge-reduce(lightweight)".parse().unwrap())
+        .method(Method::Lightweight)
         .solver(Solver::Lloyd)
         .compaction_budget(900)
         .build()
@@ -58,7 +58,7 @@ fn requests() -> Vec<(Request, Option<&'static str>, &'static str)> {
                 epoch: Some(7),
             },
             Some("t-ingest"),
-            r#"{"client":"producer-a","dataset":"a/b \"c\"","epoch":7,"op":"ingest","plan":{"budget":900,"k":3,"kind":"kmedian","m":45,"method":"merge-reduce(lightweight)","solver":"lloyd"},"points":[[100000000000000000000],[-0.125]],"seq":18446744073709551615,"trace":"t-ingest","weights":[2.5,0.0]}"#,
+            r#"{"client":"producer-a","dataset":"a/b \"c\"","epoch":7,"op":"ingest","plan":{"budget":900,"k":3,"kind":"kmedian","m":45,"method":"lightweight","solver":"lloyd"},"points":[[100000000000000000000],[-0.125]],"seq":18446744073709551615,"trace":"t-ingest","weights":[2.5,0.0]}"#,
         ),
         (
             Request::Compress {
@@ -72,11 +72,11 @@ fn requests() -> Vec<(Request, Option<&'static str>, &'static str)> {
         (
             Request::Compress {
                 dataset: "d".into(),
-                method: Some("merge-reduce(welterweight(log-k))".parse().unwrap()),
+                method: Some("welterweight(log-k)".parse().unwrap()),
                 seed: Some(7),
             },
             Some("t"),
-            r#"{"dataset":"d","method":"merge-reduce(welterweight(log-k))","op":"compress","seed":7,"trace":"t"}"#,
+            r#"{"dataset":"d","method":"welterweight(log-k)","op":"compress","seed":7,"trace":"t"}"#,
         ),
         (
             Request::Cluster {

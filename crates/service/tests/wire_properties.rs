@@ -84,7 +84,7 @@ fn method() -> impl Strategy<Value = Method> {
         "lightweight",
         "fast-coreset",
         "sensitivity",
-        "merge-reduce(welterweight(log-k))",
+        "welterweight(log-k)",
     ])
     .prop_map(|name| name.parse().expect("a library method name"))
 }

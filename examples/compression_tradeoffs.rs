@@ -26,7 +26,7 @@ fn evaluate(name: &str, data: &Dataset, k: usize, methods: &[Method]) {
         // One plan per (dataset, method): the whole sweep is the method
         // knob turning across the spectrum.
         let plan = PlanBuilder::new(k)
-            .method(method.clone())
+            .method(*method)
             .m_scalar(40)
             .build()
             .expect("valid plan");

@@ -114,7 +114,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // creating ingest, and plan-less queries resolve against it.
     let plan = PlanBuilder::new(4)
         .m_scalar(20)
-        .method("merge-reduce(lightweight)".parse::<Method>()?)
+        .method("lightweight".parse::<Method>()?)
         .solver(Solver::LocalSearch)
         .build()?;
     println!("second dataset under plan {}", plan.to_json());

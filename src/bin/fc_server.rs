@@ -18,7 +18,7 @@
 //!
 //! `--method` and `--solver` take the canonical names of
 //! `fc_core::plan::Method` and `fc_clustering::Solver` (e.g.
-//! `fast-coreset`, `uniform`, `merge-reduce(lightweight)`; `lloyd`,
+//! `fast-coreset`, `uniform`, `welterweight(log-k)`; `lloyd`,
 //! `local-search`) — the same strings the JSON protocol accepts per request.
 //!
 //! `--solve-threads` sets the process-wide worker-thread count for the

@@ -46,9 +46,10 @@
 //! assert_eq!(solution.k(), 8);
 //!
 //! // Methods and solvers have canonical names — the identical strings the
-//! // fc-service wire protocol accepts.
+//! // fc-service wire protocol accepts. Retired spellings read as the
+//! // method they always ran.
 //! assert_eq!("merge-reduce(fast-coreset)".parse::<Method>()?.to_string(),
-//!            "merge-reduce(fast-coreset)");
+//!            "fast-coreset");
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!

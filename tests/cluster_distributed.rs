@@ -232,10 +232,6 @@ struct Gated {
 }
 
 impl Compressor for Gated {
-    fn name(&self) -> &str {
-        "gated"
-    }
-
     fn compress(
         &self,
         rng: &mut dyn rand::RngCore,

@@ -4,6 +4,7 @@
 
 use fast_coresets::prelude::*;
 use fc_clustering::lloyd::LloydConfig;
+use fc_core::methods::JCount;
 use fc_core::streaming::mapreduce_coreset;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -86,30 +87,21 @@ fn compression_is_deterministic_under_a_fixed_seed() {
     let data = mixture(46, 6_000);
     let params = CompressionParams::with_scalar(6, 40, CostKind::KMeans).unwrap();
     for method in [
-        Box::new(Uniform) as Box<dyn Compressor>,
-        Box::new(Lightweight),
-        Box::new(Welterweight::default()),
-        Box::new(StandardSensitivity),
-        Box::new(FastCoreset),
+        Method::Uniform,
+        Method::Lightweight,
+        Method::Welterweight(JCount::LogK),
+        Method::Sensitivity,
+        Method::FastCoreset,
     ] {
+        let compressor = method.build();
         let mut r1 = StdRng::seed_from_u64(47);
         let mut r2 = StdRng::seed_from_u64(47);
-        let a = method.compress(&mut r1, &data, &params);
-        let b = method.compress(&mut r2, &data, &params);
-        assert_eq!(
-            a.dataset(),
-            b.dataset(),
-            "{} not deterministic",
-            method.name()
-        );
+        let a = compressor.compress(&mut r1, &data, &params);
+        let b = compressor.compress(&mut r2, &data, &params);
+        assert_eq!(a.dataset(), b.dataset(), "{method} not deterministic");
         let mut r3 = StdRng::seed_from_u64(48);
-        let c = method.compress(&mut r3, &data, &params);
-        assert_ne!(
-            a.dataset(),
-            c.dataset(),
-            "{} ignores the seed",
-            method.name()
-        );
+        let c = compressor.compress(&mut r3, &data, &params);
+        assert_ne!(a.dataset(), c.dataset(), "{method} ignores the seed");
     }
 }
 

@@ -91,15 +91,14 @@ fn every_method_is_fine_on_the_benchmark_instance() {
     let mut rng = StdRng::seed_from_u64(4);
     let k = 16;
     let data = fc_data::benchmark(&mut rng, k, 150, 50.0);
-    let methods: Vec<Box<dyn Compressor>> = vec![
-        Box::new(Uniform),
-        Box::new(Lightweight),
-        Box::new(Welterweight::new(JCount::LogK)),
-        Box::new(FastCoreset),
-    ];
-    for m in &methods {
-        let d = median_distortion(m.as_ref(), &data, k);
-        assert!(d < 2.0, "{} distortion {d} on benchmark", m.name());
+    for method in [
+        Method::Uniform,
+        Method::Lightweight,
+        Method::Welterweight(JCount::LogK),
+        Method::FastCoreset,
+    ] {
+        let d = median_distortion(method.build().as_ref(), &data, k);
+        assert!(d < 2.0, "{method} distortion {d} on benchmark");
     }
 }
 
@@ -116,34 +115,30 @@ fn coreset_sizes_and_weights_are_consistent_across_methods() {
         },
     );
     let params = CompressionParams::with_scalar(8, 40, CostKind::KMeans).unwrap();
-    let methods: Vec<Box<dyn Compressor>> = vec![
-        Box::new(Uniform),
-        Box::new(Lightweight),
-        Box::new(Welterweight::new(JCount::LogK)),
-        Box::new(StandardSensitivity),
-        Box::new(FastCoreset),
-    ];
-    for m in &methods {
-        let c = m.compress(&mut rng, &data, &params);
+    for method in [
+        Method::Uniform,
+        Method::Lightweight,
+        Method::Welterweight(JCount::LogK),
+        Method::Sensitivity,
+        Method::FastCoreset,
+    ] {
+        let c = method.build().compress(&mut rng, &data, &params);
         assert!(
             c.len() <= params.m,
-            "{}: size {} > m {}",
-            m.name(),
+            "{method}: size {} > m {}",
             c.len(),
             params.m
         );
         assert!(
             c.len() > params.m / 2,
-            "{}: size {} suspiciously small",
-            m.name(),
+            "{method}: size {} suspiciously small",
             c.len()
         );
         let rel = (c.total_weight() - data.total_weight()).abs() / data.total_weight();
-        assert!(rel < 0.3, "{}: weight drift {rel}", m.name());
+        assert!(rel < 0.3, "{method}: weight drift {rel}");
         assert!(
             c.dataset().weights().iter().all(|&w| w >= 0.0),
-            "{}: negative weight",
-            m.name()
+            "{method}: negative weight"
         );
     }
 }

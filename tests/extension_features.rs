@@ -42,7 +42,7 @@ fn pipeline_methods_rank_as_the_paper_predicts_on_outliers() {
             .map(|s| {
                 let mut rng = StdRng::seed_from_u64(900 + s);
                 PlanBuilder::new(k)
-                    .method(method.clone())
+                    .method(method)
                     .m_scalar(20)
                     .build()
                     .unwrap()

@@ -138,19 +138,11 @@ fn benign_real_proxies_are_fine_for_everyone() {
     let mut rng = StdRng::seed_from_u64(14);
     let adult = fc_data::realworld::adult_like(&mut rng, 10_000, 14);
     let k = 20;
-    for method in [
-        Box::new(Uniform) as Box<dyn Compressor>,
-        Box::new(Lightweight),
-        Box::new(FastCoreset),
-    ] {
+    for method in [Method::Uniform, Method::Lightweight, Method::FastCoreset] {
         let runs: Vec<f64> = (0..3)
-            .map(|s| distortion_of(method.as_ref(), &adult, k, 600 + s))
+            .map(|s| distortion_of(method.build().as_ref(), &adult, k, 600 + s))
             .collect();
         let med = fc_geom::stats::median(&runs);
-        assert!(
-            med < 2.0,
-            "{} distortion {med} on adult proxy",
-            method.name()
-        );
+        assert!(med < 2.0, "{method} distortion {med} on adult proxy");
     }
 }

@@ -40,14 +40,12 @@ fn huge_coordinates(b: usize) -> Dataset {
     Dataset::from_flat(flat, 2).unwrap()
 }
 
-fn methods() -> Vec<Box<dyn Compressor>> {
-    vec![
-        Box::new(FastCoreset),
-        Box::new(StandardSensitivity),
-        Box::new(Welterweight::new(JCount::LogK)),
-        Box::new(Lightweight),
-    ]
-}
+const SENSITIVITY_FAMILY: [Method; 4] = [
+    Method::FastCoreset,
+    Method::Sensitivity,
+    Method::Welterweight(JCount::LogK),
+    Method::Lightweight,
+];
 
 #[test]
 fn sensitivity_family_survives_weights_of_1e300() {
@@ -56,19 +54,18 @@ fn sensitivity_family_survives_weights_of_1e300() {
     });
     let params = CompressionParams::with_scalar(5, 40, CostKind::KMeans).unwrap();
     for data in [stacked(3, 4_000, 1e300), far] {
-        for method in methods() {
+        for method in SENSITIVITY_FAMILY {
             let mut rng = StdRng::seed_from_u64(4);
-            let coreset = method.compress(&mut rng, &data, &params);
+            let coreset = method.build().compress(&mut rng, &data, &params);
             let weights = coreset.dataset().weights();
             assert!(
                 coreset.len() > params.k,
-                "{}: {} points",
-                method.name(),
+                "{method}: {} points",
                 coreset.len()
             );
             assert!(weights.iter().all(|w| w.is_finite() && *w > 0.0));
             let rel = (coreset.total_weight() - data.total_weight()).abs() / data.total_weight();
-            assert!(rel < 0.25, "{}: total weight off by {rel}", method.name());
+            assert!(rel < 0.25, "{method}: total weight off by {rel}");
         }
     }
 }
@@ -79,14 +76,14 @@ fn a_power_of_two_weight_scales_the_unit_weight_coreset_exactly() {
     let unit = stacked(5, 3_000, 1.0);
     let scaled = stacked(5, 3_000, heavy);
     let params = CompressionParams::with_scalar(5, 40, CostKind::KMeans).unwrap();
-    for method in methods() {
-        let expected = method.compress(&mut StdRng::seed_from_u64(6), &unit, &params);
-        let got = method.compress(&mut StdRng::seed_from_u64(6), &scaled, &params);
+    for method in SENSITIVITY_FAMILY {
+        let compressor = method.build();
+        let expected = compressor.compress(&mut StdRng::seed_from_u64(6), &unit, &params);
+        let got = compressor.compress(&mut StdRng::seed_from_u64(6), &scaled, &params);
         assert_eq!(
             got.dataset().points(),
             expected.dataset().points(),
-            "{}",
-            method.name()
+            "{method}"
         );
         let times: Vec<f64> = expected
             .dataset()
@@ -94,7 +91,7 @@ fn a_power_of_two_weight_scales_the_unit_weight_coreset_exactly() {
             .iter()
             .map(|w| w * heavy)
             .collect();
-        assert_eq!(got.dataset().weights(), &times[..], "{}", method.name());
+        assert_eq!(got.dataset().weights(), &times[..], "{method}");
     }
 }
 
@@ -121,5 +118,60 @@ fn engine_keeps_a_heavy_dataset_available() {
         let (points, _) = engine.ingest(name, last, None).unwrap();
         assert_eq!(points, 1_000 * (blocks.len() as u64 + 1), "{name}");
         assert!(engine.coreset(name, Some(8), None).is_ok(), "{name}");
+    }
+}
+
+/// The six `huge_coordinates` blocks in d = 3, block `b` lifted to
+/// `z = b·1e156`: the blocks lie 1e156 apart and each spans about 2e155,
+/// so a summary point's `z` names the block it summarises.
+fn lifted_blocks() -> Dataset {
+    let flat: Vec<f64> = (0..6)
+        .flat_map(|b| {
+            let block = huge_coordinates(b);
+            let z = b as f64 * 1e156;
+            block
+                .points()
+                .iter()
+                .flat_map(|p| [p[0], p[1], z])
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    Dataset::from_flat(flat, 3).unwrap()
+}
+
+/// On these blocks StreamKM++ grew its tree from a root whose cost had
+/// overflowed to infinity, so no leaf could be drawn, and BICO's features
+/// summed `w·|p|²` to infinity and collapsed into one; each answered a
+/// one-point coreset. Both now summarise at a power-of-two coordinate scale.
+#[test]
+fn streamkm_and_bico_summarise_every_block_of_huge_coordinates() {
+    let data = lifted_blocks();
+    for kind in [CostKind::KMeans, CostKind::KMedian] {
+        let params = CompressionParams { k: 6, m: 120, kind };
+        for method in [Method::StreamKm, Method::Bico] {
+            let mut rng = StdRng::seed_from_u64(9);
+            let coreset = method.build().compress(&mut rng, &data, &params);
+            assert!(
+                coreset.len() >= params.k,
+                "{method}: {} points",
+                coreset.len()
+            );
+            let rel = (coreset.total_weight() - data.total_weight()).abs() / data.total_weight();
+            assert!(rel < 1e-12, "{method}: total weight off by {rel}");
+            let mut blocks = [0usize; 6];
+            for p in coreset.dataset().points().iter() {
+                let b = (p[2] / 1e156).round();
+                assert!(
+                    (p[2] - b * 1e156).abs() < 0.25e156,
+                    "{method}: z = {}",
+                    p[2]
+                );
+                blocks[b as usize] += 1;
+            }
+            assert!(
+                blocks.iter().all(|&n| n > 0),
+                "{method} {kind:?}: points per block {blocks:?}"
+            );
+        }
     }
 }

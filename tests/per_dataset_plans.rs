@@ -14,7 +14,7 @@ use fc_service::{ClientError, Engine, EngineConfig, ErrorCode, Request, Response
 use proptest::prelude::*;
 use rand::RngCore;
 
-fn arb_base_method() -> impl Strategy<Value = Method> {
+fn arb_method() -> impl Strategy<Value = Method> {
     prop_oneof![
         Just(Method::Uniform),
         Just(Method::Lightweight),
@@ -26,17 +26,6 @@ fn arb_base_method() -> impl Strategy<Value = Method> {
         Just(Method::Bico),
         Just(Method::StreamKm),
     ]
-}
-
-/// Any method, wrapped in up to two merge-&-reduce layers.
-fn arb_method() -> impl Strategy<Value = Method> {
-    (0usize..3, arb_base_method()).prop_map(|(wraps, base)| {
-        let mut method = base;
-        for _ in 0..wraps {
-            method = Method::MergeReduce(Box::new(method));
-        }
-        method
-    })
 }
 
 fn arb_solver() -> impl Strategy<Value = Solver> {
@@ -124,7 +113,7 @@ fn two_datasets_run_different_plans_on_one_server() {
     let accurate = PlanBuilder::new(4)
         .m_scalar(20)
         .kind(CostKind::KMedian)
-        .method("merge-reduce(lightweight)".parse().unwrap())
+        .method(Method::Lightweight)
         .solver(Solver::Lloyd)
         .compaction_budget(2_000)
         .build()
@@ -155,11 +144,11 @@ fn two_datasets_run_different_plans_on_one_server() {
     // and method, not the engine default.
     let (fast_coreset, _, fast_method) = client.compress("fast", None, Some(1)).unwrap();
     assert!(fast_coreset.len() <= fast.m(), "{}", fast_coreset.len());
-    assert_eq!(&fast_method, fast.method());
+    assert_eq!(fast_method, fast.method());
     let (accurate_coreset, _, accurate_method) =
         client.compress("accurate", None, Some(1)).unwrap();
     assert!(accurate_coreset.len() <= accurate.m());
-    assert_eq!(&accurate_method, accurate.method());
+    assert_eq!(accurate_method, accurate.method());
 
     // `stats` reports each dataset's effective plan in the wire form.
     let stats = client.stats(None).unwrap();
@@ -219,6 +208,29 @@ fn raw_json_ingest_with_plan_and_stats_echo() {
     }
 }
 
+#[test]
+fn retired_method_spelling_ingests_into_its_dataset() {
+    // `merge-reduce(x)` names the compressor `x` names, so an ingest that
+    // still spells it that way is the same plan, not a conflicting one.
+    let engine = Engine::new(EngineConfig {
+        shards: 1,
+        ..Default::default()
+    })
+    .unwrap();
+    let ingest = |method: &str| {
+        let line = format!(
+            r#"{{"op":"ingest","dataset":"d","points":[[0,0],[1,1]],"plan":{{"k":2,"method":"{method}"}}}}"#
+        );
+        fc_service::server::handle_request(&engine, Request::from_json(&line).unwrap())
+    };
+    for (method, total) in [("fast-coreset", 2), ("merge-reduce(fast-coreset)", 4)] {
+        match ingest(method) {
+            Response::Ingested { total_points, .. } => assert_eq!(total_points, total, "{method}"),
+            other => panic!("{method}: unexpected {other:?}"),
+        }
+    }
+}
+
 /// A compressor that parks until released, so a shard queue can be held
 /// full deterministically.
 struct Gated {
@@ -226,10 +238,6 @@ struct Gated {
 }
 
 impl Compressor for Gated {
-    fn name(&self) -> &str {
-        "gated"
-    }
-
     fn compress(
         &self,
         rng: &mut dyn RngCore,

@@ -206,10 +206,6 @@ struct Gated {
 }
 
 impl Compressor for Gated {
-    fn name(&self) -> &str {
-        "gated"
-    }
-
     fn compress(
         &self,
         rng: &mut dyn rand::RngCore,
@@ -332,8 +328,9 @@ fn drain_hook_observes_every_shard_in_order() {
 
 #[test]
 fn old_plan_spellings_in_meta_json_still_boot() {
-    // `meta.json` files written before `hst-coreset`, `hamerly` and
-    // `kmedian-weiszfeld` were folded into their canonical names.
+    // `meta.json` files written before `hst-coreset`, `merge-reduce(..)`,
+    // `hamerly` and `kmedian-weiszfeld` were folded into their canonical
+    // names.
     let dir = scratch("old-names");
     for (name, plan) in [
         (
@@ -352,7 +349,7 @@ fn old_plan_spellings_in_meta_json_still_boot() {
     }
     let engine = persistent_engine(&dir, 0);
     for (name, method, kind) in [
-        ("means", "merge-reduce(fast-coreset)", CostKind::KMeans),
+        ("means", "fast-coreset", CostKind::KMeans),
         ("medians", "fast-coreset", CostKind::KMedian),
     ] {
         engine.ingest(name, &four_blobs(100, 0.0), None).unwrap();
@@ -363,6 +360,15 @@ fn old_plan_spellings_in_meta_json_still_boot() {
         assert_eq!(served.solver, Solver::Lloyd, "{name}");
         assert_eq!(served.kind, kind, "{name}");
         assert_eq!(served.solution.k(), 3, "{name}");
+    }
+    // The retired spelling and the canonical one are the plan `means` runs.
+    for (method, total) in [("merge-reduce(fast-coreset)", 440), ("fast-coreset", 480)] {
+        let plan = format!(r#"{{"k":3,"m":60,"method":"{method}"}}"#);
+        let plan = Plan::from_json(&plan).unwrap();
+        let (points, _) = engine
+            .ingest("means", &four_blobs(10, 0.0), Some(&plan))
+            .unwrap();
+        assert_eq!(points, total, "{method}");
     }
     drop(engine);
     std::fs::remove_dir_all(&dir).ok();

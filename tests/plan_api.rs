@@ -6,13 +6,13 @@
 use fast_coresets::prelude::*;
 use fc_clustering::ALL_SOLVERS;
 use fc_core::methods::JCount;
-use fc_core::BASE_METHODS;
+use fc_core::ALL_METHODS;
 use fc_service::{Request, Response};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn arb_base_method() -> impl Strategy<Value = Method> {
+fn arb_method() -> impl Strategy<Value = Method> {
     (0usize..9, 1usize..40).prop_map(|(i, j)| match i {
         0 => Method::Uniform,
         1 => Method::Lightweight,
@@ -26,17 +26,6 @@ fn arb_base_method() -> impl Strategy<Value = Method> {
     })
 }
 
-/// Any method, wrapped in up to two merge-&-reduce layers.
-fn arb_method() -> impl Strategy<Value = Method> {
-    (0usize..3, arb_base_method()).prop_map(|(wraps, base)| {
-        let mut method = base;
-        for _ in 0..wraps {
-            method = Method::MergeReduce(Box::new(method));
-        }
-        method
-    })
-}
-
 fn arb_solver() -> impl Strategy<Value = Solver> {
     (0usize..ALL_SOLVERS.len()).prop_map(|i| ALL_SOLVERS[i])
 }
@@ -44,11 +33,15 @@ fn arb_solver() -> impl Strategy<Value = Solver> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
+    /// The retired `merge-reduce(..)` wrapper, up to two layers, reads as
+    /// the method it wraps.
     #[test]
-    fn method_display_fromstr_round_trips(method in arb_method()) {
+    fn method_display_fromstr_round_trips(method in arb_method(), wraps in 0usize..3) {
         let name = method.to_string();
         let parsed: Method = name.parse().expect("canonical name parses");
         prop_assert_eq!(parsed, method, "{}", name);
+        let wrapped = format!("{}{name}{}", "merge-reduce(".repeat(wraps), ")".repeat(wraps));
+        prop_assert_eq!(wrapped.parse::<Method>().expect("retired name parses"), method);
     }
 
     #[test]
@@ -163,11 +156,14 @@ fn stream_sessions_reject_dimension_mismatches() {
 
 #[test]
 fn every_base_method_has_a_distinct_canonical_name() {
-    let names: Vec<String> = BASE_METHODS.iter().map(Method::to_string).collect();
+    let names: Vec<String> = ALL_METHODS.iter().map(Method::to_string).collect();
     let mut deduped = names.clone();
     deduped.sort();
     deduped.dedup();
     assert_eq!(deduped.len(), names.len(), "{names:?}");
+    for (method, name) in ALL_METHODS.iter().zip(&names) {
+        assert_eq!(name.parse::<Method>().unwrap(), *method, "{name}");
+    }
 }
 
 #[test]

@@ -4,6 +4,7 @@
 
 use fast_coresets::prelude::*;
 use fc_clustering::lloyd::LloydConfig;
+use fc_core::methods::JCount;
 use fc_core::streaming::stream::run_stream;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -57,13 +58,13 @@ fn static_distortion(method: &dyn Compressor, data: &Dataset, k: usize, seed: u6
 fn streaming_matches_static_for_every_method() {
     let data = mixture(21, 12_000);
     let k = 10;
-    let methods: Vec<Box<dyn Compressor>> = vec![
-        Box::new(Uniform),
-        Box::new(Lightweight),
-        Box::new(Welterweight::default()),
-        Box::new(FastCoreset),
-    ];
-    for m in &methods {
+    for method in [
+        Method::Uniform,
+        Method::Lightweight,
+        Method::Welterweight(JCount::LogK),
+        Method::FastCoreset,
+    ] {
+        let m = method.build();
         let strm: Vec<f64> = (0..3)
             .map(|s| stream_distortion(m.as_ref(), &data, k, 700 + s))
             .collect();
@@ -71,11 +72,10 @@ fn streaming_matches_static_for_every_method() {
             .map(|s| static_distortion(m.as_ref(), &data, k, 700 + s))
             .collect();
         let (sm, tm) = (fc_geom::stats::median(&strm), fc_geom::stats::median(&stat));
-        assert!(sm < 2.5, "{} streaming distortion {sm}", m.name());
+        assert!(sm < 2.5, "{method} streaming distortion {sm}");
         assert!(
             sm < tm * 2.0 + 0.5,
-            "{}: streaming {sm} much worse than static {tm}",
-            m.name()
+            "{method}: streaming {sm} much worse than static {tm}"
         );
     }
 }
