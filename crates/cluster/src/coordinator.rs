@@ -632,11 +632,11 @@ impl QuerySource for Fleet<'_> {
         name: &str,
         _route: &Route,
         seed: u64,
-        method: Option<&Method>,
+        method: Option<Method>,
     ) -> Result<Vec<Coreset>, EngineError> {
         let answers = self.0.ask(name, |idx| Request::Compress {
             dataset: name.to_owned(),
-            method: method.cloned(),
+            method,
             seed: Some(node_seed(seed, idx)),
         })?;
         answers
@@ -885,7 +885,7 @@ impl Backend for Coordinator {
         &self,
         name: &str,
         seed: Option<u64>,
-        method: Option<&Method>,
+        method: Option<Method>,
     ) -> Result<(Coreset, u64, Method), EngineError> {
         self.query.coreset(&Fleet(self), name, seed, method)
     }

@@ -45,7 +45,13 @@ pub fn geometric_median(
     if indices.len() <= 1 {
         return current;
     }
-    let scale = current.iter().map(|x| x.abs()).fold(0.0, f64::max).max(1.0);
+    // Both tests are relative to the iterate, so they scale with the data;
+    // an iterate at the origin runs `max_iters`.
+    let scale = current
+        .iter()
+        .map(|x| x.abs())
+        .fold(0.0, f64::max)
+        .max(f64::MIN_POSITIVE);
     let mut next = vec![0.0; dim];
     for _ in 0..cfg.max_iters {
         let mut denom = 0.0;

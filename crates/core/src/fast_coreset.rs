@@ -49,7 +49,7 @@ use rand::RngCore;
 
 use crate::compressor::{CompressionParams, Compressor};
 use crate::coreset::Coreset;
-use crate::sampling::sensitivity_sample;
+use crate::sampling::importance_sample;
 use crate::sensitivity::sensitivity_scores;
 
 /// The distortion parameter of step 1's target dimension: the embedding
@@ -161,10 +161,9 @@ impl Compressor for FastCoreset {
         if params.m >= data.len() {
             return Coreset::new(data.clone());
         }
-        sensitivity_sample(rng, data, params.m, |rng, data| {
-            let (labels, centers, cost_z) = self.partition(rng, data, params);
-            sensitivity_scores(&labels, &cost_z, data.weights(), centers.len())
-        })
+        let (labels, centers, cost_z) = self.partition(rng, data, params);
+        let scores = sensitivity_scores(&labels, &cost_z, data.weights(), centers.len());
+        importance_sample(rng, data, &scores, params.m)
     }
 }
 

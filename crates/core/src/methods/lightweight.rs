@@ -12,7 +12,7 @@ use rand::RngCore;
 
 use crate::compressor::{CompressionParams, Compressor};
 use crate::coreset::Coreset;
-use crate::sampling::sensitivity_sample;
+use crate::sampling::importance_sample;
 use crate::sensitivity::lightweight_scores;
 
 /// The lightweight-coreset compressor (`j = 1` in the welterweight family).
@@ -26,9 +26,7 @@ impl Compressor for Lightweight {
         data: &Dataset,
         params: &CompressionParams,
     ) -> Coreset {
-        sensitivity_sample(rng, data, params.m, |_, data| {
-            lightweight_scores(data, params.kind)
-        })
+        importance_sample(rng, data, &lightweight_scores(data, params.kind), params.m)
     }
 }
 

@@ -13,7 +13,7 @@ use rand::RngCore;
 
 use crate::compressor::{CompressionParams, Compressor};
 use crate::coreset::Coreset;
-use crate::sampling::sensitivity_sample;
+use crate::sampling::importance_sample;
 use crate::sensitivity::sensitivity_scores;
 
 /// How the number of seeding centers `j` is derived from `k`.
@@ -60,16 +60,15 @@ impl Compressor for Welterweight {
         params: &CompressionParams,
     ) -> Coreset {
         let j = self.j.resolve(params.k);
-        sensitivity_sample(rng, data, params.m, |rng, data| {
-            let seeding = fc_clustering::kmeanspp::kmeanspp(rng, data, j, params.kind);
-            let cost_z = seeding.cost_z(params.kind);
-            sensitivity_scores(
-                &seeding.labels,
-                &cost_z,
-                data.weights(),
-                seeding.centers.len(),
-            )
-        })
+        let seeding = fc_clustering::kmeanspp::kmeanspp(rng, data, j, params.kind);
+        let cost_z = seeding.cost_z(params.kind);
+        let scores = sensitivity_scores(
+            &seeding.labels,
+            &cost_z,
+            data.weights(),
+            seeding.centers.len(),
+        );
+        importance_sample(rng, data, &scores, params.m)
     }
 }
 

@@ -46,7 +46,7 @@ use std::str::FromStr;
 use fc_clustering::solver::{SolveConfig, Solver};
 use fc_clustering::{CostKind, Solution};
 use fc_geom::Dataset;
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 use crate::compressor::{CompressionParams, Compressor};
 use crate::coreset::Coreset;
@@ -91,9 +91,13 @@ pub const ALL_METHODS: [Method; 7] = [
 impl Method {
     /// Materializes the compressor. Streaming-native methods (BICO,
     /// StreamKM++) build their static adapters, so every variant works as
-    /// a batch compressor.
+    /// a batch compressor. Every one computes where its arithmetic stays
+    /// finite and normal: an input whose largest |coordinate| or weight
+    /// lies outside `[2^-256, 2^256)` is compressed as a copy scaled by a
+    /// power of two, and the coreset is scaled back. So the coreset of
+    /// `2^e·P` is `2^e` times the coreset of `P`: units do not matter.
     pub fn build(self) -> Box<dyn Compressor> {
-        match self {
+        let inner: Box<dyn Compressor> = match self {
             Method::Uniform => Box::new(Uniform),
             Method::Lightweight => Box::new(Lightweight),
             Method::Welterweight(j) => Box::new(Welterweight::new(j)),
@@ -101,8 +105,76 @@ impl Method {
             Method::FastCoreset => Box::new(FastCoreset),
             Method::Bico => Box::new(crate::streaming::BicoCompressor),
             Method::StreamKm => Box::new(crate::streaming::CoresetTreeCompressor),
-        }
+        };
+        Box::new(SafeScale(inner))
     }
+}
+
+/// The binary exponents of a largest |coordinate| or weight that a method
+/// computes at unscaled. Below `2^256`, a sum of `w·dist²` over fewer than
+/// `2^250` coordinates stays finite; from `2^-256` up, the largest such
+/// term stays normal.
+const SAFE_EXPONENTS: std::ops::RangeInclusive<i32> = -256..=255;
+
+/// Runs a compressor at a scale its arithmetic can carry. The cost is
+/// homogeneous, `cost(2^e·P, 2^e·C) = 2^{ez}·cost(P, C)`, and a power of
+/// two scales a float exactly. So where the largest |coordinate| or the
+/// largest weight lies outside [`SAFE_EXPONENTS`], the method compresses a
+/// copy scaled by the power of two that puts that maximum in `[1, 2)`,
+/// and the coreset is scaled back (weights clamped at `f64::MAX`). Every
+/// other input passes through untouched.
+struct SafeScale(Box<dyn Compressor>);
+
+impl Compressor for SafeScale {
+    fn compress(
+        &self,
+        rng: &mut dyn RngCore,
+        data: &Dataset,
+        params: &CompressionParams,
+    ) -> Coreset {
+        let shift = |xs: &[f64]| {
+            let e = binary_exponent(xs.iter().fold(0.0, |a: f64, x| a.max(x.abs())));
+            if SAFE_EXPONENTS.contains(&e) {
+                0
+            } else {
+                e
+            }
+        };
+        let (ex, ew) = (shift(data.points().as_flat()), shift(data.weights()));
+        if (ex, ew) == (0, 0) {
+            return self.0.compress(rng, data, params);
+        }
+        let scaled = times_power_of_two(data, -ex, -ew);
+        let coreset = self.0.compress(rng, &scaled, params).into_dataset();
+        Coreset::new(times_power_of_two(&coreset, ex, ew))
+    }
+}
+
+/// The unbiased binary exponent of a positive finite `x`, floored at the
+/// smallest normal exponent; `0` for anything else.
+fn binary_exponent(x: f64) -> i32 {
+    if x > 0.0 && x.is_finite() {
+        (((x.to_bits() >> 52) & 0x7ff) as i32 - 1023).max(-1022)
+    } else {
+        0
+    }
+}
+
+/// `data` with its coordinates times `2^ex` and its weights times `2^ew`,
+/// each clamped to the finite range.
+fn times_power_of_two(data: &Dataset, ex: i32, ew: i32) -> Dataset {
+    let mut points = data.points().clone();
+    let up = f64::powi(2.0, ex);
+    for x in points.as_flat_mut() {
+        *x = (*x * up).clamp(-f64::MAX, f64::MAX);
+    }
+    let up = f64::powi(2.0, ew);
+    let weights = data
+        .weights()
+        .iter()
+        .map(|w| (w * up).min(f64::MAX))
+        .collect();
+    Dataset::weighted(points, weights).expect("scaled weights stay finite and non-negative")
 }
 
 impl std::fmt::Display for Method {
@@ -529,11 +601,9 @@ impl Plan {
     /// Every method streams via the same Bentley–Saxe composition over its
     /// batch compressor, so all methods share one set of guarantees and
     /// one memory profile (§5.4; the composition re-compresses each
-    /// carry-merge). For `Method::Bico` / `Method::StreamKm` this differs
-    /// from those algorithms' own single-pass streams — when that
-    /// per-block composition overhead matters, use the native
-    /// [`crate::streaming::BicoStream`] / [`crate::streaming::StreamKm`]
-    /// directly.
+    /// carry-merge). For `Method::StreamKm` that is StreamKM++'s own bucket
+    /// cascade; for `Method::Bico` it differs from BICO's single-pass
+    /// stream, the bench-only [`crate::streaming::BicoStream`].
     pub fn stream(&self) -> StreamSession {
         StreamSession {
             stream: MergeReduce::new(self.method.build(), self.params),
@@ -651,6 +721,64 @@ mod tests {
         assert_eq!(out.solution.k(), 3);
         assert!(out.distortion < 1.5);
         assert!(out.cost_on_data < 100.0);
+    }
+
+    #[test]
+    fn binary_exponent_reads_the_power_of_two_below() {
+        for (x, e) in [(1.0, 0), (1.99, 0), (2.0, 1), (0.75, -1), (1e300, 996)] {
+            assert_eq!(binary_exponent(x), e, "{x}");
+        }
+        // Subnormals floor at the smallest normal exponent; zero, negative
+        // and non-finite values read 0.
+        assert_eq!(binary_exponent(f64::MIN_POSITIVE / 8.0), -1022);
+        for x in [0.0, -4.0, f64::INFINITY, f64::NAN] {
+            assert_eq!(binary_exponent(x), 0, "{x}");
+        }
+    }
+
+    #[test]
+    fn safe_scale_moves_only_out_of_window_maxima_into_one_to_two() {
+        /// Checks what the wrapped method sees, then returns it as is.
+        struct Sees(f64, f64);
+        impl Compressor for Sees {
+            fn compress(
+                &self,
+                _rng: &mut dyn RngCore,
+                data: &Dataset,
+                _params: &CompressionParams,
+            ) -> Coreset {
+                assert_eq!(data.point(0)[1], self.0);
+                assert_eq!(data.weight(0), self.1);
+                Coreset::new(data.clone())
+            }
+        }
+        let params = CompressionParams {
+            k: 1,
+            m: 1,
+            kind: CostKind::KMeans,
+        };
+        let two = |e| f64::powi(2.0, e);
+        // (largest magnitude, what the method sees), for coordinates and
+        // weights alike: inside [2^-256, 2^256) nothing moves.
+        let cases = [
+            (1.5, 1.5),
+            (two(255) * 1.5, two(255) * 1.5),
+            (two(-256), two(-256)),
+            (two(256), 1.0),
+            (two(-257) * 1.5, 1.5),
+            (1e300, 1e300 / two(996)),
+            (f64::MAX, f64::MAX / two(1023)),
+        ];
+        for (x, x_seen) in cases {
+            for (w, w_seen) in cases {
+                let points = fc_geom::Points::from_flat(vec![0.5 * x, -x], 2).unwrap();
+                let data = Dataset::weighted(points, vec![w]).unwrap();
+                let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+                let back =
+                    SafeScale(Box::new(Sees(-x_seen, w_seen))).compress(&mut rng, &data, &params);
+                assert_eq!(back.dataset(), &data, "{x} {w}");
+            }
+        }
     }
 
     #[test]

@@ -8,91 +8,18 @@
 //! to `(1+ε)·W(C_i)` (the construction of \[25, 27\] the analysis uses).
 //! Like the authors' released code, this crate keeps the plain
 //! inverse-probability weights.
+//!
+//! Nothing here rescales: scores are ratios of `w·dist^z` sums, which
+//! overflow or underflow only outside the range that `Method::build`'s
+//! compressors keep their input in ([`crate::plan::Method::build`]).
 
 use fc_geom::sampling::AliasTable;
-use fc_geom::{Dataset, Points};
-use rand::{Rng, RngCore};
+use fc_geom::Dataset;
+use rand::Rng;
 use std::collections::HashMap;
 
 use crate::coreset::Coreset;
 use crate::sensitivity::SensitivityScores;
-
-/// The sensitivity-family compression: scores from `scores`, then `m`
-/// draws from [`importance_sample`], at the scale of the largest weight
-/// ([`at_weight_scale`]). Where the scores overflow — a squared distance or
-/// a cluster's cost past `f64::MAX`, which finite coordinates of about
-/// 1e154 reach — the total says so, and `scores` runs once more on the
-/// points times the power of two that puts the largest coordinate in
-/// `[1, 2)` ([`at_coordinate_scale`]). That scaling is exact and scores
-/// are ratios of costs, so the retry prices what the first try could not;
-/// the draws still gather the input's own rows. An input whose scores are
-/// finite pays nothing and takes the first path bit for bit.
-pub(crate) fn sensitivity_sample(
-    rng: &mut dyn RngCore,
-    data: &Dataset,
-    m: usize,
-    mut scores: impl FnMut(&mut dyn RngCore, &Dataset) -> SensitivityScores,
-) -> Coreset {
-    at_weight_scale(data, |data| {
-        let mut s = scores(rng, data);
-        if !s.total.is_finite() {
-            s = scores(rng, &at_coordinate_scale(data).0);
-        }
-        importance_sample(rng, data, &s, m)
-    })
-}
-
-/// The unbiased binary exponent of a positive finite `x`, floored at the
-/// smallest normal exponent; `0` for anything else.
-fn binary_exponent(x: f64) -> i32 {
-    if x > 0.0 && x.is_finite() {
-        (((x.to_bits() >> 52) & 0x7ff) as i32 - 1023).max(-1022)
-    } else {
-        0
-    }
-}
-
-/// `data` with every coordinate times `2^-e`, the power of two that puts
-/// the largest magnitude in `[1, 2)`, and the factor `2^e` that scales
-/// back; weights untouched.
-pub(crate) fn at_coordinate_scale(data: &Dataset) -> (Dataset, f64) {
-    let flat = data.points().as_flat();
-    let largest = flat.iter().fold(0.0, |a: f64, x| a.max(x.abs()));
-    let e = binary_exponent(largest);
-    let down = f64::powi(2.0, -e);
-    let points = Points::from_flat(flat.iter().map(|x| x * down).collect(), data.dim())
-        .expect("scaling by a power of two keeps coordinates finite");
-    let scaled =
-        Dataset::weighted(points, data.weights().to_vec()).expect("weights are the input's");
-    (scaled, f64::powi(2.0, e))
-}
-
-/// Runs a sensitivity-family compression at the scale of the data's largest
-/// weight. Those methods multiply weights by `dist^z` and sum them per
-/// cluster; near `f64::MAX` the sums overflow, and `inf / inf` turns a
-/// score into NaN. So `compress` sees every weight times `2^-e`, the power
-/// of two that puts the largest weight in `[1, 2)`, and the coreset's
-/// weights come back times `2^e` (clamped at `f64::MAX`). Scaling by a
-/// power of two is exact, so wherever the unscaled arithmetic neither
-/// overflows nor leaves the normal range the coreset is the one it would
-/// have given. With `e = 0` — unit weights among them — `data` is passed
-/// through untouched.
-fn at_weight_scale(data: &Dataset, compress: impl FnOnce(&Dataset) -> Coreset) -> Coreset {
-    let largest = data.weights().iter().fold(0.0, |a: f64, &w| a.max(w));
-    // Subnormal weights scale up as far as a normal factor allows.
-    let e = binary_exponent(largest);
-    if e == 0 {
-        return compress(data);
-    }
-    let down = f64::powi(2.0, -e);
-    let weights = data.weights().iter().map(|w| w * down).collect();
-    let scaled = Dataset::weighted(data.points().clone(), weights)
-        .expect("scaling by a power of two keeps weights finite and non-negative");
-    let (points, weights) = compress(&scaled).into_dataset().into_parts();
-    let up = f64::powi(2.0, e);
-    let weights = weights.iter().map(|w| (w * up).min(f64::MAX)).collect();
-    Coreset::new(Dataset::weighted(points, weights).expect("weights clamped finite"))
-}
 
 /// Draws an importance sample of `m` points, returning the deduplicated
 /// `(index, accumulated weight)` pairs sorted by index. `None` signals a
@@ -152,6 +79,7 @@ mod tests {
     use super::*;
     use crate::sensitivity::sensitivity_scores;
     use fc_clustering::CostKind;
+    use fc_geom::Points;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -240,23 +168,5 @@ mod tests {
         let c = importance_sample(&mut r, &d, &scores, 3);
         assert_eq!(c.len(), 1);
         assert!((c.total_weight() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weight_scale_is_the_largest_weights_power_of_two() {
-        let points = Points::from_flat(vec![0.0, 1.0, 2.0], 1).unwrap();
-        for (largest, e) in [(1.0, 0), (1.99, 0), (2.0, 1), (1e300, 996), (0.75, -1)] {
-            let data =
-                Dataset::weighted(points.clone(), vec![largest, 0.5 * largest, 0.0]).unwrap();
-            let coreset = at_weight_scale(&data, |scaled| {
-                let top = scaled.weights()[0];
-                assert!((1.0..2.0).contains(&top), "{largest}: scaled to {top}");
-                assert_eq!(top, largest * f64::powi(2.0, -e));
-                assert_eq!(scaled.weights()[1], 0.5 * top);
-                Coreset::new(scaled.clone())
-            });
-            // Scaled back exactly.
-            assert_eq!(coreset.dataset(), &data, "{largest}");
-        }
     }
 }

@@ -15,7 +15,6 @@
 //! sensitivity-based methods. Runs in a true single pass (this
 //! implementation is also usable statically by streaming the whole dataset).
 
-use crate::sampling::at_coordinate_scale;
 use crate::Coreset;
 use fc_geom::{Dataset, Points};
 use rand::RngCore;
@@ -292,13 +291,9 @@ impl Bico {
 
 /// Static [`crate::Compressor`] adapter: streams the dataset through a
 /// fresh BICO summary sized to `params.m`. Lets BICO participate in the
-/// shared method suites (Tables 4–6) and in MapReduce aggregation.
-///
-/// The features sum `w·|p|²`. Where that total overflows — finite
-/// coordinates of about 1e154 square past `f64::MAX` — the summary is
-/// built on the points times the power of two that puts the largest
-/// coordinate in `[1, 2)`, and its centroids are scaled back. An input
-/// whose total is finite takes the first path bit for bit.
+/// shared method suites (Tables 4–6) and in MapReduce aggregation. The
+/// features sum `w·|p|²`; `Method::Bico` keeps that sum finite by
+/// building this adapter behind [`crate::plan::Method::build`]'s rescale.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BicoCompressor;
 
@@ -309,31 +304,19 @@ impl crate::Compressor for BicoCompressor {
         data: &Dataset,
         params: &crate::CompressionParams,
     ) -> Coreset {
-        let summarise = |data: &Dataset| {
-            let mut bico = Bico::new(data.dim(), BicoConfig::with_target(params.m));
-            for (p, &w) in data.points().iter().zip(data.weights()) {
-                bico.insert(p, w);
-            }
-            bico.coreset()
-        };
-        let sq_mass: f64 = data
-            .points()
-            .iter()
-            .zip(data.weights())
-            .map(|(p, &w)| w * p.iter().map(|x| x * x).sum::<f64>())
-            .sum();
-        if sq_mass.is_finite() {
-            return summarise(data);
+        let mut bico = Bico::new(data.dim(), BicoConfig::with_target(params.m));
+        for (p, &w) in data.points().iter().zip(data.weights()) {
+            bico.insert(p, w);
         }
-        let (scaled, up) = at_coordinate_scale(data);
-        let (points, weights) = summarise(&scaled).into_dataset().into_parts();
-        let flat = points.as_flat().iter().map(|x| x * up).collect();
-        let points = Points::from_flat(flat, data.dim()).expect("centroids keep the dimension");
-        Coreset::new(Dataset::weighted(points, weights).expect("weights are the summary's"))
+        bico.coreset()
     }
 }
 
-/// [`StreamingCompressor`] adapter (BICO is inherently streaming).
+/// [`StreamingCompressor`] adapter (BICO is inherently streaming): Table
+/// 6's bench and the streaming example run it. It is not served — a
+/// served or planned `bico` stream is merge-&-reduce over
+/// [`BicoCompressor`] — and it does not rescale, so coordinates whose
+/// squares overflow (about 1e154) collapse its features.
 pub struct BicoStream {
     inner: Option<Bico>,
     config: BicoConfig,

@@ -13,9 +13,13 @@
 //!   additive sufficient statistics under the k-means objective.
 //! - [`bico`]: the BICO streaming coreset of \[38\]: a hierarchy of clustering
 //!   features with level-halving radii and a global cost threshold that
-//!   doubles whenever the summary outgrows its budget.
+//!   doubles whenever the summary outgrows its budget. Its native
+//!   single-pass stream ([`BicoStream`]) is Table 6's bench; everything
+//!   served or planned streams BICO as merge-&-reduce over
+//!   [`BicoCompressor`].
 //! - [`streamkm`]: StreamKM++ \[1\]: a coreset tree performing hierarchical
-//!   D²-splitting, composed over the stream with merge-&-reduce buckets.
+//!   D²-splitting. Its bucket cascade is merge-&-reduce over
+//!   [`CoresetTreeCompressor`], so that is how it streams.
 //! - [`mapreduce`]: the single-round MapReduce aggregation of Section 2.3 —
 //!   partition, compress per worker (real threads), union the coresets.
 
@@ -31,4 +35,4 @@ pub use cf::ClusteringFeature;
 pub use mapreduce::{aggregate_parts, mapreduce_coreset, MapReduceReport};
 pub use merge_reduce::MergeReduce;
 pub use stream::{run_stream, StreamingCompressor};
-pub use streamkm::{CoresetTreeCompressor, StreamKm};
+pub use streamkm::CoresetTreeCompressor;

@@ -5,23 +5,21 @@
 //! proportional to its quantization cost, draw a new center inside it by D²
 //! sampling, and split the leaf between the old and new centers — until `m`
 //! leaves exist. Leaf centers weighted by leaf mass form the summary.
-//! The stream is handled with the classic bucket cascade: the first bucket
-//! stores `m` raw points; full buckets merge upward, re-reducing with a
-//! fresh coreset tree per merge.
+//! StreamKM++'s bucket cascade merges full buckets upward and re-reduces
+//! each merge with a fresh tree, which is merge-&-reduce over
+//! [`CoresetTreeCompressor`]: a stream of `Method::StreamKm` runs exactly
+//! that ([`crate::streaming::MergeReduce`]).
 //!
 //! StreamKM++ targets k-means only (the paper excludes it from the k-median
 //! figures) and its theoretical coreset size is exponential in `d` — which
 //! is exactly why Table 9 shows mediocre distortion at the sizes sensitivity
 //! sampling thrives on.
 
-use crate::sampling::at_coordinate_scale;
 use crate::{CompressionParams, Compressor, Coreset};
 use fc_geom::sampling::AliasTable;
 use fc_geom::{Dataset, Points};
 use rand::Rng;
 use rand::RngCore;
-
-use super::stream::StreamingCompressor;
 
 /// One leaf of the coreset tree.
 struct Leaf {
@@ -48,35 +46,16 @@ impl Leaf {
     }
 }
 
-/// Builds a coreset of (at most) `m` points via the coreset tree. Where the
-/// root's cost overflows — finite coordinates of about 1e154 square past
-/// `f64::MAX` — the tree grows on the points times the power of two that
-/// puts the largest coordinate in `[1, 2)`, which orders every distance as
-/// the input does; the leaves still gather the input's own rows. An input
-/// whose root cost is finite takes the first path bit for bit.
+/// Builds a coreset of (at most) `m` points via the coreset tree.
 pub fn coreset_tree_reduce<R: Rng + ?Sized>(rng: &mut R, data: &Dataset, m: usize) -> Coreset {
     assert!(m > 0);
     if data.len() <= m {
         return Coreset::new(data.clone());
     }
-    let weights = data.weights();
+    let (points, weights) = (data.points(), data.weights());
     let root_center = AliasTable::new(weights).map(|t| t.sample(rng)).unwrap_or(0);
-    let mut root = Leaf::new(
-        data.points(),
-        weights,
-        (0..data.len()).collect(),
-        root_center,
-    );
-    let scaled;
-    let points = if root.cost.is_finite() {
-        data.points()
-    } else {
-        scaled = at_coordinate_scale(data).0;
-        root = Leaf::new(scaled.points(), weights, root.indices, root_center);
-        scaled.points()
-    };
     let make_leaf = |indices, center| Leaf::new(points, weights, indices, center);
-    let mut leaves = vec![root];
+    let mut leaves = vec![make_leaf((0..data.len()).collect(), root_center)];
 
     while leaves.len() < m {
         // Pick a leaf proportional to cost.
@@ -139,8 +118,8 @@ pub fn coreset_tree_reduce<R: Rng + ?Sized>(rng: &mut R, data: &Dataset, m: usiz
     )
 }
 
-/// [`Compressor`] adapter for the coreset tree (used by Table 9's static
-/// evaluation and by the bucket cascade below).
+/// [`Compressor`] adapter for the coreset tree: Table 9's static
+/// evaluation, and every StreamKM++ stream as merge-&-reduce over it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CoresetTreeCompressor;
 
@@ -155,91 +134,8 @@ impl Compressor for CoresetTreeCompressor {
     }
 }
 
-/// The streaming StreamKM++: bucket cascade with coreset-tree reductions.
-pub struct StreamKm {
-    m: usize,
-    dim: usize,
-    /// Raw-point buffer (bucket 0).
-    buffer: Vec<f64>,
-    buffer_weights: Vec<f64>,
-    /// Buckets 1..: at most one summary per level.
-    buckets: Vec<Option<Dataset>>,
-}
-
-impl StreamKm {
-    /// Creates a StreamKM++ summarizer with bucket size `m`.
-    pub fn new(dim: usize, m: usize) -> Self {
-        assert!(m > 0 && dim > 0);
-        Self {
-            m,
-            dim,
-            buffer: Vec::new(),
-            buffer_weights: Vec::new(),
-            buckets: Vec::new(),
-        }
-    }
-
-    fn flush_buffer(&mut self, rng: &mut dyn RngCore) {
-        if self.buffer_weights.is_empty() {
-            return;
-        }
-        let pts = Points::from_flat(std::mem::take(&mut self.buffer), self.dim)
-            .expect("buffer is rectangular");
-        let ws = std::mem::take(&mut self.buffer_weights);
-        let d = Dataset::weighted(pts, ws).expect("weights are non-negative");
-        self.promote(rng, d, 0);
-    }
-
-    fn promote(&mut self, rng: &mut dyn RngCore, d: Dataset, level: usize) {
-        if self.buckets.len() <= level {
-            self.buckets.resize_with(level + 1, || None);
-        }
-        match self.buckets[level].take() {
-            None => self.buckets[level] = Some(d),
-            Some(existing) => {
-                let merged = existing.concat(&d).expect("buckets share the dimension");
-                let reduced = coreset_tree_reduce(rng, &merged, self.m).into_dataset();
-                self.promote(rng, reduced, level + 1);
-            }
-        }
-    }
-}
-
-impl StreamingCompressor for StreamKm {
-    fn insert_block(&mut self, rng: &mut dyn RngCore, block: &Dataset) {
-        assert_eq!(block.dim(), self.dim);
-        for (p, &w) in block.points().iter().zip(block.weights()) {
-            self.buffer.extend_from_slice(p);
-            self.buffer_weights.push(w);
-            if self.buffer_weights.len() >= self.m {
-                self.flush_buffer(rng);
-            }
-        }
-    }
-
-    fn finalize(&mut self, rng: &mut dyn RngCore) -> Coreset {
-        self.flush_buffer(rng);
-        let mut acc: Option<Dataset> = None;
-        for bucket in self.buckets.iter_mut() {
-            if let Some(d) = bucket.take() {
-                acc = Some(match acc {
-                    None => d,
-                    Some(a) => a.concat(&d).expect("buckets share the dimension"),
-                });
-            }
-        }
-        let acc = acc.expect("finalize called on an empty stream");
-        if acc.len() > self.m {
-            coreset_tree_reduce(rng, &acc, self.m)
-        } else {
-            Coreset::new(acc)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::stream::run_stream;
     use super::*;
     use fc_clustering::CostKind;
     use rand::rngs::StdRng;
@@ -293,32 +189,6 @@ mod tests {
         let mut r = rng();
         let c = coreset_tree_reduce(&mut r, &d, 10);
         assert_eq!(c.dataset(), &d);
-    }
-
-    #[test]
-    fn streaming_cascade_produces_bounded_summary() {
-        let d = blobs();
-        let mut s = StreamKm::new(2, 100);
-        let mut r = rng();
-        let c = run_stream(&mut s, &mut r, &d, 16);
-        assert!(c.len() <= 100);
-        let rel = (c.total_weight() - d.total_weight()).abs() / d.total_weight();
-        assert!(rel < 1e-6, "weight drift {rel}");
-    }
-
-    #[test]
-    fn streaming_summary_supports_clustering() {
-        let d = blobs();
-        let mut s = StreamKm::new(2, 120);
-        let mut r = rng();
-        let c = run_stream(&mut s, &mut r, &d, 10);
-        let centers =
-            fc_geom::Points::from_flat(vec![0.1, 0.2, 50.1, 0.2, 100.1, 0.2, 150.1, 0.2], 2)
-                .unwrap();
-        let full = fc_clustering::cost::cost(&d, &centers, CostKind::KMeans);
-        let summary = c.cost(&centers, CostKind::KMeans);
-        let ratio = (full / summary).max(summary / full);
-        assert!(ratio < 3.0, "ratio {ratio}");
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub trait Backend: Send + Sync {
         &self,
         name: &str,
         seed: Option<u64>,
-        method: Option<&Method>,
+        method: Option<Method>,
     ) -> Result<(Coreset, u64, Method), EngineError>;
 
     /// Clusters the served coreset; omitted knobs default from the
@@ -153,7 +153,7 @@ impl Backend for Engine {
         &self,
         name: &str,
         seed: Option<u64>,
-        method: Option<&Method>,
+        method: Option<Method>,
     ) -> Result<(Coreset, u64, Method), EngineError> {
         Engine::coreset(self, name, seed, method)
     }

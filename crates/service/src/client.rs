@@ -477,12 +477,12 @@ impl ServiceClient {
     pub fn compress(
         &mut self,
         dataset: &str,
-        method: Option<&Method>,
+        method: Option<Method>,
         seed: Option<u64>,
     ) -> Result<(Coreset, u64, Method), ClientError> {
         match self.request(&Request::Compress {
             dataset: dataset.into(),
-            method: method.cloned(),
+            method,
             seed,
         })? {
             Response::Coreset {

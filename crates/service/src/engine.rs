@@ -937,7 +937,7 @@ impl Engine {
         &self,
         name: &str,
         seed: Option<u64>,
-        method: Option<&Method>,
+        method: Option<Method>,
     ) -> Result<(Coreset, u64, Method), EngineError> {
         self.query.coreset(&Shards(self), name, seed, method)
     }
@@ -1124,7 +1124,7 @@ impl QuerySource for Shards<'_> {
         _name: &str,
         entry: &DatasetEntry,
         _seed: u64,
-        _method: Option<&Method>,
+        _method: Option<Method>,
     ) -> Result<Vec<Coreset>, EngineError> {
         entry.snapshots()
     }
@@ -1595,10 +1595,10 @@ mod tests {
         // A per-request compression method serves through a different
         // compressor with the same seed discipline.
         let (a, _, _) = engine
-            .coreset("d", Some(5), Some(&Method::Lightweight))
+            .coreset("d", Some(5), Some(Method::Lightweight))
             .unwrap();
         let (b, _, _) = engine
-            .coreset("d", Some(5), Some(&Method::Lightweight))
+            .coreset("d", Some(5), Some(Method::Lightweight))
             .unwrap();
         assert_eq!(a.dataset(), b.dataset(), "override is still reproducible");
     }

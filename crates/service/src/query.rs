@@ -144,7 +144,7 @@ pub trait QuerySource {
         name: &str,
         dataset: &Self::Dataset,
         seed: u64,
-        method: Option<&Method>,
+        method: Option<Method>,
     ) -> Result<Vec<Coreset>, EngineError>;
 
     /// Prices `centers`, returning `(cost, points priced on)`. The
@@ -247,7 +247,7 @@ impl QueryPath {
         source: &S,
         name: &str,
         seed: Option<u64>,
-        method: Option<&Method>,
+        method: Option<Method>,
     ) -> Result<(Coreset, u64, Method), EngineError> {
         self.run(&self.coreset_seconds, || {
             let dataset = source.resolve(name)?;
@@ -257,7 +257,7 @@ impl QueryPath {
             let coreset = self.summary(source, name, &dataset, state, seed, method)?;
             // When Ω already fit the serving size it was served as-is; the
             // reported method is then the one that *would* compress it.
-            let effective = method.copied().unwrap_or(ledger.plan().method());
+            let effective = method.unwrap_or(ledger.plan().method());
             Ok((coreset, seed, effective))
         })
     }
@@ -403,21 +403,18 @@ impl QueryPath {
         dataset: &S::Dataset,
         state: Option<QueryState>,
         seed: u64,
-        method: Option<&Method>,
+        method: Option<Method>,
     ) -> Result<Coreset, EngineError> {
         let key = state.map(|state| QueryKey {
             state,
-            what: Asked::Coreset {
-                seed,
-                method: method.copied(),
-            },
+            what: Asked::Coreset { seed, method },
         });
         if let Some(QueryValue::Coreset(coreset)) = self.probe(key.as_ref()) {
             return Ok(coreset);
         }
         let parts = source.parts(name, dataset, seed, method)?;
         let ledger: &Ledger = dataset.as_ref();
-        let built = method.copied().map(Method::build);
+        let built = method.map(Method::build);
         let compressor = built.as_deref().unwrap_or(ledger.compressor().as_ref());
         let mut rng = StdRng::seed_from_u64(seed);
         // Parts that disagree on dimension (a fleet misconfiguration)
@@ -547,7 +544,7 @@ mod tests {
             _name: &str,
             _: &Ledger,
             seed: u64,
-            _method: Option<&Method>,
+            _method: Option<Method>,
         ) -> Result<Vec<Coreset>, EngineError> {
             self.asked.fetch_add(1, Ordering::Relaxed);
             if self.ingest_during_parts.load(Ordering::Relaxed) {
@@ -724,9 +721,7 @@ mod tests {
         source.copies.store(13, Ordering::Relaxed);
         let union = Coreset::union_all(vec![part(7); 13]).unwrap();
         for method in [None, Some(Method::Lightweight)] {
-            let (omega, _, _) = path
-                .coreset(&source, "d", Some(7), method.as_ref())
-                .unwrap();
+            let (omega, _, _) = path.coreset(&source, "d", Some(7), method).unwrap();
             assert_eq!(omega.dataset(), union.dataset());
         }
         assert_eq!(source.compressions(), 0);
@@ -750,7 +745,7 @@ mod tests {
         // An override compresses under the method it names instead.
         let lightweight = Method::Lightweight;
         let (omega, _, method) = path
-            .coreset(&source, "d", Some(7), Some(&lightweight))
+            .coreset(&source, "d", Some(7), Some(lightweight))
             .unwrap();
         assert_eq!(source.compressions(), 1);
         assert_eq!(

@@ -333,7 +333,7 @@ pub fn handle_request(backend: &dyn Backend, request: Request) -> Response {
             dataset,
             method,
             seed,
-        } => match backend.coreset(&dataset, seed, method.as_ref()) {
+        } => match backend.coreset(&dataset, seed, method) {
             Ok((coreset, seed, method)) => {
                 let (points, weights) = protocol::dataset_to_rows(coreset.dataset());
                 Response::Coreset {

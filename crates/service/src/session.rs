@@ -328,9 +328,9 @@ mod tests {
             &self,
             _name: &str,
             seed: Option<u64>,
-            method: Option<&Method>,
+            method: Option<Method>,
         ) -> Result<(Coreset, u64, Method), EngineError> {
-            let method = method.cloned().unwrap_or(Method::Uniform);
+            let method = method.unwrap_or(Method::Uniform);
             Ok((Coreset::new(two_points()), seed.unwrap_or(7), method))
         }
 

@@ -102,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         swapped.centers.len()
     );
     let (uniform, _, served_method) =
-        client.compress("gaussians", Some(&"uniform".parse::<Method>()?), Some(1))?;
+        client.compress("gaussians", Some("uniform".parse::<Method>()?), Some(1))?;
     assert_eq!(served_method, Method::Uniform, "response echoes the method");
     println!(
         "method override: {served_method} serving coreset of {} points",

@@ -11,7 +11,6 @@ use fast_coresets::prelude::*;
 use fc_clustering::lloyd::LloydConfig;
 use fc_core::streaming::bico::{BicoConfig, BicoStream};
 use fc_core::streaming::stream::run_stream;
-use fc_core::streaming::StreamKm;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -69,14 +68,15 @@ fn main() {
     let static_c = fast.compress(&mut rng, &data, &params);
     let static_time = start.elapsed();
 
-    // 3. The streaming baselines.
+    // 3. The streaming baselines: BICO's native single-pass stream, and
+    //    StreamKM++, whose bucket cascade is merge-&-reduce over its tree.
     let start = std::time::Instant::now();
     let mut bico = BicoStream::new(BicoConfig::with_target(params.m));
     let bico_c = run_stream(&mut bico, &mut rng, &data, blocks);
     let bico_time = start.elapsed();
 
     let start = std::time::Instant::now();
-    let mut skm = StreamKm::new(data.dim(), params.m);
+    let mut skm = MergeReduce::new(Method::StreamKm.build(), params);
     let skm_c = run_stream(&mut skm, &mut rng, &data, blocks);
     let skm_time = start.elapsed();
 

@@ -541,7 +541,7 @@ impl fc_service::Backend for SlowCompress {
         &self,
         name: &str,
         seed: Option<u64>,
-        method: Option<&Method>,
+        method: Option<Method>,
     ) -> Result<(fc_core::Coreset, u64, Method), EngineError> {
         std::thread::sleep(self.delay);
         self.engine.coreset(name, seed, method)

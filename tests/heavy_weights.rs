@@ -1,16 +1,18 @@
-//! Weights and coordinates near the top of the `f64` range. Every
+//! Weights and coordinates anywhere in the `f64` range. Every
 //! sensitivity-family method multiplies weights by squared distances and
 //! sums them over clusters, so at a weight of 1e300 those sums overflow to
 //! infinity and `inf / inf` turns a score into NaN; at coordinates of 1e153
-//! the squared distance itself does. The methods work at the scale of their
-//! largest weight instead: weights are scaled by a power of two into
-//! `[1, 2)` on the way in and scaled back on the way out, which is exact, so
-//! a heavy input gives the coreset its unit-weight twin gives, times the
-//! weight. Where the scores still overflow, the coordinates are scaled the
-//! same way and the compression runs again.
+//! the squared distance itself does, and at 1e-180 it underflows to zero.
+//! So every compressor `Method::build` returns computes at a safe scale:
+//! where the largest |coordinate| or weight lies outside `[2^-256, 2^256)`,
+//! the method sees a copy scaled by the power of two that puts it in
+//! `[1, 2)`, and the coreset is scaled back. A power of two scales a float
+//! exactly and the cost is homogeneous, so the coreset of `2^e·P` is
+//! `2^e` times the coreset of `P`, bit for bit, at every `e`.
 
 use fast_coresets::prelude::*;
 use fc_core::methods::JCount;
+use fc_core::ALL_METHODS;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -174,4 +176,64 @@ fn streamkm_and_bico_summarise_every_block_of_huge_coordinates() {
             );
         }
     }
+}
+
+/// `data` with its coordinates times `2^ex` and its weights times `2^ew`.
+fn times_two_to(data: &Dataset, ex: i32, ew: i32) -> Dataset {
+    let (up, wup) = (f64::powi(2.0, ex), f64::powi(2.0, ew));
+    let flat = data.points().as_flat().iter().map(|x| x * up).collect();
+    let weights = data.weights().iter().map(|w| w * wup).collect();
+    Dataset::weighted(Points::from_flat(flat, data.dim()).unwrap(), weights).unwrap()
+}
+
+/// The units of the input do not matter: for every method and objective,
+/// compressing the input with its coordinates times `2^e` gives the
+/// coreset of the input times `2^e`, and weights times `2^e` give its
+/// weights times `2^e`, point for point and bit for bit. At ±600 the
+/// squares overflow or underflow; at ±20 and ±200 nothing does, and the
+/// property rests on the methods having no absolute floor of their own.
+#[test]
+fn coresets_scale_with_their_input_by_any_power_of_two() {
+    let data = fc_data::gaussian_mixture(
+        &mut StdRng::seed_from_u64(46),
+        fc_data::GaussianMixtureConfig {
+            n: 2_000,
+            d: 10,
+            kappa: 10,
+            gamma: 1.0,
+            ..Default::default()
+        },
+    );
+    let mut differ = Vec::new();
+    for method in ALL_METHODS {
+        let compressor = method.build();
+        for kind in [CostKind::KMeans, CostKind::KMedian] {
+            let params = CompressionParams {
+                k: 10,
+                m: 200,
+                kind,
+            };
+            let compress = |data: &Dataset| {
+                let mut rng = StdRng::seed_from_u64(47);
+                compressor.compress(&mut rng, data, &params).into_dataset()
+            };
+            let base = compress(&data);
+            let cases = [-600, -200, -20, 20, 200, 600]
+                .map(|e| (e, 0))
+                .into_iter()
+                .chain([(0, -600), (0, 600)]);
+            for (ex, ew) in cases {
+                if compress(&times_two_to(&data, ex, ew)) != times_two_to(&base, ex, ew) {
+                    differ.push(format!(
+                        "{method} {kind:?} coordinates 2^{ex} weights 2^{ew}"
+                    ));
+                }
+            }
+        }
+    }
+    assert!(
+        differ.is_empty(),
+        "{} cases differ: {differ:#?}",
+        differ.len()
+    );
 }

@@ -57,7 +57,7 @@ fn apply(backend: &dyn Backend, plan: &Plan, op: &Op) -> Result<String, EngineEr
             format!("{outcome:?}")
         }
         Op::Coreset(name, seed, method) => {
-            let (coreset, seed, method) = backend.coreset(name, *seed, method.as_ref())?;
+            let (coreset, seed, method) = backend.coreset(name, *seed, *method)?;
             assert!(coreset.len() <= plan.m());
             format!("coreset under seed {seed}, method {method}")
         }

@@ -63,7 +63,7 @@ fn served(backend: &dyn Backend) -> Vec<(&'static str, u64)> {
         backend.ingest("d", &block, None, None, None).unwrap();
     }
     let coreset = |seed, method: Option<Method>| {
-        let (coreset, _, _) = backend.coreset("d", Some(seed), method.as_ref()).unwrap();
+        let (coreset, _, _) = backend.coreset("d", Some(seed), method).unwrap();
         let data = coreset.dataset();
         fnv(bits(data.points().as_flat()).chain(bits(data.weights())))
     };

@@ -257,7 +257,7 @@ impl fc_service::Backend for PanickingCluster {
         &self,
         name: &str,
         seed: Option<u64>,
-        method: Option<&Method>,
+        method: Option<Method>,
     ) -> Result<(Coreset, u64, Method), fc_service::EngineError> {
         self.0.coreset(name, seed, method)
     }

@@ -150,7 +150,8 @@ fn bico_and_streamkm_produce_usable_summaries() {
         bd.distortion
     );
 
-    let mut skm = fc_core::streaming::StreamKm::new(data.dim(), m);
+    let params = CompressionParams::with_scalar(k, 40, CostKind::KMeans).unwrap();
+    let mut skm = MergeReduce::new(Method::StreamKm.build(), params);
     let sc = run_stream(&mut skm, &mut rng, &data, 10);
     let sd = fc_core::distortion(
         &mut rng,

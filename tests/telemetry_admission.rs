@@ -112,7 +112,7 @@ impl Backend for SlowBackend {
         &self,
         name: &str,
         _seed: Option<u64>,
-        _method: Option<&Method>,
+        _method: Option<Method>,
     ) -> Result<(Coreset, u64, Method), EngineError> {
         Err(EngineError::UnknownDataset(name.to_owned()))
     }
