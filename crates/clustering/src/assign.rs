@@ -51,11 +51,30 @@
 //! [`BOUND_TABLE_BYTES`] (`g = 1` keeps a single bound per point): derived from
 //! `n` and `k`, set by nobody.
 //!
-//! The first round is not special: bounds start at `−∞`, so every group is
-//! scanned — the full scan. Per-point work stays inside [`fc_geom::par`]'s
-//! fixed chunks, so output is identical at every thread count.
+//! **The first round.** Given centers alone, bounds start at `−∞`: every
+//! group is scanned, the full scan. A solve does not start there.
+//! k-means++ seeding ([`crate::kmeanspp`]) keeps the table as it adds
+//! centers, under the same slack rules, and refinement resumes from it
+//! (`BoundedAssigner::resume`), so its first round prunes like any other.
+//! With `floor(x²) = x·(1 − s)` for a recorded distance and `reach(m) =
+//! √m·(1 + s)` for the best squared distance `m`:
+//!
+//! - bounds start at `+∞` (no center yet proves anything);
+//! - before center `c` joins, `gap[j] = floor(dist²(c_j, c))` is measured
+//!   for every earlier center — `k · d` work per round, not `n · d`;
+//! - a point with label `a` skips `c` when `(gap[a] − reach(m))·(1 − s) >
+//!   reach(m)` (the triangle inequality puts `c` strictly farther than
+//!   `a`), and that lower bound goes into `c`'s group;
+//! - otherwise `dist²(p, c)` is measured. If `c` wins (strictly; ties keep
+//!   the earlier center, as the scan does), `floor(m)` of the old label
+//!   goes into its own group; if it loses, its own floor goes into `c`'s.
+//!
+//! Where seeding stops short of the centers it laid the table out for
+//! (fewer distinct points than `k`), refinement starts with the full scan.
+//! Per-point work stays inside [`fc_geom::par`]'s fixed chunks, so output
+//! is identical at every thread count.
 
-use fc_geom::distance::{nearest_block, sq_dist, sq_dist_bounded, CostKind};
+use fc_geom::distance::{nearest_block, sq_dist, CostKind};
 use fc_geom::par;
 use fc_geom::points::Points;
 
@@ -186,6 +205,47 @@ pub fn group_count(n: usize, k: usize) -> usize {
     k.div_ceil(GROUP_SIZE).min(affordable).max(1)
 }
 
+/// Centers per group, and groups per point, for `k` centers in `groups`.
+fn layout(k: usize, groups: usize) -> (usize, usize) {
+    let group_size = k.div_ceil(groups.clamp(1, k));
+    (group_size, k.div_ceil(group_size))
+}
+
+/// The module docs' slack rule, for distances in `d` dimensions.
+#[derive(Debug, Clone, Copy)]
+struct Slack {
+    /// `1 − s` and `1 + s`, with `s = (d + 8)·ε`.
+    shrink: f64,
+    grow: f64,
+}
+
+impl Slack {
+    fn new(dim: usize) -> Self {
+        let s = (dim + 8) as f64 * f64::EPSILON;
+        Slack {
+            shrink: 1.0 - s,
+            grow: 1.0 + s,
+        }
+    }
+
+    /// A computed squared distance as a bound that cannot overstate it.
+    fn floor(self, sq: f64) -> f64 {
+        (sq.sqrt() * self.shrink).min(MAX_BOUND)
+    }
+
+    /// The best squared distance as the level a bound must clear to prove
+    /// its whole group strictly farther.
+    fn reach(self, best_sq: f64) -> f64 {
+        (best_sq.sqrt() * self.grow).max(MIN_BOUND)
+    }
+
+    /// `bound` lowered by `by` (a distance already grown by `1 + s`),
+    /// rounded down.
+    fn lower(self, bound: f64, by: f64) -> f64 {
+        (bound - by) * self.shrink
+    }
+}
+
 /// Nearest-center assignment that remembers, between the rounds of one
 /// refinement, enough to skip distances it can prove unchanged (module
 /// docs). Labels and `cost_z` are the bits [`assign`] would return.
@@ -204,19 +264,45 @@ impl BoundedAssigner {
     /// records its bounds, `groups` of them per point.
     pub fn new(points: &Points, centers: &Points, kind: CostKind, groups: usize) -> Self {
         assert!(!centers.is_empty(), "assignment needs at least one center");
-        let (n, k) = (points.len(), centers.len());
-        let group_size = k.div_ceil(groups.clamp(1, k));
+        let n = points.len();
+        let (group_size, width) = layout(centers.len(), groups);
         let mut assigner = BoundedAssigner {
             assignment: Assignment {
                 labels: vec![0; n],
                 cost_z: vec![0.0; n],
             },
-            bounds: vec![f64::NEG_INFINITY; n * k.div_ceil(group_size)],
+            bounds: vec![f64::NEG_INFINITY; n * width],
             group_size,
             distance_evals: 0,
         };
         assigner.reassign(points, centers, centers, kind);
         assigner
+    }
+
+    /// The first assignment of `points` to the `centers` k-means++ seeding
+    /// chose, taken from what `seeds` measured on the way (module docs,
+    /// "The first round"). Where seeding stopped short of the centers its
+    /// table was laid out for, [`BoundedAssigner::new`]'s full scan.
+    pub(crate) fn resume(points: &Points, centers: &Points, seeds: Seeds, kind: CostKind) -> Self {
+        if centers.len() != seeds.planned {
+            let groups = group_count(points.len(), centers.len());
+            let mut assigner = Self::new(points, centers, kind, groups);
+            assigner.distance_evals += seeds.distance_evals;
+            return assigner;
+        }
+        let mut cost_z = seeds.min_sq;
+        for v in &mut cost_z {
+            *v = kind.from_sq(*v);
+        }
+        BoundedAssigner {
+            assignment: Assignment {
+                labels: seeds.labels,
+                cost_z,
+            },
+            bounds: seeds.bounds,
+            group_size: seeds.group_size,
+            distance_evals: seeds.distance_evals,
+        }
     }
 
     /// The current assignment: exact labels and `cost_z`.
@@ -241,13 +327,11 @@ impl BoundedAssigner {
         let dim = centers.dim();
         assert_eq!(points.dim(), dim, "points and centers must share dimension");
         assert_eq!(previous.len(), centers.len(), "centers only move");
-        let slack = (dim + 8) as f64 * f64::EPSILON;
         let scan = GroupScan {
             centers: centers.as_flat(),
             dim,
             group_size: self.group_size,
-            shrink: 1.0 - slack,
-            grow: 1.0 + slack,
+            slack: Slack::new(dim),
             kind,
         };
         // How far each group's bound must drop: its farthest-moved center.
@@ -257,7 +341,7 @@ impl BoundedAssigner {
                 let moved = (old.chunks_exact(dim).zip(new.chunks_exact(dim)))
                     .map(|(a, b)| sq_dist(a, b))
                     .fold(0.0, f64::max);
-                moved.sqrt() * scan.grow
+                moved.sqrt() * scan.slack.grow
             })
             .collect();
         let tasks: Vec<_> = (points.as_flat().chunks(par::CHUNK_POINTS * dim))
@@ -285,23 +369,8 @@ struct GroupScan<'a> {
     centers: &'a [f64],
     dim: usize,
     group_size: usize,
-    /// `1 − s` and `1 + s` of the module docs' slack rule.
-    shrink: f64,
-    grow: f64,
+    slack: Slack,
     kind: CostKind,
-}
-
-impl GroupScan<'_> {
-    /// A computed squared distance as a bound that cannot overstate it.
-    fn floor(&self, sq: f64) -> f64 {
-        (sq.sqrt() * self.shrink).min(MAX_BOUND)
-    }
-
-    /// The best squared distance as the level a bound must clear to prove
-    /// its whole group strictly farther.
-    fn reach(&self, best_sq: f64) -> f64 {
-        (best_sq.sqrt() * self.grow).max(MIN_BOUND)
-    }
 }
 
 /// Re-assigns one chunk of points; returns the distances it evaluated. `D`
@@ -316,6 +385,7 @@ fn reassign_chunk<const D: usize>(
 ) -> u64 {
     let dim = if D == 0 { scan.dim } else { D };
     let k = scan.centers.len() / dim;
+    let slack = scan.slack;
     let mut evals = 0u64;
     for (((p, label), cost), bounds) in (points.chunks_exact(dim))
         .zip(labels)
@@ -325,11 +395,11 @@ fn reassign_chunk<const D: usize>(
         let own = *label;
         let own_sq = sq_dist(&p[..dim], &scan.centers[own * dim..][..dim]);
         evals += 1;
-        for (bound, moved) in bounds.iter_mut().zip(drift) {
-            *bound = (*bound - moved) * scan.shrink;
+        for (bound, &moved) in bounds.iter_mut().zip(drift) {
+            *bound = slack.lower(*bound, moved);
         }
         let (mut best, mut best_sq) = (own, own_sq);
-        let mut reach = scan.reach(best_sq);
+        let mut reach = slack.reach(best_sq);
         for g in 0..bounds.len() {
             if bounds[g] > reach {
                 continue;
@@ -359,14 +429,14 @@ fn reassign_chunk<const D: usize>(
                 // The displaced best is an ordinary member of its own
                 // group from here on.
                 let home = best / scan.group_size;
-                bounds[home] = bounds[home].min(scan.floor(best_sq));
+                bounds[home] = bounds[home].min(slack.floor(best_sq));
                 (best, best_sq, rest) = (near, near_sq, next_sq);
-                reach = scan.reach(best_sq);
+                reach = slack.reach(best_sq);
             }
             if inside && best != own {
                 rest = rest.min(own_sq);
             }
-            bounds[g] = scan.floor(rest);
+            bounds[g] = slack.floor(rest);
         }
         *label = best;
         *cost = scan.kind.from_sq(best_sq);
@@ -374,43 +444,146 @@ fn reassign_chunk<const D: usize>(
     evals
 }
 
-/// Incrementally updates per-point nearest-center squared distances after a
-/// new center is appended. Used by k-means++ seeding to stay `O(nd)` per
-/// round instead of recomputing all `k` candidates.
-///
-/// `min_sq[i]` holds the squared distance from point `i` to the previously
-/// nearest center (or `f64::INFINITY` before the first center); `labels[i]`
-/// is updated to `new_label` when the new center is closer.
-pub fn update_nearest(
-    points: &Points,
-    new_center: &[f64],
-    new_label: usize,
-    min_sq: &mut [f64],
-    labels: &mut [usize],
-) {
-    debug_assert_eq!(points.len(), min_sq.len());
-    let dim = points.dim();
-    let flat = points.as_flat();
-    let tasks: Vec<(&[f64], &mut [f64], &mut [usize])> = flat
-        .chunks(par::CHUNK_POINTS * dim)
-        .zip(min_sq.chunks_mut(par::CHUNK_POINTS))
-        .zip(labels.chunks_mut(par::CHUNK_POINTS))
-        .map(|((p, m), l)| (p, m, l))
-        .collect();
-    par::for_each_task(tasks, |_, (pts, min_sq, labels)| {
-        for ((p, m), l) in pts
-            .chunks_exact(dim)
-            .zip(min_sq.iter_mut())
-            .zip(labels.iter_mut())
-        {
-            if let Some(d) = sq_dist_bounded(p, new_center, *m) {
-                if d < *m {
-                    *m = d;
-                    *l = new_label;
-                }
+/// k-means++ seeding's running assignment — each point's nearest center so
+/// far and its squared distance — and the bound table refinement resumes
+/// from (module docs, "The first round").
+#[derive(Debug)]
+pub(crate) struct Seeds {
+    /// Nearest center so far, per point; ties keep the earlier center.
+    pub(crate) labels: Vec<usize>,
+    /// The squared distance to it, bit for bit what [`assign`] computes.
+    pub(crate) min_sq: Vec<f64>,
+    /// One row per point, one bound per group, `+∞` until a center of the
+    /// group joins.
+    bounds: Vec<f64>,
+    group_size: usize,
+    /// The number of centers the table is laid out for.
+    planned: usize,
+    distance_evals: u64,
+}
+
+impl Seeds {
+    /// Every point assigned to the first center, `first`, with the table
+    /// laid out for `planned` centers in [`group_count`] groups.
+    pub(crate) fn new(points: &Points, first: &[f64], planned: usize) -> Self {
+        let n = points.len();
+        let dim = points.dim();
+        let (group_size, width) = layout(planned, group_count(n, planned));
+        let mut min_sq = vec![0.0; n];
+        let tasks: Vec<_> = (points.as_flat().chunks(par::CHUNK_POINTS * dim))
+            .zip(min_sq.chunks_mut(par::CHUNK_POINTS))
+            .collect();
+        par::for_each_task(tasks, |_, (p, m)| {
+            for (p, m) in p.chunks_exact(dim).zip(m) {
+                *m = sq_dist(p, first);
             }
+        });
+        Seeds {
+            labels: vec![0; n],
+            min_sq,
+            bounds: vec![f64::INFINITY; n * width],
+            group_size,
+            planned,
+            distance_evals: n as u64,
         }
-    });
+    }
+
+    /// Point–center distances measured so far.
+    pub(crate) fn distance_evals(&self) -> u64 {
+        self.distance_evals
+    }
+
+    /// Brings every point up to date with the last row of `centers`, the
+    /// center just chosen (the rows before it are the ones seen so far).
+    pub(crate) fn add(&mut self, points: &Points, centers: &Points) {
+        let dim = points.dim();
+        let index = centers.len() - 1;
+        let center = centers.row(index);
+        let slack = Slack::new(dim);
+        let gaps: Vec<f64> = (centers.as_flat()[..index * dim].chunks_exact(dim))
+            .map(|earlier| slack.floor(sq_dist(earlier, center)))
+            .collect();
+        let width = self.planned.div_ceil(self.group_size);
+        let step = SeedStep {
+            center,
+            index,
+            // A seeding that outruns its plan (repeated draws past `n`
+            // distinct points) is resumed by a full scan; its table only
+            // has to stay in range.
+            group: (index / self.group_size).min(width - 1),
+            last_group: width - 1,
+            group_size: self.group_size,
+            gaps: &gaps,
+            slack,
+            dim,
+        };
+        let tasks: Vec<_> = (points.as_flat().chunks(par::CHUNK_POINTS * dim))
+            .zip(self.labels.chunks_mut(par::CHUNK_POINTS))
+            .zip(self.min_sq.chunks_mut(par::CHUNK_POINTS))
+            .zip(self.bounds.chunks_mut(par::CHUNK_POINTS * width))
+            .map(|(((p, l), m), b)| (p, l, m, b))
+            .collect();
+        let evals = par::map_tasks(tasks, |_, (p, l, m, b)| {
+            fc_geom::dispatch_dim!(
+                dim,
+                seed_chunk,
+                seed_chunk::<0>(&step, p, l, m, b),
+                (&step, p, l, m, b)
+            )
+        });
+        self.distance_evals += evals.into_iter().sum::<u64>();
+    }
+}
+
+/// One seeding round's read-only inputs, shared by every chunk.
+struct SeedStep<'a> {
+    center: &'a [f64],
+    index: usize,
+    /// The new center's group, and the last group of the table.
+    group: usize,
+    last_group: usize,
+    group_size: usize,
+    /// `floor(dist(c_j, center))` for every earlier center `j`.
+    gaps: &'a [f64],
+    slack: Slack,
+    dim: usize,
+}
+
+/// Brings one chunk of points up to date with a new center; returns the
+/// distances it measured. `D` as in [`reassign_chunk`].
+fn seed_chunk<const D: usize>(
+    step: &SeedStep<'_>,
+    points: &[f64],
+    labels: &mut [usize],
+    min_sq: &mut [f64],
+    bounds: &mut [f64],
+) -> u64 {
+    let dim = if D == 0 { step.dim } else { D };
+    let center = &step.center[..dim];
+    let slack = step.slack;
+    let mut evals = 0u64;
+    for (((p, label), m), bounds) in (points.chunks_exact(dim))
+        .zip(labels)
+        .zip(min_sq)
+        .zip(bounds.chunks_exact_mut(step.last_group + 1))
+    {
+        let reach = slack.reach(*m);
+        let lower = slack.lower(step.gaps[*label], reach);
+        if lower > reach {
+            bounds[step.group] = bounds[step.group].min(lower);
+            continue;
+        }
+        let sq = sq_dist(&p[..dim], center);
+        evals += 1;
+        if sq < *m {
+            let home = (*label / step.group_size).min(step.last_group);
+            bounds[home] = bounds[home].min(slack.floor(*m));
+            (*label, *m) = (step.index, sq);
+        } else {
+            bounds[step.group] = bounds[step.group].min(slack.floor(sq));
+        }
+    }
+    evals
 }
 
 #[cfg(test)]
@@ -464,18 +637,46 @@ mod tests {
         assert!((costs[1] - 0.01).abs() < 1e-12);
     }
 
+    /// Points on a small lattice (exact ties) around blobs far apart, so
+    /// seeding both skips and measures.
+    fn lattice(n: usize, dim: usize) -> Points {
+        let flat = (0..n * dim)
+            .map(|i| ((i * 7 + i / dim) % 5) as f64 + ((i / dim) % 3 * 40) as f64)
+            .collect();
+        Points::from_flat(flat, dim).unwrap()
+    }
+
     #[test]
-    fn update_nearest_incremental_matches_batch() {
-        let p = points();
-        let c = centers();
-        let mut min_sq = vec![f64::INFINITY; p.len()];
-        let mut labels = vec![usize::MAX; p.len()];
-        update_nearest(&p, c.row(0), 0, &mut min_sq, &mut labels);
-        update_nearest(&p, c.row(1), 1, &mut min_sq, &mut labels);
-        let batch = assign(&p, &c, CostKind::KMeans);
-        assert_eq!(labels, batch.labels);
-        for (a, b) in min_sq.iter().zip(&batch.cost_z) {
-            assert!((a - b).abs() < 1e-12);
+    fn seeds_are_the_scan_and_their_bounds_hold() {
+        for dim in [1, 2, 3, 8, 20] {
+            let p = lattice(2 * par::CHUNK_POINTS + 77, dim);
+            let mut centers = Points::empty(dim);
+            centers.push(p.row(5)).unwrap();
+            let mut seeds = Seeds::new(&p, p.row(5), 12);
+            for i in [900, 5, 1500, 2, 41, 300, 1999, 7, 1234, 60, 61] {
+                centers.push(p.row(i)).unwrap();
+                seeds.add(&p, &centers);
+            }
+            let scan = assign(&p, &centers, CostKind::KMeans);
+            assert_eq!(seeds.labels, scan.labels, "dim {dim}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&seeds.min_sq), bits(&scan.cost_z), "dim {dim}");
+            let n = p.len() as u64;
+            assert!(
+                seeds.distance_evals() < 12 * n,
+                "dim {dim}: nothing skipped"
+            );
+            // Every bound is at most the distance to every center of its
+            // group other than the label.
+            let width = seeds.bounds.len() / p.len();
+            for (i, row) in seeds.bounds.chunks_exact(width).enumerate() {
+                for (j, c) in centers.iter().enumerate() {
+                    if j != seeds.labels[i] {
+                        let bound = row[j / seeds.group_size];
+                        assert!(bound <= sq_dist(p.row(i), c).sqrt(), "dim {dim}");
+                    }
+                }
+            }
         }
     }
 

@@ -6,6 +6,11 @@
 //! `O(log k)`-approximation in expectation for k-means and is the seeding
 //! inside *standard* sensitivity sampling — precisely the `Ω(nk)` bottleneck
 //! Fast-kmeans++ removes.
+//!
+//! Each round skips the points the triangle inequality proves nearer their
+//! current center than the new one, and keeps the bound table
+//! [`crate::lloyd`]'s first round resumes from (`assign` module docs, "The
+//! first round").
 
 use fc_geom::dataset::Dataset;
 use fc_geom::distance::CostKind;
@@ -14,7 +19,7 @@ use fc_geom::points::Points;
 use fc_geom::sampling::AliasTable;
 use rand::Rng;
 
-use crate::assign::update_nearest;
+use crate::assign::Seeds;
 
 /// Output of seeding: centers plus the assignment/costs accumulated along
 /// the way (free by-products of D^z sampling).
@@ -51,6 +56,23 @@ impl Seeding {
 /// the residual cost reaches zero first, i.e. fewer than `k` distinct
 /// points). Panics on an empty dataset or `k == 0`.
 pub fn kmeanspp<R: Rng + ?Sized>(rng: &mut R, data: &Dataset, k: usize, kind: CostKind) -> Seeding {
+    let (centers, chosen, seeds) = seed(rng, data, k, kind);
+    Seeding {
+        centers,
+        chosen,
+        labels: seeds.labels,
+        min_sq: seeds.min_sq,
+    }
+}
+
+/// [`kmeanspp`], with what it measured on the way left in [`Seeds`] for
+/// [`crate::assign::BoundedAssigner::resume`].
+pub(crate) fn seed<R: Rng + ?Sized>(
+    rng: &mut R,
+    data: &Dataset,
+    k: usize,
+    kind: CostKind,
+) -> (Points, Vec<usize>, Seeds) {
     assert!(k > 0, "k must be positive");
     assert!(!data.is_empty(), "cannot seed an empty dataset");
     let n = data.len();
@@ -68,18 +90,16 @@ pub fn kmeanspp<R: Rng + ?Sized>(rng: &mut R, data: &Dataset, k: usize, kind: Co
         .push(points.row(first))
         .expect("dimensions match by construction");
     let mut chosen = vec![first];
-    let mut min_sq = vec![f64::INFINITY; n];
-    let mut labels = vec![0usize; n];
-    update_nearest(points, points.row(first), 0, &mut min_sq, &mut labels);
+    let mut seeds = Seeds::new(points, points.row(first), k.min(n));
 
     let weights = data.weights();
     let mut scores = vec![0.0f64; n];
-    for round in 1..k {
+    for _ in 1..k {
         // D^z scores: w_p * dist^z. Chunk-parallel with per-chunk partial
         // totals merged in chunk order; every RNG draw stays strictly
         // sequential below, so sampling is thread-count independent.
         let total: f64 = {
-            let min_sq = &min_sq;
+            let min_sq = &seeds.min_sq;
             let tasks: Vec<(usize, &mut [f64])> = scores
                 .chunks_mut(par::CHUNK_POINTS)
                 .enumerate()
@@ -114,15 +134,9 @@ pub fn kmeanspp<R: Rng + ?Sized>(rng: &mut R, data: &Dataset, k: usize, kind: Co
             .push(points.row(next))
             .expect("dimensions match by construction");
         chosen.push(next);
-        update_nearest(points, points.row(next), round, &mut min_sq, &mut labels);
+        seeds.add(points, &centers);
     }
-
-    Seeding {
-        centers,
-        chosen,
-        labels,
-        min_sq,
-    }
+    (centers, chosen, seeds)
 }
 
 #[cfg(test)]

@@ -52,6 +52,16 @@ pub fn geometric_median(
         .map(|x| x.abs())
         .fold(0.0, f64::max)
         .max(f64::MIN_POSITIVE);
+    // A pull is a weight over a distance that may be down to `ε` of the
+    // iterate's scale, so weights past 2^256 could overflow it to `∞` and
+    // the iterate to NaN. Those are scaled by the power of two that puts
+    // the heaviest in [1, 2): every ratio below is then exactly as it was.
+    let top = indices.iter().map(|&i| weights[i]).fold(0.0, f64::max);
+    let unit = if top >= 2f64.powi(256) {
+        1.0 / f64::from_bits(top.to_bits() & f64::INFINITY.to_bits())
+    } else {
+        1.0
+    };
     let mut next = vec![0.0; dim];
     for _ in 0..cfg.max_iters {
         let mut denom = 0.0;
@@ -62,7 +72,7 @@ pub fn geometric_median(
             if d <= f64::EPSILON * scale {
                 continue;
             }
-            let pull = weights[i] / d;
+            let pull = weights[i] * unit / d;
             denom += pull;
             for (nx, &px) in next.iter_mut().zip(p) {
                 *nx += pull * px;
@@ -118,6 +128,16 @@ pub fn weighted_means_by_label(
     labels: &[usize],
     k: usize,
 ) -> Vec<Vec<f64>> {
+    weighted_means_and_totals(points, weights, labels, k).0
+}
+
+/// [`weighted_means_by_label`], with each cluster's total weight.
+pub fn weighted_means_and_totals(
+    points: &Points,
+    weights: &[f64],
+    labels: &[usize],
+    k: usize,
+) -> (Vec<Vec<f64>>, Vec<f64>) {
     let dim = points.dim();
     let flat = points.as_flat();
     let partials = fc_geom::par::map_chunks(points.len(), |_, r| {
@@ -145,7 +165,7 @@ pub fn weighted_means_by_label(
             *a += b;
         }
     }
-    (0..k)
+    let means = (0..k)
         .map(|j| {
             let mut mean = sums[j * dim..(j + 1) * dim].to_vec();
             if totals[j] > 0.0 {
@@ -155,7 +175,8 @@ pub fn weighted_means_by_label(
             }
             mean
         })
-        .collect()
+        .collect();
+    (means, totals)
 }
 
 /// Weighted k-median cost of selected points relative to a single center.
@@ -225,6 +246,23 @@ mod tests {
         // Heavy weight on the right point pulls the median there.
         let m = geometric_median(&p, &[1.0, 100.0], &idx, WeiszfeldConfig::default());
         assert!(m[0] > 9.0, "median {} should sit at the heavy point", m[0]);
+    }
+
+    #[test]
+    fn heavy_weights_move_no_bit_of_the_median() {
+        // Pulls of 1e300-weighted points a hair from the iterate overflowed
+        // to ∞ and the median to NaN; weights differing by a power of two
+        // must give the same median.
+        let p =
+            Points::from_flat(vec![0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1e-12, 0.0, 3.0, 3.0], 2).unwrap();
+        let plain = [5.0, 1.0, 1.0, 4.0, 0.5];
+        let heavy: Vec<f64> = plain.iter().map(|w| w * 2f64.powi(1000)).collect();
+        let all = [0, 1, 2, 3, 4];
+        let want = geometric_median(&p, &plain, &all, WeiszfeldConfig::default());
+        let got = geometric_median(&p, &heavy, &all, WeiszfeldConfig::default());
+        assert!(got.iter().all(|x| x.is_finite()), "{got:?}");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! - [`assign`](mod@assign): nearest-center assignment — the `O(nkd)` scan whose
 //!   avoidance is the whole point of Fast-kmeans++, and the bound-keeping
-//!   assigner that lets refinement skip most of it after the first round.
+//!   assigner that lets seeding and refinement skip most of it.
 //! - [`cost`](mod@cost): weighted `cost_z(P, C)` evaluation for k-means (`z = 2`) and
 //!   k-median (`z = 1`).
 //! - [`kmeanspp`](mod@kmeanspp): weighted D^z-sampling seeding (k-means++ of Arthur &

@@ -7,11 +7,14 @@
 //! is obtained by seeding + Lloyd *on the coreset*.
 //!
 //! [`refine`] is the workspace's one refinement loop, for both objectives.
-//! Its assignment step is [`BoundedAssigner`]: the first round scans, later
-//! rounds measure only the distances the triangle inequality cannot prove
-//! unchanged — a few per cent in the long tail where centers barely move.
-//! What is returned does not depend on that: labels, centers, cost and the
-//! stopping round are bit for bit those of the same loop over the plain
+//! Its assignment step is [`BoundedAssigner`]: every round measures only
+//! the distances the triangle inequality cannot prove unchanged — a few
+//! per cent in the long tail where centers barely move. Given centers
+//! alone, the first assignment is a full scan; [`solve`] (and
+//! [`crate::Solver::solve`]) instead resumes from the labels and bounds
+//! k-means++ seeding kept, so no round rescans. What is returned does not
+//! depend on either: labels, centers, cost and the stopping round are bit
+//! for bit those of the same loop over the plain
 //! [`assign`](crate::assign::assign) scan (`tests/refine_reference.rs`).
 
 use fc_geom::dataset::Dataset;
@@ -20,8 +23,8 @@ use fc_geom::points::Points;
 
 use fc_geom::par;
 
-use crate::assign::{group_count, Assignment, BoundedAssigner};
-use crate::kmedian::{geometric_median, weighted_means_by_label, WeiszfeldConfig};
+use crate::assign::{group_count, Assignment, BoundedAssigner, Seeds};
+use crate::kmedian::{geometric_median, weighted_means_and_totals, WeiszfeldConfig};
 use crate::solution::Solution;
 
 /// Configuration for Lloyd refinement.
@@ -88,9 +91,32 @@ pub fn refine_with_groups(
         "refinement needs at least one initial center"
     );
     assert!(!data.is_empty(), "cannot refine on an empty dataset");
-    let k = initial.len();
-    let mut centers = initial;
-    let mut assigner = BoundedAssigner::new(data.points(), &centers, kind, groups);
+    let assigner = BoundedAssigner::new(data.points(), &initial, kind, groups);
+    iterate(data, initial, assigner, kind, cfg)
+}
+
+/// [`refine`] from a k-means++ seeding: the first assignment is the one
+/// `seeds` kept, bounds included, not a fresh scan.
+pub(crate) fn refine_seeded(
+    data: &Dataset,
+    centers: Points,
+    seeds: Seeds,
+    kind: CostKind,
+    cfg: LloydConfig,
+) -> Solution {
+    let assigner = BoundedAssigner::resume(data.points(), &centers, seeds, kind);
+    iterate(data, centers, assigner, kind, cfg)
+}
+
+/// The alternation itself, from `centers` and their first assignment.
+fn iterate(
+    data: &Dataset,
+    mut centers: Points,
+    mut assigner: BoundedAssigner,
+    kind: CostKind,
+    cfg: LloydConfig,
+) -> Solution {
+    let k = centers.len();
     let mut cost = assigner.assignment().total_cost(data.weights());
     let mut rounds = 0;
 
@@ -125,16 +151,36 @@ fn recompute_centers(
     weiszfeld: WeiszfeldConfig,
     previous: &Points,
 ) -> Points {
-    let clusters = assignment.clusters(k);
     let points = data.points();
     let weights = data.weights();
-    let mut centers = Points::empty(points.dim());
-    centers.reserve(k);
 
-    let cluster_ok: Vec<bool> = clusters
-        .iter()
-        .map(|members| members.iter().any(|&i| weights[i] > 0.0))
-        .collect();
+    // A cluster is re-seeded when none of its points carries weight.
+    // Centroid accumulation fans out through `fc_geom::par`: k-means runs
+    // one chunked pass over the labelled points (partials merged in chunk
+    // order), whose weight totals say which clusters have any; k-median
+    // needs the member lists, and computes the per-cluster Weiszfeld
+    // medians as independent parallel tasks.
+    let (computed, cluster_ok): (Vec<Vec<f64>>, Vec<bool>) = match kind {
+        CostKind::KMeans => {
+            let (means, totals) = weighted_means_and_totals(points, weights, &assignment.labels, k);
+            (means, totals.iter().map(|&t| t > 0.0).collect())
+        }
+        CostKind::KMedian => {
+            let clusters = assignment.clusters(k);
+            let ok: Vec<bool> = (clusters.iter())
+                .map(|members| members.iter().any(|&i| weights[i] > 0.0))
+                .collect();
+            let tasks: Vec<&Vec<usize>> = clusters.iter().collect();
+            let medians = par::map_tasks(tasks, |j, members| {
+                if ok[j] {
+                    geometric_median(points, weights, members, weiszfeld)
+                } else {
+                    Vec::new()
+                }
+            });
+            (medians, ok)
+        }
+    };
 
     // Re-seed empty clusters at the points with the largest contributions.
     // Ranking every point is O(n log n) per round, so only pay for it when
@@ -151,24 +197,8 @@ fn recompute_centers(
         Some(worst.into_iter())
     };
 
-    // Centroid accumulation fans out through `fc_geom::par`: k-means runs
-    // one chunked pass over the labelled points (partials merged in chunk
-    // order); k-median computes the per-cluster Weiszfeld medians as
-    // independent parallel tasks.
-    let computed: Vec<Vec<f64>> = match kind {
-        CostKind::KMeans => weighted_means_by_label(points, weights, &assignment.labels, k),
-        CostKind::KMedian => {
-            let tasks: Vec<&Vec<usize>> = clusters.iter().collect();
-            par::map_tasks(tasks, |j, members| {
-                if cluster_ok[j] {
-                    geometric_median(points, weights, members, weiszfeld)
-                } else {
-                    Vec::new()
-                }
-            })
-        }
-    };
-
+    let mut centers = Points::empty(points.dim());
+    centers.reserve(k);
     for (j, &ok) in cluster_ok.iter().enumerate() {
         let center = if !ok {
             match reseed.as_mut().and_then(|it| it.next()) {
@@ -192,8 +222,8 @@ pub fn solve<R: rand::Rng + ?Sized>(
     kind: CostKind,
     cfg: LloydConfig,
 ) -> Solution {
-    let seeding = crate::kmeanspp::kmeanspp(rng, data, k, kind);
-    refine(data, seeding.centers, kind, cfg)
+    let (centers, _, seeds) = crate::kmeanspp::seed(rng, data, k, kind);
+    refine_seeded(data, centers, seeds, kind, cfg)
 }
 
 #[cfg(test)]

@@ -17,8 +17,11 @@ pub struct Solution {
     pub cost: f64,
     /// Refinement rounds run (local search: swaps tried).
     pub rounds: usize,
-    /// Point–center distances the refinement evaluated. A plain scan
-    /// evaluates `n · k · (rounds + 1)`; the gap is what pruning skipped.
+    /// Point–center distances the solve measured, seeding included. Plain
+    /// k-means++ and plain scans measure `n · k · (rounds + 1)`: seeding's
+    /// `n · k` stands in for the first scan, which a seeded solve skips
+    /// unless seeding ran out of distinct points before `k` centers. The
+    /// gap is what pruning skipped.
     pub distance_evals: u64,
 }
 

@@ -16,8 +16,8 @@ use fc_geom::dataset::Dataset;
 use fc_geom::distance::CostKind;
 use rand::Rng;
 
-use crate::kmeanspp::kmeanspp;
-use crate::lloyd::{refine, LloydConfig};
+use crate::kmeanspp::seed;
+use crate::lloyd::{refine_seeded, LloydConfig};
 use crate::local_search::{local_search, LocalSearchConfig};
 use crate::solution::Solution;
 
@@ -87,6 +87,8 @@ impl Solver {
     /// Seeds with weighted k-means++ (D^z sampling under `kind`) and
     /// refines with this solver. The one entry point every workflow —
     /// batch plan, streaming finish, serving engine — funnels through.
+    /// Lloyd's first round resumes from the labels and bounds the seeding
+    /// kept; either way, `distance_evals` counts the seeding's distances.
     pub fn solve<R: Rng + ?Sized>(
         self,
         rng: &mut R,
@@ -101,10 +103,15 @@ impl Solver {
         if data.is_empty() {
             return Err(SolverError::EmptyData);
         }
-        let seeding = kmeanspp(rng, data, k, kind);
+        let (centers, _, seeds) = seed(rng, data, k, kind);
         Ok(match self {
-            Solver::Lloyd => refine(data, seeding.centers, kind, cfg.lloyd),
-            Solver::LocalSearch => local_search(rng, data, seeding.centers, kind, cfg.local_search),
+            Solver::Lloyd => refine_seeded(data, centers, seeds, kind, cfg.lloyd),
+            Solver::LocalSearch => {
+                let seeding_evals = seeds.distance_evals();
+                let mut solution = local_search(rng, data, centers, kind, cfg.local_search);
+                solution.distance_evals += seeding_evals;
+                solution
+            }
         })
     }
 }

@@ -9,7 +9,7 @@ use fc_clustering::cost::cost;
 use fc_clustering::kmeanspp::kmeanspp;
 use fc_clustering::lloyd::{refine, solve, LloydConfig};
 use fc_clustering::solution::Solution;
-use fc_clustering::CostKind;
+use fc_clustering::{CostKind, SolveConfig, Solver};
 use fc_geom::dataset::Dataset;
 use fc_geom::par;
 use fc_geom::Points;
@@ -120,6 +120,32 @@ fn tolerance_stopped_refinement_is_bit_identical_across_thread_counts() {
         "stopped by tolerance, after {} rounds",
         reference.1
     );
+    for threads in [2usize, 8] {
+        let got = par::with_threads(threads, run);
+        assert_eq!(reference, got, "{threads} threads diverged from 1 thread");
+    }
+}
+
+/// A solve's first round resumes from the labels and bounds k-means++ kept
+/// chunk by chunk: the hand-off, and what it lets every round skip, must
+/// not depend on how the chunks were scheduled.
+#[test]
+fn seeded_solve_is_bit_identical_across_thread_counts() {
+    let data = mixture(3 * par::CHUNK_POINTS + 200, 20, 41);
+    let run = || {
+        let mut rng = StdRng::seed_from_u64(13);
+        let sol = Solver::Lloyd
+            .solve(
+                &mut rng,
+                &data,
+                24,
+                CostKind::KMeans,
+                &SolveConfig::default(),
+            )
+            .unwrap();
+        (bits(&sol), sol.rounds, sol.distance_evals, rng.gen::<u64>())
+    };
+    let reference = par::with_threads(1, run);
     for threads in [2usize, 8] {
         let got = par::with_threads(threads, run);
         assert_eq!(reference, got, "{threads} threads diverged from 1 thread");

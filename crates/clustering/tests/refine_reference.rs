@@ -12,8 +12,8 @@ use fc_clustering::assign::{assign, group_count, Assignment};
 use fc_clustering::cost::cost;
 use fc_clustering::kmeanspp::kmeanspp;
 use fc_clustering::kmedian::{geometric_median, weighted_means_by_label, WeiszfeldConfig};
-use fc_clustering::lloyd::{refine, refine_with_groups, LloydConfig};
-use fc_clustering::CostKind;
+use fc_clustering::lloyd::{refine, refine_with_groups, solve, LloydConfig};
+use fc_clustering::{CostKind, SolveConfig, Solver};
 use fc_geom::{par, Dataset, Points};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -327,4 +327,91 @@ fn refine_uses_the_derived_group_count() {
         "{} of {scan} distances evaluated",
         plain.distance_evals
     );
+}
+
+/// The dimensions the seeded solve is held at: the unrolled kernels, the
+/// generic path, and `batch-frontier`'s 20.
+const SOLVE_DIMS: [usize; 7] = [1, 2, 3, 8, 16, 20, 33];
+
+/// `lloyd::solve` and `Solver::Lloyd.solve` resume from the labels and
+/// bounds k-means++ kept instead of scanning; the contract is again that
+/// nobody can tell. Both must match k-means++ followed by the reference
+/// loop in every label, centre bit, cost bit, the round they stopped at and
+/// the RNG draw that follows, at 1 and 8 threads. `heavy` puts every third
+/// point's weight near 1e300.
+fn check_solve(case: &Case, heavy: bool) -> Result<(), TestCaseError> {
+    let (data, _) = build(case);
+    let data = if heavy {
+        let weights = (data.weights().iter().enumerate())
+            .map(|(i, &w)| if i % 3 == 0 { w * 1e300 } else { w })
+            .collect();
+        Dataset::weighted(data.points().clone(), weights).unwrap()
+    } else {
+        data
+    };
+    let seed = case.seed ^ 0x5eed;
+    let (want, want_next) = par::with_threads(1, || {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let seeding = kmeanspp(&mut rng, &data, case.k, case.kind);
+        let want = reference_refine(&data, seeding.centers, case.kind, case.cfg);
+        (want, rng.gen::<u64>())
+    });
+    let (n, k) = (data.len(), want.centers.len());
+    // Seeding's `n · k` stands in for the first scan, unless it ran out of
+    // distinct points before `min(k, n)` centres and the first round scans.
+    let first_scan = if k < case.k.min(n) { n * k } else { 0 };
+    let scan = (n * k * (want.rounds + 1) + first_scan) as u64;
+    let cfg = SolveConfig {
+        lloyd: case.cfg,
+        ..SolveConfig::default()
+    };
+    for threads in [1usize, 8] {
+        for through_solver in [false, true] {
+            let (got, next) = par::with_threads(threads, || {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let got = if through_solver {
+                    Solver::Lloyd
+                        .solve(&mut rng, &data, case.k, case.kind, &cfg)
+                        .unwrap()
+                } else {
+                    solve(&mut rng, &data, case.k, case.kind, case.cfg)
+                };
+                (got, rng.gen::<u64>())
+            });
+            let at = format!("solver {through_solver}, {threads} threads, heavy {heavy}, {case:?}");
+            prop_assert_eq!(got.rounds, want.rounds, "rounds: {}", at);
+            prop_assert_eq!(&got.labels, &want.labels, "labels: {}", at);
+            prop_assert_eq!(bits(&got.centers), bits(&want.centers), "centres: {}", at);
+            prop_assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "cost: {}", at);
+            prop_assert_eq!(next, want_next, "next draw: {}", at);
+            prop_assert!(
+                n as u64 <= got.distance_evals && got.distance_evals <= scan,
+                "{} evaluations outside [{n}, {scan}]: {at}",
+                got.distance_evals
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    #[test]
+    fn seeded_solve_is_kmeanspp_then_the_reference_loop(
+        case in case_strategy(200),
+        dim in 0..SOLVE_DIMS.len(),
+        frame in 0usize..4,
+        heavy in any::<bool>(),
+    ) {
+        let frame = match frame {
+            0 => Frame::Offset(1e7),
+            1 => Frame::Scaled(1e-150),
+            _ => Frame::Plain,
+        };
+        // Random initial centres are cheaper to draw than a second seeding,
+        // and `check_solve` does not use them.
+        let case = Case { dim: SOLVE_DIMS[dim], frame, init: 1, ..case };
+        check_solve(&case, heavy)?;
+    }
 }

@@ -13,7 +13,10 @@
 //! Ryu (Adams, PLDI 2018), byte for byte what `format!("{n}")` writes
 //! (std is the reference its tests hold it to) — except that an integer
 //! value below 10¹⁷ is written exactly and keeps a `.0`, so it reads back
-//! as a `Number` and not a `Uint`. Non-finite numbers are written as
+//! as a `Number` and not a `Uint`, and that a nonzero magnitude below
+//! 1e-6 or from 1e21 up is written as `format!("{n:e}")` does (`7.3e-179`,
+//! JavaScript's rule): positional text would spell out up to ~330 digits
+//! where the exponent form needs three. Non-finite numbers are written as
 //! `null`.
 //!
 //! [`parse_with_rows`] is [`parse`] for protocol lines: it reads the
@@ -238,9 +241,22 @@ fn write_number(n: f64, out: &mut String) {
     let (digits, exponent) = shortest::shortest(n.to_bits());
     let mut buf = [0u8; 20];
     let text = ascii_digits(digits, &mut buf);
-    // The value is 0.<text> x 10^point: std writes it without an exponent.
+    // The value is 0.<text> x 10^point.
     let point = exponent + text.len() as i32;
-    if point <= 0 {
+    if !(1e-6..1e21).contains(&n) {
+        // <first>.<rest>e<point - 1>, as `{:e}` writes it.
+        let (first, rest) = text.split_at(1);
+        out.push_str(first);
+        if !rest.is_empty() {
+            out.push('.');
+            out.push_str(rest);
+        }
+        out.push('e');
+        if point < 1 {
+            out.push('-');
+        }
+        write_uint(u64::from((point - 1).unsigned_abs()), out);
+    } else if point <= 0 {
         out.push_str("0.");
         push_zeros(point.unsigned_abs() as usize, out);
         out.push_str(text);
@@ -822,13 +838,16 @@ mod tests {
         assert_eq!(Value::String("4".into()).as_usize(), None);
     }
 
-    /// What the writer must print: std's shortest round trip, and `{:.1}`
-    /// for integer values below 1e17.
+    /// What the writer must print: std's shortest round trip, `{:.1}` for
+    /// integer values below 1e17, and `{:e}` for nonzero magnitudes below
+    /// 1e-6 or from 1e21 up.
     fn reference(n: f64) -> String {
         if !n.is_finite() {
             "null".to_owned()
         } else if n.fract() == 0.0 && n.abs() < 1e17 {
             format!("{n:.1}")
+        } else if !(1e-6..1e21).contains(&n.abs()) {
+            format!("{n:e}")
         } else {
             format!("{n}")
         }
@@ -896,6 +915,44 @@ mod tests {
         }
         for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             assert_writes_reference(n);
+        }
+    }
+
+    /// Both sides of both exponent-form boundaries, then a broad sample:
+    /// every written number reads back as the same bits, and an exponent
+    /// form as a `Number`, never a `Uint`.
+    #[test]
+    fn exponent_forms_read_back_as_the_same_float() {
+        let edges = [1e-6, 1e21, f64::MIN_POSITIVE, 5e-324, f64::MAX];
+        let around = edges.iter().flat_map(|x| {
+            let b = x.to_bits();
+            [b.saturating_sub(1), b, b.saturating_add(1)]
+        });
+        let cases: Vec<(f64, &str)> = vec![
+            (1e-7, "1e-7"),
+            (1e21, "1e21"),
+            (1.5e300, "1.5e300"),
+            (-7.3e-179, "-7.3e-179"),
+            (999999999999999900000.0, "999999999999999900000"),
+            (0.000001, "0.000001"),
+        ];
+        for (n, text) in cases {
+            let mut out = String::new();
+            write_number(n, &mut out);
+            assert_eq!(out, text);
+        }
+        for bits in around.chain(bit_patterns(11).take(100_000)) {
+            let n = f64::from_bits(bits);
+            if !n.is_finite() {
+                continue;
+            }
+            let mut out = String::new();
+            write_number(n, &mut out);
+            let back = parse(&out).unwrap();
+            if out.contains('e') {
+                assert!(matches!(back, Value::Number(_)), "{out}: {back:?}");
+            }
+            assert_eq!(back.as_f64().map(f64::to_bits), Some(n.to_bits()), "{out}");
         }
     }
 
