@@ -9,7 +9,9 @@ use rand::SeedableRng;
 
 /// The 1 442-point coreset `golden_coreset.rs` pins, solved as
 /// `golden_solve.rs` solves it. `distance_evals` is a count: it repeats
-/// exactly, on every machine and at every thread count.
+/// exactly, on every machine and at every thread count. It counts
+/// seeding's distances too, and refinement resumes from the bounds
+/// seeding kept instead of scanning all 57 680 pairs again.
 #[test]
 fn pruning_skips_most_of_the_scan_on_the_golden_coreset() {
     let mut rng = StdRng::seed_from_u64(1301);
@@ -37,7 +39,7 @@ fn pruning_skips_most_of_the_scan_on_the_golden_coreset() {
         )
         .unwrap();
     let scan = (1_442 * 40 * (solution.rounds + 1)) as u64;
-    assert_eq!((solution.rounds, solution.distance_evals), (6, 68_565));
+    assert_eq!((solution.rounds, solution.distance_evals), (6, 40_735));
     assert!(
         (solution.distance_evals as f64) < 0.3 * scan as f64,
         "{} of {scan} distances measured",
