@@ -250,9 +250,9 @@ mod tests {
 
     #[test]
     fn heavy_weights_move_no_bit_of_the_median() {
-        // Pulls of 1e300-weighted points a hair from the iterate overflowed
-        // to ∞ and the median to NaN; weights differing by a power of two
-        // must give the same median.
+        // Unscaled, the pull of a 1e300-weighted point a hair from the
+        // iterate overflows to ∞ and the median turns NaN; weights that
+        // differ by a power of two must give the same median.
         let p =
             Points::from_flat(vec![0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1e-12, 0.0, 3.0, 3.0], 2).unwrap();
         let plain = [5.0, 1.0, 1.0, 4.0, 0.5];

@@ -40,10 +40,11 @@
 //!
 //! **Effort.** Every solve that actually runs adds to three counters:
 //! `fc_solve_rounds_total`, `fc_solve_distance_evals_total` (point–center
-//! distances the solver measured) and `fc_solve_distance_scan_total` (what
-//! a plain scan would have measured, `n · k · (rounds + 1)`); one minus
-//! their ratio is the share of the solve that bound pruning skipped. A
-//! cache hit solves nothing and adds nothing.
+//! distances the solver measured, seeding's included) and
+//! `fc_solve_distance_scan_total` (what plain seeding and plain scans
+//! would have measured, `n · k · (rounds + 1)`); one minus their ratio is
+//! the share of the solve that bound pruning skipped. A cache hit solves
+//! nothing and adds nothing.
 //!
 //! **Where the serving-coreset memo goes.** Today the request seed
 //! selects Ω, so two seeds at one state compress twice. The direction is
