@@ -1,40 +1,25 @@
 //! The coordinator: one [`fc_service::Backend`] fanning out to many
-//! remote `fc-server` nodes.
+//! remote `fc-server` nodes (the crate docs describe the topology).
 //!
-//! Ingest deals each batch to one node — round-robin over the active
-//! members, in shares proportional to their capacities
-//! ([`FleetMap::spread`]) — forwarding the dataset's creating [`Plan`] with
-//! every routed batch so whichever node sees the dataset first creates it
-//! under the same plan (plan-less datasets run each node's default plan —
-//! deploy nodes and coordinator with the same plan flags). Queries run
-//! the shared [`fc_service::query`] path; the coordinator only supplies
-//! the parts: one exchange with every node in parallel pulls each node's
-//! serving compression, and that path unions them and re-compresses once
-//! — the MapReduce aggregation step, with sockets where the library has
-//! threads. Only compressed summaries ever cross the network: `O(m)`
-//! points per node per query, independent of how much data the nodes
-//! hold.
+//! Writes are admitted by the shared [`fc_service::ingest`] path — the
+//! same refusals, exactly-once gate and counters as a single engine —
+//! and delivered by `Fleet`: dealt to one node by capacity
+//! ([`FleetMap::spread`]) at R = 1, fanned to the dataset's replica set
+//! at R ≥ 2, with the creating [`Plan`] riding every batch so whichever
+//! node sees the dataset first creates it under that plan. Queries run
+//! the shared [`fc_service::query`] path; the fleet supplies the parts,
+//! one serving compression per answering node, so only `O(m)` points per
+//! node cross the network. An unreachable node is marked down and
+//! queries answer from the survivors; `stats` reports every node's
+//! identity, health and last error.
 //!
-//! Failure is a first-class input: an unreachable node is marked down and
-//! queries answer from the survivors; an `overloaded` node is retried
-//! through the client's bounded backoff and then failed over for writes;
-//! `stats` reports every node's identity, health, and last error.
-//!
-//! With `replication >= 2` the coordinator switches from spread routing to
-//! *placement*: an [`fc_fleet::FleetMap`] assigns each dataset an R-member
-//! replica set (capacity-weighted rendezvous hashing over the roster),
-//! ingest fans each batch to every replica (coreset composability makes
-//! an R-way copy just R ingests), and queries read from any single live
-//! replica instead of unioning the fleet. `add-node` / `drain-node` bump the map's epoch and
-//! migrate serving coresets — not raw data — onto the members the new map
-//! ranks; requests asserting a stale epoch get a structured `wrong_epoch`.
-//!
-//! Either way a batch is admitted by the shared [`fc_service::ingest`]
-//! path — the same refusals, exactly-once gate and counters as a single
-//! engine — and each node's engine dedupes again behind its WAL.
+//! Fleet state — roster, placement map, per-node histograms — is one
+//! `FleetState` behind one lock. `add-node` / `drain-node` bump its
+//! epoch and run one re-homing plan; requests asserting a stale epoch get
+//! a structured `wrong_epoch`.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::time::Instant;
 
 use fc_clustering::solver::Solver;
@@ -42,20 +27,19 @@ use fc_clustering::CostKind;
 use fc_core::json::Value;
 use fc_core::plan::{Method, Plan};
 use fc_core::Coreset;
-use fc_fleet::FleetMap;
+use fc_fleet::{FleetError, FleetMap};
 use fc_geom::{Dataset, Points};
 use fc_service::client::wire_block;
 use fc_service::engine::fnv64;
-use fc_service::protocol::{self, DatasetStats, ErrorCode, IngestIdent, NodeHealth, NodeStats};
+use fc_service::protocol::{self, DatasetStats, ErrorCode, IngestIdent, NodeHealth};
 use fc_service::{
     Backend, ClientError, ClusterOutcome, EngineConfig, EngineError, IngestOutcome, Ledger,
     QueryPath, QuerySource, QueryState, Request, Response, RetryPolicy, WritePath, WriteSink,
 };
-use fc_telemetry::{
-    current_trace, labeled, next_request_id, set_current_trace, Counter, Histogram, Telemetry,
-};
+use fc_telemetry::{current_trace, next_request_id, set_current_trace, Counter, Telemetry};
 
-use crate::node::{NodeHandle, NodeTimeouts};
+use crate::fleet_state::{blank, FleetState, Rehome};
+use crate::node::NodeTimeouts;
 
 /// Mixes per-node compression seeds. Deliberately a different constant
 /// from [`fc_geom::par::SEED_STREAM`]: nodes seed their compressor RNGs
@@ -176,84 +160,32 @@ impl CoordinatorConfig {
 /// count what serves.
 type Route = Ledger;
 
-/// One dataset's pending relocation during an `add_node`/`drain_node`
-/// epoch bump: `(dataset, route, old replica set, new replica set)`,
-/// replica sets as roster indices.
-type PlacementMove = (String, Arc<Route>, Vec<usize>, Vec<usize>);
-
 /// A multi-node coordinator. Implements [`Backend`], so
 /// [`fc_service::ServerHandle::bind_backend`] turns it into a server that
 /// is wire-indistinguishable from a single big `fc-server`.
 pub struct Coordinator {
-    /// The roster, index-aligned with the fleet map's member indices.
-    /// Append-only (a drained node is marked in the map, never removed),
-    /// so an index handed out at one epoch still names the same node at
-    /// the next; fan-outs snapshot the `Arc`s and run lock-free.
-    nodes: RwLock<Vec<Arc<NodeHandle>>>,
+    /// Roster, placement map and per-node histograms. Membership ops take
+    /// it for writing just long enough to bump the epoch; everything else
+    /// reads it briefly and runs its node requests on a snapshot.
+    fleet: RwLock<FleetState>,
     retry: RetryPolicy,
-    timeouts: NodeTimeouts,
-    binary_wire: bool,
-    /// Replication factor R (1 = classic spread routing).
-    replication: usize,
     /// `coreset` / `cluster` / `cost`, answered on [`Fleet`].
     query: QueryPath,
-    /// The versioned membership + placement map, the one owner of node
-    /// capacities. Membership ops
-    /// (`add_node`, `drain_node`) serialize on this lock; everything else
-    /// takes it briefly to read the epoch or a replica set.
-    fleet: Mutex<FleetMap>,
     /// Ingest admission and the registry of live datasets, delivering
     /// into [`Fleet`].
     write: WritePath<Route>,
-    /// The coordinator's observability surface (shared with the server
-    /// loop serving it) plus cached hot-path handles into it.
-    metrics: CoordinatorMetrics,
-}
-
-/// Coordinator-side telemetry handles. The ingest and query ops register
-/// theirs — under the names an engine uses, so one Grafana panel covers
-/// both tiers — in [`fc_service::ingest`] and [`fc_service::query`]; what
-/// is left is fleet bookkeeping plus a per-node request-latency histogram
-/// for attribution.
-struct CoordinatorMetrics {
-    shared: Arc<Telemetry>,
-    /// Dataset migrations completed by membership changes.
+    /// The coordinator's observability surface, shared with the server
+    /// loop serving it. The ingest and query ops register their handles
+    /// in [`fc_service::ingest`] and [`fc_service::query`], under the
+    /// names an engine uses; the per-node request histograms live with
+    /// the roster.
+    telemetry: Arc<Telemetry>,
+    /// `fc_migrations_total`: coresets shipped by membership changes.
     migrations: Counter,
-    /// Replica-set writes that failed on some replica while the batch was
-    /// still acknowledged off a surviving one (repair debt).
+    /// `fc_replica_write_failures_total`: replica writes, migration legs
+    /// and retirements that failed on some member while the request or
+    /// change still went through (repair debt).
     replica_write_failures: Counter,
-    /// Indexed by node: wall time of each request to that node (its
-    /// retries and timeouts included), whatever the op. Grows when the fleet
-    /// does (handles are `Arc`-backed, cloning is cheap).
-    node_seconds: Mutex<Vec<Histogram>>,
-}
-
-impl CoordinatorMetrics {
-    fn new<'a>(node_addrs: impl Iterator<Item = &'a str>) -> Self {
-        let shared = Arc::new(Telemetry::new());
-        let metrics = CoordinatorMetrics {
-            migrations: shared.registry.counter("fc_migrations_total"),
-            replica_write_failures: shared.registry.counter("fc_replica_write_failures_total"),
-            node_seconds: Mutex::default(),
-            shared,
-        };
-        node_addrs.for_each(|addr| metrics.push_node(addr));
-        metrics
-    }
-
-    /// The per-node latency histogram for roster index `idx`.
-    fn node_hist(&self, idx: usize) -> Histogram {
-        self.node_seconds.lock().expect("node histogram lock")[idx].clone()
-    }
-
-    /// Registers the histogram for the next node of the roster.
-    fn push_node(&self, addr: &str) {
-        self.node_seconds.lock().expect("node histogram lock").push(
-            self.shared
-                .registry
-                .histogram(&labeled("fc_node_request_seconds", &[("node", addr)])),
-        );
-    }
 }
 
 impl Coordinator {
@@ -270,19 +202,14 @@ impl Coordinator {
             ));
         }
         for spec in &config.nodes {
-            if !spec.capacity.is_finite() || spec.capacity < 0.0 {
-                return Err(EngineError::InvalidArgument(format!(
-                    "node `{}` has invalid capacity {}",
-                    spec.addr, spec.capacity
-                )));
-            }
+            check_capacity(&spec.addr, spec.capacity)?;
         }
         if config.nodes.iter().all(|spec| spec.capacity == 0.0) {
             return Err(EngineError::InvalidArgument(
                 "coordinator needs a node of positive capacity".into(),
             ));
         }
-        let fleet = FleetMap::bootstrap(
+        let map = FleetMap::bootstrap(
             config
                 .nodes
                 .iter()
@@ -290,83 +217,61 @@ impl Coordinator {
             config.replication,
         )
         .map_err(|e| EngineError::InvalidArgument(format!("fleet bootstrap: {e}")))?;
-        let metrics = CoordinatorMetrics::new(config.nodes.iter().map(|spec| spec.addr.as_str()));
-        let query = QueryPath::new(
-            &metrics.shared.registry,
-            config.cache_capacity,
-            config.base_seed,
-        );
+        let shared = Arc::new(Telemetry::new());
+        let fleet = FleetState::new(map, config.timeouts, config.binary_wire, &shared.registry);
+        let query = QueryPath::new(&shared.registry, config.cache_capacity, config.base_seed);
         Ok(Self {
-            nodes: RwLock::new(
-                config
-                    .nodes
-                    .iter()
-                    .map(|spec| {
-                        Arc::new(NodeHandle::new(
-                            spec.addr.clone(),
-                            config.timeouts,
-                            config.binary_wire,
-                        ))
-                    })
-                    .collect(),
-            ),
+            fleet: RwLock::new(fleet),
             retry: config.retry,
-            timeouts: config.timeouts,
-            binary_wire: config.binary_wire,
-            replication: config.replication,
             query,
-            fleet: Mutex::new(fleet),
             write: WritePath::new(
-                Arc::clone(&metrics.shared),
+                Arc::clone(&shared),
                 config.default_plan.clone(),
                 Arc::from(config.default_plan.method().build()),
             ),
-            metrics,
+            migrations: shared.registry.counter("fc_migrations_total"),
+            replica_write_failures: shared.registry.counter("fc_replica_write_failures_total"),
+            telemetry: shared,
         })
-    }
-
-    /// A snapshot of the roster, with live health records (for binaries
-    /// and tests). Indices are stable across membership changes: the
-    /// roster only ever grows, and drained nodes are marked, not removed.
-    pub fn nodes(&self) -> Vec<Arc<NodeHandle>> {
-        self.roster()
     }
 
     /// The replication factor R this coordinator places at.
     pub fn replication(&self) -> usize {
-        self.replication
+        self.fleet().map().replication()
     }
 
     /// The current fleet map epoch (bumped by every membership change).
     pub fn fleet_epoch(&self) -> u64 {
-        self.fleet.lock().expect("fleet map lock").epoch()
+        self.fleet().map().epoch()
     }
 
     /// The addresses a dataset's replica set resolves to under the
-    /// current fleet map — rank order, the order ingest fans out and
-    /// queries fall through. Under spread placement (`replication == 1`)
-    /// this is still the dataset's rendezvous ranking — where a drain
-    /// evacuates its share to — while ingest deals blocks over every
-    /// node by capacity instead.
+    /// current fleet map — roster (tenure) order, the order queries fall
+    /// through. Under spread placement (`replication == 1`) this is still
+    /// the dataset's rendezvous pick — where a drain moves the drained
+    /// node's share to — while ingest deals blocks over every node by
+    /// capacity instead.
     pub fn replicas_of(&self, name: &str) -> Vec<String> {
-        let fleet = self.fleet.lock().expect("fleet map lock");
+        let fleet = self.fleet();
         fleet
+            .map()
             .replicas(name)
             .into_iter()
-            .map(|idx| fleet.members()[idx].addr().to_owned())
+            .map(|idx| fleet.addr(idx).to_owned())
             .collect()
     }
 
-    fn roster(&self) -> Vec<Arc<NodeHandle>> {
-        self.nodes.read().expect("node roster lock").clone()
-    }
-
-    fn node_at(&self, idx: usize) -> Arc<NodeHandle> {
-        Arc::clone(&self.nodes.read().expect("node roster lock")[idx])
-    }
-
-    fn node_addr(&self, idx: usize) -> String {
-        self.node_at(idx).addr().to_owned()
+    /// [`Backend::ingest`] without the exactly-once identity or epoch
+    /// assertion — the at-least-once convenience call most in-process
+    /// callers (and the pre-fleet API) use.
+    pub fn ingest(
+        &self,
+        name: &str,
+        batch: &Dataset,
+        plan: Option<&Plan>,
+    ) -> Result<(u64, f64), EngineError> {
+        Backend::ingest(self, name, batch, plan, None, None)
+            .map(|outcome| (outcome.total_points, outcome.total_weight))
     }
 
     /// The plan plan-less datasets run under.
@@ -374,24 +279,17 @@ impl Coordinator {
         self.write.default_plan()
     }
 
-    /// A fingerprint of the roster's current health states, folded in
-    /// roster order (order is stable: the roster only grows) — the
-    /// [`QueryState::health`] of every answer. Health flips change *which
-    /// nodes answer a fan-out*, so the first query that observes one — a
-    /// node marked down, degraded, or recovering, or healed back — mints
-    /// a fresh keyspace and old answers just stop matching.
-    fn health_fingerprint(&self) -> u64 {
-        let mut acc: u64 = 0xcbf2_9ce4_8422_2325;
-        for node in self.roster() {
-            let tag = match node.health().0 {
-                NodeHealth::Alive => 1u64,
-                NodeHealth::Recovering => 2,
-                NodeHealth::Degraded => 3,
-                NodeHealth::Down => 4,
-            };
-            acc = (acc ^ tag).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        acc
+    /// A read of the fleet. Hold it only for the statement at hand: a
+    /// guard kept across a node request, or across another read, could
+    /// wait behind a membership change that waits behind it.
+    fn fleet(&self) -> RwLockReadGuard<'_, FleetState> {
+        self.fleet.read().expect("fleet state lock")
+    }
+
+    /// The error a node caused, naming it.
+    fn remote(&self, node_idx: usize, message: String) -> EngineError {
+        let node = self.fleet().addr(node_idx).to_owned();
+        EngineError::Remote { node, message }
     }
 
     /// Maps a node's wire error onto the engine vocabulary.
@@ -408,31 +306,21 @@ impl Coordinator {
                 Some(ErrorCode::NoData) => EngineError::NoData {
                     dataset: dataset.to_owned(),
                 },
-                _ => EngineError::Remote {
-                    node: self.node_addr(node_idx),
-                    message,
-                },
+                _ => self.remote(node_idx, message),
             },
-            other => EngineError::Remote {
-                node: self.node_addr(node_idx),
-                message: other.to_string(),
-            },
+            other => self.remote(node_idx, other.to_string()),
         }
     }
 
-    /// Every roster index, in roster order: the `which` of a fan-out.
-    fn everyone(&self) -> Vec<usize> {
-        (0..self.roster().len()).collect()
-    }
-
     /// The one way the coordinator reaches its nodes: `request_for(i)`
-    /// through [`NodeHandle::request`] against each listed node `i`
+    /// through `NodeHandle::request` against each listed node `i`
     /// concurrently, outcomes in `which` order. A query's fan-out, a
-    /// routed ingest and a replica write are all exchanges, so each
-    /// observes `fc_node_request_seconds{node=…}` and logs its
-    /// `node<i>:<op>` hop — once per node request, retries included —
-    /// under one request id: the caller's (set as the ambient trace by the
-    /// server loop in front of this coordinator) or a fresh one.
+    /// routed ingest, a replica write and every leg of a membership
+    /// change are all exchanges, so each observes
+    /// `fc_node_request_seconds{node=…}` and logs its `node<i>:<op>` hop —
+    /// once per node request, retries included — under one request id:
+    /// the caller's (set as the ambient trace by the server loop in front
+    /// of this coordinator) or a fresh one.
     ///
     /// The first listed node runs on the calling thread and each other
     /// one on a scoped thread joined before this returns: a one-node
@@ -445,37 +333,31 @@ impl Coordinator {
         request_for: impl Fn(usize) -> Request + Sync,
     ) -> Vec<Result<Response, ClientError>> {
         let trace = current_trace().unwrap_or_else(next_request_id);
-        let nodes = self.roster();
-        let one = |idx: usize| {
+        let members = self.fleet().members(which);
+        let one = |slot: usize| {
+            let (idx, member) = (which[slot], &members[slot]);
             // The ambient trace is thread-local: set it on whichever
             // thread runs this node, before the client stamps the request.
             let _scope = set_current_trace(Some(trace.clone()));
             let request = request_for(idx);
             let started = Instant::now();
-            let outcome = nodes[idx].request(&request, &self.retry);
+            let outcome = member.node.request(&request, &self.retry);
             let elapsed = started.elapsed();
-            self.metrics.node_hist(idx).observe(elapsed);
+            member.seconds.observe(elapsed);
             let hop = format!("node{idx}:{}", request.op_name());
-            self.metrics.shared.traces.record(&trace, hop, elapsed);
+            self.telemetry.traces.record(&trace, hop, elapsed);
             outcome
-        };
-        let Some((&first, rest)) = which.split_first() else {
-            return Vec::new();
         };
         std::thread::scope(|scope| {
             let one = &one;
-            let others: Vec<_> = rest
-                .iter()
-                .map(|&idx| scope.spawn(move || one(idx)))
+            let others: Vec<_> = (1..which.len())
+                .map(|slot| scope.spawn(move || one(slot)))
                 .collect();
-            let mut outcomes = Vec::with_capacity(which.len());
-            outcomes.push(one(first));
-            outcomes.extend(
-                others
-                    .into_iter()
-                    .map(|h| h.join().expect("node exchange threads do not panic")),
-            );
-            outcomes
+            let first = which.first().map(|_| one(0));
+            let rest = others
+                .into_iter()
+                .map(|h| h.join().expect("node exchange threads do not panic"));
+            first.into_iter().chain(rest).collect()
         })
     }
 
@@ -488,10 +370,7 @@ impl Coordinator {
 
     /// The error for a node that answered with the wrong response kind.
     fn unexpected(&self, node_idx: usize, response: Response) -> EngineError {
-        EngineError::Remote {
-            node: self.node_addr(node_idx),
-            message: format!("unexpected response {response:?}"),
-        }
+        self.remote(node_idx, format!("unexpected response {response:?}"))
     }
 
     /// Decodes one node's answer to `compress` into its part.
@@ -504,10 +383,7 @@ impl Coordinator {
         };
         protocol::rows_to_dataset(&points, Some(&weights))
             .map(Coreset::new)
-            .map_err(|e| EngineError::Remote {
-                node: self.node_addr(node_idx),
-                message: e.to_string(),
-            })
+            .map_err(|e| self.remote(node_idx, e.to_string()))
     }
 
     /// Asks the nodes serving `name` a per-node query and returns their
@@ -515,9 +391,10 @@ impl Coordinator {
     ///
     /// Spread placement fans out to the whole roster and keeps every
     /// answer: nodes hold disjoint shares. Replicated placement walks the
-    /// dataset's replica set in rank order and stops at the first answer:
-    /// every replica holds the whole dataset, so a second answer would
-    /// R-count it, and any R−1 node failures still leave a reader.
+    /// dataset's replica set in roster (tenure) order and stops at the
+    /// first answer: every replica holds the whole dataset, so a second
+    /// answer would R-count it, and any R−1 node failures still leave a
+    /// reader.
     ///
     /// A node still replaying its WAL would answer for a *prefix* of its
     /// acknowledged data, silently under-weighting a union or a sum. It
@@ -530,8 +407,14 @@ impl Coordinator {
         name: &str,
         request_for: impl Fn(usize) -> Request + Sync,
     ) -> Result<Vec<(usize, Response)>, EngineError> {
-        let replicated = self.replication >= 2;
-        let nodes = self.roster();
+        let (replicated, readers, nodes) = {
+            let fleet = self.fleet();
+            let readers = match fleet.replicated() {
+                true => fleet.map().replicas(name),
+                false => fleet.everyone(),
+            };
+            (fleet.replicated(), readers, fleet.nodes())
+        };
         let for_slot = |idx: usize| match nodes[idx].is_recovering() {
             true => Request::Stats { dataset: None },
             false => request_for(idx),
@@ -569,8 +452,7 @@ impl Coordinator {
         };
         let mut answers = Vec::new();
         if replicated {
-            let replicas = self.fleet.lock().expect("fleet map lock").replicas(name);
-            for idx in replicas {
+            for idx in readers {
                 // A replaying replica is probed first, and asked only
                 // once it reports caught up.
                 if nodes[idx].is_recovering() {
@@ -585,11 +467,8 @@ impl Coordinator {
                 }
             }
         } else {
-            for (idx, outcome) in self
-                .exchange(&self.everyone(), for_slot)
-                .into_iter()
-                .enumerate()
-            {
+            let outcomes = self.exchange(&readers, for_slot);
+            for (idx, outcome) in readers.into_iter().zip(outcomes) {
                 answers.extend(triage(idx, outcome)?);
             }
         }
@@ -622,7 +501,8 @@ impl QuerySource for Fleet<'_> {
     }
 
     fn state(&self, route: &Route) -> Option<QueryState> {
-        Some(route.query_state(self.0.fleet_epoch(), self.0.health_fingerprint()))
+        let fleet = self.0.fleet();
+        Some(route.query_state(fleet.map().epoch(), fleet.health_fingerprint()))
     }
 
     /// Every answering node's serving compression, each under its own
@@ -676,74 +556,21 @@ impl QuerySource for Fleet<'_> {
     }
 }
 
+/// Refuses a placement weight that is not finite and non-negative.
+fn check_capacity(addr: &str, capacity: f64) -> Result<(), EngineError> {
+    match capacity.is_finite() && capacity >= 0.0 {
+        true => Ok(()),
+        false => Err(EngineError::InvalidArgument(format!(
+            "node `{addr}` has invalid capacity {capacity}"
+        ))),
+    }
+}
+
 /// A deterministic per-node seed stream: distinct nodes draw distinct
 /// compressions for one request seed, reproducibly, on a stream disjoint
 /// from the coordinator's solve stream.
 fn node_seed(seed: u64, node_idx: usize) -> u64 {
     seed ^ NODE_STREAM.wrapping_mul(node_idx as u64 + 1)
-}
-
-/// Folds one node's report of a dataset into the fleet aggregate.
-///
-/// Spread placement **sums**: nodes hold disjoint shares, so the totals
-/// add up and the `(snapshot, record)` state epoch inherits each node's
-/// monotonicity. The sums saturate — counts at `u64::MAX`, weight at
-/// `f64::MAX` — so a buggy or hostile node degrades the aggregate instead
-/// of panicking the coordinator (debug builds), wrapping the epoch
-/// backward (release builds) or reporting an infinity no dialect can
-/// carry. Replicated placement takes the **max**: replicas hold the
-/// *same* data, and mid-migration a freshly seeded replica reports a small
-/// epoch — summing would both R-count and jump backward as replica sets
-/// change, while the max is the most-advanced copy and stays monotone
-/// through membership churn. Either way any replaying node makes the
-/// dataset `recovering`, and the per-shard lists concatenate.
-fn fold_stats(into: &mut DatasetStats, from: &DatasetStats, replicated: bool) {
-    let count = |a: u64, b: u64| {
-        if replicated {
-            a.max(b)
-        } else {
-            a.saturating_add(b)
-        }
-    };
-    let size = |a: usize, b: usize| {
-        if replicated {
-            a.max(b)
-        } else {
-            a.saturating_add(b)
-        }
-    };
-    into.shards = size(into.shards, from.shards);
-    into.ingested_points = count(into.ingested_points, from.ingested_points);
-    into.ingested_weight = if replicated {
-        into.ingested_weight.max(from.ingested_weight)
-    } else {
-        (into.ingested_weight + from.ingested_weight).min(f64::MAX)
-    };
-    into.stored_points = size(into.stored_points, from.stored_points);
-    into.state_epoch = (
-        count(into.state_epoch.0, from.state_epoch.0),
-        count(into.state_epoch.1, from.state_epoch.1),
-    );
-    into.recovering |= from.recovering;
-    into.summaries_per_shard
-        .extend_from_slice(&from.summaries_per_shard);
-    into.queue_depth_per_shard
-        .extend_from_slice(&from.queue_depth_per_shard);
-}
-
-impl Coordinator {
-    /// [`Backend::ingest`] without the exactly-once identity or epoch
-    /// assertion — the at-least-once convenience call most in-process
-    /// callers (and the pre-fleet API) use.
-    pub fn ingest(
-        &self,
-        name: &str,
-        batch: &Dataset,
-        plan: Option<&Plan>,
-    ) -> Result<(u64, f64), EngineError> {
-        Backend::ingest(self, name, batch, plan, None, None)
-            .map(|outcome| (outcome.total_points, outcome.total_weight))
-    }
 }
 
 impl WriteSink for Fleet<'_> {
@@ -778,35 +605,17 @@ impl WriteSink for Fleet<'_> {
         use ClientError::{Io, Overloaded, Protocol};
         let coordinator = self.0;
         let request = ingest_request(name, route, batch, ident)?;
-        let mut last = EngineError::Unavailable;
-        if coordinator.replication >= 2 {
-            let replicas = coordinator
-                .fleet
-                .lock()
-                .expect("fleet map lock")
-                .replicas(name);
-            let mut accepted = false;
-            let outcomes = coordinator.exchange(&replicas, |_| request.clone());
-            for (&idx, outcome) in replicas.iter().zip(outcomes) {
-                last = match outcome {
-                    Ok(Response::Ingested { .. }) => {
-                        accepted = true;
-                        continue;
-                    }
-                    Ok(other) => coordinator.unexpected(idx, other),
-                    Err(e) => coordinator.node_error(idx, name, e),
-                };
-                coordinator.metrics.replica_write_failures.incr();
-            }
-            return if accepted { Ok(()) } else { Err(last) };
+        let replicas = {
+            let fleet = coordinator.fleet();
+            fleet.replicated().then(|| fleet.map().replicas(name))
+        };
+        if let Some(replicas) = replicas {
+            return coordinator.replicate(name, &replicas, &request);
         }
+        let mut last = EngineError::Unavailable;
         // Staggered by name, so datasets do not all start at node 0.
         let position = fnv64(name).wrapping_add(route.next_slot() as u64);
-        let order = coordinator
-            .fleet
-            .lock()
-            .expect("fleet map lock")
-            .spread(position);
+        let order = coordinator.fleet().map().spread(position);
         for idx in order {
             match coordinator.node_request(idx, &request) {
                 Ok(Response::Ingested { .. }) => return Ok(()),
@@ -825,11 +634,16 @@ impl WriteSink for Fleet<'_> {
 
     /// Under spread routing a retry could land on a node that never saw
     /// the original and apply it twice, so a duplicate stops here. Under
-    /// replication it goes to the same replica set again: the node-side
-    /// gates make it a no-op everywhere it already landed and a repair
-    /// everywhere it did not.
-    fn repairs(&self) -> bool {
-        self.0.replication >= 2
+    /// replication it goes again to the replicas that took the dataset's
+    /// writes by ingest: the node-side gates make it a no-op everywhere
+    /// it already landed and a repair everywhere it did not. A replica
+    /// whose copy a membership change shipped is left out: it holds the
+    /// batch already, under a gate that never saw its `(client, seq)`.
+    fn repair(&self, name: &str, route: &Route, batch: &Dataset, ident: &IngestIdent) {
+        let replicas = self.0.fleet().repairers(name);
+        if let Ok(request) = ingest_request(name, route, batch, Some(ident)) {
+            let _ = self.0.replicate(name, &replicas, &request);
+        }
     }
 
     /// No node accepted a byte of the dataset.
@@ -944,10 +758,12 @@ impl Backend for Coordinator {
         if let Some(route) = &route {
             self.query.forget(route.instance());
         }
+        self.fleet.write().expect("fleet state lock").forget(name);
         let request = Request::DropDataset {
             dataset: name.to_owned(),
         };
-        let outcomes = self.exchange(&self.everyone(), |_| request.clone());
+        let everyone = self.fleet().everyone();
+        let outcomes = self.exchange(&everyone, |_| request.clone());
         // Unknown-dataset answers are normal (the node never held a
         // block); only a confirmed drop counts, and only an answered node
         // counts as covered.
@@ -961,13 +777,13 @@ impl Backend for Coordinator {
             }
         }
         if let Some(idx) = unreachable {
-            return Err(EngineError::Remote {
-                node: self.node_addr(idx),
-                message: format!(
+            return Err(self.remote(
+                idx,
+                format!(
                     "dataset `{name}` was dropped on every reachable node, but this \
                      node could not be asked — re-issue the drop when it returns"
                 ),
-            });
+            ));
         }
         if route.is_some() || dropped_anywhere {
             Ok(())
@@ -977,159 +793,33 @@ impl Backend for Coordinator {
     }
 
     /// Admits `addr` into the fleet at the next epoch. Under replicated
-    /// placement, every dataset the new map ranks the newcomer for gets a
-    /// serving coreset pulled onto it from a surviving replica — coreset
-    /// composability makes the move `O(m)` per dataset, not `O(data)`. A
-    /// pull that fails leaves repair debt (healed by idented client
-    /// retries and counted on `fc_replica_write_failures_total`), never a
-    /// failed admission.
+    /// placement every dataset the new map places on the newcomer gets a
+    /// serving coreset pulled onto it from a replica that stays — coreset
+    /// composability makes the move `O(m)` per dataset, not `O(data)` —
+    /// and then the replica it displaced drops its copy.
     fn add_node(
         &self,
         addr: &str,
         capacity: Option<f64>,
     ) -> Result<(u64, usize, usize), EngineError> {
         let capacity = capacity.unwrap_or(1.0);
-        if !capacity.is_finite() || capacity < 0.0 {
-            return Err(EngineError::InvalidArgument(format!(
-                "node `{addr}` has invalid capacity {capacity}"
-            )));
-        }
-        let (epoch, new_idx, members) = {
-            let mut fleet = self.fleet.lock().expect("fleet map lock");
-            let epoch = fleet
-                .add_member(addr, capacity)
-                .map_err(|e| EngineError::InvalidArgument(e.to_string()))?;
-            let new_idx = fleet
-                .index_of(addr)
-                .expect("freshly added member is in the roster");
-            let mut nodes = self.nodes.write().expect("node roster lock");
-            debug_assert_eq!(
-                nodes.len(),
-                new_idx,
-                "roster indices track fleet map member indices"
-            );
-            nodes.push(Arc::new(NodeHandle::new(
-                addr.to_owned(),
-                self.timeouts,
-                self.binary_wire,
-            )));
-            self.metrics.push_node(addr);
-            (epoch, new_idx, fleet.members().len())
-        };
-        let mut migrated = 0;
-        if self.replication >= 2 {
-            for (name, route) in self.write.snapshot() {
-                let replicas = self.fleet.lock().expect("fleet map lock").replicas(&name);
-                if !replicas.contains(&new_idx) {
-                    continue;
-                }
-                let sources: Vec<usize> =
-                    replicas.iter().copied().filter(|&i| i != new_idx).collect();
-                match self.migrate_dataset(&name, &route, &sources, new_idx, epoch) {
-                    Ok(true) => migrated += 1,
-                    Ok(false) => {}
-                    Err(_) => self.metrics.replica_write_failures.incr(),
-                }
-            }
-        }
-        self.refresh_fleet_gauges();
-        Ok((epoch, members, migrated))
+        check_capacity(addr, capacity)?;
+        let registry = &self.telemetry.registry;
+        self.change(|fleet, names| fleet.add(addr, capacity, registry, names))
     }
 
     /// Marks `addr` draining at the next epoch: it leaves placement (no
     /// new writes) but stays addressable, so its data can be shipped off
     /// as serving coresets. Under replicated placement each dataset it
-    /// held gets a copy pulled onto the member the new map promotes
-    /// (sourced from a surviving replica first); under spread routing the
-    /// draining node's own share of every dataset is evacuated. Only
-    /// after a dataset's move succeeds is its copy dropped from the
-    /// draining node — a failed move leaves the data in place (the node
-    /// is still addressable), so a drain can degrade to "slower" but
-    /// never to "lost".
+    /// held gets a copy on the member the new map promotes (sourced from
+    /// a surviving replica first); under spread routing the draining
+    /// node's own share of every dataset moves to the dataset's pick.
     fn drain_node(&self, addr: &str) -> Result<(u64, usize, usize), EngineError> {
-        let routes = self.write.snapshot();
-        let (epoch, drained_idx, members, moves) = {
-            let mut fleet = self.fleet.lock().expect("fleet map lock");
-            let drained_idx = fleet.index_of(addr).ok_or_else(|| {
-                EngineError::InvalidArgument(format!("member `{addr}` is not in the fleet"))
-            })?;
-            // Replica sets as placed *before* the drain — the only moment
-            // we can still see which datasets the drained member held.
-            let before: Vec<Vec<usize>> = if self.replication >= 2 {
-                routes
-                    .iter()
-                    .map(|(name, _)| fleet.replicas(name))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let epoch = fleet
-                .drain_member(addr)
-                .map_err(|e| EngineError::InvalidArgument(e.to_string()))?;
-            let moves: Vec<PlacementMove> = if self.replication >= 2 {
-                routes
-                    .iter()
-                    .zip(before)
-                    .filter(|(_, old)| old.contains(&drained_idx))
-                    .map(|((name, route), old)| {
-                        (name.clone(), Arc::clone(route), old, fleet.replicas(name))
-                    })
-                    .collect()
-            } else {
-                routes
-                    .iter()
-                    .map(|(name, route)| {
-                        (
-                            name.clone(),
-                            Arc::clone(route),
-                            vec![drained_idx],
-                            fleet.replicas(name),
-                        )
-                    })
-                    .collect()
-            };
-            (epoch, drained_idx, fleet.members().len(), moves)
-        };
-        let mut migrated = 0;
-        for (name, route, old, new) in moves {
-            // Survivors first (longest-lived copies), the draining node
-            // itself as the last-resort source.
-            let mut sources: Vec<usize> =
-                old.iter().copied().filter(|&i| i != drained_idx).collect();
-            sources.push(drained_idx);
-            let newcomers: Vec<usize> = new.iter().copied().filter(|i| !old.contains(i)).collect();
-            let mut moved = true;
-            let mut evacuated = self.replication < 2;
-            for &target in &newcomers {
-                match self.migrate_dataset(&name, &route, &sources, target, epoch) {
-                    Ok(did) => evacuated = did || self.replication >= 2,
-                    Err(_) => {
-                        moved = false;
-                        self.metrics.replica_write_failures.incr();
-                    }
-                }
-            }
-            if !moved || !evacuated {
-                continue;
-            }
-            // The drained copy is redundant everywhere the new map reads;
-            // retire it so a later fan-out cannot resurrect it.
-            match self.node_request(
-                drained_idx,
-                &Request::DropDataset {
-                    dataset: name.clone(),
-                },
-            ) {
-                Ok(_) | Err(ClientError::Server { .. }) => migrated += 1,
-                Err(_) => self.metrics.replica_write_failures.incr(),
-            }
-        }
-        self.refresh_fleet_gauges();
-        Ok((epoch, members, migrated))
+        self.change(|fleet, names| fleet.drain(addr, names))
     }
 
     fn telemetry(&self) -> Option<Arc<Telemetry>> {
-        Some(Arc::clone(&self.metrics.shared))
+        Some(Arc::clone(&self.telemetry))
     }
 
     /// The coordinator's own registry and trace log, with every node's
@@ -1139,57 +829,144 @@ impl Backend for Coordinator {
     /// instead of a payload.
     fn metrics(&self) -> Option<Value> {
         self.refresh_fleet_gauges();
-        let mut own = match self.metrics.shared.to_value() {
+        let mut own = match self.telemetry.to_value() {
             Value::Object(map) => map,
             other => return Some(other),
         };
-        let nodes: BTreeMap<String, Value> = self
-            .roster()
-            .iter()
-            .zip(self.exchange(&self.everyone(), |_| Request::Metrics))
-            .map(|(node, outcome)| {
+        let everyone = self.fleet().everyone();
+        let outcomes = self.exchange(&everyone, |_| Request::Metrics);
+        let payloads: BTreeMap<String, Value> = (outcomes.into_iter().enumerate())
+            .map(|(idx, outcome)| {
                 let payload = match outcome {
                     Ok(Response::Metrics { metrics }) => metrics,
                     Ok(other) => Value::String(format!("unexpected response {other:?}")),
                     Err(e) => Value::String(e.to_string()),
                 };
-                (node.addr().to_owned(), payload)
+                (self.fleet().addr(idx).to_owned(), payload)
             })
             .collect();
-        own.insert("nodes".to_owned(), Value::Object(nodes));
+        own.insert("nodes".to_owned(), Value::Object(payloads));
         Some(Value::Object(own))
     }
 }
 
 impl Coordinator {
+    /// Sends `request` to every listed replica, accepted once one applied
+    /// it; each replica that did not is counted on
+    /// `fc_replica_write_failures_total`.
+    fn replicate(
+        &self,
+        name: &str,
+        replicas: &[usize],
+        request: &Request,
+    ) -> Result<(), EngineError> {
+        let mut accepted = false;
+        let mut last = EngineError::Unavailable;
+        for (&idx, outcome) in replicas
+            .iter()
+            .zip(self.exchange(replicas, |_| request.clone()))
+        {
+            last = match outcome {
+                Ok(Response::Ingested { .. }) => {
+                    accepted = true;
+                    continue;
+                }
+                Ok(other) => self.unexpected(idx, other),
+                Err(e) => self.node_error(idx, name, e),
+            };
+            self.replica_write_failures.incr();
+        }
+        if accepted {
+            Ok(())
+        } else {
+            Err(last)
+        }
+    }
+
     /// Point-in-time fleet gauges, refreshed whenever the registry is
     /// rendered or serialized (not on a background timer).
     fn refresh_fleet_gauges(&self) {
-        let registry = &self.metrics.shared.registry;
-        let nodes = self.roster();
+        let registry = &self.telemetry.registry;
+        let fleet = self.fleet();
+        let nodes = fleet.nodes();
         registry.gauge("fc_nodes").set(nodes.len() as u64);
         let alive = nodes
             .iter()
             .filter(|n| n.health().0 == NodeHealth::Alive)
             .count();
         registry.gauge("fc_nodes_alive").set(alive as u64);
-        let (epoch, active) = {
-            let fleet = self.fleet.lock().expect("fleet map lock");
-            (fleet.epoch(), fleet.active_len())
-        };
-        registry.gauge("fc_fleet_epoch").set(epoch);
-        registry.gauge("fc_fleet_active").set(active as u64);
+        let map = fleet.map();
+        registry.gauge("fc_fleet_epoch").set(map.epoch());
+        registry
+            .gauge("fc_fleet_active")
+            .set(map.active_len() as u64);
         registry
             .gauge("fc_fleet_replication")
-            .set(self.replication as u64);
+            .set(map.replication() as u64);
+    }
+
+    /// One membership change, add or drain alike: `bump` moves the fleet
+    /// to its next epoch and plans every dataset's re-homing, under the
+    /// fleet lock; then, outside it, each target is filled from the first
+    /// source that answers, and once all of a dataset's targets are
+    /// filled every leaver drops its copy, so no copy the new map does
+    /// not read lingers to be counted again later. A failed leg is repair
+    /// debt on `fc_replica_write_failures_total`, never a failed change:
+    /// a dataset whose fill failed keeps its leavers' copies (a drained
+    /// node stays addressable), so a change can degrade to "slower" but
+    /// never to "lost". Returns `(epoch, roster size, datasets that moved
+    /// a coreset)`.
+    fn change(
+        &self,
+        bump: impl FnOnce(&mut FleetState, &[&str]) -> Result<(u64, Vec<Rehome>), FleetError>,
+    ) -> Result<(u64, usize, usize), EngineError> {
+        let routes = self.write.snapshot();
+        let names: Vec<&str> = routes.iter().map(|(name, _)| name.as_str()).collect();
+        let (epoch, members, plans) = {
+            let mut fleet = self.fleet.write().expect("fleet state lock");
+            let (epoch, plans) = bump(&mut fleet, &names)
+                .map_err(|e| EngineError::InvalidArgument(e.to_string()))?;
+            (epoch, fleet.map().members().len(), plans)
+        };
+        let mut migrated = 0;
+        for ((name, route), plan) in routes.iter().zip(plans) {
+            let mut filled = true;
+            let mut moved = false;
+            for &target in &plan.targets {
+                match self.migrate_dataset(name, route, &plan.sources, target, epoch) {
+                    Ok(did) => moved |= did,
+                    Err(_) => {
+                        filled = false;
+                        self.replica_write_failures.incr();
+                    }
+                }
+            }
+            migrated += usize::from(moved);
+            if !filled {
+                continue;
+            }
+            let retire = Request::DropDataset {
+                dataset: name.clone(),
+            };
+            for outcome in self.exchange(&plan.retire, |_| retire.clone()) {
+                // An unknown dataset is already retired.
+                if outcome.is_err_and(|e| !matches!(e, ClientError::Server { .. })) {
+                    self.replica_write_failures.incr();
+                }
+            }
+        }
+        self.refresh_fleet_gauges();
+        Ok((epoch, members, migrated))
     }
 
     /// Ships a serving coreset of `name` from the first source that holds
     /// it onto `target`, identified as the fleet's own migration client
     /// (`client = "fc-fleet-migrate"`, `seq = epoch`) so the target's
     /// exactly-once gate collapses a re-run of the same epoch's migration
-    /// into a no-op. Returns `Ok(false)` when no source holds any data —
-    /// nothing to move is not a failure.
+    /// into a no-op. The compression is seeded from the epoch and the
+    /// source, never from the sequence unseeded queries draw from. Returns
+    /// `Ok(false)` when no source holds any data — nothing to move is not
+    /// a failure.
     fn migrate_dataset(
         &self,
         name: &str,
@@ -1200,13 +977,10 @@ impl Coordinator {
     ) -> Result<bool, EngineError> {
         let mut last: Option<EngineError> = None;
         for &src in sources {
-            if src == target {
-                continue;
-            }
             let request = Request::Compress {
                 dataset: name.to_owned(),
                 method: None,
-                seed: Some(node_seed(self.query.next_seed(), src)),
+                seed: Some(node_seed(epoch, src)),
             };
             let part = match self.node_request(src, &request) {
                 Ok(answer) => self.node_part(src, answer),
@@ -1221,7 +995,6 @@ impl Coordinator {
                     continue;
                 }
             };
-            // Identified as the fleet's own migration client.
             let migration = IngestIdent {
                 client: MIGRATE_CLIENT.to_owned(),
                 seq: epoch,
@@ -1229,7 +1002,7 @@ impl Coordinator {
             let ingest = ingest_request(name, route, part.dataset(), Some(&migration))?;
             return match self.node_request(target, &ingest) {
                 Ok(Response::Ingested { .. }) => {
-                    self.metrics.migrations.incr();
+                    self.migrations.incr();
                     Ok(true)
                 }
                 Ok(other) => Err(self.unexpected(target, other)),
@@ -1248,7 +1021,7 @@ impl Coordinator {
     /// (the JSON `metrics` op is the fleet-wide view).
     pub fn render_prometheus(&self) -> String {
         self.refresh_fleet_gauges();
-        self.metrics.shared.registry.render_prometheus()
+        self.telemetry.registry.render_prometheus()
     }
 
     /// Fans `stats` out to the fleet and folds the per-node reports into
@@ -1263,15 +1036,18 @@ impl Coordinator {
     /// node that just recovered still shows its last recorded trouble
     /// once, and a node that just died shows down immediately.
     fn aggregate_stats(&self, which: Option<&str>) -> Result<Vec<DatasetStats>, EngineError> {
-        let nodes = self.roster();
+        let (everyone, nodes) = {
+            let fleet = self.fleet();
+            (fleet.everyone(), fleet.nodes())
+        };
         let pre: Vec<(NodeHealth, Option<String>)> =
             nodes.iter().map(|node| node.health()).collect();
-        let outcomes = self.exchange(&self.everyone(), |_| Request::Stats {
+        let outcomes = self.exchange(&everyone, |_| Request::Stats {
             dataset: which.map(str::to_owned),
         });
         // Per node: its reported datasets (empty when it answered
         // unknown-dataset) or None when unreachable.
-        let mut per_node: Vec<Option<Vec<DatasetStats>>> = Vec::with_capacity(nodes.len());
+        let mut reports: Vec<Option<Vec<DatasetStats>>> = Vec::with_capacity(nodes.len());
         for (idx, outcome) in outcomes.into_iter().enumerate() {
             match outcome {
                 Ok(Response::Stats { datasets, .. }) => {
@@ -1280,108 +1056,65 @@ impl Coordinator {
                     // filtered report can set it (one dataset replaying
                     // proves the node is), never clear it.
                     let any = datasets.iter().any(|d| d.recovering);
-                    if which.is_none() {
+                    if which.is_none() || any {
                         nodes[idx].set_recovering(any);
-                    } else if any {
-                        nodes[idx].set_recovering(true);
                     }
-                    per_node.push(Some(datasets));
+                    reports.push(Some(datasets));
                 }
                 Ok(other) => return Err(self.unexpected(idx, other)),
                 Err(e) => match self.node_error(idx, which.unwrap_or(""), e) {
                     EngineError::UnknownDataset(_) | EngineError::NoData { .. } => {
-                        per_node.push(Some(Vec::new()))
+                        reports.push(Some(Vec::new()))
                     }
-                    _ => per_node.push(None),
+                    _ => reports.push(None),
                 },
             }
         }
-        // health[i]: pre-request state unless this probe failed — except
-        // the replay flag, where this probe's report is the freshest
-        // evidence there is.
-        let health: Vec<(NodeHealth, Option<String>)> = per_node
-            .iter()
-            .enumerate()
-            .map(|(idx, report)| match (report, pre[idx].clone()) {
-                (None, _) => nodes[idx].health(),
-                (Some(_), (NodeHealth::Alive, last_error)) if nodes[idx].is_recovering() => {
-                    (NodeHealth::Recovering, last_error)
+        // health[i]: pre-request trouble unless this probe failed; an
+        // alive node reads as of now, since this probe's replay flag is
+        // the freshest evidence there is.
+        let health: Vec<(NodeHealth, Option<String>)> = (reports.iter().zip(pre).zip(&nodes))
+            .map(
+                |((report, pre), node)| match report.is_none() || pre.0 == NodeHealth::Alive {
+                    true => node.health(),
+                    false => pre,
+                },
+            )
+            .collect();
+        let acknowledged = self.write.snapshot().into_iter();
+        let acknowledged = acknowledged
+            .filter(|(name, _)| which.is_none_or(|which| which == name))
+            .map(|(name, route)| {
+                let (ingested_points, ingested_weight) = route.totals();
+                DatasetStats {
+                    ingested_points,
+                    ingested_weight,
+                    ..blank(&name, route.dim(), route.plan().clone(), Vec::new())
                 }
-                (Some(_), pre) => pre,
             })
             .collect();
-        // Zeroed per-node rows carry identity and health, to be filled
-        // from each node's report.
-        let blank = |name: &str, dim, plan| DatasetStats {
-            dataset: name.to_owned(),
-            dim,
-            plan,
-            shards: 0,
-            ingested_points: 0,
-            ingested_weight: 0.0,
-            stored_points: 0,
-            summaries_per_shard: Vec::new(),
-            queue_depth_per_shard: Vec::new(),
-            state_epoch: (0, 0),
-            recovering: false,
-            nodes: nodes
-                .iter()
-                .zip(&health)
-                .map(|(node, (health, last_error))| NodeStats {
-                    node: node.addr().to_owned(),
-                    health: *health,
-                    last_error: last_error.clone(),
-                    shards: 0,
-                    ingested_points: 0,
-                    ingested_weight: 0.0,
-                    stored_points: 0,
-                })
-                .collect(),
+        // The coordinator's route is authoritative for the plan; fall
+        // back to the first reporter for datasets ingested around the
+        // coordinator.
+        let plan_of = |stats: &DatasetStats| {
+            self.write
+                .get(&stats.dataset)
+                .map_or_else(|_| stats.plan.clone(), |route| route.plan().clone())
         };
-        let mut merged: BTreeMap<String, DatasetStats> = BTreeMap::new();
-        for (idx, report) in per_node.iter().enumerate() {
-            let Some(report) = report else { continue };
-            for stats in report {
-                let entry = merged.entry(stats.dataset.clone()).or_insert_with(|| {
-                    // The coordinator's route is authoritative for the
-                    // plan; fall back to the first reporter for datasets
-                    // ingested around the coordinator.
-                    let plan = self
-                        .write
-                        .get(&stats.dataset)
-                        .map_or_else(|_| stats.plan.clone(), |route| route.plan().clone());
-                    blank(&stats.dataset, stats.dim, plan)
-                });
-                fold_stats(entry, stats, self.replication >= 2);
-                let row = &mut entry.nodes[idx];
-                row.shards = stats.shards;
-                row.ingested_points = stats.ingested_points;
-                row.ingested_weight = stats.ingested_weight;
-                row.stored_points = stats.stored_points;
-            }
-        }
-        for (name, route) in self.write.snapshot() {
-            if which.is_some_and(|which| which != name) || merged.contains_key(&name) {
-                continue;
-            }
-            let (ingested_points, ingested_weight) = route.totals();
-            let stats = DatasetStats {
-                ingested_points,
-                ingested_weight,
-                ..blank(&name, route.dim(), route.plan().clone())
-            };
-            merged.insert(name, stats);
-        }
+        let merged = self
+            .fleet()
+            .fold_reports(&reports, &health, plan_of, acknowledged);
         Ok(merged.into_values().collect())
     }
 }
 
 impl std::fmt::Debug for Coordinator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let fleet = self.fleet();
         f.debug_struct("Coordinator")
-            .field("nodes", &self.roster())
-            .field("replication", &self.replication)
-            .field("fleet_epoch", &self.fleet_epoch())
+            .field("nodes", &fleet.nodes())
+            .field("replication", &fleet.map().replication())
+            .field("fleet_epoch", &fleet.map().epoch())
             .field("default_plan", &self.default_plan().to_json())
             .finish_non_exhaustive()
     }
@@ -1715,84 +1448,6 @@ mod tests {
         a.shutdown();
     }
 
-    /// One node's report of `d`: `shards` shards of ten stored points
-    /// each, one summary and an empty queue per shard.
-    fn report(shards: usize, points: u64, weight: f64, state_epoch: (u64, u64)) -> DatasetStats {
-        DatasetStats {
-            dataset: "d".into(),
-            dim: 2,
-            plan: PlanBuilder::new(4).build().unwrap(),
-            shards,
-            ingested_points: points,
-            ingested_weight: weight,
-            stored_points: 10 * shards,
-            summaries_per_shard: vec![1; shards],
-            queue_depth_per_shard: vec![0; shards],
-            state_epoch,
-            recovering: false,
-            nodes: Vec::new(),
-        }
-    }
-
-    /// `reports` folded in order into an empty aggregate; the scalars.
-    fn folded(reports: &[DatasetStats], replicated: bool) -> (usize, u64, f64, usize, (u64, u64)) {
-        let mut into = report(0, 0, 0.0, (0, 0));
-        for from in reports {
-            fold_stats(&mut into, from, replicated);
-        }
-        (
-            into.shards,
-            into.ingested_points,
-            into.ingested_weight,
-            into.stored_points,
-            into.state_epoch,
-        )
-    }
-
-    /// Two replicas mid-migration report epochs `(5, 7)` and `(3, 9)`: the
-    /// fold must take the component-wise max `(5, 9)`, not the sum
-    /// `(8, 16)` the spread path (correctly) produces for disjoint shares.
-    /// Summing replicas would R-count *and* jump backward when a freshly
-    /// seeded replica (tiny epoch) joins the report.
-    #[test]
-    fn replicated_stats_merge_takes_max_not_sum() {
-        let a = report(3, 12, 2.5, (5, 7));
-        let b = report(4, 7, 4.0, (3, 9));
-        let (ab, ba) = ([a.clone(), b.clone()], [b, a]);
-        assert_eq!(folded(&ab, true), (4, 12, 4.0, 40, (5, 9)));
-        assert_eq!(folded(&ab, false), (7, 19, 6.5, 70, (8, 16)));
-        // Max and sum both keep the aggregate independent of the order
-        // reports arrive in.
-        for replicated in [true, false] {
-            assert_eq!(folded(&ab, replicated), folded(&ba, replicated));
-        }
-        // The spread sum saturates instead of wrapping.
-        let near_max = [
-            report(1, u64::MAX, 1.0, (u64::MAX, 0)),
-            report(1, 1, 1.0, (1, 1)),
-        ];
-        assert_eq!(
-            folded(&near_max, false),
-            (2, u64::MAX, 2.0, 20, (u64::MAX, 1))
-        );
-        // And so does weight: two nodes each holding 1e308 of a dataset
-        // sum to `f64::MAX`, not to an infinity JSON would write as null.
-        let heavy = [report(1, 1, 1e308, (0, 0)), report(1, 1, 1e308, (0, 0))];
-        assert_eq!(folded(&heavy, false).2, f64::MAX);
-        assert_eq!(folded(&heavy, true).2, 1e308);
-        // One replaying node makes the dataset recovering; the per-shard
-        // lists concatenate in report order.
-        let mut into = report(2, 1, 1.0, (0, 0));
-        let mut replaying = report(1, 1, 1.0, (0, 0));
-        replaying.recovering = true;
-        replaying.queue_depth_per_shard = vec![5];
-        fold_stats(&mut into, &replaying, true);
-        fold_stats(&mut into, &report(1, 1, 1.0, (0, 0)), true);
-        assert!(into.recovering);
-        assert_eq!(into.queue_depth_per_shard, [0, 0, 5, 0]);
-        assert_eq!(into.summaries_per_shard, [1; 4]);
-    }
-
     /// A dataset two nodes hold at weight 1e308 each — ingested around the
     /// coordinator, which would refuse the total — reads back through a
     /// JSON client: the fleet total clamps at `f64::MAX` instead of going
@@ -1963,9 +1618,9 @@ mod tests {
         // Drain whichever node serves as the dataset's first replica so
         // the move is guaranteed to matter.
         let first = {
-            let fleet = coordinator.fleet.lock().unwrap();
-            let idx = fleet.replicas("d")[0];
-            fleet.members()[idx].addr().to_owned()
+            let fleet = coordinator.fleet.read().unwrap();
+            let idx = fleet.map().replicas("d")[0];
+            fleet.map().members()[idx].addr().to_owned()
         };
         let (epoch, nodes, _) = Backend::drain_node(&coordinator, &first).unwrap();
         assert_eq!(epoch, 2);
@@ -1977,8 +1632,9 @@ mod tests {
         assert!(priced > 0);
         // Draining below R refuses.
         let second = {
-            let fleet = coordinator.fleet.lock().unwrap();
+            let fleet = coordinator.fleet.read().unwrap();
             fleet
+                .map()
                 .members()
                 .iter()
                 .find(|m| m.is_active())

@@ -8,14 +8,14 @@
 //! top. This crate runs that topology over the `fc-service` protocol:
 //!
 //! - [`Coordinator`] speaks the protocol *downward* to N `fc-server`
-//!   nodes (pooled, reconnecting [`node::NodeHandle`]s with bounded
-//!   `overloaded` backoff and [`NodeTimeouts`] socket deadlines) and
+//!   nodes (pooled, reconnecting node handles with bounded `overloaded`
+//!   backoff and [`NodeTimeouts`] socket deadlines) and
 //!   implements [`fc_service::Backend`], so
 //!   [`fc_service::ServerHandle::bind_backend`] exposes the identical
 //!   protocol *upward* — a coordinator is wire-indistinguishable from a
 //!   single big server, and the unchanged
 //!   [`fc_service::ServiceClient`] drives either. Every node request is
-//!   one blocking [`NodeHandle::request`]; a fan-out runs the first node
+//!   one blocking `NodeHandle::request`; a fan-out runs the first node
 //!   on the calling thread and each other node on a scoped thread, on
 //!   every platform.
 //! - Ingest places blocks by one rule, whose only input besides the
@@ -34,6 +34,11 @@
 //! - `stats` merges per-node reports and attaches each node's identity,
 //!   health (alive / degraded / down), and last error; dead nodes degrade
 //!   queries to the surviving fleet instead of failing them.
+//! - `add_node` / `drain_node` bump the fleet epoch and run one
+//!   re-homing plan: every dataset's new holders are filled with a
+//!   serving coreset from an old holder, then the holders the new map
+//!   stops reading drop their copies. Roster, placement map and per-node
+//!   request histograms are one record behind one lock.
 //!
 //! ```no_run
 //! use fc_cluster::{Coordinator, CoordinatorConfig};
@@ -52,7 +57,8 @@
 //! ```
 
 pub mod coordinator;
-pub mod node;
+mod fleet_state;
+mod node;
 
 pub use coordinator::{Coordinator, CoordinatorConfig, NodeSpec};
-pub use node::{NodeHandle, NodeTimeouts};
+pub use node::NodeTimeouts;

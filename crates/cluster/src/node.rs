@@ -116,7 +116,7 @@ struct NodeState {
 
 /// A remote node: address, connection pool, timeouts, and health. Its
 /// placement weight lives in the coordinator's [`fc_fleet::FleetMap`].
-pub struct NodeHandle {
+pub(crate) struct NodeHandle {
     addr: String,
     timeouts: NodeTimeouts,
     /// Offer every fresh connection the `bin1` upgrade. Nodes that
@@ -152,9 +152,10 @@ impl NodeHandle {
         &self.addr
     }
 
-    /// The socket timeouts this node is driven under.
-    pub fn timeouts(&self) -> NodeTimeouts {
-        self.timeouts
+    /// A handle for the node at `addr`, driven like this one: the same
+    /// socket timeouts and binary-wire preference.
+    pub fn sibling(&self, addr: &str) -> Self {
+        Self::new(addr, self.timeouts, self.binary_wire)
     }
 
     /// The node's current health and most recent error. A transport-alive

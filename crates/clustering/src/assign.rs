@@ -53,7 +53,7 @@
 //!
 //! **The first round.** Given centers alone, bounds start at `−∞`: every
 //! group is scanned, the full scan. A solve does not start there.
-//! k-means++ seeding ([`crate::kmeanspp`]) keeps the table as it adds
+//! k-means++ seeding ([`mod@crate::kmeanspp`]) keeps the table as it adds
 //! centers, under the same slack rules, and refinement resumes from it
 //! (`BoundedAssigner::resume`), so its first round prunes like any other.
 //! With `floor(x²) = x·(1 − s)` for a recorded distance and `reach(m) =

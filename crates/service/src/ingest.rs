@@ -20,8 +20,8 @@
 //! 4. the exactly-once gate: an idented batch takes its dataset's
 //!    watermark lock and *holds it across delivery*, so two sends racing
 //!    under one client serialise. A `(client, seq)` at or below the
-//!    client's watermark is a duplicate: counted, delivered again only
-//!    where [`WriteSink::repairs`], acknowledged with the current totals;
+//!    client's watermark is a duplicate: counted, handed to
+//!    [`WriteSink::repair`], acknowledged with the current totals;
 //! 5. reserve the batch's weight, refusing a batch that would take the
 //!    dataset's total past `f64::MAX` (it could only be acknowledged as
 //!    infinity), then [`WriteSink::deliver`]. On an error nothing has
@@ -38,7 +38,7 @@
 //! coordinator: nothing). `deliver` answers `Ok` once an acknowledgement
 //! may rest on the batch (engine: logged and queued; coordinator:
 //! accepted by a node), and leaves nothing behind on `Err`. Only a
-//! replicated fleet `repairs`: a re-forwarded duplicate lets a replica
+//! replicated fleet `repair`s: a re-forwarded duplicate lets a replica
 //! that missed the original catch up.
 //!
 //! **Three rules unified on purpose**, which had drifted while the
@@ -216,10 +216,16 @@ pub trait WriteSink {
         ident: Option<&IngestIdent>,
     ) -> Result<(), EngineError>;
 
-    /// Whether a recognised duplicate is delivered again, as repair,
-    /// before it is acknowledged (whatever that delivery answers).
-    fn repairs(&self) -> bool {
-        false
+    /// Delivers a recognised duplicate again, as repair, before it is
+    /// acknowledged (whatever that delivery answers). Does nothing by
+    /// default.
+    fn repair(
+        &self,
+        _name: &str,
+        _dataset: &Self::Dataset,
+        _batch: &Dataset,
+        _ident: &IngestIdent,
+    ) {
     }
 
     /// Tears down a dataset whose creating ingest never landed. It is
@@ -417,9 +423,7 @@ impl<D: AsRef<Ledger>> WritePath<D> {
             {
                 self.counters.duplicates.incr();
                 ledger.counters.duplicates.incr();
-                if sink.repairs() {
-                    let _ = sink.deliver(name, dataset, batch, Some(ident));
-                }
+                sink.repair(name, dataset, batch, ident);
                 let (total_points, total_weight) = ledger.totals();
                 return Ok(IngestOutcome {
                     total_points,
@@ -549,8 +553,10 @@ mod tests {
             Ok(())
         }
 
-        fn repairs(&self) -> bool {
-            self.repairs
+        fn repair(&self, name: &str, dataset: &Ledger, batch: &Dataset, ident: &IngestIdent) {
+            if self.repairs {
+                let _ = self.deliver(name, dataset, batch, Some(ident));
+            }
         }
 
         fn discard(&self, name: &str, dataset: Arc<Ledger>) {

@@ -285,10 +285,11 @@ pub struct DatasetStats {
     /// processed) — the observable precursor of ingest backpressure.
     pub queue_depth_per_shard: Vec<usize>,
     /// The dataset's durable-state epoch `(snapshot ids, applied seqs)` —
-    /// each component the sum across shards (and, on a coordinator,
-    /// across nodes). Both components only grow: a restart recovers the
-    /// persisted state and replays forward, never backward. `(0, 0)` on
-    /// an engine running without persistence.
+    /// each component the sum across shards. A spread coordinator sums
+    /// it across nodes too; a replicated one takes each component's max
+    /// across replicas, which hold the same data. Both components only
+    /// grow: a restart recovers the persisted state and replays forward,
+    /// never backward. `(0, 0)` on an engine running without persistence.
     pub state_epoch: (u64, u64),
     /// Whether any shard is still replaying its write-ahead log — the
     /// dataset serves stale summaries until this clears.
