@@ -300,21 +300,36 @@ impl Schedule {
         let Some(name) = self.datasets.keys().nth(self.rng.gen_range(0..4)).cloned() else {
             return Ok(());
         };
+        let servable = self.servable(&name);
         if self.rng.gen_bool(0.5) {
             let centers = Points::from_flat(vec![0.0, 0.0, 25.0, 25.0], 2).unwrap();
-            let (cost, _, priced) = self
-                .coordinator
-                .cost(&name, &centers, None)
-                .map_err(|e| format!("step {step}: cost {name}: {e}"))?;
-            ensure!(cost > 0.0 && priced > 0, "step {step}: cost {name} {cost}");
+            match self.coordinator.cost(&name, &centers, None) {
+                Ok((cost, _, priced)) => {
+                    ensure!(cost > 0.0 && priced > 0, "step {step}: cost {name} {cost}")
+                }
+                Err(e) => ensure!(!servable, "step {step}: cost {name}: {e}"),
+            }
         } else {
-            let (coreset, _, _) = self
-                .coordinator
-                .coreset(&name, Some(step as u64), None)
-                .map_err(|e| format!("step {step}: compress {name}: {e}"))?;
-            ensure!(!coreset.is_empty(), "step {step}: empty coreset of {name}");
+            match self.coordinator.coreset(&name, Some(step as u64), None) {
+                Ok((coreset, _, _)) => {
+                    ensure!(!coreset.is_empty(), "step {step}: empty coreset of {name}")
+                }
+                Err(e) => ensure!(!servable, "step {step}: compress {name}: {e}"),
+            }
         }
         Ok(())
+    }
+
+    /// Whether a live replica of `name` took every acknowledged write. A
+    /// replica that missed writes while down is not repaired (only a
+    /// re-send of those very batches would), so once the complete copy
+    /// is down too the dataset may not answer.
+    fn servable(&self, name: &str) -> bool {
+        let down = self.down().map(|i| self.nodes[i].addr.to_string());
+        let stale = &self.datasets[name].stale;
+        self.replication == 1
+            || (self.coordinator.replicas_of(name).iter())
+                .any(|r| !stale.contains(r) && Some(r) != down.as_ref())
     }
 
     /// Runs one membership change and marks the datasets it re-homed.
@@ -398,7 +413,6 @@ impl Schedule {
 
     /// Every dataset's fleet total against what was acknowledged.
     fn check_totals(&self, step: usize) -> Result<(), String> {
-        let down = self.down().map(|i| self.nodes[i].addr.to_string());
         for (name, acked) in &self.datasets {
             let stats = self
                 .coordinator
@@ -414,16 +428,8 @@ impl Schedule {
             if acked.migrated {
                 continue;
             }
-            // A complete copy answers unless every live replica missed a
-            // write while it was down.
-            let complete = self.replication == 1
-                || self
-                    .coordinator
-                    .replicas_of(name)
-                    .iter()
-                    .any(|r| !acked.stale.contains(r) && Some(r) != down.as_ref());
             ensure!(
-                if complete {
+                if self.servable(name) {
                     got == acked.weight
                 } else {
                     got <= acked.weight
@@ -464,7 +470,7 @@ impl Schedule {
 #[test]
 fn seeded_fleet_schedules_keep_every_acknowledged_total() {
     let (cases, steps) = if cfg!(debug_assertions) {
-        (24, 30)
+        (16, 30)
     } else {
         (200, 40)
     };
