@@ -1,13 +1,14 @@
 //! The coordinator's fleet as one record: the versioned placement map
 //! and, in the same roster order, each member's node handle beside the
 //! histogram its requests observe, so the three are aligned by
-//! construction. Plain data — no socket, thread, clock or lock: the
-//! coordinator holds one `FleetState` behind one lock and carries out
-//! what it decides through `NodeHandle::request`.
+//! construction. It sends nothing and takes no lock or clock of its
+//! own: the coordinator holds one `FleetState` behind one lock and
+//! carries out what it decides through `NodeHandle::request`.
 //!
-//! The fleet decisions live here: whom a query asks, the health
-//! fingerprint cached answers are keyed by, how per-node stats fold into
-//! one report, and what a membership change re-homes ([`Rehome`]).
+//! The fleet decisions live here: which replicas a re-sent batch
+//! repairs, the health fingerprint cached answers are keyed by, how
+//! per-node stats fold into one report, and what a membership change
+//! re-homes ([`Rehome`]).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
