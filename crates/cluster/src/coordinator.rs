@@ -1,22 +1,39 @@
 //! The coordinator: one [`fc_service::Backend`] fanning out to many
-//! remote `fc-server` nodes (the crate docs describe the topology).
+//! remote `fc-server` nodes.
 //!
-//! Writes are admitted by the shared [`fc_service::ingest`] path — the
-//! same refusals, exactly-once gate and counters as a single engine —
-//! and delivered by `Fleet`: dealt to one node by capacity
-//! ([`FleetMap::spread`]) at R = 1, fanned to the dataset's replica set
-//! at R ≥ 2, with the creating [`Plan`] riding every batch so whichever
-//! node sees the dataset first creates it under that plan. Queries run
-//! the shared [`fc_service::query`] path; the fleet supplies the parts,
-//! one serving compression per answering node, so only `O(m)` points per
-//! node cross the network. An unreachable node is marked down and
-//! queries answer from the survivors; `stats` reports every node's
-//! identity, health and last error.
+//! Ingest deals each batch to one node — round-robin over the active
+//! members, in shares proportional to their capacities
+//! ([`FleetMap::spread`]) — forwarding the dataset's creating [`Plan`] with
+//! every routed batch so whichever node sees the dataset first creates it
+//! under the same plan (plan-less datasets run each node's default plan —
+//! deploy nodes and coordinator with the same plan flags). Queries run
+//! the shared [`fc_service::query`] path; the coordinator only supplies
+//! the parts: one exchange with every node in parallel pulls each node's
+//! serving compression, and that path unions them and re-compresses once
+//! — the MapReduce aggregation step, with sockets where the library has
+//! threads. Only compressed summaries ever cross the network: `O(m)`
+//! points per node per query, independent of how much data the nodes
+//! hold.
 //!
-//! Fleet state — roster, placement map, per-node histograms — is one
-//! `FleetState` behind one lock. `add-node` / `drain-node` bump its
-//! epoch and run one re-homing plan; requests asserting a stale epoch get
-//! a structured `wrong_epoch`.
+//! Failure is a first-class input: an unreachable node is marked down and
+//! queries answer from the survivors; an `overloaded` node is retried
+//! through the client's bounded backoff and then failed over for writes;
+//! `stats` reports every node's identity, health, and last error.
+//!
+//! With `replication >= 2` the coordinator switches from spread routing to
+//! *placement*: an [`fc_fleet::FleetMap`] assigns each dataset an R-member
+//! replica set (capacity-weighted rendezvous hashing over the roster),
+//! ingest fans each batch to every replica (coreset composability makes
+//! an R-way copy just R ingests), and queries read from any single live
+//! replica instead of unioning the fleet. `add-node` / `drain-node` bump the map's epoch and
+//! migrate serving coresets — not raw data — onto the members the new map
+//! reads, through one re-homing plan in `FleetState` (roster, map and
+//! per-node histograms behind one lock); requests asserting a stale epoch
+//! get a structured `wrong_epoch`.
+//!
+//! Either way a batch is admitted by the shared [`fc_service::ingest`]
+//! path — the same refusals, exactly-once gate and counters as a single
+//! engine — and each node's engine dedupes again behind its WAL.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock, RwLockReadGuard};
@@ -31,14 +48,14 @@ use fc_fleet::{FleetError, FleetMap};
 use fc_geom::{Dataset, Points};
 use fc_service::client::wire_block;
 use fc_service::engine::fnv64;
-use fc_service::protocol::{self, DatasetStats, ErrorCode, IngestIdent, NodeHealth};
+use fc_service::protocol::{self, DatasetStats, ErrorCode, IngestIdent, NodeHealth, NodeStats};
 use fc_service::{
     Backend, ClientError, ClusterOutcome, EngineConfig, EngineError, IngestOutcome, Ledger,
     QueryPath, QuerySource, QueryState, Request, Response, RetryPolicy, WritePath, WriteSink,
 };
 use fc_telemetry::{current_trace, next_request_id, set_current_trace, Counter, Telemetry};
 
-use crate::fleet_state::{blank, FleetState, Rehome};
+use crate::fleet_state::{fold_stats, FleetState};
 use crate::node::NodeTimeouts;
 
 /// Mixes per-node compression seeds. Deliberately a different constant
@@ -177,8 +194,7 @@ pub struct Coordinator {
     /// The coordinator's observability surface, shared with the server
     /// loop serving it. The ingest and query ops register their handles
     /// in [`fc_service::ingest`] and [`fc_service::query`], under the
-    /// names an engine uses; the per-node request histograms live with
-    /// the roster.
+    /// names an engine uses.
     telemetry: Arc<Telemetry>,
     /// `fc_migrations_total`: coresets shipped by membership changes.
     migrations: Counter,
@@ -257,21 +273,8 @@ impl Coordinator {
             .map()
             .replicas(name)
             .into_iter()
-            .map(|idx| fleet.addr(idx).to_owned())
+            .map(|idx| fleet.members()[idx].node.addr().to_owned())
             .collect()
-    }
-
-    /// [`Backend::ingest`] without the exactly-once identity or epoch
-    /// assertion — the at-least-once convenience call most in-process
-    /// callers (and the pre-fleet API) use.
-    pub fn ingest(
-        &self,
-        name: &str,
-        batch: &Dataset,
-        plan: Option<&Plan>,
-    ) -> Result<(u64, f64), EngineError> {
-        Backend::ingest(self, name, batch, plan, None, None)
-            .map(|outcome| (outcome.total_points, outcome.total_weight))
     }
 
     /// The plan plan-less datasets run under.
@@ -288,7 +291,7 @@ impl Coordinator {
 
     /// The error a node caused, naming it.
     fn remote(&self, node_idx: usize, message: String) -> EngineError {
-        let node = self.fleet().addr(node_idx).to_owned();
+        let node = self.fleet().members()[node_idx].node.addr().to_owned();
         EngineError::Remote { node, message }
     }
 
@@ -333,7 +336,13 @@ impl Coordinator {
         request_for: impl Fn(usize) -> Request + Sync,
     ) -> Vec<Result<Response, ClientError>> {
         let trace = current_trace().unwrap_or_else(next_request_id);
-        let members = self.fleet().members(which);
+        let members: Vec<_> = {
+            let fleet = self.fleet();
+            which
+                .iter()
+                .map(|&idx| fleet.members()[idx].clone())
+                .collect()
+        };
         let one = |slot: usize| {
             let (idx, member) = (which[slot], &members[slot]);
             // The ambient trace is thread-local: set it on whichever
@@ -411,7 +420,7 @@ impl Coordinator {
             let fleet = self.fleet();
             let readers = match fleet.replicated() {
                 true => fleet.map().replicas(name),
-                false => fleet.everyone(),
+                false => (0..fleet.members().len()).collect(),
             };
             (fleet.replicated(), readers, fleet.nodes())
         };
@@ -573,6 +582,21 @@ fn node_seed(seed: u64, node_idx: usize) -> u64 {
     seed ^ NODE_STREAM.wrapping_mul(node_idx as u64 + 1)
 }
 
+impl Coordinator {
+    /// [`Backend::ingest`] without the exactly-once identity or epoch
+    /// assertion — the at-least-once convenience call most in-process
+    /// callers (and the pre-fleet API) use.
+    pub fn ingest(
+        &self,
+        name: &str,
+        batch: &Dataset,
+        plan: Option<&Plan>,
+    ) -> Result<(u64, f64), EngineError> {
+        Backend::ingest(self, name, batch, plan, None, None)
+            .map(|outcome| (outcome.total_points, outcome.total_weight))
+    }
+}
+
 impl WriteSink for Fleet<'_> {
     type Dataset = Route;
 
@@ -585,8 +609,8 @@ impl WriteSink for Fleet<'_> {
     /// At R ≥ 2 the batch fans to every member of the dataset's replica
     /// set and is accepted as soon as *one* replica applied it (a replica
     /// that missed it is repair debt, counted on
-    /// `fc_replica_write_failures_total`, healed by the client's own
-    /// retries). At R = 1 it goes to one node ([`FleetMap::spread`]); an
+    /// `fc_replica_write_failures_total` and recorded in the fleet state,
+    /// healed by the client's own retries). At R = 1 it goes to one node ([`FleetMap::spread`]); an
     /// unreachable or still-overloaded node fails over to the next active
     /// one of positive capacity, and the write fails only when every such
     /// node refused it.
@@ -610,7 +634,11 @@ impl WriteSink for Fleet<'_> {
             fleet.replicated().then(|| fleet.map().replicas(name))
         };
         if let Some(replicas) = replicas {
-            return coordinator.replicate(name, &replicas, &request);
+            let missed = coordinator.replicate(name, &replicas, &request)?;
+            if !missed.is_empty() {
+                (coordinator.fleet.write().expect("fleet state lock")).missed(name, &missed);
+            }
+            return Ok(());
         }
         let mut last = EngineError::Unavailable;
         // Staggered by name, so datasets do not all start at node 0.
@@ -637,10 +665,10 @@ impl WriteSink for Fleet<'_> {
     /// replication it goes again to the replicas that took the dataset's
     /// writes by ingest: the node-side gates make it a no-op everywhere
     /// it already landed and a repair everywhere it did not. A replica
-    /// whose copy a membership change shipped is left out: it holds the
-    /// batch already, under a gate that never saw its `(client, seq)`.
+    /// whose shipped copy already holds the batch is left out: its gate
+    /// never saw the `(client, seq)`.
     fn repair(&self, name: &str, route: &Route, batch: &Dataset, ident: &IngestIdent) {
-        let replicas = self.0.fleet().repairers(name);
+        let replicas = self.0.fleet().repairers(name, ident);
         if let Ok(request) = ingest_request(name, route, batch, Some(ident)) {
             let _ = self.0.replicate(name, &replicas, &request);
         }
@@ -759,24 +787,9 @@ impl Backend for Coordinator {
             self.query.forget(route.instance());
         }
         self.fleet.write().expect("fleet state lock").forget(name);
-        let request = Request::DropDataset {
-            dataset: name.to_owned(),
-        };
-        let everyone = self.fleet().everyone();
-        let outcomes = self.exchange(&everyone, |_| request.clone());
-        // Unknown-dataset answers are normal (the node never held a
-        // block); only a confirmed drop counts, and only an answered node
-        // counts as covered.
-        let mut dropped_anywhere = false;
-        let mut unreachable = None;
-        for (idx, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                Ok(Response::Dropped { .. }) => dropped_anywhere = true,
-                Ok(_) | Err(ClientError::Server { .. }) => {}
-                Err(_) => unreachable = Some(idx),
-            }
-        }
-        if let Some(idx) = unreachable {
+        let everyone: Vec<usize> = (0..self.fleet().members().len()).collect();
+        let (dropped_anywhere, unreachable) = self.drop_on(name, &everyone);
+        if let Some(&idx) = unreachable.last() {
             return Err(self.remote(
                 idx,
                 format!(
@@ -793,10 +806,11 @@ impl Backend for Coordinator {
     }
 
     /// Admits `addr` into the fleet at the next epoch. Under replicated
-    /// placement every dataset the new map places on the newcomer gets a
-    /// serving coreset pulled onto it from a replica that stays — coreset
-    /// composability makes the move `O(m)` per dataset, not `O(data)` —
-    /// and then the replica it displaced drops its copy.
+    /// placement, every dataset the new map places on the newcomer gets a
+    /// serving coreset pulled onto it — coreset composability makes the
+    /// move `O(m)` per dataset, not `O(data)` — and the replica it
+    /// displaced then drops its copy. A pull that fails leaves repair
+    /// debt, never a failed admission.
     fn add_node(
         &self,
         addr: &str,
@@ -804,18 +818,18 @@ impl Backend for Coordinator {
     ) -> Result<(u64, usize, usize), EngineError> {
         let capacity = capacity.unwrap_or(1.0);
         check_capacity(addr, capacity)?;
-        let registry = &self.telemetry.registry;
-        self.change(|fleet, names| fleet.add(addr, capacity, registry, names))
+        self.change(|map| map.add_member(addr, capacity))
     }
 
     /// Marks `addr` draining at the next epoch: it leaves placement (no
     /// new writes) but stays addressable, so its data can be shipped off
     /// as serving coresets. Under replicated placement each dataset it
-    /// held gets a copy on the member the new map promotes (sourced from
-    /// a surviving replica first); under spread routing the draining
-    /// node's own share of every dataset moves to the dataset's pick.
+    /// held gets a copy pulled onto the member the new map promotes;
+    /// under spread routing the draining node's own share of every
+    /// dataset moves to the dataset's pick. Only after a dataset's move
+    /// succeeds is its copy dropped from the draining node.
     fn drain_node(&self, addr: &str) -> Result<(u64, usize, usize), EngineError> {
-        self.change(|fleet, names| fleet.drain(addr, names))
+        self.change(|map| map.drain_member(addr))
     }
 
     fn telemetry(&self) -> Option<Arc<Telemetry>> {
@@ -833,7 +847,7 @@ impl Backend for Coordinator {
             Value::Object(map) => map,
             other => return Some(other),
         };
-        let everyone = self.fleet().everyone();
+        let everyone: Vec<usize> = (0..self.fleet().members().len()).collect();
         let outcomes = self.exchange(&everyone, |_| Request::Metrics);
         let payloads: BTreeMap<String, Value> = (outcomes.into_iter().enumerate())
             .map(|(idx, outcome)| {
@@ -842,7 +856,7 @@ impl Backend for Coordinator {
                     Ok(other) => Value::String(format!("unexpected response {other:?}")),
                     Err(e) => Value::String(e.to_string()),
                 };
-                (self.fleet().addr(idx).to_owned(), payload)
+                (self.fleet().members()[idx].node.addr().to_owned(), payload)
             })
             .collect();
         own.insert("nodes".to_owned(), Value::Object(payloads));
@@ -853,14 +867,14 @@ impl Backend for Coordinator {
 impl Coordinator {
     /// Sends `request` to every listed replica, accepted once one applied
     /// it; each replica that did not is counted on
-    /// `fc_replica_write_failures_total`.
+    /// `fc_replica_write_failures_total` and returned.
     fn replicate(
         &self,
         name: &str,
         replicas: &[usize],
         request: &Request,
-    ) -> Result<(), EngineError> {
-        let mut accepted = false;
+    ) -> Result<Vec<usize>, EngineError> {
+        let (mut accepted, mut missed) = (false, Vec::new());
         let mut last = EngineError::Unavailable;
         for (&idx, outcome) in replicas
             .iter()
@@ -875,98 +889,136 @@ impl Coordinator {
                 Err(e) => self.node_error(idx, name, e),
             };
             self.replica_write_failures.incr();
+            missed.push(idx);
         }
-        if accepted {
-            Ok(())
-        } else {
-            Err(last)
+        match accepted {
+            true => Ok(missed),
+            false => Err(last),
         }
     }
 
     /// Point-in-time fleet gauges, refreshed whenever the registry is
     /// rendered or serialized (not on a background timer).
     fn refresh_fleet_gauges(&self) {
-        let registry = &self.telemetry.registry;
         let fleet = self.fleet();
-        let nodes = fleet.nodes();
-        registry.gauge("fc_nodes").set(nodes.len() as u64);
-        let alive = nodes
-            .iter()
-            .filter(|n| n.health().0 == NodeHealth::Alive)
-            .count();
-        registry.gauge("fc_nodes_alive").set(alive as u64);
-        let map = fleet.map();
-        registry.gauge("fc_fleet_epoch").set(map.epoch());
-        registry
-            .gauge("fc_fleet_active")
-            .set(map.active_len() as u64);
-        registry
-            .gauge("fc_fleet_replication")
-            .set(map.replication() as u64);
+        let (nodes, map) = (fleet.nodes(), fleet.map());
+        let alive = nodes.iter().filter(|n| n.health().0 == NodeHealth::Alive);
+        for (name, value) in [
+            ("fc_nodes", nodes.len() as u64),
+            ("fc_nodes_alive", alive.count() as u64),
+            ("fc_fleet_epoch", map.epoch()),
+            ("fc_fleet_active", map.active_len() as u64),
+            ("fc_fleet_replication", map.replication() as u64),
+        ] {
+            self.telemetry.registry.gauge(name).set(value);
+        }
     }
 
-    /// One membership change, add or drain alike: `bump` moves the fleet
-    /// to its next epoch and plans every dataset's re-homing, under the
-    /// fleet lock; then, outside it, each target is filled from the first
-    /// source that answers, and once all of a dataset's targets are
-    /// filled every leaver drops its copy, so no copy the new map does
-    /// not read lingers to be counted again later. A failed leg is repair
-    /// debt on `fc_replica_write_failures_total`, never a failed change:
-    /// a dataset whose fill failed keeps its leavers' copies (a drained
-    /// node stays addressable), so a change can degrade to "slower" but
-    /// never to "lost". Returns `(epoch, roster size, datasets that moved
-    /// a coreset)`.
+    /// One membership change, add or drain alike: under the fleet lock
+    /// `step` moves the map and every dataset's re-homing is planned;
+    /// outside it each target is filled from the first source that
+    /// answers, and once all are filled and some reader holds the whole
+    /// dataset, every copy the new map does not read is dropped. A failed
+    /// fill or drop is counted on `fc_replica_write_failures_total` and
+    /// the copies it kept are retried by the next change, so a change can
+    /// degrade to "slower" but never to "lost". Returns `(epoch, roster
+    /// size, datasets that moved a coreset)`.
     fn change(
         &self,
-        bump: impl FnOnce(&mut FleetState, &[&str]) -> Result<(u64, Vec<Rehome>), FleetError>,
+        step: impl FnOnce(&mut FleetMap) -> Result<u64, FleetError>,
     ) -> Result<(u64, usize, usize), EngineError> {
         let routes = self.write.snapshot();
         let names: Vec<&str> = routes.iter().map(|(name, _)| name.as_str()).collect();
-        let (epoch, members, plans) = {
+        let (epoch, members, replicated, plans) = {
             let mut fleet = self.fleet.write().expect("fleet state lock");
-            let (epoch, plans) = bump(&mut fleet, &names)
+            let (epoch, plans) = (fleet.bump(&names, &self.telemetry.registry, step))
                 .map_err(|e| EngineError::InvalidArgument(e.to_string()))?;
-            (epoch, fleet.map().members().len(), plans)
+            (epoch, fleet.members().len(), fleet.replicated(), plans)
         };
         let mut migrated = 0;
         for ((name, route), plan) in routes.iter().zip(plans) {
-            let mut filled = true;
-            let mut moved = false;
+            // Read after the bump: every batch acknowledged by now went to
+            // the old holders, every later one reaches a target through
+            // its own gate.
+            let marks = route.watermarks();
+            let complete = |idx: &usize| plan.complete.contains(idx);
+            let mut whole = !replicated || plan.complete.iter().any(|i| !plan.retire.contains(i));
+            let (mut filled, mut moved, mut unfilled) = (Vec::new(), false, false);
             for &target in &plan.targets {
+                // A copy that rejoins as it is missed the writes since it
+                // left: a fill on top would count the rest twice.
+                if plan.rejoin.contains(&target) && self.holds(name, target) {
+                    continue;
+                }
                 match self.migrate_dataset(name, route, &plan.sources, target, epoch) {
-                    Ok(did) => moved |= did,
+                    Ok(from) => {
+                        moved |= from.is_some();
+                        filled.push((target, from.is_none_or(|src| complete(&src))));
+                    }
                     Err(_) => {
-                        filled = false;
+                        unfilled = true;
                         self.replica_write_failures.incr();
                     }
                 }
             }
+            whole |= filled.iter().any(|f| f.1);
             migrated += usize::from(moved);
-            if !filled {
-                continue;
-            }
-            let retire = Request::DropDataset {
-                dataset: name.clone(),
-            };
-            for outcome in self.exchange(&plan.retire, |_| retire.clone()) {
-                // An unknown dataset is already retired.
-                if outcome.is_err_and(|e| !matches!(e, ClientError::Server { .. })) {
-                    self.replica_write_failures.incr();
+            let kept: Vec<usize> = match !unfilled && whole {
+                true => {
+                    let (_, failed) = self.drop_on(name, &plan.retire);
+                    self.replica_write_failures.add(failed.len() as u64);
+                    failed
                 }
-            }
+                // Every copy stays; at R = 1 a share that did not move
+                // stays on its drained node, which still answers for it.
+                false => (plan.retire.iter().copied())
+                    .filter(|idx| replicated || !plan.sources.contains(idx))
+                    .collect(),
+            };
+            (self.fleet.write().expect("fleet state lock"))
+                .settle(name, &plan, &filled, kept, marks);
         }
         self.refresh_fleet_gauges();
         Ok((epoch, members, migrated))
     }
 
+    /// Whether `member` holds a copy of `name`, as far as it answers: one
+    /// that does not answer is taken to hold one.
+    fn holds(&self, name: &str, member: usize) -> bool {
+        let request = Request::Stats {
+            dataset: Some(name.to_owned()),
+        };
+        let unknown = Some(ErrorCode::UnknownDataset);
+        !matches!(self.node_request(member, &request),
+            Err(ClientError::Server { code, .. }) if code == unknown)
+    }
+
+    /// Asks each of `members` to drop `name`: whether any dropped it, and
+    /// the members that could not be asked. An unknown dataset is normal
+    /// (the node never held a block); only a confirmed drop counts, and
+    /// only an answered node counts as covered.
+    fn drop_on(&self, name: &str, members: &[usize]) -> (bool, Vec<usize>) {
+        let request = Request::DropDataset {
+            dataset: name.to_owned(),
+        };
+        let outcomes = self.exchange(members, |_| request.clone());
+        let (mut dropped, mut unreachable) = (false, Vec::new());
+        for (&idx, outcome) in members.iter().zip(outcomes) {
+            match outcome {
+                Ok(Response::Dropped { .. }) => dropped = true,
+                Ok(_) | Err(ClientError::Server { .. }) => {}
+                Err(_) => unreachable.push(idx),
+            }
+        }
+        (dropped, unreachable)
+    }
+
     /// Ships a serving coreset of `name` from the first source that holds
-    /// it onto `target`, identified as the fleet's own migration client
-    /// (`client = "fc-fleet-migrate"`, `seq = epoch`) so the target's
-    /// exactly-once gate collapses a re-run of the same epoch's migration
-    /// into a no-op. The compression is seeded from the epoch and the
-    /// source, never from the sequence unseeded queries draw from. Returns
-    /// `Ok(false)` when no source holds any data — nothing to move is not
-    /// a failure.
+    /// it onto `target` as the fleet's migration client (`seq = epoch`,
+    /// so the target's gate collapses a re-run of the same epoch's
+    /// migration), seeded from the epoch and the source, never from the
+    /// sequence unseeded queries draw from. Returns the source, or `None`
+    /// when no source holds any data — nothing to move is not a failure.
     fn migrate_dataset(
         &self,
         name: &str,
@@ -974,8 +1026,8 @@ impl Coordinator {
         sources: &[usize],
         target: usize,
         epoch: u64,
-    ) -> Result<bool, EngineError> {
-        let mut last: Option<EngineError> = None;
+    ) -> Result<Option<usize>, EngineError> {
+        let mut last = None;
         for &src in sources {
             let request = Request::Compress {
                 dataset: name.to_owned(),
@@ -986,33 +1038,28 @@ impl Coordinator {
                 Ok(answer) => self.node_part(src, answer),
                 Err(e) => Err(self.node_error(src, name, e)),
             };
-            let part = match part {
-                Ok(part) => part,
+            match part {
+                Ok(part) => {
+                    let migration = IngestIdent {
+                        client: MIGRATE_CLIENT.to_owned(),
+                        seq: epoch,
+                    };
+                    let ingest = ingest_request(name, route, part.dataset(), Some(&migration))?;
+                    return match self.node_request(target, &ingest) {
+                        Ok(Response::Ingested { .. }) => {
+                            self.migrations.incr();
+                            Ok(Some(src))
+                        }
+                        Ok(other) => Err(self.unexpected(target, other)),
+                        Err(e) => Err(self.node_error(target, name, e)),
+                    };
+                }
                 // This source has nothing of the dataset; the next one may.
-                Err(EngineError::UnknownDataset(_) | EngineError::NoData { .. }) => continue,
-                Err(err) => {
-                    last = Some(err);
-                    continue;
-                }
-            };
-            let migration = IngestIdent {
-                client: MIGRATE_CLIENT.to_owned(),
-                seq: epoch,
-            };
-            let ingest = ingest_request(name, route, part.dataset(), Some(&migration))?;
-            return match self.node_request(target, &ingest) {
-                Ok(Response::Ingested { .. }) => {
-                    self.migrations.incr();
-                    Ok(true)
-                }
-                Ok(other) => Err(self.unexpected(target, other)),
-                Err(e) => Err(self.node_error(target, name, e)),
-            };
+                Err(EngineError::UnknownDataset(_) | EngineError::NoData { .. }) => {}
+                Err(err) => last = Some(err),
+            }
         }
-        match last {
-            Some(err) => Err(err),
-            None => Ok(false),
-        }
+        last.map_or(Ok(None), Err)
     }
 
     /// Prometheus text exposition of the coordinator's registry — per-op
@@ -1036,12 +1083,13 @@ impl Coordinator {
     /// node that just recovered still shows its last recorded trouble
     /// once, and a node that just died shows down immediately.
     fn aggregate_stats(&self, which: Option<&str>) -> Result<Vec<DatasetStats>, EngineError> {
-        let (everyone, nodes) = {
+        let (nodes, replicated) = {
             let fleet = self.fleet();
-            (fleet.everyone(), fleet.nodes())
+            (fleet.nodes(), fleet.replicated())
         };
         let pre: Vec<(NodeHealth, Option<String>)> =
             nodes.iter().map(|node| node.health()).collect();
+        let everyone: Vec<usize> = (0..nodes.len()).collect();
         let outcomes = self.exchange(&everyone, |_| Request::Stats {
             dataset: which.map(str::to_owned),
         });
@@ -1070,40 +1118,74 @@ impl Coordinator {
                 },
             }
         }
-        // health[i]: pre-request trouble unless this probe failed; an
-        // alive node reads as of now, since this probe's replay flag is
-        // the freshest evidence there is.
-        let health: Vec<(NodeHealth, Option<String>)> = (reports.iter().zip(pre).zip(&nodes))
-            .map(
-                |((report, pre), node)| match report.is_none() || pre.0 == NodeHealth::Alive {
+        // Zeroed per-node rows carry identity and health, to be filled
+        // from each node's report. Health is the pre-request trouble
+        // unless this probe failed; an alive node reads as of now, since
+        // this probe's replay flag is the freshest evidence there is.
+        let rows: Vec<NodeStats> = (reports.iter().zip(pre).zip(&nodes))
+            .map(|((report, pre), node)| {
+                let (health, last_error) = match report.is_none() || pre.0 == NodeHealth::Alive {
                     true => node.health(),
                     false => pre,
-                },
-            )
-            .collect();
-        let acknowledged = self.write.snapshot().into_iter();
-        let acknowledged = acknowledged
-            .filter(|(name, _)| which.is_none_or(|which| which == name))
-            .map(|(name, route)| {
-                let (ingested_points, ingested_weight) = route.totals();
-                DatasetStats {
-                    ingested_points,
-                    ingested_weight,
-                    ..blank(&name, route.dim(), route.plan().clone(), Vec::new())
+                };
+                NodeStats {
+                    node: node.addr().to_owned(),
+                    health,
+                    last_error,
+                    shards: 0,
+                    ingested_points: 0,
+                    ingested_weight: 0.0,
+                    stored_points: 0,
                 }
             })
             .collect();
-        // The coordinator's route is authoritative for the plan; fall
-        // back to the first reporter for datasets ingested around the
-        // coordinator.
-        let plan_of = |stats: &DatasetStats| {
-            self.write
-                .get(&stats.dataset)
-                .map_or_else(|_| stats.plan.clone(), |route| route.plan().clone())
+        let blank = |name: &str, dim, plan| DatasetStats {
+            dataset: name.to_owned(),
+            dim,
+            plan,
+            shards: 0,
+            ingested_points: 0,
+            ingested_weight: 0.0,
+            stored_points: 0,
+            summaries_per_shard: Vec::new(),
+            queue_depth_per_shard: Vec::new(),
+            state_epoch: (0, 0),
+            recovering: false,
+            nodes: rows.clone(),
         };
-        let merged = self
-            .fleet()
-            .fold_reports(&reports, &health, plan_of, acknowledged);
+        let mut merged: BTreeMap<String, DatasetStats> = BTreeMap::new();
+        for (idx, report) in reports.iter().enumerate() {
+            for stats in report.iter().flatten() {
+                let entry = merged.entry(stats.dataset.clone()).or_insert_with(|| {
+                    // The coordinator's route is authoritative for the
+                    // plan; fall back to the first reporter for datasets
+                    // ingested around the coordinator.
+                    let plan = self
+                        .write
+                        .get(&stats.dataset)
+                        .map_or_else(|_| stats.plan.clone(), |route| route.plan().clone());
+                    blank(&stats.dataset, stats.dim, plan)
+                });
+                fold_stats(entry, stats, replicated);
+                let row = &mut entry.nodes[idx];
+                row.shards = stats.shards;
+                row.ingested_points = stats.ingested_points;
+                row.ingested_weight = stats.ingested_weight;
+                row.stored_points = stats.stored_points;
+            }
+        }
+        for (name, route) in self.write.snapshot() {
+            if which.is_some_and(|which| which != name) || merged.contains_key(&name) {
+                continue;
+            }
+            let (ingested_points, ingested_weight) = route.totals();
+            let stats = DatasetStats {
+                ingested_points,
+                ingested_weight,
+                ..blank(&name, route.dim(), route.plan().clone())
+            };
+            merged.insert(name, stats);
+        }
         Ok(merged.into_values().collect())
     }
 }

@@ -7,15 +7,14 @@
 //!
 //! The fleet decisions live here: which replicas a re-sent batch
 //! repairs, the health fingerprint cached answers are keyed by, how
-//! per-node stats fold into one report, and what a membership change
-//! re-homes ([`Rehome`]).
+//! per-node stats fold, and what a membership change re-homes
+//! ([`Rehome`]) and from which copy.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
-use fc_core::plan::Plan;
 use fc_fleet::{FleetError, FleetMap};
-use fc_service::protocol::{DatasetStats, NodeHealth, NodeStats};
+use fc_service::protocol::{DatasetStats, IngestIdent};
 use fc_telemetry::{labeled, Histogram, Registry};
 
 use crate::node::{NodeHandle, NodeTimeouts};
@@ -45,11 +44,20 @@ impl Member {
 pub(crate) struct FleetState {
     map: FleetMap,
     members: Vec<Member>,
-    /// `(dataset, member)` pairs whose copy a membership change shipped
-    /// as a coreset. Such a copy holds every write acknowledged before
-    /// it, but its node's exactly-once gate never saw their `(client,
-    /// seq)`s: a re-sent batch must not repair it, or it counts twice.
-    shipped: BTreeSet<(String, usize)>,
+    /// Per `(dataset, member)` whose copy a membership change shipped as
+    /// a coreset, the coordinator's per-client watermarks as the change
+    /// began (`None` until the copy is in place): the copy holds those
+    /// batches under a gate that never saw them, so their re-sends must
+    /// not repair it.
+    shipped: BTreeMap<(String, usize), Option<HashMap<String, u64>>>,
+    /// Per dataset, copies the map no longer reads that a change kept: a
+    /// fill or a drop failed, or no reader held every write. The next
+    /// change retries them.
+    strays: BTreeMap<String, Vec<usize>>,
+    /// `(dataset, member)` copies known to lack an acknowledged write: a
+    /// replica write to them failed while another replica took it, or
+    /// they were filled from such a copy, or not filled at all.
+    missed: BTreeSet<(String, usize)>,
 }
 
 /// What one membership change asks of one dataset, as roster indices.
@@ -57,11 +65,19 @@ pub(crate) struct FleetState {
 pub(crate) struct Rehome {
     /// Members the new map reads that must first receive a copy.
     pub(crate) targets: Vec<usize>,
-    /// Where a target's copy comes from, in order: the old holders that
-    /// stay, then the ones that leave.
+    /// Targets an earlier change kept as strays: one that still holds a
+    /// copy is never filled on top of it.
+    pub(crate) rejoin: Vec<usize>,
+    /// Members holding a copy a target may be filled from, in the order
+    /// to try them: the `complete` ones first, leavers (which take no
+    /// later writes) before those that stay.
     pub(crate) sources: Vec<usize>,
-    /// Old holders the new map stops reading: each drops the dataset
-    /// once every target is filled.
+    /// Old holders not known to have missed a write: a target filled from
+    /// one of them holds the whole dataset.
+    pub(crate) complete: Vec<usize>,
+    /// Members holding a copy the new map does not read: each drops the
+    /// dataset once every target is filled and some member the new map
+    /// reads holds the whole dataset.
     pub(crate) retire: Vec<usize>,
 }
 
@@ -74,20 +90,29 @@ impl FleetState {
         binary_wire: bool,
         registry: &Registry,
     ) -> Self {
-        let members = map
-            .members()
-            .iter()
-            .map(|m| Member::new(NodeHandle::new(m.addr(), timeouts, binary_wire), registry))
-            .collect();
+        let node = |m: &fc_fleet::Member| NodeHandle::new(m.addr(), timeouts, binary_wire);
+        let members = map.members().iter().map(|m| Member::new(node(m), registry));
         Self {
+            members: members.collect(),
             map,
-            members,
-            shipped: BTreeSet::new(),
+            shipped: BTreeMap::new(),
+            strays: BTreeMap::new(),
+            missed: BTreeSet::new(),
         }
     }
 
     pub(crate) fn map(&self) -> &FleetMap {
         &self.map
+    }
+
+    /// Every member, indexed by roster position.
+    pub(crate) fn members(&self) -> &[Member] {
+        &self.members
+    }
+
+    /// Every member's node, indexed by roster position.
+    pub(crate) fn nodes(&self) -> Vec<Arc<NodeHandle>> {
+        self.members.iter().map(|m| Arc::clone(&m.node)).collect()
     }
 
     /// Whether datasets live on replica sets (R ≥ 2) rather than in
@@ -96,39 +121,34 @@ impl FleetState {
         self.map.replication() >= 2
     }
 
-    pub(crate) fn addr(&self, idx: usize) -> &str {
-        self.members[idx].node.addr()
-    }
-
-    /// The members at `which`, in that order: a fan-out's snapshot.
-    pub(crate) fn members(&self, which: &[usize]) -> Vec<Member> {
-        which.iter().map(|&idx| self.members[idx].clone()).collect()
-    }
-
-    /// Every node, indexed by roster position.
-    pub(crate) fn nodes(&self) -> Vec<Arc<NodeHandle>> {
-        self.members.iter().map(|m| Arc::clone(&m.node)).collect()
-    }
-
-    /// Every roster index, in roster order.
-    pub(crate) fn everyone(&self) -> Vec<usize> {
-        (0..self.members.len()).collect()
-    }
-
-    /// Where a re-sent batch of `name` goes as repair: the replicas that
-    /// took the dataset's writes by ingest, none under spread placement.
-    pub(crate) fn repairers(&self, name: &str) -> Vec<usize> {
+    /// Where a re-sent batch of `name` goes as repair: its replicas
+    /// (none under spread placement), less those whose shipped copy
+    /// already holds it.
+    pub(crate) fn repairers(&self, name: &str, ident: &IngestIdent) -> Vec<usize> {
         let mut replicas = match self.replicated() {
             true => self.map.replicas(name),
             false => Vec::new(),
         };
-        replicas.retain(|&idx| !self.shipped.contains(&(name.to_owned(), idx)));
+        replicas.retain(|&idx| match self.shipped.get(&(name.to_owned(), idx)) {
+            None => true,
+            Some(marks) => marks.as_ref().is_some_and(|marks| {
+                (marks.get(&ident.client)).is_none_or(|&mark| ident.seq > mark)
+            }),
+        });
         replicas
     }
 
-    /// Forgets what was shipped of a dropped dataset.
+    /// Records that `members`' copies of `name` missed an acknowledged
+    /// write.
+    pub(crate) fn missed(&mut self, name: &str, members: &[usize]) {
+        (self.missed).extend(members.iter().map(|&idx| (name.to_owned(), idx)));
+    }
+
+    /// Forgets what was shipped, kept or missed of a dropped dataset.
     pub(crate) fn forget(&mut self, name: &str) {
-        self.shipped.retain(|(dataset, _)| dataset != name);
+        self.shipped.retain(|(dataset, _), _| dataset != name);
+        self.strays.remove(name);
+        self.missed.retain(|(dataset, _)| dataset != name);
     }
 
     /// A fingerprint of the roster's current health states, folded in
@@ -144,132 +164,82 @@ impl FleetState {
         })
     }
 
-    /// Admits `addr` at `capacity`, driven like the first member, and
-    /// plans the re-homing of `names` at the new epoch.
-    pub(crate) fn add(
+    /// Moves the map to its next epoch by `step`, admits each member it
+    /// added (driven like the first), and plans the re-homing of `names`.
+    /// Repair stays off every target until `settle`.
+    pub(crate) fn bump(
         &mut self,
-        addr: &str,
-        capacity: f64,
+        names: &[&str],
         registry: &Registry,
-        names: &[&str],
+        step: impl FnOnce(&mut FleetMap) -> Result<u64, FleetError>,
     ) -> Result<(u64, Vec<Rehome>), FleetError> {
         let before = self.map.clone();
-        let epoch = self.map.add_member(addr, capacity)?;
-        let node = self.members[0].node.sibling(addr);
-        self.members.push(Member::new(node, registry));
-        Ok((epoch, self.plan(&before, names)))
-    }
-
-    /// Marks `addr` draining and plans the re-homing of `names` at the
-    /// new epoch.
-    pub(crate) fn drain(
-        &mut self,
-        addr: &str,
-        names: &[&str],
-    ) -> Result<(u64, Vec<Rehome>), FleetError> {
-        let before = self.map.clone();
-        let epoch = self.map.drain_member(addr)?;
-        Ok((epoch, self.plan(&before, names)))
-    }
-
-    /// Plans every dataset's re-homing and records its targets as
-    /// shipped from now on, before any write of the new epoch reaches
-    /// them.
-    fn plan(&mut self, before: &FleetMap, names: &[&str]) -> Vec<Rehome> {
-        let plans: Vec<Rehome> = names
-            .iter()
-            .map(|name| rehome(before, &self.map, name))
-            .collect();
-        for (name, plan) in names.iter().zip(&plans) {
-            for &idx in &plan.retire {
-                self.shipped.remove(&(name.to_string(), idx));
-            }
+        let epoch = step(&mut self.map)?;
+        for member in &self.map.members()[self.members.len()..] {
+            let node = self.members[0].node.sibling(member.addr());
+            self.members.push(Member::new(node, registry));
+        }
+        let mut plans = Vec::with_capacity(names.len());
+        for &name in names {
+            let strays = self.strays.remove(name).unwrap_or_default();
+            let missed = |idx| self.missed.contains(&(name.to_owned(), idx));
+            let plan = rehome(&before, &self.map, name, strays, missed);
             for &idx in &plan.targets {
-                self.shipped.insert((name.to_string(), idx));
+                self.shipped.insert((name.to_owned(), idx), None);
             }
+            plans.push(plan);
         }
-        plans
+        Ok((epoch, plans))
     }
 
-    /// Folds the fleet's `stats` reports (`None`: node unreachable) into
-    /// one [`DatasetStats`] per dataset, in name order. Each carries one
-    /// row per node with its `health`, filled from that node's report.
-    /// `plan_of` names a reported dataset's plan; `acknowledged` are the
-    /// coordinator's own records, standing in for the datasets no
-    /// reachable node reported.
-    pub(crate) fn fold_reports(
-        &self,
-        reports: &[Option<Vec<DatasetStats>>],
-        health: &[(NodeHealth, Option<String>)],
-        plan_of: impl Fn(&DatasetStats) -> Plan,
-        acknowledged: Vec<DatasetStats>,
-    ) -> BTreeMap<String, DatasetStats> {
-        let rows: Vec<NodeStats> = self
-            .members
-            .iter()
-            .zip(health)
-            .map(|(m, (health, last_error))| NodeStats {
-                node: m.node.addr().to_owned(),
-                health: *health,
-                last_error: last_error.clone(),
-                shards: 0,
-                ingested_points: 0,
-                ingested_weight: 0.0,
-                stored_points: 0,
-            })
-            .collect();
-        let mut merged: BTreeMap<String, DatasetStats> = BTreeMap::new();
-        for (idx, report) in reports.iter().enumerate() {
-            for stats in report.iter().flatten() {
-                let entry = merged.entry(stats.dataset.clone()).or_insert_with(|| {
-                    let plan = plan_of(stats);
-                    blank(&stats.dataset, stats.dim, plan, rows.clone())
-                });
-                fold_stats(entry, stats, self.replicated());
-                let row = &mut entry.nodes[idx];
-                row.shards = stats.shards;
-                row.ingested_points = stats.ingested_points;
-                row.ingested_weight = stats.ingested_weight;
-                row.stored_points = stats.stored_points;
+    /// Records how `plan` went for `name`: the targets `filled` (and
+    /// whether each holds the whole dataset), the copies `kept`, and the
+    /// `marks` filled targets hold batches up to. An unfilled target
+    /// stays off repair: it may have taken the coreset without answering.
+    pub(crate) fn settle(
+        &mut self,
+        name: &str,
+        plan: &Rehome,
+        filled: &[(usize, bool)],
+        kept: Vec<usize>,
+        marks: HashMap<String, u64>,
+    ) {
+        for &target in &plan.targets {
+            let key = (name.to_owned(), target);
+            let whole = filled.iter().find(|f| f.0 == target).map(|f| f.1);
+            if whole.is_some() {
+                self.shipped.insert(key.clone(), Some(marks.clone()));
             }
+            match whole {
+                Some(true) => self.missed.remove(&key),
+                _ => self.missed.insert(key),
+            };
         }
-        for stats in acknowledged {
-            merged
-                .entry(stats.dataset.clone())
-                .or_insert_with(|| DatasetStats {
-                    nodes: rows.clone(),
-                    ..stats
-                });
+        for &idx in plan.retire.iter().filter(|i| !kept.contains(i)) {
+            self.shipped.remove(&(name.to_owned(), idx));
+            self.missed.remove(&(name.to_owned(), idx));
         }
-        merged
+        if !kept.is_empty() {
+            self.strays.insert(name.to_owned(), kept);
+        }
     }
 }
 
-/// A report of `name` with nothing counted yet.
-pub(crate) fn blank(name: &str, dim: usize, plan: Plan, nodes: Vec<NodeStats>) -> DatasetStats {
-    DatasetStats {
-        dataset: name.to_owned(),
-        dim,
-        plan,
-        shards: 0,
-        ingested_points: 0,
-        ingested_weight: 0.0,
-        stored_points: 0,
-        summaries_per_shard: Vec::new(),
-        queue_depth_per_shard: Vec::new(),
-        state_epoch: (0, 0),
-        recovering: false,
-        nodes,
-    }
-}
-
-/// The re-homing of `name` from `before` to `after`. Replicated, a
-/// dataset's holders are its replica set: the new members are filled,
-/// from a staying copy first, and the members that left drop theirs.
-/// Spread, every active member holds a disjoint share, so only a
-/// leaver's share moves — onto the new map's pick, from the leaver
+/// The re-homing of `name` from `before` to `after`, with the `strays`
+/// earlier changes kept and the copies known to have `missed` a write.
+/// Replicated, a dataset's holders are its replica set: new members are
+/// filled from a copy, and every copy the new map does not read is
+/// dropped; a stray the new map reads again is a target that may still
+/// hold its copy. Spread, every active member holds a disjoint share, so
+/// only a leaver's share moves — onto the new map's pick, from the leaver
 /// itself — and an add moves nothing.
-fn rehome(before: &FleetMap, after: &FleetMap, name: &str) -> Rehome {
+fn rehome(
+    before: &FleetMap,
+    after: &FleetMap,
+    name: &str,
+    strays: Vec<usize>,
+    missed: impl Fn(usize) -> bool,
+) -> Rehome {
     let spread = after.replication() == 1;
     let holders = |map: &FleetMap| match spread {
         true => (0..map.members().len())
@@ -278,21 +248,32 @@ fn rehome(before: &FleetMap, after: &FleetMap, name: &str) -> Rehome {
         false => map.replicas(name),
     };
     let (old, new): (Vec<usize>, Vec<usize>) = (holders(before), holders(after));
-    let retire: Vec<usize> = old.iter().copied().filter(|i| !new.contains(i)).collect();
+    let mut retire: Vec<usize> = old.iter().copied().filter(|i| !new.contains(i)).collect();
     let targets: Vec<usize> = match spread {
         true if retire.is_empty() => Vec::new(),
         true => after.replicas(name),
         false => new.iter().copied().filter(|i| !old.contains(i)).collect(),
     };
-    // A spread share lives only on the member that holds it.
-    let stay = old.iter().copied().filter(|i| !spread && new.contains(i));
-    let sources = match targets.is_empty() {
-        true => Vec::new(),
-        false => stay.chain(retire.iter().copied()).collect(),
+    let rejoin = strays.iter().copied().filter(|i| new.contains(i)).collect();
+    let mut complete: Vec<usize> = old.iter().copied().filter(|&i| !missed(i)).collect();
+    // A spread share lives only on the member that holds it; every copy
+    // of a replicated dataset holds all of it, a stray all but the
+    // writes since it left.
+    let mut sources = match spread {
+        true => retire.clone(),
+        false => old.iter().chain(&strays).copied().collect(),
     };
+    sources.sort_by_key(|i| (!complete.contains(i), !retire.contains(i)));
+    retire.extend(strays.into_iter().filter(|i| !new.contains(i)));
+    if targets.is_empty() && retire.is_empty() {
+        sources.clear();
+        complete.clear();
+    }
     Rehome {
         targets,
+        rejoin,
         sources,
+        complete,
         retire,
     }
 }
@@ -311,7 +292,7 @@ fn rehome(before: &FleetMap, after: &FleetMap, name: &str) -> Rehome {
 /// change, while the max is the most-advanced copy and stays monotone
 /// through membership churn. Either way any replaying node makes the
 /// dataset `recovering`, and the per-shard lists concatenate.
-fn fold_stats(into: &mut DatasetStats, from: &DatasetStats, replicated: bool) {
+pub(crate) fn fold_stats(into: &mut DatasetStats, from: &DatasetStats, replicated: bool) {
     let count = |a: u64, b: u64| match replicated {
         true => a.max(b),
         false => a.saturating_add(b),
@@ -353,6 +334,17 @@ mod tests {
         (0..64).map(|i| format!("dataset-{i}")).collect()
     }
 
+    /// `name`'s plan from `before` to `after` with no strays and no copy
+    /// known to have missed a write.
+    fn fresh(before: &FleetMap, after: &FleetMap, name: &str) -> Rehome {
+        rehome(before, after, name, Vec::new(), |_| false)
+    }
+
+    fn sorted(mut members: Vec<usize>) -> Vec<usize> {
+        members.sort_unstable();
+        members
+    }
+
     #[test]
     fn a_replicated_add_fills_the_newcomer_and_retires_the_displaced_replica() {
         let before = map(3, 2);
@@ -361,7 +353,7 @@ mod tests {
         let mut changed = 0;
         for name in names() {
             let (old, new) = (before.replicas(&name), after.replicas(&name));
-            let plan = rehome(&before, &after, &name);
+            let plan = fresh(&before, &after, &name);
             if old == new {
                 assert_eq!(plan, Rehome::default(), "{name}");
                 continue;
@@ -370,13 +362,61 @@ mod tests {
             assert_eq!(plan.targets, [3], "{name}");
             assert_eq!(plan.retire.len(), 1, "{name}");
             assert!(!new.contains(&plan.retire[0]), "{name}");
-            // The staying replica first, the displaced one as a last resort.
-            let stays: Vec<usize> = old.iter().copied().filter(|i| new.contains(i)).collect();
-            assert_eq!(
-                plan.sources,
-                [stays, plan.retire.clone()].concat(),
-                "{name}"
-            );
+            // Either old copy may fill the newcomer: the displaced one
+            // first, as it takes no later writes.
+            assert_eq!(sorted(plan.sources.clone()), sorted(old), "{name}");
+            assert_eq!(plan.sources[0], plan.retire[0], "{name}");
+        }
+        assert!(changed > 0);
+    }
+
+    /// A copy known to have missed a write fills a newcomer only when no
+    /// other copy can, and does not count as complete.
+    #[test]
+    fn a_fill_prefers_a_copy_that_missed_no_write() {
+        let before = map(3, 2);
+        let mut after = before.clone();
+        after.add_member("10.0.0.9:4801", 1.0).unwrap();
+        for name in names() {
+            let [displaced] = fresh(&before, &after, &name).retire[..] else {
+                continue;
+            };
+            let old = before.replicas(&name);
+            let stays = old.into_iter().find(|&i| i != displaced).unwrap();
+            for (missed, first) in [(displaced, stays), (stays, displaced)] {
+                let plan = rehome(&before, &after, &name, Vec::new(), |i| i == missed);
+                assert_eq!(plan.sources, [first, missed], "{name}");
+                assert_eq!(plan.complete, [first], "{name}");
+            }
+        }
+    }
+
+    /// A copy a change kept is dropped by the next one, unless the new
+    /// map reads it again: then it rejoins as a target.
+    #[test]
+    fn the_next_change_retries_a_kept_copy() {
+        let before = map(3, 2);
+        let mut added = before.clone();
+        added.add_member("10.0.0.9:4801", 1.0).unwrap();
+        let mut restored = added.clone();
+        restored.drain_member("10.0.0.9:4801").unwrap();
+        let mut changed = 0;
+        for name in names() {
+            let [displaced] = fresh(&before, &added, &name).retire[..] else {
+                continue;
+            };
+            changed += 1;
+            let retry = rehome(&added, &added, &name, vec![displaced], |_| false);
+            assert_eq!(retry.targets, Vec::<usize>::new(), "{name}");
+            assert_eq!(retry.rejoin, Vec::<usize>::new(), "{name}");
+            assert!(retry.sources.contains(&displaced), "{name}");
+            assert_eq!(retry.retire, [displaced], "{name}");
+            // Draining the newcomer puts the displaced member back.
+            let back = rehome(&added, &restored, &name, vec![displaced], |_| false);
+            assert!(restored.replicas(&name).contains(&displaced), "{name}");
+            assert_eq!(back.targets, [displaced], "{name}");
+            assert_eq!(back.rejoin, [displaced], "{name}");
+            assert_eq!(back.retire, [3], "{name}");
         }
         assert!(changed > 0);
     }
@@ -388,14 +428,14 @@ mod tests {
             let mut after = before.clone();
             after.drain_member("10.0.0.1:4801").unwrap();
             for name in names() {
-                let plan = rehome(&before, &after, &name);
+                let plan = fresh(&before, &after, &name);
                 let held = replication == 1 || before.replicas(&name).contains(&1);
                 if !held {
                     assert_eq!(plan, Rehome::default(), "R = {replication}, {name}");
                     continue;
                 }
                 assert_eq!(plan.retire, [1], "R = {replication}, {name}");
-                assert_eq!(plan.sources.last(), Some(&1), "R = {replication}, {name}");
+                assert!(plan.sources.contains(&1), "R = {replication}, {name}");
                 let new = after.replicas(&name);
                 assert!(!plan.targets.is_empty() && plan.targets.iter().all(|t| new.contains(t)));
                 if replication == 1 {
@@ -413,7 +453,7 @@ mod tests {
         let mut after = before.clone();
         after.add_member("10.0.0.9:4801", 2.0).unwrap();
         for name in names() {
-            assert_eq!(rehome(&before, &after, &name), Rehome::default(), "{name}");
+            assert_eq!(fresh(&before, &after, &name), Rehome::default(), "{name}");
         }
     }
 

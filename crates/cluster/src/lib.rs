@@ -34,11 +34,9 @@
 //! - `stats` merges per-node reports and attaches each node's identity,
 //!   health (alive / degraded / down), and last error; dead nodes degrade
 //!   queries to the surviving fleet instead of failing them.
-//! - `add_node` / `drain_node` bump the fleet epoch and run one
-//!   re-homing plan: every dataset's new holders are filled with a
-//!   serving coreset from an old holder, then the holders the new map
-//!   stops reading drop their copies. Roster, placement map and per-node
-//!   request histograms are one record behind one lock.
+//! - `add_node` / `drain_node` run one re-homing plan (the private
+//!   `fleet_state` module): new holders are filled with a serving coreset,
+//!   then the copies the new map stops reading are dropped.
 //!
 //! ```no_run
 //! use fc_cluster::{Coordinator, CoordinatorConfig};

@@ -167,6 +167,15 @@ impl Ledger {
         self.cursor.fetch_add(1, Ordering::Relaxed)
     }
 
+    /// Per client, the highest sequence number acknowledged. An idented
+    /// batch holds this table across its delivery, so a copy never lands
+    /// between a batch's delivery and its mark.
+    pub fn watermarks(&self) -> HashMap<String, u64> {
+        (self.clients.lock())
+            .expect("client watermark lock is never poisoned")
+            .clone()
+    }
+
     /// Lifetime `(points, weight)` applied.
     pub fn totals(&self) -> (u64, f64) {
         let (weight, _) = *self.weight();
