@@ -610,10 +610,10 @@ impl WriteSink for Fleet<'_> {
     /// set and is accepted as soon as *one* replica applied it (a replica
     /// that missed it is repair debt, counted on
     /// `fc_replica_write_failures_total` and recorded in the fleet state,
-    /// healed by the client's own retries). At R = 1 it goes to one node ([`FleetMap::spread`]); an
-    /// unreachable or still-overloaded node fails over to the next active
-    /// one of positive capacity, and the write fails only when every such
-    /// node refused it.
+    /// healed by the client's own retries). At R = 1 it goes to one node
+    /// ([`FleetMap::spread`]); an unreachable or still-overloaded node
+    /// fails over to the next active one of positive capacity, and the
+    /// write fails only when every such node refused it.
     ///
     /// Without an `ident`, delivery is at-least-once: a node that dies
     /// after applying but before replying gets the batch re-sent
@@ -900,18 +900,23 @@ impl Coordinator {
     /// Point-in-time fleet gauges, refreshed whenever the registry is
     /// rendered or serialized (not on a background timer).
     fn refresh_fleet_gauges(&self) {
+        let registry = &self.telemetry.registry;
         let fleet = self.fleet();
-        let (nodes, map) = (fleet.nodes(), fleet.map());
-        let alive = nodes.iter().filter(|n| n.health().0 == NodeHealth::Alive);
-        for (name, value) in [
-            ("fc_nodes", nodes.len() as u64),
-            ("fc_nodes_alive", alive.count() as u64),
-            ("fc_fleet_epoch", map.epoch()),
-            ("fc_fleet_active", map.active_len() as u64),
-            ("fc_fleet_replication", map.replication() as u64),
-        ] {
-            self.telemetry.registry.gauge(name).set(value);
-        }
+        let nodes = fleet.nodes();
+        registry.gauge("fc_nodes").set(nodes.len() as u64);
+        let alive = nodes
+            .iter()
+            .filter(|n| n.health().0 == NodeHealth::Alive)
+            .count();
+        registry.gauge("fc_nodes_alive").set(alive as u64);
+        let map = fleet.map();
+        registry.gauge("fc_fleet_epoch").set(map.epoch());
+        registry
+            .gauge("fc_fleet_active")
+            .set(map.active_len() as u64);
+        registry
+            .gauge("fc_fleet_replication")
+            .set(map.replication() as u64);
     }
 
     /// One membership change, add or drain alike: under the fleet lock
@@ -1014,11 +1019,13 @@ impl Coordinator {
     }
 
     /// Ships a serving coreset of `name` from the first source that holds
-    /// it onto `target` as the fleet's migration client (`seq = epoch`,
-    /// so the target's gate collapses a re-run of the same epoch's
-    /// migration), seeded from the epoch and the source, never from the
-    /// sequence unseeded queries draw from. Returns the source, or `None`
-    /// when no source holds any data — nothing to move is not a failure.
+    /// it onto `target`, identified as the fleet's own migration client
+    /// (`client = "fc-fleet-migrate"`, `seq = epoch`) so the target's
+    /// exactly-once gate collapses a re-run of the same epoch's migration
+    /// into a no-op. The compression is seeded from the epoch and the
+    /// source, never from the sequence unseeded queries draw from. Returns
+    /// the source it shipped from, or `None` when no source holds any data
+    /// — nothing to move is not a failure.
     fn migrate_dataset(
         &self,
         name: &str,
@@ -1027,7 +1034,7 @@ impl Coordinator {
         target: usize,
         epoch: u64,
     ) -> Result<Option<usize>, EngineError> {
-        let mut last = None;
+        let mut last: Option<EngineError> = None;
         for &src in sources {
             let request = Request::Compress {
                 dataset: name.to_owned(),
@@ -1038,28 +1045,33 @@ impl Coordinator {
                 Ok(answer) => self.node_part(src, answer),
                 Err(e) => Err(self.node_error(src, name, e)),
             };
-            match part {
-                Ok(part) => {
-                    let migration = IngestIdent {
-                        client: MIGRATE_CLIENT.to_owned(),
-                        seq: epoch,
-                    };
-                    let ingest = ingest_request(name, route, part.dataset(), Some(&migration))?;
-                    return match self.node_request(target, &ingest) {
-                        Ok(Response::Ingested { .. }) => {
-                            self.migrations.incr();
-                            Ok(Some(src))
-                        }
-                        Ok(other) => Err(self.unexpected(target, other)),
-                        Err(e) => Err(self.node_error(target, name, e)),
-                    };
-                }
+            let part = match part {
+                Ok(part) => part,
                 // This source has nothing of the dataset; the next one may.
-                Err(EngineError::UnknownDataset(_) | EngineError::NoData { .. }) => {}
-                Err(err) => last = Some(err),
-            }
+                Err(EngineError::UnknownDataset(_) | EngineError::NoData { .. }) => continue,
+                Err(err) => {
+                    last = Some(err);
+                    continue;
+                }
+            };
+            let migration = IngestIdent {
+                client: MIGRATE_CLIENT.to_owned(),
+                seq: epoch,
+            };
+            let ingest = ingest_request(name, route, part.dataset(), Some(&migration))?;
+            return match self.node_request(target, &ingest) {
+                Ok(Response::Ingested { .. }) => {
+                    self.migrations.incr();
+                    Ok(Some(src))
+                }
+                Ok(other) => Err(self.unexpected(target, other)),
+                Err(e) => Err(self.node_error(target, name, e)),
+            };
         }
-        last.map_or(Ok(None), Err)
+        match last {
+            Some(err) => Err(err),
+            None => Ok(None),
+        }
     }
 
     /// Prometheus text exposition of the coordinator's registry — per-op
