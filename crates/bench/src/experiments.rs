@@ -9,13 +9,11 @@ use fc_core::{CompressionParams, Compressor};
 use crate::harness::{time, BenchConfig};
 use crate::scenarios::NamedData;
 
-/// Lloyd budget used by every distortion evaluation (kept moderate so the
-/// candidate solution — not the refinement — dominates the measurement).
+/// Lloyd budget used by every distortion evaluation: a fixed 12 rounds
+/// (kept moderate so the candidate solution — not the refinement —
+/// dominates the measurement), whatever the coreset's size.
 pub fn eval_lloyd() -> LloydConfig {
-    LloydConfig {
-        max_iters: 12,
-        ..Default::default()
-    }
+    LloydConfig::fixed(12)
 }
 
 /// Number of stream blocks used by the streaming experiments (§5.4).

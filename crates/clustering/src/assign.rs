@@ -74,6 +74,7 @@
 //! Per-point work stays inside [`fc_geom::par`]'s fixed chunks, so output
 //! is identical at every thread count.
 
+use fc_geom::dataset::Dataset;
 use fc_geom::distance::{nearest_block, sq_dist, CostKind};
 use fc_geom::par;
 use fc_geom::points::Points;
@@ -284,7 +285,7 @@ impl BoundedAssigner {
     /// "The first round"). Where seeding stopped short of the centers its
     /// table was laid out for, [`BoundedAssigner::new`]'s full scan.
     pub(crate) fn resume(points: &Points, centers: &Points, seeds: Seeds, kind: CostKind) -> Self {
-        if centers.len() != seeds.planned {
+        if centers.len() != seeds.planned || seeds.bounds.is_empty() {
             let groups = group_count(points.len(), centers.len());
             let mut assigner = Self::new(points, centers, kind, groups);
             assigner.distance_evals += seeds.distance_evals;
@@ -445,16 +446,29 @@ fn reassign_chunk<const D: usize>(
 }
 
 /// k-means++ seeding's running assignment — each point's nearest center so
-/// far and its squared distance — and the bound table refinement resumes
-/// from (module docs, "The first round").
+/// far, its squared distance and its D^z score — and, when a refinement
+/// follows, the bound table it resumes from (module docs, "The first
+/// round").
+///
+/// One pass per center keeps all of it: the pass that decides a point's
+/// label also rewrites its score and adds it to its chunk's total, so the
+/// next draw needs no pass of its own.
 #[derive(Debug)]
 pub(crate) struct Seeds {
     /// Nearest center so far, per point; ties keep the earlier center.
     pub(crate) labels: Vec<usize>,
     /// The squared distance to it, bit for bit what [`assign`] computes.
     pub(crate) min_sq: Vec<f64>,
+    /// `reach(min_sq)` per point, kept beside it so that a point's skip
+    /// test takes no square root.
+    reach: Vec<f64>,
+    /// `w_p · dist(p, C)^z` per point: what the next center is drawn by.
+    pub(crate) scores: Vec<f64>,
+    /// The scores summed per [`par::CHUNK_POINTS`] chunk, in point order.
+    totals: Vec<f64>,
+    kind: CostKind,
     /// One row per point, one bound per group, `+∞` until a center of the
-    /// group joins.
+    /// group joins. Empty when no refinement resumes from the seeding.
     bounds: Vec<f64>,
     group_size: usize,
     /// The number of centers the table is laid out for.
@@ -463,29 +477,49 @@ pub(crate) struct Seeds {
 }
 
 impl Seeds {
-    /// Every point assigned to the first center, `first`, with the table
-    /// laid out for `planned` centers in [`group_count`] groups.
-    pub(crate) fn new(points: &Points, first: &[f64], planned: usize) -> Self {
-        let n = points.len();
-        let dim = points.dim();
+    /// Every point of `data` assigned to its point `first`, the first
+    /// center. With `table`, the bound table is laid out for `planned`
+    /// centers in [`group_count`] groups.
+    pub(crate) fn new(
+        data: &Dataset,
+        first: usize,
+        planned: usize,
+        kind: CostKind,
+        table: bool,
+    ) -> Self {
+        let n = data.len();
         let (group_size, width) = layout(planned, group_count(n, planned));
-        let mut min_sq = vec![0.0; n];
-        let tasks: Vec<_> = (points.as_flat().chunks(par::CHUNK_POINTS * dim))
-            .zip(min_sq.chunks_mut(par::CHUNK_POINTS))
-            .collect();
-        par::for_each_task(tasks, |_, (p, m)| {
-            for (p, m) in p.chunks_exact(dim).zip(m) {
-                *m = sq_dist(p, first);
-            }
-        });
-        Seeds {
+        let mut seeds = Seeds {
             labels: vec![0; n],
-            min_sq,
-            bounds: vec![f64::INFINITY; n * width],
+            min_sq: vec![0.0; n],
+            reach: vec![0.0; n],
+            scores: vec![0.0; n],
+            totals: Vec::new(),
+            kind,
+            bounds: if table {
+                vec![f64::INFINITY; n * width]
+            } else {
+                Vec::new()
+            },
             group_size,
             planned,
             distance_evals: n as u64,
-        }
+        };
+        let first = data.point(first);
+        let dim = data.dim();
+        let slack = Slack::new(dim);
+        seeds.totals = par::map_tasks(seeds.rows(data), |_, rows| {
+            let mut total = 0.0;
+            for (i, p) in rows.points.chunks_exact(dim).enumerate() {
+                let m = sq_dist(p, first);
+                rows.min_sq[i] = m;
+                rows.reach[i] = slack.reach(m);
+                rows.scores[i] = rows.weights[i] * kind.from_sq(m);
+                total += rows.scores[i];
+            }
+            total
+        });
+        seeds
     }
 
     /// Point–center distances measured so far.
@@ -493,46 +527,93 @@ impl Seeds {
         self.distance_evals
     }
 
-    /// Brings every point up to date with the last row of `centers`, the
-    /// center just chosen (the rows before it are the ones seen so far).
-    pub(crate) fn add(&mut self, points: &Points, centers: &Points) {
-        let dim = points.dim();
+    /// The sum of every score, chunk totals added in chunk order: the same
+    /// bits at every thread count.
+    pub(crate) fn total(&self) -> f64 {
+        self.totals.iter().sum()
+    }
+
+    /// Bounds per point: 0 when no table is kept.
+    fn width(&self) -> usize {
+        if self.bounds.is_empty() {
+            0
+        } else {
+            self.planned.div_ceil(self.group_size)
+        }
+    }
+
+    /// Each [`par::CHUNK_POINTS`] chunk's share of `data` and of every
+    /// per-point column.
+    fn rows<'a>(&'a mut self, data: &'a Dataset) -> Vec<SeedRows<'a>> {
+        let chunk = par::CHUNK_POINTS;
+        let width = self.width();
+        let mut labels = self.labels.chunks_mut(chunk);
+        let mut min_sq = self.min_sq.chunks_mut(chunk);
+        let mut reach = self.reach.chunks_mut(chunk);
+        let mut scores = self.scores.chunks_mut(chunk);
+        let mut bounds = self.bounds.chunks_mut(chunk * width.max(1));
+        (data.points().as_flat().chunks(chunk * data.dim()))
+            .zip(data.weights().chunks(chunk))
+            .map(|(points, weights)| SeedRows {
+                points,
+                weights,
+                labels: labels.next().unwrap_or_default(),
+                min_sq: min_sq.next().unwrap_or_default(),
+                reach: reach.next().unwrap_or_default(),
+                scores: scores.next().unwrap_or_default(),
+                bounds: bounds.next().unwrap_or_default(),
+            })
+            .collect()
+    }
+
+    /// Brings every point of `data` up to date with the last row of
+    /// `centers`, the center just chosen (the rows before it are the ones
+    /// seen so far), scores and chunk totals included.
+    pub(crate) fn add(&mut self, data: &Dataset, centers: &Points) {
+        let dim = data.dim();
         let index = centers.len() - 1;
         let center = centers.row(index);
         let slack = Slack::new(dim);
         let gaps: Vec<f64> = (centers.as_flat()[..index * dim].chunks_exact(dim))
             .map(|earlier| slack.floor(sq_dist(earlier, center)))
             .collect();
-        let width = self.planned.div_ceil(self.group_size);
+        let width = self.width();
+        let last_group = width.saturating_sub(1);
         let step = SeedStep {
             center,
             index,
             // A seeding that outruns its plan (repeated draws past `n`
             // distinct points) is resumed by a full scan; its table only
             // has to stay in range.
-            group: (index / self.group_size).min(width - 1),
-            last_group: width - 1,
+            group: (index / self.group_size).min(last_group),
+            last_group,
+            width,
             group_size: self.group_size,
             gaps: &gaps,
             slack,
+            kind: self.kind,
             dim,
         };
-        let tasks: Vec<_> = (points.as_flat().chunks(par::CHUNK_POINTS * dim))
-            .zip(self.labels.chunks_mut(par::CHUNK_POINTS))
-            .zip(self.min_sq.chunks_mut(par::CHUNK_POINTS))
-            .zip(self.bounds.chunks_mut(par::CHUNK_POINTS * width))
-            .map(|(((p, l), m), b)| (p, l, m, b))
-            .collect();
-        let evals = par::map_tasks(tasks, |_, (p, l, m, b)| {
-            fc_geom::dispatch_dim!(
-                dim,
-                seed_chunk,
-                seed_chunk::<0>(&step, p, l, m, b),
-                (&step, p, l, m, b)
-            )
+        let done = par::map_tasks(self.rows(data), |_, rows| {
+            fc_geom::dispatch_dim!(dim, seed_chunk, seed_chunk::<0>(&step, rows), (&step, rows))
         });
+        let (evals, totals): (Vec<u64>, Vec<f64>) = done.into_iter().unzip();
         self.distance_evals += evals.into_iter().sum::<u64>();
+        self.totals = totals;
     }
+}
+
+/// One chunk's share of the points, their weights and every per-point
+/// column of [`Seeds`].
+struct SeedRows<'a> {
+    points: &'a [f64],
+    weights: &'a [f64],
+    labels: &'a mut [usize],
+    min_sq: &'a mut [f64],
+    reach: &'a mut [f64],
+    scores: &'a mut [f64],
+    /// `width` bounds per point, or none.
+    bounds: &'a mut [f64],
 }
 
 /// One seeding round's read-only inputs, shared by every chunk.
@@ -542,48 +623,62 @@ struct SeedStep<'a> {
     /// The new center's group, and the last group of the table.
     group: usize,
     last_group: usize,
+    /// Bounds per point; 0 when no table is kept.
+    width: usize,
     group_size: usize,
     /// `floor(dist(c_j, center))` for every earlier center `j`.
     gaps: &'a [f64],
     slack: Slack,
+    kind: CostKind,
     dim: usize,
 }
 
 /// Brings one chunk of points up to date with a new center; returns the
-/// distances it measured. `D` as in [`reassign_chunk`].
-fn seed_chunk<const D: usize>(
-    step: &SeedStep<'_>,
-    points: &[f64],
-    labels: &mut [usize],
-    min_sq: &mut [f64],
-    bounds: &mut [f64],
-) -> u64 {
+/// distances it measured and the chunk's new score total. `D` as in
+/// [`reassign_chunk`].
+fn seed_chunk<const D: usize>(step: &SeedStep<'_>, rows: SeedRows<'_>) -> (u64, f64) {
     let dim = if D == 0 { step.dim } else { D };
     let center = &step.center[..dim];
-    let slack = step.slack;
-    let mut evals = 0u64;
-    for (((p, label), m), bounds) in (points.chunks_exact(dim))
-        .zip(labels)
-        .zip(min_sq)
-        .zip(bounds.chunks_exact_mut(step.last_group + 1))
-    {
-        let reach = slack.reach(*m);
-        let lower = slack.lower(step.gaps[*label], reach);
-        if lower > reach {
-            bounds[step.group] = bounds[step.group].min(lower);
-            continue;
-        }
-        let sq = sq_dist(&p[..dim], center);
-        evals += 1;
-        if sq < *m {
-            let home = (*label / step.group_size).min(step.last_group);
-            bounds[home] = bounds[home].min(slack.floor(*m));
-            (*label, *m) = (step.index, sq);
+    let (slack, width) = (step.slack, step.width);
+    let table = width > 0;
+    let (mut evals, mut total) = (0u64, 0.0);
+    // Every column cut to one length, so that indexing them checks nothing.
+    let n = rows.labels.len();
+    let (labels, min_sq) = (&mut rows.labels[..n], &mut rows.min_sq[..n]);
+    let (reach, scores, weights) = (
+        &mut rows.reach[..n],
+        &mut rows.scores[..n],
+        &rows.weights[..n],
+    );
+    for (i, p) in rows.points.chunks_exact(dim).take(n).enumerate() {
+        let (label, m, r) = (labels[i], min_sq[i], reach[i]);
+        let lower = slack.lower(step.gaps[label], r);
+        if lower > r {
+            if table {
+                let bound = &mut rows.bounds[i * width + step.group];
+                *bound = bound.min(lower);
+            }
         } else {
-            bounds[step.group] = bounds[step.group].min(slack.floor(sq));
+            let sq = sq_dist(&p[..dim], center);
+            evals += 1;
+            if sq < m {
+                if table {
+                    let home = (label / step.group_size).min(step.last_group);
+                    let bound = &mut rows.bounds[i * width + home];
+                    *bound = bound.min(slack.floor(m));
+                }
+                labels[i] = step.index;
+                min_sq[i] = sq;
+                reach[i] = slack.reach(sq);
+                scores[i] = weights[i] * step.kind.from_sq(sq);
+            } else if table {
+                let bound = &mut rows.bounds[i * width + step.group];
+                *bound = bound.min(slack.floor(sq));
+            }
         }
+        total += scores[i];
     }
-    evals
+    (evals, total)
 }
 
 #[cfg(test)]
@@ -648,32 +743,54 @@ mod tests {
 
     #[test]
     fn seeds_are_the_scan_and_their_bounds_hold() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for dim in [1, 2, 3, 8, 20] {
             let p = lattice(2 * par::CHUNK_POINTS + 77, dim);
-            let mut centers = Points::empty(dim);
-            centers.push(p.row(5)).unwrap();
-            let mut seeds = Seeds::new(&p, p.row(5), 12);
-            for i in [900, 5, 1500, 2, 41, 300, 1999, 7, 1234, 60, 61] {
-                centers.push(p.row(i)).unwrap();
-                seeds.add(&p, &centers);
-            }
-            let scan = assign(&p, &centers, CostKind::KMeans);
-            assert_eq!(seeds.labels, scan.labels, "dim {dim}");
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&seeds.min_sq), bits(&scan.cost_z), "dim {dim}");
-            let n = p.len() as u64;
-            assert!(
-                seeds.distance_evals() < 12 * n,
-                "dim {dim}: nothing skipped"
-            );
-            // Every bound is at most the distance to every center of its
-            // group other than the label.
-            let width = seeds.bounds.len() / p.len();
-            for (i, row) in seeds.bounds.chunks_exact(width).enumerate() {
-                for (j, c) in centers.iter().enumerate() {
-                    if j != seeds.labels[i] {
-                        let bound = row[j / seeds.group_size];
-                        assert!(bound <= sq_dist(p.row(i), c).sqrt(), "dim {dim}");
+            let weights = (0..p.len()).map(|i| (i % 7) as f64 * 0.5).collect();
+            let data = Dataset::weighted(p.clone(), weights).unwrap();
+            for kind in [CostKind::KMeans, CostKind::KMedian] {
+                let mut centers = Points::empty(dim);
+                centers.push(p.row(5)).unwrap();
+                let mut seeds = Seeds::new(&data, 5, 12, kind, true);
+                let mut bare = Seeds::new(&data, 5, 12, kind, false);
+                for i in [900, 5, 1500, 2, 41, 300, 1999, 7, 1234, 60, 61] {
+                    centers.push(p.row(i)).unwrap();
+                    seeds.add(&data, &centers);
+                    bare.add(&data, &centers);
+                }
+                let scan = assign(&p, &centers, CostKind::KMeans);
+                assert_eq!(seeds.labels, scan.labels, "dim {dim}");
+                assert_eq!(bits(&seeds.min_sq), bits(&scan.cost_z), "dim {dim}");
+                // The fused scores and totals are a separate pass's bits.
+                let scores: Vec<f64> = (scan.cost_z.iter().zip(data.weights()))
+                    .map(|(&m, &w)| w * kind.from_sq(m))
+                    .collect();
+                assert_eq!(bits(&seeds.scores), bits(&scores), "dim {dim}");
+                let total: f64 = (scores.chunks(par::CHUNK_POINTS))
+                    .map(|c| c.iter().fold(0.0, |t, s| t + s))
+                    .collect::<Vec<_>>()
+                    .iter()
+                    .sum();
+                assert_eq!(seeds.total().to_bits(), total.to_bits(), "dim {dim}");
+                // Without a table: the same assignment, no bounds.
+                assert_eq!(bare.labels, seeds.labels, "dim {dim}");
+                assert_eq!(bits(&bare.scores), bits(&seeds.scores), "dim {dim}");
+                assert_eq!(bare.distance_evals(), seeds.distance_evals());
+                assert!(bare.bounds.is_empty());
+                let n = p.len() as u64;
+                assert!(
+                    seeds.distance_evals() < 12 * n,
+                    "dim {dim}: nothing skipped"
+                );
+                // Every bound is at most the distance to every center of
+                // its group other than the label.
+                let width = seeds.bounds.len() / p.len();
+                for (i, row) in seeds.bounds.chunks_exact(width).enumerate() {
+                    for (j, c) in centers.iter().enumerate() {
+                        if j != seeds.labels[i] {
+                            let bound = row[j / seeds.group_size];
+                            assert!(bound <= sq_dist(p.row(i), c).sqrt(), "dim {dim}");
+                        }
                     }
                 }
             }

@@ -7,14 +7,16 @@
 //! inside *standard* sensitivity sampling — precisely the `Ω(nk)` bottleneck
 //! Fast-kmeans++ removes.
 //!
-//! Each round skips the points the triangle inequality proves nearer their
-//! current center than the new one, and keeps the bound table
-//! [`crate::lloyd`]'s first round resumes from (`assign` module docs, "The
-//! first round").
+//! Each center costs one pass over the points. It skips the points the
+//! triangle inequality proves nearer their current center than the new
+//! one, and writes each point's D^z score and its chunk's total as it goes,
+//! so the draw that follows reads them instead of scoring again. A solve
+//! ([`crate::lloyd::solve`], [`crate::Solver::solve`]) also keeps the bound
+//! table its first Lloyd round resumes from (`assign` module docs, "The
+//! first round"); a seeding on its own keeps none.
 
 use fc_geom::dataset::Dataset;
 use fc_geom::distance::CostKind;
-use fc_geom::par;
 use fc_geom::points::Points;
 use fc_geom::sampling::AliasTable;
 use rand::Rng;
@@ -56,7 +58,7 @@ impl Seeding {
 /// the residual cost reaches zero first, i.e. fewer than `k` distinct
 /// points). Panics on an empty dataset or `k == 0`.
 pub fn kmeanspp<R: Rng + ?Sized>(rng: &mut R, data: &Dataset, k: usize, kind: CostKind) -> Seeding {
-    let (centers, chosen, seeds) = seed(rng, data, k, kind);
+    let (centers, chosen, seeds) = seed(rng, data, k, kind, false);
     Seeding {
         centers,
         chosen,
@@ -65,13 +67,15 @@ pub fn kmeanspp<R: Rng + ?Sized>(rng: &mut R, data: &Dataset, k: usize, kind: Co
     }
 }
 
-/// [`kmeanspp`], with what it measured on the way left in [`Seeds`] for
-/// [`crate::assign::BoundedAssigner::resume`].
+/// [`kmeanspp`], with what it measured on the way left in [`Seeds`]; with
+/// `table`, the bounds [`crate::assign::BoundedAssigner::resume`] starts a
+/// refinement from.
 pub(crate) fn seed<R: Rng + ?Sized>(
     rng: &mut R,
     data: &Dataset,
     k: usize,
     kind: CostKind,
+    table: bool,
 ) -> (Points, Vec<usize>, Seeds) {
     assert!(k > 0, "k must be positive");
     assert!(!data.is_empty(), "cannot seed an empty dataset");
@@ -90,40 +94,20 @@ pub(crate) fn seed<R: Rng + ?Sized>(
         .push(points.row(first))
         .expect("dimensions match by construction");
     let mut chosen = vec![first];
-    let mut seeds = Seeds::new(points, points.row(first), k.min(n));
+    let mut seeds = Seeds::new(data, first, k.min(n), kind, table);
 
-    let weights = data.weights();
-    let mut scores = vec![0.0f64; n];
     for _ in 1..k {
-        // D^z scores: w_p * dist^z. Chunk-parallel with per-chunk partial
-        // totals merged in chunk order; every RNG draw stays strictly
-        // sequential below, so sampling is thread-count independent.
-        let total: f64 = {
-            let min_sq = &seeds.min_sq;
-            let tasks: Vec<(usize, &mut [f64])> = scores
-                .chunks_mut(par::CHUNK_POINTS)
-                .enumerate()
-                .map(|(c, s)| (c * par::CHUNK_POINTS, s))
-                .collect();
-            par::map_tasks(tasks, |_, (off, chunk)| {
-                let mut t = 0.0;
-                for (j, v) in chunk.iter_mut().enumerate() {
-                    let s = weights[off + j] * kind.from_sq(min_sq[off + j]);
-                    *v = s;
-                    t += s;
-                }
-                t
-            })
-            .into_iter()
-            .sum()
-        };
+        // D^z scores and their chunk totals come from the pass that placed
+        // the last center; every RNG draw stays strictly sequential below,
+        // so sampling is thread-count independent.
+        let total = seeds.total();
         if total <= 0.0 {
             // All points coincide with a center: no more distinct locations.
             break;
         }
         let mut target = rng.gen::<f64>() * total;
         let mut next = n - 1;
-        for (i, &s) in scores.iter().enumerate() {
+        for (i, &s) in seeds.scores.iter().enumerate() {
             if target < s {
                 next = i;
                 break;
@@ -134,7 +118,7 @@ pub(crate) fn seed<R: Rng + ?Sized>(
             .push(points.row(next))
             .expect("dimensions match by construction");
         chosen.push(next);
-        seeds.add(points, &centers);
+        seeds.add(data, &centers);
     }
     (centers, chosen, seeds)
 }

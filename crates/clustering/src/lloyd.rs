@@ -16,6 +16,14 @@
 //! depend on either: labels, centers, cost and the stopping round are bit
 //! for bit those of the same loop over the plain
 //! [`assign`](crate::assign::assign) scan (`tests/refine_reference.rs`).
+//!
+//! How many rounds run follows the input, not a knob: by default a round
+//! that improves the cost by at most `k / (4n)` of itself, on `n` points,
+//! is the last ([`Stop::Resolved`]). A coreset of `n` points resolves the
+//! data only so far, and later rounds fit its sampling noise; priced on
+//! the full data, their centres are no better. `n` is the coreset size on
+//! every query path. [`LloydConfig::fixed`] runs a given number of rounds
+//! instead, for the distortion metric and other pinned evaluations.
 
 use fc_geom::dataset::Dataset;
 use fc_geom::distance::CostKind;
@@ -28,41 +36,71 @@ use crate::kmedian::{geometric_median, weighted_means_and_totals, WeiszfeldConfi
 use crate::solution::Solution;
 
 /// Configuration for Lloyd refinement.
+///
+/// How many rounds run is not a knob. [`LloydConfig::default`] stops where
+/// the input stops resolving ([`Stop::Resolved`]): a coreset of `n` points
+/// is a `(1 ± ε)` stand-in for its data, and rounds that improve its cost
+/// by less than about `k / n` fit its sampling noise. On the query paths
+/// `n` is the coreset size, so a larger coreset buys more rounds.
+/// [`LloydConfig::fixed`] runs a given number of rounds, for evaluations
+/// that must not move with the input, such as the distortion metric.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LloydConfig {
     /// Maximum alternation rounds.
     pub max_iters: usize,
-    /// Stop when the relative cost improvement falls below this.
-    pub tol: f64,
+    /// When a round that ran ends the refinement early.
+    pub stop: Stop,
     /// Weiszfeld parameters for the k-median centroid step.
     pub weiszfeld: WeiszfeldConfig,
+}
+
+/// When a Lloyd round ends the refinement before `max_iters` have run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stop {
+    /// Once a round lowers the cost by at most `k / (4n)` of itself, for
+    /// `k` centers on `n` points: what the points can resolve.
+    Resolved,
+    /// Only once a round does not lower the cost at all.
+    Converged,
+}
+
+impl Stop {
+    /// The relative improvement at or below which a round of `k` centers
+    /// on `n` points ends the refinement.
+    fn tolerance(self, k: usize, n: usize) -> f64 {
+        match self {
+            Stop::Resolved => k as f64 / (4 * n) as f64,
+            Stop::Converged => 0.0,
+        }
+    }
 }
 
 impl Default for LloydConfig {
     fn default() -> Self {
         Self {
             max_iters: 20,
-            tol: 1e-6,
+            stop: Stop::Resolved,
             weiszfeld: WeiszfeldConfig::default(),
         }
     }
 }
 
 impl LloydConfig {
-    /// A configuration that runs exactly `iters` rounds with no tolerance
-    /// stopping (useful for deterministic comparisons).
+    /// A configuration that runs exactly `iters` rounds, stopping sooner
+    /// only at a round that does not lower the cost (a refinement that
+    /// has converged). For comparisons that must not move with the input.
     pub fn fixed(iters: usize) -> Self {
         Self {
             max_iters: iters,
-            tol: 0.0,
+            stop: Stop::Converged,
             ..Self::default()
         }
     }
 }
 
 /// Refines `initial` centers on `data` with weighted Lloyd (k-means) or
-/// Weiszfeld alternation (k-median), until a round improves the cost by
-/// less than `cfg.tol` of itself or `cfg.max_iters` rounds have run. The
+/// Weiszfeld alternation (k-median), until `cfg.stop` ends it or
+/// `cfg.max_iters` rounds have run. The
 /// returned cost is the cost of the returned centers. The k-means step
 /// raises it by rounding at most and Weiszfeld's within its own tolerance,
 /// so the round that trips the stop rule may be a hair worse than the one
@@ -117,6 +155,7 @@ fn iterate(
     cfg: LloydConfig,
 ) -> Solution {
     let k = centers.len();
+    let tolerance = cfg.stop.tolerance(k, data.len());
     let mut cost = assigner.assignment().total_cost(data.weights());
     let mut rounds = 0;
 
@@ -128,7 +167,7 @@ fn iterate(
         centers = moved;
         let previous = cost;
         cost = assigner.assignment().total_cost(data.weights());
-        if cost <= 0.0 || previous - cost <= cfg.tol * previous.max(f64::MIN_POSITIVE) {
+        if cost <= 0.0 || previous - cost <= tolerance * previous.max(f64::MIN_POSITIVE) {
             break;
         }
     }
@@ -222,7 +261,7 @@ pub fn solve<R: rand::Rng + ?Sized>(
     kind: CostKind,
     cfg: LloydConfig,
 ) -> Solution {
-    let (centers, _, seeds) = crate::kmeanspp::seed(rng, data, k, kind);
+    let (centers, _, seeds) = crate::kmeanspp::seed(rng, data, k, kind, true);
     refine_seeded(data, centers, seeds, kind, cfg)
 }
 

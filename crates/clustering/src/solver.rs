@@ -103,7 +103,7 @@ impl Solver {
         if data.is_empty() {
             return Err(SolverError::EmptyData);
         }
-        let (centers, _, seeds) = seed(rng, data, k, kind);
+        let (centers, _, seeds) = seed(rng, data, k, kind, self == Solver::Lloyd);
         Ok(match self {
             Solver::Lloyd => refine_seeded(data, centers, seeds, kind, cfg.lloyd),
             Solver::LocalSearch => {

@@ -95,7 +95,7 @@ fn kmedian_refinement_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// The tolerance stop is decided on a chunk-summed cost, and the pruned
+/// The derived stop is decided on a chunk-summed cost, and the pruned
 /// assignment keeps per-point bounds across rounds: both must come out the
 /// same however the chunks were scheduled.
 #[test]

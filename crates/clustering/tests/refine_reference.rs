@@ -1,19 +1,24 @@
-//! `lloyd::refine` against the loop it replaced.
+//! `lloyd::refine` and `kmeanspp` against the plain loops they replaced.
 //!
 //! `refine`'s assignment step skips every distance its bounds prove
 //! unchanged; the contract is that nobody can tell. The reference below is
 //! the previous `refine` kept verbatim — a full `assign` scan every round —
-//! with one deliberate difference, the cost fix: it reports the cost of the
-//! centres it returns. Every case must match it in every centre bit, every
+//! with two deliberate differences: the cost fix (it reports the cost of
+//! the centres it returns) and the stop rule, which follows
+//! `LloydConfig::stop`. Every case must match it in every centre bit, every
 //! label, the cost bits and the round it stopped at, at every group count
 //! and thread count.
+//!
+//! Seeding skips distances too, and scores points in the pass that
+//! assigns them; its reference rescans and rescores every round.
 
 use fc_clustering::assign::{assign, group_count, Assignment};
 use fc_clustering::cost::cost;
 use fc_clustering::kmeanspp::kmeanspp;
 use fc_clustering::kmedian::{geometric_median, weighted_means_by_label, WeiszfeldConfig};
-use fc_clustering::lloyd::{refine, refine_with_groups, solve, LloydConfig};
+use fc_clustering::lloyd::{refine, refine_with_groups, solve, LloydConfig, Stop};
 use fc_clustering::{CostKind, SolveConfig, Solver};
+use fc_geom::sampling::AliasTable;
 use fc_geom::{par, Dataset, Points};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -44,7 +49,11 @@ fn reference_refine(
         assignment = assign(data.points(), &centers, kind);
         let new_cost = assignment.total_cost(data.weights());
         let improved = current_cost - new_cost;
-        let stop = new_cost <= 0.0 || improved <= cfg.tol * current_cost.max(f64::MIN_POSITIVE);
+        let tol = match cfg.stop {
+            Stop::Resolved => k as f64 / (4 * data.len()) as f64,
+            Stop::Converged => 0.0,
+        };
+        let stop = new_cost <= 0.0 || improved <= tol * current_cost.max(f64::MIN_POSITIVE);
         // The fix: what is reported is the cost of what is returned.
         current_cost = new_cost;
         if stop {
@@ -333,6 +342,14 @@ fn refine_uses_the_derived_group_count() {
 /// generic path, and `batch-frontier`'s 20.
 const SOLVE_DIMS: [usize; 7] = [1, 2, 3, 8, 16, 20, 33];
 
+/// Every third point's weight multiplied by 1e300.
+fn heavier(data: Dataset) -> Dataset {
+    let weights = (data.weights().iter().enumerate())
+        .map(|(i, &w)| if i % 3 == 0 { w * 1e300 } else { w })
+        .collect();
+    Dataset::weighted(data.points().clone(), weights).unwrap()
+}
+
 /// `lloyd::solve` and `Solver::Lloyd.solve` resume from the labels and
 /// bounds k-means++ kept instead of scanning; the contract is again that
 /// nobody can tell. Both must match k-means++ followed by the reference
@@ -341,14 +358,7 @@ const SOLVE_DIMS: [usize; 7] = [1, 2, 3, 8, 16, 20, 33];
 /// point's weight near 1e300.
 fn check_solve(case: &Case, heavy: bool) -> Result<(), TestCaseError> {
     let (data, _) = build(case);
-    let data = if heavy {
-        let weights = (data.weights().iter().enumerate())
-            .map(|(i, &w)| if i % 3 == 0 { w * 1e300 } else { w })
-            .collect();
-        Dataset::weighted(data.points().clone(), weights).unwrap()
-    } else {
-        data
-    };
+    let data = if heavy { heavier(data) } else { data };
     let seed = case.seed ^ 0x5eed;
     let (want, want_next) = par::with_threads(1, || {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -414,4 +424,148 @@ proptest! {
         let case = Case { dim: SOLVE_DIMS[dim], frame, init: 1, ..case };
         check_solve(&case, heavy)?;
     }
+}
+
+/// What the seeding reference returns: the chosen indices, the labels and
+/// the squared distances of the last scan.
+struct ReferenceSeeding {
+    chosen: Vec<usize>,
+    labels: Vec<usize>,
+    min_sq: Vec<f64>,
+}
+
+/// k-means++ as the plain loop: every round rescans every point against
+/// every centre chosen so far, rescores it, sums the scores per
+/// `par::CHUNK_POINTS` chunk and the chunk totals in chunk order, and
+/// draws the next centre by the same sequential walk.
+fn reference_kmeanspp(
+    rng: &mut StdRng,
+    data: &Dataset,
+    k: usize,
+    kind: CostKind,
+) -> ReferenceSeeding {
+    let first = AliasTable::new(data.weights())
+        .map(|t| t.sample(rng))
+        .unwrap_or(0);
+    let mut chosen = vec![first];
+    loop {
+        let mut centers = Points::empty(data.dim());
+        for &c in &chosen {
+            centers.push(data.point(c)).unwrap();
+        }
+        // Under k-means `cost_z` is the squared distance.
+        let scan = assign(data.points(), &centers, CostKind::KMeans);
+        let done = |chosen| ReferenceSeeding {
+            chosen,
+            labels: scan.labels.clone(),
+            min_sq: scan.cost_z.clone(),
+        };
+        if chosen.len() == k {
+            return done(chosen);
+        }
+        let scores: Vec<f64> = (scan.cost_z.iter().zip(data.weights()))
+            .map(|(&sq, &w)| w * kind.from_sq(sq))
+            .collect();
+        let totals: Vec<f64> = (scores.chunks(par::CHUNK_POINTS))
+            .map(|chunk| {
+                let mut total = 0.0;
+                for &s in chunk {
+                    total += s;
+                }
+                total
+            })
+            .collect();
+        let total: f64 = totals.into_iter().sum();
+        if total <= 0.0 {
+            return done(chosen);
+        }
+        let mut target = rng.gen::<f64>() * total;
+        let mut next = data.len() - 1;
+        for (i, &s) in scores.iter().enumerate() {
+            if target < s {
+                next = i;
+                break;
+            }
+            target -= s;
+        }
+        chosen.push(next);
+    }
+}
+
+/// `kmeanspp` against the reference in the chosen indices, every label,
+/// every squared-distance bit and the RNG draw that follows, at 1 and 8
+/// threads.
+fn check_seeding(case: &Case, heavy: bool) -> Result<(), TestCaseError> {
+    let (data, _) = build(case);
+    let data = if heavy { heavier(data) } else { data };
+    let seed = case.seed ^ 0x5eed;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let want = reference_kmeanspp(&mut rng, &data, case.k, case.kind);
+    let want_next = rng.gen::<u64>();
+    for threads in [1usize, 8] {
+        let (got, next) = par::with_threads(threads, || {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let got = kmeanspp(&mut rng, &data, case.k, case.kind);
+            (got, rng.gen::<u64>())
+        });
+        let at = format!("{threads} threads, heavy {heavy}, {case:?}");
+        prop_assert_eq!(&got.chosen, &want.chosen, "chosen: {}", at);
+        prop_assert_eq!(&got.labels, &want.labels, "labels: {}", at);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&got.min_sq), bits(&want.min_sq), "min_sq: {}", at);
+        prop_assert_eq!(next, want_next, "next draw: {}", at);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(320))]
+
+    #[test]
+    fn kmeanspp_is_the_reference_seeding_bit_for_bit(
+        case in case_strategy(200),
+        heavy in any::<bool>(),
+    ) {
+        check_seeding(&case, heavy)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Several chunks, so the score totals are merged across chunks and
+    /// threads.
+    #[test]
+    fn kmeanspp_is_the_reference_seeding_across_chunks(
+        case in case_strategy(2600),
+        heavy in any::<bool>(),
+    ) {
+        check_seeding(&Case { n: case.n + 2 * par::CHUNK_POINTS, dim: case.dim.min(8), ..case }, heavy)?;
+    }
+}
+
+/// `fixed(r)` runs its `r` rounds where the derived stop ends sooner, so
+/// an evaluation pinned to a round count does not move with its input.
+#[test]
+fn fixed_runs_every_round_where_the_derived_stop_ends_sooner() {
+    let case = Case {
+        dim: 2,
+        n: 2_000,
+        k: 30,
+        locations: usize::MAX,
+        lattice: false,
+        frame: Frame::Plain,
+        zero_weights: false,
+        init: 1,
+        kind: CostKind::KMeans,
+        cfg: LloydConfig::default(),
+        seed: 17,
+    };
+    let (data, _) = build(&case);
+    let run = |cfg| solve(&mut StdRng::seed_from_u64(3), &data, case.k, case.kind, cfg);
+    let derived = run(LloydConfig::default());
+    let fixed = run(LloydConfig::fixed(12));
+    assert!(derived.rounds < 12, "derived stop ran {}", derived.rounds);
+    assert_eq!(fixed.rounds, 12);
+    assert!(fixed.cost < derived.cost);
 }

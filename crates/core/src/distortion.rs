@@ -123,7 +123,7 @@ mod tests {
         let d = balanced_blobs();
         let c = Coreset::new(d.clone());
         let mut r = rng();
-        let rep = distortion(&mut r, &d, &c, 4, CostKind::KMeans, LloydConfig::default());
+        let rep = distortion(&mut r, &d, &c, 4, CostKind::KMeans, LloydConfig::fixed(12));
         assert!(
             (rep.distortion - 1.0).abs() < 1e-9,
             "distortion {}",
@@ -141,7 +141,7 @@ mod tests {
         };
         let mut r = rng();
         let c = FastCoreset.compress(&mut r, &d, &params);
-        let rep = distortion(&mut r, &d, &c, 4, CostKind::KMeans, LloydConfig::default());
+        let rep = distortion(&mut r, &d, &c, 4, CostKind::KMeans, LloydConfig::fixed(12));
         assert!(rep.distortion < 1.5, "distortion {}", rep.distortion);
     }
 
@@ -157,7 +157,7 @@ mod tests {
         let mut worst: f64 = 1.0;
         for _ in 0..5 {
             let c = Uniform.compress(&mut r, &d, &params);
-            let rep = distortion(&mut r, &d, &c, 2, CostKind::KMeans, LloydConfig::default());
+            let rep = distortion(&mut r, &d, &c, 2, CostKind::KMeans, LloydConfig::fixed(12));
             worst = worst.max(rep.distortion);
         }
         // Paper Table 4: distortion > 10 ("catastrophic") on c-outlier.
@@ -179,7 +179,7 @@ mod tests {
         let mut worst: f64 = 1.0;
         for _ in 0..5 {
             let c = FastCoreset.compress(&mut r, &d, &params);
-            let rep = distortion(&mut r, &d, &c, 2, CostKind::KMeans, LloydConfig::default());
+            let rep = distortion(&mut r, &d, &c, 2, CostKind::KMeans, LloydConfig::fixed(12));
             worst = worst.max(rep.distortion);
         }
         assert!(worst < 5.0, "fast-coreset distortion {worst} on c-outlier");
@@ -191,7 +191,7 @@ mod tests {
         let d = Dataset::from_flat(vec![1.0; 40], 2).unwrap();
         let c = Coreset::new(d.clone());
         let mut r = rng();
-        let rep = distortion(&mut r, &d, &c, 2, CostKind::KMeans, LloydConfig::default());
+        let rep = distortion(&mut r, &d, &c, 2, CostKind::KMeans, LloydConfig::fixed(12));
         assert_eq!(rep.distortion, 1.0);
     }
 }

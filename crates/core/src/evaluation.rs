@@ -130,10 +130,7 @@ pub fn battery_distortion<R: Rng + ?Sized>(
             coreset.dataset(),
             on_coreset.centers,
             kind,
-            LloydConfig {
-                max_iters: 8,
-                ..Default::default()
-            },
+            LloydConfig::fixed(8),
         );
         checks.push(check(
             data,

@@ -47,7 +47,7 @@ fn main() {
             &report.coreset,
             k,
             CostKind::KMeans,
-            LloydConfig::default(),
+            LloydConfig::fixed(12),
         );
         println!(
             "workers = {workers}: wall {elapsed:>8.2?}, communicated {:>6} points, \

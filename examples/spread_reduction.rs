@@ -120,7 +120,7 @@ fn main() {
             &coreset,
             k,
             kind,
-            fc_clustering::lloyd::LloydConfig::default(),
+            fc_clustering::lloyd::LloydConfig::fixed(12),
         );
         println!(
             "{name:<26} {truncated:>9} {:>8} {:>9} {:>6} {elapsed:>9.2?} {:>10.3}",

@@ -96,7 +96,7 @@ fn main() {
             coreset,
             k,
             CostKind::KMeans,
-            LloydConfig::default(),
+            LloydConfig::fixed(12),
         );
         println!(
             "{name:<28} {:>8} {t:>12.2?} {:>10.3}",

@@ -85,7 +85,7 @@ fn battery_and_single_metric_agree_on_verdicts() {
         &coreset,
         k,
         CostKind::KMeans,
-        fc_clustering::lloyd::LloydConfig::default(),
+        fc_clustering::lloyd::LloydConfig::fixed(12),
     );
     let battery = battery_distortion(&mut rng, &data, &coreset, k, CostKind::KMeans, 3);
     // The battery's worst case dominates the single check, but for a strong

@@ -60,7 +60,7 @@ fn mapreduce_matches_single_shot_quality() {
         &single,
         k,
         CostKind::KMeans,
-        LloydConfig::default(),
+        LloydConfig::fixed(12),
     )
     .distortion;
 
@@ -71,7 +71,7 @@ fn mapreduce_matches_single_shot_quality() {
         &report.coreset,
         k,
         CostKind::KMeans,
-        LloydConfig::default(),
+        LloydConfig::fixed(12),
     )
     .distortion;
 
@@ -137,7 +137,7 @@ fn recompressing_a_coreset_stays_accurate() {
         &small,
         k,
         CostKind::KMeans,
-        LloydConfig::default(),
+        LloydConfig::fixed(12),
     )
     .distortion;
     assert!(d < 2.0, "double-compressed distortion {d}");

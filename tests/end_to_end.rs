@@ -18,7 +18,7 @@ fn distortion_of(method: &dyn Compressor, data: &Dataset, k: usize, seed: u64) -
         &coreset,
         k,
         CostKind::KMeans,
-        LloydConfig::default(),
+        LloydConfig::fixed(12),
     )
     .distortion
 }
@@ -169,7 +169,7 @@ fn larger_m_improves_worst_case_distortion() {
                     &c,
                     k,
                     CostKind::KMeans,
-                    LloydConfig::default(),
+                    LloydConfig::fixed(12),
                 )
                 .distortion
             })

@@ -43,7 +43,7 @@ fn distortion_of(method: &dyn Compressor, data: &Dataset, k: usize, seed: u64) -
         &coreset,
         k,
         CostKind::KMeans,
-        LloydConfig::default(),
+        LloydConfig::fixed(12),
     )
     .distortion
 }

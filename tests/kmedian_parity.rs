@@ -16,7 +16,7 @@ fn distortion_kmedian(method: &dyn Compressor, data: &Dataset, k: usize, seed: u
         &coreset,
         k,
         CostKind::KMedian,
-        LloydConfig::default(),
+        LloydConfig::fixed(12),
     )
     .distortion
 }

@@ -114,7 +114,7 @@ fn concurrent_clients_ingest_and_query_within_distortion_bound() {
         &coreset,
         4,
         CostKind::KMeans,
-        LloydConfig::default(),
+        LloydConfig::fixed(12),
     );
     assert!(
         report.distortion <= bound,

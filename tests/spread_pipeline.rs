@@ -129,7 +129,7 @@ fn fast_coreset_handles_pathological_spread() {
             &c,
             k,
             CostKind::KMeans,
-            LloydConfig::default(),
+            LloydConfig::fixed(12),
         );
         assert!(
             rep.distortion < 2.0,

@@ -34,7 +34,7 @@ fn stream_distortion(method: &dyn Compressor, data: &Dataset, k: usize, seed: u6
         &c,
         k,
         CostKind::KMeans,
-        LloydConfig::default(),
+        LloydConfig::fixed(12),
     )
     .distortion
 }
@@ -49,7 +49,7 @@ fn static_distortion(method: &dyn Compressor, data: &Dataset, k: usize, seed: u6
         &c,
         k,
         CostKind::KMeans,
-        LloydConfig::default(),
+        LloydConfig::fixed(12),
     )
     .distortion
 }
@@ -138,7 +138,7 @@ fn bico_and_streamkm_produce_usable_summaries() {
         &bc,
         k,
         CostKind::KMeans,
-        LloydConfig::default(),
+        LloydConfig::fixed(12),
     );
     assert!(bd.distortion.is_finite());
     // BICO is a quantization summary, not an importance sample: distortion
@@ -159,7 +159,7 @@ fn bico_and_streamkm_produce_usable_summaries() {
         &sc,
         k,
         CostKind::KMeans,
-        LloydConfig::default(),
+        LloydConfig::fixed(12),
     );
     assert!(
         sd.distortion < 5.0,
