@@ -7,6 +7,9 @@
 //! the coresets moved under an unchanged solver — each value below was
 //! checked against the plain-scan reference loop of
 //! `crates/clustering/tests/refine_reference.rs` before it was written down.
+//! Re-pinned again when Lloyd's default began to stop where the coreset
+//! stops resolving: under `LloydConfig::fixed(6)` the same seeds reproduce
+//! the earlier hashes bit for bit.
 
 use fast_coresets::prelude::*;
 use rand::rngs::StdRng;
@@ -46,9 +49,9 @@ fn weighted_coreset() -> Coreset {
 
 /// A seeded `Solver::Lloyd` solve at the default configuration: FNV-1a
 /// over the bit patterns of every centre coordinate, every label and the
-/// cost, then the next draw of the RNG the solve used. These mixtures are
-/// well separated and most seedings settle in two rounds; the seeds below
-/// are ones whose solves run six.
+/// cost, then the next draw of the RNG the solve used. Under the earlier
+/// `1e-6` tolerance these seeds ran six rounds; the derived stop ends the
+/// two k-means solves after two and the k-median one still after six.
 fn solve_fingerprint(coreset: &Coreset, k: usize, kind: CostKind, seed: u64) -> (u64, u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let solution = Solver::Lloyd
@@ -78,7 +81,7 @@ fn unweighted_coreset_solve_is_pinned() {
     assert_eq!(coreset.len(), 1_442);
     assert_eq!(
         solve_fingerprint(&coreset, 40, CostKind::KMeans, 1325),
-        (8_563_619_171_131_916_419, 15_137_197_350_659_018_844)
+        (2_294_923_910_421_576_657, 15_137_197_350_659_018_844)
     );
 }
 
@@ -88,7 +91,7 @@ fn weighted_coreset_solve_is_pinned_under_both_objectives() {
     assert_eq!(coreset.len(), 440);
     assert_eq!(
         solve_fingerprint(&coreset, 25, CostKind::KMeans, 1410),
-        (11_555_108_321_812_346_814, 13_300_959_431_932_854_118)
+        (8_562_325_622_527_224_313, 13_300_959_431_932_854_118)
     );
     assert_eq!(
         solve_fingerprint(&coreset, 25, CostKind::KMedian, 1312),

@@ -39,7 +39,7 @@ fn pruning_skips_most_of_the_scan_on_the_golden_coreset() {
         )
         .unwrap();
     let scan = (1_442 * 40 * (solution.rounds + 1)) as u64;
-    assert_eq!((solution.rounds, solution.distance_evals), (6, 40_735));
+    assert_eq!((solution.rounds, solution.distance_evals), (2, 34_067));
     assert!(
         (solution.distance_evals as f64) < 0.3 * scan as f64,
         "{} of {scan} distances measured",
