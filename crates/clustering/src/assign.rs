@@ -768,8 +768,6 @@ mod tests {
                 assert_eq!(bits(&seeds.scores), bits(&scores), "dim {dim}");
                 let total: f64 = (scores.chunks(par::CHUNK_POINTS))
                     .map(|c| c.iter().fold(0.0, |t, s| t + s))
-                    .collect::<Vec<_>>()
-                    .iter()
                     .sum();
                 assert_eq!(seeds.total().to_bits(), total.to_bits(), "dim {dim}");
                 // Without a table: the same assignment, no bounds.

@@ -35,15 +35,9 @@ use crate::assign::{group_count, Assignment, BoundedAssigner, Seeds};
 use crate::kmedian::{geometric_median, weighted_means_and_totals, WeiszfeldConfig};
 use crate::solution::Solution;
 
-/// Configuration for Lloyd refinement.
-///
-/// How many rounds run is not a knob. [`LloydConfig::default`] stops where
-/// the input stops resolving ([`Stop::Resolved`]): a coreset of `n` points
-/// is a `(1 ± ε)` stand-in for its data, and rounds that improve its cost
-/// by less than about `k / n` fit its sampling noise. On the query paths
-/// `n` is the coreset size, so a larger coreset buys more rounds.
-/// [`LloydConfig::fixed`] runs a given number of rounds, for evaluations
-/// that must not move with the input, such as the distortion metric.
+/// Configuration for Lloyd refinement. The default stops where its input
+/// stops resolving ([`Stop::Resolved`], module docs); [`LloydConfig::fixed`]
+/// runs a given number of rounds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LloydConfig {
     /// Maximum alternation rounds.
@@ -100,11 +94,10 @@ impl LloydConfig {
 
 /// Refines `initial` centers on `data` with weighted Lloyd (k-means) or
 /// Weiszfeld alternation (k-median), until `cfg.stop` ends it or
-/// `cfg.max_iters` rounds have run. The
-/// returned cost is the cost of the returned centers. The k-means step
-/// raises it by rounding at most and Weiszfeld's within its own tolerance,
-/// so the round that trips the stop rule may be a hair worse than the one
-/// before it.
+/// `cfg.max_iters` rounds have run. The returned cost is the cost of the
+/// returned centers. The k-means step raises it by rounding at most and
+/// Weiszfeld's within its own tolerance, so the round that trips the stop
+/// rule may be a hair worse than the one before it.
 ///
 /// Empty clusters are re-seeded at the point with the largest current cost
 /// contribution, the standard practical fix.
