@@ -464,9 +464,6 @@ pub(crate) struct Seeds {
     reach: Vec<f64>,
     /// `w_p · dist(p, C)^z` per point: what the next center is drawn by.
     pub(crate) scores: Vec<f64>,
-    /// The scores summed per [`par::CHUNK_POINTS`] chunk, in point order.
-    totals: Vec<f64>,
-    kind: CostKind,
     /// One row per point, one bound per group, `+∞` until a center of the
     /// group joins. Empty when no refinement resumes from the seeding.
     bounds: Vec<f64>,
@@ -478,15 +475,16 @@ pub(crate) struct Seeds {
 
 impl Seeds {
     /// Every point of `data` assigned to its point `first`, the first
-    /// center. With `table`, the bound table is laid out for `planned`
-    /// centers in [`group_count`] groups.
+    /// center, and the sum of the scores ([`Seeds::add`]). With `table`,
+    /// the bound table is laid out for `planned` centers in
+    /// [`group_count`] groups.
     pub(crate) fn new(
         data: &Dataset,
         first: usize,
         planned: usize,
         kind: CostKind,
         table: bool,
-    ) -> Self {
+    ) -> (Self, f64) {
         let n = data.len();
         let (group_size, width) = layout(planned, group_count(n, planned));
         let mut seeds = Seeds {
@@ -494,8 +492,6 @@ impl Seeds {
             min_sq: vec![0.0; n],
             reach: vec![0.0; n],
             scores: vec![0.0; n],
-            totals: Vec::new(),
-            kind,
             bounds: if table {
                 vec![f64::INFINITY; n * width]
             } else {
@@ -508,7 +504,7 @@ impl Seeds {
         let first = data.point(first);
         let dim = data.dim();
         let slack = Slack::new(dim);
-        seeds.totals = par::map_tasks(seeds.rows(data), |_, rows| {
+        let totals = par::map_tasks(seeds.rows(data), |_, rows| {
             let mut total = 0.0;
             for (i, p) in rows.points.chunks_exact(dim).enumerate() {
                 let m = sq_dist(p, first);
@@ -519,18 +515,12 @@ impl Seeds {
             }
             total
         });
-        seeds
+        (seeds, totals.into_iter().sum())
     }
 
     /// Point–center distances measured so far.
     pub(crate) fn distance_evals(&self) -> u64 {
         self.distance_evals
-    }
-
-    /// The sum of every score, chunk totals added in chunk order: the same
-    /// bits at every thread count.
-    pub(crate) fn total(&self) -> f64 {
-        self.totals.iter().sum()
     }
 
     /// Bounds per point: 0 when no table is kept.
@@ -568,8 +558,10 @@ impl Seeds {
 
     /// Brings every point of `data` up to date with the last row of
     /// `centers`, the center just chosen (the rows before it are the ones
-    /// seen so far), scores and chunk totals included.
-    pub(crate) fn add(&mut self, data: &Dataset, centers: &Points) {
+    /// seen so far), scores included. Returns the sum of every score:
+    /// chunk totals added in chunk order, the same bits at every thread
+    /// count.
+    pub(crate) fn add(&mut self, data: &Dataset, centers: &Points, kind: CostKind) -> f64 {
         let dim = data.dim();
         let index = centers.len() - 1;
         let center = centers.row(index);
@@ -591,7 +583,7 @@ impl Seeds {
             group_size: self.group_size,
             gaps: &gaps,
             slack,
-            kind: self.kind,
+            kind,
             dim,
         };
         let done = par::map_tasks(self.rows(data), |_, rows| {
@@ -599,7 +591,7 @@ impl Seeds {
         });
         let (evals, totals): (Vec<u64>, Vec<f64>) = done.into_iter().unzip();
         self.distance_evals += evals.into_iter().sum::<u64>();
-        self.totals = totals;
+        totals.into_iter().sum()
     }
 }
 
@@ -751,12 +743,12 @@ mod tests {
             for kind in [CostKind::KMeans, CostKind::KMedian] {
                 let mut centers = Points::empty(dim);
                 centers.push(p.row(5)).unwrap();
-                let mut seeds = Seeds::new(&data, 5, 12, kind, true);
-                let mut bare = Seeds::new(&data, 5, 12, kind, false);
+                let (mut seeds, mut seeds_total) = Seeds::new(&data, 5, 12, kind, true);
+                let (mut bare, mut bare_total) = Seeds::new(&data, 5, 12, kind, false);
                 for i in [900, 5, 1500, 2, 41, 300, 1999, 7, 1234, 60, 61] {
                     centers.push(p.row(i)).unwrap();
-                    seeds.add(&data, &centers);
-                    bare.add(&data, &centers);
+                    seeds_total = seeds.add(&data, &centers, kind);
+                    bare_total = bare.add(&data, &centers, kind);
                 }
                 let scan = assign(&p, &centers, CostKind::KMeans);
                 assert_eq!(seeds.labels, scan.labels, "dim {dim}");
@@ -769,10 +761,11 @@ mod tests {
                 let total: f64 = (scores.chunks(par::CHUNK_POINTS))
                     .map(|c| c.iter().fold(0.0, |t, s| t + s))
                     .sum();
-                assert_eq!(seeds.total().to_bits(), total.to_bits(), "dim {dim}");
+                assert_eq!(seeds_total.to_bits(), total.to_bits(), "dim {dim}");
                 // Without a table: the same assignment, no bounds.
                 assert_eq!(bare.labels, seeds.labels, "dim {dim}");
                 assert_eq!(bits(&bare.scores), bits(&seeds.scores), "dim {dim}");
+                assert_eq!(bare_total.to_bits(), seeds_total.to_bits(), "dim {dim}");
                 assert_eq!(bare.distance_evals(), seeds.distance_evals());
                 assert!(bare.bounds.is_empty());
                 let n = p.len() as u64;

@@ -94,13 +94,12 @@ pub(crate) fn seed<R: Rng + ?Sized>(
         .push(points.row(first))
         .expect("dimensions match by construction");
     let mut chosen = vec![first];
-    let mut seeds = Seeds::new(data, first, k.min(n), kind, table);
+    let (mut seeds, mut total) = Seeds::new(data, first, k.min(n), kind, table);
 
     for _ in 1..k {
-        // D^z scores and their chunk totals come from the pass that placed
-        // the last center; every RNG draw stays strictly sequential below,
-        // so sampling is thread-count independent.
-        let total = seeds.total();
+        // D^z scores and their total come from the pass that placed the
+        // last center; every RNG draw stays strictly sequential below, so
+        // sampling is thread-count independent.
         if total <= 0.0 {
             // All points coincide with a center: no more distinct locations.
             break;
@@ -118,7 +117,7 @@ pub(crate) fn seed<R: Rng + ?Sized>(
             .push(points.row(next))
             .expect("dimensions match by construction");
         chosen.push(next);
-        seeds.add(data, &centers);
+        total = seeds.add(data, &centers, kind);
     }
     (centers, chosen, seeds)
 }

@@ -8,8 +8,10 @@
 //! checked against the plain-scan reference loop of
 //! `crates/clustering/tests/refine_reference.rs` before it was written down.
 //! Re-pinned again when Lloyd's default began to stop where the coreset
-//! stops resolving: under `LloydConfig::fixed(6)` the same seeds reproduce
-//! the earlier hashes bit for bit.
+//! stops resolving. The seeds were picked because their solves ran six
+//! rounds under the earlier `1e-6` tolerance, so that later rounds of the
+//! bound-carrying loop have a bit-level pin; those six-round hashes are
+//! kept, under `LloydConfig::fixed(6)`, beside the default's.
 
 use fast_coresets::prelude::*;
 use rand::rngs::StdRng;
@@ -47,21 +49,19 @@ fn weighted_coreset() -> Coreset {
     FastCoreset.compress(&mut rng, &data, &params)
 }
 
-/// A seeded `Solver::Lloyd` solve at the default configuration: FNV-1a
-/// over the bit patterns of every centre coordinate, every label and the
-/// cost, then the next draw of the RNG the solve used. Under the earlier
-/// `1e-6` tolerance these seeds ran six rounds; the derived stop ends the
-/// two k-means solves after two and the k-median one still after six.
-fn solve_fingerprint(coreset: &Coreset, k: usize, kind: CostKind, seed: u64) -> (u64, u64) {
+/// A seeded `Solver::Lloyd` solve: FNV-1a over the bit patterns of every
+/// centre coordinate, every label and the cost, then the next draw of the
+/// RNG the solve used.
+fn fingerprint(
+    coreset: &Coreset,
+    k: usize,
+    kind: CostKind,
+    seed: u64,
+    cfg: &SolveConfig,
+) -> (u64, u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let solution = Solver::Lloyd
-        .solve(
-            &mut rng,
-            coreset.dataset(),
-            k,
-            kind,
-            &SolveConfig::default(),
-        )
+        .solve(&mut rng, coreset.dataset(), k, kind, cfg)
         .unwrap();
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let words = (solution.centers.as_flat().iter().map(|x| x.to_bits()))
@@ -75,6 +75,20 @@ fn solve_fingerprint(coreset: &Coreset, k: usize, kind: CostKind, seed: u64) -> 
     (h, rng.next_u64())
 }
 
+/// [`fingerprint`] at the default configuration.
+fn solve_fingerprint(coreset: &Coreset, k: usize, kind: CostKind, seed: u64) -> (u64, u64) {
+    fingerprint(coreset, k, kind, seed, &SolveConfig::default())
+}
+
+/// [`fingerprint`] at exactly six rounds.
+fn six_round_fingerprint(coreset: &Coreset, k: usize, kind: CostKind, seed: u64) -> (u64, u64) {
+    let cfg = SolveConfig {
+        lloyd: LloydConfig::fixed(6),
+        ..SolveConfig::default()
+    };
+    fingerprint(coreset, k, kind, seed, &cfg)
+}
+
 #[test]
 fn unweighted_coreset_solve_is_pinned() {
     let coreset = unweighted_coreset();
@@ -82,6 +96,10 @@ fn unweighted_coreset_solve_is_pinned() {
     assert_eq!(
         solve_fingerprint(&coreset, 40, CostKind::KMeans, 1325),
         (2_294_923_910_421_576_657, 15_137_197_350_659_018_844)
+    );
+    assert_eq!(
+        six_round_fingerprint(&coreset, 40, CostKind::KMeans, 1325),
+        (8_563_619_171_131_916_419, 15_137_197_350_659_018_844)
     );
 }
 
@@ -95,6 +113,14 @@ fn weighted_coreset_solve_is_pinned_under_both_objectives() {
     );
     assert_eq!(
         solve_fingerprint(&coreset, 25, CostKind::KMedian, 1312),
+        (14_300_592_613_157_598_408, 12_508_721_699_105_138_956)
+    );
+    assert_eq!(
+        six_round_fingerprint(&coreset, 25, CostKind::KMeans, 1410),
+        (11_555_108_321_812_346_814, 13_300_959_431_932_854_118)
+    );
+    assert_eq!(
+        six_round_fingerprint(&coreset, 25, CostKind::KMedian, 1312),
         (14_300_592_613_157_598_408, 12_508_721_699_105_138_956)
     );
 }
