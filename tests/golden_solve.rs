@@ -109,7 +109,7 @@ fn weighted_coreset_solve_is_pinned_under_both_objectives() {
     assert_eq!(coreset.len(), 440);
     assert_eq!(
         solve_fingerprint(&coreset, 25, CostKind::KMeans, 1410),
-        (8_562_325_622_527_224_313, 13_300_959_431_932_854_118)
+        (10_688_311_825_851_690_162, 13_300_959_431_932_854_118)
     );
     assert_eq!(
         solve_fingerprint(&coreset, 25, CostKind::KMedian, 1312),
