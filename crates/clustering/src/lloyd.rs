@@ -423,4 +423,26 @@ mod tests {
         let sol = refine(&d, init, CostKind::KMeans, LloydConfig::fixed(0));
         assert!((sol.cost - before).abs() < 1e-9);
     }
+
+    #[test]
+    fn a_wide_cluster_holds_the_derived_stop_back() {
+        // Three clusters of two unit-weight points: k / (4n) = 1/8 and
+        // k / (1024 n) = 1/2048 of the cost.
+        let weights = [1.0; 6];
+        let even = Assignment {
+            labels: vec![0, 0, 1, 1, 2, 2],
+            cost_z: vec![1.0; 6],
+        };
+        let wide = Assignment {
+            cost_z: vec![1.0, 1.0, 1.0, 1.0, 2.5, 2.5],
+            ..even.clone()
+        };
+        let ends =
+            |improved: f64, a: &Assignment| Stop::Resolved.ends(improved, 1.0, a, &weights, 3);
+        assert!(ends(0.1, &even));
+        assert!(!ends(0.1, &wide), "2.5 is more than twice the median 1");
+        assert!(ends(1.0 / 4096.0, &wide));
+        assert!(!ends(0.2, &even));
+        assert!(!Stop::Converged.ends(0.1, 1.0, &wide, &weights, 3));
+    }
 }
