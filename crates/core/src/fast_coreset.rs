@@ -22,7 +22,8 @@
 //! coreset size compensates for the approximation factor).
 //!
 //! Step 2 exists to keep the tree shallow. The tree here is compressed and
-//! built from one quantisation, so depth costs nothing until the data needs
+//! reads its cells sixteen levels at a time, re-quantising only rows that
+//! still share a cell, so depth costs next to nothing until the data needs
 //! more than the tree's `2^-max_depth` of resolution; whether it does is a
 //! fact the build itself reports ([`Quadtree::truncated`]). The partition
 //! therefore builds the tree on the embedded points first and pays for
@@ -30,14 +31,16 @@
 //! in one finest cell. On everything else step 2 draws nothing from the RNG.
 //!
 //! Step 1 and step 3's tree are one build ([`Quadtree::build_projected`]):
-//! the sparse projection is written into one `n × t` buffer, which is then
-//! quantised where it lies, so the partition's working set is that buffer.
-//! The embedded points exist as `f64`s again only on step 2's rare path,
-//! regenerated from the projection the build kept, with no second draw.
+//! the sparse projection is written once into an `n × t` buffer, with its
+//! bounding box gathered in the same pass, and the tree reads it in
+//! 16-level windows of `u16` cells — the first window for every row, a
+//! later one only for the rows of a node that still share a cell. The
+//! embedded points exist again only on step 2's rare path, regenerated from
+//! the projection already drawn, with no second draw.
 
 use std::borrow::Cow;
 
-use fc_clustering::kmedian::{geometric_median, weighted_mean_of, WeiszfeldConfig};
+use fc_clustering::kmedian::{geometric_median, WeiszfeldConfig};
 use fc_clustering::CostKind;
 use fc_geom::jl::{target_dim_for_clustering, JlKind, JlProjection};
 use fc_geom::{Dataset, Points};
@@ -73,8 +76,8 @@ impl FastCoreset {
     ) -> (Vec<usize>, Points, Vec<f64>) {
         // Step 1 and step 3's tree in one build: the tree comes first, because
         // it says whether step 2 has work to do. The projection is drawn only
-        // where it lowers the dimension; the tree is then built from one
-        // `n × t` buffer, projected and quantised in place.
+        // where it lowers the dimension; the tree is then built over the one
+        // `n × t` buffer it writes.
         let target = target_dim_for_clustering(params.k, JL_EPS);
         let projection = (data.dim() > target && !data.is_empty())
             .then(|| JlProjection::sample(rng, JlKind::SparseAchlioptas, data.dim(), target).ok())
@@ -117,24 +120,47 @@ impl FastCoreset {
         let k_eff = seeding.k();
 
         // Step 4: per-cluster 1-mean / 1-median in the ORIGINAL space.
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); k_eff];
-        for (i, &l) in seeding.labels.iter().enumerate() {
-            members[l].push(i);
-        }
-        let mut centers = Points::empty(data.dim());
-        centers.reserve(k_eff);
-        for cluster in &members {
-            let c = match params.kind {
-                CostKind::KMeans => weighted_mean_of(data.points(), data.weights(), cluster),
-                CostKind::KMedian => geometric_median(
-                    data.points(),
-                    data.weights(),
-                    cluster,
-                    WeiszfeldConfig::default(),
-                ),
-            };
-            centers.push(&c).expect("center has data dimension");
-        }
+        let centers = match params.kind {
+            CostKind::KMeans => {
+                // Every cluster's `Σ w·x` and `Σ w` in one pass in index
+                // order: per cluster, the sums `weighted_mean_of` makes over
+                // its members, in the same order, so the same bits.
+                let dim = data.dim();
+                let mut sums = vec![0.0; k_eff * dim];
+                let mut totals = vec![0.0; k_eff];
+                let rows = data.points().iter().zip(data.weights());
+                for ((p, &w), &l) in rows.zip(&seeding.labels) {
+                    totals[l] += w;
+                    for (s, &x) in sums[l * dim..(l + 1) * dim].iter_mut().zip(p) {
+                        *s += w * x;
+                    }
+                }
+                for (mean, &total) in sums.chunks_exact_mut(dim).zip(&totals) {
+                    if total > 0.0 {
+                        mean.iter_mut().for_each(|m| *m /= total);
+                    }
+                }
+                Points::from_flat(sums, dim).expect("k_eff rows of the data's dimension")
+            }
+            CostKind::KMedian => {
+                let mut members: Vec<Vec<usize>> = vec![Vec::new(); k_eff];
+                for (i, &l) in seeding.labels.iter().enumerate() {
+                    members[l].push(i);
+                }
+                let mut centers = Points::empty(data.dim());
+                centers.reserve(k_eff);
+                for cluster in &members {
+                    let c = geometric_median(
+                        data.points(),
+                        data.weights(),
+                        cluster,
+                        WeiszfeldConfig::default(),
+                    );
+                    centers.push(&c).expect("center has data dimension");
+                }
+                centers
+            }
+        };
         // Step 5 input: dist^z from each point to its cluster center.
         let cost_z: Vec<f64> = data
             .points()

@@ -34,6 +34,13 @@ impl BoundingBox {
         Some(Self { min, max })
     }
 
+    /// The box with the given corners, gathered by a caller that reads the
+    /// points anyway.
+    pub(crate) fn from_corners(min: Vec<f64>, max: Vec<f64>) -> Self {
+        debug_assert_eq!(min.len(), max.len());
+        Self { min, max }
+    }
+
     /// Lower corner.
     pub fn min(&self) -> &[f64] {
         &self.min

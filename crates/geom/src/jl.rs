@@ -15,6 +15,7 @@ use std::borrow::Cow;
 
 use rand::Rng;
 
+use crate::bbox::BoundingBox;
 use crate::error::GeomError;
 use crate::points::Points;
 
@@ -135,6 +136,44 @@ impl JlProjection {
     /// accumulator, summed in the same order as
     /// [`project_point`](Self::project_point), so the bits are the same.
     pub fn project(&self, points: &Points) -> Result<Points, GeomError> {
+        self.project_visiting(points, |_| {})
+    }
+
+    /// [`project`](Self::project) and the bounding box of its output
+    /// (`None` for no points), gathered from each block of rows while it is
+    /// still in cache rather than in a second pass over the output. Rows
+    /// are visited in order with `BoundingBox::of`'s selects, so the box is
+    /// that of the projected points, bit for bit.
+    pub fn project_bounded(
+        &self,
+        points: &Points,
+    ) -> Result<(Points, Option<BoundingBox>), GeomError> {
+        let Some(first) = points.iter().next() else {
+            return Ok((self.project(points)?, None));
+        };
+        // Starting from the first row's image, which the pass then selects
+        // again with no effect, is starting from the first row.
+        let mut min = self.project_point(first)?;
+        let mut max = min.clone();
+        let projected = self.project_visiting(points, |rows| {
+            for row in rows.chunks_exact(self.target_dim) {
+                for ((lo, hi), &x) in min.iter_mut().zip(max.iter_mut()).zip(row) {
+                    *lo = if x < *lo { x } else { *lo };
+                    *hi = if x > *hi { x } else { *hi };
+                }
+            }
+        })?;
+        Ok((projected, Some(BoundingBox::from_corners(min, max))))
+    }
+
+    /// The bulk projection, calling `visit(rows)` with each block of output
+    /// rows once it is written, in order.
+    #[inline]
+    fn project_visiting(
+        &self,
+        points: &Points,
+        mut visit: impl FnMut(&[f64]),
+    ) -> Result<Points, GeomError> {
         if points.dim() != self.source_dim {
             return Err(GeomError::DimensionMismatch {
                 expected: self.source_dim,
@@ -154,6 +193,7 @@ impl JlProjection {
                 for (p, o) in block.chunks_exact(d).zip(out.chunks_exact_mut(t)) {
                     self.project_into(p, o);
                 }
+                visit(out);
                 continue;
             }
             for (b, p) in block.chunks_exact(d).enumerate() {
@@ -176,6 +216,7 @@ impl JlProjection {
                 }
                 start = end;
             }
+            visit(out);
         }
         Points::from_flat(data, t)
     }
@@ -361,6 +402,48 @@ mod tests {
                 assert!(sparse.as_flat()[..3 * t].iter().all(|x| x.to_bits() == 0));
             }
         }
+    }
+
+    #[test]
+    fn project_bounded_is_project_then_bounding_box() {
+        let mut data_rng = StdRng::seed_from_u64(9);
+        let shapes = [(3, 2, 1), (20, 19, 43), (64, 10, 8), (130, 12, 17)];
+        for ((d, t, n), nan_first) in shapes.into_iter().flat_map(|s| [(s, false), (s, true)]) {
+            let mut flat: Vec<f64> = (0..n * d)
+                .map(|i| match i % 5 {
+                    0 => 0.0,
+                    1 => -data_rng.gen::<f64>() * 1e6,
+                    _ => StandardNormal.sample(&mut data_rng),
+                })
+                .collect();
+            // A first row whose image is +0.0 or NaN, and a later NaN row.
+            if nan_first {
+                flat[..d].fill(f64::NAN);
+            } else {
+                flat[..d].fill(0.0);
+            }
+            if n > 3 {
+                flat[2 * d] = f64::NAN;
+            }
+            let points = Points::from_flat(flat, d).unwrap();
+            let proj = JlProjection::sample(
+                &mut StdRng::seed_from_u64(3),
+                JlKind::SparseAchlioptas,
+                d,
+                t,
+            )
+            .unwrap();
+            let (projected, bbox) = proj.project_bounded(&points).unwrap();
+            let expected = proj.project(&points).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(projected.as_flat()), bits(expected.as_flat()));
+            let (bbox, of) = (bbox.unwrap(), BoundingBox::of(&expected).unwrap());
+            assert_eq!(bits(bbox.min()), bits(of.min()), "d = {d}, t = {t}");
+            assert_eq!(bits(bbox.max()), bits(of.max()), "d = {d}, t = {t}");
+        }
+        let proj = JlProjection::sample(&mut rng(), JlKind::SparseAchlioptas, 4, 2).unwrap();
+        let (empty, bbox) = proj.project_bounded(&Points::empty(4)).unwrap();
+        assert!(empty.is_empty() && bbox.is_none());
     }
 
     #[test]

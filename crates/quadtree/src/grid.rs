@@ -2,17 +2,20 @@
 //!
 //! All three quadtree algorithms reduce to the same primitive: quantise a
 //! point against a randomly shifted grid of a given cell side and identify
-//! the occupied cells with a dictionary (Algorithm 2 line 4). The
-//! quantisation is done **once** per algorithm, at the finest level it will
-//! ever look at (`quantise`, `n·d` divisions, in place when it owns the
-//! coordinates): grid sides are exact
-//! power-of-two multiples of each other and share one shift, so the cell
-//! coordinate `s` levels coarser is exactly `c >> s` — every coarser grid is
-//! a bit prefix, as in RASTER's tile truncation. The dictionary is a
-//! `RowInterner`: exact integer rows, dense ids in first-appearance order,
-//! `O(rows)` to reset, no allocation per row.
-
-use std::borrow::Cow;
+//! the occupied cells with a dictionary (Algorithm 2 line 4). Grid sides are
+//! exact power-of-two multiples of each other and share one shift, so the
+//! cell coordinate `s` levels coarser is exactly `c >> s` — every coarser
+//! grid is a bit prefix, as in RASTER's tile truncation. Crude-Approx and
+//! Reduce-Spread quantise once, at the finest level they look at
+//! ([`grid_coord`]). The quadtree quantises in `WINDOW`-level windows of
+//! `u16` cells: below a cell its rows share, the next sixteen levels of any
+//! coordinate are sixteen bits, and four of them make one `u64` word, so a
+//! row of `d` cells is `⌈d/4⌉` words that XOR, OR and mask four cells at a
+//! time. The first window covers every row (`first_window`); a later one
+//! only the rows of a node that still share one cell at the end of the
+//! previous window (`next_window`). The dictionary is a `RowInterner`:
+//! exact integer rows, dense ids in first-appearance order, `O(rows)` to
+//! reset, no allocation per row.
 
 /// Integer grid coordinate of `x` in a grid of pitch `side` shifted by
 /// `shift`: `⌊(x − shift) / side⌋`, saturating at the `i64` range.
@@ -25,55 +28,117 @@ pub fn grid_coord(x: f64, shift: f64, side: f64) -> i64 {
     truncated.saturating_sub(i64::from(truncated as f64 > q))
 }
 
-/// Quantises row-major coordinates against one grid:
-/// `cells[i·d + j] = min(grid_coord(x_ij, shift_j, side), max_cell)` with
-/// `d = shift.len()`. Owned coordinates are quantised in place — each cell
-/// is written over its coordinate, and the buffer then changes type where
-/// it lies (an `f64` and an `i64` share size and alignment, so the collect
-/// reuses the allocation); borrowed ones into a fresh buffer. Also returns,
-/// per dimension, the OR over rows of each cell coordinate XOR the first
-/// row's: the bits on which some row differs from the first, gathered in
-/// the same pass.
-pub(crate) fn quantise(
-    coords: Cow<'_, [f64]>,
-    shift: &[f64],
-    side: f64,
-    max_cell: i64,
-) -> (Vec<i64>, Vec<i64>) {
-    let dim = shift.len();
-    let cell = |x: f64, s: f64| grid_coord(x, s, side).min(max_cell);
-    let first: Vec<i64> = coords[..dim]
-        .iter()
-        .zip(shift)
-        .map(|(&x, &s)| cell(x, s))
-        .collect();
-    let mut differing = vec![0i64; dim];
-    let cells = match coords {
-        Cow::Owned(mut coords) => {
-            for row in coords.chunks_exact_mut(dim) {
-                let columns = shift.iter().zip(&first).zip(differing.iter_mut());
-                for (x, ((&s, &c0), acc)) in row.iter_mut().zip(columns) {
-                    let c = cell(*x, s);
-                    *acc |= c ^ c0;
-                    *x = f64::from_bits(c as u64);
-                }
-            }
-            coords.into_iter().map(|x| x.to_bits() as i64).collect()
-        }
-        Cow::Borrowed(coords) => {
-            let mut cells = Vec::with_capacity(coords.len());
-            for row in coords.chunks_exact(dim) {
-                let columns = shift.iter().zip(&first).zip(differing.iter_mut());
-                cells.extend(row.iter().zip(columns).map(|(&x, ((&s, &c0), acc))| {
-                    let c = cell(x, s);
-                    *acc |= c ^ c0;
-                    c
-                }));
-            }
-            cells
-        }
+/// 2^52: the sum of this and a float in `[0, 2^52)` is that float rounded
+/// to an integer, held in the sum's low mantissa bits.
+const MAGIC: f64 = 4_503_599_627_370_496.0;
+
+/// Levels in one window of quadtree cells: a cell coordinate relative to a
+/// cell its rows share, this many levels further down, fits a `u16`.
+pub(crate) const WINDOW: u32 = 16;
+
+/// Window cells per word: cell `j` of a row is lane `j % 4` (bits
+/// `16·(j % 4)` up) of the row's word `j / 4`; the lanes past the last
+/// dimension are zero in every row.
+pub(crate) const LANES: usize = 4;
+
+/// The OR of a word's four cells.
+#[inline]
+pub(crate) fn fold_lanes(word: u64) -> u16 {
+    (word | word >> 16 | word >> 32 | word >> 48) as u16
+}
+
+/// The OR over `rows` of each row's words XOR `first`'s, folded to one cell.
+fn differing<'a>(first: &[u64], rows: impl Iterator<Item = &'a [u64]>) -> u16 {
+    let any = rows.fold(0, |acc, row| {
+        row.iter()
+            .zip(first)
+            .fold(acc, |acc, (&w, &w0)| acc | (w ^ w0))
+    });
+    fold_lanes(any)
+}
+
+/// Quantises one row: `scratch[j] = cell(x_j, origin_j)` in a pass of its
+/// own, so that the divisions run several to an instruction, then packed
+/// into the row's words.
+#[inline]
+fn quantise_row(
+    words: &mut [u64],
+    coords: &[f64],
+    origin: &[f64],
+    scratch: &mut [u16],
+    cell: impl Fn(f64, f64) -> u16,
+) {
+    for ((c, &x), &o) in scratch.iter_mut().zip(coords).zip(origin) {
+        *c = cell(x, o);
+    }
+    for (word, four) in words.iter_mut().zip(scratch.chunks(LANES)) {
+        *word = four
+            .iter()
+            .rev()
+            .fold(0, |word, &c| word << 16 | u64::from(c));
+    }
+}
+
+/// The quadtree's first window: each row's cells `min(grid_coord(x_ij,
+/// origin_j, side), cap)` with `cap < 2^16`, `⌈d/4⌉` words a row for
+/// `d = origin.len()`, and the OR over rows and dimensions of each cell XOR
+/// its first row's. Every coordinate lies at or above its origin, so the
+/// quotient is not negative (a NaN one counts as 0, as in `grid_coord`),
+/// and capping it before the floor is capping the floor.
+pub(crate) fn first_window(coords: &[f64], origin: &[f64], side: f64, cap: u16) -> (Vec<u64>, u16) {
+    let dim = origin.len();
+    let words = dim.div_ceil(LANES);
+    let cap = f64::from(cap);
+    let cell = |x: f64, o: f64| {
+        // The floor of the capped quotient in float arithmetic alone, so
+        // that a row quantises several cells to an instruction: adding
+        // 2^52 rounds to an integer, a step down where that rounded up
+        // makes it the floor, and the sum's low mantissa bits are it.
+        let q = ((x - o) / side).max(0.0).min(cap);
+        let rounded = (q + MAGIC) - MAGIC;
+        let floor = rounded - f64::from(u8::from(rounded > q));
+        (floor + MAGIC).to_bits() as u16
     };
-    (cells, differing)
+    let mut cells = vec![0; coords.len() / dim * words];
+    let mut scratch = vec![0; dim];
+    for (row, x) in cells.chunks_exact_mut(words).zip(coords.chunks_exact(dim)) {
+        quantise_row(row, x, origin, &mut scratch, cell);
+    }
+    let any = differing(&cells[..words], cells.chunks_exact(words));
+    (cells, any)
+}
+
+/// Re-quantises the given rows of `cells` (indexed by row, as
+/// [`first_window`] lays them out) at the window that ends at the level of
+/// pitch `side`, and returns the OR over the rows and dimensions of each
+/// cell XOR the first row's. The rows share one cell `span ≤ WINDOW` levels
+/// up, so each full coordinate `min(grid_coord(x, o, side), cap)` differs
+/// from the others only in its low `span` bits, which are what is kept.
+pub(crate) fn next_window(
+    coords: &[f64],
+    origin: &[f64],
+    rows: &[u32],
+    cells: &mut [u64],
+    (side, cap, span): (f64, i64, u32),
+) -> u16 {
+    debug_assert!(span <= WINDOW);
+    let dim = origin.len();
+    let words = dim.div_ceil(LANES);
+    let low = (1i64 << span) - 1;
+    let cell = |x: f64, o: f64| (grid_coord(x, o, side).min(cap) & low) as u16;
+    let mut scratch = vec![0; dim];
+    for &i in rows {
+        let (row, x) = (i as usize * words, i as usize * dim);
+        quantise_row(
+            &mut cells[row..][..words],
+            &coords[x..][..dim],
+            origin,
+            &mut scratch,
+            cell,
+        );
+    }
+    let row = |i: u32| &cells[i as usize * words..][..words];
+    differing(row(rows[0]), rows.iter().map(|&i| row(i)))
 }
 
 const EMPTY: u32 = u32::MAX;
@@ -151,6 +216,32 @@ impl RowInterner {
         }
     }
 
+    /// [`intern`](Self::intern) of a one-column row, the same id for the
+    /// same row; for a caller whose rows are one word wide, it skips the
+    /// column loops.
+    #[inline]
+    pub(crate) fn intern_word(&mut self, word: i64) -> u32 {
+        debug_assert_eq!(self.width, 1);
+        let dot = (word as u64).wrapping_mul(self.multipliers[0]);
+        let hash = (dot ^ (dot >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut slot = (hash >> 32) as usize & self.mask;
+        loop {
+            let id = self.slots[slot];
+            if id == EMPTY {
+                let id = self.len as u32;
+                debug_assert!(2 * self.len <= self.mask, "more rows than reset allowed");
+                self.slots[slot] = id;
+                self.rows.push(word);
+                self.len += 1;
+                return id;
+            }
+            if self.rows[id as usize] == word {
+                return id;
+            }
+            slot = (slot + 1) & self.mask;
+        }
+    }
+
     /// Number of distinct rows interned since the last reset.
     #[inline]
     pub(crate) fn len(&self) -> usize {
@@ -215,44 +306,81 @@ mod tests {
         }
     }
 
+    /// Cell `j` of row `i` of a window.
+    fn cell(cells: &[u64], dim: usize, i: usize, j: usize) -> u16 {
+        (cells[i * dim.div_ceil(LANES) + j / LANES] >> (16 * (j % LANES))) as u16
+    }
+
     #[test]
-    fn quantise_is_row_major_and_capped() {
-        let coords = [0.5, 1.5, 2.5, 3.5];
-        for cow in [Cow::Borrowed(&coords[..]), Cow::Owned(coords.to_vec())] {
-            let (cells, differing) = quantise(cow.clone(), &[0.0, 1.0], 1.0, i64::MAX);
-            assert_eq!(cells, [0, 0, 2, 2]);
-            assert_eq!(differing, [2, 2]);
-            let (cells, differing) = quantise(cow, &[0.0, 1.0], 1.0, 1);
-            assert_eq!(cells, [0, 0, 1, 1]);
-            assert_eq!(differing, [1, 1]);
+    fn first_window_is_grid_coord_capped() {
+        let coords: Vec<f64> = (0..90).map(|i| f64::from(i) * 0.37 - 9.0).collect();
+        // Five dimensions: two words a row, the second with three empty lanes.
+        let origin = [-9.5, -9.25, -9.0, -9.0, -10.0];
+        for (side, cap) in [(0.5, u16::MAX), (0.5, 15), (1e-4, u16::MAX), (40.0, 0)] {
+            let (cells, any) = first_window(&coords, &origin, side, cap);
+            assert_eq!(cells.len(), 18 * 2);
+            let mut or = 0;
+            for (i, row) in coords.chunks_exact(5).enumerate() {
+                for (j, (&x, &o)) in row.iter().zip(&origin).enumerate() {
+                    let expected = grid_coord(x, o, side).min(i64::from(cap)) as u16;
+                    assert_eq!(cell(&cells, 5, i, j), expected, "side {side}, cap {cap}");
+                    or |= expected ^ cell(&cells, 5, 0, j);
+                }
+                assert_eq!(cells[2 * i + 1] >> 16, 0, "lanes past the last dimension");
+            }
+            assert_eq!(any, or);
         }
     }
 
     #[test]
-    fn quantise_rewrites_an_owned_buffer_in_place() {
-        let coords: Vec<f64> = (0..96).map(|i| f64::from(i) * 0.37 - 9.0).collect();
-        let at = coords.as_ptr() as usize;
-        let expected: Vec<i64> = coords
-            .chunks_exact(3)
-            .flat_map(|row| {
-                row.iter()
-                    .zip([0.1, 0.2, 0.3])
-                    .map(|(&x, s)| grid_coord(x, s, 0.5))
-            })
-            .collect();
-        let (fresh, _) = quantise(Cow::Borrowed(&coords), &[0.1, 0.2, 0.3], 0.5, i64::MAX);
-        let (cells, differing) = quantise(Cow::Owned(coords), &[0.1, 0.2, 0.3], 0.5, i64::MAX);
-        assert_eq!(cells.as_ptr() as usize, at);
-        assert_eq!(cells, expected);
-        assert_eq!(fresh, expected);
-        for (j, &bits) in differing.iter().enumerate() {
-            let or = cells
-                .iter()
-                .skip(j)
-                .step_by(3)
-                .fold(0, |acc, &c| acc | (c ^ cells[j]));
-            assert_eq!(bits, or);
+    fn first_window_floors_exactly() {
+        // Quotients on, one ulp either side of and halfway between the
+        // integers of the window, past its cap, and the non-finite ones;
+        // one dimension, so each is its own row.
+        let mut xs = vec![
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            65_535.999_999_999,
+            65_536.0,
+            1e300,
+        ];
+        for k in (0..=65_536u32).step_by(7).chain([1, 2, 3, 65_534, 65_535]) {
+            let k = f64::from(k);
+            xs.extend([k, k + 0.5, f64::from_bits(k.to_bits() + 1)]);
+            if k > 0.0 {
+                xs.push(f64::from_bits(k.to_bits() - 1));
+            }
         }
+        for cap in [u16::MAX, 1_000, 0] {
+            let (cells, _) = first_window(&xs, &[0.0], 1.0, cap);
+            for (&x, &c) in xs.iter().zip(&cells) {
+                let expected = grid_coord(x, 0.0, 1.0).min(i64::from(cap));
+                assert_eq!(c, expected as u64, "x = {x}, cap {cap}");
+            }
+        }
+    }
+
+    #[test]
+    fn next_window_keeps_the_bits_below_the_shared_cell() {
+        // Three rows that share a cell 16 levels above the side quantised
+        // at, and one row elsewhere that the call must leave alone.
+        let side = 2f64.powi(-20);
+        let coords = [0.75, 0.75 + 3.0 * side, 0.75 + 40_000.0 * side, 0.25];
+        let mut cells = vec![7u64; 4];
+        let any = next_window(
+            &coords,
+            &[0.0],
+            &[2, 0, 1],
+            &mut cells,
+            (side, (1 << 20) - 1, 16),
+        );
+        let low = |x: f64| (grid_coord(x, 0.0, side) & 0xFFFF) as u64;
+        assert_eq!(cells, [low(0.75), low(coords[1]), low(coords[2]), 7]);
+        assert_eq!(
+            u64::from(any),
+            (cells[0] ^ cells[2]) | (cells[1] ^ cells[2])
+        );
     }
 
     #[test]
@@ -266,6 +394,26 @@ mod tests {
         assert_eq!(rows.intern(&[3, -4]), 1);
         assert_eq!(rows.len(), 3);
         assert_eq!(rows.row(2), [i64::MIN, i64::MAX]);
+    }
+
+    #[test]
+    fn intern_word_is_intern_of_a_one_column_row() {
+        let mut rows = RowInterner::default();
+        rows.reset(1, 64);
+        for (i, v) in [5i64, -5, 5, i64::MIN, 0, -5, 1 << 40, 0]
+            .into_iter()
+            .enumerate()
+        {
+            let id = if i % 2 == 0 {
+                rows.intern_word(v)
+            } else {
+                rows.intern(&[v])
+            };
+            assert_eq!(rows.row(id), [v]);
+        }
+        assert_eq!(rows.len(), 5);
+        assert_eq!(rows.intern_word(1 << 40), 4);
+        assert_eq!(rows.intern(&[i64::MIN]), 2);
     }
 
     #[test]

@@ -8,35 +8,38 @@
 //! permutation so each node owns a contiguous range, which lets the
 //! Fast-kmeans++ sampler answer subtree-mass queries with prefix sums.
 //!
-//! Cost model: the points are quantised **once**, at the finest level
-//! (`n·d` divisions), and every level's cell coordinate is a bit prefix of
-//! that integer. A build that owns its coordinates — the JL projection of
-//! [`Quadtree::build_projected`] — quantises them where they lie, so the
-//! whole build holds one `n × t` buffer; [`Quadtree::build`] writes its
-//! cells into a fresh one. A node's *differing bits* (per dimension, the OR
-//! of each row's cells XOR its first row's) name the level at which its
-//! points separate, however long the compression chain above it. They
-//! arrive with the node: the quantising pass gathers the root's, and each
-//! node gathers its children's in the same read of a row that files the
-//! row under its child. So a node visit is one `O(size·d)` pass over its
-//! rows, a leaf of duplicates costs nothing more than its truncation check,
-//! and nothing is re-gridded per level.
+//! Cost model: a node visit reads its rows' cells in a window of sixteen
+//! levels, one `u16` per coordinate, four to a `u64` word. Grid sides are
+//! exact powers of two of each other, so every coarser cell is a bit prefix
+//! of a finer one; below a cell that all of a node's rows share, the next
+//! sixteen levels of each coordinate are sixteen bits. The first window
+//! quantises every row at level `min(16, depth)` (`n·d` divisions). A node
+//! whose rows still share a cell at the end of its window re-quantises only
+//! its own rows at the next window, from the same coordinates, and carries
+//! on; windows refine only rows that still share a cell, so data that
+//! separates within sixteen levels is quantised once. A node's *differing
+//! bits* (the OR of each row's cells XOR its first row's, over every
+//! dimension) name the level at which its points separate, however long
+//! the compression chain above it. They arrive with the node: the
+//! quantising pass gathers the root's, and each node gathers its children's
+//! in the same read of a row that files the row under its child. So a node
+//! visit is one pass over `2·d` bytes a row, `⌈d/4⌉` word operations where
+//! a full-depth cell would take `d`, and nothing is re-gridded per level.
 //!
 //! The finest level has `2^-max_depth` of the root side. Rows that still
 //! share a cell there stay in one leaf; when two of them are *different*
 //! rows the tree is [`truncated`](Quadtree::truncated) — it ran out of bits
 //! before it ran out of geometry, which is the one case spread reduction
 //! (Section 4) has something to add. Exact duplicates are not truncation:
-//! no resolution separates them.
-
-use std::borrow::Cow;
+//! no resolution separates them, and they become a leaf at the first window
+//! that cannot tell them apart, with no further quantising.
 
 use fc_geom::jl::JlProjection;
 use fc_geom::points::Points;
 use fc_geom::BoundingBox;
 use rand::Rng;
 
-use crate::grid::{quantise, RowInterner};
+use crate::grid::{first_window, fold_lanes, next_window, RowInterner, LANES, WINDOW};
 
 /// Deepest level a tree can have: cell coordinates are 63-bit integers, and
 /// an `f64` coordinate carries no information below `2^-62` of the root
@@ -106,8 +109,6 @@ pub struct Quadtree {
     nodes: Vec<Node>,
     /// `perm[pos]` = original point index stored at tree position `pos`.
     perm: Vec<u32>,
-    /// `pos[original]` = tree position of the original point index.
-    pos: Vec<u32>,
     dim: usize,
     root_side: f64,
     /// Grid origin (bounding-box min corner minus the random shift).
@@ -157,52 +158,79 @@ impl Grid {
         }
     }
 
-    /// The finest-level cell of every coordinate, row-major, and the root's
-    /// differing bits (see [`quantise`]). Sides halve exactly, so a point's
-    /// cell coordinate at level ℓ is its finest coordinate shifted right by
-    /// `depth − ℓ`; the cap keeps a point that rounds onto the root cell's
-    /// far face inside the root cell.
-    fn cells(&self, coords: Cow<'_, [f64]>) -> (Vec<i64>, Vec<i64>) {
+    /// Cell side at `level`: sides halve exactly.
+    fn side(&self, level: u32) -> f64 {
+        self.root_side / f64::powi(2.0, level as i32)
+    }
+
+    /// The first window: the level it ends at, `min(16, depth)`, every
+    /// row's cells there (see [`first_window`]) and the root's differing
+    /// bits. The cap keeps a point that rounds onto the root cell's far
+    /// face inside the root cell.
+    fn first_window(&self, coords: &[f64]) -> (u32, Vec<u64>, u16) {
+        let top = self.depth.min(WINDOW);
         if self.coincide {
             // Every point is the same point, so they share a cell at every
             // level and the root comes out a leaf. Saying so directly skips
             // a pass that, with Δ clamped to the smallest normal float,
             // would run on subnormals.
-            let cells = match coords {
-                Cow::Owned(coords) => coords.into_iter().map(|_| 0).collect(),
-                Cow::Borrowed(coords) => vec![0; coords.len()],
-            };
-            return (cells, vec![0; self.origin.len()]);
+            let words = self.origin.len().div_ceil(LANES);
+            return (top, vec![0; coords.len() / self.origin.len() * words], 0);
         }
-        let finest_side = self.root_side / f64::powi(2.0, self.depth as i32);
-        quantise(coords, &self.origin, finest_side, (1i64 << self.depth) - 1)
+        let cap = ((1u32 << top) - 1) as u16;
+        let (cells, any) = first_window(coords, &self.origin, self.side(top), cap);
+        (top, cells, any)
     }
+
+    /// The pitch, cap and width of the window after the one ending at
+    /// `top`, and the level it ends at.
+    fn next_window(&self, top: u32) -> (u32, (f64, i64, u32)) {
+        let next = (top + WINDOW).min(self.depth);
+        (next, (self.side(next), (1i64 << next) - 1, next - top))
+    }
+}
+
+/// Bit `bit` of each cell of up to sixteen words of cells, packed into one
+/// key word: word `g`'s four bits land at positions `g`, `16 + g`, `32 + g`
+/// and `48 + g`, so distinct bit patterns give distinct keys.
+#[inline]
+fn child_key(words: &[u64], bit: u32) -> i64 {
+    const LOW_BITS: u64 = 0x0001_0001_0001_0001;
+    let key = words
+        .iter()
+        .enumerate()
+        .fold(0, |key, (g, &w)| key | (w >> bit & LOW_BITS) << g);
+    key as i64
+}
+
+/// A node waiting on the build's stack, with its differing bits in the
+/// window that ends at level `top`.
+struct Pending {
+    node: u32,
+    any: u16,
+    top: u32,
 }
 
 impl Quadtree {
     /// Builds a compressed quadtree over `points` with a uniformly random
-    /// grid shift: `O(n·d)` to quantise the points once at the finest level
-    /// into a fresh cell buffer, then one `O(size·d)` pass per node —
-    /// however many levels its compression chain skips — for `O(n)` nodes.
+    /// grid shift: `O(n·d)` to quantise the points at the first window,
+    /// then one `O(size·d)` pass per node — however many levels its
+    /// compression chain skips — for `O(n)` nodes, plus one more per window
+    /// for the rows of a node that a window leaves in one cell.
     ///
     /// Panics on an empty point set.
     pub fn build<R: Rng + ?Sized>(rng: &mut R, points: &Points, config: QuadtreeConfig) -> Self {
         assert!(!points.is_empty(), "cannot build a quadtree over no points");
         let bbox = BoundingBox::of(points).expect("non-empty checked above");
         let grid = Grid::enclosing(rng, &bbox, config);
-        let (cells, differing) = grid.cells(Cow::Borrowed(points.as_flat()));
-        Self::grow(grid, cells, differing, |rows| {
-            let first = points.row(rows[0] as usize);
-            rows[1..].iter().any(|&i| points.row(i as usize) != first)
-        })
+        Self::grow(grid, points.as_flat())
     }
 
     /// The tree [`build`](Self::build) makes over `projection.project(points)`
-    /// under the same RNG, node for node, with one `n × t` buffer: the
-    /// projection is written once and quantised where it lies. A leaf at the
-    /// depth cap regenerates the projected rows it compares, so
-    /// [`truncated`](Self::truncated) keeps its meaning in the projected
-    /// space.
+    /// under the same RNG, node for node: the projection is written once,
+    /// with its bounding box gathered as it is written, and the build reads
+    /// it in place, so [`truncated`](Self::truncated) keeps its meaning in
+    /// the projected space.
     ///
     /// Panics on an empty point set or one whose dimension is not the
     /// projection's source dimension.
@@ -213,43 +241,23 @@ impl Quadtree {
         config: QuadtreeConfig,
     ) -> Self {
         assert!(!points.is_empty(), "cannot build a quadtree over no points");
-        let working = projection
-            .project(points)
+        let (working, bbox) = projection
+            .project_bounded(points)
             .expect("points have the projection's source dimension");
-        let bbox = BoundingBox::of(&working).expect("non-empty checked above");
+        let bbox = bbox.expect("non-empty checked above");
         let grid = Grid::enclosing(rng, &bbox, config);
-        let (cells, differing) = grid.cells(Cow::Owned(working.into_flat()));
-        let project = |i: u32| {
-            projection
-                .project_point(points.row(i as usize))
-                .expect("dimension checked above")
-        };
-        Self::grow(grid, cells, differing, |rows| {
-            let first = project(rows[0]);
-            rows[1..].iter().any(|&i| project(i) != first)
-        })
+        Self::grow(grid, working.as_flat())
     }
 
-    /// The node loop both builds share. `cells` holds the finest cell of
-    /// every row (`origin.len()` columns), `differing` the root's differing
-    /// bits, and `differ(rows)` says whether the given rows are not all the
-    /// same row of the working space.
-    fn grow(
-        grid: Grid,
-        cells: Vec<i64>,
-        mut differing: Vec<i64>,
-        mut differ: impl FnMut(&[u32]) -> bool,
-    ) -> Self {
-        let Grid {
-            root_side,
-            origin,
-            depth,
-            max_depth,
-            ..
-        } = grid;
-        let dim = origin.len();
-        let cell = |idx: u32| &cells[idx as usize * dim..(idx as usize + 1) * dim];
-        let n = cells.len() / dim;
+    /// The node loop both builds share, over row-major `coords` with
+    /// `grid.origin.len()` columns.
+    fn grow(grid: Grid, coords: &[f64]) -> Self {
+        let dim = grid.origin.len();
+        let n = coords.len() / dim;
+        let (top, mut cells, any) = grid.first_window(coords);
+        let point = |idx: u32| &coords[idx as usize * dim..][..dim];
+        // Whether the given rows are not all the same point.
+        let differ = |rows: &[u32]| rows[1..].iter().any(|&i| point(i) != point(rows[0]));
         let mut perm: Vec<u32> = (0..n as u32).collect();
         let mut nodes = vec![Node {
             level: 0,
@@ -261,85 +269,100 @@ impl Quadtree {
         }];
 
         // Iterative construction. Every node on the stack has at least two
-        // rows and arrives with its differing bits — per dimension, the OR
-        // of each row's cells XOR its first row's — in `pending`, `dim`
-        // words per node in stack order. Scratch buffers are reused.
-        let mut stack: Vec<u32> = Vec::new();
-        let mut pending: Vec<i64> = Vec::new();
+        // rows and arrives with its differing bits. Scratch buffers are
+        // reused.
+        let mut stack: Vec<Pending> = Vec::new();
         if n > 1 {
-            stack.push(0);
-            pending.extend_from_slice(&differing);
+            stack.push(Pending { node: 0, any, top });
         }
-        let mut split_dims: Vec<usize> = Vec::new();
-        let mut key: Vec<i64> = Vec::new();
+        let words = dim.div_ceil(LANES);
+        let mut key: Vec<i64> = vec![0; words.div_ceil(16)];
         let mut children = RowInterner::default();
         let mut child_of: Vec<u32> = Vec::new();
         let mut cursors: Vec<u32> = Vec::new();
-        // Per child, in first-appearance order: its first row's cells, then
-        // its differing bits so far.
-        let mut child_bits: Vec<i64> = Vec::new();
+        // Per child, in first-appearance order: its first row, and the OR
+        // of its rows' cell words XOR that row's so far.
+        let mut child_first: Vec<u32> = Vec::new();
+        let mut child_any: Vec<u64> = Vec::new();
         let mut members: Vec<u32> = Vec::new();
         let mut truncated = false;
-        while let Some(node_id) = stack.pop() {
+        while let Some(Pending {
+            node: node_id,
+            mut any,
+            mut top,
+        }) = stack.pop()
+        {
             let (start, end) = {
                 let node = &nodes[node_id as usize];
                 (node.start as usize, node.end as usize)
             };
-            let at = pending.len() - dim;
-            differing.copy_from_slice(&pending[at..]);
-            pending.truncate(at);
-            // The node's points share a cell down to its level, i.e. agree
-            // on every high bit; the highest bit on which any coordinate
-            // disagrees names the level at which they separate, however
-            // long the compression chain down to it.
-            let any = differing.iter().fold(0, |acc, &bits| acc | bits);
+            // Rows that share a cell at the end of their window: exact
+            // duplicates share every cell, so they are a leaf already;
+            // other rows are quantised again at the next window.
+            let mut distinct = None;
+            while any == 0 && top < grid.depth {
+                if !*distinct.get_or_insert_with(|| differ(&perm[start..end])) {
+                    break;
+                }
+                let (next, window) = grid.next_window(top);
+                any = next_window(coords, &grid.origin, &perm[start..end], &mut cells, window);
+                top = next;
+            }
             if any == 0 {
                 // Duplicates, or the depth cap: a leaf at the finest level.
-                // Which of the two is one more pass over the leaf's rows,
-                // stopped by the first truncated leaf.
-                nodes[node_id as usize].level = depth;
-                truncated = truncated || differ(&perm[start..end]);
+                // Which of the two is one more pass over the leaf's rows
+                // (unless the window loop already made it), stopped by the
+                // first truncated leaf.
+                nodes[node_id as usize].level = grid.depth;
+                truncated = truncated || distinct.unwrap_or_else(|| differ(&perm[start..end]));
                 continue;
             }
+            // The node's points share a cell down to its level, i.e. agree
+            // on every high bit of the window; the highest bit on which any
+            // coordinate disagrees names the level at which they separate,
+            // however long the compression chain down to it.
             let bit = any.ilog2();
-            let level = depth - bit - 1;
+            let level = top - bit - 1;
             nodes[node_id as usize].level = level;
 
             // Children are the occupied cells one level down. Above `bit`
-            // all points agree, so a child is named by bit `bit` of the
-            // dimensions that disagree there, packed 64 to a key word. The
-            // same read of a row ORs its XOR against its child's first row
-            // into that child's differing bits, so no child reads its rows
-            // again to find where they separate.
-            split_dims.clear();
-            split_dims.extend((0..dim).filter(|&j| differing[j] >> bit & 1 == 1));
-            key.clear();
-            key.resize(split_dims.len().div_ceil(64), 0);
+            // all points agree, so a child is named by bit `bit` of every
+            // dimension, 64 dimensions to a key word (`child_key`): the
+            // dimensions that do not split are constant across the node, so
+            // the children and their order are those of the dimensions that
+            // do. The same read of a row ORs its XOR against its child's
+            // first row into that child's differing bits, so no child reads
+            // its rows again to find where they separate.
             children.reset(key.len(), end - start);
             child_of.clear();
             cursors.clear();
-            child_bits.clear();
+            child_first.clear();
+            child_any.clear();
+            let row = |idx: u32| &cells[idx as usize * words..][..words];
             for &idx in &perm[start..end] {
-                let row = cell(idx);
-                for (word, dims) in key.iter_mut().zip(split_dims.chunks(64)) {
-                    *word = dims
-                        .iter()
-                        .enumerate()
-                        .fold(0, |word, (at, &j)| word | (row[j] >> bit & 1) << at);
-                }
-                let child = children.intern(&key) as usize;
+                let row_cells = row(idx);
+                // Up to 64 dimensions the key is one word, interned without
+                // the column loops.
+                let child = if let [_] = key[..] {
+                    children.intern_word(child_key(row_cells, bit)) as usize
+                } else {
+                    for (word, group) in key.iter_mut().zip(row_cells.chunks(16)) {
+                        *word = child_key(group, bit);
+                    }
+                    children.intern(&key) as usize
+                };
                 if child == cursors.len() {
                     cursors.push(0);
-                    child_bits.extend_from_slice(row);
-                    child_bits.resize(child_bits.len() + dim, 0);
+                    child_first.push(idx);
+                    child_any.push(0);
                 }
                 cursors[child] += 1;
                 child_of.push(child as u32);
-                let (first, acc) =
-                    child_bits[2 * child * dim..2 * (child + 1) * dim].split_at_mut(dim);
-                for ((acc, &c), &c0) in acc.iter_mut().zip(row).zip(&*first) {
-                    *acc |= c ^ c0;
-                }
+                let first = row(child_first[child]);
+                child_any[child] = row_cells
+                    .iter()
+                    .zip(first)
+                    .fold(child_any[child], |acc, (&w, &w0)| acc | (w ^ w0));
             }
 
             // Children in first-appearance order, each owning a contiguous
@@ -352,8 +375,11 @@ impl Quadtree {
             for (child, at) in cursors.iter_mut().enumerate() {
                 let size = *at;
                 if size > 1 {
-                    stack.push(first_child + child as u32);
-                    pending.extend_from_slice(&child_bits[(2 * child + 1) * dim..][..dim]);
+                    stack.push(Pending {
+                        node: first_child + child as u32,
+                        any: fold_lanes(child_any[child]),
+                        top,
+                    });
                 }
                 nodes.push(Node {
                     level: level + 1,
@@ -379,14 +405,15 @@ impl Quadtree {
             node.n_children = n_children;
         }
 
-        let mut pos = vec![0u32; n];
-        for (p, &orig) in perm.iter().enumerate() {
-            pos[orig as usize] = p as u32;
-        }
+        let Grid {
+            root_side,
+            origin,
+            max_depth,
+            ..
+        } = grid;
         Self {
             nodes,
             perm,
-            pos,
             dim,
             root_side,
             origin,
@@ -454,12 +481,6 @@ impl Quadtree {
     #[inline]
     pub fn point_at(&self, pos: usize) -> usize {
         self.perm[pos] as usize
-    }
-
-    /// Tree position of an original point index.
-    #[inline]
-    pub fn position_of(&self, original: usize) -> usize {
-        self.pos[original] as usize
     }
 
     /// The permutation (tree position → original index).
@@ -565,6 +586,12 @@ mod tests {
         StdRng::seed_from_u64(11)
     }
 
+    /// Tree position of an original point index: a search of the permutation.
+    fn position_of(t: &Quadtree, original: usize) -> usize {
+        let perm = t.permutation();
+        perm.iter().position(|&i| i as usize == original).unwrap()
+    }
+
     fn grid_points(n_side: usize) -> Points {
         let mut flat = Vec::new();
         for i in 0..n_side {
@@ -601,9 +628,9 @@ mod tests {
         let t = Quadtree::build(&mut rng(), &p, QuadtreeConfig::default());
         t.validate().unwrap();
         // The three duplicates can never separate; they share a leaf.
-        let leaf_a = t.leaf_of_position(t.position_of(0));
-        let leaf_b = t.leaf_of_position(t.position_of(1));
-        let leaf_c = t.leaf_of_position(t.position_of(2));
+        let leaf_a = t.leaf_of_position(position_of(&t, 0));
+        let leaf_b = t.leaf_of_position(position_of(&t, 1));
+        let leaf_c = t.leaf_of_position(position_of(&t, 2));
         assert_eq!(leaf_a, leaf_b);
         assert_eq!(leaf_b, leaf_c);
         assert_eq!(t.node(leaf_a).size(), 3);
@@ -638,8 +665,8 @@ mod tests {
         let t = Quadtree::build(&mut rng(), &p, QuadtreeConfig::default());
         t.validate().unwrap();
         assert_eq!(
-            t.leaf_of_position(t.position_of(0)),
-            t.leaf_of_position(t.position_of(1))
+            t.leaf_of_position(position_of(&t, 0)),
+            t.leaf_of_position(position_of(&t, 1))
         );
         assert!(t.truncated());
         // The same rows a resolvable distance apart are not.
@@ -705,7 +732,7 @@ mod tests {
         let p = grid_points(6);
         let t = Quadtree::build(&mut rng(), &p, QuadtreeConfig::default());
         for orig in 0..p.len() {
-            let pos = t.position_of(orig);
+            let pos = position_of(&t, orig);
             let path = t.path_to_position(pos);
             assert_eq!(path[0], 0);
             for w in path.windows(2) {
@@ -722,7 +749,7 @@ mod tests {
         let p = grid_points(5);
         let t = Quadtree::build(&mut rng(), &p, QuadtreeConfig::default());
         for orig in 0..p.len() {
-            assert_eq!(t.point_at(t.position_of(orig)), orig);
+            assert_eq!(t.point_at(position_of(&t, orig)), orig);
         }
     }
 
@@ -751,8 +778,8 @@ mod tests {
         let t = Quadtree::build(&mut rng(), &p, QuadtreeConfig::default());
         for a in 0..p.len() {
             for b in (a + 1)..p.len() {
-                let pa = t.position_of(a);
-                let pb = t.position_of(b);
+                let pa = position_of(&t, a);
+                let pb = position_of(&t, b);
                 let path_a = t.path_to_position(pa);
                 let path_b = t.path_to_position(pb);
                 let mut lca = 0u32;

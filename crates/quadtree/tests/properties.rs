@@ -12,6 +12,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
+/// Tree position of an original point index: a search of the permutation.
+fn position_of(t: &Quadtree, original: usize) -> usize {
+    let perm = t.permutation();
+    perm.iter().position(|&i| i as usize == original).unwrap()
+}
+
 fn points_strategy() -> impl Strategy<Value = Points> {
     (2usize..60, 1usize..4).prop_flat_map(|(n, dim)| {
         prop::collection::vec(-1000.0f64..1000.0, n * dim)
@@ -202,10 +208,15 @@ fn matches_the_reference(
             .chunks_exact_mut(dim)
             .for_each(|row| row.copy_from_slice(&first));
     }
-    let (nodes, perm) = reference_build(&mut StdRng::seed_from_u64(seed), &p, max_depth);
+    matches_the_reference_on(seed, &p, max_depth)
+}
+
+/// The builder against [`reference_build`] on `p`, both under `seed`.
+fn matches_the_reference_on(seed: u64, p: &Points, max_depth: u32) -> Result<(), TestCaseError> {
+    let (nodes, perm) = reference_build(&mut StdRng::seed_from_u64(seed), p, max_depth);
     let t = Quadtree::build(
         &mut StdRng::seed_from_u64(seed),
-        &p,
+        p,
         QuadtreeConfig { max_depth },
     );
     prop_assert!(t.validate().is_ok(), "{:?}", t.validate());
@@ -222,6 +233,30 @@ fn matches_the_reference(
     prop_assert_eq!(shape(&t), nodes);
     prop_assert_eq!(t.permutation(), &perm[..]);
     Ok(())
+}
+
+/// A unit blob with outliers 1e5 and 1e12 away along random axes, the
+/// shape of the benchmark's c-outlier data, plus exact repeats of earlier
+/// rows. Under the default depth the blob and the 1e5 outliers share one
+/// cell through the tree's first 16-level window and separate in the
+/// second; the blob's own rows separate in the third; repeats share a cell
+/// through every window.
+fn c_outliers(rng: &mut StdRng, n: usize, dim: usize) -> Points {
+    let mut flat: Vec<f64> = Vec::with_capacity(n * dim);
+    for i in 0..n {
+        let at = flat.len();
+        if i > 0 && rng.gen_range(0..4) == 0 {
+            let from = rng.gen_range(0..i) * dim;
+            flat.extend_from_within(from..from + dim);
+            continue;
+        }
+        flat.extend((0..dim).map(|_| rng.gen::<f64>()));
+        if i > 0 && rng.gen_range(0..6) == 0 {
+            let far = if rng.gen() { 1e5 } else { 1e12 };
+            flat[at + rng.gen_range(0..dim)] += far;
+        }
+    }
+    Points::from_flat(flat, dim).unwrap()
 }
 
 /// Three unit-box clusters a 1e18 apart, along the first two axes: any
@@ -243,21 +278,82 @@ fn far_clusters(rng: &mut StdRng, n: usize, dim: usize) -> Points {
     Points::from_flat(flat, dim).unwrap()
 }
 
+/// The c-outlier shape pinned at the default depth, on both builds: the
+/// 1e5 outlier leaves the blob in the second 16-level window, the blob's
+/// rows part in the third, and each twice-listed blob row ends as a leaf at
+/// the finest level without truncating the tree.
+#[test]
+fn c_outliers_separate_in_later_windows() {
+    let (n, dim) = (24, 20);
+    let mut rng = StdRng::seed_from_u64(5);
+    let blob: Vec<f64> = (0..n * dim).map(|_| rng.gen::<f64>()).collect();
+    let mut flat = [blob.clone(), blob].concat();
+    flat[0] += 1e5;
+    flat[dim + 1] += 1e12;
+    let p = Points::from_flat(flat, dim).unwrap();
+    matches_the_reference_on(3, &p, QuadtreeConfig::default().max_depth).unwrap();
+    let t = Quadtree::build(&mut StdRng::seed_from_u64(3), &p, QuadtreeConfig::default());
+    let splits_in = |levels: std::ops::Range<u32>| {
+        t.nodes()
+            .iter()
+            .any(|v| !v.is_leaf() && levels.contains(&v.level))
+    };
+    assert!(
+        !splits_in(1..16),
+        "nothing separates in the first window but the far outlier"
+    );
+    assert!(splits_in(16..32) && splits_in(32..48));
+    assert!(!t.truncated());
+    let repeats = t.nodes().iter().filter(|v| v.is_leaf() && v.size() == 2);
+    assert!(repeats.clone().count() >= n - 2);
+    assert!(repeats.into_iter().all(|v| v.level == 50));
+
+    let mut rng = StdRng::seed_from_u64(8);
+    let projection = JlProjection::sample(&mut rng, JlKind::SparseAchlioptas, dim, 10).unwrap();
+    let config = QuadtreeConfig::default();
+    let working = projection.project(&p).unwrap();
+    let expected = Quadtree::build(&mut StdRng::seed_from_u64(3), &working, config);
+    let t = Quadtree::build_projected(&mut StdRng::seed_from_u64(3), &p, &projection, config);
+    assert_eq!(shape(&t), shape(&expected));
+    assert_eq!(t.permutation(), expected.permutation());
+    assert!(!t.truncated() && !expected.truncated());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// Depths around every 16-level window boundary among them.
     #[test]
     fn build_matches_the_level_by_level_reference(
         seed in any::<u64>(),
         n in 1usize..48,
         dim in prop_oneof![Just(1usize), Just(2), Just(20), Just(64), Just(65), Just(130)],
-        max_depth in prop_oneof![Just(1u32), Just(8), Just(50), Just(62)],
+        max_depth in prop_oneof![
+            Just(1u32), Just(8), Just(15), Just(16), Just(17), Just(31), Just(32),
+            Just(33), Just(48), Just(49), Just(50), Just(62)
+        ],
         scale in prop_oneof![Just(1.0f64), Just(1e6), Just(1e-300)],
         // One input in five is a single location repeated: Δ clamps to
         // `f64::MIN_POSITIVE` and the builder skips its quantisation pass.
         coincide in prop_oneof![4 => Just(false), 1 => Just(true)],
     ) {
         matches_the_reference(seed, n, dim, max_depth, scale, coincide)?;
+    }
+
+    /// Rows that first separate in the second and third windows, and
+    /// repeats that exhaust every window without counting as truncation.
+    #[test]
+    fn windows_match_the_reference_on_c_outliers(
+        seed in any::<u64>(),
+        n in 2usize..48,
+        dim in prop_oneof![Just(1usize), Just(3), Just(20), Just(65), Just(130)],
+        max_depth in prop_oneof![
+            Just(15u32), Just(16), Just(17), Just(31), Just(32), Just(33), Just(48),
+            Just(49), Just(50), Just(62)
+        ],
+    ) {
+        let p = c_outliers(&mut StdRng::seed_from_u64(seed), n, dim);
+        matches_the_reference_on(seed, &p, max_depth)?;
     }
 
     /// Larger nodes, whose children differ in many dimensions at once and
@@ -281,15 +377,17 @@ proptest! {
     fn projected_build_matches_project_then_build(
         seed in any::<u64>(),
         n in 1usize..200,
-        (source, target) in prop_oneof![Just((3usize, 2usize)), Just((20, 10)), Just((20, 19)), Just((64, 8))],
-        max_depth in prop_oneof![Just(8u32), Just(50)],
-        far in prop_oneof![2 => Just(false), 1 => Just(true)],
+        (source, target) in prop_oneof![
+            Just((3usize, 2usize)), Just((20, 10)), Just((20, 19)), Just((64, 8)), Just((130, 66))
+        ],
+        max_depth in prop_oneof![Just(8u32), Just(16), Just(17), Just(33), Just(50)],
+        input in 0u8..4,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let p = if far {
-            far_clusters(&mut rng, n, source)
-        } else {
-            multiscale_points(&mut rng, n, source, 1.0)
+        let p = match input {
+            0 => far_clusters(&mut rng, n, source),
+            1 => c_outliers(&mut rng, n, source),
+            _ => multiscale_points(&mut rng, n, source, 1.0),
         };
         let projection =
             JlProjection::sample(&mut rng, JlKind::SparseAchlioptas, source, target).unwrap();
@@ -363,7 +461,7 @@ proptest! {
         prop_assert!(t.node_count() <= 2 * p.len());
         // Permutation round-trips.
         for i in 0..p.len() {
-            prop_assert_eq!(t.point_at(t.position_of(i)), i);
+            prop_assert_eq!(t.point_at(position_of(&t, i)), i);
         }
     }
 
@@ -374,8 +472,8 @@ proptest! {
         let n = p.len().min(12);
         for a in 0..n {
             for b in (a + 1)..n {
-                let pa = t.path_to_position(t.position_of(a));
-                let pb = t.path_to_position(t.position_of(b));
+                let pa = t.path_to_position(position_of(&t, a));
+                let pb = t.path_to_position(position_of(&t, b));
                 let mut lca = 0u32;
                 for (x, y) in pa.iter().zip(&pb) {
                     if x == y { lca = *x } else { break }
