@@ -6,7 +6,7 @@
 //! methods on most datasets (the paper bolds failures > 5, underlines
 //! > 10).
 
-use fc_bench::experiments::{eval_lloyd, failure_marker, DEFAULT_KIND};
+use fc_bench::experiments::{failure_marker, DEFAULT_KIND};
 use fc_bench::{fmt_mean_var, BenchConfig, Table};
 use fc_core::streaming::bico::{Bico, BicoConfig};
 use fc_core::streaming::stream::run_stream;
@@ -32,15 +32,7 @@ fn bico_distortions(
                 }
                 b.coreset()
             };
-            fc_core::distortion(
-                &mut rng,
-                &named.data,
-                &coreset,
-                named.k,
-                DEFAULT_KIND,
-                eval_lloyd(),
-            )
-            .distortion
+            fc_core::judge(&mut rng, &named.data, &coreset, named.k, DEFAULT_KIND).median
         })
         .collect()
 }

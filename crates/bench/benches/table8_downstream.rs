@@ -50,9 +50,9 @@ fn main() {
                     // Identical initialization within the row: the solve RNG
                     // depends on the dataset and run only, not the method.
                     let mut solve_rng = cfg.rng(0x8800 + (di * 8 + run) as u64);
-                    let sol = fc_core::solve_on_coreset(
+                    let sol = fc_clustering::lloyd::solve(
                         &mut solve_rng,
-                        &coreset,
+                        coreset.dataset(),
                         k,
                         DEFAULT_KIND,
                         eval_lloyd(),

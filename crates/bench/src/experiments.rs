@@ -9,9 +9,10 @@ use fc_core::{CompressionParams, Compressor};
 use crate::harness::{time, BenchConfig};
 use crate::scenarios::NamedData;
 
-/// Lloyd budget used by every distortion evaluation: a fixed 12 rounds
-/// (kept moderate so the candidate solution — not the refinement —
-/// dominates the measurement), whatever the coreset's size.
+/// Lloyd budget of a solve that prices a coreset: a fixed 12 rounds, as in
+/// each of [`fc_core::judge`]'s solves (kept moderate so the candidate
+/// solution — not the refinement — dominates the measurement), whatever
+/// the coreset's size.
 pub fn eval_lloyd() -> LloydConfig {
     LloydConfig::fixed(12)
 }
@@ -22,13 +23,13 @@ pub const STREAM_BLOCKS: usize = 10;
 /// A `(distortion, build_seconds)` measurement.
 #[derive(Debug, Clone, Copy)]
 pub struct Measurement {
-    /// Coreset distortion (the \[57\] metric).
+    /// Coreset distortion (the \[57\] metric): the judge's median.
     pub distortion: f64,
     /// Seconds spent *building* the compression (excludes evaluation).
     pub build_secs: f64,
 }
 
-/// Compresses statically and evaluates distortion, `cfg.runs` times.
+/// Compresses statically and judges the coreset, `cfg.runs` times.
 pub fn measure_static(
     cfg: &BenchConfig,
     named: &NamedData,
@@ -40,16 +41,9 @@ pub fn measure_static(
         .map(|run| {
             let mut rng = cfg.rng(salt.wrapping_add(run as u64));
             let (coreset, build_secs) = time(|| method.compress(&mut rng, &named.data, params));
-            let rep = fc_core::distortion(
-                &mut rng,
-                &named.data,
-                &coreset,
-                params.k,
-                params.kind,
-                eval_lloyd(),
-            );
+            let verdict = fc_core::judge(&mut rng, &named.data, &coreset, params.k, params.kind);
             Measurement {
-                distortion: rep.distortion,
+                distortion: verdict.median,
                 build_secs,
             }
         })
@@ -75,7 +69,7 @@ pub fn measure_build_only(
         .collect()
 }
 
-/// Streams through merge-&-reduce and evaluates distortion, `cfg.runs`
+/// Streams through merge-&-reduce and judges the coreset, `cfg.runs`
 /// times.
 pub fn measure_streaming(
     cfg: &BenchConfig,
@@ -91,16 +85,9 @@ pub fn measure_streaming(
                 let mut mr = MergeReduce::new(method, *params);
                 run_stream(&mut mr, &mut rng, &named.data, STREAM_BLOCKS)
             });
-            let rep = fc_core::distortion(
-                &mut rng,
-                &named.data,
-                &coreset,
-                params.k,
-                params.kind,
-                eval_lloyd(),
-            );
+            let verdict = fc_core::judge(&mut rng, &named.data, &coreset, params.k, params.kind);
             Measurement {
-                distortion: rep.distortion,
+                distortion: verdict.median,
                 build_secs,
             }
         })

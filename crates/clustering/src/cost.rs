@@ -4,21 +4,9 @@
 //! compression method tries to preserve (Definition 2.1 of the paper).
 
 use fc_geom::dataset::Dataset;
-use fc_geom::distance::{sq_dist_bounded, CostKind};
+use fc_geom::distance::{nearest_sq, CostKind};
 use fc_geom::par;
 use fc_geom::points::Points;
-
-fn nearest_sq(p: &[f64], centers_flat: &[f64], dim: usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for c in centers_flat.chunks_exact(dim) {
-        if let Some(d) = sq_dist_bounded(p, c, best) {
-            if d < best {
-                best = d;
-            }
-        }
-    }
-    best
-}
 
 /// Weighted `cost_z(P, C)`. Panics on empty centers or dimension mismatch.
 ///
@@ -41,7 +29,7 @@ pub fn cost(data: &Dataset, centers: &Points, kind: CostKind) -> f64 {
             .chunks_exact(dim)
             .zip(&weights[r])
         {
-            total += w * kind.from_sq(nearest_sq(p, flat, dim));
+            total += w * kind.from_sq(nearest_sq(p, flat, dim).1);
         }
         total
     })
@@ -63,7 +51,7 @@ pub fn per_point_cost(data: &Dataset, centers: &Points, kind: CostKind) -> Vec<f
         .collect();
     par::for_each_task(tasks, |_, (pts, ws, outs)| {
         for ((p, &w), o) in pts.chunks_exact(dim).zip(ws).zip(outs.iter_mut()) {
-            *o = w * kind.from_sq(nearest_sq(p, flat, dim));
+            *o = w * kind.from_sq(nearest_sq(p, flat, dim).1);
         }
     });
     out

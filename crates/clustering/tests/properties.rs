@@ -5,10 +5,12 @@ use fc_clustering::cost::{cost, per_point_cost};
 use fc_clustering::kmeanspp::kmeanspp;
 use fc_clustering::lloyd::{refine, LloydConfig};
 use fc_clustering::CostKind;
+use fc_geom::distance::sq_dist;
+use fc_geom::par::CHUNK_POINTS;
 use fc_geom::{Dataset, Points};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn dataset_strategy() -> impl Strategy<Value = Dataset> {
     (2usize..40, 1usize..4).prop_flat_map(|(n, dim)| {
@@ -17,8 +19,53 @@ fn dataset_strategy() -> impl Strategy<Value = Dataset> {
     })
 }
 
+/// Dimensions on both sides of every kernel the nearest-centre scan
+/// dispatches to: fixed scalar, fixed lane-tree, and generic pruned.
+const COST_DIMS: [usize; 9] = [1, 2, 3, 5, 8, 16, 19, 32, 64];
+
+/// `cost` written out plainly: per-point `w · from_sq(min sq_dist)`, summed
+/// within each `CHUNK_POINTS` chunk, the chunk sums added in chunk order.
+fn reference_cost(d: &Dataset, centers: &Points, kind: CostKind) -> f64 {
+    (0..d.len())
+        .step_by(CHUNK_POINTS)
+        .map(|start| {
+            let mut total = 0.0;
+            for i in start..(start + CHUNK_POINTS).min(d.len()) {
+                let min = centers
+                    .iter()
+                    .map(|c| sq_dist(d.point(i), c))
+                    .fold(f64::INFINITY, f64::min);
+                total += d.weight(i) * kind.from_sq(min);
+            }
+            total
+        })
+        .sum()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn cost_matches_the_plain_scan_bit_for_bit(
+        dim_at in 0usize..COST_DIMS.len(),
+        n in 1usize..2_600,
+        k in 1usize..6,
+        seed in any::<u64>(),
+    ) {
+        let dim = COST_DIMS[dim_at];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut coords = |len: usize| -> Vec<f64> {
+            (0..len).map(|_| rng.gen::<f64>() * 200.0 - 100.0).collect()
+        };
+        let points = Points::from_flat(coords(n * dim), dim).unwrap();
+        let centers = Points::from_flat(coords(k * dim), dim).unwrap();
+        let weights = (0..n).map(|_| rng.gen::<f64>() * 4.0).collect();
+        let d = Dataset::weighted(points, weights).unwrap();
+        for kind in [CostKind::KMeans, CostKind::KMedian] {
+            let got = cost(&d, &centers, kind);
+            prop_assert_eq!(got.to_bits(), reference_cost(&d, &centers, kind).to_bits());
+        }
+    }
 
     #[test]
     fn per_point_cost_sums_to_total(d in dataset_strategy(), seed in any::<u64>()) {

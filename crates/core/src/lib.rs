@@ -14,8 +14,10 @@
 //!   (Algorithms 2–3, only where the quadtree truncates) → quadtree
 //!   `Fast-kmeans++` → sensitivity sampling, in `Õ(nd)` total.
 //! - [`distortion`](crate::distortion()): the coreset distortion metric of
-//!   \[57\] used throughout the evaluation: solve on the coreset, price on
-//!   both sets, report the worst ratio.
+//!   \[57\]: solve on the coreset, price on both sets, report the worse
+//!   ratio — and [`judge`], the one evaluation every accuracy number goes
+//!   through: the median and worst of five such solves, and the worst
+//!   ratio once a full-data seeding and random centres are priced too.
 //! - [`compressor`]: the object-safe [`compressor::Compressor`] trait tying
 //!   all of the above into one API.
 //! - [`streaming`]: merge-&-reduce, BICO, StreamKM++, and MapReduce
@@ -35,7 +37,6 @@ pub use fc_geom::par;
 pub mod coreset;
 pub mod distortion;
 pub mod error;
-pub mod evaluation;
 pub mod fast_coreset;
 pub mod json;
 pub mod methods;
@@ -47,9 +48,8 @@ pub mod streaming;
 
 pub use compressor::{CompressionParams, Compressor};
 pub use coreset::Coreset;
-pub use distortion::{distortion, solve_on_coreset, DistortionReport};
+pub use distortion::{distortion, judge, DistortionReport, Verdict};
 pub use error::FcError;
-pub use evaluation::{battery_distortion, BatteryReport};
 pub use fast_coreset::FastCoreset;
 pub use methods::{Lightweight, StandardSensitivity, Uniform, Welterweight};
 pub use plan::{Method, Plan, PlanBuilder, PlanOutcome, StreamSession, ALL_METHODS};

@@ -577,13 +577,7 @@ impl Plan {
 
         let cost_on_data = solution.cost_on(data, self.params.kind);
         let cost_core = coreset.cost(&solution.centers, self.params.kind);
-        let distortion = if cost_on_data > 0.0 && cost_core > 0.0 {
-            (cost_on_data / cost_core).max(cost_core / cost_on_data)
-        } else if cost_on_data <= 0.0 && cost_core <= 0.0 {
-            1.0
-        } else {
-            f64::INFINITY
-        };
+        let distortion = crate::distortion::ratio(cost_on_data, cost_core);
 
         Ok(PlanOutcome {
             coreset,

@@ -8,7 +8,6 @@
 //! ```
 
 use fast_coresets::prelude::*;
-use fc_clustering::lloyd::LloydConfig;
 use fc_core::streaming::mapreduce_coreset;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,20 +40,13 @@ fn main() {
         let start = std::time::Instant::now();
         let report = mapreduce_coreset(&mut rng, &data, &*fast, &params, workers);
         let elapsed = start.elapsed();
-        let dist = fc_core::distortion(
-            &mut rng,
-            &data,
-            &report.coreset,
-            k,
-            CostKind::KMeans,
-            LloydConfig::fixed(12),
-        );
+        let verdict = fc_core::judge(&mut rng, &data, &report.coreset, k, CostKind::KMeans);
         println!(
             "workers = {workers}: wall {elapsed:>8.2?}, communicated {:>6} points, \
              final size {:>5}, distortion {:.3}",
             report.communicated_points,
             report.coreset.len(),
-            dist.distortion,
+            verdict.median,
         );
     }
 

@@ -114,20 +114,13 @@ fn main() {
         let start = std::time::Instant::now();
         let coreset = FastCoreset.compress(&mut run_rng, data, &cparams);
         let elapsed = start.elapsed();
-        let rep = fc_core::distortion(
-            &mut run_rng,
-            data,
-            &coreset,
-            k,
-            kind,
-            fc_clustering::lloyd::LloydConfig::fixed(12),
-        );
+        let verdict = fc_core::judge(&mut run_rng, data, &coreset, k, kind);
         println!(
             "{name:<26} {truncated:>9} {:>8} {:>9} {:>6} {elapsed:>9.2?} {:>10.3}",
             if truncated { "ran" } else { "skipped" },
             distinct(raw),
             distinct(labels),
-            rep.distortion
+            verdict.median
         );
     }
 

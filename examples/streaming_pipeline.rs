@@ -8,7 +8,6 @@
 //! ```
 
 use fast_coresets::prelude::*;
-use fc_clustering::lloyd::LloydConfig;
 use fc_core::streaming::bico::{BicoConfig, BicoStream};
 use fc_core::streaming::stream::run_stream;
 use rand::rngs::StdRng;
@@ -90,18 +89,11 @@ fn main() {
         ("BICO", &bico_c, bico_time),
         ("StreamKM++", &skm_c, skm_time),
     ] {
-        let rep = fc_core::distortion(
-            &mut rng,
-            &data,
-            coreset,
-            k,
-            CostKind::KMeans,
-            LloydConfig::fixed(12),
-        );
+        let verdict = fc_core::judge(&mut rng, &data, coreset, k, CostKind::KMeans);
         println!(
             "{name:<28} {:>8} {t:>12.2?} {:>10.3}",
             coreset.len(),
-            rep.distortion
+            verdict.median
         );
     }
 

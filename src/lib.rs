@@ -74,7 +74,7 @@
 //! | [`fc_geom`] | point stores, weighted datasets, distances, JL projections, weighted sampling |
 //! | [`fc_clustering`] | k-means++ seeding, bound-pruned Lloyd/Weiszfeld refinement and local search behind the [`Solver`](prelude::Solver) dispatch |
 //! | [`fc_quadtree`] | compressed quadtrees, Fast-kmeans++, Crude-Approx, Reduce-Spread |
-//! | [`fc_core`] | the [`Plan`](prelude::Plan) API and its JSON wire form, Fast-Coresets (Algorithm 1), the sampler spectrum, streaming composition ([`fc_core::streaming`]: merge-&-reduce, BICO, StreamKM++, MapReduce), distortion metric, [`FcError`](prelude::FcError), the dependency-free [`fc_core::json`] codec |
+//! | [`fc_core`] | the [`Plan`](prelude::Plan) API and its JSON wire form, Fast-Coresets (Algorithm 1), the sampler spectrum, streaming composition ([`fc_core::streaming`]: merge-&-reduce, BICO, StreamKM++, MapReduce), the distortion metric and its judge, [`FcError`](prelude::FcError), the dependency-free [`fc_core::json`] codec |
 //! | [`fc_data`] | the paper's artificial datasets and real-world proxies |
 //! | [`fc_service`] | the sharded coreset-serving engine (one effective `Plan` per dataset), its TCP/JSON-lines protocol, server, and client (`fc-server` binary) |
 //! | [`fc_cluster`] | the multi-node coordinator: shards datasets across remote `fc-server` nodes, unions per-node coresets, serves the same protocol (`fc-coordinator` binary) |

@@ -1,10 +1,9 @@
-//! Strong-coreset verification with the solution battery: prices many
-//! independent candidate solutions on data and compression, so a method
-//! can't pass by being lucky on the one solution the distortion metric
-//! inspects.
+//! Strong-coreset verification with the judge's battery: besides its
+//! solves on the coreset, the judge prices a full-data seeding and random
+//! centres, so a method can't pass by being lucky on the solutions the
+//! coreset itself produces.
 
 use fast_coresets::prelude::*;
-use fc_core::battery_distortion;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -30,13 +29,8 @@ fn fast_coreset_passes_the_battery_on_balanced_and_imbalanced_data() {
         let params = CompressionParams::with_scalar(k, 40, CostKind::KMeans).unwrap();
         let mut rng = StdRng::seed_from_u64(seed + 100);
         let coreset = FastCoreset.compress(&mut rng, &data, &params);
-        let report = battery_distortion(&mut rng, &data, &coreset, k, CostKind::KMeans, 3);
-        assert!(
-            report.max_ratio < 1.6,
-            "gamma={gamma}: battery max {} mean {}",
-            report.max_ratio,
-            report.mean_ratio
-        );
+        let verdict = fc_core::judge(&mut rng, &data, &coreset, k, CostKind::KMeans);
+        assert!(verdict.battery_max < 1.6, "gamma={gamma}: {verdict:?}");
     }
 }
 
@@ -55,12 +49,12 @@ fn sensitivity_passes_where_uniform_fails_under_the_battery() {
     for seed in 0..6u64 {
         let mut rng = StdRng::seed_from_u64(630 + seed);
         let uniform = Uniform.compress(&mut rng, &data, &params);
-        let u = battery_distortion(&mut rng, &data, &uniform, k, CostKind::KMeans, 2);
-        uniform_worst = uniform_worst.max(u.max_ratio);
+        let u = fc_core::judge(&mut rng, &data, &uniform, k, CostKind::KMeans);
+        uniform_worst = uniform_worst.max(u.battery_max);
 
         let sens = StandardSensitivity.compress(&mut rng, &data, &params);
-        let s = battery_distortion(&mut rng, &data, &sens, k, CostKind::KMeans, 2);
-        sensitivity_worst = sensitivity_worst.max(s.max_ratio);
+        let s = fc_core::judge(&mut rng, &data, &sens, k, CostKind::KMeans);
+        sensitivity_worst = sensitivity_worst.max(s.battery_max);
     }
     assert!(
         uniform_worst > 10.0,
@@ -79,19 +73,14 @@ fn battery_and_single_metric_agree_on_verdicts() {
     let params = CompressionParams::with_scalar(k, 40, CostKind::KMeans).unwrap();
     let mut rng = StdRng::seed_from_u64(65);
     let coreset = FastCoreset.compress(&mut rng, &data, &params);
-    let single = fc_core::distortion(
-        &mut rng,
-        &data,
-        &coreset,
-        k,
-        CostKind::KMeans,
-        fc_clustering::lloyd::LloydConfig::fixed(12),
+    let verdict = fc_core::judge(&mut rng, &data, &coreset, k, CostKind::KMeans);
+    // The battery's worst case dominates the solves' median, but for a
+    // strong coreset both sit near 1.
+    assert!(verdict.battery_max + 1e-9 >= verdict.median * 0.9);
+    assert!(
+        verdict.median < 1.5 && verdict.battery_max < 1.6,
+        "{verdict:?}"
     );
-    let battery = battery_distortion(&mut rng, &data, &coreset, k, CostKind::KMeans, 3);
-    // The battery's worst case dominates the single check, but for a strong
-    // coreset both sit near 1.
-    assert!(battery.max_ratio + 1e-9 >= single.distortion * 0.9);
-    assert!(single.distortion < 1.5 && battery.max_ratio < 1.6);
 }
 
 #[test]
@@ -101,10 +90,6 @@ fn kmedian_battery_holds_too() {
     let params = CompressionParams::with_scalar(k, 40, CostKind::KMedian).unwrap();
     let mut rng = StdRng::seed_from_u64(67);
     let coreset = FastCoreset.compress(&mut rng, &data, &params);
-    let report = battery_distortion(&mut rng, &data, &coreset, k, CostKind::KMedian, 2);
-    assert!(
-        report.max_ratio < 1.6,
-        "k-median battery max {}",
-        report.max_ratio
-    );
+    let verdict = fc_core::judge(&mut rng, &data, &coreset, k, CostKind::KMedian);
+    assert!(verdict.battery_max < 1.6, "k-median: {verdict:?}");
 }

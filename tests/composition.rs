@@ -3,7 +3,6 @@
 //! under fixed seeds.
 
 use fast_coresets::prelude::*;
-use fc_clustering::lloyd::LloydConfig;
 use fc_core::methods::JCount;
 use fc_core::streaming::mapreduce_coreset;
 use rand::rngs::StdRng;
@@ -54,26 +53,10 @@ fn mapreduce_matches_single_shot_quality() {
 
     let mut rng = StdRng::seed_from_u64(45);
     let single = method.compress(&mut rng, &data, &params);
-    let single_d = fc_core::distortion(
-        &mut rng,
-        &data,
-        &single,
-        k,
-        CostKind::KMeans,
-        LloydConfig::fixed(12),
-    )
-    .distortion;
+    let single_d = fc_core::judge(&mut rng, &data, &single, k, CostKind::KMeans).median;
 
     let report = mapreduce_coreset(&mut rng, &data, &method, &params, 4);
-    let agg_d = fc_core::distortion(
-        &mut rng,
-        &data,
-        &report.coreset,
-        k,
-        CostKind::KMeans,
-        LloydConfig::fixed(12),
-    )
-    .distortion;
+    let agg_d = fc_core::judge(&mut rng, &data, &report.coreset, k, CostKind::KMeans).median;
 
     assert!(agg_d < 2.0, "aggregated distortion {agg_d}");
     assert!(
@@ -131,14 +114,6 @@ fn recompressing_a_coreset_stays_accurate() {
             kind: CostKind::KMeans,
         },
     );
-    let d = fc_core::distortion(
-        &mut rng,
-        &data,
-        &small,
-        k,
-        CostKind::KMeans,
-        LloydConfig::fixed(12),
-    )
-    .distortion;
+    let d = fc_core::judge(&mut rng, &data, &small, k, CostKind::KMeans).median;
     assert!(d < 2.0, "double-compressed distortion {d}");
 }

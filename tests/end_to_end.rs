@@ -3,32 +3,9 @@
 //! expect (statistical, fixed seeds).
 
 use fast_coresets::prelude::*;
-use fc_clustering::lloyd::LloydConfig;
 use fc_core::methods::JCount;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-fn distortion_of(method: &dyn Compressor, data: &Dataset, k: usize, seed: u64) -> f64 {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let params = CompressionParams::with_scalar(k, 40, CostKind::KMeans).unwrap();
-    let coreset = method.compress(&mut rng, data, &params);
-    fc_core::distortion(
-        &mut rng,
-        data,
-        &coreset,
-        k,
-        CostKind::KMeans,
-        LloydConfig::fixed(12),
-    )
-    .distortion
-}
-
-fn median_distortion(method: &dyn Compressor, data: &Dataset, k: usize) -> f64 {
-    let runs: Vec<f64> = (0..3)
-        .map(|s| distortion_of(method, data, k, 100 + s))
-        .collect();
-    fc_geom::stats::median(&runs)
-}
 
 #[test]
 fn fast_coreset_is_accurate_on_every_artificial_dataset() {
@@ -55,9 +32,16 @@ fn fast_coreset_is_accurate_on_every_artificial_dataset() {
         ),
         ("benchmark", fc_data::benchmark(&mut rng, k, 100, 50.0)),
     ];
-    let fast = FastCoreset;
+    let params = CompressionParams::with_scalar(k, 40, CostKind::KMeans).unwrap();
     for (name, data) in &datasets {
-        let d = median_distortion(&fast, data, k);
+        let runs: Vec<f64> = (0..3)
+            .map(|s| {
+                let mut rng = StdRng::seed_from_u64(100 + s);
+                let coreset = FastCoreset.compress(&mut rng, data, &params);
+                fc_core::judge(&mut rng, data, &coreset, k, CostKind::KMeans).median
+            })
+            .collect();
+        let d = fc_geom::stats::median(&runs);
         assert!(d < 2.0, "fast-coreset distortion {d} on {name}");
     }
 }
@@ -66,8 +50,13 @@ fn fast_coreset_is_accurate_on_every_artificial_dataset() {
 fn uniform_fails_catastrophically_on_c_outlier() {
     let mut rng = StdRng::seed_from_u64(2);
     let data = fc_data::c_outlier(&mut rng, 10_000, 20, 8, 1e5);
+    let params = CompressionParams::with_scalar(10, 40, CostKind::KMeans).unwrap();
     let worst = (0..4)
-        .map(|s| distortion_of(&Uniform, &data, 10, 200 + s))
+        .map(|s| {
+            let mut rng = StdRng::seed_from_u64(200 + s);
+            let coreset = Uniform.compress(&mut rng, &data, &params);
+            fc_core::judge(&mut rng, &data, &coreset, 10, CostKind::KMeans).median
+        })
         .fold(1.0f64, f64::max);
     assert!(
         worst > 10.0,
@@ -79,10 +68,22 @@ fn uniform_fails_catastrophically_on_c_outlier() {
 fn sensitivity_and_welterweight_survive_c_outlier() {
     let mut rng = StdRng::seed_from_u64(3);
     let data = fc_data::c_outlier(&mut rng, 10_000, 20, 8, 1e5);
-    let sens = median_distortion(&StandardSensitivity, &data, 10);
-    assert!(sens < 2.0, "sensitivity distortion {sens}");
-    let welter = median_distortion(&Welterweight::new(JCount::LogK), &data, 10);
-    assert!(welter < 3.0, "welterweight distortion {welter}");
+    let params = CompressionParams::with_scalar(10, 40, CostKind::KMeans).unwrap();
+    let welterweight = Welterweight::new(JCount::LogK);
+    for (name, method, bound) in [
+        ("sensitivity", &StandardSensitivity as &dyn Compressor, 2.0),
+        ("welterweight", &welterweight, 3.0),
+    ] {
+        let runs: Vec<f64> = (0..3)
+            .map(|s| {
+                let mut rng = StdRng::seed_from_u64(100 + s);
+                let coreset = method.compress(&mut rng, &data, &params);
+                fc_core::judge(&mut rng, &data, &coreset, 10, CostKind::KMeans).median
+            })
+            .collect();
+        let d = fc_geom::stats::median(&runs);
+        assert!(d < bound, "{name} distortion {d}");
+    }
 }
 
 #[test]
@@ -91,13 +92,21 @@ fn every_method_is_fine_on_the_benchmark_instance() {
     let mut rng = StdRng::seed_from_u64(4);
     let k = 16;
     let data = fc_data::benchmark(&mut rng, k, 150, 50.0);
+    let params = CompressionParams::with_scalar(k, 40, CostKind::KMeans).unwrap();
     for method in [
         Method::Uniform,
         Method::Lightweight,
         Method::Welterweight(JCount::LogK),
         Method::FastCoreset,
     ] {
-        let d = median_distortion(method.build().as_ref(), &data, k);
+        let runs: Vec<f64> = (0..3)
+            .map(|s| {
+                let mut rng = StdRng::seed_from_u64(100 + s);
+                let coreset = method.build().compress(&mut rng, &data, &params);
+                fc_core::judge(&mut rng, &data, &coreset, k, CostKind::KMeans).median
+            })
+            .collect();
+        let d = fc_geom::stats::median(&runs);
         assert!(d < 2.0, "{method} distortion {d} on benchmark");
     }
 }
@@ -163,15 +172,7 @@ fn larger_m_improves_worst_case_distortion() {
                 let mut rng = StdRng::seed_from_u64(600 + s);
                 let params = CompressionParams::with_scalar(k, m_scalar, CostKind::KMeans).unwrap();
                 let c = FastCoreset.compress(&mut rng, &data, &params);
-                fc_core::distortion(
-                    &mut rng,
-                    &data,
-                    &c,
-                    k,
-                    CostKind::KMeans,
-                    LloydConfig::fixed(12),
-                )
-                .distortion
+                fc_core::judge(&mut rng, &data, &c, k, CostKind::KMeans).median
             })
             .fold(1.0f64, f64::max)
     };

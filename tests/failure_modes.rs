@@ -3,7 +3,6 @@
 //! everything.
 
 use fast_coresets::prelude::*;
-use fc_clustering::lloyd::LloydConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_distr_free::figure3_instance;
@@ -33,31 +32,25 @@ mod rand_distr_free {
     }
 }
 
-fn distortion_of(method: &dyn Compressor, data: &Dataset, k: usize, seed: u64) -> f64 {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let params = CompressionParams::with_scalar(k, 20, CostKind::KMeans).unwrap();
-    let coreset = method.compress(&mut rng, data, &params);
-    fc_core::distortion(
-        &mut rng,
-        data,
-        &coreset,
-        k,
-        CostKind::KMeans,
-        LloydConfig::fixed(12),
-    )
-    .distortion
-}
-
 #[test]
 fn uniform_breaks_on_the_taxi_proxy() {
     let mut rng = StdRng::seed_from_u64(11);
     let data = fc_data::realworld::taxi_like(&mut rng, 40_000);
     let k = 20;
+    let params = CompressionParams::with_scalar(k, 20, CostKind::KMeans).unwrap();
     let uniform_worst = (0..4)
-        .map(|s| distortion_of(&Uniform, &data, k, 300 + s))
+        .map(|s| {
+            let mut rng = StdRng::seed_from_u64(300 + s);
+            let coreset = Uniform.compress(&mut rng, &data, &params);
+            fc_core::judge(&mut rng, &data, &coreset, k, CostKind::KMeans).median
+        })
         .fold(1.0f64, f64::max);
     let fast_worst = (0..4)
-        .map(|s| distortion_of(&FastCoreset, &data, k, 300 + s))
+        .map(|s| {
+            let mut rng = StdRng::seed_from_u64(300 + s);
+            let coreset = FastCoreset.compress(&mut rng, &data, &params);
+            fc_core::judge(&mut rng, &data, &coreset, k, CostKind::KMeans).median
+        })
         .fold(1.0f64, f64::max);
     assert!(
         uniform_worst > 5.0,
@@ -78,12 +71,21 @@ fn uniform_degrades_on_the_star_proxy() {
     let mut rng = StdRng::seed_from_u64(12);
     let data = fc_data::realworld::star_like(&mut rng, 40_000);
     let k = 10;
+    let params = CompressionParams::with_scalar(k, 20, CostKind::KMeans).unwrap();
     let uniform_worst = (0..4)
-        .map(|s| distortion_of(&Uniform, &data, k, 400 + s))
+        .map(|s| {
+            let mut rng = StdRng::seed_from_u64(400 + s);
+            let coreset = Uniform.compress(&mut rng, &data, &params);
+            fc_core::judge(&mut rng, &data, &coreset, k, CostKind::KMeans).median
+        })
         .fold(1.0f64, f64::max);
     let fast_median = {
         let runs: Vec<f64> = (0..3)
-            .map(|s| distortion_of(&FastCoreset, &data, k, 400 + s))
+            .map(|s| {
+                let mut rng = StdRng::seed_from_u64(400 + s);
+                let coreset = FastCoreset.compress(&mut rng, &data, &params);
+                fc_core::judge(&mut rng, &data, &coreset, k, CostKind::KMeans).median
+            })
             .collect();
         fc_geom::stats::median(&runs)
     };
@@ -138,9 +140,14 @@ fn benign_real_proxies_are_fine_for_everyone() {
     let mut rng = StdRng::seed_from_u64(14);
     let adult = fc_data::realworld::adult_like(&mut rng, 10_000, 14);
     let k = 20;
+    let params = CompressionParams::with_scalar(k, 20, CostKind::KMeans).unwrap();
     for method in [Method::Uniform, Method::Lightweight, Method::FastCoreset] {
         let runs: Vec<f64> = (0..3)
-            .map(|s| distortion_of(method.build().as_ref(), &adult, k, 600 + s))
+            .map(|s| {
+                let mut rng = StdRng::seed_from_u64(600 + s);
+                let coreset = method.build().compress(&mut rng, &adult, &params);
+                fc_core::judge(&mut rng, &adult, &coreset, k, CostKind::KMeans).median
+            })
             .collect();
         let med = fc_geom::stats::median(&runs);
         assert!(med < 2.0, "{method} distortion {med} on adult proxy");

@@ -6,21 +6,6 @@ use fc_clustering::lloyd::LloydConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn distortion_kmedian(method: &dyn Compressor, data: &Dataset, k: usize, seed: u64) -> f64 {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let params = CompressionParams::with_scalar(k, 40, CostKind::KMedian).unwrap();
-    let coreset = method.compress(&mut rng, data, &params);
-    fc_core::distortion(
-        &mut rng,
-        data,
-        &coreset,
-        k,
-        CostKind::KMedian,
-        LloydConfig::fixed(12),
-    )
-    .distortion
-}
-
 #[test]
 fn fast_coreset_kmedian_is_accurate() {
     let mut rng = StdRng::seed_from_u64(31);
@@ -34,8 +19,13 @@ fn fast_coreset_kmedian_is_accurate() {
             ..Default::default()
         },
     );
+    let params = CompressionParams::with_scalar(10, 40, CostKind::KMedian).unwrap();
     let runs: Vec<f64> = (0..3)
-        .map(|s| distortion_kmedian(&FastCoreset, &data, 10, 800 + s))
+        .map(|s| {
+            let mut rng = StdRng::seed_from_u64(800 + s);
+            let coreset = FastCoreset.compress(&mut rng, &data, &params);
+            fc_core::judge(&mut rng, &data, &coreset, 10, CostKind::KMedian).median
+        })
         .collect();
     let med = fc_geom::stats::median(&runs);
     assert!(med < 2.0, "k-median fast-coreset distortion {med}");
@@ -45,11 +35,20 @@ fn fast_coreset_kmedian_is_accurate() {
 fn uniform_still_fails_on_outliers_under_kmedian() {
     let mut rng = StdRng::seed_from_u64(32);
     let data = fc_data::c_outlier(&mut rng, 10_000, 15, 8, 1e5);
+    let params = CompressionParams::with_scalar(8, 40, CostKind::KMedian).unwrap();
     let uniform_worst = (0..4)
-        .map(|s| distortion_kmedian(&Uniform, &data, 8, 900 + s))
+        .map(|s| {
+            let mut rng = StdRng::seed_from_u64(900 + s);
+            let coreset = Uniform.compress(&mut rng, &data, &params);
+            fc_core::judge(&mut rng, &data, &coreset, 8, CostKind::KMedian).median
+        })
         .fold(1.0f64, f64::max);
     let fast: Vec<f64> = (0..3)
-        .map(|s| distortion_kmedian(&FastCoreset, &data, 8, 900 + s))
+        .map(|s| {
+            let mut rng = StdRng::seed_from_u64(900 + s);
+            let coreset = FastCoreset.compress(&mut rng, &data, &params);
+            fc_core::judge(&mut rng, &data, &coreset, 8, CostKind::KMedian).median
+        })
         .collect();
     let fast_med = fc_geom::stats::median(&fast);
     // k-median dampens outlier cost (z = 1), so the uniform failure is less

@@ -108,18 +108,11 @@ fn concurrent_clients_ingest_and_query_within_distortion_bound() {
     let (coreset, seed, _) = client.compress("blobs", None, Some(7)).unwrap();
     assert_eq!(seed, 7);
     let mut rng = StdRng::seed_from_u64(99);
-    let report = fc_core::distortion(
-        &mut rng,
-        &full,
-        &coreset,
-        4,
-        CostKind::KMeans,
-        LloydConfig::fixed(12),
-    );
+    let verdict = fc_core::judge(&mut rng, &full, &coreset, 4, CostKind::KMeans);
     assert!(
-        report.distortion <= bound,
+        verdict.median <= bound,
         "served distortion {} exceeds configured bound {bound}",
-        report.distortion
+        verdict.median
     );
 
     // Served clustering is also within the bound when priced on full data.
