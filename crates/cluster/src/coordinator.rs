@@ -739,11 +739,10 @@ impl Backend for Coordinator {
         name: &str,
         k: Option<usize>,
         kind: Option<CostKind>,
-        solver: Option<Solver>,
+        _solver: Option<Solver>,
         seed: Option<u64>,
     ) -> Result<ClusterOutcome, EngineError> {
-        self.query
-            .cluster(&Fleet(self), name, k, kind, solver, seed)
+        self.query.cluster(&Fleet(self), name, k, kind, seed)
     }
 
     /// Prices the centers node-side: only scalars cross the network.
@@ -1422,7 +1421,7 @@ mod tests {
         let plan = PlanBuilder::new(2)
             .m_scalar(10)
             .method(Method::Lightweight)
-            .solver(Solver::LocalSearch)
+            .kind(CostKind::KMedian)
             .build()
             .unwrap();
         // Only the creating ingest carries the plan; the later plan-less
@@ -1447,7 +1446,7 @@ mod tests {
             .cluster("planned", None, None, None, Some(3))
             .unwrap();
         assert_eq!(outcome.solution.k(), 2);
-        assert_eq!(outcome.solver, Solver::LocalSearch);
+        assert_eq!(outcome.kind, CostKind::KMedian);
         // A conflicting plan is rejected without touching the nodes.
         let other = PlanBuilder::new(3).m_scalar(10).build().unwrap();
         match coordinator.ingest("planned", &blobs(10), Some(&other)) {

@@ -518,11 +518,6 @@ impl Seeds {
         (seeds, totals.into_iter().sum())
     }
 
-    /// Point–center distances measured so far.
-    pub(crate) fn distance_evals(&self) -> u64 {
-        self.distance_evals
-    }
-
     /// Bounds per point: 0 when no table is kept.
     fn width(&self) -> usize {
         if self.bounds.is_empty() {
@@ -766,13 +761,10 @@ mod tests {
                 assert_eq!(bare.labels, seeds.labels, "dim {dim}");
                 assert_eq!(bits(&bare.scores), bits(&seeds.scores), "dim {dim}");
                 assert_eq!(bare_total.to_bits(), seeds_total.to_bits(), "dim {dim}");
-                assert_eq!(bare.distance_evals(), seeds.distance_evals());
+                assert_eq!(bare.distance_evals, seeds.distance_evals);
                 assert!(bare.bounds.is_empty());
                 let n = p.len() as u64;
-                assert!(
-                    seeds.distance_evals() < 12 * n,
-                    "dim {dim}: nothing skipped"
-                );
+                assert!(seeds.distance_evals < 12 * n, "dim {dim}: nothing skipped");
                 // Every bound is at most the distance to every center of
                 // its group other than the label.
                 let width = seeds.bounds.len() / p.len();

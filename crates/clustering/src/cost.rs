@@ -57,21 +57,6 @@ pub fn per_point_cost(data: &Dataset, centers: &Points, kind: CostKind) -> Vec<f
     out
 }
 
-/// Cost of the 1-center solution `{c}` — `Σ w_p dist(p, c)^z` — used by
-/// lightweight coresets (sensitivities w.r.t. the dataset mean).
-pub fn one_center_cost(data: &Dataset, center: &[f64], kind: CostKind) -> f64 {
-    let dim = data.dim();
-    let pflat = data.points().as_flat();
-    let weights = data.weights();
-    par::sum_chunks(data.points().len(), |r| {
-        pflat[r.start * dim..r.end * dim]
-            .chunks_exact(dim)
-            .zip(&weights[r])
-            .map(|(p, &w)| w * kind.from_sq(fc_geom::distance::sq_dist(p, center)))
-            .sum()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,14 +99,5 @@ mod tests {
         let per = per_point_cost(&d, &c, CostKind::KMeans);
         let total: f64 = per.iter().sum();
         assert!((total - cost(&d, &c, CostKind::KMeans)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn one_center_cost_matches_cost() {
-        let d = data();
-        let c = Points::from_flat(vec![0.5, 0.5], 2).unwrap();
-        let a = one_center_cost(&d, c.row(0), CostKind::KMeans);
-        let b = cost(&d, &c, CostKind::KMeans);
-        assert!((a - b).abs() < 1e-12);
     }
 }

@@ -16,17 +16,14 @@
 //!   used for the downstream-task experiments and the distortion metric's
 //!   candidate solutions.
 //! - [`kmedian`]: the weighted geometric median (Weiszfeld's algorithm).
-//! - [`local_search`](mod@local_search): single-swap local search, an extension baseline.
-//! - [`solver`]: the [`solver::Solver`] enum dispatching every refinement
-//!   strategy by canonical name — the solve-side mirror of the compressor
-//!   spectrum.
+//! - [`solver`]: [`solver::Solver`], the solve step's name on plans and
+//!   on the wire (one value, `lloyd`), and its checked entry point.
 
 pub mod assign;
 pub mod cost;
 pub mod kmeanspp;
 pub mod kmedian;
 pub mod lloyd;
-pub mod local_search;
 pub mod solution;
 pub mod solver;
 
@@ -35,6 +32,5 @@ pub use cost::{cost, per_point_cost};
 pub use fc_geom::distance::CostKind;
 pub use kmeanspp::kmeanspp;
 pub use lloyd::{refine, LloydConfig};
-pub use local_search::{local_search, LocalSearchConfig};
 pub use solution::Solution;
-pub use solver::{SolveConfig, Solver, SolverError, ALL_SOLVERS};
+pub use solver::{SolveConfig, Solver, SolverError};

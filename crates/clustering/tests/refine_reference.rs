@@ -388,10 +388,7 @@ fn check_solve(case: &Case, heavy: bool) -> Result<(), TestCaseError> {
     // distinct points before `min(k, n)` centres and the first round scans.
     let first_scan = if k < case.k.min(n) { n * k } else { 0 };
     let scan = (n * k * (want.rounds + 1) + first_scan) as u64;
-    let cfg = SolveConfig {
-        lloyd: case.cfg,
-        ..SolveConfig::default()
-    };
+    let cfg = SolveConfig { lloyd: case.cfg };
     for threads in [1usize, 8] {
         for through_solver in [false, true] {
             let (got, next) = par::with_threads(threads, || {

@@ -22,9 +22,9 @@
 //!   all of the above into one API.
 //! - [`streaming`]: merge-&-reduce, BICO, StreamKM++, and MapReduce
 //!   aggregation.
-//! - [`plan`]: the unified, fallible, solver-aware [`plan::Plan`] API — one
-//!   [`plan::Method`] enum over the whole batch + streaming spectrum, one
-//!   [`fc_clustering::Solver`] knob for refinement, [`error::FcError`]
+//! - [`plan`]: the unified, fallible [`plan::Plan`] API — one
+//!   [`plan::Method`] enum over the whole batch + streaming spectrum,
+//!   solved by k-means++ and Lloyd, [`error::FcError`]
 //!   instead of panics on invalid parameters, and a stable JSON wire form
 //!   ([`plan::Plan::to_json`] / [`plan::Plan::from_json`]) speaking the
 //!   same [`json`] codec as the `fc-service` protocol.

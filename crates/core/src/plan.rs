@@ -1,25 +1,25 @@
-//! The unified, fallible, solver-aware `Plan` API.
+//! The unified, fallible `Plan` API.
 //!
 //! The paper's central claim is a *spectrum* of compressors whose
 //! settling-time/accuracy tradeoff should be swappable with one knob.
 //! [`Method`] is that knob — it names every compressor in the workspace,
-//! batch *and* streaming — and [`Solver`] is its refinement-side mirror.
-//! A [`Plan`] binds both to validated parameters, so one configuration
+//! batch *and* streaming. A [`Plan`] binds it to validated parameters and
+//! solves with k-means++ and Lloyd ([`Solver::Lloyd`]), so one configuration
 //! drives the batch path ([`Plan::run`]), the streaming path
 //! ([`Plan::stream`]), and the serving protocol of `fc-service` — which
 //! ships whole plans over the wire in the stable JSON form of
 //! [`Plan::to_json`] / [`Plan::from_json`], so a per-dataset plan written
 //! in Rust is byte-for-byte the object an `ingest` request carries.
 //!
-//! Every method pairs with every solver under either objective, so a plan
-//! is valid whenever its sizes are. Retired names still parse as what they
-//! always ran (`hst-coreset` as `fast-coreset`, `merge-reduce(x)` as `x`;
-//! `hamerly` and `kmedian-weiszfeld` as `lloyd`), so plans persisted by
-//! older builds keep loading; `Display` prints only canonical names.
+//! Every method runs under either objective, so a plan is valid whenever
+//! its sizes are. Retired names still parse (`hst-coreset` as
+//! `fast-coreset`, `merge-reduce(x)` as `x`; `hamerly`, `kmedian-weiszfeld`
+//! and `local-search` as `lloyd`), so plans persisted by older builds keep
+//! loading; `Display` prints only canonical names.
 //!
 //! ```
 //! use fc_core::plan::{Method, PlanBuilder};
-//! use fc_clustering::{CostKind, Solver};
+//! use fc_clustering::CostKind;
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
@@ -28,7 +28,6 @@
 //!     .kind(CostKind::KMeans)
 //!     .m_scalar(20)
 //!     .method(Method::FastCoreset)
-//!     .solver(Solver::Lloyd)
 //!     .build()
 //!     .unwrap();
 //! let outcome = plan.run(&mut rng, &data).unwrap();
@@ -281,7 +280,6 @@ pub struct PlanBuilder {
     m: Option<usize>,
     kind: CostKind,
     method: Method,
-    solver: Solver,
     budget: Option<usize>,
 }
 
@@ -294,7 +292,6 @@ impl PlanBuilder {
             m: None,
             kind: CostKind::KMeans,
             method: Method::FastCoreset,
-            solver: Solver::Lloyd,
             budget: None,
         }
     }
@@ -321,12 +318,6 @@ impl PlanBuilder {
     /// Selects the compression method.
     pub fn method(mut self, method: Method) -> Self {
         self.method = method;
-        self
-    }
-
-    /// Selects the refinement solver.
-    pub fn solver(mut self, solver: Solver) -> Self {
-        self.solver = solver;
         self
     }
 
@@ -367,7 +358,6 @@ impl PlanBuilder {
         Ok(Plan {
             params,
             method: self.method,
-            solver: self.solver,
             budget: self.budget,
         })
     }
@@ -381,7 +371,6 @@ impl PlanBuilder {
 pub struct Plan {
     params: CompressionParams,
     method: Method,
-    solver: Solver,
     budget: Option<usize>,
 }
 
@@ -424,9 +413,10 @@ impl Plan {
         self.method
     }
 
-    /// The refinement solver.
+    /// The solve step, which is always [`Solver::Lloyd`]; its name is the
+    /// wire form's `solver` field.
     pub fn solver(&self) -> Solver {
-        self.solver
+        Solver::Lloyd
     }
 
     /// The compression parameters this plan validated.
@@ -462,7 +452,7 @@ impl Plan {
             ("m".to_owned(), Value::from(self.params.m)),
             ("kind".to_owned(), Value::from(kind_name(self.params.kind))),
             ("method".to_owned(), Value::from(self.method.to_string())),
-            ("solver".to_owned(), Value::from(self.solver.to_string())),
+            ("solver".to_owned(), Value::from(Solver::Lloyd.to_string())),
         ];
         if let Some(budget) = self.budget {
             pairs.push(("budget".to_owned(), Value::from(budget)));
@@ -474,7 +464,8 @@ impl Plan {
     /// required; every other field defaults as in [`PlanBuilder::new`].
     /// The size may be given as `"m"` (absolute) or `"m_scalar"` (per-`k`,
     /// `"m"` wins when both are present); unknown fields are rejected so
-    /// typos fail loudly instead of silently running a default.
+    /// typos fail loudly instead of silently running a default. A `solver`
+    /// must name one [`Solver`] spelling; every spelling reads as `lloyd`.
     pub fn from_value(v: &Value) -> Result<Plan, FcError> {
         let invalid = |msg: String| FcError::InvalidParameter(format!("plan {msg}"));
         let obj = v
@@ -525,7 +516,7 @@ impl Plan {
             builder = builder.method(method.parse()?);
         }
         if let Some(solver) = string("solver")? {
-            builder = builder.solver(solver.parse::<Solver>().map_err(FcError::from)?);
+            solver.parse::<Solver>()?;
         }
         if let Some(budget) = int("budget")? {
             builder = builder.compaction_budget(budget);
@@ -553,10 +544,10 @@ impl Plan {
         Ok(self.method.build().compress(rng, data, &self.params))
     }
 
-    /// Solves on `data` (typically a finished coreset's dataset) with the
-    /// plan's solver at its default budgets, as a served `cluster` does.
+    /// Solves on `data` (typically a finished coreset's dataset) at the
+    /// default budgets, as a served `cluster` does.
     pub fn solve_on<R: Rng>(&self, rng: &mut R, data: &Dataset) -> Result<Solution, FcError> {
-        Ok(self.solver.solve(
+        Ok(Solver::Lloyd.solve(
             rng,
             data,
             self.params.k,
@@ -589,7 +580,7 @@ impl Plan {
         })
     }
 
-    /// Opens a streaming session: the same plan (method, sizes, solver)
+    /// Opens a streaming session: the same plan (method, sizes)
     /// consuming the data block-by-block through merge-&-reduce.
     ///
     /// Every method streams via the same Bentley–Saxe composition over its
@@ -675,8 +666,8 @@ impl StreamSession {
         Ok(self.stream.finalize(rng))
     }
 
-    /// Finishes the stream and solves on the final coreset with the plan's
-    /// solver — the streaming counterpart of [`Plan::run`].
+    /// Finishes the stream and solves on the final coreset as
+    /// [`Plan::solve_on`] does — the streaming counterpart of [`Plan::run`].
     pub fn finish_and_solve<R: Rng>(self, rng: &mut R) -> Result<(Coreset, Solution), FcError> {
         let plan = self.plan.clone();
         let coreset = self.finish(rng)?;
@@ -792,21 +783,18 @@ mod tests {
     }
 
     #[test]
-    fn every_solver_runs_under_both_objectives() {
+    fn runs_under_both_objectives() {
         let d = blobs();
-        for solver in fc_clustering::ALL_SOLVERS {
-            for kind in [CostKind::KMeans, CostKind::KMedian] {
-                let mut rng = StdRng::seed_from_u64(4);
-                let out = PlanBuilder::new(3)
-                    .kind(kind)
-                    .solver(solver)
-                    .m_scalar(20)
-                    .build()
-                    .unwrap()
-                    .run(&mut rng, &d)
-                    .unwrap();
-                assert_eq!(out.solution.k(), 3, "{solver} {kind:?}");
-            }
+        for kind in [CostKind::KMeans, CostKind::KMedian] {
+            let mut rng = StdRng::seed_from_u64(4);
+            let out = PlanBuilder::new(3)
+                .kind(kind)
+                .m_scalar(20)
+                .build()
+                .unwrap()
+                .run(&mut rng, &d)
+                .unwrap();
+            assert_eq!(out.solution.k(), 3, "{kind:?}");
         }
     }
 
@@ -946,14 +934,13 @@ mod tests {
             .kind(CostKind::KMedian)
             .m_scalar(20)
             .method(Method::Welterweight(JCount::Fixed(3)))
-            .solver(Solver::LocalSearch)
             .compaction_budget(500)
             .build()
             .unwrap();
         let line = plan.to_json();
         assert_eq!(
             line,
-            r#"{"budget":500,"k":5,"kind":"kmedian","m":100,"method":"welterweight(3)","solver":"local-search"}"#
+            r#"{"budget":500,"k":5,"kind":"kmedian","m":100,"method":"welterweight(3)","solver":"lloyd"}"#
         );
         assert_eq!(Plan::from_json(&line).unwrap(), plan);
         // Without an explicit budget the field is absent and still round-trips.
@@ -981,6 +968,7 @@ mod tests {
             (r#"{"k":4,"method":7}"#, "`method` must be a string"),
             (r#"{"k":4,"methid":"uniform"}"#, "unknown field `methid`"),
             (r#"{"k":4,"budget":0}"#, "compaction budget"),
+            (r#"{"k":4,"solver":"simplex"}"#, "unknown solver `simplex`"),
         ] {
             let err = Plan::from_json(text).expect_err(text);
             assert!(
@@ -989,14 +977,16 @@ mod tests {
             );
         }
         // Old spellings still read, as their canonical names.
-        let old = Plan::from_json(
-            r#"{"k":2,"kind":"kmedian","method":"merge-reduce(hst-coreset)","solver":"hamerly"}"#,
-        )
-        .unwrap();
-        assert_eq!(
-            old.to_json(),
-            r#"{"k":2,"kind":"kmedian","m":80,"method":"fast-coreset","solver":"lloyd"}"#
-        );
+        for solver in ["hamerly", "local-search"] {
+            let old = Plan::from_json(&format!(
+                r#"{{"k":2,"kind":"kmedian","method":"merge-reduce(hst-coreset)","solver":"{solver}"}}"#
+            ))
+            .unwrap();
+            assert_eq!(
+                old.to_json(),
+                r#"{"k":2,"kind":"kmedian","m":80,"method":"fast-coreset","solver":"lloyd"}"#
+            );
+        }
     }
 
     #[test]

@@ -42,15 +42,6 @@ impl CostKind {
             CostKind::KMeans => sq,
         }
     }
-
-    /// Raises a plain distance to the `z`-th power.
-    #[inline]
-    pub fn from_dist(self, d: f64) -> f64 {
-        match self {
-            CostKind::KMedian => d,
-            CostKind::KMeans => d * d,
-        }
-    }
 }
 
 /// Independent accumulator lanes in the variable-dimension kernels: wide
@@ -393,8 +384,6 @@ mod tests {
     fn cost_kind_conversions() {
         assert_eq!(CostKind::KMeans.from_sq(9.0), 9.0);
         assert_eq!(CostKind::KMedian.from_sq(9.0), 3.0);
-        assert_eq!(CostKind::KMeans.from_dist(3.0), 9.0);
-        assert_eq!(CostKind::KMedian.from_dist(3.0), 3.0);
         assert_eq!(CostKind::KMeans.z(), 2.0);
         assert_eq!(CostKind::KMedian.z(), 1.0);
     }

@@ -115,11 +115,6 @@ impl Points {
         &mut self.data
     }
 
-    /// Consumes the store, returning the flat buffer.
-    pub fn into_flat(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Iterate over rows in order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &[f64]> + '_ {
         self.data.chunks_exact(self.dim)

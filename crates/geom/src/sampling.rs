@@ -97,11 +97,6 @@ impl AliasTable {
             self.alias[i]
         }
     }
-
-    /// Draws `m` indices i.i.d. (with replacement).
-    pub fn sample_many<R: Rng + ?Sized>(&self, rng: &mut R, m: usize) -> Vec<usize> {
-        (0..m).map(|_| self.sample(rng)).collect()
-    }
 }
 
 /// Prefix sums over a weight vector, supporting O(log n) weighted draws from
@@ -222,20 +217,6 @@ impl PrefixSums {
             .rev()
             .find(|&&(a, b)| self.range_sum(a, b) > 0.0)
             .map(|&(a, b)| self.select_in_range(a, b, self.range_sum(a, b) * 0.5))
-    }
-}
-
-/// Draws `m` indices i.i.d. proportional to `weights` (with replacement),
-/// building an alias table internally. Returns an empty vector when no
-/// distribution exists (all-zero weights).
-pub fn sample_weighted_with_replacement<R: Rng + ?Sized>(
-    rng: &mut R,
-    weights: &[f64],
-    m: usize,
-) -> Vec<usize> {
-    match AliasTable::new(weights) {
-        Some(table) => table.sample_many(rng, m),
-        None => Vec::new(),
     }
 }
 
@@ -368,14 +349,5 @@ mod tests {
             let rel = (c as f64 - expected).abs() / expected;
             assert!(rel < 0.08, "category {i}: got {c}, expected {expected}");
         }
-    }
-
-    #[test]
-    fn weighted_with_replacement_helper() {
-        let mut r = rng();
-        let s = sample_weighted_with_replacement(&mut r, &[0.0, 1.0], 100);
-        assert_eq!(s.len(), 100);
-        assert!(s.iter().all(|&i| i == 1));
-        assert!(sample_weighted_with_replacement(&mut r, &[0.0], 5).is_empty());
     }
 }

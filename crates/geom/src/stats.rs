@@ -24,24 +24,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     variance(xs).sqrt()
 }
 
-/// Mean and variance in a single pass (Welford's algorithm).
-pub fn mean_variance(xs: &[f64]) -> (f64, f64) {
-    let mut count = 0.0;
-    let mut m = 0.0;
-    let mut m2 = 0.0;
-    for &x in xs {
-        count += 1.0;
-        let delta = x - m;
-        m += delta / count;
-        m2 += delta * (x - m);
-    }
-    if count < 2.0 {
-        (m, 0.0)
-    } else {
-        (m, m2 / count)
-    }
-}
-
 /// Weighted mean of values `xs` with weights `ws`.
 ///
 /// Panics if lengths differ; returns 0 for zero total weight.
@@ -83,14 +65,6 @@ mod tests {
         // Var([1,2,3]) = 2/3 (population).
         assert!((variance(&[1.0, 2.0, 3.0]) - 2.0 / 3.0).abs() < 1e-12);
         assert!((std_dev(&[1.0, 2.0, 3.0]) - (2.0f64 / 3.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn welford_matches_two_pass() {
-        let xs = [0.5, 1.5, -3.0, 7.25, 2.0, 2.0];
-        let (m, v) = mean_variance(&xs);
-        assert!((m - mean(&xs)).abs() < 1e-12);
-        assert!((v - variance(&xs)).abs() < 1e-12);
     }
 
     #[test]

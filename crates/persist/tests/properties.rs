@@ -1,5 +1,5 @@
 //! Property tests for the durability layer: snapshot and WAL round-trips
-//! across every `Method` × `Solver` plan the builder accepts, and torn-
+//! across every `Method` × objective plan the builder accepts, and torn-
 //! write recovery truncated at *every* byte boundary — recovery must
 //! never panic and never lose a batch that was wholly on disk before the
 //! tear.
@@ -8,7 +8,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use fc_clustering::{CostKind, ALL_SOLVERS};
+use fc_clustering::CostKind;
 use fc_core::plan::{Plan, PlanBuilder, ALL_METHODS};
 use fc_geom::{Dataset, Points};
 use fc_persist::{FsyncPolicy, LogOptions, ShardLog, Snapshot};
@@ -22,25 +22,20 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("fc-persist-prop-{name}-{}-{n}", std::process::id()))
 }
 
-/// Every plan the builder accepts over the full `Method` × `Solver` ×
-/// objective grid.
+/// Every plan over the full `Method` × objective grid.
 fn all_plans() -> Vec<Plan> {
     let mut out = Vec::new();
     for method in ALL_METHODS {
-        for solver in ALL_SOLVERS {
-            for kind in [CostKind::KMeans, CostKind::KMedian] {
-                let built = PlanBuilder::new(3)
+        for kind in [CostKind::KMeans, CostKind::KMedian] {
+            out.push(
+                PlanBuilder::new(3)
                     .method(method)
-                    .solver(solver)
                     .kind(kind)
-                    .build();
-                if let Ok(plan) = built {
-                    out.push(plan);
-                }
-            }
+                    .build()
+                    .unwrap(),
+            );
         }
     }
-    assert!(out.len() > 20, "the plan grid collapsed: {}", out.len());
     out
 }
 

@@ -64,7 +64,7 @@ pub trait Backend: Send + Sync {
     ) -> Result<(Coreset, u64, Method), EngineError>;
 
     /// Clusters the served coreset; omitted knobs default from the
-    /// dataset's effective plan.
+    /// dataset's effective plan. Every `solver` is Lloyd.
     fn cluster(
         &self,
         name: &str,

@@ -140,8 +140,6 @@ pub struct ClusterResult {
     pub centers: Points,
     /// Objective clustered under.
     pub kind: CostKind,
-    /// Solver that refined the solution.
-    pub solver: Solver,
     /// The solution's cost on the served coreset.
     pub coreset_cost: f64,
     /// Size of the coreset the solve ran on.
@@ -499,8 +497,8 @@ impl ServiceClient {
         }
     }
 
-    /// Requests a clustering of the served coreset, optionally naming the
-    /// refinement solver (the server default when `None`).
+    /// Requests a clustering of the served coreset. `solver` is sent as
+    /// given; every solver name answers as `lloyd`.
     pub fn cluster(
         &mut self,
         dataset: &str,
@@ -519,7 +517,6 @@ impl ServiceClient {
             Response::Clustered {
                 centers,
                 kind,
-                solver,
                 coreset_cost,
                 coreset_points,
                 seed,
@@ -527,7 +524,6 @@ impl ServiceClient {
             } => Ok(ClusterResult {
                 centers: protocol::rows_to_points(&centers)?,
                 kind,
-                solver,
                 coreset_cost,
                 coreset_points,
                 seed,

@@ -18,9 +18,9 @@
 //!
 //! The compression *method* is the paper's settling-time/accuracy knob, so
 //! it is a per-dataset choice, not a server-wide one: the first `ingest`
-//! may carry a full [`Plan`] (k, m, objective, method, solver, compaction
-//! budget) and the dataset's shard streams, serving compressions, and
-//! query defaults are all built from it. [`EngineConfig`] supplies the
+//! may carry a full [`Plan`] (k, m, objective, method, compaction budget)
+//! and the dataset's shard streams, serving compressions, and query
+//! defaults are all built from it. [`EngineConfig`] supplies the
 //! default plan for datasets that don't choose their own.
 
 use std::path::PathBuf;
@@ -49,7 +49,7 @@ use crate::query::{QueryPath, QuerySource, QueryState};
 use crate::shard::{Compactions, Restored, Rules, ShardState};
 
 /// Engine configuration: sharding, the default per-dataset [`Plan`]
-/// (serving size, method/solver selection), ingest coalescing, durability
+/// (serving size, method selection), ingest coalescing, durability
 /// and the query cache.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -72,8 +72,6 @@ pub struct EngineConfig {
     /// compressions — the same [`Method`] names the library and the wire
     /// protocol use.
     pub method: Method,
-    /// Default refinement solver for `cluster` requests.
-    pub solver: Solver,
     /// Per-shard stored-point budget; exceeding it triggers compaction of
     /// the shard's level stack. `None` derives `4 * k * m_scalar` (room for
     /// a few levels of summaries) from whatever `k`/`m_scalar` end up being,
@@ -117,7 +115,6 @@ impl Default for EngineConfig {
             m_scalar: 40,
             kind: CostKind::KMeans,
             method: Method::FastCoreset,
-            solver: Solver::Lloyd,
             compaction_budget: None,
             base_seed: 0x0C0D_E5E7,
             batch_points: 0,
@@ -181,8 +178,7 @@ impl EngineConfig {
         let mut builder = PlanBuilder::new(self.k)
             .m_scalar(self.m_scalar)
             .kind(self.kind)
-            .method(self.method)
-            .solver(self.solver);
+            .method(self.method);
         if let Some(budget) = self.compaction_budget {
             builder = builder.compaction_budget(budget);
         }
@@ -318,7 +314,8 @@ pub struct ClusterOutcome {
     pub solution: Solution,
     /// Objective clustered under.
     pub kind: CostKind,
-    /// Solver that refined the solution.
+    /// The solve step, always [`Solver::Lloyd`]; `clustered` answers
+    /// carry its name.
     pub solver: Solver,
     /// Size of the coreset the solve ran on.
     pub coreset_points: usize,
@@ -721,8 +718,7 @@ pub type DrainHook = Box<dyn Fn(&str, usize) + Send + Sync>;
 impl Engine {
     /// An engine compressing with the configured [`Method`] (the paper's
     /// Fast-Coreset pipeline by default). Rejects invalid configurations —
-    /// zero shards, a zero queue depth, `k = 0`, `m_scalar = 0`, or a
-    /// default solver that cannot refine under the default objective —
+    /// zero shards, a zero queue depth, `k = 0` or `m_scalar = 0` —
     /// instead of panicking.
     pub fn new(config: EngineConfig) -> Result<Self, EngineError> {
         let compressor: Arc<dyn Compressor> = Arc::from(config.method.build());
@@ -747,8 +743,7 @@ impl Engine {
                 "shard queue depth must be at least 1".into(),
             ));
         }
-        // Validates k ≥ 1, m = m_scalar·k ≥ k (no overflow), and that the
-        // default solver supports the default objective.
+        // Validates k ≥ 1 and m = m_scalar·k ≥ k (no overflow).
         let default_plan = config.default_plan()?;
         let telemetry = Arc::new(Telemetry::new());
         let write = WritePath::new(Arc::clone(&telemetry), default_plan, compressor);
@@ -942,20 +937,20 @@ impl Engine {
         self.query.coreset(&Shards(self), name, seed, method)
     }
 
-    /// Clusters the served coreset: k-means++ seeding plus the requested
-    /// solver's refinement on the compressed points only. Omitted knobs
-    /// default from the *dataset's* effective plan, so two datasets on one
-    /// server cluster under their own `k`/objective/solver.
+    /// Clusters the served coreset: k-means++ seeding plus Lloyd's
+    /// refinement on the compressed points only. Omitted knobs default
+    /// from the *dataset's* effective plan, so two datasets on one server
+    /// cluster under their own `k`/objective. Every `solver` is Lloyd, so
+    /// it changes nothing.
     pub fn cluster(
         &self,
         name: &str,
         k: Option<usize>,
         kind: Option<CostKind>,
-        solver: Option<Solver>,
+        _solver: Option<Solver>,
         seed: Option<u64>,
     ) -> Result<ClusterOutcome, EngineError> {
-        self.query
-            .cluster(&Shards(self), name, k, kind, solver, seed)
+        self.query.cluster(&Shards(self), name, k, kind, seed)
     }
 
     /// Prices candidate centers on the served coreset (deterministic: uses
@@ -1575,21 +1570,14 @@ mod tests {
     }
 
     #[test]
-    fn per_request_solver_and_method_overrides_work() {
+    fn per_request_objective_and_method_overrides_work() {
         let engine = test_engine();
         for block in blobs(400).chunks(100) {
             engine.ingest("d", &block, None).unwrap();
         }
         let swapped = engine
-            .cluster(
-                "d",
-                Some(4),
-                Some(CostKind::KMedian),
-                Some(Solver::LocalSearch),
-                Some(7),
-            )
+            .cluster("d", Some(4), Some(CostKind::KMedian), None, Some(7))
             .unwrap();
-        assert_eq!(swapped.solver, Solver::LocalSearch);
         assert_eq!(swapped.kind, CostKind::KMedian);
         assert_eq!(swapped.solution.k(), 4);
         // A per-request compression method serves through a different
@@ -1609,14 +1597,12 @@ mod tests {
         let plan_a = PlanBuilder::new(2)
             .m_scalar(10)
             .method(Method::Uniform)
-            .solver(Solver::LocalSearch)
             .build()
             .unwrap();
         let plan_b = PlanBuilder::new(3)
             .m_scalar(5)
             .kind(CostKind::KMedian)
             .method(Method::Lightweight)
-            .solver(Solver::Lloyd)
             .build()
             .unwrap();
         for block in blobs(300).chunks(150) {
@@ -1628,11 +1614,9 @@ mod tests {
         let a = engine.cluster("a", None, None, None, Some(1)).unwrap();
         assert_eq!(a.solution.k(), 2);
         assert_eq!(a.kind, CostKind::KMeans);
-        assert_eq!(a.solver, Solver::LocalSearch);
         let b = engine.cluster("b", None, None, None, Some(1)).unwrap();
         assert_eq!(b.solution.k(), 3);
         assert_eq!(b.kind, CostKind::KMedian);
-        assert_eq!(b.solver, Solver::Lloyd);
         // Serving sizes and effective methods follow the plans.
         let (ca, _, ma) = engine.coreset("a", Some(2), None).unwrap();
         assert!(ca.len() <= plan_a.m(), "{} > {}", ca.len(), plan_a.m());

@@ -14,8 +14,8 @@
 //!    built compressor, or the tier's default pair) goes to
 //!    [`WriteSink::open`];
 //! 3. refuse a wrong dimension, then a conflicting plan. Plans compare by
-//!    wire form, so one re-sent from `stats` (which never carries solver
-//!    tuning budgets) is the same plan; a dataset sits at one point of
+//!    wire form, so one re-sent from `stats`, or in a retired spelling,
+//!    is the same plan; a dataset sits at one point of
 //!    the settling-time / accuracy curve at a time — drop it to move it;
 //! 4. the exactly-once gate: an idented batch takes its dataset's
 //!    watermark lock and *holds it across delivery*, so two sends racing

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! {"op":"ingest","dataset":"d","points":[[0,0],[1,1]],"weights":[1,2]}
-//! {"op":"ingest","dataset":"e","points":[[2,2]],"plan":{"k":4,"kind":"kmedian","method":"bico","solver":"local-search"}}
+//! {"op":"ingest","dataset":"e","points":[[2,2]],"plan":{"k":4,"kind":"kmedian","method":"bico"}}
 //! {"op":"compress","dataset":"d","method":"fast-coreset","seed":7}
 //! {"op":"cluster","dataset":"d","k":4,"kind":"kmeans","solver":"lloyd","seed":7}
 //! {"op":"cost","dataset":"d","centers":[[0.5,0.5]],"kind":"kmeans"}
@@ -42,8 +42,10 @@
 //! library exposes, so a string that works in code works on the wire and
 //! vice versa. `plan` on a creating ingest is the stable wire form of a
 //! whole [`Plan`] ([`Plan::from_value`]): per-dataset `k`, size, objective,
-//! method, solver, and compaction budget. `stats` reports each dataset's
-//! effective plan in the same form.
+//! method, and compaction budget. `stats` reports each dataset's
+//! effective plan in the same form. The one solver is `lloyd`: a plan or
+//! `cluster` may still name it (or a retired spelling such as
+//! `local-search`), and answers always write `"solver":"lloyd"`.
 //!
 //! The response schema is versioned with the workspace: client and server
 //! ship from one build, so new response fields (`method`, `plan`,
@@ -143,9 +145,8 @@ pub enum Request {
         k: Option<usize>,
         /// Objective; the engine default when omitted.
         kind: Option<CostKind>,
-        /// Refinement solver; the engine default when omitted. Parsed with
-        /// the same `FromStr` the library exposes (`"lloyd"`,
-        /// `"local-search"`).
+        /// Solver name, parsed with the library's `FromStr`: `"lloyd"` or
+        /// a retired spelling of it. Every value solves the same way.
         solver: Option<Solver>,
         /// Reproducibility seed; engine-assigned when omitted.
         seed: Option<u64>,
@@ -378,7 +379,7 @@ pub enum Response {
         centers: Vec<Vec<f64>>,
         /// Objective clustered under.
         kind: CostKind,
-        /// Solver that refined the solution.
+        /// The solve step's name, always `lloyd`.
         solver: Solver,
         /// The solution's cost on the served coreset.
         coreset_cost: f64,

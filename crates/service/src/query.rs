@@ -11,11 +11,11 @@
 //! answering node's serving compression (which keeps what crosses the
 //! network `O(m)` per node). The rest is [`QueryPath`], once:
 //!
-//! 1. resolve the dataset; default `k` / objective / solver from the
-//!    effective [`Plan`](fc_core::plan::Plan) on its [`Ledger`];
-//! 2. refuse `k = 0`, a solver that cannot refine the objective, and
-//!    centers of the wrong dimension, before any work (and, after it, a
-//!    cost that overflowed: no dialect can carry an infinity);
+//! 1. resolve the dataset; default `k` / objective from the effective
+//!    [`Plan`](fc_core::plan::Plan) on its [`Ledger`];
+//! 2. refuse `k = 0` and centers of the wrong dimension before any work
+//!    (and, after it, a cost that overflowed: no dialect can carry an
+//!    infinity);
 //! 3. mint the cache key from the source's [`QueryState`] *before* Ω is
 //!    read: a write landing after the mint moves the state on, so what
 //!    is stored under the old key is unmatchable rather than stale;
@@ -99,7 +99,6 @@ enum Asked {
     Cluster {
         k: usize,
         kind: CostKind,
-        solver: Solver,
         seed: u64,
     },
     Cost {
@@ -263,7 +262,7 @@ impl QueryPath {
         })
     }
 
-    /// Clusters Ω: k-means++ seeding plus the solver's refinement, on the
+    /// Clusters Ω: k-means++ seeding plus Lloyd's refinement, on the
     /// compressed points only.
     pub fn cluster<S: QuerySource>(
         &self,
@@ -271,7 +270,6 @@ impl QueryPath {
         name: &str,
         k: Option<usize>,
         kind: Option<CostKind>,
-        solver: Option<Solver>,
         seed: Option<u64>,
     ) -> Result<ClusterOutcome, EngineError> {
         self.run(&self.cluster_seconds, || {
@@ -282,24 +280,18 @@ impl QueryPath {
                 return Err(EngineError::Invalid(FcError::InvalidK));
             }
             let kind = kind.unwrap_or_else(|| plan.kind());
-            let solver = solver.unwrap_or_else(|| plan.solver());
             let state = self.state(source, &dataset, seed.is_some());
             let seed = seed.unwrap_or_else(|| self.next_seed());
             let key = state.clone().map(|state| QueryKey {
                 state,
-                what: Asked::Cluster {
-                    k,
-                    kind,
-                    solver,
-                    seed,
-                },
+                what: Asked::Cluster { k, kind, seed },
             });
             if let Some(QueryValue::Cluster(outcome)) = self.probe(key.as_ref()) {
                 return Ok(outcome);
             }
             let coreset = self.summary(source, name, &dataset, state, seed, None)?;
             let mut rng = StdRng::seed_from_u64(seed ^ par::SEED_STREAM);
-            let solution = solver.solve(
+            let solution = Solver::Lloyd.solve(
                 &mut rng,
                 coreset.dataset(),
                 k,
@@ -315,7 +307,7 @@ impl QueryPath {
             let outcome = ClusterOutcome {
                 solution,
                 kind,
-                solver,
+                solver: Solver::Lloyd,
                 coreset_points: coreset.len(),
                 seed,
             };
@@ -586,7 +578,7 @@ mod tests {
     fn auto_seeded_requests_never_touch_the_cache() {
         let (path, source) = (path(8), Fake::new());
         let (_, first, _) = path.coreset(&source, "d", None, None).unwrap();
-        let second = path.cluster(&source, "d", None, None, None, None).unwrap();
+        let second = path.cluster(&source, "d", None, None, None).unwrap();
         assert_eq!(
             (first, second.seed),
             (100, 101),
@@ -603,8 +595,7 @@ mod tests {
         let centers = Points::from_flat(vec![0.0, 1.0], 2).unwrap();
         for _ in 0..2 {
             path.coreset(&source, "d", Some(7), None).unwrap();
-            path.cluster(&source, "d", None, None, None, Some(7))
-                .unwrap();
+            path.cluster(&source, "d", None, None, Some(7)).unwrap();
             path.cost(&source, "d", &centers, None).unwrap();
         }
         assert_eq!(source.asked.load(Ordering::Relaxed), 6);
@@ -622,9 +613,7 @@ mod tests {
     fn counters_count_probes_and_a_miss_stores_its_summary() {
         let (path, source) = (path(8), Fake::new());
         // Cluster miss: its own key, then Ω's. Both stored.
-        let first = path
-            .cluster(&source, "d", None, None, None, Some(7))
-            .unwrap();
+        let first = path.cluster(&source, "d", None, None, Some(7)).unwrap();
         assert_eq!(probes(&path), (0, 2));
         let (omega, _, method) = path.coreset(&source, "d", Some(7), None).unwrap();
         assert_eq!(probes(&path), (1, 2));
@@ -632,9 +621,7 @@ mod tests {
             (omega.len(), method),
             (first.coreset_points, Method::FastCoreset)
         );
-        let again = path
-            .cluster(&source, "d", None, None, None, Some(7))
-            .unwrap();
+        let again = path.cluster(&source, "d", None, None, Some(7)).unwrap();
         assert_eq!(probes(&path), (2, 2));
         assert_eq!(first.solution.centers, again.solution.centers);
         // Local pricing runs on the base-seed Ω and probes for it.
@@ -671,8 +658,7 @@ mod tests {
     fn invalid_requests_are_refused_before_any_work() {
         let (path, source) = (path(8), Fake::new());
         assert_eq!(
-            path.cluster(&source, "d", Some(0), None, None, None)
-                .unwrap_err(),
+            path.cluster(&source, "d", Some(0), None, None).unwrap_err(),
             EngineError::Invalid(FcError::InvalidK)
         );
         let three_d = Points::from_flat(vec![0.0, 1.0, 2.0], 3).unwrap();
@@ -704,8 +690,7 @@ mod tests {
             no_data
         );
         assert_eq!(
-            path.cluster(&source, "d", None, None, None, Some(7))
-                .unwrap_err(),
+            path.cluster(&source, "d", None, None, Some(7)).unwrap_err(),
             no_data
         );
         assert_eq!(path.counts().0, 0, "a refusal is not a query");

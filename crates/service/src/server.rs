@@ -1389,16 +1389,11 @@ mod tests {
                 dataset: "d".into(),
                 k: Some(2),
                 kind: None,
-                solver: Some(fc_clustering::Solver::LocalSearch),
+                solver: None,
                 seed: Some(1),
             },
         );
-        match &cluster {
-            Response::Clustered { solver, .. } => {
-                assert_eq!(*solver, fc_clustering::Solver::LocalSearch)
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert!(matches!(cluster, Response::Clustered { .. }), "{cluster:?}");
 
         let cost = handle_request(
             &engine,
@@ -1438,6 +1433,28 @@ mod tests {
             },
         );
         assert!(matches!(missing, Response::Error { .. }), "{missing:?}");
+    }
+
+    /// A retired solver name reads as `lloyd`, and a request naming it is
+    /// the same query as one naming no solver: it answers from the same
+    /// cache entry.
+    #[test]
+    fn retired_solver_name_answers_lloyd_from_the_same_cache_entry() {
+        let engine = engine();
+        let ask = |line: &str| handle_request(&engine, Request::from_json(line).unwrap());
+        let cache_hits = || match ask(r#"{"op":"stats"}"#) {
+            Response::Stats { server, .. } => server.expect("engine counters").cache_hits,
+            other => panic!("unexpected {other:?}"),
+        };
+        ask(r#"{"op":"ingest","dataset":"d","points":[[0,0],[1,0],[9,9],[10,9]]}"#);
+        let named = ask(r#"{"op":"cluster","dataset":"d","k":2,"solver":"local-search","seed":3}"#)
+            .to_json();
+        assert!(named.contains(r#""solver":"lloyd""#), "{named}");
+        assert!(!named.contains("local-search"), "{named}");
+        let hits = cache_hits();
+        let plain = ask(r#"{"op":"cluster","dataset":"d","k":2,"seed":3}"#).to_json();
+        assert_eq!(plain, named);
+        assert_eq!(cache_hits(), hits + 1);
     }
 
     fn roundtrip_against(options: ServerOptions) {

@@ -339,7 +339,7 @@ mod tests {
             name: &str,
             _k: Option<usize>,
             kind: Option<CostKind>,
-            solver: Option<Solver>,
+            _solver: Option<Solver>,
             seed: Option<u64>,
         ) -> Result<ClusterOutcome, EngineError> {
             assert_ne!(name, "boom", "injected cluster bug");
@@ -352,7 +352,7 @@ mod tests {
                     distance_evals: 2,
                 },
                 kind: kind.unwrap_or(CostKind::KMeans),
-                solver: solver.unwrap_or(Solver::Lloyd),
+                solver: Solver::Lloyd,
                 coreset_points: 2,
                 seed: seed.unwrap_or(7),
             })
@@ -435,7 +435,7 @@ mod tests {
                 dataset: "d".to_owned(),
                 k: Some(2),
                 kind: Some(CostKind::KMedian),
-                solver: Some(Solver::LocalSearch),
+                solver: Some(Solver::Lloyd),
                 seed: Some(3),
             },
             Request::Cost {

@@ -812,7 +812,6 @@ mod tests {
                             .m_scalar(15)
                             .kind(CostKind::KMedian)
                             .method(Method::Lightweight)
-                            .solver(Solver::LocalSearch)
                             .compaction_budget(900)
                             .build()
                             .unwrap(),
@@ -846,7 +845,7 @@ mod tests {
                     dataset: "d".into(),
                     k: Some(4),
                     kind: Some(CostKind::KMedian),
-                    solver: Some(Solver::LocalSearch),
+                    solver: Some(Solver::Lloyd),
                     seed: Some(u64::MAX),
                 },
                 None,
@@ -953,7 +952,7 @@ mod tests {
                 dataset: "d".into(),
                 centers: vec![vec![1.0], vec![2.0]],
                 kind: CostKind::KMeans,
-                solver: Solver::LocalSearch,
+                solver: Solver::Lloyd,
                 coreset_cost: 12.5,
                 coreset_points: 200,
                 seed: 8,

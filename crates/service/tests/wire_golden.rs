@@ -20,7 +20,6 @@ fn plan() -> fc_core::plan::Plan {
         .m_scalar(15)
         .kind(CostKind::KMedian)
         .method(Method::Lightweight)
-        .solver(Solver::Lloyd)
         .compaction_budget(900)
         .build()
         .unwrap()

@@ -90,7 +90,7 @@ fn method() -> impl Strategy<Value = Method> {
 }
 
 fn solver() -> impl Strategy<Value = Solver> {
-    pick(fc_clustering::ALL_SOLVERS.to_vec())
+    Just(Solver::Lloyd)
 }
 
 /// An optional exactly-once batch identity: client name plus sequence.

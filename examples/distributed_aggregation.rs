@@ -56,7 +56,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let plan = PlanBuilder::new(k)
         .m_scalar(30)
         .method(Method::FastCoreset)
-        .solver(Solver::Lloyd)
         .build()?;
     let mut client = ServiceClient::connect(front.addr())?;
     for batch in data.chunks(1_000) {

@@ -33,7 +33,6 @@ fn main() -> Result<(), FcError> {
     let k = 30;
     let plan = PlanBuilder::new(k)
         .method(Method::FastCoreset)
-        .solver(Solver::Lloyd)
         .m_scalar(40)
         .build()?;
     let outcome = plan.run(&mut rng, &data)?;

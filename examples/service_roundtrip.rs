@@ -26,13 +26,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // A server on an ephemeral port, serving coresets sized for k
-    // clusters. Method and solver are configured with the same enums (and
-    // canonical names) the library's PlanBuilder uses.
+    // clusters. The method is configured with the same enum (and canonical
+    // names) the library's PlanBuilder uses.
     let config = EngineConfig {
         k,
         shards: 4,
         method: Method::FastCoreset,
-        solver: Solver::Lloyd,
         ..Default::default()
     };
     let server = ServerHandle::bind("127.0.0.1:0", Engine::new(config)?)?;
@@ -81,26 +80,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(replay.centers, result.centers, "seeded replay must match");
     println!("replay with seed {} reproduced the clustering", result.seed);
 
-    // Per-request overrides, parsed from the same canonical names the
-    // library exposes: a solver by name and a one-off uniform-sampled
-    // serving coreset.
-    let swapped = client.cluster(
-        "gaussians",
-        Some(k),
-        Some(CostKind::KMeans),
-        Some("local-search".parse::<Solver>()?),
-        Some(result.seed),
-    )?;
-    assert_eq!(
-        swapped.solver,
-        Solver::LocalSearch,
-        "response echoes the solver"
-    );
-    println!(
-        "solver override: {} refined {} centers",
-        swapped.solver,
-        swapped.centers.len()
-    );
+    // A per-request override, parsed from the same canonical names the
+    // library exposes: a one-off uniform-sampled serving coreset.
     let (uniform, _, served_method) =
         client.compress("gaussians", Some("uniform".parse::<Method>()?), Some(1))?;
     assert_eq!(served_method, Method::Uniform, "response echoes the method");
@@ -115,7 +96,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let plan = PlanBuilder::new(4)
         .m_scalar(20)
         .method("lightweight".parse::<Method>()?)
-        .solver(Solver::LocalSearch)
         .build()?;
     println!("second dataset under plan {}", plan.to_json());
     for batch in data.chunks(2_000) {
@@ -123,17 +103,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let planned = client.cluster("planned", None, None, None, None)?;
     assert_eq!(planned.centers.len(), 4, "plan supplies k");
-    assert_eq!(
-        planned.solver,
-        Solver::LocalSearch,
-        "plan supplies the solver"
-    );
     let effective = &client.stats(Some("planned"))?[0].plan;
     assert_eq!(effective, &plan, "stats echo the effective plan");
     println!(
-        "plan-less cluster served k={} via {} (stats echo the plan back)",
+        "plan-less cluster served k={} (stats echo the plan back)",
         planned.centers.len(),
-        planned.solver,
     );
 
     client.drop_dataset("gaussians")?;

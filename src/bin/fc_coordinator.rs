@@ -5,8 +5,7 @@
 //!                [--addr HOST:PORT] [--replication R]
 //!                [--capacity W ...] [--retries N] [--node-timeout-ms MS]
 //!                [--k K] [--m-scalar M] [--budget POINTS] [--kmedian]
-//!                [--method NAME] [--solver NAME]
-//!                [--solve-threads N] [--cache-capacity N]
+//!                [--method NAME] [--solve-threads N] [--cache-capacity N]
 //!                [--io-model reactor|threaded] [--executor-threads N]
 //!                [--max-connections N] [--request-deadline-ms N]
 //!                [--wire bin1|json]
@@ -26,8 +25,8 @@
 //! node that accepts and never answers reads `degraded` in `stats` and
 //! fails only its own slot of a query; connect keeps its own 2 s
 //! default). The
-//! plan flags (`--k`/`--m-scalar`/`--budget`/`--kmedian`/`--method`/
-//! `--solver`) define the default per-dataset plan, forwarded to the
+//! plan flags (`--k`/`--m-scalar`/`--budget`/`--kmedian`/`--method`)
+//! define the default per-dataset plan, forwarded to the
 //! nodes with every routed batch — node-side defaults never leak in.
 //! `--io-model` and `--executor-threads` configure the upward-facing
 //! server exactly as on `fc-server`. Every node request is one blocking
@@ -174,8 +173,7 @@ fn main() {
     let mut builder = PlanBuilder::new(serving.k)
         .m_scalar(serving.m_scalar)
         .kind(serving.kind)
-        .method(serving.method)
-        .solver(serving.solver);
+        .method(serving.method);
     if let Some(budget) = serving.budget {
         builder = builder.compaction_budget(budget);
     }

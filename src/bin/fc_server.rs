@@ -3,8 +3,7 @@
 //! ```text
 //! fc-server [--addr HOST:PORT] [--shards N] [--k K] [--m-scalar M]
 //!           [--budget POINTS] [--queue-depth N] [--kmedian]
-//!           [--method NAME] [--solver NAME]
-//!           [--solve-threads N] [--cache-capacity N]
+//!           [--method NAME] [--solve-threads N] [--cache-capacity N]
 //!           [--io-model reactor|threaded] [--executor-threads N]
 //!           [--max-connections N] [--request-deadline-ms N]
 //!           [--wire auto|json]
@@ -16,10 +15,10 @@
 //!           [--replay-throttle-ms N] [--version]
 //! ```
 //!
-//! `--method` and `--solver` take the canonical names of
-//! `fc_core::plan::Method` and `fc_clustering::Solver` (e.g.
-//! `fast-coreset`, `uniform`, `welterweight(log-k)`; `lloyd`,
-//! `local-search`) — the same strings the JSON protocol accepts per request.
+//! `--method` takes the canonical names of `fc_core::plan::Method` (e.g.
+//! `fast-coreset`, `uniform`, `welterweight(log-k)`) — the same strings the
+//! JSON protocol accepts per request. Every query solves with k-means++
+//! and Lloyd.
 //!
 //! `--solve-threads` sets the process-wide worker-thread count for the
 //! parallel kernels (assignment, accumulation, sensitivity passes, on
@@ -219,7 +218,6 @@ fn parse_args() -> (String, EngineConfig, ServerOptions, Option<String>) {
     config.compaction_budget = serving.budget;
     config.kind = serving.kind;
     config.method = serving.method;
-    config.solver = serving.solver;
     config.cache_capacity = serving.cache_capacity;
     config.persist = persist.build();
     (addr, config, serving.options, metrics_addr)

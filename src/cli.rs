@@ -7,7 +7,7 @@ use std::fmt::Display;
 use std::str::FromStr;
 use std::time::Duration;
 
-use fc_clustering::{CostKind, Solver};
+use fc_clustering::CostKind;
 use fc_core::plan::Method;
 use fc_service::{EngineConfig, ServerOptions};
 
@@ -26,8 +26,6 @@ pub struct ServingFlags {
     pub kind: CostKind,
     /// `--method`.
     pub method: Method,
-    /// `--solver`.
-    pub solver: Solver,
     /// `--cache-capacity`.
     pub cache_capacity: usize,
 }
@@ -43,7 +41,6 @@ impl Default for ServingFlags {
             budget: engine.compaction_budget,
             kind: engine.kind,
             method: engine.method,
-            solver: engine.solver,
             cache_capacity: engine.cache_capacity,
         }
     }
@@ -55,7 +52,7 @@ impl Default for ServingFlags {
 pub fn usage(wire_on: &str) -> String {
     format!(
         "[--k K] [--m-scalar M] [--budget POINTS] [--kmedian] [--method NAME] \
-         [--solver NAME] [--solve-threads N] [--cache-capacity N] \
+         [--solve-threads N] [--cache-capacity N] \
          [--io-model reactor|threaded] [--executor-threads N] \
          [--max-connections N] [--request-deadline-ms N] [--wire {wire_on}|json]"
     )
@@ -106,7 +103,6 @@ impl ServingFlags {
             "--budget" => self.budget = Some(number(value("points"), usage)),
             "--kmedian" => self.kind = CostKind::KMedian,
             "--method" => self.method = named(value("method name"), usage),
-            "--solver" => self.solver = named(value("solver name"), usage),
             "--solve-threads" => {
                 let threads: usize = number(value("count"), usage);
                 if threads == 0 {

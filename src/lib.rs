@@ -10,9 +10,9 @@
 //!
 //! One [`PlanBuilder`](prelude::PlanBuilder) drives everything: pick a
 //! compression [`Method`](prelude::Method) (the paper's settling-time /
-//! accuracy knob), pick a [`Solver`](prelude::Solver), and run — every
-//! invalid parameter comes back as an [`FcError`](prelude::FcError), never
-//! a panic.
+//! accuracy knob) and run: it compresses, then solves with k-means++ and
+//! Lloyd. Every invalid parameter comes back as an
+//! [`FcError`](prelude::FcError), never a panic.
 //!
 //! ```
 //! use fast_coresets::prelude::*;
@@ -29,7 +29,6 @@
 //! // cluster the compression, and measure the distortion — one plan.
 //! let plan = PlanBuilder::new(8)
 //!     .method(Method::FastCoreset)
-//!     .solver(Solver::Lloyd)
 //!     .coreset_size(200)
 //!     .build()?;
 //! let outcome = plan.run(&mut rng, &data)?;
@@ -45,7 +44,7 @@
 //! assert!(coreset.len() <= 200);
 //! assert_eq!(solution.k(), 8);
 //!
-//! // Methods and solvers have canonical names — the identical strings the
+//! // Methods have canonical names — the identical strings the
 //! // fc-service wire protocol accepts. Retired spellings read as the
 //! // method they always ran.
 //! assert_eq!("merge-reduce(fast-coreset)".parse::<Method>()?.to_string(),
@@ -72,7 +71,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`fc_geom`] | point stores, weighted datasets, distances, JL projections, weighted sampling |
-//! | [`fc_clustering`] | k-means++ seeding, bound-pruned Lloyd/Weiszfeld refinement and local search behind the [`Solver`](prelude::Solver) dispatch |
+//! | [`fc_clustering`] | k-means++ seeding and bound-pruned Lloyd/Weiszfeld refinement, named [`Solver`](prelude::Solver) on plans and the wire |
 //! | [`fc_quadtree`] | compressed quadtrees, Fast-kmeans++, Crude-Approx, Reduce-Spread |
 //! | [`fc_core`] | the [`Plan`](prelude::Plan) API and its JSON wire form, Fast-Coresets (Algorithm 1), the sampler spectrum, streaming composition ([`fc_core::streaming`]: merge-&-reduce, BICO, StreamKM++, MapReduce), the distortion metric and its judge, [`FcError`](prelude::FcError), the dependency-free [`fc_core::json`] codec |
 //! | [`fc_data`] | the paper's artificial datasets and real-world proxies |
@@ -99,7 +98,7 @@ pub mod prelude {
     pub use fc_cluster::{Coordinator, CoordinatorConfig};
     pub use fc_clustering::lloyd::LloydConfig;
     pub use fc_clustering::solver::{SolveConfig, Solver, SolverError};
-    pub use fc_clustering::{CostKind, LocalSearchConfig};
+    pub use fc_clustering::CostKind;
     pub use fc_core::plan::{Method, Plan, PlanBuilder, PlanOutcome, StreamSession};
     pub use fc_core::streaming::{MergeReduce, StreamingCompressor};
     pub use fc_core::{
@@ -121,11 +120,7 @@ mod tests {
             kind: CostKind::KMeans,
         };
         // The plan surface is reachable from the prelude alone.
-        let plan = PlanBuilder::new(2)
-            .method(Method::Uniform)
-            .solver(Solver::Lloyd)
-            .build()
-            .unwrap();
+        let plan = PlanBuilder::new(2).method(Method::Uniform).build().unwrap();
         assert_eq!(plan.k(), 2);
         assert!(matches!(
             PlanBuilder::new(0).build(),

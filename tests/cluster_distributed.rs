@@ -51,7 +51,6 @@ fn coordinator_matches_single_server_within_distortion_bound() {
     let plan = PlanBuilder::new(k)
         .m_scalar(25)
         .method(Method::FastCoreset)
-        .solver(Solver::Lloyd)
         .build()
         .unwrap();
     let data = four_blobs(400);

@@ -181,7 +181,6 @@ fn any_single_node_down_answers_within_distortion_bound() {
     let plan = PlanBuilder::new(k)
         .m_scalar(25)
         .method(Method::FastCoreset)
-        .solver(Solver::Lloyd)
         .build()
         .unwrap();
 

@@ -84,7 +84,6 @@ fn solve_fingerprint(coreset: &Coreset, k: usize, kind: CostKind, seed: u64) -> 
 fn six_round_fingerprint(coreset: &Coreset, k: usize, kind: CostKind, seed: u64) -> (u64, u64) {
     let cfg = SolveConfig {
         lloyd: LloydConfig::fixed(6),
-        ..SolveConfig::default()
     };
     fingerprint(coreset, k, kind, seed, &cfg)
 }

@@ -1,5 +1,5 @@
 //! Per-dataset plans end to end: the `Plan` wire form round-trips for
-//! every method/solver combination (property-tested), two datasets on one
+//! every method (property-tested), two datasets on one
 //! running server ingest and cluster under different plans with `stats`
 //! reporting each effective plan, and a saturated shard answers a
 //! structured `overloaded` error instead of blocking the connection.
@@ -28,19 +28,14 @@ fn arb_method() -> impl Strategy<Value = Method> {
     ]
 }
 
-fn arb_solver() -> impl Strategy<Value = Solver> {
-    prop_oneof![Just(Solver::Lloyd), Just(Solver::LocalSearch)]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn plan_json_round_trips_for_every_method_solver_combination(
+    fn plan_json_round_trips_for_every_method(
         k in 1usize..9,
         m_scalar in 1usize..50,
         method in arb_method(),
-        solver in arb_solver(),
         budget in prop_oneof![Just(None), (1usize..10_000).prop_map(Some)],
     ) {
         let kind = if (k + m_scalar) % 2 == 0 {
@@ -51,8 +46,7 @@ proptest! {
         let mut builder = PlanBuilder::new(k)
             .m_scalar(m_scalar)
             .kind(kind)
-            .method(method)
-            .solver(solver);
+            .method(method);
         if let Some(b) = budget {
             builder = builder.compaction_budget(b);
         }
@@ -96,7 +90,6 @@ fn two_datasets_run_different_plans_on_one_server() {
             k: 8,
             m_scalar: 40,
             method: Method::FastCoreset,
-            solver: Solver::Lloyd,
             ..Default::default()
         })
         .unwrap(),
@@ -107,14 +100,12 @@ fn two_datasets_run_different_plans_on_one_server() {
     let fast = PlanBuilder::new(2)
         .m_scalar(10)
         .method(Method::Uniform)
-        .solver(Solver::LocalSearch)
         .build()
         .unwrap();
     let accurate = PlanBuilder::new(4)
         .m_scalar(20)
         .kind(CostKind::KMedian)
         .method(Method::Lightweight)
-        .solver(Solver::Lloyd)
         .compaction_budget(2_000)
         .build()
         .unwrap();
@@ -127,18 +118,16 @@ fn two_datasets_run_different_plans_on_one_server() {
         client.ingest("accurate", &block, Some(&accurate)).unwrap();
     }
 
-    // Cluster with every knob omitted: the per-dataset plans supply k,
-    // objective, and solver.
+    // Cluster with every knob omitted: the per-dataset plans supply k and
+    // the objective.
     let served_fast = client.cluster("fast", None, None, None, Some(7)).unwrap();
     assert_eq!(served_fast.centers.len(), 2);
     assert_eq!(served_fast.kind, CostKind::KMeans);
-    assert_eq!(served_fast.solver, Solver::LocalSearch);
     let served_accurate = client
         .cluster("accurate", None, None, None, Some(7))
         .unwrap();
     assert_eq!(served_accurate.centers.len(), 4);
     assert_eq!(served_accurate.kind, CostKind::KMedian);
-    assert_eq!(served_accurate.solver, Solver::Lloyd);
 
     // Serving sizes and the echoed effective method follow each plan's m
     // and method, not the engine default.

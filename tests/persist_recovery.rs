@@ -329,8 +329,8 @@ fn drain_hook_observes_every_shard_in_order() {
 #[test]
 fn old_plan_spellings_in_meta_json_still_boot() {
     // `meta.json` files written before `hst-coreset`, `merge-reduce(..)`,
-    // `hamerly` and `kmedian-weiszfeld` were folded into their canonical
-    // names.
+    // `hamerly`, `kmedian-weiszfeld` and `local-search` were folded into
+    // their canonical names.
     let dir = scratch("old-names");
     for (name, plan) in [
         (
@@ -341,6 +341,7 @@ fn old_plan_spellings_in_meta_json_still_boot() {
             "medians",
             r#"{"k":3,"m":60,"kind":"kmedian","solver":"kmedian-weiszfeld"}"#,
         ),
+        ("swapped", r#"{"k":3,"m":60,"solver":"local-search"}"#),
     ] {
         let meta = format!(r#"{{"name":"{name}","dim":2,"shards":2,"plan":{plan}}}"#);
         let ds = dataset_dir(&dir, name);
@@ -351,11 +352,17 @@ fn old_plan_spellings_in_meta_json_still_boot() {
     for (name, method, kind) in [
         ("means", "fast-coreset", CostKind::KMeans),
         ("medians", "fast-coreset", CostKind::KMedian),
+        ("swapped", "fast-coreset", CostKind::KMeans),
     ] {
         engine.ingest(name, &four_blobs(100, 0.0), None).unwrap();
         let plan = engine.dataset_plan(name).unwrap();
         assert_eq!(plan.method().to_string(), method, "{name}");
         assert_eq!(plan.solver(), Solver::Lloyd, "{name}");
+        let reported = engine.dataset_stats(name).unwrap().plan.to_json();
+        assert!(
+            reported.contains(r#""solver":"lloyd""#),
+            "{name}: {reported}"
+        );
         let served = engine.cluster(name, None, None, None, Some(7)).unwrap();
         assert_eq!(served.solver, Solver::Lloyd, "{name}");
         assert_eq!(served.kind, kind, "{name}");
@@ -369,6 +376,15 @@ fn old_plan_spellings_in_meta_json_still_boot() {
             .ingest("means", &four_blobs(10, 0.0), Some(&plan))
             .unwrap();
         assert_eq!(points, total, "{method}");
+    }
+    // So are both spellings of the creating ingest of `swapped`.
+    for (solver, total) in [("local-search", 440), ("lloyd", 480)] {
+        let plan = format!(r#"{{"k":3,"m":60,"solver":"{solver}"}}"#);
+        let plan = Plan::from_json(&plan).unwrap();
+        let (points, _) = engine
+            .ingest("swapped", &four_blobs(10, 0.0), Some(&plan))
+            .unwrap();
+        assert_eq!(points, total, "{solver}");
     }
     drop(engine);
     std::fs::remove_dir_all(&dir).ok();

@@ -127,7 +127,7 @@ fn engine_and_coordinator_resolve_refuse_seed_and_count_alike() {
             "blobs",
             Some(2),
             Some(CostKind::KMedian),
-            Some(Solver::LocalSearch),
+            Some(Solver::Lloyd),
             Some(7),
         ),
         Op::Cluster("blobs", None, None, None, None),
