@@ -71,8 +71,8 @@
 //!
 //! Where seeding stops short of the centers it laid the table out for
 //! (fewer distinct points than `k`), refinement starts with the full scan.
-//! Per-point work stays inside [`fc_geom::par`]'s fixed chunks, so output
-//! is identical at every thread count.
+//! Per-point work runs over [`fc_geom::par`]'s fixed chunks in order, and
+//! chunk totals are added in chunk order.
 
 use fc_geom::dataset::Dataset;
 use fc_geom::distance::{nearest_block, sq_dist, CostKind};
@@ -101,9 +101,8 @@ impl Assignment {
         self.labels.is_empty()
     }
 
-    /// Total weighted cost under this assignment. Chunk-summed through
-    /// [`fc_geom::par`], so the f64 association order (and the result)
-    /// is identical at every thread count.
+    /// Total weighted cost under this assignment, chunk-summed through
+    /// [`fc_geom::par`].
     pub fn total_cost(&self, weights: &[f64]) -> f64 {
         debug_assert_eq!(weights.len(), self.cost_z.len());
         par::sum_chunks(self.cost_z.len(), |r| {
@@ -149,9 +148,8 @@ impl Assignment {
 /// whole batch, a monomorphized inner loop on common small dimensions,
 /// partial-distance pruning on the rest, and no per-point allocation.
 ///
-/// The scan fans out over fixed-size point chunks ([`fc_geom::par`]);
-/// each chunk fills its own disjoint slice of `labels`/`cost_z`, so the
-/// output is identical at every thread count.
+/// The scan walks fixed-size point chunks ([`fc_geom::par`]); each chunk
+/// fills its own slice of `labels`/`cost_z`.
 pub fn assign(points: &Points, centers: &Points, kind: CostKind) -> Assignment {
     assert!(!centers.is_empty(), "assignment needs at least one center");
     assert_eq!(
@@ -163,25 +161,19 @@ pub fn assign(points: &Points, centers: &Points, kind: CostKind) -> Assignment {
     let dim = centers.dim();
     let mut labels = vec![0usize; n];
     let mut cost_z = vec![0.0f64; n];
+    let centers_flat = centers.as_flat();
+    for ((p, l), c) in (points.as_flat().chunks(par::CHUNK_POINTS * dim))
+        .zip(labels.chunks_mut(par::CHUNK_POINTS))
+        .zip(cost_z.chunks_mut(par::CHUNK_POINTS))
     {
-        let flat = points.as_flat();
-        let centers_flat = centers.as_flat();
-        let tasks: Vec<(&[f64], &mut [usize], &mut [f64])> = flat
-            .chunks(par::CHUNK_POINTS * dim)
-            .zip(labels.chunks_mut(par::CHUNK_POINTS))
-            .zip(cost_z.chunks_mut(par::CHUNK_POINTS))
-            .map(|((p, l), c)| (p, l, c))
-            .collect();
-        par::for_each_task(tasks, |_, (p, l, c)| {
-            nearest_block(p, centers_flat, dim, l, c);
-            if kind != CostKind::KMeans {
-                // Separate pass so the k-median square root does not sit
-                // inside the distance loop (and vectorizes on its own).
-                for v in c.iter_mut() {
-                    *v = kind.from_sq(*v);
-                }
+        nearest_block(p, centers_flat, dim, l, c);
+        if kind != CostKind::KMeans {
+            // Separate pass so the k-median square root does not sit
+            // inside the distance loop (and vectorizes on its own).
+            for v in c.iter_mut() {
+                *v = kind.from_sq(*v);
             }
-        });
+        }
     }
     Assignment { labels, cost_z }
 }
@@ -345,23 +337,20 @@ impl BoundedAssigner {
                 moved.sqrt() * scan.slack.grow
             })
             .collect();
-        let tasks: Vec<_> = (points.as_flat().chunks(par::CHUNK_POINTS * dim))
+        // Specialized on the dimensions `nearest_block` is: where the scan is
+        // at its fastest, the pruned loop has to be compiled as tightly.
+        for (((p, l), c), b) in (points.as_flat().chunks(par::CHUNK_POINTS * dim))
             .zip(self.assignment.labels.chunks_mut(par::CHUNK_POINTS))
             .zip(self.assignment.cost_z.chunks_mut(par::CHUNK_POINTS))
             .zip(self.bounds.chunks_mut(par::CHUNK_POINTS * drift.len()))
-            .map(|(((p, l), c), b)| (p, l, c, b))
-            .collect();
-        // Specialized on the dimensions `nearest_block` is: where the scan is
-        // at its fastest, the pruned loop has to be compiled as tightly.
-        let evals = par::map_tasks(tasks, |_, (p, l, c, b)| {
-            fc_geom::dispatch_dim!(
+        {
+            self.distance_evals += fc_geom::dispatch_dim!(
                 dim,
                 reassign_chunk,
                 reassign_chunk::<0>(&scan, p, l, c, b, &drift),
                 (&scan, p, l, c, b, &drift)
-            )
-        });
-        self.distance_evals += evals.into_iter().sum::<u64>();
+            );
+        }
     }
 }
 
@@ -504,18 +493,20 @@ impl Seeds {
         let first = data.point(first);
         let dim = data.dim();
         let slack = Slack::new(dim);
-        let totals = par::map_tasks(seeds.rows(data), |_, rows| {
-            let mut total = 0.0;
-            for (i, p) in rows.points.chunks_exact(dim).enumerate() {
-                let m = sq_dist(p, first);
-                rows.min_sq[i] = m;
-                rows.reach[i] = slack.reach(m);
-                rows.scores[i] = rows.weights[i] * kind.from_sq(m);
-                total += rows.scores[i];
-            }
-            total
-        });
-        (seeds, totals.into_iter().sum())
+        let total = (seeds.rows(data))
+            .map(|rows| {
+                let mut total = 0.0;
+                for (i, p) in rows.points.chunks_exact(dim).enumerate() {
+                    let m = sq_dist(p, first);
+                    rows.min_sq[i] = m;
+                    rows.reach[i] = slack.reach(m);
+                    rows.scores[i] = rows.weights[i] * kind.from_sq(m);
+                    total += rows.scores[i];
+                }
+                total
+            })
+            .sum();
+        (seeds, total)
     }
 
     /// Bounds per point: 0 when no table is kept.
@@ -529,7 +520,7 @@ impl Seeds {
 
     /// Each [`par::CHUNK_POINTS`] chunk's share of `data` and of every
     /// per-point column.
-    fn rows<'a>(&'a mut self, data: &'a Dataset) -> Vec<SeedRows<'a>> {
+    fn rows<'a>(&'a mut self, data: &'a Dataset) -> impl Iterator<Item = SeedRows<'a>> {
         let chunk = par::CHUNK_POINTS;
         let width = self.width();
         let mut labels = self.labels.chunks_mut(chunk);
@@ -539,7 +530,7 @@ impl Seeds {
         let mut bounds = self.bounds.chunks_mut(chunk * width.max(1));
         (data.points().as_flat().chunks(chunk * data.dim()))
             .zip(data.weights().chunks(chunk))
-            .map(|(points, weights)| SeedRows {
+            .map(move |(points, weights)| SeedRows {
                 points,
                 weights,
                 labels: labels.next().unwrap_or_default(),
@@ -548,14 +539,12 @@ impl Seeds {
                 scores: scores.next().unwrap_or_default(),
                 bounds: bounds.next().unwrap_or_default(),
             })
-            .collect()
     }
 
     /// Brings every point of `data` up to date with the last row of
     /// `centers`, the center just chosen (the rows before it are the ones
     /// seen so far), scores included. Returns the sum of every score:
-    /// chunk totals added in chunk order, the same bits at every thread
-    /// count.
+    /// chunk totals added in chunk order.
     pub(crate) fn add(&mut self, data: &Dataset, centers: &Points, kind: CostKind) -> f64 {
         let dim = data.dim();
         let index = centers.len() - 1;
@@ -581,12 +570,21 @@ impl Seeds {
             kind,
             dim,
         };
-        let done = par::map_tasks(self.rows(data), |_, rows| {
-            fc_geom::dispatch_dim!(dim, seed_chunk, seed_chunk::<0>(&step, rows), (&step, rows))
-        });
-        let (evals, totals): (Vec<u64>, Vec<f64>) = done.into_iter().unzip();
-        self.distance_evals += evals.into_iter().sum::<u64>();
-        totals.into_iter().sum()
+        let mut evals = 0;
+        let total = (self.rows(data))
+            .map(|rows| {
+                let (chunk_evals, chunk_total) = fc_geom::dispatch_dim!(
+                    dim,
+                    seed_chunk,
+                    seed_chunk::<0>(&step, rows),
+                    (&step, rows)
+                );
+                evals += chunk_evals;
+                chunk_total
+            })
+            .sum();
+        self.distance_evals += evals;
+        total
     }
 }
 

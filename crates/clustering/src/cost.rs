@@ -10,8 +10,8 @@ use fc_geom::points::Points;
 
 /// Weighted `cost_z(P, C)`. Panics on empty centers or dimension mismatch.
 ///
-/// Chunk-parallel through [`fc_geom::par`]: per-chunk partial sums merged
-/// in chunk order, bit-identical at every thread count.
+/// Chunked through [`fc_geom::par`]: per-chunk partial sums merged in
+/// chunk order.
 pub fn cost(data: &Dataset, centers: &Points, kind: CostKind) -> f64 {
     assert!(!centers.is_empty(), "cost needs at least one center");
     assert_eq!(
@@ -42,19 +42,9 @@ pub fn per_point_cost(data: &Dataset, centers: &Points, kind: CostKind) -> Vec<f
     let flat = centers.as_flat();
     let pflat = data.points().as_flat();
     let weights = data.weights();
-    let mut out = vec![0.0f64; data.points().len()];
-    let tasks: Vec<(&[f64], &[f64], &mut [f64])> = pflat
-        .chunks(par::CHUNK_POINTS * dim)
-        .zip(weights.chunks(par::CHUNK_POINTS))
-        .zip(out.chunks_mut(par::CHUNK_POINTS))
-        .map(|((p, w), o)| (p, w, o))
-        .collect();
-    par::for_each_task(tasks, |_, (pts, ws, outs)| {
-        for ((p, &w), o) in pts.chunks_exact(dim).zip(ws).zip(outs.iter_mut()) {
-            *o = w * kind.from_sq(nearest_sq(p, flat, dim).1);
-        }
-    });
-    out
+    (pflat.chunks_exact(dim).zip(weights))
+        .map(|(p, &w)| w * kind.from_sq(nearest_sq(p, flat, dim).1))
+        .collect()
 }
 
 #[cfg(test)]

@@ -98,8 +98,7 @@ pub(crate) fn seed<R: Rng + ?Sized>(
 
     for _ in 1..k {
         // D^z scores and their total come from the pass that placed the
-        // last center; every RNG draw stays strictly sequential below, so
-        // sampling is thread-count independent.
+        // last center; every RNG draw stays strictly sequential below.
         if total <= 0.0 {
             // All points coincide with a center: no more distinct locations.
             break;

@@ -115,13 +115,12 @@ pub fn weighted_mean_of(points: &Points, weights: &[f64], indices: &[usize]) -> 
     mean
 }
 
-/// All `k` weighted cluster means in one chunk-parallel pass over the
-/// labelled points.
+/// All `k` weighted cluster means in one chunked pass over the labelled
+/// points.
 ///
 /// Per-chunk partial sums (one `k × d` accumulator and one `k`-vector of
-/// weights per chunk) are merged in ascending chunk order, so the result
-/// is bit-identical at every thread count. Clusters with zero total
-/// weight come back as the zero vector — callers re-seed those.
+/// weights per chunk) are merged in ascending chunk order. Clusters with
+/// zero total weight come back as the zero vector — callers re-seed those.
 pub fn weighted_means_by_label(
     points: &Points,
     weights: &[f64],

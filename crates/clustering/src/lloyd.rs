@@ -40,8 +40,6 @@ use fc_geom::dataset::Dataset;
 use fc_geom::distance::CostKind;
 use fc_geom::points::Points;
 
-use fc_geom::par;
-
 use crate::assign::{group_count, Assignment, BoundedAssigner, Seeds};
 use crate::kmedian::{geometric_median, weighted_means_and_totals, WeiszfeldConfig};
 use crate::solution::Solution;
@@ -234,11 +232,10 @@ fn recompute_centers(
     let weights = data.weights();
 
     // A cluster is re-seeded when none of its points carries weight.
-    // Centroid accumulation fans out through `fc_geom::par`: k-means runs
-    // one chunked pass over the labelled points (partials merged in chunk
-    // order), whose weight totals say which clusters have any; k-median
-    // needs the member lists, and computes the per-cluster Weiszfeld
-    // medians as independent parallel tasks.
+    // k-means runs one chunked pass over the labelled points (partials
+    // merged in chunk order), whose weight totals say which clusters have
+    // any; k-median needs the member lists, and computes one Weiszfeld
+    // median per cluster.
     let (computed, cluster_ok): (Vec<Vec<f64>>, Vec<bool>) = match kind {
         CostKind::KMeans => {
             let (means, totals) = weighted_means_and_totals(points, weights, &assignment.labels, k);
@@ -249,14 +246,15 @@ fn recompute_centers(
             let ok: Vec<bool> = (clusters.iter())
                 .map(|members| members.iter().any(|&i| weights[i] > 0.0))
                 .collect();
-            let tasks: Vec<&Vec<usize>> = clusters.iter().collect();
-            let medians = par::map_tasks(tasks, |j, members| {
-                if ok[j] {
-                    geometric_median(points, weights, members, weiszfeld)
-                } else {
-                    Vec::new()
-                }
-            });
+            let medians = (clusters.iter().zip(&ok))
+                .map(|(members, &ok)| {
+                    if ok {
+                        geometric_median(points, weights, members, weiszfeld)
+                    } else {
+                        Vec::new()
+                    }
+                })
+                .collect();
             (medians, ok)
         }
     };

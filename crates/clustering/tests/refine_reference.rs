@@ -6,8 +6,7 @@
 //! with two deliberate differences: the cost fix (it reports the cost of
 //! the centres it returns) and the stop rule, which follows
 //! `LloydConfig::stop`. Every case must match it in every centre bit, every
-//! label, the cost bits and the round it stopped at, at every group count
-//! and thread count.
+//! label, the cost bits and the round it stopped at, at every group count.
 //!
 //! Seeding skips distances too, and scores points in the pass that
 //! assigns them; its reference rescans and rescores every round.
@@ -273,27 +272,21 @@ fn bits(points: &Points) -> Vec<u64> {
 fn check(case: &Case) -> Result<(), TestCaseError> {
     let (data, initial) = build(case);
     let (n, k) = (data.len(), initial.len());
-    let want = par::with_threads(1, || {
-        reference_refine(&data, initial.clone(), case.kind, case.cfg)
-    });
+    let want = reference_refine(&data, initial.clone(), case.kind, case.cfg);
     let scan = (n * k * (want.rounds + 1)) as u64;
     for groups in [1, group_count(n, k), k] {
-        for threads in [1usize, 8] {
-            let got = par::with_threads(threads, || {
-                refine_with_groups(&data, initial.clone(), case.kind, case.cfg, groups)
-            });
-            let at = format!("groups {groups}, {threads} threads, {case:?}");
-            prop_assert_eq!(got.rounds, want.rounds, "rounds: {}", at);
-            prop_assert_eq!(&got.labels, &want.labels, "labels: {}", at);
-            prop_assert_eq!(bits(&got.centers), bits(&want.centers), "centres: {}", at);
-            prop_assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "cost: {}", at);
-            prop_assert!(
-                (n * k) as u64 <= got.distance_evals && got.distance_evals <= scan,
-                "{} evaluations outside [{}, {scan}]: {at}",
-                got.distance_evals,
-                n * k
-            );
-        }
+        let got = refine_with_groups(&data, initial.clone(), case.kind, case.cfg, groups);
+        let at = format!("groups {groups}, {case:?}");
+        prop_assert_eq!(got.rounds, want.rounds, "rounds: {}", at);
+        prop_assert_eq!(&got.labels, &want.labels, "labels: {}", at);
+        prop_assert_eq!(bits(&got.centers), bits(&want.centers), "centres: {}", at);
+        prop_assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "cost: {}", at);
+        prop_assert!(
+            (n * k) as u64 <= got.distance_evals && got.distance_evals <= scan,
+            "{} evaluations outside [{}, {scan}]: {at}",
+            got.distance_evals,
+            n * k
+        );
     }
     // The cost fix: the reported cost prices the returned centres.
     let direct = cost(&data, &want.centers, case.kind);
@@ -317,7 +310,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Several `par` chunks, so bounds cross chunk boundaries and threads.
+    /// Several `par` chunks, so bounds cross chunk boundaries.
     #[test]
     fn refine_is_the_reference_loop_across_chunks(case in case_strategy(2600)) {
         check(&Case { n: case.n + 2 * par::CHUNK_POINTS, dim: case.dim.min(8), ..case })?;
@@ -371,49 +364,43 @@ fn heavier(data: Dataset) -> Dataset {
 /// bounds k-means++ kept instead of scanning; the contract is again that
 /// nobody can tell. Both must match k-means++ followed by the reference
 /// loop in every label, centre bit, cost bit, the round they stopped at and
-/// the RNG draw that follows, at 1 and 8 threads. `heavy` puts every third
-/// point's weight near 1e300.
+/// the RNG draw that follows. `heavy` puts every third point's weight near
+/// 1e300.
 fn check_solve(case: &Case, heavy: bool) -> Result<(), TestCaseError> {
     let (data, _) = build(case);
     let data = if heavy { heavier(data) } else { data };
     let seed = case.seed ^ 0x5eed;
-    let (want, want_next) = par::with_threads(1, || {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let seeding = kmeanspp(&mut rng, &data, case.k, case.kind);
-        let want = reference_refine(&data, seeding.centers, case.kind, case.cfg);
-        (want, rng.gen::<u64>())
-    });
+    let mut rng = StdRng::seed_from_u64(seed);
+    let seeding = kmeanspp(&mut rng, &data, case.k, case.kind);
+    let want = reference_refine(&data, seeding.centers, case.kind, case.cfg);
+    let want_next = rng.gen::<u64>();
     let (n, k) = (data.len(), want.centers.len());
     // Seeding's `n · k` stands in for the first scan, unless it ran out of
     // distinct points before `min(k, n)` centres and the first round scans.
     let first_scan = if k < case.k.min(n) { n * k } else { 0 };
     let scan = (n * k * (want.rounds + 1) + first_scan) as u64;
     let cfg = SolveConfig { lloyd: case.cfg };
-    for threads in [1usize, 8] {
-        for through_solver in [false, true] {
-            let (got, next) = par::with_threads(threads, || {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let got = if through_solver {
-                    Solver::Lloyd
-                        .solve(&mut rng, &data, case.k, case.kind, &cfg)
-                        .unwrap()
-                } else {
-                    solve(&mut rng, &data, case.k, case.kind, case.cfg)
-                };
-                (got, rng.gen::<u64>())
-            });
-            let at = format!("solver {through_solver}, {threads} threads, heavy {heavy}, {case:?}");
-            prop_assert_eq!(got.rounds, want.rounds, "rounds: {}", at);
-            prop_assert_eq!(&got.labels, &want.labels, "labels: {}", at);
-            prop_assert_eq!(bits(&got.centers), bits(&want.centers), "centres: {}", at);
-            prop_assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "cost: {}", at);
-            prop_assert_eq!(next, want_next, "next draw: {}", at);
-            prop_assert!(
-                n as u64 <= got.distance_evals && got.distance_evals <= scan,
-                "{} evaluations outside [{n}, {scan}]: {at}",
-                got.distance_evals
-            );
-        }
+    for through_solver in [false, true] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let got = if through_solver {
+            Solver::Lloyd
+                .solve(&mut rng, &data, case.k, case.kind, &cfg)
+                .unwrap()
+        } else {
+            solve(&mut rng, &data, case.k, case.kind, case.cfg)
+        };
+        let next = rng.gen::<u64>();
+        let at = format!("solver {through_solver}, heavy {heavy}, {case:?}");
+        prop_assert_eq!(got.rounds, want.rounds, "rounds: {}", at);
+        prop_assert_eq!(&got.labels, &want.labels, "labels: {}", at);
+        prop_assert_eq!(bits(&got.centers), bits(&want.centers), "centres: {}", at);
+        prop_assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "cost: {}", at);
+        prop_assert_eq!(next, want_next, "next draw: {}", at);
+        prop_assert!(
+            n as u64 <= got.distance_evals && got.distance_evals <= scan,
+            "{} evaluations outside [{n}, {scan}]: {at}",
+            got.distance_evals
+        );
     }
     Ok(())
 }
@@ -507,8 +494,7 @@ fn reference_kmeanspp(
 }
 
 /// `kmeanspp` against the reference in the chosen indices, every label,
-/// every squared-distance bit and the RNG draw that follows, at 1 and 8
-/// threads.
+/// every squared-distance bit and the RNG draw that follows.
 fn check_seeding(case: &Case, heavy: bool) -> Result<(), TestCaseError> {
     let (data, _) = build(case);
     let data = if heavy { heavier(data) } else { data };
@@ -516,19 +502,15 @@ fn check_seeding(case: &Case, heavy: bool) -> Result<(), TestCaseError> {
     let mut rng = StdRng::seed_from_u64(seed);
     let want = reference_kmeanspp(&mut rng, &data, case.k, case.kind);
     let want_next = rng.gen::<u64>();
-    for threads in [1usize, 8] {
-        let (got, next) = par::with_threads(threads, || {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let got = kmeanspp(&mut rng, &data, case.k, case.kind);
-            (got, rng.gen::<u64>())
-        });
-        let at = format!("{threads} threads, heavy {heavy}, {case:?}");
-        prop_assert_eq!(&got.chosen, &want.chosen, "chosen: {}", at);
-        prop_assert_eq!(&got.labels, &want.labels, "labels: {}", at);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(bits(&got.min_sq), bits(&want.min_sq), "min_sq: {}", at);
-        prop_assert_eq!(next, want_next, "next draw: {}", at);
-    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let got = kmeanspp(&mut rng, &data, case.k, case.kind);
+    let next = rng.gen::<u64>();
+    let at = format!("heavy {heavy}, {case:?}");
+    prop_assert_eq!(&got.chosen, &want.chosen, "chosen: {}", at);
+    prop_assert_eq!(&got.labels, &want.labels, "labels: {}", at);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    prop_assert_eq!(bits(&got.min_sq), bits(&want.min_sq), "min_sq: {}", at);
+    prop_assert_eq!(next, want_next, "next draw: {}", at);
     Ok(())
 }
 
@@ -547,8 +529,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Several chunks, so the score totals are merged across chunks and
-    /// threads.
+    /// Several chunks, so the score totals are merged across chunks.
     #[test]
     fn kmeanspp_is_the_reference_seeding_across_chunks(
         case in case_strategy(2600),

@@ -30,9 +30,9 @@
 //!   same [`json`] codec as the `fc-service` protocol.
 
 pub mod compressor;
-/// The scoped chunk-parallel compute tier (re-exported from `fc_geom` so
-/// the whole stack spells it `fc_core::par`): fixed-size chunks merged in
-/// chunk order give bit-identical results at every thread count.
+/// The compute tier's fixed-size chunks (re-exported from `fc_geom` so the
+/// whole stack spells it `fc_core::par`): kernels walk them in order and
+/// merge per-chunk partials in chunk order.
 pub use fc_geom::par;
 pub mod coreset;
 pub mod distortion;

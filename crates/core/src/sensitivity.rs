@@ -42,9 +42,8 @@ pub fn sensitivity_scores(
     assert_eq!(labels.len(), weights.len());
     let n = labels.len();
 
-    // Pass 1: per-cluster aggregates. Chunk-parallel with one partial
-    // aggregate pair per chunk, merged in ascending chunk order so the
-    // result is bit-identical at every thread count.
+    // Pass 1: per-cluster aggregates, one partial aggregate pair per
+    // chunk, merged in ascending chunk order.
     let partials = fc_geom::par::map_chunks(n, |_, r| {
         let mut cw = vec![0.0; k];
         let mut cc = vec![0.0; k];
@@ -70,40 +69,23 @@ pub fn sensitivity_scores(
         }
     }
 
-    // Pass 2: per-point scores (independent writes) plus a chunk-summed
-    // total.
-    let mut scores = vec![0.0; n];
-    let total: f64 = {
-        let cluster_weights = &cluster_weights;
-        let cluster_costs = &cluster_costs;
-        let tasks: Vec<(usize, &mut [f64])> = scores
-            .chunks_mut(fc_geom::par::CHUNK_POINTS)
-            .enumerate()
-            .map(|(c, s)| (c * fc_geom::par::CHUNK_POINTS, s))
-            .collect();
-        fc_geom::par::map_tasks(tasks, |_, (off, chunk)| {
-            let mut t = 0.0;
-            for (j, out) in chunk.iter_mut().enumerate() {
-                let (l, c, w) = (labels[off + j], cost_z[off + j], weights[off + j]);
-                let cost_term = if cluster_costs[l] > 0.0 {
-                    w * c / cluster_costs[l]
-                } else {
-                    0.0
-                };
-                let mass_term = if cluster_weights[l] > 0.0 {
-                    w / cluster_weights[l]
-                } else {
-                    0.0
-                };
-                let s = cost_term + mass_term;
-                *out = s;
-                t += s;
-            }
-            t
+    // Pass 2: per-point scores plus a chunk-summed total.
+    let scores: Vec<f64> = (labels.iter().zip(cost_z).zip(weights))
+        .map(|((&l, &c), &w)| {
+            let cost_term = if cluster_costs[l] > 0.0 {
+                w * c / cluster_costs[l]
+            } else {
+                0.0
+            };
+            let mass_term = if cluster_weights[l] > 0.0 {
+                w / cluster_weights[l]
+            } else {
+                0.0
+            };
+            cost_term + mass_term
         })
-        .into_iter()
-        .sum()
-    };
+        .collect();
+    let total = fc_geom::par::sum_chunks(n, |r| scores[r].iter().fold(0.0, |t, s| t + s));
     // A cost past `f64::MAX` turned its cluster's cost terms into 0 or NaN;
     // the k sums in hand say so, with no pass over the points.
     let total = if cluster_costs.iter().all(|c| c.is_finite()) {
@@ -125,16 +107,9 @@ pub fn lightweight_scores(
         .unwrap_or_else(|| vec![0.0; data.dim()]);
     let dim = data.dim();
     let flat = data.points().as_flat();
-    let mut cost_z = vec![0.0f64; data.len()];
-    let tasks: Vec<(&[f64], &mut [f64])> = flat
-        .chunks(fc_geom::par::CHUNK_POINTS * dim)
-        .zip(cost_z.chunks_mut(fc_geom::par::CHUNK_POINTS))
+    let cost_z: Vec<f64> = (flat.chunks_exact(dim))
+        .map(|p| kind.from_sq(fc_geom::distance::sq_dist(p, &mean)))
         .collect();
-    fc_geom::par::for_each_task(tasks, |_, (pts, out)| {
-        for (p, o) in pts.chunks_exact(dim).zip(out.iter_mut()) {
-            *o = kind.from_sq(fc_geom::distance::sq_dist(p, &mean));
-        }
-    });
     let labels = vec![0usize; data.len()];
     sensitivity_scores(&labels, &cost_z, data.weights(), 1)
 }

@@ -1,8 +1,8 @@
 //! Single-round MapReduce aggregation (Section 2.3).
 //!
 //! The data is partitioned randomly among `workers` computation entities;
-//! each computes a coreset of its shard (here: real OS threads via
-//! `std::thread::scope`); the host unions the shard coresets — a valid
+//! each computes a coreset of its shard (here: simulated workers that run
+//! one after another); the host unions the shard coresets — a valid
 //! coreset for the full data by composability — and optionally re-compresses
 //! to the target size. Communication is `O(m)` points per worker,
 //! independent of `n`, which is the whole appeal of the scheme.
@@ -28,8 +28,8 @@ pub struct MapReduceReport {
 /// re-compress once when the union exceeds `params.m`. This is the exact
 /// step every serving tier runs per query (`fc_service::query`), on an
 /// engine's shard summaries or on the compressions an `fc-cluster`
-/// coordinator fetched from its nodes — the parts' provenance (threads or
-/// sockets) is irrelevant to the math. Validation errors (no parts, dimension or
+/// coordinator fetched from its nodes — the parts' provenance (simulated
+/// workers or sockets) is irrelevant to the math. Validation errors (no parts, dimension or
 /// weight disagreement between parts) surface as [`FcError`].
 pub fn aggregate_parts<R: Rng>(
     rng: &mut R,
@@ -45,8 +45,8 @@ pub fn aggregate_parts<R: Rng>(
 }
 
 /// Runs one MapReduce round: random partition into `workers` shards,
-/// per-worker compression on real threads, union at the host, and a final
-/// reduction when the union exceeds `params.m`.
+/// per-worker compression (one worker after another), union at the host,
+/// and a final reduction when the union exceeds `params.m`.
 pub fn mapreduce_coreset<R: Rng + ?Sized>(
     rng: &mut R,
     data: &Dataset,
@@ -74,17 +74,15 @@ pub fn mapreduce_coreset<R: Rng + ?Sized>(
         .collect();
     let shard_sizes: Vec<usize> = shards.iter().map(|s| s.len()).collect();
 
-    // Per-worker compression on the shared compute tier, bounded by the
-    // `--solve-threads` knob. One base seed is drawn from the caller and
-    // split into one decorrelated stream per *shard* via the stream-constant
-    // scheme ([`fc_geom::par::split_seeds`]), so neither the worker count
-    // nor the thread count changes any shard's sampled output.
+    // Per-worker compression, one worker after another. One base seed is
+    // drawn from the caller and split into one decorrelated stream per
+    // *shard* via the stream-constant scheme
+    // ([`fc_geom::par::split_seeds`]), so no shard's sampled output
+    // depends on the others.
     let seeds = fc_geom::par::split_seeds(rng.gen(), shards.len());
-    let tasks: Vec<(&Dataset, u64)> = shards.iter().zip(seeds).collect();
-    let parts: Vec<Coreset> = fc_geom::par::map_tasks(tasks, |_, (shard, seed)| {
-        let mut worker_rng = StdRng::seed_from_u64(seed);
-        compressor.compress(&mut worker_rng, shard, params)
-    });
+    let parts: Vec<Coreset> = (shards.iter().zip(seeds))
+        .map(|(shard, seed)| compressor.compress(&mut StdRng::seed_from_u64(seed), shard, params))
+        .collect();
     let communicated_points: usize = parts.iter().map(|c| c.len()).sum();
     // The union's size is exactly the communicated total, so whether the
     // host reduction will run is known before touching the caller's RNG —

@@ -21,7 +21,8 @@
 //!   D²-splitting. Its bucket cascade is merge-&-reduce over
 //!   [`CoresetTreeCompressor`], so that is how it streams.
 //! - [`mapreduce`]: the single-round MapReduce aggregation of Section 2.3 —
-//!   partition, compress per worker (real threads), union the coresets.
+//!   partition, compress per simulated worker (run in order), union the
+//!   coresets.
 
 pub mod bico;
 pub mod cf;

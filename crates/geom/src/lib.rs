@@ -16,9 +16,9 @@
 //!   draws and prefix-sum samplers for maskable ranges.
 //! - [`bbox`]: bounding boxes and spread (`Δ`) computation, the quantity the
 //!   paper's spread-reduction machinery (Section 4) is about.
-//! - [`par`]: the scoped chunk-parallel compute tier — fixed-size chunks
-//!   merged in chunk order, so every kernel is bit-identical at any
-//!   thread count (`FC_SOLVE_THREADS` / `--solve-threads`).
+//! - [`par`]: the compute tier's fixed-size chunks — kernels walk them in
+//!   order on the caller's thread and merge per-chunk partials in chunk
+//!   order; one seed stream per chunk via [`par::split_seeds`].
 
 pub mod bbox;
 pub mod dataset;

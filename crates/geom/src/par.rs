@@ -1,36 +1,22 @@
-//! Scoped chunk-parallel helpers for the compute tier.
+//! Fixed-size chunks for the compute tier.
 //!
 //! Every CPU-bound kernel in the workspace (assignment scans, centroid
-//! accumulation, sensitivity passes, compaction) fans out through this
-//! module. The design goal is **bit-reproducibility across thread
-//! counts**: work is split into chunks of a *fixed* size that does not
-//! depend on how many workers run, every chunk produces an independent
-//! partial result, and partials are always merged in ascending chunk
-//! order. Changing `FC_SOLVE_THREADS` (or `--solve-threads`) therefore
-//! changes wall-clock time and nothing else — the same floating-point
-//! additions happen in the same association order whether one thread or
-//! sixteen execute the chunks.
-//!
-//! With one thread the helpers run every chunk inline on the caller's
-//! stack — no scope, no spawn, no locks — so `--solve-threads 1` is the
-//! plain sequential code path.
+//! accumulation, sensitivity passes) walks its points in chunks of
+//! [`CHUNK_POINTS`], in order, on the caller's thread. Each chunk produces
+//! its own partial result and partials are merged in ascending chunk
+//! order, so a kernel's floating-point association order is a function of
+//! the input length alone. That order is what the pinned outputs
+//! (golden hashes, served bytes) were recorded under.
 //!
 //! Randomness never crosses a chunk boundary: kernels that sample draw
-//! from a sequential RNG outside the parallel region, or derive one
-//! stream per *chunk* (not per thread) via [`split_seeds`], so sampled
-//! output is also independent of the thread count.
+//! from a sequential RNG outside the chunk loop, or derive one stream per
+//! chunk (or per worker) via [`split_seeds`].
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-/// Fixed number of points per parallel chunk.
-///
-/// This is a property of the *data*, not of the worker pool: chunk
-/// boundaries (and therefore the partial-sum association order) are
-/// identical at every thread count. 1024 points keeps per-chunk work in
-/// the tens-of-microseconds range for moderate dimensions, which
-/// amortizes the work-queue lock while still load-balancing well.
+/// Fixed number of points per chunk. A property of the data: chunk
+/// boundaries (and therefore the partial-sum association order) depend
+/// only on the input length.
 pub const CHUNK_POINTS: usize = 1024;
 
 /// Multiplier used to derive independent seed streams (same constant the
@@ -38,69 +24,13 @@ pub const CHUNK_POINTS: usize = 1024;
 /// increment).
 pub const SEED_STREAM: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Global worker-count knob. 0 = not yet resolved (first use reads
-/// `FC_SOLVE_THREADS`, falling back to the hardware parallelism).
-static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
+/// Does nothing: the chunks always run in order on the caller's thread.
+/// Kept only because the benchmark package still calls it.
+pub fn set_max_threads(_n: usize) {}
 
-thread_local! {
-    /// Per-thread override installed by [`with_threads`]; 0 = inherit
-    /// the global knob.
-    static THREAD_OVERRIDE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-fn resolve_default() -> usize {
-    std::env::var("FC_SOLVE_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-}
-
-/// The worker count parallel helpers will use on this thread right now:
-/// the innermost [`with_threads`] override if one is active, else the
-/// global knob (resolved once from `FC_SOLVE_THREADS`, default = number
-/// of hardware threads).
-pub fn max_threads() -> usize {
-    let tl = THREAD_OVERRIDE.with(|c| c.get());
-    if tl > 0 {
-        return tl;
-    }
-    let g = GLOBAL_THREADS.load(Ordering::Relaxed);
-    if g > 0 {
-        return g;
-    }
-    let resolved = resolve_default();
-    GLOBAL_THREADS.store(resolved, Ordering::Relaxed);
-    resolved
-}
-
-/// Set the process-wide worker count (the `--solve-threads` flag lands
-/// here). Clamped to at least 1. Results are identical at every value;
-/// only wall-clock time changes.
-pub fn set_max_threads(n: usize) {
-    GLOBAL_THREADS.store(n.max(1), Ordering::Relaxed);
-}
-
-/// Run `f` with the worker count pinned to `n` on the current thread
-/// (restored on exit, including on panic). `n == 0` leaves the
-/// inherited setting untouched — convenient for plumbing an optional
-/// per-request override.
-pub fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    struct Restore(usize);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            THREAD_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let prev = THREAD_OVERRIDE.with(|c| c.get());
-    let _restore = Restore(prev);
-    if n > 0 {
-        THREAD_OVERRIDE.with(|c| c.set(n));
-    }
+/// Runs `f`: the chunks always run in order on the caller's thread, so
+/// `n` is ignored. Kept only because the benchmark package still calls it.
+pub fn with_threads<T>(_n: usize, f: impl FnOnce() -> T) -> T {
     f()
 }
 
@@ -115,116 +45,24 @@ pub fn chunk_range(c: usize, len: usize) -> Range<usize> {
     start..((start + CHUNK_POINTS).min(len))
 }
 
-/// Run `f` over a list of independent work items on up to
-/// [`max_threads`] workers and return the outputs **in item order**
-/// (never completion order). Items are handed out through a shared
-/// queue, so uneven items still balance. With one worker (or one item)
-/// everything runs inline on the caller's stack.
-///
-/// `f` receives `(item_index, item)`.
-pub fn map_tasks<I, T, F>(tasks: Vec<I>, f: F) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    F: Fn(usize, I) -> T + Sync,
-{
-    let n = tasks.len();
-    let threads = max_threads().min(n);
-    if threads <= 1 {
-        return tasks
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t))
-            .collect();
-    }
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let queue = Mutex::new(tasks.into_iter().enumerate());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            // Workers pin their own view to 1 thread: nested kernels run
-            // inline instead of spawning a second fan-out (outer
-            // parallelism already owns the cores).
-            scope.spawn(|| {
-                with_threads(1, || loop {
-                    let item = queue.lock().unwrap().next();
-                    match item {
-                        Some((i, t)) => {
-                            let out = f(i, t);
-                            *slots[i].lock().unwrap() = Some(out);
-                        }
-                        None => break,
-                    }
-                })
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("worker filled every slot"))
-        .collect()
-}
-
-/// Run `f` over independent work items for effect only (no outputs
-/// collected). Same scheduling as [`map_tasks`]; the usual items are
-/// disjoint `&mut` sub-slices produced by `chunks_mut`, so each chunk
-/// writes its own region and no ordering is observable.
-pub fn for_each_task<I, F>(tasks: Vec<I>, f: F)
-where
-    I: Send,
-    F: Fn(usize, I) + Sync,
-{
-    let n = tasks.len();
-    let threads = max_threads().min(n);
-    if threads <= 1 {
-        for (i, t) in tasks.into_iter().enumerate() {
-            f(i, t);
-        }
-        return;
-    }
-    let queue = Mutex::new(tasks.into_iter().enumerate());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                with_threads(1, || loop {
-                    let item = queue.lock().unwrap().next();
-                    match item {
-                        Some((i, t)) => f(i, t),
-                        None => break,
-                    }
-                })
-            });
-        }
-    });
-}
-
 /// Map every fixed-size chunk of `0..len` through `f` and return the
 /// per-chunk outputs in ascending chunk order. `f` receives
 /// `(chunk_index, item_range)`.
-pub fn map_chunks<T, F>(len: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, Range<usize>) -> T + Sync,
-{
-    let chunks: Vec<Range<usize>> = (0..chunk_count(len)).map(|c| chunk_range(c, len)).collect();
-    map_tasks(chunks, f)
+pub fn map_chunks<T>(len: usize, mut f: impl FnMut(usize, Range<usize>) -> T) -> Vec<T> {
+    (0..chunk_count(len))
+        .map(|c| f(c, chunk_range(c, len)))
+        .collect()
 }
 
-/// Chunked deterministic sum: per-chunk partial sums (each accumulated
-/// left-to-right) merged in ascending chunk order. The association order
-/// is a function of `len` alone, so the result is bit-identical at every
-/// thread count.
-pub fn sum_chunks<F>(len: usize, f: F) -> f64
-where
-    F: Fn(Range<usize>) -> f64 + Sync,
-{
-    map_chunks(len, |_, r| f(r)).into_iter().sum()
+/// Chunked sum: per-chunk partial sums (each accumulated left-to-right)
+/// merged in ascending chunk order.
+pub fn sum_chunks(len: usize, mut f: impl FnMut(Range<usize>) -> f64) -> f64 {
+    (0..chunk_count(len)).map(|c| f(chunk_range(c, len))).sum()
 }
 
 /// Derive `n` decorrelated seed streams from one request seed using the
 /// splitmix64 finalizer over the shared [`SEED_STREAM`] increment.
-/// Stream `i` depends only on `(seed, i)` — never on the thread count —
-/// so kernels that hand one stream to each *chunk* sample identically
-/// however many workers run.
+/// Stream `i` depends only on `(seed, i)`.
 pub fn split_seeds(seed: u64, n: usize) -> Vec<u64> {
     (0..n as u64)
         .map(|i| {
@@ -241,7 +79,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn chunk_layout_is_thread_independent() {
+    fn chunk_layout_depends_only_on_length() {
         assert_eq!(chunk_count(0), 0);
         assert_eq!(chunk_count(1), 1);
         assert_eq!(chunk_count(CHUNK_POINTS), 1);
@@ -254,60 +92,35 @@ mod tests {
     }
 
     #[test]
-    fn map_chunks_results_in_chunk_order_at_any_thread_count() {
+    fn map_chunks_results_in_chunk_order() {
         let len = 5 * CHUNK_POINTS + 123;
-        let seq = with_threads(1, || map_chunks(len, |c, r| (c, r.start, r.end)));
-        for &t in &[2usize, 4, 8] {
-            let par = with_threads(t, || map_chunks(len, |c, r| (c, r.start, r.end)));
-            assert_eq!(seq, par);
-        }
-        assert_eq!(seq.len(), chunk_count(len));
-        assert_eq!(seq[0], (0, 0, CHUNK_POINTS));
-        assert_eq!(seq.last().unwrap().2, len);
-    }
-
-    #[test]
-    fn sum_chunks_bit_identical_across_thread_counts() {
-        // Values chosen so association order matters in f64.
-        let vals: Vec<f64> = (0..4 * CHUNK_POINTS + 77)
-            .map(|i| 1.0 + (i as f64) * 1e-13 + ((i % 7) as f64) * 0.1)
+        let got = map_chunks(len, |c, r| (c, r.start, r.end));
+        let want: Vec<_> = (0..chunk_count(len))
+            .map(|c| (c, c * CHUNK_POINTS, ((c + 1) * CHUNK_POINTS).min(len)))
             .collect();
-        let one = with_threads(1, || sum_chunks(vals.len(), |r| vals[r].iter().sum()));
-        for &t in &[2usize, 3, 8] {
-            let many = with_threads(t, || sum_chunks(vals.len(), |r| vals[r].iter().sum()));
-            assert_eq!(one.to_bits(), many.to_bits());
+        assert_eq!(got, want);
+        assert_eq!(got[0], (0, 0, CHUNK_POINTS));
+        assert_eq!(got.last().unwrap().2, len);
+    }
+
+    #[test]
+    fn sum_chunks_merges_per_chunk_sums_in_chunk_order() {
+        // 2^54 first: every 1.0 added to it one at a time is lost, while a
+        // chunk of ones sums exactly, so the two orders give different bits.
+        let mut vals = vec![1.0; 4 * CHUNK_POINTS + 77];
+        vals[0] = 2f64.powi(54);
+        let got = sum_chunks(vals.len(), |r| vals[r].iter().sum());
+        let mut want = 0.0;
+        for chunk in vals.chunks(CHUNK_POINTS) {
+            want += chunk.iter().sum::<f64>();
         }
-    }
-
-    #[test]
-    fn for_each_task_covers_disjoint_mut_chunks() {
-        let mut buf = vec![0usize; 3 * CHUNK_POINTS + 5];
-        let len = buf.len();
-        let tasks: Vec<(usize, &mut [usize])> = buf
-            .chunks_mut(CHUNK_POINTS)
-            .enumerate()
-            .map(|(c, s)| (c * CHUNK_POINTS, s))
-            .collect();
-        with_threads(4, || {
-            for_each_task(tasks, |_, (off, chunk)| {
-                for (j, v) in chunk.iter_mut().enumerate() {
-                    *v = off + j;
-                }
-            });
-        });
-        assert!(buf.iter().enumerate().all(|(i, &v)| v == i));
-        assert_eq!(buf.len(), len);
-    }
-
-    #[test]
-    fn with_threads_restores_previous_override() {
-        with_threads(3, || {
-            assert_eq!(max_threads(), 3);
-            with_threads(1, || assert_eq!(max_threads(), 1));
-            assert_eq!(max_threads(), 3);
-            // 0 inherits rather than overriding.
-            with_threads(0, || assert_eq!(max_threads(), 3));
-        });
+        assert_eq!(got.to_bits(), want.to_bits());
+        let flat: f64 = vals.iter().sum();
+        assert_ne!(
+            got.to_bits(),
+            flat.to_bits(),
+            "the data must tell the orders apart"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! MapReduce-style distributed aggregation (paper §2.3): shard the data
-//! across workers, build one coreset per worker on real threads, union at
-//! the host, and solve on the aggregate — total communication independent
-//! of n.
+//! across simulated workers, build one coreset per worker (the workers run
+//! one after another), union at the host, and solve on the aggregate —
+//! total communication independent of n.
 //!
 //! ```sh
 //! cargo run --release --example mapreduce_aggregation
@@ -53,6 +53,7 @@ fn main() {
     println!(
         "\nCoreset composability (paper §2.3) makes the union of per-shard \
          coresets a valid coreset of the full data: accuracy is flat in the \
-         worker count while wall-clock drops until shards get small."
+         worker count while communication grows with it. The workers run one \
+         after another here, so wall-clock is their summed compression time."
     );
 }

@@ -5,7 +5,7 @@
 //!                [--addr HOST:PORT] [--replication R]
 //!                [--capacity W ...] [--retries N] [--node-timeout-ms MS]
 //!                [--k K] [--m-scalar M] [--budget POINTS] [--kmedian]
-//!                [--method NAME] [--solve-threads N] [--cache-capacity N]
+//!                [--method NAME] [--cache-capacity N]
 //!                [--io-model reactor|threaded] [--executor-threads N]
 //!                [--max-connections N] [--request-deadline-ms N]
 //!                [--wire bin1|json]
@@ -41,10 +41,8 @@
 //! latency attribution per fleet node; the JSON `metrics` op also embeds
 //! every node's registry under `"nodes"`).
 //!
-//! `--solve-threads` sets the process-wide worker-thread count for the
-//! coordinator's own compute (coreset aggregation and the final solve) —
-//! equivalent to `FC_SOLVE_THREADS`, bit-identical results at every
-//! setting.
+//! The coordinator's own compute (coreset aggregation and the final solve)
+//! runs on the thread serving the request.
 //! `--cache-capacity` bounds the coordinator's memoized query results,
 //! keyed by dataset version, fleet epoch, and node health, so ingests,
 //! membership changes, and observed health flips all invalidate (`0`

@@ -3,7 +3,7 @@
 //! ```text
 //! fc-server [--addr HOST:PORT] [--shards N] [--k K] [--m-scalar M]
 //!           [--budget POINTS] [--queue-depth N] [--kmedian]
-//!           [--method NAME] [--solve-threads N] [--cache-capacity N]
+//!           [--method NAME] [--cache-capacity N]
 //!           [--io-model reactor|threaded] [--executor-threads N]
 //!           [--max-connections N] [--request-deadline-ms N]
 //!           [--wire auto|json]
@@ -18,15 +18,11 @@
 //! `--method` takes the canonical names of `fc_core::plan::Method` (e.g.
 //! `fast-coreset`, `uniform`, `welterweight(log-k)`) — the same strings the
 //! JSON protocol accepts per request. Every query solves with k-means++
-//! and Lloyd.
+//! and Lloyd, on the thread serving the request; a shard compaction runs
+//! on its shard's thread.
 //!
-//! `--solve-threads` sets the process-wide worker-thread count for the
-//! parallel kernels (assignment, accumulation, sensitivity passes, on
-//! queries and in shard compactions alike) — equivalent to the
-//! `FC_SOLVE_THREADS` environment variable, default =
-//! hardware threads, `1` = the plain sequential path. Results are
-//! bit-identical at every setting. `--cache-capacity` bounds the
-//! engine's memoized query results (`0` disables the cache; default 64).
+//! `--cache-capacity` bounds the engine's memoized query results (`0`
+//! disables the cache; default 64).
 //!
 //! `--io-model` picks the connection model: `reactor` (epoll readiness
 //! loop + bounded executor pool — the Linux default; one reactor thread,

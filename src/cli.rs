@@ -1,5 +1,5 @@
 //! The flags `fc-server` and `fc-coordinator` both take — the upward
-//! listener's [`ServerOptions`] and the default-plan and compute knobs —
+//! listener's [`ServerOptions`] and the default plan and query cache —
 //! parsed by one parser, so the two binaries cannot drift on a flag's
 //! name, value syntax or error message.
 
@@ -11,7 +11,8 @@ use fc_clustering::CostKind;
 use fc_core::plan::Method;
 use fc_service::{EngineConfig, ServerOptions};
 
-/// The values of the shared flags.
+/// The values of the shared flags. The solve's kernels take no flag: they
+/// run on the thread that serves the request.
 pub struct ServingFlags {
     /// `--io-model --executor-threads --max-connections
     /// --request-deadline-ms --wire`.
@@ -52,7 +53,7 @@ impl Default for ServingFlags {
 pub fn usage(wire_on: &str) -> String {
     format!(
         "[--k K] [--m-scalar M] [--budget POINTS] [--kmedian] [--method NAME] \
-         [--solve-threads N] [--cache-capacity N] \
+         [--cache-capacity N] \
          [--io-model reactor|threaded] [--executor-threads N] \
          [--max-connections N] [--request-deadline-ms N] [--wire {wire_on}|json]"
     )
@@ -103,16 +104,6 @@ impl ServingFlags {
             "--budget" => self.budget = Some(number(value("points"), usage)),
             "--kmedian" => self.kind = CostKind::KMedian,
             "--method" => self.method = named(value("method name"), usage),
-            "--solve-threads" => {
-                let threads: usize = number(value("count"), usage);
-                if threads == 0 {
-                    eprintln!("--solve-threads needs a positive count");
-                    usage();
-                }
-                // Process-wide: every kernel, on the query path and in the
-                // shard workers alike, reads this one setting.
-                fc_geom::par::set_max_threads(threads);
-            }
             "--cache-capacity" => self.cache_capacity = number(value("count"), usage),
             "--io-model" => options.io_model = named(value("model name"), usage),
             "--executor-threads" => options.executor_threads = number(value("count"), usage),

@@ -9,7 +9,7 @@ use rand::SeedableRng;
 
 /// The 1 442-point coreset `golden_coreset.rs` pins, solved as
 /// `golden_solve.rs` solves it. `distance_evals` is a count: it repeats
-/// exactly, on every machine and at every thread count. It counts
+/// exactly, on every machine. It counts
 /// seeding's distances too, and refinement resumes from the bounds
 /// seeding kept instead of scanning all 57 680 pairs again.
 #[test]
