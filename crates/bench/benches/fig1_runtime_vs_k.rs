@@ -8,7 +8,7 @@
 
 use fc_bench::experiments::{measure_build_only, DEFAULT_KIND};
 use fc_bench::{fmt_mean_var, BenchConfig, Table};
-use fc_core::{CompressionParams, FastCoreset};
+use fc_core::{CompressionParams, FastCoreset, StandardSensitivity};
 use fc_geom::stats::mean;
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
             .filter(|d| d.name == "adult"),
     );
     let ks = [50usize, 100, 200, 400];
-    let sensitivity = fc_bench::scenarios::sensitivity_baseline();
+    let sensitivity = StandardSensitivity;
     let fast = FastCoreset;
 
     let mut table = Table::new(

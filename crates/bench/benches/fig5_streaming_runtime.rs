@@ -1,5 +1,6 @@
 //! **Figure 5**: streaming vs. non-streaming coreset *runtimes* (bottom
-//! panel; the top panel's distortions are Table 5 / `table5_streaming`).
+//! panel; the top panel's verdicts are the Table 5 section of
+//! `tests/paper_claims.rs`).
 //!
 //! Shape to reproduce: merge-&-reduce costs a small constant factor over
 //! the static build for every method, with the method ordering (uniform

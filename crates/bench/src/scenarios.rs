@@ -4,7 +4,7 @@
 use fc_clustering::CostKind;
 use fc_core::methods::JCount;
 use fc_core::plan::Method;
-use fc_core::{CompressionParams, StandardSensitivity};
+use fc_core::CompressionParams;
 use fc_data::realworld::realworld_suite;
 use fc_data::registry::{self, RegistryParams, ARTIFICIAL};
 use fc_geom::Dataset;
@@ -63,8 +63,8 @@ pub fn real_suite<R: Rng + ?Sized>(rng: &mut R, cfg: &BenchConfig) -> Vec<NamedD
         .collect()
 }
 
-/// The subset of real proxies that fit a quick run (used by the streaming
-/// table, which the paper also restricts to six datasets).
+/// The subset of real proxies that fit a quick run (used by Figure 5's
+/// streaming runtimes, which the paper also restricts to six datasets).
 pub fn small_real_suite<R: Rng + ?Sized>(rng: &mut R, cfg: &BenchConfig) -> Vec<NamedData> {
     real_suite(rng, cfg)
         .into_iter()
@@ -88,11 +88,6 @@ pub fn method_columns(lead: &str, methods: &[Method]) -> Vec<String> {
     std::iter::once(lead.to_owned())
         .chain(methods.iter().map(Method::to_string))
         .collect()
-}
-
-/// Standard sensitivity sampling (the Table 2 / Figure 1 baseline).
-pub fn sensitivity_baseline() -> StandardSensitivity {
-    StandardSensitivity
 }
 
 /// Compression parameters for a dataset at a given m-scalar. Scenario

@@ -6,7 +6,7 @@
 //! power-law cluster sizes and GPS glitches), where everything is benign
 //! (Adult, MNIST, Census), and where geometry is heavy-tailed (Song).
 //! Absolute distortion values differ from the paper's; the qualitative
-//! outcome (which method fails where) is what `tests/failure_modes.rs` pins.
+//! outcome (which method fails where) is what `tests/paper_claims.rs` pins.
 
 use fc_geom::{Dataset, Points};
 use rand::Rng;
