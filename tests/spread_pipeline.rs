@@ -125,7 +125,7 @@ fn fast_coreset_handles_pathological_spread() {
         let c = FastCoreset.compress(&mut rng, &data, &params);
         let verdict = fc_core::judge(&mut rng, &data, &c, k, CostKind::KMeans);
         assert!(
-            verdict.median < 2.0,
+            verdict.median <= 1.2,
             "gap {gap:e}: distortion {}",
             verdict.median
         );
