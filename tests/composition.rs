@@ -1,119 +1,98 @@
-//! Coreset composability (paper §2.3): unions of coresets are coresets,
-//! MapReduce aggregation matches single-shot quality, and determinism holds
-//! under fixed seeds.
+//! Coreset composability (paper §2.3): a union of coresets is a coreset of
+//! the union, a MapReduce aggregate and a coreset of a coreset stay
+//! accurate, and a fixed seed fixes the coreset. Each accuracy claim holds
+//! Fast-Coreset to the bound of `tests/paper_claims.rs`: at most
+//! [`WITHIN_SENSITIVITY`] times standard sensitivity sampling's distortion on
+//! the same data and seeds.
 
+mod common;
+
+use common::*;
 use fast_coresets::prelude::*;
-use fc_core::methods::JCount;
 use fc_core::streaming::mapreduce_coreset;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-fn mixture(seed: u64, n: usize) -> Dataset {
-    let mut rng = StdRng::seed_from_u64(seed);
-    fc_data::gaussian_mixture(
-        &mut rng,
-        fc_data::GaussianMixtureConfig {
-            n,
-            d: 12,
-            kappa: 8,
-            gamma: 1.0,
-            ..Default::default()
-        },
-    )
-}
 
 #[test]
 fn union_of_part_coresets_prices_the_whole() {
-    let data = mixture(41, 12_000);
+    let data = mixture(&mut seeded(41), 12_000, 12, 8, 1.0);
     let halves = data.chunks(6_000);
-    let params = CompressionParams::with_scalar(8, 40, CostKind::KMeans).unwrap();
-    let method = FastCoreset;
-    let mut rng = StdRng::seed_from_u64(42);
-    let c1 = method.compress(&mut rng, &halves[0], &params);
-    let c2 = method.compress(&mut rng, &halves[1], &params);
-    let union = c1.union(&c2).unwrap();
-
-    // Price several solutions on data vs. union-of-coresets.
-    for seed in 0..3u64 {
-        let mut solve_rng = StdRng::seed_from_u64(43 + seed);
-        let seeding = fc_clustering::kmeanspp::kmeanspp(&mut solve_rng, &data, 8, CostKind::KMeans);
-        let full = fc_clustering::cost::cost(&data, &seeding.centers, CostKind::KMeans);
-        let approx = union.cost(&seeding.centers, CostKind::KMeans);
-        let ratio = (full / approx).max(approx / full);
-        assert!(ratio < 1.5, "union pricing ratio {ratio}");
-    }
+    let p = params(8, 40, CostKind::KMeans);
+    // The worst ratio over three k-means++ seedings on the full data.
+    let worst = |method: Method| {
+        let (compressor, rng) = (method.build(), &mut seeded(42));
+        let first = compressor.compress(rng, &halves[0], &p);
+        let union = first
+            .union(&compressor.compress(rng, &halves[1], &p))
+            .unwrap();
+        let ratio = |seed| {
+            let centers = fc_clustering::kmeanspp::kmeanspp(&mut seeded(seed), &data, 8, p.kind);
+            let full = fc_clustering::cost::cost(&data, &centers.centers, p.kind);
+            let priced = union.cost(&centers.centers, p.kind);
+            (full / priced).max(priced / full)
+        };
+        (43..46).map(ratio).fold(1.0, f64::max)
+    };
+    assert_near("§2.3 union", worst(FAST), worst(Method::Sensitivity));
 }
 
 #[test]
 fn mapreduce_matches_single_shot_quality() {
-    let data = mixture(44, 16_000);
-    let k = 8;
-    let params = CompressionParams::with_scalar(k, 40, CostKind::KMeans).unwrap();
-    let method = FastCoreset;
-
-    let mut rng = StdRng::seed_from_u64(45);
-    let single = method.compress(&mut rng, &data, &params);
-    let single_d = fc_core::judge(&mut rng, &data, &single, k, CostKind::KMeans).median;
-
-    let report = mapreduce_coreset(&mut rng, &data, &method, &params, 4);
-    let agg_d = fc_core::judge(&mut rng, &data, &report.coreset, k, CostKind::KMeans).median;
-
-    assert!(agg_d < 2.0, "aggregated distortion {agg_d}");
+    let data = mixture(&mut seeded(44), 16_000, 12, 8, 1.0);
+    let p = params(8, 40, CostKind::KMeans);
+    // (single shot, four-worker aggregate), each judged on the full data.
+    let run = |method: Method| {
+        let (compressor, rng) = (method.build(), &mut seeded(45));
+        let single = compressor.compress(rng, &data, &p);
+        let single = fc_core::judge(rng, &data, &single, p.k, p.kind).median;
+        let aggregate = mapreduce_coreset(rng, &data, compressor.as_ref(), &p, 4).coreset;
+        (
+            single,
+            fc_core::judge(rng, &data, &aggregate, p.k, p.kind).median,
+        )
+    };
+    let ((single, aggregate), (_, sensitivity)) = (run(FAST), run(Method::Sensitivity));
+    assert_near("§2.3 MapReduce", aggregate, sensitivity);
     assert!(
-        agg_d < single_d * 2.0 + 0.5,
-        "mapreduce distortion {agg_d} much worse than single-shot {single_d}"
+        aggregate < single * 2.0 + 0.5,
+        "§2.3 MapReduce: aggregate {aggregate} vs single shot {single}"
+    );
+}
+
+#[test]
+fn recompressing_a_coreset_stays_accurate() {
+    // A coreset of a coreset: the weighted path of every merge-&-reduce
+    // level.
+    let data = mixture(&mut seeded(49), 15_000, 12, 8, 1.0);
+    let sized = |m| CompressionParams {
+        k: 8,
+        m,
+        kind: CostKind::KMeans,
+    };
+    let twice = |method: Method| {
+        let (compressor, rng) = (method.build(), &mut seeded(50));
+        let big = compressor.compress(rng, &data, &sized(2_000));
+        let small = compressor.compress(rng, big.dataset(), &sized(400));
+        fc_core::judge(rng, &data, &small, 8, CostKind::KMeans).median
+    };
+    assert_near(
+        "§2.3 coreset of a coreset",
+        twice(FAST),
+        twice(Method::Sensitivity),
     );
 }
 
 #[test]
 fn compression_is_deterministic_under_a_fixed_seed() {
-    let data = mixture(46, 6_000);
-    let params = CompressionParams::with_scalar(6, 40, CostKind::KMeans).unwrap();
-    for method in [
-        Method::Uniform,
-        Method::Lightweight,
-        Method::Welterweight(JCount::LogK),
-        Method::Sensitivity,
-        Method::FastCoreset,
-    ] {
+    let data = mixture(&mut seeded(46), 6_000, 12, 8, 1.0);
+    let p = params(6, 40, CostKind::KMeans);
+    for method in SAMPLERS {
         let compressor = method.build();
-        let mut r1 = StdRng::seed_from_u64(47);
-        let mut r2 = StdRng::seed_from_u64(47);
-        let a = compressor.compress(&mut r1, &data, &params);
-        let b = compressor.compress(&mut r2, &data, &params);
-        assert_eq!(a.dataset(), b.dataset(), "{method} not deterministic");
-        let mut r3 = StdRng::seed_from_u64(48);
-        let c = compressor.compress(&mut r3, &data, &params);
-        assert_ne!(a.dataset(), c.dataset(), "{method} ignores the seed");
+        let at = |seed| {
+            compressor
+                .compress(&mut seeded(seed), &data, &p)
+                .dataset()
+                .clone()
+        };
+        assert_eq!(at(47), at(47), "§2.3: {method} not deterministic");
+        assert_ne!(at(47), at(48), "§2.3: {method} ignores the seed");
     }
-}
-
-#[test]
-fn recompressing_a_coreset_stays_accurate() {
-    // Coreset-of-a-coreset: the weighted path every merge-&-reduce level
-    // exercises.
-    let data = mixture(49, 15_000);
-    let k = 8;
-    let method = FastCoreset;
-    let mut rng = StdRng::seed_from_u64(50);
-    let big = method.compress(
-        &mut rng,
-        &data,
-        &CompressionParams {
-            k,
-            m: 2_000,
-            kind: CostKind::KMeans,
-        },
-    );
-    let small = method.compress(
-        &mut rng,
-        big.dataset(),
-        &CompressionParams {
-            k,
-            m: 400,
-            kind: CostKind::KMeans,
-        },
-    );
-    let d = fc_core::judge(&mut rng, &data, &small, k, CostKind::KMeans).median;
-    assert!(d < 2.0, "double-compressed distortion {d}");
 }

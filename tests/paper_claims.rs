@@ -9,34 +9,20 @@
 //! is the one constant [`FAST`]; swapping in a faster sampler must fail the
 //! sections that sampler breaks on.
 
+mod common;
+
 use std::ops::Range;
 
+use common::*;
 use fast_coresets::prelude::*;
 use fc_core::methods::JCount;
-use fc_core::streaming::mapreduce_coreset;
 use fc_core::streaming::stream::run_stream;
 use fc_core::Verdict;
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
-
-/// The method whose claims this file checks.
-const FAST: Method = Method::FastCoreset;
-
-/// How far above sensitivity sampling's distortion [`FAST`]'s may read,
-/// fixed before any run.
-const WITHIN_SENSITIVITY: f64 = 1.25;
+use rand::RngCore;
 
 /// Blocks of every merge-&-reduce stream (§5.4).
 const STREAM_BLOCKS: usize = 10;
-
-/// The sampler spectrum of §5.2, fastest first.
-const SAMPLERS: [Method; 5] = [
-    Method::Uniform,
-    Method::Lightweight,
-    Method::Welterweight(JCount::LogK),
-    Method::Sensitivity,
-    FAST,
-];
 
 /// One judge verdict per seed.
 #[derive(Debug)]
@@ -86,15 +72,6 @@ fn verdict(
     )
 }
 
-/// Asserts [`FAST`]'s `fast` is within [`WITHIN_SENSITIVITY`] of
-/// sensitivity sampling's `sensitivity`.
-fn assert_near(claim: &str, fast: f64, sensitivity: f64) {
-    assert!(
-        fast <= WITHIN_SENSITIVITY * sensitivity,
-        "{claim}: {FAST} {fast:.3} vs sensitivity {sensitivity:.3}"
-    );
-}
-
 /// Judges [`FAST`] and sensitivity sampling on the same data, parameters
 /// and seeds, [`assert_near`]s them under each of `stats`, and returns
 /// [`FAST`]'s runs.
@@ -122,26 +99,6 @@ impl Compressor for Streamed {
         let mut stream = MergeReduce::new(self.0.build(), *p);
         run_stream(&mut stream, rng, data, STREAM_BLOCKS)
     }
-}
-
-/// `m = m_scalar · k`.
-fn params(k: usize, m_scalar: usize, kind: CostKind) -> CompressionParams {
-    CompressionParams::with_scalar(k, m_scalar, kind).unwrap()
-}
-
-fn mixture(rng: &mut StdRng, n: usize, d: usize, kappa: usize, gamma: f64) -> Dataset {
-    let cfg = fc_data::GaussianMixtureConfig {
-        n,
-        d,
-        kappa,
-        gamma,
-        ..Default::default()
-    };
-    fc_data::gaussian_mixture(rng, cfg)
-}
-
-fn seeded(seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed)
 }
 
 /// Tables 2 and 3: the real-world proxies. Uniform sampling breaks on the
@@ -573,100 +530,6 @@ mod figure4 {
             median <= mean * 1.001,
             "Figure 4: Weiszfeld {median} vs mean-refined {mean}"
         );
-    }
-}
-
-/// §2.3: composition. A union of coresets is a coreset of the union, a
-/// MapReduce aggregate and a coreset of a coreset stay accurate, and a
-/// fixed seed fixes the coreset.
-mod composition {
-    use super::*;
-
-    #[test]
-    fn union_of_part_coresets_prices_the_whole() {
-        let data = mixture(&mut seeded(41), 12_000, 12, 8, 1.0);
-        let halves = data.chunks(6_000);
-        let p = params(8, 40, CostKind::KMeans);
-        // The worst ratio over three k-means++ seedings on the full data.
-        let worst = |method: Method| {
-            let (compressor, rng) = (method.build(), &mut seeded(42));
-            let first = compressor.compress(rng, &halves[0], &p);
-            let union = first
-                .union(&compressor.compress(rng, &halves[1], &p))
-                .unwrap();
-            let ratio = |seed| {
-                let centers =
-                    fc_clustering::kmeanspp::kmeanspp(&mut seeded(seed), &data, 8, p.kind);
-                let full = fc_clustering::cost::cost(&data, &centers.centers, p.kind);
-                let priced = union.cost(&centers.centers, p.kind);
-                (full / priced).max(priced / full)
-            };
-            (43..46).map(ratio).fold(1.0, f64::max)
-        };
-        assert_near("§2.3 union", worst(FAST), worst(Method::Sensitivity));
-    }
-
-    #[test]
-    fn mapreduce_matches_single_shot_quality() {
-        let data = mixture(&mut seeded(44), 16_000, 12, 8, 1.0);
-        let p = params(8, 40, CostKind::KMeans);
-        // (single shot, four-worker aggregate), each judged on the full data.
-        let run = |method: Method| {
-            let (compressor, rng) = (method.build(), &mut seeded(45));
-            let single = compressor.compress(rng, &data, &p);
-            let single = fc_core::judge(rng, &data, &single, p.k, p.kind).median;
-            let aggregate = mapreduce_coreset(rng, &data, compressor.as_ref(), &p, 4).coreset;
-            (
-                single,
-                fc_core::judge(rng, &data, &aggregate, p.k, p.kind).median,
-            )
-        };
-        let ((single, aggregate), (_, sensitivity)) = (run(FAST), run(Method::Sensitivity));
-        assert_near("§2.3 MapReduce", aggregate, sensitivity);
-        assert!(
-            aggregate < single * 2.0 + 0.5,
-            "§2.3 MapReduce: aggregate {aggregate} vs single shot {single}"
-        );
-    }
-
-    #[test]
-    fn recompressing_a_coreset_stays_accurate() {
-        // A coreset of a coreset: the weighted path of every merge-&-reduce
-        // level.
-        let data = mixture(&mut seeded(49), 15_000, 12, 8, 1.0);
-        let sized = |m| CompressionParams {
-            k: 8,
-            m,
-            kind: CostKind::KMeans,
-        };
-        let twice = |method: Method| {
-            let (compressor, rng) = (method.build(), &mut seeded(50));
-            let big = compressor.compress(rng, &data, &sized(2_000));
-            let small = compressor.compress(rng, big.dataset(), &sized(400));
-            fc_core::judge(rng, &data, &small, 8, CostKind::KMeans).median
-        };
-        assert_near(
-            "§2.3 coreset of a coreset",
-            twice(FAST),
-            twice(Method::Sensitivity),
-        );
-    }
-
-    #[test]
-    fn compression_is_deterministic_under_a_fixed_seed() {
-        let data = mixture(&mut seeded(46), 6_000, 12, 8, 1.0);
-        let p = params(6, 40, CostKind::KMeans);
-        for method in SAMPLERS {
-            let compressor = method.build();
-            let at = |seed| {
-                compressor
-                    .compress(&mut seeded(seed), &data, &p)
-                    .dataset()
-                    .clone()
-            };
-            assert_eq!(at(47), at(47), "§2.3: {method} not deterministic");
-            assert_ne!(at(47), at(48), "§2.3: {method} ignores the seed");
-        }
     }
 }
 
